@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-json bench-check crash soak profile
+.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak profile
 
 all: verify
 
@@ -52,6 +52,14 @@ verify: build vet lint test race crash
 # there.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
+
+# Per-layer micro-benchmarks of the block data path (lfs -> stripe -> dev):
+# host ns/op, B/op and allocs/op per layer, so a wall-clock or allocation
+# regression names its layer. Informational, not a gate.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
+	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
+	$(GO) test -run '^$$' -bench 'DiskWrite1MB' -benchmem -benchtime 20x ./internal/dev/
 
 # Machine-readable snapshot of every table's metrics + obs counters.
 bench-json:

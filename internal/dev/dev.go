@@ -39,12 +39,24 @@ var (
 
 // BlockDev is a random-access array of fixed-size blocks with timed I/O.
 // Reads of never-written blocks return zeroes.
+//
+// Callers recycle their buffers (the farm's free list in package stripe,
+// the block free list and assembly buffer in package lfs), which rests on
+// two properties every implementation keeps and the contract test in
+// package stripe checks:
+//
+//   - a successful ReadBlocks fills every byte of buf, whatever it held
+//     before — zeroes for never-written blocks;
+//   - WriteBlocks takes what it needs from buf before it returns and keeps
+//     no reference to it: the caller may overwrite buf at once without
+//     changing what later reads return. Until it returns, buf must not
+//     change.
 type BlockDev interface {
 	// ReadBlocks reads len(buf) bytes (a multiple of BlockSize) starting
-	// at block blk.
+	// at block blk, overwriting all of buf.
 	ReadBlocks(p *sim.Proc, blk int64, buf []byte) error
 	// WriteBlocks writes len(buf) bytes (a multiple of BlockSize)
-	// starting at block blk.
+	// starting at block blk; buf is the caller's again on return.
 	WriteBlocks(p *sim.Proc, blk int64, buf []byte) error
 	// NumBlocks reports the device capacity in blocks.
 	NumBlocks() int64
@@ -209,6 +221,7 @@ type Disk struct {
 	wcap   int              // write-cache capacity in blocks; 0 = write-through
 	wdirty map[int64][]byte // cached-but-not-durable blocks
 	worder []int64          // FIFO destage order of wdirty keys
+	wfree  [][]byte         // destaged cache blocks awaiting reuse by cacheWrite
 
 	obs        *obs.Obs // nil = not instrumented
 	track      string
@@ -282,6 +295,7 @@ func (d *Disk) destageOldest() {
 	data := d.wdirty[blk]
 	delete(d.wdirty, blk)
 	d.applyMedia(blk, data)
+	d.wfree = append(d.wfree, data) // applyMedia copied it; the cache block is free again
 	d.stats.Destages++
 }
 
@@ -294,7 +308,12 @@ func (d *Disk) cacheWrite(blk int64, data []byte) {
 		copy(old, data)
 		return
 	}
-	buf := make([]byte, BlockSize)
+	var buf []byte
+	if n := len(d.wfree); n > 0 {
+		buf, d.wfree = d.wfree[n-1], d.wfree[:n-1]
+	} else {
+		buf = make([]byte, BlockSize)
+	}
 	copy(buf, data)
 	d.wdirty[blk] = buf
 	d.worder = append(d.worder, blk)

@@ -79,10 +79,53 @@ func (fs *FS) evictLocked() {
 	}
 }
 
+// dropBuf removes b from the cache and takes its block back into the free
+// list. b is dead afterwards: its data is gone, so a holder that kept the
+// pointer across an insertBuf (which may evict) faults instead of reading
+// another block's bytes.
 func (fs *FS) dropBuf(b *buf) {
 	fs.lruRemove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
+	fs.freeBlock(b.data)
+	b.data = nil
+}
+
+// poisonFreed makes freeBlock overwrite every returned block with 0xDB, so
+// a slice used after its release corrupts data deterministically. Only
+// test files set it.
+var poisonFreed bool
+
+// newBlock returns a BlockSize buffer with arbitrary contents, recycled
+// from the blocks dropBuf took back when there is one. Like every user of
+// the free list it runs under fs.lock, which each entry point holds until
+// it returns; reuse therefore depends only on the operation sequence.
+func (fs *FS) newBlock() []byte {
+	if n := len(fs.freeBlocks); n > 0 {
+		b := fs.freeBlocks[n-1]
+		fs.freeBlocks = fs.freeBlocks[:n-1]
+		return b
+	}
+	return make([]byte, BlockSize)
+}
+
+// newZeroBlock is newBlock for callers whose contract is a zero block: a
+// hole, or a block that is about to be partly written.
+func (fs *FS) newZeroBlock() []byte {
+	b := fs.newBlock()
+	clear(b)
+	return b
+}
+
+// freeBlock returns a block obtained from newBlock that nothing refers to
+// any more.
+func (fs *FS) freeBlock(b []byte) {
+	if poisonFreed {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	fs.freeBlocks = append(fs.freeBlocks, b)
 }
 
 // lookupBuf finds a cached block without touching the device.
@@ -97,8 +140,8 @@ func (fs *FS) lookupBuf(inum uint32, lbn int32) *buf {
 	return nil
 }
 
-// insertBuf adds a block to the cache. data must be BlockSize long and is
-// owned by the cache afterwards.
+// insertBuf adds a block to the cache. data must come from newBlock (or
+// newZeroBlock) and is owned by the cache afterwards; dropBuf recycles it.
 func (fs *FS) insertBuf(inum uint32, lbn int32, data []byte, at addr.BlockNo, dirty bool) *buf {
 	key := bufKey{inum, lbn}
 	if old, ok := fs.bufs[key]; ok {
@@ -126,15 +169,14 @@ func (fs *FS) markDirty(b *buf) {
 	}
 }
 
-// readBlockAt performs a timed device read of a single block.
-func (fs *FS) readBlockAt(p *sim.Proc, at addr.BlockNo) ([]byte, error) {
-	data := make([]byte, BlockSize)
+// readBlockAt performs a timed device read of a single block into data.
+func (fs *FS) readBlockAt(p *sim.Proc, at addr.BlockNo, data []byte) error {
 	if err := fs.dev.ReadBlocks(p, at, data); err != nil {
-		return nil, err
+		return err
 	}
 	fs.stats.DevReads++
 	fs.stats.BytesRead += BlockSize
-	return data, nil
+	return nil
 }
 
 // getBlock returns the buffer for (inum, lbn), reading it from the device
@@ -144,22 +186,22 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 	if b := fs.lookupBuf(inum, lbn); b != nil {
 		return b, nil
 	}
-	var data []byte
 	if at == addr.NilBlock {
-		data = make([]byte, BlockSize)
-	} else {
-		var err error
-		data, err = fs.readBlockAt(p, at)
-		if err != nil {
-			return nil, err
-		}
+		return fs.insertBuf(inum, lbn, fs.newZeroBlock(), at, false), nil
+	}
+	data := fs.newBlock()
+	if err := fs.readBlockAt(p, at, data); err != nil {
+		fs.freeBlock(data)
+		return nil, err
 	}
 	return fs.insertBuf(inum, lbn, data, at, false), nil
 }
 
 // dirtyList returns the dirty buffers partitioned into data (lbn >= 0) and
-// meta (lbn < 0) sets, each sorted for deterministic layout.
+// meta (lbn < 0) sets, each sorted for deterministic layout. The slices are
+// the flush scratch's and valid until the next call.
 func (fs *FS) dirtyList() (data, meta []*buf) {
+	data, meta = fs.flush.data[:0], fs.flush.meta[:0]
 	for _, b := range fs.bufs {
 		if !b.dirty {
 			continue
@@ -172,6 +214,7 @@ func (fs *FS) dirtyList() (data, meta []*buf) {
 	}
 	sortBufs(data)
 	sortBufs(meta)
+	fs.flush.data, fs.flush.meta = data, meta
 	return data, meta
 }
 

@@ -181,7 +181,7 @@ func (fs *FS) cleanSegmentLocked(p *sim.Proc, seg addr.SegNo) (relocated int, er
 		if b, ok := fs.bufs[bufKey{r.Inum, r.Lbn}]; ok {
 			fs.markDirty(b)
 		} else {
-			data := make([]byte, BlockSize)
+			data := fs.newBlock()
 			copy(data, sc.BlockData(fs.amap, r.Addr))
 			nb := fs.insertBuf(r.Inum, r.Lbn, data, r.Addr, false)
 			fs.markDirty(nb)

@@ -121,7 +121,7 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 	}
 	if start == addr.NilBlock {
 		// A hole: materialize a zero block without device I/O.
-		fs.insertBuf(ino.Inum, lbn, make([]byte, BlockSize), addr.NilBlock, false)
+		fs.insertBuf(ino.Inum, lbn, fs.newZeroBlock(), addr.NilBlock, false)
 		return nil
 	}
 	fileEnd := int32(blocksFor(int(ino.Size)))
@@ -147,14 +147,17 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 		}
 		count++
 	}
-	data := make([]byte, int(count)*BlockSize)
+	if fs.cluster == nil {
+		fs.cluster = make([]byte, readCluster*BlockSize)
+	}
+	data := fs.cluster[:int(count)*BlockSize]
 	if err := fs.dev.ReadBlocks(p, start, data); err != nil {
 		return err
 	}
 	fs.stats.DevReads++
 	fs.stats.BytesRead += int64(len(data))
 	for i := int32(0); i < count; i++ {
-		blk := make([]byte, BlockSize)
+		blk := fs.newBlock()
 		copy(blk, data[int(i)*BlockSize:])
 		fs.insertBuf(ino.Inum, lbn+i, blk, start+addr.BlockNo(i), false)
 	}
@@ -198,7 +201,8 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 				if err != nil {
 					return written, err
 				}
-				bf = fs.insertBuf(inum, lbn, make([]byte, BlockSize), a, false)
+				// Every byte is overwritten below: no zeroing needed.
+				bf = fs.insertBuf(inum, lbn, fs.newBlock(), a, false)
 			}
 		} else {
 			bf = fs.lookupBuf(inum, lbn)
@@ -208,7 +212,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 					return written, err
 				}
 				if a == addr.NilBlock || uint64(lbn)*BlockSize >= ino.Size {
-					bf = fs.insertBuf(inum, lbn, make([]byte, BlockSize), a, false)
+					bf = fs.insertBuf(inum, lbn, fs.newZeroBlock(), a, false)
 				} else {
 					bf, err = fs.getBlock(p, inum, lbn, a)
 					if err != nil {

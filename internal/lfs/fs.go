@@ -169,6 +169,14 @@ type FS struct {
 	inodes     map[uint32]*Inode
 	dirtyIno   map[uint32]bool
 
+	// Reusable buffers of the block data path, all used only under lock
+	// (see DESIGN.md, "Buffer ownership on the data path").
+	freeBlocks [][]byte // blocks dropBuf took back, handed out by newBlock
+	cluster    []byte   // fillBlocks' clustered-read scratch
+	segImage   []byte   // partial-segment assembly (writePsegs, Migratev)
+	tableImage []byte   // serializeTables' checkpoint table image
+	flush      flushScratch
+
 	cacheInUse  int  // disk segments currently holding cached tertiary lines
 	inFlush     bool // guards against recursive segment writes
 	inEmergency bool // guards against recursive emergency cleaning
@@ -457,9 +465,14 @@ func (fs *FS) tableRegionBlock(r uint32, i int) addr.BlockNo {
 	return fs.amap.BlockOf(addr.SegNo(base/fs.amap.SegBlocks()), base%fs.amap.SegBlocks())
 }
 
-// serializeTables renders the ifile + tsegfile tables into one buffer.
+// serializeTables renders the ifile + tsegfile tables into one buffer,
+// reused from checkpoint to checkpoint and valid until the next call.
 func (fs *FS) serializeTables() []byte {
-	out := make([]byte, int(fs.sb.TableBlocks)*BlockSize)
+	if fs.tableImage == nil {
+		fs.tableImage = make([]byte, int(fs.sb.TableBlocks)*BlockSize)
+	}
+	out := fs.tableImage
+	clear(out) // the gaps between tables are zero on media
 	// Block 0: cleaner info.
 	// (clean/dirty counts are recomputed at mount; block reserved for
 	// layout fidelity and the dump tool.)
@@ -1009,9 +1022,9 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 	if err := fs.flushDevice(p); err != nil {
 		return err
 	}
-	fs.bufs = make(map[bufKey]*buf)
-	fs.lruHead, fs.lruTail = nil, nil
-	fs.bufBytes = 0
+	for fs.lruHead != nil {
+		fs.dropBuf(fs.lruHead) // everything is clean after the flush
+	}
 	fs.inodes = make(map[uint32]*Inode)
 	fs.lastLbn = make(map[uint32]int32)
 	return nil

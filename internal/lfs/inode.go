@@ -25,12 +25,15 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*Inode, error) {
 	if e.Addr == addr.NilBlock {
 		return nil, fmt.Errorf("lfs: inode %d is free: %w", inum, ErrNotFound)
 	}
-	data, err := fs.readBlockAt(p, e.Addr)
-	if err != nil {
+	// The inode block is only decoded, not cached: borrow a block for it.
+	data := fs.newBlock()
+	if err := fs.readBlockAt(p, e.Addr, data); err != nil {
+		fs.freeBlock(data)
 		return nil, err
 	}
 	ino := &Inode{}
 	ino.decode(data[int(e.Slot)*InodeSize:])
+	fs.freeBlock(data)
 	if ino.Inum != inum {
 		return nil, fmt.Errorf("lfs: inode block at %d slot %d holds inum %d, want %d", e.Addr, e.Slot, ino.Inum, inum)
 	}
@@ -208,7 +211,7 @@ func (fs *FS) getMeta(p *sim.Proc, ino *Inode, metaLbn int32, create bool) (*buf
 		// A freshly created meta block is born dirty: every creator is
 		// about to store a pointer into it, and a clean zero block must
 		// never be evicted before that happens.
-		b := fs.insertBuf(ino.Inum, metaLbn, make([]byte, BlockSize), addr.NilBlock, true)
+		b := fs.insertBuf(ino.Inum, metaLbn, fs.newZeroBlock(), addr.NilBlock, true)
 		return b, nil
 	}
 	return fs.getBlock(p, ino.Inum, metaLbn, at)

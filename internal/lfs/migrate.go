@@ -159,11 +159,15 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		return res, nil
 	}
 
+	// The staged partial segment is assembled in place: block 0 of image
+	// is the summary, live block i goes to block 1+i, inode blocks follow.
+	image := fs.assembly(1 + len(live) + inoBlocks)
+	content := image[BlockSize:]
+
 	// Capture data content before any pointer moves. Batch contiguous
 	// source addresses into single device transfers (the migrator reads
 	// from the raw disk, §6.7 — these reads contend for the disk arm,
-	// Table 6).
-	contents := make([][]byte, len(live))
+	// Table 6), each gathered straight into its final position.
 	maxRun := fs.opts.GatherChunkBlocks
 	if maxRun <= 0 {
 		maxRun = 1 << 20
@@ -178,12 +182,8 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 			live[j].ref.Addr == live[i].ref.Addr+addr.BlockNo(j-i) {
 			j++
 		}
-		run := make([]byte, (j-i)*BlockSize)
-		if err := fs.readRunLocked(p, live[i].ref, run); err != nil {
+		if err := fs.readRunLocked(p, live[i].ref, content[i*BlockSize:j*BlockSize]); err != nil {
 			return res, err
-		}
-		for k := i; k < j; k++ {
-			contents[k] = run[(k-i)*BlockSize : (k-i+1)*BlockSize]
 		}
 		i = j
 	}
@@ -225,11 +225,10 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 			return res, err
 		}
 		if mb == nil {
+			clear(content[i*BlockSize : (i+1)*BlockSize])
 			continue // vanished; leave Applied false
 		}
-		data := make([]byte, BlockSize)
-		copy(data, mb.data)
-		contents[i] = data
+		copy(content[i*BlockSize:], mb.data)
 		fs.setMetaPtr(p, ino, it.ref.Lbn, na)
 		fs.accountOld(it.ref.Addr, BlockSize)
 		fs.accountNew(na, BlockSize)
@@ -250,9 +249,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		Serial: fs.serial,
 		Flags:  SumStaging,
 	}
-	content := make([]byte, (len(live)+inoBlocks)*BlockSize)
-	for i, it := range live {
-		copy(content[i*BlockSize:], contents[i])
+	for _, it := range live {
 		if n := len(sum.Finfos); n > 0 && sum.Finfos[n-1].Inum == it.ref.Inum {
 			sum.Finfos[n-1].Lbns = append(sum.Finfos[n-1].Lbns, it.ref.Lbn)
 		} else {
@@ -265,6 +262,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		na := base + addr.BlockNo(1+len(live)+bi)
 		sum.InoAddrs = append(sum.InoAddrs, na)
 		blkOff := (len(live) + bi) * BlockSize
+		clear(content[blkOff : blkOff+BlockSize]) // unused slots and inode padding are zero on media
 		for s := 0; s < InodesPerBlock; s++ {
 			idx := bi*InodesPerBlock + s
 			if idx >= len(sorted) {
@@ -287,11 +285,9 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	}
 	sum.NBlocks = uint16(1 + len(live) + inoBlocks)
 	sum.DataSum = crc32Sum(content)
-	image := make([]byte, BlockSize+len(content))
 	if err := EncodeSummary(sum, image[:BlockSize]); err != nil {
 		return res, err
 	}
-	copy(image[BlockSize:], content)
 
 	// Mirror the staged partial segment into the cache-line disk segment
 	// (assembled "on-disk in a dirty cache line", §6.2).

@@ -22,6 +22,17 @@ type psegPlan struct {
 	inums     []uint32
 }
 
+// flushScratch is the segment writer's bookkeeping — the dirty sets and the
+// summary's block lists — kept between flushes so a steady-state flush
+// rebuilds none of it from nothing. A flush nested in another's emergency
+// clean overwrites it; the outer flush recomputes everything afterwards.
+type flushScratch struct {
+	seen               map[bufKey]bool // dirtyParents: blocks already handled
+	todo               []bufKey
+	data, meta, blocks []*buf
+	lbns               []int32 // backing store of one summary's Finfo.Lbns
+}
+
 // flushLocked writes all dirty state to the log. checkpointFlag marks the
 // resulting partial segments as checkpoint-generated.
 func (fs *FS) flushLocked(p *sim.Proc, checkpointFlag bool) error {
@@ -39,7 +50,8 @@ func (fs *FS) flushLocked(p *sim.Proc, checkpointFlag bool) error {
 		if len(data)+len(meta)+len(inums) == 0 {
 			return nil
 		}
-		blocks := append(append([]*buf{}, data...), meta...)
+		blocks := append(append(fs.flush.blocks[:0], data...), meta...)
+		fs.flush.blocks = blocks
 		inoBlocks := (len(inums) + InodesPerBlock - 1) / InodesPerBlock
 		units := len(blocks) + inoBlocks
 		perSeg := fs.amap.SegBlocks() - 1
@@ -70,14 +82,19 @@ func (fs *FS) flushLocked(p *sim.Proc, checkpointFlag bool) error {
 // iterates until no unprocessed dirty block remains (dirtying a parent can
 // surface a grandparent).
 func (fs *FS) dirtyParents(p *sim.Proc) error {
-	seen := make(map[bufKey]bool)
+	if fs.flush.seen == nil {
+		fs.flush.seen = make(map[bufKey]bool)
+	}
+	seen := fs.flush.seen
+	clear(seen)
 	for {
-		var todo []bufKey
+		todo := fs.flush.todo[:0]
 		for k, b := range fs.bufs {
 			if b.dirty && !seen[k] {
 				todo = append(todo, k)
 			}
 		}
+		fs.flush.todo = todo
 		if len(todo) == 0 {
 			return nil
 		}
@@ -232,7 +249,14 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 		} else if haveNext {
 			sum.Next = nextSeg
 		}
-		content := make([]byte, (len(pl.bufs)+pl.inoBlocks)*BlockSize)
+		// Summary and content are built in place in the assembly buffer:
+		// block 0 is the summary, content follows.
+		out := fs.assembly(1 + len(pl.bufs) + pl.inoBlocks)
+		content := out[BlockSize:]
+		if cap(fs.flush.lbns) < len(pl.bufs) {
+			fs.flush.lbns = make([]int32, fs.amap.SegBlocks())
+		}
+		lbns := fs.flush.lbns[:len(pl.bufs)]
 		for i, b := range pl.bufs {
 			na := base + addr.BlockNo(1+i)
 			ino := fs.inodes[b.key.inum]
@@ -244,14 +268,17 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			fs.accountNew(na, BlockSize)
 			b.addr = na
 			copy(content[i*BlockSize:], b.data)
-			// Group into FINFOs by file.
+			// Group into FINFOs by file: a file's blocks are adjacent in
+			// the list, so its Lbns is a window of lbns that grows by one.
+			lbns[i] = b.key.lbn
 			if n := len(sum.Finfos); n > 0 && sum.Finfos[n-1].Inum == b.key.inum {
-				sum.Finfos[n-1].Lbns = append(sum.Finfos[n-1].Lbns, b.key.lbn)
+				f := &sum.Finfos[n-1]
+				f.Lbns = f.Lbns[:len(f.Lbns)+1]
 			} else {
 				sum.Finfos = append(sum.Finfos, Finfo{
 					Inum:    b.key.inum,
 					Version: fs.imap[b.key.inum].Version,
-					Lbns:    []int32{b.key.lbn},
+					Lbns:    lbns[i : i+1],
 				})
 			}
 		}
@@ -260,6 +287,7 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			na := base + addr.BlockNo(1+len(pl.bufs)+ib)
 			sum.InoAddrs = append(sum.InoAddrs, na)
 			blkOff := (len(pl.bufs) + ib) * BlockSize
+			clear(content[blkOff : blkOff+BlockSize]) // unused slots and inode padding are zero on media
 			for s := 0; s < InodesPerBlock; s++ {
 				idx := ib*InodesPerBlock + s
 				if idx >= len(pl.inums) {
@@ -281,11 +309,9 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			}
 		}
 		sum.DataSum = crc32Sum(content)
-		out := make([]byte, BlockSize+len(content))
 		if err := EncodeSummary(sum, out[:BlockSize]); err != nil {
 			return err
 		}
-		copy(out[BlockSize:], content)
 		fs.chargeCopy(p, len(out), fs.opts.AssemblyCopyRate)
 		if err := fs.dev.WriteBlocks(p, base, out); err != nil {
 			return err
@@ -326,6 +352,18 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 	fs.stats.Flushes++
 	fs.evictLocked()
 	return nil
+}
+
+// assembly returns the first nblocks blocks of the per-FS segment-sized
+// assembly buffer, contents arbitrary. A partial segment never exceeds a
+// segment, and the lock serializes the segment writer and Migratev, so one
+// buffer serves both; it is handed to the device and is free again when
+// WriteBlocks returns (BlockDev does not retain caller buffers).
+func (fs *FS) assembly(nblocks int) []byte {
+	if fs.segImage == nil {
+		fs.segImage = make([]byte, fs.amap.SegBlocks()*BlockSize)
+	}
+	return fs.segImage[:nblocks*BlockSize]
 }
 
 // pickSegment chooses the next clean segment for the log, excluding

@@ -1,0 +1,137 @@
+package stripe
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/dev"
+	"repro/internal/sim"
+)
+
+// allocBytesPerOp reports the heap bytes one op allocates in steady state:
+// op runs once as a warm-up (so the farm's free list is stocked), then in
+// several windows with runtime.MemStats.TotalAlloc read around each; the
+// cheapest window counts, which leaves out what the runtime and the kernel
+// allocate now and then on their own account (goroutine descriptors, the
+// doubling of the kernel's proc table).
+func allocBytesPerOp(op func()) uint64 {
+	const windows, runs = 5, 20
+	op()
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for w := 0; w < windows; w++ {
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			op()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got < best {
+			best = got
+		}
+	}
+	return best
+}
+
+// TestInterleaveSteadyStateAllocations gates the farm's data path: after a
+// warm-up op, a request may allocate bookkeeping (op lists, closures, the
+// fan-out procs) but no transfer buffer — less than one block per op,
+// where a single bounce buffer, row image or parity unit allocated per
+// call is 16 KB or more.
+func TestInterleaveSteadyStateAllocations(t *testing.T) {
+	const unit = 4 // blocks per stripe unit; a row holds 3 data units = 12 blocks
+	for _, tc := range []struct {
+		name   string
+		failed int // spindle marked failed before the measured ops, -1 for none
+		op     func(p *sim.Proc, il *Interleave, buf []byte) error
+	}{
+		{"partial-row write", -1, func(p *sim.Proc, il *Interleave, buf []byte) error {
+			return il.WriteBlocks(p, 5, buf[:2*dev.BlockSize]) // inside unit 1 of row 0
+		}},
+		{"full-stripe write", -1, func(p *sim.Proc, il *Interleave, buf []byte) error {
+			return il.WriteBlocks(p, 12, buf[:12*dev.BlockSize]) // row 1 whole
+		}},
+		{"coalesced multi-unit read", -1, func(p *sim.Proc, il *Interleave, buf []byte) error {
+			return il.ReadBlocks(p, 0, buf[:24*dev.BlockSize]) // 2 rows: spindles 2 and 3 serve two adjacent units each
+		}},
+		{"degraded read", 1, func(p *sim.Proc, il *Interleave, buf []byte) error {
+			return il.ReadBlocks(p, 0, buf[:12*dev.BlockSize]) // row 0, one unit of it on the failed spindle
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			il, _ := newInterleave(k, unit, true, 4, 256)
+			buf := make([]byte, 96*dev.BlockSize)
+			for i := range buf {
+				buf[i] = byte(i * 7)
+			}
+			k.RunProc(func(p *sim.Proc) {
+				if err := il.WriteBlocks(p, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+				if tc.failed >= 0 {
+					il.SetFailed(tc.failed, true)
+				}
+				got := allocBytesPerOp(func() {
+					if err := tc.op(p, il, buf); err != nil {
+						t.Fatal(err)
+					}
+				})
+				t.Logf("%d bytes allocated per op", got)
+				if got >= dev.BlockSize {
+					t.Errorf("%s allocates %d bytes per op in steady state, want under %d", tc.name, got, dev.BlockSize)
+				}
+			})
+		})
+	}
+}
+
+// Per-layer micro-benchmarks (make bench-layers): host cost and bytes
+// allocated per op of the striped farm alone, over four RZ57 spindles with
+// rotating parity and a 64 KB stripe unit.
+
+func benchFarm() (*sim.Kernel, *Interleave, []byte) {
+	k := sim.NewKernel()
+	il, _ := newInterleave(k, 16, true, 4, 4096)
+	return k, il, make([]byte, 1<<20)
+}
+
+// BenchmarkInterleaveWriteParity alternates the two parity write shapes: a
+// 1 MB write (full rows plus a partial tail row) and a 16 KB read-modify
+// small write.
+func BenchmarkInterleaveWriteParity(b *testing.B) {
+	k, il, buf := benchFarm()
+	b.ReportAllocs()
+	k.RunProc(func(p *sim.Proc) {
+		for i := -1; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer() // round -1 touched the media and stocked the free list
+			}
+			if err := il.WriteBlocks(p, 0, buf); err != nil {
+				b.Fatal(err)
+			}
+			if err := il.WriteBlocks(p, 300, buf[:4*dev.BlockSize]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkInterleaveRead1MB(b *testing.B) {
+	k, il, buf := benchFarm()
+	b.ReportAllocs()
+	k.RunProc(func(p *sim.Proc) {
+		if err := il.WriteBlocks(p, 0, buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := il.ReadBlocks(p, 0, buf); err != nil { // stocks the free list
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(buf)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := il.ReadBlocks(p, 0, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

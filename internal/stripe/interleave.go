@@ -28,6 +28,7 @@ type Interleave struct {
 	failed []bool
 	rows   int64 // complete stripe rows
 	total  int64 // logical data blocks presented
+	free   freeList
 }
 
 var _ Farm = (*Interleave)(nil)
@@ -151,7 +152,8 @@ type extent struct {
 // split cuts a validated request into unit-bounded extents.
 func (il *Interleave) split(blk int64, buf []byte) []extent {
 	nd := il.dataDisks()
-	var out []extent
+	last := blk + int64(len(buf)/dev.BlockSize) - 1
+	out := make([]extent, 0, last/il.unit-blk/il.unit+1)
 	for len(buf) > 0 {
 		su := blk / il.unit
 		off := blk % il.unit
@@ -215,7 +217,7 @@ func (il *Interleave) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		}
 		groups[e.disk] = append(groups[e.disk], op{d: il.devs[e.disk], blk: e.phys, buf: e.buf})
 	}
-	errs := dispatchAll(p, "stripe.ileave", groups, false)
+	errs := dispatchAll(p, "stripe.ileave", &il.free, groups, false)
 	for d, err := range errs {
 		if err == nil {
 			continue
@@ -242,10 +244,18 @@ func (il *Interleave) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // reconstruct serves degraded-mode reads: each missing extent is the XOR
 // of the same physical extent on every surviving spindle (the other data
 // units plus the row's parity). All survivor reads across all degraded
-// extents are issued as one parallel phase.
+// extents are issued as one parallel phase, into scratch buffers borrowed
+// from the farm's free list until the XOR is done.
 func (il *Interleave) reconstruct(p *sim.Proc, degraded []extent) error {
 	groups := make([][]op, len(il.devs))
 	scratch := make([][][]byte, len(degraded)) // per extent, per survivor
+	defer func() {
+		for _, sbs := range scratch {
+			for _, sb := range sbs {
+				il.free.put(sb)
+			}
+		}
+	}()
 	for i, e := range degraded {
 		for d := range il.devs {
 			if d == e.disk {
@@ -255,19 +265,17 @@ func (il *Interleave) reconstruct(p *sim.Proc, degraded []extent) error {
 				return fmt.Errorf("stripe: reconstructing spindle %d with spindle %d also failed: %w",
 					e.disk, d, ErrComponentFailed)
 			}
-			sb := make([]byte, len(e.buf))
+			sb := il.free.get(len(e.buf))
 			scratch[i] = append(scratch[i], sb)
 			groups[d] = append(groups[d], op{d: il.devs[d], blk: e.phys, buf: sb})
 		}
 	}
-	if err := dispatch(p, "stripe.rebuild", groups, false); err != nil {
+	if err := dispatch(p, "stripe.rebuild", &il.free, groups, false); err != nil {
 		return err
 	}
 	for i, e := range degraded {
-		for j := range e.buf {
-			e.buf[j] = 0
-		}
-		for _, sb := range scratch[i] {
+		copy(e.buf, scratch[i][0])
+		for _, sb := range scratch[i][1:] {
 			xorInto(e.buf, sb)
 		}
 	}
@@ -300,7 +308,7 @@ func (il *Interleave) writeBlocks(p *sim.Proc, blk, nb int64, buf []byte) error 
 			}
 			groups[e.disk] = append(groups[e.disk], op{d: il.devs[e.disk], blk: e.phys, buf: e.buf})
 		}
-		return dispatch(p, "stripe.ileave", groups, true)
+		return dispatch(p, "stripe.ileave", &il.free, groups, true)
 	}
 	return il.writeParity(p, blk, nb, buf)
 }
@@ -311,7 +319,8 @@ func (il *Interleave) writeBlocks(p *sim.Proc, blk, nb int64, buf []byte) error 
 // penalty: the old row is read back (reconstructing a failed lane from
 // parity if needed), overlaid with the new data, and the parity unit
 // rewritten whole. Reads for every partial row form one parallel phase;
-// all data and parity writes form a second.
+// all data and parity writes form a second. Row images and parity units
+// are borrowed from the farm's free list until the write phase has joined.
 func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
 	nd := il.dataDisks()
 	unitB := il.unit * int64(dev.BlockSize)
@@ -327,11 +336,26 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 		badLane int64    // lane on a failed spindle, -1 if none
 		parity  []byte
 	}
-	plans := make([]*rowPlan, 0, lastRow-firstRow+1)
+	plans := make([]rowPlan, 0, lastRow-firstRow+1)
+	defer func() {
+		for i := range plans {
+			rp := &plans[i]
+			for _, b := range rp.old {
+				il.free.put(b)
+			}
+			if rp.oldPar != nil {
+				il.free.put(rp.oldPar)
+			}
+			if rp.parity != nil {
+				il.free.put(rp.parity)
+			}
+		}
+	}()
 	readGroups := make([][]op, len(il.devs))
 	for r := firstRow; r <= lastRow; r++ {
 		pd := il.parityDisk(r)
-		rp := &rowPlan{row: r, badLane: -1}
+		plans = append(plans, rowPlan{row: r, badLane: -1})
+		rp := &plans[len(plans)-1]
 		covStart := r * rowBlocks // logical row bounds
 		covEnd := covStart + rowBlocks
 		rp.full = blk <= covStart && blk+nb >= covEnd
@@ -349,28 +373,29 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 			rp.old = make([][]byte, nd)
 			phys := r * il.unit
 			for j := int64(0); j < nd; j++ {
-				rp.old[j] = make([]byte, unitB)
+				rp.old[j] = il.free.get(int(unitB))
 				d := il.lane(r, j)
 				if il.failed[d] {
+					clear(rp.old[j]) // nothing is read into a failed lane
 					continue
 				}
 				readGroups[d] = append(readGroups[d], op{d: il.devs[d], blk: phys, buf: rp.old[j]})
 			}
 			if rp.badLane >= 0 {
-				rp.oldPar = make([]byte, unitB)
+				rp.oldPar = il.free.get(int(unitB))
 				readGroups[pd] = append(readGroups[pd], op{d: il.devs[pd], blk: phys, buf: rp.oldPar})
 			}
 		}
-		plans = append(plans, rp)
 	}
-	if err := dispatch(p, "stripe.ileave", readGroups, false); err != nil {
+	if err := dispatch(p, "stripe.ileave", &il.free, readGroups, false); err != nil {
 		return err
 	}
 
 	writeGroups := make([][]op, len(il.devs))
-	for _, rp := range plans {
+	for i := range plans {
+		rp := &plans[i]
 		pd := il.parityDisk(rp.row)
-		rp.parity = make([]byte, unitB)
+		rp.parity = il.free.get(int(unitB))
 		if !rp.full && rp.badLane >= 0 {
 			// Rebuild the failed lane's old contents: XOR of the old
 			// parity and every surviving lane.
@@ -403,7 +428,11 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 					copy(lane[(s-laneStart)*int64(dev.BlockSize):], buf[(s-blk)*int64(dev.BlockSize):(e-blk)*int64(dev.BlockSize)])
 				}
 			}
-			xorInto(rp.parity, lane)
+			if j == 0 {
+				copy(rp.parity, lane) // seeds the recycled unit: no clearing pass
+			} else {
+				xorInto(rp.parity, lane)
+			}
 			if s < e {
 				d := il.lane(rp.row, j)
 				if il.failed[d] {
@@ -420,7 +449,7 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 			writeGroups[pd] = append(writeGroups[pd], op{d: il.devs[pd], blk: rp.row * il.unit, buf: rp.parity})
 		}
 	}
-	return dispatch(p, "stripe.ileave", writeGroups, true)
+	return dispatch(p, "stripe.ileave", &il.free, writeGroups, true)
 }
 
 // Flush implements dev.Flusher across all spindles in parallel.

@@ -10,6 +10,7 @@ package stripe
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/dev"
@@ -41,6 +42,7 @@ type Concat struct {
 	devs   []dev.BlockDev
 	starts []int64 // starts[i] = first block of component i
 	total  int64
+	free   freeList
 }
 
 var _ Farm = (*Concat)(nil)
@@ -132,7 +134,7 @@ func (c *Concat) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
 		nb -= span
 	}
 	st := tr.StageStart(reqtrace.KindStripeIO, p.Now(), note)
-	err := dispatch(p, "stripe.concat", groups, write)
+	err := dispatch(p, "stripe.concat", &c.free, groups, write)
 	tr.StageEnd(st, p.Now())
 	return err
 }
@@ -153,6 +155,48 @@ func (c *Concat) Flush(p *sim.Proc) error {
 	return flushAll(p, "stripe.concat", c.devs)
 }
 
+// freeList is a farm's stock of transfer buffers (bounce buffers, parity
+// units, reconstruction scratch), kept in power-of-two size classes:
+// free[c] holds buffers of capacity 1<<c. It is a field of the farm, not a
+// sync.Pool: the kernel runs one proc at a time and neither get nor put
+// yields, so no lock is needed, and reuse depends only on the request
+// sequence — never on when the garbage collector ran — so the bytes a run
+// allocates repeat exactly.
+type freeList [][][]byte
+
+// poisonFreed makes put overwrite every returned buffer with 0xDB, so a
+// slice used after its release corrupts data deterministically. Only test
+// files set it.
+var poisonFreed bool
+
+// get returns a buffer of n bytes with arbitrary contents; every user
+// overwrites it whole (a device read, a gather copy, a parity seed).
+func (f *freeList) get(n int) []byte {
+	c := bits.Len(uint(n - 1))
+	if c < len(*f) {
+		if l := (*f)[c]; len(l) > 0 {
+			b := l[len(l)-1]
+			(*f)[c] = l[:len(l)-1]
+			return b[:n]
+		}
+	}
+	return make([]byte, n, 1<<c)
+}
+
+// put takes back a buffer handed out by get, once nothing refers to it.
+func (f *freeList) put(b []byte) {
+	if poisonFreed {
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	c := bits.Len(uint(cap(b) - 1))
+	for len(*f) <= c {
+		*f = append(*f, nil)
+	}
+	(*f)[c] = append((*f)[c], b)
+}
+
 // op is one contiguous transfer against a single component device. When a
 // striped request maps several stripe units to physically adjacent blocks
 // of one spindle, coalesce merges them into a single transfer through a
@@ -162,15 +206,16 @@ type op struct {
 	d       dev.BlockDev
 	blk     int64
 	buf     []byte
-	scatter [][]byte
+	scatter [][]byte // non-nil: buf is a bounce buffer from the farm's free list
 }
 
 // coalesce merges physically adjacent transfers of one component into
 // single larger ops, so a request striped across N spindles costs each
 // arm one rotation instead of one per stripe unit. The ops must be sorted
 // by physical block, which Interleave's row-order split and Concat's
-// span-order split both produce for a contiguous request.
-func coalesce(g []op, write bool) []op {
+// span-order split both produce for a contiguous request. Bounce buffers
+// are drawn from free; the caller puts them back once the ops have run.
+func coalesce(free *freeList, g []op, write bool) []op {
 	out := g[:0]
 	for _, o := range g {
 		if n := len(out); n > 0 {
@@ -194,13 +239,12 @@ func coalesce(g []op, write bool) []op {
 		for _, part := range o.scatter {
 			total += len(part)
 		}
-		bounce := make([]byte, 0, total)
-		for _, part := range o.scatter {
-			bounce = append(bounce, part...)
-		}
-		o.buf = bounce
+		o.buf = free.get(total)
 		if write {
-			o.scatter = nil // the gather copy above is all a write needs
+			off := 0
+			for _, part := range o.scatter {
+				off += copy(o.buf[off:], part)
+			}
 		}
 	}
 	return out
@@ -218,7 +262,7 @@ func runOps(p *sim.Proc, ops []op, write bool) error {
 		if err != nil {
 			return err
 		}
-		if o.scatter != nil {
+		if o.scatter != nil && !write {
 			off := 0
 			for _, part := range o.scatter {
 				off += copy(part, o.buf[off:])
@@ -288,41 +332,41 @@ func fanoutAll(p *sim.Proc, name string, tasks []func(*sim.Proc) error) []error 
 
 // dispatch executes per-component op lists through fanout, coalescing
 // each component's adjacent transfers first.
-func dispatch(p *sim.Proc, name string, groups [][]op, write bool) error {
+func dispatch(p *sim.Proc, name string, free *freeList, groups [][]op, write bool) error {
+	for _, err := range dispatchAll(p, name, free, groups, write) {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dispatchAll is dispatch returning per-component errors (fanoutAll). The
+// bounce buffers coalesce drew go back to free once every component has
+// joined, whether or not one failed.
+func dispatchAll(p *sim.Proc, name string, free *freeList, groups [][]op, write bool) []error {
 	tasks := make([]func(*sim.Proc) error, len(groups))
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
-		g := coalesce(g, write)
-		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, g, write) }
+		cg := coalesce(free, g, write)
+		groups[i] = cg
+		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, cg, write) }
 	}
-	return dispatchTasks(p, name, tasks, write)
-}
-
-// dispatchAll is dispatch returning per-component errors (fanoutAll).
-func dispatchAll(p *sim.Proc, name string, groups [][]op, write bool) []error {
-	tasks := make([]func(*sim.Proc) error, len(groups))
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
+	kind := ".read"
+	if write {
+		kind = ".write"
+	}
+	errs := fanoutAll(p, name+kind, tasks)
+	for _, g := range groups {
+		for _, o := range g {
+			if o.scatter != nil {
+				free.put(o.buf)
+			}
 		}
-		g := coalesce(g, write)
-		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, g, write) }
 	}
-	kind := ".read"
-	if write {
-		kind = ".write"
-	}
-	return fanoutAll(p, name+kind, tasks)
-}
-
-func dispatchTasks(p *sim.Proc, name string, tasks []func(*sim.Proc) error, write bool) error {
-	kind := ".read"
-	if write {
-		kind = ".write"
-	}
-	return fanout(p, name+kind, tasks)
+	return errs
 }
 
 // flushAll drains every component's write cache in parallel.
