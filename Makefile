@@ -38,8 +38,11 @@ crash:
 # repair soaks, the deadline/cancel suite, and the request-tracing
 # determinism gate (tracing must not perturb the run, and the /requests
 # document must be byte-identical across a double run). -count=1 forces
-# fresh runs.
+# fresh runs. The kernel's own tests run three times over: every proc is a
+# coroutine the dispatcher switches to, so its state crosses goroutines on
+# every event.
 soak:
+	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry'
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
@@ -53,12 +56,16 @@ verify: build vet lint test race crash
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
 
-# Per-layer micro-benchmarks of the block data path (lfs -> stripe -> dev):
-# host ns/op, B/op and allocs/op per layer, so a wall-clock or allocation
-# regression names its layer. Informational, not a gate.
+# Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
+# contended resource, 4-way spawn and join) and of the block data path
+# (lfs -> stripe -> dev, and the parity XOR alone): host ns/op, B/op and
+# allocs/op per layer, so a wall-clock or allocation regression names its
+# layer. Informational, not a gate.
 bench-layers:
+	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
+	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'DiskWrite1MB' -benchmem -benchtime 20x ./internal/dev/
 
 # Machine-readable snapshot of every table's metrics + obs counters.

@@ -89,7 +89,8 @@ func ProfileReport(s Scale) (*Report, error) {
 	rep.addf("dispatch overhead   %12.0f ns/event avg (%d ns total)", pr.AvgDispatchNs, pr.DispatchNs)
 	rep.addf("proc time           %12d ns   wall %d ns", pr.ProcNs, pr.WallNs)
 	rep.addf("event-heap depth    %12d high water", pr.HeapHighWater)
-	rep.addf("procs               %12d spawned, %d switches", pr.Procs, pr.TotalSwitches)
+	rep.addf("procs               %12d spawned, %d switches + %d events served in place = %d events",
+		pr.Procs, pr.TotalSwitches, pr.InPlaceEvents, pr.TotalEvents)
 	for _, tp := range pr.TopProcs {
 		rep.addf("  %-24s %10d switches", tp.Name, tp.Switches)
 	}

@@ -8,12 +8,19 @@
 // deterministic: the same program produces the same virtual-time trace on
 // every host.
 //
+// A process runs on a coroutine (iter.Pull) that Run switches to directly,
+// without a trip through the Go scheduler; a process whose own wake-up
+// would be the next event keeps running and only the clock moves. DESIGN.md
+// "Kernel execution model" has the rules.
+//
 // Virtual time is a time.Duration measured from the start of the run.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 )
@@ -52,7 +59,7 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. A Proc handle is passed to every blocking
-// operation; it must only be used from the goroutine running that process.
+// operation; it must only be used from inside that process.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -61,9 +68,24 @@ type Proc struct {
 	block  string // description of what the proc is blocked on
 	ctx    *Ctx   // cancellation scope of the request being executed, if any
 
-	resume chan struct{}
+	fn func(p *Proc) // the process body; nil once it has finished
+	co *coro         // coroutine fn runs on: set at first dispatch, nil again when done
 
-	switches int64 // times the dispatcher handed this proc the CPU
+	switches int64 // times the dispatcher switched to this proc
+}
+
+// coro is a coroutine that runs procs, one at a time. Run resumes it with
+// next — a direct switch, no trip through the Go scheduler — and the proc
+// bound to it hands control back with yield whenever it blocks. When the
+// proc finishes, the coroutine parks itself on the kernel's idle list and
+// the next proc to be dispatched for the first time is bound to it, so a
+// stream of short-lived procs (the stripe farm spawns one per component
+// per request) reuses a handful of coroutines and their stacks.
+type coro struct {
+	p     *Proc                   // proc bound to it; nil while idle
+	next  func() (struct{}, bool) // switch to the coroutine until it yields
+	stop  func()                  // make the parked yield return false, wait for the body to return
+	yield func(struct{}) bool     // switch back to whoever called next or stop
 }
 
 // Name returns the process name given to Go or GoDaemon.
@@ -144,9 +166,9 @@ type Kernel struct {
 	now     Time
 	seq     uint64
 	events  eventHeap
-	yield   chan struct{}
-	procs   []*Proc
-	live    int // non-daemon procs not yet done
+	procs   []*Proc // procs not yet done, in spawn order
+	idle    []*coro // coroutines whose proc finished, parked until the next first dispatch
+	live    int     // non-daemon procs not yet done
 	stopped bool
 	failure interface{} // panic value captured from a proc
 	stack   []byte      // stack trace of the captured panic
@@ -158,17 +180,30 @@ type Kernel struct {
 	profEnabled    bool
 	profEvents     int64 // events dispatched to a proc
 	profEventsMark int64 // profEvents at EnableProfile, for the window rate
+	profInPlace    int64 // of profEvents, self-wakes Sleep served without a switch
+	profSwitches   int64 // of profEvents, those Run switched to a coroutine for
 	profSkipped    int64 // popped events whose proc was already done
 	profWallNs     int64 // wall time spent inside Run while profiling
 	profDispatchNs int64 // wall time in scheduler bookkeeping (heap pop, clock)
-	profProcNs     int64 // wall time procs held the CPU (incl. channel handoff)
+	profProcNs     int64 // wall time procs held the CPU (incl. the two coroutine switches, and attach)
 	heapHighWater  int   // deepest the event heap has ever been
+	spawned        int   // procs ever spawned
+	// doneSwitches folds the dispatch counts of finished procs by name
+	// (procs itself only lists live ones). Procs named per request would
+	// grow it without bound, so past doneNamesMax distinct names the rest
+	// are summed under otherDoneProcs.
+	doneSwitches map[string]int64
 }
+
+const (
+	doneNamesMax   = 256
+	otherDoneProcs = "(other finished procs)"
+)
 
 // NewKernel returns a kernel with virtual time zero and no processes.
 func NewKernel() *Kernel {
 	return &Kernel{
-		yield: make(chan struct{}),
+		doneSwitches: make(map[string]int64),
 		// Preallocate the event queue: steady-state simulations keep a
 		// few hundred pending wake-ups, and growing the array on the
 		// dispatch path is pure overhead.
@@ -207,35 +242,92 @@ func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, daemon: daemon, state: stateNew, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, daemon: daemon, state: stateNew, fn: fn}
 	k.procs = append(k.procs, p)
+	k.spawned++
 	if !daemon {
 		k.live++
 	}
 	k.schedule(k.now, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopProc); !ok {
-					k.failure = fmt.Sprintf("proc %q panicked: %v", p.name, r)
-					k.stack = debug.Stack()
-				}
-			}
-			p.state = stateDone
-			if !p.daemon {
-				k.live--
-			}
-			k.yield <- struct{}{}
-		}()
-		p.state = stateRunning
-		fn(p)
-	}()
 	return p
 }
 
-// stopProc is panicked inside daemon goroutines to unwind them when the
-// kernel shuts down.
+// attach binds p, about to be dispatched for the first time, to an idle
+// coroutine, or to a new one when none is idle.
+func (k *Kernel) attach(p *Proc) {
+	var c *coro
+	if n := len(k.idle); n > 0 {
+		c = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+	} else {
+		c = k.newCoro()
+	}
+	c.p, p.co = p, c
+}
+
+// newCoro creates a coroutine; its body starts at the first next. Between
+// procs the coroutine belongs to k.idle, whose entries are all parked in
+// the yield below; Stop ends them.
+func (k *Kernel) newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for k.exec(c) {
+			k.idle = append(k.idle, c)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
+}
+
+// exec runs the proc bound to c to its end. It reports whether c may run
+// another proc: not after a panic (the failure is Run's to report) or
+// after Stop unwound the proc — the body returns and the coroutine ends.
+func (k *Kernel) exec(c *coro) (reusable bool) {
+	p := c.p
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(stopProc); !ok {
+				k.failure = fmt.Sprintf("proc %q panicked: %v", p.name, r)
+				k.stack = debug.Stack()
+			}
+		}
+		c.p = nil
+		k.finish(p)
+	}()
+	p.state = stateRunning
+	p.fn(p)
+	return true
+}
+
+// finish retires p: it leaves the live list (the order of the others is
+// kept, so Stop unwinds in spawn order) and its dispatch count is folded
+// into the per-name totals.
+func (k *Kernel) finish(p *Proc) {
+	p.state = stateDone
+	p.fn, p.co = nil, nil
+	if !p.daemon {
+		k.live--
+	}
+	// Short-lived procs are the youngest, so search from the end.
+	for i := len(k.procs) - 1; i >= 0; i-- {
+		if k.procs[i] == p {
+			k.procs = slices.Delete(k.procs, i, i+1)
+			break
+		}
+	}
+	name := p.name
+	if _, ok := k.doneSwitches[name]; !ok && len(k.doneSwitches) >= doneNamesMax {
+		name = otherDoneProcs
+	}
+	k.doneSwitches[name] += p.switches
+}
+
+// stopProc is panicked inside procs to unwind them when the kernel shuts
+// down.
 type stopProc struct{}
 
 func (k *Kernel) schedule(t Time, p *Proc) {
@@ -269,7 +361,21 @@ func (p *Proc) Sleep(d Time) {
 		d = 0
 	}
 	k := p.k
-	k.schedule(k.now+d, p)
+	t := k.now + d
+	if !k.stopped && (len(k.events) == 0 || k.events[0].t > t) {
+		// Self-wake in place: p's wake-up, if pushed, would be the very
+		// next event Run pops, so advance the clock here and keep running.
+		// The comparison is strict because a pending event at exactly t
+		// has a lower sequence number and runs first.
+		if len(k.events) >= k.heapHighWater {
+			k.heapHighWater = len(k.events) + 1 // the depth the push would have reached
+		}
+		k.now = t
+		k.profEvents++
+		k.profInPlace++
+		return
+	}
+	k.schedule(t, p)
 	p.state = stateSleeping
 	p.yieldToKernel()
 }
@@ -289,11 +395,8 @@ func (p *Proc) suspend(why string) {
 
 // yieldToKernel hands control back to the scheduler and waits to be resumed.
 func (p *Proc) yieldToKernel() {
-	k := p.k
-	k.yield <- struct{}{}
-	<-p.resume
-	if k.stopped {
-		panic(stopProc{})
+	if !p.co.yield(struct{}{}) {
+		panic(stopProc{}) // resumed by Stop, not by an event
 	}
 	p.state = stateRunning
 }
@@ -317,19 +420,23 @@ func (k *Kernel) Run() {
 			t0 = time.Now()
 		}
 		e := k.events.pop()
-		if e.p.state == stateDone {
+		p := e.p
+		if p.state == stateDone {
 			k.profSkipped++
 			continue // proc was unwound by Stop while an event was pending
 		}
 		k.now = e.t
 		k.profEvents++
-		e.p.switches++
+		k.profSwitches++
+		p.switches++
 		if profiled {
 			t1 = time.Now()
 			k.profDispatchNs += t1.Sub(t0).Nanoseconds()
 		}
-		e.p.resume <- struct{}{}
-		<-k.yield
+		if p.co == nil {
+			k.attach(p)
+		}
+		p.co.next() // returns when p blocks or finishes
 		if profiled {
 			k.profProcNs += time.Since(t1).Nanoseconds()
 		}
@@ -352,28 +459,31 @@ func (k *Kernel) RunProc(fn func(p *Proc)) {
 	k.Run()
 }
 
-// Stop unwinds all still-live processes. After Stop the kernel must not be
-// reused. It is intended for tearing down daemons after Run returns.
+// Stop unwinds all still-live processes, in spawn order, and ends the idle
+// coroutines. After Stop the kernel must not be reused. It is intended for
+// tearing down daemons after Run returns.
 func (k *Kernel) Stop() {
 	k.stopped = true
-	for _, p := range k.procs {
-		if p.state == stateDone || p.state == stateNew {
+	// finish edits k.procs, so walk a copy.
+	for _, p := range slices.Clone(k.procs) {
+		if p.co == nil {
+			k.finish(p) // never dispatched: no coroutine, nothing to unwind
 			continue
 		}
-		// Resume the proc; yieldToKernel panics with stopProc, and the
-		// spawn wrapper reports back on k.yield.
-		p.resume <- struct{}{}
-		<-k.yield
+		// The proc is parked in yieldToKernel, which now panics with
+		// stopProc; stop returns once exec has recovered it.
+		p.co.stop()
 	}
+	for _, c := range k.idle {
+		c.stop()
+	}
+	k.idle = nil
 }
 
 // describeBlocked summarizes what every live process is waiting on.
 func (k *Kernel) describeBlocked() string {
 	var lines []string
 	for _, p := range k.procs {
-		if p.state == stateDone {
-			continue
-		}
 		d := ""
 		if p.daemon {
 			d = " (daemon)"

@@ -18,7 +18,7 @@ import "sort"
 // virtual-time trace as an unprofiled one (pinned by
 // TestProfileDoesNotPerturbVirtualTime).
 
-// ProcProfile is one process's dispatch count.
+// ProcProfile is the dispatch count of the processes sharing one name.
 type ProcProfile struct {
 	Name     string
 	Switches int64
@@ -32,10 +32,14 @@ type Profile struct {
 	// before the measured Run calls.
 	Enabled bool
 
-	// Events counts events dispatched to a proc since EnableProfile;
-	// TotalEvents counts them over the kernel's whole life.
-	Events      int64
-	TotalEvents int64
+	// Events counts wake-ups delivered to a proc since EnableProfile;
+	// TotalEvents counts them over the kernel's whole life. Each is either
+	// a switch to the proc's coroutine (TotalSwitches) or a self-wake that
+	// Sleep served in place, on the proc that was already running
+	// (InPlaceEvents): TotalEvents == TotalSwitches + InPlaceEvents.
+	Events        int64
+	TotalEvents   int64
+	InPlaceEvents int64
 	// SkippedEvents counts popped events whose proc had already been
 	// unwound (Stop with wake-ups still pending).
 	SkippedEvents int64
@@ -43,23 +47,27 @@ type Profile struct {
 	// WallNs is wall-clock time spent inside profiled Run loops;
 	// DispatchNs is the slice of it in scheduler bookkeeping (heap pop,
 	// clock advance) and ProcNs the slice handed to procs (including the
-	// channel handoff). EventsPerSec and AvgDispatchNs are derived.
+	// coroutine switch there and back, binding a coroutine at a proc's
+	// first dispatch, and every in-place event). EventsPerSec and
+	// AvgDispatchNs are derived.
 	WallNs        int64
 	DispatchNs    int64
 	ProcNs        int64
 	EventsPerSec  float64
 	AvgDispatchNs float64
 
-	// HeapHighWater is the deepest the pending-event heap has ever been;
-	// Procs counts processes ever spawned; TotalSwitches sums every
-	// proc's dispatch count; TopProcs lists the most-dispatched procs.
+	// HeapHighWater is the deepest the pending-event heap has ever been
+	// (an in-place self-wake counts the slot its event would have taken);
+	// Procs counts processes ever spawned; TotalSwitches counts the times
+	// Run switched to a proc; TopProcs lists the most-dispatched proc
+	// names, finished procs included.
 	HeapHighWater int
 	Procs         int
 	TotalSwitches int64
 	TopProcs      []ProcProfile
 }
 
-// topProcsReported caps how many procs ProfileSnapshot lists by name.
+// topProcsReported caps how many proc names ProfileSnapshot lists.
 const topProcsReported = 8
 
 // EnableProfile turns on wall-clock timing of the dispatch loop. Call it
@@ -84,7 +92,9 @@ func (k *Kernel) ProfileSnapshot() Profile {
 		DispatchNs:    k.profDispatchNs,
 		ProcNs:        k.profProcNs,
 		HeapHighWater: k.heapHighWater,
-		Procs:         len(k.procs),
+		Procs:         k.spawned,
+		InPlaceEvents: k.profInPlace,
+		TotalSwitches: k.profSwitches,
 	}
 	if pr.WallNs > 0 {
 		pr.EventsPerSec = float64(pr.Events) / (float64(pr.WallNs) / 1e9)
@@ -92,11 +102,17 @@ func (k *Kernel) ProfileSnapshot() Profile {
 	if pr.Events > 0 {
 		pr.AvgDispatchNs = float64(pr.DispatchNs) / float64(pr.Events)
 	}
-	top := make([]ProcProfile, 0, len(k.procs))
+	byName := make(map[string]int64, len(k.doneSwitches)+len(k.procs))
+	for name, n := range k.doneSwitches {
+		byName[name] = n
+	}
 	for _, p := range k.procs {
-		pr.TotalSwitches += p.switches
-		if p.switches > 0 {
-			top = append(top, ProcProfile{Name: p.name, Switches: p.switches})
+		byName[p.name] += p.switches
+	}
+	top := make([]ProcProfile, 0, len(byName))
+	for name, n := range byName {
+		if n > 0 {
+			top = append(top, ProcProfile{Name: name, Switches: n})
 		}
 	}
 	sort.Slice(top, func(a, b int) bool {

@@ -5,8 +5,9 @@ import (
 	"time"
 )
 
-// profileWorkload runs a small deterministic mix of sleeps and wake-ups
-// and returns the final virtual time.
+// profileWorkload runs a small deterministic mix of sleeps and wake-ups —
+// four workers whose wake-ups collide, then main sleeping alone, which is
+// served in place — and returns the final virtual time.
 func profileWorkload(k *Kernel) Time {
 	var end Time
 	k.RunProc(func(p *Proc) {
@@ -23,6 +24,9 @@ func profileWorkload(k *Kernel) Time {
 		}
 		for done < 4 {
 			cond.Wait(p)
+		}
+		for i := 0; i < 5; i++ {
+			p.Sleep(time.Millisecond)
 		}
 		end = p.Now()
 	})
@@ -49,11 +53,20 @@ func TestProfileCountsAndRate(t *testing.T) {
 	if pr.Procs != 5 {
 		t.Fatalf("procs %d, want 5 (main + 4 workers)", pr.Procs)
 	}
-	if pr.TotalSwitches != pr.TotalEvents {
-		t.Fatalf("switches %d != dispatched events %d", pr.TotalSwitches, pr.TotalEvents)
+	if pr.InPlaceEvents != 5 {
+		t.Fatalf("in-place events %d, want main's 5 lone sleeps", pr.InPlaceEvents)
 	}
-	if len(pr.TopProcs) == 0 || pr.TopProcs[0].Switches <= 0 {
-		t.Fatalf("top procs empty: %+v", pr.TopProcs)
+	if pr.TotalEvents != pr.TotalSwitches+pr.InPlaceEvents {
+		t.Fatalf("events %d != switches %d + in-place events %d", pr.TotalEvents, pr.TotalSwitches, pr.InPlaceEvents)
+	}
+	// Every proc has finished and left the kernel's list; the four
+	// workers' counts are folded under their shared name.
+	var sum int64
+	for _, tp := range pr.TopProcs {
+		sum += tp.Switches
+	}
+	if len(pr.TopProcs) != 2 || pr.TopProcs[0].Name != "worker" || sum != pr.TotalSwitches {
+		t.Fatalf("top procs %+v, want worker then main summing to %d switches", pr.TopProcs, pr.TotalSwitches)
 	}
 	for i := 1; i < len(pr.TopProcs); i++ {
 		if pr.TopProcs[i].Switches > pr.TopProcs[i-1].Switches {

@@ -135,3 +135,17 @@ func BenchmarkInterleaveRead1MB(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkXorInto64K is the parity kernel alone, over one 64 KB stripe
+// unit — what writeParity pays per lane of every row.
+func BenchmarkXorInto64K(b *testing.B) {
+	dst, src := make([]byte, 64<<10), make([]byte, 64<<10)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	b.SetBytes(int64(len(dst)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		xorInto(dst, src)
+	}
+}

@@ -1,6 +1,7 @@
 package stripe
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -29,6 +30,9 @@ type Interleave struct {
 	rows   int64 // complete stripe rows
 	total  int64 // logical data blocks presented
 	free   freeList
+	names  farmNames
+	// rebuild names the survivor reads of a degraded-mode reconstruction.
+	rebuild fanNames
 }
 
 var _ Farm = (*Interleave)(nil)
@@ -69,12 +73,14 @@ func NewInterleave(unitBlocks int, parity bool, devs ...dev.BlockDev) (*Interlea
 		dataDisks--
 	}
 	return &Interleave{
-		devs:   devs,
-		unit:   int64(unitBlocks),
-		parity: parity,
-		failed: make([]bool, len(devs)),
-		rows:   rows,
-		total:  rows * dataDisks * int64(unitBlocks),
+		devs:    devs,
+		unit:    int64(unitBlocks),
+		parity:  parity,
+		failed:  make([]bool, len(devs)),
+		rows:    rows,
+		total:   rows * dataDisks * int64(unitBlocks),
+		names:   newFarmNames("stripe.ileave", len(devs)),
+		rebuild: newFanNames("stripe.rebuild.read", len(devs)),
 	}, nil
 }
 
@@ -217,7 +223,7 @@ func (il *Interleave) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		}
 		groups[e.disk] = append(groups[e.disk], op{d: il.devs[e.disk], blk: e.phys, buf: e.buf})
 	}
-	errs := dispatchAll(p, "stripe.ileave", &il.free, groups, false)
+	errs := dispatchAll(p, &il.names.read, &il.free, groups, false)
 	for d, err := range errs {
 		if err == nil {
 			continue
@@ -270,7 +276,7 @@ func (il *Interleave) reconstruct(p *sim.Proc, degraded []extent) error {
 			groups[d] = append(groups[d], op{d: il.devs[d], blk: e.phys, buf: sb})
 		}
 	}
-	if err := dispatch(p, "stripe.rebuild", &il.free, groups, false); err != nil {
+	if err := dispatch(p, &il.rebuild, &il.free, groups, false); err != nil {
 		return err
 	}
 	for i, e := range degraded {
@@ -308,7 +314,7 @@ func (il *Interleave) writeBlocks(p *sim.Proc, blk, nb int64, buf []byte) error 
 			}
 			groups[e.disk] = append(groups[e.disk], op{d: il.devs[e.disk], blk: e.phys, buf: e.buf})
 		}
-		return dispatch(p, "stripe.ileave", &il.free, groups, true)
+		return dispatch(p, &il.names.write, &il.free, groups, true)
 	}
 	return il.writeParity(p, blk, nb, buf)
 }
@@ -387,7 +393,7 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 			}
 		}
 	}
-	if err := dispatch(p, "stripe.ileave", &il.free, readGroups, false); err != nil {
+	if err := dispatch(p, &il.names.read, &il.free, readGroups, false); err != nil {
 		return err
 	}
 
@@ -449,16 +455,16 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 			writeGroups[pd] = append(writeGroups[pd], op{d: il.devs[pd], blk: rp.row * il.unit, buf: rp.parity})
 		}
 	}
-	return dispatch(p, "stripe.ileave", &il.free, writeGroups, true)
+	return dispatch(p, &il.names.write, &il.free, writeGroups, true)
 }
 
 // Flush implements dev.Flusher across all spindles in parallel.
 func (il *Interleave) Flush(p *sim.Proc) error {
-	return flushAll(p, "stripe.ileave", il.devs)
+	return flushAll(p, &il.names.flush, il.devs)
 }
 
+// xorInto sets dst ^= src, a machine word (or a vector) at a time. The two
+// are parity units or lanes of equal length.
 func xorInto(dst, src []byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src)
 }

@@ -43,6 +43,7 @@ type Concat struct {
 	starts []int64 // starts[i] = first block of component i
 	total  int64
 	free   freeList
+	names  farmNames
 }
 
 var _ Farm = (*Concat)(nil)
@@ -60,6 +61,7 @@ func New(devs ...dev.BlockDev) (*Concat, error) {
 		c.starts = append(c.starts, c.total)
 		c.total += d.NumBlocks()
 	}
+	c.names = newFarmNames("stripe.concat", len(devs))
 	return c, nil
 }
 
@@ -83,6 +85,7 @@ func (c *Concat) Append(d dev.BlockDev) int64 {
 	c.devs = append(c.devs, d)
 	c.starts = append(c.starts, start)
 	c.total += d.NumBlocks()
+	c.names = newFarmNames("stripe.concat", len(c.devs))
 	return start
 }
 
@@ -134,7 +137,11 @@ func (c *Concat) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
 		nb -= span
 	}
 	st := tr.StageStart(reqtrace.KindStripeIO, p.Now(), note)
-	err := dispatch(p, "stripe.concat", &c.free, groups, write)
+	names := &c.names.read
+	if write {
+		names = &c.names.write
+	}
+	err := dispatch(p, names, &c.free, groups, write)
 	tr.StageEnd(st, p.Now())
 	return err
 }
@@ -152,7 +159,7 @@ func (c *Concat) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // Flush implements dev.Flusher by draining the write cache of every
 // component that has one, all components in parallel.
 func (c *Concat) Flush(p *sim.Proc) error {
-	return flushAll(p, "stripe.concat", c.devs)
+	return flushAll(p, &c.names.flush, c.devs)
 }
 
 // freeList is a farm's stock of transfer buffers (bounce buffers, parity
@@ -272,6 +279,33 @@ func runOps(p *sim.Proc, ops []op, write bool) error {
 	return nil
 }
 
+// fanNames holds the proc and condition names of one kind of fan-out
+// (a farm's reads, its writes, its flushes), built once per farm so a
+// request formats no strings.
+type fanNames struct {
+	join string   // the joining condition variable
+	proc []string // proc[i] runs component i's task
+}
+
+func newFanNames(name string, components int) fanNames {
+	n := fanNames{join: name + ".join", proc: make([]string, components)}
+	for i := range n.proc {
+		n.proc[i] = fmt.Sprintf("%s[%d]", name, i)
+	}
+	return n
+}
+
+// farmNames is the fanNames of each kind of request a farm fans out.
+type farmNames struct{ read, write, flush fanNames }
+
+func newFarmNames(name string, components int) farmNames {
+	return farmNames{
+		read:  newFanNames(name+".read", components),
+		write: newFanNames(name+".write", components),
+		flush: newFanNames(name+".flush", components),
+	}
+}
+
 // fanout runs the non-nil tasks, one per component index. A single task
 // runs inline in the caller's process — byte-identical in virtual time to
 // the historical serial path, which keeps single-spindle baselines
@@ -280,8 +314,8 @@ func runOps(p *sim.Proc, ops []op, write bool) error {
 // numbers (and thus every FIFO tie-break) are deterministic, and joined on
 // a condition variable. The join is first-error-wins with the lowest
 // component index winning — a rule independent of completion order.
-func fanout(p *sim.Proc, name string, tasks []func(*sim.Proc) error) error {
-	for _, err := range fanoutAll(p, name, tasks) {
+func fanout(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) error {
+	for _, err := range fanoutAll(p, names, tasks) {
 		if err != nil {
 			return err
 		}
@@ -294,7 +328,7 @@ func fanout(p *sim.Proc, name string, tasks []func(*sim.Proc) error) error {
 // refused so it can reconstruct exactly those extents from the survivors.
 // The execution schedule (inline single task, spawn order, join) is
 // identical to fanout's.
-func fanoutAll(p *sim.Proc, name string, tasks []func(*sim.Proc) error) []error {
+func fanoutAll(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) []error {
 	errs := make([]error, len(tasks))
 	busy, last := 0, -1
 	for i, t := range tasks {
@@ -312,13 +346,13 @@ func fanoutAll(p *sim.Proc, name string, tasks []func(*sim.Proc) error) []error 
 	}
 	k := p.Kernel()
 	done := 0
-	join := k.NewCond(name + ".join")
+	join := k.NewCond(names.join)
 	for i, t := range tasks {
 		if t == nil {
 			continue
 		}
 		i, t := i, t
-		k.Go(fmt.Sprintf("%s[%d]", name, i), func(cp *sim.Proc) {
+		k.Go(names.proc[i], func(cp *sim.Proc) {
 			errs[i] = t(cp)
 			done++
 			join.Broadcast()
@@ -332,8 +366,8 @@ func fanoutAll(p *sim.Proc, name string, tasks []func(*sim.Proc) error) []error 
 
 // dispatch executes per-component op lists through fanout, coalescing
 // each component's adjacent transfers first.
-func dispatch(p *sim.Proc, name string, free *freeList, groups [][]op, write bool) error {
-	for _, err := range dispatchAll(p, name, free, groups, write) {
+func dispatch(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, write bool) error {
+	for _, err := range dispatchAll(p, names, free, groups, write) {
 		if err != nil {
 			return err
 		}
@@ -344,7 +378,7 @@ func dispatch(p *sim.Proc, name string, free *freeList, groups [][]op, write boo
 // dispatchAll is dispatch returning per-component errors (fanoutAll). The
 // bounce buffers coalesce drew go back to free once every component has
 // joined, whether or not one failed.
-func dispatchAll(p *sim.Proc, name string, free *freeList, groups [][]op, write bool) []error {
+func dispatchAll(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, write bool) []error {
 	tasks := make([]func(*sim.Proc) error, len(groups))
 	for i, g := range groups {
 		if len(g) == 0 {
@@ -354,11 +388,7 @@ func dispatchAll(p *sim.Proc, name string, free *freeList, groups [][]op, write 
 		groups[i] = cg
 		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, cg, write) }
 	}
-	kind := ".read"
-	if write {
-		kind = ".write"
-	}
-	errs := fanoutAll(p, name+kind, tasks)
+	errs := fanoutAll(p, names, tasks)
 	for _, g := range groups {
 		for _, o := range g {
 			if o.scatter != nil {
@@ -370,7 +400,7 @@ func dispatchAll(p *sim.Proc, name string, free *freeList, groups [][]op, write 
 }
 
 // flushAll drains every component's write cache in parallel.
-func flushAll(p *sim.Proc, name string, devs []dev.BlockDev) error {
+func flushAll(p *sim.Proc, names *fanNames, devs []dev.BlockDev) error {
 	tasks := make([]func(*sim.Proc) error, len(devs))
 	for i, d := range devs {
 		f, ok := d.(dev.Flusher)
@@ -379,5 +409,5 @@ func flushAll(p *sim.Proc, name string, devs []dev.BlockDev) error {
 		}
 		tasks[i] = func(cp *sim.Proc) error { return f.Flush(cp) }
 	}
-	return fanout(p, name+".flush", tasks)
+	return fanout(p, names, tasks)
 }

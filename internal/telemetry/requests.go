@@ -112,12 +112,14 @@ func RenderRequests(t *reqtrace.Tracer, now sim.Time) []byte {
 // Metrics payload the reproducibility tests byte-compare.
 func RenderProfile(pr sim.Profile) []byte {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# HELP hl_sim_events_total Events dispatched by the sim kernel.\n")
+	fmt.Fprintf(&b, "# HELP hl_sim_events_total Wake-ups the sim kernel delivered to procs: proc switches plus self-wakes served in place.\n")
 	fmt.Fprintf(&b, "# TYPE hl_sim_events_total counter\nhl_sim_events_total %d\n", pr.TotalEvents)
 	fmt.Fprintf(&b, "# TYPE hl_sim_events_skipped_total counter\nhl_sim_events_skipped_total %d\n", pr.SkippedEvents)
 	fmt.Fprintf(&b, "# TYPE hl_sim_heap_high_water gauge\nhl_sim_heap_high_water %d\n", pr.HeapHighWater)
 	fmt.Fprintf(&b, "# TYPE hl_sim_procs gauge\nhl_sim_procs %d\n", pr.Procs)
+	fmt.Fprintf(&b, "# HELP hl_sim_proc_switches_total Events the dispatcher switched to a proc's coroutine for (hl_sim_events_total less hl_sim_events_in_place_total).\n")
 	fmt.Fprintf(&b, "# TYPE hl_sim_proc_switches_total counter\nhl_sim_proc_switches_total %d\n", pr.TotalSwitches)
+	fmt.Fprintf(&b, "# TYPE hl_sim_events_in_place_total counter\nhl_sim_events_in_place_total %d\n", pr.InPlaceEvents)
 	if pr.Enabled {
 		fmt.Fprintf(&b, "# HELP hl_sim_events_per_sec Wall-clock event dispatch rate since EnableProfile.\n")
 		fmt.Fprintf(&b, "# TYPE hl_sim_events_per_sec gauge\nhl_sim_events_per_sec %s\n", fnum(pr.EventsPerSec))
