@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak profile
+.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak profile loc
 
 all: verify
 
@@ -72,11 +72,20 @@ bench-layers:
 bench-json:
 	$(GO) run ./cmd/hlbench -quick -json BENCH_0.json
 
-# Diff a fresh quick-scale snapshot against the committed BENCH_*.json
-# baseline within per-metric tolerances; fails on regression. After an
-# intended performance change, regenerate the baseline with bench-json.
+# Require a fresh quick-scale snapshot to equal the committed BENCH_*.json
+# baseline metric for metric (virtual time is bit-reproducible; only
+# float round-off is absorbed), with no metric missing on either side.
+# After an intended behavior change, regenerate the baseline with bench-json.
 bench-check:
 	$(GO) run ./cmd/benchcheck
+
+# Non-test Go lines per package and in total, benchmark/ excluded: the
+# tracked number that should go down (ROADMAP item 2). Informational.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # CPU profile of the multi-round migration + demand-fetch workload: run
 # hlbench -serve (which exposes net/http/pprof) against the loopback,

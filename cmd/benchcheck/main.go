@@ -1,21 +1,21 @@
 // Command benchcheck guards the committed benchmark baseline: it builds
-// a fresh `hlbench -json` snapshot in-process at quick scale and diffs
-// it against the newest committed BENCH_*.json within per-metric
-// tolerances. The simulator is deterministic, so genuine drift means a
-// code change altered behavior — either a regression (fix it) or an
-// intended change (regenerate the baseline with `make bench-json`).
+// a fresh `hlbench -json` snapshot in-process at quick scale and requires
+// it to equal the newest committed BENCH_*.json, metric for metric. The
+// simulator runs on virtual time, so every metric is reproducible to the
+// bit and any difference means a code change altered behavior — either a
+// regression (fix it) or an intended change (regenerate the baseline with
+// `make bench-json`).
 //
-// Tolerances are deliberately loose relative to the simulator's
-// determinism: table metrics and counters may move 10%, span totals and
-// latency quantiles 15%, before the check fails. A metric present in
-// the baseline but missing from the fresh snapshot always fails.
+// The comparison is equality up to a relative 1e-9, which only absorbs
+// floating-point round-off between the snapshot in memory and its decimal
+// text. A metric present on one side and missing from the other fails.
 //
 // Usage:
 //
 //	benchcheck [-baseline FILE] [-v]
 //
-// Exits 0 when every metric is within tolerance, 1 on regression, 2 on
-// usage/setup errors (no baseline, schema mismatch).
+// Exits 0 when every metric matches, 1 when one differs, 2 on usage/setup
+// errors (no baseline, schema mismatch).
 package main
 
 import (
@@ -30,44 +30,66 @@ import (
 	"repro/internal/bench"
 )
 
-// tol is one comparison tolerance: a relative fraction plus an absolute
-// floor (whichever allows more), so tiny baselines aren't held to
-// sub-rounding precision.
-type tol struct {
-	rel, abs float64
+// epsilon is the relative difference below which two values are the same
+// number written twice.
+const epsilon = 1e-9
+
+func same(base, fresh float64) bool {
+	return base == fresh || math.Abs(fresh-base) <= epsilon*math.Max(math.Abs(base), math.Abs(fresh))
 }
 
-var (
-	tolTable    = tol{rel: 0.10, abs: 0.02}
-	tolCounter  = tol{rel: 0.10, abs: 2}
-	tolSpan     = tol{rel: 0.15, abs: 0.02}
-	tolQuantile = tol{rel: 0.15, abs: 0.005}
-)
-
-func (t tol) within(base, fresh float64) bool {
-	return math.Abs(fresh-base) <= math.Max(t.abs, t.rel*math.Abs(base))
-}
-
-// checker accumulates per-metric verdicts.
-type checker struct {
-	verbose  bool
-	failures int
-	checked  int
-}
-
-func (c *checker) compare(name string, t tol, base, fresh float64, freshHas bool) {
-	c.checked++
-	switch {
-	case !freshHas:
-		c.failures++
-		fmt.Printf("FAIL %-46s baseline %.6g, missing from fresh snapshot\n", name, base)
-	case !t.within(base, fresh):
-		c.failures++
-		fmt.Printf("FAIL %-46s baseline %.6g, fresh %.6g (|Δ| %.3g > tol max(%.3g, %.0f%%))\n",
-			name, base, fresh, math.Abs(fresh-base), t.abs, t.rel*100)
-	case c.verbose:
-		fmt.Printf("ok   %-46s baseline %.6g, fresh %.6g\n", name, base, fresh)
+// flatten names every metric of a snapshot: "table2.<metric>",
+// "counter.<name>", "span_seconds.<cat>", "quantile.<histogram>.<q>".
+func flatten(s *bench.BenchSnapshot) map[string]float64 {
+	m := map[string]float64{}
+	for tbl, metrics := range s.Tables {
+		for name, v := range metrics {
+			m[tbl+"."+name] = v
+		}
 	}
+	for name, v := range s.Counters {
+		m["counter."+name] = float64(v)
+	}
+	for name, v := range s.SpanSeconds {
+		m["span_seconds."+name] = v
+	}
+	for hist, qs := range s.Quantiles {
+		for q, v := range qs {
+			m["quantile."+hist+"."+q] = v
+		}
+	}
+	return m
+}
+
+// compare returns one line per metric that differs between the two
+// snapshots or is missing from either, in name order; with verbose set,
+// matching metrics are listed in ok as well.
+func compare(base, fresh map[string]float64, verbose bool) (fail, ok []string) {
+	names := make([]string, 0, len(base))
+	for name := range base {
+		names = append(names, name)
+	}
+	for name := range fresh {
+		if _, inBase := base[name]; !inBase {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b, inBase := base[name]
+		f, inFresh := fresh[name]
+		switch {
+		case !inFresh:
+			fail = append(fail, fmt.Sprintf("FAIL %-46s baseline %.17g, missing from fresh snapshot", name, b))
+		case !inBase:
+			fail = append(fail, fmt.Sprintf("FAIL %-46s fresh %.17g, missing from the baseline", name, f))
+		case !same(b, f):
+			fail = append(fail, fmt.Sprintf("FAIL %-46s baseline %.17g, fresh %.17g (Δ %.3g)", name, b, f, f-b))
+		case verbose:
+			ok = append(ok, fmt.Sprintf("ok   %-46s %.17g", name, b))
+		}
+	}
+	return fail, ok
 }
 
 // newestBaseline picks the lexically last BENCH_*.json in dir — the
@@ -82,15 +104,6 @@ func newestBaseline(dir string) (string, error) {
 	}
 	sort.Strings(matches)
 	return matches[len(matches)-1], nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func main() {
@@ -134,33 +147,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	c := &checker{verbose: *verbose}
-	for _, tbl := range sortedKeys(base.Tables) {
-		freshTbl := fresh.Tables[tbl]
-		for _, name := range sortedKeys(base.Tables[tbl]) {
-			fv, ok := freshTbl[name]
-			c.compare(tbl+"."+name, tolTable, base.Tables[tbl][name], fv, ok)
-		}
+	baseMetrics, freshMetrics := flatten(&base), flatten(fresh)
+	fail, ok := compare(baseMetrics, freshMetrics, *verbose)
+	for _, line := range append(ok, fail...) {
+		fmt.Println(line)
 	}
-	for _, name := range sortedKeys(base.Counters) {
-		fv, ok := fresh.Counters[name]
-		c.compare("counter."+name, tolCounter, float64(base.Counters[name]), float64(fv), ok)
-	}
-	for _, name := range sortedKeys(base.SpanSeconds) {
-		fv, ok := fresh.SpanSeconds[name]
-		c.compare("span_seconds."+name, tolSpan, base.SpanSeconds[name], fv, ok)
-	}
-	for _, hist := range sortedKeys(base.Quantiles) {
-		freshQ := fresh.Quantiles[hist]
-		for _, q := range sortedKeys(base.Quantiles[hist]) {
-			fv, ok := freshQ[q]
-			c.compare("quantile."+hist+"."+q, tolQuantile, base.Quantiles[hist][q], fv, ok)
-		}
-	}
-
-	if c.failures > 0 {
-		fmt.Printf("benchcheck: %d of %d metrics out of tolerance vs %s\n", c.failures, c.checked, path)
+	if len(fail) > 0 {
+		fmt.Printf("benchcheck: %d metrics differ from %s (%d in the baseline, %d fresh)\n",
+			len(fail), path, len(baseMetrics), len(freshMetrics))
 		os.Exit(1)
 	}
-	fmt.Printf("benchcheck: %d metrics within tolerance of %s\n", c.checked, path)
+	fmt.Printf("benchcheck: %d metrics equal to %s\n", len(baseMetrics), path)
 }

@@ -6,12 +6,14 @@
 //
 // Usage:
 //
-//	hlbench [-table N] [-quick] [-disks N] [-stripe U] [-parity] [-streams K]
+//	hlbench [-table N] [-ablations] [-quick]
+//	        [-disks N] [-stripe U] [-parity] [-streams K]
 //	        [-trace FILE] [-json FILE] [-serve ADDR [-rounds N]]
 //	        [-clients N [-arrival closed|poisson|bursty] [-deadline D]]
 //	        [-profile] [-requests FILE]
 //
-// Without -table every table is produced. -quick runs a reduced-scale
+// Without -table every table is produced; -ablations adds the ablations.
+// Both iterate bench.Cells, the one list of cells. -quick runs a reduced-scale
 // configuration (seconds instead of a minute); the default reproduces the
 // paper's configuration: an 848 MB RZ57 partition, a 3.2 MB buffer cache,
 // an HP 6300 MO jukebox constrained to 40 MB per platter, and a 51.2 MB
@@ -62,10 +64,12 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -75,23 +79,10 @@ import (
 	"repro/internal/wl"
 )
 
-// writeTo creates path and streams fn into it.
-func writeTo(path string, fn func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	table := flag.Int("table", 0, "produce only this table (1-6); 0 = all")
 	quick := flag.Bool("quick", false, "reduced-scale configuration for a fast run")
-	ablations := flag.Bool("ablations", false, "also run the policy ablations (cache eviction, copy-out scheduling, STP exponents, migration granularity, media-fault rate, crash-recovery cost, replication, disk-farm scaling)")
+	ablations := flag.Bool("ablations", false, "also run the ablations ("+ablationNames()+")")
 	libraries := flag.Int("libraries", 1, "number of MO changers in the tertiary tier (replicated rigs)")
 	replicas := flag.Int("replicas", 0, "tertiary copies per staged segment; <2 disables replication")
 	disks := flag.Int("disks", 1, "spindles in the disk farm (capacity split evenly, private channels when >1)")
@@ -109,14 +100,8 @@ func main() {
 	requestsOut := flag.String("requests", "", "write the traced overload run's /requests JSON (per-request critical-path breakdowns) to this file")
 	flag.Parse()
 
-	if err := cliutil.ValidateFarm(*disks, *stripeUnit, *parity); err != nil {
-		fmt.Fprintf(os.Stderr, "hlbench: %v\n", err)
-		os.Exit(2)
-	}
-	if err := cliutil.ValidateTertiary(*libraries, *replicas); err != nil {
-		fmt.Fprintf(os.Stderr, "hlbench: %v\n", err)
-		os.Exit(2)
-	}
+	check(2, "", cliutil.ValidateFarm(*disks, *stripeUnit, *parity))
+	check(2, "", cliutil.ValidateTertiary(*libraries, *replicas))
 
 	scale := bench.FullScale()
 	scaleName := "full"
@@ -133,24 +118,15 @@ func main() {
 
 	if *profile {
 		rep, err := bench.ProfileReport(scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -profile: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, "-profile: ", err)
 		fmt.Println(rep)
 		return
 	}
 
 	if *requestsOut != "" {
 		res, err := bench.RunOverload(bench.OverloadSpec{Arrival: wl.ArrivalPoisson, Load: 2})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -requests: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*requestsOut, res.RequestsJSON, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -requests: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, "-requests: ", err)
+		check(1, "-requests: ", os.WriteFile(*requestsOut, res.RequestsJSON, 0o644))
 		fmt.Printf("wrote %d traced requests (%d stages) to %s\n",
 			res.TracedRequests, res.StagesRecorded, *requestsOut)
 		return
@@ -158,19 +134,13 @@ func main() {
 
 	if *clients > 0 {
 		arr, err := wl.ParseArrival(*arrival)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -arrival: %v\n", err)
-			os.Exit(2)
-		}
+		check(2, "-arrival: ", err)
 		rep, err := bench.OverloadReport(bench.OverloadSpec{
 			Clients:  *clients,
 			Arrival:  arr,
 			Deadline: sim.Time(*deadline),
 		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -clients: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, "-clients: ", err)
 		fmt.Println(rep)
 		return
 	}
@@ -178,15 +148,9 @@ func main() {
 	if *serveAddr != "" {
 		srv := telemetry.NewServer()
 		addr, err := srv.Start(*serveAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -serve: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, "-serve: ", err)
 		fmt.Printf("telemetry on http://%s  (/metrics /heatmap /decisions /requests /debug/pprof/)\n", addr)
-		if err := bench.ServeMigration(scale, srv, *rounds); err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -serve workload: %v\n", err)
-			os.Exit(1)
-		}
+		check(1, "-serve workload: ", bench.ServeMigration(scale, srv, *rounds))
 		fmt.Println("workload complete; final snapshot still served (interrupt to exit)")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
@@ -196,21 +160,15 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		if err := writeTo(*traceOut, func(f *os.File) error {
-			return bench.TraceMigration(scale, f)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -trace: %v\n", err)
-			os.Exit(1)
-		}
+		var buf bytes.Buffer
+		check(1, "-trace: ", bench.TraceMigration(scale, &buf))
+		check(1, "-trace: ", os.WriteFile(*traceOut, buf.Bytes(), 0o644))
 		fmt.Printf("wrote Chrome trace to %s (open in chrome://tracing)\n", *traceOut)
 	}
 	if *jsonOut != "" {
-		if err := writeTo(*jsonOut, func(f *os.File) error {
-			return bench.WriteSnapshot(f, scale, scaleName)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: -json: %v\n", err)
-			os.Exit(1)
-		}
+		var buf bytes.Buffer
+		check(1, "-json: ", bench.WriteSnapshot(&buf, scale, scaleName))
+		check(1, "-json: ", os.WriteFile(*jsonOut, buf.Bytes(), 0o644))
 		fmt.Printf("wrote benchmark snapshot to %s\n", *jsonOut)
 	}
 	if *traceOut != "" || *jsonOut != "" {
@@ -219,55 +177,48 @@ func main() {
 		}
 	}
 
-	type entry struct {
-		n   int
-		run func() (*bench.Report, error)
-	}
-	entries := []entry{
-		{1, func() (*bench.Report, error) { return bench.Table1(), nil }},
-		{2, func() (*bench.Report, error) { return bench.Table2(scale) }},
-		{3, func() (*bench.Report, error) { return bench.Table3(scale) }},
-		{4, func() (*bench.Report, error) { return bench.Table4(scale) }},
-		{5, func() (*bench.Report, error) { return bench.Table5(scale) }},
-		{6, func() (*bench.Report, error) { return bench.Table6(scale) }},
-	}
+	// bench.Cells lists the tables first, so by the first ablation ran says
+	// whether -table named a table; when it did not, nothing is run.
 	ran := false
-	for _, e := range entries {
-		if *table != 0 && e.n != *table {
+	for _, c := range bench.Cells {
+		if isTable(c) {
+			if *table != 0 && c.Name != fmt.Sprintf("table%d", *table) {
+				continue
+			}
+			ran = true
+		} else if !*ablations || !ran {
 			continue
 		}
-		ran = true
-		rep, err := e.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hlbench: table %d: %v\n", e.n, err)
-			os.Exit(1)
-		}
+		rep, err := c.Run(scale)
+		check(1, c.Name+": ", err)
 		fmt.Println(rep)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "hlbench: no such table %d\n", *table)
 		os.Exit(2)
 	}
-	if *ablations {
-		for _, run := range []func() (*bench.Report, error){
-			bench.AblationCachePolicy,
-			bench.AblationCopyout,
-			bench.AblationSTP,
-			bench.AblationBlockRange,
-			bench.AblationFaultRate,
-			bench.AblationCrashRecovery,
-			bench.AblationReplication,
-			bench.AblationDiskScaling,
-			bench.AblationOverload,
-			bench.AblationPolicy,
-			bench.AblationReqtrace,
-		} {
-			rep, err := run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hlbench: ablation: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Println(rep)
+}
+
+// check exits with the given status, after "hlbench: <what><err>" on
+// stderr, when err is not nil.
+func check(status int, what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hlbench: %s%v\n", what, err)
+		os.Exit(status)
+	}
+}
+
+// isTable reports whether c is one of the paper's tables rather than an
+// ablation.
+func isTable(c bench.Cell) bool { return strings.HasPrefix(c.Name, "table") }
+
+// ablationNames lists the ablations of bench.Cells for the -ablations help.
+func ablationNames() string {
+	var names []string
+	for _, c := range bench.Cells {
+		if !isTable(c) {
+			names = append(names, strings.ReplaceAll(strings.TrimPrefix(c.Name, "ablation_"), "_", "-"))
 		}
 	}
+	return strings.Join(names, ", ")
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/fault"
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
@@ -20,30 +19,21 @@ import (
 // whole-file versus block-range migration. Each returns a Report with the
 // measured trade-off.
 
-// ablationRig is a mid-size HighLight instance for policy studies.
-func ablationRig(policy cache.Policy, bypass bool) (*sim.Kernel, *core.HighLight) {
-	k := sim.NewKernel()
-	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-	disk := dev.NewDisk(k, dev.RZ57, 192*256, bus)
-	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 8, 40, 256*lfs.BlockSize, bus)
-	var hl *core.HighLight
-	k.RunProc(func(p *sim.Proc) {
-		var err error
-		hl, err = core.New(p, core.Config{
-			SegBlocks:   256,
-			Disks:       []dev.BlockDev{disk},
-			Jukeboxes:   []jukebox.Footprint{juke},
-			CacheSegs:   8, // deliberately scarce: eviction policy matters
-			MaxInodes:   1024,
-			BufferBytes: 1 << 20,
-			CachePolicy: policy,
-		}, true)
-		if err != nil {
-			panic(err)
-		}
-		hl.Cache.BypassFirstRef = bypass
-	})
-	return k, hl
+// policyGeom is a mid-size instance for the policy studies, its segment
+// cache deliberately scarce so that eviction policy matters.
+var policyGeom = studyGeom{
+	segBlocks: 256, disks: 1, diskSegs: 192, sharedBus: true,
+	libs: 1, vols: 8, volSegs: 40,
+	cacheSegs: 8, inodes: 1024, bufBytes: 1 << 20,
+}
+
+// smallSegGeom has small (32-block) segments, so a modest workload issues
+// enough tertiary segment operations for per-operation effects — a 1%
+// fault rate, the replay of a few log segments — to be visible.
+var smallSegGeom = studyGeom{
+	segBlocks: 32, disks: 1, diskSegs: 384, sharedBus: true,
+	libs: 1, vols: 8, volSegs: 60,
+	cacheSegs: 8, inodes: 1024, bufBytes: 1 << 20,
 }
 
 // AblationCachePolicy compares segment-cache eviction policies (§5.4:
@@ -53,49 +43,29 @@ func ablationRig(policy cache.Policy, bypass bool) (*sim.Kernel, *core.HighLight
 func AblationCachePolicy() (*Report, error) {
 	rep := newReport("Ablation: segment cache eviction policy (8-line cache, 80/20 reuse)")
 	rep.addf("%-18s %10s %12s %12s", "policy", "fetches", "cache hits", "elapsed")
-	type cfg struct {
+	for _, c := range []struct {
 		name   string
 		policy cache.Policy
 		bypass bool
-	}
-	for _, c := range []cfg{
+	}{
 		{"LRU", cache.LRU, false},
 		{"FIFO", cache.FIFO, false},
 		{"Random", cache.Random, false},
 		{"LRU+bypass(§10)", cache.LRU, true},
 	} {
-		k, hl := ablationRig(c.policy, c.bypass)
-		var fetches, hits int64
-		var elapsed sim.Time
-		var err error
-		k.RunProc(func(p *sim.Proc) {
+		setPolicy := func(cfg *core.Config) { cfg.CachePolicy = c.policy }
+		err := newStudyRig(policyGeom).run(setPolicy, func(p *sim.Proc, hl *core.HighLight) error {
+			hl.Cache.BypassFirstRef = c.bypass
 			const nfiles = 24
-			var inums []uint32
-			for i := 0; i < nfiles; i++ {
-				f, e := hl.FS.Create(p, fmt.Sprintf("/f%02d", i))
-				if e != nil {
-					err = e
-					return
-				}
-				if _, e := f.WriteAt(p, make([]byte, 255*lfs.BlockSize), 0); e != nil {
-					err = e
-					return
-				}
-				inums = append(inums, f.Inum())
+			inums, err := writeFiles(p, hl.FS, "/f%02d", nfiles, 255)
+			if err != nil {
+				return err
 			}
-			if _, e := hl.MigrateFiles(p, inums, false); e != nil {
-				err = e
-				return
+			if _, err := migrateAll(p, hl, inums); err != nil {
+				return err
 			}
-			if e := hl.CompleteMigration(p); e != nil {
-				err = e
-				return
-			}
-			for _, l := range hl.Cache.Lines() {
-				if e := hl.Svc.Eject(l.Tag); e != nil {
-					err = e
-					return
-				}
+			if err := ejectAll(hl); err != nil {
+				return err
 			}
 			// Access pattern: 80% to 4 hot files, 20% to the tail.
 			rng := sim.NewRNG(11)
@@ -108,28 +78,25 @@ func AblationCachePolicy() (*Report, error) {
 				} else {
 					i = 4 + rng.Intn(nfiles-4)
 				}
-				f, e := hl.FS.OpenInum(p, inums[i])
-				if e != nil {
-					err = e
-					return
+				f, err := hl.FS.OpenInum(p, inums[i])
+				if err != nil {
+					return err
 				}
 				hl.FS.DropFileBuffers(p, inums[i])
-				if _, e := f.ReadAt(p, buf, int64(rng.Intn(255))*lfs.BlockSize); e != nil && e != io.EOF {
-					err = e
-					return
+				if _, err := f.ReadAt(p, buf, int64(rng.Intn(255))*lfs.BlockSize); err != nil && err != io.EOF {
+					return err
 				}
 			}
-			elapsed = p.Now() - start
-			fetches = hl.Svc.Stats().Fetches
-			hits = hl.Cache.Stats().Hits
+			elapsed := (p.Now() - start).Seconds()
+			fetches := hl.Svc.Stats().Fetches
+			rep.addf("%-18s %10d %12d %10.1f s", c.name, fetches, hl.Cache.Stats().Hits, elapsed)
+			rep.metric(c.name+"/fetches", float64(fetches))
+			rep.metric(c.name+"/elapsed", elapsed)
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		rep.addf("%-18s %10d %12d %10.1f s", c.name, fetches, hits, elapsed.Seconds())
-		rep.metric(c.name+"/fetches", float64(fetches))
-		rep.metric(c.name+"/elapsed", elapsed.Seconds())
 	}
 	return rep, nil
 }
@@ -142,46 +109,37 @@ func AblationCachePolicy() (*Report, error) {
 func AblationCopyout() (*Report, error) {
 	rep := newReport("Ablation: immediate vs delayed tertiary copy-outs (§5.4)")
 	rep.addf("%-12s %16s %16s %14s", "schedule", "interactive avg", "staging done", "all durable")
-	for _, delayed := range []bool{false, true} {
-		k, hl := ablationRig(cache.LRU, false)
-		hl.DelayCopyouts = delayed
-		var avgRead, stagingDone, total float64
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			hot, e := hl.FS.Create(p, "/interactive")
-			if e != nil {
-				err = e
-				return
+	for _, c := range []struct {
+		name    string
+		delayed bool
+	}{{"immediate", false}, {"delayed", true}} {
+		err := newStudyRig(policyGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+			hl.DelayCopyouts = c.delayed
+			hot, err := writeFile(p, hl.FS, "/interactive", 256)
+			if err != nil {
+				return err
 			}
-			if _, e := hot.WriteAt(p, make([]byte, 1<<20), 0); e != nil {
-				err = e
-				return
+			bulk, err := writeFile(p, hl.FS, "/bulk", 6*256)
+			if err != nil {
+				return err
 			}
-			bulk, e := hl.FS.Create(p, "/bulk")
-			if e != nil {
-				err = e
-				return
-			}
-			if _, e := bulk.WriteAt(p, make([]byte, 6<<20), 0); e != nil {
-				err = e
-				return
-			}
-			if e := hl.FS.Sync(p); e != nil {
-				err = e
-				return
+			if err := hl.FS.Sync(p); err != nil {
+				return err
 			}
 			// Interactive reader in the background.
 			var reads int
 			var readTime sim.Time
+			var readErr error
 			stop := false
-			k.GoDaemon("reader", func(rp *sim.Proc) {
+			hl.K.GoDaemon("reader", func(rp *sim.Proc) {
 				buf := make([]byte, lfs.BlockSize)
 				rng := sim.NewRNG(3)
 				for !stop {
 					rp.Sleep(200 * time.Millisecond)
 					hl.FS.DropFileBuffers(rp, hot.Inum())
 					t0 := rp.Now()
-					if _, e := hot.ReadAt(rp, buf, int64(rng.Intn(256))*lfs.BlockSize); e != nil && e != io.EOF {
+					if _, err := hot.ReadAt(rp, buf, int64(rng.Intn(256))*lfs.BlockSize); err != nil && err != io.EOF {
+						readErr = err
 						return
 					}
 					readTime += rp.Now() - t0
@@ -189,33 +147,33 @@ func AblationCopyout() (*Report, error) {
 				}
 			})
 			start := p.Now()
-			if _, e := hl.MigrateFiles(p, []uint32{bulk.Inum()}, false); e != nil {
-				err = e
-				return
+			if _, err := hl.MigrateFiles(p, []uint32{bulk.Inum()}, false); err != nil {
+				return err
 			}
-			stagingDone = (p.Now() - start).Seconds()
+			stagingDone := (p.Now() - start).Seconds()
 			stop = true
-			if e := hl.CompleteMigration(p); e != nil {
-				err = e
-				return
+			if err := hl.CompleteMigration(p); err != nil {
+				return err
 			}
-			total = (p.Now() - start).Seconds()
+			total := (p.Now() - start).Seconds()
+			// A reader that gave up would leave the average computed over
+			// fewer reads than the staging phase had room for.
+			if readErr != nil {
+				return fmt.Errorf("interactive reader: %w", readErr)
+			}
+			var avgRead float64
 			if reads > 0 {
 				avgRead = readTime.Seconds() / float64(reads) * 1000
 			}
+			rep.addf("%-12s %13.1f ms %13.1f s %11.1f s", c.name, avgRead, stagingDone, total)
+			rep.metric(c.name+"/interactive-ms", avgRead)
+			rep.metric(c.name+"/staging-s", stagingDone)
+			rep.metric(c.name+"/total-s", total)
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		name := "immediate"
-		if delayed {
-			name = "delayed"
-		}
-		rep.addf("%-12s %13.1f ms %13.1f s %11.1f s", name, avgRead, stagingDone, total)
-		rep.metric(name+"/interactive-ms", avgRead)
-		rep.metric(name+"/staging-s", stagingDone)
-		rep.metric(name+"/total-s", total)
 	}
 	return rep, nil
 }
@@ -228,91 +186,79 @@ func AblationCopyout() (*Report, error) {
 func AblationSTP() (*Report, error) {
 	rep := newReport("Ablation: STP ranking exponents (§5.1)")
 	rep.addf("%-22s %10s %14s", "policy", "fetches", "future reread")
-	type cfg struct {
-		name    string
-		timeExp float64
-		sizeExp float64
-	}
-	for _, c := range []cfg{
+	for _, c := range []struct {
+		name             string
+		timeExp, sizeExp float64
+	}{
 		{"atime only (t^1)", 1, 0},
 		{"size only (s^1)", 0, 1},
 		{"STP (t^1 * s^1)", 1, 1},
 	} {
-		k, hl := ablationRig(cache.LRU, false)
-		var fetches int64
-		var rereadS float64
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			// File population: large dormant files, small dormant
-			// files, and recently touched files of both sizes.
-			mk := func(name string, blocks int) *lfs.File {
-				f, e := hl.FS.Create(p, name)
-				if e != nil {
-					err = e
-					return nil
+		err := newStudyRig(policyGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+			// populate writes four big and four small files, interleaved.
+			populate := func(age string, bigBlocks int) ([]*lfs.File, error) {
+				var files []*lfs.File
+				for i := 0; i < 4; i++ {
+					for _, f := range []struct {
+						size   string
+						blocks int
+					}{{"big", bigBlocks}, {"small", 16}} {
+						file, err := writeFile(p, hl.FS, fmt.Sprintf("/%s-%s-%d", age, f.size, i), f.blocks)
+						if err != nil {
+							return nil, err
+						}
+						files = append(files, file)
+					}
 				}
-				if _, e := f.WriteAt(p, make([]byte, blocks*lfs.BlockSize), 0); e != nil {
-					err = e
-					return nil
-				}
-				return f
+				return files, nil
 			}
-			var recent []*lfs.File
-			for i := 0; i < 4; i++ {
-				mk(fmt.Sprintf("/dormant-big-%d", i), 400)
-				mk(fmt.Sprintf("/dormant-small-%d", i), 16)
+			// Dormant files of both sizes, then — a day later — recently
+			// touched ones. The recent big files are slightly larger, so a
+			// pure size ranking prefers exactly the wrong candidates.
+			if _, err := populate("dormant", 400); err != nil {
+				return err
 			}
 			p.Sleep(24 * time.Hour)
-			// Recent files are slightly larger, so a pure size ranking
-			// prefers exactly the wrong candidates.
-			for i := 0; i < 4; i++ {
-				recent = append(recent, mk(fmt.Sprintf("/recent-big-%d", i), 550))
-				recent = append(recent, mk(fmt.Sprintf("/recent-small-%d", i), 16))
-			}
+			recent, err := populate("recent", 550)
 			if err != nil {
-				return
+				return err
 			}
 			buf := make([]byte, lfs.BlockSize)
 			for _, f := range recent {
-				if _, e := f.ReadAt(p, buf, 0); e != nil && e != io.EOF {
-					err = e
-					return
+				if _, err := f.ReadAt(p, buf, 0); err != nil && err != io.EOF {
+					return err
 				}
 			}
 			m := migrate.NewMigrator(hl)
 			m.Policy = &migrate.STP{TimeExp: c.timeExp, SizeExp: c.sizeExp}
 			// Free half the data's worth of disk.
-			if _, e := m.RunOnce(p, 7<<20); e != nil {
-				err = e
-				return
+			if _, err := m.RunOnce(p, 7<<20); err != nil {
+				return err
 			}
-			for _, l := range hl.Cache.Lines() {
-				if e := hl.Svc.Eject(l.Tag); e != nil {
-					err = e
-					return
-				}
+			if err := ejectAll(hl); err != nil {
+				return err
 			}
 			// The future: recently-active files get read again.
 			start := p.Now()
 			for _, f := range recent {
-				sz, _ := f.Size(p)
-				for off := int64(0); off < int64(sz); off += lfs.BlockSize {
-					if _, e := f.ReadAt(p, buf, off); e != nil && e != io.EOF {
-						err = e
-						return
-					}
+				sz, err := f.Size(p)
+				if err != nil {
+					return err
+				}
+				if _, err := readChunks(p, f, int64(sz), buf); err != nil {
+					return err
 				}
 			}
-			rereadS = (p.Now() - start).Seconds()
-			fetches = hl.Svc.Stats().Fetches
+			rereadS := (p.Now() - start).Seconds()
+			fetches := hl.Svc.Stats().Fetches
+			rep.addf("%-22s %10d %11.1f s", c.name, fetches, rereadS)
+			rep.metric(c.name+"/fetches", float64(fetches))
+			rep.metric(c.name+"/reread-s", rereadS)
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		rep.addf("%-22s %10d %11.1f s", c.name, fetches, rereadS)
-		rep.metric(c.name+"/fetches", float64(fetches))
-		rep.metric(c.name+"/reread-s", rereadS)
 	}
 	return rep, nil
 }
@@ -328,12 +274,7 @@ func AblationFaultRate() (*Report, error) {
 	rep := newReport("Ablation: throughput under transient media-error rate")
 	rep.addf("%-8s %12s %10s %11s %12s", "rate", "throughput", "retries", "exhausted", "elapsed")
 	for _, pct := range []float64{0, 1, 5} {
-		// Small (32-block) segments so the workload issues enough tertiary
-		// segment ops for a 1% per-op rate to be visible.
-		k := sim.NewKernel()
-		bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-		disk := dev.NewDisk(k, dev.RZ57, 384*32, bus)
-		juke := jukebox.MustNew(k, jukebox.MO6300, 2, 8, 60, 32*lfs.BlockSize, bus)
+		rig := newStudyRig(smallSegGeom)
 		if pct > 0 {
 			plan := fault.NewPlan(fault.Config{
 				Seed:               97,
@@ -341,93 +282,45 @@ func AblationFaultRate() (*Report, error) {
 				TransientWriteRate: pct / 100,
 				MaxBurst:           2,
 			})
-			plan.InstallJukebox(juke.Profile().Name, juke)
+			plan.InstallJukebox(rig.jukes[0].Profile().Name, rig.jukes[0])
 		}
-		var moved int64
-		var elapsed sim.Time
-		var retries, exhausted int64
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			hl, e := core.New(p, core.Config{
-				SegBlocks:   32,
-				Disks:       []dev.BlockDev{disk},
-				Jukeboxes:   []jukebox.Footprint{juke},
-				CacheSegs:   8,
-				MaxInodes:   1024,
-				BufferBytes: 1 << 20,
-			}, true)
-			if e != nil {
-				err = e
-				return
-			}
+		err := rig.run(nil, func(p *sim.Proc, hl *core.HighLight) error {
 			const nfiles = 12
 			const fblocks = 127
-			var inums []uint32
 			start := p.Now()
-			for i := 0; i < nfiles; i++ {
-				f, e := hl.FS.Create(p, fmt.Sprintf("/bulk%02d", i))
-				if e != nil {
-					err = e
-					return
-				}
-				if _, e := f.WriteAt(p, make([]byte, fblocks*lfs.BlockSize), 0); e != nil {
-					err = e
-					return
-				}
-				inums = append(inums, f.Inum())
+			inums, err := writeFiles(p, hl.FS, "/bulk%02d", nfiles, fblocks)
+			if err != nil {
+				return err
 			}
-			staged, e := hl.MigrateFiles(p, inums, false)
-			if e != nil {
-				err = e
-				return
+			moved, err := migrateAll(p, hl, inums)
+			if err != nil {
+				return err
 			}
-			if e := hl.CompleteMigration(p); e != nil {
-				err = e
-				return
-			}
-			moved += staged
 			// Two eject + full-readback rounds: demand fetches under read
 			// faults dominate the op count.
-			buf := make([]byte, 32*lfs.BlockSize)
 			for round := 0; round < 2; round++ {
-				for _, l := range hl.Cache.Lines() {
-					if e := hl.Svc.Eject(l.Tag); e != nil {
-						err = e
-						return
-					}
+				if err := ejectAll(hl); err != nil {
+					return err
 				}
-				for _, in := range inums {
-					f, e := hl.FS.OpenInum(p, in)
-					if e != nil {
-						err = e
-						return
-					}
-					hl.FS.DropFileBuffers(p, in)
-					for off := int64(0); off < fblocks*lfs.BlockSize; off += int64(len(buf)) {
-						n, e := f.ReadAt(p, buf, off)
-						if e != nil && e != io.EOF {
-							err = e
-							return
-						}
-						moved += int64(n)
-					}
+				n, err := readBack(p, hl.FS, inums, fblocks, smallSegGeom.segBlocks)
+				if err != nil {
+					return err
 				}
+				moved += n
 			}
-			elapsed = p.Now() - start
+			elapsed := (p.Now() - start).Seconds()
 			st := hl.Svc.Stats()
-			retries = st.TransientRetries
-			exhausted = st.RetriesExhausted
+			mbps := float64(moved) / (1 << 20) / elapsed
+			name := fmt.Sprintf("%g%%", pct)
+			rep.addf("%-8s %7.2f MB/s %10d %11d %10.1f s", name, mbps, st.TransientRetries, st.RetriesExhausted, elapsed)
+			rep.metric(name+"/MBps", mbps)
+			rep.metric(name+"/retries", float64(st.TransientRetries))
+			rep.metric(name+"/exhausted", float64(st.RetriesExhausted))
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		mbps := float64(moved) / (1 << 20) / elapsed.Seconds()
-		name := fmt.Sprintf("%g%%", pct)
-		rep.addf("%-8s %7.2f MB/s %10d %11d %10.1f s", name, mbps, retries, exhausted, elapsed.Seconds())
-		rep.metric(name+"/MBps", mbps)
-		rep.metric(name+"/retries", float64(retries))
-		rep.metric(name+"/exhausted", float64(exhausted))
 	}
 	return rep, nil
 }
@@ -441,95 +334,8 @@ func AblationFaultRate() (*Report, error) {
 func AblationCrashRecovery() (*Report, error) {
 	rep := newReport("Ablation: crash-recovery time vs log length since checkpoint")
 	rep.addf("%-10s %10s %10s %10s %12s", "log segs", "psegs", "blocks", "inodes", "recovery")
-	const segBlocks = 32
-	const diskSegs = 384
-	mk := func(k *sim.Kernel) (*dev.Disk, *jukebox.Jukebox) {
-		bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-		disk := dev.NewDisk(k, dev.RZ57, diskSegs*segBlocks, bus)
-		disk.EnableWriteCache(16)
-		juke := jukebox.MustNew(k, jukebox.MO6300, 2, 4, 16, segBlocks*lfs.BlockSize, bus)
-		return disk, juke
-	}
-	ccfg := func(disk *dev.Disk, juke *jukebox.Jukebox) core.Config {
-		return core.Config{
-			SegBlocks:   segBlocks,
-			Disks:       []dev.BlockDev{disk},
-			Jukeboxes:   []jukebox.Footprint{juke},
-			CacheSegs:   8,
-			MaxInodes:   1024,
-			BufferBytes: 1 << 20,
-		}
-	}
 	for _, segs := range []int{0, 4, 16, 64} {
-		k := sim.NewKernel()
-		disk, juke := mk(k)
-		var store map[int64][]byte
-		var vols []jukebox.VolumeImage
-		var cut sim.Time
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			hl, e := core.New(p, ccfg(disk, juke), true)
-			if e != nil {
-				err = e
-				return
-			}
-			// The same base population everywhere: recovery time must not
-			// depend on it.
-			base, e := hl.FS.Create(p, "/base")
-			if e != nil {
-				err = e
-				return
-			}
-			if _, e := base.WriteAt(p, make([]byte, 64*lfs.BlockSize), 0); e != nil {
-				err = e
-				return
-			}
-			if e := hl.Checkpoint(p); e != nil {
-				err = e
-				return
-			}
-			// Roughly one log segment of synced writes per round.
-			for i := 0; i < segs; i++ {
-				f, e := hl.FS.Create(p, fmt.Sprintf("/post%03d", i))
-				if e != nil {
-					err = e
-					return
-				}
-				if _, e := f.WriteAt(p, make([]byte, (segBlocks-4)*lfs.BlockSize), 0); e != nil {
-					err = e
-					return
-				}
-				if e := hl.FS.Sync(p); e != nil {
-					err = e
-					return
-				}
-			}
-			store = disk.SnapshotStore()
-			vols = juke.SnapshotVolumes()
-			cut = p.Now()
-		})
-		k.Stop()
-		if err != nil {
-			return rep, err
-		}
-		k2 := sim.NewKernel()
-		k2.AdvanceTo(cut)
-		disk2, juke2 := mk(k2)
-		disk2.RestoreStore(store)
-		juke2.RestoreVolumes(vols)
-		var ri lfs.RecoveryInfo
-		var elapsed sim.Time
-		k2.RunProc(func(p *sim.Proc) {
-			t0 := p.Now()
-			hl, e := core.New(p, ccfg(disk2, juke2), false)
-			if e != nil {
-				err = e
-				return
-			}
-			elapsed = p.Now() - t0
-			ri = hl.FS.Recovery()
-		})
-		k2.Stop()
+		ri, elapsed, err := crashAndRecover(segs)
 		if err != nil {
 			return rep, err
 		}
@@ -541,6 +347,68 @@ func AblationCrashRecovery() (*Report, error) {
 	return rep, nil
 }
 
+// crashAndRecover writes segs log segments past a checkpoint, cuts the
+// power, and remounts the surviving media images on a fresh rig; it
+// returns what the remount replayed and how long it took.
+func crashAndRecover(segs int) (lfs.RecoveryInfo, sim.Time, error) {
+	geom := smallSegGeom
+	geom.vols, geom.volSegs = 4, 16 // only the disk log is replayed: a small jukebox will do
+	// A volatile write cache in front of the disk: only what reached the
+	// media survives the cut.
+	build := func() *studyRig {
+		rig := newStudyRig(geom)
+		rig.disks[0].EnableWriteCache(16)
+		return rig
+	}
+	rig := build()
+	var store map[int64][]byte
+	var vols []jukebox.VolumeImage
+	var cut sim.Time
+	err := rig.run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+		// The same base population everywhere: recovery time must not
+		// depend on it.
+		if _, err := writeFile(p, hl.FS, "/base", 64); err != nil {
+			return err
+		}
+		if err := hl.Checkpoint(p); err != nil {
+			return err
+		}
+		// Roughly one log segment of synced writes per round.
+		for i := 0; i < segs; i++ {
+			if _, err := writeFile(p, hl.FS, fmt.Sprintf("/post%03d", i), geom.segBlocks-4); err != nil {
+				return err
+			}
+			if err := hl.FS.Sync(p); err != nil {
+				return err
+			}
+		}
+		store = rig.disks[0].SnapshotStore()
+		vols = rig.jukes[0].SnapshotVolumes()
+		cut = p.Now()
+		return nil
+	})
+	if err != nil {
+		return lfs.RecoveryInfo{}, 0, err
+	}
+	after := build()
+	after.k.AdvanceTo(cut)
+	after.disks[0].RestoreStore(store)
+	after.jukes[0].RestoreVolumes(vols)
+	var ri lfs.RecoveryInfo
+	var elapsed sim.Time
+	err = run(after.k, func(p *sim.Proc) error {
+		t0 := p.Now()
+		hl, err := after.mount(p, false, nil)
+		if err != nil {
+			return err
+		}
+		elapsed = p.Now() - t0
+		ri = hl.FS.Recovery()
+		return nil
+	})
+	return ri, elapsed, err
+}
+
 // AblationReplication measures what the replicated tertiary tier costs
 // and buys across libraries × replicas configurations (1×1 baseline,
 // 2×2, 3×2): demand-fetch latency with every library healthy, fetch
@@ -550,80 +418,29 @@ func AblationCrashRecovery() (*Report, error) {
 func AblationReplication() (*Report, error) {
 	rep := newReport("Ablation: replicated tertiary tier (libraries × replicas)")
 	rep.addf("%-8s %13s %14s %12s %11s", "config", "fetch avg", "degraded avg", "repaired", "redirects")
-	type cfg struct{ libs, replicas int }
-	for _, c := range []cfg{{1, 1}, {2, 2}, {3, 2}} {
-		const segBlocks = 32
-		k := sim.NewKernel()
-		bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-		disk := dev.NewDisk(k, dev.RZ57, 384*segBlocks, bus)
-		jukes := make([]jukebox.Footprint, c.libs)
-		for i := range jukes {
-			jukes[i] = jukebox.MustNew(k, jukebox.MO6300, 2, 4, 40, segBlocks*lfs.BlockSize, bus)
-		}
-		var healthyMS, degradedMS float64
-		var repairedBytes, redirects int64
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			hl, e := core.New(p, core.Config{
-				SegBlocks:   segBlocks,
-				Disks:       []dev.BlockDev{disk},
-				Jukeboxes:   jukes,
-				CacheSegs:   8,
-				MaxInodes:   1024,
-				BufferBytes: 1 << 20,
-				Replicas:    c.replicas,
-			}, true)
-			if e != nil {
-				err = e
-				return
-			}
+	for _, c := range []struct{ libs, replicas int }{{1, 1}, {2, 2}, {3, 2}} {
+		geom := smallSegGeom
+		geom.libs, geom.vols, geom.volSegs = c.libs, 4, 40
+		setReplicas := func(cfg *core.Config) { cfg.Replicas = c.replicas }
+		err := newStudyRig(geom).run(setReplicas, func(p *sim.Proc, hl *core.HighLight) error {
 			const nfiles = 10
 			const fblocks = 96
-			var inums []uint32
-			for i := 0; i < nfiles; i++ {
-				f, e := hl.FS.Create(p, fmt.Sprintf("/rep%02d", i))
-				if e != nil {
-					err = e
-					return
-				}
-				if _, e := f.WriteAt(p, make([]byte, fblocks*lfs.BlockSize), 0); e != nil {
-					err = e
-					return
-				}
-				inums = append(inums, f.Inum())
+			inums, err := writeFiles(p, hl.FS, "/rep%02d", nfiles, fblocks)
+			if err != nil {
+				return err
 			}
-			if _, e := hl.MigrateFiles(p, inums, false); e != nil {
-				err = e
-				return
-			}
-			if e := hl.CompleteMigration(p); e != nil {
-				err = e
-				return
+			if _, err := migrateAll(p, hl, inums); err != nil {
+				return err
 			}
 			// One full demand-fetch readback; returns ms per tertiary fetch.
 			readAll := func() (float64, error) {
-				for _, l := range hl.Cache.Lines() {
-					if l.Staging || l.Pins > 0 {
-						continue
-					}
-					if e := hl.Svc.Eject(l.Tag); e != nil {
-						return 0, e
-					}
+				if err := ejectAll(hl); err != nil {
+					return 0, err
 				}
 				f0 := hl.Svc.Stats().Fetches
-				buf := make([]byte, segBlocks*lfs.BlockSize)
 				start := p.Now()
-				for _, in := range inums {
-					f, e := hl.FS.OpenInum(p, in)
-					if e != nil {
-						return 0, e
-					}
-					hl.FS.DropFileBuffers(p, in)
-					for off := int64(0); off < fblocks*lfs.BlockSize; off += int64(len(buf)) {
-						if _, e := f.ReadAt(p, buf, off); e != nil && e != io.EOF {
-							return 0, e
-						}
-					}
+				if _, err := readBack(p, hl.FS, inums, fblocks, geom.segBlocks); err != nil {
+					return 0, err
 				}
 				n := hl.Svc.Stats().Fetches - f0
 				if n == 0 {
@@ -631,38 +448,36 @@ func AblationReplication() (*Report, error) {
 				}
 				return (p.Now() - start).Seconds() * 1000 / float64(n), nil
 			}
-			if healthyMS, e = readAll(); e != nil {
-				err = e
-				return
+			healthyMS, err := readAll()
+			if err != nil {
+				return err
 			}
+			var degradedMS float64
+			var repairedBytes, redirects int64
+			deg := "—"
 			if c.libs > 1 {
 				hl.Libraries()[0].SetDown(true)
-				if degradedMS, e = readAll(); e != nil {
-					err = e
-					return
+				if degradedMS, err = readAll(); err != nil {
+					return err
 				}
-				if _, e := hl.RepairPass(p); e != nil {
-					err = e
-					return
+				if _, err := hl.RepairPass(p); err != nil {
+					return err
 				}
 				repairedBytes = hl.Obs.Counter("repair.bytes_repaired").Value()
 				redirects = hl.Svc.Stats().ReplicaRedirects
+				deg = fmt.Sprintf("%.1f ms", degradedMS)
 			}
+			name := fmt.Sprintf("%dx%d", c.libs, c.replicas)
+			rep.addf("%-8s %10.1f ms %14s %9.1f MB %11d", name, healthyMS, deg, float64(repairedBytes)/(1<<20), redirects)
+			rep.metric(name+"/fetch-ms", healthyMS)
+			rep.metric(name+"/degraded-ms", degradedMS)
+			rep.metric(name+"/repaired-bytes", float64(repairedBytes))
+			rep.metric(name+"/redirects", float64(redirects))
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		name := fmt.Sprintf("%dx%d", c.libs, c.replicas)
-		deg := "—"
-		if c.libs > 1 {
-			deg = fmt.Sprintf("%.1f ms", degradedMS)
-		}
-		rep.addf("%-8s %10.1f ms %14s %9.1f MB %11d", name, healthyMS, deg, float64(repairedBytes)/(1<<20), redirects)
-		rep.metric(name+"/fetch-ms", healthyMS)
-		rep.metric(name+"/degraded-ms", degradedMS)
-		rep.metric(name+"/repaired-bytes", float64(repairedBytes))
-		rep.metric(name+"/redirects", float64(redirects))
 	}
 	return rep, nil
 }
@@ -674,92 +489,81 @@ func AblationReplication() (*Report, error) {
 func AblationBlockRange() (*Report, error) {
 	rep := newReport("Ablation: whole-file vs block-range migration (§5.2)")
 	rep.addf("%-14s %14s %12s %14s", "granularity", "hot query avg", "fetches", "bytes staged")
-	for _, whole := range []bool{true, false} {
-		k, hl := ablationRig(cache.LRU, false)
-		var avgMS float64
-		var fetches, staged int64
-		var err error
-		k.RunProc(func(p *sim.Proc) {
-			tracker := migrate.NewRangeTracker(k)
+	for _, c := range []struct {
+		name  string
+		whole bool
+	}{{"whole-file", true}, {"block-range", false}} {
+		err := newStudyRig(policyGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+			tracker := migrate.NewRangeTracker(hl.K)
 			hl.FS.OnAccess = tracker.Hook
-			rel, e := hl.FS.Create(p, "/relation")
-			if e != nil {
-				err = e
-				return
+			rel, err := hl.FS.Create(p, "/relation")
+			if err != nil {
+				return err
 			}
 			const pages = 2048
 			page := make([]byte, lfs.BlockSize)
 			for i := 0; i < pages; i++ {
-				if _, e := rel.WriteAt(p, page, int64(i)*lfs.BlockSize); e != nil {
-					err = e
-					return
+				if _, err := rel.WriteAt(p, page, int64(i)*lfs.BlockSize); err != nil {
+					return err
 				}
 			}
-			if e := hl.FS.Sync(p); e != nil {
-				err = e
-				return
+			if err := hl.FS.Sync(p); err != nil {
+				return err
 			}
 			p.Sleep(time.Hour)
 			hot := pages * 9 / 10
 			rng := sim.NewRNG(5)
-			for q := 0; q < 300; q++ {
-				pg := hot + rng.Intn(pages-hot)
-				if _, e := rel.ReadAt(p, page, int64(pg)*lfs.BlockSize); e != nil && e != io.EOF {
-					err = e
-					return
+			// query reads n random pages of the hot tail.
+			query := func(n int) error {
+				for q := 0; q < n; q++ {
+					pg := hot + rng.Intn(pages-hot)
+					if _, err := rel.ReadAt(p, page, int64(pg)*lfs.BlockSize); err != nil && err != io.EOF {
+						return err
+					}
 				}
+				return nil
 			}
-			if whole {
-				staged, e = hl.MigrateFiles(p, []uint32{rel.Inum()}, false)
+			if err := query(300); err != nil {
+				return err
+			}
+			var staged int64
+			if c.whole {
+				staged, err = hl.MigrateFiles(p, []uint32{rel.Inum()}, false)
 			} else {
 				br := &migrate.BlockRange{Tracker: tracker, MinAge: 30 * time.Minute}
 				var cold []lfs.BlockRef
-				cold, e = br.ColdRefs(p, hl, rel.Inum())
-				if e == nil {
-					staged, e = hl.MigrateRefs(p, cold)
+				cold, err = br.ColdRefs(p, hl, rel.Inum())
+				if err == nil {
+					staged, err = hl.MigrateRefs(p, cold)
 				}
 			}
-			if e != nil {
-				err = e
-				return
+			if err != nil {
+				return err
 			}
-			if e := hl.CompleteMigration(p); e != nil {
-				err = e
-				return
+			if err := hl.CompleteMigration(p); err != nil {
+				return err
 			}
-			if e := hl.FS.FlushCaches(p); e != nil {
-				err = e
-				return
+			if err := hl.FS.FlushCaches(p); err != nil {
+				return err
 			}
-			for _, l := range hl.Cache.Lines() {
-				if e := hl.Svc.Eject(l.Tag); e != nil {
-					err = e
-					return
-				}
+			if err := ejectAll(hl); err != nil {
+				return err
 			}
 			start := p.Now()
 			const queries = 100
-			for q := 0; q < queries; q++ {
-				pg := hot + rng.Intn(pages-hot)
-				if _, e := rel.ReadAt(p, page, int64(pg)*lfs.BlockSize); e != nil && e != io.EOF {
-					err = e
-					return
-				}
+			if err := query(queries); err != nil {
+				return err
 			}
-			avgMS = (p.Now() - start).Seconds() / queries * 1000
-			fetches = hl.Svc.Stats().Fetches
+			avgMS := (p.Now() - start).Seconds() / queries * 1000
+			fetches := hl.Svc.Stats().Fetches
+			rep.addf("%-14s %11.1f ms %12d %11.1f MB", c.name, avgMS, fetches, float64(staged)/(1<<20))
+			rep.metric(c.name+"/hotquery-ms", avgMS)
+			rep.metric(c.name+"/fetches", float64(fetches))
+			return nil
 		})
-		k.Stop()
 		if err != nil {
 			return rep, err
 		}
-		name := "block-range"
-		if whole {
-			name = "whole-file"
-		}
-		rep.addf("%-14s %11.1f ms %12d %11.1f MB", name, avgMS, fetches, float64(staged)/(1<<20))
-		rep.metric(name+"/hotquery-ms", avgMS)
-		rep.metric(name+"/fetches", float64(fetches))
 	}
 	return rep, nil
 }
@@ -780,92 +584,64 @@ type diskScalingResult struct {
 func runDiskScaling(nd, streams int, parity bool) (diskScalingResult, error) {
 	const (
 		segBlocks  = 128           // 512 KB segments: region-switch seeks amortize
-		perDisk    = 96            // segments per spindle
 		nfiles     = 12            // 12 MB staged: the two initial media loads amortize
 		fileBlocks = 2 * segBlocks // 1 MB per file
 	)
-	k := sim.NewKernel()
-	var farm []dev.BlockDev
-	for i := 0; i < nd; i++ {
-		// Private channels: the shared SCSI bus would cap the farm at
-		// about two spindles' worth of bandwidth.
-		farm = append(farm, dev.NewDisk(k, dev.RZ57, int64(perDisk*segBlocks), nil))
-	}
-	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 8, 24, segBlocks*lfs.BlockSize, nil)
+	// Private channels: a shared SCSI bus would cap the farm at about two
+	// spindles' worth of bandwidth.
+	rig := newStudyRig(studyGeom{
+		segBlocks: segBlocks, disks: nd, diskSegs: 96,
+		libs: 1, vols: 8, volSegs: 24,
+		cacheSegs: 32, inodes: 256, bufBytes: 1 << 20,
+	})
 	// The paper's single-writer policy reserves drive 0 for the active
 	// writing volume; a parallel drain needs every drive writable (each
 	// keeps one volume of the allocation stripe loaded). Released in all
 	// cells so stream count is the only variable.
-	juke.WriteDrive = -1
-	unit := 0
-	if nd > 1 {
-		unit = 8 // 32 KB stripe unit
+	rig.jukes[0].WriteDrive = -1
+	farm := func(cfg *core.Config) {
+		if nd > 1 {
+			cfg.StripeUnit = 8 // 32 KB stripe unit
+		}
+		cfg.Parity = parity
+		cfg.Streams = streams
+		// Two-volume allocation stripe (every cell, so single-stream
+		// baselines pay the same placement): consecutive staged segments
+		// land on different cartridges and the changer's two drives each
+		// keep one loaded — concurrent streams then write both drives with
+		// no volume contention and no swaps.
+		cfg.VolStripe = 2
+		// Disk-bound on purpose: no CPU copy costs, and gather reads
+		// chunked at a full segment so they stripe over every arm.
+		cfg.GatherChunkBlocks = segBlocks
 	}
 	var res diskScalingResult
-	var err error
-	k.RunProc(func(p *sim.Proc) {
-		hl, e := core.New(p, core.Config{
-			SegBlocks:  segBlocks,
-			Disks:      farm,
-			StripeUnit: unit,
-			Parity:     parity,
-			Streams:    streams,
-			// Two-volume allocation stripe (every cell, so single-stream
-			// baselines pay the same placement): consecutive staged
-			// segments land on different cartridges and the changer's two
-			// drives each keep one loaded — concurrent streams then write
-			// both drives with no volume contention and no swaps.
-			VolStripe:   2,
-			Jukeboxes:   []jukebox.Footprint{juke},
-			CacheSegs:   32,
-			MaxInodes:   256,
-			BufferBytes: 1 << 20,
-			// Disk-bound on purpose: no CPU copy costs, and gather reads
-			// chunked at a full segment so they stripe over every arm.
-			GatherChunkBlocks: segBlocks,
-		}, true)
-		if e != nil {
-			err = e
-			return
+	err := rig.run(farm, func(p *sim.Proc, hl *core.HighLight) error {
+		inums, err := writeFiles(p, hl.FS, "/f%d", nfiles, fileBlocks)
+		if err != nil {
+			return err
 		}
-		var inums []uint32
-		data := make([]byte, fileBlocks*lfs.BlockSize)
-		for i := 0; i < nfiles; i++ {
-			f, e := hl.FS.Create(p, fmt.Sprintf("/f%d", i))
-			if e != nil {
-				err = e
-				return
-			}
-			if _, e := f.WriteAt(p, data, 0); e != nil {
-				err = e
-				return
-			}
-			inums = append(inums, f.Inum())
-		}
-		if e := hl.FS.Sync(p); e != nil {
-			err = e
-			return
+		if err := hl.FS.Sync(p); err != nil {
+			return err
 		}
 		hl.DelayCopyouts = true
 		start := p.Now()
-		staged, e := hl.MigrateFiles(p, inums, false)
-		if e != nil {
-			err = e
-			return
+		staged, err := hl.MigrateFiles(p, inums, false)
+		if err != nil {
+			return err
 		}
 		tStage := p.Now()
 		hl.FlushCopyouts(p)
-		if e := hl.CompleteMigration(p); e != nil {
-			err = e
-			return
+		if err := hl.CompleteMigration(p); err != nil {
+			return err
 		}
 		res = diskScalingResult{
 			stageS:   (tStage - start).Seconds(),
 			drainS:   (p.Now() - tStage).Seconds(),
 			stagedMB: float64(staged) / (1 << 20),
 		}
+		return nil
 	})
-	k.Stop()
 	return res, err
 }
 
@@ -918,16 +694,16 @@ func AblationDiskScaling() (*Report, error) {
 		rep.metric(c.name+"/overall_KBs", overall)
 	}
 	// Headline curve points, in the shape bench-check gates on.
-	rep.metric("speedup_d4_vs_d1/stage", got["d1_s1"].stageS/got["d4_s1"].stageS)
-	rep.metric("speedup_d8_vs_d1/stage", got["d1_s1"].stageS/got["d8_s1"].stageS)
-	rep.metric("speedup_s2_vs_s1_d4/drain", got["d4_s1"].drainS/got["d4_s2"].drainS)
-	rep.metric("parity_overhead_d4/stage_pct",
-		100*(got["d4_s2_parity"].stageS-got["d4_s2"].stageS)/got["d4_s2"].stageS)
+	d4 := got["d1_s1"].stageS / got["d4_s1"].stageS
+	d8 := got["d1_s1"].stageS / got["d8_s1"].stageS
+	s2 := got["d4_s1"].drainS / got["d4_s2"].drainS
+	parity := 100 * (got["d4_s2_parity"].stageS - got["d4_s2"].stageS) / got["d4_s2"].stageS
+	rep.metric("speedup_d4_vs_d1/stage", d4)
+	rep.metric("speedup_d8_vs_d1/stage", d8)
+	rep.metric("speedup_s2_vs_s1_d4/drain", s2)
+	rep.metric("parity_overhead_d4/stage_pct", parity)
 	rep.addf("")
 	rep.addf("stage speedup: 4 disks %.2fx, 8 disks %.2fx over 1; drain speedup 2 streams %.2fx over 1 (4 disks); parity stage overhead %.0f%%",
-		got["d1_s1"].stageS/got["d4_s1"].stageS,
-		got["d1_s1"].stageS/got["d8_s1"].stageS,
-		got["d4_s1"].drainS/got["d4_s2"].drainS,
-		100*(got["d4_s2_parity"].stageS-got["d4_s2"].stageS)/got["d4_s2"].stageS)
+		d4, d8, s2, parity)
 	return rep, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dev"
-	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/svc"
@@ -58,6 +56,7 @@ type OverloadResult struct {
 const (
 	overloadBaseClients = 4
 	overloadBaseGap     = 1200 * sim.Time(1e6)
+	overloadPathFmt     = "/f%02d"
 )
 
 func (spec *OverloadSpec) fill() {
@@ -78,114 +77,81 @@ func (spec *OverloadSpec) fill() {
 	}
 }
 
+// frontEndGeom is the rig behind the overload study and the policy
+// shootout: a small single-library instance on private channels whose
+// segment cache (4 lines) holds half the overload working set and whose
+// file-system buffer is tiny, so reads stay fetch-bound.
+var frontEndGeom = studyGeom{
+	segBlocks: 64, disks: 1, diskSegs: 256,
+	libs: 1, vols: 6, volSegs: 32,
+	cacheSegs: 4, inodes: 256, bufBytes: 32 * lfs.BlockSize,
+}
+
 // RunOverload executes one overload cell on a fresh rig.
 func RunOverload(spec OverloadSpec) (OverloadResult, error) {
 	spec.fill()
-	k := sim.NewKernel()
 	var res OverloadResult
-	var err error
-	k.RunProc(func(p *sim.Proc) {
-		res, err = runOverloadCell(p, k, spec)
-	})
-	k.Stop()
-	return res, err
-}
+	err := newStudyRig(frontEndGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+		fe := svc.New(hl, svc.Config{
+			Workers: 2, ReservedInteractive: 1,
+			InteractiveQueue: 4, BackgroundQueue: 4,
+			DisableTracing: spec.DisableTracing,
+		})
 
-func runOverloadCell(p *sim.Proc, k *sim.Kernel, spec OverloadSpec) (OverloadResult, error) {
-	disk := dev.NewDisk(k, dev.RZ57, 256*64, nil)
-	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 6, 32, 64*lfs.BlockSize, nil)
-	hl, err := core.New(p, core.Config{
-		SegBlocks:   64,
-		Disks:       []dev.BlockDev{disk},
-		Jukeboxes:   []jukebox.Footprint{juke},
-		CacheSegs:   4, // half the migrated working set: reads stay fetch-bound
-		MaxInodes:   256,
-		BufferBytes: 32 * lfs.BlockSize,
-	}, true)
-	if err != nil {
-		return OverloadResult{}, err
-	}
-	fe := svc.New(hl, svc.Config{
-		Workers: 2, ReservedInteractive: 1,
-		InteractiveQueue: 4, BackgroundQueue: 4,
-		DisableTracing: spec.DisableTracing,
-	})
+		// Working set: 20 files across ~8 tertiary segments, fully migrated
+		// and ejected so reads demand-fetch through the cache.
+		const nfiles = 20
+		inums, err := writeFiles(p, hl.FS, overloadPathFmt, nfiles, 24)
+		if err != nil {
+			return err
+		}
+		paths := make([]string, nfiles)
+		for i := range paths {
+			paths[i] = fmt.Sprintf(overloadPathFmt, i)
+		}
+		if err := hl.FS.Sync(p); err != nil {
+			return err
+		}
+		if _, err := migrateAll(p, hl, inums); err != nil {
+			return err
+		}
+		if err := ejectAll(hl); err != nil {
+			return err
+		}
 
-	// Working set: 20 files across ~8 tertiary segments, fully migrated
-	// and ejected so reads demand-fetch through the cache.
-	var paths []string
-	var inums []uint32
-	for i := 0; i < 20; i++ {
-		path := fmt.Sprintf("/f%02d", i)
-		f, e := hl.FS.Create(p, path)
-		if e != nil {
-			return OverloadResult{}, e
+		cs, err := wl.RunClients(p, fe, hl, paths, wl.ClientSpec{
+			Clients:           spec.Clients,
+			RequestsPerClient: spec.Requests,
+			Arrival:           spec.Arrival,
+			MeanGap:           overloadBaseGap,
+			Deadline:          spec.Deadline,
+			ReadBlocks:        2,
+			Seed:              20260808,
+		})
+		if err != nil {
+			return err
 		}
-		data := make([]byte, 24*lfs.BlockSize)
-		for j := range data {
-			data[j] = byte(i*31 + j)
+		st := fe.Stats()
+		distinct := cs.Submitted - cs.Retries
+		res = OverloadResult{Stats: cs, Svc: st}
+		if distinct > 0 {
+			res.ShedRate = float64(cs.Shed) / float64(distinct)
 		}
-		if _, e := f.WriteAt(p, data, 0); e != nil {
-			return OverloadResult{}, e
-		}
-		paths = append(paths, path)
-		inums = append(inums, f.Inum())
-	}
-	if e := hl.FS.Sync(p); e != nil {
-		return OverloadResult{}, e
-	}
-	if _, e := hl.MigrateFiles(p, inums, false); e != nil {
-		return OverloadResult{}, e
-	}
-	if e := hl.CompleteMigration(p); e != nil {
-		return OverloadResult{}, e
-	}
-	for _, l := range hl.Cache.Lines() {
-		if !l.Staging && l.Pins == 0 {
-			if e := hl.Svc.Eject(l.Tag); e != nil {
-				return OverloadResult{}, e
-			}
-		}
-	}
-
-	cs, err := wl.RunClients(p, fe, hl, paths, wl.ClientSpec{
-		Clients:           spec.Clients,
-		RequestsPerClient: spec.Requests,
-		Arrival:           spec.Arrival,
-		MeanGap:           overloadBaseGap,
-		Deadline:          spec.Deadline,
-		ReadBlocks:        2,
-		Seed:              20260808,
-	})
-	if err != nil {
-		return OverloadResult{}, err
-	}
-	st := fe.Stats()
-	distinct := cs.Submitted - cs.Retries
-	res := OverloadResult{Stats: cs, Svc: st}
-	if distinct > 0 {
-		res.ShedRate = float64(cs.Shed) / float64(distinct)
-	}
-	res.P99ms = float64(st.P99Interactive.Milliseconds())
-	if fe.Tracer != nil {
-		_, res.TracedRequests, res.StagesRecorded = fe.Tracer.Counts()
-		res.RequestsJSON = telemetry.RenderRequests(fe.Tracer, p.Now())
-		// Property-check every retained trace: stages sealed, breakdown
-		// summing exactly to the end-to-end latency.
-		for _, tr := range fe.Tracer.Recent() {
-			if tr.Validate() != nil {
-				res.TraceErrs++
-			}
-		}
-		for _, c := range fe.Tracer.Classes() {
-			for _, tr := range fe.Tracer.Slowest(c, 1<<30) {
+		res.P99ms = float64(st.P99Interactive.Milliseconds())
+		if fe.Tracer != nil {
+			_, res.TracedRequests, res.StagesRecorded = fe.Tracer.Counts()
+			res.RequestsJSON = telemetry.RenderRequests(fe.Tracer, p.Now())
+			// Property-check every retained trace: stages sealed, breakdown
+			// summing exactly to the end-to-end latency.
+			for _, tr := range append(fe.Tracer.Recent(), fe.Tracer.Slowest("", 1<<30)...) {
 				if tr.Validate() != nil {
 					res.TraceErrs++
 				}
 			}
 		}
-	}
-	return res, nil
+		return nil
+	})
+	return res, err
 }
 
 // AblationOverload sweeps offered load at 0.5x/1x/2x/4x the base rate and

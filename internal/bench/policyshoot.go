@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dev"
 	"repro/internal/hsm"
-	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/migrate"
 	"repro/internal/sim"
@@ -69,51 +67,22 @@ func shootPick(rng *sim.RNG, workload string) int {
 	return rng.Intn(shootFiles)
 }
 
-// shootRig is a small single-library instance with a scarce cache.
-func shootRig() (*sim.Kernel, *core.HighLight, error) {
-	k := sim.NewKernel()
-	disk := dev.NewDisk(k, dev.RZ57, 256*64, nil)
-	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 6, 32, 64*lfs.BlockSize, nil)
-	var hl *core.HighLight
-	var err error
-	k.RunProc(func(p *sim.Proc) {
-		hl, err = core.New(p, core.Config{
-			SegBlocks:   64,
-			Disks:       []dev.BlockDev{disk},
-			Jukeboxes:   []jukebox.Footprint{juke},
-			CacheSegs:   4,
-			MaxInodes:   256,
-			BufferBytes: 32 * lfs.BlockSize,
-		}, true)
-	})
-	return k, hl, err
-}
-
 // shootCell runs one policy × workload cell.
 func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved float64, err error) {
-	k, hl, err := shootRig()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer k.Stop()
-	k.RunProc(func(p *sim.Proc) {
+	err = newStudyRig(frontEndGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
+		// The files are created two seconds apart, so the population has
+		// an age spread before any access differentiates it further.
 		var inums []uint32
 		for i := 0; i < shootFiles; i++ {
-			f, e := hl.FS.Create(p, fmt.Sprintf("/f%02d", i))
-			if e != nil {
-				err = e
-				return
-			}
-			if _, e := f.WriteAt(p, make([]byte, shootBlocks(i)*lfs.BlockSize), 0); e != nil {
-				err = e
-				return
+			f, err := writeFile(p, hl.FS, fmt.Sprintf("/f%02d", i), shootBlocks(i))
+			if err != nil {
+				return err
 			}
 			inums = append(inums, f.Inum())
 			p.Sleep(sim.Time(2 * time.Second))
 		}
-		if e := hl.FS.Sync(p); e != nil {
-			err = e
-			return
+		if err := hl.FS.Sync(p); err != nil {
+			return err
 		}
 
 		// Access phase: differentiate atimes and heat under the workload's
@@ -122,14 +91,12 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 		buf := make([]byte, lfs.BlockSize)
 		for q := 0; q < 150; q++ {
 			i := shootPick(rng, workload)
-			f, e := hl.FS.OpenInum(p, inums[i])
-			if e != nil {
-				err = e
-				return
+			f, err := hl.FS.OpenInum(p, inums[i])
+			if err != nil {
+				return err
 			}
-			if _, e := f.ReadAt(p, buf, int64(rng.Intn(shootBlocks(i)))*lfs.BlockSize); e != nil && e != io.EOF {
-				err = e
-				return
+			if _, err := f.ReadAt(p, buf, int64(rng.Intn(shootBlocks(i)))*lfs.BlockSize); err != nil && err != io.EOF {
+				return err
 			}
 			p.Sleep(sim.Time(500 * time.Millisecond))
 		}
@@ -144,19 +111,13 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 			totalBlocks += shootBlocks(i)
 		}
 		target := int64(totalBlocks) * lfs.BlockSize * 6 / 10
-		staged, e := m.RunOnce(p, target)
-		if e != nil {
-			err = e
-			return
+		staged, err := m.RunOnce(p, target)
+		if err != nil {
+			return err
 		}
 		bytesMoved = float64(staged)
-		for _, l := range hl.Cache.Lines() {
-			if !l.Staging && l.Pins == 0 {
-				if e := hl.Svc.Eject(l.Tag); e != nil {
-					err = e
-					return
-				}
-			}
+		if err := ejectAll(hl); err != nil {
+			return err
 		}
 
 		// Future phase: the same distribution replays through the front
@@ -168,20 +129,19 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 		frng := sim.NewRNG(shootSeed + 1)
 		for q := 0; q < futureReads; q++ {
 			i := shootPick(frng, workload)
-			e := fe.Submit(p, svc.Interactive, 0, func(wp *sim.Proc) error {
-				f, e := hl.FS.OpenInum(wp, inums[i])
-				if e != nil {
-					return e
+			err := fe.Submit(p, svc.Interactive, 0, func(wp *sim.Proc) error {
+				f, err := hl.FS.OpenInum(wp, inums[i])
+				if err != nil {
+					return err
 				}
 				hl.FS.DropFileBuffers(wp, inums[i])
-				if _, e := f.ReadAt(wp, buf, int64(frng.Intn(shootBlocks(i)))*lfs.BlockSize); e != nil && e != io.EOF {
-					return e
+				if _, err := f.ReadAt(wp, buf, int64(frng.Intn(shootBlocks(i)))*lfs.BlockSize); err != nil && err != io.EOF {
+					return err
 				}
 				return nil
 			})
-			if e != nil {
-				err = e
-				return
+			if err != nil {
+				return err
 			}
 			p.Sleep(sim.Time(200 * time.Millisecond))
 		}
@@ -191,6 +151,7 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 			hitRate = 0
 		}
 		p99ms = fe.Stats().P99Interactive.Seconds() * 1000
+		return nil
 	})
 	return hitRate, p99ms, bytesMoved, err
 }

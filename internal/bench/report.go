@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -45,10 +44,4 @@ func (r *Report) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// WriteTo writes the rendered report.
-func (r *Report) WriteTo(w io.Writer) (int64, error) {
-	n, err := io.WriteString(w, r.String())
-	return int64(n), err
 }

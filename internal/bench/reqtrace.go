@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/wl"
 )
 
@@ -75,12 +76,13 @@ func b2f(ok bool) float64 {
 // (they vary machine to machine and run to run) and are deliberately
 // excluded from the deterministic metric set.
 func ProfileReport(s Scale) (*Report, error) {
-	r := newHLRig(s, stageOnMain)
-	defer r.stop()
+	r := newHLRig(s)
 	r.k.EnableProfile()
-	if err := migrationFetchWorkload(r, s); err != nil {
+	if err := r.run(func(p *sim.Proc) error { return migrateAndFetch(p, r, s) }); err != nil {
 		return nil, fmt.Errorf("bench: profile workload: %w", err)
 	}
+	// The wall-clock window closes when the kernel's run loop returns, so
+	// the snapshot is taken after it; stopping the daemons dispatches nothing.
 	pr := r.k.ProfileSnapshot()
 	rep := newReport("Sim kernel self-profile (wall clock; varies by machine — not a tracked metric)")
 	rep.addf("events dispatched   %12d   (%d skipped, %d total since boot)",

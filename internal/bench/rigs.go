@@ -94,9 +94,10 @@ func QuickScale() Scale {
 	}
 }
 
-func (s Scale) spec(path string) wl.LargeObjectSpec {
+// spec is the scale's large object (§7.1).
+func (s Scale) spec() wl.LargeObjectSpec {
 	return wl.LargeObjectSpec{
-		Path:        path,
+		Path:        "/obj",
 		Frames:      s.Frames,
 		SeqFrames:   s.SeqFrames,
 		SmallFrames: s.SmallFrames,
@@ -108,66 +109,70 @@ func (s Scale) objectMB() float64 {
 	return float64(s.Frames) * wl.FrameSize / (1024 * 1024)
 }
 
-// ffsRig builds the baseline FFS on an RZ57 behind a SCSI bus.
-type ffsRig struct {
-	k    *sim.Kernel
-	disk *dev.Disk
-	fs   *ffs.FS
+// run executes body as the main process of k and then stops the kernel,
+// whether body failed or not: a cell's error return cannot leave the
+// tertiary service and I/O daemons of its rig parked forever.
+func run(k *sim.Kernel, body func(*sim.Proc) error) error {
+	defer k.Stop()
+	var err error
+	k.RunProc(func(p *sim.Proc) { err = body(p) })
+	return err
 }
 
-func newFFSRig(s Scale) *ffsRig {
-	k := sim.NewKernel()
-	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-	disk := dev.NewDisk(k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
-	r := &ffsRig{k: k, disk: disk}
-	k.RunProc(func(p *sim.Proc) {
-		fs, err := ffs.Format(p, disk, ffs.Options{BufferBytes: s.BufferBytes, UserCopyRate: hp370UserCopyRate})
-		if err != nil {
-			panic(err)
-		}
-		r.fs = fs
-	})
+// fsRig is a file system under test on a kernel of its own: the FFS and
+// base-LFS baselines, or HighLight (hl set) at the paper's scale.
+type fsRig struct {
+	k   *sim.Kernel
+	t   wl.Target
+	hl  *core.HighLight
+	err error // why the rig could not be built or mounted; run reports it
+}
+
+// format runs mount as the rig's first process: the table rigs mount in a
+// process of their own before the workload's process starts, and that
+// schedule is pinned by every committed number.
+func (r *fsRig) format(mount func(*sim.Proc) error) *fsRig {
+	r.k.RunProc(func(p *sim.Proc) { r.err = mount(p) })
 	return r
 }
 
-// lfsRig builds a base 4.4BSD LFS (no tertiary level).
-type lfsRig struct {
-	k    *sim.Kernel
-	disk *dev.Disk
-	fs   *lfs.FS
+// run executes body as the rig's main process and stops the rig. A rig
+// that failed to mount runs nothing and returns why.
+func (r *fsRig) run(body func(*sim.Proc) error) error {
+	if r.err != nil {
+		r.k.Stop()
+		return fmt.Errorf("bench: mounting rig: %w", r.err)
+	}
+	return run(r.k, body)
 }
 
-func newLFSRig(s Scale) *lfsRig {
-	k := sim.NewKernel()
-	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-	disk := dev.NewDisk(k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
-	r := &lfsRig{k: k, disk: disk}
+// newFFSRig builds the baseline FFS on an RZ57 behind a SCSI bus.
+func newFFSRig(s Scale) *fsRig {
+	r := &fsRig{k: sim.NewKernel()}
+	bus := dev.NewBus(r.k, "scsi", dev.SCSIBusRate)
+	disk := dev.NewDisk(r.k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
+	return r.format(func(p *sim.Proc) error {
+		fs, err := ffs.Format(p, disk, ffs.Options{BufferBytes: s.BufferBytes, UserCopyRate: hp370UserCopyRate})
+		r.t = wl.FFSTarget{Label: "ffs", FS: fs}
+		return err
+	})
+}
+
+// newLFSRig builds a base 4.4BSD LFS (no tertiary level).
+func newLFSRig(s Scale) *fsRig {
+	r := &fsRig{k: sim.NewKernel()}
+	bus := dev.NewBus(r.k, "scsi", dev.SCSIBusRate)
+	disk := dev.NewDisk(r.k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
 	amap := addr.New(s.SegBlocks, s.DiskSegs)
-	k.RunProc(func(p *sim.Proc) {
+	return r.format(func(p *sim.Proc) error {
 		fs, err := lfs.Format(p, lfs.DiskDevice{BD: disk}, amap, lfs.Options{
 			BufferBytes:      s.BufferBytes,
 			AssemblyCopyRate: hp370AssemblyCopyRate,
 			UserCopyRate:     hp370UserCopyRate,
 		})
-		if err != nil {
-			panic(err)
-		}
-		r.fs = fs
+		r.t = wl.LFSTarget{Label: "lfs", FS: fs}
+		return err
 	})
-	return r
-}
-
-// hlRig builds HighLight: RZ57 (plus an optional staging spindle) and the
-// MO jukebox, all on one SCSI bus — except an HP-IB staging disk, which
-// gets its own channel, as in the paper's HP7958A test.
-type hlRig struct {
-	k       *sim.Kernel
-	bus     *dev.Bus
-	main    *dev.Disk
-	staging *dev.Disk // nil when staging shares the main spindle
-	juke    *jukebox.Jukebox
-	hl      *core.HighLight
-	obs     *obs.Obs
 }
 
 // stagingKind selects the Table 6 configuration.
@@ -179,12 +184,18 @@ const (
 	stageOnHP7958A
 )
 
-func newHLRig(s Scale, kind stagingKind) *hlRig {
+// newHLRig builds HighLight at the paper's scale with staging on the main
+// spindle — every table's rig but Table 6's two staging-disk columns.
+func newHLRig(s Scale) *fsRig { return newStagedHLRig(s, stageOnMain) }
+
+// newStagedHLRig builds HighLight: RZ57 (plus an optional staging spindle)
+// and the MO jukebox, all on one SCSI bus — except an HP-IB staging disk,
+// which gets its own channel, as in the paper's HP7958A test.
+func newStagedHLRig(s Scale, kind stagingKind) *fsRig {
 	k := sim.NewKernel()
 	o := obs.New(k)
 	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
 	var farm []dev.BlockDev
-	var main *dev.Disk
 	if s.FarmDisks > 1 {
 		// Multi-spindle farm: capacity split evenly, each spindle on its
 		// own channel (the shared 3.9 MB/s SCSI bus would cap the farm at
@@ -195,9 +206,8 @@ func newHLRig(s Scale, kind stagingKind) *hlRig {
 			d.SetObs(o, fmt.Sprintf("RZ57-farm%d", i))
 			farm = append(farm, d)
 		}
-		main = farm[0].(*dev.Disk)
 	} else {
-		main = dev.NewDisk(k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
+		main := dev.NewDisk(k, dev.RZ57, int64(s.DiskSegs*s.SegBlocks), bus)
 		main.SetObs(o, "RZ57-main")
 		farm = []dev.BlockDev{main}
 	}
@@ -209,7 +219,6 @@ func newHLRig(s Scale, kind stagingKind) *hlRig {
 		extra.SetObs(o, fmt.Sprintf("%s-lib%d", extra.Profile().Name, i))
 		jukes = append(jukes, extra)
 	}
-	r := &hlRig{k: k, bus: bus, main: main, juke: juke, obs: o}
 	cfg := core.Config{
 		SegBlocks:         s.SegBlocks,
 		Disks:             farm,
@@ -226,34 +235,110 @@ func newHLRig(s Scale, kind stagingKind) *hlRig {
 		GatherChunkBlocks: 1, // lfs_bmapv + block-at-a-time raw reads (§6.7)
 		Obs:               o,
 	}
+	var staging *dev.Disk // nil when staging shares the main spindle
 	switch kind {
 	case stageOnRZ58:
-		r.staging = dev.NewDisk(k, dev.RZ58, int64(s.StageSegs*s.SegBlocks), bus)
+		staging = dev.NewDisk(k, dev.RZ58, int64(s.StageSegs*s.SegBlocks), bus)
 	case stageOnHP7958A:
 		// HP-IB connected: a private channel, not the shared SCSI bus.
-		r.staging = dev.NewDisk(k, dev.HP7958A, int64(s.StageSegs*s.SegBlocks), nil)
+		staging = dev.NewDisk(k, dev.HP7958A, int64(s.StageSegs*s.SegBlocks), nil)
 	}
-	if r.staging != nil {
+	if staging != nil {
 		if s.StripeUnit > 0 && s.FarmDisks > 1 {
 			// A dedicated staging spindle relies on the concatenated
 			// farm's contiguous per-component segment ranges.
-			panic("bench: staging spindle configs require a concatenated farm (StripeUnit 0)")
+			return &fsRig{k: k, err: fmt.Errorf("staging spindle configs require a concatenated farm (StripeUnit 0)")}
 		}
-		r.staging.SetObs(o, r.staging.Profile().Name+"-staging")
-		cfg.Disks = append(cfg.Disks, r.staging)
+		staging.SetObs(o, staging.Profile().Name+"-staging")
+		cfg.Disks = append(cfg.Disks, staging)
 		cfg.CacheSegs = s.StageSegs
 		cfg.CacheSegLo = s.DiskSegs
 		cfg.CacheSegHi = s.DiskSegs + s.StageSegs
 	}
-	k.RunProc(func(p *sim.Proc) {
+	r := &fsRig{k: k}
+	return r.format(func(p *sim.Proc) error {
 		hl, err := core.New(p, cfg, true)
 		if err != nil {
-			panic(fmt.Sprintf("bench: building HighLight rig: %v", err))
+			return err
 		}
-		r.hl = hl
+		r.hl, r.t = hl, wl.HLTarget("hl", hl)
+		return nil
 	})
+}
+
+// studyGeom is the geometry of a study rig: the fixed-size HighLight
+// instances behind the ablations, the overload study and the policy
+// shootout. Unlike the table rigs they do not follow Scale and carry no
+// CPU copy model — the studies are about policy, not the HP 9000/370.
+type studyGeom struct {
+	segBlocks int
+	disks     int  // RZ57 spindles in the farm
+	diskSegs  int  // segments per spindle
+	sharedBus bool // spindles and changers on one SCSI bus (the paper's wiring), else private channels
+	libs      int  // MO6300 changers, two drives each
+	vols      int  // cartridges per changer
+	volSegs   int  // segments per cartridge
+	cacheSegs int
+	inodes    int
+	bufBytes  int
+}
+
+// studyRig is a study rig's devices on a kernel, before any mount: the
+// cells reach into them to install fault plans, enable write caches, and
+// carry media images across a simulated power cut.
+type studyRig struct {
+	k     *sim.Kernel
+	geom  studyGeom
+	disks []*dev.Disk
+	jukes []*jukebox.Jukebox
+}
+
+// newStudyRig builds the devices of g on a fresh kernel.
+func newStudyRig(g studyGeom) *studyRig {
+	k := sim.NewKernel()
+	var bus *dev.Bus
+	if g.sharedBus {
+		bus = dev.NewBus(k, "scsi", dev.SCSIBusRate)
+	}
+	r := &studyRig{k: k, geom: g}
+	for i := 0; i < g.disks; i++ {
+		r.disks = append(r.disks, dev.NewDisk(k, dev.RZ57, int64(g.diskSegs*g.segBlocks), bus))
+	}
+	for i := 0; i < g.libs; i++ {
+		r.jukes = append(r.jukes, jukebox.MustNew(k, jukebox.MO6300, 2, g.vols, g.volSegs, g.segBlocks*lfs.BlockSize, bus))
+	}
 	return r
 }
 
-// stop tears the rig's daemons down.
-func (r *hlRig) stop() { r.k.Stop() }
+// run formats HighLight over the rig's devices and runs body on it as the
+// kernel's main process, then stops the kernel.
+func (r *studyRig) run(tweak func(*core.Config), body func(*sim.Proc, *core.HighLight) error) error {
+	return run(r.k, func(p *sim.Proc) error {
+		hl, err := r.mount(p, true, tweak)
+		if err != nil {
+			return err
+		}
+		return body(p, hl)
+	})
+}
+
+// mount formats (format=true) or remounts HighLight over the rig's
+// devices; tweak, when not nil, adjusts the configuration first.
+func (r *studyRig) mount(p *sim.Proc, format bool, tweak func(*core.Config)) (*core.HighLight, error) {
+	cfg := core.Config{
+		SegBlocks:   r.geom.segBlocks,
+		CacheSegs:   r.geom.cacheSegs,
+		MaxInodes:   r.geom.inodes,
+		BufferBytes: r.geom.bufBytes,
+	}
+	for _, d := range r.disks {
+		cfg.Disks = append(cfg.Disks, d)
+	}
+	for _, j := range r.jukes {
+		cfg.Jukeboxes = append(cfg.Jukeboxes, j)
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return core.New(p, cfg, format)
+}

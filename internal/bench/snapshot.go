@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -49,95 +51,46 @@ func BuildSnapshotWith(s Scale, scaleName string, srv *telemetry.Server) (*Bench
 		SpanSeconds: map[string]float64{},
 		Quantiles:   map[string]map[string]float64{},
 	}
-	tables := []struct {
-		name string
-		run  func(Scale) (*Report, error)
-	}{
-		{"table2", Table2}, {"table3", Table3}, {"table4", Table4},
-		{"table5", Table5}, {"table6", Table6},
-	}
-	for _, t := range tables {
-		rep, err := t.run(s)
+	for _, c := range Cells {
+		if c.Key == "" {
+			continue
+		}
+		rep, err := c.Run(s)
 		if err != nil {
-			return nil, fmt.Errorf("bench: snapshot %s: %w", t.name, err)
+			return nil, fmt.Errorf("bench: snapshot %s: %w", c.Name, err)
 		}
-		m := map[string]float64{}
-		for k, v := range rep.Metrics {
-			m[k] = v
-		}
-		snap.Tables[t.name] = m
-	}
-	// The disk-farm scaling curves run at their own fixed geometry (the
-	// striped farm, not the table rig), so one entry covers both scales.
-	{
-		rep, err := AblationDiskScaling()
-		if err != nil {
-			return nil, fmt.Errorf("bench: snapshot disk scaling: %w", err)
-		}
-		m := map[string]float64{}
-		for k, v := range rep.Metrics {
-			m[k] = v
-		}
-		snap.Tables["ablation_disk_scaling"] = m
-	}
-	// The overload study runs at its own fixed geometry too: the front-end
-	// admission rig, not the table rig, so one entry covers both scales.
-	{
-		rep, err := AblationOverload()
-		if err != nil {
-			return nil, fmt.Errorf("bench: snapshot overload: %w", err)
-		}
-		m := map[string]float64{}
-		for k, v := range rep.Metrics {
-			m[k] = v
-		}
-		snap.Tables["ablation_overload"] = m
-	}
-	// The migration-policy shootout also runs at its own fixed geometry:
-	// one entry covers both scales.
-	{
-		rep, err := AblationPolicy()
-		if err != nil {
-			return nil, fmt.Errorf("bench: snapshot policy shootout: %w", err)
-		}
-		m := map[string]float64{}
-		for k, v := range rep.Metrics {
-			m[k] = v
-		}
-		snap.Tables["ablation_policy"] = m
-	}
-	// The tracing ablation proves the per-request tracer is free: its own
-	// fixed geometry, one entry for both scales.
-	{
-		rep, err := AblationReqtrace()
-		if err != nil {
-			return nil, fmt.Errorf("bench: snapshot reqtrace ablation: %w", err)
-		}
-		m := map[string]float64{}
-		for k, v := range rep.Metrics {
-			m[k] = v
-		}
-		snap.Tables["ablation_reqtrace"] = m
+		snap.Tables[c.Key] = rep.Metrics
 	}
 	// One instrumented migration + demand-fetch run for the obs counters
-	// and span totals.
-	r := newHLRig(s, stageOnMain)
-	defer r.stop()
-	if err := migrationFetchWorkload(r, s); err != nil {
+	// and span totals, read before the rig's daemons are stopped.
+	r := newHLRig(s)
+	err := r.run(func(p *sim.Proc) error {
+		if err := migrateAndFetch(p, r, s); err != nil {
+			return err
+		}
+		publish(r, srv, nil)
+		snap.collect(r.hl.Obs)
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("bench: snapshot migration: %w", err)
 	}
-	publish(r, srv)
+	return snap, nil
+}
+
+// collect records the obs counters, span totals and latency quantiles.
+func (snap *BenchSnapshot) collect(o *obs.Obs) {
 	for _, name := range []string{
 		"tertiary.fetches", "tertiary.copyouts",
 		"tertiary.bytes_in", "tertiary.bytes_out",
 		"cache.hits", "cache.misses",
 	} {
-		snap.Counters[name] = r.obs.Counter(name).Value()
+		snap.Counters[name] = o.Counter(name).Value()
 	}
-	for _, a := range r.obs.Aggregates() {
+	for _, a := range o.Aggregates() {
 		snap.SpanSeconds[a.Cat] += a.Total.Seconds()
 	}
-	for _, h := range r.obs.Histograms() {
+	for _, h := range o.Histograms() {
 		if h.N == 0 {
 			continue
 		}
@@ -147,7 +100,6 @@ func BuildSnapshotWith(s Scale, scaleName string, srv *telemetry.Server) (*Bench
 			"mean_s": h.Mean().Seconds(),
 		}
 	}
-	return snap, nil
 }
 
 // WriteSnapshot builds the snapshot and writes it as indented JSON.

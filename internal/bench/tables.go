@@ -18,89 +18,32 @@ func Table2(s Scale) (*Report, error) {
 	rep := newReport(fmt.Sprintf("Table 2: large-object performance (%.1f MB object)", s.objectMB()))
 	rep.addf("%-28s %10s %12s", "phase / configuration", "elapsed", "throughput")
 
-	type cfg struct {
-		name string
-		run  func() ([]wl.PhaseResult, error)
-	}
-	configs := []cfg{
-		{"FFS", func() ([]wl.PhaseResult, error) {
-			r := newFFSRig(s)
-			var out []wl.PhaseResult
+	for _, c := range []struct {
+		name     string
+		build    func(Scale) *fsRig
+		migrated bool // the object is migrated first and read from the segment cache
+	}{
+		{"FFS", newFFSRig, false},
+		{"Base LFS", newLFSRig, false},
+		{"HighLight on-disk", newHLRig, false},
+		{"HighLight in-cache", newHLRig, true},
+	} {
+		r := c.build(s)
+		var results []wl.PhaseResult
+		err := r.run(func(p *sim.Proc) error {
+			var f wl.Handle
 			var err error
-			r.k.RunProc(func(p *sim.Proc) {
-				t := wl.FFSTarget{Label: "ffs", FS: r.fs}
-				f, e := wl.CreateLargeObject(p, t, s.spec("/obj"))
-				if e != nil {
-					err = e
-					return
-				}
-				out, err = wl.RunLargeObject(p, t, f, s.spec("/obj"))
-			})
-			return out, err
-		}},
-		{"Base LFS", func() ([]wl.PhaseResult, error) {
-			r := newLFSRig(s)
-			var out []wl.PhaseResult
-			var err error
-			r.k.RunProc(func(p *sim.Proc) {
-				t := wl.LFSTarget{Label: "lfs", FS: r.fs}
-				f, e := wl.CreateLargeObject(p, t, s.spec("/obj"))
-				if e != nil {
-					err = e
-					return
-				}
-				out, err = wl.RunLargeObject(p, t, f, s.spec("/obj"))
-			})
-			return out, err
-		}},
-		{"HighLight on-disk", func() ([]wl.PhaseResult, error) {
-			r := newHLRig(s, stageOnMain)
-			defer r.stop()
-			var out []wl.PhaseResult
-			var err error
-			r.k.RunProc(func(p *sim.Proc) {
-				t := wl.HLTarget("hl", r.hl)
-				f, e := wl.CreateLargeObject(p, t, s.spec("/obj"))
-				if e != nil {
-					err = e
-					return
-				}
-				out, err = wl.RunLargeObject(p, t, f, s.spec("/obj"))
-			})
-			return out, err
-		}},
-		{"HighLight in-cache", func() ([]wl.PhaseResult, error) {
-			r := newHLRig(s, stageOnMain)
-			defer r.stop()
-			var out []wl.PhaseResult
-			var err error
-			r.k.RunProc(func(p *sim.Proc) {
-				t := wl.HLTarget("hl", r.hl)
-				f, e := wl.CreateLargeObject(p, t, s.spec("/obj"))
-				if e != nil {
-					err = e
-					return
-				}
-				fh, e := r.hl.FS.Open(p, "/obj")
-				if e != nil {
-					err = e
-					return
-				}
-				if _, e := r.hl.MigrateFiles(p, []uint32{fh.Inum()}, false); e != nil {
-					err = e
-					return
-				}
-				if e := r.hl.CompleteMigration(p); e != nil {
-					err = e
-					return
-				}
-				out, err = wl.RunLargeObject(p, t, f, s.spec("/obj"))
-			})
-			return out, err
-		}},
-	}
-	for _, c := range configs {
-		results, err := c.run()
+			if c.migrated {
+				f, _, err = migrateLargeObject(p, r, s)
+			} else {
+				f, err = wl.CreateLargeObject(p, r.t, s.spec())
+			}
+			if err != nil {
+				return err
+			}
+			results, err = wl.RunLargeObject(p, r.t, f, s.spec())
+			return err
+		})
 		if err != nil {
 			return rep, fmt.Errorf("table 2 %s: %w", c.name, err)
 		}
@@ -121,117 +64,79 @@ func Table3(s Scale) (*Report, error) {
 	rep := newReport("Table 3: access delays for files")
 	rep.addf("%-8s %-22s %12s %12s", "size", "configuration", "first byte", "total")
 
-	record := func(cfgName string, size int64, fb, tot sim.Time) {
-		rep.addf("%-8s %-22s %10.2f s %10.2f s", sizeName(size), cfgName, fb.Seconds(), tot.Seconds())
-		rep.metric(fmt.Sprintf("%s/%s/first", cfgName, sizeName(size)), fb.Seconds())
-		rep.metric(fmt.Sprintf("%s/%s/total", cfgName, sizeName(size)), tot.Seconds())
+	// scan reads every file whole from cold buffers and records the row;
+	// with uncached set the segment cache is ejected before each file too.
+	scan := func(p *sim.Proc, r *fsRig, cfgName string, uncached bool) error {
+		for _, size := range s.FileSizes {
+			if err := r.t.FlushCaches(p); err != nil {
+				return err
+			}
+			if uncached {
+				if err := ejectAll(r.hl); err != nil {
+					return err
+				}
+			}
+			f, err := r.t.Open(p, "/"+sizeName(size))
+			if err != nil {
+				return err
+			}
+			fb, tot, err := wl.SequentialScan(p, f, size)
+			if err != nil {
+				return err
+			}
+			rep.addf("%-8s %-22s %10.2f s %10.2f s", sizeName(size), cfgName, fb.Seconds(), tot.Seconds())
+			rep.metric(fmt.Sprintf("%s/%s/first", cfgName, sizeName(size)), fb.Seconds())
+			rep.metric(fmt.Sprintf("%s/%s/total", cfgName, sizeName(size)), tot.Seconds())
+		}
+		return nil
+	}
+	write := func(p *sim.Proc, r *fsRig) error {
+		for _, size := range s.FileSizes {
+			if err := writeSized(p, r.t, "/"+sizeName(size), size); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
-	// FFS.
-	{
-		r := newFFSRig(s)
-		var err error
-		r.k.RunProc(func(p *sim.Proc) {
-			t := wl.FFSTarget{Label: "ffs", FS: r.fs}
-			for _, size := range s.FileSizes {
-				path := "/" + sizeName(size)
-				if e := writeSized(p, t, path, size); e != nil {
-					err = e
-					return
-				}
-			}
-			for _, size := range s.FileSizes {
-				if e := t.FlushCaches(p); e != nil {
-					err = e
-					return
-				}
-				f, e := t.Open(p, "/"+sizeName(size))
-				if e != nil {
-					err = e
-					return
-				}
-				fb, tot, e := wl.SequentialScan(p, f, size)
-				if e != nil {
-					err = e
-					return
-				}
-				record("FFS", size, fb, tot)
-			}
-		})
-		if err != nil {
-			return rep, fmt.Errorf("table 3 ffs: %w", err)
+	ffsRig := newFFSRig(s)
+	err := ffsRig.run(func(p *sim.Proc) error {
+		if err := write(p, ffsRig); err != nil {
+			return err
 		}
+		return scan(p, ffsRig, "FFS", false)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("table 3 ffs: %w", err)
 	}
 
-	// HighLight in-cache, then uncached.
-	{
-		r := newHLRig(s, stageOnMain)
-		defer r.stop()
-		var err error
-		r.k.RunProc(func(p *sim.Proc) {
-			t := wl.HLTarget("hl", r.hl)
-			var inums []uint32
-			for _, size := range s.FileSizes {
-				path := "/" + sizeName(size)
-				if e := writeSized(p, t, path, size); e != nil {
-					err = e
-					return
-				}
-				f, e := r.hl.FS.Open(p, path)
-				if e != nil {
-					err = e
-					return
-				}
-				inums = append(inums, f.Inum())
-			}
-			if _, e := r.hl.MigrateFiles(p, inums, false); e != nil {
-				err = e
-				return
-			}
-			if e := r.hl.CompleteMigration(p); e != nil {
-				err = e
-				return
-			}
-			// In-cache: migrated but still cached on disk.
-			for _, size := range s.FileSizes {
-				if e := t.FlushCaches(p); e != nil {
-					err = e
-					return
-				}
-				f, _ := t.Open(p, "/"+sizeName(size))
-				fb, tot, e := wl.SequentialScan(p, f, size)
-				if e != nil {
-					err = e
-					return
-				}
-				record("HighLight in-cache", size, fb, tot)
-			}
-			// Uncached: eject the cache and demand-fetch from the MO
-			// jukebox ("the tertiary volume was in the drive when the
-			// tests began" — the write drive still holds it).
-			for _, size := range s.FileSizes {
-				if e := t.FlushCaches(p); e != nil {
-					err = e
-					return
-				}
-				for _, l := range r.hl.Cache.Lines() {
-					if e := r.hl.Svc.Eject(l.Tag); e != nil {
-						err = e
-						return
-					}
-				}
-				f, _ := t.Open(p, "/"+sizeName(size))
-				fb, tot, e := wl.SequentialScan(p, f, size)
-				if e != nil {
-					err = e
-					return
-				}
-				record("HighLight uncached", size, fb, tot)
-			}
-		})
-		if err != nil {
-			return rep, fmt.Errorf("table 3 highlight: %w", err)
+	r := newHLRig(s)
+	err = r.run(func(p *sim.Proc) error {
+		if err := write(p, r); err != nil {
+			return err
 		}
+		var inums []uint32
+		for _, size := range s.FileSizes {
+			f, err := r.hl.FS.Open(p, "/"+sizeName(size))
+			if err != nil {
+				return err
+			}
+			inums = append(inums, f.Inum())
+		}
+		if _, err := migrateAll(p, r.hl, inums); err != nil {
+			return err
+		}
+		// In-cache: migrated but still cached on disk.
+		if err := scan(p, r, "HighLight in-cache", false); err != nil {
+			return err
+		}
+		// Uncached: demand-fetch from the MO jukebox ("the tertiary volume
+		// was in the drive when the tests began" — the write drive still
+		// holds it).
+		return scan(p, r, "HighLight uncached", true)
+	})
+	if err != nil {
+		return rep, fmt.Errorf("table 3 highlight: %w", err)
 	}
 	return rep, nil
 }
@@ -266,50 +171,6 @@ func writeSized(p *sim.Proc, t wl.Target, path string, size int64) error {
 	return t.Sync(p)
 }
 
-// migrationRun migrates a freshly written large object and reports the
-// phase timings and service statistics (shared by Tables 4 and 6).
-type migrationRun struct {
-	stageDone    sim.Time // migrator finished assembling (T1)
-	drainDone    sim.Time // all copyouts on tertiary media (T2)
-	bytesAtStage int64
-	bytesTotal   int64
-	statsAtEnd   interface{ String() string }
-	rig          *hlRig
-}
-
-func runMigration(s Scale, kind stagingKind) (*hlRig, sim.Time, sim.Time, int64, int64, error) {
-	r := newHLRig(s, kind)
-	var t1, t2 sim.Time
-	var b1, b2 int64
-	var err error
-	r.k.RunProc(func(p *sim.Proc) {
-		t := wl.HLTarget("hl", r.hl)
-		if _, e := wl.CreateLargeObject(p, t, s.spec("/obj")); e != nil {
-			err = e
-			return
-		}
-		f, e := r.hl.FS.Open(p, "/obj")
-		if e != nil {
-			err = e
-			return
-		}
-		start := p.Now()
-		if _, e := r.hl.MigrateFiles(p, []uint32{f.Inum()}, false); e != nil {
-			err = e
-			return
-		}
-		t1 = p.Now() - start
-		b1 = r.hl.Obs.Counter("tertiary.bytes_out").Value()
-		if e := r.hl.CompleteMigration(p); e != nil {
-			err = e
-			return
-		}
-		t2 = p.Now() - start
-		b2 = r.hl.Obs.Counter("tertiary.bytes_out").Value()
-	})
-	return r, t1, t2, b1, b2, err
-}
-
 // Table4 breaks down where migration time goes: inside the Footprint
 // library (media change, seek, tertiary transfer), in the I/O server
 // reading staged segments off disk, and queuing. The phase times are
@@ -317,15 +178,19 @@ func runMigration(s Scale, kind stagingKind) (*hlRig, sim.Time, sim.Time, int64,
 // "svc.queue") — the same instrumentation the Chrome trace export shows.
 func Table4(s Scale) (*Report, error) {
 	rep := newReport("Table 4: migration time breakdown (magnetic to MO disk)")
-	r, _, _, _, _, err := runMigration(s, stageOnMain)
+	r := newHLRig(s)
+	var fpWrite, ioRead, queue sim.Time
+	err := r.run(func(p *sim.Proc) error {
+		if _, _, err := migrateLargeObject(p, r, s); err != nil {
+			return err
+		}
+		o := r.hl.Obs
+		fpWrite, ioRead, queue = o.CatTotal("fp.write"), o.CatTotal("io.read"), o.CatTotal("svc.queue")
+		return nil
+	})
 	if err != nil {
 		return rep, err
 	}
-	defer r.stop()
-	o := r.hl.Obs
-	fpWrite := o.CatTotal("fp.write")
-	ioRead := o.CatTotal("io.read")
-	queue := o.CatTotal("svc.queue")
 	total := fpWrite + ioRead + queue
 	if total == 0 {
 		return rep, fmt.Errorf("table 4: no migration activity recorded")
@@ -347,82 +212,81 @@ func Table5(s Scale) (*Report, error) {
 	rep := newReport("Table 5: raw device measurements")
 	rep.addf("%-22s %12s", "I/O type", "performance")
 
-	segBytes := 1024 * 1024
-	diskRate := func(prof dev.DiskProfile, write bool) float64 {
-		k := sim.NewKernel()
-		bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-		d := dev.NewDisk(k, prof, int64(64*256), bus)
+	const segBytes = 1024 * 1024
+	// segRate times sixteen one-segment transfers, in KB/s, after an
+	// optional untimed prime step.
+	segRate := func(k *sim.Kernel, prime func(*sim.Proc, []byte) error, xfer func(p *sim.Proc, i int, buf []byte) error) (float64, error) {
 		var elapsed sim.Time
-		k.RunProc(func(p *sim.Proc) {
+		err := run(k, func(p *sim.Proc) error {
 			buf := make([]byte, segBytes)
-			start := p.Now()
-			for i := int64(0); i < 16; i++ {
-				var err error
-				if write {
-					err = d.WriteBlocks(p, i*256, buf)
-				} else {
-					err = d.ReadBlocks(p, i*256, buf)
+			if prime != nil {
+				if err := prime(p, buf); err != nil {
+					return err
 				}
-				if err != nil {
-					panic(err)
+			}
+			start := p.Now()
+			for i := 0; i < 16; i++ {
+				if err := xfer(p, i, buf); err != nil {
+					return err
 				}
 			}
 			elapsed = p.Now() - start
+			return nil
 		})
-		return 16 * 1024 / elapsed.Seconds()
+		return 16 * 1024 / elapsed.Seconds(), err
 	}
-	moRate := func(write bool) float64 {
-		k := sim.NewKernel()
-		bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
-		j := jukebox.MustNew(k, jukebox.MO6300, 2, 2, 64, segBytes, bus)
-		var elapsed sim.Time
-		k.RunProc(func(p *sim.Proc) {
-			buf := make([]byte, segBytes)
+	diskRate := func(prof dev.DiskProfile, write bool) func() (float64, error) {
+		return func() (float64, error) {
+			k := sim.NewKernel()
+			d := dev.NewDisk(k, prof, 64*256, dev.NewBus(k, "scsi", dev.SCSIBusRate))
+			return segRate(k, nil, func(p *sim.Proc, i int, buf []byte) error {
+				if write {
+					return d.WriteBlocks(p, int64(i)*256, buf)
+				}
+				return d.ReadBlocks(p, int64(i)*256, buf)
+			})
+		}
+	}
+	moRate := func(write bool) func() (float64, error) {
+		return func() (float64, error) {
+			k := sim.NewKernel()
+			j := jukebox.MustNew(k, jukebox.MO6300, 2, 2, 64, segBytes, dev.NewBus(k, "scsi", dev.SCSIBusRate))
 			// Prime the drive so the swap is excluded.
-			if err := j.WriteSegment(p, 0, 0, buf); err != nil {
-				panic(err)
-			}
-			start := p.Now()
-			for i := 1; i <= 16; i++ {
-				var err error
+			prime := func(p *sim.Proc, buf []byte) error { return j.WriteSegment(p, 0, 0, buf) }
+			return segRate(k, prime, func(p *sim.Proc, i int, buf []byte) error {
 				if write {
-					err = j.WriteSegment(p, 0, i, buf)
-				} else {
-					err = j.ReadSegment(p, 0, i, buf)
+					return j.WriteSegment(p, 0, i+1, buf)
 				}
-				if err != nil {
-					panic(err)
-				}
-			}
-			elapsed = p.Now() - start
-		})
-		return 16 * 1024 / elapsed.Seconds()
+				return j.ReadSegment(p, 0, i+1, buf)
+			})
+		}
 	}
-	volumeChange := func() float64 {
+	volumeChange := func() (float64, error) {
 		// Table 5 definition: from an eject command to a completed read
 		// of ONE SECTOR on the MO platter — so the probe jukebox uses a
 		// single-block transfer unit.
 		k := sim.NewKernel()
 		j := jukebox.MustNew(k, jukebox.MO6300, 1, 2, 4, lfs.BlockSize, nil)
 		var swap sim.Time
-		k.RunProc(func(p *sim.Proc) {
+		err := run(k, func(p *sim.Proc) error {
 			buf := make([]byte, lfs.BlockSize)
 			if err := j.ReadSegment(p, 0, 0, buf); err != nil {
-				panic(err)
+				return err
 			}
 			t0 := p.Now()
 			if err := j.ReadSegment(p, 1, 0, buf); err != nil {
-				panic(err)
+				return err
 			}
 			swap = p.Now() - t0
+			return nil
 		})
-		return swap.Seconds()
+		return swap.Seconds(), err
 	}
 
-	rows := []struct {
-		name string
-		v    float64
-		unit string
+	for _, row := range []struct {
+		name    string
+		measure func() (float64, error)
+		unit    string
 	}{
 		{"Raw MO read", moRate(false), "KB/s"},
 		{"Raw MO write", moRate(true), "KB/s"},
@@ -430,11 +294,14 @@ func Table5(s Scale) (*Report, error) {
 		{"Raw RZ57 write", diskRate(dev.RZ57, true), "KB/s"},
 		{"Raw RZ58 read", diskRate(dev.RZ58, false), "KB/s"},
 		{"Raw RZ58 write", diskRate(dev.RZ58, true), "KB/s"},
-		{"Volume change", volumeChange(), "s"},
-	}
-	for _, row := range rows {
-		rep.addf("%-22s %9.1f %s", row.name, row.v, row.unit)
-		rep.metric(row.name, row.v)
+		{"Volume change", volumeChange, "s"},
+	} {
+		v, err := row.measure()
+		if err != nil {
+			return rep, fmt.Errorf("table 5 %s: %w", row.name, err)
+		}
+		rep.addf("%-22s %9.1f %s", row.name, v, row.unit)
+		rep.metric(row.name, v)
 	}
 	return rep, nil
 }
@@ -446,37 +313,40 @@ func Table6(s Scale) (*Report, error) {
 	rep := newReport(fmt.Sprintf("Table 6: migrator throughput (%.1f MB migrated)", s.objectMB()))
 	rep.addf("%-24s %14s %14s %14s", "phase", "RZ57", "RZ57+RZ58", "RZ57+HP7958A")
 
-	type res struct{ contention, noContention, overall float64 }
-	var results []res
-	for _, kind := range []stagingKind{stageOnMain, stageOnRZ58, stageOnHP7958A} {
-		r, t1, t2, b1, b2, err := runMigration(s, kind)
+	configs := []struct {
+		name string
+		kind stagingKind
+	}{{"RZ57", stageOnMain}, {"RZ57+RZ58", stageOnRZ58}, {"RZ57+HP7958A", stageOnHP7958A}}
+	// rates[phase][config] in KB/s: while the migrator contends for the
+	// arm, after it has finished, and overall.
+	var rates [3][3]float64
+	for i, c := range configs {
+		r := newStagedHLRig(s, c.kind)
+		var m objectMigration
+		err := r.run(func(p *sim.Proc) (err error) {
+			_, m, err = migrateLargeObject(p, r, s)
+			return err
+		})
 		if err != nil {
-			return rep, fmt.Errorf("table 6 config %d: %w", kind, err)
+			return rep, fmt.Errorf("table 6 %s: %w", c.name, err)
 		}
-		var rr res
-		if t1 > 0 {
-			rr.contention = float64(b1) / 1024 / t1.Seconds()
+		if m.staged > 0 {
+			rates[0][i] = float64(m.bytesStaged) / 1024 / m.staged.Seconds()
 		}
-		if t2 > t1 {
-			rr.noContention = float64(b2-b1) / 1024 / (t2 - t1).Seconds()
+		if m.drained > m.staged {
+			rates[1][i] = float64(m.bytesDrained-m.bytesStaged) / 1024 / (m.drained - m.staged).Seconds()
 		}
-		if t2 > 0 {
-			rr.overall = float64(b2) / 1024 / t2.Seconds()
+		if m.drained > 0 {
+			rates[2][i] = float64(m.bytesDrained) / 1024 / m.drained.Seconds()
 		}
-		results = append(results, rr)
-		r.stop()
 	}
-	rep.addf("%-24s %9.1f KB/s %9.1f KB/s %9.1f KB/s", "arm contention",
-		results[0].contention, results[1].contention, results[2].contention)
-	rep.addf("%-24s %9.1f KB/s %9.1f KB/s %9.1f KB/s", "no arm contention",
-		results[0].noContention, results[1].noContention, results[2].noContention)
-	rep.addf("%-24s %9.1f KB/s %9.1f KB/s %9.1f KB/s", "overall",
-		results[0].overall, results[1].overall, results[2].overall)
-	names := []string{"RZ57", "RZ57+RZ58", "RZ57+HP7958A"}
-	for i, n := range names {
-		rep.metric(n+"/contention", results[i].contention)
-		rep.metric(n+"/nocontention", results[i].noContention)
-		rep.metric(n+"/overall", results[i].overall)
+	for ph, phase := range []struct{ label, metric string }{
+		{"arm contention", "contention"}, {"no arm contention", "nocontention"}, {"overall", "overall"},
+	} {
+		rep.addf("%-24s %9.1f KB/s %9.1f KB/s %9.1f KB/s", phase.label, rates[ph][0], rates[ph][1], rates[ph][2])
+		for i, c := range configs {
+			rep.metric(c.name+"/"+phase.metric, rates[ph][i])
+		}
 	}
 	return rep, nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	"repro/internal/wl"
 )
 
 // TraceMigration runs the paper's migration workload (write a large
@@ -14,58 +13,31 @@ import (
 // pure virtual time, so the bytes written are identical on every
 // invocation — diff two traces and any change is a behavior change.
 func TraceMigration(s Scale, w io.Writer) error {
-	r := newHLRig(s, stageOnMain)
-	defer r.stop()
-	r.obs.EnableTrace()
-	if err := migrationFetchWorkload(r, s); err != nil {
-		return err
-	}
-	return r.obs.WriteChromeTrace(w)
+	r := newHLRig(s)
+	return r.run(func(p *sim.Proc) error {
+		r.hl.Obs.EnableTrace()
+		if err := migrateAndFetch(p, r, s); err != nil {
+			return err
+		}
+		return r.hl.Obs.WriteChromeTrace(w)
+	})
 }
 
-// migrationFetchWorkload drives the paper's end-to-end story on an open
-// rig: large-object write, migration, cache eviction, demand fetch.
-// Shared by TraceMigration and the -json snapshot so both exercise
-// every counter (fetches and cache misses included).
-func migrationFetchWorkload(r *hlRig, s Scale) error {
-	var err error
-	r.k.RunProc(func(p *sim.Proc) {
-		t := wl.HLTarget("hl", r.hl)
-		if _, e := wl.CreateLargeObject(p, t, s.spec("/obj")); e != nil {
-			err = e
-			return
-		}
-		f, e := r.hl.FS.Open(p, "/obj")
-		if e != nil {
-			err = e
-			return
-		}
-		if _, e := r.hl.MigrateFiles(p, []uint32{f.Inum()}, false); e != nil {
-			err = e
-			return
-		}
-		if e := r.hl.CompleteMigration(p); e != nil {
-			err = e
-			return
-		}
+// migrateAndFetch drives the paper's end-to-end story on an open rig:
+// large-object write, migration, cache eviction, demand fetch. Shared by
+// TraceMigration, the -json snapshot and the kernel self-profile so all
+// exercise every counter (fetches and cache misses included).
+func migrateAndFetch(p *sim.Proc, r *fsRig, s Scale) error {
+	f, _, err := migrateLargeObject(p, r, s)
+	if err == nil {
 		// Demand-fetch path: drop the buffers and evict the cached lines,
 		// then read the head of the object back through the block map.
 		r.hl.FS.DropFileBuffers(p, f.Inum())
-		for _, l := range r.hl.Cache.Lines() {
-			if l.Staging || l.Pins > 0 {
-				continue
-			}
-			if e := r.hl.Svc.Eject(l.Tag); e != nil {
-				err = e
-				return
-			}
-		}
-		buf := make([]byte, 64*1024)
-		if _, e := f.ReadAt(p, buf, 0); e != nil {
-			err = e
-			return
-		}
-	})
+		err = ejectAll(r.hl)
+	}
+	if err == nil {
+		_, err = f.ReadAt(p, make([]byte, 64*1024), 0)
+	}
 	if err != nil {
 		return fmt.Errorf("bench: trace workload: %w", err)
 	}
