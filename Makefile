@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak profile loc
+.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak fuzz-smoke profile loc
 
 all: verify
 
@@ -47,6 +47,12 @@ soak:
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 
+# Ten seconds of coverage-guided fuzzing per on-media image parser (the
+# seed corpora under testdata/fuzz run in plain `go test` already).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDiskLoadStore -fuzztime 10s ./internal/dev/
+	$(GO) test -run '^$$' -fuzz FuzzJukeboxLoadStore -fuzztime 10s ./internal/jukebox/
+
 # Tier-1 verification: everything CI's verify job runs, in order.
 verify: build vet lint test race crash
 
@@ -57,16 +63,19 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
 
 # Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
-# contended resource, 4-way spawn and join) and of the block data path
-# (lfs -> stripe -> dev, and the parity XOR alone): host ns/op, B/op and
-# allocs/op per layer, so a wall-clock or allocation regression names its
-# layer. Informational, not a gate.
+# contended resource, 4-way spawn and join), of the block data path
+# (lfs -> stripe -> dev, and the parity XOR alone) and of the tertiary side
+# (a jukebox segment in and out, a segment-cache lookup): host ns/op, B/op
+# and allocs/op per layer, so a wall-clock or allocation regression names
+# its layer. Informational, not a gate.
 bench-layers:
 	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
-	$(GO) test -run '^$$' -bench 'DiskWrite1MB' -benchmem -benchtime 20x ./internal/dev/
+	$(GO) test -run '^$$' -bench 'Disk(Write|Read)1MB' -benchmem -benchtime 20x ./internal/dev/
+	$(GO) test -run '^$$' -bench 'Jukebox(Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
+	$(GO) test -run '^$$' -bench 'CacheLookup' -benchmem -benchtime 200000x ./internal/cache/
 
 # Machine-readable snapshot of every table's metrics + obs counters.
 bench-json:

@@ -250,3 +250,34 @@ func TestPropertyCacheInvariants(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkCacheLookup is the segment cache's row of `make bench-layers`:
+// one directory lookup on a full 96-line cache (the paper-scale split),
+// a hit and a miss.
+func BenchmarkCacheLookup(b *testing.B) {
+	const lines = 96
+	c := New(LRU, pool(lines), 1)
+	for tag := 0; tag < lines; tag++ {
+		seg, _ := c.TakeFree()
+		if _, err := c.Insert(tag*7, seg, false, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		tag  func(i int) int
+		hit  bool
+	}{
+		{"hit", func(i int) int { return i % lines * 7 }, true},
+		{"miss", func(i int) int { return i%lines*7 + 1 }, false},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Lookup(tc.tag(i), sim.Time(i)); ok != tc.hit {
+					b.Fatalf("lookup of tag %d: hit %v", tc.tag(i), ok)
+				}
+			}
+		})
+	}
+}

@@ -215,7 +215,7 @@ type Disk struct {
 	arm     *sim.Resource
 	bus     *Bus
 	head    int64 // current arm position, in blocks
-	store   map[int64][]byte
+	store   media
 	stats   DiskStats
 
 	wcap   int              // write-cache capacity in blocks; 0 = write-through
@@ -247,7 +247,7 @@ func NewDisk(k *sim.Kernel, prof DiskProfile, nblocks int64, bus *Bus) *Disk {
 		nblocks: nblocks,
 		arm:     k.NewResource(prof.Name + ".arm"),
 		bus:     bus,
-		store:   make(map[int64][]byte),
+		store:   newMedia(nblocks),
 	}
 }
 
@@ -274,16 +274,16 @@ func (d *Disk) EnableWriteCache(nblocks int) {
 // write cache (0 in write-through mode).
 func (d *Disk) WriteCacheDirty() int { return len(d.worder) }
 
-// applyMedia makes one block durable on the platter and notifies the
-// media-write observer.
+// applyMedia makes the blocks of data durable on the platter: in one piece
+// when nobody watches, else one at a time, each before its hook fires — the
+// hook for block i sees blocks up to i new and the rest of the request old.
 func (d *Disk) applyMedia(blk int64, data []byte) {
-	blkbuf, ok := d.store[blk]
-	if !ok {
-		blkbuf = make([]byte, BlockSize)
-		d.store[blk] = blkbuf
+	if d.OnMediaWrite == nil {
+		d.store.write(blk, data)
+		return
 	}
-	copy(blkbuf, data)
-	if d.OnMediaWrite != nil {
+	for ; len(data) > 0; blk, data = blk+1, data[BlockSize:] {
+		d.store.write(blk, data[:BlockSize])
 		d.OnMediaWrite(blk)
 	}
 }
@@ -291,7 +291,7 @@ func (d *Disk) applyMedia(blk int64, data []byte) {
 // destageOldest moves the FIFO-oldest dirty block to the platter.
 func (d *Disk) destageOldest() {
 	blk := d.worder[0]
-	d.worder = d.worder[1:]
+	d.worder = d.worder[:copy(d.worder, d.worder[1:])] // in place: the queue is short and never regrows
 	data := d.wdirty[blk]
 	delete(d.wdirty, blk)
 	d.applyMedia(blk, data)
@@ -343,23 +343,17 @@ func (d *Disk) Flush(p *sim.Proc) error {
 // power cut at this instant would preserve. Blocks still in the volatile
 // write cache are deliberately excluded.
 func (d *Disk) SnapshotStore() map[int64][]byte {
-	out := make(map[int64][]byte, len(d.store))
-	for blk, data := range d.store {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		out[blk] = cp
-	}
+	out := make(map[int64][]byte)
+	d.store.each(func(blk int64, data []byte) { out[blk] = append([]byte(nil), data...) })
 	return out
 }
 
 // RestoreStore replaces the media image with a deep copy of m and empties
 // the write cache — the disk as it comes back after a power cut.
 func (d *Disk) RestoreStore(m map[int64][]byte) {
-	d.store = make(map[int64][]byte, len(m))
+	d.store = newMedia(d.nblocks)
 	for blk, data := range m {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		d.store[blk] = cp
+		d.store.write(blk, data)
 	}
 	d.wdirty = make(map[int64][]byte)
 	d.worder = nil
@@ -452,19 +446,11 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
 		nb := int64(n / BlockSize)
-		for i := int64(0); i < nb; i++ {
-			// Read-your-writes: the volatile cache holds the newest copy.
-			src, ok := d.wdirty[blk+i]
-			if !ok {
-				src, ok = d.store[blk+i]
-			}
-			dst := chunk[i*BlockSize : (i+1)*BlockSize]
-			if ok {
-				copy(dst, src)
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
+		d.store.read(blk, chunk)
+		// Read-your-writes: the volatile cache, while it holds anything, is newer.
+		for i := int64(0); i < nb && len(d.worder) > 0; i++ {
+			if src, ok := d.wdirty[blk+i]; ok {
+				copy(chunk[i*BlockSize:], src)
 			}
 		}
 		d.head = blk + nb
@@ -512,12 +498,11 @@ func (d *Disk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
 		nb := int64(n / BlockSize)
-		for i := int64(0); i < nb; i++ {
-			data := chunk[i*BlockSize : (i+1)*BlockSize]
-			if d.wcap > 0 {
-				d.cacheWrite(blk+i, data)
-			} else {
-				d.applyMedia(blk+i, data)
+		if d.wcap == 0 {
+			d.applyMedia(blk, chunk)
+		} else {
+			for i := int64(0); i < nb; i++ {
+				d.cacheWrite(blk+i, chunk[i*BlockSize:(i+1)*BlockSize])
 			}
 		}
 		d.head = blk + nb

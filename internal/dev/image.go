@@ -3,6 +3,7 @@ package dev
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -13,56 +14,52 @@ import (
 
 const imageMagic = 0x48494d47 // "HIMG"
 
-// SaveStore writes the disk's contents (sparse: only written blocks).
+// ErrBadImage: LoadStore's stream is not a whole SaveStore image of a disk this size.
+var ErrBadImage = errors.New("dev: bad disk image")
+
+// SaveStore writes the disk's contents (sparse: only written blocks, in
+// ascending order, so equal contents give equal images).
 func (d *Disk) SaveStore(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriter(w) // its first write error sticks, and Flush returns it
 	var hdr [20]byte
 	binary.LittleEndian.PutUint32(hdr[0:], imageMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], uint64(d.nblocks))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(d.store)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	for blk, data := range d.store {
-		var rec [8]byte
-		binary.LittleEndian.PutUint64(rec[:], uint64(blk))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(data); err != nil {
-			return err
-		}
-	}
+	count := uint64(0)
+	d.store.each(func(int64, []byte) { count++ })
+	binary.LittleEndian.PutUint64(hdr[12:], count)
+	bw.Write(hdr[:])
+	d.store.each(func(blk int64, data []byte) {
+		bw.Write(binary.LittleEndian.AppendUint64(hdr[:0], uint64(blk)))
+		bw.Write(data)
+	})
 	return bw.Flush()
 }
 
 // LoadStore replaces the disk's contents from a stream written by
-// SaveStore. The image's block count must match the disk's.
+// SaveStore. Any other stream — of another disk size, short, a block out of
+// range or twice — is ErrBadImage with the offset and leaves the disk as it was.
 func (d *Disk) LoadStore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var hdr [20]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
+		return fmt.Errorf("%w: header: %v", ErrBadImage, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != imageMagic {
-		return fmt.Errorf("dev: bad image magic")
+	magic, n, count := binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint64(hdr[4:]), binary.LittleEndian.Uint64(hdr[12:])
+	if magic != imageMagic || n != uint64(d.nblocks) || count > n {
+		return fmt.Errorf("%w: magic %#x, %d records of a %d-block disk; this disk has %d blocks", ErrBadImage, magic, count, n, d.nblocks)
 	}
-	if n := int64(binary.LittleEndian.Uint64(hdr[4:])); n != d.nblocks {
-		return fmt.Errorf("dev: image has %d blocks, disk has %d", n, d.nblocks)
-	}
-	count := binary.LittleEndian.Uint64(hdr[12:])
-	d.store = make(map[int64][]byte, count)
+	m := newMedia(d.nblocks)
+	var rec [8 + BlockSize]byte
 	for i := uint64(0); i < count; i++ {
-		var rec [8]byte
+		off := uint64(len(hdr)) + i*uint64(len(rec))
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return err
+			return fmt.Errorf("%w: record %d at offset %d: %v", ErrBadImage, i, off, err)
 		}
-		blk := int64(binary.LittleEndian.Uint64(rec[:]))
-		data := make([]byte, BlockSize)
-		if _, err := io.ReadFull(br, data); err != nil {
-			return err
+		blk := binary.LittleEndian.Uint64(rec[:])
+		if blk >= uint64(d.nblocks) || m.write(int64(blk), rec[8:]) {
+			return fmt.Errorf("%w: record %d at offset %d: block %d out of range or repeated", ErrBadImage, i, off, blk)
 		}
-		d.store[blk] = data
 	}
+	d.store = m
 	return nil
 }

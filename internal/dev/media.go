@@ -1,0 +1,63 @@
+package dev
+
+import "math/bits"
+
+// extentBlocks: an extent is one MaxTransfer chunk, the unit a disk is driven in.
+const extentBlocks = MaxTransfer / BlockSize
+
+// media is a platter's contents: a table of MaxTransfer-byte extents, each
+// allocated on its first write, with one written-bit per block. A block that
+// was never written reads as zeroes (its extent is absent, or still zero
+// there) and appears in no snapshot or image.
+type media struct {
+	ext     []*[MaxTransfer]byte
+	written []uint16 // bit i of written[e]: block e*extentBlocks+i was written
+}
+
+func newMedia(nblocks int64) media {
+	n := (nblocks + extentBlocks - 1) / extentBlocks
+	return media{ext: make([]*[MaxTransfer]byte, n), written: make([]uint16, n)}
+}
+
+// write stores data from block blk on, one copy per extent it touches, marks
+// every block it reaches as written and reports whether any already was.
+func (m *media) write(blk int64, data []byte) (rewrote bool) {
+	for len(data) > 0 {
+		e, i := blk/extentBlocks, int(blk%extentBlocks)
+		n := min(MaxTransfer-i*BlockSize, len(data))
+		if m.ext[e] == nil {
+			m.ext[e] = new([MaxTransfer]byte)
+		}
+		copy(m.ext[e][i*BlockSize:], data[:n])
+		nb := (n + BlockSize - 1) / BlockSize
+		mask := (uint16(1)<<nb - 1) << i
+		rewrote = rewrote || m.written[e]&mask != 0
+		m.written[e] |= mask
+		blk, data = blk+int64(nb), data[n:]
+	}
+	return rewrote
+}
+
+// read fills buf, a whole number of blocks, with the blocks from blk on.
+func (m *media) read(blk int64, buf []byte) {
+	for len(buf) > 0 {
+		off := int(blk%extentBlocks) * BlockSize
+		n := min(MaxTransfer-off, len(buf))
+		if x := m.ext[blk/extentBlocks]; x != nil {
+			copy(buf[:n], x[off:])
+		} else {
+			clear(buf[:n])
+		}
+		blk, buf = blk+int64(n/BlockSize), buf[n:]
+	}
+}
+
+// each calls f on every written block, in ascending order.
+func (m *media) each(f func(blk int64, data []byte)) {
+	for e, w := range m.written {
+		for ; w != 0; w &= w - 1 {
+			i := bits.TrailingZeros16(w)
+			f(int64(e)*extentBlocks+int64(i), m.ext[e][i*BlockSize:(i+1)*BlockSize])
+		}
+	}
+}

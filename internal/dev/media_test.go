@@ -1,0 +1,402 @@
+package dev
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand/v2"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// diskModel is the reference the extent store is checked against: the
+// block maps Disk itself used to be, kept as plainly as possible.
+type diskModel struct {
+	durable map[int64][]byte
+	cached  map[int64][]byte
+	order   []int64 // FIFO destage order of cached
+	wcap    int
+	applied int // blocks that reached the platter, one OnMediaWrite each
+}
+
+func (m *diskModel) destage(n int) {
+	for ; n > 0; n-- {
+		blk := m.order[0]
+		m.order = m.order[1:]
+		m.durable[blk] = m.cached[blk]
+		delete(m.cached, blk)
+		m.applied++
+	}
+}
+
+func (m *diskModel) write(blk int64, data []byte) {
+	for ; len(data) > 0; blk, data = blk+1, data[BlockSize:] {
+		b := bytes.Clone(data[:BlockSize])
+		switch _, hit := m.cached[blk]; {
+		case m.wcap == 0:
+			m.durable[blk] = b
+			m.applied++
+		case hit:
+			m.cached[blk] = b
+		default:
+			m.cached[blk] = b
+			m.order = append(m.order, blk)
+			m.destage(max(0, len(m.order)-m.wcap))
+		}
+	}
+}
+
+func (m *diskModel) read(blk int64, nb int) []byte {
+	out := make([]byte, 0, nb*BlockSize)
+	for i := int64(0); i < int64(nb); i++ {
+		b, ok := m.cached[blk+i]
+		if !ok {
+			if b, ok = m.durable[blk+i]; !ok {
+				b = make([]byte, BlockSize)
+			}
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+func sameStore(a, b map[int64][]byte) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d blocks, want %d", len(a), len(b))
+	}
+	for blk, data := range b {
+		if got, ok := a[blk]; !ok || !bytes.Equal(got, data) {
+			return fmt.Errorf("block %d missing or different", blk)
+		}
+	}
+	return nil
+}
+
+// TestDiskMatchesMapModel drives a Disk and the map model with one seeded
+// stream of operations — writes and reads of 1 to 40 blocks anywhere on an
+// odd-sized disk (so they straddle extent and MaxTransfer boundaries and
+// reach the last, partial extent), write cache switched on, resized and
+// off, Flush, power-cut snapshots restored later, images saved and loaded —
+// and compares every read and every durable image. One run has a
+// media-write observer, which makes direct writes land block by block.
+func TestDiskMatchesMapModel(t *testing.T) {
+	const nblocks = 5*extentBlocks + 7
+	for _, seed := range []uint64{1, 2, 1993} {
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(seed, 0))
+			k := sim.NewKernel()
+			d := NewDisk(k, RZ57, nblocks, nil)
+			m := &diskModel{durable: map[int64][]byte{}, cached: map[int64][]byte{}}
+			observed := 0
+			if seed == 2 {
+				d.OnMediaWrite = func(int64) { observed++ }
+			}
+			var saved map[int64][]byte // a power-cut snapshot to come back to
+			span := func() (int64, int) {
+				nb := 1 + rng.IntN(40)
+				if rng.IntN(4) == 0 {
+					return nblocks - int64(nb), nb // ends on the last block
+				}
+				return rng.Int64N(nblocks - int64(nb) + 1), nb
+			}
+			k.RunProc(func(p *sim.Proc) {
+				for step := 0; step < 1000; step++ {
+					switch op := rng.IntN(20); {
+					case op < 8:
+						blk, nb := span()
+						buf := make([]byte, nb*BlockSize)
+						for i := 0; i < len(buf); i += 8 {
+							binary.LittleEndian.PutUint64(buf[i:], rng.Uint64())
+						}
+						if err := d.WriteBlocks(p, blk, buf); err != nil {
+							t.Fatal(err)
+						}
+						m.write(blk, buf)
+						clear(buf) // the disk must not have kept it
+					case op < 15:
+						blk, nb := span()
+						got := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
+						if err := d.ReadBlocks(p, blk, got); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, m.read(blk, nb)) {
+							t.Fatalf("step %d: read of [%d,%d) differs from the model", step, blk, blk+int64(nb))
+						}
+					case op == 15:
+						m.wcap = []int{0, 3, 16, 50}[rng.IntN(4)]
+						d.EnableWriteCache(m.wcap)
+						if m.wcap == 0 {
+							m.destage(len(m.order))
+						}
+					case op == 16:
+						if err := d.Flush(p); err != nil {
+							t.Fatal(err)
+						}
+						m.destage(len(m.order))
+					case op == 17:
+						saved = d.SnapshotStore()
+					case op == 18 && saved != nil:
+						d.RestoreStore(saved)
+						m.durable, m.cached, m.order = map[int64][]byte{}, map[int64][]byte{}, nil
+						for blk, data := range saved {
+							m.durable[blk] = bytes.Clone(data)
+						}
+					case op == 19:
+						var img bytes.Buffer
+						if err := d.SaveStore(&img); err != nil {
+							t.Fatal(err)
+						}
+						d2 := NewDisk(k, RZ57, nblocks, nil)
+						if err := d2.LoadStore(&img); err != nil {
+							t.Fatal(err)
+						}
+						if err := sameStore(d2.SnapshotStore(), m.durable); err != nil {
+							t.Fatalf("step %d: saved and reloaded image: %v", step, err)
+						}
+					}
+					if got := d.WriteCacheDirty(); got != len(m.order) {
+						t.Fatalf("step %d: %d blocks in the write cache, model has %d", step, got, len(m.order))
+					}
+					if err := sameStore(d.SnapshotStore(), m.durable); err != nil {
+						t.Fatalf("step %d: durable image: %v", step, err)
+					}
+					if d.OnMediaWrite != nil && observed != m.applied {
+						t.Fatalf("step %d: observer saw %d media writes, model applied %d", step, observed, m.applied)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestMediaWriteHookSeesTornPrefix pins the order the crash harness cuts
+// power in: when the hook for block i fires, a snapshot holds the new
+// contents of the request's blocks up to i and the old contents of the
+// rest — on a direct write and on a destage from the write cache alike.
+func TestMediaWriteHookSeesTornPrefix(t *testing.T) {
+	const first, nb = extentBlocks - 3, 2 * extentBlocks // straddles three extents
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprint("write cache ", cached), func(t *testing.T) {
+			k := sim.NewKernel()
+			d := NewDisk(k, RZ57, 4*extentBlocks, nil)
+			fill := func(v byte) []byte {
+				buf := make([]byte, nb*BlockSize)
+				for i := range buf {
+					buf[i] = v + byte(i/BlockSize)
+				}
+				return buf
+			}
+			k.RunProc(func(p *sim.Proc) {
+				if err := d.WriteBlocks(p, first, fill(1)); err != nil {
+					t.Fatal(err)
+				}
+				if cached {
+					d.EnableWriteCache(nb)
+				}
+				fired := 0
+				d.OnMediaWrite = func(blk int64) {
+					if want := int64(first + fired); blk != want {
+						t.Fatalf("hook for block %d, want %d", blk, want)
+					}
+					fired++
+					snap := d.SnapshotStore()
+					for i := int64(0); i < nb; i++ {
+						want := byte(1 + i) // old
+						if first+i <= blk {
+							want = byte(101 + i) // new
+						}
+						if got := snap[first+i][0]; got != want {
+							t.Fatalf("in the hook for block %d, block %d starts with %d, want %d", blk, first+i, got, want)
+						}
+					}
+				}
+				if err := d.WriteBlocks(p, first, fill(101)); err != nil {
+					t.Fatal(err)
+				}
+				if cached && fired != 0 {
+					t.Fatalf("%d blocks reached the platter before Flush", fired)
+				}
+				if err := d.Flush(p); err != nil {
+					t.Fatal(err)
+				}
+				if fired != nb {
+					t.Fatalf("hook fired %d times, want %d", fired, nb)
+				}
+			})
+		})
+	}
+}
+
+// TestDiskSteadyStateAllocations gates the platter path: reading and
+// rewriting blocks that exist allocates nothing, with or without the write
+// cache, and first touch costs one allocation per MaxTransfer extent.
+func TestDiskSteadyStateAllocations(t *testing.T) {
+	const mb = 1 << 20 / BlockSize
+	const runs = 8
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, (runs+2)*mb, nil)
+	buf := make([]byte, 1<<20)
+	k.RunProc(func(p *sim.Proc) {
+		next := int64(0)
+		touch := testing.AllocsPerRun(runs, func() {
+			if err := d.WriteBlocks(p, next, buf); err != nil {
+				t.Fatal(err)
+			}
+			next += mb
+		})
+		if limit := float64(len(buf) / MaxTransfer); touch > limit {
+			t.Errorf("first touch of 1 MB: %v allocations, want at most %v (one per extent)", touch, limit)
+		}
+		rewrite := func() {
+			if err := d.WriteBlocks(p, 3, buf); err != nil { // unaligned: every chunk straddles two extents
+				t.Fatal(err)
+			}
+			if err := d.ReadBlocks(p, 5, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := testing.AllocsPerRun(runs, rewrite); n != 0 {
+			t.Errorf("write-through rewrite and read of 1 MB: %v allocations, want 0", n)
+		}
+		d.EnableWriteCache(64)
+		if n := testing.AllocsPerRun(runs, rewrite); n != 0 {
+			t.Errorf("write-cache rewrite and read of 1 MB: %v allocations, want 0", n)
+		}
+	})
+}
+
+// validImage is a SaveStore image of a disk of nblocks with a few blocks
+// written, ascending.
+func validImage(t testing.TB, nblocks int64, blks ...int64) []byte {
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, nblocks, nil)
+	k.RunProc(func(p *sim.Proc) {
+		for _, blk := range blks {
+			if err := d.WriteBlocks(p, blk, bytes.Repeat([]byte{byte('A' + blk%26)}, BlockSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	var img bytes.Buffer
+	if err := d.SaveStore(&img); err != nil {
+		t.Fatal(err)
+	}
+	return img.Bytes()
+}
+
+// TestSaveStoreIsDeterministic: an image is a function of the contents —
+// saving twice, and saving what was loaded, give the same bytes. Blocks are
+// written in descending order so that insertion order cannot be what sorts
+// them.
+func TestSaveStoreIsDeterministic(t *testing.T) {
+	const nblocks = 40 * extentBlocks
+	var blks []int64
+	for blk := int64(nblocks - 1); blk >= 0; blk -= 7 {
+		blks = append(blks, blk)
+	}
+	first := validImage(t, nblocks, blks...)
+	if again := validImage(t, nblocks, blks...); !bytes.Equal(first, again) {
+		t.Error("two saves of the same contents differ")
+	}
+	d := NewDisk(sim.NewKernel(), RZ57, nblocks, nil)
+	if err := d.LoadStore(bytes.NewReader(first)); err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := d.SaveStore(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, resaved.Bytes()) {
+		t.Error("save → load → save changed the image")
+	}
+}
+
+// TestLoadStoreRejectsBadImages names each way an image can be wrong; the
+// fuzz target below looks for the ones not thought of.
+func TestLoadStoreRejectsBadImages(t *testing.T) {
+	const nblocks = 64
+	const rec = 8 + BlockSize
+	good := validImage(t, nblocks, 3, 40)
+	edit := func(f func(img []byte) []byte) []byte { return f(bytes.Clone(good)) }
+	for name, img := range map[string][]byte{
+		"empty":            nil,
+		"short header":     good[:10],
+		"bad magic":        edit(func(b []byte) []byte { b[0] ^= 1; return b }),
+		"other disk size":  edit(func(b []byte) []byte { b[4]++; return b }),
+		"truncated record": good[:len(good)-1],
+		"count too large":  edit(func(b []byte) []byte { b[12] = 3; return b }),
+		"count huge":       edit(func(b []byte) []byte { b[19] = 0x7f; return b }),
+		"block past end":   edit(func(b []byte) []byte { b[20] = nblocks; return b }),
+		"negative block":   edit(func(b []byte) []byte { b[20+7] = 0x80; return b }),
+		"duplicate block":  edit(func(b []byte) []byte { b[20+rec] = 3; return b }),
+	} {
+		d := NewDisk(sim.NewKernel(), RZ57, nblocks, nil)
+		before := validImage(t, nblocks, 9)
+		if err := d.LoadStore(bytes.NewReader(before)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.LoadStore(bytes.NewReader(img)); !errors.Is(err, ErrBadImage) {
+			t.Errorf("%s: error %v, want ErrBadImage", name, err)
+		}
+		var after bytes.Buffer
+		if err := d.SaveStore(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after.Bytes()) {
+			t.Errorf("%s: a rejected image changed the disk", name)
+		}
+	}
+}
+
+// FuzzDiskLoadStore: whatever the stream, LoadStore returns nil or
+// ErrBadImage and does not panic; an accepted image saves back to a stream
+// that loads to the same contents.
+func FuzzDiskLoadStore(f *testing.F) {
+	const nblocks = 64
+	f.Add(validImage(f, nblocks, 0, 17, 63))
+	f.Fuzz(func(t *testing.T, img []byte) {
+		d := NewDisk(sim.NewKernel(), RZ57, nblocks, nil)
+		if err := d.LoadStore(bytes.NewReader(img)); err != nil {
+			if !errors.Is(err, ErrBadImage) {
+				t.Fatalf("error %v is not ErrBadImage", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := d.SaveStore(&out); err != nil {
+			t.Fatal(err)
+		}
+		d2 := NewDisk(sim.NewKernel(), RZ57, nblocks, nil)
+		if err := d2.LoadStore(&out); err != nil {
+			t.Fatalf("reloading an accepted image: %v", err)
+		}
+		if err := sameStore(d2.SnapshotStore(), d.SnapshotStore()); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkDiskRead1MB is the read twin of BenchmarkDiskWrite1MB in `make
+// bench-layers`: 1 MB reads of written blocks, nothing in the write cache.
+func BenchmarkDiskRead1MB(b *testing.B) {
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 1024, nil)
+	buf := make([]byte, 1<<20)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(buf)))
+	k.RunProc(func(p *sim.Proc) {
+		for blk := int64(0); blk < 1024; blk += 256 {
+			if err := d.WriteBlocks(p, blk, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.ReadBlocks(p, int64(i%4)*256, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

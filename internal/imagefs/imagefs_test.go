@@ -3,6 +3,8 @@ package imagefs
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
@@ -212,4 +214,76 @@ func TestAddDiskPersistsInImage(t *testing.T) {
 		})
 		k.Stop()
 	}
+}
+
+// TestSaveStoreIsDeterministic: the image files are a function of the
+// instance's state — saving twice, and loading then saving again, rewrite
+// every device image byte for byte (hlfs images are reproducible).
+func TestSaveStoreIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	images := func() map[string][]byte {
+		out := map[string][]byte{}
+		files, err := filepath.Glob(filepath.Join(dir, "*.img"))
+		if err != nil || len(files) < 2 {
+			t.Fatalf("image files %v, error %v", files, err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = b
+		}
+		return out
+	}
+	same := func(what string, a, b map[string][]byte) {
+		t.Helper()
+		for name := range a {
+			if !bytes.Equal(a[name], b[name]) {
+				t.Errorf("%s: %s differs", what, name)
+			}
+		}
+	}
+	k := sim.NewKernel()
+	inst, err := Init(k, dir, smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.RunProc(func(p *sim.Proc) {
+		f, err := inst.HL.FS.Create(p, "/arch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, bytes.Repeat([]byte("highlight"), 40000), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inst.HL.MigrateFiles(p, []uint32{f.Inum()}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.HL.CompleteMigration(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := inst.HL.FS.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := inst.Save(); err != nil {
+		t.Fatal(err)
+	}
+	first := images()
+	if err := inst.Save(); err != nil {
+		t.Fatal(err)
+	}
+	same("second save", first, images())
+	k.Stop()
+
+	k = sim.NewKernel()
+	defer k.Stop()
+	if inst, err = Load(k, dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Save(); err != nil {
+		t.Fatal(err)
+	}
+	same("save after load", first, images())
 }

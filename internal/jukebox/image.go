@@ -3,43 +3,45 @@ package jukebox
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
 
 const imageMagic = 0x484a424b // "HJBK"
 
-// SaveStore writes every volume's contents (sparse) to a stream so the
-// cmd/hlfs tool can persist a jukebox across runs.
+// ErrBadImage: LoadStore's stream is not a whole SaveStore image of this geometry.
+var ErrBadImage = errors.New("jukebox: bad media image")
+
+// SaveStore writes every volume's contents (sparse, segments in ascending
+// order, so equal contents give equal images) to a stream so the cmd/hlfs
+// tool can persist a jukebox across runs.
 func (j *Jukebox) SaveStore(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	le := binary.LittleEndian
+	bw := bufio.NewWriter(w) // its first write error sticks, and Flush returns it
 	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], imageMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(j.vols)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(j.segBytes))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
+	le.PutUint32(hdr[0:], imageMagic)
+	le.PutUint32(hdr[4:], uint32(len(j.vols)))
+	le.PutUint32(hdr[8:], uint32(j.segBytes))
+	bw.Write(hdr[:])
 	for _, v := range j.vols {
-		var vh [16]byte
-		binary.LittleEndian.PutUint32(vh[0:], uint32(v.actualSegs))
-		flags := uint32(0)
+		count, flags := 0, uint32(0)
+		for _, data := range v.store {
+			if data != nil {
+				count++
+			}
+		}
 		if v.full {
 			flags = 1
 		}
-		binary.LittleEndian.PutUint32(vh[4:], flags)
-		binary.LittleEndian.PutUint64(vh[8:], uint64(len(v.store)))
-		if _, err := bw.Write(vh[:]); err != nil {
-			return err
-		}
+		le.PutUint32(hdr[0:], uint32(v.actualSegs))
+		le.PutUint32(hdr[4:], flags)
+		le.PutUint64(hdr[8:], uint64(count))
+		bw.Write(hdr[:])
 		for seg, data := range v.store {
-			var rec [4]byte
-			binary.LittleEndian.PutUint32(rec[:], uint32(seg))
-			if _, err := bw.Write(rec[:]); err != nil {
-				return err
-			}
-			if _, err := bw.Write(data); err != nil {
-				return err
+			if data != nil {
+				bw.Write(le.AppendUint32(hdr[:0], uint32(seg)))
+				bw.Write(data)
 			}
 		}
 	}
@@ -47,42 +49,50 @@ func (j *Jukebox) SaveStore(w io.Writer) error {
 }
 
 // LoadStore replaces the jukebox's media contents from a SaveStore stream.
+// A stream that is short, of another geometry, or names a segment outside
+// its volume or twice is ErrBadImage with the offset reached.
 func (j *Jukebox) LoadStore(r io.Reader) error {
-	br := bufio.NewReader(r)
+	le := binary.LittleEndian
+	br, off := bufio.NewReader(r), 0
+	read := func(b []byte) bool {
+		n, err := io.ReadFull(br, b)
+		off += n
+		return err == nil
+	}
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("%w at offset %d: %s", ErrBadImage, off, fmt.Sprintf(format, a...))
+	}
 	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != imageMagic {
-		return fmt.Errorf("jukebox: bad image magic")
-	}
-	if n := int(binary.LittleEndian.Uint32(hdr[4:])); n != len(j.vols) {
-		return fmt.Errorf("jukebox: image has %d volumes, device has %d", n, len(j.vols))
-	}
-	if sb := int(binary.LittleEndian.Uint32(hdr[8:])); sb != j.segBytes {
-		return fmt.Errorf("jukebox: image segment size %d, device %d", sb, j.segBytes)
+	switch {
+	case !read(hdr[:]):
+		return bad("short header")
+	case le.Uint32(hdr[0:]) != imageMagic || int(le.Uint32(hdr[4:])) != len(j.vols) || int(le.Uint32(hdr[8:])) != j.segBytes:
+		return bad("magic %#x, %d volumes of %d-byte segments; device has %d of %d", le.Uint32(hdr[0:]), le.Uint32(hdr[4:]), le.Uint32(hdr[8:]), len(j.vols), j.segBytes)
 	}
 	for _, v := range j.vols {
-		var vh [16]byte
-		if _, err := io.ReadFull(br, vh[:]); err != nil {
-			return err
+		if !read(hdr[:]) {
+			return bad("short volume header")
 		}
-		v.actualSegs = int(binary.LittleEndian.Uint32(vh[0:]))
-		v.full = binary.LittleEndian.Uint32(vh[4:]) == 1
-		count := binary.LittleEndian.Uint64(vh[8:])
-		v.store = make(map[int][]byte, count)
-		for i := uint64(0); i < count; i++ {
+		count := le.Uint64(hdr[8:])
+		if count > uint64(v.nominalSegs) {
+			return bad("%d records for %d segments", count, v.nominalSegs)
+		}
+		store := make([][]byte, v.nominalSegs)
+		for ; count > 0; count-- {
 			var rec [4]byte
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				return err
+			if !read(rec[:]) {
+				return bad("short record")
 			}
-			seg := int(binary.LittleEndian.Uint32(rec[:]))
-			data := make([]byte, j.segBytes)
-			if _, err := io.ReadFull(br, data); err != nil {
-				return err
+			seg := int(le.Uint32(rec[:]))
+			if seg >= v.nominalSegs || store[seg] != nil {
+				return bad("segment %d out of range or repeated", seg)
 			}
-			v.store[seg] = data
+			store[seg] = make([]byte, j.segBytes)
+			if !read(store[seg]) {
+				return bad("short segment %d", seg)
+			}
 		}
+		v.actualSegs, v.full, v.store = int(le.Uint32(hdr[0:])), le.Uint32(hdr[4:]) == 1, store
 	}
 	return nil
 }

@@ -132,8 +132,8 @@ type volume struct {
 	nominalSegs int
 	actualSegs  int // may be < nominal when compression falls short
 	full        bool
-	store       map[int][]byte
-	writes      int64 // write-once bookkeeping
+	store       [][]byte // by segment, nominalSegs long; nil = never written
+	writes      int64    // write-once bookkeeping
 }
 
 type drive struct {
@@ -220,7 +220,7 @@ func New(k *sim.Kernel, prof MediaProfile, ndrives, nvols, segsPerVol, segBytes 
 		j.vols = append(j.vols, &volume{
 			nominalSegs: segsPerVol,
 			actualSegs:  segsPerVol,
-			store:       make(map[int][]byte),
+			store:       make([][]byte, segsPerVol),
 		})
 	}
 	return j, nil
@@ -281,7 +281,7 @@ func (j *Jukebox) VolumeFull(vol int) bool { return j.vols[vol].full }
 // reclamation by the tertiary cleaner).
 func (j *Jukebox) EraseVolume(vol int) {
 	v := j.vols[vol]
-	v.store = make(map[int][]byte)
+	clear(v.store)
 	v.full = false
 	v.writes = 0
 	if j.OnMediaWrite != nil {
@@ -309,12 +309,12 @@ func (j *Jukebox) SnapshotVolumes() []VolumeImage {
 			ActualSegs: v.actualSegs,
 			Full:       v.full,
 			Writes:     v.writes,
-			Segs:       make(map[int][]byte, len(v.store)),
+			Segs:       make(map[int][]byte),
 		}
 		for seg, data := range v.store {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			img.Segs[seg] = cp
+			if data != nil {
+				img.Segs[seg] = append([]byte(nil), data...)
+			}
 		}
 		out[i] = img
 	}
@@ -333,11 +333,9 @@ func (j *Jukebox) RestoreVolumes(imgs []VolumeImage) {
 		v.actualSegs = img.ActualSegs
 		v.full = img.Full
 		v.writes = img.Writes
-		v.store = make(map[int][]byte, len(img.Segs))
+		clear(v.store)
 		for seg, data := range img.Segs {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			v.store[seg] = cp
+			v.store[seg] = append([]byte(nil), data...)
 		}
 	}
 	for _, d := range j.drives {
@@ -578,13 +576,10 @@ func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.position(p, d, seg)
 	p.Sleep(xfer(j.segBytes, j.prof.MediaRead))
 	d.pos = seg + 1
-	src, ok := j.vols[vol].store[seg]
-	if ok {
+	if src := j.vols[vol].store[seg]; src != nil {
 		copy(buf, src)
 	} else {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 	}
 	d.arm.Release(p)
 	if j.bus != nil {
@@ -594,8 +589,10 @@ func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.stats.Reads++
 	j.stats.BytesRead += int64(j.segBytes)
 	j.stats.ReadTime += p.Now() - start
-	j.obs.Span(j.track, "jb.read", "ReadSegment", start,
-		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
+	if j.obs != nil { // the argument list is allocated even for a nil domain
+		j.obs.Span(j.track, "jb.read", "ReadSegment", start,
+			obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
+	}
 	return nil
 }
 
@@ -621,7 +618,7 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 		return ErrEndOfMedium
 	}
 	if j.WriteOnce {
-		if _, written := v.store[seg]; written {
+		if v.store[seg] != nil {
 			return fmt.Errorf("%w: %s: segment %d/%d already written", ErrWriteOnce, j.prof.Name, vol, seg)
 		}
 	}
@@ -643,8 +640,8 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.position(p, d, seg)
 	p.Sleep(xfer(j.segBytes, j.prof.MediaWrite))
 	d.pos = seg + 1
-	dst, ok := v.store[seg]
-	if !ok {
+	dst := v.store[seg]
+	if dst == nil {
 		dst = make([]byte, j.segBytes)
 		v.store[seg] = dst
 	}
@@ -666,8 +663,10 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.stats.Writes++
 	j.stats.BytesWritten += int64(j.segBytes)
 	j.stats.WriteTime += p.Now() - start
-	j.obs.Span(j.track, "jb.write", "WriteSegment", start,
-		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
+	if j.obs != nil {
+		j.obs.Span(j.track, "jb.write", "WriteSegment", start,
+			obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
+	}
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package lfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/sim"
@@ -218,22 +220,18 @@ func (fs *FS) dirtyList() (data, meta []*buf) {
 	return data, meta
 }
 
+// sortBufs orders buffers by inum, then lbn ascending (meta lbns are
+// negative; more deeply nested blocks have lower lbns and sort first, which
+// is harmless since addresses are pre-assigned).
 func sortBufs(bs []*buf) {
-	// Insertion-friendly ordering: by inum, then lbn ascending (meta
-	// lbns are negative; more deeply nested blocks have lower lbns and
-	// sort first, which is harmless since addresses are pre-assigned).
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && less(bs[j].key, bs[j-1].key); j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
+	slices.SortFunc(bs, func(a, b *buf) int { return cmpKey(a.key, b.key) })
 }
 
-func less(a, b bufKey) bool {
-	if a.inum != b.inum {
-		return a.inum < b.inum
+func cmpKey(a, b bufKey) int {
+	if c := cmp.Compare(a.inum, b.inum); c != 0 {
+		return c
 	}
-	return a.lbn < b.lbn
+	return cmp.Compare(a.lbn, b.lbn)
 }
 
 // DirtyBytes reports bytes of dirty data awaiting a segment write.

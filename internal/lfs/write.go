@@ -2,6 +2,7 @@ package lfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -98,6 +99,9 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 		if len(todo) == 0 {
 			return nil
 		}
+		// fs.bufs is a map: fix the order, since loading an uncached parent
+		// is a timed read and the arm's seek depends on the one before.
+		slices.SortFunc(todo, cmpKey)
 		for _, k := range todo {
 			seen[k] = true
 			pl := parentLbn(k.lbn)

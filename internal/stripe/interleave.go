@@ -415,6 +415,7 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 		}
 		// Overlay the new data onto the row image and collect data writes.
 		rowStart := rp.row * rowBlocks
+		var prev []byte
 		for j := int64(0); j < nd; j++ {
 			laneStart := rowStart + j*il.unit
 			laneEnd := laneStart + il.unit
@@ -434,11 +435,13 @@ func (il *Interleave) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error 
 					copy(lane[(s-laneStart)*int64(dev.BlockSize):], buf[(s-blk)*int64(dev.BlockSize):(e-blk)*int64(dev.BlockSize)])
 				}
 			}
-			if j == 0 {
-				copy(rp.parity, lane) // seeds the recycled unit: no clearing pass
-			} else {
+			if j == 1 {
+				// Lanes 0 and 1 seed the recycled unit in one pass: no clearing, no copy.
+				subtle.XORBytes(rp.parity, prev, lane)
+			} else if j > 1 {
 				xorInto(rp.parity, lane)
 			}
+			prev = lane
 			if s < e {
 				d := il.lane(rp.row, j)
 				if il.failed[d] {
