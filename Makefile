@@ -37,14 +37,17 @@ crash:
 # library-outage storm (double-run digest equality), the replication and
 # repair soaks, the deadline/cancel suite, and the request-tracing
 # determinism gate (tracing must not perturb the run, and the /requests
-# document must be byte-identical across a double run). -count=1 forces
+# document must be byte-identical across a double run), and the
+# hit-under-miss tests (readers that give the file system lock up for a
+# demand fetch, beside writers, thrashing and expiring). -count=1 forces
 # fresh runs. The kernel's own tests run three times over: every proc is a
 # coroutine the dispatcher switches to, so its state crosses goroutines on
 # every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes'
+	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 
 # Ten seconds of coverage-guided fuzzing per on-media image parser (the

@@ -76,7 +76,17 @@ type Line struct {
 	Worthy    bool     // false until re-referenced (§10 bypass variant)
 }
 
-// Stats counts cache activity.
+// Stats counts cache activity. Hits and Misses count Lookup calls, which
+// only the block map makes, once per read of a tertiary segment: a read that
+// has to demand-fetch its segment is one miss and no hit, whether the reader
+// waited holding the file system lock and read the line the fetch returned,
+// or released the lock and issued the read again after the fetch (that
+// second consultation of the directory, like the service process's own
+// residency checks, is a Peek). Hits+Misses is therefore the number of
+// segment reads through the block map, and Misses the number of those that
+// waited for tertiary storage. Segments brought in without a read (HSM
+// stage-in, the tertiary cleaner, repair: Peek, then DemandFetch) count as
+// Inserts only.
 type Stats struct {
 	Hits, Misses    int64
 	Inserts, Evicts int64

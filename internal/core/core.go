@@ -499,12 +499,72 @@ type blockMap struct {
 }
 
 var _ lfs.Device = (*blockMap)(nil)
+var _ lfs.Fetcher = (*blockMap)(nil)
 
 // Flush drains the disk farm's write-back caches; the file system calls it
 // as the ordering barrier inside Sync and Checkpoint.
 func (bm *blockMap) Flush(p *sim.Proc) error { return bm.hl.Disk.Flush(p) }
 
+// lookup looks tertiary segment tag up in the cache directory for one read:
+// counted, marked on the request's trace, and on a miss waiting for the
+// demand fetch. An expired or canceled request is refused before a fetch is
+// queued (the cache-layer cancellation point).
+func (bm *blockMap) lookup(p *sim.Proc, tag int) (*cache.Line, error) {
+	line, ok := bm.hl.Cache.Lookup(tag, p.Now())
+	if tr := reqtrace.From(p); tr != nil {
+		note := "hit"
+		if !ok {
+			note = "miss"
+		}
+		tr.Mark(reqtrace.KindCacheLookup, p.Now(), note)
+	}
+	if ok {
+		return line, nil
+	}
+	if err := p.CtxErr(); err != nil {
+		return nil, err
+	}
+	return bm.hl.Svc.DemandFetch(p, tag)
+}
+
+// absent returns the first tertiary segment under blocks [b, b+n) that is
+// not disk-resident, or -1. A Peek: recency and statistics stay untouched.
+func (bm *blockMap) absent(b addr.BlockNo, n int) int {
+	m := bm.hl.Amap
+	for seg := m.SegOf(b); seg <= m.SegOf(b+addr.BlockNo(n-1)); seg++ {
+		if tag, tert := m.TertIndex(seg); tert {
+			if _, cached := bm.hl.Cache.Peek(tag); !cached {
+				return tag
+			}
+		}
+	}
+	return -1
+}
+
+// WouldWait implements lfs.Fetcher.
+func (bm *blockMap) WouldWait(b addr.BlockNo, n int) bool { return bm.absent(b, n) >= 0 }
+
+// Fetch implements lfs.Fetcher for the first segment the read is missing.
+// This is that read's accounted lookup; ReadAgain does not repeat it.
+func (bm *blockMap) Fetch(p *sim.Proc, b addr.BlockNo, n int) (err error) {
+	if tag := bm.absent(b, n); tag >= 0 {
+		_, err = bm.lookup(p, tag)
+	}
+	return err
+}
+
+// ReadAgain implements lfs.Fetcher.
+func (bm *blockMap) ReadAgain(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	return bm.read(p, b, buf, true)
+}
+
 func (bm *blockMap) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	return bm.read(p, b, buf, false)
+}
+
+// read is ReadBlocks; again marks the read Fetch just served, whose look at
+// the cache directory has been counted and traced (as a miss) already.
+func (bm *blockMap) read(p *sim.Proc, b addr.BlockNo, buf []byte, again bool) error {
 	hl := bm.hl
 	for len(buf) > 0 {
 		seg := hl.Amap.SegOf(b)
@@ -529,28 +589,20 @@ func (bm *blockMap) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 			return nil
 		case hl.Amap.IsTertiarySeg(seg):
 			tag, _ := hl.Amap.TertIndex(seg)
-			line, ok := hl.Cache.Lookup(tag, p.Now())
-			if tr := reqtrace.From(p); tr != nil {
-				note := "hit"
-				if !ok {
-					note = "miss"
-				}
-				tr.Mark(reqtrace.KindCacheLookup, p.Now(), note)
+			var line *cache.Line
+			if again {
+				line, _ = hl.Cache.Peek(tag) // nil if gone again: a second miss
 			}
-			if !ok {
-				// The cache-layer cancellation point: an expired or
-				// canceled request is refused before a demand fetch is
-				// even queued, so shedding leaves no side effects.
-				if err := p.CtxErr(); err != nil {
-					return err
-				}
+			if line == nil {
 				var err error
-				line, err = hl.Svc.DemandFetch(p, tag)
-				if err != nil {
+				if line, err = bm.lookup(p, tag); err != nil {
 					return err
 				}
 			}
-			if err := hl.Disk.ReadBlocks(p, int64(hl.Amap.BlockOf(line.DiskSeg, off)), chunk); err != nil {
+			hl.Svc.Pin(line) // not a victim while this reader sleeps on the arm
+			err := hl.Disk.ReadBlocks(p, int64(hl.Amap.BlockOf(line.DiskSeg, off)), chunk)
+			hl.Svc.Unpin(p, line)
+			if err != nil {
 				return err
 			}
 		default:

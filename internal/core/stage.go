@@ -48,17 +48,16 @@ func (hl *HighLight) ensureStaging(p *sim.Proc) error {
 			break
 		}
 		// Every line is pinned or still staging: wait for an in-flight
-		// copyout to finish and retry.
-		if hl.Svc.OutstandingCopyouts() == 0 {
-			if len(hl.delayed) > 0 {
-				// Delayed copyouts are holding every line; write them
-				// out now (the "no idle period arises" fallback, §5.4).
-				hl.FlushCopyouts(p)
-				continue
-			}
+		// copyout to finish or a reader to let go of its line, and retry.
+		if hl.Svc.WaitCopyoutProgress(p) {
+			continue
+		}
+		if len(hl.delayed) == 0 {
 			return fmt.Errorf("core: no cache line available for staging (all pinned or staging)")
 		}
-		hl.Svc.WaitCopyoutProgress(p)
+		// Delayed copyouts are holding every line; write them out now (the
+		// "no idle period arises" fallback, §5.4).
+		hl.FlushCopyouts(p)
 	}
 	if _, err := hl.Cache.Insert(tag, seg, true, p.Now()); err != nil {
 		return fmt.Errorf("core: opening staging segment: %w", err)

@@ -164,7 +164,10 @@ type Jukebox struct {
 	// volume (§7: "one drive was allocated for the currently-active
 	// writing segment, and the other for reading other platters"). Reads
 	// prefer other drives but are served by the write drive when their
-	// volume is already loaded there. -1 disables the reservation.
+	// volume is already loaded there. A write whose volume must be loaded
+	// takes it, except that it leaves a platter with room left where it is
+	// when another drive stands empty (driveFor). -1 disables the
+	// reservation.
 	WriteDrive int
 
 	// WriteOnce rejects overwrites of a written segment (Sony WORM).
@@ -412,6 +415,31 @@ func (j *Jukebox) healthyDrives() int {
 	return n
 }
 
+// hasRoom reports whether vol can still take a segment it does not hold.
+func (j *Jukebox) hasRoom(vol int) bool {
+	v := j.vols[vol]
+	if v.full {
+		return false
+	}
+	for _, s := range v.store[:min(v.actualSegs, len(v.store))] {
+		if s == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// emptyIdleDrive returns a healthy drive other than the reserved write
+// drive that holds no volume and serves no request, or nil.
+func (j *Jukebox) emptyIdleDrive() *drive {
+	for _, d := range j.drives {
+		if d.id != j.WriteDrive && d.loaded < 0 && !d.offline && !d.arm.Busy() {
+			return d
+		}
+	}
+	return nil
+}
+
 // driveFor selects and loads a drive for volume vol, paying swap costs as
 // needed, and returns it with its arm held. Offline drives are skipped
 // (failover to the remaining drives); with every drive offline it fails
@@ -454,6 +482,18 @@ func (j *Jukebox) driveFor(p *sim.Proc, vol int, forWrite bool) (*drive, error) 
 		pickBusy := false
 		if forWrite && j.WriteDrive >= 0 && !j.drives[j.WriteDrive].offline {
 			pick = j.drives[j.WriteDrive]
+			// With striped allocation several volumes are being written
+			// in turn. Swapping one of them out of the write drive for
+			// the next, and back again for the write after, costs two
+			// swaps a round while another drive stands empty: load that
+			// one instead. A platter with no room left is not going to
+			// be written again: the write drive moves on from it and
+			// the empty drive stays free for reads.
+			if pick.loaded >= 0 && j.hasRoom(pick.loaded) {
+				if e := j.emptyIdleDrive(); e != nil {
+					pick = e
+				}
+			}
 		} else {
 			if forWrite && j.WriteDrive >= 0 {
 				j.stats.Failovers++ // reserved write drive is down
@@ -589,10 +629,8 @@ func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.stats.Reads++
 	j.stats.BytesRead += int64(j.segBytes)
 	j.stats.ReadTime += p.Now() - start
-	if j.obs != nil { // the argument list is allocated even for a nil domain
-		j.obs.Span(j.track, "jb.read", "ReadSegment", start,
-			obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
-	}
+	j.obs.Span(j.track, "jb.read", "ReadSegment", start,
+		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
 	return nil
 }
 
@@ -663,10 +701,8 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.stats.Writes++
 	j.stats.BytesWritten += int64(j.segBytes)
 	j.stats.WriteTime += p.Now() - start
-	if j.obs != nil {
-		j.obs.Span(j.track, "jb.write", "WriteSegment", start,
-			obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
-	}
+	j.obs.Span(j.track, "jb.write", "WriteSegment", start,
+		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
 	return nil
 }
 

@@ -199,6 +199,63 @@ func TestWriteDriveReservation(t *testing.T) {
 	})
 }
 
+// Two volumes written in turn (striped allocation) must not swap each
+// other out of the write drive while the other drive stands empty; a full
+// platter is moved on from in the write drive as before; and a drive a read
+// has loaded is not taken for a write.
+func TestAlternatingWritesLoadTheEmptyDrive(t *testing.T) {
+	loaded := func(j *Jukebox) [2]int { return [2]int{j.LoadedVolume(0), j.LoadedVolume(1)} }
+	buf := make([]byte, segBytes)
+
+	k := sim.NewKernel()
+	j := newMO(k, 2, 3, 4)
+	k.RunProc(func(p *sim.Proc) {
+		for seg := 0; seg < 3; seg++ {
+			for vol := 0; vol < 2; vol++ {
+				if err := j.WriteSegment(p, vol, seg, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if got := loaded(j); got != [2]int{0, 1} || j.Stats().Swaps != 2 {
+			t.Fatalf("alternating writes: drives hold %v after %d swaps, want [0 1] after 2", got, j.Stats().Swaps)
+		}
+	})
+
+	k = sim.NewKernel()
+	j = newMO(k, 2, 3, 4)
+	k.RunProc(func(p *sim.Proc) {
+		for seg := 0; seg < 4; seg++ {
+			if err := j.WriteSegment(p, 0, seg, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.WriteSegment(p, 1, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded(j); got != [2]int{1, -1} {
+			t.Fatalf("after filling volume 0: drives hold %v, want the write drive moved on to 1 and the other empty", got)
+		}
+	})
+
+	k = sim.NewKernel()
+	j = newMO(k, 2, 3, 4)
+	k.RunProc(func(p *sim.Proc) {
+		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.ReadSegment(p, 2, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.WriteSegment(p, 1, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded(j); got != [2]int{1, 2} {
+			t.Fatalf("write beside a reading drive: drives hold %v, want [1 2]", got)
+		}
+	})
+}
+
 func TestSwapHoldsSharedBus(t *testing.T) {
 	k := sim.NewKernel()
 	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)

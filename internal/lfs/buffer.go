@@ -100,8 +100,8 @@ var poisonFreed bool
 
 // newBlock returns a BlockSize buffer with arbitrary contents, recycled
 // from the blocks dropBuf took back when there is one. Like every user of
-// the free list it runs under fs.lock, which each entry point holds until
-// it returns; reuse therefore depends only on the operation sequence.
+// the free list it runs under fs.lock (no block is held while readOnly has
+// given the lock up); reuse therefore depends only on the operation sequence.
 func (fs *FS) newBlock() []byte {
 	if n := len(fs.freeBlocks); n > 0 {
 		b := fs.freeBlocks[n-1]
@@ -135,11 +135,16 @@ func (fs *FS) lookupBuf(inum uint32, lbn int32) *buf {
 	b, ok := fs.bufs[bufKey{inum, lbn}]
 	if ok {
 		fs.lruFront(b)
-		fs.stats.CacheHits++
-		return b
 	}
-	fs.stats.CacheMisses++
-	return nil
+	if fs.op.fault.n > 0 {
+		return b // an earlier attempt of the operation counted this lookup (readOp)
+	}
+	if ok {
+		fs.stats.CacheHits++
+	} else {
+		fs.stats.CacheMisses++
+	}
+	return b
 }
 
 // insertBuf adds a block to the cache. data must come from newBlock (or
@@ -171,13 +176,25 @@ func (fs *FS) markDirty(b *buf) {
 	}
 }
 
-// readBlockAt performs a timed device read of a single block into data.
-func (fs *FS) readBlockAt(p *sim.Proc, at addr.BlockNo, data []byte) error {
-	if err := fs.dev.ReadBlocks(p, at, data); err != nil {
+// readBlocksAt performs a timed device read of len(data)/BlockSize blocks:
+// an inode or indirect block, or fillBlocks' cluster. Every device read of
+// the read path comes through here, the one place a restartable operation
+// (readOnly) declines to wait for tertiary storage.
+func (fs *FS) readBlocksAt(p *sim.Proc, at addr.BlockNo, data []byte) error {
+	op, n, read := &fs.op, len(data)/BlockSize, fs.dev.ReadBlocks
+	if op.fault.n > 0 && op.fault.at == at {
+		// The read an earlier attempt unwound at, accounted for by Fetch
+		// (its length may differ: read-ahead stops at a buffered block).
+		op.fault, read = notResident{}, fs.fetcher.ReadAgain
+	}
+	if op.restartable && fs.fetcher.WouldWait(at, n) {
+		return notResident{at, n}
+	}
+	if err := read(p, at, data); err != nil {
 		return err
 	}
 	fs.stats.DevReads++
-	fs.stats.BytesRead += BlockSize
+	fs.stats.BytesRead += int64(len(data))
 	return nil
 }
 
@@ -192,7 +209,7 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 		return fs.insertBuf(inum, lbn, fs.newZeroBlock(), at, false), nil
 	}
 	data := fs.newBlock()
-	if err := fs.readBlockAt(p, at, data); err != nil {
+	if err := fs.readBlocksAt(p, at, data); err != nil {
 		fs.freeBlock(data)
 		return nil, err
 	}

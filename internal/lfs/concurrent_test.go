@@ -80,18 +80,22 @@ func TestConcurrentWritersAndCleaner(t *testing.T) {
 	e.k.Stop()
 }
 
-// TestConcurrentReadersShareClusters verifies that multiple readers of the
-// same file proceed correctly under the coarse file system lock.
+// TestConcurrentReaders verifies that multiple readers of the same file
+// proceed correctly, and that they wait for tertiary storage side by side:
+// the file's segments read as non-resident (tertDev), each reader gives the
+// lock up for its wait, so at least two waits are in flight at once and
+// none happens with the lock held.
 func TestConcurrentReaders(t *testing.T) {
-	e := newEnv(t, 32, 64, Options{MaxInodes: 128})
+	e, td := newTertEnv(t, 32, 64, Options{MaxInodes: 128})
 	fs := e.fs
 	var data []byte
 	e.run(t, func(p *sim.Proc) {
 		data = pattern(9, 30*BlockSize)
-		writeFile(t, p, fs, "/shared", data)
+		f := writeFile(t, p, fs, "/shared", data)
 		if err := fs.FlushCaches(p); err != nil {
 			t.Fatal(err)
 		}
+		sendAway(t, p, fs, td, f)
 	})
 	for r := 0; r < 5; r++ {
 		r := r
@@ -115,4 +119,7 @@ func TestConcurrentReaders(t *testing.T) {
 		})
 	}
 	e.k.Run()
+	if td.maxInFlight < 2 || td.held != 0 {
+		t.Fatalf("at most %d waits in flight at once and %d with the lock held, want at least 2 and 0", td.maxInFlight, td.held)
+	}
 }

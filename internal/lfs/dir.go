@@ -117,7 +117,7 @@ func (fs *FS) writeDirLocked(p *sim.Proc, ino *Inode, ents []Dirent) error {
 
 // Create makes a new empty regular file.
 func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -141,30 +141,42 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	return &File{fs: fs, inum: ino.Inum}, nil
 }
 
+// withPath runs fn on the inode path names, as a read-only operation (Open
+// and ReadDir).
+func (fs *FS) withPath(p *sim.Proc, path string, fn func(inum uint32, ino *Inode) error) error {
+	return fs.readOnly(p, func() error {
+		inum, err := fs.resolveLocked(p, path)
+		if err != nil {
+			return err
+		}
+		ino, err := fs.iget(p, inum)
+		if err != nil {
+			return err
+		}
+		return fn(inum, ino)
+	})
+}
+
 // Open opens an existing regular file.
-func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	inum, err := fs.resolveLocked(p, path)
-	if err != nil {
-		return nil, err
-	}
-	ino, err := fs.iget(p, inum)
-	if err != nil {
-		return nil, err
-	}
-	if ino.Type == TypeDir {
-		return nil, ErrIsDir
-	}
-	return &File{fs: fs, inum: inum}, nil
+func (fs *FS) Open(p *sim.Proc, path string) (f *File, err error) {
+	err = fs.withPath(p, path, func(inum uint32, ino *Inode) error {
+		if ino.Type == TypeDir {
+			return ErrIsDir
+		}
+		f = &File{fs: fs, inum: inum}
+		return nil
+	})
+	return f, err
 }
 
 // OpenInum opens a file by inode number (used by the migrator, which
 // enumerates the inode map rather than the namespace).
 func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	if _, err := fs.iget(p, inum); err != nil {
+	err := fs.readOnly(p, func() error {
+		_, err := fs.iget(p, inum)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &File{fs: fs, inum: inum}, nil
@@ -172,7 +184,7 @@ func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
 
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -198,26 +210,20 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 }
 
 // ReadDir lists a directory.
-func (fs *FS) ReadDir(p *sim.Proc, path string) ([]Dirent, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	inum, err := fs.resolveLocked(p, path)
-	if err != nil {
-		return nil, err
-	}
-	ino, err := fs.iget(p, inum)
-	if err != nil {
-		return nil, err
-	}
-	if ino.Type != TypeDir {
-		return nil, ErrNotDir
-	}
-	return fs.readDirLocked(p, ino)
+func (fs *FS) ReadDir(p *sim.Proc, path string) (ents []Dirent, err error) {
+	err = fs.withPath(p, path, func(_ uint32, ino *Inode) error {
+		if ino.Type != TypeDir {
+			return ErrNotDir
+		}
+		ents, err = fs.readDirLocked(p, ino)
+		return err
+	})
+	return ents, err
 }
 
 // Remove deletes a file or an empty directory.
 func (fs *FS) Remove(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	dir, name, err := fs.resolveParentLocked(p, path)
 	if err != nil {
@@ -258,7 +264,7 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 
 // Rename moves a file or directory; the destination must not exist.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	oldDir, oldName, err := fs.resolveParentLocked(p, oldPath)
 	if err != nil {
@@ -307,21 +313,23 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 }
 
 // Stat describes the file or directory at path.
-func (fs *FS) Stat(p *sim.Proc, path string) (FileInfo, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	inum, err := fs.resolveLocked(p, path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return fs.statLocked(p, inum)
+func (fs *FS) Stat(p *sim.Proc, path string) (fi FileInfo, err error) {
+	err = fs.readOnly(p, func() error {
+		inum, err := fs.resolveLocked(p, path)
+		if err != nil {
+			return err
+		}
+		fi, err = fs.statLocked(p, inum)
+		return err
+	})
+	return fi, err
 }
 
 // Walk visits every (path, FileInfo) under root in depth-first order,
 // without updating access times — the property namespace-locality
 // migration policies rely on (§5.3).
 func (fs *FS) Walk(p *sim.Proc, root string, fn func(path string, fi FileInfo) error) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	inum, err := fs.resolveLocked(p, root)
 	if err != nil {

@@ -30,23 +30,27 @@ type FileInfo struct {
 func (f *File) Inum() uint32 { return f.inum }
 
 // Size reports the current file size in bytes.
-func (f *File) Size(p *sim.Proc) (uint64, error) {
-	f.fs.lock.Acquire(p)
-	defer f.fs.lock.Release(p)
-	ino, err := f.fs.iget(p, f.inum)
-	if err != nil {
-		return 0, err
-	}
-	return ino.Size, nil
+func (f *File) Size(p *sim.Proc) (size uint64, err error) {
+	err = f.fs.readOnly(p, func() error {
+		ino, err := f.fs.iget(p, f.inum)
+		if err != nil {
+			return err
+		}
+		size = ino.Size
+		return nil
+	})
+	return size, err
 }
 
 // ReadAt reads len(b) bytes at offset off, returning io.EOF at end of
 // file. Reads of tertiary-resident blocks block while their segment is
-// demand-fetched into the cache (transparently, via the device).
-func (f *File) ReadAt(p *sim.Proc, b []byte, off int64) (int, error) {
-	f.fs.lock.Acquire(p)
-	defer f.fs.lock.Release(p)
-	return f.fs.readAtLocked(p, f.inum, b, off)
+// demand-fetched into the cache; only this caller waits (readOnly).
+func (f *File) ReadAt(p *sim.Proc, b []byte, off int64) (n int, err error) {
+	err = f.fs.readOnly(p, func() (err error) {
+		n, err = f.fs.readAtLocked(p, f.inum, b, off)
+		return err
+	})
+	return n, err
 }
 
 func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, error) {
@@ -63,10 +67,11 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 		n = int(ino.Size - uint64(off))
 		eof = true
 	}
-	if ino.Type != TypeDir {
+	if ino.Type != TypeDir && !fs.op.accessed {
 		// BSD file systems do not update directory access times on
 		// normal directory accesses (§5.3), which lets the migrator
 		// walk the tree without perturbing its own policy inputs.
+		fs.op.accessed = true
 		fs.imap[inum].Atime = fs.now()
 		if fs.OnAccess != nil {
 			fs.OnAccess(inum, int32(off/BlockSize), int32((off+int64(n)-1)/BlockSize)+1, false)
@@ -101,7 +106,10 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 		read += want
 	}
 	fs.lastLbn[inum] = reqEnd - 1
-	fs.chargeCopy(p, read, fs.opts.UserCopyRate)
+	if fs.op.reads++; fs.op.reads > fs.op.charged {
+		fs.op.charged = fs.op.reads
+		fs.chargeCopy(p, read, fs.opts.UserCopyRate)
+	}
 	if eof {
 		return read, io.EOF
 	}
@@ -151,11 +159,9 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 		fs.cluster = make([]byte, readCluster*BlockSize)
 	}
 	data := fs.cluster[:int(count)*BlockSize]
-	if err := fs.dev.ReadBlocks(p, start, data); err != nil {
+	if err := fs.readBlocksAt(p, start, data); err != nil {
 		return err
 	}
-	fs.stats.DevReads++
-	fs.stats.BytesRead += int64(len(data))
 	for i := int32(0); i < count; i++ {
 		blk := fs.newBlock()
 		copy(blk, data[int(i)*BlockSize:])
@@ -168,7 +174,7 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) e
 // Data are gathered in the buffer cache and appended to the log when a
 // segment's worth accumulates (or at Sync/Checkpoint).
 func (f *File) WriteAt(p *sim.Proc, b []byte, off int64) (int, error) {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	return f.fs.writeAtLocked(p, f.inum, b, off)
 }
@@ -243,7 +249,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 
 // Truncate sets the file size, freeing blocks beyond it.
 func (f *File) Truncate(p *sim.Proc, size uint64) error {
-	f.fs.lock.Acquire(p)
+	f.fs.acquire(p)
 	defer f.fs.lock.Release(p)
 	ino, err := f.fs.iget(p, f.inum)
 	if err != nil {
@@ -253,10 +259,12 @@ func (f *File) Truncate(p *sim.Proc, size uint64) error {
 }
 
 // Stat describes the file.
-func (f *File) Stat(p *sim.Proc) (FileInfo, error) {
-	f.fs.lock.Acquire(p)
-	defer f.fs.lock.Release(p)
-	return f.fs.statLocked(p, f.inum)
+func (f *File) Stat(p *sim.Proc) (fi FileInfo, err error) {
+	err = f.fs.readOnly(p, func() (err error) {
+		fi, err = f.fs.statLocked(p, f.inum)
+		return err
+	})
+	return fi, err
 }
 
 func (fs *FS) statLocked(p *sim.Proc, inum uint32) (FileInfo, error) {

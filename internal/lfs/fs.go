@@ -25,6 +25,20 @@ type Flusher interface {
 	Flush(p *sim.Proc) error
 }
 
+// Fetcher is implemented by devices whose reads may wait for tertiary
+// storage (HighLight's block map; not a plain farm). It lets a read-only
+// operation do that waiting with the file system lock released (readOnly).
+type Fetcher interface {
+	// WouldWait reports, without blocking, whether ReadBlocks of n blocks
+	// at b would wait for tertiary storage.
+	WouldWait(b addr.BlockNo, n int) bool
+	// Fetch waits for what such a read is missing and reports the error
+	// ReadBlocks would have. The caller then issues the same read again,
+	// with ReadAgain: ReadBlocks for a read Fetch has accounted for.
+	Fetch(p *sim.Proc, b addr.BlockNo, n int) error
+	ReadAgain(p *sim.Proc, b addr.BlockNo, buf []byte) error
+}
+
 // flushDevice drains the device's volatile write cache, if it has one.
 func (fs *FS) flushDevice(p *sim.Proc) error {
 	if f, ok := fs.dev.(Flusher); ok {
@@ -141,12 +155,14 @@ type Stats struct {
 
 // FS is a mounted log-structured file system.
 type FS struct {
-	k    *sim.Kernel
-	dev  Device
-	amap *addr.Map
-	sb   Superblock
-	opts Options
-	lock *sim.Resource
+	k       *sim.Kernel
+	dev     Device
+	fetcher Fetcher // dev's Fetcher capability, nil without one
+	amap    *addr.Map
+	sb      Superblock
+	opts    Options
+	lock    *sim.Resource
+	op      readOp // the read-only operation holding the lock, if one does
 
 	seguse []Seguse    // per disk segment
 	tseg   []Seguse    // per tertiary segment (dense TertIndex order)
@@ -224,6 +240,7 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 		inodes:   make(map[uint32]*Inode),
 		dirtyIno: make(map[uint32]bool),
 	}
+	fs.fetcher, _ = device.(Fetcher)
 	tb := fs.tableBlocks(opts.MaxInodes)
 	reservedBlocks := 3 + 2*tb
 	reservedSegs := (reservedBlocks + amap.SegBlocks() - 1) / amap.SegBlocks()
@@ -312,6 +329,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 		inodes:   make(map[uint32]*Inode),
 		dirtyIno: make(map[uint32]bool),
 	}
+	fs.fetcher, _ = device.(Fetcher)
 	// Pick the newer valid checkpoint.
 	var best checkpoint
 	found := false
@@ -680,7 +698,7 @@ func (fs *FS) RecomputeLiveBytes(p *sim.Proc) error {
 // then drains the device write cache: synced data must survive a crash
 // (roll-forward replays it from the log).
 func (fs *FS) Sync(p *sim.Proc) error {
-	fs.lock.Acquire(p)
+	fs.acquire(p)
 	defer fs.lock.Release(p)
 	if err := fs.flushLocked(p, true); err != nil {
 		return err

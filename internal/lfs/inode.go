@@ -27,7 +27,7 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*Inode, error) {
 	}
 	// The inode block is only decoded, not cached: borrow a block for it.
 	data := fs.newBlock()
-	if err := fs.readBlockAt(p, e.Addr, data); err != nil {
+	if err := fs.readBlocksAt(p, e.Addr, data); err != nil {
 		fs.freeBlock(data)
 		return nil, err
 	}

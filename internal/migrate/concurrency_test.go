@@ -19,8 +19,10 @@ import (
 // runConcurrencySoak drives the parallel pipeline end to end: a 4-spindle
 // striped farm with two tertiary I/O streams, the migrator daemon (two
 // copy-out streams, per-segment reservation against the cleaner), the
-// cleaner daemon, and demand-fetch readers, all concurrent in virtual
-// time, under a transient fault plan on the jukebox. Every byte a reader
+// cleaner daemon, and demand-fetch readers (the segment cache is a fraction
+// of what is migrated and the readers bypass the buffer cache; at least two
+// fetches must be in flight at once), all concurrent in virtual time, under
+// a transient fault plan on the jukebox. Every byte a reader
 // sees must match the model (zero loss), and the run must be perfectly
 // repeatable: the returned digest covers file contents, device and
 // service counters, and the final virtual clock.
@@ -37,7 +39,7 @@ func runConcurrencySoak(t *testing.T) string {
 		SegBlocks:   segBlocks,
 		Disks:       spindles,
 		Jukeboxes:   []jukebox.Footprint{juke},
-		CacheSegs:   20,
+		CacheSegs:   4, // far less than is migrated: readers demand-fetch
 		MaxInodes:   512,
 		BufferBytes: 1 << 20,
 		StripeUnit:  8,
@@ -143,6 +145,9 @@ func runConcurrencySoak(t *testing.T) string {
 						t.Errorf("reader %d open %s: %v", id, name, err)
 						return
 					}
+					// Past the buffer cache, so that a migrated file is read
+					// through the segment cache and demand-fetched if evicted.
+					hl.FS.DropFileBuffers(p, f.Inum())
 					want := model[name]
 					got := make([]byte, len(want))
 					if _, err := f.ReadAt(p, got, 0); err != nil && err != io.EOF {
@@ -196,6 +201,11 @@ func runConcurrencySoak(t *testing.T) string {
 		ss := hl.Svc.Stats()
 		if ss.RetriesExhausted != 0 {
 			t.Fatalf("%d operations exhausted the retry budget; transient-only plan must always recover", ss.RetriesExhausted)
+		}
+		// Readers wait for their fetches with the file system lock
+		// released, so fetches overlap.
+		if ss.MaxPending < 2 {
+			t.Fatalf("%d fetches, at most %d in flight at once; readers are not overlapping their tertiary waits", ss.Fetches, ss.MaxPending)
 		}
 		pc := plan.DeviceCounts("mo")
 		if pc.Transient == 0 {

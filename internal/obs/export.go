@@ -115,8 +115,7 @@ func (o *Obs) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "Observability summary (virtual time %.3fs)\n", now.Seconds())
 	if len(o.aggOrder) > 0 {
 		fmt.Fprintf(w, "  %-18s %-16s %8s %12s %12s %6s\n", "track", "category", "count", "total", "mean", "util")
-		for _, key := range o.aggOrder {
-			a := o.aggs[key]
+		for _, a := range o.aggOrder {
 			mean := sim.Time(0)
 			if a.Count > 0 {
 				mean = a.Total / sim.Time(a.Count)

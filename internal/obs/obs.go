@@ -239,8 +239,8 @@ type Obs struct {
 
 	spans []Span
 
-	aggOrder []string
-	aggs     map[string]*SpanAgg
+	aggOrder []*SpanAgg // first-appearance order
+	aggs     map[aggKey]*SpanAgg
 
 	counterOrder []string
 	counters     map[string]*Counter
@@ -252,11 +252,15 @@ type Obs struct {
 	hists     map[string]*Histogram
 }
 
+// aggKey names one aggregate; a struct key, so finding the aggregate of a
+// span builds no string.
+type aggKey struct{ track, cat string }
+
 // New creates an observability domain on the given kernel's clock.
 func New(k *sim.Kernel) *Obs {
 	return &Obs{
 		k:        k,
-		aggs:     map[string]*SpanAgg{},
+		aggs:     map[aggKey]*SpanAgg{},
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
@@ -285,11 +289,13 @@ func (o *Obs) Now() sim.Time {
 
 // Span records an interval from start to the current virtual time on
 // track, classified under cat. Call it at the *end* of the operation.
+// args is copied only when spans are retained, so it stays on the caller's
+// stack: a call on a nil or metrics-only domain allocates nothing.
 func (o *Obs) Span(track, cat, name string, start sim.Time, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.record(Span{Track: track, Cat: cat, Name: name, Start: start, Dur: o.k.Now() - start, Args: args})
+	o.record(Span{Track: track, Cat: cat, Name: name, Start: start, Dur: o.k.Now() - start}, args)
 }
 
 // Instant records a zero-duration point event at the current virtual
@@ -298,20 +304,21 @@ func (o *Obs) Instant(track, cat, name string, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.record(Span{Track: track, Cat: cat, Name: name, Start: o.k.Now(), Instant: true, Args: args})
+	o.record(Span{Track: track, Cat: cat, Name: name, Start: o.k.Now(), Instant: true}, args)
 }
 
-func (o *Obs) record(s Span) {
-	key := s.Track + "\x00" + s.Cat
+func (o *Obs) record(s Span, args []Arg) {
+	key := aggKey{s.Track, s.Cat}
 	a := o.aggs[key]
 	if a == nil {
 		a = &SpanAgg{Track: s.Track, Cat: s.Cat}
 		o.aggs[key] = a
-		o.aggOrder = append(o.aggOrder, key)
+		o.aggOrder = append(o.aggOrder, a)
 	}
 	a.Count++
 	a.Total += s.Dur
 	if o.retain {
+		s.Args = append([]Arg(nil), args...)
 		o.spans = append(o.spans, s)
 	}
 }
@@ -367,8 +374,8 @@ func (o *Obs) CatTotal(cat string) sim.Time {
 		return 0
 	}
 	var t sim.Time
-	for _, key := range o.aggOrder {
-		if a := o.aggs[key]; a.Cat == cat {
+	for _, a := range o.aggOrder {
+		if a.Cat == cat {
 			t += a.Total
 		}
 	}
@@ -381,8 +388,8 @@ func (o *Obs) CatCount(cat string) int64 {
 		return 0
 	}
 	var n int64
-	for _, key := range o.aggOrder {
-		if a := o.aggs[key]; a.Cat == cat {
+	for _, a := range o.aggOrder {
+		if a.Cat == cat {
 			n += a.Count
 		}
 	}
@@ -395,8 +402,8 @@ func (o *Obs) TrackTotal(track string) sim.Time {
 		return 0
 	}
 	var t sim.Time
-	for _, key := range o.aggOrder {
-		if a := o.aggs[key]; a.Track == track {
+	for _, a := range o.aggOrder {
+		if a.Track == track {
 			t += a.Total
 		}
 	}
@@ -409,11 +416,7 @@ func (o *Obs) Aggregates() []*SpanAgg {
 	if o == nil {
 		return nil
 	}
-	out := make([]*SpanAgg, 0, len(o.aggOrder))
-	for _, key := range o.aggOrder {
-		out = append(out, o.aggs[key])
-	}
-	return out
+	return append([]*SpanAgg(nil), o.aggOrder...)
 }
 
 // Spans returns the retained spans in emission order (nil unless

@@ -47,6 +47,35 @@ func TestNilObsIsInert(t *testing.T) {
 	}
 }
 
+// TestSpanFreeWhenOff pins ROADMAP item 4's "free when off": with tracing
+// off (a nil domain, or a metrics-only one whose aggregate already exists)
+// Span and Instant allocate nothing, their argument lists included; the
+// list is copied only when spans are retained.
+func TestSpanFreeWhenOff(t *testing.T) {
+	var off *Obs
+	on := New(sim.NewKernel())
+	for name, o := range map[string]*Obs{"nil": off, "metrics-only": on} {
+		emit := func() {
+			o.Span("t", "c", "n", 0, Arg{Key: "tag", Val: 7}, Arg{Key: "seg", Val: 9})
+			o.Instant("t", "i", "n", Arg{Key: "tag", Val: 7})
+		}
+		emit() // creates the two aggregates
+		if n := testing.AllocsPerRun(100, emit); n != 0 {
+			t.Errorf("%s domain: Span+Instant allocate %v times per call, want 0", name, n)
+		}
+	}
+	if on.CatCount("c") == 0 || on.Spans() != nil {
+		t.Fatal("metrics-only domain did not aggregate, or retained spans")
+	}
+	on.EnableTrace()
+	args := []Arg{{Key: "tag", Val: 7}}
+	on.Span("t", "c", "n", 0, args...)
+	args[0].Val = 8 // the retained span owns a copy
+	if got := on.Spans()[0].Args; len(got) != 1 || got[0].Val != 7 {
+		t.Fatalf("retained args = %v, want a private copy of tag=7", got)
+	}
+}
+
 func TestAggregation(t *testing.T) {
 	o := run(t, false, func(p *sim.Proc, o *Obs) {
 		t0 := p.Now()

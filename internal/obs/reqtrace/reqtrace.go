@@ -6,8 +6,8 @@
 // A Trace rides the request's sim.Ctx (Ctx.SetTrace / Ctx.Trace) from
 // front-end admission down through the cache directory, the striped disk
 // farm, the tertiary service, and the jukebox drivers. Each layer records
-// typed stages — queue-wait, cache-lookup, fetch-wait, stripe-io,
-// drive-swap, media-transfer, retry-backoff, breaker-wait — against the
+// typed stages — queue-wait, cache-lookup, fetch-wait, stripe-io, drive-swap,
+// media-transfer, retry-backoff, breaker-wait, fs-lock — against the
 // virtual clock. Stages may nest and overlap (a fetch-wait encloses the
 // drive-swap and media-transfer the I/O daemon performs on the waiter's
 // behalf); the critical-path sweep attributes every instant of the
@@ -55,6 +55,8 @@ const (
 	// breaker (zero duration — the detour's cost lands in the stages the
 	// longer route pays).
 	KindBreakerWait
+	// KindFSLock is time an acquire of the file-system lock actually waited.
+	KindFSLock
 	// KindExec is the residual: request time no recorded stage covers
 	// (computation, buffer copies, unattributed waits).
 	KindExec
@@ -64,7 +66,8 @@ const (
 
 var kindNames = [numKinds]string{
 	"queue-wait", "admission", "cache-lookup", "fetch-wait", "stripe-io",
-	"drive-swap", "media-transfer", "retry-backoff", "breaker-wait", "exec",
+	"drive-swap", "media-transfer", "retry-backoff", "breaker-wait", "fs-lock",
+	"exec",
 }
 
 func (k Kind) String() string {

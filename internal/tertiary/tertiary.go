@@ -61,6 +61,7 @@ type Stats struct {
 	Fetches    int64
 	Copyouts   int64
 	EOMRetries int64
+	MaxPending int64 // most fetches requested and unresolved at once
 
 	TransientRetries int64 // transient faults retried by the I/O process
 	RetriesExhausted int64 // operations abandoned after the retry budget
@@ -101,6 +102,7 @@ const (
 	reqCopyout
 	reqFetchDone
 	reqCopyoutDone
+	reqRetryDeferred // a reader let go of a line (Unpin)
 )
 
 func (k reqKind) String() string {
@@ -113,6 +115,8 @@ func (k reqKind) String() string {
 		return "fetch-done"
 	case reqCopyoutDone:
 		return "copyout-done"
+	case reqRetryDeferred:
+		return "retry-deferred"
 	}
 	return "unknown"
 }
@@ -131,10 +135,11 @@ type request struct {
 }
 
 type fetchWait struct {
-	done *sim.Cond
-	line *cache.Line
-	err  error
-	over bool
+	done    *sim.Cond
+	waiters int // procs in DemandFetch that have not abandoned the wait
+	line    *cache.Line
+	err     error
+	over    bool
 }
 
 // Service owns the cache directory bindings and runs the service and I/O
@@ -153,6 +158,7 @@ type Service struct {
 	deferred []request // fetches waiting for an evictable line
 
 	outCopy   int // copyouts in flight or queued
+	readers   int // reader pins held on cache lines (Pin)
 	copyCond  *sim.Cond
 	failed    []int // tags whose copyout hit end-of-medium
 	badWrites []int // tags whose copyout hit an unrecoverable media error
@@ -321,26 +327,35 @@ func (s *Service) DeviceFaults() []DeviceFaults {
 func (s *Service) segBytes() int { return s.amap.SegBlocks() * dev.BlockSize }
 
 // DemandFetch blocks until tertiary segment tag is disk-resident and
-// returns its cache line. Callers may hold the file system lock: the
-// service path never acquires it.
+// returns its cache line; callers waiting for one segment share one fetch.
+// The service path never takes the file system lock, so a caller may hold
+// it, making every other file system operation wait out the fetch too:
+// mutating operations, the migrator and the cleaner do; the read-only lfs
+// entry points come here with the lock released (the block map's Fetch).
+// The line is resident at the instant of return (pinned per waiter as the
+// fetch resolves, unpinned as each resumes); a caller that blocks before it
+// is done with the line pins it first (Pin).
 func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	if err := p.CtxErr(); err != nil {
 		return nil, fmt.Errorf("tertiary: fetch of segment %d abandoned: %w", tag, err)
 	}
-	if l, ok := s.cache.Lookup(tag, p.Now()); ok && !l.Staging {
+	// A Peek: the block map's own lookup counted this miss, and staging in
+	// without a read counts none (cache.Stats). Staging lines are
+	// disk-resident by construction.
+	if l, ok := s.cache.Peek(tag); ok {
 		return l, nil
-	} else if ok {
-		return l, nil // staging lines are disk-resident by construction
 	}
 	tr := reqtrace.From(p)
 	w, ok := s.pending[tag]
 	if !ok {
 		w = &fetchWait{done: s.k.NewCond(fmt.Sprintf("fetch-%d", tag))}
 		s.pending[tag] = w
+		s.stats.MaxPending = max(s.stats.MaxPending, int64(len(s.pending)))
 		// The first waiter's trace rides the fetch into the I/O daemon;
 		// later waiters for the same tag only record their own fetch-wait.
 		s.reqs.Send(p, request{kind: reqFetch, tag: tag, enqueued: p.Now(), tr: tr})
 	}
+	w.waiters++
 	if s.Notify != nil {
 		s.Notify(tag, 0, false)
 	}
@@ -359,6 +374,7 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	st := tr.StageStart(reqtrace.KindFetchWait, start, note)
 	for !w.over {
 		if err := ctx.Err(); err != nil {
+			w.waiters--
 			tr.StageEnd(st, p.Now())
 			return nil, fmt.Errorf("tertiary: fetch of segment %d abandoned: %w", tag, err)
 		}
@@ -370,7 +386,32 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	}
 	s.obs.Span("tertiary.svc", "fetch.wait", "demand-fetch", start, obs.Arg{Key: "tag", Val: int64(tag)})
 	s.fetchWaitH.Observe(p.Now() - start)
+	if w.line != nil {
+		s.Unpin(p, w.line)
+	}
 	return w.line, w.err
+}
+
+// Pin marks l as being read (from the directory lookup to the end of the
+// reader's disk read): no fetch started meanwhile takes it as its victim.
+func (s *Service) Pin(l *cache.Line) {
+	l.Pins++
+	s.readers++
+}
+
+// Unpin drops a reader's pin. A line without pins may be evictable: news for
+// deferred fetches and for a migrator in WaitCopyoutProgress, which must also
+// look again when the last reader is gone (a line can stay pinned by others,
+// the tertiary cleaner for one, and then no reader is left to wake it).
+func (s *Service) Unpin(p *sim.Proc, l *cache.Line) {
+	l.Pins--
+	s.readers--
+	if l.Pins == 0 || s.readers == 0 {
+		s.copyCond.Broadcast()
+	}
+	if l.Pins == 0 && len(s.deferred) > 0 {
+		s.reqs.Send(p, request{kind: reqRetryDeferred, enqueued: p.Now()})
+	}
 }
 
 // ScheduleCopyout queues the staging cache line holding tertiary segment
@@ -401,13 +442,15 @@ func (s *Service) DrainCopyouts(p *sim.Proc) {
 	}
 }
 
-// WaitCopyoutProgress blocks until one in-flight copyout completes,
-// returning immediately when none is outstanding. The migrator uses it to
-// wait for a cache line to become evictable.
-func (s *Service) WaitCopyoutProgress(p *sim.Proc) {
-	if s.outCopy > 0 {
-		s.copyCond.Wait(p)
+// WaitCopyoutProgress blocks until one in-flight copyout completes or a
+// reader lets go of its line; with neither to wait for it reports false at
+// once. The migrator uses it to wait for a line to become evictable.
+func (s *Service) WaitCopyoutProgress(p *sim.Proc) bool {
+	if s.outCopy == 0 && s.readers == 0 {
+		return false
 	}
+	s.copyCond.Wait(p)
+	return true
 }
 
 // RequestPrefetch enqueues background fetches (no waiter).
@@ -466,6 +509,8 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 			s.finishFetch(p, r)
 		case reqCopyoutDone:
 			s.finishCopyout(p, r)
+		case reqRetryDeferred:
+			s.retryDeferred(p)
 		}
 	}
 }
@@ -541,6 +586,9 @@ func (s *Service) resolveFetch(tag int, err error) {
 	if err == nil {
 		if l, present := s.cache.Peek(tag); present {
 			w.line = l
+			// One reader pin per waiter, held until it resumes.
+			l.Pins += w.waiters
+			s.readers += w.waiters
 		} else {
 			err = fmt.Errorf("tertiary: fetch of segment %d resolved without a line", tag)
 		}

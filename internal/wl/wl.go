@@ -113,6 +113,21 @@ func (r PhaseResult) String() string {
 	return fmt.Sprintf("%-28s %8.2f s %9.0f KB/s", r.Name, r.Elapsed.Seconds(), r.ThroughputKBs())
 }
 
+// patternPeriod is the period in j of the frame patterns byte(i+j) and
+// byte(i*j). A frame is one period written byte by byte and then tiled: the
+// byte loop over a whole frame ran 20-50 % slower or faster with the 64-byte
+// phase the linker happened to give it, and that, not the file system, was
+// what moved the large-object benchmark's host clock from build to build
+// (EXPERIMENTS.md, "Hit-under-miss").
+const patternPeriod = 256
+
+// tile repeats frame[:n] through the rest of frame.
+func tile(frame []byte, n int) {
+	for ; n < len(frame); n *= 2 {
+		copy(frame[n:], frame[:n])
+	}
+}
+
 // CreateLargeObject writes the initial object and syncs it.
 func CreateLargeObject(p *sim.Proc, t Target, spec LargeObjectSpec) (Handle, error) {
 	f, err := t.Create(p, spec.Path)
@@ -121,9 +136,10 @@ func CreateLargeObject(p *sim.Proc, t Target, spec LargeObjectSpec) (Handle, err
 	}
 	frame := make([]byte, FrameSize)
 	for i := 0; i < spec.Frames; i++ {
-		for j := range frame {
+		for j := range frame[:patternPeriod] {
 			frame[j] = byte(i + j)
 		}
+		tile(frame, patternPeriod)
 		if _, err := f.WriteAt(p, frame, int64(i)*FrameSize); err != nil {
 			return nil, err
 		}
@@ -158,9 +174,10 @@ func RunLargeObject(p *sim.Proc, t Target, f Handle, spec LargeObjectSpec) ([]Ph
 			off := next(i) * FrameSize
 			var err error
 			if write {
-				for j := range frame {
+				for j := range frame[:patternPeriod] {
 					frame[j] = byte(i * j)
 				}
+				tile(frame, patternPeriod)
 				_, err = f.WriteAt(p, frame, off)
 			} else {
 				_, err = f.ReadAt(p, frame, off)

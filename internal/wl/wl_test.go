@@ -1,6 +1,7 @@
 package wl
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/addr"
@@ -141,4 +142,28 @@ func TestSequentialScanFirstByteBeforeTotal(t *testing.T) {
 			t.Fatalf("first byte %v should precede total %v", fb, tot)
 		}
 	})
+}
+
+// TestTiledFrameMatchesByteLoop: the frame patterns are written as one
+// period and tiled; the bytes are those of the whole-frame byte loop.
+func TestTiledFrameMatchesByteLoop(t *testing.T) {
+	got, want := make([]byte, FrameSize), make([]byte, FrameSize)
+	for _, i := range []int{0, 1, 2, 7, 255, 256, 257, 1000, 12499} {
+		for name, at := range map[string]func(j int) byte{
+			"i+j": func(j int) byte { return byte(i + j) },
+			"i*j": func(j int) byte { return byte(i * j) },
+		} {
+			for j := range want {
+				want[j] = at(j)
+			}
+			clear(got)
+			for j := range got[:patternPeriod] {
+				got[j] = at(j)
+			}
+			tile(got, patternPeriod)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pattern %s, frame %d: tiled frame differs from the byte loop", name, i)
+			}
+		}
+	}
 }
