@@ -39,14 +39,16 @@ crash:
 # determinism gate (tracing must not perturb the run, and the /requests
 # document must be byte-identical across a double run), and the
 # hit-under-miss tests (readers that give the file system lock up for a
-# demand fetch, beside writers, thrashing and expiring). -count=1 forces
-# fresh runs. The kernel's own tests run three times over: every proc is a
-# coroutine the dispatcher switches to, so its state crosses goroutines on
-# every event.
+# demand fetch, beside writers, thrashing and expiring), and the per-library
+# I/O queues (concurrent fetches over two libraries, an outage with fetches
+# queued). -count=1 forces fresh runs. The kernel's own tests run three times
+# over: every proc is a coroutine the dispatcher switches to, so its state
+# crosses goroutines on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 

@@ -22,7 +22,7 @@
 // -disks splits the main disk's capacity over N spindles; -stripe U
 // interleaves them with a stripe unit of U 4 KB blocks (0 concatenates)
 // and -parity adds a rotating parity unit per stripe row. -streams K runs
-// K concurrent tertiary I/O streams. The defaults keep the paper's
+// K concurrent tertiary I/O streams per library. The defaults keep the paper's
 // single-spindle, single-stream configuration.
 //
 // -trace FILE additionally runs the migration + demand-fetch workload
@@ -88,7 +88,7 @@ func main() {
 	disks := flag.Int("disks", 1, "spindles in the disk farm (capacity split evenly, private channels when >1)")
 	stripeUnit := flag.Int("stripe", 0, "stripe unit in 4 KB blocks; 0 concatenates the farm")
 	parity := flag.Bool("parity", false, "rotating parity unit per stripe row (needs -stripe and >=3 disks)")
-	streams := flag.Int("streams", 1, "concurrent tertiary I/O streams; <2 keeps the single historical stream")
+	streams := flag.Int("streams", 1, "concurrent tertiary I/O streams per library; <2 keeps the single historical stream")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the migration workload to this file")
 	jsonOut := flag.String("json", "", "write a machine-readable snapshot of all tables + obs counters to this file")
 	serveAddr := flag.String("serve", "", "run the migration workload while serving live telemetry on this address (e.g. 127.0.0.1:8080)")

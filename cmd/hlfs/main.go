@@ -72,7 +72,7 @@ func main() {
 		fs.IntVar(&cfg.Spindles, "spindles", cfg.Spindles, "farm spindles the disk capacity is split over; <2 keeps one disk")
 		fs.IntVar(&cfg.StripeUnit, "stripe", cfg.StripeUnit, "stripe unit in 4 KB blocks; 0 concatenates the farm")
 		fs.BoolVar(&cfg.Parity, "parity", cfg.Parity, "rotating parity unit per stripe row (needs -stripe and >=3 spindles)")
-		fs.IntVar(&cfg.Streams, "streams", cfg.Streams, "concurrent tertiary I/O streams; <2 keeps the single stream")
+		fs.IntVar(&cfg.Streams, "streams", cfg.Streams, "concurrent tertiary I/O streams per library; <2 keeps the single stream")
 		must(fs.Parse(rest))
 		if err := cliutil.ValidateFarm(cfg.Spindles, cfg.StripeUnit, cfg.Parity); err != nil {
 			usageErr(err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -217,6 +218,22 @@ func TestStudyRigRemountMatchesHandBuilt(t *testing.T) {
 	}
 }
 
+// settledGoroutines samples runtime.NumGoroutine once it has held still for
+// ten milliseconds: the previous test's runner may still be exiting, which
+// read as "-1 goroutines" below about once in 25 runs under -race.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for same := 0; same < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // TestFailedTableStopsItsRig pins the error path of the migration tables:
 // on a disk too small for the object they return the error, and the rig's
 // tertiary service and I/O daemons are stopped rather than left parked —
@@ -228,7 +245,7 @@ func TestFailedTableStopsItsRig(t *testing.T) {
 		name string
 		run  func(Scale) (*Report, error)
 	}{{"Table4", Table4}, {"Table6", Table6}} {
-		before := runtime.NumGoroutine()
+		before := settledGoroutines()
 		if _, err := table.run(s); err == nil {
 			t.Errorf("%s on a %d-segment disk returned no error", table.name, s.DiskSegs)
 		}

@@ -37,8 +37,9 @@ type Config struct {
 	// (requires StripeUnit and at least three disks).
 	Parity bool
 	// Streams is the number of concurrent tertiary I/O streams (staging
-	// fills and copy-out drains). Values below 2 keep the single
-	// historical stream.
+	// fills and copy-out drains) per library: each library has its own
+	// queue and I/O processes. Values below 2 keep the single historical
+	// stream.
 	Streams int
 	// VolStripe stripes tertiary segment allocation across this many
 	// volumes so concurrent Streams drive different cartridges (see
@@ -354,8 +355,8 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 	hl.Svc.SetAttr(hl.Heat)
 	hl.Svc.SetAudit(hl.Audit)
 	if cfg.Streams > 1 {
-		// Extra tertiary I/O streams: staging fills and copy-out drains
-		// overlap instead of strictly alternating on one daemon.
+		// Extra tertiary I/O streams per library: staging fills and copy-out
+		// drains overlap instead of strictly alternating on one daemon.
 		hl.Svc.AddIOStreams(cfg.Streams - 1)
 	}
 	if cfg.VolStripe > 1 {

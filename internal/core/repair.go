@@ -245,11 +245,14 @@ func (hl *HighLight) RestoreReplicaCatalog(m map[int][]int) {
 	}
 }
 
-// LibraryStatus summarizes one library's health and capacity for reports.
+// LibraryStatus summarizes one library's health, load and capacity for reports.
 type LibraryStatus struct {
 	ID          int
 	Name        string
 	Down        bool
+	Reads       int64 // segments the device has read and written
+	Writes      int64
+	Outstanding int // transfers queued or in flight at its I/O processes
 	TotalSegs   int
 	FreeSegs    int // allocatable (clean, uncached, not reserved)
 	UsedSegs    int // dirty segments holding data
@@ -260,7 +263,9 @@ type LibraryStatus struct {
 func (hl *HighLight) LibraryStatuses() []LibraryStatus {
 	out := make([]LibraryStatus, len(hl.libs))
 	for d, l := range hl.libs {
-		st := LibraryStatus{ID: l.ID(), Name: l.Name(), Down: l.Down()}
+		js := l.Stats()
+		st := LibraryStatus{ID: l.ID(), Name: l.Name(), Down: l.Down(),
+			Reads: js.Reads, Writes: js.Writes, Outstanding: hl.Svc.Outstanding(d)}
 		start, n := hl.deviceTsegRange(d)
 		end := start + n
 		if end > hl.FS.TsegCount() {

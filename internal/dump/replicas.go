@@ -27,8 +27,8 @@ func Replicas(w io.Writer, hl *core.HighLight) {
 		if st.Down {
 			health = "DOWN"
 		}
-		fmt.Fprintf(w, "  lib %d %-14s %-4s  segs: %d total, %d used, %d free, %d reserved\n",
-			st.ID, st.Name, health, st.TotalSegs, st.UsedSegs, st.FreeSegs, st.NoStoreSegs)
+		fmt.Fprintf(w, "  lib %d %-14s %-4s  segs: %d total, %d used, %d free, %d reserved  io: %d reads, %d writes, %d outstanding\n",
+			st.ID, st.Name, health, st.TotalSegs, st.UsedSegs, st.FreeSegs, st.NoStoreSegs, st.Reads, st.Writes, st.Outstanding)
 	}
 
 	catalog := hl.ReplicaCatalog()

@@ -391,9 +391,9 @@ func (j *Jukebox) SetDriveOffline(d int, offline bool) {
 func (j *Jukebox) DriveOffline(d int) bool { return j.drives[d].offline }
 
 // IdleHealthyDrives reports how many healthy drives are not currently
-// serving a request (their arms are free). The library-aware fetch
-// router prefers a copy in a library that can start a read without
-// queueing behind in-flight transfers.
+// serving a request (their arms are free). Nothing in the program asks:
+// the fetch router ranks libraries by the transfers it has outstanding
+// there. benchmark/ checks that its probes forward the method.
 func (j *Jukebox) IdleHealthyDrives() int {
 	n := 0
 	for _, d := range j.drives {

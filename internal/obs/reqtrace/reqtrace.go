@@ -7,8 +7,8 @@
 // front-end admission down through the cache directory, the striped disk
 // farm, the tertiary service, and the jukebox drivers. Each layer records
 // typed stages — queue-wait, cache-lookup, fetch-wait, stripe-io, drive-swap,
-// media-transfer, retry-backoff, breaker-wait, fs-lock — against the
-// virtual clock. Stages may nest and overlap (a fetch-wait encloses the
+// media-transfer, retry-backoff, breaker-wait, fs-lock, io-queue — against
+// the virtual clock. Stages may nest and overlap (a fetch-wait encloses the
 // drive-swap and media-transfer the I/O daemon performs on the waiter's
 // behalf); the critical-path sweep attributes every instant of the
 // request's life to the innermost stage open at that instant, so the
@@ -57,6 +57,9 @@ const (
 	KindBreakerWait
 	// KindFSLock is time an acquire of the file-system lock actually waited.
 	KindFSLock
+	// KindIOQueue is time a fetch's transfer sat in its library's I/O queue
+	// with every I/O process of that library busy (inside its fetch-wait).
+	KindIOQueue
 	// KindExec is the residual: request time no recorded stage covers
 	// (computation, buffer copies, unattributed waits).
 	KindExec
@@ -67,7 +70,7 @@ const (
 var kindNames = [numKinds]string{
 	"queue-wait", "admission", "cache-lookup", "fetch-wait", "stripe-io",
 	"drive-swap", "media-transfer", "retry-backoff", "breaker-wait", "fs-lock",
-	"exec",
+	"io-queue", "exec",
 }
 
 func (k Kind) String() string {

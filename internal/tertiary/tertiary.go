@@ -132,6 +132,11 @@ type request struct {
 	// daemon's work on this fetch (drive swaps, media transfers, staging
 	// writes) is recorded against the request that caused it.
 	tr *reqtrace.Trace
+	// Set at dispatch: the library whose queue carries the transfer, a
+	// fetch's copies in routed order, and the io-queue stage open on tr.
+	lib    int
+	copies []int
+	qst    int
 }
 
 type fetchWait struct {
@@ -142,8 +147,8 @@ type fetchWait struct {
 	over    bool
 }
 
-// Service owns the cache directory bindings and runs the service and I/O
-// processes as daemons.
+// Service owns the cache directory bindings and runs the service process and,
+// per library, an I/O queue drained by that library's own I/O processes.
 type Service struct {
 	k     *sim.Kernel
 	amap  *addr.Map
@@ -153,7 +158,9 @@ type Service struct {
 	hooks Hooks
 
 	reqs     *sim.Chan
-	ioreqs   *sim.Chan
+	ioq      []*sim.Chan // per library; a rig without libraries keeps one
+	out      []int       // transfers queued or in flight, per library
+	streams  int         // I/O processes per library
 	pending  map[int]*fetchWait
 	deferred []request // fetches waiting for an evictable line
 
@@ -229,7 +236,6 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 		cache:   c,
 		hooks:   hooks,
 		reqs:    k.NewChan("tertiary.svc", 256),
-		ioreqs:  k.NewChan("tertiary.io", 256),
 		pending: make(map[int]*fetchWait),
 		Retry:   DefaultRetryPolicy,
 		obs:     o,
@@ -239,19 +245,30 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 	s.outCopyG = o.Gauge("tertiary.copyouts_outstanding")
 	s.copyCond = k.NewCond("tertiary.copyouts")
 	k.GoDaemon("hl-service", s.serviceLoop)
-	k.GoDaemon("hl-io", s.ioLoop)
+	for range max(1, len(fps)) {
+		s.ioq = append(s.ioq, k.NewChan("tertiary.io", 256))
+	}
+	s.out = make([]int, len(s.ioq))
+	s.spawnIO("hl-io")
 	return s
 }
 
-// AddIOStreams starts n additional I/O daemons draining the same request
-// channel, so several whole-segment transfers (staging fills, copy-out
-// drains) proceed concurrently in virtual time. Each daemon owns its own
-// transfer buffer; the shared channel keeps dispatch order deterministic
-// (FIFO handoff, daemons spawned in a fixed order).
+// AddIOStreams starts n additional I/O daemons per library, each draining
+// its library's queue, so several whole-segment transfers (staging fills,
+// copy-out drains) proceed concurrently in virtual time. Each daemon owns its
+// own transfer buffer; the per-library channel keeps dispatch order
+// deterministic (FIFO handoff, daemons spawned in a fixed order).
 func (s *Service) AddIOStreams(n int) {
 	for i := 0; i < n; i++ {
-		s.k.GoDaemon(fmt.Sprintf("hl-io-%d", i+1), s.ioLoop)
+		s.spawnIO(fmt.Sprintf("hl-io-%d", s.streams))
 	}
+}
+
+func (s *Service) spawnIO(name string) {
+	for lib := range s.ioq {
+		s.k.GoDaemon(name, func(p *sim.Proc) { s.ioLoop(p, lib) })
+	}
+	s.streams++
 }
 
 // Stats returns a snapshot of the counters.
@@ -504,7 +521,7 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 		case reqFetch:
 			s.startFetch(p, r)
 		case reqCopyout:
-			s.ioreqs.Send(p, r)
+			s.dispatch(p, r, r.tag)
 		case reqFetchDone:
 			s.finishFetch(p, r)
 		case reqCopyoutDone:
@@ -515,9 +532,26 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 	}
 }
 
-// startFetch binds a cache line (evicting if needed) and hands the
-// transfer to the I/O process; with no line available the request is
-// deferred until a copyout completes.
+// dispatch queues a transfer for the I/O processes of the library holding
+// tertiary segment to (library 0 if to does not map: the I/O process's own
+// locate turns that into the transfer's error). With all of them busy, the
+// wait until one picks it up is the request's io-queue stage.
+func (s *Service) dispatch(p *sim.Proc, r request, to int) {
+	lib, _, _, _ := s.locate(to)
+	r.lib, r.qst = lib, -1
+	if r.tr != nil && s.out[lib] >= s.streams {
+		r.qst = r.tr.StageStart(reqtrace.KindIOQueue, p.Now(), fmt.Sprintf("lib %d depth %d", lib, s.out[lib]))
+	}
+	s.out[lib]++
+	s.ioq[lib].Send(p, r)
+}
+
+// Outstanding reports the transfers queued or in flight at library lib.
+func (s *Service) Outstanding(lib int) int { return s.out[lib] }
+
+// startFetch binds a cache line (evicting if needed), routes the fetch and
+// hands the transfer to the chosen library's I/O processes; with no line
+// available the request is deferred until a copyout completes.
 func (s *Service) startFetch(p *sim.Proc, r request) {
 	if _, ok := s.cache.Peek(r.tag); ok {
 		s.resolveFetch(r.tag, nil)
@@ -542,10 +576,12 @@ func (s *Service) startFetch(p *sim.Proc, r request) {
 			s.hooks.LineEvicted(v.Tag, seg)
 		}
 	}
-	s.ioreqs.Send(p, request{kind: reqFetch, tag: r.tag, seg: seg, enqueued: r.enqueued, tr: r.tr})
+	copies := s.readOrder(r.tag, r.tr)
+	s.dispatch(p, request{kind: reqFetch, tag: r.tag, seg: seg, tr: r.tr, copies: copies}, copies[0])
 }
 
 func (s *Service) finishFetch(p *sim.Proc, r request) {
+	s.out[r.lib]--
 	if r.err != nil {
 		s.stats.FetchFaults++
 		s.cache.Release(r.seg)
@@ -599,6 +635,7 @@ func (s *Service) resolveFetch(tag int, err error) {
 }
 
 func (s *Service) finishCopyout(p *sim.Proc, r request) {
+	s.out[r.lib]--
 	if l, ok := s.cache.Peek(r.pinTag); ok {
 		if l.Pins > 0 {
 			l.Pins--
@@ -685,9 +722,8 @@ func (s *Service) withRetry(p *sim.Proc, op func() error) error {
 // last-resort failover source — it only sorts by how cheaply a read can
 // start right now.
 const (
-	routeLoaded   = iota // healthy library, volume already in a drive
-	routeIdleLib         // healthy library with an idle drive (swap, no queue)
-	routeBusyLib         // healthy library, all drives busy (queue)
+	routeLoaded   = iota // in-service library, volume already in a drive
+	routeSwap            // in-service library, volume must be loaded first
 	routeTripped         // circuit breaker open for the library
 	routeDownLib         // library out of service
 	routeUnmapped        // copy index does not resolve to a location
@@ -697,10 +733,8 @@ func routeRankName(rank int) string {
 	switch rank {
 	case routeLoaded:
 		return "volume-loaded"
-	case routeIdleLib:
-		return "idle-drive"
-	case routeBusyLib:
-		return "busy-library"
+	case routeSwap:
+		return "volume-swap"
 	case routeTripped:
 		return "breaker-open"
 	case routeDownLib:
@@ -709,12 +743,13 @@ func routeRankName(rank int) string {
 	return "unmapped"
 }
 
-// readOrder lists the physical copies of tag to try, closest first:
-// loaded volume beats an idle drive in another library, which beats a
-// busy library, which beats a down one (§5.4 "closest copy",
-// generalized across failure domains). The sort is stable, so with a
-// single library and no rank differences the historical order — primary
-// first, replicas in catalog order — is preserved bit-for-bit. Replica
+// readOrder lists the physical copies of tag to try, closest first: a
+// loaded volume beats one that must be swapped in, which beats a tripped
+// library, which beats a down one (§5.4 "closest copy", generalized across
+// failure domains); within a rank, the library with the fewest transfers
+// queued or in flight. The sort is stable, so with a single library the
+// historical order — primary first, replicas in catalog order — is
+// preserved bit-for-bit. It runs once per fetch, at dispatch. Replica
 // redirects are recorded in the decision audit.
 func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 	cands := []int{tag}
@@ -725,13 +760,14 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		return cands
 	}
 	ranks := make([]int, len(cands))
-	idle := make([]int, len(cands))
+	load := make([]int, len(cands)) // transfers outstanding at the copy's library
 	for i, c := range cands {
 		ranks[i] = routeUnmapped
 		d, vol, _, err := s.locate(c)
 		if err != nil {
 			continue
 		}
+		load[i] = s.out[d]
 		switch {
 		case s.libDown(d):
 			ranks[i] = routeDownLib
@@ -740,12 +776,7 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		case s.volumeLoaded(d, vol):
 			ranks[i] = routeLoaded
 		default:
-			idle[i] = s.idleDrives(d)
-			if idle[i] > 0 {
-				ranks[i] = routeIdleLib
-			} else {
-				ranks[i] = routeBusyLib
-			}
+			ranks[i] = routeSwap
 		}
 	}
 	order := make([]int, len(cands))
@@ -756,12 +787,9 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		if ranks[order[a]] != ranks[order[b]] {
 			return ranks[order[a]] < ranks[order[b]]
 		}
-		// Among idle libraries prefer the one with more free drives —
-		// crude load balancing across changers.
-		if ranks[order[a]] == routeIdleLib {
-			return idle[order[a]] > idle[order[b]]
-		}
-		return false
+		// Within a rank the library with less queued or in flight; the
+		// stable sort leaves a tie with the primary.
+		return load[order[a]] < load[order[b]]
 	})
 	out := make([]int, len(cands))
 	for i, oi := range order {
@@ -795,32 +823,25 @@ func (s *Service) libDown(d int) bool {
 	return false
 }
 
-// idleDrives reports how many of the device's drives could start a
-// request without queueing (0 for devices that cannot say).
-func (s *Service) idleDrives(d int) int {
-	if c, ok := s.fps[d].(interface{ IdleHealthyDrives() int }); ok {
-		return c.IdleHealthyDrives()
-	}
-	return 0
-}
-
 // volumeLoaded reports whether the device already holds vol in a drive.
 func (s *Service) volumeLoaded(d, vol int) bool {
 	vc, ok := s.fps[d].(VolumeLoadedChecker)
 	return ok && vc.VolumeLoaded(vol)
 }
 
-// ioLoop is the I/O process: it executes whole-segment transfers between
-// the disk cache and the Footprint devices, recovering from transient
-// faults with bounded retries and falling back across replicas on reads.
-func (s *Service) ioLoop(p *sim.Proc) {
+// ioLoop is one of library lib's I/O processes: it executes whole-segment
+// transfers between the disk cache and the Footprint devices, recovering
+// from transient faults with bounded retries and falling back across
+// replicas — other libraries' included — on reads.
+func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	buf := make([]byte, s.segBytes())
 	for {
-		v, ok := s.ioreqs.Recv(p)
+		v, ok := s.ioq[lib].Recv(p)
 		if !ok {
 			return
 		}
 		r := v.(request)
+		r.tr.StageEnd(r.qst, p.Now())
 		switch r.kind {
 		case reqFetch:
 			// Run the transfer under a carrier scope holding the waiter's
@@ -835,7 +856,7 @@ func (s *Service) ioLoop(p *sim.Proc) {
 				restore = p.PushCtx(cc)
 			}
 			var err error
-			for _, c := range s.readOrder(r.tag, r.tr) {
+			for _, c := range r.copies {
 				d, vol, volseg, lerr := s.locate(c)
 				if lerr != nil {
 					err = lerr
@@ -864,7 +885,7 @@ func (s *Service) ioLoop(p *sim.Proc) {
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
 			restore()
-			s.reqs.Send(p, request{kind: reqFetchDone, tag: r.tag, seg: r.seg, err: err, enqueued: p.Now()})
+			s.reqs.Send(p, request{kind: reqFetchDone, tag: r.tag, seg: r.seg, lib: lib, err: err, enqueued: p.Now()})
 		case reqCopyout:
 			d, vol, volseg, err := s.locate(r.tag)
 			if err == nil {
@@ -884,7 +905,7 @@ func (s *Service) ioLoop(p *sim.Proc) {
 					s.Breaker.OnResult(d, err)
 				}
 			}
-			s.reqs.Send(p, request{kind: reqCopyoutDone, tag: r.tag, seg: r.seg, pinTag: r.pinTag, err: err, enqueued: p.Now()})
+			s.reqs.Send(p, request{kind: reqCopyoutDone, tag: r.tag, seg: r.seg, pinTag: r.pinTag, lib: lib, err: err, enqueued: p.Now()})
 		}
 	}
 }

@@ -476,3 +476,61 @@ func TestFetchMediaFailurePropagates(t *testing.T) {
 	})
 	e.k.Stop()
 }
+
+// The service process resolves a copy-out's library before queueing it. A
+// tag that does not map (a corrupted catalog) still reaches an I/O process
+// and comes back as a failed write for the migrator, never an index panic.
+func TestUnmappableCopyoutBecomesFailedWrite(t *testing.T) {
+	e := newEnv(t, 4)
+	e.k.RunProc(func(p *sim.Proc) {
+		seg, _ := e.c.TakeFree()
+		e.c.Insert(6, seg, true, p.Now())
+		for _, bad := range []int{9999, -1} {
+			e.svc.ScheduleCopyoutAs(p, bad, seg, 6)
+			e.svc.DrainCopyouts(p)
+			if got := e.svc.FailedWrites(); len(got) != 1 || got[0] != bad {
+				t.Fatalf("FailedWrites = %v, want [%d]", got, bad)
+			}
+		}
+		if l, ok := e.c.Peek(6); !ok || !l.Staging || l.Pins != 0 {
+			t.Fatalf("staging line after the failed copy-outs: %+v", l)
+		}
+		if e.svc.Outstanding(0) != 0 {
+			t.Fatalf("%d transfers still outstanding", e.svc.Outstanding(0))
+		}
+		// The service loop is not wedged.
+		e.svc.ScheduleCopyout(p, 6, seg)
+		e.svc.DrainCopyouts(p)
+		if e.done != 1 {
+			t.Fatalf("CopyoutDone fired %d times after the bad tags, want 1", e.done)
+		}
+	})
+	if s := e.svc.Stats(); s.CopyoutFaults != 2 || s.EOMRetries != 0 {
+		t.Fatalf("stats %+v, want 2 copy-out faults", s)
+	}
+	e.k.Stop()
+}
+
+// A fetch whose every copy sits in a down library is still routed, tried and
+// resolved: the reader gets ErrSegmentUnavailable and the line goes back.
+func TestFetchWithEveryLibraryDown(t *testing.T) {
+	e := newLibEnv(2, 1, 4)
+	e.k.RunProc(func(p *sim.Proc) {
+		e.seed(t, p, 3)
+		e.libs[0].SetDown(true)
+		e.libs[1].SetDown(true)
+		_, err := e.svc.DemandFetch(p, 3)
+		if !errors.Is(err, ErrSegmentUnavailable) || !errors.Is(err, jukebox.ErrLibraryOffline) {
+			t.Fatalf("fetch with both libraries down = %v, want ErrSegmentUnavailable wrapping ErrLibraryOffline", err)
+		}
+		if e.c.FreeLines() != 4 || e.svc.Outstanding(0)+e.svc.Outstanding(1) != 0 {
+			t.Fatalf("leaked: %d free lines of 4, %d/%d outstanding", e.c.FreeLines(), e.svc.Outstanding(0), e.svc.Outstanding(1))
+		}
+		e.libs[1].SetDown(false)
+		e.fetchAll(t, p, []int{3}, nil)
+	})
+	if len(e.libs[0].reads) != 0 || len(e.libs[1].reads) != 1 {
+		t.Fatalf("after library 1 came back it should have served the read:\n%v", e.log)
+	}
+	e.k.Stop()
+}
