@@ -41,22 +41,25 @@ crash:
 # hit-under-miss tests (readers that give the file system lock up for a
 # demand fetch, beside writers, thrashing and expiring), and the per-library
 # I/O queues (concurrent fetches over two libraries, an outage with fetches
-# queued). -count=1 forces fresh runs. The kernel's own tests run three times
+# queued), and the pointer-block reserve's re-read test (one tertiary wait,
+# not two). -count=1 forces fresh runs. The kernel's own tests run three times
 # over: every proc is a coroutine the dispatcher switches to, so its state
 # crosses goroutines on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce'
 	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 
-# Ten seconds of coverage-guided fuzzing per on-media image parser (the
-# seed corpora under testdata/fuzz run in plain `go test` already).
+# Ten seconds of coverage-guided fuzzing per parser of what is on the media:
+# the two device images and the log's summary block (the seed corpora under
+# testdata/fuzz run in plain `go test` already).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiskLoadStore -fuzztime 10s ./internal/dev/
 	$(GO) test -run '^$$' -fuzz FuzzJukeboxLoadStore -fuzztime 10s ./internal/jukebox/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSummary -fuzztime 10s ./internal/lfs/
 
 # Tier-1 verification: everything CI's verify job runs, in order.
 verify: build vet lint test race crash
@@ -70,12 +73,14 @@ bench:
 # Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
 # contended resource, 4-way spawn and join), of the block data path
 # (lfs -> stripe -> dev, and the parity XOR alone) and of the tertiary side
-# (a jukebox segment in and out, a segment-cache lookup): host ns/op, B/op
+# (a jukebox segment in and out, a segment-cache lookup), and of a buffer-cache
+# insert that evicts through a full pointer-block reserve: host ns/op, B/op
 # and allocs/op per layer, so a wall-clock or allocation regression names
 # its layer. Informational, not a gate.
 bench-layers:
 	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
+	$(GO) test -run '^$$' -bench 'BufferEvict' -benchmem -benchtime 200000x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'Disk(Write|Read)1MB' -benchmem -benchtime 20x ./internal/dev/

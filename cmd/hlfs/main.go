@@ -351,6 +351,8 @@ func info(p *sim.Proc, hl *core.HighLight) {
 	fs := hl.FS.Stats()
 	fmt.Printf("fs: %d partial segments written, %d checkpoints, %d segments cleaned\n",
 		fs.PartialSegs, fs.Checkpoints, fs.SegsCleaned)
+	fmt.Printf("buffer cache: %d hits, %d misses, %d reserve hits, %d pointer waits\n",
+		fs.CacheHits, fs.CacheMisses, fs.ReserveHits, fs.PointerWaits)
 }
 
 // mb renders a byte limit for the quota confirmation line.

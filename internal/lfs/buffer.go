@@ -2,7 +2,6 @@ package lfs
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"repro/internal/addr"
@@ -29,55 +28,99 @@ type buf struct {
 	// to; NilBlock for newly created blocks.
 	addr addr.BlockNo
 
-	prev, next *buf // LRU list; head = most recently used
+	on         *lruList // the list holding the buffer
+	prev, next *buf
 }
 
-// lruRemove unlinks b from the LRU list.
-func (fs *FS) lruRemove(b *buf) {
+// The cache keeps two LRU lists inside the one BufferBytes budget
+// (DESIGN.md, "Buffer cache"): fs.lru, which every insert and every demand
+// lookup feeds, and fs.reserve, the pointer-block reserve, where eviction
+// parks indirect blocks that map migrated data instead of dropping them.
+// Invariants:
+//   - a buffer in fs.bufs is on exactly one list (b.on), and fs.bufBytes
+//     counts both lists;
+//   - the reserve holds only clean buffers with lbn < 0 and a tertiary
+//     address, at most 1/reserveShare of the budget;
+//   - markDirty is the one place a buffer becomes dirty, and it takes a
+//     reserve buffer back to fs.lru first: code that reaches buffers through
+//     fs.bufs (cleaner, Migratev, setParentPtr) needs no other care;
+//   - only lookupBuf, a demand lookup, counts a reserve hit; read-ahead
+//     (blockPtrCached) does not see the reserve.
+
+// reserveShare is the reserve's bound as a fraction of BufferBytes.
+const reserveShare = 8
+
+// lruList is one LRU list of buffers; head = most recently used.
+type lruList struct {
+	head, tail *buf
+	n          int
+}
+
+func (l *lruList) remove(b *buf) {
 	if b.prev != nil {
 		b.prev.next = b.next
-	} else if fs.lruHead == b {
-		fs.lruHead = b.next
+	} else {
+		l.head = b.next
 	}
 	if b.next != nil {
 		b.next.prev = b.prev
-	} else if fs.lruTail == b {
-		fs.lruTail = b.prev
+	} else {
+		l.tail = b.prev
 	}
-	b.prev, b.next = nil, nil
+	b.prev, b.next, b.on = nil, nil, nil
+	l.n--
 }
 
-// lruFront moves b to the most-recently-used position.
+func (l *lruList) pushFront(b *buf) {
+	b.next, b.on = l.head, l
+	if l.head != nil {
+		l.head.prev = b
+	} else {
+		l.tail = b
+	}
+	l.head = b
+	l.n++
+}
+
+// lruFront moves b, new or on either list, to the most-recently-used
+// position of the main list.
 func (fs *FS) lruFront(b *buf) {
-	if fs.lruHead == b {
+	if fs.lru.head == b {
 		return
 	}
-	fs.lruRemove(b)
-	b.next = fs.lruHead
-	if fs.lruHead != nil {
-		fs.lruHead.prev = b
+	if b.on != nil {
+		b.on.remove(b)
 	}
-	fs.lruHead = b
-	if fs.lruTail == nil {
-		fs.lruTail = b
-	}
+	fs.lru.pushFront(b)
 }
 
 // evictLocked discards clean buffers from the LRU tail until the cache
 // fits its memory budget. Dirty buffers are pinned, and so is the MRU
 // head: it is the buffer a caller just inserted and may still be about to
 // mutate — evicting it would orphan the caller's pointer and lose the
-// update.
+// update. A victim that is a pointer block of migrated data moves to the
+// reserve, whose own overflow or a main list without a clean victim drops
+// the reserve's oldest: no victim costs a walk over the reserve.
 func (fs *FS) evictLocked() {
 	for fs.bufBytes > fs.opts.BufferBytes {
-		v := fs.lruTail
-		for v != nil && (v.dirty || v == fs.lruHead) {
+		v := fs.lru.tail
+		for v != nil && (v.dirty || v == fs.lru.head) {
 			v = v.prev
 		}
-		if v == nil {
+		switch {
+		case v == nil && fs.reserve.tail == nil:
 			return // everything dirty; flush will drain
+		case v == nil:
+			fs.dropBuf(fs.reserve.tail)
+		case v.key.lbn < 0 && fs.amap.IsTertiarySeg(fs.amap.SegOf(v.addr)):
+			fs.lru.remove(v)
+			fs.reserve.pushFront(v)
+			if fs.reserve.n*BlockSize > fs.opts.BufferBytes/reserveShare {
+				fs.dropBuf(fs.reserve.tail)
+			}
+		default:
+			fs.dropBuf(v)
 		}
-		fs.dropBuf(v)
 	}
 }
 
@@ -86,7 +129,7 @@ func (fs *FS) evictLocked() {
 // pointer across an insertBuf (which may evict) faults instead of reading
 // another block's bytes.
 func (fs *FS) dropBuf(b *buf) {
-	fs.lruRemove(b)
+	b.on.remove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
 	fs.freeBlock(b.data)
@@ -130,14 +173,19 @@ func (fs *FS) freeBlock(b []byte) {
 	fs.freeBlocks = append(fs.freeBlocks, b)
 }
 
-// lookupBuf finds a cached block without touching the device.
+// lookupBuf finds a cached block without touching the device; a block found
+// in the reserve is back on the main list afterwards.
 func (fs *FS) lookupBuf(inum uint32, lbn int32) *buf {
 	b, ok := fs.bufs[bufKey{inum, lbn}]
+	reserved := ok && b.on == &fs.reserve
 	if ok {
 		fs.lruFront(b)
 	}
 	if fs.op.fault.n > 0 {
 		return b // an earlier attempt of the operation counted this lookup (readOp)
+	}
+	if reserved {
+		fs.stats.ReserveHits++
 	}
 	if ok {
 		fs.stats.CacheHits++
@@ -157,19 +205,22 @@ func (fs *FS) insertBuf(inum uint32, lbn int32, data []byte, at addr.BlockNo, di
 			fs.dirtyBytes -= BlockSize
 		}
 	}
-	b := &buf{key: key, data: data, addr: at, dirty: dirty}
+	b := &buf{key: key, data: data, addr: at}
 	fs.bufs[key] = b
 	fs.bufBytes += BlockSize
-	if dirty {
-		fs.dirtyBytes += BlockSize
-	}
 	fs.lruFront(b)
+	if dirty {
+		fs.markDirty(b)
+	}
 	fs.evictLocked()
 	return b
 }
 
 // markDirty flags a buffer for the next segment write.
 func (fs *FS) markDirty(b *buf) {
+	if b.on == &fs.reserve {
+		fs.lruFront(b)
+	}
 	if !b.dirty {
 		b.dirty = true
 		fs.dirtyBytes += BlockSize
@@ -207,6 +258,9 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 	}
 	if at == addr.NilBlock {
 		return fs.insertBuf(inum, lbn, fs.newZeroBlock(), at, false), nil
+	}
+	if lbn < 0 && fs.fetcher != nil && fs.fetcher.WouldWait(at, 1) {
+		fs.stats.PointerWaits++ // the read below waits, or unwinds so that readOnly does
 	}
 	data := fs.newBlock()
 	if err := fs.readBlocksAt(p, at, data); err != nil {
@@ -253,8 +307,3 @@ func cmpKey(a, b bufKey) int {
 
 // DirtyBytes reports bytes of dirty data awaiting a segment write.
 func (fs *FS) DirtyBytes() int { return fs.dirtyBytes }
-
-// String renders cache occupancy for debugging.
-func (fs *FS) cacheString() string {
-	return fmt.Sprintf("bufcache: %d/%d bytes, %d dirty", fs.bufBytes, fs.opts.BufferBytes, fs.dirtyBytes)
-}

@@ -151,6 +151,8 @@ type Stats struct {
 	SegsCleaned             int64
 	BlocksRelocated         int64
 	CacheHits, CacheMisses  int64 // buffer cache
+	ReserveHits             int64 // CacheHits a demand lookup found in the pointer-block reserve
+	PointerWaits            int64 // indirect-block reads that waited for tertiary storage
 }
 
 // FS is a mounted log-structured file system.
@@ -178,9 +180,9 @@ type FS struct {
 
 	bufs       map[bufKey]*buf
 	lastLbn    map[uint32]int32 // per-file last-read lbn (sequential detection)
-	lruHead    *buf             // most recent
-	lruTail    *buf
-	bufBytes   int
+	lru        lruList          // every buffer but the reserve's
+	reserve    lruList          // clean pointer blocks of migrated data (buffer.go)
+	bufBytes   int              // both lists
 	dirtyBytes int
 	inodes     map[uint32]*Inode
 	dirtyIno   map[uint32]bool
@@ -1040,8 +1042,10 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 	if err := fs.flushDevice(p); err != nil {
 		return err
 	}
-	for fs.lruHead != nil {
-		fs.dropBuf(fs.lruHead) // everything is clean after the flush
+	for _, l := range []*lruList{&fs.lru, &fs.reserve} {
+		for l.head != nil {
+			fs.dropBuf(l.head) // everything is clean after the flush
+		}
 	}
 	fs.inodes = make(map[uint32]*Inode)
 	fs.lastLbn = make(map[uint32]int32)

@@ -240,7 +240,9 @@ func (fs *FS) blockPtr(p *sim.Proc, ino *Inode, lbn int32) (addr.BlockNo, error)
 // blockPtrCached resolves a data block pointer using only cached metadata
 // (no device I/O). ok is false when an uncached indirect block would be
 // needed — the read-clustering path stops extending there rather than
-// stall the cluster on a metadata fetch.
+// stall the cluster on a metadata fetch. A block in the reserve counts as
+// uncached, so that a cluster's length never depends on what the reserve
+// happens to hold.
 func (fs *FS) blockPtrCached(ino *Inode, lbn int32) (addr.BlockNo, bool) {
 	if lbn < 0 || int64(lbn) >= MaxFileBlocks {
 		return addr.NilBlock, false
@@ -249,7 +251,7 @@ func (fs *FS) blockPtrCached(ino *Inode, lbn int32) (addr.BlockNo, bool) {
 		return ino.Direct[lbn], true
 	}
 	parent, ok := fs.bufs[bufKey{ino.Inum, parentLbn(lbn)}]
-	if !ok {
+	if !ok || parent.on == &fs.reserve {
 		return addr.NilBlock, false
 	}
 	return getPtr(parent, slotInParent(lbn)), true

@@ -20,6 +20,7 @@ package lfs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -34,6 +35,10 @@ const BlockSize = dev.BlockSize
 const (
 	superMagic   = 0x4c465321 // "LFS!"
 	summaryMagic = 0x50534547 // "PSEG"
+
+	// summaryHeader is the fixed part of a summary block; the inode block
+	// addresses and the finfos follow it.
+	summaryHeader = 40
 
 	// NDirect is the number of direct block pointers per inode.
 	NDirect = 12
@@ -255,7 +260,7 @@ func EncodeSummary(s *Summary, b []byte) error {
 	binary.LittleEndian.PutUint16(b[28:], s.Flags)
 	binary.LittleEndian.PutUint16(b[30:], s.NBlocks)
 	binary.LittleEndian.PutUint64(b[32:], s.Serial)
-	off := 40
+	off := summaryHeader
 	need := func(n int) error {
 		if off+n > len(b) {
 			return fmt.Errorf("lfs: summary overflow (%d finfos, %d inode blocks)", len(s.Finfos), len(s.InoAddrs))
@@ -289,8 +294,17 @@ func EncodeSummary(s *Summary, b []byte) error {
 	return nil
 }
 
-// DecodeSummary parses a summary block, verifying magic and checksum.
+// ErrBadSummary reports a block that cannot be a summary whatever its
+// checksum says: shorter than the header, or with counts that run past its
+// end. Media content is input: callers end their walk of the log there.
+var ErrBadSummary = errors.New("lfs: bad summary block")
+
+// DecodeSummary parses a summary block, verifying magic and checksum and
+// every count against the length of b.
 func DecodeSummary(b []byte) (*Summary, error) {
+	if len(b) < summaryHeader {
+		return nil, fmt.Errorf("%w: %d bytes, the header takes %d", ErrBadSummary, len(b), summaryHeader)
+	}
 	if binary.LittleEndian.Uint32(b[0:]) != summaryMagic {
 		return nil, fmt.Errorf("lfs: bad summary magic %#x", binary.LittleEndian.Uint32(b[0:]))
 	}
@@ -310,18 +324,35 @@ func DecodeSummary(b []byte) (*Summary, error) {
 	s.Flags = binary.LittleEndian.Uint16(b[28:])
 	s.NBlocks = binary.LittleEndian.Uint16(b[30:])
 	s.Serial = binary.LittleEndian.Uint64(b[32:])
-	off := 40
+	off := summaryHeader
+	// need checks that a list of n words follows off inside b.
+	need := func(n uint32) error {
+		if uint64(n)*4 > uint64(len(b)-off) {
+			return fmt.Errorf("%w: %d words at offset %d of %d (%d finfos, %d inode blocks)",
+				ErrBadSummary, n, off, len(b), nfinfo, ninos)
+		}
+		return nil
+	}
+	if err := need(uint32(ninos)); err != nil {
+		return nil, err
+	}
 	for i := 0; i < ninos; i++ {
 		s.InoAddrs = append(s.InoAddrs, addr.BlockNo(binary.LittleEndian.Uint32(b[off:])))
 		off += 4
 	}
 	for i := 0; i < nfinfo; i++ {
+		if err := need(3); err != nil {
+			return nil, err
+		}
 		var f Finfo
 		f.Inum = binary.LittleEndian.Uint32(b[off:])
 		f.Version = binary.LittleEndian.Uint32(b[off+4:])
-		n := int(binary.LittleEndian.Uint32(b[off+8:]))
+		n := binary.LittleEndian.Uint32(b[off+8:])
 		off += 12
-		for j := 0; j < n; j++ {
+		if err := need(n); err != nil {
+			return nil, err
+		}
+		for j := uint32(0); j < n; j++ {
 			f.Lbns = append(f.Lbns, int32(binary.LittleEndian.Uint32(b[off:])))
 			off += 4
 		}

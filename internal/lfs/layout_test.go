@@ -2,6 +2,8 @@ package lfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -83,6 +85,81 @@ func TestSummaryOverflowDetected(t *testing.T) {
 	if err := EncodeSummary(s, buf); err == nil {
 		t.Fatal("overflowing summary encoded without error")
 	}
+}
+
+// resum stores the checksum DecodeSummary expects of b, as the writer of a
+// block with these contents would have.
+func resum(b []byte) {
+	if len(b) >= 8 {
+		binary.LittleEndian.PutUint32(b[4:], 0)
+		binary.LittleEndian.PutUint32(b[4:], crc32Sum(b))
+	}
+}
+
+// TestSummaryRejectsBadCounts: a block shorter than the header, and a
+// block whose checksum is right but whose counts run past its end, decode
+// to ErrBadSummary: a decoder that trusts the counts indexes past the block
+// and panics its callers (roll-forward, the cleaners, fsck).
+func TestSummaryRejectsBadCounts(t *testing.T) {
+	s := &Summary{Next: 7, Create: 123, Serial: 9, NBlocks: 4, InoAddrs: []addr.BlockNo{99},
+		Finfos: []Finfo{{Inum: 5, Version: 1, Lbns: []int32{0, 1}}}}
+	valid := make([]byte, BlockSize)
+	if err := EncodeSummary(s, valid); err != nil {
+		t.Fatal(err)
+	}
+	lenAt := summaryHeader + 4*len(s.InoAddrs) + 8
+	cases := map[string]func(b []byte) []byte{
+		"empty":            func(b []byte) []byte { return b[:0] },
+		"short of header":  func(b []byte) []byte { return b[:summaryHeader-1] },
+		"cut in the lists": func(b []byte) []byte { return b[:lenAt+6] },
+		"ninos 65535":      func(b []byte) []byte { binary.LittleEndian.PutUint16(b[26:], 0xFFFF); return b },
+		"nfinfo 65535":     func(b []byte) []byte { binary.LittleEndian.PutUint16(b[24:], 0xFFFF); return b },
+		"finfo of 2^32-1":  func(b []byte) []byte { binary.LittleEndian.PutUint32(b[lenAt:], 0xFFFFFFFF); return b },
+		"finfo past the end": func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[lenAt:], uint32(BlockSize-lenAt)/4)
+			return b
+		},
+	}
+	for name, mutate := range cases {
+		b := mutate(bytes.Clone(valid))
+		resum(b)
+		if _, err := DecodeSummary(b); !errors.Is(err, ErrBadSummary) {
+			t.Errorf("%s: error %v, want ErrBadSummary", name, err)
+		}
+	}
+}
+
+// FuzzDecodeSummary: whatever the block, DecodeSummary does not panic, and a
+// block it accepts encodes again (into as many bytes) to a block that
+// decodes to the same summary. The block is tried as given and with its
+// checksum recomputed, without which no mutation would get past the
+// checksum to the count fields.
+func FuzzDecodeSummary(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if _, err := DecodeSummary(b); err != nil && len(b) < summaryHeader && !errors.Is(err, ErrBadSummary) {
+			t.Fatalf("%d-byte block: error %v is not ErrBadSummary", len(b), err)
+		}
+		resum(b)
+		s, err := DecodeSummary(b)
+		if err != nil {
+			if !errors.Is(err, ErrBadSummary) && binary.LittleEndian.Uint32(b) == summaryMagic {
+				t.Fatalf("checksummed block with the magic: error %v is not ErrBadSummary", err)
+			}
+			return
+		}
+		again := make([]byte, len(b))
+		if err := EncodeSummary(s, again); err != nil {
+			t.Fatalf("encoding an accepted summary: %v", err)
+		}
+		s2, err := DecodeSummary(again)
+		if err != nil {
+			t.Fatalf("decoding it again: %v", err)
+		}
+		s.SumSum = s2.SumSum // bytes after the lists are not part of a Summary
+		if !reflect.DeepEqual(s, s2) {
+			t.Fatalf("round trip changed the summary:\n%+v\n%+v", s, s2)
+		}
+	})
 }
 
 // TestInodeLayout round-trips randomized inodes through the 128-byte

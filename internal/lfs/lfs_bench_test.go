@@ -189,3 +189,37 @@ func BenchmarkLFSCleanSegment(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBufferEvict: an insert into a full buffer cache whose LRU victim
+// is a pointer block of migrated data and whose reserve is full, so each
+// insert moves one buffer to the reserve and drops the reserve's oldest: the
+// longest path through evictLocked. The block is recycled; the one allocation
+// per insert is the buf header, which is not (dropBuf leaves a stale *buf
+// faulting, not aliasing another block).
+func BenchmarkBufferEvict(b *testing.B) {
+	k := sim.NewKernel()
+	amap := addr.New(64, 64, addr.Geom{Vols: 1, SegsPerVol: 8})
+	disk := dev.NewDisk(k, dev.RZ57, 64*64, nil)
+	k.RunProc(func(p *sim.Proc) {
+		fs, err := Format(p, DiskDevice{disk}, amap, Options{MaxInodes: 64, BufferBytes: 64 * BlockSize})
+		if err != nil {
+			b.Fatal(err)
+		}
+		at := amap.BlockOf(amap.SegForIndex(0), 1)
+		insert := func(i int) { fs.insertBuf(uint32(i%1024), LbnSingle, fs.newBlock(), at, false) }
+		for i := 0; i < 1024; i++ {
+			insert(i) // fills both lists and stocks the free list
+		}
+		poisonFreed = false // poison_test.go: a 4 KB fill per freed block would be all this measures
+		defer func() { poisonFreed = true }()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			insert(i)
+		}
+		b.StopTimer()
+		if fs.bufBytes != fs.opts.BufferBytes || fs.reserve.n*BlockSize != fs.opts.BufferBytes/reserveShare {
+			b.Fatalf("not the steady state: %d bytes cached, %d blocks in the reserve", fs.bufBytes, fs.reserve.n)
+		}
+	})
+}

@@ -14,11 +14,14 @@ import (
 // tertDev is a disk with the Fetcher capability: the segments in away read
 // as if they were on tertiary storage, costing fetchTime before they can be
 // read. It stands in for HighLight's block map so the restart rule of
-// readOnly can be tested without a jukebox.
+// readOnly can be tested without a jukebox. Where the address map has a
+// tertiary region, a tertiary segment reads from the disk segment in line
+// that Migratev mirrored it into (the cache line it never leaves here).
 type tertDev struct {
 	DiskDevice
 	amap      *addr.Map
 	away      map[addr.SegNo]bool
+	line      map[addr.SegNo]addr.SegNo
 	fetchTime sim.Time
 	// thrash: a fetched segment is evicted again before the reader that
 	// asked for it is back; only a reader that waits inside ReadBlocks
@@ -74,16 +77,28 @@ func (d *tertDev) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 			delete(d.away, s)
 		}
 	}
-	return d.DiskDevice.ReadBlocks(p, b, buf)
+	for len(buf) > 0 { // segment by segment, as HighLight's block map reads
+		seg, off := d.amap.SegOf(b), d.amap.OffOf(b)
+		n := min(len(buf)/BlockSize, d.amap.SegBlocks()-off)
+		if ln, ok := d.line[seg]; ok {
+			seg = ln
+		}
+		if err := d.DiskDevice.ReadBlocks(p, d.amap.BlockOf(seg, off), buf[:n*BlockSize]); err != nil {
+			return err
+		}
+		b, buf = b+addr.BlockNo(n), buf[n*BlockSize:]
+	}
+	return nil
 }
 
 // newTertEnv is newEnv over a tertDev with nothing away yet.
-func newTertEnv(t *testing.T, segBlocks, diskSegs int, opts Options) (*testEnv, *tertDev) {
+func newTertEnv(t *testing.T, segBlocks, diskSegs int, opts Options, devs ...addr.Geom) (*testEnv, *tertDev) {
 	t.Helper()
 	k := sim.NewKernel()
-	amap := addr.New(segBlocks, diskSegs)
+	amap := addr.New(segBlocks, diskSegs, devs...)
 	disk := dev.NewDisk(k, dev.RZ57, int64(diskSegs*segBlocks), nil)
-	td := &tertDev{DiskDevice: DiskDevice{disk}, amap: amap, away: map[addr.SegNo]bool{}, fetchTime: sim.Time(time.Second)}
+	td := &tertDev{DiskDevice: DiskDevice{disk}, amap: amap, away: map[addr.SegNo]bool{},
+		line: map[addr.SegNo]addr.SegNo{}, fetchTime: sim.Time(time.Second)}
 	env := &testEnv{k: k, disk: disk, amap: amap}
 	k.RunProc(func(p *sim.Proc) {
 		fs, err := Format(p, td, amap, opts)
