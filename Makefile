@@ -42,14 +42,16 @@ crash:
 # demand fetch, beside writers, thrashing and expiring), and the per-library
 # I/O queues (concurrent fetches over two libraries, an outage with fetches
 # queued), and the pointer-block reserve's re-read test (one tertiary wait,
-# not two). -count=1 forces fresh runs. The kernel's own tests run three times
-# over: every proc is a coroutine the dispatcher switches to, so its state
-# crosses goroutines on every event.
+# not two), and slot lending (the slot bounds at every transition, a double
+# run), routing by drive, the line write beside the next media read, and two
+# MigrateFiles callers at once. -count=1 forces fresh runs. The kernel's own
+# tests run three times over: every proc is a coroutine the dispatcher
+# switches to, so its state crosses goroutines on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
-	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce'
-	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage'
+	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 

@@ -105,7 +105,9 @@ type HighLight struct {
 
 	jukes []jukebox.Footprint
 
-	// Migration state: the staging segment currently being filled.
+	// Migration state: the staging segment currently being filled. staging
+	// is held across every open / append / close of it (stage.go).
+	staging  *sim.Resource
 	stageTag int        // tertiary segment index, -1 if none
 	stageSeg addr.SegNo // cache-line disk segment holding the image
 	stageOff int        // next free block in the staging segment
@@ -250,6 +252,7 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 		Audit:      attr.NewAudit(0),
 		jukes:      cfg.Jukeboxes,
 		libs:       jukebox.AsLibraries(cfg.Jukeboxes),
+		staging:    p.Kernel().NewResource("core.staging"),
 		stageTag:   -1,
 		replicaOf:  make(map[int][]int),
 		replicaTag: make(map[int]int),

@@ -81,10 +81,17 @@ func (hl *HighLight) ensureStaging(p *sim.Proc) error {
 	return nil
 }
 
-// finishStaging closes the current staging segment and schedules (or
-// defers) its copy — and its replicas, if configured — to tertiary
-// storage.
+// finishStaging closes the current staging segment, if one is open.
 func (hl *HighLight) finishStaging(p *sim.Proc) error {
+	hl.staging.Acquire(p)
+	defer hl.staging.Release(p)
+	return hl.closeStaging(p)
+}
+
+// closeStaging closes the current staging segment and schedules (or
+// defers) its copy — and its replicas, if configured — to tertiary
+// storage. The caller holds hl.staging.
+func (hl *HighLight) closeStaging(p *sim.Proc) error {
 	if hl.stageTag < 0 {
 		return nil
 	}
@@ -351,6 +358,29 @@ func (hl *HighLight) FlushCopyouts(p *sim.Proc) {
 // StagingOpen reports whether a staging segment is being filled.
 func (hl *HighLight) StagingOpen() bool { return hl.stageTag >= 0 }
 
+// stage appends refs, or the inodes inums, to the staging segment, opening
+// one if none is open and closing it if that filled it. hl.staging makes the
+// three steps one: MigrateFiles has several callers (the migrator daemon, HSM
+// stage-out on a front-end worker, the tertiary cleaner), every step can
+// block, and a second caller let in between them would stage at the offset
+// the first is writing.
+func (hl *HighLight) stage(p *sim.Proc, refs []lfs.BlockRef, inums []uint32) (*lfs.MigrateResult, error) {
+	hl.staging.Acquire(p)
+	defer hl.staging.Release(p)
+	if err := hl.ensureStaging(p); err != nil {
+		return nil, err
+	}
+	res, err := hl.FS.Migratev(p, refs, inums, hl.Amap.SegForIndex(hl.stageTag), hl.stageSeg, hl.stageOff)
+	if err != nil {
+		return nil, err
+	}
+	hl.stageOff = res.NextOff
+	if res.Full {
+		err = hl.closeStaging(p)
+	}
+	return res, err
+}
+
 // MigrateRefs stages the given block refs (already located via
 // FileBlockRefs/Bmapv) to tertiary storage, opening and closing staging
 // segments as needed. It returns the bytes staged.
@@ -364,21 +394,15 @@ func (hl *HighLight) MigrateRefs(p *sim.Proc, refs []lfs.BlockRef) (int64, error
 		if err := p.CtxErr(); err != nil {
 			return staged, err
 		}
-		if err := hl.ensureStaging(p); err != nil {
-			return staged, err
+		res, err := hl.stage(p, refs, nil)
+		if res != nil {
+			staged += int64(res.Blocks) * lfs.BlockSize
+			refs = refs[res.Consumed:]
 		}
-		res, err := hl.FS.Migratev(p, refs, nil, hl.Amap.SegForIndex(hl.stageTag), hl.stageSeg, hl.stageOff)
 		if err != nil {
 			return staged, err
 		}
-		staged += int64(res.Blocks) * lfs.BlockSize
-		hl.stageOff = res.NextOff
-		refs = refs[res.Consumed:]
-		if res.Full {
-			if err := hl.finishStaging(p); err != nil {
-				return staged, err
-			}
-		} else if res.Consumed == 0 {
+		if !res.Full && res.Consumed == 0 {
 			return staged, fmt.Errorf("core: staging made no progress at segment %d", hl.stageTag)
 		}
 	}
@@ -388,26 +412,11 @@ func (hl *HighLight) MigrateRefs(p *sim.Proc, refs []lfs.BlockRef) (int64, error
 // stageInodes stages a batch of inodes into the staging segment.
 func (hl *HighLight) stageInodes(p *sim.Proc, inums []uint32) error {
 	for len(inums) > 0 {
-		if err := hl.ensureStaging(p); err != nil {
-			return err
-		}
-		res, err := hl.FS.Migratev(p, nil, inums, hl.Amap.SegForIndex(hl.stageTag), hl.stageSeg, hl.stageOff)
+		res, err := hl.stage(p, nil, inums)
 		if err != nil {
 			return err
 		}
-		hl.stageOff = res.NextOff
-		if res.Full && res.InodesMoved == 0 {
-			if err := hl.finishStaging(p); err != nil {
-				return err
-			}
-			continue
-		}
 		inums = inums[res.InodesMoved:]
-		if res.Full {
-			if err := hl.finishStaging(p); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }

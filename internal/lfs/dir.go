@@ -37,17 +37,35 @@ func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 		if ino.Type != TypeDir {
 			return 0, ErrNotDir
 		}
-		ents, err := fs.readDirLocked(p, ino)
+		next, ok, err := fs.lookupLocked(p, ino, name)
 		if err != nil {
 			return 0, err
 		}
-		next, ok := findEnt(ents, name)
 		if !ok {
 			return 0, fmt.Errorf("%q: %w", path, ErrNotFound)
 		}
-		cur = next.Inum
+		cur = next
 	}
 	return cur, nil
+}
+
+// lookupLocked finds name in directory ino. It reads the directory exactly as
+// readDirLocked does (one whole-file read: the same virtual time, the same
+// buffer-cache traffic) but into a scratch the lock owns, and compares the
+// names where they lie: every Open walks its path through here.
+func (fs *FS) lookupLocked(p *sim.Proc, ino *Inode, name string) (uint32, bool, error) {
+	if ino.Size == 0 {
+		return 0, false, nil
+	}
+	if uint64(cap(fs.dirImage)) < ino.Size {
+		fs.dirImage = make([]byte, ino.Size)
+	}
+	data := fs.dirImage[:ino.Size]
+	if _, err := fs.readAtLocked(p, ino.Inum, data, 0); err != nil && err != io.EOF {
+		return 0, false, err
+	}
+	inum, ok := lookupDirent(data, name)
+	return inum, ok, nil
 }
 
 // resolveParentLocked resolves the directory containing the last path

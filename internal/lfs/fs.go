@@ -191,6 +191,7 @@ type FS struct {
 	// (see DESIGN.md, "Buffer ownership on the data path").
 	freeBlocks [][]byte // blocks dropBuf took back, handed out by newBlock
 	cluster    []byte   // fillBlocks' clustered-read scratch
+	dirImage   []byte   // lookupLocked's copy of the directory it searches
 	segImage   []byte   // partial-segment assembly (writePsegs, Migratev)
 	tableImage []byte   // serializeTables' checkpoint table image
 	flush      flushScratch

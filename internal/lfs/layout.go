@@ -498,32 +498,46 @@ func encodeDirents(ents []Dirent) []byte {
 	return out
 }
 
+// direntAt parses the record at off in directory block b and returns where
+// the next one starts; ok is false at the end of the block's records.
+func direntAt(b []byte, off int) (inum uint32, typ FileType, name []byte, next int, ok bool) {
+	if off+direntFixed > len(b) {
+		return
+	}
+	inum = binary.LittleEndian.Uint32(b[off:])
+	next = off + direntFixed + int(b[off+5])
+	if inum == 0 || next > len(b) {
+		return
+	}
+	return inum, FileType(b[off+4]), b[off+direntFixed : next], next, true
+}
+
+// dirBlock returns directory block blk of data.
+func dirBlock(data []byte, blk int) []byte {
+	return data[blk*BlockSize : min(len(data), (blk+1)*BlockSize)]
+}
+
 // decodeDirents parses the packed record format.
 func decodeDirents(data []byte) []Dirent {
 	var ents []Dirent
 	for blk := 0; blk*BlockSize < len(data); blk++ {
-		b := data[blk*BlockSize:]
-		if len(b) > BlockSize {
-			b = b[:BlockSize]
-		}
-		off := 0
-		for off+direntFixed <= len(b) {
-			inum := binary.LittleEndian.Uint32(b[off:])
-			if inum == 0 {
-				break
-			}
-			typ := FileType(b[off+4])
-			nl := int(b[off+5])
-			if off+direntFixed+nl > len(b) {
-				break
-			}
-			ents = append(ents, Dirent{
-				Inum: inum,
-				Type: typ,
-				Name: string(b[off+direntFixed : off+direntFixed+nl]),
-			})
-			off += direntFixed + nl
+		b := dirBlock(data, blk)
+		for inum, typ, name, off, ok := direntAt(b, 0); ok; inum, typ, name, off, ok = direntAt(b, off) {
+			ents = append(ents, Dirent{Inum: inum, Type: typ, Name: string(name)})
 		}
 	}
 	return ents
+}
+
+// lookupDirent finds name in the packed records without decoding them.
+func lookupDirent(data []byte, name string) (uint32, bool) {
+	for blk := 0; blk*BlockSize < len(data); blk++ {
+		b := dirBlock(data, blk)
+		for inum, _, n, off, ok := direntAt(b, 0); ok; inum, _, n, off, ok = direntAt(b, off) {
+			if string(n) == name {
+				return inum, true
+			}
+		}
+	}
+	return 0, false
 }

@@ -38,17 +38,22 @@ func (notResident) Error() string { return "lfs: blocks not disk-resident" }
 
 // acquire takes the file system lock for an operation of the file API, the
 // ones a front-end request runs. Time queued behind another operation is an
-// fs-lock stage of the request's trace; no wait, no stage.
+// fs-lock stage of the request's trace, noting which process held the lock
+// when it queued; no wait, no stage.
 func (fs *FS) acquire(p *sim.Proc) {
-	if !fs.lock.Busy() {
+	tr := reqtrace.From(p)
+	if tr == nil || !fs.lock.Busy() {
 		fs.lock.Acquire(p)
 		return
 	}
-	tr := reqtrace.From(p)
-	st := tr.StageStart(reqtrace.KindFSLock, p.Now(), "")
+	st := tr.StageStart(reqtrace.KindFSLock, p.Now(), "held by "+fs.lock.Owner())
 	fs.lock.Acquire(p)
 	tr.StageEnd(st, p.Now())
 }
+
+// LockedBy reports whether p is inside an operation that holds the file
+// system lock: what it waits for then, every other operation waits for too.
+func (fs *FS) LockedBy(p *sim.Proc) bool { return fs.lock.HeldBy(p) }
 
 // readOnly runs body, which must not modify the file system, under the lock
 // (DESIGN.md, "What the file-system lock covers"). A device read that would

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dev"
+	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -461,6 +462,51 @@ func TestRestartedReadWhenTheGroundMoved(t *testing.T) {
 		}
 		if hits != control {
 			t.Fatalf("reader counted %d buffer-cache hits, want the %d of an undisturbed read", hits, control)
+		}
+	})
+}
+
+// A traced request that queues for the file-system lock records who held it;
+// one that finds the lock free, or carries no trace, records nothing.
+func TestFSLockStageNamesTheHolder(t *testing.T) {
+	env := newEnv(t, 64, 32, Options{})
+	defer env.k.Stop()
+	env.run(t, func(p *sim.Proc) {
+		fs := env.fs
+		writeFile(t, p, fs, "/f", pattern(1, 8*BlockSize))
+		tracer := reqtrace.New(0, 0)
+		stat := func(sp *sim.Proc, id int64) *reqtrace.Trace {
+			tr := tracer.Start(id, "t", sp.Now(), 0)
+			ctx := env.k.NewCtx(0)
+			ctx.SetTrace(tr)
+			defer sp.PushCtx(ctx)()
+			if _, err := fs.Stat(sp, "/f"); err != nil {
+				t.Error(err)
+			}
+			tracer.Seal(tr, sp.Now(), nil)
+			return tr
+		}
+		if tr := stat(p, 1); len(tr.Stages) != 0 {
+			t.Errorf("uncontended acquire recorded %+v", tr.Stages)
+		}
+		done := env.k.NewCond("done")
+		var queued *reqtrace.Trace
+		env.k.Go("holder", func(hp *sim.Proc) {
+			fs.lock.Acquire(hp)
+			hp.Sleep(5 * sim.Time(time.Millisecond))
+			fs.lock.Release(hp)
+		})
+		env.k.Go("asker", func(ap *sim.Proc) {
+			ap.Sleep(sim.Time(time.Millisecond))
+			queued = stat(ap, 2)
+			done.Broadcast()
+		})
+		done.Wait(p)
+		if len(queued.Stages) != 1 || queued.Stages[0].Kind != reqtrace.KindFSLock || queued.Stages[0].Note != "held by holder" {
+			t.Errorf("queued acquire recorded %+v, want one fs-lock stage held by holder", queued.Stages)
+		}
+		if err := queued.Validate(); err != nil {
+			t.Error(err)
 		}
 	})
 }

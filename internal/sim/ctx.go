@@ -29,6 +29,7 @@ type Ctx struct {
 	err      error
 	wakers   []func()
 	trace    any // opaque per-request trace (internal/obs/reqtrace)
+	park     func(p *Proc, parked bool)
 }
 
 // NewCtx creates a cancellation scope. deadline is an absolute virtual
@@ -113,6 +114,33 @@ func (c *Ctx) Trace() any {
 		return nil
 	}
 	return c.trace
+}
+
+// SetParkHook registers the request owner's interest in long waits: a layer
+// that is about to sleep on slow storage on the request's behalf calls
+// Park(p) before the wait and Unpark(p) after it, on every path out, and the
+// hook runs inside both calls (parked true, then false). The owner may give
+// away what the request holds while parked and may block in the unpark call
+// to take it back — as with the trace, without sim or the waiting layer
+// importing the owner. Nil-safe.
+func (c *Ctx) SetParkHook(h func(p *Proc, parked bool)) {
+	if c != nil {
+		c.park = h
+	}
+}
+
+// Park tells the scope's owner that p starts a long wait. Nil-safe.
+func (c *Ctx) Park(p *Proc) {
+	if c != nil && c.park != nil {
+		c.park(p, true)
+	}
+}
+
+// Unpark tells the owner the wait is over; it may block. Nil-safe.
+func (c *Ctx) Unpark(p *Proc) {
+	if c != nil && c.park != nil {
+		c.park(p, false)
+	}
 }
 
 // Ctx returns the cancellation scope attached to the process (nil when

@@ -103,3 +103,30 @@ func TestPushCtxRestoresPreviousScope(t *testing.T) {
 		}
 	})
 }
+
+// The park hook runs inside Park and Unpark, on the parking process, and may
+// block in Unpark; a scope without one, and a nil scope, ignore both.
+func TestCtxParkHook(t *testing.T) {
+	k := NewKernel()
+	c := k.NewCtx(0)
+	var calls []bool
+	var resumed Time
+	c.SetParkHook(func(p *Proc, parked bool) {
+		calls = append(calls, parked)
+		if !parked {
+			p.Sleep(time.Second)
+		}
+	})
+	k.Go("req", func(p *Proc) {
+		defer p.PushCtx(c)()
+		p.Ctx().Park(p)
+		p.Ctx().Unpark(p)
+		resumed = p.Now()
+		k.NewCtx(0).Park(p)
+		(*Ctx)(nil).Unpark(p)
+	})
+	k.Run()
+	if len(calls) != 2 || !calls[0] || calls[1] || resumed != time.Second {
+		t.Fatalf("hook calls %v, resumed at %v", calls, resumed)
+	}
+}

@@ -66,6 +66,18 @@ func (r *Resource) With(p *Proc, fn func()) {
 // Busy reports whether some process currently holds the resource.
 func (r *Resource) Busy() bool { return r.owner != nil }
 
+// Owner names the process holding the resource ("" when idle): whom a
+// contended acquire is about to queue behind.
+func (r *Resource) Owner() string {
+	if r.owner == nil {
+		return ""
+	}
+	return r.owner.name
+}
+
+// HeldBy reports whether p holds the resource.
+func (r *Resource) HeldBy(p *Proc) bool { return r.owner == p }
+
 // QueueLen reports how many processes are waiting for the resource.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 

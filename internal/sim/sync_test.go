@@ -52,6 +52,29 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
+// Owner names the holder through a hand-off and is empty when idle; HeldBy
+// knows the holder from everybody else.
+func TestResourceOwner(t *testing.T) {
+	k := NewKernel()
+	r := k.NewResource("lock")
+	var seen []string
+	for _, name := range []string{"first", "second"} {
+		k.Go(name, func(p *Proc) {
+			seen = append(seen, r.Owner())
+			r.Acquire(p)
+			if !r.HeldBy(p) || r.HeldBy(nil) {
+				t.Errorf("%s acquired, yet HeldBy says %v (and %v for nobody)", name, r.HeldBy(p), r.HeldBy(nil))
+			}
+			p.Sleep(time.Millisecond)
+			r.Release(p)
+		})
+	}
+	k.Run()
+	if len(seen) != 2 || seen[0] != "" || seen[1] != "first" || r.Owner() != "" {
+		t.Fatalf("owners seen before acquiring %q, at rest %q", seen, r.Owner())
+	}
+}
+
 func TestResourceStats(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("bus")

@@ -63,6 +63,7 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 			BrownoutHi: 3, BrownoutLo: 1,
 			Breaker: svc.BreakerConfig{Threshold: 3, Cooldown: 2 * sim.Time(time.Second)},
 		})
+		maxLent := watchSlots(t, fe) // the slot bounds, at every transition of the storm
 
 		// A small tree of files, fully migrated and replicated before the
 		// storm, with their pre-storm hashes recorded.
@@ -216,6 +217,9 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		}
 
 		st := fe.Stats()
+		if *maxLent == 0 || st.Lent != 0 || st.Executing != 0 {
+			t.Fatalf("slots: most lent %d, at rest %d lent and %d executing", *maxLent, st.Lent, st.Executing)
+		}
 		fmt.Fprintf(h, "clients %+v\n", cs)
 		fmt.Fprintf(h, "svc %d %d %d %d %d %d\n",
 			st.Admitted, st.Shed, st.ExpiredInQueue, st.Completed, st.Failed, st.DeadlineMisses)

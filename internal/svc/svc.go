@@ -77,15 +77,20 @@ func (c Class) String() string {
 
 // Config bounds the front end.
 type Config struct {
-	// Workers is the number of request-executing processes (default 4).
+	// Workers is the number of execution slots: how many requests run at
+	// once (default 4). An interactive request asleep in a tertiary demand
+	// fetch lends its slot to the interactive queue, so up to Workers more
+	// may be in flight, parked (FrontEnd.park).
 	Workers int
-	// ReservedInteractive is how many workers serve only the interactive
+	// ReservedInteractive is how many slots serve only the interactive
 	// queue — the quota that keeps interactive requests moving during
 	// background floods (default 1, clamped below Workers).
 	ReservedInteractive int
 	// InteractiveQueue / BackgroundQueue / StagingQueue bound the
 	// per-class admission queues (defaults 64 / 16 / 32). A submit
-	// against a full queue is shed with ErrOverload.
+	// against a full queue is shed with ErrOverload. Interactive requests
+	// running in lent slots count as queued (FrontEnd.backlog), here and
+	// for the brownout watermarks.
 	InteractiveQueue int
 	BackgroundQueue  int
 	StagingQueue     int
@@ -169,7 +174,8 @@ type Request struct {
 	ctx *sim.Ctx
 
 	trace  *reqtrace.Trace
-	qstage int // queue-wait stage index in trace
+	qstage int  // queue-wait stage index in trace
+	lent   bool // parked in a demand fetch with its slot given up
 
 	submitT  sim.Time
 	startT   sim.Time // 0 until execution begins
@@ -220,6 +226,15 @@ type FrontEnd struct {
 	work   *sim.Cond
 	nextID int64
 
+	// Slot accounting. exec <= Workers and execBG <= Workers -
+	// ReservedInteractive at every instant; lent <= Workers, so at most
+	// 2 x Workers requests are in flight, one per worker process.
+	exec     int    // requests holding a slot: running, or parked without lending
+	execBG   int    // the Staging and Background ones among them
+	lent     int    // interactive requests parked with their slot given up
+	resuming int    // of those, the ones awake and waiting to take a slot back
+	onSlot   func() // test hook, run after every change to the four above
+
 	brownout        bool
 	retryTokens     int
 	admitsSinceEarn int
@@ -236,6 +251,7 @@ type FrontEnd struct {
 	retryOK   *obs.Counter
 	retryNo   *obs.Counter
 	brownG    *obs.Gauge
+	lentG     *obs.Gauge
 
 	// SLO burn rate, per class: a sliding window of recent completions
 	// scoring deadline misses and failures against the error budget.
@@ -285,12 +301,10 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 	fe.retryOK = o.Counter("svc.retries_granted")
 	fe.retryNo = o.Counter("svc.retries_denied")
 	fe.brownG = o.Gauge("svc.brownout")
+	fe.lentG = o.Gauge("svc.slots_lent")
 
-	for i := 0; i < cfg.Workers; i++ {
-		reserved := i < cfg.ReservedInteractive
-		fe.k.GoDaemon(fmt.Sprintf("svc-worker-%d", i), func(p *sim.Proc) {
-			fe.worker(p, reserved)
-		})
+	for i := 0; i < 2*cfg.Workers; i++ {
+		fe.k.GoDaemon(fmt.Sprintf("svc-worker-%d", i), fe.worker)
 	}
 	return fe
 }
@@ -332,14 +346,18 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	}
 	fe.nextID++
 	id := fe.nextID
-	if len(fe.queues[class]) >= capacity {
+	depth := len(fe.queues[class])
+	if class == Interactive {
+		depth = fe.backlog()
+	}
+	if depth >= capacity {
 		fe.shed.Add(1)
 		fe.HL.Audit.Record(attr.Decision{
 			T: p.Now(), Actor: "svc", Subject: fmt.Sprintf("req:%d", id),
 			Seg: -1, Verdict: attr.VerdictShed, Reason: class.String() + " queue full",
 			Inputs: []attr.Input{
 				attr.In("class", float64(class)),
-				attr.In("depth", float64(len(fe.queues[class]))),
+				attr.In("depth", float64(depth)),
 				attr.In("capacity", float64(capacity)),
 			},
 		})
@@ -353,6 +371,15 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 		ctx:      fe.k.NewCtx(deadline),
 		submitT:  p.Now(),
 		done:     fe.k.NewCond(fmt.Sprintf("svc.req-%d", id)),
+	}
+	if class == Interactive {
+		r.ctx.SetParkHook(func(p *sim.Proc, parked bool) {
+			if parked {
+				fe.park(p, r)
+			} else {
+				fe.unpark(p, r)
+			}
+		})
 	}
 	r.trace = fe.Tracer.Start(id, class.String(), p.Now(), deadline)
 	reqtrace.Attach(r.ctx, r.trace)
@@ -371,7 +398,7 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	})
 	fe.queues[class] = append(fe.queues[class], r)
 	fe.qGauge[class].Set(int64(len(fe.queues[class])))
-	fe.updateBrownout(p.Now())
+	fe.updateBrownout()
 	if deadline > 0 {
 		fe.startWatchdog(r)
 	}
@@ -419,10 +446,20 @@ func (fe *FrontEnd) earnRetryToken() {
 	}
 }
 
+// backlog is the interactive queue plus the requests in flight beyond
+// Workers, which run in slots that parked requests lent and would be queued
+// if slots were not lent. Admission (InteractiveQueue) and the brownout
+// watermarks go by it, so lending changes who runs when, not how much
+// interactive work is let in nor when background work stands down.
+func (fe *FrontEnd) backlog() int {
+	return len(fe.queues[Interactive]) + max(0, fe.exec+fe.lent-fe.Cfg.Workers)
+}
+
 // updateBrownout applies the hysteresis watermarks to the interactive
-// queue depth and records transitions in the audit.
-func (fe *FrontEnd) updateBrownout(now sim.Time) {
-	depth := len(fe.queues[Interactive])
+// backlog and records transitions in the audit.
+func (fe *FrontEnd) updateBrownout() {
+	now := fe.k.Now()
+	depth := fe.backlog()
 	switch {
 	case !fe.brownout && depth >= fe.Cfg.BrownoutHi:
 		fe.brownout = true
@@ -449,13 +486,14 @@ func (fe *FrontEnd) updateBrownout(now sim.Time) {
 	}
 }
 
-// worker is one request-executing process. Reserved workers serve only
-// the interactive queue; the rest serve interactive first, then
-// background — strict priority, which combined with the reserved quota is
-// what keeps interactive latency bounded while background work floods.
-func (fe *FrontEnd) worker(p *sim.Proc, reservedInteractive bool) {
+// worker is one request-executing process; there are 2 x Workers of them,
+// one for every request that can be in flight, and the slot counters decide
+// how many run. Interactive goes first, then staging, then background —
+// strict priority, which combined with the reserved quota is what keeps
+// interactive latency bounded while background work floods.
+func (fe *FrontEnd) worker(p *sim.Proc) {
 	for {
-		r := fe.dequeue(p, reservedInteractive)
+		r := fe.dequeue(p)
 		r.trace.StageEnd(r.qstage, p.Now())
 		// Queued expiry: a request whose deadline passed (or that was
 		// canceled) while waiting is shed here, before any layer below
@@ -471,6 +509,7 @@ func (fe *FrontEnd) worker(p *sim.Proc, reservedInteractive bool) {
 				},
 			})
 			fe.complete(r, fmt.Errorf("svc: request %d shed before execution: %w", r.ID, err))
+			fe.release(r)
 			continue
 		}
 		r.startT = p.Now()
@@ -484,31 +523,101 @@ func (fe *FrontEnd) worker(p *sim.Proc, reservedInteractive bool) {
 			fe.misses.Add(1)
 		}
 		fe.complete(r, err)
+		fe.release(r)
 	}
 }
 
-// dequeue pops the next request this worker may run, blocking while its
-// queues are empty.
-func (fe *FrontEnd) dequeue(p *sim.Proc, reservedInteractive bool) *Request {
+// release gives r's slot back. The worker looks for its next request
+// itself; only a parked request waiting to resume has to be told.
+func (fe *FrontEnd) release(r *Request) {
+	fe.slots(-1, r.Class, 0)
+	if fe.resuming > 0 {
+		fe.work.Broadcast()
+	}
+}
+
+// slots moves the counters: d requests of class c more (or fewer) hold a
+// slot, l more (or fewer) have lent theirs.
+func (fe *FrontEnd) slots(d int, c Class, l int) {
+	fe.exec += d
+	if c != Interactive {
+		fe.execBG += d
+	}
+	fe.lent += l
+	fe.lentG.Set(int64(fe.lent))
+	fe.updateBrownout()
+	if fe.onSlot != nil {
+		fe.onSlot()
+	}
+}
+
+// dequeue pops the next request that may run and takes its slot, blocking
+// while there is none.
+func (fe *FrontEnd) dequeue(p *sim.Proc) *Request {
 	for {
-		if q := fe.queues[Interactive]; len(q) > 0 {
-			r := q[0]
-			fe.queues[Interactive] = q[1:]
-			fe.qGauge[Interactive].Set(int64(len(fe.queues[Interactive])))
-			fe.updateBrownout(p.Now())
-			return r
-		}
-		if !reservedInteractive {
-			for _, c := range [...]Class{Staging, Background} {
-				if q := fe.queues[c]; len(q) > 0 {
-					r := q[0]
-					fe.queues[c] = q[1:]
-					fe.qGauge[c].Set(int64(len(fe.queues[c])))
-					return r
-				}
+		for _, c := range [...]Class{Interactive, Staging, Background} {
+			if q := fe.queues[c]; len(q) > 0 && fe.mayStart(c) {
+				fe.queues[c] = q[1:]
+				fe.qGauge[c].Set(int64(len(fe.queues[c])))
+				fe.slots(1, c, 0)
+				return q[0]
 			}
 		}
 		fe.work.Wait(p)
+	}
+}
+
+// mayStart reports whether a queued request of class c may take a slot now.
+// A parked request coming back goes ahead of every queue. Staging and
+// background work runs in the slots that are neither reserved nor lent: a
+// parked interactive request still occupies its slot as far as they are
+// concerned, so they see the front end exactly as if nothing lent.
+func (fe *FrontEnd) mayStart(c Class) bool {
+	w := fe.Cfg.Workers
+	if fe.exec >= w || fe.resuming > 0 {
+		return false
+	}
+	return c == Interactive || fe.exec+fe.lent < w && fe.execBG < w-fe.Cfg.ReservedInteractive
+}
+
+// park is the request's sim.Ctx park hook: r is about to sleep in a demand
+// fetch. It gives its slot to the interactive queue, with two exceptions in
+// which it sleeps holding the slot. Workers slots are out on loan already; or
+// it fetches under the file-system lock (a mutating operation, or a reader's
+// last attempt after lfs.maxRestarts unlocked ones): the requests that took
+// the lent slots would all queue on that lock, none would finish to give r a
+// slot back, and r would wait for one in unpark with the lock held for ever.
+func (fe *FrontEnd) park(p *sim.Proc, r *Request) {
+	if fe.lent >= fe.Cfg.Workers || fe.HL.FS.LockedBy(p) {
+		return
+	}
+	r.lent = true
+	fe.slots(-1, Interactive, 1)
+	fe.work.Broadcast()
+}
+
+// unpark ends the loan, on the way out of the fetch or of its abandoned
+// wait: r takes the next slot that comes free, ahead of every queue. The
+// wait is a second queue-wait stage of its trace.
+func (fe *FrontEnd) unpark(p *sim.Proc, r *Request) {
+	if !r.lent {
+		return
+	}
+	r.lent = false
+	if fe.exec < fe.Cfg.Workers {
+		fe.slots(1, Interactive, -1)
+		return
+	}
+	st := r.trace.StageStart(reqtrace.KindQueueWait, p.Now(), "resume")
+	fe.resuming++
+	for fe.exec >= fe.Cfg.Workers {
+		fe.work.Wait(p)
+	}
+	fe.resuming--
+	r.trace.StageEnd(st, p.Now())
+	fe.slots(1, Interactive, -1)
+	if fe.resuming == 0 && fe.exec < fe.Cfg.Workers {
+		fe.work.Broadcast() // workers that stood back while this one waited
 	}
 }
 
@@ -570,6 +679,7 @@ type Stats struct {
 	QueueInteractive               int
 	QueueBackground                int
 	QueueStaging                   int
+	Executing, Lent                int // slots held; slots lent by parked requests
 	Brownout                       bool
 	P50Interactive, P99Interactive sim.Time
 	P50Background, P99Background   sim.Time
@@ -590,6 +700,8 @@ func (fe *FrontEnd) Stats() Stats {
 		QueueInteractive: len(fe.queues[Interactive]),
 		QueueBackground:  len(fe.queues[Background]),
 		QueueStaging:     len(fe.queues[Staging]),
+		Executing:        fe.exec,
+		Lent:             fe.lent,
 		Brownout:         fe.brownout,
 		P50Interactive:   fe.latH[Interactive].P50(),
 		P99Interactive:   fe.latH[Interactive].P99(),

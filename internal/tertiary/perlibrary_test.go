@@ -2,6 +2,7 @@ package tertiary
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -42,6 +43,19 @@ func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	return r.Library.WriteSegment(p, vol, seg, buf)
 }
 
+// recDisk logs when each cache-line write of the I/O processes began and ended.
+type recDisk struct {
+	*dev.Disk
+	writes *[][2]sim.Time
+}
+
+func (d recDisk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	t0 := p.Now()
+	err := d.Disk.WriteBlocks(p, blk, buf)
+	*d.writes = append(*d.writes, [2]sim.Time{t0, p.Now()})
+	return err
+}
+
 // libEnv is a service over nlibs two-drive changers of 4 volumes x 16
 // segments each: tag t lives in library t/64, and t+64 is its replica.
 type libEnv struct {
@@ -52,6 +66,8 @@ type libEnv struct {
 	c    *cache.Cache
 	svc  *Service
 	log  []string
+
+	lineWrites [][2]sim.Time // start and end of each, in order of completion
 }
 
 const libSegs = 64
@@ -74,7 +90,7 @@ func newLibEnv(nlibs, streams, cacheLines int) *libEnv {
 		pool[i] = addr.SegNo(40 + i)
 	}
 	e.c = cache.New(cache.LRU, pool, 1)
-	e.svc = New(e.k, obs.New(e.k), e.amap, fps, e.disk, e.c, Hooks{})
+	e.svc = New(e.k, obs.New(e.k), e.amap, fps, recDisk{e.disk, &e.lineWrites}, e.c, Hooks{})
 	e.svc.AddIOStreams(streams - 1)
 	if nlibs > 1 {
 		e.svc.AltCopies = func(tag int) []int { return []int{tag + libSegs} }
@@ -96,6 +112,17 @@ func (e *libEnv) seed(t *testing.T, p *sim.Proc, tags ...int) {
 			}
 		}
 	}
+}
+
+// copyout stages tag's pattern in a cache line and schedules its copy-out.
+func (e *libEnv) copyout(t *testing.T, p *sim.Proc, tag int) {
+	t.Helper()
+	seg, _ := e.c.TakeFree()
+	e.c.Insert(tag, seg, true, p.Now())
+	if err := e.disk.WriteBlocks(p, int64(e.amap.BlockOf(seg, 0)), fill(tag)); err != nil {
+		t.Fatal(err)
+	}
+	e.svc.ScheduleCopyout(p, tag, seg)
 }
 
 // fetchAll demand-fetches tags from one process each, started together, and
@@ -297,23 +324,19 @@ func TestBreakerAskedOncePerFetch(t *testing.T) {
 	e.k.Stop()
 }
 
-// (d) One library is one queue and the processes it always had: which process
-// starts which transfer at which instant, over a run of copy-outs with demand
-// fetches arriving among them, is the schedule recorded at the parent commit
-// (two shared I/O processes, routing in the I/O process).
+// (d) One library is one queue and its own processes: which process starts
+// which transfer at which instant, over a run of copy-outs with demand fetches
+// arriving among them. Recorded at PR 18's parent (two shared I/O processes,
+// routing in the I/O process) and again with this test's body when a fetch's
+// cache-line write stopped holding its drive token: the transfer queued behind
+// a fetch now starts when the fetch's media read ends (the first copy-out 40 ms
+// earlier), in the stream's other process.
 func TestOneLibraryKeepsItsSchedule(t *testing.T) {
 	e := newLibEnv(1, 2, 8)
 	e.k.RunProc(func(p *sim.Proc) {
 		e.seed(t, p, 0, 1, 16, 17, 18)
 		e.log = nil
-		copyout := func(tag int) { // to volume 2
-			seg, _ := e.c.TakeFree()
-			e.c.Insert(tag, seg, true, p.Now())
-			if err := e.disk.WriteBlocks(p, int64(e.amap.BlockOf(seg, 0)), fill(tag)); err != nil {
-				t.Fatal(err)
-			}
-			e.svc.ScheduleCopyout(p, tag, seg)
-		}
+		copyout := func(tag int) { e.copyout(t, p, tag) } // to volume 2
 		e.k.Go("early", func(rp *sim.Proc) { e.fetchAll(t, rp, []int{16, 0}, nil) })
 		copyout(32)
 		copyout(33)
@@ -329,15 +352,118 @@ func TestOneLibraryKeepsItsSchedule(t *testing.T) {
 	e.k.Stop()
 }
 
-// Recorded at 20e5d2a with this test's body; "process, ns, transfer".
+// "process, ns, transfer".
 var parentSchedule = []string{
 	"hl-io 28348372090 read lib0 vol1 seg0",
 	"hl-io-1 28348372090 read lib0 vol0 seg0",
-	"hl-io-1 28650585348 write lib0 vol2 seg0",
-	"hl-io 28728290717 write lib0 vol2 seg1",
-	"hl-io-1 42396890478 write lib0 vol2 seg2",
-	"hl-io 42669934184 read lib0 vol1 seg1",
-	"hl-io 42864224826 read lib0 vol0 seg1",
-	"hl-io-1 42979608602 read lib0 vol1 seg2",
-	"hl-io 70226309009 write lib0 vol2 seg3",
+	"hl-iob 28610410689 write lib0 vol2 seg0",
+	"hl-io-1b 28707413791 write lib0 vol2 seg1",
+	"hl-iob 42356715819 write lib0 vol2 seg2",
+	"hl-io-1b 42629759525 read lib0 vol1 seg1",
+	"hl-io-1 42766515860 read lib0 vol0 seg1",
+	"hl-iob 42939433943 read lib0 vol1 seg2",
+	"hl-io 70128600043 write lib0 vol2 seg3",
+}
+
+// (e) Within a rank the router goes by drive: a copy whose volume has media
+// time queued or in flight loses to one whose drive is idle, whatever the
+// libraries' totals; with both volumes idle, the library with less to do for
+// its other volumes; with both libraries idle the primary wins.
+func TestRouteAroundTheBusyDrive(t *testing.T) {
+	e := newLibEnv(2, 2, 8)
+	e.k.RunProc(func(p *sim.Proc) {
+		e.seed(t, p, 0, 1, 2, 16) // volumes 0 and 1 of both libraries end up in their drives
+		if got := e.svc.readOrder(0, nil); !slices.Equal(got, []int{0, libSegs}) {
+			t.Errorf("both drives idle: order %v, want the primary first", got)
+		}
+		// One copy-out each, so the libraries' totals tie: to the primary's
+		// volume in library 0, to the other volume in library 1.
+		e.copyout(t, p, 5)
+		e.copyout(t, p, libSegs+21)
+		e.fetchAll(t, p, []int{0}, nil)
+		if len(e.libs[0].reads) != 0 || e.libs[1].reads[0] != 1 {
+			t.Errorf("the read waited behind the copy-out on the primary's drive:\n%v", e.log)
+		}
+		e.svc.DrainCopyouts(p)
+		if len(e.svc.busy) != 0 || e.svc.Outstanding(0) != 0 || e.svc.Outstanding(1) != 0 {
+			t.Errorf("at rest: busy %v, outstanding %d/%d", e.svc.busy, e.svc.Outstanding(0), e.svc.Outstanding(1))
+		}
+		e.fetchAll(t, p, []int{1}, nil)
+		if e.libs[0].reads[1] != 1 {
+			t.Errorf("both drives idle again, yet the replica served:\n%v", e.log)
+		}
+		// A copy-out to library 0's other volume: neither copy's own volume
+		// has anything queued, and the library's count decides.
+		e.copyout(t, p, 21)
+		e.fetchAll(t, p, []int{2}, nil)
+		if e.libs[1].reads[2] != 1 {
+			t.Errorf("the read went to the library with a copy-out outstanding:\n%v", e.log)
+		}
+		e.svc.DrainCopyouts(p)
+	})
+	e.k.Stop()
+}
+
+// (f) With one I/O stream and two fetches queued, the second segment comes
+// off its medium while the first is written to its cache line, and a waiter
+// still wakes only once its line is written.
+func TestLineWriteOverlapsNextMediaRead(t *testing.T) {
+	e := newLibEnv(1, 1, 8)
+	e.k.RunProc(func(p *sim.Proc) {
+		e.seed(t, p, 0, 1)
+		e.log = nil
+		var woke [2]sim.Time
+		left := 2
+		done := e.k.NewCond("fetched")
+		for i := range woke {
+			e.k.Go(fmt.Sprintf("reader-%d", i), func(rp *sim.Proc) {
+				defer func() { left--; done.Broadcast() }()
+				if _, err := e.svc.DemandFetch(rp, i); err != nil {
+					t.Error(err)
+				}
+				woke[i] = rp.Now()
+			})
+		}
+		for left > 0 {
+			done.Wait(p)
+		}
+		if len(e.log) != 2 || len(e.lineWrites) != 2 {
+			t.Fatalf("transfers: %v, line writes %v", e.log, e.lineWrites)
+		}
+		var read1 sim.Time
+		fmt.Sscanf(e.log[1], "%s %d", new(string), &read1)
+		if w0 := e.lineWrites[0]; read1 != w0[0] || w0[1] <= w0[0] {
+			t.Errorf("second media read began at %d, first line write ran %d-%d: want them to start together", read1, w0[0], w0[1])
+		}
+		for i, w := range e.lineWrites {
+			if woke[i] < w[1] {
+				t.Errorf("waiter %d woke at %d, before its line write ended at %d", i, woke[i], w[1])
+			}
+		}
+	})
+	e.k.Stop()
+}
+
+// A line write that fails after the drive has moved on is still the fetch's
+// error, and the line goes back to the pool.
+func TestFailedLineWriteSurfacesAndReleasesTheLine(t *testing.T) {
+	e := newLibEnv(1, 1, 8)
+	e.k.RunProc(func(p *sim.Proc) {
+		e.seed(t, p, 0)
+		e.disk.Fault = func(op string, _ int64) error {
+			if op == "write" {
+				return dev.ErrPermanentMedia
+			}
+			return nil
+		}
+		if _, err := e.svc.DemandFetch(p, 0); !errors.Is(err, ErrSegmentUnavailable) || !errors.Is(err, dev.ErrPermanentMedia) {
+			t.Errorf("fetch with an unwritable line: %v", err)
+		}
+		if e.c.FreeLines() != 8 || e.svc.Outstanding(0) != 0 {
+			t.Errorf("%d of 8 lines free, %d outstanding", e.c.FreeLines(), e.svc.Outstanding(0))
+		}
+		e.disk.Fault = nil
+		e.fetchAll(t, p, []int{0}, nil)
+	})
+	e.k.Stop()
 }

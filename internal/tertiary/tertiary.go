@@ -105,21 +105,9 @@ const (
 	reqRetryDeferred // a reader let go of a line (Unpin)
 )
 
-func (k reqKind) String() string {
-	switch k {
-	case reqFetch:
-		return "fetch"
-	case reqCopyout:
-		return "copyout"
-	case reqFetchDone:
-		return "fetch-done"
-	case reqCopyoutDone:
-		return "copyout-done"
-	case reqRetryDeferred:
-		return "retry-deferred"
-	}
-	return "unknown"
-}
+var reqKindNames = [...]string{"fetch", "copyout", "fetch-done", "copyout-done", "retry-deferred"}
+
+func (k reqKind) String() string { return reqKindNames[k] }
 
 type request struct {
 	kind     reqKind
@@ -132,12 +120,19 @@ type request struct {
 	// daemon's work on this fetch (drive swaps, media transfers, staging
 	// writes) is recorded against the request that caused it.
 	tr *reqtrace.Trace
-	// Set at dispatch: the library whose queue carries the transfer, a
-	// fetch's copies in routed order, and the io-queue stage open on tr.
+	// Set at dispatch: the library whose queue carries the transfer, the
+	// volume it was routed to with the media time it will keep that volume's
+	// drive busy, a fetch's copies in routed order, and the io-queue stage
+	// open on tr.
 	lib    int
+	vol    int
+	cost   sim.Time
 	copies []int
 	qst    int
 }
+
+// volKey names one volume of one library: what a drive holds.
+type volKey struct{ lib, vol int }
 
 type fetchWait struct {
 	done    *sim.Cond
@@ -148,7 +143,10 @@ type fetchWait struct {
 }
 
 // Service owns the cache directory bindings and runs the service process and,
-// per library, an I/O queue drained by that library's own I/O processes.
+// per library, an I/O queue drained by that library's own I/O processes: two
+// per stream, which take turns at the stream's media transfers (its drive
+// token), so one reads the next segment off its medium while the other still
+// writes the last one to its cache line.
 type Service struct {
 	k     *sim.Kernel
 	amap  *addr.Map
@@ -158,9 +156,12 @@ type Service struct {
 	hooks Hooks
 
 	reqs     *sim.Chan
-	ioq      []*sim.Chan // per library; a rig without libraries keeps one
-	out      []int       // transfers queued or in flight, per library
-	streams  int         // I/O processes per library
+	ioq      []*sim.Chan         // per library; a rig without libraries keeps one
+	out      []int               // transfers queued or in flight, per library
+	busy     map[volKey]sim.Time // their media time, per volume routed to
+	free     []int               // drive tokens not taken, per library
+	idle     []*sim.Cond         // where a library's I/O processes wait for work
+	streams  int                 // I/O streams (drive tokens) per library
 	pending  map[int]*fetchWait
 	deferred []request // fetches waiting for an evictable line
 
@@ -249,24 +250,36 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 		s.ioq = append(s.ioq, k.NewChan("tertiary.io", 256))
 	}
 	s.out = make([]int, len(s.ioq))
+	s.busy = make(map[volKey]sim.Time)
+	s.free = make([]int, len(s.ioq))
+	for range s.ioq {
+		s.idle = append(s.idle, k.NewCond("tertiary.io.idle"))
+	}
 	s.spawnIO("hl-io")
 	return s
 }
 
-// AddIOStreams starts n additional I/O daemons per library, each draining
-// its library's queue, so several whole-segment transfers (staging fills,
-// copy-out drains) proceed concurrently in virtual time. Each daemon owns its
-// own transfer buffer; the per-library channel keeps dispatch order
-// deterministic (FIFO handoff, daemons spawned in a fixed order).
+// AddIOStreams adds n I/O streams per library, each draining its library's
+// queue, so several whole-segment transfers (staging fills, copy-out drains)
+// proceed concurrently in virtual time. Each daemon owns its own transfer
+// buffer; the per-library channel keeps dispatch order deterministic (FIFO
+// handoff, daemons spawned in a fixed order).
 func (s *Service) AddIOStreams(n int) {
 	for i := 0; i < n; i++ {
 		s.spawnIO(fmt.Sprintf("hl-io-%d", s.streams))
 	}
 }
 
+// spawnIO adds one stream to every library: a drive token and two I/O
+// processes, the second started by the first so that the kernel's event heap
+// is no deeper at start-up than it was with one.
 func (s *Service) spawnIO(name string) {
 	for lib := range s.ioq {
-		s.k.GoDaemon(name, func(p *sim.Proc) { s.ioLoop(p, lib) })
+		s.free[lib]++
+		s.k.GoDaemon(name, func(p *sim.Proc) {
+			s.k.GoDaemon(name+"b", func(p *sim.Proc) { s.ioLoop(p, lib) })
+			s.ioLoop(p, lib)
+		})
 	}
 	s.streams++
 }
@@ -389,10 +402,17 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 		note = fmt.Sprintf("seg %d", tag)
 	}
 	st := tr.StageStart(reqtrace.KindFetchWait, start, note)
+	// Whoever owns the request may lend what it holds (a front-end worker
+	// slot) for the length of the wait, and may make Unpark wait to get it
+	// back: on the way out the line is still pinned for this waiter then.
+	// Whether to lend is the owner's decision: the front end does not when
+	// the caller holds the file system lock (svc.FrontEnd.park).
+	ctx.Park(p)
 	for !w.over {
 		if err := ctx.Err(); err != nil {
 			w.waiters--
 			tr.StageEnd(st, p.Now())
+			ctx.Unpark(p)
 			return nil, fmt.Errorf("tertiary: fetch of segment %d abandoned: %w", tag, err)
 		}
 		w.done.Wait(p)
@@ -403,6 +423,7 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	}
 	s.obs.Span("tertiary.svc", "fetch.wait", "demand-fetch", start, obs.Arg{Key: "tag", Val: int64(tag)})
 	s.fetchWaitH.Observe(p.Now() - start)
+	ctx.Unpark(p)
 	if w.line != nil {
 		s.Unpin(p, w.line)
 	}
@@ -537,13 +558,60 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 // locate turns that into the transfer's error). With all of them busy, the
 // wait until one picks it up is the request's io-queue stage.
 func (s *Service) dispatch(p *sim.Proc, r request, to int) {
-	lib, _, _, _ := s.locate(to)
-	r.lib, r.qst = lib, -1
+	lib, vol, _, _ := s.locate(to)
+	r.lib, r.vol, r.cost, r.qst = lib, vol, s.mediaTime(lib, r.kind), -1
 	if r.tr != nil && s.out[lib] >= s.streams {
 		r.qst = r.tr.StageStart(reqtrace.KindIOQueue, p.Now(), fmt.Sprintf("lib %d depth %d", lib, s.out[lib]))
 	}
 	s.out[lib]++
+	s.busy[volKey{lib, vol}] += r.cost
 	s.ioq[lib].Send(p, r)
+	if s.free[lib] > 0 {
+		s.idle[lib].Signal()
+	}
+}
+
+// nextTransfer waits until library lib has a transfer queued and a drive
+// token free, and takes both. Only dispatch and a process that gives its
+// token back and then blocks (ioLoop, before the line write) signal: every
+// other change to the two is made by a process that comes here to look for
+// itself before it blocks anywhere else.
+func (s *Service) nextTransfer(p *sim.Proc, lib int) request {
+	for s.ioq[lib].Len() == 0 || s.free[lib] == 0 {
+		s.idle[lib].Wait(p)
+	}
+	s.free[lib]--
+	v, _ := s.ioq[lib].TryRecv()
+	return v.(request)
+}
+
+// transferDone takes a finished transfer out of the router's counts.
+func (s *Service) transferDone(r request) {
+	s.out[r.lib]--
+	on := volKey{r.lib, r.vol}
+	if s.busy[on] -= r.cost; s.busy[on] == 0 {
+		delete(s.busy, on)
+	}
+}
+
+// mediaTime is how long one segment keeps a drive of library lib
+// transferring, from the device's own profile (0 for a device without one).
+func (s *Service) mediaTime(lib int, kind reqKind) sim.Time {
+	if lib >= len(s.fps) {
+		return 0
+	}
+	d, ok := s.fps[lib].(interface{ Profile() jukebox.MediaProfile })
+	if !ok {
+		return 0
+	}
+	rate := d.Profile().MediaRead
+	if kind == reqCopyout {
+		rate = d.Profile().MediaWrite
+	}
+	if rate <= 0 {
+		return 0
+	}
+	return sim.Time(int64(s.segBytes()) * int64(time.Second) / rate)
 }
 
 // Outstanding reports the transfers queued or in flight at library lib.
@@ -581,7 +649,7 @@ func (s *Service) startFetch(p *sim.Proc, r request) {
 }
 
 func (s *Service) finishFetch(p *sim.Proc, r request) {
-	s.out[r.lib]--
+	s.transferDone(r)
 	if r.err != nil {
 		s.stats.FetchFaults++
 		s.cache.Release(r.seg)
@@ -635,7 +703,7 @@ func (s *Service) resolveFetch(tag int, err error) {
 }
 
 func (s *Service) finishCopyout(p *sim.Proc, r request) {
-	s.out[r.lib]--
+	s.transferDone(r)
 	if l, ok := s.cache.Peek(r.pinTag); ok {
 		if l.Pins > 0 {
 			l.Pins--
@@ -746,11 +814,13 @@ func routeRankName(rank int) string {
 // readOrder lists the physical copies of tag to try, closest first: a
 // loaded volume beats one that must be swapped in, which beats a tripped
 // library, which beats a down one (§5.4 "closest copy", generalized across
-// failure domains); within a rank, the library with the fewest transfers
-// queued or in flight. The sort is stable, so with a single library the
-// historical order — primary first, replicas in catalog order — is
-// preserved bit-for-bit. It runs once per fetch, at dispatch. Replica
-// redirects are recorded in the decision audit.
+// failure domains); within a rank, the copy whose volume has the least media
+// time queued or in flight (a drive serves one volume: a copy-out to the
+// primary's volume keeps its drive for seconds while the replica's idles),
+// then the library with the fewest transfers queued or in flight. The sort is
+// stable, so a tie stays with the primary and replicas keep catalog order. It
+// runs once per fetch, at dispatch. Replica redirects are recorded in the
+// decision audit.
 func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 	cands := []int{tag}
 	if s.AltCopies != nil {
@@ -760,14 +830,15 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		return cands
 	}
 	ranks := make([]int, len(cands))
-	load := make([]int, len(cands)) // transfers outstanding at the copy's library
+	load := make([]int, len(cands))      // transfers outstanding at the copy's library
+	busy := make([]sim.Time, len(cands)) // media time outstanding at the copy's volume
 	for i, c := range cands {
 		ranks[i] = routeUnmapped
 		d, vol, _, err := s.locate(c)
 		if err != nil {
 			continue
 		}
-		load[i] = s.out[d]
+		load[i], busy[i] = s.out[d], s.busy[volKey{d, vol}]
 		switch {
 		case s.libDown(d):
 			ranks[i] = routeDownLib
@@ -787,8 +858,9 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		if ranks[order[a]] != ranks[order[b]] {
 			return ranks[order[a]] < ranks[order[b]]
 		}
-		// Within a rank the library with less queued or in flight; the
-		// stable sort leaves a tie with the primary.
+		if busy[order[a]] != busy[order[b]] {
+			return busy[order[a]] < busy[order[b]]
+		}
 		return load[order[a]] < load[order[b]]
 	})
 	out := make([]int, len(cands))
@@ -832,15 +904,15 @@ func (s *Service) volumeLoaded(d, vol int) bool {
 // ioLoop is one of library lib's I/O processes: it executes whole-segment
 // transfers between the disk cache and the Footprint devices, recovering
 // from transient faults with bounded retries and falling back across
-// replicas — other libraries' included — on reads.
+// replicas — other libraries' included — on reads. It holds one of the
+// library's drive tokens for a transfer, but not for the cache-line write
+// that ends a fetch: the next transfer's medium moves meanwhile. The line is
+// announced (reqFetchDone) only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	buf := make([]byte, s.segBytes())
 	for {
-		v, ok := s.ioq[lib].Recv(p)
-		if !ok {
-			return
-		}
-		r := v.(request)
+		r := s.nextTransfer(p, lib)
+		token := true
 		r.tr.StageEnd(r.qst, p.Now())
 		switch r.kind {
 		case reqFetch:
@@ -877,6 +949,13 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				}
 			}
 			if err == nil {
+				// The medium is done with: the token goes back, and the
+				// stream's other process takes the next transfer meanwhile.
+				token = false
+				s.free[lib]++
+				if s.ioq[lib].Len() > 0 {
+					s.idle[lib].Signal()
+				}
 				t0 := p.Now()
 				err = s.withRetry(p, func() error {
 					return s.disk.WriteBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), buf)
@@ -885,7 +964,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
 			restore()
-			s.reqs.Send(p, request{kind: reqFetchDone, tag: r.tag, seg: r.seg, lib: lib, err: err, enqueued: p.Now()})
+			r.kind, r.err = reqFetchDone, err
 		case reqCopyout:
 			d, vol, volseg, err := s.locate(r.tag)
 			if err == nil {
@@ -905,7 +984,15 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					s.Breaker.OnResult(d, err)
 				}
 			}
-			s.reqs.Send(p, request{kind: reqCopyoutDone, tag: r.tag, seg: r.seg, pinTag: r.pinTag, lib: lib, err: err, enqueued: p.Now()})
+			r.kind, r.err = reqCopyoutDone, err
+		}
+		// A token still held is kept through the report, which can block, as
+		// the I/O process always was: giving it back first would leave a
+		// queued transfer with a free token and nobody awake to see them.
+		r.enqueued = p.Now()
+		s.reqs.Send(p, r)
+		if token {
+			s.free[lib]++
 		}
 	}
 }
