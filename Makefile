@@ -44,14 +44,17 @@ crash:
 # queued), and the pointer-block reserve's re-read test (one tertiary wait,
 # not two), and slot lending (the slot bounds at every transition, a double
 # run), routing by drive, the line write beside the next media read, and two
-# MigrateFiles callers at once. -count=1 forces fresh runs. The kernel's own
+# MigrateFiles callers at once, and late line binding (a failed fetch evicts
+# nothing, the line hit in flight is not the victim, an arrival with no line to
+# be had defers to the copy-out queued behind it, eight readers over two
+# libraries under segmented and plain LRU). -count=1 forces fresh runs. The kernel's own
 # tests run three times over: every proc is a coroutine the dispatcher
 # switches to, so its state crosses goroutines on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers'
-	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 
@@ -75,8 +78,9 @@ bench:
 # Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
 # contended resource, 4-way spawn and join), of the block data path
 # (lfs -> stripe -> dev, and the parity XOR alone) and of the tertiary side
-# (a jukebox segment in and out, a segment-cache lookup), and of a buffer-cache
-# insert that evicts through a full pointer-block reserve: host ns/op, B/op
+# (a jukebox segment in and out, a segment-cache lookup and the choice of a
+# victim), and of a buffer-cache insert that evicts through a full
+# pointer-block reserve: host ns/op, B/op
 # and allocs/op per layer, so a wall-clock or allocation regression names
 # its layer. Informational, not a gate.
 bench-layers:
@@ -87,7 +91,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'Disk(Write|Read)1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
-	$(GO) test -run '^$$' -bench 'CacheLookup' -benchmem -benchtime 200000x ./internal/cache/
+	$(GO) test -run '^$$' -bench 'CacheLookup|CacheVictim' -benchmem -benchtime 200000x ./internal/cache/
 
 # Machine-readable snapshot of every table's metrics + obs counters.
 bench-json:

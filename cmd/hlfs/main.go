@@ -346,8 +346,8 @@ func info(p *sim.Proc, hl *core.HighLight) {
 		sb.SegBlocks, sb.SegBlocks*4, sb.DiskSegs, sb.ReservedSegs, sb.CacheSegs, hl.FS.CacheSegsInUse())
 	fmt.Printf("clean disk segments: %d\n", hl.FS.CleanSegs())
 	st := hl.Svc.Stats()
-	fmt.Printf("tertiary: %d segments, %d fetched, %d copied out; cache %d/%d lines\n",
-		hl.FS.TsegCount(), st.Fetches, st.Copyouts, hl.Cache.Len(), hl.Cache.Capacity())
+	fmt.Printf("tertiary: %d segments, %d fetched, %d copied out\n", hl.FS.TsegCount(), st.Fetches, st.Copyouts)
+	fmt.Println(dump.SegmentCache(hl))
 	fs := hl.FS.Stats()
 	fmt.Printf("fs: %d partial segments written, %d checkpoints, %d segments cleaned\n",
 		fs.PartialSegs, fs.Checkpoints, fs.SegsCleaned)

@@ -46,16 +46,14 @@ func AblationCachePolicy() (*Report, error) {
 	for _, c := range []struct {
 		name   string
 		policy cache.Policy
-		bypass bool
 	}{
-		{"LRU", cache.LRU, false},
-		{"FIFO", cache.FIFO, false},
-		{"Random", cache.Random, false},
-		{"LRU+bypass(§10)", cache.LRU, true},
+		{"LRU", cache.LRU},
+		{"FIFO", cache.FIFO},
+		{"Random", cache.Random},
+		{"SLRU (default)", cache.SLRU},
 	} {
 		setPolicy := func(cfg *core.Config) { cfg.CachePolicy = c.policy }
 		err := newStudyRig(policyGeom).run(setPolicy, func(p *sim.Proc, hl *core.HighLight) error {
-			hl.Cache.BypassFirstRef = c.bypass
 			const nfiles = 24
 			inums, err := writeFiles(p, hl.FS, "/f%02d", nfiles, 255)
 			if err != nil {

@@ -13,7 +13,7 @@ func TestAblationCachePolicy(t *testing.T) {
 		t.Errorf("LRU fetches (%.0f) should not exceed Random (%.0f)",
 			m["LRU/fetches"], m["Random/fetches"])
 	}
-	for _, k := range []string{"LRU", "FIFO", "Random", "LRU+bypass(§10)"} {
+	for _, k := range []string{"LRU", "FIFO", "Random", "SLRU (default)"} {
 		if m[k+"/fetches"] == 0 {
 			t.Errorf("%s recorded no fetches", k)
 		}

@@ -9,6 +9,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/addr"
@@ -43,16 +44,28 @@ var (
 type Policy int
 
 const (
+	// SLRU, the default, is segmented LRU: a line enters a probationary
+	// segment, a hit moves it to the recent end of a protected segment capped
+	// at two thirds of the capacity, and the protected line that overflows the
+	// cap goes back to the recent end of the probationary one. The victim is
+	// the least-recently-used probationary line, so lines read once (§10's
+	// "least-worthy" subset, bounded) cannot push out lines read again.
+	SLRU Policy = iota
 	// LRU evicts the least-recently-used clean line.
-	LRU Policy = iota
+	LRU
 	// FIFO evicts the oldest-fetched clean line.
 	FIFO
 	// Random evicts a uniformly random clean line.
 	Random
 )
 
+// protectedCap is how many of n lines SLRU's protected segment may hold.
+func protectedCap(n int) int { return n * 2 / 3 }
+
 func (p Policy) String() string {
 	switch p {
+	case SLRU:
+		return "slru"
 	case LRU:
 		return "lru"
 	case FIFO:
@@ -72,8 +85,8 @@ type Line struct {
 	Pins    int        // active readers / in-flight copyout
 
 	FetchTime sim.Time // when the line was filled (FIFO)
-	LastUse   sim.Time // last access (LRU)
-	Worthy    bool     // false until re-referenced (§10 bypass variant)
+	LastUse   sim.Time // when it last moved to the recent end of its segment
+	protected bool     // SLRU: hit since it entered the probationary segment
 }
 
 // Stats counts cache activity. Hits and Misses count Lookup calls, which
@@ -87,10 +100,18 @@ type Line struct {
 // waited for tertiary storage. Segments brought in without a read (HSM
 // stage-in, the tertiary cleaner, repair: Peek, then DemandFetch) count as
 // Inserts only.
+//
+// Promotions and Demotions count SLRU's moves into and out of the protected
+// segment. Refetches counts inserts of a tag that replacement (Victim, then
+// Evict) threw out within the last Capacity such evictions: fetches a larger
+// or better-managed cache would not have made.
 type Stats struct {
 	Hits, Misses    int64
 	Inserts, Evicts int64
 	StagingLines    int64
+
+	Promotions, Demotions int64
+	Refetches             int64
 }
 
 // Cache is the segment cache directory. It owns a fixed pool of disk
@@ -102,16 +123,18 @@ type Cache struct {
 	lines    map[int]*Line
 	free     []addr.SegNo
 	capacity int
+	nprot    int // lines in SLRU's protected segment
 	rng      *sim.RNG
 	stats    Stats
 	obs      *obs.Obs // nil = not instrumented
 	occupied *obs.Gauge
 	heat     *attr.Table // nil = no attribution
 
-	// BypassFirstRef, when set, marks newly fetched lines "least worthy":
-	// they are preferred eviction victims until referenced again (the
-	// §10 future-work variant approximating cache-bypassing reads).
-	BypassFirstRef bool
+	// What replacement threw out last, for Stats.Refetches only: the tags of
+	// the last Capacity such evictions, oldest first, and Victim's latest
+	// answer, by which Evict tells replacement from an ejection.
+	gone   []int
+	chosen *Line
 
 	// Locked, when set, reports whether a tertiary segment is HSM-pinned:
 	// Victim never selects a locked line and Evict refuses one with
@@ -166,8 +189,7 @@ func (c *Cache) Lookup(tag int, now sim.Time) (*Line, bool) {
 		c.heat.Touch(tag, attr.Miss, now)
 		return nil, false
 	}
-	l.LastUse = now
-	l.Worthy = true
+	c.touch(l, now)
 	c.stats.Hits++
 	c.obs.Instant("cache", "cache.hit", "hit", obs.Arg{Key: "tag", Val: int64(tag)})
 	c.obs.Counter("cache.hits").Add(1)
@@ -182,7 +204,7 @@ func (c *Cache) Peek(tag int) (*Line, bool) {
 }
 
 // Insert binds a pool segment to tag and returns the new line. The caller
-// must have obtained seg from TakeFree or a prior Evict. It returns
+// must have obtained seg from TakeFree, TakeSeg or a prior Evict. It returns
 // ErrDuplicateLine if tag already has a line (e.g. a corrupt cache
 // directory reconstructed from media).
 func (c *Cache) Insert(tag int, seg addr.SegNo, staging bool, now sim.Time) (*Line, error) {
@@ -195,10 +217,13 @@ func (c *Cache) Insert(tag int, seg addr.SegNo, staging bool, now sim.Time) (*Li
 		Staging:   staging,
 		FetchTime: now,
 		LastUse:   now,
-		Worthy:    !c.BypassFirstRef,
 	}
 	c.lines[tag] = l
 	c.stats.Inserts++
+	if !staging && slices.Contains(c.gone, tag) {
+		c.stats.Refetches++
+		c.obs.Counter("cache.refetches").Add(1)
+	}
 	if staging {
 		c.stats.StagingLines++
 	}
@@ -218,64 +243,99 @@ func (c *Cache) TakeFree() (addr.SegNo, bool) {
 	return s, true
 }
 
+// TakeSeg claims the given pool segment: how mount rebinds the lines the
+// checkpointed directory names.
+func (c *Cache) TakeSeg(seg addr.SegNo) {
+	if i := slices.Index(c.free, seg); i >= 0 {
+		c.free = slices.Delete(c.free, i, i+1)
+	}
+}
+
+// touch records a hit on l. Under SLRU any hit promotes: the pointer-block
+// read and the data read of one request already make two references, which
+// would defeat a "second reference" rule, and a cold line promoted that way is
+// aged back out by the demotions that later promotions cause.
+func (c *Cache) touch(l *Line, now sim.Time) {
+	l.LastUse = now
+	if c.policy != SLRU {
+		return
+	}
+	if !l.protected {
+		l.protected = true
+		c.nprot++
+		c.stats.Promotions++
+		c.obs.Counter("cache.promotions").Add(1)
+	}
+	if c.nprot <= protectedCap(c.capacity) {
+		return
+	}
+	// Over the cap: the protected LRU line (l itself when the cap is 0) goes
+	// to the recent end of the probationary segment.
+	var d *Line
+	for _, x := range c.lines {
+		if x.protected && (d == nil || c.older(x, d)) {
+			d = x
+		}
+	}
+	d.protected = false
+	d.LastUse = now
+	c.nprot--
+	c.stats.Demotions++
+	c.obs.Counter("cache.demotions").Add(1)
+}
+
+// older reports whether a comes before b in eviction order: probationary
+// before protected, then by the policy's age, then by tag (lines of one
+// instant; keeps the order independent of map iteration).
+func (c *Cache) older(a, b *Line) bool {
+	if a.protected != b.protected {
+		return b.protected
+	}
+	at, bt := a.LastUse, b.LastUse
+	if c.policy == FIFO {
+		at, bt = a.FetchTime, b.FetchTime
+	}
+	if at != bt {
+		return at < bt
+	}
+	return a.Tag < b.Tag
+}
+
+func (c *Cache) evictable(l *Line) bool {
+	return !l.Staging && l.Pins == 0 && (c.Locked == nil || !c.Locked(l.Tag))
+}
+
 // Victim selects an evictable line per the policy: never staging (the sole
-// copy of migrated data) and never pinned. Returns nil if none qualifies.
+// copy of migrated data), pinned or HSM-locked. Returns nil if none qualifies.
 func (c *Cache) Victim() *Line {
+	var pick *Line
+	if c.policy == Random {
+		pick = c.randomVictim()
+	} else {
+		for _, l := range c.lines {
+			if c.evictable(l) && (pick == nil || c.older(l, pick)) {
+				pick = l
+			}
+		}
+	}
+	c.chosen = pick
+	return pick
+}
+
+// randomVictim draws uniformly among the evictable lines, in tag order so
+// that the seeded draw does not depend on map iteration.
+func (c *Cache) randomVictim() *Line {
 	var cands []*Line
 	for _, l := range c.lines {
-		if l.Staging || l.Pins > 0 {
-			continue
+		if c.evictable(l) {
+			cands = append(cands, l)
 		}
-		if c.Locked != nil && c.Locked(l.Tag) {
-			continue
-		}
-		cands = append(cands, l)
 	}
 	if len(cands) == 0 {
 		return nil
 	}
-	// Unworthy (never re-referenced) lines go first regardless of policy.
-	var pick *Line
-	better := func(a, b *Line) bool {
-		if a.Worthy != b.Worthy {
-			return !a.Worthy
-		}
-		switch c.policy {
-		case LRU:
-			if a.LastUse != b.LastUse {
-				return a.LastUse < b.LastUse
-			}
-		case FIFO:
-			if a.FetchTime != b.FetchTime {
-				return a.FetchTime < b.FetchTime
-			}
-		case Random:
-			// Handled below.
-		}
-		return a.Tag < b.Tag // deterministic tiebreak
-	}
-	if c.policy == Random {
-		// Still prefer unworthy lines; choose randomly among the rest.
-		var unworthy []*Line
-		for _, l := range cands {
-			if !l.Worthy {
-				unworthy = append(unworthy, l)
-			}
-		}
-		if len(unworthy) > 0 {
-			cands = unworthy
-		}
-		// cands was built from map iteration; order it before the draw or
-		// the seeded RNG still yields run-dependent victims.
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Tag < cands[j].Tag })
-		return cands[c.rng.Intn(len(cands))]
-	}
-	for _, l := range cands {
-		if pick == nil || better(l, pick) {
-			pick = l
-		}
-	}
-	return pick
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Tag < cands[j].Tag })
+	return cands[c.rng.Intn(len(cands))]
 }
 
 // Evict removes the line and returns its disk segment for reuse. It
@@ -296,6 +356,15 @@ func (c *Cache) Evict(l *Line) (addr.SegNo, error) {
 		return 0, fmt.Errorf("%w: tag %d", ErrEvictUnknown, l.Tag)
 	}
 	delete(c.lines, l.Tag)
+	if l.protected {
+		c.nprot--
+	}
+	if l == c.chosen {
+		if c.gone = append(c.gone, l.Tag); len(c.gone) > c.capacity {
+			c.gone = c.gone[1:]
+		}
+	}
+	c.chosen = nil
 	c.stats.Evicts++
 	c.obs.Instant("cache", "cache.evict", "evict",
 		obs.Arg{Key: "tag", Val: int64(l.Tag)}, obs.Arg{Key: "seg", Val: int64(l.DiskSeg)})

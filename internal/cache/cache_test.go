@@ -140,23 +140,6 @@ func TestEvictReturnsSegmentForReuse(t *testing.T) {
 	}
 }
 
-func TestBypassFirstRefPrefersUnworthy(t *testing.T) {
-	c := New(LRU, pool(3), 1)
-	c.BypassFirstRef = true
-	for i := 0; i < 3; i++ {
-		s, _ := c.TakeFree()
-		c.Insert(i, s, false, sim.Time(i)*time.Second)
-	}
-	// Re-reference 0 and 1; 2 stays unworthy and must be the victim even
-	// though it is the most recently fetched.
-	c.Lookup(0, 5*time.Second)
-	c.Lookup(1, 6*time.Second)
-	v := c.Victim()
-	if v == nil || v.Tag != 2 {
-		t.Fatalf("victim = %v, want unworthy tag 2", v)
-	}
-}
-
 func TestEvictTypedErrors(t *testing.T) {
 	c := New(LRU, pool(2), 1)
 	s, _ := c.TakeFree()

@@ -306,9 +306,7 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 				continue
 			}
 			claimed++
-			if su.CacheTag == lfs.NilCacheTag {
-				pool = append(pool, addr.SegNo(s))
-			}
+			pool = append(pool, addr.SegNo(s))
 		}
 		// Self-heal a short pool (e.g. images created before claims
 		// were checkpointed, or a crash mid-claim).
@@ -382,6 +380,9 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 				continue
 			}
 			tag := int(su.CacheTag)
+			// The pool holds every claimed segment, so that the cache knows
+			// its capacity; a bound one leaves the free list here.
+			hl.Cache.TakeSeg(addr.SegNo(s))
 			if su.Flags&lfs.SegStaging != 0 {
 				// A staging line is the sole copy of its migrated blocks,
 				// and the crash may have cut its image mid-write. Only the

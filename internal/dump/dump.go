@@ -196,7 +196,19 @@ func Hierarchy(p *sim.Proc, w io.Writer, hl *core.HighLight) error {
 	}
 	fmt.Fprintln(w, "  caching                <- demand fetch: containing segment cached on disk, read served")
 	report("demand fetched")
+	fmt.Fprintf(w, "  %s\n", SegmentCache(hl))
 	return nil
+}
+
+// SegmentCache is the one-line standing of the segment cache: occupancy, how
+// reads fared, what segmented LRU moved between its two segments, and the two
+// counts that say replacement or line supply is the problem — segments
+// fetched again soon after replacement threw them out, and fetches whose data
+// arrived to no line to be had and were read again.
+func SegmentCache(hl *core.HighLight) string {
+	cs, ts := hl.Cache.Stats(), hl.Svc.Stats()
+	return fmt.Sprintf("segment cache: %d/%d lines, %d hits, %d misses, %d promotions, %d demotions, %d refetches, %d late deferrals",
+		hl.Cache.Len(), hl.Cache.Capacity(), cs.Hits, cs.Misses, cs.Promotions, cs.Demotions, cs.Refetches, ts.LateDefers)
 }
 
 // Faults renders the fault-visibility report: per-device counters of
@@ -285,9 +297,10 @@ func DataPath(p *sim.Proc, w io.Writer, hl *core.HighLight) error {
 		"HighLight FS:  inode -> block pointer is a tertiary address",
 		fmt.Sprintf("block map:     segment %d is tertiary (index %d); cache miss", tseg, tag),
 		"tertiary drv:  queue demand fetch, wake service process, sleep",
-		fmt.Sprintf("service proc:  select reusable disk segment %d as cache line", line.DiskSeg),
+		"service proc:  route the fetch to the closest copy's library; no cache line is bound yet",
 		fmt.Sprintf("I/O server:    Footprint.ReadSegment(dev %d, vol %d, seg %d)  [%.2fs in Footprint]",
 			d, v, vs, fpRead.Seconds()),
+		fmt.Sprintf("I/O server:    data in hand: select reusable disk segment %d as cache line", line.DiskSeg),
 		fmt.Sprintf("I/O server:    write segment image to raw disk            [%.2fs writing cache line]",
 			ioWrite.Seconds()),
 		"service proc:  register cache line, call kernel to restart the I/O",

@@ -68,6 +68,7 @@ type Stats struct {
 	ReplicaRedirects int64 // fetches served from a replica instead of the primary
 	FetchFaults      int64 // demand fetches that failed past recovery
 	CopyoutFaults    int64 // copyouts that failed for reasons other than end-of-medium
+	LateDefers       int64 // fetches whose data arrived to no line to be had, and were read again
 }
 
 // DeviceFaults is the per-device fault-visibility report: how many
@@ -82,8 +83,9 @@ type DeviceFaults struct {
 }
 
 // Hooks let the owning file system keep its segment bookkeeping current
-// without the service process taking the file system lock (all hooks must
-// complete without blocking).
+// without the service process, or an I/O process taking a fetch's line
+// (LineEvicted), taking the file system lock (all hooks must complete without
+// blocking).
 type Hooks struct {
 	// LineBound is called when a cache line is (re)bound to a tertiary
 	// segment index.
@@ -112,7 +114,8 @@ func (k reqKind) String() string { return reqKindNames[k] }
 type request struct {
 	kind     reqKind
 	tag      int
-	seg      addr.SegNo // cache line (copyout / fetch completion)
+	seg      addr.SegNo // cache line (a copyout's; a fetch's once bound)
+	bound    bool       // a fetch has taken seg out of the cache's hands
 	pinTag   int        // cache line pinned for the duration (copyouts)
 	enqueued sim.Time
 	err      error
@@ -617,42 +620,63 @@ func (s *Service) mediaTime(lib int, kind reqKind) sim.Time {
 // Outstanding reports the transfers queued or in flight at library lib.
 func (s *Service) Outstanding(lib int) int { return s.out[lib] }
 
-// startFetch binds a cache line (evicting if needed), routes the fetch and
-// hands the transfer to the chosen library's I/O processes; with no line
-// available the request is deferred until a copyout completes.
+// startFetch routes the fetch and hands the transfer to the chosen library's
+// I/O processes, without a cache line: the I/O process binds one when the data
+// has arrived (takeLine). With no line to be had even now, free or evictable,
+// the request is deferred until a copyout completes or a reader lets go.
 func (s *Service) startFetch(p *sim.Proc, r request) {
 	if _, ok := s.cache.Peek(r.tag); ok {
 		s.resolveFetch(r.tag, nil)
 		return
 	}
-	seg, ok := s.cache.TakeFree()
-	if !ok {
-		v := s.cache.Victim()
-		if v == nil {
-			s.deferred = append(s.deferred, r)
-			return
-		}
-		var err error
-		seg, err = s.cache.Evict(v)
-		if err != nil {
-			// The victim became staging or pinned between selection and
-			// eviction; defer the fetch like the no-victim case.
-			s.deferred = append(s.deferred, r)
-			return
-		}
-		if s.hooks.LineEvicted != nil {
-			s.hooks.LineEvicted(v.Tag, seg)
-		}
+	if s.cache.FreeLines() == 0 && s.cache.Victim() == nil {
+		s.deferred = append(s.deferred, r)
+		return
 	}
 	copies := s.readOrder(r.tag, r.tr)
-	s.dispatch(p, request{kind: reqFetch, tag: r.tag, seg: seg, tr: r.tr, copies: copies}, copies[0])
+	s.dispatch(p, request{kind: reqFetch, tag: r.tag, tr: r.tr, copies: copies}, copies[0])
 }
+
+// takeLine takes a cache line for data that has just arrived: a free one, else
+// the victim of this instant, so that a line hit while the fetch was in flight
+// is not the one thrown away. It never blocks.
+func (s *Service) takeLine() (addr.SegNo, bool) {
+	if seg, ok := s.cache.TakeFree(); ok {
+		return seg, true
+	}
+	v := s.cache.Victim()
+	if v == nil {
+		return 0, false
+	}
+	seg, err := s.cache.Evict(v)
+	if err != nil {
+		return 0, false
+	}
+	if s.hooks.LineEvicted != nil {
+		s.hooks.LineEvicted(v.Tag, seg)
+	}
+	return seg, true
+}
+
+// errNoLine is how an I/O process reports a late deferral.
+var errNoLine = errors.New("tertiary: no cache line for the fetched segment")
 
 func (s *Service) finishFetch(p *sim.Proc, r request) {
 	s.transferDone(r)
+	if errors.Is(r.err, errNoLine) {
+		// A late deferral: every line was staging or pinned when the data
+		// arrived. The I/O process did not wait for one (the copy-out that
+		// frees one may be queued behind it); the fetch starts over.
+		s.stats.LateDefers++
+		s.obs.Counter("tertiary.late_defers").Add(1)
+		s.startFetch(p, request{kind: reqFetch, tag: r.tag, enqueued: p.Now(), tr: r.tr})
+		return
+	}
 	if r.err != nil {
 		s.stats.FetchFaults++
-		s.cache.Release(r.seg)
+		if r.bound {
+			s.cache.Release(r.seg)
+		}
 		s.resolveFetch(r.tag, fmt.Errorf("tertiary: segment %d: %w: %w", r.tag, ErrSegmentUnavailable, r.err))
 		// The freed line may unblock fetches deferred for lack of space.
 		s.retryDeferred(p)
@@ -906,8 +930,10 @@ func (s *Service) volumeLoaded(d, vol int) bool {
 // from transient faults with bounded retries and falling back across
 // replicas — other libraries' included — on reads. It holds one of the
 // library's drive tokens for a transfer, but not for the cache-line write
-// that ends a fetch: the next transfer's medium moves meanwhile. The line is
-// announced (reqFetchDone) only once it is written.
+// that ends a fetch: the next transfer's medium moves meanwhile. A fetch has
+// no line until its data is here and the token is back (takeLine); with none
+// to be had the process does not wait for one, and the fetch starts over
+// (errNoLine). The line is announced (reqFetchDone) only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	buf := make([]byte, s.segBytes())
 	for {
@@ -956,6 +982,11 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				if s.ioq[lib].Len() > 0 {
 					s.idle[lib].Signal()
 				}
+				if r.seg, r.bound = s.takeLine(); !r.bound {
+					err = errNoLine
+				}
+			}
+			if err == nil {
 				t0 := p.Now()
 				err = s.withRetry(p, func() error {
 					return s.disk.WriteBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), buf)
