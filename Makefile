@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak fuzz-smoke profile loc
+.PHONY: all build test vet lint race verify bench bench-layers bench-json bench-check crash soak fuzz-smoke profile loc loc-check
 
 all: verify
 
@@ -67,7 +67,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSummary -fuzztime 10s ./internal/lfs/
 
 # Tier-1 verification: everything CI's verify job runs, in order.
-verify: build vet lint test race crash
+verify: build vet lint test race crash loc-check
 
 # Paper-scale table/figure benchmarks live in the root package (see
 # bench_test.go); -benchtime 1x runs each experiment once, as documented
@@ -105,12 +105,20 @@ bench-check:
 	$(GO) run ./cmd/benchcheck
 
 # Non-test Go lines per package and in total, benchmark/ excluded: the
-# tracked number that should go down (ROADMAP item 2). Informational.
+# tracked number that should go down (ROADMAP item 5).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
 		| xargs wc -l \
 		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
+
+# The total of `make loc` may not exceed LOC_MAX: the total of the last PR
+# that lowered it. A PR that lowers the total lowers LOC_MAX to its own; one
+# that must raise it says why in the same diff.
+LOC_MAX = 25693
+loc-check:
+	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
+		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'
 
 # CPU profile of the multi-round migration + demand-fetch workload: run
 # hlbench -serve (which exposes net/http/pprof) against the loopback,

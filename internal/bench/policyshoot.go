@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hsm"
 	"repro/internal/lfs"
 	"repro/internal/migrate"
 	"repro/internal/sim"
@@ -14,10 +13,10 @@ import (
 )
 
 // The policy shootout: the paper's STP ranker against the pure-LRU and
-// heat-weighted-cost competitors from internal/hsm, each driving the same
-// migrator over the same seeded workloads. The quality question is the one
-// §5.1 poses for migration policy: does the policy move dormant data (cheap
-// to have moved) or data the interactive future comes back for (stalls)?
+// heat-weighted-cost competitors, each driving the same migrator over the
+// same seeded workloads. The quality question is the one §5.1 poses for
+// migration policy: does the policy move dormant data (cheap to have moved)
+// or data the interactive future comes back for (stalls)?
 //
 // Each cell runs three phases on a fresh rig: a seeded access phase that
 // differentiates file ages and heat, one migration round under the policy
@@ -39,18 +38,8 @@ func shootBlocks(i int) int { return 8 + (i%4)*16 }
 
 // shootPolicies returns the contenders, fresh per cell (policies are
 // stateless but cheap to rebuild, and fresh values keep cells independent).
-func shootPolicies() []struct {
-	name string
-	pol  hsm.Policy
-} {
-	return []struct {
-		name string
-		pol  hsm.Policy
-	}{
-		{"stp", hsm.Ranker{P: migrate.NewSTP()}},
-		{"lru", &hsm.LRU{}},
-		{"heatcost", &hsm.HeatCost{}},
-	}
+func shootPolicies() []migrate.Policy {
+	return []migrate.Policy{migrate.NewSTP(), &migrate.LRU{}, &migrate.HeatCost{}}
 }
 
 // shootWorkloads are the access distributions: skewed concentrates 80% of
@@ -68,7 +57,7 @@ func shootPick(rng *sim.RNG, workload string) int {
 }
 
 // shootCell runs one policy × workload cell.
-func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved float64, err error) {
+func shootCell(pol migrate.Policy, workload string) (hitRate, p99ms, bytesMoved float64, err error) {
 	err = newStudyRig(frontEndGeom).run(nil, func(p *sim.Proc, hl *core.HighLight) error {
 		// The files are created two seconds apart, so the population has
 		// an age spread before any access differentiates it further.
@@ -105,7 +94,7 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 		// Migration round: the policy picks, the same migrator moves. The
 		// byte target (60% of the data set) forces real choices.
 		m := migrate.NewMigrator(hl)
-		m.Policy = hsm.AsMigratePolicy(pol, nil)
+		m.Policy = pol
 		var totalBlocks int
 		for i := 0; i < shootFiles; i++ {
 			totalBlocks += shootBlocks(i)
@@ -162,15 +151,15 @@ func shootCell(pol hsm.Policy, workload string) (hitRate, p99ms, bytesMoved floa
 func AblationPolicy() (*Report, error) {
 	rep := newReport("Ablation: migration policy shootout (STP vs LRU vs heat-weighted cost, 60% byte target)")
 	rep.addf("%-10s %-9s %10s %10s %12s", "policy", "workload", "hit rate", "p99 ms", "moved MB")
-	for _, c := range shootPolicies() {
+	for _, pol := range shootPolicies() {
 		for _, workload := range shootWorkloads {
-			hitRate, p99ms, moved, err := shootCell(c.pol, workload)
+			hitRate, p99ms, moved, err := shootCell(pol, workload)
 			if err != nil {
-				return rep, fmt.Errorf("policy shootout %s/%s: %w", c.name, workload, err)
+				return rep, fmt.Errorf("policy shootout %s/%s: %w", pol.Name(), workload, err)
 			}
 			rep.addf("%-10s %-9s %10.3f %10.1f %12.2f",
-				c.name, workload, hitRate, p99ms, moved/(1<<20))
-			key := c.name + "/" + workload
+				pol.Name(), workload, hitRate, p99ms, moved/(1<<20))
+			key := pol.Name() + "/" + workload
 			rep.metric(key+"/hit_rate", hitRate)
 			rep.metric(key+"/p99_ms", p99ms)
 			rep.metric(key+"/bytes_moved", moved)

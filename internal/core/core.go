@@ -30,7 +30,7 @@ type Config struct {
 	// Disks form the disk farm, concatenated by the striping driver.
 	Disks []dev.BlockDev
 	// StripeUnit, when positive and more than one disk is given, stripes
-	// the farm (stripe.Interleave) with this stripe unit in 4 KB blocks
+	// the farm (stripe.NewInterleave) with this stripe unit in 4 KB blocks
 	// instead of concatenating. Zero keeps the paper's concatenation.
 	StripeUnit int
 	// Parity adds a rotating RAID-5-style parity unit per stripe row
@@ -87,7 +87,7 @@ type Config struct {
 type HighLight struct {
 	K     *sim.Kernel
 	Amap  *addr.Map
-	Disk  stripe.Farm
+	Disk  *stripe.Farm
 	FS    *lfs.FS
 	Cache *cache.Cache
 	Svc   *tertiary.Service
@@ -221,7 +221,7 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 	// spindles to the farm on-line (§6.4). A stripe unit switches the
 	// farm to the interleaved layout, trading on-line growth for
 	// bandwidth.
-	var disk stripe.Farm
+	var disk *stripe.Farm
 	var err error
 	if cfg.StripeUnit > 0 && len(cfg.Disks) > 1 {
 		disk, err = stripe.NewInterleave(cfg.StripeUnit, cfg.Parity, cfg.Disks...)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/dev"
 	"repro/internal/sim"
-	"repro/internal/stripe"
 )
 
 // On-line storage reconfiguration (§6.4 / §10): disks can join and leave
@@ -16,12 +15,6 @@ import (
 // zone, its segments are initialized clean, and the log can use them
 // immediately. Returns the number of segments added.
 func (hl *HighLight) AddDisk(p *sim.Proc, d dev.BlockDev) (int, error) {
-	c, ok := hl.Disk.(*stripe.Concat)
-	if !ok {
-		// An interleaved farm spreads every stripe row over all spindles;
-		// appending one cannot extend the address space in place.
-		return 0, fmt.Errorf("core: on-line growth requires a concatenated farm, not %T", hl.Disk)
-	}
 	segs := int(d.NumBlocks()) / hl.Amap.SegBlocks()
 	if segs < 1 {
 		return 0, fmt.Errorf("core: disk too small for even one segment")
@@ -29,8 +22,10 @@ func (hl *HighLight) AddDisk(p *sim.Proc, d dev.BlockDev) (int, error) {
 	if err := hl.FS.CanGrow(segs); err != nil {
 		return 0, err
 	}
+	if _, err := hl.Disk.Append(d); err != nil {
+		return 0, fmt.Errorf("core: on-line growth requires a concatenated farm: %w", err)
+	}
 	hl.Amap.GrowDisk(segs) // panics only if regions collide; CanGrow ran first
-	c.Append(d)
 	if err := hl.FS.GrowDisk(p, segs); err != nil {
 		return 0, err
 	}
@@ -83,11 +78,10 @@ func (hl *HighLight) RetireDiskRange(p *sim.Proc, lo, hi addr.SegNo) error {
 // components to contiguous segment ranges; for an interleaved farm the
 // range is empty.
 func (hl *HighLight) ComponentRange(i int) (lo, hi addr.SegNo) {
-	c, ok := hl.Disk.(*stripe.Concat)
-	if !ok {
+	if hl.Disk.StripeUnit() > 0 {
 		return 0, 0
 	}
-	d, start := c.Component(i)
+	d, start := hl.Disk.Component(i)
 	lo = addr.SegNo(start / int64(hl.Amap.SegBlocks()))
 	hi = lo + addr.SegNo(d.NumBlocks()/int64(hl.Amap.SegBlocks()))
 	return lo, hi

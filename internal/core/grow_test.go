@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/addr"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/sim"
+	"repro/internal/stripe"
 )
 
 func TestAddDiskGrowsCapacityOnline(t *testing.T) {
@@ -110,6 +112,43 @@ func TestAddDiskPersistsAcrossRemount(t *testing.T) {
 		}
 		if got := get(t, p, f); !bytes.Equal(got, data) {
 			t.Fatal("grown-farm data lost across remount")
+		}
+	})
+	k.Stop()
+}
+
+// TestAddDiskRefusedOnStripedFarm: a striped farm cannot grow in place.
+// AddDisk says so with stripe.ErrStriped and leaves the instance as it was,
+// and no component of such a farm owns a segment range.
+func TestAddDiskRefusedOnStripedFarm(t *testing.T) {
+	const segBlocks = 16
+	k := sim.NewKernel()
+	disk := func() dev.BlockDev { return dev.NewDisk(k, dev.RZ57, int64(16*segBlocks), nil) }
+	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 2, 16, segBlocks*lfs.BlockSize, nil)
+	k.RunProc(func(p *sim.Proc) {
+		hl, err := New(p, Config{
+			SegBlocks:  segBlocks,
+			Disks:      []dev.BlockDev{disk(), disk(), disk()},
+			StripeUnit: 4,
+			Parity:     true,
+			Jukeboxes:  []jukebox.Footprint{juke},
+			CacheSegs:  6,
+			MaxInodes:  128,
+		}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, segs := hl.Disk.NumBlocks(), hl.Amap.DiskSegs()
+		if _, err := hl.AddDisk(p, disk()); !errors.Is(err, stripe.ErrStriped) {
+			t.Fatalf("AddDisk on a striped farm: %v, want an error wrapping stripe.ErrStriped", err)
+		}
+		if hl.Disk.NumBlocks() != blocks || hl.Disk.Components() != 3 || hl.Amap.DiskSegs() != segs {
+			t.Fatal("refused AddDisk changed the farm or the address map")
+		}
+		for i := 0; i < 3; i++ {
+			if lo, hi := hl.ComponentRange(i); lo != hi {
+				t.Fatalf("ComponentRange(%d) = [%d,%d) on a striped farm, want empty", i, lo, hi)
+			}
 		}
 	})
 	k.Stop()

@@ -19,7 +19,7 @@ func TestDegradedReadThroughFaultedArm(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		disks = append(disks, dev.NewDisk(k, dev.RZ57, 512, nil))
 	}
-	farm := stripe.MustNewInterleave(4, true, disks...)
+	farm := stripe.Must(stripe.NewInterleave(4, true, disks...))
 
 	// Every read of arm 1 is refused permanently: a dead spindle that was
 	// never administratively marked failed.
@@ -57,8 +57,8 @@ func TestFarmComponentTargeting(t *testing.T) {
 	k := sim.NewKernel()
 	d0 := dev.NewDisk(k, dev.RZ57, 256, nil)
 	d1 := dev.NewDisk(k, dev.RZ57, 256, nil)
-	concat := stripe.MustNew(d0, d1)
-	ileave := stripe.MustNewInterleave(4, false, d0, d1)
+	concat := stripe.Must(stripe.New(d0, d1))
+	ileave := stripe.Must(stripe.NewInterleave(4, false, d0, d1))
 
 	pl := NewPlan(Config{Seed: 1})
 	if n := pl.InstallFarm("concat", concat); n != 2 {

@@ -233,7 +233,7 @@ func (pl *Plan) InstallDisk(name string, d *dev.Disk) {
 // stay healthy — the parity read path must then serve degraded-mode reads
 // through the faulted arm. Returns false when the component is not a
 // simulated disk (nothing to hook).
-func (pl *Plan) InstallFarmComponent(name string, f stripe.Farm, i int) bool {
+func (pl *Plan) InstallFarmComponent(name string, f *stripe.Farm, i int) bool {
 	d, ok := farmDisk(f, i)
 	if !ok {
 		return false
@@ -244,7 +244,7 @@ func (pl *Plan) InstallFarmComponent(name string, f stripe.Farm, i int) bool {
 
 // InstallFarm installs one injector per *dev.Disk component of f, named
 // prefix[i], and reports how many spindles were hooked.
-func (pl *Plan) InstallFarm(prefix string, f stripe.Farm) int {
+func (pl *Plan) InstallFarm(prefix string, f *stripe.Farm) int {
 	n := 0
 	for i := 0; i < f.Components(); i++ {
 		if pl.InstallFarmComponent(fmt.Sprintf("%s[%d]", prefix, i), f, i) {
@@ -254,22 +254,12 @@ func (pl *Plan) InstallFarm(prefix string, f stripe.Farm) int {
 	return n
 }
 
-// farmDisk resolves component i of a farm to its simulated disk, seeing
-// through both farm layouts (Concat exposes a start offset alongside the
-// device; Interleave does not).
-func farmDisk(f stripe.Farm, i int) (*dev.Disk, bool) {
+// farmDisk resolves component i of a farm to its simulated disk.
+func farmDisk(f *stripe.Farm, i int) (*dev.Disk, bool) {
 	if i < 0 || i >= f.Components() {
 		return nil, false
 	}
-	var bd dev.BlockDev
-	switch farm := f.(type) {
-	case *stripe.Interleave:
-		bd = farm.Component(i)
-	case *stripe.Concat:
-		bd, _ = farm.Component(i)
-	default:
-		return nil, false
-	}
+	bd, _ := f.Component(i)
 	d, ok := bd.(*dev.Disk)
 	return d, ok
 }

@@ -228,10 +228,9 @@ type FS struct {
 	stats Stats
 }
 
-// Format initializes an empty file system on device with the given address
-// map and options, and returns it mounted.
-func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error) {
-	opts.fill(amap.SegBlocks() * BlockSize)
+// newFS returns what Format and Mount build alike: an FS over device with
+// empty tables and caches, its options already filled in.
+func newFS(p *sim.Proc, device Device, amap *addr.Map, opts Options) *FS {
 	fs := &FS{
 		k:        p.Kernel(),
 		dev:      device,
@@ -244,6 +243,14 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 		dirtyIno: make(map[uint32]bool),
 	}
 	fs.fetcher, _ = device.(Fetcher)
+	return fs
+}
+
+// Format initializes an empty file system on device with the given address
+// map and options, and returns it mounted.
+func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error) {
+	opts.fill(amap.SegBlocks() * BlockSize)
+	fs := newFS(p, device, amap, opts)
 	tb := fs.tableBlocks(opts.MaxInodes)
 	reservedBlocks := 3 + 2*tb
 	reservedSegs := (reservedBlocks + amap.SegBlocks() - 1) / amap.SegBlocks()
@@ -320,19 +327,8 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 	opts.fill(amap.SegBlocks() * BlockSize)
 	opts.MaxInodes = int(sb.MaxInodes)
 	opts.CacheSegs = int(sb.CacheSegs)
-	fs := &FS{
-		k:        p.Kernel(),
-		dev:      device,
-		amap:     amap,
-		sb:       sb,
-		opts:     opts,
-		lock:     p.Kernel().NewResource("lfs.lock"),
-		bufs:     make(map[bufKey]*buf),
-		lastLbn:  make(map[uint32]int32),
-		inodes:   make(map[uint32]*Inode),
-		dirtyIno: make(map[uint32]bool),
-	}
-	fs.fetcher, _ = device.(Fetcher)
+	fs := newFS(p, device, amap, opts)
+	fs.sb = sb
 	// Pick the newer valid checkpoint.
 	var best checkpoint
 	found := false

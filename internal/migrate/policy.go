@@ -53,6 +53,18 @@ func (s *STP) Name() string { return "stp" }
 
 // Select implements Policy.
 func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Candidate, error) {
+	return rankFiles(p, hl, targetBytes, "policy:stp", s.MinAge, func(age sim.Time, size uint64) float64 {
+		return math.Pow(float64(age), s.TimeExp) * math.Pow(float64(size), s.SizeExp)
+	})
+}
+
+// rankFiles is the ranking every per-file policy shares; the policies
+// differ in score alone. It walks the namespace, leaves out pinned files
+// and files younger than minAge (both audited under actor), scores the
+// rest, sorts best first (ties by inode number), keeps enough to reach
+// target and audits one verdict per ranked file.
+func rankFiles(p *sim.Proc, hl *core.HighLight, target int64, actor string, minAge sim.Time,
+	score func(age sim.Time, size uint64) float64) ([]Candidate, error) {
 	now := p.Now()
 	var cands []Candidate
 	err := hl.FS.Walk(p, "/", func(path string, fi lfs.FileInfo) error {
@@ -61,7 +73,7 @@ func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Cand
 		}
 		if hl.InodePinned(fi.Inum) {
 			hl.Audit.Record(attr.Decision{
-				T: now, Actor: "policy:stp", Subject: "file:" + path,
+				T: now, Actor: actor, Subject: "file:" + path,
 				Seg: -1, Verdict: attr.VerdictPinGuard, Reason: "file is HSM-pinned",
 				Inputs: []attr.Input{attr.In("size", float64(fi.Size))},
 			})
@@ -71,13 +83,13 @@ func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Cand
 		if age < 0 {
 			age = 0 // resumed image: access times may be "in the future"
 		}
-		if age < s.MinAge {
+		if age < minAge {
 			hl.Audit.Record(attr.Decision{
-				T: now, Actor: "policy:stp", Subject: "file:" + path,
+				T: now, Actor: actor, Subject: "file:" + path,
 				Seg: -1, Verdict: attr.VerdictSkipped, Reason: "younger than min age",
 				Inputs: []attr.Input{
 					attr.In("age_s", age.Seconds()),
-					attr.In("min_age_s", s.MinAge.Seconds()),
+					attr.In("min_age_s", minAge.Seconds()),
 					attr.In("size", float64(fi.Size)),
 				},
 			})
@@ -88,7 +100,7 @@ func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Cand
 			Path:  path,
 			Size:  fi.Size,
 			Atime: fi.Atime,
-			Score: math.Pow(float64(age), s.TimeExp) * math.Pow(float64(fi.Size), s.SizeExp),
+			Score: score(age, fi.Size),
 		})
 		return nil
 	})
@@ -101,8 +113,8 @@ func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Cand
 		}
 		return cands[a].Inum < cands[b].Inum
 	})
-	taken := takeTarget(cands, targetBytes)
-	auditRanking(hl, "policy:stp", now, cands, len(taken))
+	taken := takeTarget(cands, target)
+	auditRanking(hl, actor, now, cands, len(taken))
 	return taken, nil
 }
 
@@ -141,9 +153,59 @@ func (a *AccessTime) Name() string { return "atime" }
 
 // Select implements Policy.
 func (a *AccessTime) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Candidate, error) {
-	stp := &STP{TimeExp: 1, SizeExp: 0, MinAge: a.MinAge}
-	cands, err := stp.Select(p, hl, targetBytes)
-	return cands, err
+	return (&STP{TimeExp: 1, SizeExp: 0, MinAge: a.MinAge}).Select(p, hl, targetBytes)
+}
+
+// LRU is the pure least-recently-used competitor: rank strictly by access
+// age, oldest first, ignoring size. The classic archive policy the early
+// migration studies (and §5.1) compare STP against — it moves the coldest
+// files but wastes staging passes on small ones.
+type LRU struct {
+	// MinAge excludes recently active files entirely.
+	MinAge sim.Time
+}
+
+// Name implements Policy.
+func (l *LRU) Name() string { return "lru" }
+
+// Select implements Policy.
+func (l *LRU) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Candidate, error) {
+	return rankFiles(p, hl, targetBytes, "policy:lru", l.MinAge, func(age sim.Time, size uint64) float64 {
+		return age.Seconds()
+	})
+}
+
+// HeatCost is the heat-weighted-cost competitor: the space-time product
+// discounted by the file's recent heat, so a large old file that is still
+// being touched ranks below a slightly smaller stone-cold one. Score =
+// age × size / (1 + HeatWeight × 2^(-age/halfLife)), the half-life being
+// the heat-attribution table's: for ages much larger than it the discount
+// vanishes and the ranking converges to STP; for recently touched files the
+// denominator demotes them sharply — exactly the files whose eviction would
+// cause interactive stalls.
+type HeatCost struct {
+	MinAge sim.Time
+	// HeatWeight scales the recency discount (default 8 when zero).
+	HeatWeight float64
+}
+
+// Name implements Policy.
+func (h *HeatCost) Name() string { return "heatcost" }
+
+// Select implements Policy.
+func (h *HeatCost) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Candidate, error) {
+	w := h.HeatWeight
+	if w == 0 {
+		w = 8
+	}
+	half := attr.DefaultHalfLife.Seconds()
+	if hl.Heat != nil && hl.Heat.HalfLife > 0 {
+		half = hl.Heat.HalfLife.Seconds()
+	}
+	return rankFiles(p, hl, targetBytes, "policy:heatcost", h.MinAge, func(age sim.Time, size uint64) float64 {
+		hot := math.Exp2(-age.Seconds() / half)
+		return age.Seconds() * float64(size) / (1 + w*hot)
+	})
 }
 
 // Namespace is the namespace-locality policy (§5.3): directory subtrees

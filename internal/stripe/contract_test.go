@@ -34,16 +34,16 @@ func TestBlockDevContract(t *testing.T) {
 			return d
 		}},
 		{"concat", func(k *sim.Kernel) dev.BlockDev {
-			return MustNew(disks(k, 3)...)
+			return Must(New(disks(k, 3)...))
 		}},
 		{"interleave", func(k *sim.Kernel) dev.BlockDev {
-			return MustNewInterleave(unit, false, disks(k, 4)...)
+			return Must(NewInterleave(unit, false, disks(k, 4)...))
 		}},
 		{"interleave parity", func(k *sim.Kernel) dev.BlockDev {
-			return MustNewInterleave(unit, true, disks(k, 4)...)
+			return Must(NewInterleave(unit, true, disks(k, 4)...))
 		}},
 		{"interleave parity, spindle 2 failed", func(k *sim.Kernel) dev.BlockDev {
-			il := MustNewInterleave(unit, true, disks(k, 4)...)
+			il := Must(NewInterleave(unit, true, disks(k, 4)...))
 			il.SetFailed(2, true)
 			return il
 		}},
@@ -52,9 +52,9 @@ func TestBlockDevContract(t *testing.T) {
 			k := sim.NewKernel()
 			d := tc.make(k)
 			k.RunProc(func(p *sim.Proc) {
-				// Unaligned, several stripe rows long, crossing Concat's
-				// first component boundary: partial rows, full rows and
-				// coalesced transfers all occur.
+				// Unaligned, several stripe rows long, crossing the
+				// concatenated farm's first component boundary: partial
+				// rows, full rows and coalesced transfers all occur.
 				const blk, nb = 50, 43
 				want := make([]byte, nb*dev.BlockSize)
 				for i := range want {

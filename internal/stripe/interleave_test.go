@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-func newInterleave(k *sim.Kernel, unit int, parity bool, n int, size int64) (*Interleave, []*dev.Disk) {
+func newInterleave(k *sim.Kernel, unit int, parity bool, n int, size int64) (*Farm, []*dev.Disk) {
 	var devs []dev.BlockDev
 	var disks []*dev.Disk
 	for i := 0; i < n; i++ {
@@ -17,14 +17,14 @@ func newInterleave(k *sim.Kernel, unit int, parity bool, n int, size int64) (*In
 		devs = append(devs, d)
 		disks = append(disks, d)
 	}
-	return MustNewInterleave(unit, parity, devs...), disks
+	return Must(NewInterleave(unit, parity, devs...)), disks
 }
 
 // TestInterleaveMatchesConcatReference is the stripe-geometry property
 // test: across stripe units, component counts, and parity, a random
-// workload of boundary-spanning writes and reads through Interleave must
-// be byte-equivalent to the same workload through a plain Concat of equal
-// capacity — striping may only change placement, never contents.
+// workload of boundary-spanning writes and reads through a striped farm
+// must be byte-equivalent to the same workload through a plain concatenated
+// one of equal capacity — striping may only change placement, never contents.
 func TestInterleaveMatchesConcatReference(t *testing.T) {
 	for _, tc := range []struct {
 		unit, n int
@@ -39,7 +39,7 @@ func TestInterleaveMatchesConcatReference(t *testing.T) {
 			const perDisk = 64
 			il, _ := newInterleave(k, tc.unit, tc.parity, tc.n, perDisk)
 			total := il.NumBlocks()
-			ref := MustNew(dev.NewDisk(k, dev.RZ57, total, nil))
+			ref := Must(New(dev.NewDisk(k, dev.RZ57, total, nil)))
 			if want := (perDisk / int64(tc.unit)) * il.dataDisks() * int64(tc.unit); total != want {
 				t.Fatalf("NumBlocks = %d, want %d", total, want)
 			}
@@ -215,9 +215,9 @@ func TestParityFullStripeWriteAvoidsReads(t *testing.T) {
 func TestInterleaveArmsOverlap(t *testing.T) {
 	elapsed := func(n int) sim.Time {
 		k := sim.NewKernel()
-		var farm Farm
+		var farm *Farm
 		if n == 1 {
-			farm = MustNew(dev.NewDisk(k, dev.RZ57, 1024, nil))
+			farm = Must(New(dev.NewDisk(k, dev.RZ57, 1024, nil)))
 		} else {
 			farm, _ = newInterleave(k, 8, false, n, 1024/int64(n))
 		}
@@ -281,7 +281,7 @@ func TestParallelDispatchDeterminism(t *testing.T) {
 
 // linearLocate is the historical reverse linear scan kept as the
 // benchmark reference for the sort.Search replacement.
-func (c *Concat) linearLocate(blk int64) (int, int64) {
+func (c *Farm) linearLocate(blk int64) (int, int64) {
 	if blk < 0 || blk >= c.total {
 		return -1, 0
 	}
@@ -297,10 +297,13 @@ func TestLocateMatchesLinearScan(t *testing.T) {
 	k := sim.NewKernel()
 	c, _ := newConcat(k, 7, 13, 1, 64, 32, 5, 100, 9)
 	for blk := int64(-1); blk <= c.NumBlocks(); blk++ {
-		gi, go_ := c.locate(blk)
+		gi, go_, run := c.locate(blk)
 		wi, wo := c.linearLocate(blk)
 		if gi != wi || go_ != wo {
 			t.Fatalf("locate(%d) = (%d,%d), linear scan says (%d,%d)", blk, gi, go_, wi, wo)
+		}
+		if wi >= 0 && run != c.devs[wi].NumBlocks()-wo {
+			t.Fatalf("locate(%d): run of %d blocks, component %d has %d left", blk, run, wi, c.devs[wi].NumBlocks()-wo)
 		}
 	}
 }

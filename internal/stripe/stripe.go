@@ -1,10 +1,10 @@
-// Package stripe implements the disk-farm pseudo-device drivers of §6.6:
+// Package stripe implements the disk-farm pseudo-device driver of §6.6:
 // several independent disks presented as a single logical block address
-// space. Concat reproduces the paper's simple concatenation; Interleave
-// (interleave.go) adds true striping with an optional rotating parity.
-// Both split spanning requests into per-component sub-requests and issue
-// them on their own simulated processes, so independent disk arms overlap
-// in virtual time.
+// space. One driver serves two address maps: New reproduces the paper's
+// simple concatenation, NewInterleave adds true striping with an optional
+// rotating parity (parity.go). Either way a spanning request is split into
+// per-component sub-requests issued on their own simulated processes, so
+// independent disk arms overlap in virtual time.
 package stripe
 
 import (
@@ -18,148 +18,338 @@ import (
 	"repro/internal/sim"
 )
 
-// ioNote labels a stripe-io trace stage with direction and size.
-func ioNote(write bool, buf []byte) string {
-	dir := "read"
-	if write {
-		dir = "write"
-	}
-	return fmt.Sprintf("%s %d blk", dir, len(buf)/dev.BlockSize)
-}
-
-// Farm is the interface a disk-farm pseudo-device presents to the file
-// system: block I/O, a whole-farm write-cache flush, and component
-// introspection. Concat and Interleave implement it.
-type Farm interface {
-	dev.BlockDev
-	Flush(p *sim.Proc) error
-	Components() int
-}
-
-// Concat is a concatenation of block devices: component 0 owns blocks
-// [0, n0), component 1 owns [n0, n0+n1), and so on.
-type Concat struct {
+// Farm is a disk farm: block I/O over its components, a whole-farm
+// write-cache flush, and component introspection.
+//
+// Concatenated (unit == 0): component 0 owns blocks [0, n0), component 1
+// owns [n0, n0+n1), and so on.
+//
+// Striped (unit > 0): the logical block space is cut into stripe units of
+// unit blocks and dealt round-robin over N spindles, so a request spanning
+// several units is served by several independent disk arms at once. Data
+// stripe unit su lives on disk su % N at physical unit su / N. With parity
+// the farm keeps one rotating RAID-5-style parity unit per stripe row
+// (giving up one spindle's worth of capacity) and survives a single failed
+// component: reads reconstruct the missing unit by XOR of the survivors,
+// writes maintain parity with read-modify cycles. Row r = su/(N-1) then
+// holds data units on the N-1 disks other than the parity disk r % N, in
+// disk-index order.
+type Farm struct {
 	devs   []dev.BlockDev
-	starts []int64 // starts[i] = first block of component i
-	total  int64
+	starts []int64 // concatenated: starts[i] = first block of component i
+	unit   int64   // stripe unit in blocks; 0 when concatenated
+	parity bool
+	failed []bool
+	total  int64 // logical data blocks presented
 	free   freeList
 	names  farmNames
+	// rebuild names the survivor reads of a degraded-mode reconstruction.
+	rebuild fanNames
 }
 
-var _ Farm = (*Concat)(nil)
-
-// ErrNoDevices is returned by New for an empty component list.
-var ErrNoDevices = errors.New("stripe: no component devices")
+var (
+	// ErrNoDevices is returned by New and NewInterleave for an empty
+	// component list.
+	ErrNoDevices = errors.New("stripe: no component devices")
+	// ErrComponentFailed is returned when a request needs a component marked
+	// failed and no parity is available to reconstruct around it.
+	ErrComponentFailed = errors.New("stripe: component failed")
+	// ErrStriped is returned by Append on a striped farm: every stripe row
+	// spreads over all spindles, so one more cannot extend the address space
+	// in place.
+	ErrStriped = errors.New("stripe: cannot append to a striped farm")
+)
 
 // New returns the concatenation of devs, or ErrNoDevices if devs is empty.
-func New(devs ...dev.BlockDev) (*Concat, error) {
+func New(devs ...dev.BlockDev) (*Farm, error) {
 	if len(devs) == 0 {
 		return nil, ErrNoDevices
 	}
-	c := &Concat{devs: devs}
+	f := &Farm{devs: devs, failed: make([]bool, len(devs)), names: newFarmNames("stripe.concat", len(devs))}
 	for _, d := range devs {
-		c.starts = append(c.starts, c.total)
-		c.total += d.NumBlocks()
+		f.starts = append(f.starts, f.total)
+		f.total += d.NumBlocks()
 	}
-	c.names = newFarmNames("stripe.concat", len(devs))
-	return c, nil
+	return f, nil
 }
 
-// MustNew is New panicking on an empty component list — for tests and
-// examples with static configurations.
-func MustNew(devs ...dev.BlockDev) *Concat {
-	c, err := New(devs...)
+// NewInterleave stripes devs with the given stripe unit (in 4 KB blocks).
+// With parity set, one unit per row is rotating parity; at least three
+// spindles are required then (two without). Capacity is the largest whole
+// number of stripe rows that fits the smallest component.
+func NewInterleave(unitBlocks int, parity bool, devs ...dev.BlockDev) (*Farm, error) {
+	if len(devs) == 0 {
+		return nil, ErrNoDevices
+	}
+	if unitBlocks <= 0 {
+		return nil, fmt.Errorf("stripe: stripe unit must be positive, got %d", unitBlocks)
+	}
+	if len(devs) < 2 {
+		return nil, fmt.Errorf("stripe: interleaving needs at least 2 spindles, got %d", len(devs))
+	}
+	if parity && len(devs) < 3 {
+		return nil, fmt.Errorf("stripe: rotating parity needs at least 3 spindles, got %d", len(devs))
+	}
+	min := devs[0].NumBlocks()
+	for _, d := range devs[1:] {
+		if d.NumBlocks() < min {
+			min = d.NumBlocks()
+		}
+	}
+	rows := min / int64(unitBlocks)
+	if rows == 0 {
+		return nil, fmt.Errorf("stripe: components hold %d blocks, smaller than one %d-block stripe unit", min, unitBlocks)
+	}
+	f := &Farm{
+		devs:    devs,
+		unit:    int64(unitBlocks),
+		parity:  parity,
+		failed:  make([]bool, len(devs)),
+		names:   newFarmNames("stripe.ileave", len(devs)),
+		rebuild: newFanNames("stripe.rebuild.read", len(devs)),
+	}
+	f.total = rows * f.dataDisks() * f.unit
+	return f, nil
+}
+
+// Must returns the farm of a New or NewInterleave call, panicking on its
+// error — for tests and examples with static configurations.
+func Must(f *Farm, err error) *Farm {
 	if err != nil {
 		panic(err)
 	}
-	return c
+	return f
 }
 
-// NumBlocks implements dev.BlockDev.
-func (c *Concat) NumBlocks() int64 { return c.total }
+// NumBlocks implements dev.BlockDev (data capacity; parity is not
+// addressable).
+func (f *Farm) NumBlocks() int64 { return f.total }
 
-// Append adds a device to the end of the concatenation (on-line disk
-// addition, §6.4) and returns its starting block.
-func (c *Concat) Append(d dev.BlockDev) int64 {
-	start := c.total
-	c.devs = append(c.devs, d)
-	c.starts = append(c.starts, start)
-	c.total += d.NumBlocks()
-	c.names = newFarmNames("stripe.concat", len(c.devs))
-	return start
+// Append adds a device to the end of a concatenated farm (on-line disk
+// addition, §6.4) and returns its starting block; a striped farm refuses
+// with ErrStriped.
+func (f *Farm) Append(d dev.BlockDev) (int64, error) {
+	if f.unit > 0 {
+		return 0, ErrStriped
+	}
+	start := f.total
+	f.devs = append(f.devs, d)
+	f.starts = append(f.starts, start)
+	f.failed = append(f.failed, false)
+	f.total += d.NumBlocks()
+	f.names = newFarmNames("stripe.concat", len(f.devs))
+	return start, nil
 }
 
 // Components reports the number of underlying devices.
-func (c *Concat) Components() int { return len(c.devs) }
+func (f *Farm) Components() int { return len(f.devs) }
 
-// Component returns underlying device i and its starting block.
-func (c *Concat) Component(i int) (dev.BlockDev, int64) {
-	return c.devs[i], c.starts[i]
-}
-
-// locate finds the component holding blk by binary search over the
-// component start table (it sits on every block I/O of the file system).
-func (c *Concat) locate(blk int64) (int, int64) {
-	if blk < 0 || blk >= c.total {
-		return -1, 0
+// Component returns underlying device i and, on a concatenated farm, its
+// starting block (a striped component owns no contiguous range: 0).
+func (f *Farm) Component(i int) (dev.BlockDev, int64) {
+	if f.unit > 0 {
+		return f.devs[i], 0
 	}
-	// The first component starting beyond blk; its predecessor holds blk.
-	i := sort.Search(len(c.starts), func(i int) bool { return c.starts[i] > blk }) - 1
-	return i, blk - c.starts[i]
+	return f.devs[i], f.starts[i]
 }
 
-func (c *Concat) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
+// StripeUnit reports the stripe unit in blocks, 0 for a concatenated farm.
+func (f *Farm) StripeUnit() int { return int(f.unit) }
+
+// SetFailed marks component i failed (or repaired). With parity the farm
+// keeps serving reads in degraded mode; without parity requests touching
+// the component return ErrComponentFailed.
+func (f *Farm) SetFailed(i int, down bool) { f.failed[i] = down }
+
+// dataDisks is the number of data units per stripe row.
+func (f *Farm) dataDisks() int64 {
+	if f.parity {
+		return int64(len(f.devs) - 1)
+	}
+	return int64(len(f.devs))
+}
+
+// parityDisk returns row r's parity spindle (-1 without parity).
+func (f *Farm) parityDisk(row int64) int {
+	if !f.parity {
+		return -1
+	}
+	return int(row % int64(len(f.devs)))
+}
+
+// lane maps data-unit index j of a row to its spindle: the j-th disk
+// skipping the row's parity disk.
+func (f *Farm) lane(row int64, j int64) int {
+	if !f.parity {
+		return int(j)
+	}
+	pd := int64(f.parityDisk(row))
+	if j >= pd {
+		return int(j + 1)
+	}
+	return int(j)
+}
+
+// locate is the address map, the only layout-specific code of the data
+// path: logical block blk lives at physical block phys of component disk,
+// and run blocks from there on are contiguous on it. Concatenated, it is a
+// binary search over the component start table (it sits on every block I/O
+// of the file system); striped, row and lane arithmetic. disk is -1 for a
+// block outside the farm.
+func (f *Farm) locate(blk int64) (disk int, phys, run int64) {
+	if blk < 0 || blk >= f.total {
+		return -1, 0, 0
+	}
+	if f.unit == 0 {
+		// The first component starting beyond blk; its predecessor holds blk.
+		i := sort.Search(len(f.starts), func(i int) bool { return f.starts[i] > blk }) - 1
+		off := blk - f.starts[i]
+		return i, off, f.devs[i].NumBlocks() - off
+	}
+	su, off, nd := blk/f.unit, blk%f.unit, f.dataDisks()
+	row, j := su/nd, su%nd
+	return f.lane(row, j), row*f.unit + off, f.unit - off
+}
+
+// extent is a slice of a request that is contiguous on one component:
+// buf goes to (or comes from) physical block phys of spindle disk.
+type extent struct {
+	disk int
+	phys int64
+	buf  []byte
+}
+
+// split cuts a validated request into extents, appending to dst. A
+// striped request that needs more extents than dst holds gets one slice of
+// exactly its size; callers pass a small array of their own, which a
+// concatenated request (one extent unless it crosses a component boundary)
+// never outgrows in practice.
+func (f *Farm) split(dst []extent, blk int64, buf []byte) []extent {
+	if f.unit > 0 {
+		last := blk + int64(len(buf)/dev.BlockSize) - 1
+		if n := int(last/f.unit - blk/f.unit + 1); n > cap(dst) {
+			dst = make([]extent, 0, n)
+		}
+	}
+	for len(buf) > 0 {
+		disk, phys, n := f.locate(blk)
+		if avail := int64(len(buf) / dev.BlockSize); n > avail {
+			n = avail
+		}
+		dst = append(dst, extent{disk: disk, phys: phys, buf: buf[:n*dev.BlockSize]})
+		buf = buf[n*dev.BlockSize:]
+		blk += n
+	}
+	return dst
+}
+
+// do validates a request, opens its stripe-io trace stage (labelled with
+// direction and size) and runs it.
+func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
 	if len(buf)%dev.BlockSize != 0 {
 		return fmt.Errorf("stripe: buffer %d bytes not block-aligned", len(buf))
 	}
 	nb := int64(len(buf) / dev.BlockSize)
-	if blk < 0 || blk+nb > c.total {
-		return fmt.Errorf("stripe: blocks [%d,%d) out of range [0,%d)", blk, blk+nb, c.total)
+	if blk < 0 || blk+nb > f.total {
+		return fmt.Errorf("stripe: blocks [%d,%d) out of range [0,%d)", blk, blk+nb, f.total)
 	}
 	tr := reqtrace.From(p)
 	var note string
 	if tr != nil {
-		note = ioNote(write, buf)
-	}
-	groups := make([][]op, len(c.devs))
-	for nb > 0 {
-		i, off := c.locate(blk)
-		if i < 0 {
-			return fmt.Errorf("stripe: no component for block %d", blk)
+		dir := "read"
+		if write {
+			dir = "write"
 		}
-		span := c.devs[i].NumBlocks() - off
-		if span > nb {
-			span = nb
-		}
-		groups[i] = append(groups[i], op{d: c.devs[i], blk: off, buf: buf[:span*dev.BlockSize]})
-		buf = buf[span*dev.BlockSize:]
-		blk += span
-		nb -= span
+		note = fmt.Sprintf("%s %d blk", dir, nb)
 	}
 	st := tr.StageStart(reqtrace.KindStripeIO, p.Now(), note)
-	names := &c.names.read
-	if write {
-		names = &c.names.write
+	var err error
+	switch {
+	case !write:
+		err = f.readBlocks(p, blk, buf)
+	case f.parity:
+		err = f.writeParity(p, blk, nb, buf)
+	default:
+		err = f.writeBlocks(p, blk, buf)
 	}
-	err := dispatch(p, names, &c.free, groups, write)
 	tr.StageEnd(st, p.Now())
 	return err
 }
 
 // ReadBlocks implements dev.BlockDev.
-func (c *Concat) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return c.do(p, blk, buf, false)
+func (f *Farm) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return f.do(p, blk, buf, false)
 }
 
 // WriteBlocks implements dev.BlockDev.
-func (c *Concat) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return c.do(p, blk, buf, true)
+func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return f.do(p, blk, buf, true)
+}
+
+func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	var few [4]extent
+	exts := f.split(few[:0], blk, buf)
+	groups := make([][]op, len(f.devs))
+	var degraded []extent
+	for _, e := range exts {
+		if f.failed[e.disk] {
+			if !f.parity {
+				return fmt.Errorf("stripe: read of blocks on spindle %d: %w", e.disk, ErrComponentFailed)
+			}
+			degraded = append(degraded, e)
+			continue
+		}
+		groups[e.disk] = append(groups[e.disk], op{d: f.devs[e.disk], blk: e.phys, buf: e.buf})
+	}
+	errs := dispatchAll(p, &f.names.read, &f.free, groups, false)
+	for d, err := range errs {
+		if err == nil {
+			continue
+		}
+		// A spindle refused the read (injected media fault, dying arm)
+		// without being marked failed. With parity, serve its extents in
+		// degraded mode — reconstruct from the survivors — instead of
+		// failing the request; without parity the error stands.
+		if !f.parity {
+			return err
+		}
+		for _, e := range exts {
+			if e.disk == d {
+				degraded = append(degraded, e)
+			}
+		}
+	}
+	if len(degraded) == 0 {
+		return nil
+	}
+	return f.reconstruct(p, degraded)
+}
+
+// writeBlocks is the write path of a farm without parity.
+func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	var few [4]extent
+	groups := make([][]op, len(f.devs))
+	for _, e := range f.split(few[:0], blk, buf) {
+		if f.failed[e.disk] {
+			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
+		}
+		groups[e.disk] = append(groups[e.disk], op{d: f.devs[e.disk], blk: e.phys, buf: e.buf})
+	}
+	return dispatch(p, &f.names.write, &f.free, groups, true)
 }
 
 // Flush implements dev.Flusher by draining the write cache of every
 // component that has one, all components in parallel.
-func (c *Concat) Flush(p *sim.Proc) error {
-	return flushAll(p, &c.names.flush, c.devs)
+func (f *Farm) Flush(p *sim.Proc) error {
+	tasks := make([]func(*sim.Proc) error, len(f.devs))
+	for i, d := range f.devs {
+		fl, ok := d.(dev.Flusher)
+		if !ok {
+			continue
+		}
+		tasks[i] = func(cp *sim.Proc) error { return fl.Flush(cp) }
+	}
+	return fanout(p, &f.names.flush, tasks)
 }
 
 // freeList is a farm's stock of transfer buffers (bounce buffers, parity
@@ -219,9 +409,9 @@ type op struct {
 // coalesce merges physically adjacent transfers of one component into
 // single larger ops, so a request striped across N spindles costs each
 // arm one rotation instead of one per stripe unit. The ops must be sorted
-// by physical block, which Interleave's row-order split and Concat's
-// span-order split both produce for a contiguous request. Bounce buffers
-// are drawn from free; the caller puts them back once the ops have run.
+// by physical block, which split produces for a contiguous request under
+// either address map. Bounce buffers are drawn from free; the caller puts
+// them back once the ops have run.
 func coalesce(free *freeList, g []op, write bool) []op {
 	out := g[:0]
 	for _, o := range g {
@@ -397,17 +587,4 @@ func dispatchAll(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, wr
 		}
 	}
 	return errs
-}
-
-// flushAll drains every component's write cache in parallel.
-func flushAll(p *sim.Proc, names *fanNames, devs []dev.BlockDev) error {
-	tasks := make([]func(*sim.Proc) error, len(devs))
-	for i, d := range devs {
-		f, ok := d.(dev.Flusher)
-		if !ok {
-			continue
-		}
-		tasks[i] = func(cp *sim.Proc) error { return f.Flush(cp) }
-	}
-	return fanout(p, names, tasks)
 }

@@ -2,13 +2,14 @@ package stripe
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/dev"
 	"repro/internal/sim"
 )
 
-func newConcat(k *sim.Kernel, sizes ...int64) (*Concat, []*dev.Disk) {
+func newConcat(k *sim.Kernel, sizes ...int64) (*Farm, []*dev.Disk) {
 	var devs []dev.BlockDev
 	var disks []*dev.Disk
 	for _, n := range sizes {
@@ -16,7 +17,7 @@ func newConcat(k *sim.Kernel, sizes ...int64) (*Concat, []*dev.Disk) {
 		devs = append(devs, d)
 		disks = append(disks, d)
 	}
-	return MustNew(devs...), disks
+	return Must(New(devs...)), disks
 }
 
 func TestCapacityIsSum(t *testing.T) {
@@ -125,7 +126,7 @@ func TestIndependentArmsAllowParallelism(t *testing.T) {
 	// staging disk.
 	elapsed := func(two bool) sim.Time {
 		k := sim.NewKernel()
-		var c *Concat
+		var c *Farm
 		if two {
 			c, _ = newConcat(k, 512, 512)
 		} else {
@@ -156,9 +157,9 @@ func TestAppendExtendsAddressSpace(t *testing.T) {
 	k := sim.NewKernel()
 	c, _ := newConcat(k, 50)
 	d2 := dev.NewDisk(k, dev.RZ58, 30, nil)
-	start := c.Append(d2)
-	if start != 50 || c.NumBlocks() != 80 || c.Components() != 2 {
-		t.Fatalf("append: start=%d total=%d comps=%d", start, c.NumBlocks(), c.Components())
+	start, err := c.Append(d2)
+	if err != nil || start != 50 || c.NumBlocks() != 80 || c.Components() != 2 {
+		t.Fatalf("append: start=%d total=%d comps=%d err=%v", start, c.NumBlocks(), c.Components(), err)
 	}
 	k.RunProc(func(p *sim.Proc) {
 		w := bytes.Repeat([]byte{9}, 2*dev.BlockSize)
@@ -181,4 +182,19 @@ func TestAppendExtendsAddressSpace(t *testing.T) {
 			t.Fatal("data not on appended device")
 		}
 	})
+}
+
+// TestAppendToStripedFarmRefused: every stripe row spreads over all
+// spindles, so a striped farm cannot grow in place; it says so with a typed
+// error and stays as it was.
+func TestAppendToStripedFarmRefused(t *testing.T) {
+	k := sim.NewKernel()
+	il, _ := newInterleave(k, 4, true, 3, 64)
+	total := il.NumBlocks()
+	if _, err := il.Append(dev.NewDisk(k, dev.RZ57, 64, nil)); !errors.Is(err, ErrStriped) {
+		t.Fatalf("Append on a striped farm: %v, want ErrStriped", err)
+	}
+	if il.NumBlocks() != total || il.Components() != 3 {
+		t.Fatalf("refused Append changed the farm: %d blocks, %d components", il.NumBlocks(), il.Components())
+	}
 }
