@@ -335,13 +335,8 @@ func replicaDemo() error {
 
 		// Drop the cache so the read below must go to tertiary media, then
 		// lose library 0 for good.
-		for _, l := range hl.Cache.Lines() {
-			if !l.Staging && l.Pins == 0 {
-				if err := hl.Svc.Eject(l.Tag); err != nil {
-					derr = err
-					return
-				}
-			}
+		if _, derr = hl.Svc.EjectAll(); derr != nil {
+			return
 		}
 		hl.Libraries()[0].SetDown(true)
 		fmt.Printf("\nlibrary 0 permanently failed at t=%.2fs; rereading /data through the survivors...\n", p.Now().Seconds())
@@ -557,12 +552,8 @@ func traceDemo(p *sim.Proc, hl *core.HighLight, juke *jukebox.Jukebox) (*svc.Fro
 	// Cold read: drop buffers and eject the cached segments so the read
 	// goes to tertiary, with the loaded drive offline to force a swap.
 	hl.FS.DropFileBuffers(p, f.Inum())
-	for _, l := range hl.Cache.Lines() {
-		if !l.Staging && l.Pins == 0 {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				return nil, err
-			}
-		}
+	if _, err := hl.Svc.EjectAll(); err != nil {
+		return nil, err
 	}
 	juke.SetDriveOffline(0, true)
 	if err := read(); err != nil {

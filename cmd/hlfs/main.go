@@ -186,14 +186,8 @@ func main() {
 			fmt.Printf("migrated %.2f MB (%d tertiary copyouts, %.2f virtual seconds)\n",
 				float64(staged)/(1<<20), st.Copyouts, elapsed())
 		case "eject":
-			n := 0
-			for _, l := range hl.Cache.Lines() {
-				if l.Staging || l.Pins > 0 {
-					continue
-				}
-				check(hl.Svc.Eject(l.Tag))
-				n++
-			}
+			n, err := hl.Svc.EjectAll()
+			check(err)
 			fmt.Printf("ejected %d cache lines\n", n)
 		case "volumes":
 			for _, u := range hl.VolumeUsages() {

@@ -121,10 +121,8 @@ func main() {
 		if err := hl.FS.FlushCaches(p); err != nil {
 			log.Fatal(err)
 		}
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			log.Fatal(err)
 		}
 		t0 := p.Now()
 		for q := 0; q < 100; q++ {

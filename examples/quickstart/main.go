@@ -85,10 +85,8 @@ func main() {
 		// ...and after ejecting the cache, the first read transparently
 		// demand-fetches the containing segment from the jukebox.
 		hl.FS.DropFileBuffers(p, f.Inum())
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			log.Fatal(err)
 		}
 		t0 = p.Now()
 		if _, err := f.ReadAt(p, buf, 0); err != nil && err != io.EOF {

@@ -208,10 +208,8 @@ func main() {
 		if err := hl.FS.FlushCaches(p); err != nil {
 			log.Fatal(err)
 		}
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			log.Fatal(err)
 		}
 
 		// Current-version queries still run at disk speed...

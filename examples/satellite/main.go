@@ -96,10 +96,8 @@ func main() {
 		if err := hl.FS.FlushCaches(p); err != nil {
 			log.Fatal(err)
 		}
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			log.Fatal(err)
 		}
 
 		analyze := func(label string) sim.Time {
@@ -133,10 +131,8 @@ func main() {
 		if err := hl.FS.FlushCaches(p); err != nil {
 			log.Fatal(err)
 		}
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				log.Fatal(err)
-			}
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			log.Fatal(err)
 		}
 		hl.Svc.Prefetch = func(tag int) []int {
 			var next []int

@@ -62,7 +62,7 @@ func AblationCachePolicy() (*Report, error) {
 			if _, err := migrateAll(p, hl, inums); err != nil {
 				return err
 			}
-			if err := ejectAll(hl); err != nil {
+			if _, err := hl.Svc.EjectAll(); err != nil {
 				return err
 			}
 			// Access pattern: 80% to 4 hot files, 20% to the tail.
@@ -233,7 +233,7 @@ func AblationSTP() (*Report, error) {
 			if _, err := m.RunOnce(p, 7<<20); err != nil {
 				return err
 			}
-			if err := ejectAll(hl); err != nil {
+			if _, err := hl.Svc.EjectAll(); err != nil {
 				return err
 			}
 			// The future: recently-active files get read again.
@@ -297,7 +297,7 @@ func AblationFaultRate() (*Report, error) {
 			// Two eject + full-readback rounds: demand fetches under read
 			// faults dominate the op count.
 			for round := 0; round < 2; round++ {
-				if err := ejectAll(hl); err != nil {
+				if _, err := hl.Svc.EjectAll(); err != nil {
 					return err
 				}
 				n, err := readBack(p, hl.FS, inums, fblocks, smallSegGeom.segBlocks)
@@ -432,7 +432,7 @@ func AblationReplication() (*Report, error) {
 			}
 			// One full demand-fetch readback; returns ms per tertiary fetch.
 			readAll := func() (float64, error) {
-				if err := ejectAll(hl); err != nil {
+				if _, err := hl.Svc.EjectAll(); err != nil {
 					return 0, err
 				}
 				f0 := hl.Svc.Stats().Fetches
@@ -544,7 +544,7 @@ func AblationBlockRange() (*Report, error) {
 			if err := hl.FS.FlushCaches(p); err != nil {
 				return err
 			}
-			if err := ejectAll(hl); err != nil {
+			if _, err := hl.Svc.EjectAll(); err != nil {
 				return err
 			}
 			start := p.Now()

@@ -96,8 +96,8 @@ func TestEjectAll(t *testing.T) {
 		// An HSM-pinned segment makes the service refuse the ejection.
 		locked := cleanLines[1]
 		hl.PinSegment(locked.Tag)
-		if err := ejectAll(hl); !errors.Is(err, cache.ErrEvictLocked) {
-			t.Errorf("ejectAll over a locked line = %v, want ErrEvictLocked", err)
+		if _, err := hl.Svc.EjectAll(); !errors.Is(err, cache.ErrEvictLocked) {
+			t.Errorf("EjectAll over a locked line = %v, want ErrEvictLocked", err)
 		}
 		if _, ok := hl.Cache.Peek(cleanLines[0].Tag); ok {
 			t.Error("the line before the refused one was not ejected")
@@ -113,8 +113,8 @@ func TestEjectAll(t *testing.T) {
 		// skipped, not an error.
 		pinned := cleanLines[2]
 		pinned.Pins++
-		if err := ejectAll(hl); err != nil {
-			t.Errorf("ejectAll = %v", err)
+		if _, err := hl.Svc.EjectAll(); err != nil {
+			t.Errorf("EjectAll = %v", err)
 		}
 		want := map[int]bool{pinned.Tag: true}
 		for _, l := range staging {
@@ -122,7 +122,7 @@ func TestEjectAll(t *testing.T) {
 		}
 		for _, l := range hl.Cache.Lines() {
 			if !want[l.Tag] {
-				t.Errorf("line %d survived ejectAll and is neither staging nor pinned", l.Tag)
+				t.Errorf("line %d survived EjectAll and is neither staging nor pinned", l.Tag)
 			}
 			delete(want, l.Tag)
 		}

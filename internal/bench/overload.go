@@ -115,7 +115,7 @@ func RunOverload(spec OverloadSpec) (OverloadResult, error) {
 		if _, err := migrateAll(p, hl, inums); err != nil {
 			return err
 		}
-		if err := ejectAll(hl); err != nil {
+		if _, err := hl.Svc.EjectAll(); err != nil {
 			return err
 		}
 

@@ -105,7 +105,7 @@ func shootCell(pol migrate.Policy, workload string) (hitRate, p99ms, bytesMoved 
 			return err
 		}
 		bytesMoved = float64(staged)
-		if err := ejectAll(hl); err != nil {
+		if _, err := hl.Svc.EjectAll(); err != nil {
 			return err
 		}
 

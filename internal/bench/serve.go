@@ -81,7 +81,7 @@ func ServeMigration(s Scale, srv *telemetry.Server, rounds int) error {
 				return err
 			}
 			r.hl.FS.DropFileBuffers(p, f.Inum())
-			if err := ejectAll(r.hl); err != nil {
+			if _, err := r.hl.Svc.EjectAll(); err != nil {
 				return err
 			}
 			// The demand-fetch read goes through the front end so it is

@@ -50,22 +50,6 @@ func migrateAll(p *sim.Proc, hl *core.HighLight, inums []uint32) (int64, error) 
 	return staged, hl.CompleteMigration(p)
 }
 
-// ejectAll ejects every ejectable line of the segment cache, so the next
-// read of migrated data is a demand fetch. A line still staging (its only
-// copy is the one on disk) or pinned by a reader or copy-out is not
-// ejectable and stays; the first ejection the service refuses is returned.
-func ejectAll(hl *core.HighLight) error {
-	for _, l := range hl.Cache.Lines() {
-		if l.Staging || l.Pins > 0 {
-			continue
-		}
-		if err := hl.Svc.Eject(l.Tag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readChunks reads the first size bytes of f in len(buf)-byte reads and
 // returns the bytes read; running into end of file is not an error.
 func readChunks(p *sim.Proc, f *lfs.File, size int64, buf []byte) (int64, error) {

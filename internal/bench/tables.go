@@ -72,7 +72,7 @@ func Table3(s Scale) (*Report, error) {
 				return err
 			}
 			if uncached {
-				if err := ejectAll(r.hl); err != nil {
+				if _, err := r.hl.Svc.EjectAll(); err != nil {
 					return err
 				}
 			}

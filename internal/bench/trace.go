@@ -33,7 +33,7 @@ func migrateAndFetch(p *sim.Proc, r *fsRig, s Scale) error {
 		// Demand-fetch path: drop the buffers and evict the cached lines,
 		// then read the head of the object back through the block map.
 		r.hl.FS.DropFileBuffers(p, f.Inum())
-		err = ejectAll(r.hl)
+		_, err = r.hl.Svc.EjectAll()
 	}
 	if err == nil {
 		_, err = f.ReadAt(p, make([]byte, 64*1024), 0)

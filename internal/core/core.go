@@ -69,11 +69,6 @@ type Config struct {
 	// Replicas configures tertiary segment replication (§5.4); see
 	// HighLight.Replicas. Values below 2 disable it.
 	Replicas int
-	// RepairEvery, when positive, starts the replica-repair daemon: a
-	// periodic virtual-time pass that re-copies under-replicated
-	// segments (after media retirement or a library outage) onto
-	// healthy libraries. Zero leaves repair manual (RepairPass).
-	RepairEvery sim.Time
 	// Seed feeds the random eviction policy.
 	Seed uint64
 	// Obs is the observability domain the instance traces into. When
@@ -129,12 +124,6 @@ type HighLight struct {
 	DelayCopyouts bool
 	delayed       []copyoutRec
 
-	// RearrangeTertiary lets MigrateFiles re-stage blocks that already
-	// live on tertiary storage — the §5.4 data-rearrangement policy that
-	// re-clusters segments by observed access patterns. Off by default:
-	// whole-file migration then only moves disk-resident blocks.
-	RearrangeTertiary bool
-
 	// Replicas is the number of tertiary copies written per staged
 	// segment (§5.4's replication variant: "maintain several segment
 	// replicas on tertiary storage, and have the staging code simply
@@ -145,9 +134,6 @@ type HighLight struct {
 	Replicas   int
 	replicaOf  map[int][]int // primary tag -> replica tags
 	replicaTag map[int]int   // replica tag -> primary tag
-
-	// Repair bounds the replica-repair pass (concurrency, retries).
-	Repair RepairPolicy
 
 	// RepairThrottle, if set, is consulted by the repair daemon before
 	// each pass; a true return skips the pass (graceful-degradation
@@ -256,7 +242,6 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 		stageTag:   -1,
 		replicaOf:  make(map[int][]int),
 		replicaTag: make(map[int]int),
-		Repair:     DefaultRepairPolicy,
 	}
 	bm := &blockMap{hl: hl}
 	opts := lfs.Options{
@@ -367,9 +352,6 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 	if cfg.Replicas > 1 {
 		hl.Replicas = cfg.Replicas
 	}
-	if cfg.RepairEvery > 0 {
-		hl.StartRepairDaemon(cfg.RepairEvery)
-	}
 	if !format {
 		// Re-insert bound lines; re-schedule staging lines that never
 		// reached tertiary storage before the crash.
@@ -448,40 +430,24 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 // write ordering, and nothing after it can be referenced by durable
 // metadata.
 func (hl *HighLight) validStagePrefix(p *sim.Proc, lineSeg addr.SegNo) (int, uint32, error) {
-	segBytes := hl.Amap.SegBlocks() * lfs.BlockSize
-	raw := make([]byte, segBytes)
+	raw := make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize)
 	if err := hl.FS.ReadRawBlocks(p, hl.Amap.BlockOf(lineSeg, 0), raw); err != nil {
 		return 0, 0, err
 	}
-	valid, live := 0, uint32(0)
-	off := 0
-	for off+1 <= hl.Amap.SegBlocks() {
-		sum, err := lfs.DecodeSummary(raw[off*lfs.BlockSize : (off+1)*lfs.BlockSize])
-		if err != nil {
-			break
-		}
-		n := int(sum.NBlocks)
-		if n < 1 || off+n > hl.Amap.SegBlocks() {
-			break
-		}
-		if lfs.Checksum(raw[(off+1)*lfs.BlockSize:(off+n)*lfs.BlockSize]) != sum.DataSum {
-			break
-		}
-		valid++
-		live += uint32(n * lfs.BlockSize)
-		off += n
+	sc := hl.FS.ParseSegment(lineSeg, raw)
+	live := uint32(0)
+	for _, sum := range sc.Psegs {
+		live += uint32(sum.NBlocks) * lfs.BlockSize
 	}
-	return valid, live, nil
+	return len(sc.Psegs), live, nil
 }
 
 // scanNextTert finds the first never-used tertiary segment index (media
 // are consumed one at a time in index order, §6.5).
 func (hl *HighLight) scanNextTert() int {
 	for i := 0; i < hl.FS.TsegCount(); i++ {
-		if hl.FS.TsegUsage(i).Flags == 0 && hl.FS.TsegUsage(i).LiveBytes == 0 {
-			if _, cached := hl.Cache.Peek(i); !cached {
-				return i
-			}
+		if hl.tsegEmpty(i) {
+			return i
 		}
 	}
 	return hl.FS.TsegCount()

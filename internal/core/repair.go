@@ -19,26 +19,18 @@ import (
 // degrades instead of failing: reads keep being served from whatever
 // copies survive while repair catches up in virtual time.
 
-// RepairPolicy bounds one repair pass.
-type RepairPolicy struct {
-	// MaxInFlight caps concurrently outstanding repair copyouts, so a
-	// large deficit backlog cannot monopolize the I/O process.
-	MaxInFlight int
-	// Retries bounds placement retries per deficit when every healthy
-	// library is momentarily full or down.
-	Retries int
-	// Backoff is the virtual-time sleep between placement retries.
-	Backoff sim.Time
-}
-
-// DefaultRepairPolicy repairs two segments at a time and gives a
-// transiently unplaceable deficit a few chances before deferring it to
-// the next pass.
-var DefaultRepairPolicy = RepairPolicy{
-	MaxInFlight: 2,
-	Retries:     3,
-	Backoff:     250 * sim.Time(time.Millisecond),
-}
+// One repair pass repairs two segments at a time and gives a transiently
+// unplaceable deficit a few chances before deferring it to the next pass.
+const (
+	// repairMaxInFlight caps concurrently outstanding repair copyouts, so
+	// a large deficit backlog cannot monopolize the I/O process.
+	repairMaxInFlight = 2
+	// repairRetries bounds placement retries per deficit when every
+	// healthy library is momentarily full or down; repairBackoff is the
+	// virtual-time sleep between them.
+	repairRetries = 3
+	repairBackoff = 250 * sim.Time(time.Millisecond)
+)
 
 // Deficit describes one under-replicated tertiary segment.
 type Deficit struct {
@@ -102,7 +94,7 @@ func (hl *HighLight) ReplicationDeficits() []Deficit {
 // RepairPass restores replication for every current deficit: fetch a
 // surviving copy into the cache, allocate fresh replica segments on
 // healthy libraries (with bounded placement retries), and copy the bytes
-// out, at most Repair.MaxInFlight copyouts at a time. It returns how
+// out, at most repairMaxInFlight copyouts at a time. It returns how
 // many replicas were laid down. Deficits that cannot be repaired yet —
 // no space, every other library down — are deferred to the next pass;
 // segments with no surviving copy at all are recorded as lost.
@@ -178,7 +170,7 @@ func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 		// a replica so it is never counted as live primary data.
 		hl.replicaOf[d.Tag] = append(hl.replicaOf[d.Tag], rtag)
 		hl.replicaTag[rtag] = d.Tag
-		for hl.Svc.OutstandingCopyouts() >= hl.Repair.MaxInFlight {
+		for hl.Svc.OutstandingCopyouts() >= repairMaxInFlight {
 			hl.Svc.WaitCopyoutProgress(p)
 		}
 		hl.Svc.ScheduleCopyoutAs(p, rtag, line.DiskSeg, d.Tag)
@@ -203,12 +195,10 @@ func (hl *HighLight) allocRepairTarget(p *sim.Proc, primary int) (int, bool) {
 		if rtag, ok := hl.allocReplicaTag(primary); ok {
 			return rtag, true
 		}
-		if attempt >= hl.Repair.Retries {
+		if attempt >= repairRetries {
 			return 0, false
 		}
-		if hl.Repair.Backoff > 0 {
-			p.Sleep(hl.Repair.Backoff)
-		}
+		p.Sleep(repairBackoff)
 	}
 }
 
@@ -279,10 +269,8 @@ func (hl *HighLight) LibraryStatuses() []LibraryStatus {
 				st.UsedSegs++
 			case su.Flags&lfs.SegNoStore != 0:
 				st.NoStoreSegs++
-			case su.Flags == 0 && su.LiveBytes == 0:
-				if _, cached := hl.Cache.Peek(idx); !cached {
-					st.FreeSegs++
-				}
+			case hl.tsegEmpty(idx):
+				st.FreeSegs++
 			}
 		}
 		out[d] = st

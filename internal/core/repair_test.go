@@ -263,7 +263,6 @@ func runLibraryOutageSoak(t *testing.T) string {
 		MaxInodes:   512,
 		BufferBytes: 1 << 20,
 		Replicas:    2,
-		RepairEvery: 10 * sim.Time(time.Second),
 	}
 
 	model := map[string][]byte{}
@@ -276,6 +275,7 @@ func runLibraryOutageSoak(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		hl.StartRepairDaemon(10 * sim.Time(time.Second))
 		hl.FS.AttachCleaner(6, 10)
 
 		// Kill the whole first library mid-workload; revive it later.

@@ -147,19 +147,21 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 	return nil
 }
 
-// tagFree reports whether tertiary segment tag can take a new staging
-// image: never used, not reserved (no-store), not still cached, and its
-// library in service.
-func (hl *HighLight) tagFree(tag int) bool {
+// tsegEmpty reports whether tertiary segment tag can take data: never used,
+// not reserved (no-store), no live bytes, and not still cached. Whether its
+// library is in service is the caller's question.
+func (hl *HighLight) tsegEmpty(tag int) bool {
 	su := hl.FS.TsegUsage(tag)
 	if su.Flags != 0 || su.LiveBytes != 0 {
 		return false
 	}
-	if _, cached := hl.Cache.Peek(tag); cached {
-		return false
-	}
-	return !hl.tagLibDown(tag)
+	_, cached := hl.Cache.Peek(tag)
+	return !cached
 }
+
+// tagFree reports whether tertiary segment tag can take a new staging
+// image: empty, and its library in service.
+func (hl *HighLight) tagFree(tag int) bool { return hl.tsegEmpty(tag) && !hl.tagLibDown(tag) }
 
 // allocTertTag picks the tertiary segment the next staging line copies
 // out to.
@@ -240,11 +242,7 @@ func (hl *HighLight) allocReplicaTag(primary int) (int, bool) {
 		}
 	}
 	for idx := 0; idx < hl.FS.TsegCount(); idx++ {
-		su := hl.FS.TsegUsage(idx)
-		if su.Flags != 0 || su.LiveBytes != 0 {
-			continue
-		}
-		if _, cached := hl.Cache.Peek(idx); cached {
+		if !hl.tsegEmpty(idx) {
 			continue
 		}
 		d, v, _, ok := hl.Amap.Loc(hl.Amap.SegForIndex(idx))
@@ -331,11 +329,7 @@ func (hl *HighLight) freeTsegsOnDevice(d int) (free, first int) {
 		end = hl.FS.TsegCount()
 	}
 	for idx := start; idx < end; idx++ {
-		su := hl.FS.TsegUsage(idx)
-		if su.Flags != 0 || su.LiveBytes != 0 {
-			continue
-		}
-		if _, cached := hl.Cache.Peek(idx); cached {
+		if !hl.tsegEmpty(idx) {
 			continue
 		}
 		if first < 0 {
@@ -452,20 +446,18 @@ func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes boo
 		if err != nil {
 			return staged, err
 		}
-		if !hl.RearrangeTertiary {
-			// Skip blocks already on tertiary storage; re-staging them
-			// is the explicit rearrangement policy of §5.4, not the
-			// default (it consumes tertiary space and fetch bandwidth).
-			kept := refs[:0]
-			for _, r := range refs {
-				if hl.Amap.IsDiskSeg(hl.Amap.SegOf(r.Addr)) {
-					kept = append(kept, r)
-				}
+		// Skip blocks already on tertiary storage; re-staging them is the
+		// rearrangement policy of §5.4 (RestageTertSegment), which consumes
+		// tertiary space and fetch bandwidth.
+		kept := refs[:0]
+		for _, r := range refs {
+			if hl.Amap.IsDiskSeg(hl.Amap.SegOf(r.Addr)) {
+				kept = append(kept, r)
 			}
-			refs = kept
-			if len(refs) == 0 {
-				continue
-			}
+		}
+		refs = kept
+		if len(refs) == 0 {
+			continue
 		}
 		n, err := hl.MigrateRefs(p, refs)
 		staged += n
@@ -625,28 +617,17 @@ func (hl *HighLight) restageSegment(p *sim.Proc, tag int, wholeVolume bool) erro
 			Seg: tag, Verdict: attr.VerdictRetired, Reason: "permanent media write error",
 		})
 	}
-	seg := hl.Amap.SegForIndex(tag)
 	// Parse the staged image off the cache line and rebuild refs with
-	// their (failed) tertiary addresses.
-	segBytes := hl.Amap.SegBlocks() * lfs.BlockSize
-	raw := make([]byte, segBytes)
-	if err := hl.FS.ReadRawBlocks(p, hl.Amap.BlockOf(line.DiskSeg, 0), raw); err != nil {
-		return err
-	}
-	refs, inoRefs, err := hl.parseSegmentImage(raw, seg)
+	// their (failed) tertiary addresses. A torn tail is what a power cut
+	// leaves on a staging line; durable metadata references only the valid
+	// prefix (see validStagePrefix), which is what is parsed.
+	sc, inums, err := hl.lineContents(p, line)
 	if err != nil {
 		return err
 	}
-	var inums []uint32
-	for _, ir := range inoRefs {
-		e := hl.FS.Imap(ir.Inum)
-		if e.Addr == ir.Addr && e.Slot == ir.Slot && e.Version == ir.Version {
-			inums = append(inums, ir.Inum)
-		}
-	}
 	// Move the live contents to a fresh segment (reads come from the
 	// still-bound cache line via the block map).
-	if _, err := hl.MigrateRefs(p, refs); err != nil {
+	if _, err := hl.MigrateRefs(p, sc.Blocks); err != nil {
 		return err
 	}
 	if len(inums) > 0 {
@@ -666,7 +647,7 @@ func (hl *HighLight) restageSegment(p *sim.Proc, tag int, wholeVolume bool) erro
 		T: p.Now(), Actor: "stage", Subject: fmt.Sprintf("seg:%d", tag),
 		Seg: tag, Verdict: attr.VerdictRestaged, Reason: "contents moved to fresh segment",
 		Inputs: []attr.Input{
-			attr.In("blocks", float64(len(refs))),
+			attr.In("blocks", float64(len(sc.Blocks))),
 			attr.In("inodes", float64(len(inums))),
 		},
 	})

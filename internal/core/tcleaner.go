@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/addr"
+	"repro/internal/cache"
 	"repro/internal/lfs"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
@@ -118,6 +118,12 @@ var ErrSoleSurvivingReplica = errors.New("core: volume holds a sole surviving re
 // cleaner routes around pinned volumes until the pins drop.
 var ErrVolumePinned = errors.New("core: volume holds HSM-pinned segments")
 
+// ErrTornSegment reports a cached copy of a written tertiary segment that
+// ends on a partial segment whose extent or data checksum does not hold.
+// Blocks past that point cannot be told live from damaged, so the image is
+// neither re-staged nor its medium erased: the copy on the medium stands.
+var ErrTornSegment = errors.New("core: torn tertiary segment image")
+
 // volumePinnedSegs lists the HSM-pinned tertiary segment indices stored on
 // (device, vol), ascending.
 func (hl *HighLight) volumePinnedSegs(device, vol int) []int {
@@ -218,9 +224,7 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 		}
 	}
 	relocated := 0
-	for s := 0; s < g.SegsPerVol; s++ {
-		seg := hl.Amap.SegForLoc(device, vol, s)
-		idx, _ := hl.Amap.TertIndex(seg)
+	for s, idx := range cleanedIdx {
 		su := hl.FS.TsegUsage(idx)
 		if su.Flags&lfs.SegDirty == 0 {
 			hl.Audit.Record(attr.Decision{
@@ -230,7 +234,7 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 			})
 			continue
 		}
-		n, err := hl.cleanTertSegment(p, idx, seg)
+		n, err := hl.RestageTertSegment(p, idx)
 		if err != nil {
 			return relocated, fmt.Errorf("core: cleaning volume %d/%d segment %d: %w", device, vol, s, err)
 		}
@@ -294,11 +298,6 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 // caller completes the migration (CompleteMigration) to make the move
 // durable.
 func (hl *HighLight) RestageTertSegment(p *sim.Proc, idx int) (int, error) {
-	return hl.cleanTertSegment(p, idx, hl.Amap.SegForIndex(idx))
-}
-
-// cleanTertSegment re-stages the live blocks of one tertiary segment.
-func (hl *HighLight) cleanTertSegment(p *sim.Proc, idx int, seg addr.SegNo) (int, error) {
 	// Fetch through the cache (a whole-medium clean walks the volume
 	// sequentially, so fetches are seek-cheap on the jukebox).
 	if _, ok := hl.Cache.Peek(idx); !ok {
@@ -309,24 +308,14 @@ func (hl *HighLight) cleanTertSegment(p *sim.Proc, idx int, seg addr.SegNo) (int
 	line, _ := hl.Cache.Peek(idx)
 	line.Pins++
 	defer func() { line.Pins-- }()
-	segBytes := hl.Amap.SegBlocks() * lfs.BlockSize
-	raw := make([]byte, segBytes)
-	if err := hl.FS.ReadRawBlocks(p, hl.Amap.BlockOf(line.DiskSeg, 0), raw); err != nil {
-		return 0, err
-	}
-	refs, inums, err := hl.parseSegmentImage(raw, seg)
+	sc, liveInums, err := hl.lineContents(p, line)
 	if err != nil {
 		return 0, err
 	}
-	// Live inodes whose imap entry points into this segment re-stage too.
-	var liveInums []uint32
-	for _, ir := range inums {
-		e := hl.FS.Imap(ir.Inum)
-		if e.Addr == ir.Addr && e.Slot == ir.Slot && e.Version == ir.Version {
-			liveInums = append(liveInums, ir.Inum)
-		}
+	if sc.Torn {
+		return 0, fmt.Errorf("core: tertiary segment %d, cache line %d: %w", idx, line.DiskSeg, ErrTornSegment)
 	}
-	n, err := hl.MigrateRefs(p, refs)
+	n, err := hl.MigrateRefs(p, sc.Blocks)
 	if err != nil {
 		return 0, err
 	}
@@ -340,56 +329,22 @@ func (hl *HighLight) cleanTertSegment(p *sim.Proc, idx int, seg addr.SegNo) (int
 	return moved, nil
 }
 
-// parseSegmentImage decodes the partial segments of a raw segment image
-// whose blocks are addressed at base segment seg, returning block refs and
-// inode instances.
-func (hl *HighLight) parseSegmentImage(raw []byte, seg addr.SegNo) ([]lfs.BlockRef, []lfs.InodeRef, error) {
-	var refs []lfs.BlockRef
-	var inos []lfs.InodeRef
-	base := hl.Amap.BlockOf(seg, 0)
-	off := 0
-	for off+1 <= hl.Amap.SegBlocks() {
-		sum, err := lfs.DecodeSummary(raw[off*lfs.BlockSize : (off+1)*lfs.BlockSize])
-		if err != nil {
-			break
-		}
-		n := int(sum.NBlocks)
-		if n < 1 || off+n > hl.Amap.SegBlocks() {
-			break
-		}
-		bi := off + 1
-		for _, fi := range sum.Finfos {
-			for _, lbn := range fi.Lbns {
-				refs = append(refs, lfs.BlockRef{
-					Inum:    fi.Inum,
-					Version: fi.Version,
-					Lbn:     lbn,
-					Addr:    base + addr.BlockNo(bi),
-				})
-				bi++
-			}
-		}
-		for _, ia := range sum.InoAddrs {
-			blkIdx := hl.Amap.OffOf(ia)
-			if hl.Amap.SegOf(ia) != seg || blkIdx >= hl.Amap.SegBlocks() {
-				continue
-			}
-			blk := raw[blkIdx*lfs.BlockSize : (blkIdx+1)*lfs.BlockSize]
-			for slot := 0; slot < lfs.InodesPerBlock; slot++ {
-				var ino lfs.Inode
-				lfs.DecodeInode(&ino, blk[slot*lfs.InodeSize:])
-				if ino.Inum == 0 || int(ino.Inum) >= hl.FS.MaxInodes() {
-					continue
-				}
-				inos = append(inos, lfs.InodeRef{
-					Inum:    ino.Inum,
-					Version: ino.Version,
-					Addr:    ia,
-					Slot:    uint32(slot),
-				})
-			}
-		}
-		off += n
+// lineContents reads a tertiary segment's image off its cache line and
+// parses it, blocks addressed on tertiary storage. Beside the contents it
+// returns the inodes whose imap entry still points into the segment (live
+// inodes re-stage with the blocks).
+func (hl *HighLight) lineContents(p *sim.Proc, line *cache.Line) (*lfs.SegmentContents, []uint32, error) {
+	raw := make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize)
+	if err := hl.FS.ReadRawBlocks(p, hl.Amap.BlockOf(line.DiskSeg, 0), raw); err != nil {
+		return nil, nil, err
 	}
-	return refs, inos, nil
+	sc := hl.FS.ParseSegment(hl.Amap.SegForIndex(line.Tag), raw)
+	var inums []uint32
+	for _, ir := range sc.Inodes {
+		e := hl.FS.Imap(ir.Inum)
+		if e.Addr == ir.Addr && e.Slot == ir.Slot && e.Version == ir.Version {
+			inums = append(inums, ir.Inum)
+		}
+	}
+	return sc, inums, nil
 }

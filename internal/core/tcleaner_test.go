@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/lfs"
@@ -140,6 +141,55 @@ func TestCleanVolumeReusesReclaimedSegments(t *testing.T) {
 		}
 		if got := get(t, p, g); !bytes.Equal(got, pat(9, 40*lfs.BlockSize)) {
 			t.Fatal("data on reclaimed media corrupted")
+		}
+	})
+	e.k.Stop()
+}
+
+// TestCleanVolumeRefusesTornSegment: a cached copy of a tertiary segment
+// with one flipped data byte fails its partial segment's checksum. The
+// cleaner must neither re-stage those bytes nor erase the medium that holds
+// the good copy: CleanVolume stops with ErrTornSegment before it resets a
+// segment, and the file reads back from the medium once the line is gone.
+func TestCleanVolumeRefusesTornSegment(t *testing.T) {
+	e := newHL(t, 96, 10, 3, 8)
+	e.run(t, func(p *sim.Proc) {
+		hl := e.hl
+		data := pat(1, 30*lfs.BlockSize)
+		f := put(t, p, hl, "/keep", data)
+		if _, err := hl.MigrateFiles(p, []uint32{f.Inum()}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := hl.CompleteMigration(p); err != nil {
+			t.Fatal(err)
+		}
+		before := hl.VolumeUsages()[0]
+		line, ok := hl.Cache.Peek(0)
+		if !ok || before.UsedSegs < 2 {
+			t.Fatalf("setup: segment 0 cached = %v, volume 0 = %+v", ok, before)
+		}
+		blk := make([]byte, lfs.BlockSize)
+		at := int64(hl.Amap.BlockOf(line.DiskSeg, 2))
+		if err := e.disk.ReadBlocks(p, at, blk); err != nil {
+			t.Fatal(err)
+		}
+		blk[100] ^= 0x01
+		if err := e.disk.WriteBlocks(p, at, blk); err != nil {
+			t.Fatal(err)
+		}
+
+		if _, err := hl.CleanVolume(p, 0, 0); !errors.Is(err, ErrTornSegment) {
+			t.Fatalf("CleanVolume over a torn line = %v, want ErrTornSegment", err)
+		}
+		if after := hl.VolumeUsages()[0]; after.UsedSegs != before.UsedSegs || after.LiveBytes != before.LiveBytes {
+			t.Fatalf("volume 0 was %+v, is %+v after the refused clean", before, after)
+		}
+		hl.FS.DropFileBuffers(p, f.Inum())
+		if n, err := hl.Svc.EjectAll(); err != nil || n == 0 {
+			t.Fatalf("EjectAll = %d, %v", n, err)
+		}
+		if got := get(t, p, f); !bytes.Equal(got, data) {
+			t.Fatal("file does not read back from the medium after the refused clean")
 		}
 	})
 	e.k.Stop()

@@ -15,17 +15,6 @@ import (
 	"repro/internal/sim"
 )
 
-// ejectAll evicts every cache line (Lines() is tag-ordered, so the
-// free-list reuse order — visible in the dumps — is reproducible).
-func ejectAll(hl *core.HighLight) error {
-	for _, l := range hl.Cache.Lines() {
-		if err := hl.Svc.Eject(l.Tag); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // segStateLetters renders a segment's state in the paper's key:
 // d = dirty, c = clean, a = active, C = cached (Figure 3).
 func segStateLetters(su lfs.Seguse) string {
@@ -186,7 +175,7 @@ func Hierarchy(p *sim.Proc, w io.Writer, hl *core.HighLight) error {
 	fmt.Fprintln(w, "  automigration          -> staging segments copied to tertiary jukebox")
 	report("migrated to tertiary")
 	hl.FS.DropFileBuffers(p, f.Inum())
-	if err := ejectAll(hl); err != nil {
+	if _, err := hl.Svc.EjectAll(); err != nil {
 		return err
 	}
 	report("cache ejected")
@@ -272,7 +261,7 @@ func DataPath(p *sim.Proc, w io.Writer, hl *core.HighLight) error {
 		return err
 	}
 	hl.FS.DropFileBuffers(p, f.Inum())
-	if err := ejectAll(hl); err != nil {
+	if _, err := hl.Svc.EjectAll(); err != nil {
 		return err
 	}
 	refs, err := hl.FS.FileBlockRefs(p, f.Inum())

@@ -208,10 +208,9 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
-	segBytes := hl.Amap.SegBlocks() * lfs.BlockSize
 	for _, idx := range idxs {
 		seg := hl.Amap.SegForIndex(idx)
-		raw := make([]byte, segBytes)
+		raw := make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize)
 		var src string
 		if l, ok := hl.Cache.Peek(idx); ok && l.Staging {
 			src = "staging line"
@@ -232,11 +231,23 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 			}
 		}
 		r.TsegsScrubbed++
-		valid := validPsegBlocks(raw, hl.Amap.SegBlocks())
+		sc := hl.FS.ParseSegment(seg, raw)
+		valid := make([]bool, hl.Amap.SegBlocks())
+		end := 0 // where the checksum-valid chain ends
+		for i, sum := range sc.Psegs {
+			end = sc.Offsets[i] + int(sum.NBlocks)
+			for b := sc.Offsets[i] + 1; b < end; b++ {
+				valid[b] = true
+			}
+		}
+		why := "torn or corrupt segment"
+		if sc.Torn {
+			why = fmt.Sprintf("torn partial segment at offset %d", end)
+		}
 		for _, a := range tertAddrs[idx] {
 			if off := hl.Amap.OffOf(a); !valid[off] {
 				r.addf(fmt.Sprintf("tseg %d", idx),
-					"reachable block at offset %d lies outside the checksum-valid psegs of the %s (torn or corrupt segment)", off, src)
+					"reachable block at offset %d lies outside the checksum-valid psegs of the %s (%s)", off, src, why)
 			}
 		}
 	}
@@ -259,31 +270,6 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 		}
 	}
 	return r, nil
-}
-
-// validPsegBlocks walks a segment image's contiguous pseg chain, checksum
-// verifying each, and marks which block offsets hold validated content.
-func validPsegBlocks(raw []byte, segBlocks int) []bool {
-	valid := make([]bool, segBlocks)
-	off := 0
-	for off+1 <= segBlocks {
-		sum, err := lfs.DecodeSummary(raw[off*lfs.BlockSize : (off+1)*lfs.BlockSize])
-		if err != nil {
-			break
-		}
-		n := int(sum.NBlocks)
-		if n < 1 || off+n > segBlocks {
-			break
-		}
-		if lfs.Checksum(raw[(off+1)*lfs.BlockSize:(off+n)*lfs.BlockSize]) != sum.DataSum {
-			break
-		}
-		for b := off + 1; b < off+n; b++ {
-			valid[b] = true
-		}
-		off += n
-	}
-	return valid
 }
 
 // Write renders the report including every problem.

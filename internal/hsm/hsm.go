@@ -168,14 +168,6 @@ type Config struct {
 	// between interactive reads and background migration. Nil executes
 	// requests directly in the processing proc.
 	FrontEnd *svc.FrontEnd
-	// StatePath is the in-FS path of the persisted service state
-	// (default "/.hsm/state"). The file rides the normal log/roll-forward
-	// durability path, so the queue, pins, and quotas survive a crash.
-	StatePath string
-	// GCEvery, when positive, starts the quota-GC daemon: a periodic
-	// virtual-time pass reclaiming least-hot unpinned staged data from
-	// principals over their soft limits. Zero leaves GC manual.
-	GCEvery sim.Time
 }
 
 // Service is the HSM service surface over one HighLight instance. Create
@@ -185,14 +177,13 @@ type Service struct {
 	HL *core.HighLight
 	FE *svc.FrontEnd
 
-	statePath string
-	nextID    int64
-	requests  []*Request // every request, ID order
-	queue     []*Request // queued subset, FIFO
-	doneC     *sim.Cond  // broadcast at every request completion
-	pins      map[string]*Pin
-	staged    map[string]*Staged
-	quotas    map[string]Quota
+	nextID   int64
+	requests []*Request // every request, ID order
+	queue    []*Request // queued subset, FIFO
+	doneC    *sim.Cond  // broadcast at every request completion
+	pins     map[string]*Pin
+	staged   map[string]*Staged
+	quotas   map[string]Quota
 
 	submitted *obs.Counter
 	completed *obs.Counter
@@ -211,17 +202,13 @@ type Service struct {
 // persisted pin flag not covered by the re-derived pin set (a crash between
 // flag checkpoint and state write) is cleared as stale.
 func Attach(p *sim.Proc, hl *core.HighLight, cfg Config) (*Service, error) {
-	if cfg.StatePath == "" {
-		cfg.StatePath = DefaultStatePath
-	}
 	s := &Service{
-		HL:        hl,
-		FE:        cfg.FrontEnd,
-		statePath: cfg.StatePath,
-		doneC:     hl.K.NewCond("hsm.done"),
-		pins:      make(map[string]*Pin),
-		staged:    make(map[string]*Staged),
-		quotas:    make(map[string]Quota),
+		HL:     hl,
+		FE:     cfg.FrontEnd,
+		doneC:  hl.K.NewCond("hsm.done"),
+		pins:   make(map[string]*Pin),
+		staged: make(map[string]*Staged),
+		quotas: make(map[string]Quota),
 	}
 	o := hl.Obs
 	s.submitted = o.Counter("hsm.submitted")
@@ -254,9 +241,6 @@ func Attach(p *sim.Proc, hl *core.HighLight, cfg Config) (*Service, error) {
 		}
 	}
 	s.updateGauges()
-	if cfg.GCEvery > 0 {
-		s.StartGCDaemon(cfg.GCEvery)
-	}
 	return s, nil
 }
 

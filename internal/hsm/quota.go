@@ -143,7 +143,7 @@ func (s *Service) RunQuotaGC(p *sim.Proc) (int64, error) {
 				Inputs: []attr.Input{
 					attr.In("bytes", float64(c.st.Bytes)),
 					attr.In("heat", c.heat),
-					attr.In("over_by", float64(staged + c.st.Bytes - q.StagedSoft)),
+					attr.In("over_by", float64(staged+c.st.Bytes-q.StagedSoft)),
 					attr.In("ejected", float64(reclaimed)),
 				},
 			})

@@ -10,11 +10,14 @@ import (
 	"repro/internal/sim"
 )
 
-// DefaultStatePath is where the service persists its state inside the
-// HighLight file system. The file is ordinary file data, so it rides the
-// log's durability path: synced on every save and recovered by the normal
-// roll-forward after a crash.
-const DefaultStatePath = "/.hsm/state"
+// statePath is where the service persists its state inside the HighLight
+// file system. The file is ordinary file data, so it rides the log's
+// durability path: synced on every save and recovered by the normal
+// roll-forward after a crash (the queue, pins and quotas survive it).
+const (
+	stateDir  = "/.hsm"
+	statePath = stateDir + "/state"
+)
 
 // The persisted representation. Slices are sorted before encoding so two
 // identical service states always serialize byte-identically (the
@@ -101,9 +104,9 @@ func (s *Service) save(p *sim.Proc) error {
 	if err != nil {
 		return fmt.Errorf("hsm: encoding state: %w", err)
 	}
-	f, err := s.HL.FS.Open(p, s.statePath)
+	f, err := s.HL.FS.Open(p, statePath)
 	if err != nil {
-		if f, err = s.HL.FS.Create(p, s.statePath); err != nil {
+		if f, err = s.HL.FS.Create(p, statePath); err != nil {
 			return fmt.Errorf("hsm: creating state file: %w", err)
 		}
 	}
@@ -119,12 +122,12 @@ func (s *Service) save(p *sim.Proc) error {
 // load reads the state file (creating the /.hsm directory and an empty
 // state on first attach) and rebuilds the in-memory maps.
 func (s *Service) load(p *sim.Proc) error {
-	f, err := s.HL.FS.Open(p, s.statePath)
+	f, err := s.HL.FS.Open(p, statePath)
 	if err != nil {
 		if !errors.Is(err, lfs.ErrNotFound) {
 			return fmt.Errorf("hsm: opening state file: %w", err)
 		}
-		if derr := s.HL.FS.Mkdir(p, stateDir(s.statePath)); derr != nil && !errors.Is(derr, lfs.ErrExists) {
+		if derr := s.HL.FS.Mkdir(p, stateDir); derr != nil && !errors.Is(derr, lfs.ErrExists) {
 			return fmt.Errorf("hsm: creating state dir: %w", derr)
 		}
 		return s.save(p)
@@ -179,14 +182,4 @@ func (s *Service) load(p *sim.Proc) error {
 		}
 	}
 	return nil
-}
-
-// stateDir returns the parent directory of the state path.
-func stateDir(path string) string {
-	for i := len(path) - 1; i > 0; i-- {
-		if path[i] == '/' {
-			return path[:i]
-		}
-	}
-	return "/"
 }

@@ -84,30 +84,42 @@ type SegmentContents struct {
 	Inodes  []InodeRef // every inode instance
 	Raw     []byte     // the whole segment image
 	Offsets []int      // block offset of each pseg's summary
+	// Torn is set when the walk ended on a summary that decodes but whose
+	// extent or data checksum does not hold: the image was cut or damaged
+	// there, as opposed to the chain simply ending.
+	Torn bool
 }
 
 // ReadSegment reads and parses a whole segment (one large timed transfer —
 // exactly what the cleaner and migrator do).
 func (fs *FS) ReadSegment(p *sim.Proc, seg addr.SegNo) (*SegmentContents, error) {
-	segBytes := fs.amap.SegBlocks() * BlockSize
-	raw := make([]byte, segBytes)
+	raw := make([]byte, fs.amap.SegBlocks()*BlockSize)
 	if err := fs.dev.ReadBlocks(p, fs.amap.BlockOf(seg, 0), raw); err != nil {
 		return nil, err
 	}
 	fs.stats.DevReads++
-	fs.stats.BytesRead += int64(segBytes)
+	fs.stats.BytesRead += int64(len(raw))
+	return fs.ParseSegment(seg, raw), nil
+}
+
+// ParseSegment parses raw, a whole-segment image whose blocks are
+// addressed in segment seg: a disk segment, or a cache line's copy of a
+// tertiary one. It is the one walker of the partial-segment chain besides
+// roll-forward. The walk stops at the first summary that does not decode,
+// overruns the segment or fails its data checksum; what precedes it is
+// intact. Media content is input: nothing in raw can make the walk index
+// past it, and inode numbers the inode map cannot hold are dropped.
+func (fs *FS) ParseSegment(seg addr.SegNo, raw []byte) *SegmentContents {
 	sc := &SegmentContents{Seg: seg, Raw: raw}
-	off := 0
-	for off+1 <= fs.amap.SegBlocks() {
+	segBlocks := min(fs.amap.SegBlocks(), len(raw)/BlockSize)
+	for off := 0; off < segBlocks; {
 		sum, err := DecodeSummary(raw[off*BlockSize : (off+1)*BlockSize])
 		if err != nil {
 			break // end of valid psegs in this segment
 		}
 		n := int(sum.NBlocks)
-		if n < 1 || off+n > fs.amap.SegBlocks() {
-			break
-		}
-		if crc32Sum(raw[(off+1)*BlockSize:(off+n)*BlockSize]) != sum.DataSum {
+		if n < 1 || off+n > segBlocks || crc32Sum(raw[(off+1)*BlockSize:(off+n)*BlockSize]) != sum.DataSum {
+			sc.Torn = true
 			break
 		}
 		sc.Psegs = append(sc.Psegs, sum)
@@ -127,14 +139,14 @@ func (fs *FS) ReadSegment(p *sim.Proc, seg addr.SegNo) (*SegmentContents, error)
 		}
 		for _, ia := range sum.InoAddrs {
 			idx := fs.amap.OffOf(ia)
-			if fs.amap.SegOf(ia) != seg || idx >= fs.amap.SegBlocks() {
+			if fs.amap.SegOf(ia) != seg || idx >= segBlocks {
 				continue
 			}
 			blk := raw[idx*BlockSize : (idx+1)*BlockSize]
 			for slot := 0; slot < InodesPerBlock; slot++ {
 				var ino Inode
 				ino.decode(blk[slot*InodeSize:])
-				if ino.Inum != 0 {
+				if ino.Inum != 0 && int(ino.Inum) < len(fs.imap) {
 					sc.Inodes = append(sc.Inodes, InodeRef{
 						Inum:    ino.Inum,
 						Version: ino.Version,
@@ -146,7 +158,7 @@ func (fs *FS) ReadSegment(p *sim.Proc, seg addr.SegNo) (*SegmentContents, error)
 		}
 		off += n
 	}
-	return sc, nil
+	return sc
 }
 
 // BlockData returns the content of a block instance within a parsed
@@ -189,9 +201,6 @@ func (fs *FS) cleanSegmentLocked(p *sim.Proc, seg addr.SegNo) (relocated int, er
 		relocated++
 	}
 	for _, ir := range sc.Inodes {
-		if int(ir.Inum) >= len(fs.imap) {
-			continue
-		}
 		e := fs.imap[ir.Inum]
 		if e.Addr == ir.Addr && e.Slot == ir.Slot && e.Version == ir.Version {
 			ino, err := fs.iget(p, ir.Inum)

@@ -47,11 +47,6 @@ func (fs *FS) flushDevice(p *sim.Proc) error {
 	return nil
 }
 
-// Checksum exposes the log checksum (CRC-32C) used for partial-segment
-// bodies, so recovery audits (fsck's tertiary scrub, the crash harness)
-// can validate segment images the same way roll-forward does.
-func Checksum(b []byte) uint32 { return crc32Sum(b) }
-
 // Errors returned by the file system.
 var (
 	ErrNoSpace    = errors.New("lfs: no clean segments")
@@ -97,10 +92,6 @@ type Options struct {
 	// character device individually; 1 reproduces that (and its
 	// disk-arm contention). Zero = unlimited contiguous runs.
 	GatherChunkBlocks int
-	// MaxDiskSegs sizes the checkpoint table region so the file system
-	// can later grow to this many disk segments on-line (§6.4). Default:
-	// twice the initial disk size.
-	MaxDiskSegs int
 }
 
 func (o *Options) fill(segBytes int) {
@@ -461,13 +452,9 @@ func (fs *FS) Stats() Stats { return fs.stats }
 func (fs *FS) CleanSegs() int { return fs.nclean }
 
 // tableBlocks computes the size of one checkpoint table region, with
-// headroom for on-line disk growth up to MaxDiskSegs.
+// headroom for on-line disk growth (§6.4) to twice the initial disk size.
 func (fs *FS) tableBlocks(maxInodes int) int {
-	maxSegs := fs.opts.MaxDiskSegs
-	if maxSegs < fs.amap.DiskSegs() {
-		maxSegs = 2 * fs.amap.DiskSegs()
-	}
-	segBlks := blocksFor(maxSegs * SeguseSize)
+	segBlks := blocksFor(2 * fs.amap.DiskSegs() * SeguseSize)
 	tsegBlks := blocksFor(fs.amap.TertSegs() * SeguseSize)
 	imapBlks := blocksFor(maxInodes * ImapSize)
 	return 1 + segBlks + tsegBlks + imapBlks // 1 header/cleanerinfo block

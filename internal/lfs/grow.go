@@ -16,13 +16,13 @@ import (
 // for this as future work (§10); here it is.
 
 // CanGrow reports whether the checkpoint table region has room for n more
-// disk segments' usage entries (headroom is reserved at format time via
-// Options.MaxDiskSegs).
+// disk segments' usage entries (format reserves headroom for twice the
+// initial disk size, tableBlocks).
 func (fs *FS) CanGrow(n int) error {
 	grown := len(fs.seguse) + n
 	need := 1 + blocksFor(grown*SeguseSize) + blocksFor(len(fs.tseg)*SeguseSize) + blocksFor(len(fs.imap)*ImapSize)
 	if need > int(fs.sb.TableBlocks) {
-		return fmt.Errorf("lfs: growing to %d segments needs %d table blocks, region holds %d (raise MaxDiskSegs at format time)",
+		return fmt.Errorf("lfs: growing to %d segments needs %d table blocks, region holds %d",
 			grown, need, fs.sb.TableBlocks)
 	}
 	return nil

@@ -184,13 +184,6 @@ func (ino *Inode) encode(b []byte) {
 	binary.LittleEndian.PutUint32(b[off+4:], uint32(ino.Double))
 }
 
-// DecodeInode parses an on-media inode image (exported for the dump tool
-// and the end-of-medium re-staging path).
-func DecodeInode(ino *Inode, b []byte) { ino.decode(b) }
-
-// EncodeInode serializes an inode to its on-media form.
-func EncodeInode(ino *Inode, b []byte) { ino.encode(b) }
-
 func (ino *Inode) decode(b []byte) {
 	ino.Inum = binary.LittleEndian.Uint32(b[0:])
 	ino.Version = binary.LittleEndian.Uint32(b[4:])

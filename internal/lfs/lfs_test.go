@@ -20,7 +20,7 @@ type testEnv struct {
 }
 
 // newEnv formats a small LFS: segBlocks-block segments, diskSegs segments.
-func newEnv(t *testing.T, segBlocks, diskSegs int, opts Options) *testEnv {
+func newEnv(t testing.TB, segBlocks, diskSegs int, opts Options) *testEnv {
 	t.Helper()
 	k := sim.NewKernel()
 	amap := addr.New(segBlocks, diskSegs)

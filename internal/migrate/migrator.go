@@ -34,10 +34,6 @@ type Migrator struct {
 	// in-flight copy-out window, so staging fills overlap with drains
 	// instead of strictly alternating.
 	Streams int
-	// MaxInFlight bounds outstanding copy-outs in the windowed path.
-	// Zero derives 2×Streams; the window only applies when Streams > 1
-	// or MaxInFlight is set explicitly.
-	MaxInFlight int
 
 	// Throttle, if set, is consulted by Daemon before each migration
 	// round; a true return skips the round (graceful-degradation
@@ -150,12 +146,9 @@ func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 	return staged, nil
 }
 
-// window reports the copy-out window of the pipelined path, or 0 for the
-// historical single-batch migration.
+// window reports the copy-out window of the pipelined path (the bound on
+// outstanding copy-outs), or 0 for the historical single-batch migration.
 func (m *Migrator) window() int {
-	if m.MaxInFlight > 0 {
-		return m.MaxInFlight
-	}
 	if m.Streams > 1 {
 		return 2 * m.Streams
 	}

@@ -19,14 +19,6 @@ import (
 type Rearranger struct {
 	HL *core.HighLight
 
-	// MinBatch defers rewriting until this many fetched segments have
-	// accumulated, so a lone fetch does not trigger tertiary writes
-	// that would interfere with demand-fetch read traffic (§5.4's
-	// stated concern). Default 2.
-	MinBatch int
-	// Interval is the daemon poll period (default 30 virtual seconds).
-	Interval sim.Time
-
 	queue []int
 
 	// Stats.
@@ -34,10 +26,20 @@ type Rearranger struct {
 	BlocksClustered int64
 }
 
+const (
+	// rearrangeMinBatch defers rewriting until this many fetched segments
+	// have accumulated, so a lone fetch does not trigger tertiary writes
+	// that would interfere with demand-fetch read traffic (§5.4's stated
+	// concern).
+	rearrangeMinBatch = 2
+	// rearrangeInterval is the daemon's poll period.
+	rearrangeInterval = 30 * sim.Time(time.Second)
+)
+
 // NewRearranger wires the rearranger into the service process's fetch
 // notifications and returns it; run Daemon as a sim daemon to activate it.
 func NewRearranger(hl *core.HighLight) *Rearranger {
-	ra := &Rearranger{HL: hl, MinBatch: 2, Interval: 30 * time.Second}
+	ra := &Rearranger{HL: hl}
 	hl.Svc.OnFetched = func(tag int) {
 		ra.queue = append(ra.queue, tag)
 	}
@@ -51,7 +53,7 @@ func (ra *Rearranger) Pending() int { return len(ra.queue) }
 // and completes the migration. It returns the number of segments
 // rewritten.
 func (ra *Rearranger) RunOnce(p *sim.Proc) (int, error) {
-	if len(ra.queue) < ra.MinBatch {
+	if len(ra.queue) < rearrangeMinBatch {
 		return 0, nil
 	}
 	batch := ra.queue
@@ -83,12 +85,8 @@ func (ra *Rearranger) RunOnce(p *sim.Proc) (int, error) {
 
 // Daemon runs the rearranger periodically.
 func (ra *Rearranger) Daemon(p *sim.Proc) {
-	interval := ra.Interval
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
 	for {
-		p.Sleep(interval)
+		p.Sleep(rearrangeInterval)
 		if _, err := ra.RunOnce(p); err != nil {
 			continue // e.g. tertiary exhausted: stand down until cleaned
 		}

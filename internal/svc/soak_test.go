@@ -52,11 +52,11 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 			MaxInodes:   256,
 			Replicas:    2,
 			BufferBytes: 64 * lfs.BlockSize,
-			RepairEvery: 10 * sim.Time(time.Second),
 		}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hl.StartRepairDaemon(10 * sim.Time(time.Second))
 		fe := svc.New(hl, svc.Config{
 			Workers: 2, ReservedInteractive: 1,
 			InteractiveQueue: 4, BackgroundQueue: 2,

@@ -86,20 +86,13 @@ type Config struct {
 	// queue — the quota that keeps interactive requests moving during
 	// background floods (default 1, clamped below Workers).
 	ReservedInteractive int
-	// InteractiveQueue / BackgroundQueue / StagingQueue bound the
-	// per-class admission queues (defaults 64 / 16 / 32). A submit
-	// against a full queue is shed with ErrOverload. Interactive requests
-	// running in lent slots count as queued (FrontEnd.backlog), here and
-	// for the brownout watermarks.
+	// InteractiveQueue / BackgroundQueue bound their classes' admission
+	// queues (defaults 64 / 16; the staging class's is stagingQueue). A
+	// submit against a full queue is shed with ErrOverload. Interactive
+	// requests running in lent slots count as queued (FrontEnd.backlog),
+	// here and for the brownout watermarks.
 	InteractiveQueue int
 	BackgroundQueue  int
-	StagingQueue     int
-	// RetryBudget caps banked retry tokens; RetryPerAdmits is how many
-	// admissions earn one token (defaults 8 and 10: at most ~10% of
-	// admitted traffic can be retries, so retries cannot amplify an
-	// overload into a collapse).
-	RetryBudget    int
-	RetryPerAdmits int
 	// BrownoutHi / BrownoutLo are the interactive queue-depth watermarks
 	// with hysteresis: at Hi the front end enters brownout (background
 	// migration and replica repair stand down), at Lo it exits.
@@ -113,14 +106,23 @@ type Config struct {
 	// the switch exists for the ablation_reqtrace bench row, which proves
 	// a traced run's metrics are bit-identical to an untraced one.
 	DisableTracing bool
-	// SLOBudget is the tolerated bad-request fraction (deadline misses +
+}
+
+const (
+	// stagingQueue bounds the staging class's admission queue.
+	stagingQueue = 32
+	// retryBudget caps banked retry tokens; retryPerAdmits admissions earn
+	// one: at most ~10% of admitted traffic can be retries, so retries
+	// cannot amplify an overload into a collapse.
+	retryBudget    = 8
+	retryPerAdmits = 10
+	// sloBudget is the tolerated bad-request fraction (deadline misses +
 	// failures) for the burn-rate gauges: burn = observed bad fraction /
 	// budget, so burn 1.0 means exactly spending the error budget.
-	// Default 0.01. SLOWindow is the sliding window of completions the
-	// fraction is computed over (default 64).
-	SLOBudget float64
-	SLOWindow int
-}
+	// sloWindow is the sliding window of completions it is computed over.
+	sloBudget = 0.01
+	sloWindow = 64
+)
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
@@ -138,15 +140,6 @@ func (c *Config) fill() {
 	if c.BackgroundQueue <= 0 {
 		c.BackgroundQueue = 16
 	}
-	if c.StagingQueue <= 0 {
-		c.StagingQueue = 32
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 8
-	}
-	if c.RetryPerAdmits <= 0 {
-		c.RetryPerAdmits = 10
-	}
 	if c.BrownoutHi <= 0 {
 		c.BrownoutHi = c.InteractiveQueue / 2
 	}
@@ -155,12 +148,6 @@ func (c *Config) fill() {
 	}
 	if c.BrownoutLo >= c.BrownoutHi {
 		c.BrownoutLo = c.BrownoutHi / 2
-	}
-	if c.SLOBudget <= 0 {
-		c.SLOBudget = 0.01
-	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 64
 	}
 }
 
@@ -258,7 +245,7 @@ type FrontEnd struct {
 	// The gauge holds burn x1000 (obs gauges are integers): 1000 means
 	// the window exactly spends the budget, above is burning hot.
 	sloG    [numClasses]*obs.Gauge
-	sloRing [numClasses][]bool // true = bad (missed deadline or failed)
+	sloRing [numClasses][sloWindow]bool // true = bad (missed deadline or failed)
 	sloNext [numClasses]int
 	sloSeen [numClasses]int
 	sloBad  [numClasses]int
@@ -275,7 +262,7 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 		Cfg:         cfg,
 		k:           hl.K,
 		work:        hl.K.NewCond("svc.work"),
-		retryTokens: cfg.RetryBudget,
+		retryTokens: retryBudget,
 	}
 	fe.Breakers = NewBreakerSet(hl.K, len(hl.Libraries()), cfg.Breaker, hl.Obs, hl.Audit)
 	hl.Svc.Breaker = fe.Breakers
@@ -290,7 +277,6 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 		fe.qGauge[c] = o.Gauge("svc.queue." + c.String())
 		fe.latH[c] = o.Histogram("svc.latency."+c.String(), obs.LatencyBounds)
 		fe.sloG[c] = o.Gauge("svc.slo_burn_milli." + c.String())
-		fe.sloRing[c] = make([]bool, cfg.SLOWindow)
 	}
 	fe.admitted = o.Counter("svc.admitted")
 	fe.shed = o.Counter("svc.shed")
@@ -342,7 +328,7 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	case Background:
 		capacity = fe.Cfg.BackgroundQueue
 	case Staging:
-		capacity = fe.Cfg.StagingQueue
+		capacity = stagingQueue
 	}
 	fe.nextID++
 	id := fe.nextID
@@ -434,13 +420,13 @@ func (fe *FrontEnd) AllowRetry() bool {
 	return false
 }
 
-// earnRetryToken banks one retry token per RetryPerAdmits admissions,
-// up to RetryBudget.
+// earnRetryToken banks one retry token per retryPerAdmits admissions,
+// up to retryBudget.
 func (fe *FrontEnd) earnRetryToken() {
 	fe.admitsSinceEarn++
-	if fe.admitsSinceEarn >= fe.Cfg.RetryPerAdmits {
+	if fe.admitsSinceEarn >= retryPerAdmits {
 		fe.admitsSinceEarn = 0
-		if fe.retryTokens < fe.Cfg.RetryBudget {
+		if fe.retryTokens < retryBudget {
 			fe.retryTokens++
 		}
 	}
@@ -640,11 +626,11 @@ func (fe *FrontEnd) complete(r *Request, err error) {
 // observeSLO scores one completion against the class error budget and
 // refreshes the burn-rate gauge. "Bad" means the request failed or
 // overran its deadline; the burn rate is the bad fraction of the last
-// SLOWindow completions divided by SLOBudget, published x1000.
+// sloWindow completions divided by sloBudget, published x1000.
 func (fe *FrontEnd) observeSLO(r *Request, err error) {
 	c := r.Class
 	bad := err != nil || (r.Deadline > 0 && r.endT > r.Deadline)
-	ring := fe.sloRing[c]
+	ring := &fe.sloRing[c]
 	if fe.sloSeen[c] >= len(ring) {
 		if ring[fe.sloNext[c]] {
 			fe.sloBad[c]--
@@ -658,7 +644,7 @@ func (fe *FrontEnd) observeSLO(r *Request, err error) {
 	}
 	fe.sloNext[c] = (fe.sloNext[c] + 1) % len(ring)
 	frac := float64(fe.sloBad[c]) / float64(fe.sloSeen[c])
-	fe.sloG[c].Set(int64(frac/fe.Cfg.SLOBudget*1000 + 0.5))
+	fe.sloG[c].Set(int64(frac/sloBudget*1000 + 0.5))
 }
 
 // BurnRate reports the class's current SLO burn rate (bad fraction over
@@ -667,7 +653,7 @@ func (fe *FrontEnd) BurnRate(c Class) float64 {
 	if fe.sloSeen[c] == 0 {
 		return 0
 	}
-	return float64(fe.sloBad[c]) / float64(fe.sloSeen[c]) / fe.Cfg.SLOBudget
+	return float64(fe.sloBad[c]) / float64(fe.sloSeen[c]) / sloBudget
 }
 
 // Stats is a front-end snapshot for reports and tests.

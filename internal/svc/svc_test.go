@@ -147,10 +147,7 @@ func TestOverloadShedsExplicitly(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		hl, _, _ := rig(t, p, k)
-		fe := svc.New(hl, svc.Config{
-			Workers: 2, InteractiveQueue: 2, BackgroundQueue: 1,
-			RetryBudget: 2, RetryPerAdmits: 100,
-		})
+		fe := svc.New(hl, svc.Config{Workers: 2, InteractiveQueue: 2, BackgroundQueue: 1})
 
 		var admitted []*svc.Request
 		sheds := 0
@@ -196,15 +193,17 @@ func TestOverloadShedsExplicitly(t *testing.T) {
 			t.Fatalf("sheds not audited: %v", v)
 		}
 
-		// The retry budget bounds resubmissions: 2 banked tokens, then
-		// denial.
-		if !fe.AllowRetry() || !fe.AllowRetry() {
-			t.Fatal("banked retry tokens refused")
+		// The retry budget bounds resubmissions: the 8 banked tokens (3
+		// admissions earned none), then denial.
+		for i := 0; i < 8; i++ {
+			if !fe.AllowRetry() {
+				t.Fatalf("banked retry token %d refused", i)
+			}
 		}
 		if fe.AllowRetry() {
 			t.Fatal("retry budget not enforced")
 		}
-		if st := fe.Stats(); st.RetriesGranted != 2 || st.RetriesDenied != 1 {
+		if st := fe.Stats(); st.RetriesGranted != 8 || st.RetriesDenied != 1 {
 			t.Fatalf("retry accounting: %+v", st)
 		}
 	})

@@ -33,23 +33,17 @@ import (
 // faulting process — instead of wedging the service loop.
 var ErrSegmentUnavailable = errors.New("tertiary: segment unavailable")
 
-// RetryPolicy bounds the I/O process's recovery from transient faults
-// (media dust, drive-offline windows, volume-load failures). Backoff is
-// virtual time: retries double the delay up to MaxBackoff.
-type RetryPolicy struct {
-	Max        int      // retries after the first attempt
-	Backoff    sim.Time // delay before the first retry
-	MaxBackoff sim.Time // cap on the doubled backoff
-}
-
-// DefaultRetryPolicy survives error bursts a few failures deep while
-// keeping a wedged device from stalling the I/O process for more than a
-// few virtual seconds per request.
-var DefaultRetryPolicy = RetryPolicy{
-	Max:        6,
-	Backoff:    50 * sim.Time(time.Millisecond),
-	MaxBackoff: 5 * sim.Time(time.Second),
-}
+// The I/O process's recovery from transient faults (media dust,
+// drive-offline windows, volume-load failures): retryMax retries after the
+// first attempt, the virtual-time delay before them doubling from
+// retryBackoff up to retryMaxBackoff. That survives error bursts a few
+// failures deep while keeping a wedged device from stalling the I/O
+// process for more than a few virtual seconds per request.
+const (
+	retryMax        = 6
+	retryBackoff    = 50 * sim.Time(time.Millisecond)
+	retryMaxBackoff = 5 * sim.Time(time.Second)
+)
 
 // Stats counts migration and fetch path events. Where virtual time went
 // — Footprint transfers, I/O-process disk transfers, queueing — is no
@@ -184,9 +178,6 @@ type Service struct {
 	qdepth     *obs.Gauge
 	outCopyG   *obs.Gauge
 
-	// Retry governs transient-fault recovery in the I/O process.
-	Retry RetryPolicy
-
 	// Prefetch, if set, returns tertiary segment indices to prefetch
 	// after tag was demand-fetched (§6.2: the service process "may
 	// choose unilaterally to insert new segments into the cache").
@@ -241,7 +232,6 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 		hooks:   hooks,
 		reqs:    k.NewChan("tertiary.svc", 256),
 		pending: make(map[int]*fetchWait),
-		Retry:   DefaultRetryPolicy,
 		obs:     o,
 	}
 	s.fetchWaitH = o.Histogram("tertiary.fetch_wait", obs.LatencyBounds)
@@ -529,6 +519,24 @@ func (s *Service) Eject(tag int) error {
 	return nil
 }
 
+// EjectAll ejects every line that is neither staging (its only copy is the
+// one on disk) nor pinned by a reader or copy-out, so the next read of
+// migrated data is a demand fetch. Lines go in Cache.Lines() order — tag
+// order, so the free list's reuse order is reproducible. It returns how
+// many went and the first ejection that failed.
+func (s *Service) EjectAll() (ejected int, err error) {
+	for _, l := range s.cache.Lines() {
+		if l.Staging || l.Pins > 0 {
+			continue
+		}
+		if err := s.Eject(l.Tag); err != nil {
+			return ejected, err
+		}
+		ejected++
+	}
+	return ejected, nil
+}
+
 // serviceLoop is the service process: it fields requests from the kernel
 // and completion messages from the I/O process.
 func (s *Service) serviceLoop(p *sim.Proc) {
@@ -779,33 +787,28 @@ func transientFault(err error) bool {
 	return errors.Is(err, dev.ErrTransientMedia) || errors.Is(err, jukebox.ErrDriveOffline)
 }
 
-// withRetry runs op under the service retry policy, sleeping the
-// (virtual-time, doubling) backoff between attempts. Non-transient errors
+// withRetry runs op up to 1+retryMax times, sleeping the (virtual-time,
+// doubling) backoff between attempts. Non-transient errors
 // return immediately.
 func (s *Service) withRetry(p *sim.Proc, op func() error) error {
-	backoff := s.Retry.Backoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err == nil || !transientFault(err) {
 			return err
 		}
-		if attempt >= s.Retry.Max {
+		if attempt >= retryMax {
 			s.stats.RetriesExhausted++
 			s.obs.Instant("tertiary.io", "io.retries_exhausted", "exhausted")
 			return err
 		}
 		s.stats.TransientRetries++
 		s.obs.Instant("tertiary.io", "io.retry", "retry")
-		if backoff > 0 {
-			tr := reqtrace.From(p)
-			st := tr.StageStart(reqtrace.KindRetryBackoff, p.Now(), "")
-			p.Sleep(backoff)
-			tr.StageEnd(st, p.Now())
-		}
-		backoff *= 2
-		if backoff > s.Retry.MaxBackoff {
-			backoff = s.Retry.MaxBackoff
-		}
+		tr := reqtrace.From(p)
+		st := tr.StageStart(reqtrace.KindRetryBackoff, p.Now(), "")
+		p.Sleep(backoff)
+		tr.StageEnd(st, p.Now())
+		backoff = min(2*backoff, retryMaxBackoff)
 	}
 }
 

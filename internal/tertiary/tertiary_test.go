@@ -324,7 +324,6 @@ func TestTransientFaultRetriedAndRecovered(t *testing.T) {
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	e := newEnv(t, 4)
-	e.svc.Retry = RetryPolicy{Max: 2, Backoff: sim.Time(time.Millisecond), MaxBackoff: sim.Time(time.Second)}
 	e.juke.Fault = func(op string, vol, seg int) error {
 		if op == "read" {
 			return dev.ErrTransientMedia
@@ -332,7 +331,12 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		return nil
 	}
 	e.k.RunProc(func(p *sim.Proc) {
+		t0 := p.Now()
 		_, err := e.svc.DemandFetch(p, 2)
+		// Six backoffs, doubling from 50 ms: 3.15 s of virtual time at least.
+		if waited := p.Now() - t0; waited < 3150*sim.Time(time.Millisecond) {
+			t.Fatalf("gave up after %v, before the six backoffs ran", time.Duration(waited))
+		}
 		if !errors.Is(err, ErrSegmentUnavailable) {
 			t.Fatalf("exhausted retries = %v, want errors.Is ErrSegmentUnavailable", err)
 		}
@@ -347,8 +351,8 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	if s.RetriesExhausted != 1 {
 		t.Fatalf("RetriesExhausted = %d, want 1", s.RetriesExhausted)
 	}
-	if s.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2 (the budget)", s.TransientRetries)
+	if s.TransientRetries != retryMax {
+		t.Fatalf("TransientRetries = %d, want %d (the budget)", s.TransientRetries, retryMax)
 	}
 	if s.FetchFaults != 1 {
 		t.Fatalf("FetchFaults = %d, want 1", s.FetchFaults)
