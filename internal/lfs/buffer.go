@@ -124,11 +124,12 @@ func (fs *FS) evictLocked() {
 	}
 }
 
-// dropBuf removes b from the cache and takes its block back into the free
-// list. b is dead afterwards: its data is gone, so a holder that kept the
-// pointer across an insertBuf (which may evict) faults instead of reading
-// another block's bytes.
+// dropBuf removes b, dirty or not, from the cache and takes its block back
+// into the free list. b is dead afterwards: its data is gone, so a holder
+// that kept the pointer across an insertBuf (which may evict) faults instead
+// of reading another block's bytes.
 func (fs *FS) dropBuf(b *buf) {
+	fs.markClean(b)
 	b.on.remove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
@@ -201,9 +202,6 @@ func (fs *FS) insertBuf(inum uint32, lbn int32, data []byte, at addr.BlockNo, di
 	key := bufKey{inum, lbn}
 	if old, ok := fs.bufs[key]; ok {
 		fs.dropBuf(old)
-		if old.dirty {
-			fs.dirtyBytes -= BlockSize
-		}
 	}
 	b := &buf{key: key, data: data, addr: at}
 	fs.bufs[key] = b
@@ -224,6 +222,14 @@ func (fs *FS) markDirty(b *buf) {
 	if !b.dirty {
 		b.dirty = true
 		fs.dirtyBytes += BlockSize
+	}
+}
+
+// markClean takes b out of the dirty set: it was written, or is dropped.
+func (fs *FS) markClean(b *buf) {
+	if b.dirty {
+		b.dirty = false
+		fs.dirtyBytes -= BlockSize
 	}
 }
 

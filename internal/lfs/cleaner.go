@@ -61,19 +61,8 @@ func (fs *FS) refLiveLocked(p *sim.Proc, r BlockRef) (bool, error) {
 	if err != nil {
 		return false, nil // inode vanished: not live
 	}
-	var cur addr.BlockNo
-	if r.Lbn >= 0 {
-		cur, err = fs.blockPtr(p, ino, r.Lbn)
-		if err != nil {
-			return false, nil
-		}
-	} else {
-		cur, err = fs.metaAddr(p, ino, r.Lbn)
-		if err != nil {
-			return false, nil
-		}
-	}
-	return cur == r.Addr, nil
+	cur, err := fs.blockPtr(p, ino, r.Lbn)
+	return err == nil && cur == r.Addr, nil
 }
 
 // SegmentContents describes a parsed on-media segment.
@@ -274,32 +263,32 @@ func (fs *FS) cleanSegmentsLocked(p *sim.Proc, segs []addr.SegNo) (int, error) {
 // times age over cost — with a pure least-live fallback for young file
 // systems.
 func (fs *FS) SelectCleanable(max int) []addr.SegNo {
+	segBytes := uint32(fs.amap.SegBlocks() * BlockSize)
+	now := fs.now()
+	return fs.rankCleanable(max, func(su *Seguse) float64 {
+		u := float64(min(su.LiveBytes, segBytes)) / float64(segBytes)
+		age := float64(now-su.LastMod) + 1
+		return (1 - u) * age / (1 + u)
+	})
+}
+
+// rankCleanable is the one eligibility filter of the cleaner's choice: the
+// dirty log segments that are not the log head, a cache line or retired,
+// not already cleaned and awaiting their checkpoint, and not reserved by a
+// migration stream. It returns up to max of them (0: all), highest score
+// first.
+func (fs *FS) rankCleanable(max int, score func(*Seguse) float64) []addr.SegNo {
 	type cand struct {
 		seg   addr.SegNo
 		score float64
 	}
-	segBytes := uint32(fs.amap.SegBlocks() * BlockSize)
-	now := fs.now()
 	var cands []cand
 	for i := range fs.seguse {
-		su := &fs.seguse[i]
-		if su.Flags&SegDirty == 0 || su.Flags&(SegActive|SegCached|SegNoStore) != 0 {
+		su, seg := &fs.seguse[i], addr.SegNo(i)
+		if su.Flags&SegDirty == 0 || su.Flags&(SegActive|SegCached|SegNoStore) != 0 || fs.pendingCleanSet[seg] || fs.migrateBusy[seg] {
 			continue
 		}
-		if fs.pendingCleanSet[addr.SegNo(i)] {
-			continue // already cleaned, awaiting checkpoint commit
-		}
-		if fs.migrateBusy[addr.SegNo(i)] {
-			continue // a migration stream is copying out of this segment
-		}
-		live := su.LiveBytes
-		if live > segBytes {
-			live = segBytes
-		}
-		u := float64(live) / float64(segBytes)
-		age := float64(now-su.LastMod) + 1
-		score := (1 - u) * age / (1 + u)
-		cands = append(cands, cand{addr.SegNo(i), score})
+		cands = append(cands, cand{seg, score(su)})
 	}
 	sort.Slice(cands, func(a, b int) bool { return cands[a].score > cands[b].score })
 	if max > 0 && len(cands) > max {
@@ -342,33 +331,7 @@ const cleanerReserve = 3
 // SelectLeastLive ranks dirty segments purely by live bytes, fewest first
 // — the emergency choice, minimizing the data the cleaner must relocate.
 func (fs *FS) SelectLeastLive(max int) []addr.SegNo {
-	type cand struct {
-		seg  addr.SegNo
-		live uint32
-	}
-	var cands []cand
-	for i := range fs.seguse {
-		su := &fs.seguse[i]
-		if su.Flags&SegDirty == 0 || su.Flags&(SegActive|SegCached|SegNoStore) != 0 {
-			continue
-		}
-		if fs.pendingCleanSet[addr.SegNo(i)] {
-			continue // already cleaned, awaiting checkpoint commit
-		}
-		if fs.migrateBusy[addr.SegNo(i)] {
-			continue // a migration stream is copying out of this segment
-		}
-		cands = append(cands, cand{addr.SegNo(i), su.LiveBytes})
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].live < cands[b].live })
-	if max > 0 && len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]addr.SegNo, len(cands))
-	for i, c := range cands {
-		out[i] = c.seg
-	}
-	return out
+	return fs.rankCleanable(max, func(su *Seguse) float64 { return -float64(su.LiveBytes) })
 }
 
 // AttachCleaner wires a synchronous emergency cleaner into the allocator

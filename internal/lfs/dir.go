@@ -3,6 +3,7 @@ package lfs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -68,29 +69,47 @@ func (fs *FS) lookupLocked(p *sim.Proc, ino *Inode, name string) (uint32, bool, 
 	return inum, ok, nil
 }
 
-// resolveParentLocked resolves the directory containing the last path
-// component, returning its inode and the leaf name.
-func (fs *FS) resolveParentLocked(p *sim.Proc, path string) (*Inode, string, error) {
+// dirEdit is a namespace edit in progress: the directory holding a path's
+// last component, its entries as read, and that component. Create, Mkdir,
+// Remove and Rename each open one with editDir (Rename two, both read
+// before either is written back), change ents, and write it back with
+// writeDirLocked: the one path by which a name enters or leaves a directory.
+type dirEdit struct {
+	dir   *Inode
+	ents  []Dirent
+	name  string
+	ent   Dirent // the entry named name, if found
+	found bool
+}
+
+// editDir resolves the directory containing the last component of path and
+// reads its entries.
+func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
 	parts := splitPath(path)
 	if len(parts) == 0 {
-		return nil, "", fmt.Errorf("%q: %w", path, ErrExists)
+		return nil, fmt.Errorf("%q: %w", path, ErrExists)
 	}
 	dirInum := uint32(RootInum)
 	if len(parts) > 1 {
 		var err error
 		dirInum, err = fs.resolveLocked(p, strings.Join(parts[:len(parts)-1], "/"))
 		if err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
-	ino, err := fs.iget(p, dirInum)
+	dir, err := fs.iget(p, dirInum)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	if ino.Type != TypeDir {
-		return nil, "", ErrNotDir
+	if dir.Type != TypeDir {
+		return nil, ErrNotDir
 	}
-	return ino, parts[len(parts)-1], nil
+	d := &dirEdit{dir: dir, name: parts[len(parts)-1]}
+	if d.ents, err = fs.readDirLocked(p, dir); err != nil {
+		return nil, err
+	}
+	d.ent, d.found = findEnt(d.ents, d.name)
+	return d, nil
 }
 
 func findEnt(ents []Dirent, name string) (Dirent, bool) {
@@ -100,6 +119,16 @@ func findEnt(ents []Dirent, name string) (Dirent, bool) {
 		}
 	}
 	return Dirent{}, false
+}
+
+// add enters inum under the edit's name.
+func (d *dirEdit) add(inum uint32, typ FileType) {
+	d.ents = append(d.ents, Dirent{Inum: inum, Type: typ, Name: d.name})
+}
+
+// drop takes the edit's name out.
+func (d *dirEdit) drop() {
+	d.ents = slices.DeleteFunc(d.ents, func(e Dirent) bool { return e.Name == d.name })
 }
 
 // readDirLocked loads and decodes a directory's entries.
@@ -137,26 +166,34 @@ func (fs *FS) writeDirLocked(p *sim.Proc, ino *Inode, ents []Dirent) error {
 func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	fs.acquire(p)
 	defer fs.lock.Release(p)
-	dir, name, err := fs.resolveParentLocked(p, path)
+	ino, err := fs.createLocked(p, path, TypeFile)
 	if err != nil {
-		return nil, err
-	}
-	ents, err := fs.readDirLocked(p, dir)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := findEnt(ents, name); ok {
-		return nil, fmt.Errorf("%q: %w", path, ErrExists)
-	}
-	ino, err := fs.iallocLocked(TypeFile)
-	if err != nil {
-		return nil, err
-	}
-	ents = append(ents, Dirent{Inum: ino.Inum, Type: TypeFile, Name: name})
-	if err := fs.writeDirLocked(p, dir, ents); err != nil {
 		return nil, err
 	}
 	return &File{fs: fs, inum: ino.Inum}, nil
+}
+
+// createLocked makes an empty file or directory at path.
+func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*Inode, error) {
+	d, err := fs.editDir(p, path)
+	if err != nil {
+		return nil, err
+	}
+	if d.found {
+		return nil, fmt.Errorf("%q: %w", path, ErrExists)
+	}
+	ino, err := fs.iallocLocked(typ)
+	if err != nil {
+		return nil, err
+	}
+	if typ == TypeDir {
+		ino.Nlink = 2
+		if err := fs.writeDirLocked(p, ino, nil); err != nil {
+			return nil, err
+		}
+	}
+	d.add(ino.Inum, typ)
+	return ino, fs.writeDirLocked(p, d.dir, d.ents)
 }
 
 // withPath runs fn on the inode path names, as a read-only operation (Open
@@ -204,27 +241,8 @@ func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	fs.acquire(p)
 	defer fs.lock.Release(p)
-	dir, name, err := fs.resolveParentLocked(p, path)
-	if err != nil {
-		return err
-	}
-	ents, err := fs.readDirLocked(p, dir)
-	if err != nil {
-		return err
-	}
-	if _, ok := findEnt(ents, name); ok {
-		return fmt.Errorf("%q: %w", path, ErrExists)
-	}
-	ino, err := fs.iallocLocked(TypeDir)
-	if err != nil {
-		return err
-	}
-	ino.Nlink = 2
-	if err := fs.writeDirLocked(p, ino, nil); err != nil {
-		return err
-	}
-	ents = append(ents, Dirent{Inum: ino.Inum, Type: TypeDir, Name: name})
-	return fs.writeDirLocked(p, dir, ents)
+	_, err := fs.createLocked(p, path, TypeDir)
+	return err
 }
 
 // ReadDir lists a directory.
@@ -243,19 +261,14 @@ func (fs *FS) ReadDir(p *sim.Proc, path string) (ents []Dirent, err error) {
 func (fs *FS) Remove(p *sim.Proc, path string) error {
 	fs.acquire(p)
 	defer fs.lock.Release(p)
-	dir, name, err := fs.resolveParentLocked(p, path)
+	d, err := fs.editDir(p, path)
 	if err != nil {
 		return err
 	}
-	ents, err := fs.readDirLocked(p, dir)
-	if err != nil {
-		return err
-	}
-	ent, ok := findEnt(ents, name)
-	if !ok {
+	if !d.found {
 		return fmt.Errorf("%q: %w", path, ErrNotFound)
 	}
-	ino, err := fs.iget(p, ent.Inum)
+	ino, err := fs.iget(p, d.ent.Inum)
 	if err != nil {
 		return err
 	}
@@ -268,13 +281,8 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 			return fmt.Errorf("%q: %w", path, ErrNotEmpty)
 		}
 	}
-	out := ents[:0]
-	for _, e := range ents {
-		if e.Name != name {
-			out = append(out, e)
-		}
-	}
-	if err := fs.writeDirLocked(p, dir, out); err != nil {
+	d.drop()
+	if err := fs.writeDirLocked(p, d.dir, d.ents); err != nil {
 		return err
 	}
 	return fs.ifreeLocked(p, ino)
@@ -284,50 +292,28 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	fs.acquire(p)
 	defer fs.lock.Release(p)
-	oldDir, oldName, err := fs.resolveParentLocked(p, oldPath)
+	from, err := fs.editDir(p, oldPath)
 	if err != nil {
 		return err
 	}
-	oldEnts, err := fs.readDirLocked(p, oldDir)
-	if err != nil {
-		return err
-	}
-	ent, ok := findEnt(oldEnts, oldName)
-	if !ok {
+	if !from.found {
 		return fmt.Errorf("%q: %w", oldPath, ErrNotFound)
 	}
-	newDir, newName, err := fs.resolveParentLocked(p, newPath)
+	to, err := fs.editDir(p, newPath)
 	if err != nil {
 		return err
 	}
-	newEnts, err := fs.readDirLocked(p, newDir)
-	if err != nil {
-		return err
-	}
-	if _, exists := findEnt(newEnts, newName); exists {
+	if to.found {
 		return fmt.Errorf("%q: %w", newPath, ErrExists)
 	}
-	if oldDir.Inum == newDir.Inum {
-		out := oldEnts[:0]
-		for _, e := range oldEnts {
-			if e.Name != oldName {
-				out = append(out, e)
-			}
-		}
-		out = append(out, Dirent{Inum: ent.Inum, Type: ent.Type, Name: newName})
-		return fs.writeDirLocked(p, oldDir, out)
-	}
-	out := oldEnts[:0]
-	for _, e := range oldEnts {
-		if e.Name != oldName {
-			out = append(out, e)
-		}
-	}
-	if err := fs.writeDirLocked(p, oldDir, out); err != nil {
+	from.drop()
+	if from.dir.Inum == to.dir.Inum {
+		to.ents = from.ents // one directory: one write of both changes
+	} else if err := fs.writeDirLocked(p, from.dir, from.ents); err != nil {
 		return err
 	}
-	newEnts = append(newEnts, Dirent{Inum: ent.Inum, Type: ent.Type, Name: newName})
-	return fs.writeDirLocked(p, newDir, newEnts)
+	to.add(from.ent.Inum, from.ent.Type)
+	return fs.writeDirLocked(p, to.dir, to.ents)
 }
 
 // Stat describes the file or directory at path.

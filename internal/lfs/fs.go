@@ -790,25 +790,6 @@ func (fs *FS) applyPsegment(seg addr.SegNo, off int, sum *Summary, body []byte) 
 	}
 }
 
-// allocSegmentLocked picks the next clean segment for the log, triggering
-// an emergency clean if none is available.
-func (fs *FS) allocSegmentLocked(p *sim.Proc) (addr.SegNo, error) {
-	for attempt := 0; attempt < 2; attempt++ {
-		n := addr.SegNo(fs.amap.DiskSegs())
-		for i := addr.SegNo(1); i <= n; i++ {
-			s := (fs.curSeg + i) % n
-			if fs.seguse[s].Flags == 0 {
-				return s, nil
-			}
-		}
-		if attempt == 0 && fs.EmergencyClean != nil && fs.EmergencyClean(p) {
-			continue
-		}
-		break
-	}
-	return 0, ErrNoSpace
-}
-
 // AllocCacheSegmentLocked-style API for HighLight's segment cache: claim a
 // clean disk segment as a cache line for tertiary segment index tag.
 func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.SegNo, error) {

@@ -77,16 +77,14 @@ func (fs *FS) RetireSegments(p *sim.Proc, lo, hi addr.SegNo) error {
 	}
 	// Move the log tail out of the range.
 	if fs.curSeg >= lo && fs.curSeg < hi {
-		next, err := fs.allocSegmentLocked(p)
+		next, err := fs.pickSegment(nil)
+		if err != nil && fs.EmergencyClean != nil && fs.EmergencyClean(p) {
+			next, err = fs.pickSegment(nil)
+		}
 		if err != nil {
 			return err
 		}
-		fs.seguse[fs.curSeg].Flags &^= SegActive
-		fs.seguse[fs.curSeg].Flags |= SegDirty
-		fs.seguse[next].Flags = SegActive
-		fs.nclean--
-		fs.curSeg = next
-		fs.curOff = 0
+		fs.advanceLog(next)
 	}
 	// Clean the dirty segments (copies live data to segments outside the
 	// range, since everything inside is frozen).

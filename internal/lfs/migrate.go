@@ -1,7 +1,6 @@
 package lfs
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/addr"
@@ -45,7 +44,7 @@ func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
 	// Indirect blocks last, so that a staged indirect block lands after
 	// the data it describes and reflects the data's new addresses.
 	appendMeta := func(lbn int32) error {
-		a, err := fs.metaAddr(p, ino, lbn)
+		a, err := fs.blockPtr(p, ino, lbn)
 		if err != nil {
 			return err
 		}
@@ -60,8 +59,7 @@ func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
 		}
 	}
 	if int(nblocks) > NDirect+PtrsPerBlock {
-		nChildren := (int(nblocks) - NDirect - PtrsPerBlock + PtrsPerBlock - 1) / PtrsPerBlock
-		for i := 0; i < nChildren; i++ {
+		for i := 0; i < doubleChildren(int(nblocks)); i++ {
 			if err := appendMeta(LbnDoubleChild(i)); err != nil {
 				return nil, err
 			}
@@ -104,11 +102,8 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	res := &MigrateResult{Applied: make([]bool, len(refs)), NextOff: off, Consumed: len(refs)}
 
 	// Filter to live, stable blocks.
-	type item struct {
-		refIdx int
-		ref    BlockRef
-	}
-	var live []item
+	var live []BlockRef
+	var idx []int // the index in refs of each live block
 	for i, r := range refs {
 		ok, err := fs.refLiveLocked(p, r)
 		if err != nil {
@@ -127,7 +122,8 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 				continue
 			}
 		}
-		live = append(live, item{i, r})
+		live = append(live, r)
+		idx = append(idx, i)
 	}
 	inoBlocks := (len(inodeInums) + InodesPerBlock - 1) / InodesPerBlock
 	avail := fs.amap.SegBlocks() - off - 1 // room after the summary
@@ -138,13 +134,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	}
 	if len(live)+inoBlocks > avail {
 		res.Full = true
-		cut := avail - inoBlocks
-		if cut < 0 {
-			cut = 0
-		}
-		if cut > len(live) {
-			cut = len(live)
-		}
+		cut := min(max(avail-inoBlocks, 0), len(live))
 		live = live[:cut]
 		if cut == 0 {
 			res.Consumed = 0
@@ -152,17 +142,16 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 				return res, nil
 			}
 		} else {
-			res.Consumed = live[cut-1].refIdx + 1
+			res.Consumed = idx[cut-1] + 1
 		}
 	}
 	if len(live) == 0 && len(inodeInums) == 0 {
 		return res, nil
 	}
 
-	// The staged partial segment is assembled in place: block 0 of image
-	// is the summary, live block i goes to block 1+i, inode blocks follow.
-	image := fs.assembly(1 + len(live) + inoBlocks)
-	content := image[BlockSize:]
+	// The staged partial segment is assembled in place: live block i goes to
+	// block 1+i of the assembly buffer, behind the summary.
+	content := fs.assembly(1 + len(live))[BlockSize:]
 
 	// Capture data content before any pointer moves. Batch contiguous
 	// source addresses into single device transfers (the migrator reads
@@ -173,158 +162,80 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 		maxRun = 1 << 20
 	}
 	for i := 0; i < len(live); {
-		if live[i].ref.Lbn < 0 {
+		if live[i].Lbn < 0 {
 			i++ // meta blocks are captured after data pointer flips
 			continue
 		}
 		j := i + 1
-		for j < len(live) && j-i < maxRun && live[j].ref.Lbn >= 0 &&
-			live[j].ref.Addr == live[i].ref.Addr+addr.BlockNo(j-i) {
+		for j < len(live) && j-i < maxRun && live[j].Lbn >= 0 &&
+			live[j].Addr == live[i].Addr+addr.BlockNo(j-i) {
 			j++
 		}
-		if err := fs.readRunLocked(p, live[i].ref, content[i*BlockSize:j*BlockSize]); err != nil {
+		if err := fs.readRunLocked(p, live[i], content[i*BlockSize:j*BlockSize]); err != nil {
 			return res, err
 		}
 		i = j
 	}
 
-	// Flip data pointers to the staged addresses.
+	// Flip data pointers to the staged addresses, then capture meta content
+	// (now reflecting the new data addresses) and flip meta pointers.
 	base := fs.amap.BlockOf(tertSeg, off)
-	for i, it := range live {
-		if it.ref.Lbn < 0 {
-			continue
-		}
-		na := base + addr.BlockNo(1+i)
-		ino, err := fs.iget(p, it.ref.Inum)
-		if err != nil {
-			return res, err
-		}
-		if _, err := fs.setBlockPtr(p, ino, it.ref.Lbn, na); err != nil {
-			return res, err
-		}
-		fs.accountOld(it.ref.Addr, BlockSize)
-		fs.accountNew(na, BlockSize)
-		if b, ok := fs.bufs[bufKey{it.ref.Inum, it.ref.Lbn}]; ok {
-			b.addr = na
-		}
-		res.Applied[it.refIdx] = true
-	}
-	// Capture meta content (now reflecting the new data addresses) and
-	// flip meta pointers.
-	for i, it := range live {
-		if it.ref.Lbn >= 0 {
-			continue
-		}
-		na := base + addr.BlockNo(1+i)
-		ino, err := fs.iget(p, it.ref.Inum)
-		if err != nil {
-			return res, err
-		}
-		mb, err := fs.getMeta(p, ino, it.ref.Lbn, false)
-		if err != nil {
-			return res, err
-		}
-		if mb == nil {
-			clear(content[i*BlockSize : (i+1)*BlockSize])
-			continue // vanished; leave Applied false
-		}
-		copy(content[i*BlockSize:], mb.data)
-		fs.setMetaPtr(p, ino, it.ref.Lbn, na)
-		fs.accountOld(it.ref.Addr, BlockSize)
-		fs.accountNew(na, BlockSize)
-		mb.addr = na
-		if mb.dirty {
-			// The staged copy includes every update; the disk log
-			// need not rewrite it.
-			mb.dirty = false
-			fs.dirtyBytes -= BlockSize
-		}
-		res.Applied[it.refIdx] = true
-	}
-
-	// Serialize inodes (after all pointer flips) and re-point the map.
-	sum := &Summary{
-		Next:   tertSeg,
-		Create: fs.now(),
-		Serial: fs.serial,
-		Flags:  SumStaging,
-	}
-	for _, it := range live {
-		if n := len(sum.Finfos); n > 0 && sum.Finfos[n-1].Inum == it.ref.Inum {
-			sum.Finfos[n-1].Lbns = append(sum.Finfos[n-1].Lbns, it.ref.Lbn)
-		} else {
-			sum.Finfos = append(sum.Finfos, Finfo{Inum: it.ref.Inum, Version: it.ref.Version, Lbns: []int32{it.ref.Lbn}})
-		}
-	}
-	sorted := append([]uint32{}, inodeInums...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	for bi := 0; bi < inoBlocks; bi++ {
-		na := base + addr.BlockNo(1+len(live)+bi)
-		sum.InoAddrs = append(sum.InoAddrs, na)
-		blkOff := (len(live) + bi) * BlockSize
-		clear(content[blkOff : blkOff+BlockSize]) // unused slots and inode padding are zero on media
-		for s := 0; s < InodesPerBlock; s++ {
-			idx := bi*InodesPerBlock + s
-			if idx >= len(sorted) {
-				break
-			}
-			inum := sorted[idx]
-			ino, err := fs.iget(p, inum)
-			if err != nil {
+	for _, meta := range []bool{false, true} {
+		for i, r := range live {
+			if (r.Lbn < 0) != meta {
 				continue
 			}
-			ino.encode(content[blkOff+s*InodeSize:])
-			e := &fs.imap[inum]
-			fs.accountOld(e.Addr, InodeSize)
-			e.Addr = na
-			e.Slot = uint32(s)
-			fs.accountNew(na, InodeSize)
-			delete(fs.dirtyIno, inum) // staged copy is authoritative
-			res.InodesMoved++
+			na := base + addr.BlockNo(1+i)
+			ino, err := fs.iget(p, r.Inum)
+			if err != nil {
+				return res, err
+			}
+			var b *buf
+			if meta {
+				if b, err = fs.getMeta(p, ino, r.Lbn, false); err != nil {
+					return res, err
+				}
+				if b == nil {
+					clear(content[i*BlockSize : (i+1)*BlockSize])
+					continue // vanished; leave Applied false
+				}
+				copy(content[i*BlockSize:], b.data)
+			}
+			if err := fs.setBlockPtr(p, ino, r.Lbn, na); err != nil {
+				return res, err
+			}
+			fs.accountOld(r.Addr, BlockSize)
+			fs.accountNew(na, BlockSize)
+			if !meta {
+				b = fs.bufs[bufKey{r.Inum, r.Lbn}]
+			}
+			if b != nil {
+				b.addr = na
+				// The staged copy includes every update; the disk log
+				// need not rewrite it.
+				fs.markClean(b)
+			}
+			res.Applied[idx[i]] = true
 		}
 	}
-	sum.NBlocks = uint16(1 + len(live) + inoBlocks)
-	sum.DataSum = crc32Sum(content)
-	if err := EncodeSummary(sum, image[:BlockSize]); err != nil {
-		return res, err
-	}
 
-	// Mirror the staged partial segment into the cache-line disk segment
+	// Serialize inodes (after all pointer flips), re-point the map, and
+	// mirror the staged partial segment into the cache-line disk segment
 	// (assembled "on-disk in a dirty cache line", §6.2).
-	fs.chargeCopy(p, len(image), fs.opts.AssemblyCopyRate)
-	if err := fs.dev.WriteBlocks(p, fs.amap.BlockOf(cacheSeg, off), image); err != nil {
+	sum := &Summary{Next: tertSeg, Create: fs.now(), Serial: fs.serial, Flags: SumStaging}
+	sorted := append([]uint32{}, inodeInums...)
+	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
+	moved, err := fs.writePseg(p, sum, fs.amap.BlockOf(cacheSeg, off), base, live, sorted)
+	res.InodesMoved = moved
+	if err != nil {
 		return res, err
 	}
-	fs.stats.DevWrites++
-	fs.stats.BytesWritten += int64(len(image))
 	if su := fs.seguseFor(base); su != nil {
-		su.LiveBytes += BlockSize // the staged summary block
-		su.Flags |= SegDirty
 		su.LastMod = fs.now()
 	}
 	res.Blocks = len(live)
 	res.NextOff = off + 1 + len(live) + inoBlocks
 	return res, nil
-}
-
-// setMetaPtr updates the parent pointer of a meta block to a migrated
-// address (unlike setParentPtr this may dirty the parent itself).
-func (fs *FS) setMetaPtr(p *sim.Proc, ino *Inode, metaLbn int32, a addr.BlockNo) {
-	switch metaLbn {
-	case LbnSingle:
-		ino.Single = a
-		fs.markInodeDirty(ino)
-	case LbnDoubleRoot:
-		ino.Double = a
-		fs.markInodeDirty(ino)
-	default:
-		root, err := fs.getMeta(p, ino, LbnDoubleRoot, true)
-		if err != nil {
-			panic(fmt.Sprintf("lfs: meta migration lost double root: %v", err))
-		}
-		putPtr(root, slotInParent(metaLbn), a)
-		fs.markDirty(root)
-	}
 }
 
 // readRunLocked reads a run of blocks starting at ref's address, from the
