@@ -413,6 +413,14 @@ func TestTruncate(t *testing.T) {
 				t.Fatal("stale data after truncate+extend")
 			}
 		}
+		// So does the tail of the block the truncate cut.
+		tail := make([]byte, BlockSize-100)
+		if _, err := f.ReadAt(p, tail, 5*BlockSize+100); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tail, make([]byte, len(tail))) {
+			t.Fatal("the cut block's tail kept its old bytes after truncate+extend")
+		}
 	})
 }
 

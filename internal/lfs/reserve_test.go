@@ -116,11 +116,12 @@ func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 			op := rng.Intn(12)
 			what := fmt.Sprintf("step %d op %d on %s", step, op, name)
 			switch {
-			case op == 0 || len(want) == 0: // write, over the end at most: a hole under an indirect block reads block 0 (ROADMAP)
-				off := rng.Intn(len(want) + 1)
+			case op == 0 || len(want) == 0: // write, past the end only within its last block: a whole-block hole under an indirect block reads block 0 (ROADMAP)
+				off := rng.Intn(blocksFor(len(want))*BlockSize + 1)
 				if name == "/f0" {
 					off = max(0, len(want)-rng.Intn(4*BlockSize))
 				}
+				want = append(want, make([]byte, max(0, off-len(want)))...)
 				data := pattern(byte(step), 1+rng.Intn(20*BlockSize))
 				f, err := fs.Create(p, name)
 				if exists {
@@ -143,10 +144,10 @@ func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 				if !bytes.Equal(got[:n], want[off:min(off+len(got), len(want))]) {
 					t.Fatalf("%s: wrong content at offset %d", what, off)
 				}
-			case op == 6: // truncate, to a block boundary (the tail of a cut block is not cleared); file 0 by 11 blocks at most
-				size := rng.Intn(len(want)/BlockSize+1) * BlockSize
+			case op == 6: // truncate, anywhere; file 0 by 11 blocks at most
+				size := rng.Intn(len(want) + 1)
 				if name == "/f0" {
-					size = max(0, len(want)/BlockSize-rng.Intn(12)) * BlockSize
+					size = max(0, len(want)-rng.Intn(12*BlockSize))
 				}
 				if err := open(name).Truncate(p, uint64(size)); err != nil {
 					t.Fatalf("%s: %v", what, err)
