@@ -168,11 +168,16 @@ func (c *Cache) FreeLines() int { return len(c.free) }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // SetObs attaches an observability domain: lookups, inserts, and
-// evictions emit instant events on the "cache" track, hit/miss
-// counters, and an occupied-lines gauge.
+// evictions emit instant events on the "cache" track, it adopts five of
+// the Stats counts as its counters, and gets an occupied-lines gauge.
 func (c *Cache) SetObs(o *obs.Obs) {
 	c.obs = o
 	c.occupied = o.Gauge("cache.lines")
+	o.Adopt("cache.hits", &c.stats.Hits)
+	o.Adopt("cache.misses", &c.stats.Misses)
+	o.Adopt("cache.refetches", &c.stats.Refetches)
+	o.Adopt("cache.promotions", &c.stats.Promotions)
+	o.Adopt("cache.demotions", &c.stats.Demotions)
 }
 
 // SetAttr attaches a heat-attribution table: every hit, miss, and
@@ -185,14 +190,12 @@ func (c *Cache) Lookup(tag int, now sim.Time) (*Line, bool) {
 	if !ok {
 		c.stats.Misses++
 		c.obs.Instant("cache", "cache.miss", "miss", obs.Arg{Key: "tag", Val: int64(tag)})
-		c.obs.Counter("cache.misses").Add(1)
 		c.heat.Touch(tag, attr.Miss, now)
 		return nil, false
 	}
 	c.touch(l, now)
 	c.stats.Hits++
 	c.obs.Instant("cache", "cache.hit", "hit", obs.Arg{Key: "tag", Val: int64(tag)})
-	c.obs.Counter("cache.hits").Add(1)
 	c.heat.Touch(tag, attr.Hit, now)
 	return l, true
 }
@@ -222,7 +225,6 @@ func (c *Cache) Insert(tag int, seg addr.SegNo, staging bool, now sim.Time) (*Li
 	c.stats.Inserts++
 	if !staging && slices.Contains(c.gone, tag) {
 		c.stats.Refetches++
-		c.obs.Counter("cache.refetches").Add(1)
 	}
 	if staging {
 		c.stats.StagingLines++
@@ -264,7 +266,6 @@ func (c *Cache) touch(l *Line, now sim.Time) {
 		l.protected = true
 		c.nprot++
 		c.stats.Promotions++
-		c.obs.Counter("cache.promotions").Add(1)
 	}
 	if c.nprot <= protectedCap(c.capacity) {
 		return
@@ -281,7 +282,6 @@ func (c *Cache) touch(l *Line, now sim.Time) {
 	d.LastUse = now
 	c.nprot--
 	c.stats.Demotions++
-	c.obs.Counter("cache.demotions").Add(1)
 }
 
 // older reports whether a comes before b in eviction order: probationary

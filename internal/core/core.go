@@ -54,7 +54,7 @@ type Config struct {
 	// area) to a disk-segment range, e.g. a dedicated staging spindle
 	// appended to the disk farm (Table 6's RZ58 / HP7958A configs).
 	CacheSegLo, CacheSegHi int
-	// CachePolicy selects the cache eviction policy (default LRU).
+	// CachePolicy selects the cache eviction policy (default cache.SLRU).
 	CachePolicy cache.Policy
 	// MaxInodes and BufferBytes configure the file system.
 	MaxInodes   int

@@ -140,6 +140,9 @@ func runObsFaultWorkload(t *testing.T) obsFaultResult {
 
 	res.retryEvents = o.CatCount("io.retry")
 	res.fetchCounter = o.Counter("tertiary.fetches").Value()
+	if h, m := o.Counter("cache.hits").Value(), o.Counter("cache.misses").Value(); h != res.cacheHits || m != res.cacheMisses {
+		t.Errorf("obs counted %d cache hits / %d misses, cache %d / %d", h, m, res.cacheHits, res.cacheMisses)
+	}
 
 	var buf bytes.Buffer
 	if err := o.WriteChromeTrace(&buf); err != nil {

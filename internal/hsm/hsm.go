@@ -563,7 +563,7 @@ func (s *Service) execUnpin(p *sim.Proc, r *Request) error {
 }
 
 func (s *Service) execEvict(p *sim.Proc, r *Request) error {
-	inum, segs, bytes, err := s.fileTertiary(p, r.Path)
+	inum, segs, _, err := s.fileTertiary(p, r.Path)
 	if err != nil {
 		return err
 	}
@@ -584,7 +584,6 @@ func (s *Service) execEvict(p *sim.Proc, r *Request) error {
 		}
 		evicted += int64(s.HL.Amap.SegBlocks()) * lfs.BlockSize
 	}
-	_ = bytes
 	delete(s.staged, r.Path)
 	r.Bytes = evicted
 	return nil

@@ -65,12 +65,6 @@ func (l *Library) Name() string { return l.name }
 // Inner returns the wrapped device.
 func (l *Library) Inner() Footprint { return l.fp }
 
-// Jukebox returns the wrapped *Jukebox, or nil for other footprints.
-func (l *Library) Jukebox() *Jukebox {
-	j, _ := l.fp.(*Jukebox)
-	return j
-}
-
 // Down reports whether the whole library is out of service.
 func (l *Library) Down() bool { return l.down }
 

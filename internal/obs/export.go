@@ -131,7 +131,7 @@ func (o *Obs) WriteSummary(w io.Writer) {
 	if len(o.counterOrder) > 0 {
 		fmt.Fprintf(w, "  counters:\n")
 		for _, name := range o.counterOrder {
-			fmt.Fprintf(w, "    %-38s %12d\n", name, o.counters[name].v)
+			fmt.Fprintf(w, "    %-38s %12d\n", name, o.counters[name].Value())
 		}
 	}
 	if len(o.gaugeOrder) > 0 {

@@ -63,13 +63,13 @@ type SpanAgg struct {
 // Counter is a monotonically increasing int64.
 type Counter struct {
 	Name string
-	v    int64
+	v    *int64 // its own count, or the Stats field it adopted (Adopt)
 }
 
 // Add increases the counter. Safe on a nil receiver.
 func (c *Counter) Add(d int64) {
 	if c != nil {
-		c.v += d
+		*c.v += d
 	}
 }
 
@@ -78,19 +78,17 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	return *c.v
 }
 
 // Gauge is a sampled instantaneous value (queue depth, lines in use).
 // When the owning Obs retains a full trace, every Set records a
 // timestamped sample so exporters can draw the timeline.
 type Gauge struct {
-	Name     string
-	v, max   int64
-	o        *Obs
-	samples  []gaugeSample
-	sampled  bool
-	everySet bool
+	Name    string
+	v, max  int64
+	o       *Obs
+	samples []gaugeSample
 }
 
 type gaugeSample struct {
@@ -331,11 +329,20 @@ func (o *Obs) Counter(name string) *Counter {
 	}
 	c := o.counters[name]
 	if c == nil {
-		c = &Counter{Name: name}
+		c = &Counter{Name: name, v: new(int64)}
 		o.counters[name] = c
 		o.counterOrder = append(o.counterOrder, name)
 	}
 	return c
+}
+
+// Adopt makes the named counter read *v, a field of a component's Stats
+// struct, so that an event the component counts is counted once. The
+// field keeps counting with no domain attached.
+func (o *Obs) Adopt(name string, v *int64) {
+	if c := o.Counter(name); c != nil {
+		c.v = v
+	}
 }
 
 // Gauge returns (creating on first use) the named gauge.

@@ -297,6 +297,22 @@ func TestInstrumentAccessors(t *testing.T) {
 	}
 }
 
+// TestAdoptReadsTheField: an adopted counter is the component's own int64,
+// read where it lies; adopting on a nil domain leaves the field counting.
+func TestAdoptReadsTheField(t *testing.T) {
+	var hits int64
+	var nilObs *Obs
+	nilObs.Adopt("hits", &hits)
+	hits++
+	o := New(sim.NewKernel())
+	o.Adopt("hits", &hits)
+	hits += 2
+	o.Counter("hits").Add(1)
+	if got := o.Counter("hits").Value(); got != 4 || hits != 4 || len(o.Counters()) != 1 {
+		t.Fatalf("adopted counter reads %d, field %d, %d counters; want 4, 4, 1", got, hits, len(o.Counters()))
+	}
+}
+
 func TestTimelineTrackFilter(t *testing.T) {
 	o := run(t, true, func(p *sim.Proc, o *Obs) {
 		o.Instant("disk0", "io", "A")

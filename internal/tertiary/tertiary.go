@@ -234,6 +234,9 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 		pending: make(map[int]*fetchWait),
 		obs:     o,
 	}
+	o.Adopt("tertiary.fetches", &s.stats.Fetches)
+	o.Adopt("tertiary.copyouts", &s.stats.Copyouts)
+	o.Adopt("tertiary.late_defers", &s.stats.LateDefers)
 	s.fetchWaitH = o.Histogram("tertiary.fetch_wait", obs.LatencyBounds)
 	s.qdepth = o.Gauge("tertiary.queue_depth")
 	s.outCopyG = o.Gauge("tertiary.copyouts_outstanding")
@@ -676,7 +679,6 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		// arrived. The I/O process did not wait for one (the copy-out that
 		// frees one may be queued behind it); the fetch starts over.
 		s.stats.LateDefers++
-		s.obs.Counter("tertiary.late_defers").Add(1)
 		s.startFetch(p, request{kind: reqFetch, tag: r.tag, enqueued: p.Now(), tr: r.tr})
 		return
 	}
@@ -700,7 +702,6 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		s.hooks.LineBound(r.tag, r.seg, false)
 	}
 	s.stats.Fetches++
-	s.obs.Counter("tertiary.fetches").Add(1)
 	s.obs.Counter("tertiary.bytes_in").Add(int64(s.segBytes()))
 	s.heat.Touch(r.tag, attr.Fetch, p.Now())
 	s.resolveFetch(r.tag, nil)
@@ -746,7 +747,6 @@ func (s *Service) finishCopyout(p *sim.Proc, r request) {
 	}
 	if r.err == nil {
 		s.stats.Copyouts++
-		s.obs.Counter("tertiary.copyouts").Add(1)
 		s.obs.Counter("tertiary.bytes_out").Add(int64(s.segBytes()))
 		s.heat.Touch(r.tag, attr.Copyout, p.Now())
 		if s.hooks.CopyoutDone != nil {
