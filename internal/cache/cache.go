@@ -141,6 +141,14 @@ type Cache struct {
 	// ErrEvictLocked. Installed by the core layer so the directory itself
 	// stays free of HSM state.
 	Locked func(tag int) bool
+
+	// Bind is told every change of a disk segment's binding: Insert binds
+	// seg to tag, Unstage clears the staging bit, Evict and Release unbind it
+	// (tag -1). The directory is the only writer of bindings; the core layer
+	// installs Bind to persist them in the segment usage table, which mount
+	// rebuilds the directory from. It must not block (the I/O processes call
+	// it); New sets a no-op.
+	Bind func(seg addr.SegNo, tag int, staging bool)
 }
 
 // New returns a cache over the given pre-claimed disk segments.
@@ -150,6 +158,7 @@ func New(policy Policy, pool []addr.SegNo, seed uint64) *Cache {
 		lines:    make(map[int]*Line),
 		capacity: len(pool),
 		rng:      sim.NewRNG(seed),
+		Bind:     func(addr.SegNo, int, bool) {},
 	}
 	c.free = append(c.free, pool...)
 	return c
@@ -222,6 +231,7 @@ func (c *Cache) Insert(tag int, seg addr.SegNo, staging bool, now sim.Time) (*Li
 		LastUse:   now,
 	}
 	c.lines[tag] = l
+	c.Bind(seg, tag, staging)
 	c.stats.Inserts++
 	if !staging && slices.Contains(c.gone, tag) {
 		c.stats.Refetches++
@@ -251,6 +261,25 @@ func (c *Cache) TakeSeg(seg addr.SegNo) {
 	if i := slices.Index(c.free, seg); i >= 0 {
 		c.free = slices.Delete(c.free, i, i+1)
 	}
+}
+
+// Shrink takes the free pool segments in [lo, hi) out of the cache for good,
+// lowering its capacity, and returns them: how a disk range leaves service
+// once its lines are gone. The other free segments keep their order.
+func (c *Cache) Shrink(lo, hi addr.SegNo) []addr.SegNo {
+	var out []addr.SegNo
+	c.free = slices.DeleteFunc(c.free, func(s addr.SegNo) bool {
+		if s >= lo && s < hi {
+			out = append(out, s)
+			return true
+		}
+		return false
+	})
+	c.capacity -= len(out)
+	if n := len(c.gone) - c.capacity; n > 0 {
+		c.gone = c.gone[n:]
+	}
+	return out
 }
 
 // touch records a hit on l. Under SLRU any hit promotes: the pointer-block
@@ -301,7 +330,9 @@ func (c *Cache) older(a, b *Line) bool {
 	return a.Tag < b.Tag
 }
 
-func (c *Cache) evictable(l *Line) bool {
+// Evictable reports whether l may be thrown out: not staging (the sole copy
+// of migrated data), not pinned by a reader or copy-out, and not HSM-locked.
+func (c *Cache) Evictable(l *Line) bool {
 	return !l.Staging && l.Pins == 0 && (c.Locked == nil || !c.Locked(l.Tag))
 }
 
@@ -313,7 +344,7 @@ func (c *Cache) Victim() *Line {
 		pick = c.randomVictim()
 	} else {
 		for _, l := range c.lines {
-			if c.evictable(l) && (pick == nil || c.older(l, pick)) {
+			if c.Evictable(l) && (pick == nil || c.older(l, pick)) {
 				pick = l
 			}
 		}
@@ -327,7 +358,7 @@ func (c *Cache) Victim() *Line {
 func (c *Cache) randomVictim() *Line {
 	var cands []*Line
 	for _, l := range c.lines {
-		if c.evictable(l) {
+		if c.Evictable(l) {
 			cands = append(cands, l)
 		}
 	}
@@ -356,6 +387,7 @@ func (c *Cache) Evict(l *Line) (addr.SegNo, error) {
 		return 0, fmt.Errorf("%w: tag %d", ErrEvictUnknown, l.Tag)
 	}
 	delete(c.lines, l.Tag)
+	c.Bind(l.DiskSeg, -1, false)
 	if l.protected {
 		c.nprot--
 	}
@@ -373,9 +405,19 @@ func (c *Cache) Evict(l *Line) (addr.SegNo, error) {
 	return l.DiskSeg, nil
 }
 
-// Release returns a disk segment to the free pool (used when a line is
-// dropped without immediate reuse).
-func (c *Cache) Release(seg addr.SegNo) { c.free = append(c.free, seg) }
+// Release returns a disk segment to the free pool, unbound (used when a line
+// is dropped without immediate reuse).
+func (c *Cache) Release(seg addr.SegNo) {
+	c.free = append(c.free, seg)
+	c.Bind(seg, -1, false)
+}
+
+// Unstage marks a staging line clean: its image has reached tertiary
+// storage, or it is being dropped.
+func (c *Cache) Unstage(l *Line) {
+	l.Staging = false
+	c.Bind(l.DiskSeg, l.Tag, false)
+}
 
 // Lines returns all occupied lines in tag order. The order is part of
 // the contract: callers eject or restage in iteration order, and that

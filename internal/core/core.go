@@ -312,32 +312,29 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 	// crash the persisted SegPinned flags keep pinned lines resident even
 	// before the HSM layer re-derives its refcounts.
 	hl.Cache.Locked = hl.SegmentPinned
+	// The directory writes every binding; the segment usage table persists
+	// it for mount and fsck.
+	hl.Cache.Bind = func(seg addr.SegNo, tag int, staging bool) {
+		t := lfs.NilCacheTag
+		if tag >= 0 {
+			t = uint32(tag)
+		}
+		fs.SetCacheBinding(seg, t, staging)
+	}
 	// The service routes through the Library wrappers so whole-changer
 	// outages gate I/O; an always-up wrapper delegates byte-for-byte.
-	fps := make([]jukebox.Footprint, len(hl.libs))
-	for i, l := range hl.libs {
-		fps[i] = l
+	hl.Svc = tertiary.New(p.Kernel(), hl.Obs, amap, hl.libs, disk, hl.Cache)
+	hl.Svc.OnCopiedOut = func(tag int) {
+		if _, isReplica := hl.replicaTag[tag]; isReplica {
+			return // replicas stay uncounted (§5.4)
+		}
+		fs.MarkTsegWritten(tag)
+		hl.Audit.Record(attr.Decision{
+			T: hl.K.Now(), Actor: "tertiary", Subject: fmt.Sprintf("seg:%d", tag),
+			Seg: tag, Verdict: attr.VerdictCopiedOut,
+			Inputs: []attr.Input{attr.In("replicas", float64(len(hl.replicaOf[tag])))},
+		})
 	}
-	hl.Svc = tertiary.New(p.Kernel(), hl.Obs, amap, fps, disk, hl.Cache, tertiary.Hooks{
-		LineBound: func(tag int, seg addr.SegNo, staging bool) {
-			fs.SetCacheBinding(seg, uint32(tag), staging)
-		},
-		LineEvicted: func(tag int, seg addr.SegNo) {
-			fs.SetCacheBinding(seg, lfs.NilCacheTag, false)
-		},
-		CopyoutDone: func(tag int, seg addr.SegNo) {
-			if _, isReplica := hl.replicaTag[tag]; isReplica {
-				return // replicas stay uncounted (§5.4)
-			}
-			fs.SetCacheBinding(seg, uint32(tag), false)
-			fs.MarkTsegWritten(tag)
-			hl.Audit.Record(attr.Decision{
-				T: hl.K.Now(), Actor: "tertiary", Subject: fmt.Sprintf("seg:%d", tag),
-				Seg: tag, Verdict: attr.VerdictCopiedOut,
-				Inputs: []attr.Input{attr.In("replicas", float64(len(hl.replicaOf[tag])))},
-			})
-		},
-	})
 	hl.Svc.SetAttr(hl.Heat)
 	hl.Svc.SetAudit(hl.Audit)
 	if cfg.Streams > 1 {
@@ -379,7 +376,6 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 					return nil, perr
 				}
 				if valid == 0 {
-					fs.SetCacheBinding(addr.SegNo(s), lfs.NilCacheTag, false)
 					hl.Cache.Release(addr.SegNo(s))
 					fs.ResetTseg(tag)
 					hl.mountStats.TornLinesDropped++

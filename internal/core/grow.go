@@ -53,22 +53,10 @@ func (hl *HighLight) RetireDiskRange(p *sim.Proc, lo, hi addr.SegNo) error {
 			return err
 		}
 	}
-	// Pool segments (unbound cache lines) in the range leave the pool:
-	// rebuild the free list without them and release their claim.
-	var keep []addr.SegNo
-	for {
-		s, ok := hl.Cache.TakeFree()
-		if !ok {
-			break
-		}
-		if s >= lo && s < hi {
-			hl.FS.ReleaseCacheSegment(p, s)
-		} else {
-			keep = append(keep, s)
-		}
-	}
-	for _, s := range keep {
-		hl.Cache.Release(s)
+	// Pool segments (unbound cache lines) in the range leave the cache and
+	// give their claim back.
+	for _, s := range hl.Cache.Shrink(lo, hi) {
+		hl.FS.ReleaseCacheSegment(p, s)
 	}
 	return hl.FS.RetireSegments(p, lo, hi)
 }

@@ -154,6 +154,30 @@ func TestAddDiskRefusedOnStripedFarm(t *testing.T) {
 	k.Stop()
 }
 
+// Retiring a range that holds part of the cache pool takes those segments out
+// of the cache's capacity, not only out of its free list: replacement's
+// protected share and refetch window are sized by Capacity.
+func TestRetireDiskRangeShrinksTheCache(t *testing.T) {
+	e := newHL(t, 64, 6, 4, 16) // cache pool: segments 58-63
+	e.run(t, func(p *sim.Proc) {
+		hl := e.hl
+		if err := hl.RetireDiskRange(p, 60, 64); err != nil {
+			t.Fatalf("retire: %v", err)
+		}
+		c := hl.Cache
+		if c.Capacity() != 2 || c.FreeLines()+c.Len() != 2 || hl.FS.CacheSegsInUse() != 2 {
+			t.Fatalf("after retiring 4 of 6 pool segments: capacity %d, %d free + %d lines, %d claimed in lfs, want 2 each",
+				c.Capacity(), c.FreeLines(), c.Len(), hl.FS.CacheSegsInUse())
+		}
+		for range 2 {
+			if s, ok := c.TakeFree(); !ok || s < 58 || s >= 60 {
+				t.Fatalf("free segment %d (%v), want 58 or 59", s, ok)
+			}
+		}
+	})
+	e.k.Stop()
+}
+
 func TestRetireDiskRangeEvacuatesData(t *testing.T) {
 	e := newHL(t, 64, 6, 4, 16)
 	e.run(t, func(p *sim.Proc) {

@@ -166,7 +166,7 @@ func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 			})
 			break
 		}
-		// Catalog before copyout: the CopyoutDone hook must see rtag as
+		// Catalog before copyout: OnCopiedOut must see rtag as
 		// a replica so it is never counted as live primary data.
 		hl.replicaOf[d.Tag] = append(hl.replicaOf[d.Tag], rtag)
 		hl.replicaTag[rtag] = d.Tag

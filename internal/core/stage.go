@@ -44,7 +44,6 @@ func (hl *HighLight) ensureStaging(p *sim.Proc) error {
 			if err != nil {
 				return fmt.Errorf("core: evicting cache victim for staging: %w", err)
 			}
-			hl.FS.SetCacheBinding(seg, lfs.NilCacheTag, false)
 			break
 		}
 		// Every line is pinned or still staging: wait for an in-flight
@@ -62,7 +61,6 @@ func (hl *HighLight) ensureStaging(p *sim.Proc) error {
 	if _, err := hl.Cache.Insert(tag, seg, true, p.Now()); err != nil {
 		return fmt.Errorf("core: opening staging segment: %w", err)
 	}
-	hl.FS.SetCacheBinding(seg, uint32(tag), true)
 	// Make the staging binding durable before any migrated block lands in
 	// the line: after a crash, recovery finds the sole copy of staged data
 	// through the checkpointed cache directory, so the directory must
@@ -100,12 +98,11 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 		// dead): release the line and the tertiary segment instead of
 		// copying out an empty image.
 		if l, ok := hl.Cache.Peek(hl.stageTag); ok {
-			l.Staging = false
+			hl.Cache.Unstage(l)
 			seg, err := hl.Cache.Evict(l)
 			if err != nil {
 				return fmt.Errorf("core: dropping empty staging line: %w", err)
 			}
-			hl.FS.SetCacheBinding(seg, lfs.NilCacheTag, false)
 			hl.Cache.Release(seg)
 		}
 		hl.FS.ResetTseg(hl.stageTag)
@@ -636,12 +633,11 @@ func (hl *HighLight) restageSegment(p *sim.Proc, tag int, wholeVolume bool) erro
 		}
 	}
 	// Retire the failed line: nothing references its addresses now.
-	line.Staging = false
+	hl.Cache.Unstage(line)
 	freed, err := hl.Cache.Evict(line)
 	if err != nil {
 		return fmt.Errorf("core: retiring failed staging line: %w", err)
 	}
-	hl.FS.SetCacheBinding(freed, lfs.NilCacheTag, false)
 	hl.Cache.Release(freed)
 	hl.Audit.Record(attr.Decision{
 		T: p.Now(), Actor: "stage", Subject: fmt.Sprintf("seg:%d", tag),

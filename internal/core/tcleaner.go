@@ -173,13 +173,6 @@ func (hl *HighLight) volumeHoldsSoleCopy(device, vol int) bool {
 	return false
 }
 
-// EraseVolumer is implemented by jukeboxes that can reclaim erased media
-// (the Footprint interface itself stays read/write-only; WORM devices
-// simply do not implement this).
-type EraseVolumer interface {
-	EraseVolume(vol int)
-}
-
 // CleanVolume reclaims tertiary volume (device, vol): live blocks move to
 // fresh segments on the current migration volume, the medium is erased,
 // and its segments return to the allocatable pool. It returns the number
@@ -263,7 +256,6 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 			if err != nil {
 				return relocated, fmt.Errorf("core: dropping cleaned line %d: %w", idx, err)
 			}
-			hl.FS.SetCacheBinding(seg, lfs.NilCacheTag, false)
 			hl.Cache.Release(seg)
 		}
 		hl.FS.ResetTseg(idx)
@@ -280,9 +272,7 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 			delete(hl.replicaOf, idx)
 		}
 	}
-	if ev, ok := hl.jukes[device].(EraseVolumer); ok {
-		ev.EraseVolume(vol)
-	}
+	hl.libs[device].EraseVolume(vol)
 	// Cleaned segments below the allocation cursor become usable again.
 	if low, _ := hl.Amap.TertIndex(hl.Amap.SegForLoc(device, vol, 0)); low < hl.nextTert {
 		hl.nextTert = low

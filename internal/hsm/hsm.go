@@ -576,7 +576,7 @@ func (s *Service) execEvict(p *sim.Proc, r *Request) error {
 		if !ok {
 			continue
 		}
-		if l.Staging || l.Pins > 0 || s.HL.SegmentPinned(tag) {
+		if !s.HL.Cache.Evictable(l) {
 			continue // busy or pinned through another file: leave it
 		}
 		if err := s.HL.Svc.Eject(tag); err != nil {

@@ -125,7 +125,7 @@ func (s *Service) RunQuotaGC(p *sim.Proc) (int64, error) {
 				if !ok {
 					continue
 				}
-				if l.Staging || l.Pins > 0 || s.HL.SegmentPinned(tag) {
+				if !s.HL.Cache.Evictable(l) {
 					continue
 				}
 				if err := s.HL.Svc.Eject(tag); err != nil {

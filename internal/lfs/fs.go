@@ -843,14 +843,19 @@ func (fs *FS) ReleaseCacheSegment(p *sim.Proc, s addr.SegNo) {
 const NilCacheTag = ^uint32(0)
 
 // SetCacheBinding records which tertiary segment a cache-line disk segment
-// holds (NilCacheTag for an unbound pool line). It is called by the
-// service process, which must never take the file system lock (a demand
-// fetch runs while the faulting reader holds it); the update is a single
-// non-blocking store, so the cooperative scheduler makes it atomic.
+// holds (NilCacheTag for an unbound pool line). It is called through the
+// cache directory's Bind hook, also from the service and I/O processes,
+// which must never take the file system lock (a demand fetch runs while the
+// faulting reader holds it); the update is a single non-blocking store, so
+// the cooperative scheduler makes it atomic. A binding that does not change
+// writes nothing, LastMod included: mount re-inserts every bound line.
 func (fs *FS) SetCacheBinding(s addr.SegNo, tag uint32, staging bool) {
 	su := &fs.seguse[s]
 	if su.Flags&SegCached == 0 {
 		panic("lfs: cache binding on non-cache segment")
+	}
+	if su.CacheTag == tag && (su.Flags&SegStaging != 0) == staging {
+		return
 	}
 	su.CacheTag = tag
 	if staging {

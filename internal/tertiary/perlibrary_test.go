@@ -17,20 +17,22 @@ import (
 	"repro/internal/sim"
 )
 
-// recLib is a library that logs which process started which transfer when
-// and counts the transfers it has in flight.
+// recLib is the changer inside a library: it logs which process started which
+// transfer when and counts the transfers it has in flight. A down library
+// refuses a transfer before it gets here.
 type recLib struct {
-	*jukebox.Library
+	*jukebox.Jukebox
+	lib             *jukebox.Library
 	log             *[]string
 	inflight, worst int
 	reads           map[int]int // successful reads, by volume segment
 }
 
 func (r *recLib) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
-	*r.log = append(*r.log, fmt.Sprintf("%s %d read lib%d vol%d seg%d", p.Name(), p.Now(), r.ID(), vol, seg))
+	*r.log = append(*r.log, fmt.Sprintf("%s %d read lib%d vol%d seg%d", p.Name(), p.Now(), r.lib.ID(), vol, seg))
 	r.inflight++
 	r.worst = max(r.worst, r.inflight)
-	err := r.Library.ReadSegment(p, vol, seg, buf)
+	err := r.Jukebox.ReadSegment(p, vol, seg, buf)
 	r.inflight--
 	if err == nil {
 		r.reads[vol*100+seg]++
@@ -39,8 +41,8 @@ func (r *recLib) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 }
 
 func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
-	*r.log = append(*r.log, fmt.Sprintf("%s %d write lib%d vol%d seg%d", p.Name(), p.Now(), r.ID(), vol, seg))
-	return r.Library.WriteSegment(p, vol, seg, buf)
+	*r.log = append(*r.log, fmt.Sprintf("%s %d write lib%d vol%d seg%d", p.Name(), p.Now(), r.lib.ID(), vol, seg))
+	return r.Jukebox.WriteSegment(p, vol, seg, buf)
 }
 
 // recDisk logs when each cache-line write of the I/O processes began and ended.
@@ -75,12 +77,13 @@ const libSegs = 64
 func newLibEnv(nlibs, streams, cacheLines int) *libEnv {
 	e := &libEnv{k: sim.NewKernel()}
 	var geoms []addr.Geom
-	var fps []jukebox.Footprint
+	var libs []*jukebox.Library
 	for i := 0; i < nlibs; i++ {
 		j := jukebox.MustNew(e.k, jukebox.MO6300, 2, 4, 16, segBlocks*dev.BlockSize, nil)
-		l := &recLib{Library: jukebox.NewLibrary(i, "", j), log: &e.log, reads: map[int]int{}}
-		e.libs = append(e.libs, l)
-		fps = append(fps, l)
+		r := &recLib{Jukebox: j, log: &e.log, reads: map[int]int{}}
+		r.lib = jukebox.NewLibrary(i, "", r)
+		e.libs = append(e.libs, r)
+		libs = append(libs, r.lib)
 		geoms = append(geoms, addr.Geom{Vols: 4, SegsPerVol: 16})
 	}
 	e.amap = addr.New(segBlocks, 64, geoms...)
@@ -90,7 +93,7 @@ func newLibEnv(nlibs, streams, cacheLines int) *libEnv {
 		pool[i] = addr.SegNo(40 + i)
 	}
 	e.c = cache.New(cache.LRU, pool, 1)
-	e.svc = New(e.k, obs.New(e.k), e.amap, fps, recDisk{e.disk, &e.lineWrites}, e.c, Hooks{})
+	e.svc = New(e.k, obs.New(e.k), e.amap, libs, recDisk{e.disk, &e.lineWrites}, e.c)
 	e.svc.AddIOStreams(streams - 1)
 	if nlibs > 1 {
 		e.svc.AltCopies = func(tag int) []int { return []int{tag + libSegs} }
@@ -107,7 +110,7 @@ func (e *libEnv) seed(t *testing.T, p *sim.Proc, tags ...int) {
 	for _, tag := range tags {
 		for c := tag; c < len(e.libs)*libSegs; c += libSegs {
 			d, v, s, _ := e.amap.Loc(e.amap.SegForIndex(c))
-			if err := e.libs[d].Library.WriteSegment(p, v, s, fill(tag)); err != nil {
+			if err := e.libs[d].Jukebox.WriteSegment(p, v, s, fill(tag)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,7 +260,7 @@ func TestQueuedFetchesSurviveLibraryOutage(t *testing.T) {
 			if e.svc.Outstanding(0) != 3 || e.svc.Outstanding(1) != 3 {
 				t.Errorf("outstanding %d/%d before the outage, want 3/3", e.svc.Outstanding(0), e.svc.Outstanding(1))
 			}
-			e.libs[0].SetDown(true)
+			e.libs[0].lib.SetDown(true)
 		})
 		e.fetchAll(t, p, tags, nil)
 	})

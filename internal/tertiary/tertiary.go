@@ -76,28 +76,13 @@ type DeviceFaults struct {
 	Failovers   int64
 }
 
-// Hooks let the owning file system keep its segment bookkeeping current
-// without the service process, or an I/O process taking a fetch's line
-// (LineEvicted), taking the file system lock (all hooks must complete without
-// blocking).
-type Hooks struct {
-	// LineBound is called when a cache line is (re)bound to a tertiary
-	// segment index.
-	LineBound func(tag int, seg addr.SegNo, staging bool)
-	// LineEvicted is called when a cached line is discarded.
-	LineEvicted func(tag int, seg addr.SegNo)
-	// CopyoutDone is called when a staging segment has reached tertiary
-	// storage.
-	CopyoutDone func(tag int, seg addr.SegNo)
-}
-
 type reqKind int
 
 const (
 	reqFetch reqKind = iota
 	reqCopyout
-	reqFetchDone
-	reqCopyoutDone
+	reqFetched
+	reqCopiedOut
 	reqRetryDeferred // a reader let go of a line (Unpin)
 )
 
@@ -139,18 +124,16 @@ type fetchWait struct {
 	over    bool
 }
 
-// Service owns the cache directory bindings and runs the service process and,
-// per library, an I/O queue drained by that library's own I/O processes: two
-// per stream, which take turns at the stream's media transfers (its drive
-// token), so one reads the next segment off its medium while the other still
-// writes the last one to its cache line.
+// Service runs the service process and, per library, an I/O queue drained by
+// that library's own I/O processes: two per stream, which take turns at the
+// stream's media transfers (its drive token), so one reads the next segment
+// off its medium while the other still writes the last one to its cache line.
 type Service struct {
 	k     *sim.Kernel
 	amap  *addr.Map
-	fps   []jukebox.Footprint
+	libs  []*jukebox.Library
 	disk  dev.BlockDev
 	cache *cache.Cache
-	hooks Hooks
 
 	reqs     *sim.Chan
 	ioq      []*sim.Chan         // per library; a rig without libraries keeps one
@@ -202,6 +185,11 @@ type Service struct {
 	// not block.
 	OnFetched func(tag int)
 
+	// OnCopiedOut, if set, is told whenever a copy-out has reached tertiary
+	// storage, after the staging line it came from (if tag is that line's
+	// own segment) has been marked clean. It must not block.
+	OnCopiedOut func(tag int)
+
 	// Breaker, if set, is the per-library circuit-breaker gate consulted
 	// by the fetch router: copies on a library whose breaker is open rank
 	// just above down libraries (routed around, last-resort only), and
@@ -219,17 +207,16 @@ type BreakerGate interface {
 	OnResult(lib int, err error)
 }
 
-// New creates the service over the given devices and cache and starts the
+// New creates the service over the given libraries and cache and starts the
 // service and I/O daemon processes. o is the observability domain the
 // service and I/O processes trace into (nil disables instrumentation).
-func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, disk dev.BlockDev, c *cache.Cache, hooks Hooks) *Service {
+func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, disk dev.BlockDev, c *cache.Cache) *Service {
 	s := &Service{
 		k:       k,
 		amap:    amap,
-		fps:     fps,
+		libs:    libs,
 		disk:    disk,
 		cache:   c,
-		hooks:   hooks,
 		reqs:    k.NewChan("tertiary.svc", 256),
 		pending: make(map[int]*fetchWait),
 		obs:     o,
@@ -242,7 +229,7 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, fps []jukebox.Footprint, dis
 	s.outCopyG = o.Gauge("tertiary.copyouts_outstanding")
 	s.copyCond = k.NewCond("tertiary.copyouts")
 	k.GoDaemon("hl-service", s.serviceLoop)
-	for range max(1, len(fps)) {
+	for range max(1, len(libs)) {
 		s.ioq = append(s.ioq, k.NewChan("tertiary.io", 256))
 	}
 	s.out = make([]int, len(s.ioq))
@@ -321,17 +308,10 @@ func (s *Service) FailedWrites() []int {
 // counters accumulated by the Fault hooks.
 func (s *Service) DeviceFaults() []DeviceFaults {
 	var out []DeviceFaults
-	for i, fp := range s.fps {
-		j, ok := fp.(interface {
-			Stats() jukebox.Stats
-			Profile() jukebox.MediaProfile
-		})
-		if !ok {
-			continue
-		}
-		js := j.Stats()
+	for i, l := range s.libs {
+		js := l.Stats()
 		out = append(out, DeviceFaults{
-			Name:        fmt.Sprintf("%s[%d]", j.Profile().Name, i),
+			Name:        fmt.Sprintf("%s[%d]", l.Profile().Name, i),
 			ReadFaults:  js.ReadFaults,
 			WriteFaults: js.WriteFaults,
 			LoadFaults:  js.LoadFaults,
@@ -515,9 +495,6 @@ func (s *Service) Eject(tag int) error {
 	if err != nil {
 		return err
 	}
-	if s.hooks.LineEvicted != nil {
-		s.hooks.LineEvicted(tag, seg)
-	}
 	s.cache.Release(seg)
 	return nil
 }
@@ -557,9 +534,9 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 			s.startFetch(p, r)
 		case reqCopyout:
 			s.dispatch(p, r, r.tag)
-		case reqFetchDone:
+		case reqFetched:
 			s.finishFetch(p, r)
-		case reqCopyoutDone:
+		case reqCopiedOut:
 			s.finishCopyout(p, r)
 		case reqRetryDeferred:
 			s.retryDeferred(p)
@@ -611,16 +588,13 @@ func (s *Service) transferDone(r request) {
 // mediaTime is how long one segment keeps a drive of library lib
 // transferring, from the device's own profile (0 for a device without one).
 func (s *Service) mediaTime(lib int, kind reqKind) sim.Time {
-	if lib >= len(s.fps) {
+	if lib >= len(s.libs) {
 		return 0
 	}
-	d, ok := s.fps[lib].(interface{ Profile() jukebox.MediaProfile })
-	if !ok {
-		return 0
-	}
-	rate := d.Profile().MediaRead
+	prof := s.libs[lib].Profile()
+	rate := prof.MediaRead
 	if kind == reqCopyout {
-		rate = d.Profile().MediaWrite
+		rate = prof.MediaWrite
 	}
 	if rate <= 0 {
 		return 0
@@ -663,9 +637,6 @@ func (s *Service) takeLine() (addr.SegNo, bool) {
 	if err != nil {
 		return 0, false
 	}
-	if s.hooks.LineEvicted != nil {
-		s.hooks.LineEvicted(v.Tag, seg)
-	}
 	return seg, true
 }
 
@@ -697,9 +668,6 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		s.resolveFetch(r.tag, err)
 		s.retryDeferred(p)
 		return
-	}
-	if s.hooks.LineBound != nil {
-		s.hooks.LineBound(r.tag, r.seg, false)
 	}
 	s.stats.Fetches++
 	s.obs.Counter("tertiary.bytes_in").Add(int64(s.segBytes()))
@@ -742,15 +710,15 @@ func (s *Service) finishCopyout(p *sim.Proc, r request) {
 			l.Pins--
 		}
 		if r.err == nil && r.tag == r.pinTag {
-			l.Staging = false
+			s.cache.Unstage(l)
 		}
 	}
 	if r.err == nil {
 		s.stats.Copyouts++
 		s.obs.Counter("tertiary.bytes_out").Add(int64(s.segBytes()))
 		s.heat.Touch(r.tag, attr.Copyout, p.Now())
-		if s.hooks.CopyoutDone != nil {
-			s.hooks.CopyoutDone(r.tag, r.seg)
+		if s.OnCopiedOut != nil {
+			s.OnCopiedOut(r.tag)
 		}
 	} else if errors.Is(r.err, jukebox.ErrEndOfMedium) {
 		s.stats.EOMRetries++
@@ -867,11 +835,11 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		}
 		load[i], busy[i] = s.out[d], s.busy[volKey{d, vol}]
 		switch {
-		case s.libDown(d):
+		case s.libs[d].Down():
 			ranks[i] = routeDownLib
 		case s.Breaker != nil && !s.Breaker.Allow(d):
 			ranks[i] = routeTripped
-		case s.volumeLoaded(d, vol):
+		case s.libs[d].VolumeLoaded(vol):
 			ranks[i] = routeLoaded
 		default:
 			ranks[i] = routeSwap
@@ -913,21 +881,6 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 	return out
 }
 
-// libDown reports whether the device is a library that is out of
-// service; bare devices are always in service.
-func (s *Service) libDown(d int) bool {
-	if l, ok := s.fps[d].(interface{ Down() bool }); ok {
-		return l.Down()
-	}
-	return false
-}
-
-// volumeLoaded reports whether the device already holds vol in a drive.
-func (s *Service) volumeLoaded(d, vol int) bool {
-	vc, ok := s.fps[d].(VolumeLoadedChecker)
-	return ok && vc.VolumeLoaded(vol)
-}
-
 // ioLoop is one of library lib's I/O processes: it executes whole-segment
 // transfers between the disk cache and the Footprint devices, recovering
 // from transient faults with bounded retries and falling back across
@@ -936,7 +889,7 @@ func (s *Service) volumeLoaded(d, vol int) bool {
 // that ends a fetch: the next transfer's medium moves meanwhile. A fetch has
 // no line until its data is here and the token is back (takeLine); with none
 // to be had the process does not wait for one, and the fetch starts over
-// (errNoLine). The line is announced (reqFetchDone) only once it is written.
+// (errNoLine). The line is announced (reqFetched) only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	buf := make([]byte, s.segBytes())
 	for {
@@ -964,7 +917,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					continue
 				}
 				t0 := p.Now()
-				err = s.withRetry(p, func() error { return s.fps[d].ReadSegment(p, vol, volseg, buf) })
+				err = s.withRetry(p, func() error { return s.libs[d].ReadSegment(p, vol, volseg, buf) })
 				s.obs.Span("tertiary.io", "fp.read", "ReadSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "copy", Val: int64(c)})
 				if s.Breaker != nil {
@@ -998,7 +951,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
 			restore()
-			r.kind, r.err = reqFetchDone, err
+			r.kind, r.err = reqFetched, err
 		case reqCopyout:
 			d, vol, volseg, err := s.locate(r.tag)
 			if err == nil {
@@ -1011,14 +964,14 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			}
 			if err == nil {
 				t0 := p.Now()
-				err = s.withRetry(p, func() error { return s.fps[d].WriteSegment(p, vol, volseg, buf) })
+				err = s.withRetry(p, func() error { return s.libs[d].WriteSegment(p, vol, volseg, buf) })
 				s.obs.Span("tertiary.io", "fp.write", "WriteSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)})
 				if s.Breaker != nil {
 					s.Breaker.OnResult(d, err)
 				}
 			}
-			r.kind, r.err = reqCopyoutDone, err
+			r.kind, r.err = reqCopiedOut, err
 		}
 		// A token still held is kept through the report, which can block, as
 		// the I/O process always was: giving it back first would leave a
@@ -1029,12 +982,6 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			s.free[lib]++
 		}
 	}
-}
-
-// VolumeLoadedChecker is implemented by jukeboxes that can report whether
-// a volume is already in a drive.
-type VolumeLoadedChecker interface {
-	VolumeLoaded(vol int) bool
 }
 
 // locate resolves a tertiary segment index to (device, volume, volseg).

@@ -39,11 +39,15 @@ func newEnv(t *testing.T, cacheLines int) *env {
 	}
 	e := &env{k: k, amap: amap, disk: disk, juke: juke}
 	e.c = cache.New(cache.LRU, pool, 1)
-	e.svc = New(k, obs.New(k), amap, []jukebox.Footprint{juke}, disk, e.c, Hooks{
-		LineBound:   func(tag int, seg addr.SegNo, staging bool) { e.bound++ },
-		LineEvicted: func(tag int, seg addr.SegNo) { e.evicted++ },
-		CopyoutDone: func(tag int, seg addr.SegNo) { e.done++ },
-	})
+	e.c.Bind = func(seg addr.SegNo, tag int, staging bool) {
+		if tag < 0 {
+			e.evicted++ // Evict, or Release of a line a failed fetch took
+		} else {
+			e.bound++
+		}
+	}
+	e.svc = New(k, obs.New(k), amap, jukebox.AsLibraries([]jukebox.Footprint{juke}), disk, e.c)
+	e.svc.OnCopiedOut = func(tag int) { e.done++ }
 	return e
 }
 
@@ -78,7 +82,7 @@ func TestDemandFetchPopulatesCache(t *testing.T) {
 			t.Fatalf("cache line holds %#x, want 0xAB", buf[0])
 		}
 		if e.bound != 1 {
-			t.Fatalf("LineBound hook fired %d times", e.bound)
+			t.Fatalf("%d bindings to a tag, want 1", e.bound)
 		}
 		if e.svc.Stats().Fetches != 1 {
 			t.Fatal("fetch not counted")
@@ -128,7 +132,7 @@ func TestFetchEvictsLRUWhenFull(t *testing.T) {
 			t.Fatal("LRU line 0 should have been evicted")
 		}
 		if e.evicted != 1 {
-			t.Fatalf("LineEvicted fired %d times, want 1", e.evicted)
+			t.Fatalf("%d unbindings, want 1", e.evicted)
 		}
 	})
 	e.k.Stop()
@@ -147,7 +151,7 @@ func TestCopyoutWritesTertiary(t *testing.T) {
 		e.svc.ScheduleCopyout(p, 5, seg)
 		e.svc.DrainCopyouts(p)
 		if e.done != 1 {
-			t.Fatalf("CopyoutDone fired %d times", e.done)
+			t.Fatalf("OnCopiedOut fired %d times", e.done)
 		}
 		l, _ := e.c.Peek(5)
 		if l.Staging {
@@ -506,7 +510,7 @@ func TestUnmappableCopyoutBecomesFailedWrite(t *testing.T) {
 		e.svc.ScheduleCopyout(p, 6, seg)
 		e.svc.DrainCopyouts(p)
 		if e.done != 1 {
-			t.Fatalf("CopyoutDone fired %d times after the bad tags, want 1", e.done)
+			t.Fatalf("OnCopiedOut fired %d times after the bad tags, want 1", e.done)
 		}
 	})
 	if s := e.svc.Stats(); s.CopyoutFaults != 2 || s.EOMRetries != 0 {
@@ -521,8 +525,8 @@ func TestFetchWithEveryLibraryDown(t *testing.T) {
 	e := newLibEnv(2, 1, 4)
 	e.k.RunProc(func(p *sim.Proc) {
 		e.seed(t, p, 3)
-		e.libs[0].SetDown(true)
-		e.libs[1].SetDown(true)
+		e.libs[0].lib.SetDown(true)
+		e.libs[1].lib.SetDown(true)
 		_, err := e.svc.DemandFetch(p, 3)
 		if !errors.Is(err, ErrSegmentUnavailable) || !errors.Is(err, jukebox.ErrLibraryOffline) {
 			t.Fatalf("fetch with both libraries down = %v, want ErrSegmentUnavailable wrapping ErrLibraryOffline", err)
@@ -530,7 +534,7 @@ func TestFetchWithEveryLibraryDown(t *testing.T) {
 		if e.c.FreeLines() != 4 || e.svc.Outstanding(0)+e.svc.Outstanding(1) != 0 {
 			t.Fatalf("leaked: %d free lines of 4, %d/%d outstanding", e.c.FreeLines(), e.svc.Outstanding(0), e.svc.Outstanding(1))
 		}
-		e.libs[1].SetDown(false)
+		e.libs[1].lib.SetDown(false)
 		e.fetchAll(t, p, []int{3}, nil)
 	})
 	if len(e.libs[0].reads) != 0 || len(e.libs[1].reads) != 1 {
