@@ -46,6 +46,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -386,11 +387,10 @@ func recoveryDemo() error {
 	}
 	k := sim.NewKernel()
 	disk, juke := mk(k)
-	var store map[int64][]byte
-	var vols []jukebox.VolumeImage
+	var diskImg, jukeImg bytes.Buffer
 	var cut sim.Time
 	var wdirty int
-	var derr error
+	var derr, cutErr error
 	k.RunProc(func(p *sim.Proc) {
 		hl, err := core.New(p, cfg(disk, juke), true)
 		if err != nil {
@@ -445,9 +445,8 @@ func recoveryDemo() error {
 		nwrites := 0
 		disk.OnMediaWrite = func(int64) {
 			nwrites++
-			if nwrites == 5 && store == nil {
-				store = disk.SnapshotStore()
-				vols = juke.SnapshotVolumes()
+			if nwrites == 5 {
+				cutErr = errors.Join(disk.SaveStore(&diskImg), juke.SaveStore(&jukeImg))
 				cut = p.Now()
 				wdirty = disk.WriteCacheDirty()
 			}
@@ -458,10 +457,10 @@ func recoveryDemo() error {
 		}
 	})
 	k.Stop()
-	if derr != nil {
-		return derr
+	if err := errors.Join(derr, cutErr); err != nil {
+		return err
 	}
-	if store == nil {
+	if diskImg.Len() == 0 {
 		return fmt.Errorf("demo never reached its cut point")
 	}
 	fmt.Printf("Power cut at t=%.2fs, mid-sync (%d dirty blocks dropped from the volatile write cache); remounting...\n",
@@ -469,8 +468,9 @@ func recoveryDemo() error {
 	k2 := sim.NewKernel()
 	k2.AdvanceTo(cut)
 	disk2, juke2 := mk(k2)
-	disk2.RestoreStore(store)
-	juke2.RestoreVolumes(vols)
+	if err := errors.Join(disk2.LoadStore(&diskImg), juke2.LoadStore(&jukeImg)); err != nil {
+		return err
+	}
 	k2.RunProc(func(p *sim.Proc) {
 		hl, err := core.New(p, cfg(disk2, juke2), false)
 		if err != nil {

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -8,7 +10,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/migrate"
 	"repro/internal/sim"
@@ -359,8 +360,7 @@ func crashAndRecover(segs int) (lfs.RecoveryInfo, sim.Time, error) {
 		return rig
 	}
 	rig := build()
-	var store map[int64][]byte
-	var vols []jukebox.VolumeImage
+	var disk, juke bytes.Buffer
 	var cut sim.Time
 	err := rig.run(nil, func(p *sim.Proc, hl *core.HighLight) error {
 		// The same base population everywhere: recovery time must not
@@ -380,18 +380,17 @@ func crashAndRecover(segs int) (lfs.RecoveryInfo, sim.Time, error) {
 				return err
 			}
 		}
-		store = rig.disks[0].SnapshotStore()
-		vols = rig.jukes[0].SnapshotVolumes()
 		cut = p.Now()
-		return nil
+		return errors.Join(rig.disks[0].SaveStore(&disk), rig.jukes[0].SaveStore(&juke))
 	})
 	if err != nil {
 		return lfs.RecoveryInfo{}, 0, err
 	}
 	after := build()
 	after.k.AdvanceTo(cut)
-	after.disks[0].RestoreStore(store)
-	after.jukes[0].RestoreVolumes(vols)
+	if err := errors.Join(after.disks[0].LoadStore(&disk), after.jukes[0].LoadStore(&juke)); err != nil {
+		return lfs.RecoveryInfo{}, 0, err
+	}
 	var ri lfs.RecoveryInfo
 	var elapsed sim.Time
 	err = run(after.k, func(p *sim.Proc) error {

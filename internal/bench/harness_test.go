@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -159,8 +160,7 @@ func TestStudyRigRemountMatchesHandBuilt(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	disk, juke, cfg := mk(k)
-	var store map[int64][]byte
-	var vols []jukebox.VolumeImage
+	var diskImg, jukeImg bytes.Buffer
 	var cut sim.Time
 	err := run(k, func(p *sim.Proc) error {
 		hl, err := core.New(p, cfg, true)
@@ -181,8 +181,8 @@ func TestStudyRigRemountMatchesHandBuilt(t *testing.T) {
 				return err
 			}
 		}
-		store, vols, cut = disk.SnapshotStore(), juke.SnapshotVolumes(), p.Now()
-		return nil
+		cut = p.Now()
+		return errors.Join(disk.SaveStore(&diskImg), juke.SaveStore(&jukeImg))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,8 +190,9 @@ func TestStudyRigRemountMatchesHandBuilt(t *testing.T) {
 	k2 := sim.NewKernel()
 	k2.AdvanceTo(cut)
 	disk2, juke2, cfg2 := mk(k2)
-	disk2.RestoreStore(store)
-	juke2.RestoreVolumes(vols)
+	if err := errors.Join(disk2.LoadStore(&diskImg), juke2.LoadStore(&jukeImg)); err != nil {
+		t.Fatal(err)
+	}
 	var want lfs.RecoveryInfo
 	var wantElapsed sim.Time
 	err = run(k2, func(p *sim.Proc) error {

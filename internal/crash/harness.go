@@ -14,6 +14,8 @@
 package crash
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -110,8 +112,8 @@ type Snapshot struct {
 	Now         sim.Time
 	WCacheDirty int // blocks lost from the volatile disk write cache
 
-	DiskStore map[int64][]byte      // durable disk image (cache excluded)
-	Volumes   []jukebox.VolumeImage // durable jukebox media (torn if mid-write)
+	Disk []byte // durable disk media as dev.Disk.SaveStore writes it (cache excluded)
+	Juke []byte // jukebox media as jukebox.Jukebox.SaveStore writes it (torn if mid-write)
 
 	// Durability model: Durable maps each path to its content at the
 	// last completed durability point (Sync/Checkpoint/CompleteMigration
@@ -139,6 +141,7 @@ type runner struct {
 	target int // media-write event to snapshot at; 0 = none
 	events int
 	snap   *Snapshot
+	cutErr error // the cut's SaveStore failed
 	phases []PhaseSpan
 	cur    string
 	rng    *sim.RNG
@@ -160,8 +163,8 @@ type runner struct {
 
 func (r *runner) tick() {
 	r.events++
-	if r.target > 0 && r.events == r.target && r.snap == nil {
-		r.capture()
+	if r.events == r.target {
+		r.cutErr = r.capture()
 	}
 }
 
@@ -177,7 +180,11 @@ func copySet(m map[string]bool) map[string]bool {
 // device media-write callback, mid-operation: the disk image excludes the
 // volatile write cache and the jukebox image may hold a half-written
 // (torn) segment — both deliberate.
-func (r *runner) capture() {
+func (r *runner) capture() error {
+	var disk, juke bytes.Buffer
+	if err := errors.Join(r.disk.SaveStore(&disk), r.juke.SaveStore(&juke)); err != nil {
+		return fmt.Errorf("crash: saving the media at event %d: %w", r.events, err)
+	}
 	durable := make(map[string][]byte, len(r.durable))
 	for k, v := range r.durable {
 		durable[k] = v
@@ -187,13 +194,14 @@ func (r *runner) capture() {
 		Phase:       r.cur,
 		Now:         r.k.Now(),
 		WCacheDirty: r.disk.WriteCacheDirty(),
-		DiskStore:   r.disk.SnapshotStore(),
-		Volumes:     r.juke.SnapshotVolumes(),
+		Disk:        disk.Bytes(),
+		Juke:        juke.Bytes(),
 		Durable:     durable,
 		Dirty:       copySet(r.dirty),
 		Created:     copySet(r.created),
 		Removed:     copySet(r.removed),
 	}
+	return nil
 }
 
 func (r *runner) mark(phase string) {
@@ -386,8 +394,8 @@ func runWorkload(cfg Config, cutEvent int) (*runResult, error) {
 		hl.FS.AttachCleaner(6, 10)
 		werr = r.workload(p)
 	})
-	if werr != nil {
-		return nil, werr
+	if err := errors.Join(werr, r.cutErr); err != nil {
+		return nil, err
 	}
 	r.mark("") // close the final span
 	return &runResult{

@@ -3,6 +3,7 @@ package crash
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -47,8 +48,9 @@ func Recover(cfg Config, snap *Snapshot) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	disk.RestoreStore(snap.DiskStore)
-	juke.RestoreVolumes(snap.Volumes)
+	if err := errors.Join(disk.LoadStore(bytes.NewReader(snap.Disk)), juke.LoadStore(bytes.NewReader(snap.Juke))); err != nil {
+		return nil, fmt.Errorf("crash: loading the media cut at event %d: %w", snap.Event, err)
+	}
 	o := attachObs(k, cfg, disk, juke)
 
 	out := &Outcome{

@@ -204,8 +204,8 @@ type Flusher interface {
 // With EnableWriteCache, the disk models a bounded volatile write-back
 // cache: acknowledged writes sit in the cache (readable back) until they
 // are destaged — by FIFO overflow or an explicit Flush. A simulated power
-// cut (SnapshotStore) sees only destaged blocks, so sync-ordering bugs in
-// the file system above become visible. The cache changes *durability*
+// cut (SaveStore, then LoadStore into a fresh disk) keeps only destaged
+// blocks, so sync-ordering bugs in the file system above become visible. The cache changes *durability*
 // semantics only; request timing is identical with or without it, keeping
 // the calibrated Table 5/6 numbers intact.
 type Disk struct {
@@ -337,27 +337,6 @@ func (d *Disk) flushCacheNow() {
 func (d *Disk) Flush(p *sim.Proc) error {
 	d.flushCacheNow()
 	return nil
-}
-
-// SnapshotStore returns a deep copy of the *durable* media image: what a
-// power cut at this instant would preserve. Blocks still in the volatile
-// write cache are deliberately excluded.
-func (d *Disk) SnapshotStore() map[int64][]byte {
-	out := make(map[int64][]byte)
-	d.store.each(func(blk int64, data []byte) { out[blk] = append([]byte(nil), data...) })
-	return out
-}
-
-// RestoreStore replaces the media image with a deep copy of m and empties
-// the write cache — the disk as it comes back after a power cut.
-func (d *Disk) RestoreStore(m map[int64][]byte) {
-	d.store = newMedia(d.nblocks)
-	for blk, data := range m {
-		d.store.write(blk, data)
-	}
-	d.wdirty = make(map[int64][]byte)
-	d.worder = nil
-	d.head = 0
 }
 
 // SetObs attaches an observability domain: every read/write emits a

@@ -36,8 +36,10 @@ func (d *Disk) SaveStore(w io.Writer) error {
 }
 
 // LoadStore replaces the disk's contents from a stream written by
-// SaveStore. Any other stream — of another disk size, short, a block out of
-// range or twice — is ErrBadImage with the offset and leaves the disk as it was.
+// SaveStore, empties the volatile write cache and parks the arm at block 0:
+// the disk as it comes back after a power cut. Any other stream — of another
+// disk size, short, a block out of range or twice — is ErrBadImage with the
+// offset and leaves the disk as it was.
 func (d *Disk) LoadStore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var hdr [20]byte
@@ -60,6 +62,8 @@ func (d *Disk) LoadStore(r io.Reader) error {
 			return fmt.Errorf("%w: record %d at offset %d: block %d out of range or repeated", ErrBadImage, i, off, blk)
 		}
 	}
-	d.store = m
+	d.store, d.head = m, 0
+	clear(d.wdirty)
+	d.worder = d.worder[:0]
 	return nil
 }

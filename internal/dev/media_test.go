@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"testing"
 
@@ -62,6 +63,14 @@ func (m *diskModel) read(blk int64, nb int) []byte {
 	return out
 }
 
+// durable is the disk's platter contents by block, the write cache excluded:
+// what a power cut keeps.
+func durable(d *Disk) map[int64][]byte {
+	out := map[int64][]byte{}
+	d.store.each(func(blk int64, data []byte) { out[blk] = bytes.Clone(data) })
+	return out
+}
+
 func sameStore(a, b map[int64][]byte) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d blocks, want %d", len(a), len(b))
@@ -78,9 +87,10 @@ func sameStore(a, b map[int64][]byte) error {
 // stream of operations — writes and reads of 1 to 40 blocks anywhere on an
 // odd-sized disk (so they straddle extent and MaxTransfer boundaries and
 // reach the last, partial extent), write cache switched on, resized and
-// off, Flush, power-cut snapshots restored later, images saved and loaded —
-// and compares every read and every durable image. One run has a
-// media-write observer, which makes direct writes land block by block.
+// off, Flush, images saved and loaded back in place later (a power cycle),
+// images saved and loaded into a second disk — and compares every read and
+// every durable image. One run has a media-write observer, which makes
+// direct writes land block by block.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -93,7 +103,8 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			if seed == 2 {
 				d.OnMediaWrite = func(int64) { observed++ }
 			}
-			var saved map[int64][]byte // a power-cut snapshot to come back to
+			var saved []byte                // a power-cut image to come back to ...
+			var savedModel map[int64][]byte // ... and the model's durable blocks then
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
 				if rng.IntN(4) == 0 {
@@ -136,13 +147,16 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						}
 						m.destage(len(m.order))
 					case op == 17:
-						saved = d.SnapshotStore()
-					case op == 18 && saved != nil:
-						d.RestoreStore(saved)
-						m.durable, m.cached, m.order = map[int64][]byte{}, map[int64][]byte{}, nil
-						for blk, data := range saved {
-							m.durable[blk] = bytes.Clone(data)
+						var img bytes.Buffer
+						if err := d.SaveStore(&img); err != nil {
+							t.Fatal(err)
 						}
+						saved, savedModel = img.Bytes(), maps.Clone(m.durable)
+					case op == 18 && saved != nil:
+						if err := d.LoadStore(bytes.NewReader(saved)); err != nil {
+							t.Fatal(err)
+						}
+						m.durable, m.cached, m.order = maps.Clone(savedModel), map[int64][]byte{}, nil
 					case op == 19:
 						var img bytes.Buffer
 						if err := d.SaveStore(&img); err != nil {
@@ -152,14 +166,14 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						if err := d2.LoadStore(&img); err != nil {
 							t.Fatal(err)
 						}
-						if err := sameStore(d2.SnapshotStore(), m.durable); err != nil {
+						if err := sameStore(durable(d2), m.durable); err != nil {
 							t.Fatalf("step %d: saved and reloaded image: %v", step, err)
 						}
 					}
 					if got := d.WriteCacheDirty(); got != len(m.order) {
 						t.Fatalf("step %d: %d blocks in the write cache, model has %d", step, got, len(m.order))
 					}
-					if err := sameStore(d.SnapshotStore(), m.durable); err != nil {
+					if err := sameStore(durable(d), m.durable); err != nil {
 						t.Fatalf("step %d: durable image: %v", step, err)
 					}
 					if d.OnMediaWrite != nil && observed != m.applied {
@@ -201,7 +215,7 @@ func TestMediaWriteHookSeesTornPrefix(t *testing.T) {
 						t.Fatalf("hook for block %d, want %d", blk, want)
 					}
 					fired++
-					snap := d.SnapshotStore()
+					snap := durable(d)
 					for i := int64(0); i < nb; i++ {
 						want := byte(1 + i) // old
 						if first+i <= blk {
@@ -313,6 +327,47 @@ func TestSaveStoreIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadStoreIsAPowerCycle: loading an image into a disk whose write cache
+// holds a newer block drops that block, so neither a read nor the next Flush
+// sees it over the loaded image, and parks the arm at block 0.
+func TestLoadStoreIsAPowerCycle(t *testing.T) {
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 64, nil)
+	d.EnableWriteCache(16)
+	block := func(v byte) []byte { return bytes.Repeat([]byte{v}, BlockSize) }
+	k.RunProc(func(p *sim.Proc) {
+		if err := d.WriteBlocks(p, 5, block(0xA)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		var img bytes.Buffer
+		if err := d.SaveStore(&img); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteBlocks(p, 5, block(0xB)); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.LoadStore(&img); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.WriteCacheDirty(); n != 0 || d.head != 0 {
+			t.Fatalf("after LoadStore: %d blocks in the write cache, arm at %d; want 0 and 0", n, d.head)
+		}
+		if err := d.Flush(p); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, BlockSize)
+		if err := d.ReadBlocks(p, 5, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, block(0xA)) || !bytes.Equal(durable(d)[5], block(0xA)) {
+			t.Fatalf("block 5 reads %#x, on the platter %#x; want the loaded image's 0xa", got[0], durable(d)[5][0])
+		}
+	})
+}
+
 // TestLoadStoreRejectsBadImages names each way an image can be wrong; the
 // fuzz target below looks for the ones not thought of.
 func TestLoadStoreRejectsBadImages(t *testing.T) {
@@ -372,7 +427,7 @@ func FuzzDiskLoadStore(f *testing.F) {
 		if err := d2.LoadStore(&out); err != nil {
 			t.Fatalf("reloading an accepted image: %v", err)
 		}
-		if err := sameStore(d2.SnapshotStore(), d.SnapshotStore()); err != nil {
+		if err := sameStore(durable(d2), durable(d)); err != nil {
 			t.Fatal(err)
 		}
 	})

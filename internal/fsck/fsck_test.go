@@ -187,12 +187,16 @@ func TestDetectsTornTertiarySegment(t *testing.T) {
 		if !ok {
 			t.Fatalf("segment %d has no media location", seg)
 		}
-		imgs := juke.SnapshotVolumes()
-		img := imgs[vol].Segs[vseg]
+		img := make([]byte, juke.SegmentBytes())
+		if err := juke.ReadSegment(p, vol, vseg, img); err != nil {
+			t.Fatal(err)
+		}
 		for i := len(img) / 2; i < len(img); i++ {
 			img[i] ^= 0xFF
 		}
-		juke.RestoreVolumes(imgs)
+		if err := juke.WriteSegment(p, vol, vseg, img); err != nil {
+			t.Fatal(err)
+		}
 
 		rep, err := Check(p, hl)
 		if err != nil {

@@ -6,7 +6,9 @@ package imagefs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -83,22 +85,33 @@ type Instance struct {
 	dir        string
 }
 
-func paths(dir string) (cfg, disk, juke string) {
-	return filepath.Join(dir, "config.json"),
-		filepath.Join(dir, "disk.img"),
-		filepath.Join(dir, "juke.img")
+// medium is a device whose contents persist as one image file.
+type medium interface {
+	SaveStore(w io.Writer) error
+	LoadStore(r io.Reader) error
 }
 
-func extraPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("disk%d.img", i+1))
+// imageFile is one device and the file, in the image directory, that holds it.
+type imageFile struct {
+	name string
+	dev  medium
 }
 
-func extraJukePath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("juke%d.img", i+1))
-}
-
-func farmPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("farm%d.img", i+1))
+// media lists every device with its image file, in the order Save writes
+// and Load reads them.
+func (inst *Instance) media() []imageFile {
+	files := []imageFile{{"disk.img", inst.Disk}}
+	for i, d := range inst.Farm {
+		files = append(files, imageFile{fmt.Sprintf("farm%d.img", i+1), d})
+	}
+	for i, d := range inst.Extra {
+		files = append(files, imageFile{fmt.Sprintf("disk%d.img", i+1), d})
+	}
+	files = append(files, imageFile{"juke.img", inst.Juke})
+	for i, j := range inst.ExtraJukes {
+		files = append(files, imageFile{fmt.Sprintf("juke%d.img", i+1), j})
+	}
+	return files
 }
 
 // AddDisk grows the instance by a fresh disk of segs segments (§6.4),
@@ -116,7 +129,7 @@ func (inst *Instance) AddDisk(p *sim.Proc, segs int) error {
 // Init creates a fresh formatted image in dir (which must not already hold
 // one).
 func Init(k *sim.Kernel, dir string, cfg Config) (*Instance, error) {
-	cfgPath, _, _ := paths(dir)
+	cfgPath := filepath.Join(dir, "config.json")
 	if _, err := os.Stat(cfgPath); err == nil {
 		return nil, fmt.Errorf("imagefs: %s already holds an image", dir)
 	}
@@ -139,8 +152,7 @@ func Init(k *sim.Kernel, dir string, cfg Config) (*Instance, error) {
 
 // Load mounts an existing image.
 func Load(k *sim.Kernel, dir string) (*Instance, error) {
-	cfgPath, diskPath, jukePath := paths(dir)
-	raw, err := os.ReadFile(cfgPath)
+	raw, err := os.ReadFile(filepath.Join(dir, "config.json"))
 	if err != nil {
 		return nil, fmt.Errorf("imagefs: %w (is %s an image directory?)", err, dir)
 	}
@@ -153,54 +165,14 @@ func Load(k *sim.Kernel, dir string) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	df, err := os.Open(diskPath)
-	if err != nil {
-		return nil, err
-	}
-	defer df.Close()
-	if err := inst.Disk.LoadStore(df); err != nil {
-		return nil, err
-	}
-	for i, d := range inst.Farm {
-		ff, err := os.Open(farmPath(dir, i))
+	for _, m := range inst.media() {
+		f, err := os.Open(filepath.Join(dir, m.name))
 		if err != nil {
 			return nil, err
 		}
-		if err := d.LoadStore(ff); err != nil {
-			ff.Close()
+		if err := errors.Join(m.dev.LoadStore(f), f.Close()); err != nil {
 			return nil, err
 		}
-		ff.Close()
-	}
-	for i, d := range inst.Extra {
-		ef, err := os.Open(extraPath(dir, i))
-		if err != nil {
-			return nil, err
-		}
-		if err := d.LoadStore(ef); err != nil {
-			ef.Close()
-			return nil, err
-		}
-		ef.Close()
-	}
-	jf, err := os.Open(jukePath)
-	if err != nil {
-		return nil, err
-	}
-	defer jf.Close()
-	if err := inst.Juke.LoadStore(jf); err != nil {
-		return nil, err
-	}
-	for i, j := range inst.ExtraJukes {
-		ejf, err := os.Open(extraJukePath(dir, i))
-		if err != nil {
-			return nil, err
-		}
-		if err := j.LoadStore(ejf); err != nil {
-			ejf.Close()
-			return nil, err
-		}
-		ejf.Close()
 	}
 	return mount(k, inst, false)
 }
@@ -292,7 +264,6 @@ func mount(k *sim.Kernel, inst *Instance, format bool) (*Instance, error) {
 // but persists the device contents and the virtual epoch back to the
 // image files.
 func (inst *Instance) Save() error {
-	cfgPath, diskPath, jukePath := paths(inst.dir)
 	inst.Cfg.EpochNs = int64(inst.k.Now())
 	catalog := inst.HL.ReplicaCatalog()
 	prims := make([]int, 0, len(catalog))
@@ -308,67 +279,15 @@ func (inst *Instance) Save() error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(cfgPath, meta, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(inst.dir, "config.json"), meta, 0o644); err != nil {
 		return err
 	}
-	df, err := os.Create(diskPath)
-	if err != nil {
-		return err
-	}
-	if err := inst.Disk.SaveStore(df); err != nil {
-		df.Close()
-		return err
-	}
-	if err := df.Close(); err != nil {
-		return err
-	}
-	for i, d := range inst.Farm {
-		ff, err := os.Create(farmPath(inst.dir, i))
+	for _, m := range inst.media() {
+		f, err := os.Create(filepath.Join(inst.dir, m.name))
 		if err != nil {
 			return err
 		}
-		if err := d.SaveStore(ff); err != nil {
-			ff.Close()
-			return err
-		}
-		if err := ff.Close(); err != nil {
-			return err
-		}
-	}
-	for i, d := range inst.Extra {
-		ef, err := os.Create(extraPath(inst.dir, i))
-		if err != nil {
-			return err
-		}
-		if err := d.SaveStore(ef); err != nil {
-			ef.Close()
-			return err
-		}
-		if err := ef.Close(); err != nil {
-			return err
-		}
-	}
-	jf, err := os.Create(jukePath)
-	if err != nil {
-		return err
-	}
-	if err := inst.Juke.SaveStore(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	if err := jf.Close(); err != nil {
-		return err
-	}
-	for i, j := range inst.ExtraJukes {
-		ejf, err := os.Create(extraJukePath(inst.dir, i))
-		if err != nil {
-			return err
-		}
-		if err := j.SaveStore(ejf); err != nil {
-			ejf.Close()
-			return err
-		}
-		if err := ejf.Close(); err != nil {
+		if err := errors.Join(m.dev.SaveStore(f), f.Close()); err != nil {
 			return err
 		}
 	}

@@ -48,7 +48,8 @@ func (j *Jukebox) SaveStore(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadStore replaces the jukebox's media contents from a SaveStore stream.
+// LoadStore replaces the jukebox's media contents from a SaveStore stream
+// and unloads every drive: the jukebox as it comes back after a power cut.
 // A stream that is short, of another geometry, or names a segment outside
 // its volume or twice is ErrBadImage with the offset reached.
 func (j *Jukebox) LoadStore(r io.Reader) error {
@@ -93,6 +94,9 @@ func (j *Jukebox) LoadStore(r io.Reader) error {
 			}
 		}
 		v.actualSegs, v.full, v.store = int(le.Uint32(hdr[0:])), le.Uint32(hdr[4:]) == 1, store
+	}
+	for _, d := range j.drives {
+		d.loaded, d.pos = -1, 0
 	}
 	return nil
 }

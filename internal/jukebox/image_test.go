@@ -65,6 +65,32 @@ func TestSaveStoreIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestLoadStoreUnloadsTheDrives: after a power cycle no cartridge sits in a
+// drive, so the next read pays a swap.
+func TestLoadStoreUnloadsTheDrives(t *testing.T) {
+	img := boxImage(t, [2]int{1, 3})
+	k := sim.NewKernel()
+	j := MustNew(k, MO6300, 1, imgVols, imgSegs, imgSegBytes, nil)
+	buf := make([]byte, imgSegBytes)
+	k.RunProc(func(p *sim.Proc) {
+		if err := j.ReadSegment(p, 1, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.LoadStore(bytes.NewReader(img)); err != nil {
+			t.Fatal(err)
+		}
+		if v := j.LoadedVolume(0); v != -1 {
+			t.Fatalf("drive 0 holds volume %d after LoadStore, want none", v)
+		}
+		if err := j.ReadSegment(p, 1, 3, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != 'a'+imgSegs+3 || j.Stats().Swaps != 2 {
+			t.Fatalf("read %q after %d swaps; want the loaded segment after 2", buf[0], j.Stats().Swaps)
+		}
+	})
+}
+
 // TestLoadStoreRejectsBadImages names each way an image can be wrong; the
 // fuzz target below looks for the ones not thought of.
 func TestLoadStoreRejectsBadImages(t *testing.T) {

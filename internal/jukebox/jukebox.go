@@ -292,61 +292,6 @@ func (j *Jukebox) EraseVolume(vol int) {
 	}
 }
 
-// VolumeImage is a deep copy of one volume's durable state, taken by
-// SnapshotVolumes for the crash harness.
-type VolumeImage struct {
-	ActualSegs int
-	Full       bool
-	Writes     int64
-	Segs       map[int][]byte
-}
-
-// SnapshotVolumes returns deep copies of every volume's media state: what
-// a power cut at this instant would preserve. (Tertiary media have no
-// volatile write cache; a segment write is durable as its bytes land,
-// which the two-phase OnMediaWrite hook exposes mid-write.)
-func (j *Jukebox) SnapshotVolumes() []VolumeImage {
-	out := make([]VolumeImage, len(j.vols))
-	for i, v := range j.vols {
-		img := VolumeImage{
-			ActualSegs: v.actualSegs,
-			Full:       v.full,
-			Writes:     v.writes,
-			Segs:       make(map[int][]byte),
-		}
-		for seg, data := range v.store {
-			if data != nil {
-				img.Segs[seg] = append([]byte(nil), data...)
-			}
-		}
-		out[i] = img
-	}
-	return out
-}
-
-// RestoreVolumes replaces the media state of every volume with deep
-// copies from imgs (the jukebox after a power cut: drives unload, media
-// survive). Drive positions reset to empty.
-func (j *Jukebox) RestoreVolumes(imgs []VolumeImage) {
-	for i, img := range imgs {
-		if i >= len(j.vols) {
-			break
-		}
-		v := j.vols[i]
-		v.actualSegs = img.ActualSegs
-		v.full = img.Full
-		v.writes = img.Writes
-		clear(v.store)
-		for seg, data := range img.Segs {
-			v.store[seg] = append([]byte(nil), data...)
-		}
-	}
-	for _, d := range j.drives {
-		d.loaded = -1
-		d.pos = 0
-	}
-}
-
 // LoadedVolume reports which volume drive d holds (-1 if empty).
 func (j *Jukebox) LoadedVolume(d int) int { return j.drives[d].loaded }
 
@@ -374,9 +319,6 @@ func (j *Jukebox) checkArgs(vol, seg int, buf []byte) error {
 	}
 	return nil
 }
-
-// NumDrives reports how many drives the jukebox has.
-func (j *Jukebox) NumDrives() int { return len(j.drives) }
 
 // SetDriveOffline marks drive d unhealthy (stuck robot arm, failed drive)
 // or returns it to service. An offline drive finishes its in-flight
