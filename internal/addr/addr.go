@@ -29,9 +29,6 @@ const NilBlock BlockNo = ^BlockNo(0)
 // SegNo numbers segments across the whole address space.
 type SegNo uint32
 
-// NilSeg is an out-of-band segment number.
-const NilSeg SegNo = ^SegNo(0)
-
 // Geom describes one tertiary device: how many volumes it holds and how
 // many segments fit on each volume (the maximum expected, §6.3).
 type Geom struct {

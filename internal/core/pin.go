@@ -108,13 +108,3 @@ func (hl *HighLight) UnpinInode(inum uint32) {
 
 // InodePinned reports whether the inode carries an HSM pin.
 func (hl *HighLight) InodePinned(inum uint32) bool { return hl.pinnedInodes[inum] > 0 }
-
-// PinnedInodes lists the pinned inodes in ascending order.
-func (hl *HighLight) PinnedInodes() []uint32 {
-	out := make([]uint32, 0, len(hl.pinnedInodes))
-	for inum := range hl.pinnedInodes {
-		out = append(out, inum)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

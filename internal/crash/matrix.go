@@ -17,17 +17,6 @@ type Report struct {
 	Outcomes    []*Outcome
 }
 
-// Failures returns the outcomes with at least one violation.
-func (r *Report) Failures() []*Outcome {
-	var out []*Outcome
-	for _, o := range r.Outcomes {
-		if len(o.Violations) > 0 {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // CacheDropCuts counts cut points at which the volatile disk write cache
 // held unflushed blocks — the cases proving the durability model tolerates
 // dropped cache contents.

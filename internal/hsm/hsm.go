@@ -63,23 +63,6 @@ func (o Op) String() string {
 	return "unknown"
 }
 
-// ParseOp maps a CLI verb to an Op.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "stage-in", "stagein", "stage":
-		return OpStageIn, nil
-	case "stage-out", "stageout", "archive":
-		return OpStageOut, nil
-	case "pin":
-		return OpPin, nil
-	case "unpin":
-		return OpUnpin, nil
-	case "evict":
-		return OpEvict, nil
-	}
-	return 0, fmt.Errorf("hsm: unknown operation %q", s)
-}
-
 // State is a request's lifecycle state.
 type State int
 

@@ -879,10 +879,6 @@ func (fs *FS) SegUsage(s addr.SegNo) Seguse { return fs.seguse[s] }
 // tertiary index).
 func (fs *FS) TsegUsage(idx int) Seguse { return fs.tseg[idx] }
 
-// SetTsegAvail records the bytes of storage available in a tertiary
-// segment (compression bookkeeping, §6.4).
-func (fs *FS) SetTsegAvail(idx int, avail uint32) { fs.tseg[idx].Avail = avail }
-
 // MarkTsegWritten marks a tertiary segment as holding data (called when a
 // staging segment has been copied out).
 func (fs *FS) MarkTsegWritten(idx int) {

@@ -42,9 +42,6 @@ func (t *RangeTracker) Hook(inum uint32, start, end int32, write bool) {
 	t.Record(inum, start, end, t.k.Now())
 }
 
-// Forget drops a file's records (after deletion or whole-file migration).
-func (t *RangeTracker) Forget(inum uint32) { delete(t.files, inum) }
-
 // Ranges returns a copy of a file's records, sorted by Start.
 func (t *RangeTracker) Ranges(inum uint32) []AccessRange {
 	rs := t.files[inum]

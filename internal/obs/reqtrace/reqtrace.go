@@ -80,15 +80,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind-%d", int(k))
 }
 
-// Kinds lists every stage kind in declaration order (for exporters).
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // maxStages bounds one trace's stage list; a pathological request (a
 // huge read touching hundreds of cache lines) stops recording detail
 // rather than growing without bound. The critical-path invariant holds

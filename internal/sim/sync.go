@@ -56,13 +56,6 @@ func (r *Resource) Release(p *Proc) {
 	r.k.wake(next)
 }
 
-// With runs fn while holding the resource.
-func (r *Resource) With(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release(p)
-	fn()
-}
-
 // Busy reports whether some process currently holds the resource.
 func (r *Resource) Busy() bool { return r.owner != nil }
 
@@ -77,9 +70,6 @@ func (r *Resource) Owner() string {
 
 // HeldBy reports whether p holds the resource.
 func (r *Resource) HeldBy(p *Proc) bool { return r.owner == p }
-
-// QueueLen reports how many processes are waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // WaitTotal reports the cumulative virtual time processes spent waiting to
 // acquire the resource.

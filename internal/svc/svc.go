@@ -647,15 +647,6 @@ func (fe *FrontEnd) observeSLO(r *Request, err error) {
 	fe.sloG[c].Set(int64(frac/sloBudget*1000 + 0.5))
 }
 
-// BurnRate reports the class's current SLO burn rate (bad fraction over
-// the sliding window divided by the budget; 1.0 = exactly spending it).
-func (fe *FrontEnd) BurnRate(c Class) float64 {
-	if fe.sloSeen[c] == 0 {
-		return 0
-	}
-	return float64(fe.sloBad[c]) / float64(fe.sloSeen[c]) / sloBudget
-}
-
 // Stats is a front-end snapshot for reports and tests.
 type Stats struct {
 	Admitted, Shed, ExpiredInQueue int64

@@ -88,11 +88,6 @@ type LargeObjectSpec struct {
 	Seed        uint64
 }
 
-// DefaultLargeObject is the paper's configuration.
-func DefaultLargeObject(path string) LargeObjectSpec {
-	return LargeObjectSpec{Path: path, Frames: 12500, SeqFrames: 2500, SmallFrames: 250, Seed: 42}
-}
-
 // PhaseResult is one benchmark phase measurement.
 type PhaseResult struct {
 	Name    string
