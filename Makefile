@@ -121,7 +121,7 @@ loc:
 # The total of `make loc` may not exceed LOC_MAX: the total of the last PR
 # that lowered it. A PR that lowers the total lowers LOC_MAX to its own; one
 # that must raise it says why in the same diff.
-LOC_MAX = 25250
+LOC_MAX = 25026
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'
