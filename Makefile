@@ -63,12 +63,15 @@ soak:
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 
 # Ten seconds of coverage-guided fuzzing per parser of what is on the media:
-# the two device images, the log's summary block and the partial-segment
-# chain of a whole segment image (the seed corpora under testdata/fuzz run
-# in plain `go test` already).
+# the two device images, the superblock and checkpoint blocks a mount reads
+# first, the log's summary block and the partial-segment chain of a whole
+# segment image (their seeds, under testdata/fuzz or added by f.Add, run in
+# plain `go test` already).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiskLoadStore -fuzztime 10s ./internal/dev/
 	$(GO) test -run '^$$' -fuzz FuzzJukeboxLoadStore -fuzztime 10s ./internal/jukebox/
+	$(GO) test -run '^$$' -fuzz FuzzSuperblockDecode -fuzztime 10s ./internal/lfs/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSummary -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzParseSegment -fuzztime 10s ./internal/lfs/
 
@@ -86,9 +89,9 @@ bench:
 # (lfs -> stripe -> dev, and the parity XOR alone) and of the tertiary side
 # (a jukebox segment in and out, a segment-cache lookup and the choice of a
 # victim), and of a buffer-cache insert that evicts through a full
-# pointer-block reserve: host ns/op, B/op
-# and allocs/op per layer, so a wall-clock or allocation regression names
-# its layer. Informational, not a gate.
+# pointer-block reserve, and of the workload generator's file tree: host
+# ns/op, B/op and allocs/op per layer, so a wall-clock or allocation
+# regression names its layer. Informational, not a gate.
 bench-layers:
 	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
@@ -98,6 +101,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'Disk(Write|Read)1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
 	$(GO) test -run '^$$' -bench 'CacheLookup|CacheVictim' -benchmem -benchtime 200000x ./internal/cache/
+	$(GO) test -run '^$$' -bench 'BuildTree' -benchmem -benchtime 20x ./internal/wl/
 
 # Machine-readable snapshot of every table's metrics + obs counters.
 bench-json:

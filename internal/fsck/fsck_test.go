@@ -10,6 +10,7 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/sim"
+	"repro/internal/wl"
 )
 
 func newHL(t *testing.T) (*sim.Kernel, *core.HighLight) {
@@ -38,6 +39,64 @@ func newHLJuke(t *testing.T) (*sim.Kernel, *core.HighLight, *jukebox.Jukebox) {
 		}
 	})
 	return k, hl, juke
+}
+
+// superblockReads counts the reads of a disk that start at block 0, the
+// superblock.
+type superblockReads struct {
+	*dev.Disk
+	n int
+}
+
+func (d *superblockReads) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	if blk == 0 {
+		d.n++
+	}
+	return d.Disk.ReadBlocks(p, blk, buf)
+}
+
+// TestLargeObjectAtPaperScaleIsClean writes the §7.1 object at the paper's
+// scale (12,500 frames, 51.2 MB, on the 848 MB RZ57), which grows
+// double-indirect children. A child's slot in the zeroed root block once read
+// as block 0: creating the child read the superblock as its pointers, and
+// writing each data block the child maps then released the block that
+// superblock field named, under-counting segments 1 (SegBlocks 256), 3
+// (DiskSegs 848) and 16 (MaxInodes 4096). Writing the object must read
+// nothing at block 0, and fsck must find nothing.
+func TestLargeObjectAtPaperScaleIsClean(t *testing.T) {
+	k := sim.NewKernel()
+	disk := &superblockReads{Disk: dev.NewDisk(k, dev.RZ57, 848*256, nil)}
+	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 32, 40, 256*lfs.BlockSize, nil)
+	k.RunProc(func(p *sim.Proc) {
+		hl, err := core.New(p, core.Config{
+			SegBlocks:   256,
+			Disks:       []dev.BlockDev{disk},
+			Jukeboxes:   []jukebox.Footprint{juke},
+			CacheSegs:   96,
+			MaxInodes:   4096,
+			BufferBytes: 3200 * 1024,
+		}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := disk.n
+		if _, err := wl.CreateLargeObject(p, wl.HLTarget("hl", hl), wl.LargeObjectSpec{Path: "/obj", Frames: 12500}); err != nil {
+			t.Fatal(err)
+		}
+		if n := disk.n - before; n != 0 {
+			t.Errorf("writing the object read block 0 %d times", n)
+		}
+		rep, err := Check(p, hl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.OK() {
+			var b bytes.Buffer
+			rep.Write(&b)
+			t.Fatalf("fsck after the paper-scale large object:\n%s", b.String())
+		}
+	})
+	k.Stop()
 }
 
 func TestCleanFileSystemPasses(t *testing.T) {

@@ -185,12 +185,13 @@ type ptrRef struct {
 	slot   int
 }
 
-// get reads the pointer; NilBlock when the parent meta block is absent.
+// get reads the pointer; NilBlock when the parent meta block is absent or the
+// slot was never assigned (zero: block 0 is the superblock, never a file's).
 func (r ptrRef) get() addr.BlockNo {
 	switch {
 	case r.field != nil:
 		return *r.field
-	case r.parent != nil:
+	case r.parent != nil && binary.LittleEndian.Uint32(r.parent.data[r.slot*4:]) != 0:
 		return addr.BlockNo(binary.LittleEndian.Uint32(r.parent.data[r.slot*4:]))
 	}
 	return addr.NilBlock

@@ -396,6 +396,9 @@ func (sb *Superblock) decode(b []byte) error {
 	sb.CacheSegs = binary.LittleEndian.Uint32(b[20:])
 	sb.TableBlocks = binary.LittleEndian.Uint32(b[24:])
 	n := int(binary.LittleEndian.Uint32(b[28:]))
+	if n > (len(b)-32)/8 {
+		return fmt.Errorf("lfs: superblock names %d tertiary devices, a block holds %d", n, (len(b)-32)/8)
+	}
 	off := 32
 	sb.TertDevs = nil
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -270,11 +271,71 @@ func TestSuperblockLayout(t *testing.T) {
 	if !reflect.DeepEqual(sb, got) {
 		t.Fatalf("superblock round trip: %+v != %+v", got, sb)
 	}
+	// A device count past what the block holds.
+	binary.LittleEndian.PutUint32(buf[28:], (BlockSize-32)/8+1)
+	if err := got.decode(buf); err == nil {
+		t.Fatal("device count past the block accepted")
+	}
 	// Corrupt magic.
 	buf[0] ^= 1
 	if err := got.decode(buf); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+}
+
+// FuzzSuperblockDecode: whatever block 0 holds, decode does not panic, and a
+// superblock it accepts encodes to a block that decodes the same. The input
+// is the head of the block; the rest is zero, as Mount reads a whole block.
+func FuzzSuperblockDecode(f *testing.F) {
+	valid := make([]byte, BlockSize)
+	sb := Superblock{SegBlocks: 256, DiskSegs: 848, ReservedSegs: 2, MaxInodes: 4096, CacheSegs: 96, TableBlocks: 77,
+		TertDevs: []addr.Geom{{Vols: 32, SegsPerVol: 40}}}
+	sb.encode(valid)
+	overrun := bytes.Clone(valid[:48])
+	binary.LittleEndian.PutUint32(overrun[28:], 0xFFFFFFFF)
+	f.Add(valid[:48])
+	f.Add(overrun)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b := make([]byte, BlockSize)
+		copy(b, in)
+		var got, again Superblock
+		if got.decode(b) != nil {
+			return
+		}
+		clear(b)
+		got.encode(b)
+		if err := again.decode(b); err != nil || !reflect.DeepEqual(got, again) {
+			t.Fatalf("round trip: %+v, then %+v (%v)", got, again, err)
+		}
+	})
+}
+
+// FuzzCheckpointDecode: whatever a checkpoint block holds, decode does not
+// panic, and a checkpoint it accepts encodes to a block that decodes the
+// same. The block (the input, then zeroes) is tried as given and with its
+// checksum recomputed, without which no mutation gets past the checksum.
+func FuzzCheckpointDecode(f *testing.F) {
+	valid := make([]byte, BlockSize)
+	(&checkpoint{Serial: 42, Time: 1e12, CurSeg: 17, CurOff: 300, NextInum: 99, Region: 1}).encode(valid)
+	f.Add(valid[:40])
+	f.Fuzz(func(t *testing.T, in []byte) {
+		b := make([]byte, BlockSize)
+		copy(b, in)
+		for _, resum := range []bool{false, true} {
+			if resum {
+				binary.LittleEndian.PutUint32(b[36:], crc32.Checksum(b[:32], crcTab))
+			}
+			var got, again checkpoint
+			if !got.decode(b) {
+				continue
+			}
+			blk := make([]byte, BlockSize)
+			got.encode(blk)
+			if !again.decode(blk) || again != got {
+				t.Fatalf("round trip: %+v, then %+v", got, again)
+			}
+		}
+	})
 }
 
 func TestCheckpointLayout(t *testing.T) {

@@ -152,14 +152,23 @@ func TestSparseFileReadsZero(t *testing.T) {
 		if err := e.fs.FlushCaches(p); err != nil {
 			t.Fatal(err)
 		}
+		// Block 5 is a hole in the inode's direct pointers, block 15 one
+		// under the single indirect block, whose slot was never assigned.
 		buf := make([]byte, BlockSize)
-		if _, err := f.ReadAt(p, buf, 5*BlockSize); err != nil {
+		for _, lbn := range []int64{5, 15} {
+			if _, err := f.ReadAt(p, buf, lbn*BlockSize); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, make([]byte, BlockSize)) {
+				t.Fatalf("hole at block %d not zero", lbn)
+			}
+		}
+		refs, err := e.fs.FileBlockRefs(p, f.Inum())
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range buf {
-			if b != 0 {
-				t.Fatal("hole not zero")
-			}
+		if len(refs) != 2 || refs[0].Lbn != 20 || refs[1].Lbn != LbnSingle || refs[0].Addr == 0 || refs[1].Addr == 0 {
+			t.Fatalf("FileBlockRefs %+v, want block 20 and the single indirect block, neither at address 0", refs)
 		}
 		got := make([]byte, 100)
 		if _, err := f.ReadAt(p, got, 20*BlockSize); err != nil && err != io.EOF {

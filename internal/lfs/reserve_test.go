@@ -116,10 +116,10 @@ func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 			op := rng.Intn(12)
 			what := fmt.Sprintf("step %d op %d on %s", step, op, name)
 			switch {
-			case op == 0 || len(want) == 0: // write, past the end only within its last block: a whole-block hole under an indirect block reads block 0 (ROADMAP)
-				off := rng.Intn(blocksFor(len(want))*BlockSize + 1)
+			case op == 0 || len(want) == 0: // write, up to three blocks past the end: whole-block holes, under indirect blocks too
+				off := rng.Intn((blocksFor(len(want))+3)*BlockSize + 1)
 				if name == "/f0" {
-					off = max(0, len(want)-rng.Intn(4*BlockSize))
+					off = max(0, len(want)-rng.Intn(4*BlockSize)) + rng.Intn(3)*BlockSize
 				}
 				want = append(want, make([]byte, max(0, off-len(want)))...)
 				data := pattern(byte(step), 1+rng.Intn(20*BlockSize))

@@ -175,9 +175,9 @@ func TestMediaWritesMatchGolden(t *testing.T) {
 // TestPointerMapAgainstModel grows a dense file past its first
 // double-indirect child, then overwrites, extends, truncates to block
 // boundaries, flushes and drops the caches at random, and compares every
-// block with a model after each step. Every write starts at or before the
-// end of the file: a hole under a flushed indirect block reads block 0
-// instead of zeroes (ROADMAP item 1, still open), so the test leaves none.
+// block with a model after each step. An extending write starts up to three
+// blocks past the end of the file, so whole-block holes land under indirect
+// blocks and must read as zeroes after a flush.
 func TestPointerMapAgainstModel(t *testing.T) {
 	e := newEnv(t, 128, 160, Options{MaxInodes: 16, BufferBytes: 1 << 20})
 	e.run(t, func(p *sim.Proc) {
@@ -201,16 +201,17 @@ func TestPointerMapAgainstModel(t *testing.T) {
 			var what string
 			blocks := (len(model) + BlockSize - 1) / BlockSize
 			switch op := rng.Intn(10); {
-			case op < 5: // overwrite, or extend from near the end; never past it
+			case op < 5: // overwrite, or extend from a block before the end to three past it
 				off, n := rng.Intn(len(model)+1), 1+rng.Intn(64*BlockSize)
 				if op >= 3 {
-					off, n = max(0, len(model)-rng.Intn(BlockSize)), 1+rng.Intn(1000*BlockSize)
+					off, n = max(0, len(model)-BlockSize+rng.Intn(4*BlockSize)), 1+rng.Intn(1000*BlockSize)
 				}
 				data := pattern(byte(step), n)
 				what = fmt.Sprintf("step %d: write %d bytes at %d", step, len(data), off)
 				if _, err := f.WriteAt(p, data, int64(off)); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
+				model = append(model, make([]byte, max(0, off-len(model)))...)
 				model = append(model[:off:off], append(data, model[min(off+len(data), len(model)):]...)...)
 			case op < 7: // truncate to a block boundary: by a few blocks, or anywhere
 				size := max(0, blocks-rng.Intn(40)) * BlockSize

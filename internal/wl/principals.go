@@ -3,6 +3,7 @@ package wl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hsm"
 	"repro/internal/sim"
@@ -77,7 +78,7 @@ func RunPrincipals(p *sim.Proc, hs *hsm.Service, specs []PrincipalSpec) ([]Princ
 				}
 				path := spec.Paths[rng.Intn(len(spec.Paths))]
 				op := hsm.OpStageIn
-				if spec.PinEvery > 0 && (i+1)%spec.PinEvery == 0 && !contains(pinned, path) {
+				if spec.PinEvery > 0 && (i+1)%spec.PinEvery == 0 && !slices.Contains(pinned, path) {
 					op = hsm.OpPin
 				}
 				st.Submitted++
@@ -111,13 +112,4 @@ func RunPrincipals(p *sim.Proc, hs *hsm.Service, specs []PrincipalSpec) ([]Princ
 		allDone.Wait(p)
 	}
 	return stats, nil
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package wl
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/addr"
@@ -71,21 +72,26 @@ func TestLargeObjectOnFFS(t *testing.T) {
 	})
 }
 
+// newTreeHL formats a small HighLight on a fresh kernel inside p's process.
+func newTreeHL(tb testing.TB, k *sim.Kernel, p *sim.Proc) *core.HighLight {
+	tb.Helper()
+	hl, err := core.New(p, core.Config{
+		SegBlocks: 16,
+		Disks:     []dev.BlockDev{dev.NewDisk(k, dev.RZ57, 128*16, nil)},
+		Jukeboxes: []jukebox.Footprint{jukebox.MustNew(k, jukebox.MO6300, 2, 2, 16, 16*lfs.BlockSize, nil)},
+		CacheSegs: 8,
+		MaxInodes: 256,
+	}, true)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return hl
+}
+
 func TestBuildTreeAndScan(t *testing.T) {
 	k := sim.NewKernel()
-	disk := dev.NewDisk(k, dev.RZ57, 128*16, nil)
-	juke := jukebox.MustNew(k, jukebox.MO6300, 2, 2, 16, 16*lfs.BlockSize, nil)
 	k.RunProc(func(p *sim.Proc) {
-		hl, err := core.New(p, core.Config{
-			SegBlocks: 16,
-			Disks:     []dev.BlockDev{disk},
-			Jukeboxes: []jukebox.Footprint{juke},
-			CacheSegs: 8,
-			MaxInodes: 256,
-		}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		hl := newTreeHL(t, k, p)
 		paths, err := BuildTree(p, hl, TreeSpec{Dirs: 3, FilesPerDir: 4, FileBlocks: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -113,6 +119,82 @@ func TestBuildTreeAndScan(t *testing.T) {
 		}
 	})
 	k.Stop()
+}
+
+// TestBuildTreeContent: with jittered sizes, each file read back from the
+// media holds byte(d*31 + fi*7 + i) at offset i and has the size of its
+// seeded draw, drawn in file order; the largest size the spec allows is drawn
+// at least once, so the shared buffer is filled to its end. A spec of zero
+// blocks writes empty files.
+func TestBuildTreeContent(t *testing.T) {
+	k := sim.NewKernel()
+	k.RunProc(func(p *sim.Proc) {
+		hl := newTreeHL(t, k, p)
+		for _, spec := range []TreeSpec{
+			{Dirs: 3, FilesPerDir: 5, FileBlocks: 4, SizeJitterPct: 75, Seed: 1993, PathPrefix: "/j"},
+			{Dirs: 2, FilesPerDir: 2, FileBlocks: 0, SizeJitterPct: 25, Seed: 1, PathPrefix: "/z"},
+		} {
+			if err := hl.FS.Mkdir(p, spec.PathPrefix); err != nil {
+				t.Fatal(err)
+			}
+			paths, err := BuildTree(p, hl, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := hl.FS.FlushCaches(p); err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(spec.Seed)
+			largest := 0
+			for n, path := range paths {
+				d, fi := n/spec.FilesPerDir, n%spec.FilesPerDir
+				blocks := spec.FileBlocks + rng.Intn(spec.FileBlocks*spec.SizeJitterPct/100+1)
+				largest = max(largest, blocks)
+				want := make([]byte, blocks*lfs.BlockSize)
+				for i := range want {
+					want[i] = byte(d*31 + fi*7 + i)
+				}
+				f, err := hl.FS.Open(p, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, len(want)+1)
+				m, err := f.ReadAt(p, got, 0)
+				if err != io.EOF {
+					t.Fatalf("%s: read %d bytes, error %v, want EOF", path, m, err)
+				}
+				if !bytes.Equal(got[:m], want) {
+					t.Fatalf("%s: %d bytes differ from the %d-block pattern", path, m, blocks)
+				}
+			}
+			if len(paths) != spec.Dirs*spec.FilesPerDir || largest != spec.FileBlocks*(100+spec.SizeJitterPct)/100 {
+				t.Fatalf("%s: %d files, largest %d blocks", spec.PathPrefix, len(paths), largest)
+			}
+		}
+	})
+	k.Stop()
+}
+
+// BenchmarkBuildTree builds the migrate workload's small tree (40 files of
+// 12-15 blocks) on a fresh HighLight per iteration, the format outside the
+// timer. B/op is the generator's one buffer plus what lfs allocates to write
+// the tree.
+func BenchmarkBuildTree(b *testing.B) {
+	spec := TreeSpec{Dirs: 4, FilesPerDir: 10, FileBlocks: 12, SizeJitterPct: 25, Seed: 1993}
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		k.RunProc(func(p *sim.Proc) {
+			hl := newTreeHL(b, k, p)
+			b.StartTimer()
+			if _, err := BuildTree(p, hl, spec); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+		})
+		k.Stop()
+	}
 }
 
 func TestSequentialScanFirstByteBeforeTotal(t *testing.T) {
