@@ -62,6 +62,17 @@ type BlockDev interface {
 	NumBlocks() int64
 }
 
+// Adopter is a BlockDev that can take a write's bytes by reference instead
+// of copying them. AdoptBlocks costs what WriteBlocks costs and reads back
+// the same, but it may keep buf: the caller hands it over for good and must
+// never change it again (a jukebox's lent segment image, which never
+// changes). A later write into the range copies before it changes anything,
+// so buf stays as it was.
+type Adopter interface {
+	BlockDev
+	AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error
+}
+
 // Bus is a shared I/O bus (e.g. one SCSI chain). Devices hold the bus for
 // the host-transfer portion of each request; the robotic autochanger in
 // package jukebox holds it for entire media swaps, reproducing the
@@ -451,6 +462,18 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // WriteBlocks implements BlockDev, with the same MAXPHYS chunking as
 // ReadBlocks.
 func (d *Disk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.write(p, blk, buf, false)
+}
+
+// AdoptBlocks implements Adopter: WriteBlocks, in the same virtual time,
+// except that a write-through disk nobody watches keeps each whole, aligned
+// 64 KB chunk of buf by reference. A write cache or an OnMediaWrite hook
+// copies, as WriteBlocks does, so both see every block as before.
+func (d *Disk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.write(p, blk, buf, true)
+}
+
+func (d *Disk) write(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
 	if err := d.checkRange("write", blk, len(buf)); err != nil {
 		return err
 	}
@@ -477,9 +500,12 @@ func (d *Disk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
 		nb := int64(n / BlockSize)
-		if d.wcap == 0 {
+		switch {
+		case adopt && d.wcap == 0 && d.OnMediaWrite == nil:
+			d.store.adopt(blk, chunk)
+		case d.wcap == 0:
 			d.applyMedia(blk, chunk)
-		} else {
+		default:
 			for i := int64(0); i < nb; i++ {
 				d.cacheWrite(blk+i, chunk[i*BlockSize:(i+1)*BlockSize])
 			}

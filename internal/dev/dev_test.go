@@ -393,3 +393,23 @@ func BenchmarkDiskWrite1MB(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDiskAdopt1MB is the adopting twin of BenchmarkDiskWrite1MB in
+// `make bench-layers`: a 1 MB image taken by reference, as a demand fetch
+// writes a cache line. It runs write-through (a write cache copies, as
+// WriteBlocks does), so what it measures is the timing model alone.
+func BenchmarkDiskAdopt1MB(b *testing.B) {
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 1024, nil)
+	img := make([]byte, 1<<20)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(img)))
+	k.RunProc(func(p *sim.Proc) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.AdoptBlocks(p, int64(i%4)*256, img); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -8,15 +8,17 @@ const extentBlocks = MaxTransfer / BlockSize
 // media is a platter's contents: a table of MaxTransfer-byte extents, each
 // allocated on its first write, with one written-bit per block. A block that
 // was never written reads as zeroes (its extent is absent, or still zero
-// there) and appears in no snapshot or image.
+// there) and appears in no snapshot or image. An adopted extent is another
+// medium's immutable bytes, shared until the first write into it copies them.
 type media struct {
 	ext     []*[MaxTransfer]byte
 	written []uint16 // bit i of written[e]: block e*extentBlocks+i was written
+	shared  []bool   // ext[e] was adopted: not ours to write
 }
 
 func newMedia(nblocks int64) media {
 	n := (nblocks + extentBlocks - 1) / extentBlocks
-	return media{ext: make([]*[MaxTransfer]byte, n), written: make([]uint16, n)}
+	return media{ext: make([]*[MaxTransfer]byte, n), written: make([]uint16, n), shared: make([]bool, n)}
 }
 
 // write stores data from block blk on, one copy per extent it touches, marks
@@ -25,8 +27,12 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 	for len(data) > 0 {
 		e, i := blk/extentBlocks, int(blk%extentBlocks)
 		n := min(MaxTransfer-i*BlockSize, len(data))
-		if m.ext[e] == nil {
+		switch {
+		case m.ext[e] == nil:
 			m.ext[e] = new([MaxTransfer]byte)
+		case m.shared[e]:
+			x := *m.ext[e]
+			m.ext[e], m.shared[e] = &x, false
 		}
 		copy(m.ext[e][i*BlockSize:], data[:n])
 		nb := (n + BlockSize - 1) / BlockSize
@@ -36,6 +42,16 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 		blk, data = blk+int64(nb), data[n:]
 	}
 	return rewrote
+}
+
+// adopt stores data from block blk on like write, but takes it by reference
+// when it is one whole, aligned extent; data must never change afterwards.
+func (m *media) adopt(blk int64, data []byte) {
+	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer {
+		m.ext[e], m.shared[e], m.written[e] = (*[MaxTransfer]byte)(data), true, 1<<extentBlocks-1
+		return
+	}
+	m.write(blk, data)
 }
 
 // read fills buf, a whole number of blocks, with the blocks from blk on.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -89,8 +90,10 @@ func sameStore(a, b map[int64][]byte) error {
 // reach the last, partial extent), write cache switched on, resized and
 // off, Flush, images saved and loaded back in place later (a power cycle),
 // images saved and loaded into a second disk — and compares every read and
-// every durable image. One run has a media-write observer, which makes
-// direct writes land block by block.
+// every durable image. A third of the writes are adoptions (AdoptBlocks),
+// half of those of whole extents, and no buffer adopted may change after. One
+// run has a media-write observer, which makes direct writes land block by
+// block.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -105,6 +108,7 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			}
 			var saved []byte                // a power-cut image to come back to ...
 			var savedModel map[int64][]byte // ... and the model's durable blocks then
+			var adopted, handed [][]byte    // buffers given to AdoptBlocks, and copies of them
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
 				if rng.IntN(4) == 0 {
@@ -117,15 +121,28 @@ func TestDiskMatchesMapModel(t *testing.T) {
 					switch op := rng.IntN(20); {
 					case op < 8:
 						blk, nb := span()
+						adopt := rng.IntN(3) == 0
+						if adopt && rng.IntN(2) == 0 { // one or two whole extents
+							n := 1 + rng.IntN(2)
+							blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
+						}
 						buf := make([]byte, nb*BlockSize)
 						for i := 0; i < len(buf); i += 8 {
 							binary.LittleEndian.PutUint64(buf[i:], rng.Uint64())
 						}
-						if err := d.WriteBlocks(p, blk, buf); err != nil {
+						if !adopt {
+							if err := d.WriteBlocks(p, blk, buf); err != nil {
+								t.Fatal(err)
+							}
+							m.write(blk, buf)
+							clear(buf) // the disk must not have kept it
+							break
+						}
+						if err := d.AdoptBlocks(p, blk, buf); err != nil {
 							t.Fatal(err)
 						}
 						m.write(blk, buf)
-						clear(buf) // the disk must not have kept it
+						adopted, handed = append(adopted, buf), append(handed, bytes.Clone(buf))
 					case op < 15:
 						blk, nb := span()
 						got := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
@@ -178,6 +195,11 @@ func TestDiskMatchesMapModel(t *testing.T) {
 					}
 					if d.OnMediaWrite != nil && observed != m.applied {
 						t.Fatalf("step %d: observer saw %d media writes, model applied %d", step, observed, m.applied)
+					}
+					for i := range adopted {
+						if !bytes.Equal(adopted[i], handed[i]) {
+							t.Fatalf("step %d: a buffer adopted earlier changed", step)
+						}
 					}
 				}
 			})
@@ -243,9 +265,94 @@ func TestMediaWriteHookSeesTornPrefix(t *testing.T) {
 	}
 }
 
+// TestAdoptedLineCopiesOnWrite: a write into any block of an adopted 1 MB
+// line leaves the adopted image as it was, and the line reads back as the
+// image with that block replaced.
+func TestAdoptedLineCopiesOnWrite(t *testing.T) {
+	const line, nb = 2 * extentBlocks, 1 << 20 / BlockSize
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, line+nb+extentBlocks, nil)
+	img := make([]byte, nb*BlockSize)
+	for i := range img {
+		img[i] = byte(i/BlockSize + 1)
+	}
+	orig := bytes.Clone(img)
+	blk := bytes.Repeat([]byte{0xEE}, BlockSize)
+	got := make([]byte, len(img))
+	k.RunProc(func(p *sim.Proc) {
+		for b := 0; b < nb; b++ {
+			if err := d.AdoptBlocks(p, line, img); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WriteBlocks(p, line+int64(b), blk); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(img, orig) {
+				t.Fatalf("writing block %d of the line changed the adopted image", b)
+			}
+			if err := d.ReadBlocks(p, line, got); err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Clone(orig)
+			copy(want[b*BlockSize:], blk)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("after writing block %d the line does not read as the image with that block replaced", b)
+			}
+		}
+	})
+}
+
+// TestAdoptBlocksUnderWatchIsWriteBlocks: with a write cache or a media-write
+// hook, AdoptBlocks fires the same per-block hooks, at the same virtual
+// times, and leaves the same platter as WriteBlocks, and it has copied: the
+// caller's buffer changing afterwards (which the Adopter contract forbids)
+// changes nothing on the disk.
+func TestAdoptBlocksUnderWatchIsWriteBlocks(t *testing.T) {
+	const nb = 2 * extentBlocks
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprint("write cache ", cached), func(t *testing.T) {
+			run := func(adopt bool) (hooks []string, platter map[int64][]byte) {
+				k := sim.NewKernel()
+				d := NewDisk(k, RZ57, 4*extentBlocks, nil)
+				if cached {
+					d.EnableWriteCache(extentBlocks)
+				}
+				d.OnMediaWrite = func(blk int64) { hooks = append(hooks, fmt.Sprint(k.Now(), blk)) }
+				buf := bytes.Repeat([]byte{0x5A}, nb*BlockSize)
+				k.RunProc(func(p *sim.Proc) {
+					write := d.WriteBlocks
+					if adopt {
+						write = d.AdoptBlocks
+					}
+					if err := write(p, extentBlocks, buf); err != nil {
+						t.Fatal(err)
+					}
+					clear(buf)
+					if err := d.Flush(p); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return hooks, durable(d)
+			}
+			wh, wp := run(false)
+			ah, ap := run(true)
+			if !slices.Equal(ah, wh) {
+				t.Errorf("AdoptBlocks fired hooks %v, WriteBlocks %v", ah, wh)
+			}
+			if err := sameStore(ap, wp); err != nil {
+				t.Errorf("AdoptBlocks left another platter than WriteBlocks: %v", err)
+			}
+			if len(wh) != nb {
+				t.Errorf("%d hooks, want %d", len(wh), nb)
+			}
+		})
+	}
+}
+
 // TestDiskSteadyStateAllocations gates the platter path: reading and
 // rewriting blocks that exist allocates nothing, with or without the write
-// cache, and first touch costs one allocation per MaxTransfer extent.
+// cache, first touch costs one allocation per MaxTransfer extent, and
+// adopting whole extents allocates nothing.
 func TestDiskSteadyStateAllocations(t *testing.T) {
 	const mb = 1 << 20 / BlockSize
 	const runs = 8
@@ -277,6 +384,15 @@ func TestDiskSteadyStateAllocations(t *testing.T) {
 		d.EnableWriteCache(64)
 		if n := testing.AllocsPerRun(runs, rewrite); n != 0 {
 			t.Errorf("write-cache rewrite and read of 1 MB: %v allocations, want 0", n)
+		}
+		d.EnableWriteCache(0)
+		img := make([]byte, 1<<20)
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := d.AdoptBlocks(p, 2*mb, img); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("adopting 1 MB: %v allocations, want 0", n)
 		}
 	})
 }

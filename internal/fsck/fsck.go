@@ -208,12 +208,13 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
+	buf := make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize) // a staging line's image, or a never-written segment's zeroes
 	for _, idx := range idxs {
 		seg := hl.Amap.SegForIndex(idx)
-		raw := make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize)
+		var raw []byte
 		var src string
 		if l, ok := hl.Cache.Peek(idx); ok && l.Staging {
-			src = "staging line"
+			src, raw = "staging line", buf
 			if err := hl.FS.ReadRawBlocks(p, hl.Amap.BlockOf(l.DiskSeg, 0), raw); err != nil {
 				r.addf(fmt.Sprintf("tseg %d", idx), "reading staging image: %v", err)
 				continue
@@ -225,9 +226,14 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 				r.addf(fmt.Sprintf("tseg %d", idx), "no media location")
 				continue
 			}
-			if err := hl.Jukeboxes()[d].ReadSegment(p, v, s, raw); err != nil {
+			var err error
+			if raw, err = hl.Jukeboxes()[d].LendSegment(p, v, s); err != nil {
 				r.addf(fmt.Sprintf("tseg %d", idx), "reading medium: %v", err)
 				continue
+			}
+			if raw == nil {
+				raw = buf
+				clear(raw)
 			}
 		}
 		r.TsegsScrubbed++

@@ -148,8 +148,10 @@ func FuzzJukeboxLoadStore(f *testing.F) {
 	})
 }
 
-// TestSegmentSteadyStateAllocations gates the cartridge path: reading a
-// segment, and rewriting one that exists, allocate nothing.
+// TestSegmentSteadyStateAllocations gates the cartridge path: lending a
+// segment and reading one allocate nothing. Rewriting a segment allocates its
+// new image, one per write, since a lent image never changes; no program path
+// pays that, as a volume is erased before its segments are written again.
 func TestSegmentSteadyStateAllocations(t *testing.T) {
 	k := sim.NewKernel()
 	j := newMO(k, 2, 2, 4)
@@ -157,6 +159,13 @@ func TestSegmentSteadyStateAllocations(t *testing.T) {
 	k.RunProc(func(p *sim.Proc) {
 		if err := j.WriteSegment(p, 0, 1, buf); err != nil {
 			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if _, err := j.LendSegment(p, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("LendSegment: %v allocations, want 0", n)
 		}
 		if n := testing.AllocsPerRun(10, func() {
 			if err := j.ReadSegment(p, 0, 1, buf); err != nil {
@@ -169,16 +178,23 @@ func TestSegmentSteadyStateAllocations(t *testing.T) {
 			if err := j.WriteSegment(p, 0, 1, buf); err != nil {
 				t.Fatal(err)
 			}
-		}); n != 0 {
-			t.Errorf("rewriting WriteSegment: %v allocations, want 0", n)
+		}); n != 1 {
+			t.Errorf("rewriting WriteSegment: %v allocations, want 1 (the new image)", n)
 		}
 	})
 }
 
-// BenchmarkJukeboxReadSegment and BenchmarkJukeboxWriteSegment are the
-// cartridge rows of `make bench-layers`: one 1 MB segment in or out of a
-// loaded volume. The write rewrites a segment that exists, so it measures
-// the copy and not the first touch of the medium.
+// BenchmarkJukeboxLendSegment, BenchmarkJukeboxReadSegment and
+// BenchmarkJukeboxWriteSegment are the cartridge rows of `make bench-layers`:
+// one 1 MB segment lent, read (lent and copied) or written on a loaded
+// volume. The write rewrites a segment that exists: the copy and the new
+// image it installs.
+func BenchmarkJukeboxLendSegment(b *testing.B) {
+	benchSegment(b, func(j *Jukebox, p *sim.Proc, vol, seg int, _ []byte) error {
+		_, err := j.LendSegment(p, vol, seg)
+		return err
+	})
+}
 func BenchmarkJukeboxReadSegment(b *testing.B)  { benchSegment(b, (*Jukebox).ReadSegment) }
 func BenchmarkJukeboxWriteSegment(b *testing.B) { benchSegment(b, (*Jukebox).WriteSegment) }
 

@@ -49,9 +49,12 @@ var (
 // linked into the I/O server; an RPC transport could implement the same
 // interface for a remote jukebox.
 type Footprint interface {
-	// ReadSegment reads segment seg of volume vol into buf (whole
-	// segments only; len(buf) must be SegmentBytes).
-	ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error
+	// LendSegment reads segment seg of volume vol and returns the medium's
+	// image of it, SegmentBytes long, or nil for a segment never written
+	// (it reads as zeroes). The image is lent, not copied: it never changes
+	// afterwards (a rewrite installs a new one), and the caller must not
+	// change it either.
+	LendSegment(p *sim.Proc, vol, seg int) ([]byte, error)
 	// WriteSegment writes segment seg of volume vol from buf. It returns
 	// ErrEndOfMedium if the volume is full.
 	WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error
@@ -132,7 +135,7 @@ type volume struct {
 	nominalSegs int
 	actualSegs  int // may be < nominal when compression falls short
 	full        bool
-	store       [][]byte // by segment, nominalSegs long; nil = never written
+	store       [][]byte // by segment, nominalSegs long; nil = never written; an image never changes once written
 	writes      int64    // write-once bookkeeping
 }
 
@@ -307,15 +310,15 @@ func (j *Jukebox) VolumeLoaded(vol int) bool {
 	return false
 }
 
-func (j *Jukebox) checkArgs(vol, seg int, buf []byte) error {
+func (j *Jukebox) checkArgs(vol, seg, n int) error {
 	if vol < 0 || vol >= len(j.vols) {
 		return fmt.Errorf("%w: volume %d not in [0,%d)", ErrOutOfRange, vol, len(j.vols))
 	}
 	if seg < 0 || seg >= j.vols[vol].nominalSegs {
 		return fmt.Errorf("%w: segment %d not in [0,%d)", ErrOutOfRange, seg, j.vols[vol].nominalSegs)
 	}
-	if len(buf) != j.segBytes {
-		return fmt.Errorf("%w: buffer %d bytes, want %d", ErrOutOfRange, len(buf), j.segBytes)
+	if n != j.segBytes {
+		return fmt.Errorf("%w: buffer %d bytes, want %d", ErrOutOfRange, n, j.segBytes)
 	}
 	return nil
 }
@@ -524,20 +527,33 @@ func (j *Jukebox) position(p *sim.Proc, d *drive, seg int) {
 	}
 }
 
-// ReadSegment implements Footprint.
+// ReadSegment reads segment seg of volume vol into buf, which must be
+// SegmentBytes long: LendSegment, then a copy.
 func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
-	if err := p.CtxErr(); err != nil {
-		return err // canceled/expired request: refuse before touching a drive
-	}
-	if err := j.checkArgs(vol, seg, buf); err != nil {
+	if err := j.checkArgs(vol, seg, len(buf)); err != nil {
 		return err
+	}
+	img, err := j.LendSegment(p, vol, seg)
+	if err == nil && copy(buf, img) == 0 {
+		clear(buf) // never written
+	}
+	return err
+}
+
+// LendSegment implements Footprint.
+func (j *Jukebox) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
+	if err := p.CtxErr(); err != nil {
+		return nil, err // canceled/expired request: refuse before touching a drive
+	}
+	if err := j.checkArgs(vol, seg, j.segBytes); err != nil {
+		return nil, err
 	}
 	if j.Fault != nil {
 		if err := j.Fault("read", vol, seg); err != nil {
 			j.stats.ReadFaults++
 			j.obs.Instant(j.track, "jb.fault", "read",
 				obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
-			return err
+			return nil, err
 		}
 	}
 	start := p.Now()
@@ -553,16 +569,12 @@ func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	d, err := j.driveFor(p, vol, false)
 	if err != nil {
 		tr.StageEnd(st, p.Now())
-		return err
+		return nil, err
 	}
 	j.position(p, d, seg)
 	p.Sleep(xfer(j.segBytes, j.prof.MediaRead))
 	d.pos = seg + 1
-	if src := j.vols[vol].store[seg]; src != nil {
-		copy(buf, src)
-	} else {
-		clear(buf)
-	}
+	img := j.vols[vol].store[seg]
 	d.arm.Release(p)
 	if j.bus != nil {
 		j.bus.Transfer(p, j.segBytes)
@@ -573,7 +585,7 @@ func (j *Jukebox) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.stats.ReadTime += p.Now() - start
 	j.obs.Span(j.track, "jb.read", "ReadSegment", start,
 		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
-	return nil
+	return img, nil
 }
 
 // WriteSegment implements Footprint.
@@ -581,7 +593,7 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	if err := p.CtxErr(); err != nil {
 		return err // canceled/expired request: refuse before touching a drive
 	}
-	if err := j.checkArgs(vol, seg, buf); err != nil {
+	if err := j.checkArgs(vol, seg, len(buf)); err != nil {
 		return err
 	}
 	if j.Fault != nil {
@@ -620,20 +632,22 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.position(p, d, seg)
 	p.Sleep(xfer(j.segBytes, j.prof.MediaWrite))
 	d.pos = seg + 1
-	dst := v.store[seg]
-	if dst == nil {
-		dst = make([]byte, j.segBytes)
-		v.store[seg] = dst
-	}
-	// Apply in two halves with an observation point between them: a power
-	// cut at the first point sees a torn segment (new head, stale tail) —
-	// the case the per-pseg checksums must catch at recovery.
+	// A fresh image replaces the old one, which may be lent out and so
+	// never changes. It is applied in two halves with an observation point
+	// between them: a power cut at the first point sees a torn segment (new
+	// head, stale tail) — the case the per-pseg checksums must catch at
+	// recovery.
+	old, img := v.store[seg], make([]byte, j.segBytes)
 	half := j.segBytes / 2
-	copy(dst[:half], buf[:half])
+	copy(img[:half], buf[:half])
+	if old != nil {
+		copy(img[half:], old[half:])
+	}
+	v.store[seg] = img
 	if j.OnMediaWrite != nil {
 		j.OnMediaWrite(vol, seg)
 	}
-	copy(dst[half:], buf[half:])
+	copy(img[half:], buf[half:])
 	if j.OnMediaWrite != nil {
 		j.OnMediaWrite(vol, seg)
 	}

@@ -72,12 +72,12 @@ func (l *Library) Down() bool { return l.down }
 // operations complete; new ones fail with ErrLibraryOffline.
 func (l *Library) SetDown(down bool) { l.down = down }
 
-// ReadSegment implements Footprint, gating on library health.
-func (l *Library) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
+// LendSegment implements Footprint, gating on library health.
+func (l *Library) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 	if l.down {
-		return fmt.Errorf("%w: %s", ErrLibraryOffline, l.name)
+		return nil, fmt.Errorf("%w: %s", ErrLibraryOffline, l.name)
 	}
-	return l.fp.ReadSegment(p, vol, seg, buf)
+	return l.fp.LendSegment(p, vol, seg)
 }
 
 // WriteSegment implements Footprint, gating on library health.

@@ -30,7 +30,7 @@ func TestLibraryOfflineGating(t *testing.T) {
 		if err := l.WriteSegment(p, 0, 0, buf); err != nil {
 			t.Fatalf("write through healthy library: %v", err)
 		}
-		if err := l.ReadSegment(p, 0, 0, buf); err != nil {
+		if _, err := l.LendSegment(p, 0, 0); err != nil {
 			t.Fatalf("read through healthy library: %v", err)
 		}
 		if l.IdleHealthyDrives() == 0 {
@@ -41,7 +41,7 @@ func TestLibraryOfflineGating(t *testing.T) {
 		if !l.Down() {
 			t.Fatal("SetDown(true) did not mark the library down")
 		}
-		if err := l.ReadSegment(p, 0, 0, buf); !errors.Is(err, ErrLibraryOffline) {
+		if _, err := l.LendSegment(p, 0, 0); !errors.Is(err, ErrLibraryOffline) {
 			t.Fatalf("read from down library: got %v, want ErrLibraryOffline", err)
 		}
 		if err := l.WriteSegment(p, 0, 1, buf); !errors.Is(err, ErrLibraryOffline) {
@@ -61,7 +61,7 @@ func TestLibraryOfflineGating(t *testing.T) {
 		}
 
 		l.SetDown(false)
-		if err := l.ReadSegment(p, 0, 0, buf); err != nil {
+		if _, err := l.LendSegment(p, 0, 0); err != nil {
 			t.Fatalf("read after revival: %v", err)
 		}
 	})

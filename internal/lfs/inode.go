@@ -31,11 +31,10 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*Inode, error) {
 		fs.freeBlock(data)
 		return nil, err
 	}
-	ino := &Inode{}
-	ino.decode(data[int(e.Slot)*InodeSize:])
+	ino, err := inodeAt(data, e, inum)
 	fs.freeBlock(data)
-	if ino.Inum != inum {
-		return nil, fmt.Errorf("lfs: inode block at %d slot %d holds inum %d, want %d", e.Addr, e.Slot, ino.Inum, inum)
+	if err != nil {
+		return nil, err
 	}
 	fs.inodes[inum] = ino
 	return ino, nil

@@ -153,6 +153,25 @@ func (e *ImapEntry) decode(b []byte) {
 	e.Atime = int64(binary.LittleEndian.Uint64(b[12:]))
 }
 
+// ErrBadInode is returned for an inode-map entry that does not name the
+// inode it maps: a slot past the end of an inode block, or one that holds
+// another inode.
+var ErrBadInode = errors.New("lfs: inode map and inode block disagree")
+
+// inodeAt decodes inode inum from data, its inode block, at the slot the
+// inode-map entry e names.
+func inodeAt(data []byte, e ImapEntry, inum uint32) (*Inode, error) {
+	if e.Slot >= InodesPerBlock {
+		return nil, fmt.Errorf("%w: inode %d at slot %d of block %d, which has %d", ErrBadInode, inum, e.Slot, e.Addr, InodesPerBlock)
+	}
+	ino := &Inode{}
+	ino.decode(data[int(e.Slot)*InodeSize:])
+	if ino.Inum != inum {
+		return nil, fmt.Errorf("%w: inode block at %d slot %d holds inum %d, want %d", ErrBadInode, e.Addr, e.Slot, ino.Inum, inum)
+	}
+	return ino, nil
+}
+
 // Inode is the in-memory and (via encode/decode) on-media inode.
 type Inode struct {
 	Inum    uint32

@@ -11,6 +11,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/addr"
+	"repro/internal/dev"
+	"repro/internal/sim"
 )
 
 // TestSummaryLayout verifies the Table 1 partial-segment summary block:
@@ -372,4 +374,78 @@ func TestDirentsDoNotSpanBlocks(t *testing.T) {
 	if !reflect.DeepEqual(ents, got) {
 		t.Fatal("boundary-heavy dirent round trip failed")
 	}
+}
+
+// TestCorruptImapSlotIsAnError: a checkpointed inode-map entry whose slot
+// lies past the end of its inode block makes opening the file fail with
+// ErrBadInode after a remount; it used to slice past the block and panic.
+func TestCorruptImapSlotIsAnError(t *testing.T) {
+	k := sim.NewKernel()
+	amap := addr.New(32, 64)
+	disk := dev.NewDisk(k, dev.RZ57, int64(64*32), nil)
+	k.RunProc(func(p *sim.Proc) {
+		fs, err := Format(p, DiskDevice{disk}, amap, Options{MaxInodes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inum := writeFile(t, p, fs, "/f", pattern(1, BlockSize)).Inum()
+		if err := fs.Sync(p); err != nil {
+			t.Fatal(err)
+		}
+		fs.imap[inum].Slot = 40
+		if err := fs.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	k.RunProc(func(p *sim.Proc) {
+		fs, err := Mount(p, DiskDevice{disk}, amap, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Open(p, "/f"); !errors.Is(err, ErrBadInode) {
+			t.Fatalf("opening a file whose inode-map slot is 40: %v, want ErrBadInode", err)
+		}
+	})
+}
+
+// FuzzInodeDecode: whatever an inode-map entry and the inode block it points
+// at hold, inodeAt returns an inode or ErrBadInode and does not panic; an
+// inode it accepts is inum's and encodes to a slot that decodes the same, and
+// every entry encodes to bytes that decode the same.
+func FuzzInodeDecode(f *testing.F) {
+	ent, blk := make([]byte, ImapSize), make([]byte, BlockSize)
+	(&ImapEntry{Addr: 700, Slot: 3, Version: 2, Atime: 5e9}).encode(ent)
+	(&Inode{Inum: 9, Version: 2, Type: TypeFile, Nlink: 1, Size: 12345, Single: 800}).encode(blk[3*InodeSize:])
+	f.Add(ent, blk[:4*InodeSize], uint32(9))
+	past := bytes.Clone(ent)
+	binary.LittleEndian.PutUint32(past[4:], 40)
+	f.Add(past, blk[:4*InodeSize], uint32(9))
+	f.Fuzz(func(t *testing.T, entry, block []byte, inum uint32) {
+		var e, again ImapEntry
+		b := make([]byte, BlockSize)
+		copy(b, entry)
+		e.decode(b)
+		clear(b)
+		e.encode(b)
+		if again.decode(b); again != e {
+			t.Fatalf("imap entry round trip: %+v, then %+v", e, again)
+		}
+		clear(b)
+		copy(b, block)
+		ino, err := inodeAt(b, e, inum)
+		if err != nil {
+			if !errors.Is(err, ErrBadInode) {
+				t.Fatalf("error %v is not ErrBadInode", err)
+			}
+			return
+		}
+		if ino.Inum != inum {
+			t.Fatalf("accepted inode %d for inum %d", ino.Inum, inum)
+		}
+		clear(b)
+		ino.encode(b[int(e.Slot)*InodeSize:])
+		if got, err := inodeAt(b, e, inum); err != nil || *got != *ino {
+			t.Fatalf("inode round trip: %+v, then %+v (%v)", *ino, got, err)
+		}
+	})
 }

@@ -11,7 +11,9 @@ import (
 // TestBlockDevContract checks, for every BlockDev the data path runs on,
 // the two properties the dev.BlockDev comment states and buffer reuse
 // relies on: WriteBlocks keeps no reference to the caller's buffer, and
-// ReadBlocks overwrites every byte of it.
+// ReadBlocks overwrites every byte of it. Each device has an AdoptBlocks row
+// too, for the dev.Adopter contract: what was adopted reads back, and a later
+// write into the range leaves the adopted buffer as it was.
 func TestBlockDevContract(t *testing.T) {
 	const unit = 4
 	disks := func(k *sim.Kernel, n int) []dev.BlockDev {
@@ -48,6 +50,29 @@ func TestBlockDevContract(t *testing.T) {
 			return il
 		}},
 	} {
+		pattern := func(nb int) []byte {
+			b := make([]byte, nb*dev.BlockSize)
+			for i := range b {
+				b[i] = byte(i*13 + i>>9)
+			}
+			return b
+		}
+		// check reads a wider range than [blk, blk+len(want)) into a dirty
+		// buffer: zeroes around it, want inside.
+		check := func(t *testing.T, p *sim.Proc, d dev.BlockDev, blk int64, want []byte) {
+			const pre, post = 9, 7
+			got := bytes.Repeat([]byte{0xDB}, pre*dev.BlockSize+len(want)+post*dev.BlockSize)
+			if err := d.ReadBlocks(p, blk-pre, got); err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			zero := func(b []byte) bool { return len(bytes.Trim(b, "\x00")) == 0 }
+			if !zero(got[:pre*dev.BlockSize]) || !zero(got[pre*dev.BlockSize+len(want):]) {
+				t.Error("never-written blocks did not read back as zeroes into a dirty buffer")
+			}
+			if !bytes.Equal(got[pre*dev.BlockSize:pre*dev.BlockSize+len(want)], want) {
+				t.Error("read differs from what was written: the device kept the caller's buffer, or left bytes of the read buffer unfilled")
+			}
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			d := tc.make(k)
@@ -56,10 +81,7 @@ func TestBlockDevContract(t *testing.T) {
 				// concatenated farm's first component boundary: partial
 				// rows, full rows and coalesced transfers all occur.
 				const blk, nb = 50, 43
-				want := make([]byte, nb*dev.BlockSize)
-				for i := range want {
-					want[i] = byte(i*13 + i>>9)
-				}
+				want := pattern(nb)
 				buf := bytes.Clone(want)
 				if err := d.WriteBlocks(p, blk, buf); err != nil {
 					t.Fatalf("write: %v", err)
@@ -67,19 +89,32 @@ func TestBlockDevContract(t *testing.T) {
 				for i := range buf {
 					buf[i] = 0xDB // the caller reuses its buffer at once
 				}
-				// Read a wider range than was written, into a dirty buffer.
-				const pre, post = 9, 7
-				got := bytes.Repeat([]byte{0xDB}, (pre+nb+post)*dev.BlockSize)
-				if err := d.ReadBlocks(p, blk-pre, got); err != nil {
-					t.Fatalf("read: %v", err)
+				check(t, p, d, blk, want)
+			})
+		})
+		t.Run(tc.name+", AdoptBlocks", func(t *testing.T) {
+			k := sim.NewKernel()
+			d := tc.make(k)
+			k.RunProc(func(p *sim.Proc) {
+				// Two whole 64 KB extents at the start of the concatenated
+				// farm's second component: what a disk or a one-component
+				// concatenated request takes by reference.
+				const blk, nb = 64, 32
+				img := pattern(nb)
+				if err := d.(dev.Adopter).AdoptBlocks(p, blk, img); err != nil {
+					t.Fatalf("adopt: %v", err)
 				}
-				zero := func(b []byte) bool { return len(bytes.Trim(b, "\x00")) == 0 }
-				if !zero(got[:pre*dev.BlockSize]) || !zero(got[(pre+nb)*dev.BlockSize:]) {
-					t.Error("never-written blocks did not read back as zeroes into a dirty buffer")
+				check(t, p, d, blk, pattern(nb))
+				over := bytes.Repeat([]byte{0xEE}, 3*dev.BlockSize)
+				if err := d.WriteBlocks(p, blk+14, over); err != nil { // across the two extents
+					t.Fatalf("write: %v", err)
 				}
-				if !bytes.Equal(got[pre*dev.BlockSize:(pre+nb)*dev.BlockSize], want) {
-					t.Error("read differs from what was written: the device kept the caller's buffer, or left bytes of the read buffer unfilled")
+				if !bytes.Equal(img, pattern(nb)) {
+					t.Error("a write into the adopted range changed the adopted buffer")
 				}
+				want := pattern(nb)
+				copy(want[14*dev.BlockSize:], over)
+				check(t, p, d, blk, want)
 			})
 		})
 	}

@@ -244,8 +244,9 @@ func (f *Farm) split(dst []extent, blk int64, buf []byte) []extent {
 }
 
 // do validates a request, opens its stripe-io trace stage (labelled with
-// direction and size) and runs it.
-func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
+// direction and size) and runs it. adopt marks a write whose buf may be kept
+// (dev.Adopter).
+func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, adopt bool) error {
 	if len(buf)%dev.BlockSize != 0 {
 		return fmt.Errorf("stripe: buffer %d bytes not block-aligned", len(buf))
 	}
@@ -270,7 +271,7 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
 	case f.parity:
 		err = f.writeParity(p, blk, nb, buf)
 	default:
-		err = f.writeBlocks(p, blk, buf)
+		err = f.writeBlocks(p, blk, buf, adopt)
 	}
 	tr.StageEnd(st, p.Now())
 	return err
@@ -278,12 +279,20 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write bool) error {
 
 // ReadBlocks implements dev.BlockDev.
 func (f *Farm) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, false)
+	return f.do(p, blk, buf, false, false)
 }
 
 // WriteBlocks implements dev.BlockDev.
 func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, true)
+	return f.do(p, blk, buf, true, false)
+}
+
+// AdoptBlocks implements dev.Adopter. A concatenated farm passes a request
+// that falls on one component to that component's AdoptBlocks, when it has
+// one; every other request is a WriteBlocks (a parity farm reads the data
+// to compute parity anyway).
+func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return f.do(p, blk, buf, true, true)
 }
 
 func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
@@ -326,10 +335,16 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 }
 
 // writeBlocks is the write path of a farm without parity.
-func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte) error {
+func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
 	var few [4]extent
+	exts := f.split(few[:0], blk, buf)
+	if adopt && f.unit == 0 && len(exts) == 1 && !f.failed[exts[0].disk] {
+		if a, ok := f.devs[exts[0].disk].(dev.Adopter); ok {
+			return a.AdoptBlocks(p, exts[0].phys, exts[0].buf)
+		}
+	}
 	groups := make([][]op, len(f.devs))
-	for _, e := range f.split(few[:0], blk, buf) {
+	for _, e := range exts {
 		if f.failed[e.disk] {
 			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 		}

@@ -28,16 +28,16 @@ type recLib struct {
 	reads           map[int]int // successful reads, by volume segment
 }
 
-func (r *recLib) ReadSegment(p *sim.Proc, vol, seg int, buf []byte) error {
+func (r *recLib) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 	*r.log = append(*r.log, fmt.Sprintf("%s %d read lib%d vol%d seg%d", p.Name(), p.Now(), r.lib.ID(), vol, seg))
 	r.inflight++
 	r.worst = max(r.worst, r.inflight)
-	err := r.Jukebox.ReadSegment(p, vol, seg, buf)
+	img, err := r.Jukebox.LendSegment(p, vol, seg)
 	r.inflight--
 	if err == nil {
 		r.reads[vol*100+seg]++
 	}
-	return err
+	return img, err
 }
 
 func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
@@ -45,7 +45,8 @@ func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	return r.Jukebox.WriteSegment(p, vol, seg, buf)
 }
 
-// recDisk logs when each cache-line write of the I/O processes began and ended.
+// recDisk logs when each cache-line write of the I/O processes began and
+// ended, whether it copies (WriteBlocks) or adopts (AdoptBlocks).
 type recDisk struct {
 	*dev.Disk
 	writes *[][2]sim.Time
@@ -54,6 +55,13 @@ type recDisk struct {
 func (d recDisk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	t0 := p.Now()
 	err := d.Disk.WriteBlocks(p, blk, buf)
+	*d.writes = append(*d.writes, [2]sim.Time{t0, p.Now()})
+	return err
+}
+
+func (d recDisk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	t0 := p.Now()
+	err := d.Disk.AdoptBlocks(p, blk, buf)
 	*d.writes = append(*d.writes, [2]sim.Time{t0, p.Now()})
 	return err
 }

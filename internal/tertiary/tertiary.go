@@ -8,7 +8,10 @@
 // The data path deliberately preserves the paper's double copy (§7.2):
 // a demand-fetched segment travels tertiary → I/O process memory → raw
 // disk, and is then re-read through the file system — the measured
-// inefficiency of Table 3.
+// inefficiency of Table 3. Virtual time charges both copies in full. The
+// host makes neither: the changer lends its immutable segment image
+// (jukebox.Footprint.LendSegment) and the cache line adopts it
+// (dev.Adopter), so the bytes are shared until one side writes.
 package tertiary
 
 import (
@@ -132,7 +135,7 @@ type Service struct {
 	k     *sim.Kernel
 	amap  *addr.Map
 	libs  []*jukebox.Library
-	disk  dev.BlockDev
+	disk  dev.Adopter // the farm holding the cache lines
 	cache *cache.Cache
 
 	reqs     *sim.Chan
@@ -210,7 +213,7 @@ type BreakerGate interface {
 // New creates the service over the given libraries and cache and starts the
 // service and I/O daemon processes. o is the observability domain the
 // service and I/O processes trace into (nil disables instrumentation).
-func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, disk dev.BlockDev, c *cache.Cache) *Service {
+func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, disk dev.Adopter, c *cache.Cache) *Service {
 	s := &Service{
 		k:       k,
 		amap:    amap,
@@ -909,6 +912,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				cc.SetTrace(r.tr)
 				restore = p.PushCtx(cc)
 			}
+			var img []byte // lent by the changer; nil for a never-written segment
 			var err error
 			for _, c := range r.copies {
 				d, vol, volseg, lerr := s.locate(c)
@@ -917,7 +921,10 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					continue
 				}
 				t0 := p.Now()
-				err = s.withRetry(p, func() error { return s.libs[d].ReadSegment(p, vol, volseg, buf) })
+				err = s.withRetry(p, func() (err error) {
+					img, err = s.libs[d].LendSegment(p, vol, volseg)
+					return err
+				})
 				s.obs.Span("tertiary.io", "fp.read", "ReadSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "copy", Val: int64(c)})
 				if s.Breaker != nil {
@@ -944,9 +951,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			}
 			if err == nil {
 				t0 := p.Now()
-				err = s.withRetry(p, func() error {
-					return s.disk.WriteBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), buf)
-				})
+				err = s.withRetry(p, func() error { return s.writeLine(p, r.seg, img, buf) })
 				s.obs.Span("tertiary.io", "io.write", "WriteBlocks", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
@@ -982,6 +987,18 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			s.free[lib]++
 		}
 	}
+}
+
+// writeLine writes a fetched segment to cache line seg: the lent image by
+// reference, a never-written segment (nil) as the zeroes of the process's
+// own buffer.
+func (s *Service) writeLine(p *sim.Proc, seg addr.SegNo, img, buf []byte) error {
+	blk := int64(s.amap.BlockOf(seg, 0))
+	if img == nil {
+		clear(buf)
+		return s.disk.WriteBlocks(p, blk, buf)
+	}
+	return s.disk.AdoptBlocks(p, blk, img)
 }
 
 // locate resolves a tertiary segment index to (device, volume, volseg).
