@@ -51,9 +51,11 @@ crash:
 # MigrateFiles callers at once, and late line binding (a failed fetch evicts
 # nothing, the line hit in flight is not the victim, an arrival with no line to
 # be had defers to the copy-out queued behind it, eight readers over two
-# libraries under segmented and plain LRU). -count=1 forces fresh runs. The kernel's own
-# tests run three times over: every proc is a coroutine the dispatcher
-# switches to, so its state crosses goroutines on every event.
+# libraries under segmented and plain LRU), and HSM requests from two procs
+# at once (two pins of one file, the multi-principal double run). -count=1
+# forces fresh runs. The kernel's own tests run three times over: every proc
+# is a coroutine the dispatcher switches to, so its state crosses goroutines
+# on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend'
@@ -61,6 +63,7 @@ soak:
 	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
+	$(GO) test -race -count=1 ./internal/hsm/ -run 'Concurrent|DoubleRun'
 
 # Ten seconds of coverage-guided fuzzing per parser of what is on the media:
 # the two device images, the superblock and checkpoint blocks a mount reads
@@ -127,7 +130,7 @@ loc:
 # The total of `make loc` may not exceed LOC_MAX: the total of the last PR
 # that lowered it. A PR that lowers the total lowers LOC_MAX to its own; one
 # that must raise it says why in the same diff.
-LOC_MAX = 25138
+LOC_MAX = 24982
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

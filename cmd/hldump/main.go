@@ -19,7 +19,7 @@
 //	            (-track and -cat narrow it to comma-separated track and
 //	            category lists)
 //	-requests   the HSM request ledger: stage/pin/unpin/evict requests
-//	            with queue states and outcomes (the demo runs a small
+//	            with their states and outcomes (the demo runs a small
 //	            scripted HSM session so the ledger is non-empty)
 //	-pins       active HSM pins and the segments they hold in the cache
 //	-quotas     per-principal HSM quota standing (staged/pinned usage
@@ -91,7 +91,7 @@ func main() {
 	timeline := flag.Bool("timeline", false, "virtual-time event timeline + observability summary of the demo run")
 	track := flag.String("track", "", "comma-separated list of tracks to keep in -timeline (empty = all)")
 	cat := flag.String("cat", "", "comma-separated list of categories to keep in -timeline (empty = the default pipeline set)")
-	requests := flag.Bool("requests", false, "HSM request ledger (stage/pin/unpin queue states and outcomes)")
+	requests := flag.Bool("requests", false, "HSM request ledger (stage/pin/unpin states and outcomes)")
 	pins := flag.Bool("pins", false, "active HSM pins and their pinned segments")
 	quotas := flag.Bool("quotas", false, "per-principal HSM quota standing")
 	why := flag.Int("why", -1, "print the heat record and audited decision chain for this tertiary segment")
@@ -493,7 +493,7 @@ func recoveryDemo() error {
 // so the ledger, pin set, and quota report all have something to show.
 // For a loaded image it just attaches and reports the persisted state.
 func attachHSM(p *sim.Proc, hl *core.HighLight, demo bool) (*hsm.Service, error) {
-	s, err := hsm.Attach(p, hl, hsm.Config{})
+	s, err := hsm.Attach(p, hl)
 	if err != nil {
 		return nil, err
 	}
@@ -510,19 +510,19 @@ func attachHSM(p *sim.Proc, hl *core.HighLight, demo bool) (*hsm.Service, error)
 	if err := s.SetQuota(p, "guest", hsm.Quota{StagedHard: 8 * lfs.BlockSize}); err != nil {
 		return nil, err
 	}
-	if _, err := s.SubmitWait(p, hsm.OpStageIn, "/beta", "analyst"); err != nil {
+	if _, err := s.Submit(p, hsm.OpStageIn, "/beta", "analyst"); err != nil {
 		return nil, fmt.Errorf("stage-in /beta: %w", err)
 	}
-	if _, err := s.SubmitWait(p, hsm.OpPin, "/beta", "analyst"); err != nil {
+	if _, err := s.Submit(p, hsm.OpPin, "/beta", "analyst"); err != nil {
 		return nil, fmt.Errorf("pin /beta: %w", err)
 	}
-	// Two deliberate failures for the ledger and the audit trail: guest's
-	// stage-in is shed at admission (over its hard staged quota, so it never
-	// queues), and unpinning the never-pinned /alpha fails in execution.
+	// Two deliberate failures for the audit trail: guest's stage-in is shed
+	// at admission (over its hard staged quota, so it never enters the
+	// ledger), and unpinning the never-pinned /alpha fails in execution.
 	if _, err := s.Submit(p, hsm.OpStageIn, "/beta", "guest"); !errors.Is(err, hsm.ErrQuotaExceeded) {
 		return nil, fmt.Errorf("guest stage-in: want quota shed, got %v", err)
 	}
-	if r, err := s.SubmitWait(p, hsm.OpUnpin, "/alpha", "analyst"); err == nil || r == nil || r.State != hsm.Failed {
+	if r, err := s.Submit(p, hsm.OpUnpin, "/alpha", "analyst"); err == nil || r == nil || r.State != hsm.Failed {
 		return nil, fmt.Errorf("unpin /alpha: want failed request, got %v", err)
 	}
 	return s, nil

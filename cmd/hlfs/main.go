@@ -231,24 +231,24 @@ func main() {
 			must(fs.Parse(rest))
 			need(fs.Args(), 1)
 			path := fs.Args()[0]
-			s, err := hsm.Attach(p, hl, hsm.Config{})
+			s, err := hsm.Attach(p, hl)
 			check(err)
 			op := map[string]hsm.Op{"stage": hsm.OpStageIn, "pin": hsm.OpPin, "unpin": hsm.OpUnpin}[cmd]
 			if out != nil && *out {
 				op = hsm.OpStageOut
 			}
-			r, err := s.SubmitWait(p, op, path, *user)
+			r, err := s.Submit(p, op, path, *user)
 			check(err)
 			fmt.Printf("%s %s: %s, %d bytes (request %d for %s, %.2f virtual seconds)\n",
 				op, path, r.State, r.Bytes, r.ID, *user, elapsed())
-			dirty = false // the service checkpoints per drain
+			dirty = false // the service checkpoints per request
 		case "quota":
 			fs := flag.NewFlagSet("quota", flag.ExitOnError)
 			ss := fs.Int("staged-soft", -1, "soft staged-bytes limit in MB (quota GC reclaims above it; 0 clears)")
 			sh := fs.Int("staged-hard", -1, "hard staged-bytes limit in MB (admission sheds above it; 0 clears)")
 			ph := fs.Int("pinned-hard", -1, "hard pinned-bytes limit in MB (0 clears)")
 			must(fs.Parse(rest))
-			s, err := hsm.Attach(p, hl, hsm.Config{})
+			s, err := hsm.Attach(p, hl)
 			check(err)
 			if fs.NArg() == 0 {
 				if *ss >= 0 || *sh >= 0 || *ph >= 0 {

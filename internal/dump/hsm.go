@@ -13,7 +13,7 @@ import (
 // HSMRequests renders the request ledger, ID order.
 func HSMRequests(w io.Writer, s *hsm.Service) {
 	reqs := s.Requests()
-	fmt.Fprintf(w, "HSM requests (%d total, %d queued):\n", len(reqs), s.QueueDepth())
+	fmt.Fprintf(w, "HSM requests (%d total):\n", len(reqs))
 	if len(reqs) == 0 {
 		fmt.Fprintln(w, "  (none)")
 		return

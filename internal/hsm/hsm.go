@@ -1,16 +1,14 @@
 // Package hsm is the CASTOR-style hierarchical-storage-management service
-// surface layered between the request front end (internal/svc) and the
-// migrating file system (internal/core). Where the migrator decides *what*
-// should move between disk and tertiary storage, hsm exposes the operable
-// archive service above it: explicit StageIn/StageOut/Pin/Unpin/Evict
-// requests flowing through a persistent virtual-time queue, file pinning
-// honored end-to-end by the evictor/cleaner/migrator, per-principal
-// accounting with quota enforcement and a quota-GC daemon, and a pluggable
-// migration Policy with the existing STP/namespace rankers as one
-// implementation among several.
+// surface over the migrating file system (internal/core). Where the migrator
+// decides *what* should move between disk and tertiary storage, hsm exposes
+// the operable archive service above it: explicit
+// StageIn/StageOut/Pin/Unpin/Evict requests, run one at a time and kept in
+// a persistent request ledger, file pinning honored end-to-end by the
+// evictor/cleaner/migrator, and per-principal accounting with quota
+// enforcement and a quota-GC daemon.
 //
-// Every request transition (queued → active → done/failed), pin change,
-// quota shed, and GC reclaim is recorded in the shared decision audit and
+// Every request transition (admitted → done/failed), pin change, quota
+// shed, and GC reclaim is recorded in the shared decision audit and
 // exported through hsm.* instruments, so `hldump -requests/-pins/-quotas`
 // and the telemetry endpoints see the whole service state.
 package hsm
@@ -25,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
-	"repro/internal/svc"
 )
 
 // Op is one HSM request kind.
@@ -63,14 +60,13 @@ func (o Op) String() string {
 	return "unknown"
 }
 
-// State is a request's lifecycle state.
+// State is a request's lifecycle state. The values are persisted in the
+// state file, where 0 is never written.
 type State int
 
 const (
-	// Queued requests await a processing pass.
-	Queued State = iota
 	// Active requests are executing.
-	Active
+	Active State = iota + 1
 	// Done requests completed successfully.
 	Done
 	// Failed requests reached a terminal error.
@@ -79,8 +75,6 @@ const (
 
 func (s State) String() string {
 	switch s {
-	case Queued:
-		return "queued"
 	case Active:
 		return "active"
 	case Done:
@@ -91,7 +85,7 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Request is one HSM request moving through the queue.
+// Request is one HSM request: an entry of the service's ledger.
 type Request struct {
 	ID        int64
 	Op        Op
@@ -144,26 +138,18 @@ type Staged struct {
 	StagedAt  sim.Time
 }
 
-// Config configures the service surface.
-type Config struct {
-	// FrontEnd, when set, routes request execution through the admission
-	// front end under the svc.Staging class, so HSM work is scheduled
-	// between interactive reads and background migration. Nil executes
-	// requests directly in the processing proc.
-	FrontEnd *svc.FrontEnd
-}
-
 // Service is the HSM service surface over one HighLight instance. Create
 // it with Attach; all methods must be called from procs of the instance's
 // kernel.
 type Service struct {
 	HL *core.HighLight
-	FE *svc.FrontEnd
 
+	// exec runs requests one at a time, in submission order. SetQuota and
+	// RunQuotaGC hold it too, so the state file is only ever written
+	// between requests and holds finished ones alone.
+	exec     *sim.Resource
 	nextID   int64
-	requests []*Request // every request, ID order
-	queue    []*Request // queued subset, FIFO
-	doneC    *sim.Cond  // broadcast at every request completion
+	requests []*Request // every request that took exec, ID order
 	pins     map[string]*Pin
 	staged   map[string]*Staged
 	quotas   map[string]Quota
@@ -173,22 +159,20 @@ type Service struct {
 	failed    *obs.Counter
 	quotaShed *obs.Counter
 	reclaimed *obs.Counter
-	queuedG   *obs.Gauge
 	pinsG     *obs.Gauge
 	pinnedBG  *obs.Gauge
 	stagedBG  *obs.Gauge
 }
 
 // Attach builds the service surface over hl, loading persisted state (the
-// request backlog, pins, staged attributions, and quotas) from the state
+// request ledger, pins, staged attributions, and quotas) from the state
 // file if one exists and re-deriving the core pin registries from it. Any
 // persisted pin flag not covered by the re-derived pin set (a crash between
 // flag checkpoint and state write) is cleared as stale.
-func Attach(p *sim.Proc, hl *core.HighLight, cfg Config) (*Service, error) {
+func Attach(p *sim.Proc, hl *core.HighLight) (*Service, error) {
 	s := &Service{
 		HL:     hl,
-		FE:     cfg.FrontEnd,
-		doneC:  hl.K.NewCond("hsm.done"),
+		exec:   hl.K.NewResource("hsm.exec"),
 		pins:   make(map[string]*Pin),
 		staged: make(map[string]*Staged),
 		quotas: make(map[string]Quota),
@@ -199,7 +183,6 @@ func Attach(p *sim.Proc, hl *core.HighLight, cfg Config) (*Service, error) {
 	s.failed = o.Counter("hsm.failed")
 	s.quotaShed = o.Counter("hsm.quota_shed")
 	s.reclaimed = o.Counter("hsm.gc_reclaimed_bytes")
-	s.queuedG = o.Gauge("hsm.queued")
 	s.pinsG = o.Gauge("hsm.pins")
 	s.pinnedBG = o.Gauge("hsm.pinned_bytes")
 	s.stagedBG = o.Gauge("hsm.staged_bytes")
@@ -227,12 +210,17 @@ func Attach(p *sim.Proc, hl *core.HighLight, cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// Submit admits one request into the queue. StageIn and Pin requests are
-// checked against the principal's quota at admission: a projected overrun
-// is shed immediately with ErrQuotaExceeded (audited), before any queue
-// slot or data movement is spent on it.
+// Submit runs one request and returns it with its terminal error (nil when
+// done). Requests run one at a time in submission order: Submit waits for
+// the requests before it, then checks a StageIn or Pin against the
+// principal's quota — a projected overrun is shed with ErrQuotaExceeded
+// (audited) and never enters the ledger — executes the request, persists
+// the state and checkpoints the file system, so a completed pin is durable
+// when Submit returns.
 func (s *Service) Submit(p *sim.Proc, op Op, path, principal string) (*Request, error) {
 	now := p.Now()
+	s.exec.Acquire(p)
+	defer s.exec.Release(p)
 	if op == OpStageIn || op == OpPin {
 		if err := s.admitQuota(p, op, path, principal); err != nil {
 			return nil, err
@@ -241,24 +229,51 @@ func (s *Service) Submit(p *sim.Proc, op Op, path, principal string) (*Request, 
 	s.nextID++
 	r := &Request{
 		ID: s.nextID, Op: op, Path: path, Principal: principal,
-		State: Queued, Submitted: now,
+		State: Active, Submitted: now, Started: p.Now(),
 	}
 	s.requests = append(s.requests, r)
-	s.queue = append(s.queue, r)
 	s.submitted.Add(1)
-	s.queuedG.Set(int64(len(s.queue)))
 	s.HL.Audit.Record(attr.Decision{
-		T: now, Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
+		T: r.Started, Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
 		Seg: -1, Verdict: attr.VerdictQueued, Reason: op.String() + " " + path,
-		Inputs: []attr.Input{attr.In("op", float64(op)), attr.In("depth", float64(len(s.queue)))},
+		Inputs: []attr.Input{attr.In("op", float64(op))},
 	})
-	return r, nil
+	err := s.execute(p, r)
+	r.Finished = p.Now()
+	if err != nil {
+		r.State = Failed
+		r.Err = err.Error()
+		s.failed.Add(1)
+		s.HL.Audit.Record(attr.Decision{
+			T: p.Now(), Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
+			Seg: -1, Verdict: attr.VerdictFailed, Reason: err.Error(),
+			Inputs: []attr.Input{attr.In("op", float64(r.Op))},
+		})
+	} else {
+		r.State = Done
+		s.completed.Add(1)
+		s.HL.Audit.Record(attr.Decision{
+			T: p.Now(), Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
+			Seg: -1, Verdict: attr.VerdictDone, Reason: r.Op.String() + " " + r.Path,
+			Inputs: []attr.Input{attr.In("op", float64(r.Op)), attr.In("bytes", float64(r.Bytes))},
+		})
+	}
+	s.updateGauges()
+	if serr := s.save(p); serr != nil {
+		return r, serr
+	}
+	if cerr := s.HL.Checkpoint(p); cerr != nil {
+		return r, cerr
+	}
+	return r, err
 }
 
 // admitQuota projects the principal's usage after the request and sheds it
 // if a hard limit would be crossed. The projection uses the file's current
-// size (the worst case: every byte tertiary-resident); actual accounting
-// at execution time uses the bytes really moved.
+// size (the worst case: every byte tertiary-resident) in place of what the
+// principal has staged of that path already, since executing the request
+// replaces that entry; actual accounting at execution time uses the bytes
+// really moved.
 func (s *Service) admitQuota(p *sim.Proc, op Op, path, principal string) error {
 	q := s.quotas[principal]
 	var est int64
@@ -266,6 +281,9 @@ func (s *Service) admitQuota(p *sim.Proc, op Op, path, principal string) error {
 		est = int64(fi.Size)
 	}
 	staged, pinned := s.UsageOf(principal)
+	if st, ok := s.staged[path]; ok && st.Principal == principal {
+		staged -= st.Bytes
+	}
 	now := p.Now()
 	shed := func(kind string, used, limit int64) error {
 		s.quotaShed.Add(1)
@@ -288,95 +306,6 @@ func (s *Service) admitQuota(p *sim.Proc, op Op, path, principal string) error {
 		return shed("pinned-bytes", pinned, q.PinnedHard)
 	}
 	return nil
-}
-
-// Process drains the queue: each queued request turns active, executes
-// (through the front end's Staging class when one is attached), and lands
-// in done or failed. State is persisted and the file system checkpointed
-// once per drain, so completed pins are durable when Process returns.
-func (s *Service) Process(p *sim.Proc) error {
-	if len(s.queue) == 0 {
-		return nil
-	}
-	for len(s.queue) > 0 {
-		r := s.queue[0]
-		s.queue = s.queue[1:]
-		s.queuedG.Set(int64(len(s.queue)))
-		r.State = Active
-		r.Started = p.Now()
-		var err error
-		if s.FE != nil {
-			err = s.FE.Submit(p, svc.Staging, 0, func(wp *sim.Proc) error {
-				return s.execute(wp, r)
-			})
-		} else {
-			err = s.execute(p, r)
-		}
-		r.Finished = p.Now()
-		if err != nil {
-			r.State = Failed
-			r.Err = err.Error()
-			s.failed.Add(1)
-			s.HL.Audit.Record(attr.Decision{
-				T: p.Now(), Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
-				Seg: -1, Verdict: attr.VerdictFailed, Reason: err.Error(),
-				Inputs: []attr.Input{attr.In("op", float64(r.Op))},
-			})
-		} else {
-			r.State = Done
-			s.completed.Add(1)
-			s.HL.Audit.Record(attr.Decision{
-				T: p.Now(), Actor: "hsm", Subject: fmt.Sprintf("hsmreq:%d", r.ID),
-				Seg: -1, Verdict: attr.VerdictDone, Reason: r.Op.String() + " " + r.Path,
-				Inputs: []attr.Input{attr.In("op", float64(r.Op)), attr.In("bytes", float64(r.Bytes))},
-			})
-		}
-		s.doneC.Broadcast()
-	}
-	s.updateGauges()
-	if err := s.save(p); err != nil {
-		return err
-	}
-	return s.HL.Checkpoint(p)
-}
-
-// SubmitWait submits one request, drives the queue until the request
-// reaches a terminal state (another proc's drain may get there first), and
-// returns its terminal error (nil when done). Admission sheds return the
-// typed error directly. This is the synchronous path the CLIs and the
-// per-principal workload generators use.
-func (s *Service) SubmitWait(p *sim.Proc, op Op, path, principal string) (*Request, error) {
-	r, err := s.Submit(p, op, path, principal)
-	if err != nil {
-		return nil, err
-	}
-	for r.State == Queued || r.State == Active {
-		if len(s.queue) > 0 {
-			if err := s.Process(p); err != nil {
-				return r, err
-			}
-			continue
-		}
-		s.doneC.Wait(p)
-	}
-	if r.State == Failed {
-		return r, errors.New(r.Err)
-	}
-	return r, nil
-}
-
-// StartDaemon starts the request-processing daemon: a periodic
-// virtual-time pass draining the queue.
-func (s *Service) StartDaemon(every sim.Time) {
-	s.HL.K.GoDaemon("hsm-daemon", func(p *sim.Proc) {
-		for {
-			p.Sleep(every)
-			if err := s.Process(p); err != nil {
-				s.HL.Obs.Instant("hsm", "hsm.daemon", "process error",
-					obs.Arg{Key: "queued", Val: int64(len(s.queue))})
-			}
-		}
-	})
 }
 
 // execute runs one active request.
@@ -581,9 +510,6 @@ func (s *Service) Requests() []Request {
 	return out
 }
 
-// QueueDepth reports the number of queued requests.
-func (s *Service) QueueDepth() int { return len(s.queue) }
-
 // Pins returns copies of the active pins in path order.
 func (s *Service) Pins() []Pin {
 	out := make([]Pin, 0, len(s.pins))
@@ -614,7 +540,6 @@ func (s *Service) updateGauges() {
 	s.pinsG.Set(int64(len(s.pins)))
 	s.pinnedBG.Set(pinnedB)
 	s.stagedBG.Set(stagedB)
-	s.queuedG.Set(int64(len(s.queue)))
 }
 
 func sortedKeys[V any](m map[string]V) []string {

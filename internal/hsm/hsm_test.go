@@ -16,7 +16,6 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/sim"
-	"repro/internal/svc"
 	"repro/internal/wl"
 )
 
@@ -99,9 +98,9 @@ func auditVerdicts(hl *core.HighLight) map[string]int {
 	return out
 }
 
-func attach(t *testing.T, p *sim.Proc, hl *core.HighLight, cfg hsm.Config) *hsm.Service {
+func attach(t *testing.T, p *sim.Proc, hl *core.HighLight) *hsm.Service {
 	t.Helper()
-	s, err := hsm.Attach(p, hl, cfg)
+	s, err := hsm.Attach(p, hl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +118,9 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 		hl, _, _ := rig(t, p, k)
 		migrateAndEject(t, p, hl, "/a", 8)
 		want := migrateAndEject(t, p, hl, "/b", 8)
-		s := attach(t, p, hl, hsm.Config{})
+		s := attach(t, p, hl)
 
-		r, err := s.SubmitWait(p, hsm.OpStageIn, "/a", "alice")
+		r, err := s.Submit(p, hsm.OpStageIn, "/a", "alice")
 		if err != nil {
 			t.Fatalf("stage-in: %v", err)
 		}
@@ -138,7 +137,7 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 			}
 		}
 
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/b", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpPin, "/b", "alice"); err != nil {
 			t.Fatalf("pin: %v", err)
 		}
 		pins := s.Pins()
@@ -158,18 +157,18 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 		}
 
 		// Pinning twice and moving a pinned file are both refused.
-		if r, _ := s.SubmitWait(p, hsm.OpPin, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "already pinned") {
+		if r, _ := s.Submit(p, hsm.OpPin, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "already pinned") {
 			t.Fatalf("double pin: %+v", r)
 		}
-		if r, _ := s.SubmitWait(p, hsm.OpStageOut, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "pinned") {
+		if r, _ := s.Submit(p, hsm.OpStageOut, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "pinned") {
 			t.Fatalf("stage-out of pinned file: %+v", r)
 		}
-		if r, _ := s.SubmitWait(p, hsm.OpEvict, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "pinned") {
+		if r, _ := s.Submit(p, hsm.OpEvict, "/b", "alice"); r.State != hsm.Failed || !strings.Contains(r.Err, "pinned") {
 			t.Fatalf("evict of pinned file: %+v", r)
 		}
 
 		// Unpin releases everything; the segments become evictable again.
-		if _, err := s.SubmitWait(p, hsm.OpUnpin, "/b", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpUnpin, "/b", "alice"); err != nil {
 			t.Fatalf("unpin: %v", err)
 		}
 		if got := len(s.Pins()); got != 0 {
@@ -178,7 +177,7 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 		if got := hl.PinnedSegments(); len(got) != 0 {
 			t.Fatalf("core pinned segments after unpin: %v", got)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpEvict, "/b", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpEvict, "/b", "alice"); err != nil {
 			t.Fatalf("evict after unpin: %v", err)
 		}
 
@@ -214,22 +213,22 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 
 // TestQuotaAdmissionShed checks the hard limits: a stage-in or pin whose
 // projected usage crosses the principal's hard quota is shed at admission
-// with the typed error, audited, and never enters the queue.
+// with the typed error, audited, and never enters the ledger.
 func TestQuotaAdmissionShed(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		hl, _, _ := rig(t, p, k)
 		migrateAndEject(t, p, hl, "/q1", 8)
 		migrateAndEject(t, p, hl, "/q2", 8)
-		s := attach(t, p, hl, hsm.Config{})
+		s := attach(t, p, hl)
 
 		if err := s.SetQuota(p, "alice", hsm.Quota{StagedHard: 10 * lfs.BlockSize}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpStageIn, "/q1", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpStageIn, "/q1", "alice"); err != nil {
 			t.Fatalf("first stage-in: %v", err)
 		}
-		r, err := s.SubmitWait(p, hsm.OpStageIn, "/q2", "alice")
+		r, err := s.Submit(p, hsm.OpStageIn, "/q2", "alice")
 		if !errors.Is(err, hsm.ErrQuotaExceeded) || r != nil {
 			t.Fatalf("over-quota stage-in: r=%v err=%v", r, err)
 		}
@@ -238,7 +237,7 @@ func TestQuotaAdmissionShed(t *testing.T) {
 		}
 
 		// Quotas are per principal: bob is unlimited.
-		if _, err := s.SubmitWait(p, hsm.OpStageIn, "/q2", "bob"); err != nil {
+		if _, err := s.Submit(p, hsm.OpStageIn, "/q2", "bob"); err != nil {
 			t.Fatalf("bob stage-in: %v", err)
 		}
 
@@ -246,7 +245,7 @@ func TestQuotaAdmissionShed(t *testing.T) {
 		if err := s.SetQuota(p, "bob", hsm.Quota{PinnedHard: 4 * lfs.BlockSize}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/q2", "bob"); !errors.Is(err, hsm.ErrQuotaExceeded) {
+		if _, err := s.Submit(p, hsm.OpPin, "/q2", "bob"); !errors.Is(err, hsm.ErrQuotaExceeded) {
 			t.Fatalf("over-quota pin: %v", err)
 		}
 
@@ -261,6 +260,72 @@ func TestQuotaAdmissionShed(t *testing.T) {
 	})
 }
 
+// TestQuotaCountsAStagedPathOnce checks admission against a path the
+// principal has staged already: executing the request replaces that path's
+// entry, so the projection must not count the file twice. With a 12-block
+// hard limit and an 8-block file, staging it again and pinning it are both
+// admitted, and usage stays 8 blocks.
+func TestQuotaCountsAStagedPathOnce(t *testing.T) {
+	k := sim.NewKernel()
+	k.RunProc(func(p *sim.Proc) {
+		hl, _, _ := rig(t, p, k)
+		migrateAndEject(t, p, hl, "/a", 8)
+		s := attach(t, p, hl)
+		if err := s.SetQuota(p, "alice", hsm.Quota{StagedHard: 12 * lfs.BlockSize}); err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []hsm.Op{hsm.OpStageIn, hsm.OpStageIn, hsm.OpPin} {
+			if _, err := s.Submit(p, op, "/a", "alice"); err != nil {
+				t.Fatalf("%s of a file alice has staged: %v", op, err)
+			}
+			if staged, _ := s.UsageOf("alice"); staged != 8*lfs.BlockSize {
+				t.Fatalf("after %s: alice's staged usage %d, want one 8-block file", op, staged)
+			}
+		}
+		if v := auditVerdicts(hl); v["quota-shed"] != 0 {
+			t.Fatalf("quota-shed audit verdicts: %v", v)
+		}
+	})
+}
+
+// TestConcurrentPinsOfOnePath pins one cold file from two procs at the same
+// instant. Requests run one at a time, so the second finds the first's pin
+// and fails with ErrAlreadyPinned, and the one unpin leaves nothing pinned.
+func TestConcurrentPinsOfOnePath(t *testing.T) {
+	k := sim.NewKernel()
+	k.RunProc(func(p *sim.Proc) {
+		hl, _, _ := rig(t, p, k)
+		migrateAndEject(t, p, hl, "/cold", 8)
+		s := attach(t, p, hl)
+		errs := make([]error, 2)
+		done := 0
+		finished := k.NewCond("pins")
+		for i := range errs {
+			k.Go(fmt.Sprintf("pinner%d", i), func(cp *sim.Proc) {
+				_, errs[i] = s.Submit(cp, hsm.OpPin, "/cold", "alice")
+				done++
+				finished.Broadcast()
+			})
+		}
+		for done < len(errs) {
+			finished.Wait(p)
+		}
+		if errs[0] != nil || !errors.Is(errs[1], hsm.ErrAlreadyPinned) {
+			t.Fatalf("two pins of /cold: %v, %v; want success, then ErrAlreadyPinned", errs[0], errs[1])
+		}
+		inum := s.Pins()[0].Inum
+		if _, err := s.Submit(p, hsm.OpUnpin, "/cold", "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if got := hl.PinnedSegments(); len(got) != 0 {
+			t.Fatalf("segments still pinned after the unpin: %v", got)
+		}
+		if hl.InodePinned(inum) {
+			t.Fatalf("inode %d still pinned after the unpin", inum)
+		}
+	})
+}
+
 // TestQuotaGCReclaimsColdest checks the soft-limit GC: a principal over
 // its watermark has its least-hot unpinned staged entries ejected (coldest
 // first, audited), and pinned entries are never touched.
@@ -270,12 +335,12 @@ func TestQuotaGCReclaimsColdest(t *testing.T) {
 		hl, _, _ := rig(t, p, k)
 		migrateAndEject(t, p, hl, "/cold", 8)
 		migrateAndEject(t, p, hl, "/hot", 8)
-		s := attach(t, p, hl, hsm.Config{})
+		s := attach(t, p, hl)
 
-		if _, err := s.SubmitWait(p, hsm.OpStageIn, "/cold", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpStageIn, "/cold", "alice"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpStageIn, "/hot", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpStageIn, "/hot", "alice"); err != nil {
 			t.Fatal(err)
 		}
 		// Heat up /hot's segments so the GC ordering has a clear winner.
@@ -317,7 +382,7 @@ func TestQuotaGCReclaimsColdest(t *testing.T) {
 		}
 
 		// A pinned entry is over-quota but untouchable.
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/hot", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpPin, "/hot", "alice"); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 1}); err != nil {
@@ -332,61 +397,6 @@ func TestQuotaGCReclaimsColdest(t *testing.T) {
 		}
 		if len(s.StagedEntries()) != 1 {
 			t.Fatalf("pinned staged entry dropped: %+v", s.StagedEntries())
-		}
-	})
-}
-
-// TestFrontEndStagingClass routes request execution through the admission
-// front end and checks the work lands in the staging class accounting.
-func TestFrontEndStagingClass(t *testing.T) {
-	k := sim.NewKernel()
-	k.RunProc(func(p *sim.Proc) {
-		hl, _, _ := rig(t, p, k)
-		migrateAndEject(t, p, hl, "/fe", 8)
-		fe := svc.New(hl, svc.Config{})
-		s := attach(t, p, hl, hsm.Config{FrontEnd: fe})
-
-		if _, err := s.SubmitWait(p, hsm.OpStageIn, "/fe", "alice"); err != nil {
-			t.Fatal(err)
-		}
-		st := fe.Stats()
-		if st.Admitted == 0 || st.Completed == 0 {
-			t.Fatalf("front-end stats after staged request: %+v", st)
-		}
-		if st.P50Staging <= 0 {
-			t.Fatalf("staging latency quantile not populated: %+v", st)
-		}
-	})
-}
-
-// TestRequestDaemonDrainsQueue checks the asynchronous path: Submit alone
-// leaves requests queued; the processing daemon drains them in FIFO order.
-func TestRequestDaemonDrainsQueue(t *testing.T) {
-	k := sim.NewKernel()
-	k.RunProc(func(p *sim.Proc) {
-		hl, _, _ := rig(t, p, k)
-		migrateAndEject(t, p, hl, "/d1", 4)
-		migrateAndEject(t, p, hl, "/d2", 4)
-		s := attach(t, p, hl, hsm.Config{})
-
-		if _, err := s.Submit(p, hsm.OpStageIn, "/d1", "alice"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Submit(p, hsm.OpStageIn, "/d2", "bob"); err != nil {
-			t.Fatal(err)
-		}
-		if s.QueueDepth() != 2 {
-			t.Fatalf("queue depth: %d", s.QueueDepth())
-		}
-		s.StartDaemon(sim.Time(100 * time.Millisecond))
-		p.Sleep(sim.Time(5 * time.Second))
-		if s.QueueDepth() != 0 {
-			t.Fatalf("daemon left %d requests queued", s.QueueDepth())
-		}
-		for _, r := range s.Requests() {
-			if r.State != hsm.Done {
-				t.Fatalf("request %d: %+v", r.ID, r)
-			}
 		}
 	})
 }
@@ -416,8 +426,7 @@ func scenario(seed uint64) (string, error) {
 				return
 			}
 		}
-		fe := svc.New(hl, svc.Config{})
-		s, err := hsm.Attach(p, hl, hsm.Config{FrontEnd: fe})
+		s, err := hsm.Attach(p, hl)
 		if err != nil {
 			fail = err
 			return
@@ -469,8 +478,8 @@ func scenario(seed uint64) (string, error) {
 }
 
 // TestDoubleRunDeterminism runs the seeded multi-principal scenario twice
-// on fresh kernels and requires byte-identical digests: the HSM queue,
-// quota GC, and policy/audit verdicts must not depend on map order or
+// on fresh kernels and requires byte-identical digests: the request
+// ledger, quota GC, and audit verdicts must not depend on map order or
 // wall-clock state.
 func TestDoubleRunDeterminism(t *testing.T) {
 	d1, err := scenario(20260808)

@@ -33,8 +33,8 @@ func TestPinnedNeverMoves(t *testing.T) {
 			migrateAndEject(t, p, hl, path, 8)
 			churn = append(churn, path)
 		}
-		s := attach(t, p, hl, hsm.Config{})
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/pinned", "alice"); err != nil {
+		s := attach(t, p, hl)
+		if _, err := s.Submit(p, hsm.OpPin, "/pinned", "alice"); err != nil {
 			t.Fatal(err)
 		}
 		pin := s.Pins()[0]
@@ -47,7 +47,7 @@ func TestPinnedNeverMoves(t *testing.T) {
 		// pinned line every time.
 		for round := 0; round < 3; round++ {
 			for _, path := range churn {
-				if _, err := s.SubmitWait(p, hsm.OpStageIn, path, "bob"); err != nil {
+				if _, err := s.Submit(p, hsm.OpStageIn, path, "bob"); err != nil {
 					t.Fatalf("churn stage-in %s: %v", path, err)
 				}
 			}
@@ -105,7 +105,7 @@ func TestPinnedNeverMoves(t *testing.T) {
 		if err := hl.FS.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/diskpinned", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpPin, "/diskpinned", "alice"); err != nil {
 			t.Fatal(err)
 		}
 		p.Sleep(sim.Time(60 * time.Second)) // age past any policy min-age
@@ -184,15 +184,15 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 		hl, disk, jb := rig(t, p, k)
 		wantData = migrateAndEject(t, p, hl, "/keep", 8)
 		migrateAndEject(t, p, hl, "/plain", 8)
-		s := attach(t, p, hl, hsm.Config{})
+		s := attach(t, p, hl)
 		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 4 * lfs.BlockSize}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SubmitWait(p, hsm.OpPin, "/keep", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpPin, "/keep", "alice"); err != nil {
 			t.Fatal(err)
 		}
 		pinSegs = s.Pins()[0].Segs
-		// Process checkpointed the pin; dirty un-synced work after this
+		// Submit checkpointed the pin; dirty un-synced work after this
 		// point is what the power cut destroys.
 		f, err := hl.FS.Create(p, "/lost")
 		if err != nil {
@@ -238,7 +238,7 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 			}
 		}
 
-		s := attach(t, p, hl, hsm.Config{})
+		s := attach(t, p, hl)
 		pins := s.Pins()
 		if len(pins) != 1 || pins[0].Path != "/keep" || pins[0].Principal != "alice" {
 			t.Fatalf("pins after recovery: %+v", pins)
@@ -269,7 +269,7 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 		if !bytes.Equal(buf, wantData) {
 			t.Fatal("pinned file content changed across the power cut")
 		}
-		if _, err := s.SubmitWait(p, hsm.OpUnpin, "/keep", "alice"); err != nil {
+		if _, err := s.Submit(p, hsm.OpUnpin, "/keep", "alice"); err != nil {
 			t.Fatalf("unpin after recovery: %v", err)
 		}
 		if got := hl.PinnedSegments(); len(got) != 0 {

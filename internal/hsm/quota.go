@@ -22,6 +22,8 @@ type Quota struct {
 // SetQuota installs (or, with a zero Quota, removes) the limits for one
 // principal and persists the change.
 func (s *Service) SetQuota(p *sim.Proc, principal string, q Quota) error {
+	s.exec.Acquire(p)
+	defer s.exec.Release(p)
 	if q == (Quota{}) {
 		delete(s.quotas, principal)
 	} else {
@@ -74,6 +76,8 @@ func (s *Service) UsageOf(principal string) (staged, pinned int64) {
 // watermark. Pinned entries and busy lines are never touched. Returns the
 // bytes reclaimed; every reclaim is audited.
 func (s *Service) RunQuotaGC(p *sim.Proc) (int64, error) {
+	s.exec.Acquire(p)
+	defer s.exec.Release(p)
 	var total int64
 	now := p.Now()
 	for _, principal := range s.Principals() {

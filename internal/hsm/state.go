@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/lfs"
 	"repro/internal/sim"
@@ -13,7 +12,7 @@ import (
 // statePath is where the service persists its state inside the HighLight
 // file system. The file is ordinary file data, so it rides the log's
 // durability path: synced on every save and recovered by the normal
-// roll-forward after a crash (the queue, pins and quotas survive it).
+// roll-forward after a crash (the ledger, pins and quotas survive it).
 const (
 	stateDir  = "/.hsm"
 	statePath = stateDir + "/state"
@@ -67,9 +66,9 @@ type quotaRec struct {
 	PinnedHard int64  `json:"pinned_hard"`
 }
 
-// save serializes the service state into the state file and syncs it. An
-// in-progress queue persists too: a crash between save and the next
-// Process leaves the backlog intact for the remounted service.
+// save serializes the service state into the state file and syncs it. It
+// runs between requests (under exec, or in Attach before anyone can
+// submit), so every request it saves is finished.
 func (s *Service) save(p *sim.Proc) error {
 	st := stateFile{NextID: s.nextID}
 	for _, r := range s.requests {
@@ -146,24 +145,13 @@ func (s *Service) load(p *sim.Proc) error {
 	}
 	s.nextID = st.NextID
 	for _, rec := range st.Requests {
-		r := &Request{
+		s.requests = append(s.requests, &Request{
 			ID: rec.ID, Op: Op(rec.Op), Path: rec.Path, Principal: rec.Principal,
 			State:     State(rec.State),
 			Submitted: sim.Time(rec.Submitted), Started: sim.Time(rec.Started), Finished: sim.Time(rec.Finished),
 			Bytes: rec.Bytes, Err: rec.Err,
-		}
-		// A request caught mid-execution by a crash is re-queued: its
-		// operations are idempotent (fetch, pin, eject), so re-running is
-		// safe and simpler than guessing how far it got.
-		if r.State == Active {
-			r.State = Queued
-		}
-		s.requests = append(s.requests, r)
-		if r.State == Queued {
-			s.queue = append(s.queue, r)
-		}
+		})
 	}
-	sort.Slice(s.queue, func(a, b int) bool { return s.queue[a].ID < s.queue[b].ID })
 	for _, rec := range st.Pins {
 		s.pins[rec.Path] = &Pin{
 			Path: rec.Path, Inum: rec.Inum, Principal: rec.Principal,

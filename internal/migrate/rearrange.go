@@ -1,8 +1,6 @@
 package migrate
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/lfs"
 	"repro/internal/sim"
@@ -11,8 +9,8 @@ import (
 // Rearranger implements the §5.4 rewrite-on-fetch policy: "A better
 // approach might be to rewrite segments to tertiary storage as they are
 // read into the cache. This is more likely to reflect true access
-// locality." Demand-fetched segments queue up and are periodically
-// re-staged onto the current migration volume in fetch order, so data
+// locality." Demand-fetched segments queue up and each RunOnce
+// re-stages them onto the current migration volume in fetch order, so data
 // that are accessed together end up clustered together — at the cost of
 // extra tertiary consumption (the old copies die and await the volume
 // cleaner), exactly the trade-off the paper describes.
@@ -26,18 +24,13 @@ type Rearranger struct {
 	BlocksClustered int64
 }
 
-const (
-	// rearrangeMinBatch defers rewriting until this many fetched segments
-	// have accumulated, so a lone fetch does not trigger tertiary writes
-	// that would interfere with demand-fetch read traffic (§5.4's stated
-	// concern).
-	rearrangeMinBatch = 2
-	// rearrangeInterval is the daemon's poll period.
-	rearrangeInterval = 30 * sim.Time(time.Second)
-)
+// rearrangeMinBatch defers rewriting until this many fetched segments have
+// accumulated, so a lone fetch does not trigger tertiary writes that would
+// interfere with demand-fetch read traffic (§5.4's stated concern).
+const rearrangeMinBatch = 2
 
 // NewRearranger wires the rearranger into the service process's fetch
-// notifications and returns it; run Daemon as a sim daemon to activate it.
+// notifications and returns it; each RunOnce rewrites what has queued up.
 func NewRearranger(hl *core.HighLight) *Rearranger {
 	ra := &Rearranger{HL: hl}
 	hl.Svc.OnFetched = func(tag int) {
@@ -81,14 +74,4 @@ func (ra *Rearranger) RunOnce(p *sim.Proc) (int, error) {
 		return 0, nil
 	}
 	return done, ra.HL.CompleteMigration(p)
-}
-
-// Daemon runs the rearranger periodically.
-func (ra *Rearranger) Daemon(p *sim.Proc) {
-	for {
-		p.Sleep(rearrangeInterval)
-		if _, err := ra.RunOnce(p); err != nil {
-			continue // e.g. tertiary exhausted: stand down until cleaned
-		}
-	}
 }

@@ -39,7 +39,7 @@ const (
 	VerdictPinGuard  = "pin-guard"  // evictor/cleaner/migrator refused a pinned subject
 	VerdictQuotaShed = "quota-shed" // request refused at admission: principal over quota
 	VerdictReclaimed = "reclaimed"  // quota GC evicted staged data of an over-soft-limit principal
-	VerdictQueued    = "queued"     // HSM request entered the persistent queue
+	VerdictQueued    = "queued"     // HSM request admitted into the ledger
 	VerdictDone      = "done"       // HSM request completed
 	VerdictFailed    = "failed"     // HSM request reached the failed state
 )

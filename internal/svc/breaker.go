@@ -15,7 +15,7 @@ import (
 // a three-state breaker:
 //
 //	closed    — traffic flows; consecutive infrastructure failures are
-//	            counted, and at Threshold the breaker trips.
+//	            counted, and at breakerThreshold the breaker trips.
 //	open      — the fetch router ranks the library's copies just above
 //	            down libraries (routeTripped), so reads are served from
 //	            replicas on healthy libraries instead; after the cooldown
@@ -29,30 +29,16 @@ import (
 // write-once violations, dust) mean the changer answered, so they reset
 // the consecutive-failure count like a success.
 
-// BreakerConfig bounds the per-library circuit breakers.
-type BreakerConfig struct {
-	// Threshold is the consecutive infrastructure-failure count that
-	// trips a closed breaker (default 3).
-	Threshold int
-	// Cooldown is how long a freshly tripped breaker stays open before
-	// the first half-open probe (default 2 s of virtual time). Each
-	// failed probe doubles it, up to MaxCooldown.
-	Cooldown sim.Time
-	// MaxCooldown caps the doubled cooldown (default 64 s).
-	MaxCooldown sim.Time
-}
-
-func (c *BreakerConfig) fill() {
-	if c.Threshold <= 0 {
-		c.Threshold = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * sim.Time(time.Second)
-	}
-	if c.MaxCooldown <= 0 {
-		c.MaxCooldown = 64 * sim.Time(time.Second)
-	}
-}
+const (
+	// breakerThreshold is the consecutive infrastructure-failure count
+	// that trips a closed breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long a freshly tripped breaker stays open
+	// before the first half-open probe. Each failed probe doubles it, up to
+	// breakerMaxCooldown.
+	breakerCooldown    = 2 * sim.Time(time.Second)
+	breakerMaxCooldown = 64 * sim.Time(time.Second)
+)
 
 // Breaker states, exported through the per-library gauges
 // (svc.breaker.lib<N>) and State.
@@ -90,7 +76,6 @@ type libBreaker struct {
 // library stopped (and resumed) taking traffic.
 type BreakerSet struct {
 	k     *sim.Kernel
-	cfg   BreakerConfig
 	o     *obs.Obs
 	audit *attr.Audit
 
@@ -103,10 +88,9 @@ type BreakerSet struct {
 }
 
 // NewBreakerSet creates one breaker per library, all closed.
-func NewBreakerSet(k *sim.Kernel, nlibs int, cfg BreakerConfig, o *obs.Obs, audit *attr.Audit) *BreakerSet {
-	cfg.fill()
+func NewBreakerSet(k *sim.Kernel, nlibs int, o *obs.Obs, audit *attr.Audit) *BreakerSet {
 	b := &BreakerSet{
-		k: k, cfg: cfg, o: o, audit: audit,
+		k: k, o: o, audit: audit,
 		libs:     make([]libBreaker, nlibs),
 		gauges:   make([]*obs.Gauge, nlibs),
 		trips:    o.Counter("svc.breaker.trips"),
@@ -198,17 +182,13 @@ func (b *BreakerSet) OnResult(lib int, err error) {
 			return
 		}
 		s.consec++
-		if s.consec >= b.cfg.Threshold {
-			b.trip(lib, err, b.cfg.Cooldown)
+		if s.consec >= breakerThreshold {
+			b.trip(lib, err, breakerCooldown)
 		}
 	case BreakerHalfOpen:
 		if fail {
 			// Failed probe: back to open with a doubled cooldown.
-			next := s.cooldown * 2
-			if next > b.cfg.MaxCooldown {
-				next = b.cfg.MaxCooldown
-			}
-			b.trip(lib, err, next)
+			b.trip(lib, err, min(2*s.cooldown, breakerMaxCooldown))
 			return
 		}
 		b.restore(lib)
@@ -235,7 +215,7 @@ func (b *BreakerSet) trip(lib int, cause error, cooldown sim.Time) {
 		Seg: -1, Verdict: attr.VerdictTripped, Reason: reason,
 		Inputs: []attr.Input{
 			attr.In("lib", float64(lib)),
-			attr.In("threshold", float64(b.cfg.Threshold)),
+			attr.In("threshold", breakerThreshold),
 			attr.In("cooldown_ms", float64(cooldown.Milliseconds())),
 		},
 	})
@@ -245,7 +225,7 @@ func (b *BreakerSet) restore(lib int) {
 	s := &b.libs[lib]
 	s.consec = 0
 	s.probing = false
-	s.cooldown = b.cfg.Cooldown
+	s.cooldown = breakerCooldown
 	b.setState(lib, BreakerClosed)
 	b.restores.Add(1)
 	b.audit.Record(attr.Decision{

@@ -292,7 +292,7 @@ func TestLendBorrowedSlotsCountAsQueued(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		cfg := twoSlots
-		cfg.InteractiveQueue, cfg.BrownoutHi, cfg.BrownoutLo = 3, 2, 1
+		cfg.InteractiveQueue = 3 // brownout at a backlog of 1, out at 0
 		hl, fe, cold := lendRig(t, p, k, 4, cfg)
 		watchSlots(t, fe)
 		var reqs []*svc.Request

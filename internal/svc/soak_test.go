@@ -59,9 +59,7 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		hl.StartRepairDaemon(10 * sim.Time(time.Second))
 		fe := svc.New(hl, svc.Config{
 			Workers: 2, ReservedInteractive: 1,
-			InteractiveQueue: 4, BackgroundQueue: 2,
-			BrownoutHi: 3, BrownoutLo: 1,
-			Breaker: svc.BreakerConfig{Threshold: 3, Cooldown: 2 * sim.Time(time.Second)},
+			InteractiveQueue: 4, BackgroundQueue: 2, // brownout at a backlog of 2, out at 0
 		})
 		maxLent := watchSlots(t, fe) // the slot bounds, at every transition of the storm
 

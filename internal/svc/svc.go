@@ -41,7 +41,8 @@ import (
 // silent stall.
 var ErrOverload = errors.New("svc: overloaded, request shed")
 
-// Class partitions the admission queues.
+// Class partitions the admission queues. Workers serve them in strict
+// priority, Interactive first.
 type Class int
 
 const (
@@ -52,14 +53,6 @@ const (
 	// bulk work. It sheds first and is throttled during brownout.
 	Background
 
-	// Staging is the HSM service class: explicit stage-in/stage-out and
-	// pin requests from the internal/hsm request queue. It ranks between
-	// the other two — a user asked for the data movement (unlike
-	// background migration) but did not block on a demand read (unlike
-	// interactive), so non-reserved workers serve it after interactive
-	// and before background.
-	Staging
-
 	numClasses
 )
 
@@ -69,8 +62,6 @@ func (c Class) String() string {
 		return "interactive"
 	case Background:
 		return "background"
-	case Staging:
-		return "staging"
 	}
 	return "unknown"
 }
@@ -87,20 +78,12 @@ type Config struct {
 	// background floods (default 1, clamped below Workers).
 	ReservedInteractive int
 	// InteractiveQueue / BackgroundQueue bound their classes' admission
-	// queues (defaults 64 / 16; the staging class's is stagingQueue). A
-	// submit against a full queue is shed with ErrOverload. Interactive
-	// requests running in lent slots count as queued (FrontEnd.backlog),
-	// here and for the brownout watermarks.
+	// queues (defaults 64 / 16). A submit against a full queue is shed with
+	// ErrOverload. Interactive requests running in lent slots count as
+	// queued (FrontEnd.backlog), here and for the brownout watermarks, half
+	// and an eighth of InteractiveQueue (FrontEnd.updateBrownout).
 	InteractiveQueue int
 	BackgroundQueue  int
-	// BrownoutHi / BrownoutLo are the interactive queue-depth watermarks
-	// with hysteresis: at Hi the front end enters brownout (background
-	// migration and replica repair stand down), at Lo it exits.
-	// Defaults: half and an eighth of InteractiveQueue.
-	BrownoutHi int
-	BrownoutLo int
-	// Breaker configures the per-library circuit breakers.
-	Breaker BreakerConfig
 	// DisableTracing turns off the per-request causal tracer. Tracing is
 	// pure observation (no virtual time, no RNG) so the default is on;
 	// the switch exists for the ablation_reqtrace bench row, which proves
@@ -109,8 +92,6 @@ type Config struct {
 }
 
 const (
-	// stagingQueue bounds the staging class's admission queue.
-	stagingQueue = 32
 	// retryBudget caps banked retry tokens; retryPerAdmits admissions earn
 	// one: at most ~10% of admitted traffic can be retries, so retries
 	// cannot amplify an overload into a collapse.
@@ -139,15 +120,6 @@ func (c *Config) fill() {
 	}
 	if c.BackgroundQueue <= 0 {
 		c.BackgroundQueue = 16
-	}
-	if c.BrownoutHi <= 0 {
-		c.BrownoutHi = c.InteractiveQueue / 2
-	}
-	if c.BrownoutLo <= 0 {
-		c.BrownoutLo = c.InteractiveQueue / 8
-	}
-	if c.BrownoutLo >= c.BrownoutHi {
-		c.BrownoutLo = c.BrownoutHi / 2
 	}
 }
 
@@ -217,7 +189,7 @@ type FrontEnd struct {
 	// ReservedInteractive at every instant; lent <= Workers, so at most
 	// 2 x Workers requests are in flight, one per worker process.
 	exec     int    // requests holding a slot: running, or parked without lending
-	execBG   int    // the Staging and Background ones among them
+	execBG   int    // the Background ones among them
 	lent     int    // interactive requests parked with their slot given up
 	resuming int    // of those, the ones awake and waiting to take a slot back
 	onSlot   func() // test hook, run after every change to the four above
@@ -264,7 +236,7 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 		work:        hl.K.NewCond("svc.work"),
 		retryTokens: retryBudget,
 	}
-	fe.Breakers = NewBreakerSet(hl.K, len(hl.Libraries()), cfg.Breaker, hl.Obs, hl.Audit)
+	fe.Breakers = NewBreakerSet(hl.K, len(hl.Libraries()), hl.Obs, hl.Audit)
 	hl.Svc.Breaker = fe.Breakers
 	hl.RepairThrottle = fe.InBrownout
 
@@ -306,9 +278,6 @@ func (fe *FrontEnd) AttachMigrator(m *migrate.Migrator) {
 // background work to protect interactive latency.
 func (fe *FrontEnd) InBrownout() bool { return fe.brownout }
 
-// QueueDepth reports the current admission-queue depth of one class.
-func (fe *FrontEnd) QueueDepth(c Class) int { return len(fe.queues[c]) }
-
 // Submit admits fn under class with an absolute virtual-time deadline
 // (0 = none), waits for it to complete, and returns its error. A full
 // queue returns ErrOverload immediately.
@@ -324,11 +293,8 @@ func (fe *FrontEnd) Submit(p *sim.Proc, class Class, deadline sim.Time, fn func(
 // returned request. A full queue sheds with ErrOverload (nil request).
 func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn func(p *sim.Proc) error) (*Request, error) {
 	capacity := fe.Cfg.InteractiveQueue
-	switch class {
-	case Background:
+	if class == Background {
 		capacity = fe.Cfg.BackgroundQueue
-	case Staging:
-		capacity = stagingQueue
 	}
 	fe.nextID++
 	id := fe.nextID
@@ -442,12 +408,15 @@ func (fe *FrontEnd) backlog() int {
 }
 
 // updateBrownout applies the hysteresis watermarks to the interactive
-// backlog and records transitions in the audit.
+// backlog and records transitions in the audit: at half of InteractiveQueue
+// the front end enters brownout (background migration and replica repair
+// stand down), at an eighth it exits.
 func (fe *FrontEnd) updateBrownout() {
 	now := fe.k.Now()
 	depth := fe.backlog()
+	hi, lo := fe.Cfg.InteractiveQueue/2, fe.Cfg.InteractiveQueue/8
 	switch {
-	case !fe.brownout && depth >= fe.Cfg.BrownoutHi:
+	case !fe.brownout && depth >= hi:
 		fe.brownout = true
 		fe.brownG.Set(1)
 		fe.HL.Audit.Record(attr.Decision{
@@ -455,10 +424,10 @@ func (fe *FrontEnd) updateBrownout() {
 			Seg: -1, Verdict: attr.VerdictBrownout, Reason: "enter: interactive queue over high watermark",
 			Inputs: []attr.Input{
 				attr.In("depth", float64(depth)),
-				attr.In("hi", float64(fe.Cfg.BrownoutHi)),
+				attr.In("hi", float64(hi)),
 			},
 		})
-	case fe.brownout && depth <= fe.Cfg.BrownoutLo:
+	case fe.brownout && depth <= lo:
 		fe.brownout = false
 		fe.brownG.Set(0)
 		fe.HL.Audit.Record(attr.Decision{
@@ -466,7 +435,7 @@ func (fe *FrontEnd) updateBrownout() {
 			Seg: -1, Verdict: attr.VerdictBrownout, Reason: "exit: interactive queue under low watermark",
 			Inputs: []attr.Input{
 				attr.In("depth", float64(depth)),
-				attr.In("lo", float64(fe.Cfg.BrownoutLo)),
+				attr.In("lo", float64(lo)),
 			},
 		})
 	}
@@ -474,9 +443,9 @@ func (fe *FrontEnd) updateBrownout() {
 
 // worker is one request-executing process; there are 2 x Workers of them,
 // one for every request that can be in flight, and the slot counters decide
-// how many run. Interactive goes first, then staging, then background —
-// strict priority, which combined with the reserved quota is what keeps
-// interactive latency bounded while background work floods.
+// how many run. Interactive goes first, then background — strict priority,
+// which combined with the reserved quota is what keeps interactive latency
+// bounded while background work floods.
 func (fe *FrontEnd) worker(p *sim.Proc) {
 	for {
 		r := fe.dequeue(p)
@@ -541,7 +510,7 @@ func (fe *FrontEnd) slots(d int, c Class, l int) {
 // while there is none.
 func (fe *FrontEnd) dequeue(p *sim.Proc) *Request {
 	for {
-		for _, c := range [...]Class{Interactive, Staging, Background} {
+		for c := Interactive; c < numClasses; c++ {
 			if q := fe.queues[c]; len(q) > 0 && fe.mayStart(c) {
 				fe.queues[c] = q[1:]
 				fe.qGauge[c].Set(int64(len(fe.queues[c])))
@@ -554,10 +523,10 @@ func (fe *FrontEnd) dequeue(p *sim.Proc) *Request {
 }
 
 // mayStart reports whether a queued request of class c may take a slot now.
-// A parked request coming back goes ahead of every queue. Staging and
-// background work runs in the slots that are neither reserved nor lent: a
-// parked interactive request still occupies its slot as far as they are
-// concerned, so they see the front end exactly as if nothing lent.
+// A parked request coming back goes ahead of every queue. Background work
+// runs in the slots that are neither reserved nor lent: a parked
+// interactive request still occupies its slot as far as it is concerned,
+// so it sees the front end exactly as if nothing lent.
 func (fe *FrontEnd) mayStart(c Class) bool {
 	w := fe.Cfg.Workers
 	if fe.exec >= w || fe.resuming > 0 {
@@ -655,12 +624,10 @@ type Stats struct {
 	RetriesGranted, RetriesDenied  int64
 	QueueInteractive               int
 	QueueBackground                int
-	QueueStaging                   int
 	Executing, Lent                int // slots held; slots lent by parked requests
 	Brownout                       bool
 	P50Interactive, P99Interactive sim.Time
 	P50Background, P99Background   sim.Time
-	P50Staging, P99Staging         sim.Time
 }
 
 // Stats snapshots the counters and latency quantiles.
@@ -676,7 +643,6 @@ func (fe *FrontEnd) Stats() Stats {
 		RetriesDenied:    fe.retryNo.Value(),
 		QueueInteractive: len(fe.queues[Interactive]),
 		QueueBackground:  len(fe.queues[Background]),
-		QueueStaging:     len(fe.queues[Staging]),
 		Executing:        fe.exec,
 		Lent:             fe.lent,
 		Brownout:         fe.brownout,
@@ -684,7 +650,5 @@ func (fe *FrontEnd) Stats() Stats {
 		P99Interactive:   fe.latH[Interactive].P99(),
 		P50Background:    fe.latH[Background].P50(),
 		P99Background:    fe.latH[Background].P99(),
-		P50Staging:       fe.latH[Staging].P50(),
-		P99Staging:       fe.latH[Staging].P99(),
 	}
 }

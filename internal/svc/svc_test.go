@@ -405,9 +405,7 @@ func TestBreakerTripRerouteRestore(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		hl, jb0, _ := rig(t, p, k)
-		fe := svc.New(hl, svc.Config{
-			Breaker: svc.BreakerConfig{Threshold: 3, Cooldown: 30 * sim.Time(time.Second)},
-		})
+		fe := svc.New(hl, svc.Config{})
 		migrateAndEject(t, p, hl, "/data", 120)
 		lib1 := hl.Libraries()[1]
 
@@ -449,7 +447,7 @@ func TestBreakerTripRerouteRestore(t *testing.T) {
 		jb0.SetDriveOffline(0, false)
 		jb0.SetDriveOffline(1, false)
 		lib1.SetDown(true)
-		p.Sleep(31 * sim.Time(time.Second)) // past the cooldown
+		p.Sleep(3 * sim.Time(time.Second)) // past the 2 s cooldown
 		ejectAll(t, hl)
 		// A block no earlier read touched and the file system's block
 		// buffer evicted long ago: the read must demand-fetch, and the
@@ -493,17 +491,18 @@ func TestBreakerStateMachine(t *testing.T) {
 	k := sim.NewKernel()
 	o := obs.New(k)
 	audit := attr.NewAudit(0)
-	cfg := svc.BreakerConfig{Threshold: 2, Cooldown: sim.Time(time.Second), MaxCooldown: 4 * sim.Time(time.Second)}
-	b := svc.NewBreakerSet(k, 2, cfg, o, audit)
+	b := svc.NewBreakerSet(k, 2, o, audit) // threshold 3, cooldown 2 s, doubling
 	infra := jukebox.ErrDriveOffline
 	k.RunProc(func(p *sim.Proc) {
 		if !b.Allow(0) || !b.Allow(1) {
 			t.Fatal("fresh breakers refuse traffic")
 		}
-		// Media errors reset the consecutive count: infra, media, infra,
-		// infra is what trips a Threshold-2 breaker.
+		// Media errors reset the consecutive count: infra, infra, media,
+		// then three infra is what trips a threshold-3 breaker.
+		b.OnResult(0, infra)
 		b.OnResult(0, infra)
 		b.OnResult(0, dev.ErrPermanentMedia)
+		b.OnResult(0, infra)
 		b.OnResult(0, infra)
 		if b.State(0) != svc.BreakerClosed {
 			t.Fatal("tripped below threshold (media error did not reset)")
@@ -520,7 +519,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		}
 
 		// First probe window: Allow converts to a single half-open grant.
-		p.Sleep(sim.Time(1100 * time.Millisecond))
+		p.Sleep(sim.Time(2100 * time.Millisecond))
 		if !b.Allow(0) {
 			t.Fatal("no probe granted after cooldown")
 		}
@@ -535,11 +534,11 @@ func TestBreakerStateMachine(t *testing.T) {
 		if b.State(0) != svc.BreakerOpen {
 			t.Fatal("failed probe did not re-open")
 		}
-		p.Sleep(sim.Time(1100 * time.Millisecond))
+		p.Sleep(sim.Time(2100 * time.Millisecond))
 		if b.Allow(0) {
 			t.Fatal("re-opened breaker ignored its doubled cooldown")
 		}
-		p.Sleep(sim.Time(1100 * time.Millisecond))
+		p.Sleep(sim.Time(2100 * time.Millisecond))
 		if !b.Allow(0) {
 			t.Fatal("no probe after doubled cooldown")
 		}
@@ -575,7 +574,7 @@ func TestBrownoutHysteresis(t *testing.T) {
 	k.RunProc(func(p *sim.Proc) {
 		hl, _, _ := rig(t, p, k)
 		fe := svc.New(hl, svc.Config{
-			Workers: 2, InteractiveQueue: 8, BrownoutHi: 3, BrownoutLo: 1,
+			Workers: 2, InteractiveQueue: 8, // brownout at a backlog of 4, out at 1
 		})
 		m := &migrate.Migrator{}
 		fe.AttachMigrator(m)

@@ -82,7 +82,7 @@ func RunPrincipals(p *sim.Proc, hs *hsm.Service, specs []PrincipalSpec) ([]Princ
 					op = hsm.OpPin
 				}
 				st.Submitted++
-				r, err := hs.SubmitWait(cp, op, path, spec.Name)
+				r, err := hs.Submit(cp, op, path, spec.Name)
 				switch {
 				case err == nil:
 					st.Done++
@@ -98,7 +98,7 @@ func RunPrincipals(p *sim.Proc, hs *hsm.Service, specs []PrincipalSpec) ([]Princ
 				// Keep the live pin set bounded: release the oldest.
 				for len(pinned) > maxPins {
 					st.Submitted++
-					if _, err := hs.SubmitWait(cp, hsm.OpUnpin, pinned[0], spec.Name); err == nil {
+					if _, err := hs.Submit(cp, hsm.OpUnpin, pinned[0], spec.Name); err == nil {
 						st.Done++
 					} else {
 						st.Failed++
