@@ -91,7 +91,8 @@ bench:
 
 # Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
 # contended resource, 4-way spawn and join), of the block data path
-# (lfs -> stripe -> dev, and the parity XOR alone) and of the tertiary side
+# (lfs -> stripe -> dev, a fetched line adopted by the parity farm, and the
+# parity XOR alone) and of the tertiary side
 # (a jukebox segment in and out, a segment-cache lookup and the choice of a
 # victim), and of a buffer-cache insert that evicts through a full
 # pointer-block reserve, and of the workload generator's file tree: host
@@ -101,7 +102,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB' -benchmem -benchtime 20x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'BufferEvict' -benchmem -benchtime 200000x ./internal/lfs/
-	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
+	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|AdoptLine1MB|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read)1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Lend|Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
@@ -130,7 +131,11 @@ loc:
 # The total of `make loc` may not exceed LOC_MAX: the total of the last PR
 # that lowered it. A PR that lowers the total lowers LOC_MAX to its own; one
 # that must raise it says why in the same diff.
-LOC_MAX = 24982
+# Raised from 24,982 by 34 lines for dev.Vectored (parts, one read and one
+# write loop over them), the farm constructors' check for it and the media's
+# spare extents: a fetched line reaches a striped or parity farm's spindles
+# by reference.
+LOC_MAX = 25016
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -73,6 +73,25 @@ type Adopter interface {
 	AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error
 }
 
+// Part is one piece of a vectored transfer: Buf holds the blocks from Blk on.
+// Keep marks a write's Buf as handed over, as AdoptBlocks takes it: the device
+// may keep it, and the caller never changes it again.
+type Part struct {
+	Blk  int64
+	Buf  []byte
+	Keep bool
+}
+
+// Vectored is a BlockDev that moves a list of parts, each starting at the
+// block after the one before it ends, as one request: it costs, counts and
+// reads back exactly as a ReadBlocks or WriteBlocks of their concatenation
+// would, so a caller gathers or scatters without a bounce buffer.
+type Vectored interface {
+	BlockDev
+	ReadParts(p *sim.Proc, parts []Part) error
+	WriteParts(p *sim.Proc, parts []Part) error
+}
+
 // Bus is a shared I/O bus (e.g. one SCSI chain). Devices hold the bus for
 // the host-transfer portion of each request; the robotic autochanger in
 // package jukebox holds it for entire media swaps, reproducing the
@@ -376,15 +395,41 @@ func (d *Disk) ArmWaitTotal() sim.Time { return d.arm.WaitTotal() }
 // ArmBusyTotal reports cumulative virtual time the arm was held.
 func (d *Disk) ArmBusyTotal() sim.Time { return d.arm.BusyTotal() }
 
-func (d *Disk) checkRange(op string, blk int64, n int) error {
-	if n%BlockSize != 0 {
-		return fmt.Errorf("dev: %s %s: buffer %d bytes not a multiple of %d", d.prof.Name, op, n, BlockSize)
+// checkParts checks that parts are whole blocks, each following the one
+// before, inside the disk, and returns their first block and total bytes.
+func (d *Disk) checkParts(op string, parts []Part) (blk int64, n int, err error) {
+	if len(parts) > 0 {
+		blk = parts[0].Blk
 	}
-	nb := int64(n / BlockSize)
-	if blk < 0 || blk+nb > d.nblocks {
-		return fmt.Errorf("dev: %s %s: blocks [%d,%d) out of range [0,%d)", d.prof.Name, op, blk, blk+nb, d.nblocks)
+	for _, pt := range parts {
+		if len(pt.Buf)%BlockSize != 0 || pt.Blk != blk+int64(n/BlockSize) {
+			return 0, 0, fmt.Errorf("dev: %s %s: %d bytes at block %d are not whole blocks following [%d,%d)",
+				d.prof.Name, op, len(pt.Buf), pt.Blk, blk, blk+int64(n/BlockSize))
+		}
+		n += len(pt.Buf)
 	}
-	return nil
+	if nb := int64(n / BlockSize); blk < 0 || blk+nb > d.nblocks {
+		return 0, 0, fmt.Errorf("dev: %s %s: blocks [%d,%d) out of range [0,%d)", d.prof.Name, op, blk, blk+nb, d.nblocks)
+	}
+	return blk, n, nil
+}
+
+// cursor walks the parts of a request a piece at a time.
+type cursor struct {
+	parts []Part
+	off   int // bytes of parts[0] already taken
+}
+
+// take returns the next piece: up to n bytes, all of one part.
+func (c *cursor) take(n int) Part {
+	for c.off == len(c.parts[0].Buf) {
+		c.parts, c.off = c.parts[1:], 0
+	}
+	pt := c.parts[0]
+	pt.Blk += int64(c.off / BlockSize)
+	pt.Buf = pt.Buf[c.off:min(len(pt.Buf), c.off+n)]
+	c.off += len(pt.Buf)
+	return pt
 }
 
 // seekTime is the arm movement cost for a request starting at blk. The
@@ -407,11 +452,28 @@ func (d *Disk) seekTime(blk int64) sim.Time {
 	return d.prof.SeekMin + sim.Time(float64(d.prof.SeekMax-d.prof.SeekMin)*frac)
 }
 
-// ReadBlocks implements BlockDev. Requests larger than MaxTransfer are
-// split into MAXPHYS-sized chunks with the arm re-arbitrated in between,
-// so concurrent streams interleave (and pay seeks against each other).
+// ReadBlocks implements BlockDev: ReadParts of buf alone.
 func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	if err := d.checkRange("read", blk, len(buf)); err != nil {
+	return d.ReadParts(p, []Part{{Blk: blk, Buf: buf}})
+}
+
+// WriteBlocks implements BlockDev: WriteParts of buf alone.
+func (d *Disk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.WriteParts(p, []Part{{Blk: blk, Buf: buf}})
+}
+
+// AdoptBlocks implements Adopter: WriteParts of buf alone, kept.
+func (d *Disk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.WriteParts(p, []Part{{Blk: blk, Buf: buf, Keep: true}})
+}
+
+// ReadParts implements Vectored. A request larger than MaxTransfer is split
+// into MAXPHYS-sized chunks, across part boundaries, with the arm
+// re-arbitrated in between, so concurrent streams interleave (and pay seeks
+// against each other).
+func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
+	blk, left, err := d.checkParts("read", parts)
+	if err != nil {
 		return err
 	}
 	if d.Fault != nil {
@@ -421,13 +483,10 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 			return err
 		}
 	}
-	t0, blk0, n0 := p.Now(), blk, len(buf)
-	for len(buf) > 0 {
-		n := len(buf)
-		if n > MaxTransfer {
-			n = MaxTransfer
-		}
-		chunk := buf[:n]
+	t0, blk0, n0 := p.Now(), blk, left
+	c := cursor{parts: parts}
+	for left > 0 {
+		n := min(left, MaxTransfer)
 		d.arm.Acquire(p)
 		st := d.seekTime(blk)
 		d.stats.SeekTime += st
@@ -435,20 +494,23 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 		media := xfer(n, d.prof.MediaRead)
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
-		nb := int64(n / BlockSize)
-		d.store.read(blk, chunk)
-		// Read-your-writes: the volatile cache, while it holds anything, is newer.
-		for i := int64(0); i < nb && len(d.worder) > 0; i++ {
-			if src, ok := d.wdirty[blk+i]; ok {
-				copy(chunk[i*BlockSize:], src)
+		for got := 0; got < n; {
+			pt := c.take(n - got)
+			d.store.read(pt.Blk, pt.Buf)
+			// Read-your-writes: the volatile cache, while it holds anything, is newer.
+			for i := 0; i < len(pt.Buf) && len(d.worder) > 0; i += BlockSize {
+				if src, ok := d.wdirty[pt.Blk+int64(i/BlockSize)]; ok {
+					copy(pt.Buf[i:], src)
+				}
 			}
+			got += len(pt.Buf)
 		}
-		d.head = blk + nb
+		blk += int64(n / BlockSize)
+		d.head = blk
 		d.arm.Release(p)
 		d.bus.Transfer(p, n)
 		d.stats.BytesRead += int64(n)
-		blk += nb
-		buf = buf[n:]
+		left -= n
 	}
 	d.stats.Reads++
 	if d.obs != nil {
@@ -459,22 +521,13 @@ func (d *Disk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return nil
 }
 
-// WriteBlocks implements BlockDev, with the same MAXPHYS chunking as
-// ReadBlocks.
-func (d *Disk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return d.write(p, blk, buf, false)
-}
-
-// AdoptBlocks implements Adopter: WriteBlocks, in the same virtual time,
-// except that a write-through disk nobody watches keeps each whole, aligned
-// 64 KB chunk of buf by reference. A write cache or an OnMediaWrite hook
-// copies, as WriteBlocks does, so both see every block as before.
-func (d *Disk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return d.write(p, blk, buf, true)
-}
-
-func (d *Disk) write(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
-	if err := d.checkRange("write", blk, len(buf)); err != nil {
+// WriteParts implements Vectored, with the same MAXPHYS chunking as
+// ReadParts. A write-through disk nobody watches keeps each whole, aligned
+// 64 KB piece of a kept part by reference; a write cache or an OnMediaWrite
+// hook copies every part, so both see every block as before.
+func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
+	blk, left, err := d.checkParts("write", parts)
+	if err != nil {
 		return err
 	}
 	if d.Fault != nil {
@@ -484,13 +537,10 @@ func (d *Disk) write(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
 			return err
 		}
 	}
-	t0, blk0, n0 := p.Now(), blk, len(buf)
-	for len(buf) > 0 {
-		n := len(buf)
-		if n > MaxTransfer {
-			n = MaxTransfer
-		}
-		chunk := buf[:n]
+	t0, blk0, n0 := p.Now(), blk, left
+	c := cursor{parts: parts}
+	for left > 0 {
+		n := min(left, MaxTransfer)
 		d.bus.Transfer(p, n)
 		d.arm.Acquire(p)
 		st := d.seekTime(blk)
@@ -499,22 +549,25 @@ func (d *Disk) write(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
 		media := xfer(n, d.prof.MediaWrite)
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
-		nb := int64(n / BlockSize)
-		switch {
-		case adopt && d.wcap == 0 && d.OnMediaWrite == nil:
-			d.store.adopt(blk, chunk)
-		case d.wcap == 0:
-			d.applyMedia(blk, chunk)
-		default:
-			for i := int64(0); i < nb; i++ {
-				d.cacheWrite(blk+i, chunk[i*BlockSize:(i+1)*BlockSize])
+		for got := 0; got < n; {
+			pt := c.take(n - got)
+			switch {
+			case pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil:
+				d.store.adopt(pt.Blk, pt.Buf)
+			case d.wcap == 0:
+				d.applyMedia(pt.Blk, pt.Buf)
+			default:
+				for i := 0; i < len(pt.Buf); i += BlockSize {
+					d.cacheWrite(pt.Blk+int64(i/BlockSize), pt.Buf[i:i+BlockSize])
+				}
 			}
+			got += len(pt.Buf)
 		}
-		d.head = blk + nb
+		blk += int64(n / BlockSize)
+		d.head = blk
 		d.arm.Release(p)
 		d.stats.BytesWritten += int64(n)
-		blk += nb
-		buf = buf[n:]
+		left -= n
 	}
 	d.stats.Writes++
 	if d.obs != nil {

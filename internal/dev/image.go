@@ -37,9 +37,10 @@ func (d *Disk) SaveStore(w io.Writer) error {
 
 // LoadStore replaces the disk's contents from a stream written by
 // SaveStore, empties the volatile write cache and parks the arm at block 0:
-// the disk as it comes back after a power cut. Any other stream — of another
-// disk size, short, a block out of range or twice — is ErrBadImage with the
-// offset and leaves the disk as it was.
+// the disk as it comes back after a power cut. The spare extents of the old
+// contents (media) go with them. Any other stream — of another disk size,
+// short, a block out of range or twice — is ErrBadImage with the offset and
+// leaves the disk as it was.
 func (d *Disk) LoadStore(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var hdr [20]byte

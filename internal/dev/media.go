@@ -10,10 +10,14 @@ const extentBlocks = MaxTransfer / BlockSize
 // was never written reads as zeroes (its extent is absent, or still zero
 // there) and appears in no snapshot or image. An adopted extent is another
 // medium's immutable bytes, shared until the first write into it copies them.
+// The extents of ours that adoptions displace wait in spare for the next
+// first write or copy, so a disk that adopts lines owns no more extents than
+// one that copies them.
 type media struct {
 	ext     []*[MaxTransfer]byte
 	written []uint16 // bit i of written[e]: block e*extentBlocks+i was written
 	shared  []bool   // ext[e] was adopted: not ours to write
+	spare   []*[MaxTransfer]byte
 }
 
 func newMedia(nblocks int64) media {
@@ -27,12 +31,8 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 	for len(data) > 0 {
 		e, i := blk/extentBlocks, int(blk%extentBlocks)
 		n := min(MaxTransfer-i*BlockSize, len(data))
-		switch {
-		case m.ext[e] == nil:
-			m.ext[e] = new([MaxTransfer]byte)
-		case m.shared[e]:
-			x := *m.ext[e]
-			m.ext[e], m.shared[e] = &x, false
+		if m.ext[e] == nil || m.shared[e] {
+			m.own(e)
 		}
 		copy(m.ext[e][i*BlockSize:], data[:n])
 		nb := (n + BlockSize - 1) / BlockSize
@@ -44,10 +44,33 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 	return rewrote
 }
 
+// own puts an extent of ours in place of ext[e], holding what ext[e] reads as
+// now (zeroes when absent, the adopted bytes when shared): a spare one if
+// there is any, else a new one.
+func (m *media) own(e int64) {
+	var x *[MaxTransfer]byte
+	switch n := len(m.spare); {
+	case n == 0:
+		x = new([MaxTransfer]byte)
+	case m.ext[e] == nil:
+		x, m.spare = m.spare[n-1], m.spare[:n-1]
+		clear(x[:])
+	default:
+		x, m.spare = m.spare[n-1], m.spare[:n-1]
+	}
+	if m.ext[e] != nil {
+		*x = *m.ext[e]
+	}
+	m.ext[e], m.shared[e] = x, false
+}
+
 // adopt stores data from block blk on like write, but takes it by reference
 // when it is one whole, aligned extent; data must never change afterwards.
 func (m *media) adopt(blk int64, data []byte) {
 	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer {
+		if m.ext[e] != nil && !m.shared[e] {
+			m.spare = append(m.spare, m.ext[e])
+		}
 		m.ext[e], m.shared[e], m.written[e] = (*[MaxTransfer]byte)(data), true, 1<<extentBlocks-1
 		return
 	}

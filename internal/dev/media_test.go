@@ -91,9 +91,13 @@ func sameStore(a, b map[int64][]byte) error {
 // off, Flush, images saved and loaded back in place later (a power cycle),
 // images saved and loaded into a second disk — and compares every read and
 // every durable image. A third of the writes are adoptions (AdoptBlocks),
-// half of those of whole extents, and no buffer adopted may change after. One
-// run has a media-write observer, which makes direct writes land block by
-// block.
+// half of those of whole extents, and no buffer adopted may change after;
+// another sixth go down as several parts (WriteParts) with mixed keep bits,
+// the parts not kept overwritten at once. Half the power cycles go back to
+// the blank disk, and the whole disk is read around every power cycle and
+// save, so a never-written block is seen to read as zeroes after LoadStore
+// even through an extent an adoption displaced and a write reused. One run
+// has a media-write observer, which makes direct writes land block by block.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -106,9 +110,10 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			if seed == 2 {
 				d.OnMediaWrite = func(int64) { observed++ }
 			}
-			var saved []byte                // a power-cut image to come back to ...
-			var savedModel map[int64][]byte // ... and the model's durable blocks then
-			var adopted, handed [][]byte    // buffers given to AdoptBlocks, and copies of them
+			blank := validImage(t, nblocks)
+			saved := blank                   // a power-cut image to come back to ...
+			savedModel := map[int64][]byte{} // ... and the model's durable blocks then
+			var adopted, handed [][]byte     // buffers given to AdoptBlocks, and copies of them
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
 				if rng.IntN(4) == 0 {
@@ -116,12 +121,23 @@ func TestDiskMatchesMapModel(t *testing.T) {
 				}
 				return rng.Int64N(nblocks - int64(nb) + 1), nb
 			}
+			// readAll compares the whole disk with the model: never-written
+			// blocks read as zeroes, whatever extent stands in for them.
+			readAll := func(p *sim.Proc, step int) {
+				all := bytes.Repeat([]byte{0xDB}, nblocks*BlockSize)
+				if err := d.ReadBlocks(p, 0, all); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(all, m.read(0, nblocks)) {
+					t.Fatalf("step %d: the disk reads other than the model", step)
+				}
+			}
 			k.RunProc(func(p *sim.Proc) {
 				for step := 0; step < 1000; step++ {
 					switch op := rng.IntN(20); {
 					case op < 8:
 						blk, nb := span()
-						adopt := rng.IntN(3) == 0
+						adopt, parts := rng.IntN(3) == 0, rng.IntN(6) == 0
 						if adopt && rng.IntN(2) == 0 { // one or two whole extents
 							n := 1 + rng.IntN(2)
 							blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
@@ -129,6 +145,26 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						buf := make([]byte, nb*BlockSize)
 						for i := 0; i < len(buf); i += 8 {
 							binary.LittleEndian.PutUint64(buf[i:], rng.Uint64())
+						}
+						if parts && !adopt {
+							var ps []Part
+							for off := 0; off < nb; {
+								n := 1 + rng.IntN(nb-off)
+								ps = append(ps, Part{Blk: blk + int64(off), Buf: buf[off*BlockSize : (off+n)*BlockSize], Keep: rng.IntN(2) == 0})
+								off += n
+							}
+							if err := d.WriteParts(p, ps); err != nil {
+								t.Fatal(err)
+							}
+							m.write(blk, buf)
+							for _, pt := range ps {
+								if pt.Keep {
+									adopted, handed = append(adopted, pt.Buf), append(handed, bytes.Clone(pt.Buf))
+								} else {
+									clear(pt.Buf)
+								}
+							}
+							break
 						}
 						if !adopt {
 							if err := d.WriteBlocks(p, blk, buf); err != nil {
@@ -164,16 +200,23 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						}
 						m.destage(len(m.order))
 					case op == 17:
+						readAll(p, step)
 						var img bytes.Buffer
 						if err := d.SaveStore(&img); err != nil {
 							t.Fatal(err)
 						}
 						saved, savedModel = img.Bytes(), maps.Clone(m.durable)
-					case op == 18 && saved != nil:
-						if err := d.LoadStore(bytes.NewReader(saved)); err != nil {
+					case op == 18:
+						readAll(p, step)
+						img, model := saved, savedModel
+						if rng.IntN(2) == 0 {
+							img, model = blank, map[int64][]byte{}
+						}
+						if err := d.LoadStore(bytes.NewReader(img)); err != nil {
 							t.Fatal(err)
 						}
-						m.durable, m.cached, m.order = maps.Clone(savedModel), map[int64][]byte{}, nil
+						m.durable, m.cached, m.order = maps.Clone(model), map[int64][]byte{}, nil
+						readAll(p, step)
 					case op == 19:
 						var img bytes.Buffer
 						if err := d.SaveStore(&img); err != nil {
@@ -297,6 +340,51 @@ func TestAdoptedLineCopiesOnWrite(t *testing.T) {
 			copy(want[b*BlockSize:], blk)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("after writing block %d the line does not read as the image with that block replaced", b)
+			}
+		}
+	})
+}
+
+// TestDisplacedExtentsAreReset: the extents an adoption displaces are the
+// ones the next writes that need an extent of the disk's own take, and each
+// reads as what it stands in for — zeroes around a block written into a
+// never-written extent, the adopted bytes around one written into an adopted
+// extent — on a fresh disk and after a power cycle.
+func TestDisplacedExtentsAreReset(t *testing.T) {
+	const x = extentBlocks
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 8*x, nil)
+	fill := func(v byte, nb int) []byte { return bytes.Repeat([]byte{v}, nb*BlockSize) }
+	img := fill(0x11, 2*x)
+	k.RunProc(func(p *sim.Proc) {
+		for _, base := range []int64{0, 4 * x} {
+			write := func(blk int64, buf []byte) {
+				if err := d.WriteBlocks(p, blk, buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write(base, fill(0xAA, 2*x))
+			if err := d.AdoptBlocks(p, base, img); err != nil { // displaces both extents
+				t.Fatal(err)
+			}
+			write(base+3*x+5, fill(0xEE, 1)) // a never-written extent
+			write(base+7, fill(0xEE, 1))     // an adopted one
+			got := make([]byte, 4*x*BlockSize)
+			if err := d.ReadBlocks(p, base, got); err != nil {
+				t.Fatal(err)
+			}
+			want := append(bytes.Clone(img), fill(0, 2*x)...)
+			copy(want[(3*x+5)*BlockSize:], fill(0xEE, 1))
+			copy(want[7*BlockSize:], fill(0xEE, 1))
+			if !bytes.Equal(got, want) || !bytes.Equal(img, fill(0x11, 2*x)) {
+				t.Fatalf("from block %d: a reused extent reads other than what it stands in for, or the image changed", base)
+			}
+			var saved bytes.Buffer
+			if err := d.SaveStore(&saved); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.LoadStore(&saved); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

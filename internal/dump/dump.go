@@ -287,7 +287,7 @@ func DataPath(p *sim.Proc, w io.Writer, hl *core.HighLight) error {
 		fmt.Sprintf("block map:     segment %d is tertiary (index %d); cache miss", tseg, tag),
 		"tertiary drv:  queue demand fetch, wake service process, sleep",
 		"service proc:  route the fetch to the closest copy's library; no cache line is bound yet",
-		fmt.Sprintf("I/O server:    Footprint.ReadSegment(dev %d, vol %d, seg %d)  [%.2fs in Footprint]",
+		fmt.Sprintf("I/O server:    Footprint.LendSegment(dev %d, vol %d, seg %d)  [%.2fs in Footprint]",
 			d, v, vs, fpRead.Seconds()),
 		fmt.Sprintf("I/O server:    data in hand: select reusable disk segment %d as cache line", line.DiskSeg),
 		fmt.Sprintf("I/O server:    write segment image to raw disk            [%.2fs writing cache line]",

@@ -100,7 +100,7 @@ func TestDataPathNarration(t *testing.T) {
 		}
 	})
 	s := out.String()
-	for _, want := range []string{"block map", "service proc", "Footprint.ReadSegment", "restart the I/O"} {
+	for _, want := range []string{"block map", "service proc", "Footprint.LendSegment", "restart the I/O"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("datapath narration missing %q:\n%s", want, s)
 		}

@@ -35,12 +35,12 @@ func allocBytesPerOp(op func()) uint64 {
 // TestInterleaveSteadyStateAllocations gates the farm's data path: after a
 // warm-up op, a request may allocate bookkeeping (op lists, closures, the
 // fan-out procs) but no transfer buffer — less than one block per op,
-// where a single bounce buffer, row image or parity unit allocated per
-// call is 16 KB or more. The last two rows are the path every block I/O of
-// an unstriped instance takes, a request inside the one component of a
-// concatenated farm: its split stays on the caller's stack, so it allocates
-// what it did before the two drivers became one (176 bytes: op list, task,
-// error slice).
+// where a single row image or parity unit allocated per call is 16 KB or
+// more. The last two rows are the path every block I/O of an unstriped
+// instance takes, a request inside the one component of a concatenated
+// farm: its split stays on the caller's stack, so it allocates no more than
+// it did before the two drivers became one (176 bytes: op list, task, error
+// slice).
 func TestInterleaveSteadyStateAllocations(t *testing.T) {
 	const unit = 4 // blocks per stripe unit; a row holds 3 data units = 12 blocks
 	for _, tc := range []struct {
@@ -125,6 +125,30 @@ func BenchmarkInterleaveWriteParity(b *testing.B) {
 				b.Fatal(err)
 			}
 			if err := il.WriteBlocks(p, 300, buf[:4*dev.BlockSize]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkInterleaveAdoptLine1MB is a demand fetch's cache-line write on
+// the parity farm: a lent 1 MB segment image adopted at segments 0, 1 and 2
+// in turn (256-block segments; 1 and 2 start and end mid-row).
+func BenchmarkInterleaveAdoptLine1MB(b *testing.B) {
+	k, il, img := benchFarm()
+	for i := range img {
+		img[i] = byte(i * 7)
+	}
+	poisonFreed = false // poison_test.go: filling every freed parity unit and row image would swamp the copies measured
+	defer func() { poisonFreed = true }()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(img)))
+	k.RunProc(func(p *sim.Proc) {
+		for i := -3; i < b.N; i++ {
+			if i == 0 {
+				b.ResetTimer() // rounds -3..-1 touched the media and stocked the free list
+			}
+			if err := il.AdoptBlocks(p, int64((i+3)%3)*256, img); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,9 +2,11 @@ package stripe
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/dev"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -13,7 +15,10 @@ import (
 // relies on: WriteBlocks keeps no reference to the caller's buffer, and
 // ReadBlocks overwrites every byte of it. Each device has an AdoptBlocks row
 // too, for the dev.Adopter contract: what was adopted reads back, and a later
-// write into the range leaves the adopted buffer as it was.
+// write into the range leaves the adopted buffer as it was. A device that
+// takes vectored transfers (dev.Vectored) has a parts row: a write and a read
+// over parts must be their concatenation's, in bytes, virtual time,
+// DiskStats, spans and latency samples.
 func TestBlockDevContract(t *testing.T) {
 	const unit = 4
 	disks := func(k *sim.Kernel, n int) []dev.BlockDev {
@@ -33,6 +38,11 @@ func TestBlockDevContract(t *testing.T) {
 		{"disk write-cache", func(k *sim.Kernel) dev.BlockDev {
 			d := dev.NewDisk(k, dev.RZ57, 128, nil)
 			d.EnableWriteCache(8) // smaller than the write: some blocks destage, some stay cached
+			return d
+		}},
+		{"disk media-write hook", func(k *sim.Kernel) dev.BlockDev {
+			d := dev.NewDisk(k, dev.RZ57, 128, nil)
+			d.OnMediaWrite = func(int64) {} // every block lands one at a time, copied
 			return d
 		}},
 		{"concat", func(k *sim.Kernel) dev.BlockDev {
@@ -117,5 +127,79 @@ func TestBlockDevContract(t *testing.T) {
 				check(t, p, d, blk, want)
 			})
 		})
+		if _, ok := tc.make(sim.NewKernel()).(dev.Vectored); ok {
+			t.Run(tc.name+", parts", func(t *testing.T) { checkParts(t, tc.make) })
+		}
+	}
+}
+
+// checkParts writes 58 blocks from block 16 as six parts — some kept, one a
+// whole aligned extent, two straddling a 64 KB chunk boundary — and reads
+// them back as three others, on one device, and as single buffers on a twin:
+// both must read the same bytes and leave the same virtual time, DiskStats,
+// spans and latency histograms. The parts not kept are overwritten at once.
+func checkParts(t *testing.T, newDev func(k *sim.Kernel) dev.BlockDev) {
+	const blk, nb = 16, 58
+	want := make([]byte, nb*dev.BlockSize)
+	for i := range want {
+		want[i] = byte(i*13 + i>>9)
+	}
+	run := func(vectored bool) (got []byte, trace string) {
+		k := sim.NewKernel()
+		d := newDev(k).(*dev.Disk)
+		o := obs.New(k)
+		o.EnableTrace()
+		d.SetObs(o, "")
+		buf := bytes.Clone(want)
+		got = bytes.Repeat([]byte{0xDB}, len(want))
+		cut := func(b []byte, keep []bool, at ...int64) []dev.Part {
+			var parts []dev.Part
+			for i, from := range at {
+				to := int64(nb)
+				if i+1 < len(at) {
+					to = at[i+1]
+				}
+				parts = append(parts, dev.Part{Blk: blk + from, Buf: b[from*dev.BlockSize : to*dev.BlockSize], Keep: keep != nil && keep[i]})
+			}
+			return parts
+		}
+		k.RunProc(func(p *sim.Proc) {
+			var err error
+			if vectored {
+				err = d.WriteParts(p, cut(buf, []bool{false, true, true, true, false, true}, 0, 4, 20, 32, 48, 50))
+				clear(buf[:4*dev.BlockSize])
+				clear(buf[48*dev.BlockSize : 50*dev.BlockSize])
+			} else {
+				err = d.WriteBlocks(p, blk, buf)
+				clear(buf)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vectored {
+				err = d.ReadParts(p, cut(got, nil, 0, 1, 30))
+			} else {
+				err = d.ReadBlocks(p, blk, got)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		trace = fmt.Sprintf("%v %+v", k.Now(), d.Stats())
+		for _, s := range o.Spans() {
+			trace += fmt.Sprintf("\n%+v", s)
+		}
+		for _, h := range o.Histograms() {
+			trace += fmt.Sprintf("\n%+v", *h)
+		}
+		return got, trace
+	}
+	gotParts, traceParts := run(true)
+	gotWhole, traceWhole := run(false)
+	if !bytes.Equal(gotParts, want) || !bytes.Equal(gotWhole, want) {
+		t.Error("parts or their concatenation did not read back what was written")
+	}
+	if traceParts != traceWhole {
+		t.Errorf("parts and their concatenation differ:\n%s\nwant\n%s", traceParts, traceWhole)
 	}
 }

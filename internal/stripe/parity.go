@@ -14,7 +14,7 @@ import (
 // extents are issued as one parallel phase, into scratch buffers borrowed
 // from the farm's free list until the XOR is done.
 func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
-	groups := make([][]op, len(f.devs))
+	groups := make([][]dev.Part, len(f.devs))
 	scratch := make([][][]byte, len(degraded)) // per extent, per survivor
 	defer func() {
 		for _, sbs := range scratch {
@@ -34,10 +34,10 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 			}
 			sb := f.free.get(len(e.buf))
 			scratch[i] = append(scratch[i], sb)
-			groups[d] = append(groups[d], op{d: f.devs[d], blk: e.phys, buf: sb})
+			groups[d] = append(groups[d], dev.Part{Blk: e.phys, Buf: sb})
 		}
 	}
-	if err := dispatch(p, &f.rebuild, &f.free, groups, false); err != nil {
+	if err := f.dispatch(p, &f.rebuild, groups, false); err != nil {
 		return err
 	}
 	for i, e := range degraded {
@@ -55,9 +55,10 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 // penalty: the old row is read back (reconstructing a failed lane from
 // parity if needed), overlaid with the new data, and the parity unit
 // rewritten whole. Reads for every partial row form one parallel phase;
-// all data and parity writes form a second. Row images and parity units
-// are borrowed from the farm's free list until the write phase has joined.
-func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
+// all data and parity writes form a second. Every data write slices buf,
+// kept when keep is set; row images and parity units are borrowed from the
+// farm's free list until the write phase has joined, and never kept.
+func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) error {
 	nd := f.dataDisks()
 	unitB := f.unit * int64(dev.BlockSize)
 	rowBlocks := nd * f.unit
@@ -87,7 +88,7 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
 			}
 		}
 	}()
-	readGroups := make([][]op, len(f.devs))
+	readGroups := make([][]dev.Part, len(f.devs))
 	for r := firstRow; r <= lastRow; r++ {
 		pd := f.parityDisk(r)
 		plans = append(plans, rowPlan{row: r, badLane: -1})
@@ -115,19 +116,20 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
 					clear(rp.old[j]) // nothing is read into a failed lane
 					continue
 				}
-				readGroups[d] = append(readGroups[d], op{d: f.devs[d], blk: phys, buf: rp.old[j]})
+				readGroups[d] = append(readGroups[d], dev.Part{Blk: phys, Buf: rp.old[j]})
 			}
 			if rp.badLane >= 0 {
 				rp.oldPar = f.free.get(int(unitB))
-				readGroups[pd] = append(readGroups[pd], op{d: f.devs[pd], blk: phys, buf: rp.oldPar})
+				readGroups[pd] = append(readGroups[pd], dev.Part{Blk: phys, Buf: rp.oldPar})
 			}
 		}
 	}
-	if err := dispatch(p, &f.names.read, &f.free, readGroups, false); err != nil {
+	if err := f.dispatch(p, &f.names.read, readGroups, false); err != nil {
 		return err
 	}
 
-	writeGroups := make([][]op, len(f.devs))
+	const bs = dev.BlockSize
+	writeGroups := make([][]dev.Part, len(f.devs))
 	for i := range plans {
 		rp := &plans[i]
 		pd := f.parityDisk(rp.row)
@@ -148,21 +150,21 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
 		var prev []byte
 		for j := int64(0); j < nd; j++ {
 			laneStart := rowStart + j*f.unit
-			laneEnd := laneStart + f.unit
-			s, e := blk, blk+nb
-			if s < laneStart {
-				s = laneStart
-			}
-			if e > laneEnd {
-				e = laneEnd
-			}
 			var lane []byte // the lane's complete new contents
-			if rp.full {
-				lane = buf[(laneStart-blk)*int64(dev.BlockSize) : (laneEnd-blk)*int64(dev.BlockSize)]
-			} else {
+			if !rp.full {
 				lane = rp.old[j]
-				if s < e {
-					copy(lane[(s-laneStart)*int64(dev.BlockSize):], buf[(s-blk)*int64(dev.BlockSize):(e-blk)*int64(dev.BlockSize)])
+			}
+			// [s, e) is the lane's share of the request. Its data write
+			// slices buf, in a full row and a partial one alike.
+			if s, e := max(blk, laneStart), min(blk+nb, laneStart+f.unit); s < e {
+				data := buf[(s-blk)*bs : (e-blk)*bs]
+				if rp.full {
+					lane = data
+				} else {
+					copy(lane[(s-laneStart)*bs:], data)
+				}
+				if d := f.lane(rp.row, j); !f.failed[d] { // else the write survives in parity alone
+					writeGroups[d] = append(writeGroups[d], dev.Part{Blk: rp.row*f.unit + s - laneStart, Buf: data, Keep: keep})
 				}
 			}
 			if j == 1 {
@@ -172,23 +174,12 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte) error {
 				xorInto(rp.parity, lane)
 			}
 			prev = lane
-			if s < e {
-				d := f.lane(rp.row, j)
-				if f.failed[d] {
-					continue // the write survives in parity alone
-				}
-				writeGroups[d] = append(writeGroups[d], op{
-					d:   f.devs[d],
-					blk: rp.row*f.unit + (s - laneStart),
-					buf: lane[(s-laneStart)*int64(dev.BlockSize) : (e-laneStart)*int64(dev.BlockSize)],
-				})
-			}
 		}
 		if !f.failed[pd] {
-			writeGroups[pd] = append(writeGroups[pd], op{d: f.devs[pd], blk: rp.row * f.unit, buf: rp.parity})
+			writeGroups[pd] = append(writeGroups[pd], dev.Part{Blk: rp.row * f.unit, Buf: rp.parity})
 		}
 	}
-	return dispatch(p, &f.names.write, &f.free, writeGroups, true)
+	return f.dispatch(p, &f.names.write, writeGroups, true)
 }
 
 // xorInto sets dst ^= src, a machine word (or a vector) at a time. The two

@@ -35,7 +35,7 @@ import (
 // holds data units on the N-1 disks other than the parity disk r % N, in
 // disk-index order.
 type Farm struct {
-	devs   []dev.BlockDev
+	devs   []dev.Vectored
 	starts []int64 // concatenated: starts[i] = first block of component i
 	unit   int64   // stripe unit in blocks; 0 when concatenated
 	parity bool
@@ -62,11 +62,12 @@ var (
 
 // New returns the concatenation of devs, or ErrNoDevices if devs is empty.
 func New(devs ...dev.BlockDev) (*Farm, error) {
-	if len(devs) == 0 {
-		return nil, ErrNoDevices
+	vs, err := vectored(devs)
+	if err != nil {
+		return nil, err
 	}
-	f := &Farm{devs: devs, failed: make([]bool, len(devs)), names: newFarmNames("stripe.concat", len(devs))}
-	for _, d := range devs {
+	f := &Farm{devs: vs, failed: make([]bool, len(devs)), names: newFarmNames("stripe.concat", len(devs))}
+	for _, d := range vs {
 		f.starts = append(f.starts, f.total)
 		f.total += d.NumBlocks()
 	}
@@ -78,8 +79,9 @@ func New(devs ...dev.BlockDev) (*Farm, error) {
 // spindles are required then (two without). Capacity is the largest whole
 // number of stripe rows that fits the smallest component.
 func NewInterleave(unitBlocks int, parity bool, devs ...dev.BlockDev) (*Farm, error) {
-	if len(devs) == 0 {
-		return nil, ErrNoDevices
+	vs, err := vectored(devs)
+	if err != nil {
+		return nil, err
 	}
 	if unitBlocks <= 0 {
 		return nil, fmt.Errorf("stripe: stripe unit must be positive, got %d", unitBlocks)
@@ -101,7 +103,7 @@ func NewInterleave(unitBlocks int, parity bool, devs ...dev.BlockDev) (*Farm, er
 		return nil, fmt.Errorf("stripe: components hold %d blocks, smaller than one %d-block stripe unit", min, unitBlocks)
 	}
 	f := &Farm{
-		devs:    devs,
+		devs:    vs,
 		unit:    int64(unitBlocks),
 		parity:  parity,
 		failed:  make([]bool, len(devs)),
@@ -110,6 +112,23 @@ func NewInterleave(unitBlocks int, parity bool, devs ...dev.BlockDev) (*Farm, er
 	}
 	f.total = rows * f.dataDisks() * f.unit
 	return f, nil
+}
+
+// vectored returns devs as the components a farm drives: every one must take
+// a coalesced transfer as a list of the caller's slices (dev.Vectored).
+func vectored(devs []dev.BlockDev) ([]dev.Vectored, error) {
+	if len(devs) == 0 {
+		return nil, ErrNoDevices
+	}
+	vs := make([]dev.Vectored, len(devs))
+	for i, d := range devs {
+		v, ok := d.(dev.Vectored)
+		if !ok {
+			return nil, fmt.Errorf("stripe: component %d (%T) has no ReadParts and WriteParts", i, d)
+		}
+		vs[i] = v
+	}
+	return vs, nil
 }
 
 // Must returns the farm of a New or NewInterleave call, panicking on its
@@ -132,8 +151,12 @@ func (f *Farm) Append(d dev.BlockDev) (int64, error) {
 	if f.unit > 0 {
 		return 0, ErrStriped
 	}
+	vs, err := vectored([]dev.BlockDev{d})
+	if err != nil {
+		return 0, err
+	}
 	start := f.total
-	f.devs = append(f.devs, d)
+	f.devs = append(f.devs, vs[0])
 	f.starts = append(f.starts, start)
 	f.failed = append(f.failed, false)
 	f.total += d.NumBlocks()
@@ -244,9 +267,9 @@ func (f *Farm) split(dst []extent, blk int64, buf []byte) []extent {
 }
 
 // do validates a request, opens its stripe-io trace stage (labelled with
-// direction and size) and runs it. adopt marks a write whose buf may be kept
+// direction and size) and runs it. keep marks a write whose buf may be kept
 // (dev.Adopter).
-func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, adopt bool) error {
+func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
 	if len(buf)%dev.BlockSize != 0 {
 		return fmt.Errorf("stripe: buffer %d bytes not block-aligned", len(buf))
 	}
@@ -269,9 +292,9 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, adopt bool) error {
 	case !write:
 		err = f.readBlocks(p, blk, buf)
 	case f.parity:
-		err = f.writeParity(p, blk, nb, buf)
+		err = f.writeParity(p, blk, nb, buf, keep)
 	default:
-		err = f.writeBlocks(p, blk, buf, adopt)
+		err = f.writeBlocks(p, blk, buf, keep)
 	}
 	tr.StageEnd(st, p.Now())
 	return err
@@ -287,10 +310,10 @@ func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, blk, buf, true, false)
 }
 
-// AdoptBlocks implements dev.Adopter. A concatenated farm passes a request
-// that falls on one component to that component's AdoptBlocks, when it has
-// one; every other request is a WriteBlocks (a parity farm reads the data
-// to compute parity anyway).
+// AdoptBlocks implements dev.Adopter: WriteBlocks, except that every data
+// write slices buf and hands it down kept (dev.Part), so a component may take
+// whole extents of it by reference. Parity is computed from buf and written
+// from the farm's own buffers, which are never kept.
 func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, blk, buf, true, true)
 }
@@ -298,7 +321,7 @@ func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	var few [4]extent
 	exts := f.split(few[:0], blk, buf)
-	groups := make([][]op, len(f.devs))
+	groups := make([][]dev.Part, len(f.devs))
 	var degraded []extent
 	for _, e := range exts {
 		if f.failed[e.disk] {
@@ -308,9 +331,9 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 			degraded = append(degraded, e)
 			continue
 		}
-		groups[e.disk] = append(groups[e.disk], op{d: f.devs[e.disk], blk: e.phys, buf: e.buf})
+		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf})
 	}
-	errs := dispatchAll(p, &f.names.read, &f.free, groups, false)
+	errs := f.dispatchAll(p, &f.names.read, groups, false)
 	for d, err := range errs {
 		if err == nil {
 			continue
@@ -335,22 +358,17 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 }
 
 // writeBlocks is the write path of a farm without parity.
-func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte, adopt bool) error {
+func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
 	var few [4]extent
 	exts := f.split(few[:0], blk, buf)
-	if adopt && f.unit == 0 && len(exts) == 1 && !f.failed[exts[0].disk] {
-		if a, ok := f.devs[exts[0].disk].(dev.Adopter); ok {
-			return a.AdoptBlocks(p, exts[0].phys, exts[0].buf)
-		}
-	}
-	groups := make([][]op, len(f.devs))
+	groups := make([][]dev.Part, len(f.devs))
 	for _, e := range exts {
 		if f.failed[e.disk] {
 			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 		}
-		groups[e.disk] = append(groups[e.disk], op{d: f.devs[e.disk], blk: e.phys, buf: e.buf})
+		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf, Keep: keep})
 	}
-	return dispatch(p, &f.names.write, &f.free, groups, true)
+	return f.dispatch(p, &f.names.write, groups, true)
 }
 
 // Flush implements dev.Flusher by draining the write cache of every
@@ -367,9 +385,10 @@ func (f *Farm) Flush(p *sim.Proc) error {
 	return fanout(p, &f.names.flush, tasks)
 }
 
-// freeList is a farm's stock of transfer buffers (bounce buffers, parity
-// units, reconstruction scratch), kept in power-of-two size classes:
-// free[c] holds buffers of capacity 1<<c. It is a field of the farm, not a
+// freeList is a farm's stock of scratch buffers (parity units, row images,
+// reconstruction scratch), in power-of-two size classes: free[c] holds
+// buffers of capacity 1<<c. A write of one is never a kept dev.Part, so no
+// component holds on to it. It is a field of the farm, not a
 // sync.Pool: the kernel runs one proc at a time and neither get nor put
 // yields, so no lock is needed, and reuse depends only on the request
 // sequence — never on when the garbage collector ran — so the bytes a run
@@ -382,7 +401,7 @@ type freeList [][][]byte
 var poisonFreed bool
 
 // get returns a buffer of n bytes with arbitrary contents; every user
-// overwrites it whole (a device read, a gather copy, a parity seed).
+// overwrites it whole (a device read, a parity seed).
 func (f *freeList) get(n int) []byte {
 	c := bits.Len(uint(n - 1))
 	if c < len(*f) {
@@ -409,76 +428,36 @@ func (f *freeList) put(b []byte) {
 	(*f)[c] = append((*f)[c], b)
 }
 
-// op is one contiguous transfer against a single component device. When a
-// striped request maps several stripe units to physically adjacent blocks
-// of one spindle, coalesce merges them into a single transfer through a
-// bounce buffer; scatter then lists the request slices the bounce buffer
-// is copied back to after a read (scatter-gather, as an HBA would do it).
-type op struct {
-	d       dev.BlockDev
-	blk     int64
-	buf     []byte
-	scatter [][]byte // non-nil: buf is a bounce buffer from the farm's free list
-}
-
-// coalesce merges physically adjacent transfers of one component into
-// single larger ops, so a request striped across N spindles costs each
-// arm one rotation instead of one per stripe unit. The ops must be sorted
-// by physical block, which split produces for a contiguous request under
-// either address map. Bounce buffers are drawn from free; the caller puts
-// them back once the ops have run.
-func coalesce(free *freeList, g []op, write bool) []op {
-	out := g[:0]
-	for _, o := range g {
-		if n := len(out); n > 0 {
-			prev := &out[n-1]
-			if o.blk == prev.blk+int64(len(prev.buf)/dev.BlockSize) {
-				if prev.scatter == nil {
-					prev.scatter = [][]byte{prev.buf}
-				}
-				prev.scatter = append(prev.scatter, o.buf)
-				continue
-			}
+// runOps issues one component's transfers, sorted by physical block, in
+// order from process p. A transfer and the next, when that starts where it
+// ends, go down as one call over their slices (scatter-gather, as an HBA
+// would do it), so adjacent stripe units cost the arm one rotation instead of
+// two. A lone transfer the component may not keep is a plain ReadBlocks or
+// WriteBlocks, the same transfer, so a wrapper that times those two calls of
+// a component times every transfer of an unstriped farm but the kept ones.
+// Runs stop at two transfers: the schedule every striped baseline was
+// recorded with (a third adjacent unit starts a new call).
+func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, write bool) error {
+	for len(ops) > 0 {
+		n := 1
+		if len(ops) > 1 && ops[1].Blk == ops[0].Blk+int64(len(ops[0].Buf)/dev.BlockSize) {
+			n = 2
 		}
-		out = append(out, o)
-	}
-	for i := range out {
-		o := &out[i]
-		if o.scatter == nil {
-			continue
-		}
-		total := 0
-		for _, part := range o.scatter {
-			total += len(part)
-		}
-		o.buf = free.get(total)
-		if write {
-			off := 0
-			for _, part := range o.scatter {
-				off += copy(o.buf[off:], part)
-			}
-		}
-	}
-	return out
-}
-
-// runOps issues a component's transfers in order from process p.
-func runOps(p *sim.Proc, ops []op, write bool) error {
-	for _, o := range ops {
+		run := ops[:n]
+		ops = ops[n:]
 		var err error
-		if write {
-			err = o.d.WriteBlocks(p, o.blk, o.buf)
-		} else {
-			err = o.d.ReadBlocks(p, o.blk, o.buf)
+		switch {
+		case !write && n == 1:
+			err = d.ReadBlocks(p, run[0].Blk, run[0].Buf)
+		case !write:
+			err = d.ReadParts(p, run)
+		case n == 1 && !run[0].Keep:
+			err = d.WriteBlocks(p, run[0].Blk, run[0].Buf)
+		default:
+			err = d.WriteParts(p, run)
 		}
 		if err != nil {
 			return err
-		}
-		if o.scatter != nil && !write {
-			off := 0
-			for _, part := range o.scatter {
-				off += copy(part, o.buf[off:])
-			}
 		}
 	}
 	return nil
@@ -569,10 +548,9 @@ func fanoutAll(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) []er
 	return errs
 }
 
-// dispatch executes per-component op lists through fanout, coalescing
-// each component's adjacent transfers first.
-func dispatch(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, write bool) error {
-	for _, err := range dispatchAll(p, names, free, groups, write) {
+// dispatch runs each component's transfers (runOps) through fanout.
+func (f *Farm) dispatch(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool) error {
+	for _, err := range f.dispatchAll(p, names, groups, write) {
 		if err != nil {
 			return err
 		}
@@ -580,26 +558,14 @@ func dispatch(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, write
 	return nil
 }
 
-// dispatchAll is dispatch returning per-component errors (fanoutAll). The
-// bounce buffers coalesce drew go back to free once every component has
-// joined, whether or not one failed.
-func dispatchAll(p *sim.Proc, names *fanNames, free *freeList, groups [][]op, write bool) []error {
+// dispatchAll is dispatch returning per-component errors (fanoutAll).
+func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool) []error {
 	tasks := make([]func(*sim.Proc) error, len(groups))
 	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		cg := coalesce(free, g, write)
-		groups[i] = cg
-		tasks[i] = func(cp *sim.Proc) error { return runOps(cp, cg, write) }
-	}
-	errs := fanoutAll(p, names, tasks)
-	for _, g := range groups {
-		for _, o := range g {
-			if o.scatter != nil {
-				free.put(o.buf)
-			}
+		if len(g) > 0 {
+			d := f.devs[i]
+			tasks[i] = func(cp *sim.Proc) error { return runOps(cp, d, g, write) }
 		}
 	}
-	return errs
+	return fanoutAll(p, names, tasks)
 }

@@ -198,3 +198,25 @@ func TestAppendToStripedFarmRefused(t *testing.T) {
 		t.Fatalf("refused Append changed the farm: %d blocks, %d components", il.NumBlocks(), il.Components())
 	}
 }
+
+// plainDev is a BlockDev without the vectored calls: the embedded interface
+// promotes ReadBlocks, WriteBlocks and NumBlocks alone.
+type plainDev struct{ dev.BlockDev }
+
+// TestComponentsMustBeVectored: a farm sends coalesced transfers down as
+// lists of the caller's slices, so every constructor refuses a component
+// that cannot take them, and a refused Append leaves the farm as it was.
+func TestComponentsMustBeVectored(t *testing.T) {
+	k := sim.NewKernel()
+	disk := func() *dev.Disk { return dev.NewDisk(k, dev.RZ57, 64, nil) }
+	if _, err := New(disk(), plainDev{disk()}); err == nil {
+		t.Error("New accepted a component without ReadParts/WriteParts")
+	}
+	if _, err := NewInterleave(4, true, disk(), disk(), plainDev{disk()}); err == nil {
+		t.Error("NewInterleave accepted a component without ReadParts/WriteParts")
+	}
+	c, _ := newConcat(k, 64)
+	if _, err := c.Append(plainDev{disk()}); err == nil || c.Components() != 1 || c.NumBlocks() != 64 {
+		t.Errorf("Append of a component without ReadParts/WriteParts: %v, %d components, %d blocks", err, c.Components(), c.NumBlocks())
+	}
+}
