@@ -68,7 +68,8 @@ soak:
 # Ten seconds of coverage-guided fuzzing per parser of what is on the media:
 # the two device images, the superblock and checkpoint blocks a mount reads
 # first, the log's summary block, the partial-segment chain of a whole
-# segment image, and an inode-map entry with the inode block it names (their
+# segment image, an inode-map entry with the inode block it names, and a
+# directory's records (their
 # seeds, under testdata/fuzz or added by f.Add, run in plain `go test`
 # already).
 fuzz-smoke:
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSummary -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzParseSegment -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzInodeDecode -fuzztime 10s ./internal/lfs/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDirents -fuzztime 10s ./internal/lfs/
 
 # Tier-1 verification: everything CI's verify job runs, in order.
 verify: build vet lint test race crash loc-check
@@ -104,7 +106,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'BufferEvict' -benchmem -benchtime 200000x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|AdoptLine1MB|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
-	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read)1MB' -benchmem -benchtime 20x ./internal/dev/
+	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read|ShareLine)1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Lend|Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
 	$(GO) test -run '^$$' -bench 'CacheLookup|CacheVictim' -benchmem -benchtime 200000x ./internal/cache/
 	$(GO) test -run '^$$' -bench 'BuildTree' -benchmem -benchtime 20x ./internal/wl/
@@ -135,7 +137,12 @@ loc:
 # write loop over them), the farm constructors' check for it and the media's
 # spare extents: a fetched line reaches a striped or parity farm's spindles
 # by reference.
-LOC_MAX = 25016
+# Raised from 25,016 by 88 lines: ShareBlocks (a disk read whose buffer the
+# media keep in place of their own extents, which go to the spare list) on
+# dev and the concatenated farm, jukebox AdoptSegment as the one segment write
+# path, the copy-out reading its line once into the image both keep; and
+# ErrCorruptDir, the checks that make a corrupt directory record an error.
+LOC_MAX = 25104
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -62,20 +62,25 @@ type BlockDev interface {
 	NumBlocks() int64
 }
 
-// Adopter is a BlockDev that can take a write's bytes by reference instead
-// of copying them. AdoptBlocks costs what WriteBlocks costs and reads back
-// the same, but it may keep buf: the caller hands it over for good and must
-// never change it again (a jukebox's lent segment image, which never
-// changes). A later write into the range copies before it changes anything,
-// so buf stays as it was.
+// Adopter is a BlockDev that can hand a transfer's bytes over by reference
+// instead of copying them. AdoptBlocks costs what WriteBlocks costs and reads
+// back the same, but it may keep buf: the caller hands it over for good and
+// must never change it again (a jukebox's lent segment image, which never
+// changes). ShareBlocks costs, counts and records what ReadBlocks does and
+// fills buf the same, and then it may keep buf as its own copy of the range:
+// again the caller must never change it (a copy-out's segment image, which
+// the changer keeps too). Either way a later write into the range copies
+// before it changes anything, so buf stays as it was.
 type Adopter interface {
 	BlockDev
 	AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error
+	ShareBlocks(p *sim.Proc, blk int64, buf []byte) error
 }
 
 // Part is one piece of a vectored transfer: Buf holds the blocks from Blk on.
-// Keep marks a write's Buf as handed over, as AdoptBlocks takes it: the device
-// may keep it, and the caller never changes it again.
+// Keep marks Buf as handed over, as AdoptBlocks (a write) or ShareBlocks (a
+// read) takes it: the device may keep it, and the caller never changes it
+// again.
 type Part struct {
 	Blk  int64
 	Buf  []byte
@@ -467,10 +472,17 @@ func (d *Disk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return d.WriteParts(p, []Part{{Blk: blk, Buf: buf, Keep: true}})
 }
 
+// ShareBlocks implements Adopter: ReadParts of buf alone, kept.
+func (d *Disk) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.ReadParts(p, []Part{{Blk: blk, Buf: buf, Keep: true}})
+}
+
 // ReadParts implements Vectored. A request larger than MaxTransfer is split
 // into MAXPHYS-sized chunks, across part boundaries, with the arm
 // re-arbitrated in between, so concurrent streams interleave (and pay seeks
-// against each other).
+// against each other). A write-through disk nobody watches keeps each whole,
+// aligned 64 KB piece of a kept part, once filled, in place of its own extent;
+// a write cache or an OnMediaWrite hook keeps nothing, as WriteParts copies.
 func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("read", parts)
 	if err != nil {
@@ -502,6 +514,9 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 				if src, ok := d.wdirty[pt.Blk+int64(i/BlockSize)]; ok {
 					copy(pt.Buf[i:], src)
 				}
+			}
+			if pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil {
+				d.store.share(pt.Blk, pt.Buf)
 			}
 			got += len(pt.Buf)
 		}

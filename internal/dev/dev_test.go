@@ -413,3 +413,33 @@ func BenchmarkDiskAdopt1MB(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDiskShareLine1MB is a copy-out's turn in `make bench-layers`: a
+// 1 MB line written in eight partial segments, then read once with
+// ShareBlocks into a new image, which the disk keeps; the next line's first
+// writes take the extents that share displaced. B/op is the image alone.
+func BenchmarkDiskShareLine1MB(b *testing.B) {
+	const line = 256
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 4*line, nil)
+	pseg := make([]byte, 1<<20/8)
+	b.ReportAllocs()
+	b.SetBytes(1 << 20)
+	k.RunProc(func(p *sim.Proc) {
+		copyOut := func(blk int64) {
+			for off := int64(0); off < line; off += line / 8 {
+				if err := d.WriteBlocks(p, blk+off, pseg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.ShareBlocks(p, blk, make([]byte, 1<<20)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		copyOut(3 * line) // the extents the first timed line takes
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			copyOut(int64(i%4) * line)
+		}
+	})
+}

@@ -8,15 +8,16 @@ const extentBlocks = MaxTransfer / BlockSize
 // media is a platter's contents: a table of MaxTransfer-byte extents, each
 // allocated on its first write, with one written-bit per block. A block that
 // was never written reads as zeroes (its extent is absent, or still zero
-// there) and appears in no snapshot or image. An adopted extent is another
-// medium's immutable bytes, shared until the first write into it copies them.
-// The extents of ours that adoptions displace wait in spare for the next
-// first write or copy, so a disk that adopts lines owns no more extents than
-// one that copies them.
+// there) and appears in no snapshot or image. A shared extent is bytes we do
+// not own and that never change — another medium's image an adoption took, or
+// a reader's buffer a share took — until the first write into it copies them.
+// The extents of ours that either displaces wait in spare for the next first
+// write or copy, so a disk that shares lines owns no more extents than one
+// that copies them.
 type media struct {
 	ext     []*[MaxTransfer]byte
 	written []uint16 // bit i of written[e]: block e*extentBlocks+i was written
-	shared  []bool   // ext[e] was adopted: not ours to write
+	shared  []bool   // ext[e] is not ours to write
 	spare   []*[MaxTransfer]byte
 }
 
@@ -68,13 +69,30 @@ func (m *media) own(e int64) {
 // when it is one whole, aligned extent; data must never change afterwards.
 func (m *media) adopt(blk int64, data []byte) {
 	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer {
-		if m.ext[e] != nil && !m.shared[e] {
-			m.spare = append(m.spare, m.ext[e])
-		}
-		m.ext[e], m.shared[e], m.written[e] = (*[MaxTransfer]byte)(data), true, 1<<extentBlocks-1
+		m.take(e, data)
+		m.written[e] = 1<<extentBlocks - 1
 		return
 	}
 	m.write(blk, data)
+}
+
+// share takes data, just read from block blk on, in place of the extent it
+// was read from when that is one whole, aligned extent of ours; data must
+// never change afterwards. Absent and already shared extents stay as they
+// are, and no written bit changes: the disk reads and saves as before.
+func (m *media) share(blk int64, data []byte) {
+	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer && m.ext[e] != nil && !m.shared[e] {
+		m.take(e, data)
+	}
+}
+
+// take points ext[e] at data, one extent's worth that never changes, and puts
+// the extent of ours it displaces on spare.
+func (m *media) take(e int64, data []byte) {
+	if m.ext[e] != nil && !m.shared[e] {
+		m.spare = append(m.spare, m.ext[e])
+	}
+	m.ext[e], m.shared[e] = (*[MaxTransfer]byte)(data), true
 }
 
 // read fills buf, a whole number of blocks, with the blocks from blk on.

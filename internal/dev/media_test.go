@@ -93,11 +93,13 @@ func sameStore(a, b map[int64][]byte) error {
 // every durable image. A third of the writes are adoptions (AdoptBlocks),
 // half of those of whole extents, and no buffer adopted may change after;
 // another sixth go down as several parts (WriteParts) with mixed keep bits,
-// the parts not kept overwritten at once. Half the power cycles go back to
-// the blank disk, and the whole disk is read around every power cycle and
-// save, so a never-written block is seen to read as zeroes after LoadStore
-// even through an extent an adoption displaced and a write reused. One run
-// has a media-write observer, which makes direct writes land block by block.
+// the parts not kept overwritten at once. A third of the reads are shares
+// (ShareBlocks), half of those of whole extents, and no buffer shared into may
+// change after either. Half the power cycles go back to the blank disk, and
+// the whole disk is read around every power cycle and save, so a
+// never-written block is seen to read as zeroes after LoadStore even through
+// an extent an adoption or a share displaced and a write reused. One run has
+// a media-write observer, which makes direct writes land block by block.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -113,7 +115,7 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			blank := validImage(t, nblocks)
 			saved := blank                   // a power-cut image to come back to ...
 			savedModel := map[int64][]byte{} // ... and the model's durable blocks then
-			var adopted, handed [][]byte     // buffers given to AdoptBlocks, and copies of them
+			var adopted, handed [][]byte     // buffers given to AdoptBlocks or ShareBlocks, and copies of them
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
 				if rng.IntN(4) == 0 {
@@ -181,12 +183,23 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						adopted, handed = append(adopted, buf), append(handed, bytes.Clone(buf))
 					case op < 15:
 						blk, nb := span()
+						read, share := d.ReadBlocks, rng.IntN(3) == 0
+						if share {
+							read = d.ShareBlocks
+							if rng.IntN(2) == 0 { // one or two whole extents
+								n := 1 + rng.IntN(2)
+								blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
+							}
+						}
 						got := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
-						if err := d.ReadBlocks(p, blk, got); err != nil {
+						if err := read(p, blk, got); err != nil {
 							t.Fatal(err)
 						}
 						if !bytes.Equal(got, m.read(blk, nb)) {
 							t.Fatalf("step %d: read of [%d,%d) differs from the model", step, blk, blk+int64(nb))
+						}
+						if share {
+							adopted, handed = append(adopted, got), append(handed, bytes.Clone(got))
 						}
 					case op == 15:
 						m.wcap = []int{0, 3, 16, 50}[rng.IntN(4)]
@@ -345,6 +358,167 @@ func TestAdoptedLineCopiesOnWrite(t *testing.T) {
 	})
 }
 
+// TestSharedLineCopiesOnWrite: a 1 MB line written in pieces and then read
+// with ShareBlocks hands the reader's image over; rewriting the line, whole or
+// one block, leaves that image as it was, and reads return the new data.
+func TestSharedLineCopiesOnWrite(t *testing.T) {
+	const line, nb = 2 * extentBlocks, 1 << 20 / BlockSize
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, line+nb+extentBlocks, nil)
+	fill := func(v byte) []byte {
+		b := make([]byte, nb*BlockSize)
+		for i := range b {
+			b[i] = v + byte(i/BlockSize)
+		}
+		return b
+	}
+	k.RunProc(func(p *sim.Proc) {
+		write := func(buf []byte) { // in eight pieces, as partial segments land
+			for off := 0; off < len(buf); off += len(buf) / 8 {
+				if err := d.WriteBlocks(p, line+int64(off/BlockSize), buf[off:off+len(buf)/8]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		readBack := func() []byte {
+			got := make([]byte, nb*BlockSize)
+			if err := d.ReadBlocks(p, line, got); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		write(fill(1))
+		img := make([]byte, nb*BlockSize)
+		if err := d.ShareBlocks(p, line, img); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(img, fill(1)) {
+			t.Fatal("ShareBlocks did not read the line")
+		}
+		write(fill(101))
+		if !bytes.Equal(img, fill(1)) {
+			t.Fatal("rewriting the line changed the image it was shared into")
+		}
+		if !bytes.Equal(readBack(), fill(101)) {
+			t.Fatal("the rewritten line does not read back as the new data")
+		}
+		img = make([]byte, nb*BlockSize)
+		if err := d.ShareBlocks(p, line, img); err != nil {
+			t.Fatal(err)
+		}
+		one := bytes.Repeat([]byte{0xEE}, BlockSize)
+		if err := d.WriteBlocks(p, line+21, one); err != nil {
+			t.Fatal(err)
+		}
+		want := fill(101)
+		copy(want[21*BlockSize:], one)
+		if !bytes.Equal(img, fill(101)) || !bytes.Equal(readBack(), want) {
+			t.Fatal("a one-block write into a shared line changed the image, or does not read back")
+		}
+	})
+}
+
+// TestShareBlocksSavesAsReadBlocks: a disk that shared its extents, one of
+// them partly written, saves the same image as a twin that read them with
+// ReadBlocks, and still does after writes into the shared extents' written
+// and never-written blocks.
+func TestShareBlocksSavesAsReadBlocks(t *testing.T) {
+	const x = extentBlocks
+	save := func(share bool) (imgs [][]byte) {
+		k := sim.NewKernel()
+		d := NewDisk(k, RZ57, 6*x, nil)
+		k.RunProc(func(p *sim.Proc) {
+			write := func(blk int64, nb int, v byte) {
+				if err := d.WriteBlocks(p, blk, bytes.Repeat([]byte{v}, nb*BlockSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			snap := func() {
+				var img bytes.Buffer
+				if err := d.SaveStore(&img); err != nil {
+					t.Fatal(err)
+				}
+				imgs = append(imgs, img.Bytes())
+			}
+			write(0, x, 0x11)
+			write(x+3, 5, 0x22) // blocks 3-7 of the second extent only
+			write(2*x, x, 0x33)
+			read := d.ReadBlocks
+			if share {
+				read = d.ShareBlocks
+			}
+			if err := read(p, 0, make([]byte, 4*x*BlockSize)); err != nil { // the fourth extent is absent
+				t.Fatal(err)
+			}
+			snap()
+			write(x+10, 2, 0x44) // never-written blocks of the partly written extent
+			write(5, 1, 0x55)
+			snap()
+		})
+		return imgs
+	}
+	read, shared := save(false), save(true)
+	for i := range read {
+		if !bytes.Equal(shared[i], read[i]) {
+			t.Errorf("image %d: the disk that shared saves other bytes than the one that read", i)
+		}
+	}
+}
+
+// TestShareBlocksUnderWatchIsReadBlocks: with a write cache or a media-write
+// hook, ShareBlocks fires the same hooks, at the same virtual times, leaves
+// the same platter and reads the same bytes as ReadBlocks, and keeps nothing:
+// the caller's buffer changing afterwards (which the Adopter contract forbids)
+// changes nothing on the disk.
+func TestShareBlocksUnderWatchIsReadBlocks(t *testing.T) {
+	const nb = 2 * extentBlocks
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprint("write cache ", cached), func(t *testing.T) {
+			run := func(share bool) (hooks []string, platter map[int64][]byte, got []byte) {
+				k := sim.NewKernel()
+				d := NewDisk(k, RZ57, 4*extentBlocks, nil)
+				if cached {
+					d.EnableWriteCache(extentBlocks)
+				}
+				d.OnMediaWrite = func(blk int64) { hooks = append(hooks, fmt.Sprint(k.Now(), blk)) }
+				k.RunProc(func(p *sim.Proc) {
+					if err := d.WriteBlocks(p, extentBlocks, bytes.Repeat([]byte{0x5A}, nb*BlockSize)); err != nil {
+						t.Fatal(err)
+					}
+					read := d.ReadBlocks
+					if share {
+						read = d.ShareBlocks
+					}
+					buf := make([]byte, nb*BlockSize)
+					if err := read(p, extentBlocks, buf); err != nil {
+						t.Fatal(err)
+					}
+					clear(buf)
+					if err := d.Flush(p); err != nil {
+						t.Fatal(err)
+					}
+					got = make([]byte, nb*BlockSize)
+					if err := d.ReadBlocks(p, extentBlocks, got); err != nil {
+						t.Fatal(err)
+					}
+				})
+				return hooks, durable(d), got
+			}
+			rh, rp, rg := run(false)
+			sh, sp, sg := run(true)
+			if !slices.Equal(sh, rh) {
+				t.Errorf("ShareBlocks fired hooks %v, ReadBlocks %v", sh, rh)
+			}
+			if err := sameStore(sp, rp); err != nil {
+				t.Errorf("ShareBlocks left another platter than ReadBlocks: %v", err)
+			}
+			if !bytes.Equal(sg, rg) || !bytes.Equal(sg, bytes.Repeat([]byte{0x5A}, nb*BlockSize)) {
+				t.Error("under watch, the disk kept the buffer ShareBlocks read into")
+			}
+		})
+	}
+}
+
 // TestDisplacedExtentsAreReset: the extents an adoption displaces are the
 // ones the next writes that need an extent of the disk's own take, and each
 // reads as what it stands in for — zeroes around a block written into a
@@ -440,7 +614,8 @@ func TestAdoptBlocksUnderWatchIsWriteBlocks(t *testing.T) {
 // TestDiskSteadyStateAllocations gates the platter path: reading and
 // rewriting blocks that exist allocates nothing, with or without the write
 // cache, first touch costs one allocation per MaxTransfer extent, and
-// adopting whole extents allocates nothing.
+// adopting whole extents, or rewriting a line and sharing it, allocates
+// nothing.
 func TestDiskSteadyStateAllocations(t *testing.T) {
 	const mb = 1 << 20 / BlockSize
 	const runs = 8
@@ -481,6 +656,18 @@ func TestDiskSteadyStateAllocations(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("adopting 1 MB: %v allocations, want 0", n)
+		}
+		// The whole line is rewritten before each share, so the disk no
+		// longer holds img when the next share reads into it.
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := d.WriteBlocks(p, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.ShareBlocks(p, 0, img); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("rewriting and sharing 1 MB: %v allocations, want 0 (the rewrite takes the extents the share displaced)", n)
 		}
 	})
 }

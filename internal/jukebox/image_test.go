@@ -149,9 +149,9 @@ func FuzzJukeboxLoadStore(f *testing.F) {
 }
 
 // TestSegmentSteadyStateAllocations gates the cartridge path: lending a
-// segment and reading one allocate nothing. Rewriting a segment allocates its
-// new image, one per write, since a lent image never changes; no program path
-// pays that, as a volume is erased before its segments are written again.
+// segment and reading one allocate nothing. WriteSegment allocates its new
+// image, one per write, since a lent image never changes; AdoptSegment
+// allocates nothing, the buffer it is handed being the new image.
 func TestSegmentSteadyStateAllocations(t *testing.T) {
 	k := sim.NewKernel()
 	j := newMO(k, 2, 2, 4)
@@ -181,14 +181,22 @@ func TestSegmentSteadyStateAllocations(t *testing.T) {
 		}); n != 1 {
 			t.Errorf("rewriting WriteSegment: %v allocations, want 1 (the new image)", n)
 		}
+		img := make([]byte, segBytes)
+		if n := testing.AllocsPerRun(10, func() {
+			if err := j.AdoptSegment(p, 0, 1, img); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("AdoptSegment: %v allocations, want 0 (the buffer is the new image)", n)
+		}
 	})
 }
 
 // BenchmarkJukeboxLendSegment, BenchmarkJukeboxReadSegment and
 // BenchmarkJukeboxWriteSegment are the cartridge rows of `make bench-layers`:
 // one 1 MB segment lent, read (lent and copied) or written on a loaded
-// volume. The write rewrites a segment that exists: the copy and the new
-// image it installs.
+// volume. The write rewrites a segment that exists: the copy of the buffer
+// that becomes its new image.
 func BenchmarkJukeboxLendSegment(b *testing.B) {
 	benchSegment(b, func(j *Jukebox, p *sim.Proc, vol, seg int, _ []byte) error {
 		_, err := j.LendSegment(p, vol, seg)

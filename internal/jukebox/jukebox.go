@@ -11,6 +11,7 @@
 package jukebox
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -58,6 +59,10 @@ type Footprint interface {
 	// WriteSegment writes segment seg of volume vol from buf. It returns
 	// ErrEndOfMedium if the volume is full.
 	WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error
+	// AdoptSegment is WriteSegment that keeps buf as the medium's image of
+	// the segment when it returns nil: the caller hands buf over for good
+	// and must never change it again. On an error buf is the caller's still.
+	AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error
 	// Volumes reports the number of media volumes.
 	Volumes() int
 	// SegmentsPerVolume reports the nominal segment capacity per volume.
@@ -184,7 +189,7 @@ type Jukebox struct {
 	Fault func(op string, vol, seg int) error
 
 	// OnMediaWrite, if non-nil, observes segment writes becoming durable.
-	// It fires twice per WriteSegment — once with only the first half of
+	// It fires twice per segment write — once with only the first half of
 	// the segment applied (the torn-write point a power cut exposes) and
 	// once when the whole segment is on the medium — and once per
 	// EraseVolume with seg == -1. It runs synchronously with no
@@ -588,8 +593,13 @@ func (j *Jukebox) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 	return img, nil
 }
 
-// WriteSegment implements Footprint.
+// WriteSegment implements Footprint: AdoptSegment of a copy of buf.
 func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
+	return j.AdoptSegment(p, vol, seg, bytes.Clone(buf))
+}
+
+// AdoptSegment implements Footprint.
+func (j *Jukebox) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	if err := p.CtxErr(); err != nil {
 		return err // canceled/expired request: refuse before touching a drive
 	}
@@ -632,22 +642,21 @@ func (j *Jukebox) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	j.position(p, d, seg)
 	p.Sleep(xfer(j.segBytes, j.prof.MediaWrite))
 	d.pos = seg + 1
-	// A fresh image replaces the old one, which may be lent out and so
-	// never changes. It is applied in two halves with an observation point
-	// between them: a power cut at the first point sees a torn segment (new
-	// head, stale tail) — the case the per-pseg checksums must catch at
-	// recovery.
-	old, img := v.store[seg], make([]byte, j.segBytes)
-	half := j.segBytes / 2
-	copy(img[:half], buf[:half])
-	if old != nil {
-		copy(img[half:], old[half:])
-	}
-	v.store[seg] = img
+	// buf replaces the old image, which may be lent out and so never
+	// changes. Under observation the write lands in two halves with a point
+	// between them: a power cut at the first sees a torn segment (new head,
+	// stale tail), an image of its own — the case the per-pseg checksums
+	// must catch at recovery.
 	if j.OnMediaWrite != nil {
+		torn, half := make([]byte, j.segBytes), j.segBytes/2
+		copy(torn, buf[:half])
+		if old := v.store[seg]; old != nil {
+			copy(torn[half:], old[half:])
+		}
+		v.store[seg] = torn
 		j.OnMediaWrite(vol, seg)
 	}
-	copy(img[half:], buf[half:])
+	v.store[seg] = buf
 	if j.OnMediaWrite != nil {
 		j.OnMediaWrite(vol, seg)
 	}

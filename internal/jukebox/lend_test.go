@@ -93,3 +93,48 @@ func TestTornWriteHookSeesNewHeadOldTail(t *testing.T) {
 		}
 	})
 }
+
+// TestAdoptSegmentKeepsTheBufferWriteSegmentCopies: AdoptSegment installs the
+// caller's buffer itself — the next lend returns it — and under observation its
+// first point is a torn image of its own, the new head over the old tail, its
+// second the buffer. WriteSegment copies: changing its buffer afterwards
+// changes nothing on the medium.
+func TestAdoptSegmentKeepsTheBufferWriteSegmentCopies(t *testing.T) {
+	k := sim.NewKernel()
+	j := newMO(k, 1, 1, 4)
+	half := segBytes / 2
+	k.RunProc(func(p *sim.Proc) {
+		buf := bytes.Repeat([]byte{0x01}, segBytes)
+		if err := j.WriteSegment(p, 0, 1, buf); err != nil {
+			t.Fatal(err)
+		}
+		clear(buf)
+		if lent, err := j.LendSegment(p, 0, 1); err != nil || !bytes.Equal(lent, bytes.Repeat([]byte{0x01}, segBytes)) {
+			t.Fatalf("changing WriteSegment's buffer afterwards changed the medium (%v)", err)
+		}
+
+		img := bytes.Repeat([]byte{0x02}, segBytes)
+		calls := 0
+		j.OnMediaWrite = func(vol, seg int) {
+			calls++
+			now := j.vols[vol].store[seg]
+			if own := &now[0] == &img[0]; own != (calls == 2) {
+				t.Errorf("hook %d: the medium holds the adopted buffer itself: %v", calls, own)
+			}
+			if calls == 1 && (!bytes.Equal(now[:half], img[:half]) || !bytes.Equal(now[half:], bytes.Repeat([]byte{0x01}, half))) {
+				t.Error("hook 1: the torn image does not hold the new head and the old tail")
+			}
+		}
+		if err := j.AdoptSegment(p, 0, 1, img); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 2 {
+			t.Fatalf("OnMediaWrite fired %d times, want 2", calls)
+		}
+		j.OnMediaWrite = nil
+		lent, err := j.LendSegment(p, 0, 1)
+		if err != nil || &lent[0] != &img[0] {
+			t.Fatalf("the lend after AdoptSegment does not return the adopted buffer (%v)", err)
+		}
+	})
+}

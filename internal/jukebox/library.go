@@ -88,6 +88,14 @@ func (l *Library) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	return l.fp.WriteSegment(p, vol, seg, buf)
 }
 
+// AdoptSegment implements Footprint, gating on library health.
+func (l *Library) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
+	if l.down {
+		return fmt.Errorf("%w: %s", ErrLibraryOffline, l.name)
+	}
+	return l.fp.AdoptSegment(p, vol, seg, buf)
+}
+
 // Volumes implements Footprint.
 func (l *Library) Volumes() int { return l.fp.Volumes() }
 

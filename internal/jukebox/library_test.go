@@ -47,6 +47,9 @@ func TestLibraryOfflineGating(t *testing.T) {
 		if err := l.WriteSegment(p, 0, 1, buf); !errors.Is(err, ErrLibraryOffline) {
 			t.Fatalf("write to down library: got %v, want ErrLibraryOffline", err)
 		}
+		if err := l.AdoptSegment(p, 0, 1, buf); !errors.Is(err, ErrLibraryOffline) {
+			t.Fatalf("adoption by down library: got %v, want ErrLibraryOffline", err)
+		}
 		if l.IdleHealthyDrives() != 0 {
 			t.Fatal("down library reports idle drives")
 		}

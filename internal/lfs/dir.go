@@ -131,7 +131,8 @@ func (d *dirEdit) drop() {
 	d.ents = slices.DeleteFunc(d.ents, func(e Dirent) bool { return e.Name == d.name })
 }
 
-// readDirLocked loads and decodes a directory's entries.
+// readDirLocked loads and decodes a directory's entries; a corrupt record is
+// ErrCorruptDir.
 func (fs *FS) readDirLocked(p *sim.Proc, ino *Inode) ([]Dirent, error) {
 	if ino.Size == 0 {
 		return nil, nil
@@ -141,7 +142,7 @@ func (fs *FS) readDirLocked(p *sim.Proc, ino *Inode) ([]Dirent, error) {
 	if _, err := fs.readAtLocked(p, ino.Inum, data, 0); err != nil && err != io.EOF {
 		return nil, err
 	}
-	return decodeDirents(data), nil
+	return decodeDirents(data)
 }
 
 // writeDirLocked replaces a directory's contents.

@@ -19,6 +19,7 @@
 package lfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -513,18 +514,29 @@ func encodeDirents(ents []Dirent) []byte {
 	return out
 }
 
+// ErrCorruptDir reports a directory record encodeDirents never writes: one
+// that runs past its block, has an empty name or one holding '/' or NUL, or
+// has an unknown file type.
+var ErrCorruptDir = errors.New("lfs: corrupt directory record")
+
 // direntAt parses the record at off in directory block b and returns where
-// the next one starts; ok is false at the end of the block's records.
-func direntAt(b []byte, off int) (inum uint32, typ FileType, name []byte, next int, ok bool) {
+// the next one starts. inum is 0 at the end of the block's records, and at a
+// record encodeDirents never writes, which is ErrCorruptDir.
+func direntAt(b []byte, off int) (inum uint32, typ FileType, name []byte, next int, err error) {
 	if off+direntFixed > len(b) {
 		return
 	}
-	inum = binary.LittleEndian.Uint32(b[off:])
-	next = off + direntFixed + int(b[off+5])
-	if inum == 0 || next > len(b) {
+	if inum = binary.LittleEndian.Uint32(b[off:]); inum == 0 {
 		return
 	}
-	return inum, FileType(b[off+4]), b[off+direntFixed : next], next, true
+	typ, next = FileType(b[off+4]), off+direntFixed+int(b[off+5])
+	if next > len(b) || next == off+direntFixed || (typ != TypeFile && typ != TypeDir) {
+		return 0, 0, nil, 0, ErrCorruptDir
+	}
+	if name = b[off+direntFixed : next]; bytes.ContainsAny(name, "/\x00") {
+		return 0, 0, nil, 0, ErrCorruptDir
+	}
+	return inum, typ, name, next, nil
 }
 
 // dirBlock returns directory block blk of data.
@@ -532,23 +544,32 @@ func dirBlock(data []byte, blk int) []byte {
 	return data[blk*BlockSize : min(len(data), (blk+1)*BlockSize)]
 }
 
-// decodeDirents parses the packed record format.
-func decodeDirents(data []byte) []Dirent {
+// decodeDirents parses the packed record format; a corrupt record is
+// ErrCorruptDir, naming the block and offset.
+func decodeDirents(data []byte) ([]Dirent, error) {
 	var ents []Dirent
 	for blk := 0; blk*BlockSize < len(data); blk++ {
 		b := dirBlock(data, blk)
-		for inum, typ, name, off, ok := direntAt(b, 0); ok; inum, typ, name, off, ok = direntAt(b, off) {
+		for off := 0; ; {
+			inum, typ, name, next, err := direntAt(b, off)
+			if err != nil {
+				return nil, fmt.Errorf("%w: block %d offset %d", err, blk, off)
+			}
+			if inum == 0 {
+				break
+			}
 			ents = append(ents, Dirent{Inum: inum, Type: typ, Name: string(name)})
+			off = next
 		}
 	}
-	return ents
+	return ents, nil
 }
 
 // lookupDirent finds name in the packed records without decoding them.
 func lookupDirent(data []byte, name string) (uint32, bool) {
 	for blk := 0; blk*BlockSize < len(data); blk++ {
 		b := dirBlock(data, blk)
-		for inum, _, n, off, ok := direntAt(b, 0); ok; inum, _, n, off, ok = direntAt(b, off) {
+		for inum, _, n, off, _ := direntAt(b, 0); inum != 0; inum, _, n, off, _ = direntAt(b, off) {
 			if string(n) == name {
 				return inum, true
 			}

@@ -242,7 +242,10 @@ func TestDirentLayout(t *testing.T) {
 		if len(data)%BlockSize != 0 {
 			return false
 		}
-		got := decodeDirents(data)
+		got, err := decodeDirents(data)
+		if err != nil {
+			return false
+		}
 		if len(ents) == 0 {
 			return len(got) == 0
 		}
@@ -370,8 +373,8 @@ func TestDirentsDoNotSpanBlocks(t *testing.T) {
 		ents = append(ents, Dirent{Inum: uint32(i + 1), Type: TypeFile, Name: string(bytes.Repeat([]byte{'x'}, 60))})
 	}
 	data := encodeDirents(ents)
-	got := decodeDirents(data)
-	if !reflect.DeepEqual(ents, got) {
+	got, err := decodeDirents(data)
+	if err != nil || !reflect.DeepEqual(ents, got) {
 		t.Fatal("boundary-heavy dirent round trip failed")
 	}
 }

@@ -176,3 +176,54 @@ func TestNoDiskKeepsAFreeListBuffer(t *testing.T) {
 		readsAs(t, p, f, model, "after a degraded write")
 	})
 }
+
+// TestOnlyAConcatenatedFarmShares (e): ShareBlocks of a 1 MB line on a
+// striped or parity farm keeps nothing: the buffer shared into changing
+// afterwards, which the dev.Adopter contract forbids, changes no read. A
+// concatenated farm hands the read down kept, so there it does: its disk
+// keeps the whole extents of the buffer in place of its own.
+func TestOnlyAConcatenatedFarmShares(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		parity bool
+		concat bool
+	}{{"striped", false, false}, {"parity", true, false}, {"concatenated", false, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim.NewKernel().RunProc(func(p *sim.Proc) {
+				var f *Farm
+				if tc.concat {
+					k := p.Kernel()
+					f = Must(New(dev.NewDisk(k, dev.RZ57, 2*segLine, nil), dev.NewDisk(k, dev.RZ57, 2*segLine, nil)))
+				} else {
+					n := 3
+					if tc.parity {
+						n = 4
+					}
+					f, _ = newInterleave(p.Kernel(), unitBlocks, tc.parity, n, 1024)
+				}
+				line := make([]byte, segLine*dev.BlockSize)
+				for i := range line {
+					line[i] = byte(i*13 + i>>12 + 1)
+				}
+				if err := f.WriteBlocks(p, lineStart, bytes.Clone(line)); err != nil {
+					t.Fatal(err)
+				}
+				img := make([]byte, len(line))
+				if err := f.ShareBlocks(p, lineStart, img); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(img, line) {
+					t.Fatal("ShareBlocks did not read the line")
+				}
+				clear(img)
+				got := make([]byte, len(line))
+				if err := f.ReadBlocks(p, lineStart, got); err != nil {
+					t.Fatal(err)
+				}
+				if kept := !bytes.Equal(got, line); kept != tc.concat {
+					t.Fatalf("the farm kept the buffer shared into: %v, want %v", kept, tc.concat)
+				}
+			})
+		})
+	}
+}

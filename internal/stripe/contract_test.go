@@ -13,9 +13,10 @@ import (
 // TestBlockDevContract checks, for every BlockDev the data path runs on,
 // the two properties the dev.BlockDev comment states and buffer reuse
 // relies on: WriteBlocks keeps no reference to the caller's buffer, and
-// ReadBlocks overwrites every byte of it. Each device has an AdoptBlocks row
-// too, for the dev.Adopter contract: what was adopted reads back, and a later
-// write into the range leaves the adopted buffer as it was. A device that
+// ReadBlocks overwrites every byte of it. Each device has an AdoptBlocks and a
+// ShareBlocks row too, for the dev.Adopter contract: what was adopted reads
+// back, ShareBlocks reads what was written, and a later write into the range
+// leaves the adopted or shared-into buffer as it was. A device that
 // takes vectored transfers (dev.Vectored) has a parts row: a write and a read
 // over parts must be their concatenation's, in bytes, virtual time,
 // DiskStats, spans and latency samples.
@@ -121,6 +122,36 @@ func TestBlockDevContract(t *testing.T) {
 				}
 				if !bytes.Equal(img, pattern(nb)) {
 					t.Error("a write into the adopted range changed the adopted buffer")
+				}
+				want := pattern(nb)
+				copy(want[14*dev.BlockSize:], over)
+				check(t, p, d, blk, want)
+			})
+		})
+		t.Run(tc.name+", ShareBlocks", func(t *testing.T) {
+			k := sim.NewKernel()
+			d := tc.make(k)
+			k.RunProc(func(p *sim.Proc) {
+				// The same two whole extents, written and then shared into a
+				// dirty buffer, which must read them and stay as it is when
+				// the range is written again.
+				const blk, nb = 64, 32
+				if err := d.WriteBlocks(p, blk, pattern(nb)); err != nil {
+					t.Fatalf("write: %v", err)
+				}
+				img := bytes.Repeat([]byte{0xDB}, nb*dev.BlockSize)
+				if err := d.(dev.Adopter).ShareBlocks(p, blk, img); err != nil {
+					t.Fatalf("share: %v", err)
+				}
+				if !bytes.Equal(img, pattern(nb)) {
+					t.Error("ShareBlocks did not read what was written")
+				}
+				over := bytes.Repeat([]byte{0xEE}, 3*dev.BlockSize)
+				if err := d.WriteBlocks(p, blk+14, over); err != nil { // across the two extents
+					t.Fatalf("write: %v", err)
+				}
+				if !bytes.Equal(img, pattern(nb)) {
+					t.Error("a write into the shared range changed the buffer shared into")
 				}
 				want := pattern(nb)
 				copy(want[14*dev.BlockSize:], over)

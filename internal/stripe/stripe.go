@@ -267,7 +267,7 @@ func (f *Farm) split(dst []extent, blk int64, buf []byte) []extent {
 }
 
 // do validates a request, opens its stripe-io trace stage (labelled with
-// direction and size) and runs it. keep marks a write whose buf may be kept
+// direction and size) and runs it. keep marks a transfer whose buf may be kept
 // (dev.Adopter).
 func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
 	if len(buf)%dev.BlockSize != 0 {
@@ -290,7 +290,7 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
 	var err error
 	switch {
 	case !write:
-		err = f.readBlocks(p, blk, buf)
+		err = f.readBlocks(p, blk, buf, keep)
 	case f.parity:
 		err = f.writeParity(p, blk, nb, buf, keep)
 	default:
@@ -318,7 +318,16 @@ func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, blk, buf, true, true)
 }
 
-func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
+// ShareBlocks implements dev.Adopter. On a concatenated farm it is ReadBlocks
+// handing buf down kept (dev.Part), so a component may keep whole extents of
+// it. On a striped or parity farm it is a plain ReadBlocks that keeps nothing:
+// a line shared there has no owned extents left for the next fetch into it
+// to displace, so sharing costs allocations instead of saving them.
+func (f *Farm) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return f.do(p, blk, buf, false, f.unit == 0)
+}
+
+func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
 	var few [4]extent
 	exts := f.split(few[:0], blk, buf)
 	groups := make([][]dev.Part, len(f.devs))
@@ -331,7 +340,7 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte) error {
 			degraded = append(degraded, e)
 			continue
 		}
-		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf})
+		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf, Keep: keep})
 	}
 	errs := f.dispatchAll(p, &f.names.read, groups, false)
 	for d, err := range errs {
@@ -447,7 +456,7 @@ func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, write bool) error {
 		ops = ops[n:]
 		var err error
 		switch {
-		case !write && n == 1:
+		case !write && n == 1 && !run[0].Keep:
 			err = d.ReadBlocks(p, run[0].Blk, run[0].Buf)
 		case !write:
 			err = d.ReadParts(p, run)

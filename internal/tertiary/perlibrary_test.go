@@ -45,6 +45,11 @@ func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	return r.Jukebox.WriteSegment(p, vol, seg, buf)
 }
 
+func (r *recLib) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
+	*r.log = append(*r.log, fmt.Sprintf("%s %d write lib%d vol%d seg%d", p.Name(), p.Now(), r.lib.ID(), vol, seg))
+	return r.Jukebox.AdoptSegment(p, vol, seg, buf)
+}
+
 // recDisk logs when each cache-line write of the I/O processes began and
 // ended, whether it copies (WriteBlocks) or adopts (AdoptBlocks).
 type recDisk struct {

@@ -11,7 +11,10 @@
 // inefficiency of Table 3. Virtual time charges both copies in full. The
 // host makes neither: the changer lends its immutable segment image
 // (jukebox.Footprint.LendSegment) and the cache line adopts it
-// (dev.Adopter), so the bytes are shared until one side writes.
+// (dev.Adopter), so the bytes are shared until one side writes. A copy-out
+// reads its line once, into an image the disk keeps as its copy of the line
+// (dev.Adopter.ShareBlocks) and the changer keeps as the medium's
+// (jukebox.Footprint.AdoptSegment).
 package tertiary
 
 import (
@@ -137,6 +140,7 @@ type Service struct {
 	libs  []*jukebox.Library
 	disk  dev.Adopter // the farm holding the cache lines
 	cache *cache.Cache
+	zero  []byte // the image of a never-written segment, once one was fetched
 
 	reqs     *sim.Chan
 	ioq      []*sim.Chan         // per library; a rig without libraries keeps one
@@ -247,9 +251,9 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, dis
 
 // AddIOStreams adds n I/O streams per library, each draining its library's
 // queue, so several whole-segment transfers (staging fills, copy-out drains)
-// proceed concurrently in virtual time. Each daemon owns its own transfer
-// buffer; the per-library channel keeps dispatch order deterministic (FIFO
-// handoff, daemons spawned in a fixed order).
+// proceed concurrently in virtual time. The per-library channel keeps
+// dispatch order deterministic (FIFO handoff, daemons spawned in a fixed
+// order).
 func (s *Service) AddIOStreams(n int) {
 	for i := 0; i < n; i++ {
 		s.spawnIO(fmt.Sprintf("hl-io-%d", s.streams))
@@ -894,7 +898,6 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 // to be had the process does not wait for one, and the fetch starts over
 // (errNoLine). The line is announced (reqFetched) only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
-	buf := make([]byte, s.segBytes())
 	for {
 		r := s.nextTransfer(p, lib)
 		token := true
@@ -951,25 +954,29 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			}
 			if err == nil {
 				t0 := p.Now()
-				err = s.withRetry(p, func() error { return s.writeLine(p, r.seg, img, buf) })
+				err = s.withRetry(p, func() error { return s.writeLine(p, r.seg, img) })
 				s.obs.Span("tertiary.io", "io.write", "WriteBlocks", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
 			restore()
 			r.kind, r.err = reqFetched, err
 		case reqCopyout:
+			// The line is read once, into an image the disk may keep as its
+			// copy of the line and the changer keeps as the medium's.
 			d, vol, volseg, err := s.locate(r.tag)
+			var img []byte
 			if err == nil {
 				t0 := p.Now()
 				err = s.withRetry(p, func() error {
-					return s.disk.ReadBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), buf)
+					img = make([]byte, s.segBytes()) // a failed read may have handed the last one over
+					return s.disk.ShareBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), img)
 				})
 				s.obs.Span("tertiary.io", "io.read", "ReadBlocks", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
 			if err == nil {
 				t0 := p.Now()
-				err = s.withRetry(p, func() error { return s.libs[d].WriteSegment(p, vol, volseg, buf) })
+				err = s.withRetry(p, func() error { return s.libs[d].AdoptSegment(p, vol, volseg, img) })
 				s.obs.Span("tertiary.io", "fp.write", "WriteSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)})
 				if s.Breaker != nil {
@@ -989,16 +996,16 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	}
 }
 
-// writeLine writes a fetched segment to cache line seg: the lent image by
-// reference, a never-written segment (nil) as the zeroes of the process's
-// own buffer.
-func (s *Service) writeLine(p *sim.Proc, seg addr.SegNo, img, buf []byte) error {
-	blk := int64(s.amap.BlockOf(seg, 0))
+// writeLine hands a fetched segment's image to cache line seg by reference: the
+// lent one, or for a never-written segment (nil) the service's zero image.
+func (s *Service) writeLine(p *sim.Proc, seg addr.SegNo, img []byte) error {
 	if img == nil {
-		clear(buf)
-		return s.disk.WriteBlocks(p, blk, buf)
+		if s.zero == nil {
+			s.zero = make([]byte, s.segBytes())
+		}
+		img = s.zero
 	}
-	return s.disk.AdoptBlocks(p, blk, img)
+	return s.disk.AdoptBlocks(p, int64(s.amap.BlockOf(seg, 0)), img)
 }
 
 // locate resolves a tertiary segment index to (device, volume, volseg).
