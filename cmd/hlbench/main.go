@@ -52,30 +52,32 @@
 // each request's end-to-end latency. Byte-reproducible across runs.
 //
 // -serve ADDR runs a multi-round migration + demand-fetch workload while
-// serving live telemetry over HTTP: Prometheus-format /metrics (with the
-// kernel self-profile appended), the per-segment heat map as /heatmap
+// serving its observability pages over HTTP: Prometheus-format /metrics
+// (the kernel self-profile last), the per-segment heat map as /heatmap
 // JSON, the migration decision audit as /decisions JSON, per-request
-// traces as /requests JSON, and net/http/pprof under /debug/pprof/.
-// Snapshots are
-// published at deterministic virtual-time points, so the simulation runs
-// the identical schedule whether or not anyone is scraping. After the
-// workload the final snapshot stays up until interrupted. -rounds sets
-// the number of workload rounds.
+// traces as /requests JSON, and net/http/pprof under /debug/pprof/. The
+// workload renders the pages at fixed points of the virtual clock and
+// only reads to do so; a handler only loads the latest set, so scraping
+// never touches the simulation. After the workload the final pages stay
+// up until interrupted. -rounds sets the number of workload rounds.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cliutil"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/wl"
 )
 
@@ -91,7 +93,7 @@ func main() {
 	streams := flag.Int("streams", 1, "concurrent tertiary I/O streams per library; <2 keeps the single historical stream")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the migration workload to this file")
 	jsonOut := flag.String("json", "", "write a machine-readable snapshot of all tables + obs counters to this file")
-	serveAddr := flag.String("serve", "", "run the migration workload while serving live telemetry on this address (e.g. 127.0.0.1:8080)")
+	serveAddr := flag.String("serve", "", "run the migration workload while serving its observability pages on this address (e.g. 127.0.0.1:8080)")
 	rounds := flag.Int("rounds", 3, "workload rounds for -serve")
 	clients := flag.Int("clients", 0, "run the closed-loop overload workload with this many clients through the admission-controlled front end (0 = off)")
 	arrival := flag.String("arrival", "closed", "arrival process for -clients: closed|poisson|bursty")
@@ -146,16 +148,7 @@ func main() {
 	}
 
 	if *serveAddr != "" {
-		srv := telemetry.NewServer()
-		addr, err := srv.Start(*serveAddr)
-		check(1, "-serve: ", err)
-		fmt.Printf("telemetry on http://%s  (/metrics /heatmap /decisions /requests /debug/pprof/)\n", addr)
-		check(1, "-serve workload: ", bench.ServeMigration(scale, srv, *rounds))
-		fmt.Println("workload complete; final snapshot still served (interrupt to exit)")
-		ch := make(chan os.Signal, 1)
-		signal.Notify(ch, os.Interrupt)
-		<-ch
-		srv.Close()
+		check(1, "-serve: ", serve(*serveAddr, scale, *rounds))
 		return
 	}
 
@@ -206,6 +199,43 @@ func check(status int, what string, err error) {
 		fmt.Fprintf(os.Stderr, "hlbench: %s%v\n", what, err)
 		os.Exit(status)
 	}
+}
+
+// serve answers /metrics, /heatmap, /decisions and /requests on addr with
+// the pages bench.ServeMigration last published (503 before the first), and
+// /debug/pprof/ from net/http/pprof on the default mux. After the workload
+// the final pages stay up until interrupted.
+func serve(addr string, scale bench.Scale, rounds int) error {
+	var cur atomic.Pointer[bench.Pages]
+	route := func(path, ctype string, body func(*bench.Pages) []byte) {
+		http.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			pg := cur.Load()
+			if pg == nil {
+				http.Error(w, "no pages published yet", http.StatusServiceUnavailable)
+				return
+			}
+			w.Header().Set("Content-Type", ctype)
+			w.Write(body(pg))
+		})
+	}
+	route("/metrics", "text/plain; version=0.0.4; charset=utf-8", func(pg *bench.Pages) []byte { return pg.Metrics })
+	route("/heatmap", "application/json", func(pg *bench.Pages) []byte { return pg.Heatmap })
+	route("/decisions", "application/json", func(pg *bench.Pages) []byte { return pg.Decisions })
+	route("/requests", "application/json", func(pg *bench.Pages) []byte { return pg.Requests })
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	go http.Serve(ln, nil) // serves until the process exits
+	fmt.Printf("serving http://%s  (/metrics /heatmap /decisions /requests /debug/pprof/)\n", ln.Addr())
+	if err := bench.ServeMigration(scale, cur.Store, rounds); err != nil {
+		return err
+	}
+	fmt.Println("workload complete; final pages still served (interrupt to exit)")
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt)
+	<-ch
+	return nil
 }
 
 // isTable reports whether c is one of the paper's tables rather than an

@@ -7,7 +7,6 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/sim"
 	"repro/internal/svc"
-	"repro/internal/telemetry"
 	"repro/internal/wl"
 )
 
@@ -46,7 +45,7 @@ type OverloadResult struct {
 	TracedRequests int64  // traces sealed (0 with tracing disabled)
 	StagesRecorded int64  // stages across all sealed traces
 	TraceErrs      int64  // retained traces violating the sum invariant
-	RequestsJSON   []byte // telemetry.RenderRequests at end of run
+	RequestsJSON   []byte // the /requests document at end of run
 }
 
 // overloadBaseClients x overloadBaseGap set the 1x operating point: four
@@ -140,7 +139,7 @@ func RunOverload(spec OverloadSpec) (OverloadResult, error) {
 		res.P99ms = float64(st.P99Interactive.Milliseconds())
 		if fe.Tracer != nil {
 			_, res.TracedRequests, res.StagesRecorded = fe.Tracer.Counts()
-			res.RequestsJSON = telemetry.RenderRequests(fe.Tracer, p.Now())
+			res.RequestsJSON = renderRequests(fe.Tracer, p.Now())
 			// Property-check every retained trace: stages sealed, breakdown
 			// summing exactly to the end-to-end latency.
 			for _, tr := range append(fe.Tracer.Recent(), fe.Tracer.Slowest("", 1<<30)...) {

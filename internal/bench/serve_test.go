@@ -3,45 +3,13 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs/attr"
 )
-
-// TestSnapshotUnchangedByTelemetry pins the tentpole determinism
-// guarantee for `hlbench -json`: the snapshot a run produces is
-// byte-identical whether or not a telemetry server is attached and
-// publishing — publication only reads.
-func TestSnapshotUnchangedByTelemetry(t *testing.T) {
-	encode := func(srv *telemetry.Server) []byte {
-		snap, err := BuildSnapshotWith(QuickScale(), "quick", srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(snap); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	off := encode(nil)
-	srv := telemetry.NewServer()
-	on := encode(srv)
-	if !bytes.Equal(off, on) {
-		t.Fatal("snapshot bytes differ with telemetry on vs off")
-	}
-	// The attached run actually published a usable snapshot.
-	sn := srv.Current()
-	if sn == nil {
-		t.Fatal("telemetry run never published")
-	}
-	if !strings.Contains(string(sn.Metrics), "hl_tertiary_fetches_total") {
-		t.Fatalf("published metrics missing fetch counter:\n%s", sn.Metrics)
-	}
-}
 
 // TestSnapshotHasQuantiles checks the hlbench/2 schema addition: the
 // fetch-wait histogram's p50/p99/mean appear in the snapshot.
@@ -67,57 +35,119 @@ func TestSnapshotHasQuantiles(t *testing.T) {
 	}
 }
 
-// TestServeMigrationPublishesAndIsDeterministic runs the -serve
-// workload twice with a server attached: both runs publish, the final
-// snapshots are byte-identical, and the exports carry heat-map and
-// decision-audit content from every actor.
+// TestServeMigrationPublishesAndIsDeterministic runs the -serve workload
+// twice. Both runs publish, and their final pages are byte-identical but
+// for the kernel's wall-clock profile at the end of /metrics: publishing
+// only reads. Each page then has its shape, and content from every
+// decision actor.
 func TestServeMigrationPublishesAndIsDeterministic(t *testing.T) {
-	run := func() *telemetry.Snapshot {
-		srv := telemetry.NewServer()
-		if err := ServeMigration(QuickScale(), srv, 2); err != nil {
+	run := func() *Pages {
+		var last *Pages
+		if err := ServeMigration(QuickScale(), func(pg *Pages) { last = pg }, 2); err != nil {
 			t.Fatal(err)
 		}
-		sn := srv.Current()
-		if sn == nil {
+		if last == nil {
 			t.Fatal("serve workload never published")
 		}
-		return sn
+		return last
+	}
+	// virtual cuts /metrics before the kernel profile, whose events/sec and
+	// dispatch figures are wall clock.
+	virtual := func(m []byte) []byte {
+		i := bytes.Index(m, []byte("# HELP hl_sim_events_total"))
+		if i < 0 {
+			t.Fatalf("/metrics has no kernel profile:\n%s", m)
+		}
+		return m[:i]
 	}
 	a, b := run(), run()
-	if !bytes.Equal(a.Metrics, b.Metrics) || !bytes.Equal(a.Heatmap, b.Heatmap) || !bytes.Equal(a.Decisions, b.Decisions) {
-		t.Fatal("two serve runs published different snapshots")
+	if !bytes.Equal(virtual(a.Metrics), virtual(b.Metrics)) || !bytes.Equal(a.Heatmap, b.Heatmap) ||
+		!bytes.Equal(a.Decisions, b.Decisions) || !bytes.Equal(a.Requests, b.Requests) {
+		t.Fatal("two serve runs published different pages")
 	}
-	// The /requests export is virtual-time-derived, so it is held to the
-	// same bit-reproducibility bar. The kernel profile (a.Profile) is
-	// wall-clock and deliberately NOT compared.
-	if !bytes.Equal(a.Requests, b.Requests) {
-		t.Fatal("two serve runs published different /requests documents")
+
+	var dd decisionsDoc
+	if err := json.Unmarshal(a.Decisions, &dd); err != nil {
+		t.Fatalf("/decisions not JSON: %v", err)
 	}
-	r := string(a.Requests)
-	for _, want := range []string{`"class": "interactive"`, `"kind": "queue-wait"`, `"breakdown_seconds"`} {
-		if !strings.Contains(r, want) {
-			t.Fatalf("served /requests missing %q:\n%s", want, r)
+	t.Run("metrics", func(t *testing.T) {
+		m := string(a.Metrics)
+		for _, want := range []string{
+			"# TYPE hl_virtual_time_seconds gauge\nhl_virtual_time_seconds ",
+			"# TYPE hl_cache_hits_total counter\nhl_cache_hits_total ",
+			"hl_tertiary_fetches_total",
+			"# TYPE hl_svc_queue_interactive gauge",
+			"# TYPE hl_svc_queue_interactive_max gauge",
+			"# TYPE hl_tertiary_fetch_wait_seconds histogram",
+			"hl_tertiary_fetch_wait_seconds_p50 ",
+			"hl_tertiary_fetch_wait_seconds_p99 ",
+			`hl_span_seconds_total{track="`,
+			`hl_span_count_total{track="`,
+			`hl_segment_heat{seg="`,
+			fmt.Sprintf("hl_decisions_recorded_total %d\n", dd.Total),
+			"hl_sim_events_per_sec",
+		} {
+			if !strings.Contains(m, want) {
+				t.Fatalf("/metrics missing %q:\n%s", want, m)
+			}
 		}
-	}
-	if !strings.Contains(string(a.Profile), "hl_sim_events_per_sec") {
-		t.Fatalf("served profile missing events/sec:\n%s", a.Profile)
-	}
-	m := string(a.Metrics)
-	for _, want := range []string{"hl_segment_heat{seg=", "hl_tertiary_fetches_total", "hl_decisions_recorded_total"} {
-		if !strings.Contains(m, want) {
-			t.Fatalf("served metrics missing %q:\n%s", want, m)
+		// A histogram's +Inf bucket holds every observation.
+		var inf, count int64
+		for _, line := range strings.Split(m, "\n") {
+			fmt.Sscanf(line, `hl_tertiary_fetch_wait_seconds_bucket{le="+Inf"} %d`, &inf)
+			fmt.Sscanf(line, "hl_tertiary_fetch_wait_seconds_count %d", &count)
 		}
-	}
-	d := string(a.Decisions)
-	for _, want := range []string{`"actor": "migrator"`, `"actor": "stage"`, `"actor": "tcleaner"`, `"verdict": "cleaned"`} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("served decisions missing %q:\n%s", want, d)
+		if count == 0 || inf != count {
+			t.Fatalf("fetch-wait histogram: +Inf bucket %d, count %d", inf, count)
 		}
-	}
-	// The run with no server attached completes identically (error-free);
-	// its virtual-time equivalence to the served run is covered by the
-	// crash-digest pin in internal/crash.
-	if err := ServeMigration(QuickScale(), nil, 2); err != nil {
-		t.Fatal(err)
-	}
+	})
+	t.Run("heatmap", func(t *testing.T) {
+		var hm attr.Snapshot
+		if err := json.Unmarshal(a.Heatmap, &hm); err != nil {
+			t.Fatalf("/heatmap not JSON: %v", err)
+		}
+		if len(hm.Segments) == 0 || len(hm.Files) == 0 {
+			t.Fatalf("/heatmap has %d segments, %d files", len(hm.Segments), len(hm.Files))
+		}
+	})
+	t.Run("decisions", func(t *testing.T) {
+		if len(dd.Recent) == 0 || int64(len(dd.Recent)) > dd.Total || len(dd.Recent) > decisionsExported {
+			t.Fatalf("/decisions: %d recent of %d", len(dd.Recent), dd.Total)
+		}
+		d := string(a.Decisions)
+		for _, want := range []string{`"actor": "migrator"`, `"actor": "stage"`, `"actor": "tcleaner"`, `"verdict": "cleaned"`} {
+			if !strings.Contains(d, want) {
+				t.Fatalf("/decisions missing %q:\n%s", want, d)
+			}
+		}
+	})
+	t.Run("requests", func(t *testing.T) {
+		var doc requestsDoc
+		if err := json.Unmarshal(a.Requests, &doc); err != nil {
+			t.Fatalf("/requests not JSON: %v", err)
+		}
+		if doc.Started != 2 || doc.Sealed != 2 || len(doc.Recent) != 2 {
+			t.Fatalf("/requests counts: started %d, sealed %d, %d recent; want one per round", doc.Started, doc.Sealed, len(doc.Recent))
+		}
+		if len(doc.Classes) != 1 || doc.Classes[0].Class != "interactive" {
+			t.Fatalf("/requests classes: %+v", doc.Classes)
+		}
+		slow := doc.Classes[0].Slowest
+		if len(slow) != 2 || slow[0].LatencySeconds < slow[1].LatencySeconds {
+			t.Fatalf("/requests exemplars not slowest first: %+v", slow)
+		}
+		// Each breakdown covers its whole request: it sums to the latency.
+		for _, tr := range slow {
+			var sum float64
+			for _, v := range tr.Breakdown {
+				sum += v
+			}
+			if math.Abs(sum-tr.LatencySeconds) > 1e-9 {
+				t.Fatalf("request %d: breakdown %v sums to %g, latency %g", tr.ID, tr.Breakdown, sum, tr.LatencySeconds)
+			}
+		}
+		if !strings.Contains(string(a.Requests), `"kind": "queue-wait"`) {
+			t.Fatalf("/requests has no queue-wait stage:\n%s", a.Requests)
+		}
+	})
 }

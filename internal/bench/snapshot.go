@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // BenchSnapshot is the machine-readable benchmark record emitted by
@@ -34,15 +33,6 @@ type BenchSnapshot struct {
 // BuildSnapshot runs every table plus one instrumented migration and
 // collects the results.
 func BuildSnapshot(s Scale, scaleName string) (*BenchSnapshot, error) {
-	return BuildSnapshotWith(s, scaleName, nil)
-}
-
-// BuildSnapshotWith is BuildSnapshot with a telemetry server attached:
-// after each table and workload step a fresh snapshot of the
-// instrumented migration rig is published. srv may be nil (no
-// publishing); the returned snapshot is byte-identical either way —
-// publication only reads — which TestSnapshotUnchangedByTelemetry pins.
-func BuildSnapshotWith(s Scale, scaleName string, srv *telemetry.Server) (*BenchSnapshot, error) {
 	snap := &BenchSnapshot{
 		Schema:      "hlbench/2",
 		Scale:       scaleName,
@@ -68,7 +58,6 @@ func BuildSnapshotWith(s Scale, scaleName string, srv *telemetry.Server) (*Bench
 		if err := migrateAndFetch(p, r, s); err != nil {
 			return err
 		}
-		publish(r, srv, nil)
 		snap.collect(r.hl.Obs)
 		return nil
 	})

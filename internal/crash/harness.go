@@ -24,7 +24,6 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Phase names, in workload order.
@@ -71,12 +70,6 @@ type Config struct {
 	// virtual clock and adds no virtual time, so a traced matrix must
 	// produce the same digests as an untraced one (pinned by test).
 	Trace bool
-
-	// Telemetry, when non-nil, receives a published snapshot at every
-	// phase boundary of each workload run. Publication only reads obs and
-	// attribution state at points the sim side chose, so an attached
-	// server must not change any digest (pinned by test, like Trace).
-	Telemetry *telemetry.Server
 }
 
 // DefaultConfig is the pinned rig used by `make crash`.
@@ -210,17 +203,6 @@ func (r *runner) mark(phase string) {
 	}
 	r.cur = phase
 	r.phaseStartEv = r.events
-	r.publish()
-}
-
-// publish pushes the rig's current state to the attached telemetry
-// server, if any. Called at phase boundaries — deterministic points on
-// the virtual clock — and purely read-only with respect to the sim.
-func (r *runner) publish() {
-	if r.cfg.Telemetry == nil || r.hl == nil {
-		return
-	}
-	r.cfg.Telemetry.Publish(telemetry.Collect(r.hl.Obs, r.hl.Heat, r.hl.Audit, r.k.Now()))
 }
 
 func (r *runner) pattern(nblocks int) []byte {

@@ -49,7 +49,7 @@ func TestTracedWorkloadCapturesSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Obs == nil || !res.Obs.TraceEnabled() {
+	if res.Obs == nil {
 		t.Fatal("traced run has no retaining obs domain")
 	}
 	if len(res.Obs.Spans()) == 0 {

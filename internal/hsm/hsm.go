@@ -10,7 +10,7 @@
 // Every request transition (admitted → done/failed), pin change, quota
 // shed, and GC reclaim is recorded in the shared decision audit and
 // exported through hsm.* instruments, so `hldump -requests/-pins/-quotas`
-// and the telemetry endpoints see the whole service state.
+// and the /metrics and /decisions pages see the whole service state.
 package hsm
 
 import (

@@ -183,6 +183,9 @@ func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*Inode, erro
 	if d.found {
 		return nil, fmt.Errorf("%q: %w", path, ErrExists)
 	}
+	if err := checkName(d.name); err != nil {
+		return nil, fmt.Errorf("%q: %w", path, err)
+	}
 	ino, err := fs.iallocLocked(typ)
 	if err != nil {
 		return nil, err
@@ -306,6 +309,9 @@ func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	}
 	if to.found {
 		return fmt.Errorf("%q: %w", newPath, ErrExists)
+	}
+	if err := checkName(to.name); err != nil {
+		return fmt.Errorf("%q: %w", newPath, err)
 	}
 	from.drop()
 	if from.dir.Inum == to.dir.Inum {

@@ -127,3 +127,76 @@ func FuzzDecodeDirents(f *testing.F) {
 		}
 	})
 }
+
+// TestBadNameIsRefused: a name a directory record cannot hold (256 bytes,
+// which the length byte would store as 0; 5,000 bytes, past a block; one
+// holding NUL) is ErrBadName from Create, Mkdir and a Rename onto it, and
+// the directory still reads back as it was.
+func TestBadNameIsRefused(t *testing.T) {
+	env := newEnv(t, 64, 64, Options{BufferBytes: 256 * BlockSize})
+	env.run(t, func(p *sim.Proc) {
+		fs := env.fs
+		if err := fs.Mkdir(p, "/d"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Create(p, "/d/alpha"); err != nil {
+			t.Fatal(err)
+		}
+		longest := strings.Repeat("n", 255)
+		if _, err := fs.Create(p, "/d/"+longest); err != nil {
+			t.Fatalf("a 255-byte name: %v", err)
+		}
+		for _, bad := range []string{strings.Repeat("x", 256), strings.Repeat("y", 5000), "a\x00b"} {
+			path := "/d/" + bad
+			if _, err := fs.Create(p, path); !errors.Is(err, ErrBadName) {
+				t.Errorf("Create of a %d-byte name: %v, want ErrBadName", len(bad), err)
+			}
+			if err := fs.Mkdir(p, path); !errors.Is(err, ErrBadName) {
+				t.Errorf("Mkdir of a %d-byte name: %v, want ErrBadName", len(bad), err)
+			}
+			if err := fs.Rename(p, "/d/alpha", path); !errors.Is(err, ErrBadName) {
+				t.Errorf("Rename onto a %d-byte name: %v, want ErrBadName", len(bad), err)
+			}
+		}
+		ents, err := fs.ReadDir(p, "/d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name)
+		}
+		if !slices.Equal(names, []string{"alpha", longest}) {
+			t.Fatalf("the directory reads back as %q", names)
+		}
+	})
+}
+
+// FuzzDirentRoundTrip: the names lfs accepts (the components splitPath
+// yields that pass checkName) encode to records that decode to the same
+// entries, and encoding never panics.
+func FuzzDirentRoundTrip(f *testing.F) {
+	var names []string
+	for _, e := range seededDir(rand.New(rand.NewSource(1)), 40) {
+		names = append(names, e.Name)
+	}
+	f.Add(strings.Join(names, "/"), uint64(0x5a5a))
+	f.Add("alpha/beta/./gamma//"+strings.Repeat("x", 255)+"/"+strings.Repeat("y", 256)+"/a\x00b", uint64(3))
+	f.Fuzz(func(t *testing.T, path string, dirs uint64) {
+		var ents []Dirent
+		for i, name := range splitPath(path) {
+			if checkName(name) != nil {
+				continue
+			}
+			typ := TypeFile
+			if dirs>>(i%64)&1 == 1 {
+				typ = TypeDir
+			}
+			ents = append(ents, Dirent{Inum: uint32(i + 1), Type: typ, Name: name})
+		}
+		got, err := decodeDirents(encodeDirents(ents))
+		if err != nil || !slices.Equal(got, ents) {
+			t.Fatalf("encoded %q, decoded %q (%v)", ents, got, err)
+		}
+	})
+}

@@ -57,6 +57,7 @@ var (
 	ErrNotEmpty   = errors.New("lfs: directory not empty")
 	ErrNoInodes   = errors.New("lfs: out of inodes")
 	ErrFileTooBig = errors.New("lfs: file too large")
+	ErrBadName    = errors.New("lfs: name longer than 255 bytes or holding NUL")
 )
 
 // Options configures a file system at format (and mount) time.

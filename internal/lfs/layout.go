@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"repro/internal/addr"
 	"repro/internal/dev"
@@ -481,6 +482,19 @@ type Dirent struct {
 
 const direntFixed = 6
 
+// maxNameLen is the longest name a record's length byte holds.
+const maxNameLen = 255
+
+// checkName is ErrBadName for a name no directory record can hold: one
+// longer than maxNameLen, or holding NUL. Every name a namespace edit
+// enters passes it first.
+func checkName(name string) error {
+	if len(name) > maxNameLen || strings.IndexByte(name, 0) >= 0 {
+		return ErrBadName
+	}
+	return nil
+}
+
 // encodeDirents packs entries into whole blocks, returning the buffer
 // (a multiple of BlockSize).
 func encodeDirents(ents []Dirent) []byte {
@@ -493,10 +507,10 @@ func encodeDirents(ents []Dirent) []byte {
 		blk = blk[:0]
 	}
 	for _, e := range ents {
-		rec := direntFixed + len(e.Name)
-		if rec > BlockSize {
+		if len(e.Name) > maxNameLen {
 			panic("lfs: directory name too long")
 		}
+		rec := direntFixed + len(e.Name)
 		// +direntFixed: leave room for the zero-inum terminator unless exactly full.
 		if len(blk)+rec > BlockSize {
 			flush()

@@ -19,7 +19,7 @@
 // all methods are safe on a nil receiver, so components can attribute
 // unconditionally. Heat decay uses math.Exp2 on virtual-time ratios:
 // a pure function of recorded events, so a deterministic run produces
-// a bit-identical table (pinned by the telemetry determinism tests).
+// a bit-identical table (pinned by the -serve workload's determinism test).
 package attr
 
 import (

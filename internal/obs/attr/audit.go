@@ -93,15 +93,15 @@ type Audit struct {
 	total int64 // decisions ever recorded (including overwritten ones)
 }
 
-// DefaultAuditCap bounds the ring: enough for several full migration
+// defaultAuditCap bounds the ring: enough for several full migration
 // passes on the paper-scale rig.
-const DefaultAuditCap = 8192
+const defaultAuditCap = 8192
 
 // NewAudit creates a decision log keeping the last max entries
-// (DefaultAuditCap if max <= 0).
+// (defaultAuditCap if max <= 0).
 func NewAudit(max int) *Audit {
 	if max <= 0 {
-		max = DefaultAuditCap
+		max = defaultAuditCap
 	}
 	return &Audit{cap: max}
 }

@@ -172,17 +172,10 @@ func shortDur(t sim.Time) string {
 	}
 }
 
-// WriteTimeline renders the retained spans chronologically (by start
-// time, emission order breaking ties). With cats, only spans whose
-// category is listed are shown — e.g. just the top-level core.* and
-// migration operations.
-func (o *Obs) WriteTimeline(w io.Writer, cats ...string) {
-	o.WriteTimelineFiltered(w, nil, cats)
-}
-
-// WriteTimelineFiltered is WriteTimeline with both filter dimensions:
-// a span is shown when its track is in tracks AND its category is in
-// cats; an empty slice leaves that dimension unfiltered.
+// WriteTimelineFiltered renders the retained spans chronologically (by
+// start time, emission order breaking ties). A span is shown when its
+// track is in tracks AND its category is in cats; an empty slice leaves
+// that dimension unfiltered.
 func (o *Obs) WriteTimelineFiltered(w io.Writer, tracks, cats []string) {
 	if o == nil {
 		return

@@ -17,7 +17,7 @@
 //     cheap enough to leave on everywhere, including soak tests.
 //   - Full trace (EnableTrace): every span and instant event is
 //     retained for export as Chrome trace-event JSON (WriteChromeTrace)
-//     or a plain-text timeline/summary (WriteTimeline, WriteSummary).
+//     or a plain-text timeline/summary (WriteTimelineFiltered, WriteSummary).
 //
 // All methods are safe on a nil *Obs (they do nothing and return zero
 // values), so components can be instrumented unconditionally. Mutation
@@ -266,16 +266,13 @@ func New(k *sim.Kernel) *Obs {
 }
 
 // EnableTrace switches from metrics-only aggregation to full span
-// retention (required for WriteChromeTrace / WriteTimeline). Spans
+// retention (required for WriteChromeTrace / WriteTimelineFiltered). Spans
 // emitted before the call are not retroactively retained.
 func (o *Obs) EnableTrace() {
 	if o != nil {
 		o.retain = true
 	}
 }
-
-// TraceEnabled reports whether full spans are being retained.
-func (o *Obs) TraceEnabled() bool { return o != nil && o.retain }
 
 // Now returns the kernel's virtual clock (0 for nil).
 func (o *Obs) Now() sim.Time {
@@ -401,20 +398,6 @@ func (o *Obs) CatCount(cat string) int64 {
 		}
 	}
 	return n
-}
-
-// TrackTotal sums all span durations on one track (its busy time).
-func (o *Obs) TrackTotal(track string) sim.Time {
-	if o == nil {
-		return 0
-	}
-	var t sim.Time
-	for _, a := range o.aggOrder {
-		if a.Track == track {
-			t += a.Total
-		}
-	}
-	return t
 }
 
 // Aggregates returns the per-(track, category) rollups in first-

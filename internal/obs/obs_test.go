@@ -30,7 +30,7 @@ func TestNilObsIsInert(t *testing.T) {
 	o.Counter("x").Add(5)
 	o.Gauge("g").Set(7)
 	o.Histogram("h", LatencyBounds).Observe(sim.Time(1e6))
-	if o.CatTotal("c") != 0 || o.CatCount("c") != 0 || o.TrackTotal("t") != 0 {
+	if o.CatTotal("c") != 0 || o.CatCount("c") != 0 {
 		t.Fatal("nil Obs recorded something")
 	}
 	if o.Counter("x").Value() != 0 || o.Gauge("g").Value() != 0 || o.Gauge("g").Max() != 0 {
@@ -39,7 +39,7 @@ func TestNilObsIsInert(t *testing.T) {
 	if o.Histogram("h", LatencyBounds).Mean() != 0 {
 		t.Fatal("nil histogram has a mean")
 	}
-	if o.Spans() != nil || o.Aggregates() != nil || o.TraceEnabled() {
+	if o.Spans() != nil || o.Aggregates() != nil {
 		t.Fatal("nil Obs exposes state")
 	}
 	if err := o.WriteChromeTrace(&bytes.Buffer{}); err == nil {
@@ -89,8 +89,14 @@ func TestAggregation(t *testing.T) {
 	if got := o.CatTotal("disk.read"); got != sim.Time(2e9) {
 		t.Fatalf("CatTotal(disk.read) = %v, want 2s", got)
 	}
-	if got := o.TrackTotal("disk"); got != sim.Time(3e9) {
-		t.Fatalf("TrackTotal(disk) = %v, want 3s", got)
+	var disk sim.Time
+	for _, a := range o.Aggregates() {
+		if a.Track == "disk" {
+			disk += a.Total
+		}
+	}
+	if disk != sim.Time(3e9) {
+		t.Fatalf("spans on track disk total %v, want 3s", disk)
 	}
 	if got := o.CatCount("disk.fault"); got != 1 {
 		t.Fatalf("CatCount(disk.fault) = %d, want 1", got)
@@ -203,7 +209,7 @@ func TestTimelineFilterAndOrder(t *testing.T) {
 		o.Instant("x", "drop", "C")
 	})
 	var buf bytes.Buffer
-	o.WriteTimeline(&buf, "keep")
+	o.WriteTimelineFiltered(&buf, nil, []string{"keep"})
 	out := buf.String()
 	if strings.Contains(out, "C") {
 		t.Fatalf("filtered category leaked into timeline:\n%s", out)

@@ -279,16 +279,13 @@ func (tr *Trace) Validate() error {
 	return nil
 }
 
-// FromCtx returns the trace riding a cancellation scope (nil when none).
-func FromCtx(c *sim.Ctx) *Trace {
-	tr, _ := c.Trace().(*Trace)
-	return tr
-}
-
 // From returns the trace riding p's current request scope (nil when the
 // proc is not executing a traced request). Deep layers use this — one
 // pointer load on the untraced path.
-func From(p *sim.Proc) *Trace { return FromCtx(p.Ctx()) }
+func From(p *sim.Proc) *Trace {
+	tr, _ := p.Ctx().Trace().(*Trace)
+	return tr
+}
 
 // Attach puts tr on the scope (no-op for a nil trace or scope).
 func Attach(c *sim.Ctx, tr *Trace) {

@@ -19,7 +19,7 @@
 // is recorded in the decision audit, and queue depths, shed rates,
 // breaker states, and admission-to-completion latency histograms are
 // exported through the shared observability domain (visible at the
-// telemetry server's /metrics and /decisions endpoints).
+// /metrics and /decisions pages of `hlbench -serve`).
 package svc
 
 import (

@@ -17,7 +17,6 @@ import (
 	"repro/internal/obs/attr"
 	"repro/internal/sim"
 	"repro/internal/svc"
-	"repro/internal/telemetry"
 )
 
 // rig builds a two-library HighLight instance (replication factor 2) and
@@ -629,11 +628,11 @@ func TestBrownoutHysteresis(t *testing.T) {
 	k.Stop()
 }
 
-// TestFrontEndMetricsExported pins that the front end's instruments flow
-// through the generic telemetry renderer: a rig with a FrontEnd attached
-// must surface admission counters, per-class queue gauges, the brownout
-// gauge, and the interactive latency histogram at /metrics without any
-// svc-specific code in the telemetry package.
+// TestFrontEndMetricsExported pins that the front end's instruments are in
+// the instance's obs registry, which `hlbench -serve` renders as /metrics
+// with no svc-specific code: a rig with a FrontEnd attached has the
+// admission counters, the per-class queue gauges, the brownout gauge and
+// the interactive latency histogram.
 func TestFrontEndMetricsExported(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
@@ -646,22 +645,27 @@ func TestFrontEndMetricsExported(t *testing.T) {
 				t.Fatalf("read %d: %v", i, err)
 			}
 		}
-		sn := telemetry.Collect(hl.Obs, hl.Heat, hl.Audit, p.Now())
-		m := string(sn.Metrics)
-		for _, want := range []string{
-			"# TYPE hl_svc_admitted_total counter",
-			"hl_svc_admitted_total 2",
-			"hl_svc_completed_total 2",
-			"hl_svc_shed_total 0",
-			"hl_svc_queue_interactive",
-			"hl_svc_queue_background",
-			"hl_svc_brownout 0",
-			"# TYPE hl_svc_latency_interactive_seconds histogram",
-			"hl_svc_latency_interactive_seconds_count 2",
-			"hl_svc_latency_interactive_seconds_p99",
+		got := map[string]int64{}
+		for _, c := range hl.Obs.Counters() {
+			got["counter "+c.Name] = c.Value()
+		}
+		for _, g := range hl.Obs.Gauges() {
+			got["gauge "+g.Name] = g.Value()
+		}
+		for _, h := range hl.Obs.Histograms() {
+			got["histogram "+h.Name] = h.N
+		}
+		for name, want := range map[string]int64{
+			"counter svc.admitted":              2,
+			"counter svc.completed":             2,
+			"counter svc.shed":                  0,
+			"gauge svc.queue.interactive":       0,
+			"gauge svc.queue.background":        0,
+			"gauge svc.brownout":                0,
+			"histogram svc.latency.interactive": 2,
 		} {
-			if !strings.Contains(m, want) {
-				t.Fatalf("front-end metric missing %q in /metrics render:\n%s", want, m)
+			if v, ok := got[name]; !ok || v != want {
+				t.Errorf("%s = %d (registered: %v), want %d", name, v, ok, want)
 			}
 		}
 	})
