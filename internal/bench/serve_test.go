@@ -61,15 +61,32 @@ func TestServeMigrationPublishesAndIsDeterministic(t *testing.T) {
 		return m[:i]
 	}
 	a, b := run(), run()
-	if !bytes.Equal(virtual(a.Metrics), virtual(b.Metrics)) || !bytes.Equal(a.Heatmap, b.Heatmap) ||
-		!bytes.Equal(a.Decisions, b.Decisions) || !bytes.Equal(a.Requests, b.Requests) {
-		t.Fatal("two serve runs published different pages")
-	}
 
 	var dd decisionsDoc
 	if err := json.Unmarshal(a.Decisions, &dd); err != nil {
 		t.Fatalf("/decisions not JSON: %v", err)
 	}
+	t.Run("deterministic", func(t *testing.T) {
+		if !bytes.Equal(virtual(a.Metrics), virtual(b.Metrics)) || !bytes.Equal(a.Heatmap, b.Heatmap) ||
+			!bytes.Equal(a.Decisions, b.Decisions) || !bytes.Equal(a.Requests, b.Requests) {
+			t.Fatal("two serve runs published different pages")
+		}
+	})
+	t.Run("profile", func(t *testing.T) {
+		// The kernel self-profile is rendered into /metrics after every
+		// virtual-time series, and with profiling on it has its wall-clock
+		// figures.
+		m := string(a.Metrics)
+		tail := m[len(virtual(a.Metrics)):]
+		for _, want := range []string{"hl_sim_events_total ", "hl_sim_heap_high_water ", "hl_sim_events_per_sec ", "hl_sim_dispatch_avg_ns "} {
+			if !strings.Contains(tail, want) {
+				t.Fatalf("/metrics profile missing %q:\n%s", want, tail)
+			}
+		}
+		if strings.Contains(tail, "hl_virtual_time_seconds") || !strings.Contains(m, "hl_virtual_time_seconds ") {
+			t.Fatalf("/metrics profile does not follow the virtual-time series:\n%s", m)
+		}
+	})
 	t.Run("metrics", func(t *testing.T) {
 		m := string(a.Metrics)
 		for _, want := range []string{
@@ -85,7 +102,6 @@ func TestServeMigrationPublishesAndIsDeterministic(t *testing.T) {
 			`hl_span_count_total{track="`,
 			`hl_segment_heat{seg="`,
 			fmt.Sprintf("hl_decisions_recorded_total %d\n", dd.Total),
-			"hl_sim_events_per_sec",
 		} {
 			if !strings.Contains(m, want) {
 				t.Fatalf("/metrics missing %q:\n%s", want, m)
