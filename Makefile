@@ -13,13 +13,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: gofmt must have nothing to say, then staticcheck when
-# available (CI installs it), otherwise go vet so the target works on a bare
-# toolchain.
+# Static analysis: gofmt must have nothing to say; then the surface check
+# (surface_test.go: every export under internal/ has a caller in another
+# package or an allow-list reason, and every backticked name in DESIGN.md,
+# README.md and the Go comments exists); then staticcheck when available (CI
+# installs it), otherwise go vet so the target works on a bare toolchain.
 lint:
 	@unformatted=$$(gofmt -l *.go benchmark cmd examples internal); if [ -n "$$unformatted" ]; then \
 		echo "lint: gofmt -l lists:"; echo "$$unformatted"; exit 1; \
 	fi
+	$(GO) test -count=1 -run '^TestSurface' .
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \
@@ -31,7 +34,7 @@ race:
 	$(GO) test -race ./...
 
 # Crash matrix: >= 40 deterministic power cuts across every pipeline
-# phase (seed pinned in crash.DefaultConfig), each recovering with zero
+# phase (seed pinned in crash.defaultConfig), each recovering with zero
 # fsck problems and zero durability violations. -count=1 forces a fresh
 # run even when the package test cache is warm.
 crash:
@@ -69,9 +72,9 @@ soak:
 # the two device images, the superblock and checkpoint blocks a mount reads
 # first, the log's summary block, the partial-segment chain of a whole
 # segment image, an inode-map entry with the inode block it names, a
-# directory's records, and the encoding of every list of names lfs accepts
-# (their seeds, under testdata/fuzz or added by f.Add, run in plain
-# `go test` already).
+# directory's records, the encoding of every list of names lfs accepts, and
+# the HSM state file Attach reads (their seeds, under testdata/fuzz or added
+# by f.Add, run in plain `go test` already).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDiskLoadStore -fuzztime 10s ./internal/dev/
 	$(GO) test -run '^$$' -fuzz FuzzJukeboxLoadStore -fuzztime 10s ./internal/jukebox/
@@ -82,6 +85,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInodeDecode -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDirents -fuzztime 10s ./internal/lfs/
 	$(GO) test -run '^$$' -fuzz FuzzDirentRoundTrip -fuzztime 10s ./internal/lfs/
+	$(GO) test -run '^$$' -fuzz FuzzHSMState -fuzztime 10s ./internal/hsm/
 
 # Tier-1 verification: everything CI's verify job runs, in order.
 verify: build vet lint test race crash loc-check
@@ -134,7 +138,7 @@ loc:
 # The total of `make loc` may not exceed LOC_MAX: the total of the last PR
 # that lowered it. A PR that lowers the total lowers LOC_MAX to its own; one
 # that must raise it says why in the same diff.
-LOC_MAX = 24872
+LOC_MAX = 24601
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -262,14 +262,14 @@ func AblationSTP() (*Report, error) {
 	return rep, nil
 }
 
-// AblationFaultRate measures end-to-end throughput under injected
+// ablationFaultRate measures end-to-end throughput under injected
 // transient media errors on the jukebox. The same bulk workload —
 // migrate a set of files to tertiary, eject the cache, and demand-fetch
 // everything back — runs under seeded fault plans at 0%, 1% and 5%
 // per-op transient error rates. Recovery (bounded retries with
 // virtual-time backoff) must absorb every fault: throughput degrades
 // smoothly with the error rate and no retry budget is ever exhausted.
-func AblationFaultRate() (*Report, error) {
+func ablationFaultRate() (*Report, error) {
 	rep := newReport("Ablation: throughput under transient media-error rate")
 	rep.addf("%-8s %12s %10s %11s %12s", "rate", "throughput", "retries", "exhausted", "elapsed")
 	for _, pct := range []float64{0, 1, 5} {
@@ -324,13 +324,13 @@ func AblationFaultRate() (*Report, error) {
 	return rep, nil
 }
 
-// AblationCrashRecovery measures mount recovery time as a function of
+// ablationCrashRecovery measures mount recovery time as a function of
 // log length since the last checkpoint: after a checkpoint, N segments'
 // worth of synced writes accumulate, the power is cut (durable device
 // images only survive), and a fresh kernel remounts. Recovery cost should
 // scale with the roll-forward extent, not with file system size — the
 // checkpoint bounds the work (§3).
-func AblationCrashRecovery() (*Report, error) {
+func ablationCrashRecovery() (*Report, error) {
 	rep := newReport("Ablation: crash-recovery time vs log length since checkpoint")
 	rep.addf("%-10s %10s %10s %10s %12s", "log segs", "psegs", "blocks", "inodes", "recovery")
 	for _, segs := range []int{0, 4, 16, 64} {
@@ -406,13 +406,13 @@ func crashAndRecover(segs int) (lfs.RecoveryInfo, sim.Time, error) {
 	return ri, elapsed, err
 }
 
-// AblationReplication measures what the replicated tertiary tier costs
+// ablationReplication measures what the replicated tertiary tier costs
 // and buys across libraries × replicas configurations (1×1 baseline,
 // 2×2, 3×2): demand-fetch latency with every library healthy, fetch
 // latency degraded onto surviving replicas after library 0 permanently
 // fails, and the bytes a repair pass copies to restore the replication
 // target on the remaining libraries.
-func AblationReplication() (*Report, error) {
+func ablationReplication() (*Report, error) {
 	rep := newReport("Ablation: replicated tertiary tier (libraries × replicas)")
 	rep.addf("%-8s %13s %14s %12s %11s", "config", "fetch avg", "degraded avg", "repaired", "redirects")
 	for _, c := range []struct{ libs, replicas int }{{1, 1}, {2, 2}, {3, 2}} {
@@ -565,7 +565,7 @@ func AblationBlockRange() (*Report, error) {
 	return rep, nil
 }
 
-// diskScalingResult is one cell of the AblationDiskScaling matrix.
+// diskScalingResult is one cell of the ablationDiskScaling matrix.
 type diskScalingResult struct {
 	stageS   float64 // staging phase (disk-bound): gather + staging writes
 	drainS   float64 // copy-out drain (jukebox-bound)
@@ -642,14 +642,14 @@ func runDiskScaling(nd, streams int, parity bool) (diskScalingResult, error) {
 	return res, err
 }
 
-// AblationDiskScaling produces the 1→8 spindle × 1→4 stream scaling
+// ablationDiskScaling produces the 1→8 spindle × 1→4 stream scaling
 // curves (ROADMAP item 2): staging throughput against farm size, drain
 // throughput against concurrent tertiary I/O streams, and the rotating-
 // parity overhead. The shape to expect follows the Dagenais RAID model:
 // near-linear staging gains while transfers dominate, flattening as
 // per-arm chunks shrink toward the stripe unit; drain gains capped by the
 // jukebox's two drives.
-func AblationDiskScaling() (*Report, error) {
+func ablationDiskScaling() (*Report, error) {
 	rep := newReport("Ablation: disk-farm scaling (32 KB stripe unit, 12 MB migration)")
 	rep.addf("%-16s %8s %10s %10s %10s", "config", "disks", "stage KB/s", "drain KB/s", "overall KB/s")
 	type cell struct {

@@ -52,7 +52,7 @@ func TestAblationSTP(t *testing.T) {
 }
 
 func TestAblationFaultRate(t *testing.T) {
-	rep, err := AblationFaultRate()
+	rep, err := ablationFaultRate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAblationFaultRate(t *testing.T) {
 }
 
 func TestAblationCrashRecovery(t *testing.T) {
-	rep, err := AblationCrashRecovery()
+	rep, err := ablationCrashRecovery()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAblationCrashRecovery(t *testing.T) {
 }
 
 func TestAblationReplication(t *testing.T) {
-	rep, err := AblationReplication()
+	rep, err := ablationReplication()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestAblationBlockRange(t *testing.T) {
 }
 
 func TestAblationOverload(t *testing.T) {
-	rep, err := AblationOverload()
+	rep, err := ablationOverload()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestAblationOverload(t *testing.T) {
 			m["x4/p99_ms"], cap)
 	}
 	// Determinism: the table bench-check gates on must reproduce exactly.
-	rep2, err := AblationOverload()
+	rep2, err := ablationOverload()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,11 +34,11 @@ var Cells = []Cell{
 	{Name: "ablation_copyout", Run: fixed(AblationCopyout)},
 	{Name: "ablation_stp", Run: fixed(AblationSTP)},
 	{Name: "ablation_block_range", Run: fixed(AblationBlockRange)},
-	{Name: "ablation_fault_rate", Run: fixed(AblationFaultRate)},
-	{Name: "ablation_crash_recovery", Run: fixed(AblationCrashRecovery)},
-	{Name: "ablation_replication", Run: fixed(AblationReplication)},
-	{Name: "ablation_disk_scaling", Key: "ablation_disk_scaling", Run: fixed(AblationDiskScaling)},
-	{Name: "ablation_overload", Key: "ablation_overload", Run: fixed(AblationOverload)},
-	{Name: "ablation_policy", Key: "ablation_policy", Run: fixed(AblationPolicy)},
-	{Name: "ablation_reqtrace", Key: "ablation_reqtrace", Run: fixed(AblationReqtrace)},
+	{Name: "ablation_fault_rate", Run: fixed(ablationFaultRate)},
+	{Name: "ablation_crash_recovery", Run: fixed(ablationCrashRecovery)},
+	{Name: "ablation_replication", Run: fixed(ablationReplication)},
+	{Name: "ablation_disk_scaling", Key: "ablation_disk_scaling", Run: fixed(ablationDiskScaling)},
+	{Name: "ablation_overload", Key: "ablation_overload", Run: fixed(ablationOverload)},
+	{Name: "ablation_policy", Key: "ablation_policy", Run: fixed(ablationPolicy)},
+	{Name: "ablation_reqtrace", Key: "ablation_reqtrace", Run: fixed(ablationReqtrace)},
 }

@@ -139,7 +139,7 @@ func TestEjectAll(t *testing.T) {
 }
 
 // TestStudyRigRemountMatchesHandBuilt rebuilds by hand, the way
-// AblationCrashRecovery did before the study rig existed, the crash and
+// ablationCrashRecovery did before the study rig existed, the crash and
 // remount of its 16-segment row, and requires the rig's format=false mount
 // over restored images to recover exactly the same.
 func TestStudyRigRemountMatchesHandBuilt(t *testing.T) {

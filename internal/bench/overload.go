@@ -153,12 +153,12 @@ func RunOverload(spec OverloadSpec) (OverloadResult, error) {
 	return res, err
 }
 
-// AblationOverload sweeps offered load at 0.5x/1x/2x/4x the base rate and
+// ablationOverload sweeps offered load at 0.5x/1x/2x/4x the base rate and
 // reports goodput, shed rate, and interactive p99 — the graceful-
 // degradation curve: goodput holds near capacity while the excess is shed
 // explicitly (ErrOverload) or expired at its deadline, and p99 stays
 // bounded by the deadline instead of growing with the queue.
-func AblationOverload() (*Report, error) {
+func ablationOverload() (*Report, error) {
 	rep := newReport("Ablation: offered load vs goodput through the front end (closed-loop poisson clients, 5 s deadline)")
 	rep.addf("%-6s %10s %10s %10s %10s %10s", "load", "goodput", "shed rate", "p99 ms", "completed", "shed")
 	for _, load := range []float64{0.5, 1, 2, 4} {

@@ -145,10 +145,10 @@ func shootCell(pol migrate.Policy, workload string) (hitRate, p99ms, bytesMoved 
 	return hitRate, p99ms, bytesMoved, err
 }
 
-// AblationPolicy is the migration-policy shootout table: every contender
+// ablationPolicy is the migration-policy shootout table: every contender
 // policy against every workload at a fixed geometry (the table rigs' scale
 // knob does not apply; one entry covers both scales).
-func AblationPolicy() (*Report, error) {
+func ablationPolicy() (*Report, error) {
 	rep := newReport("Ablation: migration policy shootout (STP vs LRU vs heat-weighted cost, 60% byte target)")
 	rep.addf("%-10s %-9s %10s %10s %12s", "policy", "workload", "hit rate", "p99 ms", "moved MB")
 	for _, pol := range shootPolicies() {

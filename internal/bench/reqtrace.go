@@ -22,9 +22,9 @@ import (
 // shed or expire — the interesting cases for the invariant.
 const reqtraceLoad = 2
 
-// AblationReqtrace runs the overload cell traced and untraced and
+// ablationReqtrace runs the overload cell traced and untraced and
 // compares every pre-existing metric.
-func AblationReqtrace() (*Report, error) {
+func ablationReqtrace() (*Report, error) {
 	spec := OverloadSpec{Arrival: wl.ArrivalPoisson, Load: reqtraceLoad}
 	traced, err := RunOverload(spec)
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // with the tracer on and off, and no retained trace violates the
 // stage-sum-equals-latency invariant.
 func TestReqtraceAblationFree(t *testing.T) {
-	rep, err := AblationReqtrace()
+	rep, err := ablationReqtrace()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,14 +11,14 @@ const cutsPerPhase = 8 // 5 phases x 8 = 40 cut points
 // generates media writes wide enough for the matrix, and the tertiary
 // pipeline really swapped volumes and hit end-of-medium.
 func TestWorkloadPhases(t *testing.T) {
-	res, err := runWorkload(DefaultConfig(), 0)
+	res, err := runWorkload(defaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Snap != nil {
 		t.Fatal("pristine run captured a snapshot")
 	}
-	want := Phases()
+	want := phaseNames()
 	if len(res.Phases) != len(want) {
 		t.Fatalf("got %d phase spans, want %d: %+v", len(res.Phases), len(want), res.Phases)
 	}
@@ -44,8 +44,8 @@ func TestWorkloadPhases(t *testing.T) {
 // unflushed write-cache blocks. Run twice, the matrix must be
 // bit-reproducible: every per-cut digest identical.
 func TestCrashMatrix(t *testing.T) {
-	cfg := DefaultConfig()
-	rep, err := RunMatrix(cfg, cutsPerPhase)
+	cfg := defaultConfig()
+	rep, err := runMatrix(cfg, cutsPerPhase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func TestCrashMatrix(t *testing.T) {
 			t.Errorf("cut at event %d (%s): %d fsck problems", o.Event, o.Phase, o.FsckProblems)
 		}
 	}
-	for _, ph := range Phases() {
+	for _, ph := range phaseNames() {
 		if phases[ph] < cutsPerPhase {
 			t.Errorf("phase %q got %d cuts, want %d", ph, phases[ph], cutsPerPhase)
 		}
 	}
-	if rep.CacheDropCuts() == 0 {
+	if rep.cacheDropCuts() == 0 {
 		t.Error("no cut point caught the volatile write cache holding unflushed blocks")
 	}
 	if t.Failed() {
@@ -77,7 +77,7 @@ func TestCrashMatrix(t *testing.T) {
 
 	// Determinism: the entire matrix replayed from the same seed must
 	// produce identical recovered states, digest for digest.
-	rep2, err := RunMatrix(cfg, cutsPerPhase)
+	rep2, err := runMatrix(cfg, cutsPerPhase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +97,12 @@ func TestCrashMatrix(t *testing.T) {
 // explicitly: cut mid-sync while the cache holds dirty blocks, and show
 // the drop costs only unsynced data.
 func TestRecoverySurvivesWriteCacheDrop(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	pristine, err := runWorkload(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts, err := PlanCuts(pristine.Phases, cutsPerPhase)
+	cuts, err := planCuts(pristine.Phases, cutsPerPhase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRecoverySurvivesWriteCacheDrop(t *testing.T) {
 		if res.Snap == nil || res.Snap.WCacheDirty == 0 {
 			continue
 		}
-		out, err := Recover(cfg, res.Snap)
+		out, err := recoverCut(cfg, res.Snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,12 +129,12 @@ func TestRecoverySurvivesWriteCacheDrop(t *testing.T) {
 	t.Fatal("no planned cut found the write cache dirty")
 }
 
-func ExamplePlanCuts() {
-	spans := []PhaseSpan{
+func Example_planCuts() {
+	spans := []phaseSpan{
 		{Phase: "a", Start: 0, End: 10},
 		{Phase: "b", Start: 10, End: 14},
 	}
-	cuts, _ := PlanCuts(spans, 4)
+	cuts, _ := planCuts(spans, 4)
 	for _, c := range cuts {
 		fmt.Println(c.Phase, c.Event)
 	}

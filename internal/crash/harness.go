@@ -28,21 +28,21 @@ import (
 
 // Phase names, in workload order.
 const (
-	PhaseNormalWrite = "normal-write"
-	PhaseCleaner     = "cleaner"
-	PhaseStaging     = "staging"
-	PhaseCopyOut     = "copy-out"
-	PhaseVolumeSwap  = "volume-swap"
+	phaseNormalWrite = "normal-write"
+	phaseCleaner     = "cleaner"
+	phaseStaging     = "staging"
+	phaseCopyOut     = "copy-out"
+	phaseVolumeSwap  = "volume-swap"
 )
 
-// Phases lists the workload phases in execution order.
-func Phases() []string {
-	return []string{PhaseNormalWrite, PhaseCleaner, PhaseStaging, PhaseCopyOut, PhaseVolumeSwap}
+// phaseNames lists the workload phases in execution order.
+func phaseNames() []string {
+	return []string{phaseNormalWrite, phaseCleaner, phaseStaging, phaseCopyOut, phaseVolumeSwap}
 }
 
-// Config sizes the crash rig. Small segments keep single runs cheap while
+// config sizes the crash rig. Small segments keep single runs cheap while
 // still forcing indirect blocks, cleaning pressure and volume spill.
-type Config struct {
+type config struct {
 	Seed             uint64
 	SegBlocks        int
 	DiskSegs         int
@@ -72,9 +72,9 @@ type Config struct {
 	Trace bool
 }
 
-// DefaultConfig is the pinned rig used by `make crash`.
-func DefaultConfig() Config {
-	return Config{
+// defaultConfig is the pinned rig used by `make crash`.
+func defaultConfig() config {
+	return config{
 		Seed:             20260805,
 		SegBlocks:        16,
 		DiskSegs:         160,
@@ -89,17 +89,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// PhaseSpan is the half-open media-write event interval (Start, End]
+// phaseSpan is the half-open media-write event interval (Start, End]
 // during which a workload phase executed.
-type PhaseSpan struct {
+type phaseSpan struct {
 	Phase      string
 	Start, End int
 }
 
-// Snapshot is the durable state of the whole stack at one media-write
+// snapshot is the durable state of the whole stack at one media-write
 // event — exactly what a power cut at that instant preserves — plus the
 // durability model needed to audit a recovery from it.
-type Snapshot struct {
+type snapshot struct {
 	Event       int
 	Phase       string
 	Now         sim.Time
@@ -121,21 +121,21 @@ type Snapshot struct {
 // runResult is the outcome of one workload execution.
 type runResult struct {
 	TotalEvents int
-	Phases      []PhaseSpan
-	Snap        *Snapshot // nil unless a cut event was hit
+	Phases      []phaseSpan
+	Snap        *snapshot // nil unless a cut event was hit
 	EOMHit      bool      // the reduced volume returned end-of-medium
 	Swaps       int64     // jukebox volume swaps observed
-	Obs         *obs.Obs  // non-nil when Config.Trace instrumented the run
+	Obs         *obs.Obs  // non-nil when config.Trace instrumented the run
 }
 
 // runner drives the scripted workload and maintains the durability model.
 type runner struct {
-	cfg    Config
+	cfg    config
 	target int // media-write event to snapshot at; 0 = none
 	events int
-	snap   *Snapshot
+	snap   *snapshot
 	cutErr error // the cut's SaveStore failed
-	phases []PhaseSpan
+	phases []phaseSpan
 	cur    string
 	rng    *sim.RNG
 
@@ -182,7 +182,7 @@ func (r *runner) capture() error {
 	for k, v := range r.durable {
 		durable[k] = v
 	}
-	r.snap = &Snapshot{
+	r.snap = &snapshot{
 		Event:       r.events,
 		Phase:       r.cur,
 		Now:         r.k.Now(),
@@ -199,7 +199,7 @@ func (r *runner) capture() error {
 
 func (r *runner) mark(phase string) {
 	if r.cur != "" {
-		r.phases = append(r.phases, PhaseSpan{Phase: r.cur, Start: r.phaseStartEv, End: r.events})
+		r.phases = append(r.phases, phaseSpan{Phase: r.cur, Start: r.phaseStartEv, End: r.events})
 	}
 	r.cur = phase
 	r.phaseStartEv = r.events
@@ -295,7 +295,7 @@ func (r *runner) inum(p *sim.Proc, name string) (uint32, error) {
 }
 
 // buildDevices assembles the rig's device set on a fresh kernel.
-func buildDevices(k *sim.Kernel, cfg Config) (*dev.Disk, *jukebox.Jukebox, error) {
+func buildDevices(k *sim.Kernel, cfg config) (*dev.Disk, *jukebox.Jukebox, error) {
 	bus := dev.NewBus(k, "scsi", dev.SCSIBusRate)
 	disk := dev.NewDisk(k, dev.RZ57, int64(cfg.DiskSegs*cfg.SegBlocks), bus)
 	disk.EnableWriteCache(cfg.WriteCacheBlocks)
@@ -313,7 +313,7 @@ func buildDevices(k *sim.Kernel, cfg Config) (*dev.Disk, *jukebox.Jukebox, error
 // attachObs instruments the rig with a full-retention trace domain when
 // cfg.Trace is set; otherwise the core builds its own metrics-only
 // domain and the devices stay uninstrumented.
-func attachObs(k *sim.Kernel, cfg Config, disk *dev.Disk, juke *jukebox.Jukebox) *obs.Obs {
+func attachObs(k *sim.Kernel, cfg config, disk *dev.Disk, juke *jukebox.Jukebox) *obs.Obs {
 	if !cfg.Trace {
 		return nil
 	}
@@ -324,7 +324,7 @@ func attachObs(k *sim.Kernel, cfg Config, disk *dev.Disk, juke *jukebox.Jukebox)
 	return o
 }
 
-func coreConfig(cfg Config, o *obs.Obs, disk *dev.Disk, juke *jukebox.Jukebox) core.Config {
+func coreConfig(cfg config, o *obs.Obs, disk *dev.Disk, juke *jukebox.Jukebox) core.Config {
 	return core.Config{
 		SegBlocks:   cfg.SegBlocks,
 		Disks:       []dev.BlockDev{disk},
@@ -342,7 +342,7 @@ func coreConfig(cfg Config, o *obs.Obs, disk *dev.Disk, juke *jukebox.Jukebox) c
 // If cutEvent > 0, the durable state at that media-write event is
 // captured into the result's Snap; the run still continues to completion
 // so the phase spans and totals are identical across cut choices.
-func runWorkload(cfg Config, cutEvent int) (*runResult, error) {
+func runWorkload(cfg config, cutEvent int) (*runResult, error) {
 	k := sim.NewKernel()
 	disk, juke, err := buildDevices(k, cfg)
 	if err != nil {
@@ -399,7 +399,7 @@ func (r *runner) workload(p *sim.Proc) error {
 	// Phase 1 — normal writes: a base population, two sync barriers, and
 	// a dirty (never-synced) tail so mid-phase cuts exercise the volatile
 	// write cache dropping unflushed data.
-	r.mark(PhaseNormalWrite)
+	r.mark(phaseNormalWrite)
 	for i := 0; i < 8; i++ {
 		if err := r.writeFile(p, fmt.Sprintf("/f%d", i), 0, r.pattern(4+(i%5)*3)); err != nil {
 			return err
@@ -424,7 +424,7 @@ func (r *runner) workload(p *sim.Proc) error {
 
 	// Phase 2 — disk cleaner: churn overwrites to kill segments, then a
 	// cleaner pass (whose reuse commit is itself a checkpoint barrier).
-	r.mark(PhaseCleaner)
+	r.mark(phaseCleaner)
 	if err := r.removeFile(p, "/f5"); err != nil {
 		return err
 	}
@@ -453,7 +453,7 @@ func (r *runner) workload(p *sim.Proc) error {
 	// Phase 3 — staging: migrate the base files with copy-outs delayed,
 	// so this phase is pure disk-side staging (image writes, binding
 	// checkpoints) with no tertiary traffic yet.
-	r.mark(PhaseStaging)
+	r.mark(phaseStaging)
 	hl.DelayCopyouts = true
 	var inums []uint32
 	for i := 0; i < 4; i++ {
@@ -469,7 +469,7 @@ func (r *runner) workload(p *sim.Proc) error {
 
 	// Phase 4 — copy-out: release the delayed copyouts; every event here
 	// is a jukebox media write (including the torn mid-segment points).
-	r.mark(PhaseCopyOut)
+	r.mark(phaseCopyOut)
 	hl.DelayCopyouts = false
 	hl.FlushCopyouts(p)
 	hl.Svc.DrainCopyouts(p)
@@ -483,7 +483,7 @@ func (r *runner) workload(p *sim.Proc) error {
 	// Phase 5 — volume swap: enough new migration to spill past volume 0
 	// onto the capacity-reduced volume (forcing end-of-medium retirement
 	// and restage), then a tertiary cleaner pass that erases a volume.
-	r.mark(PhaseVolumeSwap)
+	r.mark(phaseVolumeSwap)
 	var bigs []uint32
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("/big%d", i)

@@ -2,25 +2,25 @@ package crash
 
 import "fmt"
 
-// Cut is one planned power-cut point.
-type Cut struct {
+// cutPoint is one planned power-cut point.
+type cutPoint struct {
 	Phase string
 	Event int
 }
 
-// Report is the outcome of a full crash-matrix run.
-type Report struct {
-	Cfg         Config
+// report is the outcome of a full crash-matrix run.
+type report struct {
+	Cfg         config
 	TotalEvents int
-	Phases      []PhaseSpan
-	Cuts        []Cut
-	Outcomes    []*Outcome
+	Phases      []phaseSpan
+	Cuts        []cutPoint
+	Outcomes    []*outcome
 }
 
-// CacheDropCuts counts cut points at which the volatile disk write cache
+// cacheDropCuts counts cut points at which the volatile disk write cache
 // held unflushed blocks — the cases proving the durability model tolerates
 // dropped cache contents.
-func (r *Report) CacheDropCuts() int {
+func (r *report) cacheDropCuts() int {
 	n := 0
 	for _, o := range r.Outcomes {
 		if o.WCacheDirty > 0 {
@@ -30,15 +30,15 @@ func (r *Report) CacheDropCuts() int {
 	return n
 }
 
-// PlanCuts spreads perPhase cut events evenly across each workload
+// planCuts spreads perPhase cut events evenly across each workload
 // phase's media-write span. It refuses to plan a thinner matrix than
 // asked for: a phase too short for perPhase distinct events is an error,
 // not a silent reduction.
-func PlanCuts(phases []PhaseSpan, perPhase int) ([]Cut, error) {
+func planCuts(phases []phaseSpan, perPhase int) ([]cutPoint, error) {
 	if perPhase < 1 {
 		return nil, fmt.Errorf("crash: perPhase %d < 1", perPhase)
 	}
-	var cuts []Cut
+	var cuts []cutPoint
 	for _, span := range phases {
 		n := span.End - span.Start
 		if n < perPhase {
@@ -50,17 +50,17 @@ func PlanCuts(phases []PhaseSpan, perPhase int) ([]Cut, error) {
 			if perPhase > 1 {
 				ev += k * (n - 1) / (perPhase - 1)
 			}
-			cuts = append(cuts, Cut{Phase: span.Phase, Event: ev})
+			cuts = append(cuts, cutPoint{Phase: span.Phase, Event: ev})
 		}
 	}
 	return cuts, nil
 }
 
-// RunMatrix executes the crash matrix: one pristine workload run to
+// runMatrix executes the crash matrix: one pristine workload run to
 // discover the phase spans, then one power cut per planned event, each
-// recovered on a fresh kernel and audited. Deterministic per Config.Seed:
+// recovered on a fresh kernel and audited. Deterministic per config.Seed:
 // two runs yield identical outcomes (including digests).
-func RunMatrix(cfg Config, perPhase int) (*Report, error) {
+func runMatrix(cfg config, perPhase int) (*report, error) {
 	pristine, err := runWorkload(cfg, 0)
 	if err != nil {
 		return nil, err
@@ -71,11 +71,11 @@ func RunMatrix(cfg Config, perPhase int) (*Report, error) {
 	if pristine.Swaps == 0 {
 		return nil, fmt.Errorf("crash: workload performed no volume swaps")
 	}
-	cuts, err := PlanCuts(pristine.Phases, perPhase)
+	cuts, err := planCuts(pristine.Phases, perPhase)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
+	rep := &report{
 		Cfg:         cfg,
 		TotalEvents: pristine.TotalEvents,
 		Phases:      pristine.Phases,
@@ -89,7 +89,7 @@ func RunMatrix(cfg Config, perPhase int) (*Report, error) {
 		if res.Snap == nil {
 			return nil, fmt.Errorf("crash: replay never reached event %d (%s)", c.Event, c.Phase)
 		}
-		out, err := Recover(cfg, res.Snap)
+		out, err := recoverCut(cfg, res.Snap)
 		if err != nil {
 			return nil, err
 		}

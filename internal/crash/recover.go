@@ -13,8 +13,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Outcome is the audited result of recovering from one power cut.
-type Outcome struct {
+// outcome is the audited result of recovering from one power cut.
+type outcome struct {
 	Phase       string
 	Event       int
 	WCacheDirty int // unflushed blocks the cut dropped
@@ -36,12 +36,12 @@ type Outcome struct {
 	Digest string
 }
 
-// Recover "reboots" from a power-cut snapshot: fresh kernel, the same
+// recoverCut "reboots" from a power-cut snapshot: fresh kernel, the same
 // device geometry restored to the captured durable images, a normal
 // mount (roll-forward, cache-directory rebuild, staging revalidation,
 // live-byte recompute), completion of any interrupted migration — then a
 // full fsck plus durability-model audit.
-func Recover(cfg Config, snap *Snapshot) (*Outcome, error) {
+func recoverCut(cfg config, snap *snapshot) (*outcome, error) {
 	k := sim.NewKernel()
 	k.AdvanceTo(snap.Now)
 	disk, juke, err := buildDevices(k, cfg)
@@ -53,7 +53,7 @@ func Recover(cfg Config, snap *Snapshot) (*Outcome, error) {
 	}
 	o := attachObs(k, cfg, disk, juke)
 
-	out := &Outcome{
+	out := &outcome{
 		Phase:       snap.Phase,
 		Event:       snap.Event,
 		WCacheDirty: snap.WCacheDirty,
@@ -128,7 +128,7 @@ func readAll(p *sim.Proc, f *lfs.File) ([]byte, error) {
 //     survived; if present it must be readable;
 //   - a file removed after the last sync may linger or be gone;
 //   - anything else in the namespace is a resurrection — a violation.
-func auditDurability(p *sim.Proc, hl *core.HighLight, snap *Snapshot, out *Outcome) error {
+func auditDurability(p *sim.Proc, hl *core.HighLight, snap *snapshot, out *outcome) error {
 	names := make([]string, 0, len(snap.Durable))
 	for name := range snap.Durable {
 		names = append(names, name)
@@ -193,7 +193,7 @@ func auditDurability(p *sim.Proc, hl *core.HighLight, snap *Snapshot, out *Outco
 }
 
 // recoveryDigest hashes the complete observable post-recovery state.
-func recoveryDigest(p *sim.Proc, hl *core.HighLight, out *Outcome) (string, error) {
+func recoveryDigest(p *sim.Proc, hl *core.HighLight, out *outcome) (string, error) {
 	type ent struct {
 		path string
 		dir  bool

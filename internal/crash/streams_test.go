@@ -3,12 +3,12 @@ package crash
 import "testing"
 
 // streamsConfig is the pinned concurrent-pipeline rig: the same geometry
-// as DefaultConfig but with the K-stream copy-out active — two tertiary
+// as defaultConfig but with the K-stream copy-out active — two tertiary
 // I/O streams draining the copy-out queue at once, and volume-striped
 // segment allocation so the concurrent streams really drive different
 // cartridges on the two drives.
-func streamsConfig() Config {
-	cfg := DefaultConfig()
+func streamsConfig() config {
+	cfg := defaultConfig()
 	cfg.Streams = 2
 	cfg.VolStripe = 2
 	return cfg
@@ -26,7 +26,7 @@ func streamsConfig() Config {
 // concurrent one together.
 func TestCrashMatrixConcurrentStreams(t *testing.T) {
 	cfg := streamsConfig()
-	rep, err := RunMatrix(cfg, cutsPerPhase)
+	rep, err := runMatrix(cfg, cutsPerPhase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestCrashMatrixConcurrentStreams(t *testing.T) {
 	// The concurrent pipeline must still bracket every phase — in
 	// particular the copy-out and volume-swap phases where the K streams
 	// overlap in flight.
-	for _, ph := range Phases() {
+	for _, ph := range phaseNames() {
 		if phases[ph] < cutsPerPhase {
 			t.Errorf("phase %q got %d cuts, want %d", ph, phases[ph], cutsPerPhase)
 		}
@@ -55,7 +55,7 @@ func TestCrashMatrixConcurrentStreams(t *testing.T) {
 
 	// Determinism with concurrency: the stream daemons race only on the
 	// virtual clock, so the full matrix must replay digest-for-digest.
-	rep2, err := RunMatrix(cfg, cutsPerPhase)
+	rep2, err := runMatrix(cfg, cutsPerPhase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,15 +9,15 @@ import "testing"
 // instrumented run must be bit-for-bit the same simulation. Two cuts
 // per phase keep this cheap next to TestCrashMatrix's eight.
 func TestTracingDoesNotPerturbRecovery(t *testing.T) {
-	plain := DefaultConfig()
-	traced := DefaultConfig()
+	plain := defaultConfig()
+	traced := defaultConfig()
 	traced.Trace = true
 
-	repPlain, err := RunMatrix(plain, 2)
+	repPlain, err := runMatrix(plain, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repTraced, err := RunMatrix(traced, 2)
+	repTraced, err := runMatrix(traced, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestTracingDoesNotPerturbRecovery(t *testing.T) {
 	}
 }
 
-// TestTracedWorkloadCapturesSpans proves Config.Trace actually
+// TestTracedWorkloadCapturesSpans proves config.Trace actually
 // instruments the crash rig: the pristine traced run retains spans from
 // the disk, the jukebox, and the core pipeline.
 func TestTracedWorkloadCapturesSpans(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Trace = true
 	res, err := runWorkload(cfg, 0)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestTracedWorkloadCapturesSpans(t *testing.T) {
 		}
 	}
 	// The untraced run must not pay for retention.
-	plain, err := runWorkload(DefaultConfig(), 0)
+	plain, err := runWorkload(defaultConfig(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,12 +167,12 @@ type DiskProfile struct {
 	MediaWrite int64 // bytes/second onto the platter
 }
 
-// MaxTransfer is the largest single media transfer (the 4.4BSD MAXPHYS
+// maxTransfer is the largest single media transfer (the 4.4BSD MAXPHYS
 // limit on raw-device I/O: 64 KB). Larger requests split into chunks, and
 // the arm is re-arbitrated between chunks — which is how competing request
 // streams interleave and seek-thrash against each other (the disk-arm
 // contention of Table 6).
-const MaxTransfer = 64 * 1024
+const maxTransfer = 64 * 1024
 
 // Calibrated profiles. Media rates are solved from Table 5's effective
 // sequential 1 MB transfer rates R via
@@ -477,7 +477,7 @@ func (d *Disk) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return d.ReadParts(p, []Part{{Blk: blk, Buf: buf, Keep: true}})
 }
 
-// ReadParts implements Vectored. A request larger than MaxTransfer is split
+// ReadParts implements Vectored. A request larger than maxTransfer is split
 // into MAXPHYS-sized chunks, across part boundaries, with the arm
 // re-arbitrated in between, so concurrent streams interleave (and pay seeks
 // against each other). A write-through disk nobody watches keeps each whole,
@@ -498,7 +498,7 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 	t0, blk0, n0 := p.Now(), blk, left
 	c := cursor{parts: parts}
 	for left > 0 {
-		n := min(left, MaxTransfer)
+		n := min(left, maxTransfer)
 		d.arm.Acquire(p)
 		st := d.seekTime(blk)
 		d.stats.SeekTime += st
@@ -555,7 +555,7 @@ func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 	t0, blk0, n0 := p.Now(), blk, left
 	c := cursor{parts: parts}
 	for left > 0 {
-		n := min(left, MaxTransfer)
+		n := min(left, maxTransfer)
 		d.bus.Transfer(p, n)
 		d.arm.Acquire(p)
 		st := d.seekTime(blk)

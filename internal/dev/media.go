@@ -2,10 +2,10 @@ package dev
 
 import "math/bits"
 
-// extentBlocks: an extent is one MaxTransfer chunk, the unit a disk is driven in.
-const extentBlocks = MaxTransfer / BlockSize
+// extentBlocks: an extent is one maxTransfer chunk, the unit a disk is driven in.
+const extentBlocks = maxTransfer / BlockSize
 
-// media is a platter's contents: a table of MaxTransfer-byte extents, each
+// media is a platter's contents: a table of maxTransfer-byte extents, each
 // allocated on its first write, with one written-bit per block. A block that
 // was never written reads as zeroes (its extent is absent, or still zero
 // there) and appears in no snapshot or image. A shared extent is bytes we do
@@ -15,15 +15,15 @@ const extentBlocks = MaxTransfer / BlockSize
 // write or copy, so a disk that shares lines owns no more extents than one
 // that copies them.
 type media struct {
-	ext     []*[MaxTransfer]byte
+	ext     []*[maxTransfer]byte
 	written []uint16 // bit i of written[e]: block e*extentBlocks+i was written
 	shared  []bool   // ext[e] is not ours to write
-	spare   []*[MaxTransfer]byte
+	spare   []*[maxTransfer]byte
 }
 
 func newMedia(nblocks int64) media {
 	n := (nblocks + extentBlocks - 1) / extentBlocks
-	return media{ext: make([]*[MaxTransfer]byte, n), written: make([]uint16, n), shared: make([]bool, n)}
+	return media{ext: make([]*[maxTransfer]byte, n), written: make([]uint16, n), shared: make([]bool, n)}
 }
 
 // write stores data from block blk on, one copy per extent it touches, marks
@@ -31,7 +31,7 @@ func newMedia(nblocks int64) media {
 func (m *media) write(blk int64, data []byte) (rewrote bool) {
 	for len(data) > 0 {
 		e, i := blk/extentBlocks, int(blk%extentBlocks)
-		n := min(MaxTransfer-i*BlockSize, len(data))
+		n := min(maxTransfer-i*BlockSize, len(data))
 		if m.ext[e] == nil || m.shared[e] {
 			m.own(e)
 		}
@@ -49,10 +49,10 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 // now (zeroes when absent, the adopted bytes when shared): a spare one if
 // there is any, else a new one.
 func (m *media) own(e int64) {
-	var x *[MaxTransfer]byte
+	var x *[maxTransfer]byte
 	switch n := len(m.spare); {
 	case n == 0:
-		x = new([MaxTransfer]byte)
+		x = new([maxTransfer]byte)
 	case m.ext[e] == nil:
 		x, m.spare = m.spare[n-1], m.spare[:n-1]
 		clear(x[:])
@@ -68,7 +68,7 @@ func (m *media) own(e int64) {
 // adopt stores data from block blk on like write, but takes it by reference
 // when it is one whole, aligned extent; data must never change afterwards.
 func (m *media) adopt(blk int64, data []byte) {
-	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer {
+	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == maxTransfer {
 		m.take(e, data)
 		m.written[e] = 1<<extentBlocks - 1
 		return
@@ -81,7 +81,7 @@ func (m *media) adopt(blk int64, data []byte) {
 // never change afterwards. Absent and already shared extents stay as they
 // are, and no written bit changes: the disk reads and saves as before.
 func (m *media) share(blk int64, data []byte) {
-	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == MaxTransfer && m.ext[e] != nil && !m.shared[e] {
+	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == maxTransfer && m.ext[e] != nil && !m.shared[e] {
 		m.take(e, data)
 	}
 }
@@ -92,14 +92,14 @@ func (m *media) take(e int64, data []byte) {
 	if m.ext[e] != nil && !m.shared[e] {
 		m.spare = append(m.spare, m.ext[e])
 	}
-	m.ext[e], m.shared[e] = (*[MaxTransfer]byte)(data), true
+	m.ext[e], m.shared[e] = (*[maxTransfer]byte)(data), true
 }
 
 // read fills buf, a whole number of blocks, with the blocks from blk on.
 func (m *media) read(blk int64, buf []byte) {
 	for len(buf) > 0 {
 		off := int(blk%extentBlocks) * BlockSize
-		n := min(MaxTransfer-off, len(buf))
+		n := min(maxTransfer-off, len(buf))
 		if x := m.ext[blk/extentBlocks]; x != nil {
 			copy(buf[:n], x[off:])
 		} else {

@@ -86,7 +86,7 @@ func sameStore(a, b map[int64][]byte) error {
 
 // TestDiskMatchesMapModel drives a Disk and the map model with one seeded
 // stream of operations — writes and reads of 1 to 40 blocks anywhere on an
-// odd-sized disk (so they straddle extent and MaxTransfer boundaries and
+// odd-sized disk (so they straddle extent and maxTransfer boundaries and
 // reach the last, partial extent), write cache switched on, resized and
 // off, Flush, images saved and loaded back in place later (a power cycle),
 // images saved and loaded into a second disk — and compares every read and
@@ -613,7 +613,7 @@ func TestAdoptBlocksUnderWatchIsWriteBlocks(t *testing.T) {
 
 // TestDiskSteadyStateAllocations gates the platter path: reading and
 // rewriting blocks that exist allocates nothing, with or without the write
-// cache, first touch costs one allocation per MaxTransfer extent, and
+// cache, first touch costs one allocation per maxTransfer extent, and
 // adopting whole extents, or rewriting a line and sharing it, allocates
 // nothing.
 func TestDiskSteadyStateAllocations(t *testing.T) {
@@ -630,7 +630,7 @@ func TestDiskSteadyStateAllocations(t *testing.T) {
 			}
 			next += mb
 		})
-		if limit := float64(len(buf) / MaxTransfer); touch > limit {
+		if limit := float64(len(buf) / maxTransfer); touch > limit {
 			t.Errorf("first touch of 1 MB: %v allocations, want at most %v (one per extent)", touch, limit)
 		}
 		rewrite := func() {

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/dev"
@@ -24,7 +25,7 @@ func TestDegradedReadThroughFaultedArm(t *testing.T) {
 	// Every read of arm 1 is refused permanently: a dead spindle that was
 	// never administratively marked failed.
 	pl := NewPlan(Config{Seed: 7, PermanentReadRate: 0.999999})
-	if !pl.InstallFarmComponent("arm[1]", farm, 1) {
+	if !pl.installFarmComponent("arm[1]", farm, 1) {
 		t.Fatal("InstallFarmComponent refused a *dev.Disk component")
 	}
 
@@ -61,13 +62,14 @@ func TestFarmComponentTargeting(t *testing.T) {
 	ileave := stripe.Must(stripe.NewInterleave(4, false, d0, d1))
 
 	pl := NewPlan(Config{Seed: 1})
-	if n := pl.InstallFarm("concat", concat); n != 2 {
-		t.Fatalf("InstallFarm(concat) hooked %d spindles, want 2", n)
+	for _, f := range []*stripe.Farm{concat, ileave} {
+		for i := 0; i < f.Components(); i++ {
+			if !pl.installFarmComponent(fmt.Sprintf("arm[%d]", i), f, i) {
+				t.Fatalf("component %d of a %d-spindle farm was not hooked", i, f.Components())
+			}
+		}
 	}
-	if n := pl.InstallFarm("ileave", ileave); n != 2 {
-		t.Fatalf("InstallFarm(ileave) hooked %d spindles, want 2", n)
-	}
-	if pl.InstallFarmComponent("oob", concat, 5) {
+	if pl.installFarmComponent("oob", concat, 5) {
 		t.Fatal("out-of-range component was hooked")
 	}
 	k.Stop()

@@ -71,9 +71,6 @@ type Counts struct {
 	BadSegs   int64 // distinct (volume, segment) regions gone permanently bad
 }
 
-// Total reports all injected failures.
-func (c Counts) Total() int64 { return c.Transient + c.Permanent + c.LoadFails }
-
 // target identifies a fault-addressable region: (vol, seg) on a jukebox,
 // (-1, block-group) on a disk.
 type target struct {
@@ -185,7 +182,6 @@ type Plan struct {
 	cfg        Config
 	salt       uint64
 	injectors  map[string]*injector
-	order      []string // deterministic Stats/report order
 	outages    []scheduledOutage
 	libOutages []scheduledLibOutage
 	started    bool
@@ -202,7 +198,6 @@ func (pl *Plan) injector(name string) *injector {
 		pl.salt++
 		in = newInjector(name, pl.cfg, pl.salt*0x9e3779b97f4a7c15)
 		pl.injectors[name] = in
-		pl.order = append(pl.order, name)
 	}
 	return in
 }
@@ -216,42 +211,30 @@ func (pl *Plan) InstallJukebox(name string, j *jukebox.Jukebox) {
 	}
 }
 
-// InstallDisk compiles the plan into d's Fault hook. Disk faults address
+// installDisk compiles the plan into d's Fault hook. Disk faults address
 // block regions (one fault target per 256-block group), so a permanent
 // fault takes out a region the size of a typical request, not the whole
 // device.
-func (pl *Plan) InstallDisk(name string, d *dev.Disk) {
+func (pl *Plan) installDisk(name string, d *dev.Disk) {
 	in := pl.injector(name)
 	d.Fault = func(op string, blk int64) error {
 		return in.decide(op, target{vol: -1, seg: blk >> 8})
 	}
 }
 
-// InstallFarmComponent targets one spindle of a disk farm: component i of
+// installFarmComponent targets one spindle of a disk farm: component i of
 // f gets its own injector under the given name. This is how a chaos plan
 // takes out a single arm of a striped (RAID-5) farm while its siblings
 // stay healthy — the parity read path must then serve degraded-mode reads
 // through the faulted arm. Returns false when the component is not a
 // simulated disk (nothing to hook).
-func (pl *Plan) InstallFarmComponent(name string, f *stripe.Farm, i int) bool {
+func (pl *Plan) installFarmComponent(name string, f *stripe.Farm, i int) bool {
 	d, ok := farmDisk(f, i)
 	if !ok {
 		return false
 	}
-	pl.InstallDisk(name, d)
+	pl.installDisk(name, d)
 	return true
-}
-
-// InstallFarm installs one injector per *dev.Disk component of f, named
-// prefix[i], and reports how many spindles were hooked.
-func (pl *Plan) InstallFarm(prefix string, f *stripe.Farm) int {
-	n := 0
-	for i := 0; i < f.Components(); i++ {
-		if pl.InstallFarmComponent(fmt.Sprintf("%s[%d]", prefix, i), f, i) {
-			n++
-		}
-	}
-	return n
 }
 
 // farmDisk resolves component i of a farm to its simulated disk.
@@ -329,19 +312,4 @@ func (pl *Plan) DeviceCounts(name string) Counts {
 		return in.counts
 	}
 	return Counts{}
-}
-
-// Devices lists installed device names in installation order.
-func (pl *Plan) Devices() []string { return append([]string(nil), pl.order...) }
-
-// TotalCounts sums the tallies across every installed device.
-func (pl *Plan) TotalCounts() Counts {
-	var c Counts
-	for _, in := range pl.injectors {
-		c.Transient += in.counts.Transient
-		c.Permanent += in.counts.Permanent
-		c.LoadFails += in.counts.LoadFails
-		c.BadSegs += in.counts.BadSegs
-	}
-	return c
 }

@@ -21,17 +21,17 @@ import (
 	"repro/internal/sim"
 )
 
-// BlockSize is the file system block size (4096, as in §7.1).
-const BlockSize = dev.BlockSize
+// blockSize is the file system block size (4096, as in §7.1).
+const blockSize = dev.BlockSize
 
-// MaxContig is the clustering limit: 16 blocks = 64 KB transfers.
-const MaxContig = 16
+// maxContig is the clustering limit: 16 blocks = 64 KB transfers.
+const maxContig = 16
 
 const (
 	ndirect        = 12
-	ptrsPerBlock   = BlockSize / 4
+	ptrsPerBlock   = blockSize / 4
 	inodeSize      = 128
-	inodesPerBlock = BlockSize / inodeSize
+	inodesPerBlock = blockSize / inodeSize
 	rootInum       = 1
 	nilBlock       = ^uint32(0)
 )
@@ -46,18 +46,18 @@ var (
 	ErrNoInodes = errors.New("ffs: out of inodes")
 )
 
-// FileType distinguishes files and directories.
-type FileType uint8
+// fileType distinguishes files and directories.
+type fileType uint8
 
 const (
-	typeFree FileType = iota
-	TypeFile
-	TypeDir
+	typeFree fileType = iota
+	typeFile
+	typeDir
 )
 
 type inode struct {
 	inum   uint32
-	typ    FileType
+	typ    fileType
 	size   uint64
 	mtime  int64
 	atime  int64
@@ -73,13 +73,6 @@ type Options struct {
 	// UserCopyRate models the CPU cost (bytes/second) of copying read
 	// data to user space. Zero disables it.
 	UserCopyRate int64
-}
-
-// Stats counts device activity.
-type Stats struct {
-	DevReads, DevWrites     int64
-	BytesRead, BytesWritten int64
-	CacheHits, CacheMisses  int64
 }
 
 type bufKey struct {
@@ -119,8 +112,6 @@ type FS struct {
 	lastLbn          map[uint32]int32 // per-file last-read lbn (sequential detection)
 	lruHead, lruTail *buf
 	bufBytes         int
-
-	stats Stats
 }
 
 // Format initializes an empty FFS on device and returns it mounted.
@@ -131,7 +122,7 @@ func Format(p *sim.Proc, device dev.BlockDev, opts Options) (*FS, error) {
 	if opts.BufferBytes <= 0 {
 		opts.BufferBytes = 3200 * 1024
 	}
-	if min := 4 * MaxContig * BlockSize; opts.BufferBytes < min {
+	if min := 4 * maxContig * blockSize; opts.BufferBytes < min {
 		opts.BufferBytes = min
 	}
 	fs := &FS{
@@ -147,7 +138,7 @@ func Format(p *sim.Proc, device dev.BlockDev, opts Options) (*FS, error) {
 	}
 	fs.bitmapBase = 1
 	bits := uint32(fs.nblocks)
-	fs.bitmapBlks = (bits + BlockSize*8 - 1) / (BlockSize * 8)
+	fs.bitmapBlks = (bits + blockSize*8 - 1) / (blockSize * 8)
 	fs.itabBase = fs.bitmapBase + fs.bitmapBlks
 	itabBlks := uint32((opts.MaxInodes + inodesPerBlock - 1) / inodesPerBlock)
 	fs.dataBase = fs.itabBase + itabBlks
@@ -160,7 +151,7 @@ func Format(p *sim.Proc, device dev.BlockDev, opts Options) (*FS, error) {
 	}
 	fs.nfree = fs.nblocks - int64(fs.dataBase)
 	fs.rotor = fs.dataBase
-	root := &inode{inum: rootInum, typ: TypeDir, mtime: fs.now(), single: nilBlock, double: nilBlock}
+	root := &inode{inum: rootInum, typ: typeDir, mtime: fs.now(), single: nilBlock, double: nilBlock}
 	for i := range root.direct {
 		root.direct[i] = nilBlock
 	}
@@ -174,17 +165,10 @@ func Format(p *sim.Proc, device dev.BlockDev, opts Options) (*FS, error) {
 
 func (fs *FS) now() int64 { return int64(fs.k.Now()) }
 
-// Stats returns a snapshot of the counters.
-func (fs *FS) Stats() Stats { return fs.stats }
-
-// FreeBlocks reports unallocated data blocks.
-func (fs *FS) FreeBlocks() int64 { return fs.nfree }
-
 // --- allocation ---
 
 func (fs *FS) used(b uint32) bool { return fs.bitmap[b/64]&(1<<(b%64)) != 0 }
 func (fs *FS) setUsed(b uint32)   { fs.bitmap[b/64] |= 1 << (b % 64) }
-func (fs *FS) setFree(b uint32)   { fs.bitmap[b/64] &^= 1 << (b % 64) }
 
 // alloc finds a free block, preferring `hint` (contiguity with the file's
 // previous block) and falling back to a rotor scan.
@@ -214,14 +198,6 @@ func (fs *FS) alloc(hint uint32) (uint32, error) {
 		}
 	}
 	return 0, ErrNoSpace
-}
-
-func (fs *FS) free(b uint32) {
-	if b == nilBlock || b < fs.dataBase {
-		return
-	}
-	fs.setFree(b)
-	fs.nfree++
 }
 
 // --- buffer cache ---
@@ -276,7 +252,7 @@ func (fs *FS) evict(p *sim.Proc) error {
 func (fs *FS) dropBuf(b *buf) {
 	fs.lruRemove(b)
 	delete(fs.bufs, b.key)
-	fs.bufBytes -= BlockSize
+	fs.bufBytes -= blockSize
 }
 
 func (fs *FS) insertBuf(key bufKey, blk uint32, data []byte, dirty bool) *buf {
@@ -285,13 +261,13 @@ func (fs *FS) insertBuf(key bufKey, blk uint32, data []byte, dirty bool) *buf {
 	}
 	b := &buf{key: key, blk: blk, data: data, dirty: dirty}
 	fs.bufs[key] = b
-	fs.bufBytes += BlockSize
+	fs.bufBytes += blockSize
 	fs.lruFront(b)
 	return b
 }
 
 // flushLocked writes back all dirty buffers, sorted by disk address and
-// coalesced into up-to-MaxContig-block transfers (write clustering).
+// coalesced into up-to-maxContig-block transfers (write clustering).
 func (fs *FS) flushLocked(p *sim.Proc) error {
 	var dirty []*buf
 	for _, b := range fs.bufs {
@@ -302,18 +278,16 @@ func (fs *FS) flushLocked(p *sim.Proc) error {
 	sort.Slice(dirty, func(a, b int) bool { return dirty[a].blk < dirty[b].blk })
 	for i := 0; i < len(dirty); {
 		j := i + 1
-		for j < len(dirty) && j-i < MaxContig && dirty[j].blk == dirty[j-1].blk+1 {
+		for j < len(dirty) && j-i < maxContig && dirty[j].blk == dirty[j-1].blk+1 {
 			j++
 		}
-		out := make([]byte, (j-i)*BlockSize)
+		out := make([]byte, (j-i)*blockSize)
 		for k := i; k < j; k++ {
-			copy(out[(k-i)*BlockSize:], dirty[k].data)
+			copy(out[(k-i)*blockSize:], dirty[k].data)
 		}
 		if err := fs.dev.WriteBlocks(p, int64(dirty[i].blk), out); err != nil {
 			return err
 		}
-		fs.stats.DevWrites++
-		fs.stats.BytesWritten += int64(len(out))
 		for k := i; k < j; k++ {
 			dirty[k].dirty = false
 		}
@@ -333,13 +307,12 @@ func (fs *FS) syncMeta(p *sim.Proc) error {
 	for inum := range fs.dirtyIno {
 		byBlk[inum/inodesPerBlock] = append(byBlk[inum/inodesPerBlock], inum)
 	}
-	blk := make([]byte, BlockSize)
+	blk := make([]byte, blockSize)
 	for tb, inums := range byBlk {
 		at := int64(fs.itabBase + tb)
 		if err := fs.dev.ReadBlocks(p, at, blk); err != nil {
 			return err
 		}
-		fs.stats.DevReads++
 		for _, inum := range inums {
 			ino := fs.inodes[inum]
 			off := int(inum%inodesPerBlock) * inodeSize
@@ -354,11 +327,10 @@ func (fs *FS) syncMeta(p *sim.Proc) error {
 		if err := fs.dev.WriteBlocks(p, at, blk); err != nil {
 			return err
 		}
-		fs.stats.DevWrites++
 	}
 	fs.dirtyIno = make(map[uint32]bool)
 	// Bitmap writeback.
-	bm := make([]byte, int(fs.bitmapBlks)*BlockSize)
+	bm := make([]byte, int(fs.bitmapBlks)*blockSize)
 	for i, w := range fs.bitmap {
 		if (i+1)*8 <= len(bm) {
 			binary.LittleEndian.PutUint64(bm[i*8:], w)
@@ -367,7 +339,6 @@ func (fs *FS) syncMeta(p *sim.Proc) error {
 	if err := fs.dev.WriteBlocks(p, int64(fs.bitmapBase), bm); err != nil {
 		return err
 	}
-	fs.stats.DevWrites++
 	return nil
 }
 
@@ -389,7 +360,7 @@ func encodeInode(ino *inode, b []byte) {
 func decodeInode(b []byte) *inode {
 	ino := &inode{}
 	ino.inum = binary.LittleEndian.Uint32(b[0:])
-	ino.typ = FileType(b[4])
+	ino.typ = fileType(b[4])
 	ino.size = binary.LittleEndian.Uint64(b[8:])
 	ino.mtime = int64(binary.LittleEndian.Uint64(b[16:]))
 	ino.atime = int64(binary.LittleEndian.Uint64(b[24:]))
@@ -411,12 +382,10 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*inode, error) {
 	if int(inum) >= fs.opts.MaxInodes {
 		return nil, ErrNotFound
 	}
-	blk := make([]byte, BlockSize)
+	blk := make([]byte, blockSize)
 	if err := fs.dev.ReadBlocks(p, int64(fs.itabBase+inum/inodesPerBlock), blk); err != nil {
 		return nil, err
 	}
-	fs.stats.DevReads++
-	fs.stats.BytesRead += BlockSize
 	ino := decodeInode(blk[int(inum%inodesPerBlock)*inodeSize:])
 	if ino.inum != inum || ino.typ == typeFree {
 		return nil, ErrNotFound
@@ -429,7 +398,7 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*inode, error) {
 // instances live for one simulation session (no remount support — the
 // paper's benchmarks never remount the baseline), so the in-memory table
 // is authoritative.
-func (fs *FS) iallocProbe(start uint32, typ FileType) (*inode, error) {
+func (fs *FS) iallocProbe(start uint32, typ fileType) (*inode, error) {
 	for inum := start; int(inum) < fs.opts.MaxInodes; inum++ {
 		if _, loaded := fs.inodes[inum]; loaded {
 			continue
@@ -487,7 +456,7 @@ func (fs *FS) bmap(p *sim.Proc, ino *inode, lbn int32, allocate bool) (uint32, e
 			}
 			ino.single = nb
 			fs.dirtyIno[ino.inum] = true
-			ib = fs.insertBuf(bufKey{ino.inum, -1}, nb, make([]byte, BlockSize), true)
+			ib = fs.insertBuf(bufKey{ino.inum, -1}, nb, make([]byte, blockSize), true)
 		}
 		return fs.ptrAt(ib, l, allocate)
 	}
@@ -507,7 +476,7 @@ func (fs *FS) bmap(p *sim.Proc, ino *inode, lbn int32, allocate bool) (uint32, e
 		}
 		ino.double = nb
 		fs.dirtyIno[ino.inum] = true
-		root = fs.insertBuf(bufKey{ino.inum, -2}, nb, make([]byte, BlockSize), true)
+		root = fs.insertBuf(bufKey{ino.inum, -2}, nb, make([]byte, blockSize), true)
 	}
 	childBlk := binary.LittleEndian.Uint32(root.data[child*4:])
 	var cb *buf
@@ -521,7 +490,7 @@ func (fs *FS) bmap(p *sim.Proc, ino *inode, lbn int32, allocate bool) (uint32, e
 		}
 		binary.LittleEndian.PutUint32(root.data[child*4:], nb)
 		root.dirty = true
-		cb = fs.insertBuf(bufKey{ino.inum, -3 - child}, nb, make([]byte, BlockSize), true)
+		cb = fs.insertBuf(bufKey{ino.inum, -3 - child}, nb, make([]byte, blockSize), true)
 	} else {
 		cb, err = fs.metaBlockAt(p, ino, childBlk, -3-child)
 		if err != nil {
@@ -602,11 +571,9 @@ func (fs *FS) metaBlockAt(p *sim.Proc, ino *inode, blk uint32, key int32) (*buf,
 		fs.lruFront(b)
 		return b, nil
 	}
-	data := make([]byte, BlockSize)
+	data := make([]byte, blockSize)
 	if err := fs.dev.ReadBlocks(p, int64(blk), data); err != nil {
 		return nil, err
 	}
-	fs.stats.DevReads++
-	fs.stats.BytesRead += BlockSize
 	return fs.insertBuf(bufKey{ino.inum, key}, blk, data, false), nil
 }

@@ -51,7 +51,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := pat(1, 10*BlockSize+100)
+		data := pat(1, 10*blockSize+100)
 		if _, err := f.WriteAt(p, data, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestLargeFileIndirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		data := pat(2, (ndirect+ptrsPerBlock+40)*BlockSize) // into double indirect
+		data := pat(2, (ndirect+ptrsPerBlock+40)*blockSize) // into double indirect
 		if _, err := f.WriteAt(p, data, 0); err != nil {
 			t.Fatal(err)
 		}
@@ -99,10 +99,10 @@ func TestSequentialAllocationIsContiguous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(p, pat(3, 12*BlockSize), 0); err != nil {
+		if _, err := f.WriteAt(p, pat(3, 12*blockSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		ino := e.fs.inodes[f.Inum()]
+		ino := e.fs.inodes[f.inum]
 		for i := 1; i < 12; i++ {
 			if ino.direct[i] != ino.direct[i-1]+1 {
 				t.Fatalf("blocks %d,%d not contiguous: %d %d", i-1, i, ino.direct[i-1], ino.direct[i])
@@ -118,18 +118,18 @@ func TestClusteredReadsFewerDeviceOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(p, pat(4, 64*BlockSize), 0); err != nil {
+		if _, err := f.WriteAt(p, pat(4, 64*blockSize), 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.fs.FlushCaches(p); err != nil {
 			t.Fatal(err)
 		}
-		before := e.fs.Stats().DevReads
-		buf := make([]byte, 64*BlockSize)
+		before := e.disk.Stats().Reads
+		buf := make([]byte, 64*blockSize)
 		if _, err := f.ReadAt(p, buf, 0); err != nil && err != io.EOF {
 			t.Fatal(err)
 		}
-		reads := e.fs.Stats().DevReads - before
+		reads := e.disk.Stats().Reads - before
 		// 64 contiguous blocks with 16-block clustering: ~4-5 data reads
 		// (plus metadata).
 		if reads > 8 {
@@ -145,20 +145,20 @@ func TestOverwriteInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(p, pat(5, 8*BlockSize), 0); err != nil {
+		if _, err := f.WriteAt(p, pat(5, 8*blockSize), 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.fs.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		before := e.fs.inodes[f.Inum()].direct[3]
-		if _, err := f.WriteAt(p, pat(6, BlockSize), 3*BlockSize); err != nil {
+		before := e.fs.inodes[f.inum].direct[3]
+		if _, err := f.WriteAt(p, pat(6, blockSize), 3*blockSize); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.fs.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		after := e.fs.inodes[f.Inum()].direct[3]
+		after := e.fs.inodes[f.inum].direct[3]
 		if before != after {
 			t.Fatalf("FFS must overwrite in place: block moved %d -> %d", before, after)
 		}
@@ -169,58 +169,23 @@ func TestDirectoriesAndErrors(t *testing.T) {
 	e := newEnv(t, 4096)
 	e.run(t, func(p *sim.Proc) {
 		fs := e.fs
-		if err := fs.Mkdir(p, "/d"); err != nil {
+		if _, err := fs.Create(p, "/x"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Create(p, "/d/x"); err != nil {
+		if _, err := fs.Open(p, "/x"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Open(p, "/d/x"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.Open(p, "/d/y"); !errors.Is(err, ErrNotFound) {
+		if _, err := fs.Open(p, "/y"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("want ErrNotFound, got %v", err)
 		}
-		if _, err := fs.Create(p, "/d/x"); !errors.Is(err, ErrExists) {
+		if _, err := fs.Create(p, "/x"); !errors.Is(err, ErrExists) {
 			t.Fatalf("want ErrExists, got %v", err)
 		}
-		if _, err := fs.Open(p, "/d"); !errors.Is(err, ErrIsDir) {
+		if _, err := fs.Create(p, "/x/z"); !errors.Is(err, ErrNotDir) {
+			t.Fatalf("want ErrNotDir, got %v", err)
+		}
+		if _, err := fs.Open(p, "/"); !errors.Is(err, ErrIsDir) {
 			t.Fatalf("want ErrIsDir, got %v", err)
-		}
-		fi, err := fs.Stat(p, "/d/x")
-		if err != nil || fi.Type != TypeFile {
-			t.Fatalf("stat: %+v %v", fi, err)
-		}
-	})
-}
-
-func TestRemoveFreesBlocks(t *testing.T) {
-	e := newEnv(t, 4096)
-	e.run(t, func(p *sim.Proc) {
-		fs := e.fs
-		free0 := fs.FreeBlocks()
-		f, err := fs.Create(p, "/f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(p, pat(7, 20*BlockSize), 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Sync(p); err != nil {
-			t.Fatal(err)
-		}
-		if fs.FreeBlocks() >= free0 {
-			t.Fatal("write did not consume blocks")
-		}
-		if err := fs.Remove(p, "/f"); err != nil {
-			t.Fatal(err)
-		}
-		// Allow a couple of blocks of directory slack.
-		if fs.FreeBlocks() < free0-2 {
-			t.Fatalf("remove did not free blocks: %d -> %d", free0, fs.FreeBlocks())
-		}
-		if _, err := fs.Open(p, "/f"); !errors.Is(err, ErrNotFound) {
-			t.Fatal("removed file still opens")
 		}
 	})
 }
@@ -234,7 +199,7 @@ func TestNoSpace(t *testing.T) {
 		}
 		var lastErr error
 		for i := 0; i < 300 && lastErr == nil; i++ {
-			_, lastErr = f.WriteAt(p, pat(byte(i), BlockSize), int64(i)*BlockSize)
+			_, lastErr = f.WriteAt(p, pat(byte(i), blockSize), int64(i)*blockSize)
 		}
 		if !errors.Is(lastErr, ErrNoSpace) {
 			t.Fatalf("want ErrNoSpace, got %v", lastErr)
@@ -249,14 +214,14 @@ func TestSparseReadZeros(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteAt(p, []byte{42}, 10*BlockSize); err != nil {
+		if _, err := f.WriteAt(p, []byte{42}, 10*blockSize); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.fs.FlushCaches(p); err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, BlockSize)
-		if _, err := f.ReadAt(p, buf, 2*BlockSize); err != nil {
+		buf := make([]byte, blockSize)
+		if _, err := f.ReadAt(p, buf, 2*blockSize); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range buf {

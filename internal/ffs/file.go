@@ -13,29 +13,6 @@ type File struct {
 	inum uint32
 }
 
-// FileInfo describes a file.
-type FileInfo struct {
-	Inum  uint32
-	Type  FileType
-	Size  uint64
-	Mtime int64
-	Atime int64
-}
-
-// Inum reports the file's inode number.
-func (f *File) Inum() uint32 { return f.inum }
-
-// Size reports the file size.
-func (f *File) Size(p *sim.Proc) (uint64, error) {
-	f.fs.lock.Acquire(p)
-	defer f.fs.lock.Release(p)
-	ino, err := f.fs.iget(p, f.inum)
-	if err != nil {
-		return 0, err
-	}
-	return ino.size, nil
-}
-
 // ReadAt reads with 64 KB read clustering.
 func (f *File) ReadAt(p *sim.Proc, b []byte, off int64) (int, error) {
 	f.fs.lock.Acquire(p)
@@ -58,24 +35,22 @@ func (fs *FS) readAt(p *sim.Proc, inum uint32, b []byte, off int64) (int, error)
 		eof = true
 	}
 	ino.atime = fs.now()
-	firstLbn := int32(off / BlockSize)
-	reqEnd := int32((off+int64(n)-1)/BlockSize) + 1
+	firstLbn := int32(off / blockSize)
+	reqEnd := int32((off+int64(n)-1)/blockSize) + 1
 	lastL, okLast := fs.lastLbn[inum]
 	seq := firstLbn == 0 || (okLast && lastL == firstLbn-1)
 	read := 0
 	for read < n {
-		lbn := int32((off + int64(read)) / BlockSize)
-		blkOff := int((off + int64(read)) % BlockSize)
-		want := BlockSize - blkOff
+		lbn := int32((off + int64(read)) / blockSize)
+		blkOff := int((off + int64(read)) % blockSize)
+		want := blockSize - blkOff
 		if want > n-read {
 			want = n - read
 		}
 		bf, ok := fs.bufs[bufKey{inum, lbn}]
 		if ok {
 			fs.lruFront(bf)
-			fs.stats.CacheHits++
 		} else {
-			fs.stats.CacheMisses++
 			if err := fs.fillCluster(p, ino, lbn, reqEnd, seq); err != nil {
 				return read, err
 			}
@@ -96,7 +71,7 @@ func (fs *FS) readAt(p *sim.Proc, inum uint32, b []byte, off int64) (int, error)
 
 // fillCluster reads lbn plus following blocks whose disk addresses are
 // contiguous: the rest of the request, plus read-ahead to a full
-// MaxContig cluster on sequentially accessed files. Extension consults
+// maxContig cluster on sequentially accessed files. Extension consults
 // only cached metadata.
 func (fs *FS) fillCluster(p *sim.Proc, ino *inode, lbn, reqEnd int32, seq bool) error {
 	start, err := fs.bmap(p, ino, lbn, false)
@@ -104,16 +79,16 @@ func (fs *FS) fillCluster(p *sim.Proc, ino *inode, lbn, reqEnd int32, seq bool) 
 		return err
 	}
 	if start == nilBlock {
-		fs.insertBuf(bufKey{ino.inum, lbn}, nilBlock, make([]byte, BlockSize), false)
+		fs.insertBuf(bufKey{ino.inum, lbn}, nilBlock, make([]byte, blockSize), false)
 		return nil
 	}
-	fileEnd := int32((ino.size + BlockSize - 1) / BlockSize)
+	fileEnd := int32((ino.size + blockSize - 1) / blockSize)
 	limit := reqEnd - lbn
-	if seq && limit < MaxContig {
-		limit = MaxContig
+	if seq && limit < maxContig {
+		limit = maxContig
 	}
-	if limit > MaxContig {
-		limit = MaxContig
+	if limit > maxContig {
+		limit = maxContig
 	}
 	if lbn+limit > fileEnd {
 		limit = fileEnd - lbn
@@ -129,15 +104,13 @@ func (fs *FS) fillCluster(p *sim.Proc, ino *inode, lbn, reqEnd int32, seq bool) 
 		}
 		count++
 	}
-	data := make([]byte, int(count)*BlockSize)
+	data := make([]byte, int(count)*blockSize)
 	if err := fs.dev.ReadBlocks(p, int64(start), data); err != nil {
 		return err
 	}
-	fs.stats.DevReads++
-	fs.stats.BytesRead += int64(len(data))
 	for i := int32(0); i < count; i++ {
-		blk := make([]byte, BlockSize)
-		copy(blk, data[int(i)*BlockSize:])
+		blk := make([]byte, blockSize)
+		copy(blk, data[int(i)*blockSize:])
 		fs.insertBuf(bufKey{ino.inum, lbn + i}, start+uint32(i), blk, false)
 	}
 	return fs.evict(p)
@@ -158,9 +131,9 @@ func (fs *FS) writeAt(p *sim.Proc, inum uint32, b []byte, off int64) (int, error
 	}
 	written := 0
 	for written < len(b) {
-		lbn := int32((off + int64(written)) / BlockSize)
-		blkOff := int((off + int64(written)) % BlockSize)
-		want := BlockSize - blkOff
+		lbn := int32((off + int64(written)) / blockSize)
+		blkOff := int((off + int64(written)) % blockSize)
+		want := blockSize - blkOff
 		if want > len(b)-written {
 			want = len(b) - written
 		}
@@ -171,17 +144,15 @@ func (fs *FS) writeAt(p *sim.Proc, inum uint32, b []byte, off int64) (int, error
 		bf, ok := fs.bufs[bufKey{inum, lbn}]
 		if !ok {
 			var data []byte
-			if blkOff == 0 && want == BlockSize {
-				data = make([]byte, BlockSize)
-			} else if uint64(lbn)*BlockSize < ino.size {
-				data = make([]byte, BlockSize)
+			if blkOff == 0 && want == blockSize {
+				data = make([]byte, blockSize)
+			} else if uint64(lbn)*blockSize < ino.size {
+				data = make([]byte, blockSize)
 				if err := fs.dev.ReadBlocks(p, int64(blk), data); err != nil {
 					return written, err
 				}
-				fs.stats.DevReads++
-				fs.stats.BytesRead += BlockSize
 			} else {
-				data = make([]byte, BlockSize)
+				data = make([]byte, blockSize)
 			}
 			bf = fs.insertBuf(bufKey{inum, lbn}, blk, data, false)
 		}
@@ -226,14 +197,14 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 
 // --- directories (same packed record format as the LFS implementation) ---
 
-// Dirent is one directory entry.
-type Dirent struct {
+// dirent is one directory entry.
+type dirent struct {
 	Inum uint32
-	Type FileType
+	Type fileType
 	Name string
 }
 
-func (fs *FS) readDir(p *sim.Proc, ino *inode) ([]Dirent, error) {
+func (fs *FS) readDir(p *sim.Proc, ino *inode) ([]dirent, error) {
 	if ino.size == 0 {
 		return nil, nil
 	}
@@ -241,21 +212,21 @@ func (fs *FS) readDir(p *sim.Proc, ino *inode) ([]Dirent, error) {
 	if _, err := fs.readAt(p, ino.inum, data, 0); err != nil && err != io.EOF {
 		return nil, err
 	}
-	var ents []Dirent
+	var ents []dirent
 	for off := 0; off+6 <= len(data); {
 		inum := uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24
 		if inum == 0 {
 			break
 		}
-		typ := FileType(data[off+4])
+		typ := fileType(data[off+4])
 		nl := int(data[off+5])
-		ents = append(ents, Dirent{Inum: inum, Type: typ, Name: string(data[off+6 : off+6+nl])})
+		ents = append(ents, dirent{Inum: inum, Type: typ, Name: string(data[off+6 : off+6+nl])})
 		off += 6 + nl
 	}
 	return ents, nil
 }
 
-func (fs *FS) writeDir(p *sim.Proc, ino *inode, ents []Dirent) error {
+func (fs *FS) writeDir(p *sim.Proc, ino *inode, ents []dirent) error {
 	var out []byte
 	for _, e := range ents {
 		hdr := []byte{byte(e.Inum), byte(e.Inum >> 8), byte(e.Inum >> 16), byte(e.Inum >> 24), byte(e.Type), byte(len(e.Name))}
@@ -288,7 +259,7 @@ func (fs *FS) resolve(p *sim.Proc, path string) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		if ino.typ != TypeDir {
+		if ino.typ != typeDir {
 			return 0, ErrNotDir
 		}
 		ents, err := fs.readDir(p, ino)
@@ -327,7 +298,7 @@ func (fs *FS) resolveParent(p *sim.Proc, path string) (*inode, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if ino.typ != TypeDir {
+	if ino.typ != typeDir {
 		return nil, "", ErrNotDir
 	}
 	return ino, parts[len(parts)-1], nil
@@ -350,11 +321,11 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 			return nil, ErrExists
 		}
 	}
-	ino, err := fs.iallocProbe(rootInum+1, TypeFile)
+	ino, err := fs.iallocProbe(rootInum+1, typeFile)
 	if err != nil {
 		return nil, err
 	}
-	ents = append(ents, Dirent{Inum: ino.inum, Type: TypeFile, Name: name})
+	ents = append(ents, dirent{Inum: ino.inum, Type: typeFile, Name: name})
 	if err := fs.writeDir(p, dir, ents); err != nil {
 		return nil, err
 	}
@@ -373,115 +344,8 @@ func (fs *FS) Open(p *sim.Proc, path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ino.typ == TypeDir {
+	if ino.typ == typeDir {
 		return nil, ErrIsDir
 	}
 	return &File{fs: fs, inum: inum}, nil
-}
-
-// Mkdir creates a directory.
-func (fs *FS) Mkdir(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	dir, name, err := fs.resolveParent(p, path)
-	if err != nil {
-		return err
-	}
-	ents, err := fs.readDir(p, dir)
-	if err != nil {
-		return err
-	}
-	for _, e := range ents {
-		if e.Name == name {
-			return ErrExists
-		}
-	}
-	ino, err := fs.iallocProbe(rootInum+1, TypeDir)
-	if err != nil {
-		return err
-	}
-	ents = append(ents, Dirent{Inum: ino.inum, Type: TypeDir, Name: name})
-	return fs.writeDir(p, dir, ents)
-}
-
-// Remove deletes a file, freeing its blocks.
-func (fs *FS) Remove(p *sim.Proc, path string) error {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	dir, name, err := fs.resolveParent(p, path)
-	if err != nil {
-		return err
-	}
-	ents, err := fs.readDir(p, dir)
-	if err != nil {
-		return err
-	}
-	var victim *Dirent
-	out := ents[:0]
-	for i := range ents {
-		if ents[i].Name == name {
-			victim = &ents[i]
-		} else {
-			out = append(out, ents[i])
-		}
-	}
-	if victim == nil {
-		return ErrNotFound
-	}
-	ino, err := fs.iget(p, victim.Inum)
-	if err != nil {
-		return err
-	}
-	// Free all blocks.
-	nb := int32((ino.size + BlockSize - 1) / BlockSize)
-	for lbn := int32(0); lbn < nb; lbn++ {
-		b, err := fs.bmap(p, ino, lbn, false)
-		if err == nil && b != nilBlock {
-			fs.free(b)
-		}
-		if bf, ok := fs.bufs[bufKey{ino.inum, lbn}]; ok {
-			bf.dirty = false
-			fs.dropBuf(bf)
-		}
-	}
-	if ino.single != nilBlock && ino.single != 0 {
-		fs.free(ino.single)
-	}
-	if ino.double != nilBlock && ino.double != 0 {
-		fs.free(ino.double)
-		if root, ok := fs.bufs[bufKey{ino.inum, -2}]; ok {
-			for i := 0; i < ptrsPerBlock; i++ {
-				if v := uint32(root.data[i*4]) | uint32(root.data[i*4+1])<<8 | uint32(root.data[i*4+2])<<16 | uint32(root.data[i*4+3])<<24; v != 0 && v != nilBlock {
-					fs.free(v)
-				}
-			}
-		}
-	}
-	for k := int32(-3) - ptrsPerBlock; k <= -1; k++ {
-		if bf, ok := fs.bufs[bufKey{ino.inum, k}]; ok {
-			bf.dirty = false
-			fs.dropBuf(bf)
-		}
-	}
-	delete(fs.inodes, victim.Inum)
-	fs.dirtyIno[victim.Inum] = true // zeroed on next sync
-	if err := fs.writeDir(p, dir, out); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Stat describes the file at path.
-func (fs *FS) Stat(p *sim.Proc, path string) (FileInfo, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	inum, err := fs.resolve(p, path)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	ino, err := fs.iget(p, inum)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Inum: inum, Type: ino.typ, Size: ino.size, Mtime: ino.mtime, Atime: ino.atime}, nil
 }

@@ -65,8 +65,8 @@ func (o Op) String() string {
 type State int
 
 const (
-	// Active requests are executing.
-	Active State = iota + 1
+	// running requests are executing.
+	running State = iota + 1
 	// Done requests completed successfully.
 	Done
 	// Failed requests reached a terminal error.
@@ -75,7 +75,7 @@ const (
 
 func (s State) String() string {
 	switch s {
-	case Active:
+	case running:
 		return "active"
 	case Done:
 		return "done"
@@ -118,6 +118,11 @@ var ErrNotPinned = errors.New("hsm: not pinned")
 // ErrPinned marks a StageOut or Evict refused because the file is pinned.
 var ErrPinned = errors.New("hsm: file is pinned")
 
+// ErrCorruptState marks a state file Attach cannot take: it does not decode,
+// or a pin or staged record names a tertiary segment the file system does
+// not have.
+var ErrCorruptState = errors.New("hsm: corrupt state file")
+
 // Pin is one active pin: a file whose segments stay staged.
 type Pin struct {
 	Path      string
@@ -128,9 +133,9 @@ type Pin struct {
 	PinnedAt  sim.Time
 }
 
-// Staged is one staged-data attribution: who asked for this path's
+// stagedEntry is one staged-data attribution: who asked for this path's
 // tertiary data to be cached, and how much. Quota GC reclaims these.
-type Staged struct {
+type stagedEntry struct {
 	Path      string
 	Principal string
 	Bytes     int64
@@ -151,7 +156,7 @@ type Service struct {
 	nextID   int64
 	requests []*Request // every request that took exec, ID order
 	pins     map[string]*Pin
-	staged   map[string]*Staged
+	staged   map[string]*stagedEntry
 	quotas   map[string]Quota
 
 	submitted *obs.Counter
@@ -174,7 +179,7 @@ func Attach(p *sim.Proc, hl *core.HighLight) (*Service, error) {
 		HL:     hl,
 		exec:   hl.K.NewResource("hsm.exec"),
 		pins:   make(map[string]*Pin),
-		staged: make(map[string]*Staged),
+		staged: make(map[string]*stagedEntry),
 		quotas: make(map[string]Quota),
 	}
 	o := hl.Obs
@@ -229,7 +234,7 @@ func (s *Service) Submit(p *sim.Proc, op Op, path, principal string) (*Request, 
 	s.nextID++
 	r := &Request{
 		ID: s.nextID, Op: op, Path: path, Principal: principal,
-		State: Active, Submitted: now, Started: p.Now(),
+		State: running, Submitted: now, Started: p.Now(),
 	}
 	s.requests = append(s.requests, r)
 	s.submitted.Add(1)
@@ -387,7 +392,7 @@ func (s *Service) execStageIn(p *sim.Proc, r *Request) error {
 	}
 	r.Bytes = bytes
 	if bytes > 0 {
-		s.staged[r.Path] = &Staged{
+		s.staged[r.Path] = &stagedEntry{
 			Path: r.Path, Principal: r.Principal, Bytes: bytes, Segs: segs, StagedAt: p.Now(),
 		}
 	}
@@ -434,7 +439,7 @@ func (s *Service) execPin(p *sim.Proc, r *Request) error {
 	}
 	s.pins[r.Path] = pin
 	if bytes > 0 {
-		s.staged[r.Path] = &Staged{
+		s.staged[r.Path] = &stagedEntry{
 			Path: r.Path, Principal: r.Principal, Bytes: bytes, Segs: segs, StagedAt: p.Now(),
 		}
 	}
@@ -515,15 +520,6 @@ func (s *Service) Pins() []Pin {
 	out := make([]Pin, 0, len(s.pins))
 	for _, path := range sortedKeys(s.pins) {
 		out = append(out, *s.pins[path])
-	}
-	return out
-}
-
-// StagedEntries returns copies of the staged attributions in path order.
-func (s *Service) StagedEntries() []Staged {
-	out := make([]Staged, 0, len(s.staged))
-	for _, path := range sortedKeys(s.staged) {
-		out = append(out, *s.staged[path])
 	}
 	return out
 }

@@ -93,7 +93,7 @@ func (s *Service) RunQuotaGC(p *sim.Proc) (int64, error) {
 		// (heat = hottest segment of the entry, decayed to now; ties
 		// break on path so the order is deterministic).
 		type cand struct {
-			st   *Staged
+			st   *stagedEntry
 			heat float64
 		}
 		var cands []cand

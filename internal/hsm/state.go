@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"slices"
 
 	"repro/internal/lfs"
 	"repro/internal/sim"
@@ -136,12 +138,25 @@ func (s *Service) load(p *sim.Proc) error {
 		return err
 	}
 	data := make([]byte, size)
-	if _, err := f.ReadAt(p, data, 0); err != nil {
+	// An empty file reads as io.EOF and then fails to decode.
+	if _, err := f.ReadAt(p, data, 0); err != nil && err != io.EOF {
 		return err
 	}
 	var st stateFile
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("hsm: decoding state file: %w", err)
+		return fmt.Errorf("%w %s: %v", ErrCorruptState, statePath, err)
+	}
+	tsegs := s.HL.FS.TsegCount()
+	outside := func(seg int) bool { return seg < 0 || seg >= tsegs }
+	for _, rec := range st.Pins {
+		if slices.ContainsFunc(rec.Segs, outside) {
+			return fmt.Errorf("%w %s: pin of %s names a segment outside [0, %d)", ErrCorruptState, statePath, rec.Path, tsegs)
+		}
+	}
+	for _, rec := range st.Staged {
+		if slices.ContainsFunc(rec.Segs, outside) {
+			return fmt.Errorf("%w %s: staged %s names a segment outside [0, %d)", ErrCorruptState, statePath, rec.Path, tsegs)
+		}
 	}
 	s.nextID = st.NextID
 	for _, rec := range st.Requests {
@@ -159,7 +174,7 @@ func (s *Service) load(p *sim.Proc) error {
 		}
 	}
 	for _, rec := range st.Staged {
-		s.staged[rec.Path] = &Staged{
+		s.staged[rec.Path] = &stagedEntry{
 			Path: rec.Path, Principal: rec.Principal,
 			Bytes: rec.Bytes, Segs: rec.Segs, StagedAt: sim.Time(rec.StagedAt),
 		}

@@ -62,9 +62,6 @@ func (l *Library) ID() int { return l.id }
 // Name reports the library's display name.
 func (l *Library) Name() string { return l.name }
 
-// Inner returns the wrapped device.
-func (l *Library) Inner() Footprint { return l.fp }
-
 // Down reports whether the whole library is out of service.
 func (l *Library) Down() bool { return l.down }
 

@@ -81,7 +81,7 @@ func TestAsLibrariesPreservesIdentity(t *testing.T) {
 	if len(libs) != 2 {
 		t.Fatalf("AsLibraries returned %d entries, want 2", len(libs))
 	}
-	if libs[0].Inner() != Footprint(j0) {
+	if libs[0].fp != Footprint(j0) {
 		t.Fatal("plain footprint was not wrapped around the original jukebox")
 	}
 	if libs[0].ID() != 0 {

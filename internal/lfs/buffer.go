@@ -310,6 +310,3 @@ func cmpKey(a, b bufKey) int {
 	}
 	return cmp.Compare(a.lbn, b.lbn)
 }
-
-// DirtyBytes reports bytes of dirty data awaiting a segment write.
-func (fs *FS) DirtyBytes() int { return fs.dirtyBytes }

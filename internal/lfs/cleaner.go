@@ -102,7 +102,7 @@ func (fs *FS) ParseSegment(seg addr.SegNo, raw []byte) *SegmentContents {
 	sc := &SegmentContents{Seg: seg, Raw: raw}
 	segBlocks := min(fs.amap.SegBlocks(), len(raw)/BlockSize)
 	for off := 0; off < segBlocks; {
-		sum, err := DecodeSummary(raw[off*BlockSize : (off+1)*BlockSize])
+		sum, err := decodeSummary(raw[off*BlockSize : (off+1)*BlockSize])
 		if err != nil {
 			break // end of valid psegs in this segment
 		}
@@ -133,7 +133,7 @@ func (fs *FS) ParseSegment(seg addr.SegNo, raw []byte) *SegmentContents {
 			}
 			blk := raw[idx*BlockSize : (idx+1)*BlockSize]
 			for slot := 0; slot < InodesPerBlock; slot++ {
-				var ino Inode
+				var ino dinode
 				ino.decode(blk[slot*InodeSize:])
 				if ino.Inum != 0 && int(ino.Inum) < len(fs.imap) {
 					sc.Inodes = append(sc.Inodes, InodeRef{
@@ -150,9 +150,9 @@ func (fs *FS) ParseSegment(seg addr.SegNo, raw []byte) *SegmentContents {
 	return sc
 }
 
-// BlockData returns the content of a block instance within a parsed
+// blockData returns the content of a block instance within a parsed
 // segment.
-func (sc *SegmentContents) BlockData(amap *addr.Map, a addr.BlockNo) []byte {
+func (sc *SegmentContents) blockData(amap *addr.Map, a addr.BlockNo) []byte {
 	off := amap.OffOf(a)
 	return sc.Raw[off*BlockSize : (off+1)*BlockSize]
 }
@@ -183,7 +183,7 @@ func (fs *FS) cleanSegmentLocked(p *sim.Proc, seg addr.SegNo) (relocated int, er
 			fs.markDirty(b)
 		} else {
 			data := fs.newBlock()
-			copy(data, sc.BlockData(fs.amap, r.Addr))
+			copy(data, sc.blockData(fs.amap, r.Addr))
 			nb := fs.insertBuf(r.Inum, r.Lbn, data, r.Addr, false)
 			fs.markDirty(nb)
 		}
@@ -302,7 +302,7 @@ func (fs *FS) rankCleanable(max int, score func(*Seguse) float64) []addr.SegNo {
 }
 
 // ReserveSegments marks segments as owned by an in-flight migration
-// stream: SelectCleanable and SelectLeastLive skip them until
+// stream: SelectCleanable and selectLeastLive skip them until
 // ReleaseSegments, so a concurrently running cleaner and migrator operate
 // on disjoint segment sets. Reservations are advisory (they only steer
 // the cleaner's choice) and need no lock beyond the caller already
@@ -328,9 +328,9 @@ func (fs *FS) ReleaseSegments(segs []addr.SegNo) {
 // reserve a full disk deadlocks (cleaning itself requires free segments).
 const cleanerReserve = 3
 
-// SelectLeastLive ranks dirty segments purely by live bytes, fewest first
+// selectLeastLive ranks dirty segments purely by live bytes, fewest first
 // — the emergency choice, minimizing the data the cleaner must relocate.
-func (fs *FS) SelectLeastLive(max int) []addr.SegNo {
+func (fs *FS) selectLeastLive(max int) []addr.SegNo {
 	return fs.rankCleanable(max, func(su *Seguse) float64 { return -float64(su.LiveBytes) })
 }
 
@@ -342,7 +342,7 @@ func (fs *FS) AttachCleaner(low, high int) func(p *sim.Proc) {
 		// Lock already held by the allocator's caller. Clean one
 		// segment at a time, least live data first, so relocation
 		// pressure on the (scarce) clean pool stays minimal.
-		segs := fs.SelectLeastLive(1)
+		segs := fs.selectLeastLive(1)
 		if len(segs) == 0 {
 			return false
 		}

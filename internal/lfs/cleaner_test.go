@@ -258,7 +258,7 @@ func TestCleanActiveSegmentRejected(t *testing.T) {
 		}
 		// Find the active segment.
 		var active addr.SegNo
-		for s := e.fs.ReservedSegs(); s < e.fs.Map().DiskSegs(); s++ {
+		for s := e.fs.ReservedSegs(); s < e.fs.amap.DiskSegs(); s++ {
 			if e.fs.SegUsage(addr.SegNo(s)).Flags&SegActive != 0 {
 				active = addr.SegNo(s)
 			}

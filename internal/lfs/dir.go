@@ -29,7 +29,7 @@ func splitPath(path string) []string {
 
 // resolveLocked walks path from the root, returning the final inum.
 func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
-	cur := uint32(RootInum)
+	cur := uint32(rootInum)
 	for _, name := range splitPath(path) {
 		ino, err := fs.iget(p, cur)
 		if err != nil {
@@ -54,7 +54,7 @@ func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 // readDirLocked does (one whole-file read: the same virtual time, the same
 // buffer-cache traffic) but into a scratch the lock owns, and compares the
 // names where they lie: every Open walks its path through here.
-func (fs *FS) lookupLocked(p *sim.Proc, ino *Inode, name string) (uint32, bool, error) {
+func (fs *FS) lookupLocked(p *sim.Proc, ino *dinode, name string) (uint32, bool, error) {
 	if ino.Size == 0 {
 		return 0, false, nil
 	}
@@ -75,7 +75,7 @@ func (fs *FS) lookupLocked(p *sim.Proc, ino *Inode, name string) (uint32, bool, 
 // before either is written back), change ents, and write it back with
 // writeDirLocked: the one path by which a name enters or leaves a directory.
 type dirEdit struct {
-	dir   *Inode
+	dir   *dinode
 	ents  []Dirent
 	name  string
 	ent   Dirent // the entry named name, if found
@@ -89,7 +89,7 @@ func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("%q: %w", path, ErrExists)
 	}
-	dirInum := uint32(RootInum)
+	dirInum := uint32(rootInum)
 	if len(parts) > 1 {
 		var err error
 		dirInum, err = fs.resolveLocked(p, strings.Join(parts[:len(parts)-1], "/"))
@@ -133,7 +133,7 @@ func (d *dirEdit) drop() {
 
 // readDirLocked loads and decodes a directory's entries; a corrupt record is
 // ErrCorruptDir.
-func (fs *FS) readDirLocked(p *sim.Proc, ino *Inode) ([]Dirent, error) {
+func (fs *FS) readDirLocked(p *sim.Proc, ino *dinode) ([]Dirent, error) {
 	if ino.Size == 0 {
 		return nil, nil
 	}
@@ -146,7 +146,7 @@ func (fs *FS) readDirLocked(p *sim.Proc, ino *Inode) ([]Dirent, error) {
 }
 
 // writeDirLocked replaces a directory's contents.
-func (fs *FS) writeDirLocked(p *sim.Proc, ino *Inode, ents []Dirent) error {
+func (fs *FS) writeDirLocked(p *sim.Proc, ino *dinode, ents []Dirent) error {
 	data := encodeDirents(ents)
 	if uint64(len(data)) < ino.Size {
 		if err := fs.truncateLocked(p, ino, uint64(len(data))); err != nil {
@@ -175,7 +175,7 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 }
 
 // createLocked makes an empty file or directory at path.
-func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*Inode, error) {
+func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*dinode, error) {
 	d, err := fs.editDir(p, path)
 	if err != nil {
 		return nil, err
@@ -202,7 +202,7 @@ func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*Inode, erro
 
 // withPath runs fn on the inode path names, as a read-only operation (Open
 // and ReadDir).
-func (fs *FS) withPath(p *sim.Proc, path string, fn func(inum uint32, ino *Inode) error) error {
+func (fs *FS) withPath(p *sim.Proc, path string, fn func(inum uint32, ino *dinode) error) error {
 	return fs.readOnly(p, func() error {
 		inum, err := fs.resolveLocked(p, path)
 		if err != nil {
@@ -218,7 +218,7 @@ func (fs *FS) withPath(p *sim.Proc, path string, fn func(inum uint32, ino *Inode
 
 // Open opens an existing regular file.
 func (fs *FS) Open(p *sim.Proc, path string) (f *File, err error) {
-	err = fs.withPath(p, path, func(inum uint32, ino *Inode) error {
+	err = fs.withPath(p, path, func(inum uint32, ino *dinode) error {
 		if ino.Type == TypeDir {
 			return ErrIsDir
 		}
@@ -251,7 +251,7 @@ func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 
 // ReadDir lists a directory.
 func (fs *FS) ReadDir(p *sim.Proc, path string) (ents []Dirent, err error) {
-	err = fs.withPath(p, path, func(_ uint32, ino *Inode) error {
+	err = fs.withPath(p, path, func(_ uint32, ino *dinode) error {
 		if ino.Type != TypeDir {
 			return ErrNotDir
 		}

@@ -122,7 +122,7 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 // full cluster on sequentially accessed files; it consults only cached
 // metadata, so a cluster never stalls on (or demand-fetches) an indirect
 // block that later blocks would need.
-func (fs *FS) fillBlocks(p *sim.Proc, ino *Inode, lbn, reqEnd int32, seq bool) error {
+func (fs *FS) fillBlocks(p *sim.Proc, ino *dinode, lbn, reqEnd int32, seq bool) error {
 	start, err := fs.blockPtr(p, ino, lbn)
 	if err != nil {
 		return err
@@ -187,7 +187,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 	if off < 0 {
 		return 0, ErrNotFound
 	}
-	if (uint64(off)+uint64(len(b))+BlockSize-1)/BlockSize > MaxFileBlocks {
+	if (uint64(off)+uint64(len(b))+BlockSize-1)/BlockSize > maxFileBlocks {
 		return 0, ErrFileTooBig
 	}
 	written := 0

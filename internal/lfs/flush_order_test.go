@@ -28,7 +28,7 @@ func (r *readLog) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // The dirty set is a Go map; ranged over as it comes, the reads (and the
 // seeks between them) changed from run to run.
 func TestFlushLoadsUncachedParentsInKeyOrder(t *testing.T) {
-	const files, fileBlocks = 10, NDirect + 8
+	const files, fileBlocks = 10, nDirect + 8
 	run := func() (reads []int64) {
 		k := sim.NewKernel()
 		amap := addr.New(32, 128)
@@ -47,7 +47,7 @@ func TestFlushLoadsUncachedParentsInKeyOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, f := range fl {
-				if _, err := f.WriteAt(p, pattern(byte(50+i), BlockSize), (NDirect+3)*BlockSize); err != nil {
+				if _, err := f.WriteAt(p, pattern(byte(50+i), BlockSize), (nDirect+3)*BlockSize); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -176,7 +176,7 @@ type FS struct {
 	reserve    lruList          // clean pointer blocks of migrated data (buffer.go)
 	bufBytes   int              // both lists
 	dirtyBytes int
-	inodes     map[uint32]*Inode
+	inodes     map[uint32]*dinode
 	dirtyIno   map[uint32]bool
 
 	// Reusable buffers of the block data path, all used only under lock
@@ -231,7 +231,7 @@ func newFS(p *sim.Proc, device Device, amap *addr.Map, opts Options) *FS {
 		lock:     p.Kernel().NewResource("lfs.lock"),
 		bufs:     make(map[bufKey]*buf),
 		lastLbn:  make(map[uint32]int32),
-		inodes:   make(map[uint32]*Inode),
+		inodes:   make(map[uint32]*dinode),
 		dirtyIno: make(map[uint32]bool),
 	}
 	fs.fetcher, _ = device.(Fetcher)
@@ -272,9 +272,9 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 	// Reserve the special inode numbers. The ifile and tsegfile tables
 	// are checkpointed into the reserved area; their inums stay claimed
 	// for fidelity with the paper's layout.
-	fs.imap[IfileInum].Version = 1
-	fs.imap[TsegInum].Version = 1
-	fs.nextInum = FirstInum
+	fs.imap[ifileInum].Version = 1
+	fs.imap[tsegInum].Version = 1
+	fs.nextInum = firstInum
 	fs.serial = 1
 	fs.curSeg = addr.SegNo(reservedSegs)
 	fs.curOff = 0
@@ -288,10 +288,10 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 		return nil, err
 	}
 	// Root directory.
-	root := &Inode{Inum: RootInum, Version: 1, Type: TypeDir, Nlink: 2, Mtime: fs.now(), Ctime: fs.now()}
-	fs.inodes[RootInum] = root
-	fs.imap[RootInum].Version = 1
-	fs.dirtyIno[RootInum] = true
+	root := &dinode{Inum: rootInum, Version: 1, Type: TypeDir, Nlink: 2, Mtime: fs.now(), Ctime: fs.now()}
+	fs.inodes[rootInum] = root
+	fs.imap[rootInum].Version = 1
+	fs.dirtyIno[rootInum] = true
 	if err := fs.writeDirLocked(p, root, nil); err != nil {
 		return nil, err
 	}
@@ -363,7 +363,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 			fs.cacheInUse++
 		}
 	}
-	for i := FirstInum; i < len(fs.imap); i++ {
+	for i := firstInum; i < len(fs.imap); i++ {
 		if fs.imap[i].Addr == addr.NilBlock && fs.imap[i].Version > 0 && uint32(i) < fs.nextInum {
 			fs.freeInums = append(fs.freeInums, uint32(i))
 		}
@@ -392,8 +392,8 @@ func (fs *FS) RepairDangling(p *sim.Proc) (int, error) {
 // whose inode the recovered map does not contain.
 func (fs *FS) repairDanglingLocked(p *sim.Proc) (int, error) {
 	dropped := 0
-	queue := []uint32{RootInum}
-	seen := map[uint32]bool{RootInum: true}
+	queue := []uint32{rootInum}
+	seen := map[uint32]bool{rootInum: true}
 	for len(queue) > 0 {
 		inum := queue[0]
 		queue = queue[1:]
@@ -440,9 +440,6 @@ func (fs *FS) chargeCopy(p *sim.Proc, n int, rate int64) {
 	p.Sleep(sim.Time(float64(n) / float64(rate) * 1e9))
 }
 
-// Map exposes the address map (read-only use).
-func (fs *FS) Map() *addr.Map { return fs.amap }
-
 // Superblock returns a copy of the on-media superblock.
 func (fs *FS) Superblock() Superblock { return fs.sb }
 
@@ -455,9 +452,9 @@ func (fs *FS) CleanSegs() int { return fs.nclean }
 // tableBlocks computes the size of one checkpoint table region, with
 // headroom for on-line disk growth (§6.4) to twice the initial disk size.
 func (fs *FS) tableBlocks(maxInodes int) int {
-	segBlks := blocksFor(2 * fs.amap.DiskSegs() * SeguseSize)
-	tsegBlks := blocksFor(fs.amap.TertSegs() * SeguseSize)
-	imapBlks := blocksFor(maxInodes * ImapSize)
+	segBlks := blocksFor(2 * fs.amap.DiskSegs() * seguseSize)
+	tsegBlks := blocksFor(fs.amap.TertSegs() * seguseSize)
+	imapBlks := blocksFor(maxInodes * imapSize)
 	return 1 + segBlks + tsegBlks + imapBlks // 1 header/cleanerinfo block
 }
 
@@ -483,15 +480,15 @@ func (fs *FS) serializeTables() []byte {
 	// layout fidelity and the dump tool.)
 	off := BlockSize
 	for i := range fs.seguse {
-		fs.seguse[i].encode(out[off+i*SeguseSize:])
+		fs.seguse[i].encode(out[off+i*seguseSize:])
 	}
-	off += blocksFor(len(fs.seguse)*SeguseSize) * BlockSize
+	off += blocksFor(len(fs.seguse)*seguseSize) * BlockSize
 	for i := range fs.tseg {
-		fs.tseg[i].encode(out[off+i*SeguseSize:])
+		fs.tseg[i].encode(out[off+i*seguseSize:])
 	}
-	off += blocksFor(len(fs.tseg)*SeguseSize) * BlockSize
+	off += blocksFor(len(fs.tseg)*seguseSize) * BlockSize
 	for i := range fs.imap {
-		fs.imap[i].encode(out[off+i*ImapSize:])
+		fs.imap[i].encode(out[off+i*imapSize:])
 	}
 	return out
 }
@@ -507,15 +504,15 @@ func (fs *FS) loadTables(p *sim.Proc, c checkpoint) error {
 	fs.imap = make([]ImapEntry, fs.sb.MaxInodes)
 	off := BlockSize
 	for i := range fs.seguse {
-		fs.seguse[i].decode(buf[off+i*SeguseSize:])
+		fs.seguse[i].decode(buf[off+i*seguseSize:])
 	}
-	off += blocksFor(len(fs.seguse)*SeguseSize) * BlockSize
+	off += blocksFor(len(fs.seguse)*seguseSize) * BlockSize
 	for i := range fs.tseg {
-		fs.tseg[i].decode(buf[off+i*SeguseSize:])
+		fs.tseg[i].decode(buf[off+i*seguseSize:])
 	}
-	off += blocksFor(len(fs.tseg)*SeguseSize) * BlockSize
+	off += blocksFor(len(fs.tseg)*seguseSize) * BlockSize
 	for i := range fs.imap {
-		fs.imap[i].decode(buf[off+i*ImapSize:])
+		fs.imap[i].decode(buf[off+i*imapSize:])
 	}
 	return nil
 }
@@ -711,7 +708,7 @@ func (fs *FS) rollForward(p *sim.Proc, c checkpoint) error {
 		if err := fs.dev.ReadBlocks(p, base, segBuf); err != nil {
 			return err
 		}
-		sum, err := DecodeSummary(segBuf)
+		sum, err := decodeSummary(segBuf)
 		// Partial segments written after checkpoint N carry serial N+1
 		// (the epoch advances as the checkpoint completes); anything
 		// else is stale data from an earlier life of the segment.
@@ -769,7 +766,7 @@ func (fs *FS) applyPsegment(seg addr.SegNo, off int, sum *Summary, body []byte) 
 		}
 		blk := body[idx*BlockSize : (idx+1)*BlockSize]
 		for slot := 0; slot < InodesPerBlock; slot++ {
-			var ino Inode
+			var ino dinode
 			ino.decode(blk[slot*InodeSize:])
 			if ino.Inum == 0 || int(ino.Inum) >= len(fs.imap) {
 				continue
@@ -904,17 +901,17 @@ func (fs *FS) ResetTseg(idx int) {
 // in the checkpointed tsegfile, so pins ride the same durability path as
 // every other segment state and survive crash recovery.
 func (fs *FS) MarkTsegPinned(idx int) {
-	fs.tseg[idx].Flags |= SegPinned
+	fs.tseg[idx].Flags |= segPinned
 }
 
 // ClearTsegPinned drops the HSM pin flag from a tertiary segment.
 func (fs *FS) ClearTsegPinned(idx int) {
-	fs.tseg[idx].Flags &^= SegPinned
+	fs.tseg[idx].Flags &^= segPinned
 }
 
 // TsegPinned reports whether a tertiary segment carries the HSM pin flag.
 func (fs *FS) TsegPinned(idx int) bool {
-	return fs.tseg[idx].Flags&SegPinned != 0
+	return fs.tseg[idx].Flags&segPinned != 0
 }
 
 // RestoreTsegUsage reconstructs a tertiary segment's usage entry during
@@ -942,9 +939,6 @@ func (fs *FS) ReservedSegs() int { return int(fs.sb.ReservedSegs) }
 
 // Imap returns a copy of an inode-map entry.
 func (fs *FS) Imap(inum uint32) ImapEntry { return fs.imap[inum] }
-
-// MaxInodes reports the inode map capacity.
-func (fs *FS) MaxInodes() int { return len(fs.imap) }
 
 // Usage summarizes storage occupancy for df-style reporting.
 type Usage struct {
@@ -990,7 +984,7 @@ func (fs *FS) Usage() Usage {
 			u.TertLive += int64(fs.tseg[i].LiveBytes)
 		}
 	}
-	for i := FirstInum; i < len(fs.imap); i++ {
+	for i := firstInum; i < len(fs.imap); i++ {
 		if fs.imap[i].Addr != addr.NilBlock {
 			u.InodesUsed++
 		}
@@ -1014,7 +1008,7 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 			fs.dropBuf(l.head) // everything is clean after the flush
 		}
 	}
-	fs.inodes = make(map[uint32]*Inode)
+	fs.inodes = make(map[uint32]*dinode)
 	fs.lastLbn = make(map[uint32]int32)
 	return nil
 }

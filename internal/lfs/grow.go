@@ -20,7 +20,7 @@ import (
 // initial disk size, tableBlocks).
 func (fs *FS) CanGrow(n int) error {
 	grown := len(fs.seguse) + n
-	need := 1 + blocksFor(grown*SeguseSize) + blocksFor(len(fs.tseg)*SeguseSize) + blocksFor(len(fs.imap)*ImapSize)
+	need := 1 + blocksFor(grown*seguseSize) + blocksFor(len(fs.tseg)*seguseSize) + blocksFor(len(fs.imap)*imapSize)
 	if need > int(fs.sb.TableBlocks) {
 		return fmt.Errorf("lfs: growing to %d segments needs %d table blocks, region holds %d",
 			grown, need, fs.sb.TableBlocks)

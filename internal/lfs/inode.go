@@ -14,7 +14,7 @@ const lbnInode int32 = -1 << 30
 
 // iget returns the in-memory inode, loading it from the log if needed.
 // Loading may touch tertiary storage when the inode itself has migrated.
-func (fs *FS) iget(p *sim.Proc, inum uint32) (*Inode, error) {
+func (fs *FS) iget(p *sim.Proc, inum uint32) (*dinode, error) {
 	if ino, ok := fs.inodes[inum]; ok {
 		return ino, nil
 	}
@@ -41,10 +41,10 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*Inode, error) {
 }
 
 // markInodeDirty queues the inode for the next segment write.
-func (fs *FS) markInodeDirty(ino *Inode) { fs.dirtyIno[ino.Inum] = true }
+func (fs *FS) markInodeDirty(ino *dinode) { fs.dirtyIno[ino.Inum] = true }
 
 // iallocLocked allocates a fresh inode of the given type.
-func (fs *FS) iallocLocked(typ FileType) (*Inode, error) {
+func (fs *FS) iallocLocked(typ FileType) (*dinode, error) {
 	var inum uint32
 	if n := len(fs.freeInums); n > 0 {
 		inum = fs.freeInums[n-1]
@@ -59,7 +59,7 @@ func (fs *FS) iallocLocked(typ FileType) (*Inode, error) {
 	e.Version++
 	e.Atime = fs.now()
 	now := fs.now()
-	ino := &Inode{
+	ino := &dinode{
 		Inum:    inum,
 		Version: e.Version,
 		Type:    typ,
@@ -78,7 +78,7 @@ func (fs *FS) iallocLocked(typ FileType) (*Inode, error) {
 }
 
 // ifreeLocked releases an inode and all its blocks.
-func (fs *FS) ifreeLocked(p *sim.Proc, ino *Inode) error {
+func (fs *FS) ifreeLocked(p *sim.Proc, ino *dinode) error {
 	if err := fs.truncateLocked(p, ino, 0); err != nil {
 		return err
 	}
@@ -138,27 +138,27 @@ func (fs *FS) seguseFor(a addr.BlockNo) *Seguse {
 // lbnInode when the pointer lives in the inode itself.
 func parentLbn(lbn int32) int32 {
 	switch {
-	case lbn >= 0 && lbn < NDirect:
+	case lbn >= 0 && lbn < nDirect:
 		return lbnInode
-	case lbn >= NDirect && int(lbn) < NDirect+PtrsPerBlock:
+	case lbn >= nDirect && int(lbn) < nDirect+ptrsPerBlock:
 		return LbnSingle
 	case lbn >= 0:
-		i := (int(lbn) - NDirect - PtrsPerBlock) / PtrsPerBlock
-		return LbnDoubleChild(i)
-	case lbn == LbnSingle || lbn == LbnDoubleRoot:
+		i := (int(lbn) - nDirect - ptrsPerBlock) / ptrsPerBlock
+		return lbnDoubleChild(i)
+	case lbn == LbnSingle || lbn == lbnDoubleRoot:
 		return lbnInode
 	default: // double-indirect child
-		return LbnDoubleRoot
+		return lbnDoubleRoot
 	}
 }
 
 // slotInParent is the pointer index of lbn within its parent meta block.
 func slotInParent(lbn int32) int {
 	switch {
-	case lbn >= NDirect && int(lbn) < NDirect+PtrsPerBlock:
-		return int(lbn) - NDirect
+	case lbn >= nDirect && int(lbn) < nDirect+ptrsPerBlock:
+		return int(lbn) - nDirect
 	case lbn >= 0:
-		return (int(lbn) - NDirect - PtrsPerBlock) % PtrsPerBlock
+		return (int(lbn) - nDirect - ptrsPerBlock) % ptrsPerBlock
 	default: // double child i at root slot i
 		return int(-lbn - 3)
 	}
@@ -167,7 +167,7 @@ func slotInParent(lbn int32) int {
 // doubleChildren is how many double-indirect children a file of nblocks
 // blocks has.
 func doubleChildren(nblocks int) int {
-	return (nblocks - NDirect - PtrsPerBlock + PtrsPerBlock - 1) / PtrsPerBlock
+	return (nblocks - nDirect - ptrsPerBlock + ptrsPerBlock - 1) / ptrsPerBlock
 }
 
 // The block-pointer map. The pointer to block lbn of a file (data, or an
@@ -178,7 +178,7 @@ func doubleChildren(nblocks int) int {
 // through fs.bufs alone (no I/O, uncounted: read-ahead and the segment
 // writer's relocation). Every pointer read and store goes through a ptrRef.
 type ptrRef struct {
-	ino    *Inode
+	ino    *dinode
 	field  *addr.BlockNo // Direct[lbn], Single or Double; nil for a slot
 	parent *buf          // the meta block holding the slot; nil if absent
 	slot   int
@@ -209,8 +209,8 @@ func (fs *FS) setPtr(r ptrRef, a addr.BlockNo) {
 
 // ptrTo finds the pointer to lbn through lookupBuf; with create a missing
 // parent meta block is made (a dirty zero block).
-func (fs *FS) ptrTo(p *sim.Proc, ino *Inode, lbn int32, create bool) (ptrRef, error) {
-	if lbn < LbnDoubleChild(PtrsPerBlock-1) || int64(lbn) >= MaxFileBlocks {
+func (fs *FS) ptrTo(p *sim.Proc, ino *dinode, lbn int32, create bool) (ptrRef, error) {
+	if lbn < lbnDoubleChild(ptrsPerBlock-1) || int64(lbn) >= maxFileBlocks {
 		return ptrRef{}, ErrFileTooBig
 	}
 	if pl := parentLbn(lbn); pl != lbnInode {
@@ -222,7 +222,7 @@ func (fs *FS) ptrTo(p *sim.Proc, ino *Inode, lbn int32, create bool) (ptrRef, er
 
 // cachedPtrTo finds the pointer to lbn through fs.bufs only: no device I/O,
 // no counted lookup. The parent is nil when it is not cached.
-func (fs *FS) cachedPtrTo(ino *Inode, lbn int32) ptrRef {
+func (fs *FS) cachedPtrTo(ino *dinode, lbn int32) ptrRef {
 	if pl := parentLbn(lbn); pl != lbnInode {
 		return ptrRef{parent: fs.bufs[bufKey{ino.Inum, pl}], slot: slotInParent(lbn)}
 	}
@@ -230,12 +230,12 @@ func (fs *FS) cachedPtrTo(ino *Inode, lbn int32) ptrRef {
 }
 
 // inodePtr is the pointer to a block whose parent is the inode itself.
-func inodePtr(ino *Inode, lbn int32) ptrRef {
+func inodePtr(ino *dinode, lbn int32) ptrRef {
 	r := ptrRef{ino: ino, field: &ino.Single}
 	switch {
 	case lbn >= 0:
 		r.field = &ino.Direct[lbn]
-	case lbn == LbnDoubleRoot:
+	case lbn == lbnDoubleRoot:
 		r.field = &ino.Double
 	}
 	return r
@@ -244,7 +244,7 @@ func inodePtr(ino *Inode, lbn int32) ptrRef {
 // getMeta returns the buffer of a meta block. With create=false it returns
 // (nil, nil) when the block does not exist; with create=true a zero block
 // is created (callers dirty it when they store a pointer).
-func (fs *FS) getMeta(p *sim.Proc, ino *Inode, metaLbn int32, create bool) (*buf, error) {
+func (fs *FS) getMeta(p *sim.Proc, ino *dinode, metaLbn int32, create bool) (*buf, error) {
 	if b := fs.lookupBuf(ino.Inum, metaLbn); b != nil {
 		return b, nil
 	}
@@ -267,7 +267,7 @@ func (fs *FS) getMeta(p *sim.Proc, ino *Inode, metaLbn int32, create bool) (*buf
 
 // blockPtr reports the current media address of block lbn, data or meta
 // (NilBlock for holes and never-written blocks).
-func (fs *FS) blockPtr(p *sim.Proc, ino *Inode, lbn int32) (addr.BlockNo, error) {
+func (fs *FS) blockPtr(p *sim.Proc, ino *dinode, lbn int32) (addr.BlockNo, error) {
 	r, err := fs.ptrTo(p, ino, lbn, false)
 	return r.get(), err
 }
@@ -278,7 +278,7 @@ func (fs *FS) blockPtr(p *sim.Proc, ino *Inode, lbn int32) (addr.BlockNo, error)
 // stall the cluster on a metadata fetch. A block in the reserve counts as
 // uncached, so that a cluster's length never depends on what the reserve
 // happens to hold.
-func (fs *FS) blockPtrCached(ino *Inode, lbn int32) (addr.BlockNo, bool) {
+func (fs *FS) blockPtrCached(ino *dinode, lbn int32) (addr.BlockNo, bool) {
 	r := fs.cachedPtrTo(ino, lbn)
 	if r.field == nil && (r.parent == nil || r.parent.on == &fs.reserve) {
 		return addr.NilBlock, false
@@ -288,7 +288,7 @@ func (fs *FS) blockPtrCached(ino *Inode, lbn int32) (addr.BlockNo, bool) {
 
 // setBlockPtr updates the pointer to block lbn, data or meta, creating the
 // meta chain on demand.
-func (fs *FS) setBlockPtr(p *sim.Proc, ino *Inode, lbn int32, a addr.BlockNo) error {
+func (fs *FS) setBlockPtr(p *sim.Proc, ino *dinode, lbn int32, a addr.BlockNo) error {
 	r, err := fs.ptrTo(p, ino, lbn, true)
 	if err == nil {
 		fs.setPtr(r, a)
@@ -299,7 +299,7 @@ func (fs *FS) setBlockPtr(p *sim.Proc, ino *Inode, lbn int32, a addr.BlockNo) er
 // setParentPtr records a meta or data block's new address in its parent.
 // The parent must already be dirty (the segment writer guarantees this via
 // its pre-pass), except when the parent is the inode itself.
-func (fs *FS) setParentPtr(ino *Inode, lbn int32, a addr.BlockNo) {
+func (fs *FS) setParentPtr(ino *dinode, lbn int32, a addr.BlockNo) {
 	r := fs.cachedPtrTo(ino, lbn)
 	if r.field == nil && (r.parent == nil || !r.parent.dirty) {
 		panic(fmt.Sprintf("lfs: parent %d of block (%d,%d) not dirty at relocation", parentLbn(lbn), ino.Inum, lbn))
@@ -309,7 +309,7 @@ func (fs *FS) setParentPtr(ino *Inode, lbn int32, a addr.BlockNo) {
 
 // truncateLocked frees blocks beyond size (in bytes) and sets the file
 // size. It handles data blocks and any meta blocks that become empty.
-func (fs *FS) truncateLocked(p *sim.Proc, ino *Inode, size uint64) error {
+func (fs *FS) truncateLocked(p *sim.Proc, ino *dinode, size uint64) error {
 	oldBlocks := blocksFor(int(ino.Size))
 	newBlocks := blocksFor(int(size))
 	if cut := int(size % BlockSize); cut != 0 && size < ino.Size {
@@ -343,14 +343,14 @@ func (fs *FS) truncateLocked(p *sim.Proc, ino *Inode, size uint64) error {
 		}
 	}
 	// Free meta blocks that no longer cover any data block.
-	if newBlocks <= NDirect {
+	if newBlocks <= nDirect {
 		fs.freeMeta(p, ino, LbnSingle)
 	}
 	for i := doubleChildren(newBlocks); i < doubleChildren(oldBlocks); i++ {
-		fs.freeMeta(p, ino, LbnDoubleChild(i))
+		fs.freeMeta(p, ino, lbnDoubleChild(i))
 	}
-	if newBlocks <= NDirect+PtrsPerBlock {
-		fs.freeMeta(p, ino, LbnDoubleRoot)
+	if newBlocks <= nDirect+ptrsPerBlock {
+		fs.freeMeta(p, ino, lbnDoubleRoot)
 	}
 	ino.Size = size
 	ino.Mtime = fs.now()
@@ -359,7 +359,7 @@ func (fs *FS) truncateLocked(p *sim.Proc, ino *Inode, size uint64) error {
 }
 
 // freeMeta releases one meta block if present.
-func (fs *FS) freeMeta(p *sim.Proc, ino *Inode, metaLbn int32) {
+func (fs *FS) freeMeta(p *sim.Proc, ino *dinode, metaLbn int32) {
 	at, err := fs.blockPtr(p, ino, metaLbn)
 	if err != nil {
 		return

@@ -42,10 +42,10 @@ const (
 	// addresses and the finfos follow it.
 	summaryHeader = 40
 
-	// NDirect is the number of direct block pointers per inode.
-	NDirect = 12
-	// PtrsPerBlock is the number of block pointers in an indirect block.
-	PtrsPerBlock = BlockSize / 4
+	// nDirect is the number of direct block pointers per inode.
+	nDirect = 12
+	// ptrsPerBlock is the number of block pointers in an indirect block.
+	ptrsPerBlock = BlockSize / 4
 
 	// InodeSize is the on-media inode size; InodesPerBlock inodes pack
 	// into one block.
@@ -53,35 +53,35 @@ const (
 	InodesPerBlock = BlockSize / InodeSize
 
 	// Reserved inode numbers.
-	IfileInum = 1 // the ifile (segment usage + inode map tables)
-	TsegInum  = 2 // the tertiary segment summary file (HighLight)
-	RootInum  = 3 // the root directory
-	FirstInum = 4 // first allocatable inode
+	ifileInum = 1 // the ifile (segment usage + inode map tables)
+	tsegInum  = 2 // the tertiary segment summary file (HighLight)
+	rootInum  = 3 // the root directory
+	firstInum = 4 // first allocatable inode
 
-	// SeguseSize is the on-media size of one segment-usage entry;
-	// ImapSize of one inode-map entry.
-	SeguseSize = 32
-	ImapSize   = 32
+	// seguseSize is the on-media size of one segment-usage entry;
+	// imapSize of one inode-map entry.
+	seguseSize = 32
+	imapSize   = 32
 )
 
 // Meta logical block numbers (negative lbns name a file's indirect blocks,
 // in the 4.4BSD style).
 const (
 	// LbnSingle is the single indirect block, covering lbns
-	// [NDirect, NDirect+PtrsPerBlock).
+	// [nDirect, nDirect+ptrsPerBlock).
 	LbnSingle int32 = -1
-	// LbnDoubleRoot is the double-indirect root block.
-	LbnDoubleRoot int32 = -2
-	// Double-indirect children use LbnDoubleChild(i) = -(3+i).
+	// lbnDoubleRoot is the double-indirect root block.
+	lbnDoubleRoot int32 = -2
+	// Double-indirect children use lbnDoubleChild(i) = -(3+i).
 )
 
-// LbnDoubleChild returns the meta lbn of child i of the double-indirect
-// root, covering lbns [NDirect+PtrsPerBlock+i*PtrsPerBlock, ...+PtrsPerBlock).
-func LbnDoubleChild(i int) int32 { return -(3 + int32(i)) }
+// lbnDoubleChild returns the meta lbn of child i of the double-indirect
+// root, covering lbns [nDirect+ptrsPerBlock+i*ptrsPerBlock, ...+ptrsPerBlock).
+func lbnDoubleChild(i int) int32 { return -(3 + int32(i)) }
 
-// MaxFileBlocks is the largest file size in blocks (direct + single +
+// maxFileBlocks is the largest file size in blocks (direct + single +
 // double indirect).
-const MaxFileBlocks = NDirect + PtrsPerBlock + PtrsPerBlock*PtrsPerBlock
+const maxFileBlocks = nDirect + ptrsPerBlock + ptrsPerBlock*ptrsPerBlock
 
 // FileType distinguishes regular files and directories.
 type FileType uint8
@@ -100,7 +100,7 @@ const (
 	SegCached  uint32 = 1 << 2 // holds a cached copy of a tertiary segment
 	SegStaging uint32 = 1 << 3 // cached line being assembled / not yet copied out
 	SegNoStore uint32 = 1 << 4 // removed from service (no storage behind it)
-	SegPinned  uint32 = 1 << 5 // HSM pin: evictor/cleaner/migrator must not touch it
+	segPinned  uint32 = 1 << 5 // HSM pin: evictor/cleaner/migrator must not touch it
 )
 
 // Seguse is one segment-usage entry. For disk segments it describes log
@@ -162,11 +162,11 @@ var ErrBadInode = errors.New("lfs: inode map and inode block disagree")
 
 // inodeAt decodes inode inum from data, its inode block, at the slot the
 // inode-map entry e names.
-func inodeAt(data []byte, e ImapEntry, inum uint32) (*Inode, error) {
+func inodeAt(data []byte, e ImapEntry, inum uint32) (*dinode, error) {
 	if e.Slot >= InodesPerBlock {
 		return nil, fmt.Errorf("%w: inode %d at slot %d of block %d, which has %d", ErrBadInode, inum, e.Slot, e.Addr, InodesPerBlock)
 	}
-	ino := &Inode{}
+	ino := &dinode{}
 	ino.decode(data[int(e.Slot)*InodeSize:])
 	if ino.Inum != inum {
 		return nil, fmt.Errorf("%w: inode block at %d slot %d holds inum %d, want %d", ErrBadInode, e.Addr, e.Slot, ino.Inum, inum)
@@ -174,8 +174,8 @@ func inodeAt(data []byte, e ImapEntry, inum uint32) (*Inode, error) {
 	return ino, nil
 }
 
-// Inode is the in-memory and (via encode/decode) on-media inode.
-type Inode struct {
+// dinode is the in-memory and (via encode/decode) on-media inode.
+type dinode struct {
 	Inum    uint32
 	Version uint32
 	Type    FileType
@@ -183,12 +183,12 @@ type Inode struct {
 	Size    uint64
 	Mtime   int64
 	Ctime   int64
-	Direct  [NDirect]addr.BlockNo
+	Direct  [nDirect]addr.BlockNo
 	Single  addr.BlockNo // single indirect
 	Double  addr.BlockNo // double indirect root
 }
 
-func (ino *Inode) encode(b []byte) {
+func (ino *dinode) encode(b []byte) {
 	binary.LittleEndian.PutUint32(b[0:], ino.Inum)
 	binary.LittleEndian.PutUint32(b[4:], ino.Version)
 	b[8] = byte(ino.Type)
@@ -197,7 +197,7 @@ func (ino *Inode) encode(b []byte) {
 	binary.LittleEndian.PutUint64(b[24:], uint64(ino.Mtime))
 	binary.LittleEndian.PutUint64(b[32:], uint64(ino.Ctime))
 	off := 40
-	for i := 0; i < NDirect; i++ {
+	for i := 0; i < nDirect; i++ {
 		binary.LittleEndian.PutUint32(b[off:], uint32(ino.Direct[i]))
 		off += 4
 	}
@@ -205,7 +205,7 @@ func (ino *Inode) encode(b []byte) {
 	binary.LittleEndian.PutUint32(b[off+4:], uint32(ino.Double))
 }
 
-func (ino *Inode) decode(b []byte) {
+func (ino *dinode) decode(b []byte) {
 	ino.Inum = binary.LittleEndian.Uint32(b[0:])
 	ino.Version = binary.LittleEndian.Uint32(b[4:])
 	ino.Type = FileType(b[8])
@@ -214,7 +214,7 @@ func (ino *Inode) decode(b []byte) {
 	ino.Mtime = int64(binary.LittleEndian.Uint64(b[24:]))
 	ino.Ctime = int64(binary.LittleEndian.Uint64(b[32:]))
 	off := 40
-	for i := 0; i < NDirect; i++ {
+	for i := 0; i < nDirect; i++ {
 		ino.Direct[i] = addr.BlockNo(binary.LittleEndian.Uint32(b[off:]))
 		off += 4
 	}
@@ -249,8 +249,8 @@ type Summary struct {
 const (
 	// SumCheckpoint marks the partial segment written by a checkpoint.
 	SumCheckpoint uint16 = 1 << 0
-	// SumStaging marks a staging (to-be-migrated) segment image.
-	SumStaging uint16 = 1 << 1
+	// sumStaging marks a staging (to-be-migrated) segment image.
+	sumStaging uint16 = 1 << 1
 )
 
 var crcTab = crc32.MakeTable(crc32.Castagnoli)
@@ -258,9 +258,9 @@ var crcTab = crc32.MakeTable(crc32.Castagnoli)
 // crc32Sum is the checksum used for summary and data verification.
 func crc32Sum(b []byte) uint32 { return crc32.Checksum(b, crcTab) }
 
-// EncodeSummary serializes s into a BlockSize buffer, computing SumSum.
+// encodeSummary serializes s into a BlockSize buffer, computing SumSum.
 // DataSum must already be set.
-func EncodeSummary(s *Summary, b []byte) error {
+func encodeSummary(s *Summary, b []byte) error {
 	for i := range b {
 		b[i] = 0
 	}
@@ -313,9 +313,9 @@ func EncodeSummary(s *Summary, b []byte) error {
 // end. Media content is input: callers end their walk of the log there.
 var ErrBadSummary = errors.New("lfs: bad summary block")
 
-// DecodeSummary parses a summary block, verifying magic and checksum and
+// decodeSummary parses a summary block, verifying magic and checksum and
 // every count against the length of b.
-func DecodeSummary(b []byte) (*Summary, error) {
+func decodeSummary(b []byte) (*Summary, error) {
 	if len(b) < summaryHeader {
 		return nil, fmt.Errorf("%w: %d bytes, the header takes %d", ErrBadSummary, len(b), summaryHeader)
 	}

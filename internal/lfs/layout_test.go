@@ -44,10 +44,10 @@ func TestSummaryLayout(t *testing.T) {
 		}
 		s.NBlocks = uint16(1 + blocks)
 		buf := make([]byte, BlockSize)
-		if err := EncodeSummary(s, buf); err != nil {
+		if err := encodeSummary(s, buf); err != nil {
 			return false
 		}
-		got, err := DecodeSummary(buf)
+		got, err := decodeSummary(buf)
 		if err != nil {
 			return false
 		}
@@ -65,14 +65,14 @@ func TestSummaryRejectsCorruption(t *testing.T) {
 	s := &Summary{Next: 7, Create: 123, Serial: 9, NBlocks: 3,
 		Finfos: []Finfo{{Inum: 5, Version: 1, Lbns: []int32{0, 1}}}}
 	buf := make([]byte, BlockSize)
-	if err := EncodeSummary(s, buf); err != nil {
+	if err := encodeSummary(s, buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, off := range []int{0, 4, 12, 20, 40} {
 		c := make([]byte, BlockSize)
 		copy(c, buf)
 		c[off] ^= 0xFF
-		if _, err := DecodeSummary(c); err == nil {
+		if _, err := decodeSummary(c); err == nil {
 			t.Errorf("corruption at byte %d accepted", off)
 		}
 	}
@@ -85,12 +85,12 @@ func TestSummaryOverflowDetected(t *testing.T) {
 		s.Finfos = append(s.Finfos, Finfo{Inum: uint32(i + 1), Lbns: []int32{0, 1, 2}})
 	}
 	buf := make([]byte, BlockSize)
-	if err := EncodeSummary(s, buf); err == nil {
+	if err := encodeSummary(s, buf); err == nil {
 		t.Fatal("overflowing summary encoded without error")
 	}
 }
 
-// resum stores the checksum DecodeSummary expects of b, as the writer of a
+// resum stores the checksum decodeSummary expects of b, as the writer of a
 // block with these contents would have.
 func resum(b []byte) {
 	if len(b) >= 8 {
@@ -107,7 +107,7 @@ func TestSummaryRejectsBadCounts(t *testing.T) {
 	s := &Summary{Next: 7, Create: 123, Serial: 9, NBlocks: 4, InoAddrs: []addr.BlockNo{99},
 		Finfos: []Finfo{{Inum: 5, Version: 1, Lbns: []int32{0, 1}}}}
 	valid := make([]byte, BlockSize)
-	if err := EncodeSummary(s, valid); err != nil {
+	if err := encodeSummary(s, valid); err != nil {
 		t.Fatal(err)
 	}
 	lenAt := summaryHeader + 4*len(s.InoAddrs) + 8
@@ -126,24 +126,24 @@ func TestSummaryRejectsBadCounts(t *testing.T) {
 	for name, mutate := range cases {
 		b := mutate(bytes.Clone(valid))
 		resum(b)
-		if _, err := DecodeSummary(b); !errors.Is(err, ErrBadSummary) {
+		if _, err := decodeSummary(b); !errors.Is(err, ErrBadSummary) {
 			t.Errorf("%s: error %v, want ErrBadSummary", name, err)
 		}
 	}
 }
 
-// FuzzDecodeSummary: whatever the block, DecodeSummary does not panic, and a
+// FuzzDecodeSummary: whatever the block, decodeSummary does not panic, and a
 // block it accepts encodes again (into as many bytes) to a block that
 // decodes to the same summary. The block is tried as given and with its
 // checksum recomputed, without which no mutation would get past the
 // checksum to the count fields.
 func FuzzDecodeSummary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, err := DecodeSummary(b); err != nil && len(b) < summaryHeader && !errors.Is(err, ErrBadSummary) {
+		if _, err := decodeSummary(b); err != nil && len(b) < summaryHeader && !errors.Is(err, ErrBadSummary) {
 			t.Fatalf("%d-byte block: error %v is not ErrBadSummary", len(b), err)
 		}
 		resum(b)
-		s, err := DecodeSummary(b)
+		s, err := decodeSummary(b)
 		if err != nil {
 			if !errors.Is(err, ErrBadSummary) && binary.LittleEndian.Uint32(b) == summaryMagic {
 				t.Fatalf("checksummed block with the magic: error %v is not ErrBadSummary", err)
@@ -151,10 +151,10 @@ func FuzzDecodeSummary(f *testing.F) {
 			return
 		}
 		again := make([]byte, len(b))
-		if err := EncodeSummary(s, again); err != nil {
+		if err := encodeSummary(s, again); err != nil {
 			t.Fatalf("encoding an accepted summary: %v", err)
 		}
-		s2, err := DecodeSummary(again)
+		s2, err := decodeSummary(again)
 		if err != nil {
 			t.Fatalf("decoding it again: %v", err)
 		}
@@ -169,7 +169,7 @@ func FuzzDecodeSummary(f *testing.F) {
 // on-media format.
 func TestInodeLayout(t *testing.T) {
 	f := func(inum, version, nlink uint32, size uint64, mtime, ctime int64, typ uint8, ptrSeed int64) bool {
-		ino := &Inode{
+		ino := &dinode{
 			Inum:    inum,
 			Version: version,
 			Type:    FileType(typ % 3),
@@ -186,7 +186,7 @@ func TestInodeLayout(t *testing.T) {
 		ino.Double = addr.BlockNo(rng.Uint32())
 		buf := make([]byte, InodeSize)
 		ino.encode(buf)
-		var got Inode
+		var got dinode
 		got.decode(buf)
 		return reflect.DeepEqual(*ino, got)
 	}
@@ -199,7 +199,7 @@ func TestInodeLayout(t *testing.T) {
 func TestSeguseAndImapLayout(t *testing.T) {
 	fSeg := func(flags, live, tag, avail uint32, mod int64) bool {
 		s := Seguse{Flags: flags, LiveBytes: live, LastMod: mod, CacheTag: tag, Avail: avail}
-		buf := make([]byte, SeguseSize)
+		buf := make([]byte, seguseSize)
 		s.encode(buf)
 		var got Seguse
 		got.decode(buf)
@@ -210,7 +210,7 @@ func TestSeguseAndImapLayout(t *testing.T) {
 	}
 	fImap := func(a, slot, version uint32, atime int64) bool {
 		e := ImapEntry{Addr: addr.BlockNo(a), Slot: slot, Version: version, Atime: atime}
-		buf := make([]byte, ImapSize)
+		buf := make([]byte, imapSize)
 		e.encode(buf)
 		var got ImapEntry
 		got.decode(buf)
@@ -416,9 +416,9 @@ func TestCorruptImapSlotIsAnError(t *testing.T) {
 // inode it accepts is inum's and encodes to a slot that decodes the same, and
 // every entry encodes to bytes that decode the same.
 func FuzzInodeDecode(f *testing.F) {
-	ent, blk := make([]byte, ImapSize), make([]byte, BlockSize)
+	ent, blk := make([]byte, imapSize), make([]byte, BlockSize)
 	(&ImapEntry{Addr: 700, Slot: 3, Version: 2, Atime: 5e9}).encode(ent)
-	(&Inode{Inum: 9, Version: 2, Type: TypeFile, Nlink: 1, Size: 12345, Single: 800}).encode(blk[3*InodeSize:])
+	(&dinode{Inum: 9, Version: 2, Type: TypeFile, Nlink: 1, Size: 12345, Single: 800}).encode(blk[3*InodeSize:])
 	f.Add(ent, blk[:4*InodeSize], uint32(9))
 	past := bytes.Clone(ent)
 	binary.LittleEndian.PutUint32(past[4:], 40)

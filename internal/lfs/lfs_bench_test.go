@@ -178,7 +178,7 @@ func BenchmarkLFSCleanSegment(b *testing.B) {
 			if err := fs.Sync(p); err != nil {
 				b.Fatal(err)
 			}
-			segs := fs.SelectLeastLive(1)
+			segs := fs.selectLeastLive(1)
 			if len(segs) == 0 {
 				b.Fatal("nothing cleanable")
 			}

@@ -581,7 +581,7 @@ func TestSeguseAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 		var live uint32
-		for s := e.fs.ReservedSegs(); s < e.fs.Map().DiskSegs(); s++ {
+		for s := e.fs.ReservedSegs(); s < e.fs.amap.DiskSegs(); s++ {
 			live += e.fs.SegUsage(addr.SegNo(s)).LiveBytes
 		}
 		// At least the file's 10 blocks plus metadata must be live.
@@ -598,7 +598,7 @@ func TestSeguseAccounting(t *testing.T) {
 			}
 		}
 		var live2 uint32
-		for s := e.fs.ReservedSegs(); s < e.fs.Map().DiskSegs(); s++ {
+		for s := e.fs.ReservedSegs(); s < e.fs.amap.DiskSegs(); s++ {
 			live2 += e.fs.SegUsage(addr.SegNo(s)).LiveBytes
 		}
 		if live2 > live+6*BlockSize+2*uint32(e.fs.Stats().PartialSegs)*BlockSize {
@@ -680,7 +680,7 @@ func TestFileTooBig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		huge := int64(MaxFileBlocks) * BlockSize
+		huge := int64(maxFileBlocks) * BlockSize
 		if _, err := f.WriteAt(p, []byte{1}, huge); !errors.Is(err, ErrFileTooBig) {
 			t.Fatalf("want ErrFileTooBig, got %v", err)
 		}

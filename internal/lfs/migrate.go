@@ -53,18 +53,18 @@ func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
 		}
 		return nil
 	}
-	if nblocks > NDirect {
+	if nblocks > nDirect {
 		if err := appendMeta(LbnSingle); err != nil {
 			return nil, err
 		}
 	}
-	if int(nblocks) > NDirect+PtrsPerBlock {
+	if int(nblocks) > nDirect+ptrsPerBlock {
 		for i := 0; i < doubleChildren(int(nblocks)); i++ {
-			if err := appendMeta(LbnDoubleChild(i)); err != nil {
+			if err := appendMeta(lbnDoubleChild(i)); err != nil {
 				return nil, err
 			}
 		}
-		if err := appendMeta(LbnDoubleRoot); err != nil {
+		if err := appendMeta(lbnDoubleRoot); err != nil {
 			return nil, err
 		}
 	}
@@ -222,7 +222,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	// Serialize inodes (after all pointer flips), re-point the map, and
 	// mirror the staged partial segment into the cache-line disk segment
 	// (assembled "on-disk in a dirty cache line", §6.2).
-	sum := &Summary{Next: tertSeg, Create: fs.now(), Serial: fs.serial, Flags: SumStaging}
+	sum := &Summary{Next: tertSeg, Create: fs.now(), Serial: fs.serial, Flags: sumStaging}
 	sorted := append([]uint32{}, inodeInums...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
 	moved, err := fs.writePseg(p, sum, fs.amap.BlockOf(cacheSeg, off), base, live, sorted)

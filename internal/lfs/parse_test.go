@@ -31,7 +31,7 @@ func putPseg(t testing.TB, amap *addr.Map, seg addr.SegNo, raw []byte, off int, 
 		Finfos: []Finfo{{Inum: 7, Version: 1, Lbns: ps.lbns}}}
 	if len(ps.inums) > 0 {
 		for slot, inum := range ps.inums {
-			ino := Inode{Inum: inum, Version: 1, Type: TypeFile, Nlink: 1}
+			ino := dinode{Inum: inum, Version: 1, Type: TypeFile, Nlink: 1}
 			ino.encode(raw[(off+n)*BlockSize+slot*InodeSize:])
 		}
 		ia := amap.BlockOf(seg, off+n)
@@ -46,7 +46,7 @@ func putPseg(t testing.TB, amap *addr.Map, seg addr.SegNo, raw []byte, off int, 
 		sum.NBlocks = uint16(ps.nblocks)
 	}
 	sum.DataSum = crc32Sum(raw[(off+1)*BlockSize : (off+n)*BlockSize])
-	if err := EncodeSummary(sum, raw[off*BlockSize:(off+1)*BlockSize]); err != nil {
+	if err := encodeSummary(sum, raw[off*BlockSize:(off+1)*BlockSize]); err != nil {
 		t.Fatal(err)
 	}
 	return off + n
@@ -134,7 +134,7 @@ func readSegmentAtParent(fs *FS, seg addr.SegNo, raw []byte) *SegmentContents {
 	sc := &SegmentContents{Seg: seg, Raw: raw}
 	off := 0
 	for off+1 <= fs.amap.SegBlocks() {
-		sum, err := DecodeSummary(raw[off*BlockSize : (off+1)*BlockSize])
+		sum, err := decodeSummary(raw[off*BlockSize : (off+1)*BlockSize])
 		if err != nil {
 			break
 		}
@@ -162,7 +162,7 @@ func readSegmentAtParent(fs *FS, seg addr.SegNo, raw []byte) *SegmentContents {
 			}
 			blk := raw[idx*BlockSize : (idx+1)*BlockSize]
 			for slot := 0; slot < InodesPerBlock; slot++ {
-				var ino Inode
+				var ino dinode
 				ino.decode(blk[slot*InodeSize:])
 				if ino.Inum != 0 {
 					sc.Inodes = append(sc.Inodes, InodeRef{Inum: ino.Inum, Version: ino.Version, Addr: ia, Slot: uint32(slot)})
@@ -274,7 +274,7 @@ func FuzzParseSegment(f *testing.F) {
 				t.Fatalf("%d offsets for %d psegs ending at block %d of %d", len(sc.Offsets), len(sc.Psegs), next, blocks)
 			}
 			for _, ir := range sc.Inodes {
-				if ir.Inum == 0 || int(ir.Inum) >= e.fs.MaxInodes() || ir.Slot >= InodesPerBlock ||
+				if ir.Inum == 0 || int(ir.Inum) >= len(e.fs.imap) || ir.Slot >= InodesPerBlock ||
 					e.amap.SegOf(ir.Addr) != seg || e.amap.OffOf(ir.Addr) >= blocks {
 					t.Fatalf("inode ref %+v: not in the inode map, or not in a block of the image", ir)
 				}

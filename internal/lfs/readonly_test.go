@@ -315,8 +315,8 @@ func TestWriterOverwritesWhileReaderParked(t *testing.T) {
 	if td.fetches == 0 {
 		t.Fatal("reader never parked")
 	}
-	if fs.DirtyBytes() != BlockSize {
-		t.Fatalf("%d dirty bytes after the read, want the writer's block still dirty", fs.DirtyBytes())
+	if fs.dirtyBytes != BlockSize {
+		t.Fatalf("%d dirty bytes after the read, want the writer's block still dirty", fs.dirtyBytes)
 	}
 	e.run(t, func(p *sim.Proc) {
 		if err := fs.FlushCaches(p); err != nil {

@@ -75,7 +75,7 @@ func (s *stager) migrate(p *sim.Proc, inum uint32, withInode bool) error {
 		if err != nil {
 			return err
 		}
-		tseg := s.fs.Map().SegForIndex(s.next)
+		tseg := s.fs.amap.SegForIndex(s.next)
 		s.next++
 		s.td.line[tseg] = line
 		res, err := s.fs.Migratev(p, refs, inodes, tseg, line, 0)
@@ -94,7 +94,7 @@ func (s *stager) migrate(p *sim.Proc, inum uint32, withInode bool) error {
 // after every step (freed blocks are poisoned, see poison_test.go).
 func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 	const files = 32
-	const big = (NDirect + PtrsPerBlock + 4) * BlockSize // file 0 starts four blocks into its first double-indirect child
+	const big = (nDirect + ptrsPerBlock + 4) * BlockSize // file 0 starts four blocks into its first double-indirect child
 	e, td := newTertEnv(t, 128, 1024, Options{MaxInodes: 64, BufferBytes: 64 * BlockSize, WriteThreshold: 16 * BlockSize, CacheSegs: 500},
 		addr.Geom{Vols: 2, SegsPerVol: 250})
 	e.run(t, func(p *sim.Proc) {
@@ -171,7 +171,7 @@ func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if st.next > 0 {
-					td.away[fs.Map().SegForIndex(rng.Intn(st.next))] = true
+					td.away[fs.amap.SegForIndex(rng.Intn(st.next))] = true
 				}
 			case op == 10 && rng.Intn(8) == 0:
 				if err := fs.FlushCaches(p); err != nil {
@@ -186,8 +186,8 @@ func TestReserveInvariantsUnderRandomOps(t *testing.T) {
 				}
 				for i := 0; i < files; i++ {
 					name, got := fmt.Sprintf("/f%d", i), make([]byte, 512)
-					if want := model[name]; len(want) >= NDirect*BlockSize+len(got) {
-						if _, err := open(name).ReadAt(p, got, NDirect*BlockSize); err != nil || !bytes.Equal(got, want[NDirect*BlockSize:][:len(got)]) {
+					if want := model[name]; len(want) >= nDirect*BlockSize+len(got) {
+						if _, err := open(name).ReadAt(p, got, nDirect*BlockSize); err != nil || !bytes.Equal(got, want[nDirect*BlockSize:][:len(got)]) {
 							t.Fatalf("%s: scan of %s: err %v, or wrong content", what, name, err)
 						}
 					}
@@ -272,13 +272,13 @@ func TestReadAheadDoesNotSeeTheReserve(t *testing.T) {
 			t.Fatalf("the pointer block is not in the reserve after the flood: %+v", ptr)
 		}
 		reserved := firstCluster()
-		if absent != NDirect || reserved != absent {
+		if absent != nDirect || reserved != absent {
 			t.Fatalf("first cluster: %d blocks with the pointer block absent, %d with it in the reserve, want %d both times",
-				absent, reserved, NDirect)
+				absent, reserved, nDirect)
 		}
 		before := fs.Stats()
 		got := make([]byte, BlockSize)
-		if _, err := f.ReadAt(p, got, NDirect*BlockSize); err != nil || !bytes.Equal(got, data[NDirect*BlockSize:][:BlockSize]) {
+		if _, err := f.ReadAt(p, got, nDirect*BlockSize); err != nil || !bytes.Equal(got, data[nDirect*BlockSize:][:BlockSize]) {
 			t.Fatalf("read behind the direct blocks: err %v, content ok %v", err, err == nil)
 		}
 		after := fs.Stats()

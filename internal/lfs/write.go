@@ -325,7 +325,7 @@ func (fs *FS) writePseg(p *sim.Proc, sum *Summary, at, base addr.BlockNo, refs [
 	}
 	sum.NBlocks = uint16(len(image) / BlockSize)
 	sum.DataSum = crc32Sum(content)
-	if err := EncodeSummary(sum, image[:BlockSize]); err != nil {
+	if err := encodeSummary(sum, image[:BlockSize]); err != nil {
 		return written, err
 	}
 	fs.chargeCopy(p, len(image), fs.opts.AssemblyCopyRate)

@@ -69,12 +69,12 @@ func writeSession(t *testing.T) []string {
 			if i == 20 {
 				t.Fatalf("no flush filled its segment: log head at offset %d", fs.curOff)
 			}
-			n := min(max(segBlocks-fs.curOff-3, 1), NDirect)
+			n := min(max(segBlocks-fs.curOff-3, 1), nDirect)
 			writeFile(t, p, fs, fmt.Sprintf("/a/pad%d", i), pattern(byte(10+i), n*BlockSize))
 			sync()
 		}
 		// A file two double-indirect children long, flushed as it goes.
-		big := writeFile(t, p, fs, "/b/big", pattern(3, (NDirect+2*PtrsPerBlock+8)*BlockSize))
+		big := writeFile(t, p, fs, "/b/big", pattern(3, (nDirect+2*ptrsPerBlock+8)*BlockSize))
 		must("Checkpoint", fs.Checkpoint(p))
 		// Overwrites leave dead blocks behind; the cleaner takes two segments.
 		_, err = x.WriteAt(p, pattern(4, 30*BlockSize), 20*BlockSize)
@@ -113,7 +113,7 @@ func writeSession(t *testing.T) []string {
 		}
 		// Truncates at block boundaries: a double-indirect child, then the
 		// double-indirect root, then the single indirect block go.
-		for _, blocks := range []int{NDirect + PtrsPerBlock + 5, NDirect + 10, 3} {
+		for _, blocks := range []int{nDirect + ptrsPerBlock + 5, nDirect + 10, 3} {
 			must("Truncate", big.Truncate(p, uint64(blocks*BlockSize)))
 			sync()
 		}
@@ -133,7 +133,7 @@ func writeSession(t *testing.T) []string {
 			}
 		}
 		must("RetireSegments", fs.RetireSegments(p, lo, lo+3))
-		if got := readAll(t, p, big); !bytes.Equal(got, pattern(3, (NDirect+2*PtrsPerBlock+8)*BlockSize)[:3*BlockSize]) {
+		if got := readAll(t, p, big); !bytes.Equal(got, pattern(3, (nDirect+2*ptrsPerBlock+8)*BlockSize)[:3*BlockSize]) {
 			t.Fatal("truncated file reads back wrong")
 		}
 		must("Checkpoint", fs.Checkpoint(p))
@@ -182,7 +182,7 @@ func TestPointerMapAgainstModel(t *testing.T) {
 	e := newEnv(t, 128, 160, Options{MaxInodes: 16, BufferBytes: 1 << 20})
 	e.run(t, func(p *sim.Proc) {
 		fs, rng := e.fs, rand.New(rand.NewSource(25))
-		model := pattern(1, (NDirect+PtrsPerBlock+PtrsPerBlock+40)*BlockSize)
+		model := pattern(1, (nDirect+ptrsPerBlock+ptrsPerBlock+40)*BlockSize)
 		f := writeFile(t, p, fs, "/f", model)
 		check := func(what string) {
 			got := make([]byte, len(model))

@@ -214,9 +214,9 @@ func TestRangeTrackerMergesSequential(t *testing.T) {
 	tr := NewRangeTracker(k)
 	// A sequential whole-file read arrives as consecutive chunks at the
 	// same virtual time: one record results.
-	tr.Record(1, 0, 4, 100)
-	tr.Record(1, 4, 8, 100)
-	tr.Record(1, 8, 12, 100)
+	tr.record(1, 0, 4, 100)
+	tr.record(1, 4, 8, 100)
+	tr.record(1, 8, 12, 100)
 	rs := tr.Ranges(1)
 	if len(rs) != 1 || rs[0].Start != 0 || rs[0].End != 12 {
 		t.Fatalf("sequential access fragmented: %v", rs)
@@ -226,8 +226,8 @@ func TestRangeTrackerMergesSequential(t *testing.T) {
 func TestRangeTrackerSplitsOnNewAccess(t *testing.T) {
 	k := sim.NewKernel()
 	tr := NewRangeTracker(k)
-	tr.Record(1, 0, 10, 100)
-	tr.Record(1, 4, 6, 200) // re-access the middle
+	tr.record(1, 0, 10, 100)
+	tr.record(1, 4, 6, 200) // re-access the middle
 	rs := tr.Ranges(1)
 	if len(rs) != 3 {
 		t.Fatalf("want 3 ranges after middle re-access, got %v", rs)
@@ -242,7 +242,7 @@ func TestRangeTrackerCapsRecords(t *testing.T) {
 	tr := NewRangeTracker(k)
 	tr.MaxRecords = 4
 	for i := int32(0); i < 20; i++ {
-		tr.Record(1, i*2, i*2+1, sim.Time(i))
+		tr.record(1, i*2, i*2+1, sim.Time(i))
 	}
 	rs := tr.Ranges(1)
 	if len(rs) > 4 {
@@ -339,14 +339,14 @@ func TestRangeTrackerColdRegionSurvivesHotChurn(t *testing.T) {
 	// Load era: pages 0..4096 written in chunks with slightly different
 	// stamps.
 	for i := int32(0); i < 4096; i += 64 {
-		tr.Record(1, i, i+64, sim.Time(i)*time.Millisecond)
+		tr.record(1, i, i+64, sim.Time(i)*time.Millisecond)
 	}
 	// An hour later, 400 random accesses within the newest 10%.
 	rng := sim.NewRNG(7)
 	base := sim.Time(time.Hour)
 	for q := 0; q < 400; q++ {
 		pg := int32(3686 + rng.Intn(410))
-		tr.Record(1, pg, pg+1, base+sim.Time(q)*time.Millisecond)
+		tr.record(1, pg, pg+1, base+sim.Time(q)*time.Millisecond)
 	}
 	coldBlocks := 0
 	for _, r := range tr.Ranges(1) {
@@ -438,8 +438,8 @@ func TestRearrangerClustersCoAccessedSegments(t *testing.T) {
 		if _, err := fb.ReadAt(p, buf, 0); err != nil {
 			t.Fatal(err)
 		}
-		if ra.Pending() < 2 {
-			t.Fatalf("rearranger saw %d fetches, want >= 2", ra.Pending())
+		if len(ra.queue) < 2 {
+			t.Fatalf("rearranger saw %d fetches, want >= 2", len(ra.queue))
 		}
 		oldA, oldB := segsOf(fa), segsOf(fb)
 		if n, err := ra.RunOnce(p); err != nil || n == 0 {

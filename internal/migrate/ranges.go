@@ -39,7 +39,7 @@ func NewRangeTracker(k *sim.Kernel) *RangeTracker {
 
 // Hook is the lfs.FS.OnAccess adapter.
 func (t *RangeTracker) Hook(inum uint32, start, end int32, write bool) {
-	t.Record(inum, start, end, t.k.Now())
+	t.record(inum, start, end, t.k.Now())
 }
 
 // Ranges returns a copy of a file's records, sorted by Start.
@@ -50,9 +50,9 @@ func (t *RangeTracker) Ranges(inum uint32) []AccessRange {
 	return out
 }
 
-// Record notes an access of [start, end) at time now. Overlapping pieces
+// record notes an access of [start, end) at time now. Overlapping pieces
 // of older ranges keep their own timestamps; the accessed extent gets now.
-func (t *RangeTracker) Record(inum uint32, start, end int32, now sim.Time) {
+func (t *RangeTracker) record(inum uint32, start, end int32, now sim.Time) {
 	if end <= start {
 		return
 	}

@@ -39,9 +39,6 @@ func NewRearranger(hl *core.HighLight) *Rearranger {
 	return ra
 }
 
-// Pending reports fetched segments awaiting rewrite.
-func (ra *Rearranger) Pending() int { return len(ra.queue) }
-
 // RunOnce rewrites the currently queued fetched segments (in fetch order)
 // and completes the migration. It returns the number of segments
 // rewritten.

@@ -104,13 +104,13 @@ type SegRecord struct {
 
 	LastTouch sim.Time
 
-	// heat is the decayed score as of heatAt; Heat() rolls it forward.
+	// heat is the decayed score as of heatAt; score rolls it forward.
 	heat   float64
 	heatAt sim.Time
 }
 
-// Heat returns the record's exponentially-decayed heat as of now.
-func (r *SegRecord) Heat(halfLife sim.Time, now sim.Time) float64 {
+// score returns the record's exponentially-decayed heat as of now.
+func (r *SegRecord) score(halfLife sim.Time, now sim.Time) float64 {
 	if r == nil {
 		return 0
 	}
@@ -124,8 +124,8 @@ func decay(heat float64, from, to sim.Time, halfLife sim.Time) float64 {
 	return heat * math.Exp2(-float64(to-from)/float64(halfLife))
 }
 
-// FileRecord attributes migration activity to one file.
-type FileRecord struct {
+// fileRecord attributes migration activity to one file.
+type fileRecord struct {
 	Inum        uint32
 	Migrations  int64
 	BytesStaged int64
@@ -142,7 +142,7 @@ type Table struct {
 	segs     map[int]*SegRecord
 	segOrder []int
 
-	files     map[uint32]*FileRecord
+	files     map[uint32]*fileRecord
 	fileOrder []uint32
 }
 
@@ -154,7 +154,7 @@ func NewTable(halfLife sim.Time) *Table {
 	return &Table{
 		HalfLife: halfLife,
 		segs:     map[int]*SegRecord{},
-		files:    map[uint32]*FileRecord{},
+		files:    map[uint32]*fileRecord{},
 	}
 }
 
@@ -206,7 +206,7 @@ func (t *Table) TouchFile(inum uint32, bytes int64, now sim.Time) {
 	}
 	f := t.files[inum]
 	if f == nil {
-		f = &FileRecord{Inum: inum}
+		f = &fileRecord{Inum: inum}
 		t.files[inum] = f
 		t.fileOrder = append(t.fileOrder, inum)
 	}
@@ -222,7 +222,7 @@ func (t *Table) Heat(tag int, now sim.Time) float64 {
 	if t == nil {
 		return 0
 	}
-	return t.segs[tag].Heat(t.HalfLife, now)
+	return t.segs[tag].score(t.HalfLife, now)
 }
 
 // Seg returns a copy of tag's record (ok=false if never touched).
@@ -281,7 +281,7 @@ func (t *Table) Snapshot(now sim.Time) *Snapshot {
 		r := t.segs[tag]
 		s.Segments = append(s.Segments, SegEntry{
 			Tag:       r.Tag,
-			Heat:      r.Heat(t.HalfLife, now),
+			Heat:      r.score(t.HalfLife, now),
 			Hits:      r.Hits,
 			Misses:    r.Misses,
 			Fetches:   r.Fetches,

@@ -129,14 +129,6 @@ func (a *Audit) Total() int64 {
 	return a.total
 }
 
-// Len reports how many decisions are retained.
-func (a *Audit) Len() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.buf)
-}
-
 // All returns the retained decisions, oldest first.
 func (a *Audit) All() []Decision {
 	if a == nil {

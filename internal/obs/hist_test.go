@@ -13,12 +13,12 @@ func msec(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
 func TestHistogramEmptyAndNil(t *testing.T) {
 	var nilH *Histogram
 	nilH.Observe(msec(5)) // must not panic
-	if got := nilH.Quantile(0.5); got != 0 {
+	if got := nilH.quantile(0.5); got != 0 {
 		t.Fatalf("nil histogram quantile = %v, want 0", got)
 	}
 	h := &Histogram{Bounds: LatencyBounds, Counts: make([]int64, len(LatencyBounds)+1)}
 	for _, p := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(p); got != 0 {
+		if got := h.quantile(p); got != 0 {
 			t.Fatalf("empty histogram Quantile(%v) = %v, want 0", p, got)
 		}
 	}
@@ -46,14 +46,14 @@ func TestHistogramQuantileClamps(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(msec(i))
 	}
-	lo, hi := h.Quantile(0), h.Quantile(1)
-	if got := h.Quantile(-3); got != lo {
+	lo, hi := h.quantile(0), h.quantile(1)
+	if got := h.quantile(-3); got != lo {
 		t.Fatalf("Quantile(-3) = %v, want clamp to Quantile(0) = %v", got, lo)
 	}
-	if got := h.Quantile(7); got != hi {
+	if got := h.quantile(7); got != hi {
 		t.Fatalf("Quantile(7) = %v, want clamp to Quantile(1) = %v", got, hi)
 	}
-	if got := h.Quantile(math.NaN()); got != lo {
+	if got := h.quantile(math.NaN()); got != lo {
 		t.Fatalf("Quantile(NaN) = %v, want clamp to Quantile(0) = %v", got, lo)
 	}
 	if lo > h.P50() || h.P50() > h.P99() || h.P99() > hi {

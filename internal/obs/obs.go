@@ -170,7 +170,7 @@ func (h *Histogram) Mean() sim.Time {
 	return h.Sum / sim.Time(h.N)
 }
 
-// Quantile estimates the p-quantile (0 < p <= 1) of the observed
+// quantile estimates the p-quantile (0 < p <= 1) of the observed
 // durations from the bucket counts, interpolating linearly within the
 // bucket that holds the target rank (bucket lower edge .. upper edge).
 // The unbounded last bucket is clamped to its lower edge, so a p99 of
@@ -178,7 +178,7 @@ func (h *Histogram) Mean() sim.Time {
 // Returns 0 for an empty or nil histogram. Out-of-range p clamps to
 // [0, 1]; NaN clamps to 0 (the smallest retained rank) rather than
 // poisoning the interpolation.
-func (h *Histogram) Quantile(p float64) sim.Time {
+func (h *Histogram) quantile(p float64) sim.Time {
 	if h == nil || h.N == 0 {
 		return 0
 	}
@@ -223,10 +223,10 @@ func (h *Histogram) Quantile(p float64) sim.Time {
 }
 
 // P50 is the median observed duration.
-func (h *Histogram) P50() sim.Time { return h.Quantile(0.50) }
+func (h *Histogram) P50() sim.Time { return h.quantile(0.50) }
 
 // P99 is the 99th-percentile observed duration.
-func (h *Histogram) P99() sim.Time { return h.Quantile(0.99) }
+func (h *Histogram) P99() sim.Time { return h.quantile(0.99) }
 
 // Obs is one observability domain: a registry of spans, counters,
 // gauges, and histograms sharing a kernel clock. The zero value is not

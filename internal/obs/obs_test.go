@@ -242,11 +242,11 @@ func TestHistogramQuantiles(t *testing.T) {
 		t.Fatalf("P99 = %v, want 296", got)
 	}
 	// p=1 fills the last occupied bucket exactly.
-	if got := h.Quantile(1); got != sim.Time(300) {
+	if got := h.quantile(1); got != sim.Time(300) {
 		t.Fatalf("Quantile(1) = %v, want 300", got)
 	}
 	// Out-of-range p clamps rather than panicking.
-	if h.Quantile(-1) != h.Quantile(0) || h.Quantile(2) != h.Quantile(1) {
+	if h.quantile(-1) != h.quantile(0) || h.quantile(2) != h.quantile(1) {
 		t.Fatal("out-of-range p not clamped")
 	}
 }
@@ -269,13 +269,13 @@ func TestHistogramQuantileOverflowClamps(t *testing.T) {
 
 func TestHistogramQuantileEmptyAndNil(t *testing.T) {
 	var h *Histogram
-	if h.Quantile(0.5) != 0 || h.P50() != 0 || h.P99() != 0 {
+	if h.quantile(0.5) != 0 || h.P50() != 0 || h.P99() != 0 {
 		t.Fatal("nil histogram produced a quantile")
 	}
 	o := run(t, false, func(p *sim.Proc, o *Obs) {
 		o.Histogram("empty", LatencyBounds)
 	})
-	if got := o.Histogram("empty", nil).Quantile(0.99); got != 0 {
+	if got := o.Histogram("empty", nil).quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", got)
 	}
 }

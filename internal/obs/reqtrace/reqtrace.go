@@ -60,9 +60,9 @@ const (
 	// KindIOQueue is time a fetch's transfer sat in its library's I/O queue
 	// with every I/O process of that library busy (inside its fetch-wait).
 	KindIOQueue
-	// KindExec is the residual: request time no recorded stage covers
+	// kindExec is the residual: request time no recorded stage covers
 	// (computation, buffer copies, unattributed waits).
-	KindExec
+	kindExec
 
 	numKinds
 )
@@ -83,7 +83,7 @@ func (k Kind) String() string {
 // maxStages bounds one trace's stage list; a pathological request (a
 // huge read touching hundreds of cache lines) stops recording detail
 // rather than growing without bound. The critical-path invariant holds
-// regardless: unrecorded time lands in the KindExec residual.
+// regardless: unrecorded time lands in the kindExec residual.
 const maxStages = 512
 
 // Stage is one recorded interval of a trace.
@@ -171,9 +171,9 @@ func (tr *Trace) complete(now sim.Time, err error) {
 	tr.Done = true
 }
 
-// PathSeg is one interval of the critical path: the innermost stage
-// covering [Start, End), or the KindExec residual (StageIdx -1).
-type PathSeg struct {
+// pathSeg is one interval of the critical path: the innermost stage
+// covering [Start, End), or the kindExec residual (StageIdx -1).
+type pathSeg struct {
 	Kind     Kind
 	Note     string
 	Start    sim.Time
@@ -181,12 +181,12 @@ type PathSeg struct {
 	StageIdx int
 }
 
-// CriticalPath partitions [Submit, End] into segments, each attributed
+// criticalPath partitions [Submit, End] into segments, each attributed
 // to the innermost (latest-started; ties to the latest-recorded) stage
-// open over it. Time no stage covers becomes a KindExec segment. The
+// open over it. Time no stage covers becomes a kindExec segment. The
 // segments are contiguous and exactly cover the request's life, so
 // their durations sum to Latency() by construction.
-func (tr *Trace) CriticalPath() []PathSeg {
+func (tr *Trace) criticalPath() []pathSeg {
 	if tr == nil || !tr.Done || tr.End <= tr.Submit {
 		return nil
 	}
@@ -206,7 +206,7 @@ func (tr *Trace) CriticalPath() []PathSeg {
 		points = append(points, clamp(tr.Stages[i].Start), clamp(tr.Stages[i].End))
 	}
 	sort.Slice(points, func(a, b int) bool { return points[a] < points[b] })
-	var segs []PathSeg
+	var segs []pathSeg
 	for i := 0; i+1 < len(points); i++ {
 		a, b := points[i], points[i+1]
 		if b <= a {
@@ -225,7 +225,7 @@ func (tr *Trace) CriticalPath() []PathSeg {
 				}
 			}
 		}
-		kind, note := KindExec, ""
+		kind, note := kindExec, ""
 		if best >= 0 {
 			kind, note = tr.Stages[best].Kind, tr.Stages[best].Note
 		}
@@ -233,7 +233,7 @@ func (tr *Trace) CriticalPath() []PathSeg {
 			segs[n-1].End = b
 			continue
 		}
-		segs = append(segs, PathSeg{Kind: kind, Note: note, Start: a, End: b, StageIdx: best})
+		segs = append(segs, pathSeg{Kind: kind, Note: note, Start: a, End: b, StageIdx: best})
 	}
 	return segs
 }
@@ -242,7 +242,7 @@ func (tr *Trace) CriticalPath() []PathSeg {
 // instant of the request exactly once: their sum equals Latency().
 func (tr *Trace) Breakdown() [numKinds]sim.Time {
 	var out [numKinds]sim.Time
-	for _, s := range tr.CriticalPath() {
+	for _, s := range tr.criticalPath() {
 		out[s.Kind] += s.End - s.Start
 	}
 	return out

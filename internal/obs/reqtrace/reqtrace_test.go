@@ -31,7 +31,7 @@ func TestCriticalPathAttributesInnermostStage(t *testing.T) {
 		KindFetchWait:     ms(50), // 10..20 and 60..100
 		KindDriveSwap:     ms(20), // 20..30 and 50..60
 		KindMediaTransfer: ms(20), // 30..50
-		KindExec:          ms(20), // 100..120
+		kindExec:          ms(20), // 100..120
 	}
 	var sum sim.Time
 	for k, d := range b {
@@ -95,7 +95,7 @@ func TestNilSafety(t *testing.T) {
 	tr.StageEnd(0, 0)
 	tr.Mark(KindAdmission, 0, "")
 	tr.complete(0, nil)
-	if tr.Latency() != 0 || tr.CriticalPath() != nil {
+	if tr.Latency() != 0 || tr.criticalPath() != nil {
 		t.Fatal("nil trace not inert")
 	}
 	var tc *Tracer
@@ -162,7 +162,7 @@ func TestZeroLatencyRequest(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.CriticalPath()) != 0 {
+	if len(tr.criticalPath()) != 0 {
 		t.Fatal("zero-latency request has path segments")
 	}
 }

@@ -34,7 +34,7 @@ func BenchmarkCondPingPong(b *testing.B) {
 		}
 	})
 	k.RunProc(func(p *Proc) {
-		p.Yield() // let echo reach its first Wait
+		p.Sleep(0) // let echo reach its first Wait
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ping.Signal()

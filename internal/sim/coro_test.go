@@ -45,15 +45,15 @@ func TestYieldStillRunsEveryRunnableProcFirst(t *testing.T) {
 			name := fmt.Sprintf("w%d", i)
 			k.Go(name, func(wp *Proc) {
 				order = append(order, name)
-				wp.Yield()
+				wp.Sleep(0)
 				order = append(order, name+"'")
 			})
 		}
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "main")
 		p.Sleep(0) // w0' w1' w2' are runnable now and go first
 		order = append(order, "main'")
-		p.Yield() // nothing else runnable: returns in place
+		p.Sleep(0) // nothing else runnable: returns in place
 		order = append(order, "main''")
 	})
 	want := "w0,w1,w2,main,w0',w1',w2',main',main''"
@@ -159,7 +159,7 @@ func TestPanicOnRecycledCoroutine(t *testing.T) {
 	var recycled, ranOn *coro
 	k.Go("main", func(p *Proc) {
 		k.Go("short", func(*Proc) {})
-		p.Yield() // short runs to its end and leaves its coroutine idle
+		p.Sleep(0) // short runs to its end and leaves its coroutine idle
 		if len(k.idle) != 1 {
 			t.Errorf("%d idle coroutines after short finished, want 1", len(k.idle))
 			return

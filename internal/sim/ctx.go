@@ -38,14 +38,6 @@ func (k *Kernel) NewCtx(deadline Time) *Ctx {
 	return &Ctx{k: k, deadline: deadline}
 }
 
-// Deadline reports the absolute deadline (0 = none). Nil-safe.
-func (c *Ctx) Deadline() Time {
-	if c == nil {
-		return 0
-	}
-	return c.deadline
-}
-
 // Err reports why the scope is dead: ErrCanceled / ErrDeadlineExceeded,
 // or nil while the request may still proceed. The deadline is checked
 // passively against the kernel clock, so blocking layers that poll Err in

@@ -69,9 +69,6 @@ func TestCtxNilSafe(t *testing.T) {
 	if c.Err() != nil {
 		t.Fatalf("nil ctx Err() = %v", c.Err())
 	}
-	if c.Deadline() != 0 {
-		t.Fatalf("nil ctx Deadline() = %v", c.Deadline())
-	}
 	c.Cancel(errors.New("ignored"))
 	ran := false
 	c.OnCancel(func() { ran = true })

@@ -12,8 +12,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/schedule.golden from this kernel")
 
 // scheduleProgram runs one seeded random program over every primitive —
-// Sleep, Yield, Resource, Cond, Chan, Go — on 50 procs beside a ticker
-// and three consumer daemons, and returns the (time, proc, step) log in
+// Sleep (zero sleeps too), Resource, Cond, Chan, Go — on 50 procs beside a
+// ticker and three consumer daemons, and returns the (time, proc, step) log in
 // execution order. Every delay is a multiple of 50 µs, so wake-ups collide
 // constantly and the log is a record of the kernel's FIFO tie-breaks.
 func scheduleProgram(k *Kernel, seed uint64) []string {
@@ -40,10 +40,7 @@ func scheduleProgram(k *Kernel, seed uint64) []string {
 		rng := NewRNG(seed ^ uint64(1000+c))
 		k.GoDaemon(fmt.Sprintf("consumer%d", c), func(p *Proc) {
 			for {
-				v, ok := work.Recv(p)
-				if !ok {
-					return
-				}
+				v := work.Recv(p)
 				rec(p, "recv %v", v)
 				p.Sleep(Time(rng.Int63n(6)) * quant)
 			}
@@ -83,7 +80,7 @@ func scheduleProgram(k *Kernel, seed uint64) []string {
 					})
 					rec(p, "spawned")
 				case 5:
-					p.Yield()
+					p.Sleep(0)
 					rec(p, "yielded")
 				}
 			}

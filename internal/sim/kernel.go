@@ -380,10 +380,6 @@ func (p *Proc) Sleep(d Time) {
 	p.yieldToKernel()
 }
 
-// Yield gives other runnable processes a chance to run at the current
-// virtual time.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // suspend blocks the process until another process wakes it via k.wake.
 // why describes the wait for deadlock diagnostics.
 func (p *Proc) suspend(why string) {

@@ -66,7 +66,7 @@ func TestZeroSleepYields(t *testing.T) {
 	var order []string
 	k.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	k.Go("b", func(p *Proc) {

@@ -13,7 +13,6 @@ type Resource struct {
 	waiters []*Proc
 
 	// Stats.
-	acquires  int64
 	waitTotal Time
 	busySince Time
 	busyTotal Time
@@ -27,7 +26,6 @@ func (k *Kernel) NewResource(name string) *Resource {
 
 // Acquire takes the resource, waiting in FIFO order if it is busy.
 func (r *Resource) Acquire(p *Proc) {
-	r.acquires++
 	if r.owner == nil {
 		r.owner = p
 		r.busySince = r.k.now
@@ -85,7 +83,6 @@ func (r *Resource) BusyTotal() Time {
 }
 
 // Acquires reports how many times the resource has been acquired.
-func (r *Resource) Acquires() int64 { return r.acquires }
 
 // Cond is a condition variable in virtual time. Unlike sync.Cond there is no
 // separate lock: only one process runs at a time, so checking the condition
@@ -136,7 +133,6 @@ type Chan struct {
 	buf      []interface{}
 	notEmpty *Cond
 	notFull  *Cond
-	closed   bool
 }
 
 // NewChan returns a channel with the given capacity. A capacity of 0 is
@@ -154,35 +150,24 @@ func (k *Kernel) NewChan(name string, capacity int) *Chan {
 	}
 }
 
-// Send enqueues v, blocking while the channel is full. Sending on a closed
-// channel panics.
+// Send enqueues v, blocking while the channel is full.
 func (c *Chan) Send(p *Proc, v interface{}) {
 	for len(c.buf) >= c.capacity {
-		if c.closed {
-			panic("sim: send on closed chan " + c.name)
-		}
 		c.notFull.Wait(p)
-	}
-	if c.closed {
-		panic("sim: send on closed chan " + c.name)
 	}
 	c.buf = append(c.buf, v)
 	c.notEmpty.Signal()
 }
 
-// Recv dequeues the oldest value, blocking while the channel is empty. The
-// second result is false if the channel is closed and drained.
-func (c *Chan) Recv(p *Proc) (interface{}, bool) {
+// Recv dequeues the oldest value, blocking while the channel is empty.
+func (c *Chan) Recv(p *Proc) interface{} {
 	for len(c.buf) == 0 {
-		if c.closed {
-			return nil, false
-		}
 		c.notEmpty.Wait(p)
 	}
 	v := c.buf[0]
 	c.buf = c.buf[1:]
 	c.notFull.Signal()
-	return v, true
+	return v
 }
 
 // TryRecv dequeues a value without blocking.
@@ -194,13 +179,6 @@ func (c *Chan) TryRecv() (interface{}, bool) {
 	c.buf = c.buf[1:]
 	c.notFull.Signal()
 	return v, true
-}
-
-// Close marks the channel closed and wakes all blocked receivers.
-func (c *Chan) Close() {
-	c.closed = true
-	c.notEmpty.Broadcast()
-	c.notFull.Broadcast()
 }
 
 // Len reports the number of queued values.

@@ -96,9 +96,6 @@ func TestResourceStats(t *testing.T) {
 	if got := r.WaitTotal(); got != time.Second {
 		t.Fatalf("WaitTotal = %v, want 1s (b waited 1s)", got)
 	}
-	if r.Acquires() != 2 {
-		t.Fatalf("Acquires = %d, want 2", r.Acquires())
-	}
 }
 
 func TestReleaseByNonOwnerPanics(t *testing.T) {
@@ -145,15 +142,10 @@ func TestChanFIFO(t *testing.T) {
 			ch.Send(p, i)
 			p.Sleep(time.Millisecond)
 		}
-		ch.Close()
 	})
 	k.Go("consumer", func(p *Proc) {
-		for {
-			v, ok := ch.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, v.(int))
+		for i := 0; i < 10; i++ {
+			got = append(got, ch.Recv(p).(int))
 		}
 	})
 	k.Run()
@@ -179,8 +171,8 @@ func TestChanBlocksWhenFull(t *testing.T) {
 	})
 	k.Go("consumer", func(p *Proc) {
 		p.Sleep(time.Second)
-		if _, ok := ch.Recv(p); !ok {
-			t.Error("recv failed")
+		if v := ch.Recv(p); v != 1 {
+			t.Errorf("recv = %v, want 1", v)
 		}
 	})
 	k.Run()

@@ -128,9 +128,9 @@ func TestAdoptedLineDegradedRead(t *testing.T) {
 		lent := bytes.Clone(img)
 		overwrite(t, p, f, model, img, lent, lineStart+44, 4)
 		for i := range disks {
-			f.SetFailed(i, true)
+			f.setFailed(i, true)
 			readsAs(t, p, f, model, "degraded read")
-			f.SetFailed(i, false)
+			f.setFailed(i, false)
 		}
 	})
 }
@@ -171,7 +171,7 @@ func TestNoDiskKeepsAFreeListBuffer(t *testing.T) {
 		consistent("after a partial-row write")
 		// Row 6's lane 1 is on spindle 1: with it failed, the write lives in
 		// the parity unit alone, rebuilt from the old parity and row image.
-		f.SetFailed(1, true)
+		f.setFailed(1, true)
 		overwrite(t, p, f, model, img, lent, lineStart+60, 4)
 		readsAs(t, p, f, model, "after a degraded write")
 	})

@@ -84,7 +84,7 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 					t.Fatal(err)
 				}
 				if tc.failed >= 0 {
-					il.SetFailed(tc.failed, true)
+					il.setFailed(tc.failed, true)
 				}
 				got := allocBytesPerOp(func() {
 					if err := tc.op(p, il, buf); err != nil {

@@ -57,7 +57,7 @@ func TestBlockDevContract(t *testing.T) {
 		}},
 		{"interleave parity, spindle 2 failed", func(k *sim.Kernel) dev.BlockDev {
 			il := Must(NewInterleave(unit, true, disks(k, 4)...))
-			il.SetFailed(2, true)
+			il.setFailed(2, true)
 			return il
 		}},
 	} {

@@ -100,7 +100,7 @@ func TestInterleaveDegradedRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		for fail := 0; fail < n; fail++ {
-			il.SetFailed(fail, true)
+			il.setFailed(fail, true)
 			r := make([]byte, total*dev.BlockSize)
 			if err := il.ReadBlocks(p, 0, r); err != nil {
 				t.Fatalf("degraded read with spindle %d failed: %v", fail, err)
@@ -117,14 +117,14 @@ func TestInterleaveDegradedRead(t *testing.T) {
 			if !bytes.Equal(w[5*dev.BlockSize:8*dev.BlockSize], r2) {
 				t.Fatalf("degraded partial read wrong with spindle %d down", fail)
 			}
-			il.SetFailed(fail, false)
+			il.setFailed(fail, false)
 		}
 
 		// Writes in degraded mode maintain parity: new data written while
 		// spindle 1 is down must be readable after it comes back (its lane
 		// is stale, so reads of that lane must come from reconstruction —
 		// fail it again to check parity really covers the write).
-		il.SetFailed(1, true)
+		il.setFailed(1, true)
 		w2 := make([]byte, 5*dev.BlockSize)
 		for i := range w2 {
 			w2[i] = byte(200 - i)
@@ -151,7 +151,7 @@ func TestInterleaveFailureModes(t *testing.T) {
 	par, _ := newInterleave(k, 2, true, 3, 32)
 	k.RunProc(func(p *sim.Proc) {
 		buf := make([]byte, 8*dev.BlockSize)
-		plain.SetFailed(1, true)
+		plain.setFailed(1, true)
 		if err := plain.ReadBlocks(p, 0, buf); err == nil {
 			t.Error("no-parity read through failed spindle succeeded")
 		}
@@ -162,8 +162,8 @@ func TestInterleaveFailureModes(t *testing.T) {
 		if err := par.WriteBlocks(p, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		par.SetFailed(0, true)
-		par.SetFailed(1, true)
+		par.setFailed(0, true)
+		par.setFailed(1, true)
 		if err := par.ReadBlocks(p, 0, buf); err == nil {
 			t.Error("double-failure read succeeded")
 		}
@@ -407,7 +407,7 @@ func TestParityRoundTripOddGeometry(t *testing.T) {
 				}
 				got := make([]byte, len(want))
 				for fail := 0; fail < tc.n; fail++ {
-					il.SetFailed(fail, true)
+					il.setFailed(fail, true)
 					// A small write with the spindle down rebuilds the
 					// failed lane from old parity before recomputing it.
 					blk := int64(rng.Intn(int(total) - 1))
@@ -419,7 +419,7 @@ func TestParityRoundTripOddGeometry(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Fatalf("degraded read with spindle %d down returned wrong data", fail)
 					}
-					il.SetFailed(fail, false)
+					il.setFailed(fail, false)
 					// The repaired spindle's lane is stale where the
 					// degraded write landed; rewrite it so the next
 					// spindle's turn starts from a consistent farm.

@@ -179,10 +179,10 @@ func (f *Farm) Component(i int) (dev.BlockDev, int64) {
 // StripeUnit reports the stripe unit in blocks, 0 for a concatenated farm.
 func (f *Farm) StripeUnit() int { return int(f.unit) }
 
-// SetFailed marks component i failed (or repaired). With parity the farm
+// setFailed marks component i failed (or repaired). With parity the farm
 // keeps serving reads in degraded mode; without parity requests touching
 // the component return ErrComponentFailed.
-func (f *Farm) SetFailed(i int, down bool) { f.failed[i] = down }
+func (f *Farm) setFailed(i int, down bool) { f.failed[i] = down }
 
 // dataDisks is the number of data units per stripe row.
 func (f *Farm) dataDisks() int64 {

@@ -41,24 +41,12 @@ const (
 )
 
 // Breaker states, exported through the per-library gauges
-// (svc.breaker.lib<N>) and State.
+// (svc.breaker.lib<N>).
 const (
-	BreakerClosed   = 0
-	BreakerOpen     = 1
-	BreakerHalfOpen = 2
+	breakerClosed   = 0
+	breakerOpen     = 1
+	breakerHalfOpen = 2
 )
-
-func breakerStateName(s int) string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	}
-	return "unknown"
-}
 
 type libBreaker struct {
 	state      int
@@ -87,8 +75,8 @@ type BreakerSet struct {
 	restores *obs.Counter
 }
 
-// NewBreakerSet creates one breaker per library, all closed.
-func NewBreakerSet(k *sim.Kernel, nlibs int, o *obs.Obs, audit *attr.Audit) *BreakerSet {
+// newBreakerSet creates one breaker per library, all closed.
+func newBreakerSet(k *sim.Kernel, nlibs int, o *obs.Obs, audit *attr.Audit) *BreakerSet {
 	b := &BreakerSet{
 		k: k, o: o, audit: audit,
 		libs:     make([]libBreaker, nlibs),
@@ -103,15 +91,6 @@ func NewBreakerSet(k *sim.Kernel, nlibs int, o *obs.Obs, audit *attr.Audit) *Bre
 	return b
 }
 
-// State reports a library's breaker state (BreakerClosed for unknown
-// libraries, so bare-device configurations need no special casing).
-func (b *BreakerSet) State(lib int) int {
-	if b == nil || lib < 0 || lib >= len(b.libs) {
-		return BreakerClosed
-	}
-	return b.libs[lib].state
-}
-
 // Allow reports whether library lib should be offered traffic. A closed
 // breaker always says yes; an open one says no until its cooldown elapses,
 // at which point the call itself converts to a half-open probe grant. The
@@ -124,13 +103,13 @@ func (b *BreakerSet) Allow(lib int) bool {
 	s := &b.libs[lib]
 	now := b.k.Now()
 	switch s.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return true
-	case BreakerOpen:
+	case breakerOpen:
 		if now-s.openedAt < s.cooldown {
 			return false
 		}
-		b.setState(lib, BreakerHalfOpen)
+		b.setState(lib, breakerHalfOpen)
 		return b.grantProbe(lib, now)
 	default: // half-open
 		if s.probing && now-s.probeStart < s.cooldown {
@@ -176,7 +155,7 @@ func (b *BreakerSet) OnResult(lib int, err error) {
 	s := &b.libs[lib]
 	fail := infraFailure(err)
 	switch s.state {
-	case BreakerClosed:
+	case breakerClosed:
 		if !fail {
 			s.consec = 0
 			return
@@ -185,14 +164,14 @@ func (b *BreakerSet) OnResult(lib int, err error) {
 		if s.consec >= breakerThreshold {
 			b.trip(lib, err, breakerCooldown)
 		}
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if fail {
 			// Failed probe: back to open with a doubled cooldown.
 			b.trip(lib, err, min(2*s.cooldown, breakerMaxCooldown))
 			return
 		}
 		b.restore(lib)
-	case BreakerOpen:
+	case breakerOpen:
 		// A straggling attempt (granted before the trip) finished; its
 		// outcome is stale, so it neither re-trips nor restores.
 	}
@@ -204,7 +183,7 @@ func (b *BreakerSet) trip(lib int, cause error, cooldown sim.Time) {
 	s.openedAt = b.k.Now()
 	s.consec = 0
 	s.probing = false
-	b.setState(lib, BreakerOpen)
+	b.setState(lib, breakerOpen)
 	b.trips.Add(1)
 	reason := "consecutive infrastructure failures"
 	if cause != nil {
@@ -226,7 +205,7 @@ func (b *BreakerSet) restore(lib int) {
 	s.consec = 0
 	s.probing = false
 	s.cooldown = breakerCooldown
-	b.setState(lib, BreakerClosed)
+	b.setState(lib, breakerClosed)
 	b.restores.Add(1)
 	b.audit.Record(attr.Decision{
 		T: b.k.Now(), Actor: "svc.breaker", Subject: fmt.Sprintf("lib:%d", lib),
@@ -238,16 +217,4 @@ func (b *BreakerSet) restore(lib int) {
 func (b *BreakerSet) setState(lib, state int) {
 	b.libs[lib].state = state
 	b.gauges[lib].Set(int64(state))
-}
-
-// Describe summarizes every breaker for status dumps.
-func (b *BreakerSet) Describe() []string {
-	if b == nil {
-		return nil
-	}
-	out := make([]string, len(b.libs))
-	for i := range b.libs {
-		out[i] = fmt.Sprintf("lib%d: %s", i, breakerStateName(b.libs[i].state))
-	}
-	return out
 }

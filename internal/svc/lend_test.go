@@ -300,7 +300,7 @@ func TestLendBorrowedSlotsCountAsQueued(t *testing.T) {
 			reqs = append(reqs, submitRead(t, p, fe, hl, svc.Interactive, path, 0))
 		}
 		waitParked(t, p, fe, 2)
-		if fe.InBrownout() {
+		if fe.Stats().Brownout {
 			t.Error("brownout with two requests in flight on two slots")
 		}
 		// Two more run in the lent slots and park holding them: four in flight,

@@ -144,15 +144,6 @@ type Request struct {
 	done     *sim.Cond
 }
 
-// Cancel abandons the request: a queued request is shed when a worker
-// reaches it, a running one is unwound at its next cancellation point
-// (cache miss, fetch wait, staging chunk boundary, jukebox entry).
-func (r *Request) Cancel() {
-	if !r.finished {
-		r.ctx.Cancel(nil)
-	}
-}
-
 // Wait blocks until the request completes or is shed, returning its error.
 func (r *Request) Wait(p *sim.Proc) error {
 	for !r.finished {
@@ -160,12 +151,6 @@ func (r *Request) Wait(p *sim.Proc) error {
 	}
 	return r.err
 }
-
-// Err returns the terminal error (nil while unfinished or on success).
-func (r *Request) Err() error { return r.err }
-
-// Finished reports whether the request reached a terminal state.
-func (r *Request) Finished() bool { return r.finished }
 
 // FrontEnd is the admission-controlled request front end over one
 // HighLight instance. Create it with New; all methods must be called from
@@ -236,9 +221,9 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 		work:        hl.K.NewCond("svc.work"),
 		retryTokens: retryBudget,
 	}
-	fe.Breakers = NewBreakerSet(hl.K, len(hl.Libraries()), hl.Obs, hl.Audit)
+	fe.Breakers = newBreakerSet(hl.K, len(hl.Libraries()), hl.Obs, hl.Audit)
 	hl.Svc.Breaker = fe.Breakers
-	hl.RepairThrottle = fe.InBrownout
+	hl.RepairThrottle = fe.inBrownout
 
 	o := hl.Obs
 	if !cfg.DisableTracing {
@@ -271,12 +256,12 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 // end, so background migration stands down while interactive queues are
 // deep.
 func (fe *FrontEnd) AttachMigrator(m *migrate.Migrator) {
-	m.Throttle = fe.InBrownout
+	m.Throttle = fe.inBrownout
 }
 
-// InBrownout reports whether the front end is currently shedding
+// inBrownout reports whether the front end is currently shedding
 // background work to protect interactive latency.
-func (fe *FrontEnd) InBrownout() bool { return fe.brownout }
+func (fe *FrontEnd) inBrownout() bool { return fe.brownout }
 
 // Submit admits fn under class with an absolute virtual-time deadline
 // (0 = none), waits for it to complete, and returns its error. A full

@@ -277,9 +277,6 @@ func (s *Service) spawnIO(name string) {
 // Stats returns a snapshot of the counters.
 func (s *Service) Stats() Stats { return s.stats }
 
-// Obs returns the service's observability domain (may be nil).
-func (s *Service) Obs() *obs.Obs { return s.obs }
-
 // SetAttr attaches a heat-attribution table: completed demand fetches
 // and copyouts are attributed to the tertiary segment they moved.
 // (Evictions — including ejections — are attributed by the cache
@@ -474,8 +471,8 @@ func (s *Service) WaitCopyoutProgress(p *sim.Proc) bool {
 	return true
 }
 
-// RequestPrefetch enqueues background fetches (no waiter).
-func (s *Service) RequestPrefetch(p *sim.Proc, tags []int) {
+// requestPrefetch enqueues background fetches (no waiter).
+func (s *Service) requestPrefetch(p *sim.Proc, tags []int) {
 	for _, tag := range tags {
 		if _, ok := s.cache.Peek(tag); ok {
 			continue
@@ -528,11 +525,7 @@ func (s *Service) EjectAll() (ejected int, err error) {
 // and completion messages from the I/O process.
 func (s *Service) serviceLoop(p *sim.Proc) {
 	for {
-		v, ok := s.reqs.Recv(p)
-		if !ok {
-			return
-		}
-		r := v.(request)
+		r := s.reqs.Recv(p).(request)
 		s.obs.Span("tertiary.svc", "svc.queue", r.kind.String(), r.enqueued,
 			obs.Arg{Key: "tag", Val: int64(r.tag)})
 		s.qdepth.Set(int64(s.reqs.Len()))
@@ -684,7 +677,7 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		s.OnFetched(r.tag)
 	}
 	if s.Prefetch != nil {
-		s.RequestPrefetch(p, s.Prefetch(r.tag))
+		s.requestPrefetch(p, s.Prefetch(r.tag))
 	}
 	s.retryDeferred(p)
 }

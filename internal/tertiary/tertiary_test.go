@@ -254,7 +254,7 @@ func TestQueueTimeAccounted(t *testing.T) {
 		if e.svc.Stats().Copyouts != 2 {
 			t.Fatalf("copyouts = %d", e.svc.Stats().Copyouts)
 		}
-		if e.svc.Obs().CatTotal("fp.write") == 0 || e.svc.Obs().CatTotal("io.read") == 0 {
+		if e.svc.obs.CatTotal("fp.write") == 0 || e.svc.obs.CatTotal("io.read") == 0 {
 			t.Fatal("transfer times not accounted")
 		}
 	})

@@ -21,12 +21,12 @@ import (
 type Arrival int
 
 const (
-	// ArrivalClosed sleeps a fixed think time (MeanGap) between requests.
-	ArrivalClosed Arrival = iota
+	// arrivalClosed sleeps a fixed think time (MeanGap) between requests.
+	arrivalClosed Arrival = iota
 	// ArrivalPoisson draws exponential gaps with mean MeanGap.
 	ArrivalPoisson
 	// ArrivalBursty issues BurstLen requests back to back, then sleeps
-	// MeanGap×BurstLen — same average rate as ArrivalClosed, far worse
+	// MeanGap×BurstLen — same average rate as arrivalClosed, far worse
 	// instantaneous load.
 	ArrivalBursty
 )
@@ -35,7 +35,7 @@ const (
 func ParseArrival(s string) (Arrival, error) {
 	switch s {
 	case "", "closed":
-		return ArrivalClosed, nil
+		return arrivalClosed, nil
 	case "poisson":
 		return ArrivalPoisson, nil
 	case "bursty":
@@ -46,7 +46,7 @@ func ParseArrival(s string) (Arrival, error) {
 
 func (a Arrival) String() string {
 	switch a {
-	case ArrivalClosed:
+	case arrivalClosed:
 		return "closed"
 	case ArrivalPoisson:
 		return "poisson"
