@@ -122,7 +122,7 @@ type HighLight struct {
 	// a later idle period when there will be no contention for the disk
 	// drive arm", §5.4).
 	DelayCopyouts bool
-	delayed       []copyoutRec
+	delayed       []stagedLine
 
 	// Replicas is the number of tertiary copies written per staged
 	// segment (§5.4's replication variant: "maintain several segment
@@ -189,10 +189,13 @@ func (hl *HighLight) Jukeboxes() []jukebox.Footprint { return hl.jukes }
 // take a whole changer out of service through these handles.
 func (hl *HighLight) Libraries() []*jukebox.Library { return hl.libs }
 
-type copyoutRec struct {
-	tag    int
-	seg    addr.SegNo
-	pinTag int
+// stagedLine is a closed staging line whose copy-outs wait for FlushCopyouts:
+// cache line seg, registered under tertiary segment tag, goes to each of
+// dests (tag, then its replicas).
+type stagedLine struct {
+	seg   addr.SegNo
+	tag   int
+	dests []int
 }
 
 // New formats (format=true) or mounts a HighLight file system.

@@ -66,3 +66,50 @@ func TestConcurrentReadersUseBothLibraries(t *testing.T) {
 	}
 	k.Stop()
 }
+
+// With two libraries and Replicas: 2, the copy-outs of a staged line, made
+// at once (closeStaging) or delayed (FlushCopyouts), leave both media holding
+// one image of the line; the file reads back from either library.
+func TestReplicasOfAStagedLineShareOneImage(t *testing.T) {
+	k := sim.NewKernel()
+	disk := dev.NewDisk(k, dev.RZ57, 256*16, nil)
+	var jukes []jukebox.Footprint
+	for i := 0; i < 2; i++ {
+		jukes = append(jukes, jukebox.MustNew(k, jukebox.MO6300, 2, 4, 32, 16*lfs.BlockSize, nil))
+	}
+	k.RunProc(func(p *sim.Proc) {
+		hl, err := New(p, Config{SegBlocks: 16, Disks: []dev.BlockDev{disk}, Jukeboxes: jukes,
+			CacheSegs: 24, MaxInodes: 256, Replicas: 2, Streams: 2, BufferBytes: 64 * lfs.BlockSize}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := [2][]byte{pat(1, 40*lfs.BlockSize), pat(2, 24*lfs.BlockSize)}
+		f0 := archive(t, p, hl, "/now", data[0], false)
+		hl.DelayCopyouts = true
+		f1 := archive(t, p, hl, "/later", data[1], true)
+		cat := hl.ReplicaCatalog()
+		if len(cat) < 4 {
+			t.Fatalf("%d replicated segments, want the 4 or more two files fill", len(cat))
+		}
+		medium := func(tag int) []byte {
+			d, v, s, _ := hl.Amap.Loc(hl.Amap.SegForIndex(tag))
+			img, err := jukes[d].LendSegment(p, v, s)
+			if err != nil || img == nil {
+				t.Fatalf("segment %d on library %d: %v", tag, d, err)
+			}
+			return img
+		}
+		for prim, reps := range cat {
+			a, b := medium(prim), medium(reps[0])
+			if len(reps) != 1 || &a[0] != &b[0] {
+				t.Errorf("segment %d and its replicas %v hold more than one image", prim, reps)
+			}
+		}
+		for i, f := range []*lfs.File{f0, f1} {
+			if got, err := readWhole(p, f, len(data[i])); err != nil || !bytes.Equal(got, data[i]) {
+				t.Errorf("file %d reads back wrong (err %v)", i, err)
+			}
+		}
+	})
+	k.Stop()
+}

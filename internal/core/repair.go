@@ -22,8 +22,9 @@ import (
 // One repair pass repairs two segments at a time and gives a transiently
 // unplaceable deficit a few chances before deferring it to the next pass.
 const (
-	// repairMaxInFlight caps concurrently outstanding repair copyouts, so
-	// a large deficit backlog cannot monopolize the I/O process.
+	// repairMaxInFlight caps outstanding copyouts: a deficit's are queued
+	// only once fewer are, so a large deficit backlog cannot monopolize
+	// the I/O process.
 	repairMaxInFlight = 2
 	// repairRetries bounds placement retries per deficit when every
 	// healthy library is momentarily full or down; repairBackoff is the
@@ -94,7 +95,8 @@ func (hl *HighLight) ReplicationDeficits() []Deficit {
 // RepairPass restores replication for every current deficit: fetch a
 // surviving copy into the cache, allocate fresh replica segments on
 // healthy libraries (with bounded placement retries), and copy the bytes
-// out, at most repairMaxInFlight copyouts at a time. It returns how
+// out, each deficit's once fewer than repairMaxInFlight copyouts are
+// outstanding. It returns how
 // many replicas were laid down. Deficits that cannot be repaired yet —
 // no space, every other library down — are deferred to the next pass;
 // segments with no surviving copy at all are recorded as lost.
@@ -128,8 +130,9 @@ func (hl *HighLight) RepairPass(p *sim.Proc) (int, error) {
 	return repaired, nil
 }
 
-// repairOne brings one deficit back to target, scheduling one copyout
-// per missing replica.
+// repairOne brings one deficit back to target: the copyouts of every
+// replica it could place are scheduled together, so they share one image of
+// the line.
 func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 	if len(d.Sources) == 0 {
 		hl.Audit.Record(attr.Decision{
@@ -155,7 +158,7 @@ func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 			return 0, nil
 		}
 	}
-	repaired := 0
+	var rtags []int
 	for missing := d.Target - d.Copies; missing > 0; missing-- {
 		rtag, ok := hl.allocRepairTarget(p, d.Tag)
 		if !ok {
@@ -170,20 +173,25 @@ func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 		// a replica so it is never counted as live primary data.
 		hl.replicaOf[d.Tag] = append(hl.replicaOf[d.Tag], rtag)
 		hl.replicaTag[rtag] = d.Tag
-		for hl.Svc.OutstandingCopyouts() >= repairMaxInFlight {
-			hl.Svc.WaitCopyoutProgress(p)
-		}
-		hl.Svc.ScheduleCopyoutAs(p, rtag, line.DiskSeg, d.Tag)
+		rtags = append(rtags, rtag)
+	}
+	if len(rtags) == 0 {
+		return 0, nil
+	}
+	for hl.Svc.OutstandingCopyouts() >= repairMaxInFlight {
+		hl.Svc.WaitCopyoutProgress(p)
+	}
+	hl.Svc.ScheduleCopyouts(p, line.DiskSeg, d.Tag, rtags...)
+	for i, rtag := range rtags {
 		hl.Audit.Record(attr.Decision{
 			T: p.Now(), Actor: "repair", Subject: fmt.Sprintf("seg:%d", rtag),
 			Seg: d.Tag, Verdict: attr.VerdictRepaired, Reason: "replica re-copied",
-			Inputs: []attr.Input{attr.In("replica", float64(rtag)), attr.In("copies", float64(d.Copies+repaired+1))},
+			Inputs: []attr.Input{attr.In("replica", float64(rtag)), attr.In("copies", float64(d.Copies+i+1))},
 		})
 		hl.Obs.Counter("repair.segments_repaired").Add(1)
 		hl.Obs.Counter("repair.bytes_repaired").Add(int64(hl.Amap.SegBlocks() * lfs.BlockSize))
-		repaired++
 	}
-	return repaired, nil
+	return len(rtags), nil
 }
 
 // allocRepairTarget allocates a replica segment under the repair retry

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/addr"
 	"repro/internal/lfs"
@@ -112,7 +113,7 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 		hl.stageTag = -1
 		return nil
 	}
-	recs := []copyoutRec{{hl.stageTag, hl.stageSeg, hl.stageTag}}
+	dests := []int{hl.stageTag}
 	for r := 1; r < hl.Replicas; r++ {
 		rtag, ok := hl.allocReplicaTag(hl.stageTag)
 		if !ok {
@@ -120,14 +121,13 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 		}
 		hl.replicaOf[hl.stageTag] = append(hl.replicaOf[hl.stageTag], rtag)
 		hl.replicaTag[rtag] = hl.stageTag
-		recs = append(recs, copyoutRec{rtag, hl.stageSeg, hl.stageTag})
+		dests = append(dests, rtag)
 	}
 	if hl.DelayCopyouts {
-		hl.delayed = append(hl.delayed, recs...)
+		// A copy, so that dests stays on the stack on the path taken at once.
+		hl.delayed = append(hl.delayed, stagedLine{hl.stageSeg, hl.stageTag, slices.Clone(dests)})
 	} else {
-		for _, rec := range recs {
-			hl.Svc.ScheduleCopyoutAs(p, rec.tag, rec.seg, rec.pinTag)
-		}
+		hl.Svc.ScheduleCopyouts(p, hl.stageSeg, hl.stageTag, dests...)
 	}
 	hl.Obs.Instant("core", "stage.close", "close",
 		obs.Arg{Key: "tag", Val: int64(hl.stageTag)}, obs.Arg{Key: "blocks", Val: int64(hl.stageOff)})
@@ -137,7 +137,7 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 		Seg: hl.stageTag, Verdict: attr.VerdictStaged,
 		Inputs: []attr.Input{
 			attr.In("blocks", float64(hl.stageOff)),
-			attr.In("replicas", float64(len(recs)-1)),
+			attr.In("replicas", float64(len(dests)-1)),
 		},
 	})
 	hl.stageTag = -1
@@ -340,8 +340,8 @@ func (hl *HighLight) freeTsegsOnDevice(d int) (free, first int) {
 // FlushCopyouts schedules every delayed copyout (the "later idle period"
 // write of §5.4).
 func (hl *HighLight) FlushCopyouts(p *sim.Proc) {
-	for _, rec := range hl.delayed {
-		hl.Svc.ScheduleCopyoutAs(p, rec.tag, rec.seg, rec.pinTag)
+	for _, l := range hl.delayed {
+		hl.Svc.ScheduleCopyouts(p, l.seg, l.tag, l.dests...)
 	}
 	hl.delayed = nil
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -54,6 +55,72 @@ type Config struct {
 	// EpochNs is the virtual time at the last save: resumed runs start
 	// here so file ages keep advancing monotonically across invocations.
 	EpochNs int64 `json:"epoch_ns"`
+}
+
+// ErrBadConfig is a config.json whose geometry no instance can have: a
+// negative or out-of-range count, or a farm or tertiary tier that cannot
+// be assembled. Load and Init return it, wrapped with the field, before any
+// device is built.
+var ErrBadConfig = errors.New("imagefs: bad configuration")
+
+// The largest geometry an image may describe: each bounds what building its
+// devices allocates up front (the disks' extent tables, the volumes' segment
+// slots), far above any image the tools make.
+const (
+	maxSegBlocks  = 1 << 12 // 16 MB segments
+	maxDiskBlocks = 1 << 24 // 64 GB of disk, extra disks included
+	maxTertSegs   = 1 << 20 // segments over all libraries
+	maxDevices    = 64      // spindles, extra disks, drives, libraries or streams
+	maxInodes     = 1 << 24
+)
+
+// validate checks every geometry field of cfg against what the devices and
+// the farm can be built from.
+func (cfg Config) validate() error {
+	bad := func(field string, v any, want string) error {
+		return fmt.Errorf("%w: %s %v: %s", ErrBadConfig, field, v, want)
+	}
+	tert := maxTertSegs / max(cfg.Libraries, 1)
+	disk := maxDiskBlocks / max(cfg.SegBlocks, 1) // segments, extra disks included
+	type field struct {
+		name      string
+		v, lo, hi int
+	}
+	fields := []field{
+		{"seg_blocks", cfg.SegBlocks, 1, maxSegBlocks},
+		{"libraries", cfg.Libraries, 0, maxDevices},
+		{"replicas", cfg.Replicas, 0, max(cfg.Libraries, 1)},
+		{"vols", cfg.Vols, 1, tert},
+		{"segs_per_vol", cfg.SegsPerVol, 1, tert / max(cfg.Vols, 1)},
+		{"drives", cfg.Drives, 1, maxDevices},
+		{"spindles", cfg.Spindles, 0, maxDevices},
+		{"stripe_unit", cfg.StripeUnit, 0, maxSegBlocks},
+		{"streams", cfg.Streams, 0, maxDevices},
+		{"max_inodes", cfg.MaxInodes, 0, maxInodes},
+		{"disk_segs", cfg.DiskSegs, 1, disk},
+		{"cache_segs", cfg.CacheSegs, 0, cfg.DiskSegs},
+		{"extra_disk_segs", len(cfg.ExtraDiskSegs), 0, maxDevices},
+	}
+	disk -= max(cfg.DiskSegs, 0)
+	for i, n := range cfg.ExtraDiskSegs {
+		fields = append(fields, field{fmt.Sprintf("extra_disk_segs[%d]", i), n, 1, disk})
+		disk -= max(n, 0)
+	}
+	for _, f := range fields {
+		if f.v < f.lo || f.v > f.hi {
+			return bad(f.name, f.v, fmt.Sprintf("want %d..%d", f.lo, f.hi))
+		}
+	}
+	if cfg.StripeUnit > 0 && cfg.Spindles < 2 {
+		return bad("stripe_unit", cfg.StripeUnit, "needs 2 or more spindles")
+	}
+	if cfg.Parity && (cfg.StripeUnit == 0 || cfg.Spindles < 3) {
+		return bad("parity", cfg.Parity, "needs a stripe_unit and 3 or more spindles")
+	}
+	if cfg.EpochNs < 0 {
+		return bad("epoch_ns", cfg.EpochNs, "want >= 0")
+	}
+	return nil
 }
 
 // DefaultConfig is a comfortable laptop-scale instance: a 256 MB disk and
@@ -115,8 +182,14 @@ func (inst *Instance) media() []imageFile {
 }
 
 // AddDisk grows the instance by a fresh disk of segs segments (§6.4),
-// recording it in the image configuration so reloads re-attach it.
+// recording it in the image configuration so reloads re-attach it. A size
+// the grown image could not be loaded with is ErrBadConfig.
 func (inst *Instance) AddDisk(p *sim.Proc, segs int) error {
+	grown := inst.Cfg
+	grown.ExtraDiskSegs = append(slices.Clone(grown.ExtraDiskSegs), segs)
+	if err := grown.validate(); err != nil {
+		return err
+	}
 	d := dev.NewDisk(inst.k, dev.RZ58, int64(segs*inst.Cfg.SegBlocks), nil)
 	if _, err := inst.HL.AddDisk(p, d); err != nil {
 		return err
@@ -129,6 +202,9 @@ func (inst *Instance) AddDisk(p *sim.Proc, segs int) error {
 // Init creates a fresh formatted image in dir (which must not already hold
 // one).
 func Init(k *sim.Kernel, dir string, cfg Config) (*Instance, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfgPath := filepath.Join(dir, "config.json")
 	if _, err := os.Stat(cfgPath); err == nil {
 		return nil, fmt.Errorf("imagefs: %s already holds an image", dir)
@@ -158,6 +234,9 @@ func Load(k *sim.Kernel, dir string) (*Instance, error) {
 	}
 	var cfg Config
 	if err := json.Unmarshal(raw, &cfg); err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	k.AdvanceTo(sim.Time(cfg.EpochNs))

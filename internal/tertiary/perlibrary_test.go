@@ -130,15 +130,22 @@ func (e *libEnv) seed(t *testing.T, p *sim.Proc, tags ...int) {
 	}
 }
 
-// copyout stages tag's pattern in a cache line and schedules its copy-out.
-func (e *libEnv) copyout(t *testing.T, p *sim.Proc, tag int) {
+// stage puts tag's pattern in a free cache line, registered as its staging
+// line, and returns the line.
+func (e *libEnv) stage(t *testing.T, p *sim.Proc, tag int) addr.SegNo {
 	t.Helper()
 	seg, _ := e.c.TakeFree()
 	e.c.Insert(tag, seg, true, p.Now())
 	if err := e.disk.WriteBlocks(p, int64(e.amap.BlockOf(seg, 0)), fill(tag)); err != nil {
 		t.Fatal(err)
 	}
-	e.svc.ScheduleCopyout(p, tag, seg)
+	return seg
+}
+
+// copyout stages tag's pattern in a cache line and schedules its copy-out.
+func (e *libEnv) copyout(t *testing.T, p *sim.Proc, tag int) {
+	t.Helper()
+	e.svc.ScheduleCopyout(p, tag, e.stage(t, p, tag))
 }
 
 // fetchAll demand-fetches tags from one process each, started together, and

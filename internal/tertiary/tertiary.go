@@ -14,10 +14,14 @@
 // (dev.Adopter), so the bytes are shared until one side writes. A copy-out
 // reads its line once, into an image the disk keeps as its copy of the line
 // (dev.Adopter.ShareBlocks) and the changer keeps as the medium's
-// (jukebox.Footprint.AdoptSegment).
+// (jukebox.Footprint.AdoptSegment). The copy-outs of a replicated line (§5.4)
+// each read it, as the clock charges, but every changer keeps one image: a
+// copy-out whose read matches the image a sibling made hands that image on and
+// keeps its buffer for the next read.
 package tertiary
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -102,6 +106,7 @@ type request struct {
 	seg      addr.SegNo // cache line (a copyout's; a fetch's once bound)
 	bound    bool       // a fetch has taken seg out of the cache's hands
 	pinTag   int        // cache line pinned for the duration (copyouts)
+	line     *lineImage // shared by a replicated line's copy-outs; nil if unreplicated
 	enqueued sim.Time
 	err      error
 	// tr is the first waiter's request trace, carried along so the I/O
@@ -437,21 +442,33 @@ func (s *Service) Unpin(p *sim.Proc, l *cache.Line) {
 // asynchronously, so that the migration control policies may choose to
 // move multiple segments in a single logical operation" (§6.2).
 func (s *Service) ScheduleCopyout(p *sim.Proc, tag int, seg addr.SegNo) {
-	s.ScheduleCopyoutAs(p, tag, seg, tag)
+	s.ScheduleCopyouts(p, seg, tag, tag)
 }
 
-// ScheduleCopyoutAs writes the cache-line disk segment seg to tertiary
-// segment destTag while pinning the cache line registered under pinTag —
-// used to lay down segment replicas (§5.4), where the same staged bytes
-// are written to several tertiary locations.
-func (s *Service) ScheduleCopyoutAs(p *sim.Proc, destTag int, seg addr.SegNo, pinTag int) {
-	if l, ok := s.cache.Peek(pinTag); ok {
-		l.Pins++
+// ScheduleCopyouts writes the cache-line disk segment seg to each tertiary
+// segment of tags, queued in that order, pinning the cache line registered
+// under pinTag once per copy-out. Several tags lay down segment replicas
+// (§5.4), where the same staged bytes are written to several tertiary
+// locations: their copy-outs share one image of the line (lineImage).
+func (s *Service) ScheduleCopyouts(p *sim.Proc, seg addr.SegNo, pinTag int, tags ...int) {
+	var line *lineImage
+	if len(tags) > 1 {
+		line = new(lineImage)
 	}
-	s.outCopy++
-	s.outCopyG.Set(int64(s.outCopy))
-	s.reqs.Send(p, request{kind: reqCopyout, tag: destTag, seg: seg, pinTag: pinTag, enqueued: p.Now()})
+	for _, tag := range tags {
+		if l, ok := s.cache.Peek(pinTag); ok {
+			l.Pins++
+		}
+		s.outCopy++
+		s.outCopyG.Set(int64(s.outCopy))
+		s.reqs.Send(p, request{kind: reqCopyout, tag: tag, seg: seg, pinTag: pinTag, enqueued: p.Now(), line: line})
+	}
 }
+
+// lineImage is what the copy-outs of one replicated line share: the newest
+// image one of them read the line into. Each changer it is handed to keeps it
+// as its medium's segment, so nothing writes it again.
+type lineImage struct{ img []byte }
 
 // DrainCopyouts blocks until every scheduled copyout has completed.
 func (s *Service) DrainCopyouts(p *sim.Proc) {
@@ -891,6 +908,7 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 // to be had the process does not wait for one, and the fetch starts over
 // (errNoLine). The line is announced (reqFetched) only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
+	var buf []byte // read buffer of replicated copy-outs, until it becomes a line's image
 	for {
 		r := s.nextTransfer(p, lib)
 		token := true
@@ -954,16 +972,11 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			restore()
 			r.kind, r.err = reqFetched, err
 		case reqCopyout:
-			// The line is read once, into an image the disk may keep as its
-			// copy of the line and the changer keeps as the medium's.
 			d, vol, volseg, err := s.locate(r.tag)
 			var img []byte
 			if err == nil {
 				t0 := p.Now()
-				err = s.withRetry(p, func() error {
-					img = make([]byte, s.segBytes()) // a failed read may have handed the last one over
-					return s.disk.ShareBlocks(p, int64(s.amap.BlockOf(r.seg, 0)), img)
-				})
+				img, err = s.readCopyout(p, r, &buf)
 				s.obs.Span("tertiary.io", "io.read", "ReadBlocks", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
@@ -987,6 +1000,34 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 			s.free[lib]++
 		}
 	}
+}
+
+// readCopyout reads copy-out r's line into the image its changer is to keep,
+// once, as the clock charges it. An unreplicated line is read into a fresh
+// image the disk may keep as its copy of the line too (dev.Adopter.ShareBlocks).
+// A replicated one is read into the process's buffer *buf: if the image a
+// sibling copy-out made holds the same bytes, that image is the one to keep and
+// *buf is kept for the next read; otherwise *buf becomes the line's image.
+func (s *Service) readCopyout(p *sim.Proc, r request, buf *[]byte) ([]byte, error) {
+	blk := int64(s.amap.BlockOf(r.seg, 0))
+	if r.line == nil {
+		var img []byte
+		err := s.withRetry(p, func() error {
+			img = make([]byte, s.segBytes()) // a failed read may have handed the last one over
+			return s.disk.ShareBlocks(p, blk, img)
+		})
+		return img, err
+	}
+	if *buf == nil {
+		*buf = make([]byte, s.segBytes())
+	}
+	if err := s.withRetry(p, func() error { return s.disk.ReadBlocks(p, blk, *buf) }); err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(*buf, r.line.img) {
+		r.line.img, *buf = *buf, nil
+	}
+	return r.line.img, nil
 }
 
 // writeLine hands a fetched segment's image to cache line seg by reference: the
