@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -77,5 +80,75 @@ func TestFlattenNamesEverySection(t *testing.T) {
 		if got[name] != v {
 			t.Errorf("flatten[%q] = %v, want %v", name, got[name], v)
 		}
+	}
+}
+
+// writeResultFile writes a benchmark result file of one workload with the
+// given metrics, each {value, exact}.
+func writeResultFile(t *testing.T, metrics map[string]any) string {
+	t.Helper()
+	b, err := json.Marshal(map[string]any{
+		"env":       map[string]string{"go": "test"},
+		"workloads": map[string]any{"fetch": map[string]any{"seed": 1993, "scale": "paper", "traced": true, "metrics": metrics}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestResultsGateFailsOnAPerturbedExactMetricAndNamesIt(t *testing.T) {
+	base := writeResultFile(t, map[string]any{
+		"sim_MBps":      map[string]any{"value": 1.25, "exact": true},
+		"dev.reads":     map[string]any{"value": 4096, "exact": true},
+		"host_wall_s":   map[string]any{"value": 2.0},
+		"host_alloc_MB": map[string]any{"value": 100.0},
+	})
+	fresh := writeResultFile(t, map[string]any{
+		"sim_MBps":      map[string]any{"value": 1.25, "exact": true},
+		"dev.reads":     map[string]any{"value": 4097, "exact": true},
+		"host_wall_s":   map[string]any{"value": 9.0}, // host metrics are not gated
+		"host_alloc_MB": map[string]any{"value": 300.0},
+	})
+	fail, _, info, n, err := checkResults(base, fresh, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 || len(fail) != 1 || !strings.Contains(fail[0], "fetch.dev.reads") {
+		t.Errorf("n = %d, fail = %q, want one failure naming fetch.dev.reads", n, fail)
+	}
+	if len(info) != 2 || !strings.Contains(info[0], "fetch.host_alloc_MB") || !strings.Contains(info[1], "not gated") {
+		t.Errorf("info = %q, want the two host metrics, listed and not gated", info)
+	}
+	if fail, _, _, _, err := checkResults(base, base, false); err != nil || len(fail) != 0 {
+		t.Errorf("a result file against itself: fail %q, err %v", fail, err)
+	}
+}
+
+func TestResultsGateFailsOnAMissingExactMetric(t *testing.T) {
+	base := writeResultFile(t, map[string]any{"sim_MBps": map[string]any{"value": 1.25, "exact": true}})
+	fresh := writeResultFile(t, map[string]any{"sim_MBps": map[string]any{"value": 1.25}}) // no longer exact
+	fail, _, _, _, err := checkResults(base, fresh, false)
+	if err != nil || len(fail) != 1 || !strings.Contains(fail[0], "missing from fresh") {
+		t.Errorf("fail = %q, err %v; want fetch.sim_MBps missing", fail, err)
+	}
+}
+
+// TestEachReaderRefusesTheOtherSchema: a benchmark result file named as an
+// hlbench baseline, or the other way round, is a setup error, not a pass.
+func TestEachReaderRefusesTheOtherSchema(t *testing.T) {
+	results := writeResultFile(t, map[string]any{"sim_MBps": map[string]any{"value": 1, "exact": true}})
+	if _, err := readSnapshot(results); err == nil {
+		t.Error("readSnapshot accepted a benchmark result file")
+	}
+	if _, err := readResults("../../BENCH_0.json"); err == nil {
+		t.Error("readResults accepted an hlbench snapshot")
+	}
+	if _, err := readSnapshot("../../BENCH_0.json"); err != nil {
+		t.Errorf("readSnapshot(BENCH_0.json): %v", err)
 	}
 }
