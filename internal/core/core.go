@@ -524,62 +524,80 @@ func (bm *blockMap) Fetch(p *sim.Proc, b addr.BlockNo, n int) (err error) {
 }
 
 // ReadAgain implements lfs.Fetcher.
-func (bm *blockMap) ReadAgain(p *sim.Proc, b addr.BlockNo, buf []byte) error {
-	return bm.read(p, b, buf, true)
+func (bm *blockMap) ReadAgain(p *sim.Proc, parts []dev.Part) error {
+	return bm.read(p, parts, true)
 }
 
+// ReadBlocks implements lfs.Device: read of buf as one part.
 func (bm *blockMap) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
-	return bm.read(p, b, buf, false)
+	return bm.read(p, []dev.Part{{Blk: int64(b), Buf: buf}}, false)
 }
 
-// read is ReadBlocks; again marks the read Fetch just served, whose look at
-// the cache directory has been counted and traced (as a miss) already.
-func (bm *blockMap) read(p *sim.Proc, b addr.BlockNo, buf []byte, again bool) error {
+// ReadParts implements lfs.Device. A part the file system asks to borrow
+// comes back lent where its disk extent is one the farm's disks do not own:
+// a fetched line's adopted image, or a copied-out line's shared one.
+func (bm *blockMap) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	return bm.read(p, parts, false)
+}
+
+// read is ReadParts; again marks the read Fetch just served, whose look at
+// the cache directory has been counted and traced (as a miss) already. Disk
+// addresses pass straight through to the farm; each tertiary segment's share
+// goes to its cache line, a part cut where the segment ends.
+func (bm *blockMap) read(p *sim.Proc, parts []dev.Part, again bool) error {
 	hl := bm.hl
-	for len(buf) > 0 {
+	var onLine [16]dev.Part // one segment's parts, moved to its cache line
+	for len(parts) > 0 {
+		b := addr.BlockNo(parts[0].Blk)
 		seg := hl.Amap.SegOf(b)
 		off := hl.Amap.OffOf(b)
-		span := hl.Amap.SegBlocks() - off
-		if span > len(buf)/lfs.BlockSize {
-			span = len(buf) / lfs.BlockSize
-		}
-		chunk := buf[:span*lfs.BlockSize]
 		switch {
 		case hl.Amap.IsDiskSeg(seg):
 			// Disk requests pass straight through; extend the span
 			// across segment boundaries within the disk region.
-			dspan := len(buf) / lfs.BlockSize
-			last := hl.Amap.SegOf(b + addr.BlockNo(dspan-1))
-			if !hl.Amap.IsDiskSeg(last) {
+			last := parts[len(parts)-1]
+			if !hl.Amap.IsDiskSeg(hl.Amap.SegOf(addr.BlockNo(last.Blk) + addr.BlockNo(len(last.Buf)/lfs.BlockSize-1))) {
 				return fmt.Errorf("core: read crosses out of disk region at block %d", b)
 			}
-			if err := hl.Disk.ReadBlocks(p, int64(b), buf); err != nil {
-				return err
-			}
-			return nil
-		case hl.Amap.IsTertiarySeg(seg):
-			tag, _ := hl.Amap.TertIndex(seg)
-			var line *cache.Line
-			if again {
-				line, _ = hl.Cache.Peek(tag) // nil if gone again: a second miss
-			}
-			if line == nil {
-				var err error
-				if line, err = bm.lookup(p, tag); err != nil {
-					return err
-				}
-			}
-			hl.Svc.Pin(line) // not a victim while this reader sleeps on the arm
-			err := hl.Disk.ReadBlocks(p, int64(hl.Amap.BlockOf(line.DiskSeg, off)), chunk)
-			hl.Svc.Unpin(p, line)
-			if err != nil {
-				return err
-			}
-		default:
+			return hl.Disk.ReadParts(p, parts)
+		case !hl.Amap.IsTertiarySeg(seg):
 			return fmt.Errorf("core: read of dead-zone block %d", b)
 		}
-		buf = buf[len(chunk):]
-		b += addr.BlockNo(span)
+		// The parts inside this segment, the last one cut at its end.
+		chunk, span := onLine[:0], hl.Amap.SegBlocks()-off
+		for len(parts) > 0 && span > 0 {
+			pt := parts[0]
+			parts = parts[1:]
+			if len(pt.Buf) > span*lfs.BlockSize {
+				rest := pt // starts the next segment
+				rest.Blk, rest.Buf, rest.Lend = pt.Blk+int64(span), pt.Buf[span*lfs.BlockSize:], nil
+				pt.Buf, pt.Lend = pt.Buf[:span*lfs.BlockSize], nil
+				parts = append([]dev.Part{rest}, parts...)
+			}
+			span -= len(pt.Buf) / lfs.BlockSize
+			chunk = append(chunk, pt)
+		}
+		tag, _ := hl.Amap.TertIndex(seg)
+		var line *cache.Line
+		if again {
+			line, _ = hl.Cache.Peek(tag) // nil if gone again: a second miss
+		}
+		if line == nil {
+			var err error
+			if line, err = bm.lookup(p, tag); err != nil {
+				return err
+			}
+		}
+		shift := int64(hl.Amap.BlockOf(line.DiskSeg, off)) - int64(b)
+		for i := range chunk {
+			chunk[i].Blk += shift
+		}
+		hl.Svc.Pin(line) // not a victim while this reader sleeps on the arm
+		err := hl.Disk.ReadParts(p, chunk)
+		hl.Svc.Unpin(p, line)
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

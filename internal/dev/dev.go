@@ -81,10 +81,18 @@ type Adopter interface {
 // Keep marks Buf as handed over, as AdoptBlocks (a write) or ShareBlocks (a
 // read) takes it: the device may keep it, and the caller never changes it
 // again.
+//
+// Lend, on a read of one block, lets the device answer with a view instead of
+// filling Buf: where the block lies in bytes the device does not own and that
+// never change (an extent an adoption or a share took), it sets *Lend to a
+// read-only view of the block and leaves Buf as it was. The caller must never
+// write through the view; a device that owns the block, has a write cache or
+// is watched fills Buf and leaves *Lend alone. A write ignores Lend.
 type Part struct {
 	Blk  int64
 	Buf  []byte
 	Keep bool
+	Lend *[]byte
 }
 
 // Vectored is a BlockDev that moves a list of parts, each starting at the
@@ -433,6 +441,9 @@ func (c *cursor) take(n int) Part {
 	pt := c.parts[0]
 	pt.Blk += int64(c.off / BlockSize)
 	pt.Buf = pt.Buf[c.off:min(len(pt.Buf), c.off+n)]
+	if len(pt.Buf) != len(c.parts[0].Buf) {
+		pt.Lend = nil // a view is of the whole part or nothing
+	}
 	c.off += len(pt.Buf)
 	return pt
 }
@@ -481,8 +492,10 @@ func (d *Disk) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // into MAXPHYS-sized chunks, across part boundaries, with the arm
 // re-arbitrated in between, so concurrent streams interleave (and pay seeks
 // against each other). A write-through disk nobody watches keeps each whole,
-// aligned 64 KB piece of a kept part, once filled, in place of its own extent;
-// a write cache or an OnMediaWrite hook keeps nothing, as WriteParts copies.
+// aligned 64 KB piece of a kept part, once filled, in place of its own extent,
+// and lends each one-block part that asks for it from an extent it does not
+// own; a write cache or an OnMediaWrite hook keeps and lends nothing, as
+// WriteParts copies. Lending changes no state of the media.
 func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("read", parts)
 	if err != nil {
@@ -506,8 +519,16 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 		media := xfer(n, d.prof.MediaRead)
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
+		plain := d.wcap == 0 && d.OnMediaWrite == nil
 		for got := 0; got < n; {
 			pt := c.take(n - got)
+			got += len(pt.Buf)
+			if pt.Lend != nil && plain && len(pt.Buf) == BlockSize {
+				if v := d.store.lend(pt.Blk); v != nil {
+					*pt.Lend = v
+					continue
+				}
+			}
 			d.store.read(pt.Blk, pt.Buf)
 			// Read-your-writes: the volatile cache, while it holds anything, is newer.
 			for i := 0; i < len(pt.Buf) && len(d.worder) > 0; i += BlockSize {
@@ -515,10 +536,9 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 					copy(pt.Buf[i:], src)
 				}
 			}
-			if pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil {
+			if pt.Keep && plain {
 				d.store.share(pt.Blk, pt.Buf)
 			}
-			got += len(pt.Buf)
 		}
 		blk += int64(n / BlockSize)
 		d.head = blk

@@ -95,6 +95,16 @@ func (m *media) take(e int64, data []byte) {
 	m.ext[e], m.shared[e] = (*[maxTransfer]byte)(data), true
 }
 
+// lend returns a read-only view of block blk when its extent is shared (it
+// never changes), else nil: the caller reads an extent of ours with read.
+func (m *media) lend(blk int64) []byte {
+	e, off := blk/extentBlocks, int(blk%extentBlocks)*BlockSize
+	if !m.shared[e] {
+		return nil
+	}
+	return m.ext[e][off : off+BlockSize : off+BlockSize]
+}
+
 // read fills buf, a whole number of blocks, with the blocks from blk on.
 func (m *media) read(blk int64, buf []byte) {
 	for len(buf) > 0 {

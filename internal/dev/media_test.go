@@ -846,3 +846,79 @@ func BenchmarkDiskRead1MB(b *testing.B) {
 		}
 	})
 }
+
+// TestLendOnlyWhatTheDiskDoesNotOwn: a read whose one-block parts carry Lend
+// slots gets views of an adopted extent and its own extents filled; the
+// stats, the clock and the bytes are those of the same read filled. A disk
+// with a write cache or an OnMediaWrite hook, and a part of more than one
+// block, fill instead of lending.
+func TestLendOnlyWhatTheDiskDoesNotOwn(t *testing.T) {
+	const nb = 2 * extentBlocks // an extent of ours, then an adopted one
+	for _, mode := range []string{"write-through", "write cache", "hooked", "two-block parts"} {
+		t.Run(mode, func(t *testing.T) {
+			k := sim.NewKernel()
+			d := NewDisk(k, RZ57, 4*extentBlocks, nil)
+			twin := NewDisk(k, RZ57, 4*extentBlocks, nil)
+			img := make([]byte, extentBlocks*BlockSize)
+			for i := range img {
+				img[i] = byte(i/BlockSize + 1)
+			}
+			ours := bytes.Repeat([]byte{0x5A}, extentBlocks*BlockSize)
+			k.RunProc(func(p *sim.Proc) {
+				for _, disk := range []*Disk{d, twin} {
+					switch mode {
+					case "write cache":
+						disk.EnableWriteCache(8)
+					case "hooked":
+						disk.OnMediaWrite = func(int64) {}
+					}
+					if err := disk.WriteBlocks(p, 0, ours); err != nil {
+						t.Fatal(err)
+					}
+					if err := disk.AdoptBlocks(p, extentBlocks, img); err != nil {
+						t.Fatal(err)
+					}
+				}
+				per := 1
+				if mode == "two-block parts" {
+					per = 2
+				}
+				parts := make([]Part, nb/per)
+				views := make([][]byte, len(parts))
+				for i := range parts {
+					parts[i] = Part{Blk: int64(i * per), Buf: make([]byte, per*BlockSize), Lend: &views[i]}
+				}
+				t0 := p.Now()
+				if err := d.ReadParts(p, parts); err != nil {
+					t.Fatal(err)
+				}
+				took := p.Now() - t0
+				want := make([]byte, nb*BlockSize)
+				t0 = p.Now()
+				if err := twin.ReadBlocks(p, 0, want); err != nil {
+					t.Fatal(err)
+				}
+				if took != p.Now()-t0 || d.Stats() != twin.Stats() {
+					t.Fatalf("lending read cost %v and %+v, a filled one %v and %+v", took, d.Stats(), p.Now()-t0, twin.Stats())
+				}
+				lendable := mode == "write-through"
+				for i, pt := range parts {
+					adopted := pt.Blk >= extentBlocks
+					got := pt.Buf
+					if views[i] != nil {
+						got = views[i]
+					}
+					if (views[i] != nil) != (lendable && adopted) {
+						t.Fatalf("block %d: lent %v, want %v", pt.Blk, views[i] != nil, lendable && adopted)
+					}
+					if views[i] != nil && &views[i][0] != &img[(pt.Blk-extentBlocks)*BlockSize] {
+						t.Fatalf("block %d is lent but not a view of the adopted extent", pt.Blk)
+					}
+					if !bytes.Equal(got, want[pt.Blk*BlockSize:][:len(got)]) {
+						t.Fatalf("block %d reads wrong", pt.Blk)
+					}
+				}
+			})
+		})
+	}
+}

@@ -6,11 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
-// DiskDevice adapts a plain block device (a disk or a concatenation of
-// disks) to the Device interface for base-LFS use: every block address
-// must fall in the disk region of the address map.
+// DiskDevice adapts a plain block device (a disk or a farm of disks) to the
+// Device interface for base-LFS use: every block address must fall in the
+// disk region of the address map.
 type DiskDevice struct {
-	BD dev.BlockDev
+	BD dev.Vectored
 }
 
 var _ Device = DiskDevice{}
@@ -23,4 +23,9 @@ func (d DiskDevice) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 // WriteBlocks implements Device.
 func (d DiskDevice) WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 	return d.BD.WriteBlocks(p, int64(b), buf)
+}
+
+// ReadParts implements Device.
+func (d DiskDevice) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	return d.BD.ReadParts(p, parts)
 }

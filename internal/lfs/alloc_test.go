@@ -74,8 +74,8 @@ func checkUnderOneBlock(t *testing.T, what string, got uint64) {
 // does not (one fresh slab, block or segment image is 4 KB to 1 MB).
 
 // TestClusterReadSteadyStateAllocations: a 16-block clustered read into a
-// full buffer cache recycles the blocks it evicts and reads through the
-// per-FS cluster scratch.
+// full buffer cache recycles the blocks it evicts and reads straight into
+// them, one part per block of the per-FS request.
 func TestClusterReadSteadyStateAllocations(t *testing.T) {
 	env := allocEnv(t, 64, 32, Options{BufferBytes: 64 * BlockSize})
 	env.run(t, func(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/addr"
+	"repro/internal/dev"
 	"repro/internal/sim"
 )
 
@@ -24,6 +25,10 @@ type buf struct {
 	key   bufKey
 	data  []byte
 	dirty bool
+	// lent marks data as a view the device lent (fillBlocks): bytes the
+	// cache does not own and that never change. It is never written (see
+	// writable) and never goes to the free list.
+	lent bool
 	// addr is the media address the block was read from or last written
 	// to; NilBlock for newly created blocks.
 	addr addr.BlockNo
@@ -44,6 +49,9 @@ type buf struct {
 //   - markDirty is the one place a buffer becomes dirty, and it takes a
 //     reserve buffer back to fs.lru first: code that reaches buffers through
 //     fs.bufs (cleaner, Migratev, setParentPtr) needs no other care;
+//   - fs.dirty holds exactly the dirty buffers: markDirty adds and
+//     markClean (which dropBuf calls) removes, so a flush walks it, not
+//     fs.bufs;
 //   - only lookupBuf, a demand lookup, counts a reserve hit; read-ahead
 //     (blockPtrCached) does not see the reserve.
 
@@ -125,16 +133,34 @@ func (fs *FS) evictLocked() {
 }
 
 // dropBuf removes b, dirty or not, from the cache and takes its block back
-// into the free list. b is dead afterwards: its data is gone, so a holder
-// that kept the pointer across an insertBuf (which may evict) faults instead
-// of reading another block's bytes.
+// into the free list, unless the block is lent. b is dead afterwards: its
+// data is gone, so a holder that kept the pointer across an insertBuf (which
+// may evict) faults instead of reading another block's bytes.
 func (fs *FS) dropBuf(b *buf) {
 	fs.markClean(b)
 	b.on.remove(b)
 	delete(fs.bufs, b.key)
 	fs.bufBytes -= BlockSize
-	fs.freeBlock(b.data)
+	if !b.lent {
+		fs.freeBlock(b.data)
+	}
 	b.data = nil
+}
+
+// writable makes b's bytes the cache's own before a write into them: a lent
+// buffer gets a block of its own, holding a copy of the view unless the
+// caller is about to overwrite every byte (whole). Every write into a data
+// buffer comes through here first (writeAtLocked, truncateLocked); metadata
+// buffers are never lent.
+func (fs *FS) writable(b *buf, whole bool) {
+	if !b.lent {
+		return
+	}
+	data := fs.newBlock()
+	if !whole {
+		copy(data, b.data)
+	}
+	b.data, b.lent = data, false
 }
 
 // poisonFreed makes freeBlock overwrite every returned block with 0xDB, so
@@ -221,7 +247,7 @@ func (fs *FS) markDirty(b *buf) {
 	}
 	if !b.dirty {
 		b.dirty = true
-		fs.dirtyBytes += BlockSize
+		fs.dirty[b.key] = b
 	}
 }
 
@@ -229,16 +255,20 @@ func (fs *FS) markDirty(b *buf) {
 func (fs *FS) markClean(b *buf) {
 	if b.dirty {
 		b.dirty = false
-		fs.dirtyBytes -= BlockSize
+		delete(fs.dirty, b.key)
 	}
 }
 
-// readBlocksAt performs a timed device read of len(data)/BlockSize blocks:
-// an inode or indirect block, or fillBlocks' cluster. Every device read of
-// the read path comes through here, the one place a restartable operation
-// (readOnly) declines to wait for tertiary storage.
-func (fs *FS) readBlocksAt(p *sim.Proc, at addr.BlockNo, data []byte) error {
-	op, n, read := &fs.op, len(data)/BlockSize, fs.dev.ReadBlocks
+// readAt performs a timed device read into parts, each starting at the
+// block after the one before ends: an inode or indirect block (readBlock),
+// or fillBlocks' cluster. Every device read of the read path comes through
+// here, the one place a restartable operation (readOnly) declines to wait for
+// tertiary storage.
+func (fs *FS) readAt(p *sim.Proc, parts []dev.Part) error {
+	op, at, n, read := &fs.op, addr.BlockNo(parts[0].Blk), 0, fs.dev.ReadParts
+	for _, pt := range parts {
+		n += len(pt.Buf) / BlockSize
+	}
 	if op.fault.n > 0 && op.fault.at == at {
 		// The read an earlier attempt unwound at, accounted for by Fetch
 		// (its length may differ: read-ahead stops at a buffered block).
@@ -247,12 +277,21 @@ func (fs *FS) readBlocksAt(p *sim.Proc, at addr.BlockNo, data []byte) error {
 	if op.restartable && fs.fetcher.WouldWait(at, n) {
 		return notResident{at, n}
 	}
-	if err := read(p, at, data); err != nil {
+	if err := read(p, parts); err != nil {
 		return err
 	}
 	fs.stats.DevReads++
-	fs.stats.BytesRead += int64(len(data))
+	fs.stats.BytesRead += int64(n) * BlockSize
 	return nil
+}
+
+// readBlock is readAt of one block into data, which the device fills.
+func (fs *FS) readBlock(p *sim.Proc, at addr.BlockNo, data []byte) error {
+	one := &fs.fill.parts[0]
+	*one = dev.Part{Blk: int64(at), Buf: data}
+	err := fs.readAt(p, fs.fill.parts[:1])
+	*one = dev.Part{}
+	return err
 }
 
 // getBlock returns the buffer for (inum, lbn), reading it from the device
@@ -269,7 +308,7 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 		fs.stats.PointerWaits++ // the read below waits, or unwinds so that readOnly does
 	}
 	data := fs.newBlock()
-	if err := fs.readBlocksAt(p, at, data); err != nil {
+	if err := fs.readBlock(p, at, data); err != nil {
 		fs.freeBlock(data)
 		return nil, err
 	}
@@ -281,10 +320,7 @@ func (fs *FS) getBlock(p *sim.Proc, inum uint32, lbn int32, at addr.BlockNo) (*b
 // the flush scratch's and valid until the next call.
 func (fs *FS) dirtyList() (data, meta []*buf) {
 	data, meta = fs.flush.data[:0], fs.flush.meta[:0]
-	for _, b := range fs.bufs {
-		if !b.dirty {
-			continue
-		}
+	for _, b := range fs.dirty {
 		if b.key.lbn >= 0 {
 			data = append(data, b)
 		} else {

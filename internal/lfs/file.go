@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"repro/internal/addr"
+	"repro/internal/dev"
 	"repro/internal/sim"
 )
 
@@ -155,19 +156,36 @@ func (fs *FS) fillBlocks(p *sim.Proc, ino *dinode, lbn, reqEnd int32, seq bool) 
 		}
 		count++
 	}
-	if fs.cluster == nil {
-		fs.cluster = make([]byte, readCluster*BlockSize)
+	// One part per block: the device reads each into a block of the cache's
+	// or lends it (dev.Part), and a lent block's own goes back unused.
+	parts, lent := fs.fill.parts[:count], fs.fill.lent[:count]
+	for i := range parts {
+		lent[i] = nil
+		parts[i] = dev.Part{Blk: int64(start) + int64(i), Buf: fs.newBlock(), Lend: &lent[i]}
 	}
-	data := fs.cluster[:int(count)*BlockSize]
-	if err := fs.readBlocksAt(p, start, data); err != nil {
-		return err
+	err = fs.readAt(p, parts)
+	for i := range parts {
+		data := parts[i].Buf
+		switch {
+		case err != nil:
+			fs.freeBlock(data)
+		case lent[i] != nil:
+			fs.freeBlock(data)
+			b := fs.insertBuf(ino.Inum, lbn+int32(i), lent[i], start+addr.BlockNo(i), false)
+			b.lent = true
+		default:
+			fs.insertBuf(ino.Inum, lbn+int32(i), data, start+addr.BlockNo(i), false)
+		}
+		parts[i], lent[i] = dev.Part{}, nil
 	}
-	for i := int32(0); i < count; i++ {
-		blk := fs.newBlock()
-		copy(blk, data[int(i)*BlockSize:])
-		fs.insertBuf(ino.Inum, lbn+i, blk, start+addr.BlockNo(i), false)
-	}
-	return nil
+	return err
+}
+
+// fillScratch is fillBlocks' request: one part per block of a cluster and
+// the slot each may be lent into. readBlock uses the first part.
+type fillScratch struct {
+	parts [readCluster]dev.Part
+	lent  [readCluster][]byte
 }
 
 // WriteAt writes len(b) bytes at offset off, extending the file as needed.
@@ -227,6 +245,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 				}
 			}
 		}
+		fs.writable(bf, want == BlockSize)
 		copy(bf.data[blkOff:blkOff+want], b[written:written+want])
 		fs.markDirty(bf)
 		written += want
@@ -239,7 +258,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 	if fs.OnAccess != nil && ino.Type != TypeDir && written > 0 {
 		fs.OnAccess(inum, int32(off/BlockSize), int32((off+int64(written)-1)/BlockSize)+1, true)
 	}
-	if fs.dirtyBytes >= fs.opts.WriteThreshold {
+	if len(fs.dirty)*BlockSize >= fs.opts.WriteThreshold {
 		if err := fs.flushLocked(p, false); err != nil {
 			return written, err
 		}

@@ -12,13 +12,18 @@ import (
 
 // readLog records where every device read starts.
 type readLog struct {
-	dev.BlockDev
+	*dev.Disk
 	reads []int64
 }
 
 func (r *readLog) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	r.reads = append(r.reads, blk)
-	return r.BlockDev.ReadBlocks(p, blk, buf)
+	return r.Disk.ReadBlocks(p, blk, buf)
+}
+
+func (r *readLog) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	r.reads = append(r.reads, parts[0].Blk)
+	return r.Disk.ReadParts(p, parts)
 }
 
 // TestFlushLoadsUncachedParentsInKeyOrder pins the order of the timed reads
@@ -32,7 +37,7 @@ func TestFlushLoadsUncachedParentsInKeyOrder(t *testing.T) {
 	run := func() (reads []int64) {
 		k := sim.NewKernel()
 		amap := addr.New(32, 128)
-		log := &readLog{BlockDev: dev.NewDisk(k, dev.RZ57, 128*32, nil)}
+		log := &readLog{Disk: dev.NewDisk(k, dev.RZ57, 128*32, nil)}
 		k.RunProc(func(p *sim.Proc) {
 			fs, err := Format(p, DiskDevice{log}, amap, Options{MaxInodes: 128, BufferBytes: 1}) // the minimum, 64 blocks
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/addr"
+	"repro/internal/dev"
 	"repro/internal/sim"
 )
 
@@ -13,6 +14,11 @@ import (
 // dispatches disk, cached, and tertiary addresses).
 type Device interface {
 	ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error
+	// ReadParts reads into parts, each starting at the block after the one
+	// before ends (Blk is a block address), what ReadBlocks of their
+	// concatenation would, with the same device requests. A one-block part
+	// with a Lend slot may come back lent instead of filled (dev.Part).
+	ReadParts(p *sim.Proc, parts []dev.Part) error
 	WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error
 }
 
@@ -29,14 +35,14 @@ type Flusher interface {
 // storage (HighLight's block map; not a plain farm). It lets a read-only
 // operation do that waiting with the file system lock released (readOnly).
 type Fetcher interface {
-	// WouldWait reports, without blocking, whether ReadBlocks of n blocks
+	// WouldWait reports, without blocking, whether ReadParts of n blocks
 	// at b would wait for tertiary storage.
 	WouldWait(b addr.BlockNo, n int) bool
 	// Fetch waits for what such a read is missing and reports the error
-	// ReadBlocks would have. The caller then issues the same read again,
-	// with ReadAgain: ReadBlocks for a read Fetch has accounted for.
+	// ReadParts would have. The caller then issues the same read again,
+	// with ReadAgain: ReadParts for a read Fetch has accounted for.
 	Fetch(p *sim.Proc, b addr.BlockNo, n int) error
-	ReadAgain(p *sim.Proc, b addr.BlockNo, buf []byte) error
+	ReadAgain(p *sim.Proc, parts []dev.Part) error
 }
 
 // flushDevice drains the device's volatile write cache, if it has one.
@@ -170,22 +176,22 @@ type FS struct {
 	nextInum  uint32
 	freeInums []uint32
 
-	bufs       map[bufKey]*buf
-	lastLbn    map[uint32]int32 // per-file last-read lbn (sequential detection)
-	lru        lruList          // every buffer but the reserve's
-	reserve    lruList          // clean pointer blocks of migrated data (buffer.go)
-	bufBytes   int              // both lists
-	dirtyBytes int
-	inodes     map[uint32]*dinode
-	dirtyIno   map[uint32]bool
+	bufs     map[bufKey]*buf
+	lastLbn  map[uint32]int32 // per-file last-read lbn (sequential detection)
+	lru      lruList          // every buffer but the reserve's
+	reserve  lruList          // clean pointer blocks of migrated data (buffer.go)
+	bufBytes int              // both lists
+	dirty    map[bufKey]*buf  // the dirty buffers: markDirty adds, markClean removes
+	inodes   map[uint32]*dinode
+	dirtyIno map[uint32]bool
 
 	// Reusable buffers of the block data path, all used only under lock
 	// (see DESIGN.md, "Buffer ownership on the data path").
 	freeBlocks [][]byte // blocks dropBuf took back, handed out by newBlock
-	cluster    []byte   // fillBlocks' clustered-read scratch
-	dirImage   []byte   // lookupLocked's copy of the directory it searches
-	segImage   []byte   // partial-segment assembly (writePsegs, Migratev)
-	tableImage []byte   // serializeTables' checkpoint table image
+	fill       fillScratch
+	dirImage   []byte // lookupLocked's copy of the directory it searches
+	segImage   []byte // partial-segment assembly (writePsegs, Migratev)
+	tableImage []byte // serializeTables' checkpoint table image
 	flush      flushScratch
 
 	cacheInUse  int  // disk segments currently holding cached tertiary lines
@@ -230,6 +236,7 @@ func newFS(p *sim.Proc, device Device, amap *addr.Map, opts Options) *FS {
 		opts:     opts,
 		lock:     p.Kernel().NewResource("lfs.lock"),
 		bufs:     make(map[bufKey]*buf),
+		dirty:    make(map[bufKey]*buf),
 		lastLbn:  make(map[uint32]int32),
 		inodes:   make(map[uint32]*dinode),
 		dirtyIno: make(map[uint32]bool),

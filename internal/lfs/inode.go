@@ -27,7 +27,7 @@ func (fs *FS) iget(p *sim.Proc, inum uint32) (*dinode, error) {
 	}
 	// The inode block is only decoded, not cached: borrow a block for it.
 	data := fs.newBlock()
-	if err := fs.readBlocksAt(p, e.Addr, data); err != nil {
+	if err := fs.readBlock(p, e.Addr, data); err != nil {
 		fs.freeBlock(data)
 		return nil, err
 	}
@@ -324,6 +324,7 @@ func (fs *FS) truncateLocked(p *sim.Proc, ino *dinode, size uint64) error {
 		if err != nil {
 			return err
 		}
+		fs.writable(b, false)
 		clear(b.data[cut:])
 		fs.markDirty(b)
 	}

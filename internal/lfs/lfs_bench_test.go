@@ -223,3 +223,74 @@ func BenchmarkBufferEvict(b *testing.B) {
 		}
 	})
 }
+
+// fetchSegments stands in for a demand fetch on a plain disk: it gives the
+// disk a fresh image of every segment holding a block of inum, adopted as a
+// changer's segment image is (dev.Adopter), and returns the images by
+// segment. The disk owns none of those extents afterwards.
+func fetchSegments(tb testing.TB, p *sim.Proc, fs *FS, disk *dev.Disk, inum uint32) map[addr.SegNo][]byte {
+	tb.Helper()
+	refs, err := fs.FileBlockRefs(p, inum)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	imgs := map[addr.SegNo][]byte{}
+	for _, r := range refs {
+		seg := fs.amap.SegOf(r.Addr)
+		if imgs[seg] != nil {
+			continue
+		}
+		img := make([]byte, fs.amap.SegBlocks()*BlockSize)
+		start := int64(fs.amap.BlockOf(seg, 0))
+		if err := disk.ReadBlocks(p, start, img); err != nil {
+			tb.Fatal(err)
+		}
+		if err := disk.AdoptBlocks(p, start, img); err != nil {
+			tb.Fatal(err)
+		}
+		imgs[seg] = img
+	}
+	return imgs
+}
+
+// benchReadLine times reading a 1 MB file back through the buffer cache
+// after FlushCaches: from segments the disk adopted, as a demand fetch
+// leaves a cache line (fetched), or from the disk's own extents. The free
+// list is not poisoned here, as in the program.
+func benchReadLine(b *testing.B, fetched bool) {
+	defer func(was bool) { poisonFreed = was }(poisonFreed)
+	poisonFreed = false
+	e := newEnv(b, 256, 64, Options{MaxInodes: 64, BufferBytes: 8 << 20})
+	e.k.RunProc(func(p *sim.Proc) {
+		f, err := e.fs.Create(p, "/line")
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, 1<<20)
+		for i := range buf {
+			buf[i] = byte(i * 7)
+		}
+		if _, err := f.WriteAt(p, buf, 0); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.fs.FlushCaches(p); err != nil {
+			b.Fatal(err)
+		}
+		if fetched {
+			fetchSegments(b, p, e.fs, e.disk, f.Inum())
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := e.fs.FlushCaches(p); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := f.ReadAt(p, buf, 0); err != nil && err != io.EOF {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkLFSReadFetchedLine1MB(b *testing.B) { benchReadLine(b, true) }
+
+func BenchmarkLFSReadOwnedLine1MB(b *testing.B) { benchReadLine(b, false) }

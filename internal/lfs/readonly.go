@@ -59,7 +59,7 @@ func (fs *FS) LockedBy(p *sim.Proc) bool { return fs.lock.HeldBy(p) }
 // (DESIGN.md, "What the file-system lock covers"). A device read that would
 // wait for tertiary storage makes body return notResident; readOnly waits
 // for the fetch with the lock released and runs body again from the top, so
-// nothing it looked at (inodes, buffers, the cluster scratch) is used across
+// nothing it looked at (inodes, buffers, the cluster request) is used across
 // the unlocked window or needs revalidating.
 func (fs *FS) readOnly(p *sim.Proc, body func() error) error {
 	var op readOp

@@ -25,12 +25,12 @@ type tertDev struct {
 	line      map[addr.SegNo]addr.SegNo
 	fetchTime sim.Time
 	// thrash: a fetched segment is evicted again before the reader that
-	// asked for it is back; only a reader that waits inside ReadBlocks
+	// asked for it is back; only a reader that waits inside ReadParts
 	// (holding the file system lock) gets to read it.
 	thrash bool
 
 	fetches     int // Fetch calls: waits with the file system lock released
-	held        int // waits inside ReadBlocks: the caller kept the lock
+	held        int // waits inside ReadParts: the caller kept the lock
 	again       int // ReadAgain calls: reads issued again after a Fetch
 	inFlight    int
 	maxInFlight int
@@ -65,29 +65,51 @@ func (d *tertDev) Fetch(p *sim.Proc, b addr.BlockNo, n int) error {
 	return nil
 }
 
-func (d *tertDev) ReadAgain(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+func (d *tertDev) ReadAgain(p *sim.Proc, parts []dev.Part) error {
 	d.again++
-	return d.ReadBlocks(p, b, buf)
+	return d.ReadParts(p, parts)
 }
 
 func (d *tertDev) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
-	for _, s := range d.waits(b, len(buf)/BlockSize) {
+	return d.ReadParts(p, []dev.Part{{Blk: int64(b), Buf: buf}})
+}
+
+func (d *tertDev) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	b, n := addr.BlockNo(parts[0].Blk), 0
+	for _, pt := range parts {
+		n += len(pt.Buf) / BlockSize
+	}
+	for _, s := range d.waits(b, n) {
 		d.held++
 		p.Sleep(d.fetchTime)
 		if !d.thrash {
 			delete(d.away, s)
 		}
 	}
-	for len(buf) > 0 { // segment by segment, as HighLight's block map reads
+	for len(parts) > 0 { // segment by segment, as HighLight's block map reads
+		b = addr.BlockNo(parts[0].Blk)
 		seg, off := d.amap.SegOf(b), d.amap.OffOf(b)
-		n := min(len(buf)/BlockSize, d.amap.SegBlocks()-off)
+		var chunk []dev.Part
+		for span := d.amap.SegBlocks() - off; len(parts) > 0 && span > 0; span -= len(chunk[len(chunk)-1].Buf) / BlockSize {
+			pt := parts[0]
+			parts = parts[1:]
+			if len(pt.Buf) > span*BlockSize { // the rest starts the next segment
+				rest := pt
+				rest.Blk, rest.Buf, rest.Lend = pt.Blk+int64(span), pt.Buf[span*BlockSize:], nil
+				pt.Buf, pt.Lend = pt.Buf[:span*BlockSize], nil
+				parts = append([]dev.Part{rest}, parts...)
+			}
+			chunk = append(chunk, pt)
+		}
 		if ln, ok := d.line[seg]; ok {
 			seg = ln
 		}
-		if err := d.DiskDevice.ReadBlocks(p, d.amap.BlockOf(seg, off), buf[:n*BlockSize]); err != nil {
+		for i := range chunk {
+			chunk[i].Blk += int64(d.amap.BlockOf(seg, off)) - int64(b)
+		}
+		if err := d.DiskDevice.ReadParts(p, chunk); err != nil {
 			return err
 		}
-		b, buf = b+addr.BlockNo(n), buf[n*BlockSize:]
 	}
 	return nil
 }
@@ -315,8 +337,8 @@ func TestWriterOverwritesWhileReaderParked(t *testing.T) {
 	if td.fetches == 0 {
 		t.Fatal("reader never parked")
 	}
-	if fs.dirtyBytes != BlockSize {
-		t.Fatalf("%d dirty bytes after the read, want the writer's block still dirty", fs.dirtyBytes)
+	if len(fs.dirty) != 1 {
+		t.Fatalf("%d dirty blocks after the read, want the writer's block still dirty", len(fs.dirty))
 	}
 	e.run(t, func(p *sim.Proc) {
 		if err := fs.FlushCaches(p); err != nil {

@@ -30,6 +30,9 @@ func checkBufferCache(fs *FS) error {
 			}
 			if b.dirty {
 				dirty++
+				if fs.dirty[b.key] != b {
+					return fmt.Errorf("dirty buffer %v is not in the dirty set", b.key)
+				}
 			}
 			n++
 		}
@@ -40,8 +43,8 @@ func checkBufferCache(fs *FS) error {
 	switch total := fs.lru.n + fs.reserve.n; {
 	case total != len(fs.bufs): // so no buffer is on both lists, or on none
 		return fmt.Errorf("%d buffers on the lists, %d in the cache", total, len(fs.bufs))
-	case fs.bufBytes != total*BlockSize || fs.dirtyBytes != dirty*BlockSize:
-		return fmt.Errorf("bufBytes %d dirtyBytes %d for %d buffers, %d dirty", fs.bufBytes, fs.dirtyBytes, total, dirty)
+	case fs.bufBytes != total*BlockSize || len(fs.dirty) != dirty: // so the dirty set is the dirty buffers
+		return fmt.Errorf("bufBytes %d, a dirty set of %d for %d buffers, %d dirty", fs.bufBytes, len(fs.dirty), total, dirty)
 	case fs.reserve.n*BlockSize > fs.opts.BufferBytes/reserveShare:
 		return fmt.Errorf("reserve holds %d blocks of a %d-byte budget", fs.reserve.n, fs.opts.BufferBytes)
 	case fs.bufBytes > fs.opts.BufferBytes && fs.reserve.n > 0:
@@ -294,8 +297,8 @@ func TestReadAheadDoesNotSeeTheReserve(t *testing.T) {
 		if _, err := flood.WriteAt(p, pattern(3, 64*BlockSize), 0); err != nil {
 			t.Fatal(err)
 		}
-		if fs.reserve.n != 0 || fs.dirtyBytes != 64*BlockSize {
-			t.Fatalf("%d blocks in the reserve beside %d dirty bytes, a full budget", fs.reserve.n, fs.dirtyBytes)
+		if fs.reserve.n != 0 || len(fs.dirty) != 64 {
+			t.Fatalf("%d blocks in the reserve beside %d dirty blocks, a full budget", fs.reserve.n, len(fs.dirty))
 		}
 	})
 }

@@ -91,8 +91,8 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 	clear(seen)
 	for {
 		todo := fs.flush.todo[:0]
-		for k, b := range fs.bufs {
-			if b.dirty && !seen[k] {
+		for k := range fs.dirty {
+			if !seen[k] {
 				todo = append(todo, k)
 			}
 		}
@@ -100,7 +100,7 @@ func (fs *FS) dirtyParents(p *sim.Proc) error {
 		if len(todo) == 0 {
 			return nil
 		}
-		// fs.bufs is a map: fix the order, since loading an uncached parent
+		// fs.dirty is a map: fix the order, since loading an uncached parent
 		// is a timed read and the arm's seek depends on the one before.
 		slices.SortFunc(todo, cmpKey)
 		for _, k := range todo {

@@ -30,6 +30,10 @@ func (d *recDev) ReadBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 	return d.td.ReadBlocks(p, b, buf)
 }
 
+func (d *recDev) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	return d.td.ReadParts(p, parts)
+}
+
 func (d *recDev) WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 	d.log = append(d.log, fmt.Sprintf("t=%d at=%d n=%d sha256=%x", p.Now(), b, len(buf)/BlockSize, sha256.Sum256(buf)))
 	return d.td.WriteBlocks(p, b, buf)

@@ -227,3 +227,60 @@ func TestOnlyAConcatenatedFarmShares(t *testing.T) {
 		})
 	}
 }
+
+// lendRead reads [blk, blk+nb) with ReadParts, one part per block, each with
+// a Lend slot, and returns each block's bytes and whether it came back as a
+// view.
+func lendRead(t *testing.T, p *sim.Proc, f *Farm, blk, nb int64) (blocks [][]byte, lent []bool) {
+	t.Helper()
+	parts := make([]dev.Part, nb)
+	views := make([][]byte, nb)
+	for i := range parts {
+		parts[i] = dev.Part{Blk: blk + int64(i), Buf: bytes.Repeat([]byte{0xEE}, dev.BlockSize), Lend: &views[i]}
+	}
+	if err := f.ReadParts(p, parts); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range views {
+		if v != nil {
+			blocks, lent = append(blocks, v), append(lent, true)
+		} else {
+			blocks, lent = append(blocks, parts[i].Buf), append(lent, false)
+		}
+	}
+	return blocks, lent
+}
+
+// TestLendingReadOfAnAdoptedLine (e): a read that asks to borrow every block
+// of the adopted line and of the segment before it gets the line's blocks as
+// views of the image and the disks' own blocks filled, all as written. With
+// a spindle failed, each block the parity farm reconstructs comes back in
+// Buf, never as a view.
+func TestLendingReadOfAnAdoptedLine(t *testing.T) {
+	sim.NewKernel().RunProc(func(p *sim.Proc) {
+		f, disks, img, model := adoptedLine(t, p, true)
+		for failed := -1; failed < len(disks); failed++ {
+			if failed >= 0 {
+				f.setFailed(failed, true)
+			}
+			blocks, lent := lendRead(t, p, f, 0, 2*segLine)
+			for i, b := range blocks {
+				blk := int64(i)
+				disk, _, _ := f.locate(blk)
+				inLine := blk >= lineStart
+				if !bytes.Equal(b, model[blk*dev.BlockSize:(blk+1)*dev.BlockSize]) {
+					t.Fatalf("spindle %d failed: block %d reads wrong", failed, blk)
+				}
+				if want := inLine && disk != failed; lent[i] != want {
+					t.Fatalf("spindle %d failed: block %d (spindle %d) lent %v, want %v", failed, blk, disk, lent[i], want)
+				}
+				if lent[i] && &b[0] != &img[(blk-lineStart)*dev.BlockSize] {
+					t.Fatalf("block %d is lent but not a view of the adopted image", blk)
+				}
+			}
+			if failed >= 0 {
+				f.setFailed(failed, false)
+			}
+		}
+	})
+}

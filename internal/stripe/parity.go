@@ -10,7 +10,8 @@ import (
 
 // reconstruct serves degraded-mode reads: each missing extent is the XOR
 // of the same physical extent on every surviving spindle (the other data
-// units plus the row's parity). All survivor reads across all degraded
+// units plus the row's parity), written into the extent's Buf even where its
+// part asked for a view. All survivor reads across all degraded
 // extents are issued as one parallel phase, into scratch buffers borrowed
 // from the farm's free list until the XOR is done.
 func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
@@ -32,18 +33,21 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 				return fmt.Errorf("stripe: reconstructing spindle %d with spindle %d also failed: %w",
 					e.disk, d, ErrComponentFailed)
 			}
-			sb := f.free.get(len(e.buf))
+			sb := f.free.get(len(e.pt.Buf))
 			scratch[i] = append(scratch[i], sb)
-			groups[d] = append(groups[d], dev.Part{Blk: e.phys, Buf: sb})
+			groups[d] = append(groups[d], dev.Part{Blk: e.pt.Blk, Buf: sb})
 		}
 	}
 	if err := f.dispatch(p, &f.rebuild, groups, false); err != nil {
 		return err
 	}
 	for i, e := range degraded {
-		copy(e.buf, scratch[i][0])
+		if e.pt.Lend != nil {
+			*e.pt.Lend = nil // reconstructed bytes, never a view
+		}
+		copy(e.pt.Buf, scratch[i][0])
 		for _, sb := range scratch[i][1:] {
-			xorInto(e.buf, sb)
+			xorInto(e.pt.Buf, sb)
 		}
 	}
 	return nil

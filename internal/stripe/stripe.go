@@ -42,7 +42,10 @@ type Farm struct {
 	failed []bool
 	total  int64 // logical data blocks presented
 	free   freeList
-	names  farmNames
+	// partLists are byDisk's lists of component parts, reused as free's
+	// buffers are (a field, not a sync.Pool, for the same reasons).
+	partLists [][]dev.Part
+	names     farmNames
 	// rebuild names the survivor reads of a degraded-mode reconstruction.
 	rebuild fanNames
 }
@@ -234,46 +237,94 @@ func (f *Farm) locate(blk int64) (disk int, phys, run int64) {
 	return f.lane(row, j), row*f.unit + off, f.unit - off
 }
 
-// extent is a slice of a request that is contiguous on one component:
-// buf goes to (or comes from) physical block phys of spindle disk.
+// extent is a slice of a request that is contiguous on one component: pt
+// moves its blocks to (or from) physical block pt.Blk of spindle disk, with
+// the Keep and Lend of the part it was cut from.
 type extent struct {
 	disk int
-	phys int64
-	buf  []byte
+	pt   dev.Part
 }
 
-// split cuts a validated request into extents, appending to dst. A
-// striped request that needs more extents than dst holds gets one slice of
-// exactly its size; callers pass a small array of their own, which a
-// concatenated request (one extent unless it crosses a component boundary)
-// never outgrows in practice.
-func (f *Farm) split(dst []extent, blk int64, buf []byte) []extent {
+// split cuts a validated request into extents, appending to dst: each part
+// is cut where the address map cuts it (a stripe unit or a component ends).
+// A striped request that needs more extents than dst holds gets one slice of
+// its size; callers pass a small array of their own, which a concatenated
+// request (one extent per part unless it crosses a component boundary) never
+// outgrows in practice.
+func (f *Farm) split(dst []extent, parts []dev.Part) []extent {
 	if f.unit > 0 {
-		last := blk + int64(len(buf)/dev.BlockSize) - 1
-		if n := int(last/f.unit - blk/f.unit + 1); n > cap(dst) {
+		n := 0
+		for _, pt := range parts {
+			n += int((end(pt)-1)/f.unit - pt.Blk/f.unit + 1)
+		}
+		if n > cap(dst) {
 			dst = make([]extent, 0, n)
 		}
 	}
-	for len(buf) > 0 {
-		disk, phys, n := f.locate(blk)
-		if avail := int64(len(buf) / dev.BlockSize); n > avail {
-			n = avail
+	for _, pt := range parts {
+		blk, buf := pt.Blk, pt.Buf
+		for len(buf) > 0 {
+			disk, phys, n := f.locate(blk)
+			n = min(n, int64(len(buf)/dev.BlockSize))
+			piece := pt
+			piece.Blk, piece.Buf = phys, buf[:n*dev.BlockSize]
+			if len(piece.Buf) != len(pt.Buf) {
+				piece.Lend = nil // a view is of the whole part or nothing
+			}
+			dst = append(dst, extent{disk: disk, pt: piece})
+			buf = buf[n*dev.BlockSize:]
+			blk += n
 		}
-		dst = append(dst, extent{disk: disk, phys: phys, buf: buf[:n*dev.BlockSize]})
-		buf = buf[n*dev.BlockSize:]
-		blk += n
 	}
 	return dst
 }
 
-// do validates a request, opens its stripe-io trace stage (labelled with
-// direction and size) and runs it. keep marks a transfer whose buf may be kept
-// (dev.Adopter).
-func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
-	if len(buf)%dev.BlockSize != 0 {
-		return fmt.Errorf("stripe: buffer %d bytes not block-aligned", len(buf))
+// byDisk collects the parts of exts by spindle, in request order on each,
+// skipping the spindles skip names: groups[d] is what runOps issues to
+// component d. The groups are carved from one list of the farm's, which the
+// caller hands back with putParts once the request has joined.
+func (f *Farm) byDisk(exts []extent, skip []bool) (groups [][]dev.Part, flat []dev.Part) {
+	groups = make([][]dev.Part, len(f.devs))
+	if n := len(f.partLists); n > 0 && cap(f.partLists[n-1]) >= len(exts) {
+		flat, f.partLists = f.partLists[n-1], f.partLists[:n-1]
+	} else {
+		flat = make([]dev.Part, 0, max(len(exts), 16))
 	}
-	nb := int64(len(buf) / dev.BlockSize)
+	for d := range f.devs {
+		if skip[d] {
+			continue
+		}
+		from := len(flat)
+		for _, e := range exts {
+			if e.disk == d {
+				flat = append(flat, e.pt)
+			}
+		}
+		groups[d] = flat[from:len(flat):len(flat)]
+	}
+	return groups, flat
+}
+
+// putParts takes back a list byDisk handed out, dropping what it pointed at.
+func (f *Farm) putParts(flat []dev.Part) {
+	clear(flat)
+	f.partLists = append(f.partLists, flat[:0])
+}
+
+// do validates a request — parts that each start at the block after the one
+// before ends; a write is one part — opens its stripe-io trace stage
+// (labelled with direction and size) and runs it.
+func (f *Farm) do(p *sim.Proc, parts []dev.Part, write bool) error {
+	blk, nb := int64(0), int64(0)
+	if len(parts) > 0 {
+		blk = parts[0].Blk
+	}
+	for _, pt := range parts {
+		if len(pt.Buf)%dev.BlockSize != 0 || pt.Blk != blk+nb {
+			return fmt.Errorf("stripe: %d bytes at block %d are not whole blocks following [%d,%d)", len(pt.Buf), pt.Blk, blk, blk+nb)
+		}
+		nb += int64(len(pt.Buf) / dev.BlockSize)
+	}
 	if blk < 0 || blk+nb > f.total {
 		return fmt.Errorf("stripe: blocks [%d,%d) out of range [0,%d)", blk, blk+nb, f.total)
 	}
@@ -290,11 +341,11 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
 	var err error
 	switch {
 	case !write:
-		err = f.readBlocks(p, blk, buf, keep)
+		err = f.readParts(p, parts)
 	case f.parity:
-		err = f.writeParity(p, blk, nb, buf, keep)
+		err = f.writeParity(p, blk, nb, parts[0].Buf, parts[0].Keep)
 	default:
-		err = f.writeBlocks(p, blk, buf, keep)
+		err = f.writeBlocks(p, parts)
 	}
 	tr.StageEnd(st, p.Now())
 	return err
@@ -302,12 +353,21 @@ func (f *Farm) do(p *sim.Proc, blk int64, buf []byte, write, keep bool) error {
 
 // ReadBlocks implements dev.BlockDev.
 func (f *Farm) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, false, false)
+	return f.do(p, []dev.Part{{Blk: blk, Buf: buf}}, false)
+}
+
+// ReadParts reads into parts, each starting at the block after the one before
+// ends, what ReadBlocks of their concatenation would, with the same component
+// requests. A one-block part with a Lend slot may come back lent by its
+// component (dev.Part); a degraded read reconstructs into Buf and lends
+// nothing.
+func (f *Farm) ReadParts(p *sim.Proc, parts []dev.Part) error {
+	return f.do(p, parts, false)
 }
 
 // WriteBlocks implements dev.BlockDev.
 func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, true, false)
+	return f.do(p, []dev.Part{{Blk: blk, Buf: buf}}, true)
 }
 
 // AdoptBlocks implements dev.Adopter: WriteBlocks, except that every data
@@ -315,7 +375,7 @@ func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // whole extents of it by reference. Parity is computed from buf and written
 // from the farm's own buffers, which are never kept.
 func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, true, true)
+	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: true}}, true)
 }
 
 // ShareBlocks implements dev.Adopter. On a concatenated farm it is ReadBlocks
@@ -324,13 +384,12 @@ func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 // a line shared there has no owned extents left for the next fetch into it
 // to displace, so sharing costs allocations instead of saving them.
 func (f *Farm) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	return f.do(p, blk, buf, false, f.unit == 0)
+	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: f.unit == 0}}, false)
 }
 
-func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
-	var few [4]extent
-	exts := f.split(few[:0], blk, buf)
-	groups := make([][]dev.Part, len(f.devs))
+func (f *Farm) readParts(p *sim.Proc, parts []dev.Part) error {
+	var few [16]extent
+	exts := f.split(few[:0], parts)
 	var degraded []extent
 	for _, e := range exts {
 		if f.failed[e.disk] {
@@ -338,11 +397,11 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
 				return fmt.Errorf("stripe: read of blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 			}
 			degraded = append(degraded, e)
-			continue
 		}
-		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf, Keep: keep})
 	}
+	groups, flat := f.byDisk(exts, f.failed)
 	errs := f.dispatchAll(p, &f.names.read, groups, false)
+	f.putParts(flat)
 	for d, err := range errs {
 		if err == nil {
 			continue
@@ -367,17 +426,18 @@ func (f *Farm) readBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
 }
 
 // writeBlocks is the write path of a farm without parity.
-func (f *Farm) writeBlocks(p *sim.Proc, blk int64, buf []byte, keep bool) error {
+func (f *Farm) writeBlocks(p *sim.Proc, parts []dev.Part) error {
 	var few [4]extent
-	exts := f.split(few[:0], blk, buf)
-	groups := make([][]dev.Part, len(f.devs))
+	exts := f.split(few[:0], parts)
 	for _, e := range exts {
 		if f.failed[e.disk] {
 			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 		}
-		groups[e.disk] = append(groups[e.disk], dev.Part{Blk: e.phys, Buf: e.buf, Keep: keep})
 	}
-	return f.dispatch(p, &f.names.write, groups, true)
+	groups, flat := f.byDisk(exts, f.failed)
+	err := f.dispatch(p, &f.names.write, groups, true)
+	f.putParts(flat)
+	return err
 }
 
 // Flush implements dev.Flusher by draining the write cache of every
@@ -437,30 +497,35 @@ func (f *freeList) put(b []byte) {
 	(*f)[c] = append((*f)[c], b)
 }
 
-// runOps issues one component's transfers, sorted by physical block, in
-// order from process p. A transfer and the next, when that starts where it
-// ends, go down as one call over their slices (scatter-gather, as an HBA
-// would do it), so adjacent stripe units cost the arm one rotation instead of
-// two. A lone transfer the component may not keep is a plain ReadBlocks or
-// WriteBlocks, the same transfer, so a wrapper that times those two calls of
-// a component times every transfer of an unstriped farm but the kept ones.
-// Runs stop at two transfers: the schedule every striped baseline was
-// recorded with (a third adjacent unit starts a new call).
-func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, write bool) error {
+// runOps issues one component's parts, sorted by physical block, in order
+// from process p. A transfer is one extent of the request: a run of parts,
+// each following the one before, inside one stripe unit (on a concatenated
+// farm, inside the component) — one part, or one part per block for a
+// lending read. A transfer and the next, when that starts where it ends, go
+// down as one call over their parts (scatter-gather, as an HBA would do it),
+// so adjacent stripe units cost the arm one rotation instead of two. A lone
+// transfer of one part the component may neither keep nor lend is a plain
+// ReadBlocks or WriteBlocks, the same transfer, so a wrapper that times those
+// two calls of a component times every transfer of an unstriped farm but the
+// kept and lending ones. Runs stop at two transfers: the schedule every
+// striped baseline was recorded with (a third adjacent unit starts a new
+// call).
+func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, unit int64, write bool) error {
 	for len(ops) > 0 {
-		n := 1
-		if len(ops) > 1 && ops[1].Blk == ops[0].Blk+int64(len(ops[0].Buf)/dev.BlockSize) {
-			n = 2
+		n := transfer(ops, unit)
+		if n < len(ops) && ops[n].Blk == end(ops[n-1]) {
+			n += transfer(ops[n:], unit)
 		}
 		run := ops[:n]
 		ops = ops[n:]
+		lone := n == 1 && !run[0].Keep && run[0].Lend == nil
 		var err error
 		switch {
-		case !write && n == 1 && !run[0].Keep:
+		case !write && lone:
 			err = d.ReadBlocks(p, run[0].Blk, run[0].Buf)
 		case !write:
 			err = d.ReadParts(p, run)
-		case n == 1 && !run[0].Keep:
+		case lone:
 			err = d.WriteBlocks(p, run[0].Blk, run[0].Buf)
 		default:
 			err = d.WriteParts(p, run)
@@ -471,6 +536,19 @@ func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, write bool) error {
 	}
 	return nil
 }
+
+// transfer returns how many parts at the head of ops make its first
+// transfer (runOps).
+func transfer(ops []dev.Part, unit int64) int {
+	n := 1
+	for n < len(ops) && ops[n].Blk == end(ops[n-1]) && (unit == 0 || ops[n].Blk/unit == ops[0].Blk/unit) {
+		n++
+	}
+	return n
+}
+
+// end is the block after pt's last.
+func end(pt dev.Part) int64 { return pt.Blk + int64(len(pt.Buf)/dev.BlockSize) }
 
 // fanNames holds the proc and condition names of one kind of fan-out
 // (a farm's reads, its writes, its flushes), built once per farm so a
@@ -573,7 +651,7 @@ func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, wr
 	for i, g := range groups {
 		if len(g) > 0 {
 			d := f.devs[i]
-			tasks[i] = func(cp *sim.Proc) error { return runOps(cp, d, g, write) }
+			tasks[i] = func(cp *sim.Proc) error { return runOps(cp, d, g, f.unit, write) }
 		}
 	}
 	return fanoutAll(p, names, tasks)

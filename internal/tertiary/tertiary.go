@@ -11,7 +11,11 @@
 // inefficiency of Table 3. Virtual time charges both copies in full. The
 // host makes neither: the changer lends its immutable segment image
 // (jukebox.Footprint.LendSegment) and the cache line adopts it
-// (dev.Adopter), so the bytes are shared until one side writes. A copy-out
+// (dev.Adopter), so the bytes are shared until one side writes. The re-read
+// through the file system copies nothing either: the disk lends each block
+// of the adopted image to the buffer cache as a read-only view (dev.Part's
+// Lend), and the cache gives a view a block of its own before it writes into
+// it; only the read's copy into the caller's buffer remains. A copy-out
 // reads its line once, into an image the disk keeps as its copy of the line
 // (dev.Adopter.ShareBlocks) and the changer keeps as the medium's
 // (jukebox.Footprint.AdoptSegment). The copy-outs of a replicated line (§5.4)
