@@ -244,7 +244,7 @@ func main() {
 			dirty = false // the service checkpoints per request
 		case "quota":
 			fs := flag.NewFlagSet("quota", flag.ExitOnError)
-			ss := fs.Int("staged-soft", -1, "soft staged-bytes limit in MB (quota GC reclaims above it; 0 clears)")
+			ss := fs.Int("staged-soft", -1, "soft staged-bytes limit in MB (reported against, not enforced; 0 clears)")
 			sh := fs.Int("staged-hard", -1, "hard staged-bytes limit in MB (admission sheds above it; 0 clears)")
 			ph := fs.Int("pinned-hard", -1, "hard pinned-bytes limit in MB (0 clears)")
 			must(fs.Parse(rest))

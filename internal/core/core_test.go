@@ -276,8 +276,8 @@ func TestEndOfMediumRestagesOnNextVolume(t *testing.T) {
 		if err := hl.CompleteMigration(p); err != nil {
 			t.Fatal(err)
 		}
-		if !e.juke.VolumeFull(0) {
-			t.Fatal("volume 0 not marked full")
+		if u := hl.VolumeUsages()[0]; u.Volume != 0 || u.NoStoreSegs == 0 {
+			t.Fatalf("volume 0 after end of medium: %+v, want its unwritten segments no-store", u)
 		}
 		if hl.Svc.Stats().EOMRetries == 0 {
 			t.Fatal("no end-of-medium retry recorded")
@@ -587,13 +587,8 @@ func TestReplicatedSegmentsReadClosestCopy(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.juke.WriteDrive = -1 // no reservation: reads may use either drive
-		for d := 0; d < 2; d++ {
-			if e.juke.LoadedVolume(d) != v {
-				// Force-load by reading again; the LRU drive gets it.
-				if err := e.juke.ReadSegment(p, v, s, buf); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if !e.juke.VolumeLoaded(v) {
+			t.Fatalf("replica volume %d not loaded after a read from it", v)
 		}
 		swapsBefore := e.juke.Stats().Swaps
 		rbuf := make([]byte, lfs.BlockSize)
@@ -683,7 +678,7 @@ func TestDeadZoneReadRejected(t *testing.T) {
 	e.run(t, func(p *sim.Proc) {
 		bm := &blockMap{hl: e.hl}
 		dead := addr.SegNo(e.hl.Amap.DiskSegs() + 100)
-		if !e.hl.Amap.IsDeadZone(dead) {
+		if e.hl.Amap.IsDiskSeg(dead) || e.hl.Amap.IsTertiarySeg(dead) {
 			t.Fatal("test segment not in dead zone")
 		}
 		err := bm.ReadBlocks(p, e.hl.Amap.BlockOf(dead, 0), make([]byte, lfs.BlockSize))

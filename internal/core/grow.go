@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/dev"
 	"repro/internal/sim"
 )
@@ -30,47 +29,4 @@ func (hl *HighLight) AddDisk(p *sim.Proc, d dev.BlockDev) (int, error) {
 		return 0, err
 	}
 	return segs, nil
-}
-
-// RetireDiskRange takes the disk segments [lo, hi) out of service so the
-// underlying spindle can be removed: cached tertiary lines in the range
-// are ejected (their tertiary copies remain), live log data are cleaned
-// forward, and the segments are marked as having no storage.
-func (hl *HighLight) RetireDiskRange(p *sim.Proc, lo, hi addr.SegNo) error {
-	// Evict cache lines living in the range. Staging lines hold the sole
-	// copy of migrated data; drain copyouts so none remain.
-	hl.finishStaging(p)
-	hl.FlushCopyouts(p)
-	hl.Svc.DrainCopyouts(p)
-	for _, l := range hl.Cache.Lines() {
-		if l.DiskSeg < lo || l.DiskSeg >= hi {
-			continue
-		}
-		if l.Staging || l.Pins > 0 {
-			return fmt.Errorf("core: cache line for tertiary segment %d in segment %d is busy", l.Tag, l.DiskSeg)
-		}
-		if err := hl.Svc.Eject(l.Tag); err != nil {
-			return err
-		}
-	}
-	// Pool segments (unbound cache lines) in the range leave the cache and
-	// give their claim back.
-	for _, s := range hl.Cache.Shrink(lo, hi) {
-		hl.FS.ReleaseCacheSegment(p, s)
-	}
-	return hl.FS.RetireSegments(p, lo, hi)
-}
-
-// ComponentRange reports the disk-segment range [lo, hi) served by farm
-// component i, for use with RetireDiskRange. Only a concatenated farm maps
-// components to contiguous segment ranges; for an interleaved farm the
-// range is empty.
-func (hl *HighLight) ComponentRange(i int) (lo, hi addr.SegNo) {
-	if hl.Disk.StripeUnit() > 0 {
-		return 0, 0
-	}
-	d, start := hl.Disk.Component(i)
-	lo = addr.SegNo(start / int64(hl.Amap.SegBlocks()))
-	hi = lo + addr.SegNo(d.NumBlocks()/int64(hl.Amap.SegBlocks()))
-	return lo, hi
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/addr"
 	"repro/internal/dev"
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
@@ -142,82 +141,9 @@ func TestAddDiskRefusedOnStripedFarm(t *testing.T) {
 		if _, err := hl.AddDisk(p, disk()); !errors.Is(err, stripe.ErrStriped) {
 			t.Fatalf("AddDisk on a striped farm: %v, want an error wrapping stripe.ErrStriped", err)
 		}
-		if hl.Disk.NumBlocks() != blocks || hl.Disk.Components() != 3 || hl.Amap.DiskSegs() != segs {
+		if hl.Disk.NumBlocks() != blocks || hl.Amap.DiskSegs() != segs {
 			t.Fatal("refused AddDisk changed the farm or the address map")
-		}
-		for i := 0; i < 3; i++ {
-			if lo, hi := hl.ComponentRange(i); lo != hi {
-				t.Fatalf("ComponentRange(%d) = [%d,%d) on a striped farm, want empty", i, lo, hi)
-			}
 		}
 	})
 	k.Stop()
-}
-
-// Retiring a range that holds part of the cache pool takes those segments out
-// of the cache's capacity, not only out of its free list: replacement's
-// protected share and refetch window are sized by Capacity.
-func TestRetireDiskRangeShrinksTheCache(t *testing.T) {
-	e := newHL(t, 64, 6, 4, 16) // cache pool: segments 58-63
-	e.run(t, func(p *sim.Proc) {
-		hl := e.hl
-		if err := hl.RetireDiskRange(p, 60, 64); err != nil {
-			t.Fatalf("retire: %v", err)
-		}
-		c := hl.Cache
-		if c.Capacity() != 2 || c.FreeLines()+c.Len() != 2 || hl.FS.CacheSegsInUse() != 2 {
-			t.Fatalf("after retiring 4 of 6 pool segments: capacity %d, %d free + %d lines, %d claimed in lfs, want 2 each",
-				c.Capacity(), c.FreeLines(), c.Len(), hl.FS.CacheSegsInUse())
-		}
-		for range 2 {
-			if s, ok := c.TakeFree(); !ok || s < 58 || s >= 60 {
-				t.Fatalf("free segment %d (%v), want 58 or 59", s, ok)
-			}
-		}
-	})
-	e.k.Stop()
-}
-
-func TestRetireDiskRangeEvacuatesData(t *testing.T) {
-	e := newHL(t, 64, 6, 4, 16)
-	e.run(t, func(p *sim.Proc) {
-		hl := e.hl
-		data := pat(3, 60*lfs.BlockSize)
-		f := put(t, p, hl, "/keep", data)
-		if err := hl.FS.Sync(p); err != nil {
-			t.Fatal(err)
-		}
-		// Retire the middle third of the disk.
-		lo, hi := addr.SegNo(20), addr.SegNo(40)
-		if err := hl.RetireDiskRange(p, lo, hi); err != nil {
-			t.Fatalf("retire: %v", err)
-		}
-		// No live block may remain in the retired range.
-		refs, _ := hl.FS.FileBlockRefs(p, f.Inum())
-		for _, r := range refs {
-			s := hl.Amap.SegOf(r.Addr)
-			if s >= lo && s < hi {
-				t.Fatalf("block %d still lives in retired segment %d", r.Lbn, s)
-			}
-		}
-		if err := hl.FS.FlushCaches(p); err != nil {
-			t.Fatal(err)
-		}
-		if got := get(t, p, f); !bytes.Equal(got, data) {
-			t.Fatal("data corrupted by disk retirement")
-		}
-		// Retired segments never get reused.
-		g := put(t, p, hl, "/new", pat(4, 40*lfs.BlockSize))
-		if err := hl.FS.Sync(p); err != nil {
-			t.Fatal(err)
-		}
-		refs2, _ := hl.FS.FileBlockRefs(p, g.Inum())
-		for _, r := range refs2 {
-			s := hl.Amap.SegOf(r.Addr)
-			if s >= lo && s < hi {
-				t.Fatalf("new data allocated in retired segment %d", s)
-			}
-		}
-	})
-	e.k.Stop()
 }

@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // HSM pin enforcement. Pins arrive from the internal/hsm service surface at
 // two granularities:
 //
@@ -61,26 +59,6 @@ func (hl *HighLight) SegmentPinned(tag int) bool {
 		return true
 	}
 	return tag >= 0 && tag < hl.FS.TsegCount() && hl.FS.TsegPinned(tag)
-}
-
-// PinnedSegments lists the pinned tertiary segments in ascending order,
-// merging in-memory references with persisted flags.
-func (hl *HighLight) PinnedSegments() []int {
-	seen := make(map[int]bool, len(hl.pinnedSegs))
-	for tag := range hl.pinnedSegs {
-		seen[tag] = true
-	}
-	for tag := 0; tag < hl.FS.TsegCount(); tag++ {
-		if hl.FS.TsegPinned(tag) {
-			seen[tag] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for tag := range seen {
-		out = append(out, tag)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // PinInode takes one pin reference on an inode: migration policies and

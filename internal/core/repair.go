@@ -294,7 +294,7 @@ func (hl *HighLight) StartRepairDaemon(every sim.Time) {
 	hl.K.GoDaemon("hl-repair", func(p *sim.Proc) {
 		for {
 			p.Sleep(every)
-			if hl.StagingOpen() || hl.Svc.OutstandingCopyouts() > 0 {
+			if hl.stageTag >= 0 || hl.Svc.OutstandingCopyouts() > 0 {
 				continue
 			}
 			if hl.RepairThrottle != nil && hl.RepairThrottle() {

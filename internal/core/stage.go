@@ -346,9 +346,6 @@ func (hl *HighLight) FlushCopyouts(p *sim.Proc) {
 	hl.delayed = nil
 }
 
-// StagingOpen reports whether a staging segment is being filled.
-func (hl *HighLight) StagingOpen() bool { return hl.stageTag >= 0 }
-
 // stage appends refs, or the inodes inums, to the staging segment, opening
 // one if none is open and closing it if that filled it. hl.staging makes the
 // three steps one: MigrateFiles has several callers (the migrator daemon, HSM
@@ -373,7 +370,7 @@ func (hl *HighLight) stage(p *sim.Proc, refs []lfs.BlockRef, inums []uint32) (*l
 }
 
 // MigrateRefs stages the given block refs (already located via
-// FileBlockRefs/Bmapv) to tertiary storage, opening and closing staging
+// FileBlockRefs) to tertiary storage, opening and closing staging
 // segments as needed. It returns the bytes staged.
 func (hl *HighLight) MigrateRefs(p *sim.Proc, refs []lfs.BlockRef) (int64, error) {
 	var staged int64

@@ -1,6 +1,10 @@
 package crash
 
-import "testing"
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
 
 // TestTracingDoesNotPerturbRecovery runs a reduced crash matrix twice —
 // once plain, once with full-retention tracing on every device and the
@@ -52,8 +56,9 @@ func TestTracedWorkloadCapturesSpans(t *testing.T) {
 	if res.Obs == nil {
 		t.Fatal("traced run has no retaining obs domain")
 	}
-	if len(res.Obs.Spans()) == 0 {
-		t.Fatal("traced run retained no spans")
+	var trace bytes.Buffer
+	if err := res.Obs.WriteChromeTrace(&trace); err != nil || !strings.Contains(trace.String(), `"ph":"X"`) {
+		t.Fatalf("traced run retained no spans (%v)", err)
 	}
 	for _, cat := range []string{"disk.write", "jb.write", "jb.swap", "core.migrate", "core.ckpt", "fp.write"} {
 		if res.Obs.CatCount(cat) == 0 {

@@ -230,6 +230,14 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						}
 						m.durable, m.cached, m.order = maps.Clone(model), map[int64][]byte{}, nil
 						readAll(p, step)
+						// The loaded media hold none of the buffers handed over
+						// before: compare them a last time and stop tracking them.
+						for i := range adopted {
+							if !bytes.Equal(adopted[i], handed[i]) {
+								t.Fatalf("step %d: a buffer adopted earlier changed", step)
+							}
+						}
+						adopted, handed = nil, nil
 					case op == 19:
 						var img bytes.Buffer
 						if err := d.SaveStore(&img); err != nil {

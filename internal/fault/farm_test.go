@@ -2,7 +2,6 @@ package fault
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/dev"
@@ -20,14 +19,15 @@ func TestDegradedReadThroughFaultedArm(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		disks = append(disks, dev.NewDisk(k, dev.RZ57, 512, nil))
 	}
-	farm := stripe.Must(stripe.NewInterleave(4, true, disks...))
+	farm, err := stripe.NewInterleave(4, true, disks...)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Every read of arm 1 is refused permanently: a dead spindle that was
 	// never administratively marked failed.
 	pl := NewPlan(Config{Seed: 7, PermanentReadRate: 0.999999})
-	if !pl.installFarmComponent("arm[1]", farm, 1) {
-		t.Fatal("InstallFarmComponent refused a *dev.Disk component")
-	}
+	pl.installDisk("arm[1]", disks[1].(*dev.Disk))
 
 	const nb = 96 // spans many stripe rows, all arms
 	want := make([]byte, nb*dev.BlockSize)
@@ -48,29 +48,6 @@ func TestDegradedReadThroughFaultedArm(t *testing.T) {
 	})
 	if c := pl.DeviceCounts("arm[1]"); c.Permanent == 0 {
 		t.Fatalf("expected injected read faults on arm 1, got %+v", c)
-	}
-	k.Stop()
-}
-
-// TestFarmComponentTargeting checks the helpers see through both farm
-// layouts and refuse out-of-range or non-disk components.
-func TestFarmComponentTargeting(t *testing.T) {
-	k := sim.NewKernel()
-	d0 := dev.NewDisk(k, dev.RZ57, 256, nil)
-	d1 := dev.NewDisk(k, dev.RZ57, 256, nil)
-	concat := stripe.Must(stripe.New(d0, d1))
-	ileave := stripe.Must(stripe.NewInterleave(4, false, d0, d1))
-
-	pl := NewPlan(Config{Seed: 1})
-	for _, f := range []*stripe.Farm{concat, ileave} {
-		for i := 0; i < f.Components(); i++ {
-			if !pl.installFarmComponent(fmt.Sprintf("arm[%d]", i), f, i) {
-				t.Fatalf("component %d of a %d-spindle farm was not hooked", i, f.Components())
-			}
-		}
-	}
-	if pl.installFarmComponent("oob", concat, 5) {
-		t.Fatal("out-of-range component was hooked")
 	}
 	k.Stop()
 }

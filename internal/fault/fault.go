@@ -28,7 +28,6 @@ import (
 	"repro/internal/dev"
 	"repro/internal/jukebox"
 	"repro/internal/sim"
-	"repro/internal/stripe"
 )
 
 // Config sets the fault rates of a Plan. All rates are per-operation
@@ -209,42 +208,6 @@ func (pl *Plan) InstallJukebox(name string, j *jukebox.Jukebox) {
 	j.Fault = func(op string, vol, seg int) error {
 		return in.decide(op, target{vol: vol, seg: int64(seg)})
 	}
-}
-
-// installDisk compiles the plan into d's Fault hook. Disk faults address
-// block regions (one fault target per 256-block group), so a permanent
-// fault takes out a region the size of a typical request, not the whole
-// device.
-func (pl *Plan) installDisk(name string, d *dev.Disk) {
-	in := pl.injector(name)
-	d.Fault = func(op string, blk int64) error {
-		return in.decide(op, target{vol: -1, seg: blk >> 8})
-	}
-}
-
-// installFarmComponent targets one spindle of a disk farm: component i of
-// f gets its own injector under the given name. This is how a chaos plan
-// takes out a single arm of a striped (RAID-5) farm while its siblings
-// stay healthy — the parity read path must then serve degraded-mode reads
-// through the faulted arm. Returns false when the component is not a
-// simulated disk (nothing to hook).
-func (pl *Plan) installFarmComponent(name string, f *stripe.Farm, i int) bool {
-	d, ok := farmDisk(f, i)
-	if !ok {
-		return false
-	}
-	pl.installDisk(name, d)
-	return true
-}
-
-// farmDisk resolves component i of a farm to its simulated disk.
-func farmDisk(f *stripe.Farm, i int) (*dev.Disk, bool) {
-	if i < 0 || i >= f.Components() {
-		return nil, false
-	}
-	bd, _ := f.Component(i)
-	d, ok := bd.(*dev.Disk)
-	return d, ok
 }
 
 // AddOutage schedules a drive outage on j. Call before Start.

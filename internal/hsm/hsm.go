@@ -5,12 +5,12 @@
 // StageIn/StageOut/Pin/Unpin/Evict requests, run one at a time and kept in
 // a persistent request ledger, file pinning honored end-to-end by the
 // evictor/cleaner/migrator, and per-principal accounting with quota
-// enforcement and a quota-GC daemon.
+// enforcement at admission.
 //
-// Every request transition (admitted → done/failed), pin change, quota
-// shed, and GC reclaim is recorded in the shared decision audit and
-// exported through hsm.* instruments, so `hldump -requests/-pins/-quotas`
-// and the /metrics and /decisions pages see the whole service state.
+// Every request transition (admitted → done/failed), pin change and quota
+// shed is recorded in the shared decision audit and exported through hsm.*
+// instruments, so `hldump -requests/-pins/-quotas` and the /metrics and
+// /decisions pages see the whole service state.
 package hsm
 
 import (
@@ -134,7 +134,7 @@ type Pin struct {
 }
 
 // stagedEntry is one staged-data attribution: who asked for this path's
-// tertiary data to be cached, and how much. Quota GC reclaims these.
+// tertiary data to be cached, and how much.
 type stagedEntry struct {
 	Path      string
 	Principal string
@@ -149,9 +149,9 @@ type stagedEntry struct {
 type Service struct {
 	HL *core.HighLight
 
-	// exec runs requests one at a time, in submission order. SetQuota and
-	// RunQuotaGC hold it too, so the state file is only ever written
-	// between requests and holds finished ones alone.
+	// exec runs requests one at a time, in submission order. SetQuota holds
+	// it too, so the state file is only ever written between requests and
+	// holds finished ones alone.
 	exec     *sim.Resource
 	nextID   int64
 	requests []*Request // every request that took exec, ID order
@@ -163,7 +163,6 @@ type Service struct {
 	completed *obs.Counter
 	failed    *obs.Counter
 	quotaShed *obs.Counter
-	reclaimed *obs.Counter
 	pinsG     *obs.Gauge
 	pinnedBG  *obs.Gauge
 	stagedBG  *obs.Gauge
@@ -187,7 +186,7 @@ func Attach(p *sim.Proc, hl *core.HighLight) (*Service, error) {
 	s.completed = o.Counter("hsm.completed")
 	s.failed = o.Counter("hsm.failed")
 	s.quotaShed = o.Counter("hsm.quota_shed")
-	s.reclaimed = o.Counter("hsm.gc_reclaimed_bytes")
+	o.Counter("hsm.gc_reclaimed_bytes") // stays zero: nothing reclaims by the soft limit
 	s.pinsG = o.Gauge("hsm.pins")
 	s.pinnedBG = o.Gauge("hsm.pinned_bytes")
 	s.stagedBG = o.Gauge("hsm.staged_bytes")
@@ -545,9 +544,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// segBytes is the segment size in bytes (convenience for GC accounting).
-func (s *Service) segBytes() int64 {
-	return int64(s.HL.Amap.SegBlocks()) * lfs.BlockSize
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,8 +17,18 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/sim"
-	"repro/internal/wl"
 )
+
+// pinnedSegments lists the tertiary segments hl reports pinned.
+func pinnedSegments(hl *core.HighLight) []int {
+	var out []int
+	for tag := 0; tag < hl.FS.TsegCount(); tag++ {
+		if hl.SegmentPinned(tag) {
+			out = append(out, tag)
+		}
+	}
+	return out
+}
 
 // rig builds a single-library HighLight instance with a small segment
 // cache, so eviction pressure is easy to provoke in pin-guard tests.
@@ -174,7 +185,7 @@ func TestStageInPinUnpinLifecycle(t *testing.T) {
 		if got := len(s.Pins()); got != 0 {
 			t.Fatalf("pins after unpin: %d", got)
 		}
-		if got := hl.PinnedSegments(); len(got) != 0 {
+		if got := pinnedSegments(hl); len(got) != 0 {
 			t.Fatalf("core pinned segments after unpin: %v", got)
 		}
 		if _, err := s.Submit(p, hsm.OpEvict, "/b", "alice"); err != nil {
@@ -317,7 +328,7 @@ func TestConcurrentPinsOfOnePath(t *testing.T) {
 		if _, err := s.Submit(p, hsm.OpUnpin, "/cold", "alice"); err != nil {
 			t.Fatal(err)
 		}
-		if got := hl.PinnedSegments(); len(got) != 0 {
+		if got := pinnedSegments(hl); len(got) != 0 {
 			t.Fatalf("segments still pinned after the unpin: %v", got)
 		}
 		if hl.InodePinned(inum) {
@@ -326,85 +337,10 @@ func TestConcurrentPinsOfOnePath(t *testing.T) {
 	})
 }
 
-// TestQuotaGCReclaimsColdest checks the soft-limit GC: a principal over
-// its watermark has its least-hot unpinned staged entries ejected (coldest
-// first, audited), and pinned entries are never touched.
-func TestQuotaGCReclaimsColdest(t *testing.T) {
-	k := sim.NewKernel()
-	k.RunProc(func(p *sim.Proc) {
-		hl, _, _ := rig(t, p, k)
-		migrateAndEject(t, p, hl, "/cold", 8)
-		migrateAndEject(t, p, hl, "/hot", 8)
-		s := attach(t, p, hl)
-
-		if _, err := s.Submit(p, hsm.OpStageIn, "/cold", "alice"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Submit(p, hsm.OpStageIn, "/hot", "alice"); err != nil {
-			t.Fatal(err)
-		}
-		// Heat up /hot's segments so the GC ordering has a clear winner.
-		var hotSegs, coldSegs []int
-		for _, st := range s.StagedEntries() {
-			if st.Path == "/hot" {
-				hotSegs = st.Segs
-			} else {
-				coldSegs = st.Segs
-			}
-		}
-		for i := 0; i < 16; i++ {
-			for _, tag := range hotSegs {
-				hl.Heat.Touch(tag, 0, p.Now())
-			}
-		}
-
-		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 8 * lfs.BlockSize}); err != nil {
-			t.Fatal(err)
-		}
-		reclaimed, err := s.RunQuotaGC(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reclaimed != 8*lfs.BlockSize {
-			t.Fatalf("reclaimed %d bytes, want one 8-block file", reclaimed)
-		}
-		st := s.StagedEntries()
-		if len(st) != 1 || st[0].Path != "/hot" {
-			t.Fatalf("staged entries after GC: %+v", st)
-		}
-		for _, tag := range coldSegs {
-			if _, ok := hl.Cache.Peek(tag); ok {
-				t.Fatalf("cold segment %d still cached after GC", tag)
-			}
-		}
-		if v := auditVerdicts(hl); v["reclaimed"] != 1 {
-			t.Fatalf("reclaimed audit verdicts: %v", v)
-		}
-
-		// A pinned entry is over-quota but untouchable.
-		if _, err := s.Submit(p, hsm.OpPin, "/hot", "alice"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 1}); err != nil {
-			t.Fatal(err)
-		}
-		reclaimed, err = s.RunQuotaGC(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reclaimed != 0 {
-			t.Fatalf("GC reclaimed %d bytes from a pinned entry", reclaimed)
-		}
-		if len(s.StagedEntries()) != 1 {
-			t.Fatalf("pinned staged entry dropped: %+v", s.StagedEntries())
-		}
-	})
-}
-
 // scenario runs a fixed seeded multi-principal workload against a fresh
 // rig and returns a digest of every externally observable artifact: the
-// audit stream, the request ledger, pins, staged attributions, quota GC
-// outcome, and final virtual time.
+// audit stream, the request ledger, pins, staged attributions, each
+// request's outcome, and final virtual time.
 func scenario(seed uint64) (string, error) {
 	k := sim.NewKernel()
 	var digest string
@@ -439,18 +375,42 @@ func scenario(seed uint64) (string, error) {
 			fail = err
 			return
 		}
-		stats, err := wl.RunPrincipals(p, s, []wl.PrincipalSpec{
-			{Name: "alice", Requests: 12, MeanGap: sim.Time(200 * time.Millisecond), Paths: paths, PinEvery: 3, Seed: seed},
-			{Name: "bob", Requests: 12, MeanGap: sim.Time(300 * time.Millisecond), Paths: paths, PinEvery: 4, Seed: seed + 7},
-		})
-		if err != nil {
-			fail = err
-			return
+		// One closed-loop client per principal: twelve requests, each a
+		// StageIn of a seeded-random path or, every pinEvery-th, a Pin of a
+		// path it has not pinned; past two live pins it unpins the oldest.
+		var outcomes [2]strings.Builder
+		left, done := 2, k.NewCond("principals")
+		for i, pr := range []struct {
+			name     string
+			gap      time.Duration
+			pinEvery int
+			seed     uint64
+		}{{"alice", 200 * time.Millisecond, 3, seed}, {"bob", 300 * time.Millisecond, 4, seed + 7}} {
+			k.Go("principal-"+pr.name, func(cp *sim.Proc) {
+				defer func() { left--; done.Broadcast() }()
+				rng := sim.NewRNG(pr.seed)
+				var pinned []string
+				for r := 1; r <= 12; r++ {
+					cp.Sleep(sim.Time(pr.gap))
+					path, op := paths[rng.Intn(len(paths))], hsm.OpStageIn
+					if r%pr.pinEvery == 0 && !slices.Contains(pinned, path) {
+						op = hsm.OpPin
+					}
+					_, err := s.Submit(cp, op, path, pr.name)
+					if err == nil && op == hsm.OpPin {
+						pinned = append(pinned, path)
+					}
+					fmt.Fprintf(&outcomes[i], "%v %s %v\n", op, path, err)
+					if len(pinned) > 2 {
+						_, err := s.Submit(cp, hsm.OpUnpin, pinned[0], pr.name)
+						fmt.Fprintf(&outcomes[i], "unpin %s %v\n", pinned[0], err)
+						pinned = pinned[1:]
+					}
+				}
+			})
 		}
-		reclaimed, err := s.RunQuotaGC(p)
-		if err != nil {
-			fail = err
-			return
+		for left > 0 {
+			done.Wait(p)
 		}
 
 		h := sha256.New()
@@ -468,10 +428,10 @@ func scenario(seed uint64) (string, error) {
 		for _, st := range s.StagedEntries() {
 			fmt.Fprintf(h, "staged %s %s %d %v %d\n", st.Path, st.Principal, st.Bytes, st.Segs, int64(st.StagedAt))
 		}
-		for _, ps := range stats {
-			fmt.Fprintf(h, "wl %+v\n", ps)
+		for _, o := range outcomes {
+			fmt.Fprint(h, o.String())
 		}
-		fmt.Fprintf(h, "reclaimed %d now %d audit %d\n", reclaimed, int64(p.Now()), hl.Audit.Total())
+		fmt.Fprintf(h, "now %d audit %d\n", int64(p.Now()), hl.Audit.Total())
 		digest = hex.EncodeToString(h.Sum(nil))
 	})
 	return digest, fail
@@ -479,8 +439,8 @@ func scenario(seed uint64) (string, error) {
 
 // TestDoubleRunDeterminism runs the seeded multi-principal scenario twice
 // on fresh kernels and requires byte-identical digests: the request
-// ledger, quota GC, and audit verdicts must not depend on map order or
-// wall-clock state.
+// ledger, quota admission, and audit verdicts must not depend on map order
+// or wall-clock state.
 func TestDoubleRunDeterminism(t *testing.T) {
 	d1, err := scenario(20260808)
 	if err != nil {

@@ -272,7 +272,7 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 		if _, err := s.Submit(p, hsm.OpUnpin, "/keep", "alice"); err != nil {
 			t.Fatalf("unpin after recovery: %v", err)
 		}
-		if got := hl.PinnedSegments(); len(got) != 0 {
+		if got := pinnedSegments(hl); len(got) != 0 {
 			t.Fatalf("pins remain after unpin: %v", got)
 		}
 	})

@@ -79,7 +79,7 @@ func TestLoadStoreUnloadsTheDrives(t *testing.T) {
 		if err := j.LoadStore(bytes.NewReader(img)); err != nil {
 			t.Fatal(err)
 		}
-		if v := j.LoadedVolume(0); v != -1 {
+		if v := j.drives[0].loaded; v != -1 {
 			t.Fatalf("drive 0 holds volume %d after LoadStore, want none", v)
 		}
 		if err := j.ReadSegment(p, 1, 3, buf); err != nil {

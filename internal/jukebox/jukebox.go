@@ -51,7 +51,7 @@ var (
 // interface for a remote jukebox.
 type Footprint interface {
 	// LendSegment reads segment seg of volume vol and returns the medium's
-	// image of it, SegmentBytes long, or nil for a segment never written
+	// image of it, one segment long, or nil for a segment never written
 	// (it reads as zeroes). The image is lent, not copied: it never changes
 	// afterwards (a rewrite installs a new one), and the caller must not
 	// change it either.
@@ -67,8 +67,6 @@ type Footprint interface {
 	Volumes() int
 	// SegmentsPerVolume reports the nominal segment capacity per volume.
 	SegmentsPerVolume() int
-	// SegmentBytes reports the transfer unit size in bytes.
-	SegmentBytes() int
 }
 
 // MediaProfile is the timing model of a tertiary device family.
@@ -260,7 +258,7 @@ func (j *Jukebox) SegmentsPerVolume() int {
 	return j.segsPerVol
 }
 
-// SegmentBytes implements Footprint.
+// SegmentBytes reports the transfer unit size in bytes.
 func (j *Jukebox) SegmentBytes() int { return j.segBytes }
 
 // SetObs attaches an observability domain: segment reads/writes and
@@ -285,9 +283,6 @@ func (j *Jukebox) SetActualSegments(vol, n int) {
 	j.vols[vol].actualSegs = n
 }
 
-// VolumeFull reports whether vol has returned end-of-medium.
-func (j *Jukebox) VolumeFull(vol int) bool { return j.vols[vol].full }
-
 // EraseVolume discards all data on vol and clears its full mark (media
 // reclamation by the tertiary cleaner).
 func (j *Jukebox) EraseVolume(vol int) {
@@ -299,9 +294,6 @@ func (j *Jukebox) EraseVolume(vol int) {
 		j.OnMediaWrite(vol, -1)
 	}
 }
-
-// LoadedVolume reports which volume drive d holds (-1 if empty).
-func (j *Jukebox) LoadedVolume(d int) int { return j.drives[d].loaded }
 
 // VolumeLoaded reports whether vol currently sits in a healthy drive (no
 // swap needed to access it) — the "closest copy" test of §5.4. A volume
@@ -336,9 +328,6 @@ func (j *Jukebox) checkArgs(vol, seg, n int) error {
 func (j *Jukebox) SetDriveOffline(d int, offline bool) {
 	j.drives[d].offline = offline
 }
-
-// DriveOffline reports whether drive d is out of service.
-func (j *Jukebox) DriveOffline(d int) bool { return j.drives[d].offline }
 
 // IdleHealthyDrives reports how many healthy drives are not currently
 // serving a request (their arms are free). Nothing in the program asks:

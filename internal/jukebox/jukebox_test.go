@@ -136,7 +136,7 @@ func TestEndOfMedium(t *testing.T) {
 		if err := j.WriteSegment(p, 0, 3, buf); !errors.Is(err, ErrEndOfMedium) {
 			t.Fatalf("want ErrEndOfMedium, got %v", err)
 		}
-		if !j.VolumeFull(0) {
+		if !j.vols[0].full {
 			t.Fatal("volume not marked full")
 		}
 		// Once full, even earlier segments reject writes.
@@ -174,17 +174,17 @@ func TestWriteDriveReservation(t *testing.T) {
 		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if j.LoadedVolume(0) != 0 {
-			t.Fatalf("write went to drive holding %d, want volume 0 in drive 0", j.LoadedVolume(0))
+		if j.drives[0].loaded != 0 {
+			t.Fatalf("write went to drive holding %d, want volume 0 in drive 0", j.drives[0].loaded)
 		}
 		// A read of another volume must use the other drive.
 		if err := j.ReadSegment(p, 1, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if j.LoadedVolume(1) != 1 {
-			t.Fatalf("read loaded drive1 with %d, want 1", j.LoadedVolume(1))
+		if j.drives[1].loaded != 1 {
+			t.Fatalf("read loaded drive1 with %d, want 1", j.drives[1].loaded)
 		}
-		if j.LoadedVolume(0) != 0 {
+		if j.drives[0].loaded != 0 {
 			t.Fatal("read evicted the writing volume")
 		}
 		// A read of the writing volume is served by the write drive
@@ -204,7 +204,7 @@ func TestWriteDriveReservation(t *testing.T) {
 // platter is moved on from in the write drive as before; and a drive a read
 // has loaded is not taken for a write.
 func TestAlternatingWritesLoadTheEmptyDrive(t *testing.T) {
-	loaded := func(j *Jukebox) [2]int { return [2]int{j.LoadedVolume(0), j.LoadedVolume(1)} }
+	loaded := func(j *Jukebox) [2]int { return [2]int{j.drives[0].loaded, j.drives[1].loaded} }
 	buf := make([]byte, segBytes)
 
 	k := sim.NewKernel()
@@ -320,7 +320,7 @@ func TestEraseVolumeReclaims(t *testing.T) {
 			t.Fatal("expected EOM")
 		}
 		j.EraseVolume(0)
-		if j.VolumeFull(0) {
+		if j.vols[0].full {
 			t.Fatal("erase did not clear full mark")
 		}
 		if err := j.ReadSegment(p, 0, 0, buf); err != nil {
@@ -407,15 +407,15 @@ func TestDriveOfflineFailover(t *testing.T) {
 		if err := j.ReadSegment(p, 0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		if j.LoadedVolume(1) != 0 {
-			t.Fatalf("drive 1 holds volume %d, want 0", j.LoadedVolume(1))
+		if j.drives[1].loaded != 0 {
+			t.Fatalf("drive 1 holds volume %d, want 0", j.drives[1].loaded)
 		}
 		j.SetDriveOffline(1, true)
 		if err := j.ReadSegment(p, 0, 1, buf); err != nil {
 			t.Fatalf("failover read: %v", err)
 		}
-		if j.LoadedVolume(0) != 0 {
-			t.Fatalf("drive 0 holds volume %d, want 0 after failover", j.LoadedVolume(0))
+		if j.drives[0].loaded != 0 {
+			t.Fatalf("drive 0 holds volume %d, want 0 after failover", j.drives[0].loaded)
 		}
 		if j.Stats().Failovers == 0 {
 			t.Fatal("failover not counted")
@@ -428,8 +428,8 @@ func TestDriveOfflineFailover(t *testing.T) {
 		if err := j.WriteSegment(p, 1, 0, buf); err != nil {
 			t.Fatalf("failover write: %v", err)
 		}
-		if j.LoadedVolume(1) != 1 {
-			t.Fatalf("drive 1 holds volume %d, want 1 after write failover", j.LoadedVolume(1))
+		if j.drives[1].loaded != 1 {
+			t.Fatalf("drive 1 holds volume %d, want 1 after write failover", j.drives[1].loaded)
 		}
 		if j.Stats().Failovers <= fo {
 			t.Fatal("write failover not counted")
@@ -546,7 +546,7 @@ func TestImageSaveLoadRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatal("image round trip lost data")
 		}
-		if !j2.VolumeFull(1) {
+		if !j2.vols[1].full {
 			t.Fatal("full flag lost in image")
 		}
 	})

@@ -99,9 +99,6 @@ func (l *Library) Volumes() int { return l.fp.Volumes() }
 // SegmentsPerVolume implements Footprint.
 func (l *Library) SegmentsPerVolume() int { return l.fp.SegmentsPerVolume() }
 
-// SegmentBytes implements Footprint.
-func (l *Library) SegmentBytes() int { return l.fp.SegmentBytes() }
-
 // VolumeLoaded reports whether vol sits in a healthy drive. A down
 // library never counts as loaded: nothing can be served from it.
 func (l *Library) VolumeLoaded(vol int) bool {

@@ -16,8 +16,8 @@ import (
 
 // BlockRef names one block instance in the log: the file it belonged to,
 // the file's inode version, its logical position, and the address it was
-// found at. Bmapv declares a ref live iff the file still maps that lbn to
-// that address.
+// found at. A ref is live (lfs_bmapv's test) iff the file still maps that
+// lbn to that address.
 type BlockRef struct {
 	Inum    uint32
 	Version uint32
@@ -31,22 +31,6 @@ type InodeRef struct {
 	Version uint32
 	Addr    addr.BlockNo
 	Slot    uint32
-}
-
-// Bmapv reports, for each ref, whether it is the live instance of its
-// block (the lfs_bmapv system call of §6.7).
-func (fs *FS) Bmapv(p *sim.Proc, refs []BlockRef) ([]bool, error) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	out := make([]bool, len(refs))
-	for i, r := range refs {
-		live, err := fs.refLiveLocked(p, r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = live
-	}
-	return out, nil
 }
 
 func (fs *FS) refLiveLocked(p *sim.Proc, r BlockRef) (bool, error) {

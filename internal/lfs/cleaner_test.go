@@ -161,10 +161,25 @@ func TestCleanerDaemonKeepsCleanPool(t *testing.T) {
 	e.k.Stop()
 }
 
+// TestBmapvLiveness checks the liveness test of §6.7's lfs_bmapv, which the
+// cleaner and Migratev apply to every block they would move.
 func TestBmapvLiveness(t *testing.T) {
 	e := newEnv(t, 32, 64, Options{MaxInodes: 128})
 	e.run(t, func(p *sim.Proc) {
 		fs := e.fs
+		bmapv := func(refs []BlockRef) []bool {
+			fs.lock.Acquire(p)
+			defer fs.lock.Release(p)
+			live := make([]bool, len(refs))
+			for i, r := range refs {
+				ok, err := fs.refLiveLocked(p, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[i] = ok
+			}
+			return live
+		}
 		f := writeFile(t, p, fs, "/f", pattern(1, 5*BlockSize))
 		if err := fs.Sync(p); err != nil {
 			t.Fatal(err)
@@ -176,10 +191,7 @@ func TestBmapvLiveness(t *testing.T) {
 		if len(refs) != 5 {
 			t.Fatalf("got %d refs, want 5", len(refs))
 		}
-		live, err := fs.Bmapv(p, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live := bmapv(refs)
 		for i, l := range live {
 			if !l {
 				t.Fatalf("fresh ref %d not live", i)
@@ -192,10 +204,7 @@ func TestBmapvLiveness(t *testing.T) {
 		if err := fs.Sync(p); err != nil {
 			t.Fatal(err)
 		}
-		live, err = fs.Bmapv(p, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live = bmapv(refs)
 		if live[2] {
 			t.Fatal("overwritten block still reported live")
 		}
@@ -206,10 +215,7 @@ func TestBmapvLiveness(t *testing.T) {
 		if err := fs.Remove(p, "/f"); err != nil {
 			t.Fatal(err)
 		}
-		live, err = fs.Bmapv(p, refs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live = bmapv(refs)
 		for i, l := range live {
 			if l {
 				t.Fatalf("ref %d live after unlink", i)

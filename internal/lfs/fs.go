@@ -828,21 +828,6 @@ func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.Seg
 	return 0, ErrNoSpace
 }
 
-// ReleaseCacheSegment returns a cache line to the clean pool.
-func (fs *FS) ReleaseCacheSegment(p *sim.Proc, s addr.SegNo) {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	su := &fs.seguse[s]
-	if su.Flags&SegCached == 0 {
-		panic("lfs: releasing non-cache segment")
-	}
-	su.Flags = 0
-	su.CacheTag = 0
-	su.LiveBytes = 0
-	fs.nclean++
-	fs.cacheInUse--
-}
-
 // NilCacheTag marks a cache-reserved segment not currently bound to any
 // tertiary segment.
 const NilCacheTag = ^uint32(0)

@@ -3,7 +3,6 @@ package lfs
 import (
 	"fmt"
 
-	"repro/internal/addr"
 	"repro/internal/sim"
 )
 
@@ -48,61 +47,6 @@ func (fs *FS) GrowDisk(p *sim.Proc, n int) error {
 	fs.sb.encode(blk)
 	if err := fs.dev.WriteBlocks(p, fs.amap.BlockOf(0, 0), blk); err != nil {
 		return err
-	}
-	return fs.checkpointLocked(p)
-}
-
-// RetireSegments takes the disk segments [lo, hi) out of service: live
-// data are cleaned forward onto other segments and the range is marked as
-// having no storage. Cached tertiary lines in the range must be ejected by
-// the caller first; staging lines make the call fail.
-func (fs *FS) RetireSegments(p *sim.Proc, lo, hi addr.SegNo) error {
-	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
-	if int(lo) < int(fs.sb.ReservedSegs) || int64(hi) > int64(len(fs.seguse)) || lo >= hi {
-		return fmt.Errorf("lfs: retire range [%d,%d) invalid", lo, hi)
-	}
-	for s := lo; s < hi; s++ {
-		if fs.seguse[s].Flags&SegCached != 0 {
-			return fmt.Errorf("lfs: segment %d still caches tertiary segment %d; eject it first", s, fs.seguse[s].CacheTag)
-		}
-	}
-	// Freeze the clean segments first so neither the log nor the cache
-	// allocates into the doomed range while we clean.
-	for s := lo; s < hi; s++ {
-		if fs.seguse[s].Flags == 0 {
-			fs.seguse[s].Flags = SegNoStore
-			fs.nclean--
-		}
-	}
-	// Move the log tail out of the range.
-	if fs.curSeg >= lo && fs.curSeg < hi {
-		next, err := fs.pickSegment(nil)
-		if err != nil && fs.EmergencyClean != nil && fs.EmergencyClean(p) {
-			next, err = fs.pickSegment(nil)
-		}
-		if err != nil {
-			return err
-		}
-		fs.advanceLog(next)
-	}
-	// Clean the dirty segments (copies live data to segments outside the
-	// range, since everything inside is frozen).
-	for s := lo; s < hi; s++ {
-		if fs.seguse[s].Flags&SegDirty == 0 {
-			continue
-		}
-		if _, err := fs.cleanSegmentLocked(p, s); err != nil {
-			return err
-		}
-	}
-	if err := fs.flushLocked(p, false); err != nil {
-		return err
-	}
-	for s := lo; s < hi; s++ {
-		fs.seguse[s].Flags = SegNoStore
-		fs.seguse[s].LiveBytes = 0
-		fs.seguse[s].CacheTag = 0
 	}
 	return fs.checkpointLocked(p)
 }

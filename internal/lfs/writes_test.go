@@ -129,14 +129,6 @@ func writeSession(t *testing.T) []string {
 		must("Remove /b/s", fs.Remove(p, "/b/s"))
 		must("Remove /c", fs.Remove(p, "/c"))
 		sync()
-		// Retire the segments holding the log head.
-		lo := fs.curSeg
-		for s := lo; s < lo+3; s++ {
-			if fs.seguse[s].Flags&SegCached != 0 {
-				t.Fatalf("segment %d to retire is a cache line", s)
-			}
-		}
-		must("RetireSegments", fs.RetireSegments(p, lo, lo+3))
 		if got := readAll(t, p, big); !bytes.Equal(got, pattern(3, (nDirect+2*ptrsPerBlock+8)*BlockSize)[:3*BlockSize]) {
 			t.Fatal("truncated file reads back wrong")
 		}
@@ -149,8 +141,8 @@ func writeSession(t *testing.T) []string {
 
 // TestMediaWritesMatchGolden pins every byte the file system writes, and
 // when: testdata/writes.golden is the write log of a scripted session over
-// the log writer, the cleaner, Migratev, truncation, the namespace edits and
-// RetireSegments. A refactor of any of them leaves it unchanged; -update
+// the log writer, the cleaner, Migratev, truncation and the namespace edits.
+// A refactor of any of them leaves it unchanged; -update
 // rewrites it, and only an intended change of the on-media format or of the
 // write schedule may.
 func TestMediaWritesMatchGolden(t *testing.T) {

@@ -52,27 +52,6 @@ const (
 	Clean
 )
 
-// String names the event kind (stable; used in exports).
-func (k Kind) String() string {
-	switch k {
-	case Hit:
-		return "hit"
-	case Miss:
-		return "miss"
-	case Fetch:
-		return "fetch"
-	case Stage:
-		return "stage"
-	case Copyout:
-		return "copyout"
-	case Evict:
-		return "evict"
-	case Clean:
-		return "clean"
-	}
-	return "unknown"
-}
-
 // heatWeight is the per-event heat contribution. Reads dominate: a
 // demand fetch is the expensive event the policies exist to avoid, so
 // it outweighs an in-cache hit; bookkeeping events (copy-out, evict,

@@ -38,7 +38,6 @@ const (
 	VerdictUnpinned  = "unpinned"   // a pin was released
 	VerdictPinGuard  = "pin-guard"  // evictor/cleaner/migrator refused a pinned subject
 	VerdictQuotaShed = "quota-shed" // request refused at admission: principal over quota
-	VerdictReclaimed = "reclaimed"  // quota GC evicted staged data of an over-soft-limit principal
 	VerdictQueued    = "queued"     // HSM request admitted into the ledger
 	VerdictDone      = "done"       // HSM request completed
 	VerdictFailed    = "failed"     // HSM request reached the failed state

@@ -41,12 +41,12 @@ type Arg struct {
 	Val int64
 }
 
-// A Span is one closed interval of virtual time on a named track.
+// A span is one closed interval of virtual time on a named track.
 // Track is the emitting component ("RZ57-main", "tertiary.io");
 // Cat is the operation class ("disk.read", "fp.write") that aggregation
 // and the benchmark tables key on; Name is the human-readable label.
 // Instant marks a zero-duration point event (cache hit, power cut).
-type Span struct {
+type span struct {
 	Track, Cat, Name string
 	Start, Dur       sim.Time
 	Instant          bool
@@ -235,7 +235,7 @@ type Obs struct {
 	k      *sim.Kernel
 	retain bool
 
-	spans []Span
+	spans []span
 
 	aggOrder []*SpanAgg // first-appearance order
 	aggs     map[aggKey]*SpanAgg
@@ -290,7 +290,7 @@ func (o *Obs) Span(track, cat, name string, start sim.Time, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.record(Span{Track: track, Cat: cat, Name: name, Start: start, Dur: o.k.Now() - start}, args)
+	o.record(span{Track: track, Cat: cat, Name: name, Start: start, Dur: o.k.Now() - start}, args)
 }
 
 // Instant records a zero-duration point event at the current virtual
@@ -299,10 +299,10 @@ func (o *Obs) Instant(track, cat, name string, args ...Arg) {
 	if o == nil {
 		return
 	}
-	o.record(Span{Track: track, Cat: cat, Name: name, Start: o.k.Now(), Instant: true}, args)
+	o.record(span{Track: track, Cat: cat, Name: name, Start: o.k.Now(), Instant: true}, args)
 }
 
-func (o *Obs) record(s Span, args []Arg) {
+func (o *Obs) record(s span, args []Arg) {
 	key := aggKey{s.Track, s.Cat}
 	a := o.aggs[key]
 	if a == nil {
@@ -407,15 +407,6 @@ func (o *Obs) Aggregates() []*SpanAgg {
 		return nil
 	}
 	return append([]*SpanAgg(nil), o.aggOrder...)
-}
-
-// Spans returns the retained spans in emission order (nil unless
-// EnableTrace was called before they were emitted).
-func (o *Obs) Spans() []Span {
-	if o == nil {
-		return nil
-	}
-	return o.spans
 }
 
 // Counters returns every counter in first-appearance order.

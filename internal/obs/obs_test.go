@@ -39,7 +39,7 @@ func TestNilObsIsInert(t *testing.T) {
 	if o.Histogram("h", LatencyBounds).Mean() != 0 {
 		t.Fatal("nil histogram has a mean")
 	}
-	if o.Spans() != nil || o.Aggregates() != nil {
+	if o.Aggregates() != nil {
 		t.Fatal("nil Obs exposes state")
 	}
 	if err := o.WriteChromeTrace(&bytes.Buffer{}); err == nil {
@@ -64,14 +64,14 @@ func TestSpanFreeWhenOff(t *testing.T) {
 			t.Errorf("%s domain: Span+Instant allocate %v times per call, want 0", name, n)
 		}
 	}
-	if on.CatCount("c") == 0 || on.Spans() != nil {
+	if on.CatCount("c") == 0 || on.spans != nil {
 		t.Fatal("metrics-only domain did not aggregate, or retained spans")
 	}
 	on.EnableTrace()
 	args := []Arg{{Key: "tag", Val: 7}}
 	on.Span("t", "c", "n", 0, args...)
 	args[0].Val = 8 // the retained span owns a copy
-	if got := on.Spans()[0].Args; len(got) != 1 || got[0].Val != 7 {
+	if got := on.spans[0].Args; len(got) != 1 || got[0].Val != 7 {
 		t.Fatalf("retained args = %v, want a private copy of tag=7", got)
 	}
 }
@@ -101,7 +101,7 @@ func TestAggregation(t *testing.T) {
 	if got := o.CatCount("disk.fault"); got != 1 {
 		t.Fatalf("CatCount(disk.fault) = %d, want 1", got)
 	}
-	if len(o.Spans()) != 0 {
+	if len(o.spans) != 0 {
 		t.Fatal("metrics-only mode retained spans")
 	}
 	aggs := o.Aggregates()

@@ -193,7 +193,7 @@ func TestOnlyAConcatenatedFarmShares(t *testing.T) {
 				var f *Farm
 				if tc.concat {
 					k := p.Kernel()
-					f = Must(New(dev.NewDisk(k, dev.RZ57, 2*segLine, nil), dev.NewDisk(k, dev.RZ57, 2*segLine, nil)))
+					f = must(New(dev.NewDisk(k, dev.RZ57, 2*segLine, nil), dev.NewDisk(k, dev.RZ57, 2*segLine, nil)))
 				} else {
 					n := 3
 					if tc.parity {

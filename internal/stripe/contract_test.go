@@ -47,16 +47,16 @@ func TestBlockDevContract(t *testing.T) {
 			return d
 		}},
 		{"concat", func(k *sim.Kernel) dev.BlockDev {
-			return Must(New(disks(k, 3)...))
+			return must(New(disks(k, 3)...))
 		}},
 		{"interleave", func(k *sim.Kernel) dev.BlockDev {
-			return Must(NewInterleave(unit, false, disks(k, 4)...))
+			return must(NewInterleave(unit, false, disks(k, 4)...))
 		}},
 		{"interleave parity", func(k *sim.Kernel) dev.BlockDev {
-			return Must(NewInterleave(unit, true, disks(k, 4)...))
+			return must(NewInterleave(unit, true, disks(k, 4)...))
 		}},
 		{"interleave parity, spindle 2 failed", func(k *sim.Kernel) dev.BlockDev {
-			il := Must(NewInterleave(unit, true, disks(k, 4)...))
+			il := must(NewInterleave(unit, true, disks(k, 4)...))
 			il.setFailed(2, true)
 			return il
 		}},
@@ -217,9 +217,11 @@ func checkParts(t *testing.T, newDev func(k *sim.Kernel) dev.BlockDev) {
 			}
 		})
 		trace = fmt.Sprintf("%v %+v", k.Now(), d.Stats())
-		for _, s := range o.Spans() {
-			trace += fmt.Sprintf("\n%+v", s)
+		var spans bytes.Buffer
+		if err := o.WriteChromeTrace(&spans); err != nil {
+			t.Fatal(err)
 		}
+		trace += "\n" + spans.String()
 		for _, h := range o.Histograms() {
 			trace += fmt.Sprintf("\n%+v", *h)
 		}

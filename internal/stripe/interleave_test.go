@@ -17,7 +17,7 @@ func newInterleave(k *sim.Kernel, unit int, parity bool, n int, size int64) (*Fa
 		devs = append(devs, d)
 		disks = append(disks, d)
 	}
-	return Must(NewInterleave(unit, parity, devs...)), disks
+	return must(NewInterleave(unit, parity, devs...)), disks
 }
 
 // TestInterleaveMatchesConcatReference is the stripe-geometry property
@@ -39,7 +39,7 @@ func TestInterleaveMatchesConcatReference(t *testing.T) {
 			const perDisk = 64
 			il, _ := newInterleave(k, tc.unit, tc.parity, tc.n, perDisk)
 			total := il.NumBlocks()
-			ref := Must(New(dev.NewDisk(k, dev.RZ57, total, nil)))
+			ref := must(New(dev.NewDisk(k, dev.RZ57, total, nil)))
 			if want := (perDisk / int64(tc.unit)) * il.dataDisks() * int64(tc.unit); total != want {
 				t.Fatalf("NumBlocks = %d, want %d", total, want)
 			}
@@ -217,7 +217,7 @@ func TestInterleaveArmsOverlap(t *testing.T) {
 		k := sim.NewKernel()
 		var farm *Farm
 		if n == 1 {
-			farm = Must(New(dev.NewDisk(k, dev.RZ57, 1024, nil)))
+			farm = must(New(dev.NewDisk(k, dev.RZ57, 1024, nil)))
 		} else {
 			farm, _ = newInterleave(k, 8, false, n, 1024/int64(n))
 		}

@@ -134,15 +134,6 @@ func vectored(devs []dev.BlockDev) ([]dev.Vectored, error) {
 	return vs, nil
 }
 
-// Must returns the farm of a New or NewInterleave call, panicking on its
-// error — for tests and examples with static configurations.
-func Must(f *Farm, err error) *Farm {
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // NumBlocks implements dev.BlockDev (data capacity; parity is not
 // addressable).
 func (f *Farm) NumBlocks() int64 { return f.total }
@@ -166,26 +157,6 @@ func (f *Farm) Append(d dev.BlockDev) (int64, error) {
 	f.names = newFarmNames("stripe.concat", len(f.devs))
 	return start, nil
 }
-
-// Components reports the number of underlying devices.
-func (f *Farm) Components() int { return len(f.devs) }
-
-// Component returns underlying device i and, on a concatenated farm, its
-// starting block (a striped component owns no contiguous range: 0).
-func (f *Farm) Component(i int) (dev.BlockDev, int64) {
-	if f.unit > 0 {
-		return f.devs[i], 0
-	}
-	return f.devs[i], f.starts[i]
-}
-
-// StripeUnit reports the stripe unit in blocks, 0 for a concatenated farm.
-func (f *Farm) StripeUnit() int { return int(f.unit) }
-
-// setFailed marks component i failed (or repaired). With parity the farm
-// keeps serving reads in degraded mode; without parity requests touching
-// the component return ErrComponentFailed.
-func (f *Farm) setFailed(i int, down bool) { f.failed[i] = down }
 
 // dataDisks is the number of data units per stripe row.
 func (f *Farm) dataDisks() int64 {

@@ -9,6 +9,23 @@ import (
 	"repro/internal/sim"
 )
 
+// must returns the farm of a New or NewInterleave call, panicking on its
+// error.
+func must(f *Farm, err error) *Farm {
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// setFailed marks component i failed (or repaired). With parity the farm
+// keeps serving reads in degraded mode; without parity requests touching
+// the component return ErrComponentFailed.
+func (f *Farm) setFailed(i int, down bool) { f.failed[i] = down }
+
+// components reports the number of underlying devices.
+func (f *Farm) components() int { return len(f.devs) }
+
 func newConcat(k *sim.Kernel, sizes ...int64) (*Farm, []*dev.Disk) {
 	var devs []dev.BlockDev
 	var disks []*dev.Disk
@@ -17,7 +34,7 @@ func newConcat(k *sim.Kernel, sizes ...int64) (*Farm, []*dev.Disk) {
 		devs = append(devs, d)
 		disks = append(disks, d)
 	}
-	return Must(New(devs...)), disks
+	return must(New(devs...)), disks
 }
 
 func TestCapacityIsSum(t *testing.T) {
@@ -26,8 +43,8 @@ func TestCapacityIsSum(t *testing.T) {
 	if c.NumBlocks() != 350 {
 		t.Fatalf("NumBlocks = %d, want 350", c.NumBlocks())
 	}
-	if c.Components() != 3 {
-		t.Fatalf("Components = %d, want 3", c.Components())
+	if c.components() != 3 {
+		t.Fatalf("Components = %d, want 3", c.components())
 	}
 }
 
@@ -158,8 +175,8 @@ func TestAppendExtendsAddressSpace(t *testing.T) {
 	c, _ := newConcat(k, 50)
 	d2 := dev.NewDisk(k, dev.RZ58, 30, nil)
 	start, err := c.Append(d2)
-	if err != nil || start != 50 || c.NumBlocks() != 80 || c.Components() != 2 {
-		t.Fatalf("append: start=%d total=%d comps=%d err=%v", start, c.NumBlocks(), c.Components(), err)
+	if err != nil || start != 50 || c.NumBlocks() != 80 || c.components() != 2 {
+		t.Fatalf("append: start=%d total=%d comps=%d err=%v", start, c.NumBlocks(), c.components(), err)
 	}
 	k.RunProc(func(p *sim.Proc) {
 		w := bytes.Repeat([]byte{9}, 2*dev.BlockSize)
@@ -194,8 +211,8 @@ func TestAppendToStripedFarmRefused(t *testing.T) {
 	if _, err := il.Append(dev.NewDisk(k, dev.RZ57, 64, nil)); !errors.Is(err, ErrStriped) {
 		t.Fatalf("Append on a striped farm: %v, want ErrStriped", err)
 	}
-	if il.NumBlocks() != total || il.Components() != 3 {
-		t.Fatalf("refused Append changed the farm: %d blocks, %d components", il.NumBlocks(), il.Components())
+	if il.NumBlocks() != total || il.components() != 3 {
+		t.Fatalf("refused Append changed the farm: %d blocks, %d components", il.NumBlocks(), il.components())
 	}
 }
 
@@ -216,7 +233,7 @@ func TestComponentsMustBeVectored(t *testing.T) {
 		t.Error("NewInterleave accepted a component without ReadParts/WriteParts")
 	}
 	c, _ := newConcat(k, 64)
-	if _, err := c.Append(plainDev{disk()}); err == nil || c.Components() != 1 || c.NumBlocks() != 64 {
-		t.Errorf("Append of a component without ReadParts/WriteParts: %v, %d components, %d blocks", err, c.Components(), c.NumBlocks())
+	if _, err := c.Append(plainDev{disk()}); err == nil || c.components() != 1 || c.NumBlocks() != 64 {
+		t.Errorf("Append of a component without ReadParts/WriteParts: %v, %d components, %d blocks", err, c.components(), c.NumBlocks())
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dev"
 	"repro/internal/fsck"
@@ -319,7 +321,10 @@ func TestCancelMidCopyoutLeavesConsistentState(t *testing.T) {
 		}
 		// Cancel as soon as the staging stream opens — well before the six
 		// segments are through.
-		for !hl.StagingOpen() && !r.Finished() {
+		staging := func() bool {
+			return slices.ContainsFunc(hl.Cache.Lines(), func(l *cache.Line) bool { return l.Staging })
+		}
+		for !staging() && !r.Finished() {
 			p.Sleep(sim.Time(time.Millisecond))
 		}
 		r.Cancel()
@@ -331,7 +336,7 @@ func TestCancelMidCopyoutLeavesConsistentState(t *testing.T) {
 		if err := hl.CompleteMigration(p); err != nil {
 			t.Fatalf("CompleteMigration after cancel: %v", err)
 		}
-		if hl.StagingOpen() {
+		if staging() {
 			t.Fatal("staging still open after CompleteMigration")
 		}
 		rep, err := fsck.Check(p, hl)

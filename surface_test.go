@@ -31,19 +31,14 @@ import (
 // package, each with its reason. Keys are package paths below internal/
 // followed by the name, with the receiver type for a method.
 var surfaceAllow = map[string]string{
-	"core.HighLight.ComponentRange":  "§10 disk removal: the block range RetireDiskRange takes",
-	"core.HighLight.RetireDiskRange": "§10 disk removal; writes.golden pins its lfs.RetireSegments step",
-	"hsm.OpEvict":                    "one of the five ops Submit takes and the state file persists",
-	"hsm.Service.RunQuotaGC":         "the quota GC pass StartGCDaemon repeats; hsm's tests run one pass at a time",
-	"hsm.Service.StartGCDaemon":      "the quota GC daemon, started by a call as hl.StartRepairDaemon is",
-	"jukebox.Metrum":                 "the only tape profile, which sub-segment reads (ROADMAP item 11) need",
-	"jukebox.SonyWORM":               "the write-once optical profile beside Metrum, for the same media comparisons",
-	"lfs.FS.Bmapv":                   "the §6.7 lfs_bmapv analogue that DESIGN.md and README.md name",
-	"lfs.TypeFree":                   "the on-media inode type of a free slot, named for the format",
-	"migrate.NewRearranger":          "the §5.4 rearranging policy of DESIGN.md's mechanism table",
-	"migrate.Rearranger.RunOnce":     "the pass that makes the §5.4 Rearranger do anything",
-	"svc.FrontEnd.SubmitAsync":       "Submit's admission without the wait; svc's tests keep several requests in flight from one proc",
-	"svc.Request.Wait":               "the wait Submit adds to SubmitAsync",
+	"hsm.OpEvict":                "one of the five ops Submit takes and the state file persists",
+	"jukebox.Metrum":             "the only tape profile, which sub-segment reads (ROADMAP item 11) need",
+	"jukebox.SonyWORM":           "the write-once optical profile beside Metrum, for the same media comparisons",
+	"lfs.TypeFree":               "the on-media inode type of a free slot, named for the format",
+	"migrate.NewRearranger":      "the §5.4 rearranging policy of DESIGN.md's mechanism table",
+	"migrate.Rearranger.RunOnce": "the pass that makes the §5.4 Rearranger do anything",
+	"svc.FrontEnd.SubmitAsync":   "Submit's admission without the wait; svc's tests keep several requests in flight from one proc",
+	"svc.Request.Wait":           "the wait Submit adds to SubmitAsync",
 }
 
 // surfaceDocs are the documents whose backticked names must resolve.
@@ -56,7 +51,7 @@ var surfaceDocs = []string{"DESIGN.md", "README.md"}
 
 func TestSurface(t *testing.T) {
 	start := time.Now()
-	pkgs, err := goList("./...")
+	pkgs, err := goList(".", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +105,17 @@ func TestSurfaceFindsWhatItShould(t *testing.T) {
 
 // listedPkg is what the check reads of `go list -json`.
 type listedPkg struct {
-	Dir, ImportPath, Export            string
+	Dir, ImportPath, Name, Export      string
 	GoFiles, TestGoFiles, XTestGoFiles []string
 	Imports, TestImports, XTestImports []string
 }
 
-func goList(args ...string) ([]listedPkg, error) {
+// goList runs `go list -json` in dir.
+func goList(dir string, args ...string) ([]listedPkg, error) {
 	// go test puts its own toolchain first on PATH, so the export data
 	// matches the go/types this test is built with.
 	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
+	cmd.Dir = dir
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list %v: %v", args, err)
@@ -156,7 +153,7 @@ func stdExports(pkgs []listedPkg) (map[string]string, error) {
 	for path := range need {
 		args = append(args, path)
 	}
-	std, err := goList(args...)
+	std, err := goList(".", args...)
 	if err != nil {
 		return nil, err
 	}
