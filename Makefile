@@ -64,14 +64,16 @@ crash:
 # at once (two pins of one file, the multi-principal double run), and lent
 # blocks (a file read from a fetched line and written, truncated, its
 # directory edited and its buffers evicted, on two libraries; a lending read
-# of a parity farm with a spindle failed). -count=1
+# of a parity farm with a spindle failed), and a copied-out line's staged
+# image (the file rewritten, truncated and evicted, another staged after it,
+# the changers' image and the line unchanged). -count=1
 # forces fresh runs. The kernel's own tests run three times over: every proc
 # is a coroutine the dispatcher switches to, so its state crosses goroutines
 # on every event.
 soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend'
-	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten'
+	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten|CopiedOutImageIsNeverWritten'
 	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent|FetchedBlocksAreLent'
 	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine'
@@ -110,8 +112,9 @@ bench:
 # Per-layer micro-benchmarks of the kernel (self-wake, two-proc ping-pong,
 # contended resource, 4-way spawn and join), of the block data path
 # (lfs -> stripe -> dev, lfs reading a 1 MB line fetched or owned, a fetched
-# line adopted by the parity farm, and the parity XOR alone) and of the
-# tertiary side
+# line adopted by the parity farm, the parity XOR alone, and a 1 MB staging
+# line written in kept partial segments and copied out into its own image)
+# and of the tertiary side
 # (a jukebox segment in and out, a line copied out to two libraries, a
 # segment-cache lookup and the choice of a victim), and of a buffer-cache insert that evicts through a full
 # pointer-block reserve, and of the workload generator's file tree: host
@@ -123,7 +126,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'BufferEvict' -benchmem -benchtime 200000x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|AdoptLine1MB|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
-	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read|ShareLine)1MB' -benchmem -benchtime 20x ./internal/dev/
+	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read|ShareLine)1MB|StageLine1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Lend|Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
 	$(GO) test -run '^$$' -bench 'ReplicatedCopyout' -benchmem -benchtime 20x ./internal/tertiary/
 	$(GO) test -run '^$$' -bench 'CacheLookup|CacheVictim' -benchmem -benchtime 200000x ./internal/cache/
@@ -175,7 +178,14 @@ loc:
 # stripe.Farm.ReadParts with per-part splitting and its part-list free list;
 # the block map's parts read; lfs's per-block cluster request, copy-before-write
 # and dirty set).
-LOC_MAX = 23699
+# Raised 23699 -> 23815 by the change that stages by reference: a staging
+# line's image in core handed to its copy-out, the keeping write through
+# lfs.Device, blockMap and stripe.Farm (KeepBlocks), media.keep's per-part
+# extent taking in place of media.adopt, the copy-out's read back into the
+# staged image with service-wide sibling read buffers, and the farm's
+# per-spindle lists on the caller's stack with a lone group run inline; net of
+# the quota soft limit's removal (hsm, dump, hlfs, hldump).
+LOC_MAX = 23815
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

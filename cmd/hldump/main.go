@@ -501,7 +501,6 @@ func attachHSM(p *sim.Proc, hl *core.HighLight, demo bool) (*hsm.Service, error)
 		return s, nil
 	}
 	if err := s.SetQuota(p, "analyst", hsm.Quota{
-		StagedSoft: 64 * lfs.BlockSize,
 		StagedHard: 256 * lfs.BlockSize,
 		PinnedHard: 96 * lfs.BlockSize,
 	}); err != nil {

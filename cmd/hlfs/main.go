@@ -23,7 +23,7 @@
 //	hlfs -img DIR stage [-user U] [-out] /path   (HSM stage-in, or stage-out with -out)
 //	hlfs -img DIR pin [-user U] /path            (stage in and lock against eviction/cleaning/migration)
 //	hlfs -img DIR unpin [-user U] /path
-//	hlfs -img DIR quota [-staged-soft MB] [-staged-hard MB] [-pinned-hard MB] [USER]
+//	hlfs -img DIR quota [-staged-hard MB] [-pinned-hard MB] [USER]
 //	                   (no USER: list every principal's standing; with USER and
 //	                    limit flags: set that principal's limits, 0 clears one)
 //	hlfs -img DIR info
@@ -244,14 +244,13 @@ func main() {
 			dirty = false // the service checkpoints per request
 		case "quota":
 			fs := flag.NewFlagSet("quota", flag.ExitOnError)
-			ss := fs.Int("staged-soft", -1, "soft staged-bytes limit in MB (reported against, not enforced; 0 clears)")
 			sh := fs.Int("staged-hard", -1, "hard staged-bytes limit in MB (admission sheds above it; 0 clears)")
 			ph := fs.Int("pinned-hard", -1, "hard pinned-bytes limit in MB (0 clears)")
 			must(fs.Parse(rest))
 			s, err := hsm.Attach(p, hl)
 			check(err)
 			if fs.NArg() == 0 {
-				if *ss >= 0 || *sh >= 0 || *ph >= 0 {
+				if *sh >= 0 || *ph >= 0 {
 					usageErr(cliutil.Usagef("quota: limit flags need a USER to apply to"))
 				}
 				dump.HSMQuotas(os.Stdout, s)
@@ -260,9 +259,6 @@ func main() {
 			}
 			user := fs.Arg(0)
 			q := s.QuotaOf(user)
-			if *ss >= 0 {
-				q.StagedSoft = int64(*ss) << 20
-			}
 			if *sh >= 0 {
 				q.StagedHard = int64(*sh) << 20
 			}
@@ -270,8 +266,7 @@ func main() {
 				q.PinnedHard = int64(*ph) << 20
 			}
 			check(s.SetQuota(p, user, q))
-			fmt.Printf("quota for %s: staged soft %s hard %s, pinned hard %s\n",
-				user, mb(q.StagedSoft), mb(q.StagedHard), mb(q.PinnedHard))
+			fmt.Printf("quota for %s: staged hard %s, pinned hard %s\n", user, mb(q.StagedHard), mb(q.PinnedHard))
 			dirty = false // SetQuota persists the HSM state itself
 		case "grow":
 			segs := 64

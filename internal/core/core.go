@@ -106,6 +106,7 @@ type HighLight struct {
 	stageTag int        // tertiary segment index, -1 if none
 	stageSeg addr.SegNo // cache-line disk segment holding the image
 	stageOff int        // next free block in the staging segment
+	stageImg []byte     // the staging segment's image (lfs.FS.Migratev); nil until one opens
 	nextTert int        // next never-used tertiary segment index
 
 	// VolStripe, when > 1, stripes tertiary segment allocation round-robin
@@ -191,11 +192,12 @@ func (hl *HighLight) Libraries() []*jukebox.Library { return hl.libs }
 
 // stagedLine is a closed staging line whose copy-outs wait for FlushCopyouts:
 // cache line seg, registered under tertiary segment tag, goes to each of
-// dests (tag, then its replicas).
+// dests (tag, then its replicas); img is the image it was staged in.
 type stagedLine struct {
 	seg   addr.SegNo
 	tag   int
 	dests []int
+	img   []byte
 }
 
 // New formats (format=true) or mounts a HighLight file system.
@@ -602,13 +604,31 @@ func (bm *blockMap) read(p *sim.Proc, parts []dev.Part, again bool) error {
 	return nil
 }
 
+// WriteBlocks implements lfs.Device.
 func (bm *blockMap) WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	if err := bm.diskWrite(b, buf); err != nil {
+		return err
+	}
+	return bm.hl.Disk.WriteBlocks(p, int64(b), buf)
+}
+
+// KeepBlocks implements lfs.Device: a staged partial segment's write into its
+// cache line, which the farm may keep (stripe.Farm.KeepBlocks).
+func (bm *blockMap) KeepBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	if err := bm.diskWrite(b, buf); err != nil {
+		return err
+	}
+	return bm.hl.Disk.KeepBlocks(p, int64(b), buf)
+}
+
+// diskWrite refuses a write of buf at b that reaches outside the disk region.
+func (bm *blockMap) diskWrite(b addr.BlockNo, buf []byte) error {
 	hl := bm.hl
 	n := len(buf) / lfs.BlockSize
 	if !hl.Amap.IsDiskSeg(hl.Amap.SegOf(b)) || !hl.Amap.IsDiskSeg(hl.Amap.SegOf(b+addr.BlockNo(n-1))) {
 		return fmt.Errorf("core: write to non-disk block %d (tertiary segments are written via the service process)", b)
 	}
-	return hl.Disk.WriteBlocks(p, int64(b), buf)
+	return nil
 }
 
 // Stats aggregates the observability counters of every layer.

@@ -181,7 +181,7 @@ func (hl *HighLight) repairOne(p *sim.Proc, d Deficit) (int, error) {
 	for hl.Svc.OutstandingCopyouts() >= repairMaxInFlight {
 		hl.Svc.WaitCopyoutProgress(p)
 	}
-	hl.Svc.ScheduleCopyouts(p, line.DiskSeg, d.Tag, rtags...)
+	hl.Svc.ScheduleCopyouts(p, line.DiskSeg, nil, d.Tag, rtags...)
 	for i, rtag := range rtags {
 		hl.Audit.Record(attr.Decision{
 			T: p.Now(), Actor: "repair", Subject: fmt.Sprintf("seg:%d", rtag),

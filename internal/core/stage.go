@@ -75,6 +75,9 @@ func (hl *HighLight) ensureStaging(p *sim.Proc) error {
 	hl.stageSeg = seg
 	hl.stageOff = 0
 	hl.nextTert = tag + 1
+	if hl.stageImg == nil { // an empty line closed with its image kept
+		hl.stageImg = make([]byte, hl.Amap.SegBlocks()*lfs.BlockSize)
+	}
 	hl.Obs.Instant("core", "stage.open", "open",
 		obs.Arg{Key: "tag", Val: int64(tag)}, obs.Arg{Key: "seg", Val: int64(seg)})
 	return nil
@@ -123,11 +126,15 @@ func (hl *HighLight) closeStaging(p *sim.Proc) error {
 		hl.replicaTag[rtag] = hl.stageTag
 		dests = append(dests, rtag)
 	}
+	// The image goes with the line: the disk may hold its staged extents, and
+	// the copy-out reads the line back into it for the changer to keep.
+	img := hl.stageImg
+	hl.stageImg = nil
 	if hl.DelayCopyouts {
 		// A copy, so that dests stays on the stack on the path taken at once.
-		hl.delayed = append(hl.delayed, stagedLine{hl.stageSeg, hl.stageTag, slices.Clone(dests)})
+		hl.delayed = append(hl.delayed, stagedLine{hl.stageSeg, hl.stageTag, slices.Clone(dests), img})
 	} else {
-		hl.Svc.ScheduleCopyouts(p, hl.stageSeg, hl.stageTag, dests...)
+		hl.Svc.ScheduleCopyouts(p, hl.stageSeg, img, hl.stageTag, dests...)
 	}
 	hl.Obs.Instant("core", "stage.close", "close",
 		obs.Arg{Key: "tag", Val: int64(hl.stageTag)}, obs.Arg{Key: "blocks", Val: int64(hl.stageOff)})
@@ -341,7 +348,7 @@ func (hl *HighLight) freeTsegsOnDevice(d int) (free, first int) {
 // write of §5.4).
 func (hl *HighLight) FlushCopyouts(p *sim.Proc) {
 	for _, l := range hl.delayed {
-		hl.Svc.ScheduleCopyouts(p, l.seg, l.tag, l.dests...)
+		hl.Svc.ScheduleCopyouts(p, l.seg, l.img, l.tag, l.dests...)
 	}
 	hl.delayed = nil
 }
@@ -358,7 +365,7 @@ func (hl *HighLight) stage(p *sim.Proc, refs []lfs.BlockRef, inums []uint32) (*l
 	if err := hl.ensureStaging(p); err != nil {
 		return nil, err
 	}
-	res, err := hl.FS.Migratev(p, refs, inums, hl.Amap.SegForIndex(hl.stageTag), hl.stageSeg, hl.stageOff)
+	res, err := hl.FS.Migratev(p, refs, inums, hl.Amap.SegForIndex(hl.stageTag), hl.stageSeg, hl.stageOff, hl.stageImg)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,9 @@ type Adopter interface {
 // Part is one piece of a vectored transfer: Buf holds the blocks from Blk on.
 // Keep marks Buf as handed over, as AdoptBlocks (a write) or ShareBlocks (a
 // read) takes it: the device may keep it, and the caller never changes it
-// again.
+// again. A disk takes a kept write's whole extents when the first chunk
+// reaching each is applied, so a reader racing the write between two chunks
+// may see an extent's later blocks one chunk early.
 //
 // Lend, on a read of one block, lets the device answer with a view instead of
 // filling Buf: where the block lies in bytes the device does not own and that
@@ -557,9 +559,10 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 }
 
 // WriteParts implements Vectored, with the same MAXPHYS chunking as
-// ReadParts. A write-through disk nobody watches keeps each whole, aligned
-// 64 KB piece of a kept part by reference; a write cache or an OnMediaWrite
-// hook copies every part, so both see every block as before.
+// ReadParts. A write-through disk nobody watches takes every whole 64 KB
+// extent a kept part covers by reference, wherever the part starts, and copies
+// the part's ends; a write cache or an OnMediaWrite hook copies every part, so
+// both see every block as before.
 func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("write", parts)
 	if err != nil {
@@ -588,7 +591,8 @@ func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 			pt := c.take(n - got)
 			switch {
 			case pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil:
-				d.store.adopt(pt.Blk, pt.Buf)
+				whole := c.parts[0] // the part pt was cut from
+				d.store.keep(whole.Blk, whole.Buf, pt.Blk, pt.Buf)
 			case d.wcap == 0:
 				d.applyMedia(pt.Blk, pt.Buf)
 			default:

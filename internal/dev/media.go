@@ -9,8 +9,9 @@ const extentBlocks = maxTransfer / BlockSize
 // allocated on its first write, with one written-bit per block. A block that
 // was never written reads as zeroes (its extent is absent, or still zero
 // there) and appears in no snapshot or image. A shared extent is bytes we do
-// not own and that never change — another medium's image an adoption took, or
-// a reader's buffer a share took — until the first write into it copies them.
+// not own and that never change — an image a kept write took (a fetched
+// medium's, a staged line's), or a reader's buffer a share took — until the
+// first write into it copies them.
 // The extents of ours that either displaces wait in spare for the next first
 // write or copy, so a disk that shares lines owns no more extents than one
 // that copies them.
@@ -65,15 +66,24 @@ func (m *media) own(e int64) {
 	m.ext[e], m.shared[e] = x, false
 }
 
-// adopt stores data from block blk on like write, but takes it by reference
-// when it is one whole, aligned extent; data must never change afterwards.
-func (m *media) adopt(blk int64, data []byte) {
-	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == maxTransfer {
-		m.take(e, data)
-		m.written[e] = 1<<extentBlocks - 1
-		return
+// keep stores data, the blocks from blk on, like write, where data is a piece
+// of part, a kept buffer holding the blocks from pblk on that must never change
+// afterwards. Each extent the part covers whole is taken by reference, all of
+// it, when the first piece reaching it is stored (a later piece finds it taken
+// and stores nothing); the extents the part covers in part are copied.
+func (m *media) keep(pblk int64, part []byte, blk int64, data []byte) {
+	pend := pblk + int64(len(part)/BlockSize)
+	for len(data) > 0 {
+		e, i := blk/extentBlocks, int(blk%extentBlocks)
+		n := min(maxTransfer-i*BlockSize, len(data))
+		if s := e * extentBlocks; s >= pblk && s+extentBlocks <= pend {
+			m.take(e, part[(s-pblk)*BlockSize:][:maxTransfer])
+			m.written[e] = 1<<extentBlocks - 1
+		} else {
+			m.write(blk, data[:n])
+		}
+		blk, data = blk+int64(n/BlockSize), data[n:]
 	}
-	m.write(blk, data)
 }
 
 // share takes data, just read from block blk on, in place of the extent it
@@ -87,12 +97,17 @@ func (m *media) share(blk int64, data []byte) {
 }
 
 // take points ext[e] at data, one extent's worth that never changes, and puts
-// the extent of ours it displaces on spare.
+// the extent of ours it displaces on spare. An extent that is data already
+// stays as it is.
 func (m *media) take(e int64, data []byte) {
+	x := (*[maxTransfer]byte)(data)
+	if m.ext[e] == x {
+		return
+	}
 	if m.ext[e] != nil && !m.shared[e] {
 		m.spare = append(m.spare, m.ext[e])
 	}
-	m.ext[e], m.shared[e] = (*[maxTransfer]byte)(data), true
+	m.ext[e], m.shared[e] = x, true
 }
 
 // lend returns a read-only view of block blk when its extent is shared (it
@@ -105,13 +120,17 @@ func (m *media) lend(blk int64) []byte {
 	return m.ext[e][off : off+BlockSize : off+BlockSize]
 }
 
-// read fills buf, a whole number of blocks, with the blocks from blk on.
+// read fills buf, a whole number of blocks, with the blocks from blk on. Where
+// buf is the very extent it reads (a kept image read back into itself) it
+// copies nothing.
 func (m *media) read(blk int64, buf []byte) {
 	for len(buf) > 0 {
 		off := int(blk%extentBlocks) * BlockSize
 		n := min(maxTransfer-off, len(buf))
 		if x := m.ext[blk/extentBlocks]; x != nil {
-			copy(buf[:n], x[off:])
+			if &x[off] != &buf[0] {
+				copy(buf[:n], x[off:])
+			}
 		} else {
 			clear(buf[:n])
 		}

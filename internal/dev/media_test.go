@@ -930,3 +930,103 @@ func TestLendOnlyWhatTheDiskDoesNotOwn(t *testing.T) {
 		})
 	}
 }
+
+// TestKeptPartTakesItsWholeExtents: a kept part at an unaligned block, a
+// staging line's partial segment, spanning four chunks: the disk takes the
+// two extents it covers whole by reference, though no chunk of the write is
+// aligned, and copies the two it covers in part; the write costs, counts and
+// reads back as WriteBlocks of the same bytes on a twin. A second kept part
+// reaching into the last extent the first one copied leaves it copied.
+func TestKeptPartTakesItsWholeExtents(t *testing.T) {
+	const x = extentBlocks
+	const blk, nb = 5, 3*x + 7 // blocks [5, 60): extents 1 and 2 whole, 0 and 3 in part
+	k := sim.NewKernel()
+	d, twin := NewDisk(k, RZ57, 6*x, nil), NewDisk(k, RZ57, 6*x, nil)
+	line := make([]byte, 5*x*BlockSize) // the part's bytes sit at their line offset
+	for i := range line {
+		line[i] = byte(i/BlockSize + 1)
+	}
+	part := line[blk*BlockSize : (blk+nb)*BlockSize]
+	next := line[(blk+nb)*BlockSize : (blk+nb+x)*BlockSize] // blocks [60, 76)
+	k.RunProc(func(p *sim.Proc) {
+		t0 := p.Now()
+		if err := d.WriteParts(p, []Part{{Blk: blk, Buf: part, Keep: true}}); err != nil {
+			t.Fatal(err)
+		}
+		kept := p.Now() - t0
+		t0 = p.Now()
+		if err := twin.WriteBlocks(p, blk, part); err != nil {
+			t.Fatal(err)
+		}
+		if kept != p.Now()-t0 || d.Stats() != twin.Stats() {
+			t.Fatalf("kept write cost %v and %+v, WriteBlocks %v and %+v", kept, d.Stats(), p.Now()-t0, twin.Stats())
+		}
+		for e := int64(0); e < 4; e++ {
+			whole := e == 1 || e == 2
+			if d.store.shared[e] != whole {
+				t.Fatalf("extent %d: taken %v, want %v", e, d.store.shared[e], whole)
+			}
+			if whole && d.store.ext[e] != (*[maxTransfer]byte)(line[e*x*BlockSize:]) {
+				t.Fatalf("extent %d is taken but is not the part's own bytes", e)
+			}
+		}
+		if err := d.WriteParts(p, []Part{{Blk: blk + nb, Buf: next, Keep: true}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.WriteBlocks(p, blk+nb, next); err != nil {
+			t.Fatal(err)
+		}
+		if d.store.shared[3] || d.store.shared[4] {
+			t.Fatal("a part covering extents 3 and 4 in part took one")
+		}
+		if err := sameStore(durable(d), durable(twin)); err != nil {
+			t.Fatalf("the disk that kept holds other blocks than the one that copied: %v", err)
+		}
+		got, want := make([]byte, 6*x*BlockSize), make([]byte, 6*x*BlockSize)
+		if err := d.ReadBlocks(p, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.ReadBlocks(p, 0, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("the disk that kept reads back other bytes than the one that copied")
+		}
+	})
+}
+
+// BenchmarkStageLine1MB is a staging line's turn in `make bench-layers`: a
+// 1 MB line image written in partial segments of 40 blocks at their line
+// offsets, each kept (as lfs.FS.Migratev writes them), then read back into
+// the same image with ShareBlocks for the changer to keep (the copy-out). The
+// disk takes the whole extents of each partial segment as it is written and
+// copies its ends, and the read copies only those ends. B/op is the line's
+// image, one per line.
+func BenchmarkStageLine1MB(b *testing.B) {
+	const line, pseg = 256, 40
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, 4*line, nil)
+	b.ReportAllocs()
+	b.SetBytes(line * BlockSize)
+	k.RunProc(func(p *sim.Proc) {
+		stage := func(blk int64) {
+			img := make([]byte, line*BlockSize)
+			for off := int64(0); off < line; off += pseg {
+				end := min(off+pseg, line)
+				if err := d.WriteParts(p, []Part{{Blk: blk + off, Buf: img[off*BlockSize : end*BlockSize], Keep: true}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := d.ShareBlocks(p, blk, img); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := int64(0); i < 4; i++ {
+			stage(i * line) // first touch of the four lines
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stage(int64(i%4) * line)
+		}
+	})
+}

@@ -64,16 +64,10 @@ func HSMQuotas(w io.Writer, s *hsm.Service) {
 		}
 		return fmt.Sprintf("%d", v)
 	}
-	fmt.Fprintf(w, "  %-10s %10s %10s %10s %10s %10s  %s\n",
-		"principal", "staged", "soft", "hard", "pinned", "pin-hard", "standing")
+	fmt.Fprintf(w, "  %-10s %10s %10s %10s %10s\n", "principal", "staged", "hard", "pinned", "pin-hard")
 	for _, pr := range principals {
 		q := s.QuotaOf(pr)
 		staged, pinned := s.UsageOf(pr)
-		standing := "ok"
-		if q.StagedSoft > 0 && staged > q.StagedSoft {
-			standing = "over soft limit (GC eligible)"
-		}
-		fmt.Fprintf(w, "  %-10s %10d %10s %10s %10d %10s  %s\n",
-			pr, staged, lim(q.StagedSoft), lim(q.StagedHard), pinned, lim(q.PinnedHard), standing)
+		fmt.Fprintf(w, "  %-10s %10d %10s %10d %10s\n", pr, staged, lim(q.StagedHard), pinned, lim(q.PinnedHard))
 	}
 }

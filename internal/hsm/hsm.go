@@ -186,7 +186,6 @@ func Attach(p *sim.Proc, hl *core.HighLight) (*Service, error) {
 	s.completed = o.Counter("hsm.completed")
 	s.failed = o.Counter("hsm.failed")
 	s.quotaShed = o.Counter("hsm.quota_shed")
-	o.Counter("hsm.gc_reclaimed_bytes") // stays zero: nothing reclaims by the soft limit
 	s.pinsG = o.Gauge("hsm.pins")
 	s.pinnedBG = o.Gauge("hsm.pinned_bytes")
 	s.stagedBG = o.Gauge("hsm.staged_bytes")

@@ -367,11 +367,11 @@ func scenario(seed uint64) (string, error) {
 			fail = err
 			return
 		}
-		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 6 * lfs.BlockSize, StagedHard: 64 * lfs.BlockSize}); err != nil {
+		if err := s.SetQuota(p, "alice", hsm.Quota{StagedHard: 64 * lfs.BlockSize}); err != nil {
 			fail = err
 			return
 		}
-		if err := s.SetQuota(p, "bob", hsm.Quota{StagedSoft: 10 * lfs.BlockSize, PinnedHard: 32 * lfs.BlockSize}); err != nil {
+		if err := s.SetQuota(p, "bob", hsm.Quota{PinnedHard: 32 * lfs.BlockSize}); err != nil {
 			fail = err
 			return
 		}

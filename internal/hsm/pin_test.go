@@ -185,7 +185,7 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 		wantData = migrateAndEject(t, p, hl, "/keep", 8)
 		migrateAndEject(t, p, hl, "/plain", 8)
 		s := attach(t, p, hl)
-		if err := s.SetQuota(p, "alice", hsm.Quota{StagedSoft: 4 * lfs.BlockSize}); err != nil {
+		if err := s.SetQuota(p, "alice", hsm.Quota{PinnedHard: 64 * lfs.BlockSize}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Submit(p, hsm.OpPin, "/keep", "alice"); err != nil {
@@ -243,7 +243,7 @@ func TestPinSurvivesPowerCut(t *testing.T) {
 		if len(pins) != 1 || pins[0].Path != "/keep" || pins[0].Principal != "alice" {
 			t.Fatalf("pins after recovery: %+v", pins)
 		}
-		if q := s.QuotaOf("alice"); q.StagedSoft != 4*lfs.BlockSize {
+		if q := s.QuotaOf("alice"); q.PinnedHard != 64*lfs.BlockSize {
 			t.Fatalf("quota after recovery: %+v", q)
 		}
 		if !hl.InodePinned(pins[0].Inum) {

@@ -7,12 +7,9 @@ import (
 )
 
 // Quota bounds one principal's use of the staged tier. Zero fields are
-// unlimited. StagedSoft is a watermark that `hldump -quotas` reports usage
-// against; nothing reclaims by it. StagedHard and PinnedHard are admission
-// limits: a StageIn or Pin projected past them is shed with
-// ErrQuotaExceeded.
+// unlimited. Both are admission limits: a StageIn or Pin projected past them
+// is shed with ErrQuotaExceeded.
 type Quota struct {
-	StagedSoft int64
 	StagedHard int64
 	PinnedHard int64
 }

@@ -61,9 +61,10 @@ type stagedRec struct {
 	StagedAt  int64  `json:"staged_ns"`
 }
 
+// quotaRec is one principal's Quota. A state file written before the soft
+// limit was dropped still carries "staged_soft", which loading ignores.
 type quotaRec struct {
 	Principal  string `json:"principal"`
-	StagedSoft int64  `json:"staged_soft"`
 	StagedHard int64  `json:"staged_hard"`
 	PinnedHard int64  `json:"pinned_hard"`
 }
@@ -98,7 +99,7 @@ func (s *Service) save(p *sim.Proc) error {
 	for _, pr := range sortedKeys(s.quotas) {
 		q := s.quotas[pr]
 		st.Quotas = append(st.Quotas, quotaRec{
-			Principal: pr, StagedSoft: q.StagedSoft, StagedHard: q.StagedHard, PinnedHard: q.PinnedHard,
+			Principal: pr, StagedHard: q.StagedHard, PinnedHard: q.PinnedHard,
 		})
 	}
 	data, err := json.Marshal(&st)
@@ -180,9 +181,7 @@ func (s *Service) load(p *sim.Proc) error {
 		}
 	}
 	for _, rec := range st.Quotas {
-		s.quotas[rec.Principal] = Quota{
-			StagedSoft: rec.StagedSoft, StagedHard: rec.StagedHard, PinnedHard: rec.PinnedHard,
-		}
+		s.quotas[rec.Principal] = Quota{StagedHard: rec.StagedHard, PinnedHard: rec.PinnedHard}
 	}
 	return nil
 }

@@ -12,6 +12,12 @@ import (
 // service to it. It reports whether any tertiary segment ended up pinned, and
 // Attach's error.
 func attachTo(t *testing.T, state []byte) (pinned bool, err error) {
+	_, pinned, err = attachService(t, state)
+	return pinned, err
+}
+
+// attachService is attachTo returning the service Attach made, if it did.
+func attachService(t *testing.T, state []byte) (s *hsm.Service, pinned bool, err error) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		hl, _, _, rerr := buildRig(p, k)
@@ -28,13 +34,26 @@ func attachTo(t *testing.T, state []byte) (pinned bool, err error) {
 		if _, werr := f.WriteAt(p, state, 0); werr != nil {
 			t.Fatal(werr)
 		}
-		_, err = hsm.Attach(p, hl)
+		s, err = hsm.Attach(p, hl)
 		for idx := 0; idx < hl.FS.TsegCount(); idx++ {
 			pinned = pinned || hl.FS.TsegPinned(idx)
 		}
 	})
 	k.Stop()
-	return pinned, err
+	return s, pinned, err
+}
+
+// TestStateWithSoftLimitLoads: a state file written while a quota still had
+// a soft limit ("staged_soft") attaches, with the limits it also names.
+func TestStateWithSoftLimitLoads(t *testing.T) {
+	s, _, err := attachService(t, []byte(`{"next_id":1,`+
+		`"quotas":[{"principal":"alice","staged_soft":1,"staged_hard":2,"pinned_hard":3}]}`))
+	if err != nil {
+		t.Fatalf("Attach: %v", err)
+	}
+	if q := s.QuotaOf("alice"); q != (hsm.Quota{StagedHard: 2, PinnedHard: 3}) {
+		t.Fatalf("alice's quota loads as %+v", q)
+	}
 }
 
 // TestAttachRefusesCorruptState: a state file that does not decode, or whose

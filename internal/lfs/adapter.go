@@ -25,6 +25,11 @@ func (d DiskDevice) WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 	return d.BD.WriteBlocks(p, int64(b), buf)
 }
 
+// KeepBlocks implements Device: WriteParts of buf alone, kept.
+func (d DiskDevice) KeepBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	return d.BD.WriteParts(p, []dev.Part{{Blk: int64(b), Buf: buf, Keep: true}})
+}
+
 // ReadParts implements Device.
 func (d DiskDevice) ReadParts(p *sim.Proc, parts []dev.Part) error {
 	return d.BD.ReadParts(p, parts)

@@ -128,7 +128,9 @@ func TestFlushSteadyStateAllocations(t *testing.T) {
 }
 
 // TestMigratevSteadyStateAllocations: one Migratev call gathers its run
-// straight into the assembly buffer and writes the staged image from there.
+// straight into the staging line's image and writes the staged partial
+// segment from there, kept; every call is given the same image, so a buffer
+// Migratev allocated per op would show.
 func TestMigratevSteadyStateAllocations(t *testing.T) {
 	env := allocEnv(t, 64, 64, Options{CacheSegs: 2}, addr.Geom{Vols: 1, SegsPerVol: 8})
 	env.run(t, func(p *sim.Proc) {
@@ -139,6 +141,7 @@ func TestMigratevSteadyStateAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		line := make([]byte, 64*BlockSize)
 		var refs []BlockRef
 		prepare := func() {
 			// Bring the file back to fresh disk addresses.
@@ -155,7 +158,7 @@ func TestMigratevSteadyStateAllocations(t *testing.T) {
 		staged, want := 0, 0
 		migrate := func() {
 			want += len(refs) // data blocks plus the single indirect block
-			res, err := env.fs.Migratev(p, refs, nil, env.amap.SegForIndex(0), cacheSeg, 0)
+			res, err := env.fs.Migratev(p, refs, nil, env.amap.SegForIndex(0), cacheSeg, 0, line)
 			if err != nil {
 				t.Fatal(err)
 			}

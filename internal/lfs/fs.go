@@ -20,6 +20,10 @@ type Device interface {
 	// with a Lend slot may come back lent instead of filled (dev.Part).
 	ReadParts(p *sim.Proc, parts []dev.Part) error
 	WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error
+	// KeepBlocks writes what WriteBlocks would, at the same cost, handing buf
+	// down kept (dev.Part): the device may keep it by reference, and the
+	// caller never changes those bytes again.
+	KeepBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error
 }
 
 // Flusher is implemented by devices with a volatile write cache. The file
@@ -190,7 +194,7 @@ type FS struct {
 	freeBlocks [][]byte // blocks dropBuf took back, handed out by newBlock
 	fill       fillScratch
 	dirImage   []byte // lookupLocked's copy of the directory it searches
-	segImage   []byte // partial-segment assembly (writePsegs, Migratev)
+	segImage   []byte // partial-segment assembly of the log writer (writePsegs)
 	tableImage []byte // serializeTables' checkpoint table image
 	flush      flushScratch
 

@@ -85,10 +85,13 @@ type MigrateResult struct {
 }
 
 // Migratev stages the live blocks named by refs into the staging segment:
-// it appends one partial segment to the tertiary segment image, addressed
-// at tertSeg starting at block offset off, mirrors the image into the
-// cache-line disk segment cacheSeg at the same offset, and re-points all
-// file system metadata at the new tertiary addresses.
+// it appends one partial segment to the tertiary segment image line (one
+// segment's bytes), addressed at tertSeg starting at block offset off,
+// assembling it in line itself, mirrors it into the cache-line disk segment
+// cacheSeg at the same offset with a keeping write (Device.KeepBlocks), and
+// re-points all file system metadata at the new tertiary addresses. The
+// caller never changes the blocks of line a call has staged, since the device
+// may keep them; a copy-out may read the line back into line.
 //
 // If inodeInums is non-empty those inodes are serialized into trailing
 // inode blocks and the inode map is re-pointed at them (metadata
@@ -96,7 +99,7 @@ type MigrateResult struct {
 // are skipped. If the remaining space cannot hold every live block the
 // call stages what fits and sets Full; the caller continues in a fresh
 // segment.
-func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSeg, cacheSeg addr.SegNo, off int) (*MigrateResult, error) {
+func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSeg, cacheSeg addr.SegNo, off int, line []byte) (*MigrateResult, error) {
 	fs.lock.Acquire(p)
 	defer fs.lock.Release(p)
 	res := &MigrateResult{Applied: make([]bool, len(refs)), NextOff: off, Consumed: len(refs)}
@@ -150,8 +153,9 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	}
 
 	// The staged partial segment is assembled in place: live block i goes to
-	// block 1+i of the assembly buffer, behind the summary.
-	content := fs.assembly(1 + len(live))[BlockSize:]
+	// block off+1+i of the line, behind the summary.
+	image := line[off*BlockSize : (off+1+len(live)+inoBlocks)*BlockSize]
+	content := image[BlockSize:]
 
 	// Capture data content before any pointer moves. Batch contiguous
 	// source addresses into single device transfers (the migrator reads
@@ -225,7 +229,7 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	sum := &Summary{Next: tertSeg, Create: fs.now(), Serial: fs.serial, Flags: sumStaging}
 	sorted := append([]uint32{}, inodeInums...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	moved, err := fs.writePseg(p, sum, fs.amap.BlockOf(cacheSeg, off), base, live, sorted)
+	moved, err := fs.writePseg(p, sum, image, true, fs.amap.BlockOf(cacheSeg, off), base, live, sorted)
 	res.InodesMoved = moved
 	if err != nil {
 		return res, err

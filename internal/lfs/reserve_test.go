@@ -81,7 +81,7 @@ func (s *stager) migrate(p *sim.Proc, inum uint32, withInode bool) error {
 		tseg := s.fs.amap.SegForIndex(s.next)
 		s.next++
 		s.td.line[tseg] = line
-		res, err := s.fs.Migratev(p, refs, inodes, tseg, line, 0)
+		res, err := s.fs.Migratev(p, refs, inodes, tseg, line, 0, make([]byte, s.fs.amap.SegBlocks()*BlockSize))
 		if err != nil {
 			return err
 		}

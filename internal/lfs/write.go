@@ -254,7 +254,8 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 			refs = append(refs, BlockRef{Inum: b.key.inum, Version: fs.imap[b.key.inum].Version, Lbn: b.key.lbn})
 		}
 		fs.flush.refs = refs
-		if _, err := fs.writePseg(p, sum, base, base, refs, pl.inums); err != nil {
+		image := fs.assembly(1 + len(pl.bufs) + pl.inoBlocks)
+		if _, err := fs.writePseg(p, sum, image, false, base, base, refs, pl.inums); err != nil {
 			return err
 		}
 		fs.stats.PartialSegs++
@@ -274,19 +275,20 @@ func (fs *FS) writePsegs(p *sim.Proc, blocks []*buf, inums []uint32, inoBlocks i
 }
 
 // writePseg is the one writer of a partial segment, in the log and in a
-// staging segment alike. The caller has placed the content blocks refs names
-// (Inum, Version, Lbn; in order) behind the summary block of the assembly
-// buffer and set sum's Next, Create, Serial and Flags. writePseg groups the
-// blocks into FINFOs, serializes inums into trailing inode blocks and
+// staging segment alike. image holds the partial segment: the summary block,
+// the content blocks refs names (Inum, Version, Lbn; in order), which the
+// caller has placed behind it, and room for the inode blocks of inums; the
+// caller has set sum's Next, Create, Serial and Flags. writePseg groups the
+// blocks into FINFOs, serializes inums into the trailing inode blocks and
 // re-points the inode map at them (an inode that does not load leaves its
 // slot empty), checksums and encodes the summary, charges the assembly copy,
-// writes the image at device address at, and counts the summary block live
-// in the segment of base, the summary's address: the same as at for the log,
-// the tertiary address of a staging image written into its cache line. It
-// returns how many inodes it wrote.
-func (fs *FS) writePseg(p *sim.Proc, sum *Summary, at, base addr.BlockNo, refs []BlockRef, inums []uint32) (int, error) {
+// writes the image at device address at — kept (Device.KeepBlocks) when keep
+// is set, as a staging line's image is — and counts the summary block live in
+// the segment of base, the summary's address: the same as at for the log, the
+// tertiary address of a staging image written into its cache line. It returns
+// how many inodes it wrote.
+func (fs *FS) writePseg(p *sim.Proc, sum *Summary, image []byte, keep bool, at, base addr.BlockNo, refs []BlockRef, inums []uint32) (int, error) {
 	inoBlocks := (len(inums) + InodesPerBlock - 1) / InodesPerBlock
-	image := fs.assembly(1 + len(refs) + inoBlocks)
 	content := image[BlockSize:]
 	if cap(fs.flush.lbns) < len(refs) {
 		fs.flush.lbns = make([]int32, fs.amap.SegBlocks())
@@ -329,7 +331,11 @@ func (fs *FS) writePseg(p *sim.Proc, sum *Summary, at, base addr.BlockNo, refs [
 		return written, err
 	}
 	fs.chargeCopy(p, len(image), fs.opts.AssemblyCopyRate)
-	if err := fs.dev.WriteBlocks(p, at, image); err != nil {
+	write := fs.dev.WriteBlocks
+	if keep {
+		write = fs.dev.KeepBlocks
+	}
+	if err := write(p, at, image); err != nil {
 		return written, err
 	}
 	fs.stats.DevWrites++
@@ -342,10 +348,11 @@ func (fs *FS) writePseg(p *sim.Proc, sum *Summary, at, base addr.BlockNo, refs [
 }
 
 // assembly returns the first nblocks blocks of the per-FS segment-sized
-// assembly buffer, contents arbitrary. A partial segment never exceeds a
-// segment, and the lock serializes the segment writer and Migratev, so one
-// buffer serves both; it is handed to the device and is free again when
-// WriteBlocks returns (BlockDev does not retain caller buffers).
+// assembly buffer of the log writer, contents arbitrary. A partial segment
+// never exceeds a segment, and the lock serializes flushes; the buffer is
+// handed to the device and is free again when WriteBlocks returns (BlockDev
+// does not retain caller buffers). Migratev assembles in the staging line's
+// image instead.
 func (fs *FS) assembly(nblocks int) []byte {
 	if fs.segImage == nil {
 		fs.segImage = make([]byte, fs.amap.SegBlocks()*BlockSize)

@@ -35,8 +35,19 @@ func (d *recDev) ReadParts(p *sim.Proc, parts []dev.Part) error {
 }
 
 func (d *recDev) WriteBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
-	d.log = append(d.log, fmt.Sprintf("t=%d at=%d n=%d sha256=%x", p.Now(), b, len(buf)/BlockSize, sha256.Sum256(buf)))
+	d.record(p, b, buf)
 	return d.td.WriteBlocks(p, b, buf)
+}
+
+// KeepBlocks logs as WriteBlocks does: a kept write puts the same bytes on
+// the media.
+func (d *recDev) KeepBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
+	d.record(p, b, buf)
+	return d.td.KeepBlocks(p, b, buf)
+}
+
+func (d *recDev) record(p *sim.Proc, b addr.BlockNo, buf []byte) {
+	d.log = append(d.log, fmt.Sprintf("t=%d at=%d n=%d sha256=%x", p.Now(), b, len(buf)/BlockSize, sha256.Sum256(buf)))
 }
 
 // writeSession runs the scripted session of TestMediaWritesMatchGolden and
@@ -104,7 +115,7 @@ func writeSession(t *testing.T) []string {
 			if tag == 0 {
 				off = segBlocks - 30
 			}
-			res, err := fs.Migratev(p, refs, inodes, tseg, line, off)
+			res, err := fs.Migratev(p, refs, inodes, tseg, line, off, make([]byte, segBlocks*BlockSize))
 			must("Migratev", err)
 			full = full || res.Full
 			refs, inodes = refs[res.Consumed:], nil

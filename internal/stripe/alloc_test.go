@@ -38,9 +38,9 @@ func allocBytesPerOp(op func()) uint64 {
 // where a single row image or parity unit allocated per call is 16 KB or
 // more. The last two rows are the path every block I/O of an unstriped
 // instance takes, a request inside the one component of a concatenated
-// farm: its split stays on the caller's stack, so it allocates no more than
-// it did before the two drivers became one (176 bytes: op list, task, error
-// slice).
+// farm: its split, its per-spindle lists and errors stay on the caller's
+// stack and its one group runs with no task built, so it allocates nothing
+// (TestOneSpindleRequestAllocatesNothing counts allocations as well).
 func TestInterleaveSteadyStateAllocations(t *testing.T) {
 	const unit = 4 // blocks per stripe unit; a row holds 3 data units = 12 blocks
 	for _, tc := range []struct {
@@ -62,10 +62,10 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 		{"degraded read", false, 1, dev.BlockSize, func(p *sim.Proc, il *Farm, buf []byte) error {
 			return il.ReadBlocks(p, 0, buf[:12*dev.BlockSize]) // row 0, one unit of it on the failed spindle
 		}},
-		{"concat one-component write", true, -1, 176 + 1, func(p *sim.Proc, c *Farm, buf []byte) error {
+		{"concat one-component write", true, -1, 1, func(p *sim.Proc, c *Farm, buf []byte) error {
 			return c.WriteBlocks(p, 8, buf[:16*dev.BlockSize])
 		}},
-		{"concat one-component read", true, -1, 176 + 1, func(p *sim.Proc, c *Farm, buf []byte) error {
+		{"concat one-component read", true, -1, 1, func(p *sim.Proc, c *Farm, buf []byte) error {
 			return c.ReadBlocks(p, 8, buf[:16*dev.BlockSize])
 		}},
 	} {
@@ -98,6 +98,34 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestOneSpindleRequestAllocatesNothing: a read and a write that reach one
+// spindle of a concatenated farm, and a read of a striped farm inside one
+// stripe unit, make no allocation at all.
+func TestOneSpindleRequestAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	c, _ := newConcat(k, 256, 256)
+	il, _ := newInterleave(k, 4, false, 2, 256)
+	buf := make([]byte, 16*dev.BlockSize)
+	k.RunProc(func(p *sim.Proc) {
+		for name, op := range map[string]func() error{
+			"concat read":       func() error { return c.ReadBlocks(p, 300, buf) },
+			"concat write":      func() error { return c.WriteBlocks(p, 8, buf) },
+			"striped unit read": func() error { return il.ReadBlocks(p, 5, buf[:2*dev.BlockSize]) },
+		} {
+			if err := op(); err != nil { // first touch of the media
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if err := op(); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: %v allocations per op, want 0", name, n)
+			}
+		}
+	})
 }
 
 // Per-layer micro-benchmarks (make bench-layers): host cost and bytes

@@ -250,12 +250,24 @@ func (f *Farm) split(dst []extent, parts []dev.Part) []extent {
 	return dst
 }
 
-// byDisk collects the parts of exts by spindle, in request order on each,
-// skipping the spindles skip names: groups[d] is what runOps issues to
-// component d. The groups are carved from one list of the farm's, which the
-// caller hands back with putParts once the request has joined.
-func (f *Farm) byDisk(exts []extent, skip []bool) (groups [][]dev.Part, flat []dev.Part) {
-	groups = make([][]dev.Part, len(f.devs))
+// spindles is how many components' lists a request keeps in arrays on its
+// caller's stack (perSpindle); a farm of more spindles puts them on the heap.
+const spindles = 8
+
+// perSpindle returns n slots: buf's first n, or n new ones when buf is short.
+func perSpindle[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// byDisk collects the parts of exts by spindle into groups, one slot per
+// component, in request order on each, skipping the spindles skip names:
+// groups[d] is what runOps issues to component d. The groups are carved from
+// one list of the farm's, which the caller hands back with putParts once the
+// request has joined.
+func (f *Farm) byDisk(groups [][]dev.Part, exts []extent, skip []bool) (flat []dev.Part) {
 	if n := len(f.partLists); n > 0 && cap(f.partLists[n-1]) >= len(exts) {
 		flat, f.partLists = f.partLists[n-1], f.partLists[:n-1]
 	} else {
@@ -273,7 +285,7 @@ func (f *Farm) byDisk(exts []extent, skip []bool) (groups [][]dev.Part, flat []d
 		}
 		groups[d] = flat[from:len(flat):len(flat)]
 	}
-	return groups, flat
+	return flat
 }
 
 // putParts takes back a list byDisk handed out, dropping what it pointed at.
@@ -349,6 +361,15 @@ func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: true}}, true)
 }
 
+// KeepBlocks is the write of a staging line's partial segment, whose image the
+// copy-out reads the line back into. On a concatenated farm it is WriteBlocks
+// handing buf down kept (dev.Part), so a component may take whole extents of
+// it by reference. On a striped or parity farm it is a plain WriteBlocks that
+// keeps nothing, for ShareBlocks' reason.
+func (f *Farm) KeepBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: f.unit == 0}}, true)
+}
+
 // ShareBlocks implements dev.Adopter. On a concatenated farm it is ReadBlocks
 // handing buf down kept (dev.Part), so a component may keep whole extents of
 // it. On a striped or parity farm it is a plain ReadBlocks that keeps nothing:
@@ -370,8 +391,11 @@ func (f *Farm) readParts(p *sim.Proc, parts []dev.Part) error {
 			degraded = append(degraded, e)
 		}
 	}
-	groups, flat := f.byDisk(exts, f.failed)
-	errs := f.dispatchAll(p, &f.names.read, groups, false)
+	var gs [spindles][]dev.Part
+	var es [spindles]error
+	groups, errs := perSpindle(gs[:], len(f.devs)), perSpindle(es[:], len(f.devs))
+	flat := f.byDisk(groups, exts, f.failed)
+	f.dispatchAll(p, &f.names.read, groups, false, errs)
 	f.putParts(flat)
 	for d, err := range errs {
 		if err == nil {
@@ -405,7 +429,9 @@ func (f *Farm) writeBlocks(p *sim.Proc, parts []dev.Part) error {
 			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 		}
 	}
-	groups, flat := f.byDisk(exts, f.failed)
+	var gs [spindles][]dev.Part
+	groups := perSpindle(gs[:], len(f.devs))
+	flat := f.byDisk(groups, exts, f.failed)
 	err := f.dispatch(p, &f.names.write, groups, true)
 	f.putParts(flat)
 	return err
@@ -608,7 +634,10 @@ func fanoutAll(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) []er
 
 // dispatch runs each component's transfers (runOps) through fanout.
 func (f *Farm) dispatch(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool) error {
-	for _, err := range f.dispatchAll(p, names, groups, write) {
+	var es [spindles]error
+	errs := perSpindle(es[:], len(groups))
+	f.dispatchAll(p, names, groups, write, errs)
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
@@ -616,8 +645,22 @@ func (f *Farm) dispatch(p *sim.Proc, names *fanNames, groups [][]dev.Part, write
 	return nil
 }
 
-// dispatchAll is dispatch returning per-component errors (fanoutAll).
-func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool) []error {
+// dispatchAll is dispatch setting errs[i], zero on entry, to component i's
+// error (fanoutAll). A lone group runs inline in p, as fanoutAll runs a lone
+// task, but with no task built for it: a request that reaches one spindle
+// allocates nothing here.
+func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool, errs []error) {
+	busy, last := 0, -1
+	for i, g := range groups {
+		if len(g) > 0 {
+			busy++
+			last = i
+		}
+	}
+	if busy == 1 {
+		errs[last] = runOps(p, f.devs[last], groups[last], f.unit, write)
+		return
+	}
 	tasks := make([]func(*sim.Proc) error, len(groups))
 	for i, g := range groups {
 		if len(g) > 0 {
@@ -625,5 +668,5 @@ func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, wr
 			tasks[i] = func(cp *sim.Proc) error { return runOps(cp, d, g, f.unit, write) }
 		}
 	}
-	return fanoutAll(p, names, tasks)
+	copy(errs, fanoutAll(p, names, tasks))
 }

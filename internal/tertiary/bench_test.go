@@ -38,7 +38,7 @@ func BenchmarkReplicatedCopyout(b *testing.B) {
 			b.Fatal(err)
 		}
 		copyOut := func() {
-			svc.ScheduleCopyouts(p, seg, 0, 0, 4)
+			svc.ScheduleCopyouts(p, seg, nil, 0, 0, 4)
 			svc.DrainCopyouts(p)
 		}
 		for range 4 { // every I/O process has had its turn: their buffers exist

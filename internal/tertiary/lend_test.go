@@ -71,7 +71,7 @@ func TestFetchOfNeverWrittenSegmentReadsZeroes(t *testing.T) {
 		}
 		e.svc.ScheduleCopyout(p, 5, seg)
 		e.svc.DrainCopyouts(p)
-		e.svc.ScheduleCopyouts(p, seg, 5, 6) // a replica, through the stream's other process
+		e.svc.ScheduleCopyouts(p, seg, nil, 5, 6) // a replica, through the stream's other process
 		e.svc.DrainCopyouts(p)
 
 		line, err := e.svc.DemandFetch(p, 9) // never written: evicts tag 5's clean line

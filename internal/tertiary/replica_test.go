@@ -45,7 +45,7 @@ func TestReplicasShareOneImage(t *testing.T) {
 	e := newLibEnv(2, 1, 4)
 	e.k.RunProc(func(p *sim.Proc) {
 		seg := e.stage(t, p, 5)
-		e.svc.ScheduleCopyouts(p, seg, 5, 5, 5+libSegs)
+		e.svc.ScheduleCopyouts(p, seg, nil, 5, 5, 5+libSegs)
 		e.svc.DrainCopyouts(p)
 		a, b := e.medium(t, p, 5), e.medium(t, p, 5+libSegs)
 		if !bytes.Equal(a, fill(5)) || !bytes.Equal(b, fill(5)) {
@@ -83,7 +83,7 @@ func TestReplicaOfAChangedLineGetsItsOwnImage(t *testing.T) {
 				t.Error(err)
 			}
 		}}
-		e.svc.ScheduleCopyouts(p, seg, 5, 5, 6)
+		e.svc.ScheduleCopyouts(p, seg, nil, 5, 5, 6)
 		e.svc.DrainCopyouts(p)
 		a, b := e.medium(t, p, 5), e.medium(t, p, 6)
 		if !bytes.Equal(a, fill(5)) {
@@ -120,7 +120,7 @@ func TestReplicaCopyoutsSurviveTransientFaults(t *testing.T) {
 	}
 	e.k.RunProc(func(p *sim.Proc) {
 		seg := e.stage(t, p, 5)
-		e.svc.ScheduleCopyouts(p, seg, 5, 5, 5+libSegs)
+		e.svc.ScheduleCopyouts(p, seg, nil, 5, 5, 5+libSegs)
 		e.svc.DrainCopyouts(p)
 		a, b := e.medium(t, p, 5), e.medium(t, p, 5+libSegs)
 		if !bytes.Equal(a, fill(5)) || !bytes.Equal(b, fill(5)) {

@@ -494,7 +494,7 @@ func TestUnmappableCopyoutBecomesFailedWrite(t *testing.T) {
 		seg, _ := e.c.TakeFree()
 		e.c.Insert(6, seg, true, p.Now())
 		for _, bad := range []int{9999, -1} {
-			e.svc.ScheduleCopyouts(p, seg, 6, bad)
+			e.svc.ScheduleCopyouts(p, seg, nil, 6, bad)
 			e.svc.DrainCopyouts(p)
 			if got := e.svc.FailedWrites(); len(got) != 1 || got[0] != bad {
 				t.Fatalf("FailedWrites = %v, want [%d]", got, bad)
