@@ -472,6 +472,7 @@ type blockMap struct {
 
 var _ lfs.Device = (*blockMap)(nil)
 var _ lfs.Fetcher = (*blockMap)(nil)
+var _ lfs.Discarder = (*blockMap)(nil)
 
 // Flush drains the disk farm's write-back caches; the file system calls it
 // as the ordering barrier inside Sync and Checkpoint.
@@ -629,6 +630,14 @@ func (bm *blockMap) diskWrite(b addr.BlockNo, buf []byte) error {
 		return fmt.Errorf("core: write to non-disk block %d (tertiary segments are written via the service process)", b)
 	}
 	return nil
+}
+
+// Discard implements lfs.Discarder: a range of disk log blocks goes to the
+// farm (stripe.Farm.Discard); nothing else is ever discarded.
+func (bm *blockMap) Discard(b addr.BlockNo, n int) {
+	if m := bm.hl.Amap; m.IsDiskSeg(m.SegOf(b)) && m.IsDiskSeg(m.SegOf(b+addr.BlockNo(n-1))) {
+		bm.hl.Disk.Discard(int64(b), int64(n))
+	}
 }
 
 // Stats aggregates the observability counters of every layer.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -105,6 +106,15 @@ type Vectored interface {
 	BlockDev
 	ReadParts(p *sim.Proc, parts []Part) error
 	WriteParts(p *sim.Proc, parts []Part) error
+}
+
+// Discarder is a device told that some of its blocks hold nothing anyone will
+// read again (a TRIM): it may forget them, after which each reads as zeroes or
+// as before. Discard takes no time, consults no fault hook and fires no
+// media-write hook; it is bookkeeping of the host, not a request to the
+// simulated device.
+type Discarder interface {
+	Discard(blk, n int64)
 }
 
 // Bus is a shared I/O bus (e.g. one SCSI chain). Devices hold the bus for
@@ -489,6 +499,26 @@ func (d *Disk) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 func (d *Disk) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return d.ReadParts(p, []Part{{Blk: blk, Buf: buf, Keep: true}})
 }
+
+// Discard implements Discarder: blocks [blk, blk+n), clipped to the disk, read
+// as zeroes afterwards, leave SaveStore's image and the volatile write cache,
+// and their extents go to the collector when nothing written is left in them.
+func (d *Disk) Discard(blk, n int64) {
+	blk, end := max(blk, 0), min(blk+n, d.nblocks)
+	d.store.discard(blk, end-blk)
+	d.worder = slices.DeleteFunc(d.worder, func(b int64) bool {
+		gone := b >= blk && b < end
+		if gone {
+			d.wfree = append(d.wfree, d.wdirty[b])
+			delete(d.wdirty, b)
+		}
+		return gone
+	})
+}
+
+// Resident adds the extents the disk's media hold to r and returns the bytes
+// that r did not hold yet.
+func (d *Disk) Resident(r Resident) int64 { return d.store.held(r) }
 
 // ReadParts implements Vectored. A request larger than maxTransfer is split
 // into MAXPHYS-sized chunks, across part boundaries, with the arm

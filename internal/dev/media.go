@@ -147,3 +147,59 @@ func (m *media) each(f func(blk int64, data []byte)) {
 		}
 	}
 }
+
+// discard forgets the n blocks from blk on: each reads as zeroes afterwards
+// and leaves every snapshot, as if never written. An extent left with no
+// written block is dropped for the collector, not kept on spare; one left
+// with some is ours (a shared one is copied first, never written into) with
+// the forgotten blocks zeroed.
+func (m *media) discard(blk, n int64) {
+	for end := blk + n; blk < end; {
+		e, i := blk/extentBlocks, int(blk%extentBlocks)
+		nb := int(min(end-blk, extentBlocks-int64(i)))
+		mask := (uint16(1)<<nb - 1) << i
+		switch {
+		case m.written[e]&^mask == 0:
+			m.ext[e], m.shared[e], m.written[e] = nil, false, 0
+		case m.written[e]&mask != 0:
+			if m.shared[e] {
+				m.own(e)
+			}
+			clear(m.ext[e][i*BlockSize : (i+nb)*BlockSize])
+			m.written[e] &^= mask
+		}
+		blk += int64(nb)
+	}
+}
+
+// held is Disk.Resident over every extent the media hold, spare ones too.
+func (m *media) held(r Resident) int64 {
+	n := int64(0)
+	for _, x := range m.ext {
+		if x != nil {
+			n += r.Add(x[:])
+		}
+	}
+	for _, x := range m.spare {
+		n += r.Add(x[:])
+	}
+	return n
+}
+
+// Resident tallies the memory simulated media hold, by extent: an extent
+// that several media hold (a disk's line and the changer's image it shares)
+// is counted by the first to add it.
+type Resident map[*byte]bool
+
+// Add counts b, cut into maxTransfer-byte extents from its start, and
+// returns the bytes of the extents r did not hold yet.
+func (r Resident) Add(b []byte) int64 {
+	n := int64(0)
+	for ; len(b) > 0; b = b[min(len(b), maxTransfer):] {
+		if !r[&b[0]] {
+			r[&b[0]] = true
+			n += int64(min(len(b), maxTransfer))
+		}
+	}
+	return n
+}

@@ -50,6 +50,34 @@ func (m *diskModel) write(blk int64, data []byte) {
 	}
 }
 
+// discard forgets nb blocks from blk on, durable and cached alike.
+func (m *diskModel) discard(blk int64, nb int) {
+	gone := func(b int64) bool { return b >= blk && b < blk+int64(nb) }
+	maps.DeleteFunc(m.durable, func(b int64, _ []byte) bool { return gone(b) })
+	maps.DeleteFunc(m.cached, func(b int64, _ []byte) bool { return gone(b) })
+	m.order = slices.DeleteFunc(m.order, gone)
+}
+
+// extents is how many extents hold a durable block of the model.
+func (m *diskModel) extents() int {
+	es := map[int64]bool{}
+	for b := range m.durable {
+		es[b/extentBlocks] = true
+	}
+	return len(es)
+}
+
+// heldExtents is how many extents the disk's media hold.
+func heldExtents(d *Disk) int {
+	n := 0
+	for _, x := range d.store.ext {
+		if x != nil {
+			n++
+		}
+	}
+	return n
+}
+
 func (m *diskModel) read(blk int64, nb int) []byte {
 	out := make([]byte, 0, nb*BlockSize)
 	for i := int64(0); i < int64(nb); i++ {
@@ -100,6 +128,9 @@ func sameStore(a, b map[int64][]byte) error {
 // never-written block is seen to read as zeroes after LoadStore even through
 // an extent an adoption or a share displaced and a write reused. One run has
 // a media-write observer, which makes direct writes land block by block.
+// Some steps discard a range — whole extents, a piece of one, or an extent a
+// kept write shared — which the model forgets like blocks never written, and
+// the disk holds as many extents as the model has extents with a durable block.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -116,6 +147,7 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			saved := blank                   // a power-cut image to come back to ...
 			savedModel := map[int64][]byte{} // ... and the model's durable blocks then
 			var adopted, handed [][]byte     // buffers given to AdoptBlocks or ShareBlocks, and copies of them
+			sharedDiscards := 0
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
 				if rng.IntN(4) == 0 {
@@ -136,7 +168,7 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			}
 			k.RunProc(func(p *sim.Proc) {
 				for step := 0; step < 1000; step++ {
-					switch op := rng.IntN(20); {
+					switch op := rng.IntN(22); {
 					case op < 8:
 						blk, nb := span()
 						adopt, parts := rng.IntN(3) == 0, rng.IntN(6) == 0
@@ -238,6 +270,27 @@ func TestDiskMatchesMapModel(t *testing.T) {
 							}
 						}
 						adopted, handed = nil, nil
+					case op >= 20:
+						blk, nb := span()
+						switch rng.IntN(3) {
+						case 0: // one or two whole extents
+							n := 1 + rng.IntN(2)
+							blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
+						case 1: // all or part of an extent a kept write shared, if any
+							var shared []int64
+							for e, sh := range d.store.shared {
+								if sh {
+									shared = append(shared, int64(e))
+								}
+							}
+							if len(shared) > 0 {
+								sharedDiscards++
+								i := rng.IntN(extentBlocks)
+								blk, nb = shared[rng.IntN(len(shared))]*extentBlocks+int64(i), 1+rng.IntN(extentBlocks-i)
+							}
+						}
+						d.Discard(blk, int64(nb))
+						m.discard(blk, nb)
 					case op == 19:
 						var img bytes.Buffer
 						if err := d.SaveStore(&img); err != nil {
@@ -257,6 +310,9 @@ func TestDiskMatchesMapModel(t *testing.T) {
 					if err := sameStore(durable(d), m.durable); err != nil {
 						t.Fatalf("step %d: durable image: %v", step, err)
 					}
+					if got, want := heldExtents(d), m.extents(); got != want {
+						t.Fatalf("step %d: the disk holds %d extents, the model has %d with a written block", step, got, want)
+					}
 					if d.OnMediaWrite != nil && observed != m.applied {
 						t.Fatalf("step %d: observer saw %d media writes, model applied %d", step, observed, m.applied)
 					}
@@ -267,6 +323,9 @@ func TestDiskMatchesMapModel(t *testing.T) {
 					}
 				}
 			})
+			if sharedDiscards == 0 && d.OnMediaWrite == nil { // an observer makes every kept write copy
+				t.Error("no step discarded an extent a kept write shared")
+			}
 		})
 	}
 }
@@ -676,6 +735,49 @@ func TestDiskSteadyStateAllocations(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Errorf("rewriting and sharing 1 MB: %v allocations, want 0 (the rewrite takes the extents the share displaced)", n)
+		}
+	})
+}
+
+// TestDiscardOfWholeExtentsAllocatesNothing: dropping whole extents, ours or
+// a kept write's, is bookkeeping: no allocation, and the disk holds none of
+// them afterwards.
+func TestDiscardOfWholeExtentsAllocatesNothing(t *testing.T) {
+	const mb = 1 << 20 / BlockSize
+	const runs = 8
+	k := sim.NewKernel()
+	d := NewDisk(k, RZ57, (runs+2)*mb, nil)
+	k.RunProc(func(p *sim.Proc) {
+		buf := bytes.Repeat([]byte{0xA5}, 1<<20)
+		for i := int64(0); i <= runs; i++ { // one region per run, and one for AllocsPerRun's warm-up
+			if err := d.WriteBlocks(p, i*mb, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := int64(0)
+		if n := testing.AllocsPerRun(runs, func() {
+			d.Discard(next, mb)
+			next += mb
+		}); n != 0 {
+			t.Errorf("discarding 1 MB of whole extents of ours: %v allocations, want 0", n)
+		}
+		if n := testing.AllocsPerRun(runs, func() {
+			if err := d.AdoptBlocks(p, (runs+1)*mb, buf); err != nil {
+				t.Fatal(err)
+			}
+			d.Discard((runs+1)*mb, mb)
+		}); n != 0 {
+			t.Errorf("adopting and discarding 1 MB: %v allocations, want 0", n)
+		}
+		if n := heldExtents(d); n != 0 || len(d.store.spare) != 0 {
+			t.Errorf("after discarding everything the disk holds %d extents and %d spare, want none", n, len(d.store.spare))
+		}
+		got := make([]byte, len(buf))
+		if err := d.ReadBlocks(p, (runs+1)*mb, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, len(got))) {
+			t.Error("a discarded block does not read as zeroes")
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/core"
+	"repro/internal/dev"
 	"repro/internal/lfs"
 	"repro/internal/sim"
 )
@@ -70,6 +71,10 @@ func Layout(p *sim.Proc, w io.Writer, hl *core.HighLight, maxSegs int) error {
 		}
 		fmt.Fprintf(w, "  seg %4d [%-3s] live %7d B%s\n", s, segStateLetters(su), su.LiveBytes, tag)
 		if su.Flags&lfs.SegDirty != 0 && su.Flags&lfs.SegCached == 0 {
+			if fs.Discarded(addr.SegNo(s)) {
+				fmt.Fprintf(w, "    (discarded)\n")
+				continue
+			}
 			sc, err := fs.ReadSegment(p, addr.SegNo(s))
 			if err != nil {
 				continue
@@ -103,7 +108,24 @@ func Layout(p *sim.Proc, w io.Writer, hl *core.HighLight, maxSegs int) error {
 		fmt.Fprintf(w, "  tseg %4d (dev %d vol %d seg %d) [%-3s] live %7d B%s\n",
 			idx, d, v, vs, segStateLetters(su), su.LiveBytes, cached)
 	}
+	resident(w, hl)
 	return nil
+}
+
+// resident prints the memory each changer's and each disk's simulated media
+// hold. Changers go first, so an extent a disk shares with a changer (a
+// fetched line's image, a copied-out line) counts once, at the changer.
+func resident(w io.Writer, hl *core.HighLight) {
+	held := dev.Resident{}
+	fmt.Fprintf(w, "resident media memory (an extent two devices hold counts once):\n")
+	for i, j := range hl.Jukeboxes() {
+		if h, ok := j.(interface{ Resident(dev.Resident) int64 }); ok {
+			fmt.Fprintf(w, "  changer %d: %6.2f MB\n", i, float64(h.Resident(held))/(1<<20))
+		}
+	}
+	for i, n := range hl.Disk.Resident(held) {
+		fmt.Fprintf(w, "  disk %d:    %6.2f MB\n", i, float64(n)/(1<<20))
+	}
 }
 
 func lbnList(lbns []int32) string {

@@ -2,6 +2,7 @@ package dump
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -60,6 +61,54 @@ func TestLayoutRendersStatesAndContents(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("layout missing %q:\n%s", want, s)
 		}
+	}
+	k.Stop()
+}
+
+// TestLayoutMarksDiscardedSegments: once the full checkpoint that ends a
+// migration is durable, the segments that held the migrated blocks are
+// discarded, the layout says so instead of listing no partial segments, and
+// the disk's resident memory falls.
+func TestLayoutMarksDiscardedSegments(t *testing.T) {
+	k, hl := demoHL(t)
+	var before, after bytes.Buffer
+	k.RunProc(func(p *sim.Proc) {
+		f, err := hl.FS.Create(p, "/file")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, bytes.Repeat([]byte{7}, 40*lfs.BlockSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := hl.Checkpoint(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := Layout(p, &before, hl, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hl.MigrateFiles(p, []uint32{f.Inum()}, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := hl.CompleteMigration(p); err != nil { // ends with a full checkpoint
+			t.Fatal(err)
+		}
+		if err := Layout(p, &after, hl, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if strings.Contains(before.String(), "(discarded)") || !strings.Contains(after.String(), "(discarded)") {
+		t.Errorf("only the layout after the migration should mark a discarded segment:\nbefore:\n%s\nafter:\n%s", before.String(), after.String())
+	}
+	diskMB := func(s string) (mb float64) {
+		i := strings.Index(s, "disk 0:")
+		if i < 0 {
+			t.Fatalf("no resident line for disk 0:\n%s", s)
+		}
+		fmt.Sscan(s[i+len("disk 0:"):], &mb)
+		return mb
+	}
+	if b, a := diskMB(before.String()), diskMB(after.String()); a >= b {
+		t.Errorf("disk 0 holds %.2f MB after the discard, %.2f MB before", a, b)
 	}
 	k.Stop()
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/dev"
 )
 
 const imageMagic = 0x484a424b // "HJBK"
@@ -46,6 +48,21 @@ func (j *Jukebox) SaveStore(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Resident adds the segment images the jukebox's volumes hold to r and
+// returns the bytes that r did not hold yet: an image two libraries share is
+// counted by the first.
+func (j *Jukebox) Resident(r dev.Resident) int64 {
+	n := int64(0)
+	for _, v := range j.vols {
+		for _, data := range v.store {
+			if data != nil {
+				n += r.Add(data)
+			}
+		}
+	}
+	return n
 }
 
 // LoadStore replaces the jukebox's media contents from a SaveStore stream

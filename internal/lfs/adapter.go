@@ -30,6 +30,13 @@ func (d DiskDevice) KeepBlocks(p *sim.Proc, b addr.BlockNo, buf []byte) error {
 	return d.BD.WriteParts(p, []dev.Part{{Blk: int64(b), Buf: buf, Keep: true}})
 }
 
+// Discard implements Discarder when BD is a dev.Discarder.
+func (d DiskDevice) Discard(b addr.BlockNo, n int) {
+	if dc, ok := d.BD.(dev.Discarder); ok {
+		dc.Discard(int64(b), int64(n))
+	}
+}
+
 // ReadParts implements Device.
 func (d DiskDevice) ReadParts(p *sim.Proc, parts []dev.Part) error {
 	return d.BD.ReadParts(p, parts)

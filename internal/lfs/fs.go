@@ -169,6 +169,7 @@ type FS struct {
 	op      readOp // the read-only operation holding the lock, if one does
 
 	seguse []Seguse    // per disk segment
+	live   []segLive   // per disk segment: the log's live count (discard.go)
 	tseg   []Seguse    // per tertiary segment (dense TertIndex order)
 	imap   []ImapEntry // per inode number
 	nclean int         // clean, allocatable disk segments
@@ -271,6 +272,10 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 		TertDevs:     amap.Devices(),
 	}
 	fs.seguse = make([]Seguse, amap.DiskSegs())
+	fs.live = make([]segLive, amap.DiskSegs())
+	for i := reservedSegs; i < len(fs.live); i++ {
+		fs.live[i] = segLive{kept: true, discarded: true} // none holds anything of the log
+	}
 	for i := 0; i < reservedSegs; i++ {
 		fs.seguse[i].Flags = SegNoStore
 	}
@@ -290,6 +295,7 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 	fs.curSeg = addr.SegNo(reservedSegs)
 	fs.curOff = 0
 	fs.seguse[fs.curSeg].Flags = SegActive
+	fs.live[fs.curSeg].discarded = false
 	fs.nclean--
 
 	// Superblock.
@@ -350,6 +356,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 	if err := fs.loadTables(p, best); err != nil {
 		return nil, err
 	}
+	fs.live = make([]segLive, sb.DiskSegs) // nothing kept: the log has not seen these segments die
 	fs.serial = best.Serial
 	fs.nextInum = best.NextInum
 	fs.curSeg = best.CurSeg
@@ -551,7 +558,11 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 	if err := fs.flushLocked(p, true); err != nil {
 		return err
 	}
-	return fs.writeCheckpointLocked(p)
+	if err := fs.writeCheckpointLocked(p); err != nil {
+		return err
+	}
+	fs.discardDeadLocked()
+	return nil
 }
 
 // writeCheckpointLocked writes the tables and checkpoint header for the
@@ -824,6 +835,7 @@ func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.Seg
 			}
 			su.CacheTag = tag
 			su.LastMod = fs.now()
+			fs.live[s] = segLive{} // the cache's from now on, never the log's
 			fs.nclean--
 			fs.cacheInUse++
 			return s, nil

@@ -41,6 +41,9 @@ func (fs *FS) GrowDisk(p *sim.Proc, n int) error {
 			fs.amap.DiskSegs(), len(fs.seguse)+n)
 	}
 	fs.seguse = append(fs.seguse, make([]Seguse, n)...)
+	for range n {
+		fs.live = append(fs.live, segLive{kept: true, discarded: true})
+	}
 	fs.nclean += n
 	fs.sb.DiskSegs = uint32(len(fs.seguse))
 	blk := make([]byte, BlockSize)

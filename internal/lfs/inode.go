@@ -100,6 +100,7 @@ func (fs *FS) accountOld(a addr.BlockNo, n uint32) {
 	if a == addr.NilBlock {
 		return
 	}
+	fs.countLive(a, -1)
 	if su := fs.seguseFor(a); su != nil {
 		if su.LiveBytes >= n {
 			su.LiveBytes -= n
@@ -113,6 +114,7 @@ func (fs *FS) accountNew(a addr.BlockNo, n uint32) {
 	if a == addr.NilBlock {
 		return
 	}
+	fs.countLive(a, 1)
 	if su := fs.seguseFor(a); su != nil {
 		su.LiveBytes += n
 		su.LastMod = fs.now()

@@ -385,6 +385,7 @@ func (fs *FS) advanceLog(seg addr.SegNo) {
 		panic(fmt.Sprintf("lfs: new log segment %d not clean (flags %#x)", seg, nu.Flags))
 	}
 	nu.Flags = SegActive
+	fs.live[seg] = segLive{kept: true} // everything it held is dead: count afresh
 	fs.nclean--
 	fs.curSeg, fs.curOff = seg, 0
 }

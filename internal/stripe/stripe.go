@@ -437,6 +437,49 @@ func (f *Farm) writeBlocks(p *sim.Proc, parts []dev.Part) error {
 	return err
 }
 
+// Discard implements dev.Discarder, passing each component that is one its
+// share of blocks [blk, blk+n). With parity it forgets only the rows that lie
+// wholly inside the range, data lanes and parity unit alike on every spindle:
+// every row it keeps still holds the XOR of its lanes in its parity unit.
+func (f *Farm) Discard(blk, n int64) {
+	blk, end := max(blk, 0), min(blk+n, f.total)
+	if f.parity {
+		row := f.dataDisks() * f.unit
+		if lo, hi := (blk+row-1)/row, end/row; lo < hi {
+			for _, d := range f.devs {
+				discard(d, lo*f.unit, (hi-lo)*f.unit)
+			}
+		}
+		return
+	}
+	for blk < end {
+		disk, phys, run := f.locate(blk)
+		run = min(run, end-blk)
+		discard(f.devs[disk], phys, run)
+		blk += run
+	}
+}
+
+// discard passes blocks [blk, blk+n) of component d to it if d discards.
+func discard(d dev.Vectored, blk, n int64) {
+	if dc, ok := d.(dev.Discarder); ok {
+		dc.Discard(blk, n)
+	}
+}
+
+// Resident adds the extents each component holds to r, for the components
+// that report it (dev.Disk.Resident), and returns each one's share in
+// component order.
+func (f *Farm) Resident(r dev.Resident) []int64 {
+	out := make([]int64, len(f.devs))
+	for i, d := range f.devs {
+		if h, ok := d.(interface{ Resident(dev.Resident) int64 }); ok {
+			out[i] = h.Resident(r)
+		}
+	}
+	return out
+}
+
 // Flush implements dev.Flusher by draining the write cache of every
 // component that has one, all components in parallel.
 func (f *Farm) Flush(p *sim.Proc) error {
