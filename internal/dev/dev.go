@@ -91,11 +91,20 @@ type Adopter interface {
 // read-only view of the block and leaves Buf as it was. The caller must never
 // write through the view; a device that owns the block, has a write cache or
 // is watched fills Buf and leaves *Lend alone. A write ignores Lend.
+//
+// XorOf, on a write, says the part's bytes are the XOR of the buffers it
+// lists, each as long as Buf: Buf is the caller's scratch, which the device
+// fills with that XOR where it needs the bytes. With Keep set too the list and
+// its buffers are handed over, never to change (a parity unit of lanes a fetch
+// adopted): then a device that could keep them may store the list in place of
+// the XOR and compute it when something first reads the blocks. A read
+// ignores XorOf.
 type Part struct {
-	Blk  int64
-	Buf  []byte
-	Keep bool
-	Lend *[]byte
+	Blk   int64
+	Buf   []byte
+	Keep  bool
+	Lend  *[]byte
+	XorOf *[][]byte
 }
 
 // Vectored is a BlockDev that moves a list of parts, each starting at the
@@ -592,7 +601,10 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 // ReadParts. A write-through disk nobody watches takes every whole 64 KB
 // extent a kept part covers by reference, wherever the part starts, and copies
 // the part's ends; a write cache or an OnMediaWrite hook copies every part, so
-// both see every block as before.
+// both see every block as before. A part with XorOf is its XOR, computed into
+// Buf a piece at a time as each piece is applied, except that where the part
+// is kept and the disk would keep it the XOR of each whole extent stays
+// pending in the media until something reads it.
 func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("write", parts)
 	if err != nil {
@@ -619,10 +631,14 @@ func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 		p.Sleep(st + d.prof.Rotation + media)
 		for got := 0; got < n; {
 			pt := c.take(n - got)
+			whole := c.parts[0] // the part pt was cut from
+			keep := pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil
+			if pt.XorOf != nil && !keep {
+				xorOf(pt.Buf, *pt.XorOf, int(pt.Blk-whole.Blk)*BlockSize)
+			}
 			switch {
-			case pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil:
-				whole := c.parts[0] // the part pt was cut from
-				d.store.keep(whole.Blk, whole.Buf, pt.Blk, pt.Buf)
+			case keep:
+				d.store.keep(whole, pt.Blk, pt.Buf)
 			case d.wcap == 0:
 				d.applyMedia(pt.Blk, pt.Buf)
 			default:

@@ -67,15 +67,40 @@ func (m *diskModel) extents() int {
 	return len(es)
 }
 
-// heldExtents is how many extents the disk's media hold.
+// heldExtents is how many extents the disk's media hold: their own, shared
+// or pending ones.
 func heldExtents(d *Disk) int {
-	n := 0
-	for _, x := range d.store.ext {
+	n := len(d.store.pending)
+	for e, x := range d.store.ext {
 		if x != nil {
 			n++
 		}
+		if _, ok := d.store.pending[int64(e)]; ok != (x == nil && d.store.written[e] != 0) {
+			panic(fmt.Sprintf("extent %d: pending %v, absent %v with written bits %#x", e, ok, x == nil, d.store.written[e]))
+		}
 	}
 	return n
+}
+
+// pendingIn reports whether blocks [blk, blk+nb) reach a pending extent.
+func pendingIn(d *Disk, blk int64, nb int) bool {
+	for e := blk / extentBlocks; e <= (blk+int64(nb)-1)/extentBlocks; e++ {
+		if _, ok := d.store.pending[e]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// xorAll is the XOR of srcs, each n bytes (zeroes when there are none).
+func xorAll(n int, srcs [][]byte) []byte {
+	out := make([]byte, n)
+	for _, src := range srcs {
+		for i := range out {
+			out[i] ^= src[i]
+		}
+	}
+	return out
 }
 
 func (m *diskModel) read(blk int64, nb int) []byte {
@@ -129,8 +154,16 @@ func sameStore(a, b map[int64][]byte) error {
 // an extent an adoption or a share displaced and a write reused. One run has
 // a media-write observer, which makes direct writes land block by block.
 // Some steps discard a range — whole extents, a piece of one, or an extent a
-// kept write shared — which the model forgets like blocks never written, and
-// the disk holds as many extents as the model has extents with a durable block.
+// kept write shared or left pending — which the model forgets like blocks
+// never written, and the disk holds as many extents as the model has extents
+// with a durable block. Some writes are a part named as the XOR of zero to
+// three sources (Part.XorOf), half of them of whole extents and most kept,
+// which the model holds as that XOR: the disk leaves the whole extents of a
+// kept one pending, and every later read, lending read, share, overwrite,
+// kept write, discard and the durable image at the end of each step must see
+// the XOR. A fifth of the reads lend (one part per block, each with a Lend
+// slot). Without an observer, each of those kinds of step must reach a
+// pending extent at least once.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
 	for _, seed := range []uint64{1, 2, 1993} {
@@ -148,12 +181,34 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			savedModel := map[int64][]byte{} // ... and the model's durable blocks then
 			var adopted, handed [][]byte     // buffers given to AdoptBlocks or ShareBlocks, and copies of them
 			sharedDiscards := 0
+			reached := map[string]int{} // kinds of step that found a pending extent in their range
+			// pendingExtent is a pending extent, if there is one and the dice
+			// say so: a third of the ranges start in one while there is one.
+			pendingExtent := func() (int64, bool) {
+				if len(d.store.pending) == 0 || rng.IntN(3) != 0 {
+					return 0, false
+				}
+				es := slices.Sorted(maps.Keys(d.store.pending))
+				return es[rng.IntN(len(es))], true
+			}
 			span := func() (int64, int) {
 				nb := 1 + rng.IntN(40)
+				if e, ok := pendingExtent(); ok {
+					return min(e*extentBlocks+rng.Int64N(extentBlocks), nblocks-int64(nb)), nb
+				}
 				if rng.IntN(4) == 0 {
 					return nblocks - int64(nb), nb // ends on the last block
 				}
 				return rng.Int64N(nblocks - int64(nb) + 1), nb
+			}
+			// whole is one or two whole extents.
+			whole := func() (int64, int) {
+				n := 1 + rng.IntN(2)
+				last := nblocks/extentBlocks - int64(n)
+				if e, ok := pendingExtent(); ok {
+					return min(e, last) * extentBlocks, n * extentBlocks
+				}
+				return rng.Int64N(last+1) * extentBlocks, n * extentBlocks
 			}
 			// readAll compares the whole disk with the model: never-written
 			// blocks read as zeroes, whatever extent stands in for them.
@@ -168,13 +223,22 @@ func TestDiskMatchesMapModel(t *testing.T) {
 			}
 			k.RunProc(func(p *sim.Proc) {
 				for step := 0; step < 1000; step++ {
-					switch op := rng.IntN(22); {
+					switch op := rng.IntN(25); {
 					case op < 8:
 						blk, nb := span()
 						adopt, parts := rng.IntN(3) == 0, rng.IntN(6) == 0
-						if adopt && rng.IntN(2) == 0 { // one or two whole extents
-							n := 1 + rng.IntN(2)
-							blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
+						if (adopt || rng.IntN(4) == 0) && rng.IntN(2) == 0 { // one or two whole extents
+							blk, nb = whole()
+						}
+						if pendingIn(d, blk, nb) {
+							switch {
+							case adopt:
+								reached["kept write"]++
+							case nb%extentBlocks == 0 && blk%extentBlocks == 0:
+								reached["whole overwrite"]++
+							default:
+								reached["overwrite"]++
+							}
 						}
 						buf := make([]byte, nb*BlockSize)
 						for i := 0; i < len(buf); i += 8 {
@@ -215,13 +279,32 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						adopted, handed = append(adopted, buf), append(handed, bytes.Clone(buf))
 					case op < 15:
 						blk, nb := span()
-						read, share := d.ReadBlocks, rng.IntN(3) == 0
-						if share {
+						kind := []string{"read", "lending read", "share"}[rng.IntN(3)]
+						read := d.ReadBlocks
+						switch kind {
+						case "share":
 							read = d.ShareBlocks
 							if rng.IntN(2) == 0 { // one or two whole extents
-								n := 1 + rng.IntN(2)
-								blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
+								blk, nb = whole()
 							}
+						case "lending read":
+							read = func(p *sim.Proc, blk int64, buf []byte) error {
+								parts := make([]Part, len(buf)/BlockSize)
+								views := make([][]byte, len(parts))
+								for i := range parts {
+									parts[i] = Part{Blk: blk + int64(i), Buf: buf[i*BlockSize : (i+1)*BlockSize], Lend: &views[i]}
+								}
+								err := d.ReadParts(p, parts)
+								for i, v := range views {
+									if v != nil {
+										copy(parts[i].Buf, v)
+									}
+								}
+								return err
+							}
+						}
+						if pendingIn(d, blk, nb) {
+							reached[kind]++
 						}
 						got := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
 						if err := read(p, blk, got); err != nil {
@@ -230,11 +313,11 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						if !bytes.Equal(got, m.read(blk, nb)) {
 							t.Fatalf("step %d: read of [%d,%d) differs from the model", step, blk, blk+int64(nb))
 						}
-						if share {
+						if kind == "share" {
 							adopted, handed = append(adopted, got), append(handed, bytes.Clone(got))
 						}
 					case op == 15:
-						m.wcap = []int{0, 3, 16, 50}[rng.IntN(4)]
+						m.wcap = []int{0, 0, 3, 16, 50}[rng.IntN(5)]
 						d.EnableWriteCache(m.wcap)
 						if m.wcap == 0 {
 							m.destage(len(m.order))
@@ -270,24 +353,55 @@ func TestDiskMatchesMapModel(t *testing.T) {
 							}
 						}
 						adopted, handed = nil, nil
+					case op >= 22:
+						blk, nb := span()
+						if rng.IntN(2) == 0 { // one or two whole extents
+							blk, nb = whole()
+						}
+						if pendingIn(d, blk, nb) {
+							reached["XOR write"]++
+						}
+						srcs := make([][]byte, rng.IntN(4))
+						for i := range srcs {
+							srcs[i] = make([]byte, nb*BlockSize)
+							for j := 0; j < len(srcs[i]); j += 8 {
+								binary.LittleEndian.PutUint64(srcs[i][j:], rng.Uint64())
+							}
+						}
+						keep := rng.IntN(4) != 0
+						scratch := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
+						if err := d.WriteParts(p, []Part{{Blk: blk, Buf: scratch, Keep: keep, XorOf: &srcs}}); err != nil {
+							t.Fatal(err)
+						}
+						m.write(blk, xorAll(nb*BlockSize, srcs))
+						clear(scratch) // the scratch is never kept
+						for _, src := range srcs {
+							if keep {
+								adopted, handed = append(adopted, src), append(handed, bytes.Clone(src))
+							} else {
+								clear(src) // nor are the sources of a part not kept
+							}
+						}
 					case op >= 20:
 						blk, nb := span()
 						switch rng.IntN(3) {
 						case 0: // one or two whole extents
-							n := 1 + rng.IntN(2)
-							blk, nb = rng.Int64N(nblocks/extentBlocks-int64(n)+1)*extentBlocks, n*extentBlocks
-						case 1: // all or part of an extent a kept write shared, if any
-							var shared []int64
+							blk, nb = whole()
+						case 1: // all or part of an extent a kept write shared or left pending, if any
+							var taken []int64
 							for e, sh := range d.store.shared {
-								if sh {
-									shared = append(shared, int64(e))
+								if _, ok := d.store.pending[int64(e)]; sh || ok {
+									taken = append(taken, int64(e))
 								}
 							}
-							if len(shared) > 0 {
+							if len(taken) > 0 {
 								sharedDiscards++
 								i := rng.IntN(extentBlocks)
-								blk, nb = shared[rng.IntN(len(shared))]*extentBlocks+int64(i), 1+rng.IntN(extentBlocks-i)
+								blk, nb = taken[rng.IntN(len(taken))]*extentBlocks+int64(i), 1+rng.IntN(extentBlocks-i)
 							}
+						}
+						if pendingIn(d, blk, nb) {
+							reached["discard"]++
 						}
 						d.Discard(blk, int64(nb))
 						m.discard(blk, nb)
@@ -323,8 +437,18 @@ func TestDiskMatchesMapModel(t *testing.T) {
 					}
 				}
 			})
-			if sharedDiscards == 0 && d.OnMediaWrite == nil { // an observer makes every kept write copy
-				t.Error("no step discarded an extent a kept write shared")
+			if d.OnMediaWrite == nil { // an observer makes every kept write copy
+				if sharedDiscards == 0 {
+					t.Error("no step discarded an extent a kept write shared")
+				}
+				for _, kind := range []string{"read", "lending read", "share", "overwrite", "whole overwrite", "kept write", "XOR write", "discard"} {
+					if reached[kind] == 0 {
+						t.Errorf("no %s reached a pending extent", kind)
+					}
+				}
+				t.Logf("steps that reached a pending extent: %v", reached)
+			} else if len(reached) > 0 {
+				t.Errorf("with an observer the disk left extents pending: %v", reached)
 			}
 		})
 	}
@@ -1095,6 +1219,112 @@ func TestKeptPartTakesItsWholeExtents(t *testing.T) {
 			t.Fatal("the disk that kept reads back other bytes than the one that copied")
 		}
 	})
+}
+
+// TestPendingXorIsCountedThroughItsSources: a kept XOR part of one whole
+// extent over three lanes the disk has adopted holds no memory of its own —
+// Resident counts it through its sources, which the adopted extents are
+// already — until a read computes it into an extent of ours; over lanes held
+// nowhere else, each is counted once.
+func TestPendingXorIsCountedThroughItsSources(t *testing.T) {
+	const x = extentBlocks
+	k := sim.NewKernel()
+	d, other := NewDisk(k, RZ57, 8*x, nil), NewDisk(k, RZ57, 8*x, nil)
+	line := make([]byte, 3*maxTransfer)
+	for i := range line {
+		line[i] = byte(i*7 + i>>12)
+	}
+	lanes := [][]byte{line[:maxTransfer], line[maxTransfer : 2*maxTransfer], line[2*maxTransfer:]}
+	k.RunProc(func(p *sim.Proc) {
+		if err := d.AdoptBlocks(p, 0, line); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteParts(p, []Part{{Blk: 3 * x, Buf: make([]byte, maxTransfer), Keep: true, XorOf: &lanes}}); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.store.pending) != 1 {
+			t.Fatalf("%d extents pending, want 1", len(d.store.pending))
+		}
+		if got := d.Resident(Resident{}); got != 3*maxTransfer {
+			t.Errorf("three adopted lanes and their pending XOR: %d bytes resident, want %d", got, 3*maxTransfer)
+		}
+		if err := other.WriteParts(p, []Part{{Blk: 0, Buf: make([]byte, maxTransfer), Keep: true, XorOf: &lanes}}); err != nil {
+			t.Fatal(err)
+		}
+		if got := other.Resident(Resident{}); got != 3*maxTransfer {
+			t.Errorf("a pending XOR of three lanes held nowhere else: %d bytes resident, want %d", got, 3*maxTransfer)
+		}
+		got := make([]byte, maxTransfer)
+		if err := d.ReadBlocks(p, 3*x, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, xorAll(maxTransfer, lanes)) {
+			t.Fatal("the pending extent does not read as the XOR of its lanes")
+		}
+		if len(d.store.pending) != 0 || d.store.ext[3] == nil || d.store.shared[3] {
+			t.Fatal("a read left the extent pending or not ours")
+		}
+		if got := d.Resident(Resident{}); got != 4*maxTransfer {
+			t.Errorf("after the read computed it: %d bytes resident, want %d", got, 4*maxTransfer)
+		}
+	})
+}
+
+// TestXorPartUnderCacheOrWatchIsComputedAtWrite: a disk with a write cache
+// or an OnMediaWrite hook computes a kept XOR part when it is written and
+// keeps neither the list nor its sources, as it copies every kept part; the
+// hook for each block finds the block already holding the XOR.
+func TestXorPartUnderCacheOrWatchIsComputedAtWrite(t *testing.T) {
+	const x = extentBlocks
+	for _, mode := range []string{"write cache", "hooked"} {
+		t.Run(mode, func(t *testing.T) {
+			k := sim.NewKernel()
+			d := NewDisk(k, RZ57, 4*x, nil)
+			srcs := make([][]byte, 3)
+			for i := range srcs {
+				srcs[i] = bytes.Repeat([]byte{byte(1 << i)}, 2*maxTransfer)
+			}
+			want := xorAll(2*maxTransfer, srcs)
+			hooks := 0
+			switch mode {
+			case "write cache":
+				d.EnableWriteCache(4)
+			case "hooked":
+				d.OnMediaWrite = func(blk int64) {
+					hooks++
+					i := (blk - x) * BlockSize
+					if got := durable(d)[blk]; !bytes.Equal(got, want[i:i+BlockSize]) {
+						t.Fatalf("block %d does not hold the XOR when its hook fires", blk)
+					}
+				}
+			}
+			k.RunProc(func(p *sim.Proc) {
+				if err := d.WriteParts(p, []Part{{Blk: x, Buf: make([]byte, 2*maxTransfer), Keep: true, XorOf: &srcs}}); err != nil {
+					t.Fatal(err)
+				}
+				if len(d.store.pending) != 0 {
+					t.Fatalf("%d extents pending, want none", len(d.store.pending))
+				}
+				for _, src := range srcs {
+					clear(src) // against the contract: shows whether the disk kept them
+				}
+				srcs = nil // and the list
+				if err := d.Flush(p); err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, 2*maxTransfer)
+				if err := d.ReadBlocks(p, x, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("the disk reads other than the XOR computed at the write")
+				}
+			})
+			if mode == "hooked" && hooks != 2*x {
+				t.Errorf("%d hooks, want %d", hooks, 2*x)
+			}
+		})
+	}
 }
 
 // BenchmarkStageLine1MB is a staging line's turn in `make bench-layers`: a

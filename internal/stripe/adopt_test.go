@@ -284,3 +284,69 @@ func TestLendingReadOfAnAdoptedLine(t *testing.T) {
 		}
 	})
 }
+
+// TestParityAloneOnItsSpindle: one whole row written on its own, kept (a
+// fetched line's lanes) and plain, on the unit-16 four-spindle parity farm.
+// Every spindle gets one part, so runOps sends each down as a lone transfer
+// where it may: the parity unit, named by its lanes, must still reach a call
+// that computes their XOR. A kept row's parity is left pending, so the farm
+// holds the three lanes and nothing more. On a fresh farm each time, the
+// row's units read disk by disk XOR to zero, and with each spindle failed in
+// turn a degraded read returns the image.
+func TestParityAloneOnItsSpindle(t *testing.T) {
+	const row = 3 * unitBlocks
+	const blk = 2 * row // row 2: parity on spindle 2
+	img := make([]byte, row*dev.BlockSize)
+	for i := range img {
+		img[i] = byte(i*13 + i>>12 + 1)
+	}
+	for _, kept := range []bool{true, false} {
+		t.Run(map[bool]string{true: "kept", false: "plain"}[kept], func(t *testing.T) {
+			for failed := -1; failed < 4; failed++ {
+				sim.NewKernel().RunProc(func(p *sim.Proc) {
+					f, disks := newInterleave(p.Kernel(), unitBlocks, true, 4, 1024)
+					write := f.WriteBlocks
+					if kept {
+						write = f.AdoptBlocks
+					}
+					if err := write(p, blk, bytes.Clone(img)); err != nil {
+						t.Fatal(err)
+					}
+					if failed >= 0 {
+						f.setFailed(failed, true)
+						got := bytes.Repeat([]byte{0xEE}, len(img))
+						if err := f.ReadBlocks(p, blk, got); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, img) {
+							t.Fatalf("spindle %d failed: the row reads other than written", failed)
+						}
+						return
+					}
+					held := int64(0)
+					for _, n := range f.Resident(dev.Resident{}) {
+						held += n
+					}
+					want := int64(4 * unitBlocks * dev.BlockSize) // three lanes and the parity unit
+					if kept {
+						want = 3 * unitBlocks * dev.BlockSize // the lanes alone: the parity is pending
+					}
+					if held != want {
+						t.Fatalf("the farm holds %d bytes, want %d", held, want)
+					}
+					xor := make([]byte, unitBlocks*dev.BlockSize)
+					unit := make([]byte, len(xor))
+					for _, d := range disks {
+						if err := d.ReadBlocks(p, 2*unitBlocks, unit); err != nil {
+							t.Fatal(err)
+						}
+						xorInto(xor, unit)
+					}
+					if !bytes.Equal(xor, make([]byte, len(xor))) {
+						t.Fatal("the row's parity unit is not the XOR of its lanes")
+					}
+				})
+			}
+		})
+	}
+}

@@ -143,6 +143,8 @@ func benchFarm() (*sim.Kernel, *Farm, []byte) {
 // small write.
 func BenchmarkInterleaveWriteParity(b *testing.B) {
 	k, il, buf := benchFarm()
+	poisonFreed = false // poison_test.go: filling every freed parity unit and row image would swamp the parity measured
+	defer func() { poisonFreed = true }()
 	b.ReportAllocs()
 	k.RunProc(func(p *sim.Proc) {
 		for i := -1; i < b.N; i++ {

@@ -60,8 +60,12 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 // parity if needed), overlaid with the new data, and the parity unit
 // rewritten whole. Reads for every partial row form one parallel phase;
 // all data and parity writes form a second. Every data write slices buf,
-// kept when keep is set; row images and parity units are borrowed from the
-// farm's free list until the write phase has joined, and never kept.
+// kept when keep is set. Each parity write names the row's lanes
+// (dev.Part.XorOf) and its disk computes their XOR; a full row's lanes are
+// buf's, so a kept full row hands them over kept and the disk may leave the
+// XOR pending until something reads it. Row images and parity scratch are
+// borrowed from the farm's free list until the write phase has joined, and
+// never kept.
 func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) error {
 	nd := f.dataDisks()
 	unitB := f.unit * int64(dev.BlockSize)
@@ -72,17 +76,22 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) er
 	type rowPlan struct {
 		row     int64
 		full    bool
-		old     [][]byte // nd lane buffers (partial rows only)
+		lanes   [][]byte // the nd lanes as written: buf's slices (full rows), the old row overlaid (partial rows)
 		oldPar  []byte   // old parity (only when a lane must be reconstructed)
 		badLane int64    // lane on a failed spindle, -1 if none
-		parity  []byte
+		parity  []byte   // scratch the parity disk may compute the XOR into
 	}
 	plans := make([]rowPlan, 0, lastRow-firstRow+1)
+	// One array of lane lists for every row: a disk that keeps a row's parity
+	// pending keeps its list.
+	lanes := make([][]byte, (lastRow-firstRow+1)*nd)
 	defer func() {
 		for i := range plans {
 			rp := &plans[i]
-			for _, b := range rp.old {
-				f.free.put(b)
+			if !rp.full {
+				for _, b := range rp.lanes {
+					f.free.put(b)
+				}
 			}
 			if rp.oldPar != nil {
 				f.free.put(rp.oldPar)
@@ -94,33 +103,32 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) er
 	}()
 	readGroups := make([][]dev.Part, len(f.devs))
 	for r := firstRow; r <= lastRow; r++ {
-		pd := f.parityDisk(r)
-		plans = append(plans, rowPlan{row: r, badLane: -1})
-		rp := &plans[len(plans)-1]
-		covStart := r * rowBlocks // logical row bounds
-		covEnd := covStart + rowBlocks
-		rp.full = blk <= covStart && blk+nb >= covEnd
+		pd, bad := f.parityDisk(r), int64(-1)
 		for j := int64(0); j < nd; j++ {
 			if f.failed[f.lane(r, j)] {
-				rp.badLane = j
+				bad = j
 			}
 		}
-		if f.failed[pd] && rp.badLane >= 0 {
+		if f.failed[pd] && bad >= 0 {
 			return fmt.Errorf("stripe: write to row %d with two failed spindles: %w", r, ErrComponentFailed)
 		}
+		covStart := r * rowBlocks // logical row bounds
+		covEnd := covStart + rowBlocks
+		i := (r - firstRow) * nd
+		plans = append(plans, rowPlan{row: r, full: blk <= covStart && blk+nb >= covEnd, lanes: lanes[i : i+nd : i+nd], badLane: bad})
+		rp := &plans[len(plans)-1]
 		if !rp.full {
 			// Read back the whole old row (healthy lanes), plus the old
 			// parity when a failed lane must be reconstructed from it.
-			rp.old = make([][]byte, nd)
 			phys := r * f.unit
 			for j := int64(0); j < nd; j++ {
-				rp.old[j] = f.free.get(int(unitB))
+				rp.lanes[j] = f.free.get(int(unitB))
 				d := f.lane(r, j)
 				if f.failed[d] {
-					clear(rp.old[j]) // nothing is read into a failed lane
+					clear(rp.lanes[j]) // nothing is read into a failed lane
 					continue
 				}
-				readGroups[d] = append(readGroups[d], dev.Part{Blk: phys, Buf: rp.old[j]})
+				readGroups[d] = append(readGroups[d], dev.Part{Blk: phys, Buf: rp.lanes[j]})
 			}
 			if rp.badLane >= 0 {
 				rp.oldPar = f.free.get(int(unitB))
@@ -137,50 +145,38 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) er
 	for i := range plans {
 		rp := &plans[i]
 		pd := f.parityDisk(rp.row)
-		rp.parity = f.free.get(int(unitB))
 		if !rp.full && rp.badLane >= 0 {
 			// Rebuild the failed lane's old contents: XOR of the old
 			// parity and every surviving lane.
-			bad := rp.old[rp.badLane]
+			bad := rp.lanes[rp.badLane]
 			copy(bad, rp.oldPar)
 			for j := int64(0); j < nd; j++ {
 				if j != rp.badLane {
-					xorInto(bad, rp.old[j])
+					xorInto(bad, rp.lanes[j])
 				}
 			}
 		}
 		// Overlay the new data onto the row image and collect data writes.
 		rowStart := rp.row * rowBlocks
-		var prev []byte
 		for j := int64(0); j < nd; j++ {
 			laneStart := rowStart + j*f.unit
-			var lane []byte // the lane's complete new contents
-			if !rp.full {
-				lane = rp.old[j]
-			}
 			// [s, e) is the lane's share of the request. Its data write
 			// slices buf, in a full row and a partial one alike.
 			if s, e := max(blk, laneStart), min(blk+nb, laneStart+f.unit); s < e {
 				data := buf[(s-blk)*bs : (e-blk)*bs]
 				if rp.full {
-					lane = data
+					rp.lanes[j] = data
 				} else {
-					copy(lane[(s-laneStart)*bs:], data)
+					copy(rp.lanes[j][(s-laneStart)*bs:], data)
 				}
 				if d := f.lane(rp.row, j); !f.failed[d] { // else the write survives in parity alone
 					writeGroups[d] = append(writeGroups[d], dev.Part{Blk: rp.row*f.unit + s - laneStart, Buf: data, Keep: keep})
 				}
 			}
-			if j == 1 {
-				// Lanes 0 and 1 seed the recycled unit in one pass: no clearing, no copy.
-				subtle.XORBytes(rp.parity, prev, lane)
-			} else if j > 1 {
-				xorInto(rp.parity, lane)
-			}
-			prev = lane
 		}
 		if !f.failed[pd] {
-			writeGroups[pd] = append(writeGroups[pd], dev.Part{Blk: rp.row * f.unit, Buf: rp.parity})
+			rp.parity = f.free.get(int(unitB))
+			writeGroups[pd] = append(writeGroups[pd], dev.Part{Blk: rp.row * f.unit, Buf: rp.parity, Keep: keep && rp.full, XorOf: &rp.lanes})
 		}
 	}
 	return f.dispatch(p, &f.names.write, writeGroups, true)

@@ -355,8 +355,10 @@ func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 
 // AdoptBlocks implements dev.Adopter: WriteBlocks, except that every data
 // write slices buf and hands it down kept (dev.Part), so a component may take
-// whole extents of it by reference. Parity is computed from buf and written
-// from the farm's own buffers, which are never kept.
+// whole extents of it by reference. A full row's parity unit goes down as the
+// XOR of its lanes, kept too (dev.Part.XorOf), so a component may leave it
+// pending until something reads it; a partial row's is the XOR of the farm's
+// own buffers, which are never kept.
 func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: true}}, true)
 }
@@ -544,10 +546,11 @@ func (f *freeList) put(b []byte) {
 // lending read. A transfer and the next, when that starts where it ends, go
 // down as one call over their parts (scatter-gather, as an HBA would do it),
 // so adjacent stripe units cost the arm one rotation instead of two. A lone
-// transfer of one part the component may neither keep nor lend is a plain
-// ReadBlocks or WriteBlocks, the same transfer, so a wrapper that times those
-// two calls of a component times every transfer of an unstriped farm but the
-// kept and lending ones. Runs stop at two transfers: the schedule every
+// transfer of one plain part — one the component may neither keep nor lend,
+// and not a parity unit named by its lanes (XorOf), which only WriteParts
+// carries — is a plain ReadBlocks or WriteBlocks, the same transfer, so a
+// wrapper that times those two calls of a component times every transfer of
+// an unstriped farm but the kept and lending ones. Runs stop at two transfers: the schedule every
 // striped baseline was recorded with (a third adjacent unit starts a new
 // call).
 func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, unit int64, write bool) error {
@@ -558,7 +561,7 @@ func runOps(p *sim.Proc, d dev.Vectored, ops []dev.Part, unit int64, write bool)
 		}
 		run := ops[:n]
 		ops = ops[n:]
-		lone := n == 1 && !run[0].Keep && run[0].Lend == nil
+		lone := n == 1 && !run[0].Keep && run[0].Lend == nil && run[0].XorOf == nil
 		var err error
 		switch {
 		case !write && lone:
