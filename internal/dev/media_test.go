@@ -395,9 +395,11 @@ func TestDiskMatchesMapModel(t *testing.T) {
 								}
 							}
 							if len(taken) > 0 {
-								sharedDiscards++
-								i := rng.IntN(extentBlocks)
-								blk, nb = taken[rng.IntN(len(taken))]*extentBlocks+int64(i), 1+rng.IntN(extentBlocks-i)
+								e, i := taken[rng.IntN(len(taken))], rng.IntN(extentBlocks)
+								if d.store.shared[e] { // a pending one counts in reached["discard"]
+									sharedDiscards++
+								}
+								blk, nb = e*extentBlocks+int64(i), 1+rng.IntN(extentBlocks-i)
 							}
 						}
 						if pendingIn(d, blk, nb) {
@@ -446,7 +448,7 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						t.Errorf("no %s reached a pending extent", kind)
 					}
 				}
-				t.Logf("steps that reached a pending extent: %v", reached)
+				t.Logf("discards of a shared extent: %d; steps that reached a pending extent: %v", sharedDiscards, reached)
 			} else if len(reached) > 0 {
 				t.Errorf("with an observer the disk left extents pending: %v", reached)
 			}
