@@ -66,7 +66,9 @@ crash:
 # directory edited and its buffers evicted, on two libraries; a lending read
 # of a parity farm with a spindle failed; one whole row of a parity farm
 # written kept and plain, each spindle's part a lone transfer, its parity the
-# XOR of its lanes and every degraded read right), and a copied-out line's staged
+# XOR of its lanes and every degraded read right; partial rows written kept and
+# plain around a fetched line and with a spindle failed, the same component
+# calls, stats and bytes on plain and on watched disks), and a copied-out line's staged
 # image (the file rewritten, truncated and evicted, another staged after it,
 # the changers' image and the line unchanged), and discarding dead segments
 # (a power cut at every media write between a table-only checkpoint and the
@@ -80,7 +82,7 @@ soak:
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten|CopiedOutImageIsNeverWritten'
 	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent|FetchedBlocksAreLent|DeadAtTableCheckpointSurvivesPowerCut|CleanedAndReusedSegmentIsNotDiscarded'
-	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine|ParityAloneOnItsSpindle'
+	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine|ParityAloneOnItsSpindle|PartialRowsByReference'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
 	$(GO) test -race -count=1 ./internal/hsm/ -run 'Concurrent|DoubleRun'
 
@@ -208,7 +210,8 @@ loc:
 # computed where own, read, each and held meet one) with the one XOR-of-lanes
 # routine the disk runs at write time or later, and the parity write's lane
 # lists in stripe, net of writeParity's own XOR loop.
-LOC_MAX = 24179
+# Raised 24179 -> 24510 by partial rows by reference (dev's extent lend and writeXor, stripe's kept fans and parity-write scratch), the hand-over audit (item 19) and benchcheck -pairs (item 7(a)).
+LOC_MAX = 24510
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -26,9 +26,16 @@
 //
 //	benchcheck [-baseline BENCH_0.json] [-v]
 //	benchcheck -baseline testdata/benchcheck/workloads-1993.json [-v] FRESH.json
+//	benchcheck -pairs A1.json B1.json A2.json B2.json ...
 //
 // Exits 0 when every metric matches, 1 when one differs, 2 on usage/setup
 // errors (unreadable baseline, a file of the other kind, mismatched runs).
+//
+// With -pairs it gates nothing: it reads result files of alternating runs,
+// the parent's (A) and a change's (B), and prints for each workload and host
+// metric a table row of the per-pair values and deltas, the median of the A
+// medians against that of the B medians, and in how many pairs B is lower —
+// the table a performance claim is judged by.
 package main
 
 import (
@@ -37,7 +44,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/bench"
 )
@@ -160,7 +169,7 @@ type results struct {
 
 // hostMetrics are the host-clock numbers a result baseline records for the
 // trajectory without gating them.
-var hostMetrics = []string{"host_wall_s", "host_alloc_MB", "host_peak_rss_MB"}
+var hostMetrics = []string{"host_wall_s", "host_alloc_MB", "host_peak_rss_MB", "setup_s"}
 
 // readResults reads a `benchmark -json` result file; a file without
 // workloads (an hlbench snapshot, say) is refused.
@@ -232,10 +241,96 @@ func checkResults(path, freshPath string, verbose bool) (fail, ok, info []string
 	return fail, ok, info, len(baseExact), nil
 }
 
+// comparePairs reads the result files at paths, alternately a parent's run
+// (A) and a change's (B), and returns the -pairs table: one row per workload
+// and host metric, with each pair's A → B and its change, the median of the
+// A values against that of the B values, and how many pairs B is lower in.
+// Only the workloads every file ran are tabled, and each pair must have run
+// them on the same seed, scale and tracing.
+func comparePairs(paths []string) ([]string, error) {
+	if len(paths) < 2 || len(paths)%2 != 0 {
+		return nil, fmt.Errorf("-pairs takes result files A1 B1 A2 B2 ..., an even number of them, got %d", len(paths))
+	}
+	runs := make([]*results, len(paths))
+	for i, path := range paths {
+		r, err := readResults(path)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = r
+	}
+	var workloads []string // the workloads every file ran
+	for w := range runs[0].Workloads {
+		if !slices.ContainsFunc(runs, func(r *results) bool { return r.Workloads[w].Metrics == nil }) {
+			workloads = append(workloads, w)
+		}
+	}
+	sort.Strings(workloads)
+	n := len(runs) / 2
+	head := "| workload | metric |"
+	for i := range n {
+		head += fmt.Sprintf(" pair %d |", i+1)
+	}
+	rows := []string{head + " median of medians | B lower |", "|" + strings.Repeat(" --- |", n+4)}
+	change := func(a, b float64) string {
+		return fmt.Sprintf("%.4g → %.4g (%+.1f %%)", a, b, 100*(b-a)/a)
+	}
+	for _, w := range workloads {
+		for i := 0; i < len(runs); i += 2 {
+			a, b := runs[i].Workloads[w], runs[i+1].Workloads[w]
+			if a.Seed != b.Seed || a.Scale != b.Scale || a.Traced != b.Traced {
+				return nil, fmt.Errorf("%s: pair %d (%s, %s) did not run it alike", w, i/2+1, paths[i], paths[i+1])
+			}
+		}
+		for _, metric := range hostMetrics {
+			row := fmt.Sprintf("| %s | %s |", w, metric)
+			var as, bs []float64
+			lower := 0
+			for i := 0; i < len(runs); i += 2 {
+				a, aok := runs[i].Workloads[w].Metrics[metric]
+				b, bok := runs[i+1].Workloads[w].Metrics[metric]
+				if !aok || !bok {
+					break
+				}
+				as, bs = append(as, a.Value), append(bs, b.Value)
+				row += " " + change(a.Value, b.Value) + " |"
+				if b.Value < a.Value {
+					lower++
+				}
+			}
+			if len(as) == n {
+				rows = append(rows, row+fmt.Sprintf(" %s | %d/%d |", change(median(as), median(bs)), lower, n))
+			}
+		}
+	}
+	return rows, nil
+}
+
+// median is the middle of vs, or the mean of the two middle values.
+func median(vs []float64) float64 {
+	s := slices.Clone(vs)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
 func main() {
 	baseline := flag.String("baseline", "BENCH_0.json", "baseline file: an hlbench snapshot, or a benchmark result file when a fresh result file is given")
 	verbose := flag.Bool("v", false, "also print metrics that pass")
+	pairs := flag.Bool("pairs", false, "print the host metrics of alternating result files A1 B1 A2 B2 ... pair by pair, gating nothing")
 	flag.Parse()
+
+	if *pairs {
+		rows, err := comparePairs(flag.Args())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchcheck: %v\n", err)
+			os.Exit(2)
+		}
+		fmt.Println(strings.Join(rows, "\n"))
+		return
+	}
 
 	var fail, ok, info []string
 	var n int

@@ -152,3 +152,46 @@ func TestEachReaderRefusesTheOtherSchema(t *testing.T) {
 		t.Errorf("readSnapshot(BENCH_0.json): %v", err)
 	}
 }
+
+// TestPairsTable: two synthetic pairs of result files give one row per host
+// metric both runs of every pair report, with each pair's change, the median
+// of medians and the count of pairs the change is lower in; an odd number of
+// files, or a pair run on two seeds, is a usage error.
+func TestPairsTable(t *testing.T) {
+	host := func(wall, alloc float64) map[string]any {
+		return map[string]any{
+			"sim_MBps":      map[string]any{"value": 1.25, "exact": true},
+			"host_wall_s":   map[string]any{"value": wall},
+			"host_alloc_MB": map[string]any{"value": alloc},
+		}
+	}
+	a1, b1 := writeResultFile(t, host(1.0, 20)), writeResultFile(t, host(0.8, 18))
+	a2, b2 := writeResultFile(t, host(1.2, 20)), writeResultFile(t, host(1.3, 18))
+	rows, err := comparePairs([]string{a1, b1, a2, b2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"| workload | metric | pair 1 | pair 2 | median of medians | B lower |",
+		"| --- | --- | --- | --- | --- | --- |",
+		"| fetch | host_wall_s | 1 → 0.8 (-20.0 %) | 1.2 → 1.3 (+8.3 %) | 1.1 → 1.05 (-4.5 %) | 1/2 |",
+		"| fetch | host_alloc_MB | 20 → 18 (-10.0 %) | 20 → 18 (-10.0 %) | 20 → 18 (-10.0 %) | 2/2 |",
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Errorf("rows:\n%s\nwant:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
+	}
+	if _, err := comparePairs([]string{a1, b1, a2}); err == nil {
+		t.Error("three files made pairs")
+	}
+	raw, err := os.ReadFile(b2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := filepath.Join(t.TempDir(), "other-seed.json")
+	if err := os.WriteFile(other, []byte(strings.Replace(string(raw), `"seed":1993`, `"seed":7`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comparePairs([]string{a1, b1, a2, other}); err == nil || !strings.Contains(err.Error(), "pair 2") {
+		t.Errorf("a pair run on two seeds: %v", err)
+	}
+}

@@ -231,9 +231,11 @@ func serve(addr string, scale bench.Scale, rounds int) error {
 	if err := bench.ServeMigration(scale, cur.Store, rounds); err != nil {
 		return err
 	}
-	fmt.Println("workload complete; final pages still served (interrupt to exit)")
+	// Catch the interrupt before saying it may come: one sent as soon as the
+	// line is read must not find the default handler still in place.
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt)
+	fmt.Println("workload complete; final pages still served (interrupt to exit)")
 	<-ch
 	return nil
 }

@@ -85,20 +85,22 @@ type Adopter interface {
 // reaching each is applied, so a reader racing the write between two chunks
 // may see an extent's later blocks one chunk early.
 //
-// Lend, on a read of one block, lets the device answer with a view instead of
-// filling Buf: where the block lies in bytes the device does not own and that
-// never change (an extent an adoption or a share took), it sets *Lend to a
-// read-only view of the block and leaves Buf as it was. The caller must never
-// write through the view; a device that owns the block, has a write cache or
-// is watched fills Buf and leaves *Lend alone. A write ignores Lend.
+// Lend, on a read of one block or of one whole, aligned 64 KB extent, lets
+// the device answer with a view instead of filling Buf: where those bytes lie
+// in an extent the device does not own and that never changes (one an
+// adoption or a share took), it sets *Lend to a read-only view of them and
+// leaves Buf as it was. The caller must never write through the view; a
+// device that owns the bytes, has a write cache or is watched fills Buf and
+// leaves *Lend alone. A write ignores Lend.
 //
 // XorOf, on a write, says the part's bytes are the XOR of the buffers it
-// lists, each as long as Buf: Buf is the caller's scratch, which the device
-// fills with that XOR where it needs the bytes. With Keep set too the list and
-// its buffers are handed over, never to change (a parity unit of lanes a fetch
-// adopted): then a device that could keep them may store the list in place of
-// the XOR and compute it when something first reads the blocks. A read
-// ignores XorOf.
+// lists, each as long as Buf. The device computes that XOR where it needs the
+// bytes, into storage of its own: it neither reads nor writes Buf, which
+// gives only the part's length (a caller may pass one of the listed buffers).
+// With Keep set too the list and its buffers are handed over, never to change
+// (a parity unit of lanes a fetch adopted): then a device that could keep
+// them may store the list in place of the XOR and compute it when something
+// first reads the blocks. A read ignores XorOf.
 type Part struct {
 	Blk   int64
 	Buf   []byte
@@ -286,6 +288,7 @@ type Disk struct {
 	wdirty map[int64][]byte // cached-but-not-durable blocks
 	worder []int64          // FIFO destage order of wdirty keys
 	wfree  [][]byte         // destaged cache blocks awaiting reuse by cacheWrite
+	xblk   []byte           // one block of an XorOf part, on its way to the cache or a hook
 
 	obs        *obs.Obs // nil = not instrumented
 	track      string
@@ -349,6 +352,18 @@ func (d *Disk) applyMedia(blk int64, data []byte) {
 	for ; len(data) > 0; blk, data = blk+1, data[BlockSize:] {
 		d.store.write(blk, data[:BlockSize])
 		d.OnMediaWrite(blk)
+	}
+}
+
+// apply writes data from block blk on: onto the platter (applyMedia), or
+// into the write cache a block at a time.
+func (d *Disk) apply(blk int64, data []byte) {
+	if d.wcap == 0 {
+		d.applyMedia(blk, data)
+		return
+	}
+	for i := 0; i < len(data); i += BlockSize {
+		d.cacheWrite(blk+int64(i/BlockSize), data[i:i+BlockSize])
 	}
 }
 
@@ -534,9 +549,9 @@ func (d *Disk) Resident(r Resident) int64 { return d.store.held(r) }
 // re-arbitrated in between, so concurrent streams interleave (and pay seeks
 // against each other). A write-through disk nobody watches keeps each whole,
 // aligned 64 KB piece of a kept part, once filled, in place of its own extent,
-// and lends each one-block part that asks for it from an extent it does not
-// own; a write cache or an OnMediaWrite hook keeps and lends nothing, as
-// WriteParts copies. Lending changes no state of the media.
+// and lends each part of one block or one whole extent that asks for it from
+// an extent it does not own; a write cache or an OnMediaWrite hook keeps and
+// lends nothing, as WriteParts copies. Lending changes no state of the media.
 func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("read", parts)
 	if err != nil {
@@ -564,8 +579,8 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 		for got := 0; got < n; {
 			pt := c.take(n - got)
 			got += len(pt.Buf)
-			if pt.Lend != nil && plain && len(pt.Buf) == BlockSize {
-				if v := d.store.lend(pt.Blk); v != nil {
+			if pt.Lend != nil && plain && (len(pt.Buf) == BlockSize || len(pt.Buf) == maxTransfer) {
+				if v := d.store.lend(pt.Blk, len(pt.Buf)); v != nil {
 					*pt.Lend = v
 					continue
 				}
@@ -601,10 +616,11 @@ func (d *Disk) ReadParts(p *sim.Proc, parts []Part) error {
 // ReadParts. A write-through disk nobody watches takes every whole 64 KB
 // extent a kept part covers by reference, wherever the part starts, and copies
 // the part's ends; a write cache or an OnMediaWrite hook copies every part, so
-// both see every block as before. A part with XorOf is its XOR, computed into
-// Buf a piece at a time as each piece is applied, except that where the part
-// is kept and the disk would keep it the XOR of each whole extent stays
-// pending in the media until something reads it.
+// both see every block as before. A part with XorOf is its XOR, computed as
+// each piece is applied: straight into the disk's own extents, or a block at a
+// time on its way to the write cache or the hook. Where the part is kept and
+// the disk would keep it, the XOR of each whole extent stays pending in the
+// media until something reads it.
 func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 	blk, left, err := d.checkParts("write", parts)
 	if err != nil {
@@ -629,22 +645,25 @@ func (d *Disk) WriteParts(p *sim.Proc, parts []Part) error {
 		media := xfer(n, d.prof.MediaWrite)
 		d.stats.MediaTime += media
 		p.Sleep(st + d.prof.Rotation + media)
+		plain := d.wcap == 0 && d.OnMediaWrite == nil
 		for got := 0; got < n; {
 			pt := c.take(n - got)
 			whole := c.parts[0] // the part pt was cut from
-			keep := pt.Keep && d.wcap == 0 && d.OnMediaWrite == nil
-			if pt.XorOf != nil && !keep {
-				xorOf(pt.Buf, *pt.XorOf, int(pt.Blk-whole.Blk)*BlockSize)
-			}
 			switch {
-			case keep:
+			case plain && pt.Keep:
 				d.store.keep(whole, pt.Blk, pt.Buf)
-			case d.wcap == 0:
-				d.applyMedia(pt.Blk, pt.Buf)
-			default:
-				for i := 0; i < len(pt.Buf); i += BlockSize {
-					d.cacheWrite(pt.Blk+int64(i/BlockSize), pt.Buf[i:i+BlockSize])
+			case plain && pt.XorOf != nil:
+				d.store.writeXor(pt.Blk, len(pt.Buf), *pt.XorOf, int(pt.Blk-whole.Blk)*BlockSize)
+			case pt.XorOf != nil:
+				if d.xblk == nil {
+					d.xblk = make([]byte, BlockSize)
 				}
+				for i := 0; i < len(pt.Buf); i += BlockSize {
+					xorOf(d.xblk, *pt.XorOf, int(pt.Blk-whole.Blk)*BlockSize+i)
+					d.apply(pt.Blk+int64(i/BlockSize), d.xblk)
+				}
+			default:
+				d.apply(pt.Blk, pt.Buf)
 			}
 			got += len(pt.Buf)
 		}

@@ -47,17 +47,43 @@ func (m *media) write(blk int64, data []byte) (rewrote bool) {
 	for len(data) > 0 {
 		e, i := blk/extentBlocks, int(blk%extentBlocks)
 		n := min(maxTransfer-i*BlockSize, len(data))
-		if m.ext[e] == nil || m.shared[e] {
-			m.own(e)
-		}
+		m.ours(e)
 		copy(m.ext[e][i*BlockSize:], data[:n])
-		nb := (n + BlockSize - 1) / BlockSize
-		mask := (uint16(1)<<nb - 1) << i
-		rewrote = rewrote || m.written[e]&mask != 0
-		m.written[e] |= mask
-		blk, data = blk+int64(nb), data[n:]
+		rewrote = m.mark(e, i, n) || rewrote
+		blk, data = blk+int64(n/BlockSize), data[n:]
 	}
 	return rewrote
+}
+
+// writeXor is write of the XOR of the n bytes at off in each of srcs (a part
+// with XorOf), computed straight into the extents of ours it reaches.
+func (m *media) writeXor(blk int64, n int, srcs [][]byte, off int) {
+	for n > 0 {
+		e, i := blk/extentBlocks, int(blk%extentBlocks)
+		k := min(maxTransfer-i*BlockSize, n)
+		m.ours(e)
+		xorOf(m.ext[e][i*BlockSize:][:k], srcs, off)
+		m.mark(e, i, k)
+		blk, n, off = blk+int64(k/BlockSize), n-k, off+k
+	}
+}
+
+// mark marks the blocks of n bytes from block i of extent e on as written and
+// reports whether any already was.
+func (m *media) mark(e int64, i, n int) (rewrote bool) {
+	nb := (n + BlockSize - 1) / BlockSize
+	mask := (uint16(1)<<nb - 1) << i
+	rewrote = m.written[e]&mask != 0
+	m.written[e] |= mask
+	return rewrote
+}
+
+// ours makes ext[e] an extent of ours before a write into it: it is one
+// already, or own puts one there.
+func (m *media) ours(e int64) {
+	if m.ext[e] == nil || m.shared[e] {
+		m.own(e)
+	}
 }
 
 // own puts an extent of ours in place of ext[e], holding what ext[e] reads as
@@ -89,24 +115,27 @@ func (m *media) own(e int64) {
 // the part covers whole is taken, all of it, when a piece reaching it is
 // stored (the first; a later one takes it again, the same): by reference, or,
 // where the part is an XOR (XorOf), as its sources, pending. The extents the
-// part covers in part are copied, an XOR computed into data first.
+// part covers in part are copied, an XOR computed straight into them (data
+// then gives only the piece's length).
 func (m *media) keep(part Part, blk int64, data []byte) {
 	pend := part.Blk + int64(len(part.Buf)/BlockSize)
 	for len(data) > 0 {
 		e, i := blk/extentBlocks, int(blk%extentBlocks)
 		n := min(maxTransfer-i*BlockSize, len(data))
-		if s := e * extentBlocks; s >= part.Blk && s+extentBlocks <= pend {
-			if part.XorOf != nil {
-				m.pend(e, xorSrc{*part.XorOf, int(s-part.Blk) * BlockSize})
-			} else {
-				m.take(e, part.Buf[(s-part.Blk)*BlockSize:][:maxTransfer])
-			}
-			m.written[e] = 1<<extentBlocks - 1
-		} else {
-			if part.XorOf != nil {
-				xorOf(data[:n], *part.XorOf, int(blk-part.Blk)*BlockSize)
-			}
+		s := e * extentBlocks
+		whole := s >= part.Blk && s+extentBlocks <= pend
+		switch {
+		case whole && part.XorOf != nil:
+			m.pend(e, xorSrc{*part.XorOf, int(s-part.Blk) * BlockSize})
+		case whole:
+			m.take(e, part.Buf[(s-part.Blk)*BlockSize:][:maxTransfer], "dev: kept write")
+		case part.XorOf != nil:
+			m.writeXor(blk, n, *part.XorOf, int(blk-part.Blk)*BlockSize)
+		default:
 			m.write(blk, data[:n])
+		}
+		if whole {
+			m.written[e] = 1<<extentBlocks - 1
 		}
 		blk, data = blk+int64(n/BlockSize), data[n:]
 	}
@@ -118,23 +147,28 @@ func (m *media) keep(part Part, blk int64, data []byte) {
 // are, and no written bit changes: the disk reads and saves as before.
 func (m *media) share(blk int64, data []byte) {
 	if e := blk / extentBlocks; blk%extentBlocks == 0 && len(data) == maxTransfer && m.ext[e] != nil && !m.shared[e] {
-		m.take(e, data)
+		m.take(e, data, "dev: shared read")
 	}
 }
 
-// take points ext[e] at data, one extent's worth that never changes. An
-// extent that is data already stays as it is.
-func (m *media) take(e int64, data []byte) {
+// take points ext[e] at data, one extent's worth that never changes, handed
+// over at site (the Audit's name for it). An extent that is data already
+// stays as it is.
+func (m *media) take(e int64, data []byte, site string) {
 	x := (*[maxTransfer]byte)(data)
 	if m.ext[e] == x {
 		return
 	}
+	Audit.Record(site, data)
 	m.displace(e)
 	m.ext[e], m.shared[e] = x, true
 }
 
 // pend makes ext[e] pending, reading as src's XOR.
 func (m *media) pend(e int64, src xorSrc) {
+	for _, b := range src.srcs {
+		Audit.Record("dev: pending XOR source", b[src.off:][:maxTransfer])
+	}
 	m.displace(e)
 	if m.pending == nil {
 		m.pending = make(map[int64]xorSrc)
@@ -169,14 +203,17 @@ func xorOf(dst []byte, srcs [][]byte, off int) {
 	}
 }
 
-// lend returns a read-only view of block blk when its extent is shared (it
-// never changes), else nil: the caller reads an extent of ours with read.
-func (m *media) lend(blk int64) []byte {
+// lend returns a read-only view of the n bytes from block blk on when they
+// lie in one extent and it is shared (it never changes), else nil: the caller
+// reads an extent of ours, or a pending one, with read.
+func (m *media) lend(blk int64, n int) []byte {
 	e, off := blk/extentBlocks, int(blk%extentBlocks)*BlockSize
-	if !m.shared[e] {
+	if !m.shared[e] || off+n > maxTransfer {
 		return nil
 	}
-	return m.ext[e][off : off+BlockSize : off+BlockSize]
+	v := m.ext[e][off : off+n : off+n]
+	Audit.Record("dev: lent view", v)
+	return v
 }
 
 // read fills buf, a whole number of blocks, with the blocks from blk on. Where
@@ -238,9 +275,7 @@ func (m *media) discard(blk, n int64) {
 			m.ext[e], m.shared[e], m.written[e] = nil, false, 0
 			delete(m.pending, e)
 		case m.written[e]&mask != 0:
-			if m.ext[e] == nil || m.shared[e] {
-				m.own(e)
-			}
+			m.ours(e)
 			clear(m.ext[e][i*BlockSize : (i+nb)*BlockSize])
 			m.written[e] &^= mask
 		}

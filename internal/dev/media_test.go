@@ -161,14 +161,50 @@ func sameStore(a, b map[int64][]byte) error {
 // which the model holds as that XOR: the disk leaves the whole extents of a
 // kept one pending, and every later read, lending read, share, overwrite,
 // kept write, discard and the durable image at the end of each step must see
-// the XOR. A fifth of the reads lend (one part per block, each with a Lend
-// slot). Without an observer, each of those kinds of step must reach a
-// pending extent at least once.
+// the XOR; the Buf of such a write, scratch or one of its sources, must come
+// back untouched. A third of the reads lend: one part per block, or per whole
+// extent where one starts, each with a Lend slot, and a part must come back
+// lent exactly where it lies whole in a shared extent of a plain disk and in
+// one chunk of the request; across the seeds, whole-extent parts must ask of
+// shared, owned, pending and absent extents, and of a write-cached and a
+// watched disk. Without an observer, each of those kinds of step must reach a
+// pending extent at least once. After every step the hand-over audit
+// (HandOvers) must find every buffer handed over unchanged.
 func TestDiskMatchesMapModel(t *testing.T) {
 	const nblocks = 5*extentBlocks + 7
+	lends := map[string]int{} // whole-extent parts of lending reads, by the state of their extent or disk
+	defer func() {
+		t.Logf("whole-extent lending reads: %v", lends)
+		for _, state := range []string{"shared", "owned", "pending", "absent", "write-cached", "watched"} {
+			if lends[state] == 0 {
+				t.Errorf("no lending read asked for a whole %s extent", state)
+			}
+		}
+	}()
+	extentState := func(d *Disk, e int64) string {
+		_, pending := d.store.pending[e]
+		switch {
+		case d.OnMediaWrite != nil:
+			return "watched"
+		case d.wcap > 0:
+			return "write-cached"
+		case pending:
+			return "pending"
+		case d.store.ext[e] == nil:
+			return "absent"
+		case d.store.shared[e]:
+			return "shared"
+		}
+		return "owned"
+	}
 	for _, seed := range []uint64{1, 2, 1993} {
 		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewPCG(seed, 0))
+			// lrng draws what changes no state: how a lending read cuts its
+			// range into parts and what a write of an XOR passes as its Buf.
+			// The op stream, and so every state the disk passes through, is
+			// rng's alone.
+			lrng := rand.New(rand.NewPCG(seed, 1))
 			k := sim.NewKernel()
 			d := NewDisk(k, RZ57, nblocks, nil)
 			m := &diskModel{durable: map[int64][]byte{}, cached: map[int64][]byte{}}
@@ -289,13 +325,32 @@ func TestDiskMatchesMapModel(t *testing.T) {
 							}
 						case "lending read":
 							read = func(p *sim.Proc, blk int64, buf []byte) error {
-								parts := make([]Part, len(buf)/BlockSize)
+								// One part per block, or per whole extent where
+								// one starts (three times in four). A part is lent
+								// where it lies whole in a shared extent of a
+								// plain disk and in one chunk of the request.
+								var parts []Part
+								var lend []bool
+								plain := d.wcap == 0 && d.OnMediaWrite == nil
+								for off := 0; off < len(buf)/BlockSize; {
+									at, n := blk+int64(off), 1
+									if at%extentBlocks == 0 && len(buf)/BlockSize-off >= extentBlocks && lrng.IntN(4) != 0 {
+										n = extentBlocks
+										lends[extentState(d, at/extentBlocks)]++
+									}
+									parts = append(parts, Part{Blk: at, Buf: buf[off*BlockSize : (off+n)*BlockSize]})
+									lend = append(lend, plain && d.store.shared[at/extentBlocks] && (n == 1 || off%extentBlocks == 0))
+									off += n
+								}
 								views := make([][]byte, len(parts))
 								for i := range parts {
-									parts[i] = Part{Blk: blk + int64(i), Buf: buf[i*BlockSize : (i+1)*BlockSize], Lend: &views[i]}
+									parts[i].Lend = &views[i]
 								}
 								err := d.ReadParts(p, parts)
 								for i, v := range views {
+									if (v != nil) != lend[i] {
+										t.Fatalf("step %d: a %d-block part at block %d lent %v, want %v", step, len(parts[i].Buf)/BlockSize, parts[i].Blk, v != nil, lend[i])
+									}
 									if v != nil {
 										copy(parts[i].Buf, v)
 									}
@@ -369,11 +424,21 @@ func TestDiskMatchesMapModel(t *testing.T) {
 							}
 						}
 						keep := rng.IntN(4) != 0
+						// Buf gives the length only: the disk neither reads
+						// nor writes it, be it scratch or one of the sources.
+						want := xorAll(nb*BlockSize, srcs)
 						scratch := bytes.Repeat([]byte{0xDB}, nb*BlockSize)
-						if err := d.WriteParts(p, []Part{{Blk: blk, Buf: scratch, Keep: keep, XorOf: &srcs}}); err != nil {
+						lenOnly := scratch
+						if len(srcs) > 0 && lrng.IntN(2) == 0 {
+							lenOnly = srcs[0]
+						}
+						if err := d.WriteParts(p, []Part{{Blk: blk, Buf: lenOnly, Keep: keep, XorOf: &srcs}}); err != nil {
 							t.Fatal(err)
 						}
-						m.write(blk, xorAll(nb*BlockSize, srcs))
+						m.write(blk, want)
+						if !bytes.Equal(scratch, bytes.Repeat([]byte{0xDB}, nb*BlockSize)) {
+							t.Fatalf("step %d: a write of an XOR wrote into its Buf", step)
+						}
 						clear(scratch) // the scratch is never kept
 						for _, src := range srcs {
 							if keep {
@@ -436,6 +501,9 @@ func TestDiskMatchesMapModel(t *testing.T) {
 						if !bytes.Equal(adopted[i], handed[i]) {
 							t.Fatalf("step %d: a buffer adopted earlier changed", step)
 						}
+					}
+					if err := Audit.Check(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
 					}
 				}
 			})
@@ -1083,14 +1151,14 @@ func BenchmarkDiskRead1MB(b *testing.B) {
 	})
 }
 
-// TestLendOnlyWhatTheDiskDoesNotOwn: a read whose one-block parts carry Lend
-// slots gets views of an adopted extent and its own extents filled; the
-// stats, the clock and the bytes are those of the same read filled. A disk
-// with a write cache or an OnMediaWrite hook, and a part of more than one
-// block, fill instead of lending.
+// TestLendOnlyWhatTheDiskDoesNotOwn: a read whose one-block parts, or whole
+// extent parts, carry Lend slots gets views of an adopted extent and its own
+// extents filled; the stats, the clock and the bytes are those of the same
+// read filled. A disk with a write cache or an OnMediaWrite hook, and a part
+// of two blocks, fill instead of lending.
 func TestLendOnlyWhatTheDiskDoesNotOwn(t *testing.T) {
 	const nb = 2 * extentBlocks // an extent of ours, then an adopted one
-	for _, mode := range []string{"write-through", "write cache", "hooked", "two-block parts"} {
+	for _, mode := range []string{"write-through", "write cache", "hooked", "two-block parts", "extent parts"} {
 		t.Run(mode, func(t *testing.T) {
 			k := sim.NewKernel()
 			d := NewDisk(k, RZ57, 4*extentBlocks, nil)
@@ -1115,9 +1183,12 @@ func TestLendOnlyWhatTheDiskDoesNotOwn(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				per := 1
-				if mode == "two-block parts" {
+				per := 1 // blocks a part
+				switch mode {
+				case "two-block parts":
 					per = 2
+				case "extent parts":
+					per = extentBlocks
 				}
 				parts := make([]Part, nb/per)
 				views := make([][]byte, len(parts))
@@ -1137,7 +1208,7 @@ func TestLendOnlyWhatTheDiskDoesNotOwn(t *testing.T) {
 				if took != p.Now()-t0 || d.Stats() != twin.Stats() {
 					t.Fatalf("lending read cost %v and %+v, a filled one %v and %+v", took, d.Stats(), p.Now()-t0, twin.Stats())
 				}
-				lendable := mode == "write-through"
+				lendable := mode == "write-through" || mode == "extent parts"
 				for i, pt := range parts {
 					adopted := pt.Blk >= extentBlocks
 					got := pt.Buf

@@ -65,8 +65,12 @@ type Proc struct {
 	name   string
 	daemon bool
 	state  procState
-	block  string // description of what the proc is blocked on
-	ctx    *Ctx   // cancellation scope of the request being executed, if any
+	ctx    *Ctx // cancellation scope of the request being executed, if any
+
+	// blockKind and blockOn are what the proc is blocked on, while it is: the
+	// kind of wait ("acquire", "wait") and the object's name, joined only by
+	// describeBlocked.
+	blockKind, blockOn string
 
 	fn func(p *Proc) // the process body; nil once it has finished
 	co *coro         // coroutine fn runs on: set at first dispatch, nil again when done
@@ -381,12 +385,13 @@ func (p *Proc) Sleep(d Time) {
 }
 
 // suspend blocks the process until another process wakes it via k.wake.
-// why describes the wait for deadlock diagnostics.
-func (p *Proc) suspend(why string) {
+// kind and on describe the wait for deadlock diagnostics: the kind of wait
+// and the name of what it waits on.
+func (p *Proc) suspend(kind, on string) {
 	p.state = stateBlocked
-	p.block = why
+	p.blockKind, p.blockOn = kind, on
 	p.yieldToKernel()
-	p.block = ""
+	p.blockKind, p.blockOn = "", ""
 }
 
 // yieldToKernel hands control back to the scheduler and waits to be resumed.
@@ -484,8 +489,8 @@ func (k *Kernel) describeBlocked() string {
 		if p.daemon {
 			d = " (daemon)"
 		}
-		why := p.block
-		if why == "" {
+		why := p.blockKind + " " + p.blockOn
+		if p.blockKind == "" {
 			why = p.state.String()
 		}
 		lines = append(lines, fmt.Sprintf("%s%s: %s", p.name, d, why))

@@ -110,21 +110,28 @@ func TestDaemonDoesNotKeepRunAlive(t *testing.T) {
 	k.Stop()
 }
 
+// TestDeadlockPanics: a run that can never finish panics with every stuck
+// proc and what it waits on, by kind and name.
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("expected deadlock panic")
 		}
-		if !strings.Contains(r.(string), "deadlock") {
-			t.Fatalf("panic = %v, want deadlock description", r)
+		for _, want := range []string{"deadlock", "holder: wait never", "queued: acquire arm"} {
+			if !strings.Contains(r.(string), want) {
+				t.Fatalf("panic = %v, want it to say %q", r, want)
+			}
 		}
 	}()
 	k := NewKernel()
-	c := k.NewCond("never")
-	k.RunProc(func(p *Proc) {
+	c, arm := k.NewCond("never"), k.NewResource("arm")
+	k.Go("holder", func(p *Proc) {
+		arm.Acquire(p)
 		c.Wait(p) // nobody will ever signal
 	})
+	k.Go("queued", func(p *Proc) { arm.Acquire(p) })
+	k.Run()
 }
 
 func TestProcPanicPropagates(t *testing.T) {

@@ -33,7 +33,7 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	start := r.k.now
 	r.waiters = append(r.waiters, p)
-	p.suspend("acquire " + r.name)
+	p.suspend("acquire", r.name)
 	r.waitTotal += r.k.now - start
 }
 
@@ -102,7 +102,7 @@ func (k *Kernel) NewCond(name string) *Cond {
 // sync.Cond, callers must re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.suspend("wait " + c.name)
+	p.suspend("wait", c.name)
 }
 
 // Signal wakes the longest-waiting process, if any.
@@ -115,13 +115,15 @@ func (c *Cond) Signal() {
 	c.k.wake(p)
 }
 
-// Broadcast wakes every waiting process.
+// Broadcast wakes every waiting process. The waiter list keeps its array
+// for the next waits: waking a process only queues it, so nothing waits
+// again before the loop ends.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		c.k.wake(p)
 	}
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Chan is a bounded FIFO channel in virtual time, used as the request queue

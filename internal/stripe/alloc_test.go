@@ -33,14 +33,16 @@ func allocBytesPerOp(op func()) uint64 {
 }
 
 // TestInterleaveSteadyStateAllocations gates the farm's data path: after a
-// warm-up op, a request may allocate bookkeeping (op lists, closures, the
-// fan-out procs) but no transfer buffer — less than one block per op,
-// where a single row image or parity unit allocated per call is 16 KB or
-// more. The last two rows are the path every block I/O of an unstriped
-// instance takes, a request inside the one component of a concatenated
-// farm: its split, its per-spindle lists and errors stay on the caller's
-// stack and its one group runs with no task built, so it allocates nothing
-// (TestOneSpindleRequestAllocatesNothing counts allocations as well).
+// warm-up op, a request may allocate what is not the farm's (the fan-out
+// procs, the lane lists of parity a disk keeps pending) but no transfer
+// buffer — less than one block per op, where a single row image or parity
+// unit allocated per call is 16 KB or more. The kept line is a fetch's write
+// on the unit-16 farm, whose partial rows' read-back may borrow lanes. The
+// last two rows are the path every block I/O of an unstriped instance takes,
+// a request inside the one component of a concatenated farm: its split stays
+// on the caller's stack and its one group runs inline on a fan the farm
+// keeps, so it allocates nothing (TestOneSpindleRequestAllocatesNothing
+// counts allocations as well).
 func TestInterleaveSteadyStateAllocations(t *testing.T) {
 	const unit = 4 // blocks per stripe unit; a row holds 3 data units = 12 blocks
 	for _, tc := range []struct {
@@ -62,6 +64,9 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 		{"degraded read", false, 1, dev.BlockSize, func(p *sim.Proc, il *Farm, buf []byte) error {
 			return il.ReadBlocks(p, 0, buf[:12*dev.BlockSize]) // row 0, one unit of it on the failed spindle
 		}},
+		{"kept line", false, -1, dev.BlockSize, func(p *sim.Proc, il *Farm, buf []byte) error {
+			return il.AdoptBlocks(p, 40, buf[:96*dev.BlockSize]) // row 1 whole, rows 0 and 2 in part
+		}},
 		{"concat one-component write", true, -1, 1, func(p *sim.Proc, c *Farm, buf []byte) error {
 			return c.WriteBlocks(p, 8, buf[:16*dev.BlockSize])
 		}},
@@ -72,6 +77,9 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			il, _ := newInterleave(k, unit, true, 4, 256)
+			if tc.name == "kept line" { // lanes of whole extents: the read-back may borrow them
+				il, _ = newInterleave(k, unitBlocks, true, 4, 256)
+			}
 			if tc.concat {
 				il, _ = newConcat(k, 256)
 			}
@@ -102,27 +110,47 @@ func TestInterleaveSteadyStateAllocations(t *testing.T) {
 
 // TestOneSpindleRequestAllocatesNothing: a read and a write that reach one
 // spindle of a concatenated farm, and a read of a striped farm inside one
-// stripe unit, make no allocation at all.
+// stripe unit, make no allocation at all. A parity write that reaches every
+// spindle of the unit-16 parity farm allocates only what is not the farm's:
+// the processes its fan-outs spawn (the kernel's), and the lane list of each
+// row whose parity a disk may keep pending — a partial row not kept, none; a
+// fetched line's four whole rows, four.
 func TestOneSpindleRequestAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	c, _ := newConcat(k, 256, 256)
 	il, _ := newInterleave(k, 4, false, 2, 256)
+	pf, _ := newInterleave(k, unitBlocks, true, 4, 1024)
 	buf := make([]byte, 16*dev.BlockSize)
+	line := make([]byte, segLine*dev.BlockSize)
 	k.RunProc(func(p *sim.Proc) {
-		for name, op := range map[string]func() error{
-			"concat read":       func() error { return c.ReadBlocks(p, 300, buf) },
-			"concat write":      func() error { return c.WriteBlocks(p, 8, buf) },
-			"striped unit read": func() error { return il.ReadBlocks(p, 5, buf[:2*dev.BlockSize]) },
+		if err := pf.WriteBlocks(p, 0, make([]byte, lineStart*dev.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			lists float64 // lane lists a disk may keep
+			op    func() error
+		}{
+			{"concat read", 0, func() error { return c.ReadBlocks(p, 300, buf) }},
+			{"concat write", 0, func() error { return c.WriteBlocks(p, 8, buf) }},
+			{"striped unit read", 0, func() error { return il.ReadBlocks(p, 5, buf[:2*dev.BlockSize]) }},
+			{"parity partial row", 0, func() error { return pf.WriteBlocks(p, 5, buf[:2*dev.BlockSize]) }},
+			{"parity kept line", 4, func() error { return pf.AdoptBlocks(p, lineStart, line) }},
 		} {
-			if err := op(); err != nil { // first touch of the media
+			if err := tc.op(); err != nil { // first touch of the media
 				t.Fatal(err)
 			}
+			procs := k.ProfileSnapshot().Procs
+			if err := tc.op(); err != nil {
+				t.Fatal(err)
+			}
+			spawned := float64(k.ProfileSnapshot().Procs - procs)
 			if n := testing.AllocsPerRun(20, func() {
-				if err := op(); err != nil {
+				if err := tc.op(); err != nil {
 					t.Fatal(err)
 				}
-			}); n != 0 {
-				t.Errorf("%s: %v allocations per op, want 0", name, n)
+			}); n > spawned+tc.lists {
+				t.Errorf("%s: %v allocations per op, want at most %v (%v spawned processes, %v lane lists)", tc.name, n, spawned+tc.lists, spawned, tc.lists)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package stripe
 import (
 	"crypto/subtle"
 	"fmt"
+	"slices"
 
 	"repro/internal/dev"
 	"repro/internal/sim"
@@ -38,7 +39,9 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 			groups[d] = append(groups[d], dev.Part{Blk: e.pt.Blk, Buf: sb})
 		}
 	}
-	if err := f.dispatch(p, &f.rebuild, groups, false); err != nil {
+	errs := make([]error, len(f.devs))
+	f.fanOut(p, &f.rebuild, groups, nil, false, errs)
+	if err := firstErr(errs); err != nil {
 		return err
 	}
 	for i, e := range degraded {
@@ -53,56 +56,107 @@ func (f *Farm) reconstruct(p *sim.Proc, degraded []extent) error {
 	return nil
 }
 
+// rowPlan is one stripe row of a parity write.
+type rowPlan struct {
+	row  int64
+	full bool  // the write covers every lane
+	bad  int64 // lane on a failed spindle, -1 if none
+	// lanes are the row's nd lanes as written: the write's slices of buf
+	// where it covers a lane whole, the spindle's own immutable bytes where
+	// the read-back of a lane it does not touch came back lent (dev.Part's
+	// Lend), and bufs[j] elsewhere.
+	lanes [][]byte
+	// bufs[j], where set, is the farm buffer lane j was read back into and
+	// the write's share of it overlaid on.
+	bufs   [][]byte
+	oldPar []byte // old parity (only when a lane must be reconstructed)
+}
+
+// parityWrite is the scratch of one writeParity call: its row plans, their
+// lane lists and farm buffers, and the component requests of a phase. A farm
+// keeps the idle ones (Farm.parityWrites), so a call allocates nothing but
+// the lane lists a disk may keep.
+type parityWrite struct {
+	plans       []rowPlan
+	lanes, bufs [][]byte // every plan's lanes and bufs, nd a row
+	exts        []extent
+}
+
+// parityWrite takes an idle parityWrite, or makes one, ready for rows rows of
+// nd lanes each.
+func (f *Farm) parityWrite(rows, nd int) *parityWrite {
+	var w *parityWrite
+	if n := len(f.parityWrites); n > 0 {
+		w, f.parityWrites = f.parityWrites[n-1], f.parityWrites[:n-1]
+	} else {
+		w = new(parityWrite)
+	}
+	// putParityWrite left every element zero, up to the capacity.
+	w.plans = slices.Grow(w.plans[:0], rows)[:rows]
+	w.lanes = slices.Grow(w.lanes[:0], rows*nd)[:rows*nd]
+	w.bufs = slices.Grow(w.bufs[:0], rows*nd)[:rows*nd]
+	for i := range w.plans {
+		w.plans[i] = rowPlan{lanes: w.lanes[i*nd : (i+1)*nd : (i+1)*nd], bufs: w.bufs[i*nd : (i+1)*nd : (i+1)*nd]}
+	}
+	return w
+}
+
+// putParityWrite takes w back once its call is over, with every farm buffer
+// its plans hold, dropping what it pointed at.
+func (f *Farm) putParityWrite(w *parityWrite) {
+	for i := range w.plans {
+		for _, b := range w.plans[i].bufs {
+			if b != nil {
+				f.free.put(b)
+			}
+		}
+		if b := w.plans[i].oldPar; b != nil {
+			f.free.put(b)
+		}
+	}
+	clear(w.plans)
+	clear(w.lanes)
+	clear(w.bufs)
+	clear(w.exts)
+	w.exts = w.exts[:0]
+	f.parityWrites = append(f.parityWrites, w)
+}
+
 // writeParity maintains rotating parity row by row. A fully covered row is
 // the cheap case — parity is the XOR of the new data, no reads ("full
 // stripe write"). A partially covered row pays the classic small-write
-// penalty: the old row is read back (reconstructing a failed lane from
-// parity if needed), overlaid with the new data, and the parity unit
-// rewritten whole. Reads for every partial row form one parallel phase;
-// all data and parity writes form a second. Every data write slices buf,
-// kept when keep is set. Each parity write names the row's lanes
-// (dev.Part.XorOf) and its disk computes their XOR; a full row's lanes are
-// buf's, so a kept full row hands them over kept and the disk may leave the
-// XOR pending until something reads it. Row images and parity scratch are
-// borrowed from the farm's free list until the write phase has joined, and
-// never kept.
+// penalty: the old row is read back, every healthy lane of it, and the
+// parity unit rewritten whole. Reads for every partial row form one parallel
+// phase; all data and parity writes form a second. Every data write slices
+// buf, kept when keep is set.
+//
+// The read-back borrows what it can. A lane the write covers whole is read
+// into the farm's sink, for its timing alone, and the row takes the write's
+// slice in its place; a lane it does not touch asks to be lent (dev.Part's
+// Lend) and is used in place when it is; only a lane it covers in part, or
+// any lane of a row with a failed spindle (rebuilt from the old parity), is
+// read into a farm buffer and overlaid.
+//
+// Each parity write names the row's lanes (dev.Part.XorOf) and its disk
+// computes their XOR. In a kept write, a row whose lanes are all immutable —
+// buf's slices, lent lanes — hands them over kept with a list of their own,
+// and the disk may leave the XOR pending until something reads it; every
+// other row's list and farm buffers are the call's scratch, borrowed from the
+// farm until the write phase has joined, and never kept.
 func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) error {
+	const bs = dev.BlockSize
 	nd := f.dataDisks()
-	unitB := f.unit * int64(dev.BlockSize)
+	unitB := int(f.unit) * bs
 	rowBlocks := nd * f.unit
-	firstRow := blk / rowBlocks
-	lastRow := (blk + nb - 1) / rowBlocks
-
-	type rowPlan struct {
-		row     int64
-		full    bool
-		lanes   [][]byte // the nd lanes as written: buf's slices (full rows), the old row overlaid (partial rows)
-		oldPar  []byte   // old parity (only when a lane must be reconstructed)
-		badLane int64    // lane on a failed spindle, -1 if none
-		parity  []byte   // scratch the parity disk may compute the XOR into
+	firstRow, lastRow := blk/rowBlocks, (blk+nb-1)/rowBlocks
+	w := f.parityWrite(int(lastRow-firstRow+1), int(nd))
+	defer f.putParityWrite(w)
+	if len(f.sink) < unitB {
+		f.sink = make([]byte, unitB)
 	}
-	plans := make([]rowPlan, 0, lastRow-firstRow+1)
-	// One array of lane lists for every row: a disk that keeps a row's parity
-	// pending keeps its list.
-	lanes := make([][]byte, (lastRow-firstRow+1)*nd)
-	defer func() {
-		for i := range plans {
-			rp := &plans[i]
-			if !rp.full {
-				for _, b := range rp.lanes {
-					f.free.put(b)
-				}
-			}
-			if rp.oldPar != nil {
-				f.free.put(rp.oldPar)
-			}
-			if rp.parity != nil {
-				f.free.put(rp.parity)
-			}
-		}
-	}()
-	readGroups := make([][]dev.Part, len(f.devs))
-	for r := firstRow; r <= lastRow; r++ {
+	for i := range w.plans {
+		rp := &w.plans[i]
+		r := firstRow + int64(i)
 		pd, bad := f.parityDisk(r), int64(-1)
 		for j := int64(0); j < nd; j++ {
 			if f.failed[f.lane(r, j)] {
@@ -112,74 +166,93 @@ func (f *Farm) writeParity(p *sim.Proc, blk, nb int64, buf []byte, keep bool) er
 		if f.failed[pd] && bad >= 0 {
 			return fmt.Errorf("stripe: write to row %d with two failed spindles: %w", r, ErrComponentFailed)
 		}
-		covStart := r * rowBlocks // logical row bounds
-		covEnd := covStart + rowBlocks
-		i := (r - firstRow) * nd
-		plans = append(plans, rowPlan{row: r, full: blk <= covStart && blk+nb >= covEnd, lanes: lanes[i : i+nd : i+nd], badLane: bad})
-		rp := &plans[len(plans)-1]
-		if !rp.full {
-			// Read back the whole old row (healthy lanes), plus the old
-			// parity when a failed lane must be reconstructed from it.
-			phys := r * f.unit
-			for j := int64(0); j < nd; j++ {
-				rp.lanes[j] = f.free.get(int(unitB))
-				d := f.lane(r, j)
+		rp.row, rp.bad = r, bad
+		rp.full = blk <= r*rowBlocks && blk+nb >= (r+1)*rowBlocks
+		if rp.full {
+			continue
+		}
+		// Read back every healthy lane, plus the old parity when a failed
+		// lane must be reconstructed from it.
+		phys := r * f.unit
+		for j := int64(0); j < nd; j++ {
+			d := f.lane(r, j)
+			laneStart := r*rowBlocks + j*f.unit
+			s, e := max(blk, laneStart), min(blk+nb, laneStart+f.unit)
+			pt := dev.Part{Blk: phys}
+			switch {
+			case bad < 0 && s == laneStart && e == laneStart+f.unit: // replaced whole
+				pt.Buf, pt.Lend = f.sink[:unitB], &rp.lanes[j]
+			case bad < 0 && s >= e: // untouched: lent, or read into a buffer
+				rp.bufs[j] = f.free.get(unitB)
+				rp.lanes[j] = rp.bufs[j]
+				pt.Buf, pt.Lend = rp.bufs[j], &rp.lanes[j]
+			default:
+				rp.bufs[j] = f.free.get(unitB)
+				rp.lanes[j] = rp.bufs[j]
+				pt.Buf = rp.bufs[j]
 				if f.failed[d] {
-					clear(rp.lanes[j]) // nothing is read into a failed lane
+					clear(pt.Buf) // nothing is read into a failed lane
 					continue
 				}
-				readGroups[d] = append(readGroups[d], dev.Part{Blk: phys, Buf: rp.lanes[j]})
 			}
-			if rp.badLane >= 0 {
-				rp.oldPar = f.free.get(int(unitB))
-				readGroups[pd] = append(readGroups[pd], dev.Part{Blk: phys, Buf: rp.oldPar})
-			}
+			w.exts = append(w.exts, extent{disk: d, pt: pt})
+		}
+		if bad >= 0 {
+			rp.oldPar = f.free.get(unitB)
+			w.exts = append(w.exts, extent{disk: pd, pt: dev.Part{Blk: phys, Buf: rp.oldPar}})
 		}
 	}
-	if err := f.dispatch(p, &f.names.read, readGroups, false); err != nil {
+	if err := f.dispatch(p, &f.names.read, w.exts, false); err != nil {
 		return err
 	}
+	w.exts = w.exts[:0]
 
-	const bs = dev.BlockSize
-	writeGroups := make([][]dev.Part, len(f.devs))
-	for i := range plans {
-		rp := &plans[i]
-		pd := f.parityDisk(rp.row)
-		if !rp.full && rp.badLane >= 0 {
+	for i := range w.plans {
+		rp := &w.plans[i]
+		for j, b := range rp.bufs {
+			if b != nil && &rp.lanes[j][0] != &b[0] { // lent: the buffer was not needed
+				dev.Audit.Record("stripe: lent lane", rp.lanes[j])
+				f.free.put(b)
+				rp.bufs[j] = nil
+			}
+		}
+		if rp.bad >= 0 {
 			// Rebuild the failed lane's old contents: XOR of the old
 			// parity and every surviving lane.
-			bad := rp.lanes[rp.badLane]
+			bad := rp.lanes[rp.bad]
 			copy(bad, rp.oldPar)
 			for j := int64(0); j < nd; j++ {
-				if j != rp.badLane {
+				if j != rp.bad {
 					xorInto(bad, rp.lanes[j])
 				}
 			}
 		}
-		// Overlay the new data onto the row image and collect data writes.
-		rowStart := rp.row * rowBlocks
+		// Overlay the new data onto the row and collect data writes.
+		kept := keep
 		for j := int64(0); j < nd; j++ {
-			laneStart := rowStart + j*f.unit
-			// [s, e) is the lane's share of the request. Its data write
-			// slices buf, in a full row and a partial one alike.
+			laneStart := rp.row*rowBlocks + j*f.unit
 			if s, e := max(blk, laneStart), min(blk+nb, laneStart+f.unit); s < e {
 				data := buf[(s-blk)*bs : (e-blk)*bs]
-				if rp.full {
-					rp.lanes[j] = data
+				if rp.bufs[j] != nil {
+					copy(rp.bufs[j][(s-laneStart)*bs:], data)
 				} else {
-					copy(rp.lanes[j][(s-laneStart)*bs:], data)
+					rp.lanes[j] = data
 				}
 				if d := f.lane(rp.row, j); !f.failed[d] { // else the write survives in parity alone
-					writeGroups[d] = append(writeGroups[d], dev.Part{Blk: rp.row*f.unit + s - laneStart, Buf: data, Keep: keep})
+					w.exts = append(w.exts, extent{disk: d, pt: dev.Part{Blk: rp.row*f.unit + s - laneStart, Buf: data, Keep: keep}})
 				}
 			}
+			kept = kept && rp.bufs[j] == nil
 		}
-		if !f.failed[pd] {
-			rp.parity = f.free.get(int(unitB))
-			writeGroups[pd] = append(writeGroups[pd], dev.Part{Blk: rp.row * f.unit, Buf: rp.parity, Keep: keep && rp.full, XorOf: &rp.lanes})
+		if pd := f.parityDisk(rp.row); !f.failed[pd] {
+			if kept { // the disk may keep the list: it gets one of its own
+				rp.lanes = append([][]byte(nil), rp.lanes...)
+			}
+			// Buf gives the unit's length only (dev.Part.XorOf).
+			w.exts = append(w.exts, extent{disk: pd, pt: dev.Part{Blk: rp.row * f.unit, Buf: rp.lanes[0], Keep: kept, XorOf: &rp.lanes}})
 		}
 	}
-	return f.dispatch(p, &f.names.write, writeGroups, true)
+	return f.dispatch(p, &f.names.write, w.exts, true)
 }
 
 // xorInto sets dst ^= src, a machine word (or a vector) at a time. The two

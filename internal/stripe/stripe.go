@@ -42,10 +42,16 @@ type Farm struct {
 	failed []bool
 	total  int64 // logical data blocks presented
 	free   freeList
-	// partLists are byDisk's lists of component parts, reused as free's
-	// buffers are (a field, not a sync.Pool, for the same reasons).
-	partLists [][]dev.Part
-	names     farmNames
+	// partLists are byDisk's lists of component parts, and parityWrites
+	// writeParity's scratch, reused as free's buffers are (fields, not
+	// sync.Pools, for the same reasons).
+	partLists    [][]dev.Part
+	parityWrites []*parityWrite
+	// sink is what a read fills that nobody reads (writeParity's read-back
+	// of a lane it overwrites whole, kept for the timing alone): one buffer
+	// for every request, since its bytes never matter.
+	sink  []byte
+	names farmNames
 	// rebuild names the survivor reads of a degraded-mode reconstruction.
 	rebuild fanNames
 }
@@ -341,9 +347,9 @@ func (f *Farm) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
 
 // ReadParts reads into parts, each starting at the block after the one before
 // ends, what ReadBlocks of their concatenation would, with the same component
-// requests. A one-block part with a Lend slot may come back lent by its
-// component (dev.Part); a degraded read reconstructs into Buf and lends
-// nothing.
+// requests. A part with a Lend slot that one component serves whole may come
+// back lent by it (dev.Part: a block, or a whole aligned extent); a degraded
+// read reconstructs into Buf and lends nothing.
 func (f *Farm) ReadParts(p *sim.Proc, parts []dev.Part) error {
 	return f.do(p, parts, false)
 }
@@ -355,10 +361,10 @@ func (f *Farm) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
 
 // AdoptBlocks implements dev.Adopter: WriteBlocks, except that every data
 // write slices buf and hands it down kept (dev.Part), so a component may take
-// whole extents of it by reference. A full row's parity unit goes down as the
-// XOR of its lanes, kept too (dev.Part.XorOf), so a component may leave it
-// pending until something reads it; a partial row's is the XOR of the farm's
-// own buffers, which are never kept.
+// whole extents of it by reference. A row's parity unit goes down as the XOR
+// of its lanes (dev.Part.XorOf), kept too where every lane is immutable — a
+// full row, or a partial one whose other lanes its disks lent (writeParity) —
+// so a component may leave it pending until something reads it.
 func (f *Farm) AdoptBlocks(p *sim.Proc, blk int64, buf []byte) error {
 	return f.do(p, []dev.Part{{Blk: blk, Buf: buf, Keep: true}}, true)
 }
@@ -397,7 +403,7 @@ func (f *Farm) readParts(p *sim.Proc, parts []dev.Part) error {
 	var es [spindles]error
 	groups, errs := perSpindle(gs[:], len(f.devs)), perSpindle(es[:], len(f.devs))
 	flat := f.byDisk(groups, exts, f.failed)
-	f.dispatchAll(p, &f.names.read, groups, false, errs)
+	f.fanOut(p, &f.names.read, groups, nil, false, errs)
 	f.putParts(flat)
 	for d, err := range errs {
 		if err == nil {
@@ -431,12 +437,7 @@ func (f *Farm) writeBlocks(p *sim.Proc, parts []dev.Part) error {
 			return fmt.Errorf("stripe: write to blocks on spindle %d: %w", e.disk, ErrComponentFailed)
 		}
 	}
-	var gs [spindles][]dev.Part
-	groups := perSpindle(gs[:], len(f.devs))
-	flat := f.byDisk(groups, exts, f.failed)
-	err := f.dispatch(p, &f.names.write, groups, true)
-	f.putParts(flat)
-	return err
+	return f.dispatch(p, &f.names.write, exts, true)
 }
 
 // Discard implements dev.Discarder, passing each component that is one its
@@ -487,23 +488,23 @@ func (f *Farm) Resident(r dev.Resident) []int64 {
 func (f *Farm) Flush(p *sim.Proc) error {
 	tasks := make([]func(*sim.Proc) error, len(f.devs))
 	for i, d := range f.devs {
-		fl, ok := d.(dev.Flusher)
-		if !ok {
-			continue
+		if fl, ok := d.(dev.Flusher); ok {
+			tasks[i] = fl.Flush
 		}
-		tasks[i] = func(cp *sim.Proc) error { return fl.Flush(cp) }
 	}
-	return fanout(p, &f.names.flush, tasks)
+	errs := make([]error, len(f.devs))
+	f.fanOut(p, &f.names.flush, make([][]dev.Part, len(f.devs)), tasks, false, errs)
+	return firstErr(errs)
 }
 
-// freeList is a farm's stock of scratch buffers (parity units, row images,
-// reconstruction scratch), in power-of-two size classes: free[c] holds
-// buffers of capacity 1<<c. A write of one is never a kept dev.Part, so no
-// component holds on to it. It is a field of the farm, not a
-// sync.Pool: the kernel runs one proc at a time and neither get nor put
-// yields, so no lock is needed, and reuse depends only on the request
-// sequence — never on when the garbage collector ran — so the bytes a run
-// allocates repeat exactly.
+// freeList is a farm's stock of scratch buffers (lanes and old parity a
+// partial-row write reads back, reconstruction scratch), in power-of-two size
+// classes: free[c] holds buffers of capacity 1<<c. None is ever in a kept
+// dev.Part or the lane list of a kept parity unit, so no component holds on
+// to it. It is a field of the farm, not a sync.Pool: the kernel runs one
+// proc at a time and neither get nor put yields, so no lock is needed, and
+// reuse depends only on the request sequence — never on when the garbage
+// collector ran — so the bytes a run allocates repeat exactly.
 type freeList [][][]byte
 
 // poisonFreed makes put overwrite every returned buffer with 0xDB, so a
@@ -595,10 +596,11 @@ func end(pt dev.Part) int64 { return pt.Blk + int64(len(pt.Buf)/dev.BlockSize) }
 
 // fanNames holds the proc and condition names of one kind of fan-out
 // (a farm's reads, its writes, its flushes), built once per farm so a
-// request formats no strings.
+// request formats no strings, and that kind's idle fans.
 type fanNames struct {
 	join string   // the joining condition variable
-	proc []string // proc[i] runs component i's task
+	proc []string // proc[i] runs component i's share
+	free []*fan   // fans of this kind no fan-out holds
 }
 
 func newFanNames(name string, components int) fanNames {
@@ -620,99 +622,120 @@ func newFarmNames(name string, components int) farmNames {
 	}
 }
 
-// fanout runs the non-nil tasks, one per component index. A single task
-// runs inline in the caller's process — byte-identical in virtual time to
-// the historical serial path, which keeps single-spindle baselines
-// bit-for-bit unchanged. Several tasks each get their own simulated
-// process, spawned in component-index order so kernel event sequence
-// numbers (and thus every FIFO tie-break) are deterministic, and joined on
-// a condition variable. The join is first-error-wins with the lowest
-// component index winning — a rule independent of completion order.
-func fanout(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) error {
-	for _, err := range fanoutAll(p, names, tasks) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// fan is what the processes of one fan-out need: each component's share and
+// its error, and the join. A farm keeps its idle fans on their kind's list
+// (fanNames.free), so fanning out builds no closure and no condition variable
+// per request: a fan makes its join and its per-component process bodies
+// once, when it is first needed.
+type fan struct {
+	groups [][]dev.Part
+	tasks  []func(*sim.Proc) error
+	errs   []error
+	write  bool
+	done   int
+	join   *sim.Cond
+	procs  []func(*sim.Proc) // procs[i] runs component i's share in a process of its own
 }
 
-// fanoutAll is fanout returning every component's error by index instead
-// of just the first — the degraded-read path needs to know *which* spindle
-// refused so it can reconstruct exactly those extents from the survivors.
-// The execution schedule (inline single task, spawn order, join) is
-// identical to fanout's.
-func fanoutAll(p *sim.Proc, names *fanNames, tasks []func(*sim.Proc) error) []error {
-	errs := make([]error, len(tasks))
+// fanOut runs each component's share of a request and sets errs[i], zero on
+// entry, to component i's error: its task where tasks has one (Flush), else
+// its transfers groups[i] (runOps). A lone share runs inline in p —
+// byte-identical in virtual time to the historical serial path, which keeps
+// single-spindle baselines bit-for-bit unchanged — and takes nothing from the
+// farm. Several each get their own simulated process, spawned in
+// component-index order so kernel event sequence numbers (and thus every FIFO
+// tie-break) are deterministic, and joined on the condition variable of a fan
+// of names' kind.
+func (f *Farm) fanOut(p *sim.Proc, names *fanNames, groups [][]dev.Part, tasks []func(*sim.Proc) error, write bool, errs []error) {
 	busy, last := 0, -1
-	for i, t := range tasks {
-		if t != nil {
+	for i := range errs {
+		if len(groups[i]) > 0 || tasks != nil && tasks[i] != nil {
 			busy++
 			last = i
 		}
 	}
 	switch busy {
 	case 0:
-		return errs
+		return
 	case 1:
-		errs[last] = tasks[last](p)
-		return errs
+		errs[last] = f.share(p, last, groups, tasks, write)
+		return
 	}
+	var fn *fan
+	if n := len(names.free); n > 0 {
+		fn, names.free = names.free[n-1], names.free[:n-1]
+	} else {
+		fn = f.newFan(p.Kernel(), names)
+	}
+	copy(fn.groups, groups)
+	if tasks != nil {
+		copy(fn.tasks, tasks)
+	}
+	fn.write = write
 	k := p.Kernel()
-	done := 0
-	join := k.NewCond(names.join)
-	for i, t := range tasks {
-		if t == nil {
-			continue
+	for i, body := range fn.procs {
+		if len(fn.groups[i]) > 0 || fn.tasks[i] != nil {
+			k.Go(names.proc[i], body)
 		}
-		i, t := i, t
-		k.Go(names.proc[i], func(cp *sim.Proc) {
-			errs[i] = t(cp)
-			done++
-			join.Broadcast()
-		})
 	}
-	for done < busy {
-		join.Wait(p)
+	for fn.done < busy {
+		fn.join.Wait(p)
 	}
-	return errs
+	copy(errs, fn.errs)
+	clear(fn.groups)
+	clear(fn.tasks)
+	clear(fn.errs)
+	fn.done = 0
+	names.free = append(names.free, fn)
 }
 
-// dispatch runs each component's transfers (runOps) through fanout.
-func (f *Farm) dispatch(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool) error {
+// newFan makes a fan of names' kind.
+func (f *Farm) newFan(k *sim.Kernel, names *fanNames) *fan {
+	n := len(f.devs)
+	fn := &fan{
+		groups: make([][]dev.Part, n),
+		tasks:  make([]func(*sim.Proc) error, n),
+		errs:   make([]error, n),
+		join:   k.NewCond(names.join),
+		procs:  make([]func(*sim.Proc), n),
+	}
+	for i := range fn.procs {
+		fn.procs[i] = func(cp *sim.Proc) {
+			fn.errs[i] = f.share(cp, i, fn.groups, fn.tasks, fn.write)
+			fn.done++
+			fn.join.Broadcast()
+		}
+	}
+	return fn
+}
+
+// share runs component i's share of a fan-out in process p.
+func (f *Farm) share(p *sim.Proc, i int, groups [][]dev.Part, tasks []func(*sim.Proc) error, write bool) error {
+	if tasks != nil && tasks[i] != nil {
+		return tasks[i](p)
+	}
+	return runOps(p, f.devs[i], groups[i], f.unit, write)
+}
+
+// dispatch issues exts, each component's in request order (byDisk), as one
+// fan-out of the kind names names.
+func (f *Farm) dispatch(p *sim.Proc, names *fanNames, exts []extent, write bool) error {
+	var gs [spindles][]dev.Part
 	var es [spindles]error
-	errs := perSpindle(es[:], len(groups))
-	f.dispatchAll(p, names, groups, write, errs)
+	groups, errs := perSpindle(gs[:], len(f.devs)), perSpindle(es[:], len(f.devs))
+	flat := f.byDisk(groups, exts, f.failed)
+	f.fanOut(p, names, groups, nil, write, errs)
+	f.putParts(flat)
+	return firstErr(errs)
+}
+
+// firstErr is a fan-out's verdict: the error of the lowest component that
+// failed — a rule independent of completion order.
+func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// dispatchAll is dispatch setting errs[i], zero on entry, to component i's
-// error (fanoutAll). A lone group runs inline in p, as fanoutAll runs a lone
-// task, but with no task built for it: a request that reaches one spindle
-// allocates nothing here.
-func (f *Farm) dispatchAll(p *sim.Proc, names *fanNames, groups [][]dev.Part, write bool, errs []error) {
-	busy, last := 0, -1
-	for i, g := range groups {
-		if len(g) > 0 {
-			busy++
-			last = i
-		}
-	}
-	if busy == 1 {
-		errs[last] = runOps(p, f.devs[last], groups[last], f.unit, write)
-		return
-	}
-	tasks := make([]func(*sim.Proc) error, len(groups))
-	for i, g := range groups {
-		if len(g) > 0 {
-			d := f.devs[i]
-			tasks[i] = func(cp *sim.Proc) error { return runOps(cp, d, g, f.unit, write) }
-		}
-	}
-	copy(errs, fanoutAll(p, names, tasks))
 }
