@@ -211,7 +211,10 @@ loc:
 # routine the disk runs at write time or later, and the parity write's lane
 # lists in stripe, net of writeParity's own XOR loop.
 # Raised 24179 -> 24510 by partial rows by reference (dev's extent lend and writeXor, stripe's kept fans and parity-write scratch), the hand-over audit (item 19) and benchcheck -pairs (item 7(a)).
-LOC_MAX = 24510
+# Raised 24510 -> 24536 by the buffer cache's header free list (dropBuf's
+# dropped list, unlock, which frees it at each release of the lock, and
+# insertBuf's reuse).
+LOC_MAX = 24536
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -135,7 +135,9 @@ func (fs *FS) evictLocked() {
 // dropBuf removes b, dirty or not, from the cache and takes its block back
 // into the free list, unless the block is lent. b is dead afterwards: its
 // data is gone, so a holder that kept the pointer across an insertBuf (which
-// may evict) faults instead of reading another block's bytes.
+// may evict) faults instead of reading another block's bytes. The header
+// waits in fs.droppedBufs until the operation releases the lock (unlock), so
+// it stays dead for the rest of the operation that dropped it.
 func (fs *FS) dropBuf(b *buf) {
 	fs.markClean(b)
 	b.on.remove(b)
@@ -144,7 +146,20 @@ func (fs *FS) dropBuf(b *buf) {
 	if !b.lent {
 		fs.freeBlock(b.data)
 	}
+	if poisonFreed { // 0xDB bytes, as freeBlock's
+		*b = buf{key: bufKey{0xDBDBDBDB, -0x24242425}, addr: 0xDBDBDBDB}
+	}
 	b.data = nil
+	fs.droppedBufs = append(fs.droppedBufs, b)
+}
+
+// unlock releases the lock at the end of an operation, or of one attempt of
+// readOnly's. No *buf is held across a release, so the headers dropped while
+// the lock was held become insertBuf's to reuse.
+func (fs *FS) unlock(p *sim.Proc) {
+	fs.freeBufs = append(fs.freeBufs, fs.droppedBufs...)
+	fs.droppedBufs = fs.droppedBufs[:0]
+	fs.lock.Release(p)
 }
 
 // writable makes b's bytes the cache's own before a write into them: a lent
@@ -224,12 +239,19 @@ func (fs *FS) lookupBuf(inum uint32, lbn int32) *buf {
 
 // insertBuf adds a block to the cache. data must come from newBlock (or
 // newZeroBlock) and is owned by the cache afterwards; dropBuf recycles it.
+// The header is one an earlier operation dropped, when there is one.
 func (fs *FS) insertBuf(inum uint32, lbn int32, data []byte, at addr.BlockNo, dirty bool) *buf {
 	key := bufKey{inum, lbn}
 	if old, ok := fs.bufs[key]; ok {
 		fs.dropBuf(old)
 	}
-	b := &buf{key: key, data: data, addr: at}
+	var b *buf
+	if n := len(fs.freeBufs); n > 0 {
+		b, fs.freeBufs = fs.freeBufs[n-1], fs.freeBufs[:n-1]
+	} else {
+		b = new(buf)
+	}
+	*b = buf{key: key, data: data, addr: at}
 	fs.bufs[key] = b
 	fs.bufBytes += BlockSize
 	fs.lruFront(b)

@@ -210,7 +210,7 @@ func (fs *FS) markCleanLocked(seg addr.SegNo) {
 // and marks them clean. It returns the number of blocks relocated.
 func (fs *FS) CleanSegments(p *sim.Proc, segs []addr.SegNo) (int, error) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	return fs.cleanSegmentsLocked(p, segs)
 }
 

@@ -166,7 +166,7 @@ func (fs *FS) writeDirLocked(p *sim.Proc, ino *dinode, ents []Dirent) error {
 // Create makes a new empty regular file.
 func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	ino, err := fs.createLocked(p, path, TypeFile)
 	if err != nil {
 		return nil, err
@@ -244,7 +244,7 @@ func (fs *FS) OpenInum(p *sim.Proc, inum uint32) (*File, error) {
 // Mkdir creates a directory.
 func (fs *FS) Mkdir(p *sim.Proc, path string) error {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	_, err := fs.createLocked(p, path, TypeDir)
 	return err
 }
@@ -264,7 +264,7 @@ func (fs *FS) ReadDir(p *sim.Proc, path string) (ents []Dirent, err error) {
 // Remove deletes a file or an empty directory.
 func (fs *FS) Remove(p *sim.Proc, path string) error {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	d, err := fs.editDir(p, path)
 	if err != nil {
 		return err
@@ -295,7 +295,7 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 // Rename moves a file or directory; the destination must not exist.
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	from, err := fs.editDir(p, oldPath)
 	if err != nil {
 		return err
@@ -341,7 +341,7 @@ func (fs *FS) Stat(p *sim.Proc, path string) (fi FileInfo, err error) {
 // migration policies rely on (§5.3).
 func (fs *FS) Walk(p *sim.Proc, root string, fn func(path string, fi FileInfo) error) error {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	inum, err := fs.resolveLocked(p, root)
 	if err != nil {
 		return err

@@ -193,7 +193,7 @@ type fillScratch struct {
 // segment's worth accumulates (or at Sync/Checkpoint).
 func (f *File) WriteAt(p *sim.Proc, b []byte, off int64) (int, error) {
 	f.fs.acquire(p)
-	defer f.fs.lock.Release(p)
+	defer f.fs.unlock(p)
 	return f.fs.writeAtLocked(p, f.inum, b, off)
 }
 
@@ -269,7 +269,7 @@ func (fs *FS) writeAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int,
 // Truncate sets the file size, freeing blocks beyond it.
 func (f *File) Truncate(p *sim.Proc, size uint64) error {
 	f.fs.acquire(p)
-	defer f.fs.lock.Release(p)
+	defer f.fs.unlock(p)
 	ino, err := f.fs.iget(p, f.inum)
 	if err != nil {
 		return err

@@ -199,6 +199,10 @@ type FS struct {
 	tableImage []byte // serializeTables' checkpoint table image
 	flush      flushScratch
 
+	// Buffer headers dropBuf took back: dropped ones wait for unlock, free
+	// ones are insertBuf's to reuse.
+	droppedBufs, freeBufs []*buf
+
 	cacheInUse  int  // disk segments currently holding cached tertiary lines
 	inFlush     bool // guards against recursive segment writes
 	inEmergency bool // guards against recursive emergency cleaning
@@ -400,7 +404,7 @@ func Mount(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, error
 // the walk may read directories resident on tertiary storage.
 func (fs *FS) RepairDangling(p *sim.Proc) (int, error) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	dropped, err := fs.repairDanglingLocked(p)
 	fs.recovery.DanglingDropped += dropped
 	return dropped, err
@@ -617,7 +621,7 @@ func (fs *FS) writeCheckpointLocked(p *sim.Proc) error {
 // Checkpoint flushes all dirty state and writes a recovery checkpoint.
 func (fs *FS) Checkpoint(p *sim.Proc) error {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	return fs.checkpointLocked(p)
 }
 
@@ -635,7 +639,7 @@ func (fs *FS) Checkpoint(p *sim.Proc) error {
 // from a namespace walk (RecomputeLiveBytes).
 func (fs *FS) CheckpointTables(p *sim.Proc) error {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	return fs.writeCheckpointLocked(p)
 }
 
@@ -682,7 +686,7 @@ func (fs *FS) RecomputeLiveBytes(p *sim.Proc) error {
 		}
 	}
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	for s := range fs.seguse {
 		su := &fs.seguse[s]
 		if s < int(fs.sb.ReservedSegs) || su.Flags&SegCached != 0 {
@@ -705,7 +709,7 @@ func (fs *FS) RecomputeLiveBytes(p *sim.Proc) error {
 // (roll-forward replays it from the log).
 func (fs *FS) Sync(p *sim.Proc) error {
 	fs.acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	if err := fs.flushLocked(p, true); err != nil {
 		return err
 	}
@@ -814,7 +818,7 @@ func (fs *FS) applyPsegment(seg addr.SegNo, off int, sum *Summary, body []byte) 
 // clean disk segment as a cache line for tertiary segment index tag.
 func (fs *FS) AllocCacheSegment(p *sim.Proc, tag uint32, staging bool) (addr.SegNo, error) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	if fs.cacheInUse >= int(fs.sb.CacheSegs) {
 		return 0, ErrNoSpace
 	}
@@ -1004,7 +1008,7 @@ func (fs *FS) Usage() Usage {
 // after writing out dirty state. Benchmarks use it to force cold reads.
 func (fs *FS) FlushCaches(p *sim.Proc) error {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	if err := fs.flushLocked(p, true); err != nil {
 		return err
 	}

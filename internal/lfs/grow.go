@@ -32,7 +32,7 @@ func (fs *FS) CanGrow(n int) error {
 // the new segments are readable and classified as disk segments.
 func (fs *FS) GrowDisk(p *sim.Proc, n int) error {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	if err := fs.CanGrow(n); err != nil {
 		return err
 	}

@@ -193,23 +193,11 @@ func BenchmarkLFSCleanSegment(b *testing.B) {
 // BenchmarkBufferEvict: an insert into a full buffer cache whose LRU victim
 // is a pointer block of migrated data and whose reserve is full, so each
 // insert moves one buffer to the reserve and drops the reserve's oldest: the
-// longest path through evictLocked. The block is recycled; the one allocation
-// per insert is the buf header, which is not (dropBuf leaves a stale *buf
-// faulting, not aliasing another block).
+// longest path through evictLocked (evictRig). Each insert is an operation
+// of its own, so its block and its header are recycled.
 func BenchmarkBufferEvict(b *testing.B) {
-	k := sim.NewKernel()
-	amap := addr.New(64, 64, addr.Geom{Vols: 1, SegsPerVol: 8})
-	disk := dev.NewDisk(k, dev.RZ57, 64*64, nil)
-	k.RunProc(func(p *sim.Proc) {
-		fs, err := Format(p, DiskDevice{disk}, amap, Options{MaxInodes: 64, BufferBytes: 64 * BlockSize})
-		if err != nil {
-			b.Fatal(err)
-		}
-		at := amap.BlockOf(amap.SegForIndex(0), 1)
-		insert := func(i int) { fs.insertBuf(uint32(i%1024), LbnSingle, fs.newBlock(), at, false) }
-		for i := 0; i < 1024; i++ {
-			insert(i) // fills both lists and stocks the free list
-		}
+	sim.NewKernel().RunProc(func(p *sim.Proc) {
+		fs, insert := evictRig(b, p)
 		poisonFreed = false // poison_test.go: a 4 KB fill per freed block would be all this measures
 		defer func() { poisonFreed = true }()
 		b.ReportAllocs()
@@ -218,8 +206,8 @@ func BenchmarkBufferEvict(b *testing.B) {
 			insert(i)
 		}
 		b.StopTimer()
-		if fs.bufBytes != fs.opts.BufferBytes || fs.reserve.n*BlockSize != fs.opts.BufferBytes/reserveShare {
-			b.Fatalf("not the steady state: %d bytes cached, %d blocks in the reserve", fs.bufBytes, fs.reserve.n)
+		if err := evictSteady(fs); err != nil {
+			b.Fatal(err)
 		}
 	})
 }
@@ -256,10 +244,11 @@ func fetchSegments(tb testing.TB, p *sim.Proc, fs *FS, disk *dev.Disk, inum uint
 // benchReadLine times reading a 1 MB file back through the buffer cache
 // after FlushCaches: from segments the disk adopted, as a demand fetch
 // leaves a cache line (fetched), or from the disk's own extents. The free
-// list is not poisoned here, as in the program.
+// list is not poisoned here, and the hand-over audit is off, as in the
+// program.
 func benchReadLine(b *testing.B, fetched bool) {
-	defer func(was bool) { poisonFreed = was }(poisonFreed)
-	poisonFreed = false
+	defer func(was bool, audit *dev.HandOvers) { poisonFreed, dev.Audit = was, audit }(poisonFreed, dev.Audit)
+	poisonFreed, dev.Audit = false, nil
 	e := newEnv(b, 256, 64, Options{MaxInodes: 64, BufferBytes: 8 << 20})
 	e.k.RunProc(func(p *sim.Proc) {
 		f, err := e.fs.Create(p, "/line")

@@ -24,7 +24,7 @@ import (
 // first so that every block has a media address; call Sync beforehand.
 func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	ino, err := fs.iget(p, inum)
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ type MigrateResult struct {
 // segment.
 func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSeg, cacheSeg addr.SegNo, off int, line []byte) (*MigrateResult, error) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	res := &MigrateResult{Applied: make([]bool, len(refs)), NextOff: off, Consumed: len(refs)}
 
 	// Filter to live, stable blocks.
@@ -275,7 +275,7 @@ func (fs *FS) ReadRawBlocks(p *sim.Proc, a addr.BlockNo, buf []byte) error {
 // benchmarks forcing cold caches).
 func (fs *FS) DropFileBuffers(p *sim.Proc, inum uint32) {
 	fs.lock.Acquire(p)
-	defer fs.lock.Release(p)
+	defer fs.unlock(p)
 	var victims []*buf
 	for _, b := range fs.bufs {
 		if b.key.inum == inum && !b.dirty {

@@ -70,7 +70,7 @@ func (fs *FS) readOnly(p *sim.Proc, body func() error) error {
 		fs.op = op
 		err := body()
 		op, fs.op = fs.op, readOp{}
-		fs.lock.Release(p)
+		fs.unlock(p)
 		nr, faulted := err.(notResident)
 		if !faulted {
 			return err
