@@ -6,39 +6,33 @@ import (
 	"testing"
 )
 
-// TestTracingDoesNotPerturbRecovery runs a reduced crash matrix twice —
-// once plain, once with full-retention tracing on every device and the
-// core — and requires identical recovery digests with zero problems in
-// both. Tracing reads the virtual clock but never advances it, so an
-// instrumented run must be bit-for-bit the same simulation. Two cuts
-// per phase keep this cheap next to TestCrashMatrix's eight.
+// TestTracingDoesNotPerturbRecovery runs a reduced crash matrix with
+// full-retention tracing on every device and the core, and requires zero
+// problems and, at every cut, the digest the untraced matrix of
+// testdata/matrix.golden recorded at that event. Tracing reads the virtual
+// clock but never advances it, so an instrumented run must be bit-for-bit the
+// same simulation. Two cuts per phase (each phase's first and last event, both
+// cut by TestCrashMatrix's eight) keep this cheap.
 func TestTracingDoesNotPerturbRecovery(t *testing.T) {
-	plain := defaultConfig()
 	traced := defaultConfig()
 	traced.Trace = true
-
-	repPlain, err := runMatrix(plain, 2)
+	rep, err := runMatrix(traced, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repTraced, err := runMatrix(traced, 2)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]bool{}
+	for _, line := range golden(t, "default") {
+		want[line] = true
 	}
-	if len(repTraced.Outcomes) != len(repPlain.Outcomes) {
-		t.Fatalf("traced matrix ran %d cuts, plain %d", len(repTraced.Outcomes), len(repPlain.Outcomes))
-	}
-	for i, o := range repTraced.Outcomes {
+	for _, o := range rep.Outcomes {
 		if len(o.Violations) > 0 {
 			t.Errorf("traced cut at event %d (%s): %v", o.Event, o.Phase, o.Violations)
 		}
 		if o.FsckProblems > 0 {
 			t.Errorf("traced cut at event %d (%s): %d fsck problems", o.Event, o.Phase, o.FsckProblems)
 		}
-		po := repPlain.Outcomes[i]
-		if o.Digest != po.Digest {
-			t.Errorf("cut %d: tracing changed the recovery digest (event %d, %s): %s vs %s",
-				i, o.Event, o.Phase, o.Digest[:12], po.Digest[:12])
+		if line := goldenLine("default", o); !want[line] {
+			t.Errorf("tracing changed the recovery at event %d (%s): %q is not in the golden", o.Event, o.Phase, line)
 		}
 	}
 }
