@@ -439,18 +439,13 @@ func recoveryDemo() error {
 		if derr != nil {
 			return
 		}
-		// Final sync, power-cut mid-flush: the snapshot is taken from a
-		// media-write callback while the volatile write cache still holds
-		// the tail of the log.
-		nwrites := 0
-		disk.OnMediaWrite = func(int64) {
-			nwrites++
-			if nwrites == 5 {
-				cutErr = errors.Join(disk.SaveStore(&diskImg), juke.SaveStore(&jukeImg))
-				cut = p.Now()
-				wdirty = disk.WriteCacheDirty()
-			}
-		}
+		// Final sync, power-cut mid-flush at the fifth block to reach the
+		// platter, with the tail of the log in the volatile write cache.
+		disk.Cut = &dev.Cut{Target: 5, At: func() {
+			cutErr = errors.Join(disk.SaveStore(&diskImg), juke.SaveStore(&jukeImg))
+			cut = p.Now()
+			wdirty = disk.WriteCacheDirty()
+		}}
 		write("/unsynced", 24)
 		if derr == nil {
 			derr = hl.FS.Sync(p)

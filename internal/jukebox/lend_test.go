@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/dev"
 	"repro/internal/sim"
 )
 
@@ -54,87 +55,92 @@ func TestLendNeverWrittenIsNil(t *testing.T) {
 	})
 }
 
-// TestTornWriteHookSeesNewHeadOldTail: at the first OnMediaWrite point of a
-// rewrite the medium holds the new first half and the old second half (what
-// a power cut there leaves), at the second the whole new segment; an image
-// lent before the rewrite sees neither.
+// TestTornWriteHookSeesNewHeadOldTail: a cut at the first event of a rewrite
+// sees the medium hold the new first half and the old second half (what a
+// power cut there leaves), one at the second the whole new segment; an image
+// lent before the rewrite sees neither. Each cut fires once, and the rewrite
+// counts two events.
 func TestTornWriteHookSeesNewHeadOldTail(t *testing.T) {
-	k := sim.NewKernel()
-	j := newMO(k, 1, 1, 4)
 	half := segBytes / 2
-	k.RunProc(func(p *sim.Proc) {
-		if err := j.WriteSegment(p, 0, 3, bytes.Repeat([]byte{0x01}, segBytes)); err != nil {
-			t.Fatal(err)
-		}
-		lent, err := j.LendSegment(p, 0, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls := 0
-		j.OnMediaWrite = func(vol, seg int) {
-			calls++
-			now := j.vols[vol].store[seg]
-			tail := byte(0x01)
-			if calls == 2 {
-				tail = 0x02
+	for target := int64(1); target <= 2; target++ {
+		k := sim.NewKernel()
+		j := newMO(k, 1, 1, 4)
+		k.RunProc(func(p *sim.Proc) {
+			if err := j.WriteSegment(p, 0, 3, bytes.Repeat([]byte{0x01}, segBytes)); err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(now[:half], bytes.Repeat([]byte{0x02}, half)) || !bytes.Equal(now[half:], bytes.Repeat([]byte{tail}, half)) {
-				t.Errorf("hook %d: the medium does not hold the new head and the %#x tail", calls, tail)
+			lent, err := j.LendSegment(p, 0, 3)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !bytes.Equal(lent, bytes.Repeat([]byte{0x01}, segBytes)) {
-				t.Errorf("hook %d: the image lent before the rewrite changed", calls)
+			fired := 0
+			j.Cut = &dev.Cut{Target: target, At: func() {
+				fired++
+				now := j.vols[0].store[3]
+				tail := byte(0x01)
+				if target == 2 {
+					tail = 0x02
+				}
+				if !bytes.Equal(now[:half], bytes.Repeat([]byte{0x02}, half)) || !bytes.Equal(now[half:], bytes.Repeat([]byte{tail}, half)) {
+					t.Errorf("cut at %d: the medium does not hold the new head and the %#x tail", target, tail)
+				}
+				if !bytes.Equal(lent, bytes.Repeat([]byte{0x01}, segBytes)) {
+					t.Errorf("cut at %d: the image lent before the rewrite changed", target)
+				}
+			}}
+			if err := j.WriteSegment(p, 0, 3, bytes.Repeat([]byte{0x02}, segBytes)); err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := j.WriteSegment(p, 0, 3, bytes.Repeat([]byte{0x02}, segBytes)); err != nil {
-			t.Fatal(err)
-		}
-		if calls != 2 {
-			t.Fatalf("OnMediaWrite fired %d times, want 2", calls)
-		}
-	})
+			if fired != 1 || j.Cut.N != 2 {
+				t.Fatalf("cut at %d fired %d times over %d events, want once over 2", target, fired, j.Cut.N)
+			}
+		})
+	}
 }
 
 // TestAdoptSegmentKeepsTheBufferWriteSegmentCopies: AdoptSegment installs the
-// caller's buffer itself — the next lend returns it — and under observation its
-// first point is a torn image of its own, the new head over the old tail, its
-// second the buffer. WriteSegment copies: changing its buffer afterwards
+// caller's buffer itself — the next lend returns it — and a cut at its first
+// event sees a torn image of its own, the new head over the old tail, one at
+// its second the buffer. WriteSegment copies: changing its buffer afterwards
 // changes nothing on the medium.
 func TestAdoptSegmentKeepsTheBufferWriteSegmentCopies(t *testing.T) {
-	k := sim.NewKernel()
-	j := newMO(k, 1, 1, 4)
 	half := segBytes / 2
-	k.RunProc(func(p *sim.Proc) {
-		buf := bytes.Repeat([]byte{0x01}, segBytes)
-		if err := j.WriteSegment(p, 0, 1, buf); err != nil {
-			t.Fatal(err)
-		}
-		clear(buf)
-		if lent, err := j.LendSegment(p, 0, 1); err != nil || !bytes.Equal(lent, bytes.Repeat([]byte{0x01}, segBytes)) {
-			t.Fatalf("changing WriteSegment's buffer afterwards changed the medium (%v)", err)
-		}
+	for target := int64(1); target <= 2; target++ {
+		k := sim.NewKernel()
+		j := newMO(k, 1, 1, 4)
+		k.RunProc(func(p *sim.Proc) {
+			buf := bytes.Repeat([]byte{0x01}, segBytes)
+			if err := j.WriteSegment(p, 0, 1, buf); err != nil {
+				t.Fatal(err)
+			}
+			clear(buf)
+			if lent, err := j.LendSegment(p, 0, 1); err != nil || !bytes.Equal(lent, bytes.Repeat([]byte{0x01}, segBytes)) {
+				t.Fatalf("changing WriteSegment's buffer afterwards changed the medium (%v)", err)
+			}
 
-		img := bytes.Repeat([]byte{0x02}, segBytes)
-		calls := 0
-		j.OnMediaWrite = func(vol, seg int) {
-			calls++
-			now := j.vols[vol].store[seg]
-			if own := &now[0] == &img[0]; own != (calls == 2) {
-				t.Errorf("hook %d: the medium holds the adopted buffer itself: %v", calls, own)
+			img := bytes.Repeat([]byte{0x02}, segBytes)
+			fired := 0
+			j.Cut = &dev.Cut{Target: target, At: func() {
+				fired++
+				now := j.vols[0].store[1]
+				if own := &now[0] == &img[0]; own != (target == 2) {
+					t.Errorf("cut at %d: the medium holds the adopted buffer itself: %v", target, own)
+				}
+				if target == 1 && (!bytes.Equal(now[:half], img[:half]) || !bytes.Equal(now[half:], bytes.Repeat([]byte{0x01}, half))) {
+					t.Error("cut at 1: the torn image does not hold the new head and the old tail")
+				}
+			}}
+			if err := j.AdoptSegment(p, 0, 1, img); err != nil {
+				t.Fatal(err)
 			}
-			if calls == 1 && (!bytes.Equal(now[:half], img[:half]) || !bytes.Equal(now[half:], bytes.Repeat([]byte{0x01}, half))) {
-				t.Error("hook 1: the torn image does not hold the new head and the old tail")
+			if fired != 1 {
+				t.Fatalf("cut at %d fired %d times, want once", target, fired)
 			}
-		}
-		if err := j.AdoptSegment(p, 0, 1, img); err != nil {
-			t.Fatal(err)
-		}
-		if calls != 2 {
-			t.Fatalf("OnMediaWrite fired %d times, want 2", calls)
-		}
-		j.OnMediaWrite = nil
-		lent, err := j.LendSegment(p, 0, 1)
-		if err != nil || &lent[0] != &img[0] {
-			t.Fatalf("the lend after AdoptSegment does not return the adopted buffer (%v)", err)
-		}
-	})
+			j.Cut = nil
+			lent, err := j.LendSegment(p, 0, 1)
+			if err != nil || &lent[0] != &img[0] {
+				t.Fatalf("the lend after AdoptSegment does not return the adopted buffer (%v)", err)
+			}
+		})
+	}
 }

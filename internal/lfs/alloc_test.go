@@ -136,13 +136,10 @@ func TestFlushSteadyStateAllocations(t *testing.T) {
 
 // TestMigratevSteadyStateAllocations: one Migratev call gathers its run
 // straight into the staging line's image and writes the staged partial
-// segment from there, kept; every call is given the same image, so a buffer
-// Migratev allocated per op would show. Each call thereby rewrites the
-// image the disk kept from the call before, which the hand-over audit would
-// report; it is off for this test.
+// segment from there, kept. Each call is given a fresh image, allocated
+// before the measured call (the disk keeps the one before, which nobody
+// changes again), so a buffer Migratev allocated per op would show.
 func TestMigratevSteadyStateAllocations(t *testing.T) {
-	defer func(audit *dev.HandOvers) { dev.Audit = audit }(dev.Audit)
-	dev.Audit = nil
 	env := allocEnv(t, 64, 64, Options{CacheSegs: 2}, addr.Geom{Vols: 1, SegsPerVol: 8})
 	env.run(t, func(p *sim.Proc) {
 		const blocks = 16
@@ -152,9 +149,10 @@ func TestMigratevSteadyStateAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		line := make([]byte, 64*BlockSize)
+		var line []byte
 		var refs []BlockRef
 		prepare := func() {
+			line = make([]byte, 64*BlockSize)
 			// Bring the file back to fresh disk addresses.
 			if _, err := f.WriteAt(p, data, 0); err != nil {
 				t.Fatal(err)

@@ -90,11 +90,12 @@ func TestDeadAtTableCheckpointSurvivesPowerCut(t *testing.T) {
 			}
 		}
 		cut()
-		disk.OnMediaWrite = func(int64) { cut() }
+		disk.Cut = &dev.Cut{Target: 1}
+		disk.Cut.At = func() { cut(); disk.Cut.Target++ } // a cut at every media write
 		if err := fs.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}
-		disk.OnMediaWrite = nil
+		disk.Cut = nil
 		for _, s := range dead {
 			if !fs.Discarded(s) {
 				t.Errorf("segment %d, dead, kept after the full checkpoint", s)

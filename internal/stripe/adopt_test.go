@@ -2,7 +2,6 @@ package stripe
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -362,154 +361,83 @@ func TestParityAloneOnItsSpindle(t *testing.T) {
 	}
 }
 
-// logDisk is a farm component that logs every call the farm makes of it: the
-// time, the spindle, the call and the blocks it moves.
-type logDisk struct {
-	*dev.Disk
-	i   int
-	log *[]string
-}
-
-func (l logDisk) note(p *sim.Proc, op string, blk int64, n int, parts int) {
-	*l.log = append(*l.log, fmt.Sprintf("%v disk %d %s [%d,%d) in %d parts", p.Now(), l.i, op, blk, blk+int64(n/dev.BlockSize), parts))
-}
-
-func (l logDisk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	l.note(p, "ReadBlocks", blk, len(buf), 1)
-	return l.Disk.ReadBlocks(p, blk, buf)
-}
-
-func (l logDisk) WriteBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	l.note(p, "WriteBlocks", blk, len(buf), 1)
-	return l.Disk.WriteBlocks(p, blk, buf)
-}
-
-func (l logDisk) ReadParts(p *sim.Proc, parts []dev.Part) error {
-	l.note(p, "ReadParts", parts[0].Blk, int(end(parts[len(parts)-1])-parts[0].Blk)*dev.BlockSize, len(parts))
-	return l.Disk.ReadParts(p, parts)
-}
-
-func (l logDisk) WriteParts(p *sim.Proc, parts []dev.Part) error {
-	l.note(p, "WriteParts", parts[0].Blk, int(end(parts[len(parts)-1])-parts[0].Blk)*dev.BlockSize, len(parts))
-	return l.Disk.WriteParts(p, parts)
-}
-
 // TestPartialRowsByReference: partial rows written kept and plain around an
 // adopted line, and with a spindle failed, on the unit-16 four-spindle parity
-// farm. On plain disks writeParity's read-back borrows the line's lanes and a
-// kept row whose lanes are all immutable leaves its parity pending; on
-// watched ones (OnMediaWrite) the disks lend, keep and leave pending nothing.
-// Both farms must make the same component calls at the same times and end
-// with the same dev stats and the same bytes on every spindle, parity units
-// included; every row's units XOR to zero until the spindle fails, and the
-// farm reads back what was written, degraded after.
+// farm. writeParity's read-back borrows the line's lanes and a kept row whose
+// lanes are all immutable leaves its parity pending; every row's units XOR to
+// zero until the spindle fails, and the farm reads back what was written,
+// degraded after.
 func TestPartialRowsByReference(t *testing.T) {
 	const unitB = unitBlocks * dev.BlockSize
-	type result struct {
-		log   []string
-		stats []dev.DiskStats
-		raw   [][]byte
-	}
-	run := func(t *testing.T, watched bool) (res result) {
-		sim.NewKernel().RunProc(func(p *sim.Proc) {
-			var devs []dev.BlockDev
-			var disks []*dev.Disk
-			for i := range 4 {
-				d := dev.NewDisk(p.Kernel(), dev.RZ57, 1024, nil)
-				if watched {
-					d.OnMediaWrite = func(int64) {}
-				}
-				devs, disks = append(devs, logDisk{d, i, &res.log}), append(disks, d)
+	sim.NewKernel().RunProc(func(p *sim.Proc) {
+		var devs []dev.BlockDev
+		var disks []*dev.Disk
+		for range 4 {
+			d := dev.NewDisk(p.Kernel(), dev.RZ57, 1024, nil)
+			devs, disks = append(devs, d), append(disks, d)
+		}
+		f := must(NewInterleave(unitBlocks, true, devs...))
+		model := make([]byte, farmSpan*dev.BlockSize)
+		writes := 0
+		write := func(kept bool, blk, nb int64) {
+			t.Helper()
+			writes++
+			buf := make([]byte, nb*dev.BlockSize)
+			for i := range buf {
+				buf[i] = byte(i*29 + int(blk) + writes)
 			}
-			f := must(NewInterleave(unitBlocks, true, devs...))
-			model := make([]byte, farmSpan*dev.BlockSize)
-			write := func(kept bool, blk, nb int64) {
-				t.Helper()
-				buf := make([]byte, nb*dev.BlockSize)
-				for i := range buf {
-					buf[i] = byte(i*29 + int(blk) + len(res.log))
-				}
-				w := f.WriteBlocks
-				if kept {
-					w = f.AdoptBlocks
-				}
-				if err := w(p, blk, buf); err != nil {
-					t.Fatal(err)
-				}
-				copy(model[blk*dev.BlockSize:], buf)
+			w := f.WriteBlocks
+			if kept {
+				w = f.AdoptBlocks
 			}
-			resident := func() int64 {
-				n := int64(0)
-				for _, b := range f.Resident(dev.Resident{}) {
-					n += b
-				}
-				return n
-			}
-			write(true, lineStart, segLine) // the line: rows 5-10, rows 6-9 whole
-			// Row 6 is [288,336), all of it in the line: lane 1 written whole
-			// and kept, lanes 0 and 2 lent by their disks, so the row's new
-			// parity stays pending, as the line left it. The farm then holds
-			// nothing more: the new lane in place of the old, and no extent
-			// for the parity, which the fresh disk has no spare one for.
-			// Watched disks write both into the extents they own.
-			before := resident()
-			write(true, 304, unitBlocks)
-			if got := resident() - before; got != 0 {
-				t.Errorf("a kept row of lent lanes grew the farm by %d bytes, want 0", got)
-			}
-			write(false, 0, lineStart)
-			write(true, 338, 10)        // row 7's lane 0 in part: read back and overlaid
-			write(false, 400, 40)       // rows 8 and 9 in part, not kept
-			write(true, 230, 120)       // rows 4 and 7 in part, 5 and 6 whole
-			write(false, 2*segLine, 20) // row 10 in part, beside the never-written segment 2
-			rows := int64(farmSpan/(3*unitBlocks) + 1)
-			xor, raw := make([]byte, rows*unitB), make([]byte, rows*unitB)
-			for _, d := range disks {
-				if err := d.ReadBlocks(p, 0, raw); err != nil {
-					t.Fatal(err)
-				}
-				xorInto(xor, raw)
-			}
-			if i := slices.IndexFunc(xor, func(b byte) bool { return b != 0 }); i >= 0 {
-				t.Errorf("row %d's units do not XOR to zero", int64(i)/unitB)
-			}
-			f.setFailed(1, true) // row 7's lane 1: the write lives in its parity alone
-			write(true, 352, unitBlocks)
-			write(false, 300, 30)
-			got := make([]byte, len(model))
-			if err := f.ReadBlocks(p, 0, got); err != nil {
+			if err := w(p, blk, buf); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got, model) {
-				t.Error("the farm reads other than written")
-			}
-			for _, d := range disks {
-				res.stats = append(res.stats, d.Stats())
-				raw := make([]byte, rows*unitB)
-				if err := d.ReadBlocks(p, 0, raw); err != nil {
-					t.Fatal(err)
-				}
-				res.raw = append(res.raw, raw)
-			}
-		})
-		return res
-	}
-	plain, watched := run(t, false), run(t, true)
-	if !slices.Equal(plain.log, watched.log) {
-		for i := range min(len(plain.log), len(watched.log)) {
-			if plain.log[i] != watched.log[i] {
-				t.Fatalf("component call %d: %s on plain disks, %s on watched ones", i, plain.log[i], watched.log[i])
-			}
+			copy(model[blk*dev.BlockSize:], buf)
 		}
-		t.Fatalf("%d component calls on plain disks, %d on watched ones", len(plain.log), len(watched.log))
-	}
-	if !slices.Equal(plain.stats, watched.stats) {
-		t.Errorf("dev stats differ: %+v on plain disks, %+v on watched ones", plain.stats, watched.stats)
-	}
-	for i := range plain.raw {
-		if !bytes.Equal(plain.raw[i], watched.raw[i]) {
-			t.Errorf("spindle %d holds other bytes on plain disks than on watched ones", i)
+		resident := func() int64 {
+			n := int64(0)
+			for _, b := range f.Resident(dev.Resident{}) {
+				n += b
+			}
+			return n
 		}
-	}
-	t.Logf("%d component calls", len(plain.log))
+		write(true, lineStart, segLine) // the line: rows 5-10, rows 6-9 whole
+		// Row 6 is [288,336), all of it in the line: lane 1 written whole
+		// and kept, lanes 0 and 2 lent by their disks, so the row's new
+		// parity stays pending, as the line left it. The farm then holds
+		// nothing more: the new lane in place of the old, and no extent
+		// for the parity, which the fresh disk has no spare one for.
+		before := resident()
+		write(true, 304, unitBlocks)
+		if got := resident() - before; got != 0 {
+			t.Errorf("a kept row of lent lanes grew the farm by %d bytes, want 0", got)
+		}
+		write(false, 0, lineStart)
+		write(true, 338, 10)        // row 7's lane 0 in part: read back and overlaid
+		write(false, 400, 40)       // rows 8 and 9 in part, not kept
+		write(true, 230, 120)       // rows 4 and 7 in part, 5 and 6 whole
+		write(false, 2*segLine, 20) // row 10 in part, beside the never-written segment 2
+		rows := int64(farmSpan/(3*unitBlocks) + 1)
+		xor, raw := make([]byte, rows*unitB), make([]byte, rows*unitB)
+		for _, d := range disks {
+			if err := d.ReadBlocks(p, 0, raw); err != nil {
+				t.Fatal(err)
+			}
+			xorInto(xor, raw)
+		}
+		if i := slices.IndexFunc(xor, func(b byte) bool { return b != 0 }); i >= 0 {
+			t.Errorf("row %d's units do not XOR to zero", int64(i)/unitB)
+		}
+		f.setFailed(1, true) // row 7's lane 1: the write lives in its parity alone
+		write(true, 352, unitBlocks)
+		write(false, 300, 30)
+		got := make([]byte, len(model))
+		if err := f.ReadBlocks(p, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, model) {
+			t.Error("the farm reads other than written")
+		}
+	})
 }

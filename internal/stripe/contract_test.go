@@ -43,7 +43,8 @@ func TestBlockDevContract(t *testing.T) {
 		}},
 		{"disk media-write hook", func(k *sim.Kernel) dev.BlockDev {
 			d := dev.NewDisk(k, dev.RZ57, 128, nil)
-			d.OnMediaWrite = func(int64) {} // every block lands one at a time, copied
+			d.Cut = &dev.Cut{Target: 1} // a cut at every block: each lands one at a time, copied
+			d.Cut.At = func() { d.Cut.Target++ }
 			return d
 		}},
 		{"concat", func(k *sim.Kernel) dev.BlockDev {
