@@ -37,10 +37,12 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Crash matrix: >= 40 deterministic power cuts across every pipeline
-# phase (seed pinned in crash.defaultConfig), each recovering with zero
-# fsck problems and zero durability violations. -count=1 forces a fresh
-# run even when the package test cache is warm.
+# Crash matrix: 40 deterministic power cuts across every pipeline phase
+# (seed pinned in crash.defaultConfig) on each of four rigs (the serial and
+# the two-stream pipeline, each write-cached and write-through), each
+# recovering with zero fsck problems and zero durability violations and
+# with the digest internal/crash/testdata/matrix.golden holds. -count=1
+# forces a fresh run even when the package test cache is warm.
 crash:
 	$(GO) test ./internal/crash/ -run TestCrashMatrix -count=1
 
@@ -67,8 +69,7 @@ crash:
 # of a parity farm with a spindle failed; one whole row of a parity farm
 # written kept and plain, each spindle's part a lone transfer, its parity the
 # XOR of its lanes and every degraded read right; partial rows written kept and
-# plain around a fetched line and with a spindle failed, the same component
-# calls, stats and bytes on plain and on watched disks), and a copied-out line's staged
+# plain around a fetched line and with a spindle failed), and a copied-out line's staged
 # image (the file rewritten, truncated and evicted, another staged after it,
 # the changers' image and the line unchanged), and discarding dead segments
 # (a power cut at every media write between a table-only checkpoint and the
