@@ -14,23 +14,23 @@ import (
 // through the log like any other file data (directories migrate to
 // tertiary storage exactly like file contents, §4).
 
-// splitPath normalizes a slash-separated absolute or relative path.
-func splitPath(path string) []string {
-	var parts []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
-		case "", ".":
-		default:
-			parts = append(parts, c)
+// nextName splits the first component that names something (neither empty
+// nor ".") off a slash-separated path, in place; name is "" when none is
+// left.
+func nextName(path string) (name, rest string) {
+	for path != "" {
+		name, path, _ = strings.Cut(path, "/")
+		if name != "" && name != "." {
+			return name, path
 		}
 	}
-	return parts
+	return "", ""
 }
 
 // resolveLocked walks path from the root, returning the final inum.
 func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 	cur := uint32(rootInum)
-	for _, name := range splitPath(path) {
+	for name, rest := nextName(path); name != ""; name, rest = nextName(rest) {
 		ino, err := fs.iget(p, cur)
 		if err != nil {
 			return 0, err
@@ -85,15 +85,19 @@ type dirEdit struct {
 // editDir resolves the directory containing the last component of path and
 // reads its entries.
 func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
-	parts := splitPath(path)
-	if len(parts) == 0 {
+	name, rest := nextName(path)
+	if name == "" {
 		return nil, fmt.Errorf("%q: %w", path, ErrExists)
 	}
+	// The directory's path is path up to the last component's start.
+	dirLen := 0
+	for n, r := nextName(rest); n != ""; n, r = nextName(r) {
+		name, rest, dirLen = n, r, len(path)-len(rest)
+	}
 	dirInum := uint32(rootInum)
-	if len(parts) > 1 {
+	if dirLen > 0 {
 		var err error
-		dirInum, err = fs.resolveLocked(p, strings.Join(parts[:len(parts)-1], "/"))
-		if err != nil {
+		if dirInum, err = fs.resolveLocked(p, path[:dirLen]); err != nil {
 			return nil, err
 		}
 	}
@@ -104,7 +108,7 @@ func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
 	if dir.Type != TypeDir {
 		return nil, ErrNotDir
 	}
-	d := &dirEdit{dir: dir, name: parts[len(parts)-1]}
+	d := &dirEdit{dir: dir, name: name}
 	if d.ents, err = fs.readDirLocked(p, dir); err != nil {
 		return nil, err
 	}

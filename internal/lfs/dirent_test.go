@@ -172,7 +172,7 @@ func TestBadNameIsRefused(t *testing.T) {
 	})
 }
 
-// FuzzDirentRoundTrip: the names lfs accepts (the components splitPath
+// FuzzDirentRoundTrip: the names lfs accepts (the components nextName
 // yields that pass checkName) encode to records that decode to the same
 // entries, and encoding never panics.
 func FuzzDirentRoundTrip(f *testing.F) {
@@ -184,8 +184,9 @@ func FuzzDirentRoundTrip(f *testing.F) {
 	f.Add("alpha/beta/./gamma//"+strings.Repeat("x", 255)+"/"+strings.Repeat("y", 256)+"/a\x00b", uint64(3))
 	f.Fuzz(func(t *testing.T, path string, dirs uint64) {
 		var ents []Dirent
-		for i, name := range splitPath(path) {
-			if checkName(name) != nil {
+		i := -1
+		for name, rest := nextName(path); name != ""; name, rest = nextName(rest) {
+			if i++; checkName(name) != nil {
 				continue
 			}
 			typ := TypeFile

@@ -300,6 +300,19 @@ func TestDirectoryOps(t *testing.T) {
 		if _, err := fs.ReadDir(p, "/a/file2"); !errors.Is(err, ErrNotDir) {
 			t.Fatalf("readdir file: want ErrNotDir, got %v", err)
 		}
+		// Empty and "." components name nothing, in a walk and in an edit.
+		if _, err := fs.Open(p, "a/./b//file1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Create(p, "//a/./file2/"); !errors.Is(err, ErrExists) {
+			t.Fatalf("create existing: want ErrExists, got %v", err)
+		}
+		if _, err := fs.Create(p, "/a/none/./f"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("create under a missing directory: want ErrNotFound, got %v", err)
+		}
+		if _, err := fs.Create(p, "/./"); !errors.Is(err, ErrExists) {
+			t.Fatalf("create root: want ErrExists, got %v", err)
+		}
 	})
 }
 

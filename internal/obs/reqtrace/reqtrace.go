@@ -23,7 +23,9 @@
 package reqtrace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -171,42 +173,30 @@ func (tr *Trace) complete(now sim.Time, err error) {
 	tr.Done = true
 }
 
-// pathSeg is one interval of the critical path: the innermost stage
-// covering [Start, End), or the kindExec residual (StageIdx -1).
-type pathSeg struct {
-	Kind     Kind
-	Note     string
-	Start    sim.Time
-	End      sim.Time
-	StageIdx int
+// Breakdown partitions [Submit, End] at every stage's edges and sums the
+// pieces per kind: each goes to the innermost (latest-started; ties to the
+// latest-recorded) stage open over it, and time no stage covers to the
+// kindExec residual. The values cover every instant of the request exactly
+// once: their sum equals Latency().
+func (tr *Trace) Breakdown() [numKinds]sim.Time {
+	out, _ := tr.breakdown(nil)
+	return out
 }
 
-// criticalPath partitions [Submit, End] into segments, each attributed
-// to the innermost (latest-started; ties to the latest-recorded) stage
-// open over it. Time no stage covers becomes a kindExec segment. The
-// segments are contiguous and exactly cover the request's life, so
-// their durations sum to Latency() by construction.
-func (tr *Trace) criticalPath() []pathSeg {
+// breakdown is Breakdown with the sweep's edges in points, returned for the
+// next call to reuse.
+func (tr *Trace) breakdown(points []sim.Time) ([numKinds]sim.Time, []sim.Time) {
+	var out [numKinds]sim.Time
 	if tr == nil || !tr.Done || tr.End <= tr.Submit {
-		return nil
+		return out, points
 	}
 	lo, hi := tr.Submit, tr.End
-	clamp := func(t sim.Time) sim.Time {
-		if t < lo {
-			return lo
-		}
-		if t > hi {
-			return hi
-		}
-		return t
-	}
-	points := make([]sim.Time, 0, 2*len(tr.Stages)+2)
-	points = append(points, lo, hi)
+	clamp := func(t sim.Time) sim.Time { return min(max(t, lo), hi) }
+	points = append(points[:0], lo, hi)
 	for i := range tr.Stages {
 		points = append(points, clamp(tr.Stages[i].Start), clamp(tr.Stages[i].End))
 	}
-	sort.Slice(points, func(a, b int) bool { return points[a] < points[b] })
-	var segs []pathSeg
+	slices.Sort(points)
 	for i := 0; i+1 < len(points); i++ {
 		a, b := points[i], points[i+1]
 		if b <= a {
@@ -214,38 +204,17 @@ func (tr *Trace) criticalPath() []pathSeg {
 		}
 		// Innermost open stage over [a, b): max clamped Start, ties to
 		// the latest-recorded stage (append order is causal order).
-		best := -1
+		kind, found := kindExec, false
 		var bestStart sim.Time
 		for j := range tr.Stages {
 			s := &tr.Stages[j]
-			cs, ce := clamp(s.Start), clamp(s.End)
-			if cs <= a && ce >= b {
-				if best == -1 || cs >= bestStart {
-					best, bestStart = j, cs
-				}
+			if cs := clamp(s.Start); cs <= a && clamp(s.End) >= b && (!found || cs >= bestStart) {
+				kind, bestStart, found = s.Kind, cs, true
 			}
 		}
-		kind, note := kindExec, ""
-		if best >= 0 {
-			kind, note = tr.Stages[best].Kind, tr.Stages[best].Note
-		}
-		if n := len(segs); n > 0 && segs[n-1].StageIdx == best && segs[n-1].End == a {
-			segs[n-1].End = b
-			continue
-		}
-		segs = append(segs, pathSeg{Kind: kind, Note: note, Start: a, End: b, StageIdx: best})
+		out[kind] += b - a
 	}
-	return segs
-}
-
-// Breakdown sums the critical path per kind. The values cover every
-// instant of the request exactly once: their sum equals Latency().
-func (tr *Trace) Breakdown() [numKinds]sim.Time {
-	var out [numKinds]sim.Time
-	for _, s := range tr.criticalPath() {
-		out[s.Kind] += s.End - s.Start
-	}
-	return out
+	return out, points
 }
 
 // Validate checks the trace invariants: sealed, stages closed and inside
@@ -312,6 +281,7 @@ type Tracer struct {
 	stages  int64
 
 	stageH [numKinds]*obs.Histogram
+	points []sim.Time // Seal's scratch for the breakdown sweep
 }
 
 // New builds a tracer retaining recentCap recent traces and slowCap
@@ -361,7 +331,9 @@ func (t *Tracer) Seal(tr *Trace, now sim.Time, err error) {
 	tr.complete(now, err)
 	t.sealed++
 	t.stages += int64(len(tr.Stages))
-	for k, d := range tr.Breakdown() {
+	var bd [numKinds]sim.Time
+	bd, t.points = tr.breakdown(t.points)
+	for k, d := range bd {
 		if d > 0 {
 			t.stageH[k].Observe(d)
 		}
@@ -379,16 +351,20 @@ func (t *Tracer) Seal(tr *Trace, now sim.Time, err error) {
 		t.classes = append(t.classes, tr.Class)
 	}
 	ex := append(t.byClass[tr.Class], tr)
-	sort.SliceStable(ex, func(a, b int) bool {
-		if la, lb := ex[a].Latency(), ex[b].Latency(); la != lb {
-			return la > lb
-		}
-		return ex[a].ID < ex[b].ID
-	})
+	slices.SortStableFunc(ex, slowestFirst)
 	if len(ex) > t.slowCap {
 		ex = ex[:t.slowCap]
 	}
 	t.byClass[tr.Class] = ex
+}
+
+// slowestFirst orders traces by latency, longest first, ties to the
+// earlier request.
+func slowestFirst(a, b *Trace) int {
+	if c := cmp.Compare(b.Latency(), a.Latency()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // Counts reports how many traces were started and sealed and how many
@@ -438,12 +414,7 @@ func (t *Tracer) Slowest(class string, k int) []*Trace {
 		for _, c := range t.Classes() {
 			pool = append(pool, t.byClass[c]...)
 		}
-		sort.SliceStable(pool, func(a, b int) bool {
-			if la, lb := pool[a].Latency(), pool[b].Latency(); la != lb {
-				return la > lb
-			}
-			return pool[a].ID < pool[b].ID
-		})
+		slices.SortStableFunc(pool, slowestFirst)
 	}
 	if len(pool) > k {
 		pool = pool[:k]

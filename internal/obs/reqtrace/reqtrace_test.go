@@ -95,7 +95,7 @@ func TestNilSafety(t *testing.T) {
 	tr.StageEnd(0, 0)
 	tr.Mark(KindAdmission, 0, "")
 	tr.complete(0, nil)
-	if tr.Latency() != 0 || tr.criticalPath() != nil {
+	if tr.Latency() != 0 || tr.Breakdown() != [numKinds]sim.Time{} {
 		t.Fatal("nil trace not inert")
 	}
 	var tc *Tracer
@@ -162,7 +162,35 @@ func TestZeroLatencyRequest(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.criticalPath()) != 0 {
-		t.Fatal("zero-latency request has path segments")
+	if tr.Breakdown() != [numKinds]sim.Time{} {
+		t.Fatal("zero-latency request has a nonzero breakdown")
+	}
+}
+
+// TestSealAllocatesNothing: once the recent ring and the exemplars are full,
+// sealing a trace allocates nothing: the breakdown sweeps in the tracer's
+// scratch, and the exemplars sort in place.
+func TestSealAllocatesNothing(t *testing.T) {
+	const warm, runs = 8, 50
+	tc := New(4, 2)
+	tc.SetObs(obs.New(sim.NewKernel()))
+	trs := make([]*Trace, warm+runs+1)
+	for i := range trs {
+		tr := tc.Start(int64(i+1), "interactive", ms(i), 0)
+		fw := tr.StageStart(KindFetchWait, ms(i), "")
+		tr.Mark(KindAdmission, ms(i+1), "")
+		tr.StageEnd(fw, ms(i+5+i%7))
+		trs[i] = tr
+	}
+	seal := func() {
+		tr := trs[0]
+		trs = trs[1:]
+		tc.Seal(tr, tr.Stages[0].End+ms(1), nil)
+	}
+	for range warm {
+		seal()
+	}
+	if n := testing.AllocsPerRun(runs, seal); n != 0 {
+		t.Errorf("%v allocations per Seal, want 0", n)
 	}
 }

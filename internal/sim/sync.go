@@ -3,6 +3,19 @@ package sim
 // Synchronization primitives operating in virtual time. All of them must be
 // used only from inside processes of the kernel they were created for.
 
+// PopFront takes the oldest element off the FIFO queue q and returns it with
+// the rest of the queue. It clears the popped slot, so the array keeps no
+// popped proc or value reachable, and an emptied queue comes back as q[:0],
+// so the next append reuses the array rather than growing a new one.
+func PopFront[T any](q []T) (T, []T) {
+	v := q[0]
+	clear(q[:1])
+	if len(q) == 1 {
+		return v, q[:0]
+	}
+	return v, q[1:]
+}
+
 // Resource is a single server with a FIFO wait queue: disk arms, the SCSI
 // bus, robot pickers. Acquire blocks (in virtual time) while another process
 // holds the resource.
@@ -47,8 +60,8 @@ func (r *Resource) Release(p *Proc) {
 		r.owner = nil
 		return
 	}
-	next := r.waiters[0]
-	r.waiters = r.waiters[1:]
+	next, rest := PopFront(r.waiters)
+	r.waiters = rest
 	r.owner = next
 	r.busySince = r.k.now
 	r.k.wake(next)
@@ -110,8 +123,8 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	p, rest := PopFront(c.waiters)
+	c.waiters = rest
 	c.k.wake(p)
 }
 
@@ -166,8 +179,8 @@ func (c *Chan) Recv(p *Proc) interface{} {
 	for len(c.buf) == 0 {
 		c.notEmpty.Wait(p)
 	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
+	v, rest := PopFront(c.buf)
+	c.buf = rest
 	c.notFull.Signal()
 	return v
 }
@@ -177,8 +190,8 @@ func (c *Chan) TryRecv() (interface{}, bool) {
 	if len(c.buf) == 0 {
 		return nil, false
 	}
-	v := c.buf[0]
-	c.buf = c.buf[1:]
+	v, rest := PopFront(c.buf)
+	c.buf = rest
 	c.notFull.Signal()
 	return v, true
 }

@@ -237,3 +237,66 @@ func TestRNGPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestQueuesKeepTheirArrays: a Cond, a Resource and a Chan handed back and
+// forth between two procs reuse their queues' arrays (no allocation per
+// round trip), and no slot a pop emptied still holds a proc or a value.
+func TestQueuesKeepTheirArrays(t *testing.T) {
+	k := NewKernel()
+	ping, pong := k.NewCond("ping"), k.NewCond("pong")
+	arm := k.NewResource("arm")
+	req, rep := k.NewChan("req", 1), k.NewChan("rep", 1)
+	k.GoDaemon("echo", func(p *Proc) {
+		for {
+			ping.Wait(p)
+			pong.Signal()
+		}
+	})
+	k.GoDaemon("contender", func(p *Proc) {
+		for {
+			arm.Acquire(p)
+			p.Sleep(time.Microsecond)
+			arm.Release(p)
+		}
+	})
+	k.GoDaemon("server", func(p *Proc) {
+		for {
+			rep.Send(p, req.Recv(p))
+		}
+	})
+	v := new(int)
+	k.RunProc(func(p *Proc) {
+		p.Sleep(0) // let the daemons reach their first wait
+		for name, round := range map[string]func(){
+			"cond":     func() { ping.Signal(); pong.Wait(p) },
+			"resource": func() { arm.Acquire(p); p.Sleep(time.Microsecond); arm.Release(p) },
+			"chan":     func() { req.Send(p, v); rep.Recv(p) },
+		} {
+			if n := testing.AllocsPerRun(100, round); n != 0 {
+				t.Errorf("%s: %v allocations per round trip, want 0", name, n)
+			}
+		}
+	})
+	for name, popped := range map[string]bool{
+		"ping": poppedSlotsHold(ping.waiters), "pong": poppedSlotsHold(pong.waiters),
+		"arm": poppedSlotsHold(arm.waiters), "req": poppedSlotsHold(req.buf), "rep": poppedSlotsHold(rep.buf),
+		"req.notEmpty": poppedSlotsHold(req.notEmpty.waiters), "rep.notEmpty": poppedSlotsHold(rep.notEmpty.waiters),
+	} {
+		if popped {
+			t.Errorf("%s: a popped slot of the queue's array still holds its element", name)
+		}
+	}
+	k.Stop()
+}
+
+// poppedSlotsHold reports whether a slot of q's array past its length holds
+// anything.
+func poppedSlotsHold[T comparable](q []T) bool {
+	var zero T
+	for _, v := range q[len(q):cap(q)] {
+		if v != zero {
+			return true
+		}
+	}
+	return false
+}

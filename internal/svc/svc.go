@@ -497,10 +497,11 @@ func (fe *FrontEnd) dequeue(p *sim.Proc) *Request {
 	for {
 		for c := Interactive; c < numClasses; c++ {
 			if q := fe.queues[c]; len(q) > 0 && fe.mayStart(c) {
-				fe.queues[c] = q[1:]
-				fe.qGauge[c].Set(int64(len(fe.queues[c])))
+				r, rest := sim.PopFront(q)
+				fe.queues[c] = rest
+				fe.qGauge[c].Set(int64(len(rest)))
 				fe.slots(1, c, 0)
-				return q[0]
+				return r
 			}
 		}
 		fe.work.Wait(p)

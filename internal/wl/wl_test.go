@@ -2,8 +2,12 @@ package wl
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/core"
@@ -248,4 +252,89 @@ func TestTiledFrameMatchesByteLoop(t *testing.T) {
 			}
 		}
 	}
+}
+
+// memFile is a read-only Handle over bytes in memory. With sleep set, each
+// ReadAt fills b, sleeps, and fails if b changed while it slept.
+type memFile struct {
+	data  []byte
+	sleep time.Duration
+}
+
+func (m memFile) ReadAt(p *sim.Proc, b []byte, off int64) (int, error) {
+	n := copy(b, m.data[off:])
+	if m.sleep > 0 {
+		p.Sleep(m.sleep)
+		if !bytes.Equal(b[:n], m.data[off:][:n]) {
+			return n, fmt.Errorf("bytes at %d changed while ReadAt slept", off)
+		}
+	}
+	if off+int64(n) == int64(len(m.data)) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+func (memFile) WriteAt(*sim.Proc, []byte, int64) (int, error) {
+	return 0, errors.New("memFile: read-only")
+}
+
+// raceEnabled is set under -race, where sync.Pool drops a share of what it
+// is given back.
+var raceEnabled bool
+
+// TestSequentialScanAllocatesNothing: a scan borrows its 8 KB buffer from
+// the pool and gives it back.
+func TestSequentialScanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	var f Handle = memFile{data: make([]byte, 100*1024)}
+	sim.NewKernel().RunProc(func(p *sim.Proc) {
+		if n := testing.AllocsPerRun(50, func() {
+			if _, _, err := SequentialScan(p, f, 100*1024); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v allocations per scan, want 0", n)
+		}
+	})
+}
+
+// TestConcurrentScansKeepTheirBuffers: two kernels on goroutines of their
+// own, each with two procs scanning at once and yielding inside every
+// ReadAt, never share a buffer.
+func TestConcurrentScansKeepTheirBuffers(t *testing.T) {
+	var wg sync.WaitGroup
+	for kern := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k := sim.NewKernel()
+			for i := range 2 {
+				data := bytes.Repeat([]byte{byte(2*kern + i + 1)}, 64*1024)
+				k.Go("scan", func(p *sim.Proc) {
+					if _, _, err := SequentialScan(p, memFile{data: data, sleep: time.Millisecond}, int64(len(data))); err != nil {
+						t.Errorf("kernel %d, scan %d: %v", kern, i, err)
+					}
+				})
+			}
+			k.Run()
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkSequentialScan: one 128 KB scan of a file in memory, sixteen
+// 8 KB reads; its allocs/op is the scan's own.
+func BenchmarkSequentialScan(b *testing.B) {
+	var f Handle = memFile{data: make([]byte, 128*1024)}
+	b.ReportAllocs()
+	sim.NewKernel().RunProc(func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := SequentialScan(p, f, 128*1024); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
