@@ -132,7 +132,11 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'SleepSelfWake|CondPingPong|ResourceHandoff|SpawnJoin4' -benchmem -benchtime 20000x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'LFSSequential(Read|Write)1MB|LFSRead(Fetched|Owned)Line1MB' -benchmem -benchtime 20x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'BufferEvict' -benchmem -benchtime 200000x ./internal/lfs/
+	$(GO) test -run '^$$' -bench 'CreateRemove200' -benchmem -benchtime 2000x ./internal/lfs/
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|AdoptLine1MB|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
+	$(GO) test -run '^$$' -bench 'InterleaveFanOut4' -benchmem -benchtime 20000x ./internal/stripe/
+	$(GO) test -run '^$$' -bench 'AuditFill' -benchmem -benchtime 200x ./internal/obs/attr/
+	$(GO) test -run '^$$' -bench 'TraceCycle' -benchmem -benchtime 20000x ./internal/obs/reqtrace/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read|ShareLine)1MB|StageLine1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Lend|Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
@@ -217,7 +221,14 @@ loc:
 # Raised 24510 -> 24536 by the buffer cache's header free list (dropBuf's
 # dropped list, unlock, which frees it at each release of the lock, and
 # insertBuf's reuse).
-LOC_MAX = 24533
+# Raised 24533 -> 24593 by the change that takes serve's per-request
+# allocations out of its measured phase: sim.Queue (the kernel's FIFO ring)
+# and Kernel.Restart, the stripe fans' and svc's watchdog processes restarted
+# rather than spawned, the chunked decision ring, reqtrace's trace free list
+# and fetch holds; net of the packed directory edits (encodeDirents now a
+# test-only reference, lookupLocked folded into resolveLocked), the finished-
+# proc name cap and Chan.TryRecv.
+LOC_MAX = 24593
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

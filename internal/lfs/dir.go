@@ -3,7 +3,6 @@ package lfs
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -27,7 +26,10 @@ func nextName(path string) (name, rest string) {
 	return "", ""
 }
 
-// resolveLocked walks path from the root, returning the final inum.
+// resolveLocked walks path from the root, returning the final inum. Each
+// directory on the way is read whole, as readDirLocked reads one (the same
+// virtual time, the same buffer-cache traffic), but into a scratch the lock
+// owns, and the names are compared where they lie: every Open comes here.
 func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 	cur := uint32(rootInum)
 	for name, rest := nextName(path); name != ""; name, rest = nextName(rest) {
@@ -38,10 +40,11 @@ func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 		if ino.Type != TypeDir {
 			return 0, ErrNotDir
 		}
-		next, ok, err := fs.lookupLocked(p, ino, name)
+		data, err := fs.readDirImage(p, ino, &fs.dirImage)
 		if err != nil {
 			return 0, err
 		}
+		next, ok := lookupDirent(data, name)
 		if !ok {
 			return 0, fmt.Errorf("%q: %w", path, ErrNotFound)
 		}
@@ -50,44 +53,42 @@ func (fs *FS) resolveLocked(p *sim.Proc, path string) (uint32, error) {
 	return cur, nil
 }
 
-// lookupLocked finds name in directory ino. It reads the directory exactly as
-// readDirLocked does (one whole-file read: the same virtual time, the same
-// buffer-cache traffic) but into a scratch the lock owns, and compares the
-// names where they lie: every Open walks its path through here.
-func (fs *FS) lookupLocked(p *sim.Proc, ino *dinode, name string) (uint32, bool, error) {
+// readDirImage reads directory ino whole into *buf, a scratch the lock owns,
+// kept a block larger than the directory for an edit to grow into.
+func (fs *FS) readDirImage(p *sim.Proc, ino *dinode, buf *[]byte) ([]byte, error) {
+	if uint64(cap(*buf)) < ino.Size+BlockSize {
+		*buf = make([]byte, ino.Size+BlockSize)
+	}
+	data := (*buf)[:ino.Size]
 	if ino.Size == 0 {
-		return 0, false, nil
+		return data, nil
 	}
-	if uint64(cap(fs.dirImage)) < ino.Size {
-		fs.dirImage = make([]byte, ino.Size)
-	}
-	data := fs.dirImage[:ino.Size]
+	// A whole-file read always ends at EOF; that is not an error here.
 	if _, err := fs.readAtLocked(p, ino.Inum, data, 0); err != nil && err != io.EOF {
-		return 0, false, err
+		return nil, err
 	}
-	inum, ok := lookupDirent(data, name)
-	return inum, ok, nil
+	return data, nil
 }
 
 // dirEdit is a namespace edit in progress: the directory holding a path's
-// last component, its entries as read, and that component. Create, Mkdir,
-// Remove and Rename each open one with editDir (Rename two, both read
-// before either is written back), change ents, and write it back with
-// writeDirLocked: the one path by which a name enters or leaves a directory.
+// last component, its image as read, and that component. Create, Mkdir,
+// Remove and Rename each open one with editDir (Rename two, both read before
+// either is written back), edit the image, and write it with writeDirLocked.
 type dirEdit struct {
-	dir   *dinode
-	ents  []Dirent
-	name  string
-	ent   Dirent // the entry named name, if found
-	found bool
+	dir  *dinode
+	data []byte // the directory image, in a scratch the lock owns
+	name string
+	at   int // offset of the record named name in data, -1 if none
+	inum uint32
+	typ  FileType // the inode and type that record names
 }
 
-// editDir resolves the directory containing the last component of path and
-// reads its entries.
-func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
+// editDir resolves the directory containing the last component of path, reads
+// its image into *buf, checks every record and finds that component's.
+func (fs *FS) editDir(p *sim.Proc, path string, buf *[]byte) (d dirEdit, err error) {
 	name, rest := nextName(path)
 	if name == "" {
-		return nil, fmt.Errorf("%q: %w", path, ErrExists)
+		return d, fmt.Errorf("%q: %w", path, ErrExists)
 	}
 	// The directory's path is path up to the last component's start.
 	dirLen := 0
@@ -96,62 +97,45 @@ func (fs *FS) editDir(p *sim.Proc, path string) (*dirEdit, error) {
 	}
 	dirInum := uint32(rootInum)
 	if dirLen > 0 {
-		var err error
 		if dirInum, err = fs.resolveLocked(p, path[:dirLen]); err != nil {
-			return nil, err
+			return d, err
 		}
 	}
-	dir, err := fs.iget(p, dirInum)
-	if err != nil {
-		return nil, err
+	if d.dir, err = fs.iget(p, dirInum); err != nil {
+		return d, err
 	}
-	if dir.Type != TypeDir {
-		return nil, ErrNotDir
+	if d.dir.Type != TypeDir {
+		return d, ErrNotDir
 	}
-	d := &dirEdit{dir: dir, name: name}
-	if d.ents, err = fs.readDirLocked(p, dir); err != nil {
-		return nil, err
+	if d.data, err = fs.readDirImage(p, d.dir, buf); err != nil {
+		return d, err
 	}
-	d.ent, d.found = findEnt(d.ents, d.name)
-	return d, nil
-}
-
-func findEnt(ents []Dirent, name string) (Dirent, bool) {
-	for _, e := range ents {
-		if e.Name == name {
-			return e, true
+	d.name, d.at = name, -1
+	err = eachDirent(d.data, func(at int, inum uint32, typ FileType, n []byte) {
+		if string(n) == name {
+			d.at, d.inum, d.typ = at, inum, typ
 		}
-	}
-	return Dirent{}, false
-}
-
-// add enters inum under the edit's name.
-func (d *dirEdit) add(inum uint32, typ FileType) {
-	d.ents = append(d.ents, Dirent{Inum: inum, Type: typ, Name: d.name})
-}
-
-// drop takes the edit's name out.
-func (d *dirEdit) drop() {
-	d.ents = slices.DeleteFunc(d.ents, func(e Dirent) bool { return e.Name == d.name })
+	})
+	return d, err
 }
 
 // readDirLocked loads and decodes a directory's entries; a corrupt record is
 // ErrCorruptDir.
-func (fs *FS) readDirLocked(p *sim.Proc, ino *dinode) ([]Dirent, error) {
-	if ino.Size == 0 {
-		return nil, nil
+func (fs *FS) readDirLocked(p *sim.Proc, ino *dinode) (ents []Dirent, err error) {
+	data, err := fs.readDirImage(p, ino, &fs.listImage)
+	if err == nil {
+		err = eachDirent(data, func(_ int, inum uint32, typ FileType, name []byte) {
+			ents = append(ents, Dirent{Inum: inum, Type: typ, Name: string(name)})
+		})
 	}
-	data := make([]byte, ino.Size)
-	// A whole-file read always ends at EOF; that is not an error here.
-	if _, err := fs.readAtLocked(p, ino.Inum, data, 0); err != nil && err != io.EOF {
+	if err != nil {
 		return nil, err
 	}
-	return decodeDirents(data)
+	return ents, nil
 }
 
-// writeDirLocked replaces a directory's contents.
-func (fs *FS) writeDirLocked(p *sim.Proc, ino *dinode, ents []Dirent) error {
-	data := encodeDirents(ents)
+// writeDirLocked replaces a directory's contents with the image data.
+func (fs *FS) writeDirLocked(p *sim.Proc, ino *dinode, data []byte) error {
 	if uint64(len(data)) < ino.Size {
 		if err := fs.truncateLocked(p, ino, uint64(len(data))); err != nil {
 			return err
@@ -180,11 +164,11 @@ func (fs *FS) Create(p *sim.Proc, path string) (*File, error) {
 
 // createLocked makes an empty file or directory at path.
 func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*dinode, error) {
-	d, err := fs.editDir(p, path)
+	d, err := fs.editDir(p, path, &fs.dirImage)
 	if err != nil {
 		return nil, err
 	}
-	if d.found {
+	if d.at >= 0 {
 		return nil, fmt.Errorf("%q: %w", path, ErrExists)
 	}
 	if err := checkName(d.name); err != nil {
@@ -196,12 +180,11 @@ func (fs *FS) createLocked(p *sim.Proc, path string, typ FileType) (*dinode, err
 	}
 	if typ == TypeDir {
 		ino.Nlink = 2
-		if err := fs.writeDirLocked(p, ino, nil); err != nil {
+		if err := fs.writeDirLocked(p, ino, make([]byte, BlockSize)); err != nil {
 			return nil, err
 		}
 	}
-	d.add(ino.Inum, typ)
-	return ino, fs.writeDirLocked(p, d.dir, d.ents)
+	return ino, fs.writeDirLocked(p, d.dir, dirAppend(d.data, ino.Inum, typ, d.name))
 }
 
 // withPath runs fn on the inode path names, as a read-only operation (Open
@@ -269,14 +252,14 @@ func (fs *FS) ReadDir(p *sim.Proc, path string) (ents []Dirent, err error) {
 func (fs *FS) Remove(p *sim.Proc, path string) error {
 	fs.acquire(p)
 	defer fs.unlock(p)
-	d, err := fs.editDir(p, path)
+	d, err := fs.editDir(p, path, &fs.dirImage)
 	if err != nil {
 		return err
 	}
-	if !d.found {
+	if d.at < 0 {
 		return fmt.Errorf("%q: %w", path, ErrNotFound)
 	}
-	ino, err := fs.iget(p, d.ent.Inum)
+	ino, err := fs.iget(p, d.inum)
 	if err != nil {
 		return err
 	}
@@ -289,8 +272,7 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 			return fmt.Errorf("%q: %w", path, ErrNotEmpty)
 		}
 	}
-	d.drop()
-	if err := fs.writeDirLocked(p, d.dir, d.ents); err != nil {
+	if err := fs.writeDirLocked(p, d.dir, dirDelete(d.data, d.at)); err != nil {
 		return err
 	}
 	return fs.ifreeLocked(p, ino)
@@ -300,31 +282,32 @@ func (fs *FS) Remove(p *sim.Proc, path string) error {
 func (fs *FS) Rename(p *sim.Proc, oldPath, newPath string) error {
 	fs.acquire(p)
 	defer fs.unlock(p)
-	from, err := fs.editDir(p, oldPath)
+	// The two images live in two scratches: resolving newPath reads
+	// directories into fs.dirImage, not fs.renameImage.
+	from, err := fs.editDir(p, oldPath, &fs.renameImage)
 	if err != nil {
 		return err
 	}
-	if !from.found {
+	if from.at < 0 {
 		return fmt.Errorf("%q: %w", oldPath, ErrNotFound)
 	}
-	to, err := fs.editDir(p, newPath)
+	to, err := fs.editDir(p, newPath, &fs.dirImage)
 	if err != nil {
 		return err
 	}
-	if to.found {
+	if to.at >= 0 {
 		return fmt.Errorf("%q: %w", newPath, ErrExists)
 	}
 	if err := checkName(to.name); err != nil {
 		return fmt.Errorf("%q: %w", newPath, err)
 	}
-	from.drop()
+	from.data = dirDelete(from.data, from.at)
 	if from.dir.Inum == to.dir.Inum {
-		to.ents = from.ents // one directory: one write of both changes
-	} else if err := fs.writeDirLocked(p, from.dir, from.ents); err != nil {
+		to.data = from.data // one directory: one write of both changes
+	} else if err := fs.writeDirLocked(p, from.dir, from.data); err != nil {
 		return err
 	}
-	to.add(from.ent.Inum, from.ent.Type)
-	return fs.writeDirLocked(p, to.dir, to.ents)
+	return fs.writeDirLocked(p, to.dir, dirAppend(to.data, from.inum, from.typ, to.name))
 }
 
 // Stat describes the file or directory at path.

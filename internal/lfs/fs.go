@@ -192,12 +192,14 @@ type FS struct {
 
 	// Reusable buffers of the block data path, all used only under lock
 	// (see DESIGN.md, "Buffer ownership on the data path").
-	freeBlocks [][]byte // blocks dropBuf took back, handed out by newBlock
-	fill       fillScratch
-	dirImage   []byte // lookupLocked's copy of the directory it searches
-	segImage   []byte // partial-segment assembly of the log writer (writePsegs)
-	tableImage []byte // serializeTables' checkpoint table image
-	flush      flushScratch
+	freeBlocks  [][]byte // blocks dropBuf took back, handed out by newBlock
+	fill        fillScratch
+	dirImage    []byte // the directory a lookup searches or an edit changes (readDirImage)
+	renameImage []byte // a rename's source directory
+	listImage   []byte // a listed directory (readDirLocked)
+	segImage    []byte // partial-segment assembly of the log writer (writePsegs)
+	tableImage  []byte // serializeTables' checkpoint table image
+	flush       flushScratch
 
 	// Buffer headers dropBuf took back: dropped ones wait for unlock, free
 	// ones are insertBuf's to reuse.
@@ -313,7 +315,7 @@ func Format(p *sim.Proc, device Device, amap *addr.Map, opts Options) (*FS, erro
 	fs.inodes[rootInum] = root
 	fs.imap[rootInum].Version = 1
 	fs.dirtyIno[rootInum] = true
-	if err := fs.writeDirLocked(p, root, nil); err != nil {
+	if err := fs.writeDirLocked(p, root, make([]byte, BlockSize)); err != nil {
 		return nil, err
 	}
 	if err := fs.checkpointLocked(p); err != nil {
@@ -443,7 +445,11 @@ func (fs *FS) repairDanglingLocked(p *sim.Proc) (int, error) {
 			}
 		}
 		if len(keep) != len(ents) {
-			if err := fs.writeDirLocked(p, ino, keep); err != nil {
+			data := make([]byte, BlockSize)
+			for _, e := range keep {
+				data = dirAppend(data, e.Inum, e.Type, e.Name)
+			}
+			if err := fs.writeDirLocked(p, ino, data); err != nil {
 				return dropped, err
 			}
 		}

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"strings"
 
 	"repro/internal/addr"
@@ -495,47 +496,14 @@ func checkName(name string) error {
 	return nil
 }
 
-// encodeDirents packs entries into whole blocks, returning the buffer
-// (a multiple of BlockSize).
-func encodeDirents(ents []Dirent) []byte {
-	var out []byte
-	blk := make([]byte, 0, BlockSize)
-	flush := func() {
-		b := make([]byte, BlockSize)
-		copy(b, blk)
-		out = append(out, b...)
-		blk = blk[:0]
-	}
-	for _, e := range ents {
-		if len(e.Name) > maxNameLen {
-			panic("lfs: directory name too long")
-		}
-		rec := direntFixed + len(e.Name)
-		// +direntFixed: leave room for the zero-inum terminator unless exactly full.
-		if len(blk)+rec > BlockSize {
-			flush()
-		}
-		var hdr [direntFixed]byte
-		binary.LittleEndian.PutUint32(hdr[0:], e.Inum)
-		hdr[4] = byte(e.Type)
-		hdr[5] = byte(len(e.Name))
-		blk = append(blk, hdr[:]...)
-		blk = append(blk, e.Name...)
-	}
-	if len(blk) > 0 || len(out) == 0 {
-		flush()
-	}
-	return out
-}
-
-// ErrCorruptDir reports a directory record encodeDirents never writes: one
+// ErrCorruptDir reports a directory record the file system never writes: one
 // that runs past its block, has an empty name or one holding '/' or NUL, or
 // has an unknown file type.
 var ErrCorruptDir = errors.New("lfs: corrupt directory record")
 
 // direntAt parses the record at off in directory block b and returns where
 // the next one starts. inum is 0 at the end of the block's records, and at a
-// record encodeDirents never writes, which is ErrCorruptDir.
+// record the file system never writes, which is ErrCorruptDir.
 func direntAt(b []byte, off int) (inum uint32, typ FileType, name []byte, next int, err error) {
 	if off+direntFixed > len(b) {
 		return
@@ -558,25 +526,71 @@ func dirBlock(data []byte, blk int) []byte {
 	return data[blk*BlockSize : min(len(data), (blk+1)*BlockSize)]
 }
 
-// decodeDirents parses the packed record format; a corrupt record is
-// ErrCorruptDir, naming the block and offset.
-func decodeDirents(data []byte) ([]Dirent, error) {
-	var ents []Dirent
+// eachDirent calls fn with the offset and fields of every record of the
+// directory image data, in order; a corrupt record is ErrCorruptDir, naming
+// its block and offset. The records are packed: each follows the one before
+// it when it fits in that block, else starts the next; the rest of a block is
+// zero, and an empty directory is one zero block. Edits keep it so.
+func eachDirent(data []byte, fn func(at int, inum uint32, typ FileType, name []byte)) error {
 	for blk := 0; blk*BlockSize < len(data); blk++ {
 		b := dirBlock(data, blk)
 		for off := 0; ; {
 			inum, typ, name, next, err := direntAt(b, off)
 			if err != nil {
-				return nil, fmt.Errorf("%w: block %d offset %d", err, blk, off)
+				return fmt.Errorf("%w: block %d offset %d", err, blk, off)
 			}
 			if inum == 0 {
 				break
 			}
-			ents = append(ents, Dirent{Inum: inum, Type: typ, Name: string(name)})
+			fn(blk*BlockSize+off, inum, typ, name)
 			off = next
 		}
 	}
-	return ents, nil
+	return nil
+}
+
+// dirAppend packs the record (inum, typ, name) after the last of the
+// directory image data, growing into data's spare capacity if it holds a block.
+func dirAppend(data []byte, inum uint32, typ FileType, name string) []byte {
+	n := len(data)
+	data = slices.Grow(data, BlockSize)[:n+BlockSize]
+	clear(data[n:])
+	binary.LittleEndian.PutUint32(data[n:], inum)
+	data[n+4], data[n+5] = byte(typ), byte(len(name))
+	copy(data[n+direntFixed:], name)
+	return dirPack(data, max(0, n-BlockSize), -1)
+}
+
+// dirDelete takes the record at offset at out of the directory image data.
+func dirDelete(data []byte, at int) []byte {
+	return dirPack(data, max(0, at-at%BlockSize-BlockSize), at)
+}
+
+// dirPack packs the records of the directory image data from the block at
+// offset from on again without the one at offset skip (records can move back
+// across a block end), and cuts off the blocks that leaves empty.
+func dirPack(data []byte, from, skip int) []byte {
+	w := from
+	for r := from; r < len(data); {
+		off := r % BlockSize
+		inum, _, _, next, _ := direntAt(dirBlock(data, r/BlockSize), off)
+		if inum == 0 { // past this block's records: on to the next block's
+			r += BlockSize - off
+			continue
+		}
+		if rec := next - off; r != skip {
+			if w%BlockSize+rec > BlockSize {
+				clear(data[w : w+BlockSize-w%BlockSize])
+				w += BlockSize - w%BlockSize
+			}
+			copy(data[w:], data[r:r+rec])
+			w += rec
+		}
+		r = r - off + next
+	}
+	n := max(BlockSize, (w+BlockSize-1)/BlockSize*BlockSize)
+	clear(data[w:n])
+	return data[:n]
 }
 
 // lookupDirent finds name in the packed records without decoding them.

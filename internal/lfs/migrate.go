@@ -30,8 +30,8 @@ func (fs *FS) FileBlockRefs(p *sim.Proc, inum uint32) ([]BlockRef, error) {
 		return nil, err
 	}
 	ver := fs.imap[inum].Version
-	var refs []BlockRef
 	nblocks := int32(blocksFor(int(ino.Size)))
+	refs := make([]BlockRef, 0, int(nblocks)+2+max(0, doubleChildren(int(nblocks)))) // room for every block: it never regrows
 	for lbn := int32(0); lbn < nblocks; lbn++ {
 		a, err := fs.blockPtr(p, ino, lbn)
 		if err != nil {
@@ -105,8 +105,8 @@ func (fs *FS) Migratev(p *sim.Proc, refs []BlockRef, inodeInums []uint32, tertSe
 	res := &MigrateResult{Applied: make([]bool, len(refs)), NextOff: off, Consumed: len(refs)}
 
 	// Filter to live, stable blocks.
-	var live []BlockRef
-	var idx []int // the index in refs of each live block
+	live := make([]BlockRef, 0, len(refs))
+	idx := make([]int, 0, len(refs)) // the index in refs of each live block
 	for i, r := range refs {
 		ok, err := fs.refLiveLocked(p, r)
 		if err != nil {

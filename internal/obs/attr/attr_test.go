@@ -3,8 +3,10 @@ package attr
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -158,5 +160,43 @@ func TestAuditForSegment(t *testing.T) {
 	}
 	if len(a.ForSegment(99)) != 0 {
 		t.Fatal("ForSegment invented decisions")
+	}
+}
+
+// TestAuditRecordCopiesNothing: filling a ring allocates each slot once (a
+// ring below its cap grows by a chunk and never copies what it holds), and
+// recording into a full ring allocates nothing.
+func TestAuditRecordCopiesNothing(t *testing.T) {
+	const n = 4096
+	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictAdmitted}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := NewAudit(n)
+	for range n {
+		a.Record(d)
+	}
+	runtime.ReadMemStats(&after)
+	slots := uint64(n) * uint64(unsafe.Sizeof(d))
+	if got := after.TotalAlloc - before.TotalAlloc; got > slots+slots/16 {
+		t.Errorf("filling %d slots allocated %d bytes, want at most %d (the slots and their chunk list)", n, got, slots+slots/16)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.Record(d) }); allocs != 0 {
+		t.Errorf("%v allocations per Record into a full ring, want 0", allocs)
+	}
+	if all := a.All(); len(all) != n || a.Total() != n+101 {
+		t.Errorf("retained %d of %d decisions, want %d", len(all), a.Total(), n)
+	}
+}
+
+// BenchmarkAuditFill is one fresh ring filled with 1,024 decisions: what a
+// rig's audit log costs while it is below its cap.
+func BenchmarkAuditFill(b *testing.B) {
+	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictAdmitted}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := NewAudit(0)
+		for range 1024 {
+			a.Record(d)
+		}
 	}
 }

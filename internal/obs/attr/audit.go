@@ -2,6 +2,7 @@ package attr
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -86,15 +87,17 @@ func (d Decision) String() string {
 // recent history. The zero value is not usable; call NewAudit. A nil
 // *Audit is valid everywhere and inert.
 type Audit struct {
-	cap   int
-	buf   []Decision
-	start int   // index of the oldest entry
-	total int64 // decisions ever recorded (including overwritten ones)
+	cap    int
+	chunks [][]Decision // the ring: auditChunk slots a chunk, added as it fills, so it never copies
+	total  int64        // decisions ever recorded (including overwritten ones)
 }
 
 // defaultAuditCap bounds the ring: enough for several full migration
 // passes on the paper-scale rig.
 const defaultAuditCap = 8192
+
+// auditChunk fits a chunk and the allocator's 8-byte header in 8 KB.
+const auditChunk = (8<<10 - 8) / int(unsafe.Sizeof(Decision{}))
 
 // NewAudit creates a decision log keeping the last max entries
 // (defaultAuditCap if max <= 0).
@@ -111,13 +114,12 @@ func (a *Audit) Record(d Decision) {
 		return
 	}
 	d.Seconds = d.T.Seconds()
-	a.total++
-	if len(a.buf) < a.cap {
-		a.buf = append(a.buf, d)
-		return
+	i := int(a.total % int64(a.cap))
+	if i/auditChunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]Decision, min(auditChunk, a.cap-i)))
 	}
-	a.buf[a.start] = d
-	a.start = (a.start + 1) % a.cap
+	a.chunks[i/auditChunk][i%auditChunk] = d
+	a.total++
 }
 
 // Total reports how many decisions were ever recorded.
@@ -133,9 +135,10 @@ func (a *Audit) All() []Decision {
 	if a == nil {
 		return nil
 	}
-	out := make([]Decision, 0, len(a.buf))
-	for i := 0; i < len(a.buf); i++ {
-		out = append(out, a.buf[(a.start+i)%len(a.buf)])
+	out := make([]Decision, 0, min(a.total, int64(a.cap)))
+	for i := max(0, a.total-int64(a.cap)); i < a.total; i++ {
+		j := int(i % int64(a.cap))
+		out = append(out, a.chunks[j/auditChunk][j%auditChunk])
 	}
 	return out
 }

@@ -110,6 +110,18 @@ type Trace struct {
 	Done     bool
 	Stages   []Stage
 	Dropped  int // stages not recorded because maxStages was reached
+
+	owner *Tracer // which takes it back for reuse once nothing holds it (release)
+	holds int     // processes holding it (Hold); -1 on the free list
+}
+
+// Hold(1) keeps tr from reuse for a process that may record on it after its
+// seal (the demand fetch it rides into an I/O process); Hold(-1) ends that.
+func (tr *Trace) Hold(n int) {
+	if tr != nil {
+		tr.holds += n
+		tr.owner.release(tr)
+	}
 }
 
 // StageStart opens a stage at now and returns its index for StageEnd
@@ -275,6 +287,7 @@ type Tracer struct {
 	next    int
 	byClass map[string][]*Trace // slowest-first exemplars
 	classes []string            // first-appearance order
+	free    []*Trace            // sealed traces nothing holds, for Start to reuse
 
 	started int64
 	sealed  int64
@@ -311,13 +324,30 @@ func (t *Tracer) SetObs(o *obs.Obs) {
 	}
 }
 
-// Start opens a trace for one request.
+// Start opens a trace for one request, reusing a released one (release).
 func (t *Tracer) Start(id int64, class string, submit, deadline sim.Time) *Trace {
 	if t == nil {
 		return nil
 	}
 	t.started++
-	return &Trace{ID: id, Class: class, Submit: submit, Deadline: deadline}
+	var tr *Trace
+	if n := len(t.free); n > 0 {
+		tr, t.free = t.free[n-1], t.free[:n-1]
+		clear(tr.Stages)
+	} else {
+		tr = &Trace{Stages: make([]Stage, 0, 8)} // a request records about six stages
+	}
+	*tr = Trace{ID: id, Class: class, Submit: submit, Deadline: deadline, Stages: tr.Stages[:0], owner: t}
+	return tr
+}
+
+// release puts tr on the free list, once, when it is sealed and neither a
+// process, nor the recent ring, nor its class's exemplars hold it.
+func (t *Tracer) release(tr *Trace) {
+	if t != nil && tr.Done && tr.holds == 0 && !slices.Contains(t.recent, tr) && !slices.Contains(t.byClass[tr.Class], tr) {
+		tr.holds = -1
+		t.free = append(t.free, tr)
+	}
 }
 
 // Seal completes tr at now with its terminal error and retains it in
@@ -342,6 +372,7 @@ func (t *Tracer) Seal(tr *Trace, now sim.Time, err error) {
 	if len(t.recent) < t.recentCap {
 		t.recent = append(t.recent, tr)
 	} else {
+		defer t.release(t.recent[t.next]) // once tr is in its place and the exemplars
 		t.recent[t.next] = tr
 	}
 	t.next = (t.next + 1) % t.recentCap
@@ -353,6 +384,7 @@ func (t *Tracer) Seal(tr *Trace, now sim.Time, err error) {
 	ex := append(t.byClass[tr.Class], tr)
 	slices.SortStableFunc(ex, slowestFirst)
 	if len(ex) > t.slowCap {
+		defer t.release(ex[t.slowCap]) // once the list no longer holds it
 		ex = ex[:t.slowCap]
 	}
 	t.byClass[tr.Class] = ex

@@ -2,6 +2,9 @@ package reqtrace
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -192,5 +195,146 @@ func TestSealAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(runs, seal); n != 0 {
 		t.Errorf("%v allocations per Seal, want 0", n)
+	}
+}
+
+// cycle starts trace id with a queue-wait, a fetch-wait and an admission
+// mark, and seals it: one request's life in the tracer.
+func cycle(tc *Tracer, id int) *Trace {
+	tr := tc.Start(int64(id), "interactive", ms(id), 0)
+	q := tr.StageStart(KindQueueWait, ms(id), "")
+	tr.StageEnd(q, ms(id+1))
+	fw := tr.StageStart(KindFetchWait, ms(id+1), "")
+	tr.Mark(KindAdmission, ms(id+2), "")
+	tr.StageEnd(fw, ms(id+5+id%7))
+	tc.Seal(tr, ms(id+6+id%7), nil)
+	return tr
+}
+
+// TestStartSealCycleAllocatesNothing: once the recent ring is full, a
+// request's whole trace (Start, its stages, Seal) allocates nothing: Start
+// reuses a trace that left the ring, stage array and all.
+func TestStartSealCycleAllocatesNothing(t *testing.T) {
+	tc := New(4, 2)
+	tc.SetObs(obs.New(sim.NewKernel()))
+	id := 0
+	for range 16 {
+		id++
+		cycle(tc, id)
+	}
+	if n := testing.AllocsPerRun(50, func() { id++; cycle(tc, id) }); n != 0 {
+		t.Errorf("%v allocations per Start-Seal cycle, want 0", n)
+	}
+}
+
+// TestReusedTracesAreUnreachable: over a seeded stream of requests that
+// overlap, some of them holding their trace for a fetch that ends before or
+// after the seal, Start never returns a trace reachable from Recent,
+// Slowest, a request still open or a hold; Recent still lists the last
+// sealed requests in order; and traces are reused.
+func TestReusedTracesAreUnreachable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1993))
+	tc := New(8, 3)
+	held := map[*Trace]string{} // traces nothing may reuse, and why
+	var holding []*Trace        // traces a fetch holds, oldest first
+	var open []*Trace
+	var sealed []int64
+	reused := 0
+	now := sim.Time(0)
+	for id := int64(1); id <= 2000; id++ {
+		now += ms(rng.Intn(3))
+		if len(open) < 6 && rng.Intn(3) > 0 {
+			tr := tc.Start(id, []string{"interactive", "background"}[rng.Intn(2)], now, 0)
+			if why, ok := held[tr]; ok {
+				t.Fatalf("request %d got the trace of %s", id, why)
+			}
+			if slices.Contains(holding, tr) {
+				t.Fatalf("request %d got a trace a fetch still holds", id)
+			}
+			if tr.ID != id || tr.Done || len(tr.Stages) != 0 || tr.holds != 0 {
+				t.Fatalf("request %d got a trace that was not reset: %+v", id, tr)
+			}
+			if cap(tr.Stages) > 0 {
+				reused++
+			}
+			tr.Mark(KindAdmission, now, "")
+			if rng.Intn(5) == 0 {
+				tr.Hold(1)
+				holding = append(holding, tr)
+			}
+			held[tr] = fmt.Sprintf("open request %d", id)
+			open = append(open, tr)
+			continue
+		}
+		if len(holding) > 0 && rng.Intn(4) == 0 { // the oldest fetch ends
+			holding[0].Hold(-1)
+			holding = holding[1:]
+			continue
+		}
+		if len(open) == 0 {
+			continue
+		}
+		i := rng.Intn(len(open))
+		tr := open[i]
+		open = slices.Delete(open, i, i+1)
+		tc.Seal(tr, now+ms(rng.Intn(50)), nil)
+		sealed = append(sealed, tr.ID)
+		clear(held)
+		for _, o := range open {
+			held[o] = fmt.Sprintf("open request %d", o.ID)
+		}
+		for _, r := range tc.Recent() {
+			held[r] = fmt.Sprintf("recent request %d", r.ID)
+		}
+		for _, c := range tc.Classes() {
+			for _, s := range tc.Slowest(c, 100) {
+				held[s] = fmt.Sprintf("exemplar %d", s.ID)
+			}
+		}
+		var want []int64
+		if n := len(sealed); n > 8 {
+			want = sealed[n-8:]
+		} else {
+			want = sealed
+		}
+		var got []int64
+		for _, r := range tc.Recent() {
+			got = append(got, r.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Recent lists %v, want %v", got, want)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no trace was reused")
+	}
+}
+
+// TestTraceLeavingRingAndExemplarsAtOnce: a seal that pushes one trace out
+// of the recent ring and out of its class's exemplars at once frees it once:
+// the next two requests get two traces.
+func TestTraceLeavingRingAndExemplarsAtOnce(t *testing.T) {
+	tc := New(2, 1)
+	for i, latency := range []int{100, 1, 200} { // the third evicts the first from both
+		tr := tc.Start(int64(i+1), "interactive", 0, 0)
+		tc.Seal(tr, ms(latency), nil)
+	}
+	if a, b := tc.Start(4, "interactive", 0, 0), tc.Start(5, "interactive", 0, 0); a == b {
+		t.Fatal("two requests got the same trace")
+	}
+}
+
+// BenchmarkTraceCycle is one request's trace once the recent ring is full:
+// Start, three stages and Seal.
+func BenchmarkTraceCycle(b *testing.B) {
+	tc := New(0, 0)
+	tc.SetObs(obs.New(sim.NewKernel()))
+	for id := range 300 {
+		cycle(tc, id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(tc, 300+i)
 	}
 }

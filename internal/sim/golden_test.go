@@ -28,7 +28,7 @@ func scheduleProgram(k *Kernel, seed uint64) []string {
 	}
 	res := []*Resource{k.NewResource("r0"), k.NewResource("r1"), k.NewResource("r2")}
 	tick := k.NewCond("tick")
-	work := k.NewChan("work", 4)
+	work := NewChan[string](k, "work", 4)
 
 	k.GoDaemon("ticker", func(p *Proc) {
 		for {

@@ -72,7 +72,7 @@ type Proc struct {
 	// describeBlocked.
 	blockKind, blockOn string
 
-	fn func(p *Proc) // the process body; nil once it has finished
+	fn func(p *Proc) // the process body, which Restart runs again
 	co *coro         // coroutine fn runs on: set at first dispatch, nil again when done
 
 	switches int64 // times the dispatcher switched to this proc
@@ -193,16 +193,9 @@ type Kernel struct {
 	heapHighWater  int   // deepest the event heap has ever been
 	spawned        int   // procs ever spawned
 	// doneSwitches folds the dispatch counts of finished procs by name
-	// (procs itself only lists live ones). Procs named per request would
-	// grow it without bound, so past doneNamesMax distinct names the rest
-	// are summed under otherDoneProcs.
+	// (procs itself only lists live ones). No proc is named per request.
 	doneSwitches map[string]int64
 }
-
-const (
-	doneNamesMax   = 256
-	otherDoneProcs = "(other finished procs)"
-)
 
 // NewKernel returns a kernel with virtual time zero and no processes.
 func NewKernel() *Kernel {
@@ -246,14 +239,27 @@ func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, daemon bool, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, daemon: daemon, state: stateNew, fn: fn}
+	p := &Proc{k: k, name: name, daemon: daemon, state: stateDone, fn: fn}
+	k.Restart(p)
+	return p
+}
+
+// Restart runs the finished process p again, body and all: a spawn with p's
+// name and kind, at the place in the event order and with the sequence
+// number a Go would have, counted as one, that reuses p's handle instead of
+// allocating one. Only the code that spawned p, holding the only reference
+// to it, may restart it (DESIGN.md "Kernel execution model").
+func (k *Kernel) Restart(p *Proc) {
+	if p.k != k || p.state != stateDone {
+		panic(fmt.Sprintf("sim: restart of proc %q in state %v", p.name, p.state))
+	}
+	p.state, p.ctx, p.switches = stateNew, nil, 0
 	k.procs = append(k.procs, p)
 	k.spawned++
-	if !daemon {
+	if !p.daemon {
 		k.live++
 	}
 	k.schedule(k.now, p)
-	return p
 }
 
 // attach binds p, about to be dispatched for the first time, to an idle
@@ -312,7 +318,7 @@ func (k *Kernel) exec(c *coro) (reusable bool) {
 // into the per-name totals.
 func (k *Kernel) finish(p *Proc) {
 	p.state = stateDone
-	p.fn, p.co = nil, nil
+	p.co = nil
 	if !p.daemon {
 		k.live--
 	}
@@ -323,11 +329,7 @@ func (k *Kernel) finish(p *Proc) {
 			break
 		}
 	}
-	name := p.name
-	if _, ok := k.doneSwitches[name]; !ok && len(k.doneSwitches) >= doneNamesMax {
-		name = otherDoneProcs
-	}
-	k.doneSwitches[name] += p.switches
+	k.doneSwitches[p.name] += p.switches
 }
 
 // stopProc is panicked inside procs to unwind them when the kernel shuts

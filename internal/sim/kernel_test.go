@@ -221,3 +221,63 @@ func TestAdvanceTo(t *testing.T) {
 	}()
 	k.AdvanceTo(time.Second)
 }
+
+// TestRestartIsASpawn: rounds of four workers, each started by Go in one
+// kernel and by Restart of the previous round's handles in another, beside
+// a proc that wakes at the same instants, run in the same order at the same
+// times, and the kernels count the same procs, events and switches. A proc
+// that has not finished cannot be restarted.
+func TestRestartIsASpawn(t *testing.T) {
+	run := func(restart bool) ([]string, Profile) {
+		k := NewKernel()
+		var order []string
+		var ps [4]*Proc
+		k.GoDaemon("ticker", func(p *Proc) {
+			for {
+				order = append(order, "tick "+p.Now().String())
+				p.Sleep(time.Millisecond)
+			}
+		})
+		k.RunProc(func(p *Proc) {
+			join := k.NewCond("join")
+			for round := range 5 {
+				done := 0
+				for i := range ps {
+					body := func(cp *Proc) {
+						cp.Sleep(time.Duration(i+round) * time.Millisecond / 2)
+						order = append(order, cp.Name()+" "+cp.Now().String())
+						done++
+						join.Broadcast()
+					}
+					if restart && ps[i] != nil {
+						ps[i].fn = body // the round's sleep; Restart runs a proc's own body
+						k.Restart(ps[i])
+					} else {
+						ps[i] = k.Go(string(rune('a'+i)), body)
+					}
+				}
+				for done < len(ps) {
+					join.Wait(p)
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Restart of a live proc did not panic")
+				}
+			}()
+			k.Restart(p)
+		})
+		k.Stop()
+		prof := k.ProfileSnapshot()
+		prof.TopProcs = nil
+		return order, prof
+	}
+	spawned, sp := run(false)
+	restarted, rp := run(true)
+	if strings.Join(spawned, "\n") != strings.Join(restarted, "\n") {
+		t.Errorf("restarted procs ran as\n%v\nspawned ones as\n%v", restarted, spawned)
+	}
+	if sp.Procs != rp.Procs || sp.TotalSwitches != rp.TotalSwitches || sp.Events != rp.Events || sp.HeapHighWater != rp.HeapHighWater {
+		t.Errorf("restarted: %+v\nspawned: %+v", rp, sp)
+	}
+}

@@ -3,18 +3,37 @@ package sim
 // Synchronization primitives operating in virtual time. All of them must be
 // used only from inside processes of the kernel they were created for.
 
-// PopFront takes the oldest element off the FIFO queue q and returns it with
-// the rest of the queue. It clears the popped slot, so the array keeps no
-// popped proc or value reachable, and an emptied queue comes back as q[:0],
-// so the next append reuses the array rather than growing a new one.
-func PopFront[T any](q []T) (T, []T) {
-	v := q[0]
-	clear(q[:1])
-	if len(q) == 1 {
-		return v, q[:0]
-	}
-	return v, q[1:]
+// Queue is a FIFO ring, empty as the zero value. A pop clears the slot it
+// empties and a later push reuses it, so a queue that never drains keeps one
+// array; it grows only when every slot is full.
+type Queue[T any] struct {
+	ring []T
+	head int // index of the oldest value
+	n    int // values queued
 }
+
+// Push adds v at the back of the queue.
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.ring) {
+		ring := make([]T, max(1, 2*len(q.ring)))
+		copy(ring[copy(ring, q.ring[q.head:]):], q.ring[:q.head])
+		q.ring, q.head = ring, 0
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = v
+	q.n++
+}
+
+// Pop takes the oldest value off the queue, which must not be empty.
+func (q *Queue[T]) Pop() T {
+	v := q.ring[q.head]
+	clear(q.ring[q.head : q.head+1])
+	q.head = (q.head + 1) % len(q.ring)
+	q.n--
+	return v
+}
+
+// Len reports how many values are queued.
+func (q *Queue[T]) Len() int { return q.n }
 
 // Resource is a single server with a FIFO wait queue: disk arms, the SCSI
 // bus, robot pickers. Acquire blocks (in virtual time) while another process
@@ -23,7 +42,7 @@ type Resource struct {
 	k       *Kernel
 	name    string
 	owner   *Proc
-	waiters []*Proc
+	waiters Queue[*Proc]
 
 	// Stats.
 	waitTotal Time
@@ -45,7 +64,7 @@ func (r *Resource) Acquire(p *Proc) {
 		return
 	}
 	start := r.k.now
-	r.waiters = append(r.waiters, p)
+	r.waiters.Push(p)
 	p.suspend("acquire", r.name)
 	r.waitTotal += r.k.now - start
 }
@@ -56,12 +75,11 @@ func (r *Resource) Release(p *Proc) {
 		panic("sim: Release of " + r.name + " by non-owner " + p.name)
 	}
 	r.busyTotal += r.k.now - r.busySince
-	if len(r.waiters) == 0 {
+	if r.waiters.Len() == 0 {
 		r.owner = nil
 		return
 	}
-	next, rest := PopFront(r.waiters)
-	r.waiters = rest
+	next := r.waiters.Pop()
 	r.owner = next
 	r.busySince = r.k.now
 	r.k.wake(next)
@@ -103,7 +121,7 @@ func (r *Resource) BusyTotal() Time {
 type Cond struct {
 	k       *Kernel
 	name    string
-	waiters []*Proc
+	waiters Queue[*Proc]
 }
 
 // NewCond returns a condition variable.
@@ -114,50 +132,42 @@ func (k *Kernel) NewCond(name string) *Cond {
 // Wait blocks until another process calls Signal or Broadcast. As with
 // sync.Cond, callers must re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.waiters.Push(p)
 	p.suspend("wait", c.name)
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.Len() > 0 {
+		c.k.wake(c.waiters.Pop())
 	}
-	p, rest := PopFront(c.waiters)
-	c.waiters = rest
-	c.k.wake(p)
 }
 
-// Broadcast wakes every waiting process. The waiter list keeps its array
-// for the next waits: waking a process only queues it, so nothing waits
-// again before the loop ends.
+// Broadcast wakes every waiting process, oldest first. Waking a process
+// only queues it, so nothing waits again before the loop ends.
 func (c *Cond) Broadcast() {
-	for _, p := range c.waiters {
-		c.k.wake(p)
+	for c.waiters.Len() > 0 {
+		c.k.wake(c.waiters.Pop())
 	}
-	clear(c.waiters)
-	c.waiters = c.waiters[:0]
 }
 
-// Chan is a bounded FIFO channel in virtual time, used as the request queue
-// between the file system, the service process, and the I/O process.
-type Chan struct {
-	k        *Kernel
+// Chan is a bounded FIFO channel of T (unboxed) in virtual time, the request
+// queue between the file system, the service process, and the I/O process.
+type Chan[T any] struct {
 	name     string
 	capacity int
-	buf      []interface{}
+	buf      Queue[T]
 	notEmpty *Cond
 	notFull  *Cond
 }
 
-// NewChan returns a channel with the given capacity. A capacity of 0 is
-// rounded up to 1 (true rendezvous semantics are not needed by HighLight).
-func (k *Kernel) NewChan(name string, capacity int) *Chan {
+// NewChan returns a channel of T on k with the given capacity. A capacity of 0
+// is rounded up to 1 (true rendezvous semantics are not needed by HighLight).
+func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Chan{
-		k:        k,
+	return &Chan[T]{
 		name:     name,
 		capacity: capacity,
 		notEmpty: k.NewCond(name + ".notEmpty"),
@@ -166,35 +176,23 @@ func (k *Kernel) NewChan(name string, capacity int) *Chan {
 }
 
 // Send enqueues v, blocking while the channel is full.
-func (c *Chan) Send(p *Proc, v interface{}) {
-	for len(c.buf) >= c.capacity {
+func (c *Chan[T]) Send(p *Proc, v T) {
+	for c.buf.Len() >= c.capacity {
 		c.notFull.Wait(p)
 	}
-	c.buf = append(c.buf, v)
+	c.buf.Push(v)
 	c.notEmpty.Signal()
 }
 
 // Recv dequeues the oldest value, blocking while the channel is empty.
-func (c *Chan) Recv(p *Proc) interface{} {
-	for len(c.buf) == 0 {
+func (c *Chan[T]) Recv(p *Proc) T {
+	for c.buf.Len() == 0 {
 		c.notEmpty.Wait(p)
 	}
-	v, rest := PopFront(c.buf)
-	c.buf = rest
+	v := c.buf.Pop()
 	c.notFull.Signal()
 	return v
 }
 
-// TryRecv dequeues a value without blocking.
-func (c *Chan) TryRecv() (interface{}, bool) {
-	if len(c.buf) == 0 {
-		return nil, false
-	}
-	v, rest := PopFront(c.buf)
-	c.buf = rest
-	c.notFull.Signal()
-	return v, true
-}
-
 // Len reports the number of queued values.
-func (c *Chan) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.Len() }

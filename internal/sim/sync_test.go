@@ -135,7 +135,7 @@ func TestCondSignalWakesOne(t *testing.T) {
 
 func TestChanFIFO(t *testing.T) {
 	k := NewKernel()
-	ch := k.NewChan("q", 16)
+	ch := NewChan[int](k, "q", 16)
 	var got []int
 	k.Go("producer", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -145,7 +145,7 @@ func TestChanFIFO(t *testing.T) {
 	})
 	k.Go("consumer", func(p *Proc) {
 		for i := 0; i < 10; i++ {
-			got = append(got, ch.Recv(p).(int))
+			got = append(got, ch.Recv(p))
 		}
 	})
 	k.Run()
@@ -161,7 +161,7 @@ func TestChanFIFO(t *testing.T) {
 
 func TestChanBlocksWhenFull(t *testing.T) {
 	k := NewKernel()
-	ch := k.NewChan("q", 2)
+	ch := NewChan[int](k, "q", 2)
 	var sendDone Time
 	k.Go("producer", func(p *Proc) {
 		ch.Send(p, 1)
@@ -179,21 +179,6 @@ func TestChanBlocksWhenFull(t *testing.T) {
 	if sendDone != time.Second {
 		t.Fatalf("third send completed at %v, want 1s (after consumer drained)", sendDone)
 	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	k := NewKernel()
-	ch := k.NewChan("q", 4)
-	k.RunProc(func(p *Proc) {
-		if _, ok := ch.TryRecv(); ok {
-			t.Error("TryRecv on empty chan succeeded")
-		}
-		ch.Send(p, 42)
-		v, ok := ch.TryRecv()
-		if !ok || v.(int) != 42 {
-			t.Errorf("TryRecv = %v,%v want 42,true", v, ok)
-		}
-	})
 }
 
 func TestRNGDeterministic(t *testing.T) {
@@ -240,25 +225,30 @@ func TestRNGPerm(t *testing.T) {
 
 // TestQueuesKeepTheirArrays: a Cond, a Resource and a Chan handed back and
 // forth between two procs reuse their queues' arrays (no allocation per
-// round trip), and no slot a pop emptied still holds a proc or a value.
+// round trip), and so do a Resource four procs contend for and a Chan that
+// always holds a value: queues that never drain. No slot a pop emptied
+// still holds a proc or a value.
 func TestQueuesKeepTheirArrays(t *testing.T) {
 	k := NewKernel()
 	ping, pong := k.NewCond("ping"), k.NewCond("pong")
-	arm := k.NewResource("arm")
-	req, rep := k.NewChan("req", 1), k.NewChan("rep", 1)
+	arm, busy := k.NewResource("arm"), k.NewResource("busy")
+	req, rep := NewChan[*int](k, "req", 1), NewChan[*int](k, "rep", 1)
+	backlog := NewChan[*int](k, "backlog", 2)
 	k.GoDaemon("echo", func(p *Proc) {
 		for {
 			ping.Wait(p)
 			pong.Signal()
 		}
 	})
-	k.GoDaemon("contender", func(p *Proc) {
-		for {
-			arm.Acquire(p)
-			p.Sleep(time.Microsecond)
-			arm.Release(p)
-		}
-	})
+	for _, r := range []*Resource{arm, busy, busy, busy} {
+		k.GoDaemon("contender", func(p *Proc) {
+			for {
+				r.Acquire(p)
+				p.Sleep(time.Microsecond)
+				r.Release(p)
+			}
+		})
+	}
 	k.GoDaemon("server", func(p *Proc) {
 		for {
 			rep.Send(p, req.Recv(p))
@@ -267,36 +257,85 @@ func TestQueuesKeepTheirArrays(t *testing.T) {
 	v := new(int)
 	k.RunProc(func(p *Proc) {
 		p.Sleep(0) // let the daemons reach their first wait
+		backlog.Send(p, v)
 		for name, round := range map[string]func(){
 			"cond":     func() { ping.Signal(); pong.Wait(p) },
 			"resource": func() { arm.Acquire(p); p.Sleep(time.Microsecond); arm.Release(p) },
 			"chan":     func() { req.Send(p, v); rep.Recv(p) },
+			// Sixteen hand-offs a round: a queue that slides its slice
+			// grows a new array every few pops, and AllocsPerRun rounds
+			// down.
+			"resource never drained": func() {
+				for range 16 {
+					busy.Acquire(p)
+					p.Sleep(time.Microsecond)
+					busy.Release(p)
+				}
+			},
+			"chan never drained": func() {
+				for range 16 {
+					backlog.Send(p, v)
+					backlog.Recv(p)
+				}
+			},
 		} {
 			if n := testing.AllocsPerRun(100, round); n != 0 {
 				t.Errorf("%s: %v allocations per round trip, want 0", name, n)
 			}
 		}
 	})
-	for name, popped := range map[string]bool{
-		"ping": poppedSlotsHold(ping.waiters), "pong": poppedSlotsHold(pong.waiters),
-		"arm": poppedSlotsHold(arm.waiters), "req": poppedSlotsHold(req.buf), "rep": poppedSlotsHold(rep.buf),
-		"req.notEmpty": poppedSlotsHold(req.notEmpty.waiters), "rep.notEmpty": poppedSlotsHold(rep.notEmpty.waiters),
+	for name, q := range map[string]*Queue[*Proc]{
+		"ping": &ping.waiters, "pong": &pong.waiters, "arm": &arm.waiters, "busy": &busy.waiters,
+		"req.notEmpty": &req.notEmpty.waiters, "rep.notEmpty": &rep.notEmpty.waiters,
 	} {
-		if popped {
-			t.Errorf("%s: a popped slot of the queue's array still holds its element", name)
+		if poppedSlotsHold(q) {
+			t.Errorf("%s: a popped slot of the queue's array still holds its proc", name)
+		}
+	}
+	for name, q := range map[string]*Queue[*int]{"req": &req.buf, "rep": &rep.buf, "backlog": &backlog.buf} {
+		if poppedSlotsHold(q) {
+			t.Errorf("%s: a popped slot of the queue's array still holds its value", name)
 		}
 	}
 	k.Stop()
 }
 
-// poppedSlotsHold reports whether a slot of q's array past its length holds
-// anything.
-func poppedSlotsHold[T comparable](q []T) bool {
+// poppedSlotsHold reports whether a slot of q's ring outside its queued
+// values holds anything.
+func poppedSlotsHold[T comparable](q *Queue[T]) bool {
 	var zero T
-	for _, v := range q[len(q):cap(q)] {
-		if v != zero {
+	for i := q.n; i < len(q.ring); i++ {
+		if q.ring[(q.head+i)%len(q.ring)] != zero {
 			return true
 		}
 	}
 	return false
+}
+
+// TestQueueOrder: a Queue pops in push order across its ring's wrap and
+// its growth.
+func TestQueueOrder(t *testing.T) {
+	var q Queue[int]
+	next, want := 0, 0
+	for round := 1; round <= 20; round++ {
+		for range round {
+			q.Push(next)
+			next++
+		}
+		for range round/2 + 1 {
+			if got := q.Pop(); got != want {
+				t.Fatalf("popped %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	for q.Len() > 0 {
+		if got := q.Pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+		want++
+	}
+	if want != next {
+		t.Fatalf("popped %d values, pushed %d", want, next)
+	}
 }

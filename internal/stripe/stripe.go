@@ -624,9 +624,10 @@ func newFarmNames(name string, components int) farmNames {
 
 // fan is what the processes of one fan-out need: each component's share and
 // its error, and the join. A farm keeps its idle fans on their kind's list
-// (fanNames.free), so fanning out builds no closure and no condition variable
-// per request: a fan makes its join and its per-component process bodies
-// once, when it is first needed.
+// (fanNames.free), so fanning out builds no closure, condition variable or
+// process per request: a fan makes its join once, and component i's process
+// the first time i has a share, and restarts it later (all have returned when
+// the join fires, and only the fan holds them).
 type fan struct {
 	groups [][]dev.Part
 	tasks  []func(*sim.Proc) error
@@ -634,7 +635,7 @@ type fan struct {
 	write  bool
 	done   int
 	join   *sim.Cond
-	procs  []func(*sim.Proc) // procs[i] runs component i's share in a process of its own
+	procs  []*sim.Proc // procs[i] runs component i's share, nil until first needed
 }
 
 // fanOut runs each component's share of a request and sets errs[i], zero on
@@ -673,9 +674,13 @@ func (f *Farm) fanOut(p *sim.Proc, names *fanNames, groups [][]dev.Part, tasks [
 	}
 	fn.write = write
 	k := p.Kernel()
-	for i, body := range fn.procs {
-		if len(fn.groups[i]) > 0 || fn.tasks[i] != nil {
-			k.Go(names.proc[i], body)
+	for i := range fn.procs {
+		switch {
+		case len(fn.groups[i]) == 0 && fn.tasks[i] == nil:
+		case fn.procs[i] == nil:
+			fn.procs[i] = k.Go(names.proc[i], f.shareIn(fn, i))
+		default:
+			k.Restart(fn.procs[i])
 		}
 	}
 	for fn.done < busy {
@@ -697,16 +702,18 @@ func (f *Farm) newFan(k *sim.Kernel, names *fanNames) *fan {
 		tasks:  make([]func(*sim.Proc) error, n),
 		errs:   make([]error, n),
 		join:   k.NewCond(names.join),
-		procs:  make([]func(*sim.Proc), n),
-	}
-	for i := range fn.procs {
-		fn.procs[i] = func(cp *sim.Proc) {
-			fn.errs[i] = f.share(cp, i, fn.groups, fn.tasks, fn.write)
-			fn.done++
-			fn.join.Broadcast()
-		}
+		procs:  make([]*sim.Proc, n),
 	}
 	return fn
+}
+
+// shareIn is the body of fan fn's process for component i.
+func (f *Farm) shareIn(fn *fan, i int) func(*sim.Proc) {
+	return func(cp *sim.Proc) {
+		fn.errs[i] = f.share(cp, i, fn.groups, fn.tasks, fn.write)
+		fn.done++
+		fn.join.Broadcast()
+	}
 }
 
 // share runs component i's share of a fan-out in process p.

@@ -166,9 +166,10 @@ type FrontEnd struct {
 	Tracer *reqtrace.Tracer
 
 	k      *sim.Kernel
-	queues [numClasses][]*Request
+	queues [numClasses]sim.Queue[*Request]
 	work   *sim.Cond
 	nextID int64
+	dogs   []*watchdog // deadline processes that have returned, to restart
 
 	// Slot accounting. exec <= Workers and execBG <= Workers -
 	// ReservedInteractive at every instant; lent <= Workers, so at most
@@ -283,7 +284,7 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	}
 	fe.nextID++
 	id := fe.nextID
-	depth := len(fe.queues[class])
+	depth := fe.queues[class].Len()
 	if class == Interactive {
 		depth = fe.backlog()
 	}
@@ -329,12 +330,12 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 		Seg: -1, Verdict: attr.VerdictAdmitted, Reason: class.String(),
 		Inputs: []attr.Input{
 			attr.In("class", float64(class)),
-			attr.In("depth", float64(len(fe.queues[class]))),
+			attr.In("depth", float64(fe.queues[class].Len())),
 			attr.In("deadline_ms", float64(deadline.Milliseconds())),
 		},
 	})
-	fe.queues[class] = append(fe.queues[class], r)
-	fe.qGauge[class].Set(int64(len(fe.queues[class])))
+	fe.queues[class].Push(r)
+	fe.qGauge[class].Set(int64(fe.queues[class].Len()))
 	fe.updateBrownout()
 	if deadline > 0 {
 		fe.startWatchdog(r)
@@ -343,18 +344,30 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	return r, nil
 }
 
-// startWatchdog spawns the per-request deadline process: it sleeps until
-// the deadline and, if the request is still live, cancels its scope —
-// waking any layer blocked on the request (fetch waits re-check their
-// context and abandon).
+// watchdog is a request's deadline process: it sleeps until the deadline
+// and, if the request is still live, cancels its scope — waking any layer
+// blocked on the request (fetch waits re-check their context and abandon).
+type watchdog struct {
+	r *Request
+	p *sim.Proc
+}
+
 func (fe *FrontEnd) startWatchdog(r *Request) {
-	fe.k.GoDaemon(fmt.Sprintf("svc-deadline-%d", r.ID), func(p *sim.Proc) {
-		if d := r.Deadline - p.Now(); d > 0 {
+	if n := len(fe.dogs); n > 0 {
+		w := fe.dogs[n-1]
+		fe.dogs, w.r = fe.dogs[:n-1], r
+		fe.k.Restart(w.p)
+		return
+	}
+	w := &watchdog{r: r}
+	w.p = fe.k.GoDaemon("svc-deadline", func(p *sim.Proc) {
+		if d := w.r.Deadline - p.Now(); d > 0 {
 			p.Sleep(d)
 		}
-		if !r.finished {
-			r.ctx.Cancel(sim.ErrDeadlineExceeded)
+		if !w.r.finished {
+			w.r.ctx.Cancel(sim.ErrDeadlineExceeded)
 		}
+		fe.dogs, w.r = append(fe.dogs, w), nil // its last act: nothing restarts it before it returns
 	})
 }
 
@@ -389,7 +402,7 @@ func (fe *FrontEnd) earnRetryToken() {
 // watermarks go by it, so lending changes who runs when, not how much
 // interactive work is let in nor when background work stands down.
 func (fe *FrontEnd) backlog() int {
-	return len(fe.queues[Interactive]) + max(0, fe.exec+fe.lent-fe.Cfg.Workers)
+	return fe.queues[Interactive].Len() + max(0, fe.exec+fe.lent-fe.Cfg.Workers)
 }
 
 // updateBrownout applies the hysteresis watermarks to the interactive
@@ -496,10 +509,9 @@ func (fe *FrontEnd) slots(d int, c Class, l int) {
 func (fe *FrontEnd) dequeue(p *sim.Proc) *Request {
 	for {
 		for c := Interactive; c < numClasses; c++ {
-			if q := fe.queues[c]; len(q) > 0 && fe.mayStart(c) {
-				r, rest := sim.PopFront(q)
-				fe.queues[c] = rest
-				fe.qGauge[c].Set(int64(len(rest)))
+			if q := &fe.queues[c]; q.Len() > 0 && fe.mayStart(c) {
+				r := q.Pop()
+				fe.qGauge[c].Set(int64(q.Len()))
 				fe.slots(1, c, 0)
 				return r
 			}
@@ -627,8 +639,8 @@ func (fe *FrontEnd) Stats() Stats {
 		DeadlineMisses:   fe.misses.Value(),
 		RetriesGranted:   fe.retryOK.Value(),
 		RetriesDenied:    fe.retryNo.Value(),
-		QueueInteractive: len(fe.queues[Interactive]),
-		QueueBackground:  len(fe.queues[Background]),
+		QueueInteractive: fe.queues[Interactive].Len(),
+		QueueBackground:  fe.queues[Background].Len(),
 		Executing:        fe.exec,
 		Lent:             fe.lent,
 		Brownout:         fe.brownout,

@@ -156,13 +156,13 @@ type Service struct {
 	// stay allocated in every process that read a sibling once.
 	readBufs [][]byte
 
-	reqs     *sim.Chan
-	ioq      []*sim.Chan         // per library; a rig without libraries keeps one
-	out      []int               // transfers queued or in flight, per library
-	busy     map[volKey]sim.Time // their media time, per volume routed to
-	free     []int               // drive tokens not taken, per library
-	idle     []*sim.Cond         // where a library's I/O processes wait for work
-	streams  int                 // I/O streams (drive tokens) per library
+	reqs     *sim.Chan[request]
+	ioq      []*sim.Chan[request] // per library; a rig without libraries keeps one
+	out      []int                // transfers queued or in flight, per library
+	busy     map[volKey]sim.Time  // their media time, per volume routed to
+	free     []int                // drive tokens not taken, per library
+	idle     []*sim.Cond          // where a library's I/O processes wait for work
+	streams  int                  // I/O streams (drive tokens) per library
 	pending  map[int]*fetchWait
 	deferred []request // fetches waiting for an evictable line
 
@@ -238,7 +238,7 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, dis
 		libs:    libs,
 		disk:    disk,
 		cache:   c,
-		reqs:    k.NewChan("tertiary.svc", 256),
+		reqs:    sim.NewChan[request](k, "tertiary.svc", 256),
 		pending: make(map[int]*fetchWait),
 		obs:     o,
 	}
@@ -251,7 +251,7 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, dis
 	s.copyCond = k.NewCond("tertiary.copyouts")
 	k.GoDaemon("hl-service", s.serviceLoop)
 	for range max(1, len(libs)) {
-		s.ioq = append(s.ioq, k.NewChan("tertiary.io", 256))
+		s.ioq = append(s.ioq, sim.NewChan[request](k, "tertiary.io", 256))
 	}
 	s.out = make([]int, len(s.ioq))
 	s.busy = make(map[volKey]sim.Time)
@@ -375,8 +375,10 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 		w = &fetchWait{done: s.k.NewCond(fmt.Sprintf("fetch-%d", tag))}
 		s.pending[tag] = w
 		s.stats.MaxPending = max(s.stats.MaxPending, int64(len(s.pending)))
-		// The first waiter's trace rides the fetch into the I/O daemon;
-		// later waiters for the same tag only record their own fetch-wait.
+		// The first waiter's trace rides the fetch into the I/O daemon, held
+		// until the fetch is over (finishFetch, startFetch); later waiters
+		// for the same tag only record their own fetch-wait.
+		tr.Hold(1)
 		s.reqs.Send(p, request{kind: reqFetch, tag: tag, enqueued: p.Now(), tr: tr})
 	}
 	w.waiters++
@@ -555,7 +557,7 @@ func (s *Service) EjectAll() (ejected int, err error) {
 // and completion messages from the I/O process.
 func (s *Service) serviceLoop(p *sim.Proc) {
 	for {
-		r := s.reqs.Recv(p).(request)
+		r := s.reqs.Recv(p)
 		s.obs.Span("tertiary.svc", "svc.queue", r.kind.String(), r.enqueued,
 			obs.Arg{Key: "tag", Val: int64(r.tag)})
 		s.qdepth.Set(int64(s.reqs.Len()))
@@ -602,8 +604,7 @@ func (s *Service) nextTransfer(p *sim.Proc, lib int) request {
 		s.idle[lib].Wait(p)
 	}
 	s.free[lib]--
-	v, _ := s.ioq[lib].TryRecv()
-	return v.(request)
+	return s.ioq[lib].Recv(p) // does not block: the queue holds one
 }
 
 // transferDone takes a finished transfer out of the router's counts.
@@ -642,6 +643,7 @@ func (s *Service) Outstanding(lib int) int { return s.out[lib] }
 func (s *Service) startFetch(p *sim.Proc, r request) {
 	if _, ok := s.cache.Peek(r.tag); ok {
 		s.resolveFetch(r.tag, nil)
+		r.tr.Hold(-1)
 		return
 	}
 	if s.cache.FreeLines() == 0 && s.cache.Victim() == nil {
@@ -683,6 +685,7 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		s.startFetch(p, request{kind: reqFetch, tag: r.tag, enqueued: p.Now(), tr: r.tr})
 		return
 	}
+	r.tr.Hold(-1) // the fetch records on its waiter's trace no more
 	if r.err != nil {
 		s.stats.FetchFaults++
 		if r.bound {
