@@ -228,7 +228,11 @@ loc:
 # and fetch holds; net of the packed directory edits (encodeDirents now a
 # test-only reference, lookupLocked folded into resolveLocked), the finished-
 # proc name cap and Chan.TryRecv.
-LOC_MAX = 24593
+# Lowered 24593 -> 24062 by the change that keeps only the extensions a
+# measurement keeps: migrate.Rearranger and tertiary.Service.OnFetched (§5.4),
+# the migrator's block-range mode (BlockRange folded into
+# RangeTracker.ColdRefs), and examples/dbworkload and examples/relstore.
+LOC_MAX = 24062
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -527,9 +527,8 @@ func AblationBlockRange() (*Report, error) {
 			if c.whole {
 				staged, err = hl.MigrateFiles(p, []uint32{rel.Inum()}, false)
 			} else {
-				br := &migrate.BlockRange{Tracker: tracker, MinAge: 30 * time.Minute}
 				var cold []lfs.BlockRef
-				cold, err = br.ColdRefs(p, hl, rel.Inum())
+				cold, err = tracker.ColdRefs(p, hl, rel.Inum(), 30*time.Minute)
 				if err == nil {
 					staged, err = hl.MigrateRefs(p, cold)
 				}

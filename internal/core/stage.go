@@ -447,9 +447,8 @@ func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes boo
 		if err != nil {
 			return staged, err
 		}
-		// Skip blocks already on tertiary storage; re-staging them is the
-		// rearrangement policy of §5.4 (RestageTertSegment), which consumes
-		// tertiary space and fetch bandwidth.
+		// Skip blocks already on tertiary storage; only the tertiary
+		// cleaner re-stages them (RestageTertSegment).
 		kept := refs[:0]
 		for _, r := range refs {
 			if hl.Amap.IsDiskSeg(hl.Amap.SegOf(r.Addr)) {

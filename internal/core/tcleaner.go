@@ -283,9 +283,8 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 
 // RestageTertSegment re-stages the live contents of one tertiary segment
 // onto the current migration volume, leaving the old copy dead (its live
-// bytes drop to zero as pointers move). It is used by the whole-volume
-// cleaner and by the §5.4 rewrite-on-fetch rearrangement policy. The
-// caller completes the migration (CompleteMigration) to make the move
+// bytes drop to zero as pointers move). The whole-volume cleaner uses it.
+// The caller completes the migration (CompleteMigration) to make the move
 // durable.
 func (hl *HighLight) RestageTertSegment(p *sim.Proc, idx int) (int, error) {
 	// Fetch through the cache (a whole-medium clean walks the volume

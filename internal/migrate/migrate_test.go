@@ -217,7 +217,7 @@ func TestRangeTrackerMergesSequential(t *testing.T) {
 	tr.record(1, 0, 4, 100)
 	tr.record(1, 4, 8, 100)
 	tr.record(1, 8, 12, 100)
-	rs := tr.Ranges(1)
+	rs := tr.files[1]
 	if len(rs) != 1 || rs[0].Start != 0 || rs[0].End != 12 {
 		t.Fatalf("sequential access fragmented: %v", rs)
 	}
@@ -228,7 +228,7 @@ func TestRangeTrackerSplitsOnNewAccess(t *testing.T) {
 	tr := NewRangeTracker(k)
 	tr.record(1, 0, 10, 100)
 	tr.record(1, 4, 6, 200) // re-access the middle
-	rs := tr.Ranges(1)
+	rs := tr.files[1]
 	if len(rs) != 3 {
 		t.Fatalf("want 3 ranges after middle re-access, got %v", rs)
 	}
@@ -240,12 +240,12 @@ func TestRangeTrackerSplitsOnNewAccess(t *testing.T) {
 func TestRangeTrackerCapsRecords(t *testing.T) {
 	k := sim.NewKernel()
 	tr := NewRangeTracker(k)
-	tr.MaxRecords = 4
-	for i := int32(0); i < 20; i++ {
+	// Disjoint fragments with distinct stamps, more than the cap holds.
+	for i := int32(0); i < 3*maxRangeRecords; i++ {
 		tr.record(1, i*2, i*2+1, sim.Time(i))
 	}
-	rs := tr.Ranges(1)
-	if len(rs) > 4 {
+	rs := tr.files[1]
+	if len(rs) > maxRangeRecords {
 		t.Fatalf("cap not enforced: %d records", len(rs))
 	}
 	// Invariants: sorted and disjoint.
@@ -272,8 +272,7 @@ func TestBlockRangePolicyMigratesOnlyColdRanges(t *testing.T) {
 		if _, err := f.ReadAt(p, buf, 0); err != nil {
 			t.Fatal(err)
 		}
-		br := &BlockRange{Tracker: tr, MinAge: time.Minute}
-		cold, err := br.ColdRefs(p, hl, f.Inum())
+		cold, err := tr.ColdRefs(p, hl, f.Inum(), time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +348,7 @@ func TestRangeTrackerColdRegionSurvivesHotChurn(t *testing.T) {
 		tr.record(1, pg, pg+1, base+sim.Time(q)*time.Millisecond)
 	}
 	coldBlocks := 0
-	for _, r := range tr.Ranges(1) {
+	for _, r := range tr.files[1] {
 		if base-r.Last > sim.Time(30*time.Minute) {
 			coldBlocks += int(r.End - r.Start)
 		}
@@ -357,124 +356,6 @@ func TestRangeTrackerColdRegionSurvivesHotChurn(t *testing.T) {
 	if coldBlocks < 3000 {
 		t.Fatalf("only %d blocks still classified cold; dormant region poisoned by hot churn", coldBlocks)
 	}
-}
-
-// TestRearrangerClustersCoAccessedSegments exercises the §5.4
-// rewrite-on-fetch policy: two files migrated at different times land in
-// scattered tertiary segments; after both are demand-fetched together and
-// the rearranger runs, their blocks live in adjacent fresh segments and
-// the old copies are dead.
-func TestRearrangerClustersCoAccessedSegments(t *testing.T) {
-	e := newEnv(t)
-	e.run(t, func(p *sim.Proc) {
-		hl := e.hl
-		ra := NewRearranger(hl)
-		fa := mkFile(t, p, hl, "/setA", 14, 1)
-		fb := mkFile(t, p, hl, "/setB", 14, 2)
-		// Migrate A, then unrelated padding, then B — so A and B end up
-		// in non-adjacent tertiary segments.
-		if _, err := hl.MigrateFiles(p, []uint32{fa.Inum()}, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := hl.CompleteMigration(p); err != nil {
-			t.Fatal(err)
-		}
-		pad := mkFile(t, p, hl, "/pad", 30, 3)
-		if _, err := hl.MigrateFiles(p, []uint32{pad.Inum()}, false); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := hl.MigrateFiles(p, []uint32{fb.Inum()}, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := hl.CompleteMigration(p); err != nil {
-			t.Fatal(err)
-		}
-		segsOf := func(f *lfs.File) map[int]bool {
-			out := map[int]bool{}
-			refs, _ := hl.FS.FileBlockRefs(p, f.Inum())
-			for _, r := range refs {
-				if idx, ok := hl.Amap.TertIndex(hl.Amap.SegOf(r.Addr)); ok {
-					out[idx] = true
-				}
-			}
-			return out
-		}
-		gap := func() (lo, hi int) {
-			lo, hi = 1<<30, -1
-			for idx := range segsOf(fa) {
-				if idx < lo {
-					lo = idx
-				}
-				if idx > hi {
-					hi = idx
-				}
-			}
-			for idx := range segsOf(fb) {
-				if idx < lo {
-					lo = idx
-				}
-				if idx > hi {
-					hi = idx
-				}
-			}
-			return lo, hi
-		}
-		lo0, hi0 := gap()
-		if hi0-lo0 < 3 {
-			t.Fatalf("setup failed: A and B already adjacent (%d..%d)", lo0, hi0)
-		}
-		// The analysis phase touches both sets: eject and demand-fetch.
-		hl.FS.DropFileBuffers(p, fa.Inum())
-		hl.FS.DropFileBuffers(p, fb.Inum())
-		for _, l := range hl.Cache.Lines() {
-			if err := hl.Svc.Eject(l.Tag); err != nil {
-				t.Fatal(err)
-			}
-		}
-		buf := make([]byte, lfs.BlockSize)
-		if _, err := fa.ReadAt(p, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fb.ReadAt(p, buf, 0); err != nil {
-			t.Fatal(err)
-		}
-		if len(ra.queue) < 2 {
-			t.Fatalf("rearranger saw %d fetches, want >= 2", len(ra.queue))
-		}
-		oldA, oldB := segsOf(fa), segsOf(fb)
-		if n, err := ra.RunOnce(p); err != nil || n == 0 {
-			t.Fatalf("rearranger ran %d segments, err %v", n, err)
-		}
-		lo1, hi1 := gap()
-		if hi1-lo1 >= hi0-lo0 {
-			t.Fatalf("rearrangement did not tighten clustering: span %d..%d -> %d..%d", lo0, hi0, lo1, hi1)
-		}
-		// Old copies are dead (only per-pseg summary-block residue may
-		// remain; the whole-volume cleaner reclaims it).
-		for idx := range oldA {
-			if live := hl.FS.TsegUsage(idx).LiveBytes; live > 2*lfs.BlockSize {
-				t.Fatalf("old segment %d of A still counted live (%d bytes)", idx, live)
-			}
-		}
-		for idx := range oldB {
-			if live := hl.FS.TsegUsage(idx).LiveBytes; live > 2*lfs.BlockSize {
-				t.Fatalf("old segment %d of B still counted live (%d bytes)", idx, live)
-			}
-		}
-		// Content intact through the rewrite.
-		want := make([]byte, 14*lfs.BlockSize)
-		for i := range want {
-			want[i] = byte(1*13+i) ^ byte(i>>10)
-		}
-		got := make([]byte, len(want))
-		if _, err := fa.ReadAt(p, got, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("setA corrupted by rearrangement")
-		}
-	})
-	e.k.Stop()
 }
 
 // TestNamespaceHotStableCriterion exercises §5.3's secondary criterion:

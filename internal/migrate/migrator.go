@@ -86,23 +86,7 @@ func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 			},
 		})
 	}()
-	if br, ok := m.Policy.(*BlockRange); ok {
-		// Block-based migration: stage only the cold ranges.
-		if err := m.HL.FS.Sync(p); err != nil {
-			return 0, err
-		}
-		for _, c := range cands {
-			refs, err := br.ColdRefs(p, m.HL, c.Inum)
-			if err != nil {
-				return staged, err
-			}
-			n, err := m.HL.MigrateRefs(p, refs)
-			staged += n
-			if err != nil {
-				return staged, err
-			}
-		}
-	} else if w := m.window(); w > 0 {
+	if w := m.window(); w > 0 {
 		// Pipelined migration: one candidate at a time so completed
 		// staging segments start draining to tertiary while later
 		// candidates are still being gathered, with outstanding

@@ -17,37 +17,30 @@ import (
 // with the most similar access times merge (the dynamic-granularity
 // tradeoff the paper describes).
 
-// AccessRange is one tracked extent [Start, End) with its last access.
-type AccessRange struct {
+// accessRange is one tracked extent [Start, End) with its last access.
+type accessRange struct {
 	Start, End int32
 	Last       sim.Time
 }
 
+// maxRangeRecords caps the records kept per file.
+const maxRangeRecords = 16
+
 // RangeTracker accumulates per-file access ranges, fed from the file
 // system's OnAccess hook.
 type RangeTracker struct {
-	k *sim.Kernel
-	// MaxRecords caps records per file (default 16).
-	MaxRecords int
-	files      map[uint32][]AccessRange
+	k     *sim.Kernel
+	files map[uint32][]accessRange
 }
 
 // NewRangeTracker returns a tracker; wire Hook into lfs.FS.OnAccess.
 func NewRangeTracker(k *sim.Kernel) *RangeTracker {
-	return &RangeTracker{k: k, MaxRecords: 16, files: make(map[uint32][]AccessRange)}
+	return &RangeTracker{k: k, files: make(map[uint32][]accessRange)}
 }
 
 // Hook is the lfs.FS.OnAccess adapter.
 func (t *RangeTracker) Hook(inum uint32, start, end int32, write bool) {
 	t.record(inum, start, end, t.k.Now())
-}
-
-// Ranges returns a copy of a file's records, sorted by Start.
-func (t *RangeTracker) Ranges(inum uint32) []AccessRange {
-	rs := t.files[inum]
-	out := make([]AccessRange, len(rs))
-	copy(out, rs)
-	return out
 }
 
 // record notes an access of [start, end) at time now. Overlapping pieces
@@ -57,7 +50,7 @@ func (t *RangeTracker) record(inum uint32, start, end int32, now sim.Time) {
 		return
 	}
 	old := t.files[inum]
-	var out []AccessRange
+	var out []accessRange
 	for _, r := range old {
 		if r.End <= start || r.Start >= end {
 			out = append(out, r)
@@ -65,13 +58,13 @@ func (t *RangeTracker) record(inum uint32, start, end int32, now sim.Time) {
 		}
 		// Keep the non-overlapping flanks with their old timestamp.
 		if r.Start < start {
-			out = append(out, AccessRange{r.Start, start, r.Last})
+			out = append(out, accessRange{r.Start, start, r.Last})
 		}
 		if r.End > end {
-			out = append(out, AccessRange{end, r.End, r.Last})
+			out = append(out, accessRange{end, r.End, r.Last})
 		}
 	}
-	out = append(out, AccessRange{start, end, now})
+	out = append(out, accessRange{start, end, now})
 	sort.Slice(out, func(a, b int) bool { return out[a].Start < out[b].Start })
 	// Coalesce adjacent ranges with identical timestamps.
 	merged := out[:1]
@@ -89,11 +82,7 @@ func (t *RangeTracker) record(inum uint32, start, end int32, now sim.Time) {
 	// fragments with hour-apart stamps costs almost nothing, while
 	// absorbing a thousand-block dormant region into a hot neighbour
 	// would mislabel all of it.
-	max := t.MaxRecords
-	if max < 1 {
-		max = 1
-	}
-	for len(merged) > max {
+	for len(merged) > maxRangeRecords {
 		best := -1
 		var bestCost float64
 		for i := 0; i+1 < len(merged); i++ {
@@ -112,53 +101,36 @@ func (t *RangeTracker) record(inum uint32, start, end int32, now sim.Time) {
 			a.Last = b.Last // merged record keeps the newer access
 		}
 		a.End = b.End // subsumes any gap between the records
-		merged = append(merged[:best], append([]AccessRange{a}, merged[best+2:]...)...)
+		merged = append(merged[:best], append([]accessRange{a}, merged[best+2:]...)...)
 	}
 	t.files[inum] = merged
 }
 
-// BlockRange is the block-based migration policy (§5.2): within each file
-// it migrates only ranges older than MinAge, letting old, unreferenced
-// data within a file migrate while active data in the same file remain on
-// secondary storage (the database-file scenario).
-type BlockRange struct {
-	Tracker *RangeTracker
-	MinAge  sim.Time
-}
-
-// Name implements Policy (for ranking; range selection is via ColdRefs).
-func (b *BlockRange) Name() string { return "blockrange" }
-
-// Select implements Policy: files are ranked by the STP score of their
-// coldest range.
-func (b *BlockRange) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Candidate, error) {
-	stp := NewSTP()
-	stp.MinAge = b.MinAge
-	return stp.Select(p, hl, targetBytes)
-}
-
-// ColdRefs filters a file's block refs down to those in ranges last
-// accessed at least MinAge ago. Blocks never recorded (e.g. written before
-// tracking started) count as cold. Indirect blocks are included only when
-// every tracked range is cold (they cover the whole file).
-func (b *BlockRange) ColdRefs(p *sim.Proc, hl *core.HighLight, inum uint32) ([]lfs.BlockRef, error) {
+// ColdRefs is block-based migration (§5.2): it filters a file's block refs
+// down to those in ranges last accessed at least minAge ago, letting old,
+// unreferenced data within a file migrate while active data in the same file
+// remain on secondary storage (the database-file scenario). Blocks never
+// recorded (e.g. written before tracking started) count as cold. Indirect
+// blocks are included only when every tracked range is cold (they cover the
+// whole file).
+func (t *RangeTracker) ColdRefs(p *sim.Proc, hl *core.HighLight, inum uint32, minAge sim.Time) ([]lfs.BlockRef, error) {
 	refs, err := hl.FS.FileBlockRefs(p, inum)
 	if err != nil {
 		return nil, err
 	}
 	now := p.Now()
-	ranges := b.Tracker.Ranges(inum)
+	ranges := t.files[inum]
 	hot := func(lbn int32) bool {
 		for _, r := range ranges {
 			if lbn >= r.Start && lbn < r.End {
-				return now-r.Last < b.MinAge
+				return now-r.Last < minAge
 			}
 		}
 		return false
 	}
 	anyHot := false
 	for _, r := range ranges {
-		if now-r.Last < b.MinAge {
+		if now-r.Last < minAge {
 			anyHot = true
 			break
 		}

@@ -199,13 +199,6 @@ type Service struct {
 	// tertiary storage access"). It must not block.
 	Notify func(tag int, waited sim.Time, done bool)
 
-	// OnFetched, if set, is told whenever a demand fetch completes — the
-	// input to §5.4's rewrite-on-fetch rearrangement policy ("rewrite
-	// segments to tertiary storage as they are read into the cache.
-	// This is more likely to reflect true access locality"). It must
-	// not block.
-	OnFetched func(tag int)
-
 	// OnCopiedOut, if set, is told whenever a copy-out has reached tertiary
 	// storage, after the staging line it came from (if tag is that line's
 	// own segment) has been marked clean. It must not block.
@@ -706,9 +699,6 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 	s.obs.Counter("tertiary.bytes_in").Add(int64(s.segBytes()))
 	s.heat.Touch(r.tag, attr.Fetch, p.Now())
 	s.resolveFetch(r.tag, nil)
-	if s.OnFetched != nil {
-		s.OnFetched(r.tag)
-	}
 	if s.Prefetch != nil {
 		s.requestPrefetch(p, s.Prefetch(r.tag))
 	}

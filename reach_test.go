@@ -41,9 +41,6 @@ var reachAllow = map[string]string{
 	"jukebox.Jukebox.SetActualSegments": "§6.3's compression shortfall; the crash matrix and the end-of-medium tests of core and tertiary set it",
 	"jukebox.Library.IdleHealthyDrives": "the frozen benchmark's TestSeamsForwardCapabilities checks the decorator forwards it (ROADMAP item 2(b))",
 	"jukebox.Library.WriteSegment":      "Footprint's write, which the frozen benchmark's TestSeamsForwardCapabilities calls (ROADMAP item 2(b))",
-	"migrate.BlockRange":                "Policy's Name and Select, for the migrator's block-range mode (§5.2) that RunOnce links but no program selects; deleting the mode changes linked code",
-	"migrate.NewRearranger":             "§5.4's rearranging policy, pending the ablation row ROADMAP item 17 asks for",
-	"migrate.Rearranger":                "§5.4's rearranging policy, pending the ablation row ROADMAP item 17 asks for",
 }
 
 // reachRoots is the directory, below the module root, of the program that

@@ -31,14 +31,12 @@ import (
 // package, each with its reason. Keys are package paths below internal/
 // followed by the name, with the receiver type for a method.
 var surfaceAllow = map[string]string{
-	"hsm.OpEvict":                "one of the five ops Submit takes and the state file persists",
-	"jukebox.Metrum":             "the only tape profile, which sub-segment reads (ROADMAP item 11) need",
-	"jukebox.SonyWORM":           "the write-once optical profile beside Metrum, for the same media comparisons",
-	"lfs.TypeFree":               "the on-media inode type of a free slot, named for the format",
-	"migrate.NewRearranger":      "the §5.4 rearranging policy of DESIGN.md's mechanism table",
-	"migrate.Rearranger.RunOnce": "the pass that makes the §5.4 Rearranger do anything",
-	"svc.FrontEnd.SubmitAsync":   "Submit's admission without the wait; svc's tests keep several requests in flight from one proc",
-	"svc.Request.Wait":           "the wait Submit adds to SubmitAsync",
+	"hsm.OpEvict":              "one of the five ops Submit takes and the state file persists",
+	"jukebox.Metrum":           "the only tape profile, which sub-segment reads (ROADMAP item 11) need",
+	"jukebox.SonyWORM":         "the write-once optical profile beside Metrum, for the same media comparisons",
+	"lfs.TypeFree":             "the on-media inode type of a free slot, named for the format",
+	"svc.FrontEnd.SubmitAsync": "Submit's admission without the wait; svc's tests keep several requests in flight from one proc",
+	"svc.Request.Wait":         "the wait Submit adds to SubmitAsync",
 }
 
 // surfaceDocs are the documents whose backticked names must resolve.
