@@ -227,46 +227,22 @@ func (pl *Plan) AddLibraryOutage(l *jukebox.Library, o LibraryOutage) {
 	pl.libOutages = append(pl.libOutages, scheduledLibOutage{l, o})
 }
 
-// Start spawns the outage-driver daemon that flips drive and library
-// health at the scheduled virtual times. A plan with no outages needs no
-// Start.
+// Start arms a kernel timer per outage edge that flips drive or library
+// health at its virtual time. Edges at one instant apply in the order they
+// were added, an outage's offline edge before its online one. A plan with
+// no outages needs no Start.
 func (pl *Plan) Start(k *sim.Kernel) {
 	pl.started = true
-	if len(pl.outages) == 0 && len(pl.libOutages) == 0 {
-		return
-	}
-	type edge struct {
-		at    sim.Time
-		apply func()
-	}
-	var edges []edge
 	for _, so := range pl.outages {
-		so := so
-		edges = append(edges, edge{so.o.Start, func() { so.j.SetDriveOffline(so.o.Drive, true) }})
-		edges = append(edges, edge{so.o.End, func() { so.j.SetDriveOffline(so.o.Drive, false) }})
+		k.At(so.o.Start, func() { so.j.SetDriveOffline(so.o.Drive, true) })
+		k.At(so.o.End, func() { so.j.SetDriveOffline(so.o.Drive, false) })
 	}
 	for _, lo := range pl.libOutages {
-		lo := lo
-		edges = append(edges, edge{lo.o.Start, func() { lo.l.SetDown(true) }})
+		k.At(lo.o.Start, func() { lo.l.SetDown(true) })
 		if lo.o.End > lo.o.Start {
-			edges = append(edges, edge{lo.o.End, func() { lo.l.SetDown(false) }})
+			k.At(lo.o.End, func() { lo.l.SetDown(false) })
 		}
 	}
-	// Stable order: by time, ties broken by insertion order (offline
-	// edges were appended before their matching online edges).
-	for i := 1; i < len(edges); i++ {
-		for j := i; j > 0 && edges[j].at < edges[j-1].at; j-- {
-			edges[j], edges[j-1] = edges[j-1], edges[j]
-		}
-	}
-	k.GoDaemon("fault-outages", func(p *sim.Proc) {
-		for _, e := range edges {
-			if d := e.at - p.Now(); d > 0 {
-				p.Sleep(d)
-			}
-			e.apply()
-		}
-	})
 }
 
 // DeviceCounts reports the injected-fault tally for one installed device.

@@ -134,6 +134,31 @@ func TestFlushSteadyStateAllocations(t *testing.T) {
 	})
 }
 
+// TestCheckpointTablesAllocatesNothing: a table-only checkpoint renders the
+// tables into the image the FS keeps and encodes its header into the block
+// the FS keeps, and the disk copies both.
+func TestCheckpointTablesAllocatesNothing(t *testing.T) {
+	env := allocEnv(t, 64, 32, Options{})
+	env.run(t, func(p *sim.Proc) {
+		writeFile(t, p, env.fs, "/f", pattern(7, 16*BlockSize))
+		ckpt := func() {
+			if err := env.fs.CheckpointTables(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ckpt()
+		n := env.fs.Stats().Checkpoints
+		got := steadyStateAlloc(nil, ckpt)
+		t.Logf("table-only checkpoint: %d bytes allocated per op", got)
+		if got != 0 {
+			t.Errorf("a table-only checkpoint allocates %d bytes per op in steady state, want 0", got)
+		}
+		if got := env.fs.Stats().Checkpoints - n; got != 8 {
+			t.Errorf("measured %d checkpoints, want 8", got)
+		}
+	})
+}
+
 // TestMigratevSteadyStateAllocations: one Migratev call gathers its run
 // straight into the staging line's image and writes the staged partial
 // segment from there, kept. Each call is given a fresh image, allocated

@@ -199,6 +199,7 @@ type FS struct {
 	listImage   []byte // a listed directory (readDirLocked)
 	segImage    []byte // partial-segment assembly of the log writer (writePsegs)
 	tableImage  []byte // serializeTables' checkpoint table image
+	ckptHeader  []byte // writeCheckpointLocked's header block
 	flush       flushScratch
 
 	// Buffer headers dropBuf took back: dropped ones wait for unlock, free
@@ -609,10 +610,12 @@ func (fs *FS) writeCheckpointLocked(p *sim.Proc) error {
 		NextInum: fs.nextInum,
 		Region:   region,
 	}
-	blk := make([]byte, BlockSize)
-	c.encode(blk)
+	if fs.ckptHeader == nil {
+		fs.ckptHeader = make([]byte, BlockSize)
+	}
+	c.encode(fs.ckptHeader) // zeroes it first; WriteBlocks copies it
 	slot := 1 + int(fs.serial%2)
-	if err := fs.dev.WriteBlocks(p, fs.amap.BlockOf(0, slot), blk); err != nil {
+	if err := fs.dev.WriteBlocks(p, fs.amap.BlockOf(0, slot), fs.ckptHeader); err != nil {
 		return err
 	}
 	// Barrier: a checkpoint is not complete until its header is on media.

@@ -24,36 +24,47 @@ var (
 // all run inside the dispatch loop. A nil *Ctx is valid everywhere and
 // never expires.
 type Ctx struct {
-	k        *Kernel
-	deadline Time // 0 = none
-	err      error
-	wakers   []func()
-	trace    any // opaque per-request trace (internal/obs/reqtrace)
-	park     func(p *Proc, parked bool)
+	err    error
+	wakers []func()
+	expiry timer // the deadline's timer; fn is nil when none is armed
+	trace  any   // opaque per-request trace (internal/obs/reqtrace)
+	park   func(p *Proc, parked bool)
 }
 
 // NewCtx creates a cancellation scope. deadline is an absolute virtual
-// time; 0 means no deadline (cancel-only).
+// time; 0 means no deadline (cancel-only). A deadline arms a kernel timer
+// that cancels the scope with ErrDeadlineExceeded at that instant, waking
+// every layer blocked on it through OnCancel; a deadline already past is
+// born canceled.
 func (k *Kernel) NewCtx(deadline Time) *Ctx {
-	return &Ctx{k: k, deadline: deadline}
+	c := &Ctx{}
+	switch {
+	case deadline <= 0:
+	case deadline < k.now:
+		c.err = ErrDeadlineExceeded
+	default:
+		c.expiry.fn = func() { c.Cancel(ErrDeadlineExceeded) }
+		k.push(deadline, nil, &c.expiry)
+	}
+	return c
+}
+
+// Disarm drops the scope's deadline timer, if one is still pending: the
+// request it guards has finished, and its deadline cancels nothing. Err
+// keeps its value. Nil-safe.
+func (c *Ctx) Disarm() {
+	if c != nil {
+		c.expiry.fn = nil
+	}
 }
 
 // Err reports why the scope is dead: ErrCanceled / ErrDeadlineExceeded,
-// or nil while the request may still proceed. The deadline is checked
-// passively against the kernel clock, so blocking layers that poll Err in
-// their wait loops observe expiry as soon as they are woken. Nil-safe.
+// or nil while the request may still proceed. Nil-safe.
 func (c *Ctx) Err() error {
 	if c == nil {
 		return nil
 	}
-	if c.err != nil {
-		return c.err
-	}
-	if c.deadline > 0 && c.k.Now() > c.deadline {
-		c.err = ErrDeadlineExceeded
-		return c.err
-	}
-	return nil
+	return c.err
 }
 
 // Cancel kills the scope with the given cause (ErrCanceled when nil) and

@@ -127,3 +127,43 @@ func TestCtxParkHook(t *testing.T) {
 		t.Fatalf("hook calls %v, resumed at %v", calls, resumed)
 	}
 }
+
+// A scope's deadline is a timer: it cancels the scope at that very instant
+// and runs its wakers, unless the scope was disarmed first, in which case
+// nothing runs and the tombstone leaves the heap.
+func TestCtxDeadlineTimer(t *testing.T) {
+	k := NewKernel()
+	live, disarmed := k.NewCtx(3*time.Second), k.NewCtx(time.Second)
+	var at Time
+	live.OnCancel(func() { at = k.Now() })
+	disarmed.OnCancel(func() { t.Error("a disarmed deadline ran its scope's waker") })
+	disarmed.Disarm()
+	k.RunProc(func(p *Proc) { p.Sleep(5 * time.Second) })
+	if at != 3*time.Second || !errors.Is(live.Err(), ErrDeadlineExceeded) {
+		t.Fatalf("canceled at %v with %v, want 3s and ErrDeadlineExceeded", at, live.Err())
+	}
+	if err := disarmed.Err(); err != nil || len(k.events) != 0 {
+		t.Fatalf("disarmed scope Err() = %v, %d events left", err, len(k.events))
+	}
+}
+
+// A scope created past its deadline is born expired; one due now expires
+// once the procs already runnable now have run.
+func TestCtxPastDeadlineIsBornExpired(t *testing.T) {
+	k := NewKernel()
+	k.RunProc(func(p *Proc) {
+		p.Sleep(5 * time.Second)
+		past := k.NewCtx(4 * time.Second)
+		if !errors.Is(past.Err(), ErrDeadlineExceeded) {
+			t.Fatalf("Err() = %v, want ErrDeadlineExceeded", past.Err())
+		}
+		now := k.NewCtx(p.Now())
+		if err := now.Err(); err != nil {
+			t.Fatalf("a deadline due now expired before its timer ran: %v", err)
+		}
+		p.Sleep(0)
+		if !errors.Is(now.Err(), ErrDeadlineExceeded) {
+			t.Fatalf("Err() = %v after the timer due now, want ErrDeadlineExceeded", now.Err())
+		}
+	})
+}

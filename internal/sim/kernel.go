@@ -6,7 +6,8 @@
 // virtual time (Sleep) or on a synchronization primitive (Resource, Cond,
 // Chan). The kernel dispatches the earliest pending event, so runs are fully
 // deterministic: the same program produces the same virtual-time trace on
-// every host.
+// every host. A timer (At) is an event with no process: Run calls its
+// function itself.
 //
 // A process runs on a coroutine (iter.Pull) that Run switches to directly,
 // without a trip through the Go scheduler; a process whose own wake-up
@@ -101,12 +102,18 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.Now() }
 
-// event is a scheduled wake-up of a process.
+// event is a scheduled wake-up of a process, or a timer's call.
 type event struct {
 	t   Time
 	seq uint64 // tiebreaker: FIFO among events at the same time
-	p   *Proc
+	p   *Proc  // nil for a timer
+	tm  *timer
 }
+
+// timer is a function Run calls at a virtual time on no proc: a time-out
+// is an entry in the event list, not a process. Disarming it (fn = nil)
+// leaves a tombstone in the heap that Run drops when it pops it.
+type timer struct{ fn func() }
 
 // eventHeap is a binary min-heap ordered by (time, seq). It is a concrete
 // implementation rather than container/heap: push and pop sit on the
@@ -337,18 +344,29 @@ func (k *Kernel) finish(p *Proc) {
 type stopProc struct{}
 
 func (k *Kernel) schedule(t Time, p *Proc) {
-	if t < k.now {
-		t = k.now
-	}
-	k.seq++
-	k.events.push(event{t: t, seq: k.seq, p: p})
-	if len(k.events) > k.heapHighWater {
-		k.heapHighWater = len(k.events)
-	}
+	k.push(t, p, nil)
 	if p.state != stateNew {
 		p.state = stateRunnable
 	}
 }
+
+// push queues p's wake-up or tm's call at t, or now if t is past.
+func (k *Kernel) push(t Time, p *Proc, tm *timer) {
+	if t < k.now {
+		t = k.now
+	}
+	k.seq++
+	k.events.push(event{t: t, seq: k.seq, p: p, tm: tm})
+	if len(k.events) > k.heapHighWater {
+		k.heapHighWater = len(k.events)
+	}
+}
+
+// At calls fn at virtual time t (now, if t is past), in (t, seq) order
+// with every other event. fn runs on no proc, from Run's own loop: it must
+// not block, and it may wake procs. A timer keeps no Run alive and is not
+// counted as an event, a proc or a switch.
+func (k *Kernel) At(t Time, fn func()) { k.push(t, nil, &timer{fn}) }
 
 // wake moves a blocked process back to the run queue at the current time.
 // It is used by synchronization primitives.
@@ -423,6 +441,13 @@ func (k *Kernel) Run() {
 			t0 = time.Now()
 		}
 		e := k.events.pop()
+		if e.tm != nil {
+			if fn := e.tm.fn; fn != nil {
+				k.now = e.t
+				fn()
+			}
+			continue
+		}
 		p := e.p
 		if p.state == stateDone {
 			k.profSkipped++

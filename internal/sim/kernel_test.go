@@ -281,3 +281,49 @@ func TestRestartIsASpawn(t *testing.T) {
 		t.Errorf("restarted: %+v\nspawned: %+v", rp, sp)
 	}
 }
+
+// TestTimersAndSleepsFireInArmOrder: a timer is an event like a Sleep's
+// wake-up, so those due at one instant run in the order they were armed.
+func TestTimersAndSleepsFireInArmOrder(t *testing.T) {
+	k := NewKernel()
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	k.At(time.Second, note("timer 1"))
+	k.Go("sleeper", func(p *Proc) {
+		k.At(time.Second, note("timer 3"))
+		p.Sleep(time.Second)
+		order = append(order, "sleeper")
+		p.Sleep(0) // stay alive until the last timer due now has run
+	})
+	k.Go("late", func(p *Proc) { k.At(time.Second, note("timer 4")) })
+	k.At(time.Second, note("timer 2"))
+	k.Run()
+	got := strings.Join(order, ", ")
+	if want := "timer 1, timer 2, timer 3, sleeper, timer 4"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+}
+
+// TestTimerIsNotAProc: a timer runs on no proc and is not an event or a
+// switch, it wakes procs it calls back, and a pending one keeps no Run alive.
+func TestTimerIsNotAProc(t *testing.T) {
+	k := NewKernel()
+	c := k.NewCond("c")
+	woke, late := Time(-1), false
+	k.RunProc(func(p *Proc) {
+		k.At(2*time.Second, c.Broadcast)
+		k.At(time.Hour, func() { late = true })
+		c.Wait(p)
+		woke = p.Now()
+	})
+	if woke != 2*time.Second || late || k.Now() != 2*time.Second {
+		t.Fatalf("woke at %v, late timer ran %v, run ended at %v", woke, late, k.Now())
+	}
+	pr := k.ProfileSnapshot()
+	if pr.Procs != 1 || pr.TotalEvents != 2 || pr.TotalSwitches != 2 {
+		t.Fatalf("procs %d, events %d, switches %d; want main's 1, 2 and 2", pr.Procs, pr.TotalEvents, pr.TotalSwitches)
+	}
+	if pr.TotalEvents != pr.TotalSwitches+pr.InPlaceEvents {
+		t.Fatalf("events %d != switches %d + in-place events %d", pr.TotalEvents, pr.TotalSwitches, pr.InPlaceEvents)
+	}
+}

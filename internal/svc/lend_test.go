@@ -181,16 +181,21 @@ func TestLendBackgroundNeitherLendsNorBorrows(t *testing.T) {
 }
 
 // A deadline that passes while the request is parked ends the loan on the way
-// out: nothing stays lent, and the slot serves the next request.
+// out, at the deadline instant: nothing stays lent, and the slot serves the
+// next request.
 func TestLendDeadlineWhileParkedReturnsTheLoan(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
 		hl, fe, cold := lendRig(t, p, k, 2, twoSlots)
 		watchSlots(t, fe)
-		r := submitRead(t, p, fe, hl, svc.Interactive, cold[0], p.Now()+300*sim.Time(time.Millisecond))
+		deadline := p.Now() + 300*sim.Time(time.Millisecond)
+		r := submitRead(t, p, fe, hl, svc.Interactive, cold[0], deadline)
 		waitParked(t, p, fe, 1)
 		if err := r.Wait(p); !errors.Is(err, sim.ErrDeadlineExceeded) {
 			t.Fatalf("parked request past its deadline: %v", err)
+		}
+		if late := p.Now() - deadline; late != 0 {
+			t.Errorf("the parked request's Wait returned %v after its deadline, want at it", late)
 		}
 		if st := fe.Stats(); st.Lent != 0 || st.Executing != 0 {
 			t.Errorf("after the abandoned wait: %d lent, %d executing", st.Lent, st.Executing)

@@ -169,7 +169,6 @@ type FrontEnd struct {
 	queues [numClasses]sim.Queue[*Request]
 	work   *sim.Cond
 	nextID int64
-	dogs   []*watchdog // deadline processes that have returned, to restart
 
 	// Slot accounting. exec <= Workers and execBG <= Workers -
 	// ReservedInteractive at every instant; lent <= Workers, so at most
@@ -337,38 +336,8 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	fe.queues[class].Push(r)
 	fe.qGauge[class].Set(int64(fe.queues[class].Len()))
 	fe.updateBrownout()
-	if deadline > 0 {
-		fe.startWatchdog(r)
-	}
 	fe.work.Broadcast()
 	return r, nil
-}
-
-// watchdog is a request's deadline process: it sleeps until the deadline
-// and, if the request is still live, cancels its scope — waking any layer
-// blocked on the request (fetch waits re-check their context and abandon).
-type watchdog struct {
-	r *Request
-	p *sim.Proc
-}
-
-func (fe *FrontEnd) startWatchdog(r *Request) {
-	if n := len(fe.dogs); n > 0 {
-		w := fe.dogs[n-1]
-		fe.dogs, w.r = fe.dogs[:n-1], r
-		fe.k.Restart(w.p)
-		return
-	}
-	w := &watchdog{r: r}
-	w.p = fe.k.GoDaemon("svc-deadline", func(p *sim.Proc) {
-		if d := w.r.Deadline - p.Now(); d > 0 {
-			p.Sleep(d)
-		}
-		if !w.r.finished {
-			w.r.ctx.Cancel(sim.ErrDeadlineExceeded)
-		}
-		fe.dogs, w.r = append(fe.dogs, w), nil // its last act: nothing restarts it before it returns
-	})
 }
 
 // AllowRetry spends one retry token if any are banked. Clients call it
@@ -577,6 +546,7 @@ func (fe *FrontEnd) unpark(p *sim.Proc, r *Request) {
 // complete moves a request to its terminal state and wakes its waiters.
 func (fe *FrontEnd) complete(r *Request, err error) {
 	r.finished = true
+	r.ctx.Disarm()
 	r.err = err
 	r.endT = fe.k.Now()
 	fe.latH[r.Class].Observe(r.endT - r.submitT)

@@ -146,6 +146,39 @@ func TestAdmitExecuteComplete(t *testing.T) {
 	k.Stop()
 }
 
+// TestDeadlinesSpawnNoProc: a request's deadline is a kernel timer, not a
+// process, so requests with deadlines start exactly as many procs as the same
+// requests without.
+func TestDeadlinesSpawnNoProc(t *testing.T) {
+	k := sim.NewKernel()
+	k.RunProc(func(p *sim.Proc) {
+		hl, _, _ := rig(t, p, k)
+		fe := svc.New(hl, svc.Config{})
+		f, err := hl.FS.Create(p, "/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(p, make([]byte, lfs.BlockSize), 0); err != nil {
+			t.Fatal(err)
+		}
+		procs := func(deadline sim.Time) int {
+			before := k.ProfileSnapshot().Procs
+			for i := 0; i < 20; i++ {
+				if err := readVia(p, fe, hl, "/f", 0, 1, deadline); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return k.ProfileSnapshot().Procs - before
+		}
+		procs(0) // the first reads start what the file system starts once
+		without := procs(0)
+		if with := procs(p.Now() + sim.Time(time.Minute)); with != without {
+			t.Errorf("20 requests started %d procs with deadlines, %d without", with, without)
+		}
+	})
+	k.Stop()
+}
+
 // TestOverloadShedsExplicitly fills both class queues past capacity and
 // checks every excess submission is refused immediately with ErrOverload —
 // and that admitted requests still reach a terminal state (no silent
