@@ -8,7 +8,7 @@
 //
 //	hlbench [-table N] [-ablations] [-quick]
 //	        [-disks N] [-stripe U] [-parity] [-streams K]
-//	        [-trace FILE] [-json FILE] [-serve ADDR [-rounds N]]
+//	        [-trace FILE] [-json FILE]
 //	        [-clients N [-arrival closed|poisson|bursty] [-deadline D]]
 //	        [-profile] [-requests FILE]
 //
@@ -45,34 +45,19 @@
 // are physical measurements (they vary by machine) and are never part of
 // the deterministic benchmark snapshot.
 //
-// -requests FILE runs the traced overload cell and writes the /requests
+// -requests FILE runs the traced overload cell and writes the requests
 // JSON document: per-request causal traces with critical-path breakdowns
 // (queue-wait, cache-lookup, fetch-wait, stripe-io, drive-swap,
 // media-transfer, retry-backoff) whose stage durations sum exactly to
 // each request's end-to-end latency. Byte-reproducible across runs.
-//
-// -serve ADDR runs a multi-round migration + demand-fetch workload while
-// serving its observability pages over HTTP: Prometheus-format /metrics
-// (the kernel self-profile last), the per-segment heat map as /heatmap
-// JSON, the migration decision audit as /decisions JSON, per-request
-// traces as /requests JSON, and net/http/pprof under /debug/pprof/. The
-// workload renders the pages at fixed points of the virtual clock and
-// only reads to do so; a handler only loads the latest set, so scraping
-// never touches the simulation. After the workload the final pages stay
-// up until interrupted. -rounds sets the number of workload rounds.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
@@ -93,13 +78,11 @@ func main() {
 	streams := flag.Int("streams", 1, "concurrent tertiary I/O streams per library; <2 keeps the single historical stream")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the migration workload to this file")
 	jsonOut := flag.String("json", "", "write a machine-readable snapshot of all tables + obs counters to this file")
-	serveAddr := flag.String("serve", "", "run the migration workload while serving its observability pages on this address (e.g. 127.0.0.1:8080)")
-	rounds := flag.Int("rounds", 3, "workload rounds for -serve")
 	clients := flag.Int("clients", 0, "run the closed-loop overload workload with this many clients through the admission-controlled front end (0 = off)")
 	arrival := flag.String("arrival", "closed", "arrival process for -clients: closed|poisson|bursty")
 	deadline := flag.Duration("deadline", 5*time.Second, "per-request virtual-time deadline for -clients")
 	profile := flag.Bool("profile", false, "measure the sim kernel itself on the wall clock (events/sec, dispatch overhead, heap depth) over the migration workload")
-	requestsOut := flag.String("requests", "", "write the traced overload run's /requests JSON (per-request critical-path breakdowns) to this file")
+	requestsOut := flag.String("requests", "", "write the traced overload run's requests JSON (per-request critical-path breakdowns) to this file")
 	flag.Parse()
 
 	check(2, "", cliutil.ValidateFarm(*disks, *stripeUnit, *parity))
@@ -144,11 +127,6 @@ func main() {
 		})
 		check(1, "-clients: ", err)
 		fmt.Println(rep)
-		return
-	}
-
-	if *serveAddr != "" {
-		check(1, "-serve: ", serve(*serveAddr, scale, *rounds))
 		return
 	}
 
@@ -199,45 +177,6 @@ func check(status int, what string, err error) {
 		fmt.Fprintf(os.Stderr, "hlbench: %s%v\n", what, err)
 		os.Exit(status)
 	}
-}
-
-// serve answers /metrics, /heatmap, /decisions and /requests on addr with
-// the pages bench.ServeMigration last published (503 before the first), and
-// /debug/pprof/ from net/http/pprof on the default mux. After the workload
-// the final pages stay up until interrupted.
-func serve(addr string, scale bench.Scale, rounds int) error {
-	var cur atomic.Pointer[bench.Pages]
-	route := func(path, ctype string, body func(*bench.Pages) []byte) {
-		http.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
-			pg := cur.Load()
-			if pg == nil {
-				http.Error(w, "no pages published yet", http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", ctype)
-			w.Write(body(pg))
-		})
-	}
-	route("/metrics", "text/plain; version=0.0.4; charset=utf-8", func(pg *bench.Pages) []byte { return pg.Metrics })
-	route("/heatmap", "application/json", func(pg *bench.Pages) []byte { return pg.Heatmap })
-	route("/decisions", "application/json", func(pg *bench.Pages) []byte { return pg.Decisions })
-	route("/requests", "application/json", func(pg *bench.Pages) []byte { return pg.Requests })
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	go http.Serve(ln, nil) // serves until the process exits
-	fmt.Printf("serving http://%s  (/metrics /heatmap /decisions /requests /debug/pprof/)\n", ln.Addr())
-	if err := bench.ServeMigration(scale, cur.Store, rounds); err != nil {
-		return err
-	}
-	// Catch the interrupt before saying it may come: one sent as soon as the
-	// line is read must not find the default handler still in place.
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	fmt.Println("workload complete; final pages still served (interrupt to exit)")
-	<-ch
-	return nil
 }
 
 // isTable reports whether c is one of the paper's tables rather than an

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -74,75 +69,6 @@ func TestGoldenOutput(t *testing.T) {
 				compareGolden(t, filepath.Join("testdata", c.name+".json.golden"), got)
 			}
 		})
-	}
-}
-
-// TestServeAnswersEveryPage runs `hlbench -quick -serve 127.0.0.1:0 -rounds
-// 1` through main and, once the workload is done, asks every route: each
-// page answers 200 with its content type and a body of its kind, and
-// net/http/pprof answers under /debug/pprof/ (what `make profile` scrapes).
-// An interrupt then stops the server, and hlbench exits 0.
-func TestServeAnswersEveryPage(t *testing.T) {
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, "-quick", "-serve", "127.0.0.1:0", "-rounds", "1")
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-	var base string
-	for sc := bufio.NewScanner(stdout); sc.Scan(); {
-		if rest, ok := strings.CutPrefix(sc.Text(), "serving "); ok {
-			base = strings.Fields(rest)[0]
-		}
-		if strings.HasPrefix(sc.Text(), "workload complete") {
-			break
-		}
-	}
-	if base == "" {
-		cmd.Wait()
-		t.Fatalf("hlbench -serve printed no address:\n%s", stderr.Bytes())
-	}
-	for path, want := range map[string]string{
-		"/metrics":      "text/plain; version=0.0.4; charset=utf-8",
-		"/heatmap":      "application/json",
-		"/decisions":    "application/json",
-		"/requests":     "application/json",
-		"/debug/pprof/": "text/html; charset=utf-8",
-	} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		ctype := resp.Header.Get("Content-Type")
-		switch {
-		case resp.StatusCode != http.StatusOK || ctype != want:
-			t.Errorf("GET %s = %d, %q; want 200, %q", path, resp.StatusCode, ctype, want)
-		case ctype == "application/json" && !json.Valid(body):
-			t.Errorf("GET %s: body is not JSON:\n%s", path, body)
-		case path == "/metrics" && !bytes.HasPrefix(body, []byte("# HELP hl_virtual_time_seconds")):
-			t.Errorf("GET /metrics: not the metrics page:\n%s", body)
-		}
-	}
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("hlbench -serve after an interrupt: %v\n%s", err, stderr.Bytes())
 	}
 }
 

@@ -45,7 +45,7 @@ type OverloadResult struct {
 	TracedRequests int64  // traces sealed (0 with tracing disabled)
 	StagesRecorded int64  // stages across all sealed traces
 	TraceErrs      int64  // retained traces violating the sum invariant
-	RequestsJSON   []byte // the /requests document at end of run
+	RequestsJSON   []byte // the requests document at end of run
 }
 
 // overloadBaseClients x overloadBaseGap set the 1x operating point: four

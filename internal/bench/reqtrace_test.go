@@ -30,7 +30,7 @@ func TestReqtraceAblationFree(t *testing.T) {
 }
 
 // TestRequestsJSONBitReproducible runs the traced overload cell twice
-// and requires byte-identical /requests documents — the double-run
+// and requires byte-identical requests documents — the double-run
 // digest check the soak job re-runs under -race.
 func TestRequestsJSONBitReproducible(t *testing.T) {
 	run := func() OverloadResult {
@@ -42,10 +42,10 @@ func TestRequestsJSONBitReproducible(t *testing.T) {
 	}
 	a, b := run(), run()
 	if len(a.RequestsJSON) == 0 {
-		t.Fatal("traced run produced no /requests document")
+		t.Fatal("traced run produced no requests document")
 	}
 	if !bytes.Equal(a.RequestsJSON, b.RequestsJSON) {
-		t.Fatal("two identical runs produced different /requests documents")
+		t.Fatal("two identical runs produced different requests documents")
 	}
 	var doc struct {
 		Sealed int64 `json:"sealed"`
@@ -55,7 +55,7 @@ func TestRequestsJSONBitReproducible(t *testing.T) {
 		} `json:"recent"`
 	}
 	if err := json.Unmarshal(a.RequestsJSON, &doc); err != nil {
-		t.Fatalf("/requests not JSON: %v", err)
+		t.Fatalf("requests document not JSON: %v", err)
 	}
 	if doc.Sealed != a.TracedRequests || len(doc.Recent) == 0 {
 		t.Fatalf("document counts wrong: sealed %d, traced %d, recent %d",

@@ -71,3 +71,27 @@ func TestSnapshotShape(t *testing.T) {
 		t.Fatal("snapshot JSON missing schema tag")
 	}
 }
+
+// TestSnapshotHasQuantiles checks the hlbench/2 schema addition: the
+// fetch-wait histogram's p50/p99/mean appear in the snapshot.
+func TestSnapshotHasQuantiles(t *testing.T) {
+	snap, err := BuildSnapshot(QuickScale(), "quick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Schema != "hlbench/2" {
+		t.Fatalf("schema = %q", snap.Schema)
+	}
+	q, ok := snap.Quantiles["tertiary.fetch_wait"]
+	if !ok {
+		t.Fatalf("no fetch-wait quantiles: %+v", snap.Quantiles)
+	}
+	for _, k := range []string{"p50_s", "p99_s", "mean_s"} {
+		if q[k] <= 0 {
+			t.Fatalf("quantile %s = %v, want > 0 (fetches waited)", k, q[k])
+		}
+	}
+	if q["p50_s"] > q["p99_s"] {
+		t.Fatalf("p50 %v > p99 %v", q["p50_s"], q["p99_s"])
+	}
+}

@@ -130,7 +130,8 @@ func runObsFaultWorkload(t *testing.T) obsFaultResult {
 		res.cacheHits = cs.Hits
 		res.cacheMisses = cs.Misses
 		res.auditRecorded = hl.Audit.Total()
-		for _, e := range hl.Heat.Snapshot(p.Now()).Segments {
+		for tag := range hl.FS.TsegCount() {
+			e, _ := hl.Heat.Seg(tag)
 			res.heatHits += e.Hits
 			res.heatMisses += e.Misses
 			res.heatFetches += e.Fetches

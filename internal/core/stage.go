@@ -464,7 +464,6 @@ func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes boo
 		if err != nil {
 			return staged, err
 		}
-		hl.Heat.TouchFile(inum, n, p.Now())
 		// Seg is the staging segment still open after this file's blocks
 		// landed (-1 if the file exactly filled a segment); large files
 		// span several segments, each audited by its own "staged" record.

@@ -1,8 +1,10 @@
 package dump
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/obs/reqtrace"
@@ -112,13 +114,9 @@ func Slowest(w io.Writer, t *reqtrace.Tracer, k int) {
 					top = append(top, kv{reqtrace.Kind(kind), d})
 				}
 			}
-			for i := 0; i < len(top); i++ {
-				for j := i + 1; j < len(top); j++ {
-					if top[j].d > top[i].d || (top[j].d == top[i].d && top[j].kind < top[i].kind) {
-						top[i], top[j] = top[j], top[i]
-					}
-				}
-			}
+			slices.SortFunc(top, func(a, b kv) int {
+				return cmp.Or(cmp.Compare(b.d, a.d), cmp.Compare(a.kind, b.kind))
+			})
 			if len(top) > 2 {
 				top = top[:2]
 			}

@@ -9,8 +9,8 @@
 //
 // Every request transition (admitted → done/failed), pin change and quota
 // shed is recorded in the shared decision audit and exported through hsm.*
-// instruments, so `hldump -requests/-pins/-quotas` and the /metrics and
-// /decisions pages see the whole service state.
+// instruments, so `hldump -requests/-pins/-quotas` sees the whole service
+// state.
 package hsm
 
 import (

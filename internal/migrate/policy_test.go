@@ -122,7 +122,8 @@ func TestMinAgeSkipRecordsSameInputs(t *testing.T) {
 			if err != nil || len(cands) != 0 {
 				t.Fatalf("%s: selected %+v, err %v; want nothing", pol.Name(), cands, err)
 			}
-			d := hl.Audit.Recent(1)[0]
+			all := hl.Audit.All()
+			d := all[len(all)-1]
 			if d.Subject != "file:/young" || d.Reason != "younger than min age" {
 				t.Fatalf("%s: last audit record is %v", pol.Name(), d)
 			}

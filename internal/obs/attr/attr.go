@@ -4,12 +4,11 @@
 //
 // Two instruments:
 //
-//   - Table: per-tertiary-segment (and per-file) temperature records.
-//     Every cache hit, demand fetch, staging migration, copy-out,
-//     ejection, and clean is attributed to the segment it touched,
-//     maintaining access counts, the last-touch virtual time, and an
-//     exponentially-decayed heat score. Aggregated Snapshot() views are
-//     what hlbench -serve exports as /heatmap.
+//   - Table: per-tertiary-segment temperature records. Every cache hit,
+//     demand fetch, staging migration, copy-out, ejection, and clean is
+//     attributed to the segment it touched, maintaining access counts,
+//     the last-touch virtual time, and an exponentially-decayed heat
+//     score, which `hldump -why` prints beside the segment's decisions.
 //
 //   - Audit (audit.go): the migration decision log — for every
 //     candidate the migrator or the tertiary cleaner selects or skips,
@@ -19,12 +18,11 @@
 // all methods are safe on a nil receiver, so components can attribute
 // unconditionally. Heat decay uses math.Exp2 on virtual-time ratios:
 // a pure function of recorded events, so a deterministic run produces
-// a bit-identical table (pinned by the -serve workload's determinism test).
+// a bit-identical table (pinned by hldump's why1.golden).
 package attr
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -103,14 +101,6 @@ func decay(heat float64, from, to sim.Time, halfLife sim.Time) float64 {
 	return heat * math.Exp2(-float64(to-from)/float64(halfLife))
 }
 
-// fileRecord attributes migration activity to one file.
-type fileRecord struct {
-	Inum        uint32
-	Migrations  int64
-	BytesStaged int64
-	LastStaged  sim.Time
-}
-
 // Table is the heat-attribution table. The zero value is not usable;
 // call NewTable. A nil *Table is valid everywhere and inert.
 type Table struct {
@@ -118,11 +108,7 @@ type Table struct {
 	// was given 0).
 	HalfLife sim.Time
 
-	segs     map[int]*SegRecord
-	segOrder []int
-
-	files     map[uint32]*fileRecord
-	fileOrder []uint32
+	segs map[int]*SegRecord
 }
 
 // NewTable creates a heat table. halfLife 0 selects DefaultHalfLife.
@@ -133,7 +119,6 @@ func NewTable(halfLife sim.Time) *Table {
 	return &Table{
 		HalfLife: halfLife,
 		segs:     map[int]*SegRecord{},
-		files:    map[uint32]*fileRecord{},
 	}
 }
 
@@ -142,7 +127,6 @@ func (t *Table) seg(tag int) *SegRecord {
 	if r == nil {
 		r = &SegRecord{Tag: tag}
 		t.segs[tag] = r
-		t.segOrder = append(t.segOrder, tag)
 	}
 	return r
 }
@@ -178,24 +162,6 @@ func (t *Table) Touch(tag int, k Kind, now sim.Time) {
 	r.heatAt = now
 }
 
-// TouchFile attributes a staging migration of bytes from file inum.
-func (t *Table) TouchFile(inum uint32, bytes int64, now sim.Time) {
-	if t == nil {
-		return
-	}
-	f := t.files[inum]
-	if f == nil {
-		f = &fileRecord{Inum: inum}
-		t.files[inum] = f
-		t.fileOrder = append(t.fileOrder, inum)
-	}
-	f.Migrations++
-	f.BytesStaged += bytes
-	if now > f.LastStaged {
-		f.LastStaged = now
-	}
-}
-
 // Heat returns segment tag's decayed heat as of now (0 if untouched).
 func (t *Table) Heat(tag int, now sim.Time) float64 {
 	if t == nil {
@@ -214,73 +180,4 @@ func (t *Table) Seg(tag int) (SegRecord, bool) {
 		return SegRecord{}, false
 	}
 	return *r, true
-}
-
-// SegEntry is one row of a heat-map snapshot.
-type SegEntry struct {
-	Tag       int     `json:"tag"`
-	Heat      float64 `json:"heat"`
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Fetches   int64   `json:"fetches"`
-	Stages    int64   `json:"stages"`
-	Copyouts  int64   `json:"copyouts"`
-	Evicts    int64   `json:"evicts"`
-	Cleans    int64   `json:"cleans"`
-	LastTouch float64 `json:"last_touch_s"`
-}
-
-// FileEntry is one per-file attribution row of a snapshot.
-type FileEntry struct {
-	Inum        uint32  `json:"inum"`
-	Migrations  int64   `json:"migrations"`
-	BytesStaged int64   `json:"bytes_staged"`
-	LastStaged  float64 `json:"last_staged_s"`
-}
-
-// Snapshot aggregates the table into an exportable heat map: per-
-// segment entries in tag order with heat decayed to now, plus the
-// per-file migration attribution.
-type Snapshot struct {
-	NowSeconds float64     `json:"now_s"`
-	Segments   []SegEntry  `json:"segments"`
-	Files      []FileEntry `json:"files"`
-}
-
-// Snapshot renders the table as of now. Nil-safe (returns an empty
-// snapshot).
-func (t *Table) Snapshot(now sim.Time) *Snapshot {
-	s := &Snapshot{NowSeconds: now.Seconds()}
-	if t == nil {
-		return s
-	}
-	tags := append([]int(nil), t.segOrder...)
-	sort.Ints(tags)
-	for _, tag := range tags {
-		r := t.segs[tag]
-		s.Segments = append(s.Segments, SegEntry{
-			Tag:       r.Tag,
-			Heat:      r.score(t.HalfLife, now),
-			Hits:      r.Hits,
-			Misses:    r.Misses,
-			Fetches:   r.Fetches,
-			Stages:    r.Stages,
-			Copyouts:  r.Copyouts,
-			Evicts:    r.Evicts,
-			Cleans:    r.Cleans,
-			LastTouch: r.LastTouch.Seconds(),
-		})
-	}
-	inums := append([]uint32(nil), t.fileOrder...)
-	sort.Slice(inums, func(a, b int) bool { return inums[a] < inums[b] })
-	for _, in := range inums {
-		f := t.files[in]
-		s.Files = append(s.Files, FileEntry{
-			Inum:        f.Inum,
-			Migrations:  f.Migrations,
-			BytesStaged: f.BytesStaged,
-			LastStaged:  f.LastStaged.Seconds(),
-		})
-	}
-	return s
 }

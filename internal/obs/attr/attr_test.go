@@ -1,7 +1,6 @@
 package attr
 
 import (
-	"encoding/json"
 	"math"
 	"runtime"
 	"testing"
@@ -16,15 +15,11 @@ const second = sim.Time(time.Second)
 func TestNilTableAndAuditAreInert(t *testing.T) {
 	var tb *Table
 	tb.Touch(3, Hit, second)
-	tb.TouchFile(7, 4096, second)
 	if h := tb.Heat(3, 2*second); h != 0 {
 		t.Fatalf("nil table heat = %v", h)
 	}
 	if _, ok := tb.Seg(3); ok {
 		t.Fatal("nil table has a record")
-	}
-	if s := tb.Snapshot(second); len(s.Segments) != 0 || len(s.Files) != 0 {
-		t.Fatal("nil table snapshot not empty")
 	}
 
 	var a *Audit
@@ -96,33 +91,6 @@ func TestBookkeepingEventsAddNoHeat(t *testing.T) {
 	}
 }
 
-func TestSnapshotOrderAndDeterminism(t *testing.T) {
-	build := func() *Table {
-		tb := NewTable(0)
-		tb.Touch(9, Hit, 1*second)
-		tb.Touch(2, Fetch, 2*second)
-		tb.Touch(5, Stage, 3*second)
-		tb.TouchFile(40, 8192, 3*second)
-		tb.TouchFile(7, 4096, 4*second)
-		return tb
-	}
-	s := build().Snapshot(5 * second)
-	if len(s.Segments) != 3 || s.Segments[0].Tag != 2 || s.Segments[1].Tag != 5 || s.Segments[2].Tag != 9 {
-		t.Fatalf("segments not in tag order: %+v", s.Segments)
-	}
-	if len(s.Files) != 2 || s.Files[0].Inum != 7 || s.Files[1].Inum != 40 {
-		t.Fatalf("files not in inum order: %+v", s.Files)
-	}
-	j1, err := json.Marshal(build().Snapshot(5 * second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, _ := json.Marshal(build().Snapshot(5 * second))
-	if string(j1) != string(j2) {
-		t.Fatal("snapshot JSON not deterministic")
-	}
-}
-
 func TestAuditRingEvictsOldest(t *testing.T) {
 	a := NewAudit(3)
 	for i := 0; i < 5; i++ {
@@ -136,10 +104,6 @@ func TestAuditRingEvictsOldest(t *testing.T) {
 		if all[i].Seg != want {
 			t.Fatalf("ring order wrong: %+v", all)
 		}
-	}
-	recent := a.Recent(2)
-	if len(recent) != 2 || recent[0].Seg != 3 || recent[1].Seg != 4 {
-		t.Fatalf("Recent(2) = %+v", recent)
 	}
 }
 
@@ -168,7 +132,7 @@ func TestAuditForSegment(t *testing.T) {
 // recording into a full ring allocates nothing.
 func TestAuditRecordCopiesNothing(t *testing.T) {
 	const n = 4096
-	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictAdmitted}
+	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictShed}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	a := NewAudit(n)
@@ -191,7 +155,7 @@ func TestAuditRecordCopiesNothing(t *testing.T) {
 // BenchmarkAuditFill is one fresh ring filled with 1,024 decisions: what a
 // rig's audit log costs while it is below its cap.
 func BenchmarkAuditFill(b *testing.B) {
-	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictAdmitted}
+	d := Decision{T: second, Actor: "svc", Subject: "req", Seg: -1, Verdict: VerdictShed}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := NewAudit(0)

@@ -8,8 +8,8 @@ import (
 )
 
 // Verdicts recorded by the migrator, the staging mechanism, and the
-// tertiary cleaner. Kept as constants so `hldump -why` and the
-// /decisions export never drift from the recorders.
+// tertiary cleaner. Kept as constants so `hldump -why` never drifts
+// from the recorders.
 const (
 	VerdictSelected  = "selected"   // candidate chosen by a policy
 	VerdictSkipped   = "skipped"    // candidate examined and passed over
@@ -26,7 +26,6 @@ const (
 	VerdictLost      = "lost"       // no surviving copy remains
 
 	// Front-end (admission control / overload protection) verdicts.
-	VerdictAdmitted = "admitted" // request accepted into an admission queue
 	VerdictShed     = "shed"     // request refused (queue full, retry budget, expired deadline)
 	VerdictTripped  = "tripped"  // circuit breaker opened on consecutive failures
 	VerdictProbed   = "probed"   // half-open breaker let one probe request through
@@ -47,8 +46,8 @@ const (
 // Input is one named policy input (heat, age, utilization, pressure)
 // recorded with a decision.
 type Input struct {
-	Key string  `json:"key"`
-	Val float64 `json:"val"`
+	Key string
+	Val float64
 }
 
 // In is shorthand for building an Input.
@@ -57,17 +56,16 @@ func In(key string, val float64) Input { return Input{Key: key, Val: val} }
 // Decision is one audited policy decision: who decided what about
 // which subject, why, and from which inputs.
 type Decision struct {
-	T       sim.Time `json:"-"`
-	Seconds float64  `json:"t_s"` // T in seconds, for exports
-	Actor   string   `json:"actor"`
-	Subject string   `json:"subject"`
+	T       sim.Time
+	Actor   string
+	Subject string
 	// Seg is the tertiary segment index the decision is attributed to
 	// (-1 when the decision is not segment-specific, e.g. a policy
 	// ranking a file that was never migrated).
-	Seg     int     `json:"seg"`
-	Verdict string  `json:"verdict"`
-	Reason  string  `json:"reason,omitempty"`
-	Inputs  []Input `json:"inputs,omitempty"`
+	Seg     int
+	Verdict string
+	Reason  string
+	Inputs  []Input
 }
 
 // String renders a decision as one audit-log line.
@@ -83,8 +81,7 @@ func (d Decision) String() string {
 }
 
 // Audit is a bounded ring of decisions: cheap enough to leave on for
-// soak-length runs, while `hldump -why` and /decisions still see the
-// recent history. The zero value is not usable; call NewAudit. A nil
+// soak-length runs, while `hldump -why` still sees the recent history. The zero value is not usable; call NewAudit. A nil
 // *Audit is valid everywhere and inert.
 type Audit struct {
 	cap    int
@@ -113,7 +110,6 @@ func (a *Audit) Record(d Decision) {
 	if a == nil {
 		return
 	}
-	d.Seconds = d.T.Seconds()
 	i := int(a.total % int64(a.cap))
 	if i/auditChunk == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]Decision, min(auditChunk, a.cap-i)))
@@ -141,15 +137,6 @@ func (a *Audit) All() []Decision {
 		out = append(out, a.chunks[j/auditChunk][j%auditChunk])
 	}
 	return out
-}
-
-// Recent returns the newest n retained decisions, oldest first.
-func (a *Audit) Recent(n int) []Decision {
-	all := a.All()
-	if n < len(all) {
-		all = all[len(all)-n:]
-	}
-	return all
 }
 
 // ForSegment returns the retained decisions attributed to tertiary

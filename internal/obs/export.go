@@ -128,24 +128,22 @@ func (o *Obs) WriteSummary(w io.Writer) {
 				a.Track, a.Cat, a.Count, a.Total.Seconds(), mean.Seconds(), util)
 		}
 	}
-	if len(o.counterOrder) > 0 {
+	if cs := o.Counters(); len(cs) > 0 {
 		fmt.Fprintf(w, "  counters:\n")
-		for _, name := range o.counterOrder {
-			fmt.Fprintf(w, "    %-38s %12d\n", name, o.counters[name].Value())
+		for _, c := range cs {
+			fmt.Fprintf(w, "    %-38s %12d\n", c.Name, c.Value())
 		}
 	}
-	if len(o.gaugeOrder) > 0 {
+	if gs := o.Gauges(); len(gs) > 0 {
 		fmt.Fprintf(w, "  gauges (last / max):\n")
-		for _, name := range o.gaugeOrder {
-			g := o.gauges[name]
-			fmt.Fprintf(w, "    %-38s %6d / %6d\n", name, g.v, g.max)
+		for _, g := range gs {
+			fmt.Fprintf(w, "    %-38s %6d / %6d\n", g.Name, g.Value(), g.max)
 		}
 	}
-	if len(o.histOrder) > 0 {
+	if hs := o.Histograms(); len(hs) > 0 {
 		fmt.Fprintf(w, "  histograms:\n")
-		for _, name := range o.histOrder {
-			h := o.hists[name]
-			fmt.Fprintf(w, "    %-38s n=%-6d mean=%.6fs buckets:", name, h.N, h.Mean().Seconds())
+		for _, h := range hs {
+			fmt.Fprintf(w, "    %-38s n=%-6d mean=%.6fs buckets:", h.Name, h.N, h.Mean().Seconds())
 			for i, c := range h.Counts {
 				if c == 0 {
 					continue

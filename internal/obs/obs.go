@@ -118,14 +118,6 @@ func (g *Gauge) Value() int64 {
 	return g.v
 }
 
-// Max returns the largest value ever set (0 for nil).
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // Histogram buckets virtual-time durations. Bounds are the inclusive
 // upper edges of the first len(Bounds) buckets; the last bucket is
 // unbounded.

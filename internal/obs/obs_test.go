@@ -33,7 +33,7 @@ func TestNilObsIsInert(t *testing.T) {
 	if o.CatTotal("c") != 0 || o.CatCount("c") != 0 {
 		t.Fatal("nil Obs recorded something")
 	}
-	if o.Counter("x").Value() != 0 || o.Gauge("g").Value() != 0 || o.Gauge("g").Max() != 0 {
+	if o.Counter("x").Value() != 0 || o.Gauge("g").Value() != 0 {
 		t.Fatal("nil-backed instruments returned nonzero values")
 	}
 	if o.Histogram("h", LatencyBounds).Mean() != 0 {
@@ -138,8 +138,8 @@ func TestGaugeSamplesOnlyWhenRetaining(t *testing.T) {
 		g.Set(4)
 	})
 	g := o.Gauge("depth")
-	if g.Value() != 4 || g.Max() != 9 {
-		t.Fatalf("gauge last/max = %d/%d, want 4/9", g.Value(), g.Max())
+	if g.Value() != 4 || g.max != 9 {
+		t.Fatalf("gauge last/max = %d/%d, want 4/9", g.Value(), g.max)
 	}
 	if len(g.samples) != 0 {
 		t.Fatal("metrics-only gauge retained samples")

@@ -15,11 +15,11 @@
 // Graceful degradation is ordered: under interactive-queue pressure the
 // front end enters "brownout", throttling background migration and
 // replica repair first while interactive requests keep a reserved worker
-// quota. Every admit, shed, trip, probe, restore, and brownout transition
-// is recorded in the decision audit, and queue depths, shed rates,
-// breaker states, and admission-to-completion latency histograms are
-// exported through the shared observability domain (visible at the
-// /metrics and /decisions pages of `hlbench -serve`).
+// quota. Every shed, trip, probe, restore, and brownout transition is
+// recorded in the decision audit (`hldump -why` counts them), and queue
+// depths, shed rates, breaker states, and admission-to-completion latency
+// histograms are exported through the shared observability domain. An
+// admission is counted (svc.admitted) and marked in its request's trace.
 package svc
 
 import (
@@ -162,7 +162,7 @@ type FrontEnd struct {
 	// Tracer is the per-request causal tracer (nil when
 	// Config.DisableTracing). Every admitted request gets a Trace riding
 	// its sim.Ctx; the slowest exemplars per class and a recent ring are
-	// retained for hldump -request/-slowest and the /requests endpoint.
+	// retained for hldump -request/-slowest and `hlbench -requests`.
 	Tracer *reqtrace.Tracer
 
 	k      *sim.Kernel
@@ -324,15 +324,6 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 	r.qstage = r.trace.StageStart(reqtrace.KindQueueWait, p.Now(), "")
 	fe.admitted.Add(1)
 	fe.earnRetryToken()
-	fe.HL.Audit.Record(attr.Decision{
-		T: p.Now(), Actor: "svc", Subject: fmt.Sprintf("req:%d", id),
-		Seg: -1, Verdict: attr.VerdictAdmitted, Reason: class.String(),
-		Inputs: []attr.Input{
-			attr.In("class", float64(class)),
-			attr.In("depth", float64(fe.queues[class].Len())),
-			attr.In("deadline_ms", float64(deadline.Milliseconds())),
-		},
-	})
 	fe.queues[class].Push(r)
 	fe.qGauge[class].Set(int64(fe.queues[class].Len()))
 	fe.updateBrownout()

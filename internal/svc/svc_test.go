@@ -17,6 +17,7 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/migrate"
 	"repro/internal/obs/attr"
+	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/svc"
 )
@@ -82,8 +83,8 @@ func ejectAll(t *testing.T, hl *core.HighLight) {
 	}
 }
 
-// breakerGauge reads library lib's breaker state as /metrics shows it:
-// 0 closed, 1 open, 2 half-open.
+// breakerGauge reads library lib's breaker state from its gauge: 0 closed,
+// 1 open, 2 half-open.
 func breakerGauge(hl *core.HighLight, lib int) int64 {
 	return hl.Obs.Gauge(fmt.Sprintf("svc.breaker.lib%d", lib)).Value()
 }
@@ -112,7 +113,8 @@ func readVia(p *sim.Proc, fe *svc.FrontEnd, hl *core.HighLight, path string, off
 
 // TestAdmitExecuteComplete walks requests through the full lifecycle:
 // admitted, queued, executed against the tertiary fetch path, completed,
-// with latency histograms populated and the admissions audited.
+// with latency histograms populated and each admission marked in its
+// request's trace.
 func TestAdmitExecuteComplete(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
@@ -139,8 +141,14 @@ func TestAdmitExecuteComplete(t *testing.T) {
 		if hl.Svc.Stats().Fetches == 0 {
 			t.Fatal("reads never reached the tertiary fetch path")
 		}
-		if v := auditVerdicts(hl); v[attr.VerdictAdmitted] < 3 {
-			t.Fatalf("admissions not audited: %v", v)
+		traces := fe.Tracer.Recent()
+		if len(traces) != 3 {
+			t.Fatalf("%d traces retained, want 3", len(traces))
+		}
+		for _, tr := range traces {
+			if !slices.ContainsFunc(tr.Stages, func(s reqtrace.Stage) bool { return s.Kind == reqtrace.KindAdmission }) {
+				t.Fatalf("request %d: no admission stage in its trace: %+v", tr.ID, tr.Stages)
+			}
 		}
 	})
 	k.Stop()
@@ -588,8 +596,8 @@ func TestBrownoutHysteresis(t *testing.T) {
 }
 
 // TestFrontEndMetricsExported pins that the front end's instruments are in
-// the instance's obs registry, which `hlbench -serve` renders as /metrics
-// with no svc-specific code: a rig with a FrontEnd attached has the
+// the instance's obs registry, which Obs.WriteSummary renders with no
+// svc-specific code: a rig with a FrontEnd attached has the
 // admission counters, the per-class queue gauges, the brownout gauge and
 // the interactive latency histogram.
 func TestFrontEndMetricsExported(t *testing.T) {
