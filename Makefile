@@ -62,7 +62,7 @@ crash:
 # be had defers to the copy-out queued behind it, eight readers over two
 # libraries under segmented and plain LRU), and the copy-outs of a replicated
 # line (one image on both media, a line changed between sibling reads, a
-# sibling's transient faults), and HSM requests from two procs
+# sibling's transient faults, a sibling that reads the line first), and HSM requests from two procs
 # at once (two pins of one file, the multi-principal double run), and lent
 # blocks (a file read from a fetched line and written, truncated, its
 # directory edited and its buffers evicted, on two libraries; a lending read
@@ -81,7 +81,7 @@ soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend|TestDeadlinesSpawnNoProc'
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten|CopiedOutImageIsNeverWritten'
-	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive|SiblingFirstSharesTheStagedImage'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent|FetchedBlocksAreLent|DeadAtTableCheckpointSurvivesPowerCut|CleanedAndReusedSegmentIsNotDiscarded'
 	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine|ParityAloneOnItsSpindle|PartialRowsByReference'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
@@ -241,7 +241,12 @@ loc:
 # with what only the pages read: attr's per-file records and Snapshot,
 # Audit.Recent, Decision.Seconds, Gauge.Max, and svc's per-request admitted
 # decision.
-LOC_MAX = 23632
+# Raised 23632 -> 23675 by the change that makes a checkpoint write only the
+# table blocks that changed (writeTablesLocked in lfs keeps each region's
+# last image and writes the differing runs) and makes a restaged line's
+# moves durable before its segment is reused (one full checkpoint in core's
+# restageSegment): a speed-up and a durability fix, with nothing to delete.
+LOC_MAX = 23675
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -13,9 +13,9 @@ func Example() {
 	// hour  4: wrote 4 MB checkpoint in  4.17 virtual s  (clean segs: 16, migrated so far:  0 MB)
 	// hour  5: wrote 4 MB checkpoint in  4.19 virtual s  (clean segs: 12, migrated so far: 16 MB)
 	// hour  6: wrote 4 MB checkpoint in  4.19 virtual s  (clean segs:  8, migrated so far: 20 MB)
-	// hour  7: wrote 4 MB checkpoint in  8.10 virtual s  (clean segs:  9, migrated so far: 24 MB)
+	// hour  7: wrote 4 MB checkpoint in  8.07 virtual s  (clean segs:  9, migrated so far: 24 MB)
 	// hour  8: wrote 4 MB checkpoint in  4.20 virtual s  (clean segs:  9, migrated so far: 24 MB)
-	// hour  9: wrote 4 MB checkpoint in  7.22 virtual s  (clean segs:  9, migrated so far: 24 MB)
+	// hour  9: wrote 4 MB checkpoint in  7.21 virtual s  (clean segs:  9, migrated so far: 24 MB)
 	//
 	// restarting from /ckpt/state-002 (archived)...
 	// restored 4 MB in 13.0 virtual s (4 segment fetches from the jukebox); state verified

@@ -13,16 +13,18 @@ import (
 // TestTable6VolumeChanges pins where each of Table 6's three rigs changes MO
 // volumes at full scale: twice, the first while staging contends for the
 // arm. The second falls after staging ends, inside the contention-free
-// phase, only on RZ57+RZ58: that cell alone carries a 13.4 s swap, which
-// is why it reads below RZ57 alone (EXPERIMENTS.md, Table 6). Times are on
-// one base, the start of the migration.
+// phase, on RZ57 and RZ57+RZ58: those cells carry a 13.4 s swap there. On
+// RZ57 staging ends 2.2 s before it since checkpoints write only the table
+// blocks that changed, which is what drops that cell's contention-free rate
+// (EXPERIMENTS.md, Table 6). Times are on one base, the start of the
+// migration.
 func TestTable6VolumeChanges(t *testing.T) {
 	s := FullScale()
 	for _, c := range []struct {
 		name      string
 		kind      stagingKind
 		swapAfter bool // the second swap falls after staging ends
-	}{{"RZ57", stageOnMain, false}, {"RZ57+RZ58", stageOnRZ58, true}, {"RZ57+HP7958A", stageOnHP7958A, false}} {
+	}{{"RZ57", stageOnMain, true}, {"RZ57+RZ58", stageOnRZ58, true}, {"RZ57+HP7958A", stageOnHP7958A, false}} {
 		t.Run(c.name, func(t *testing.T) {
 			r := newStagedHLRig(s, c.kind)
 			var m objectMigration

@@ -634,6 +634,13 @@ func (hl *HighLight) restageSegment(p *sim.Proc, tag int, wholeVolume bool) erro
 			return err
 		}
 	}
+	// The line is the sole copy of its blocks for as long as durable metadata
+	// names their old addresses: make the moves durable before retiring it,
+	// or a staging line opened in its segment overwrites blocks a crash would
+	// find the checkpointed pointers still naming.
+	if err := hl.FS.Checkpoint(p); err != nil {
+		return err
+	}
 	// Retire the failed line: nothing references its addresses now.
 	hl.Cache.Unstage(line)
 	freed, err := hl.Cache.Evict(line)

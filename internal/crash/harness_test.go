@@ -70,6 +70,11 @@ type config struct {
 	// virtual clock and adds no virtual time, so a traced matrix must
 	// produce the same digests as an untraced one (pinned by test).
 	Trace bool
+
+	// OnDiskWrite, if set, sees each disk write request of the workload
+	// before it reaches the media: the media-write events counted so far
+	// and the request's first block.
+	OnDiskWrite func(event, blk int64)
 }
 
 // defaultConfig is the pinned rig used by `make crash`.
@@ -126,6 +131,7 @@ type runResult struct {
 	EOMHit      bool      // the reduced volume returned end-of-medium
 	Swaps       int64     // jukebox volume swaps observed
 	Obs         *obs.Obs  // non-nil when config.Trace instrumented the run
+	TableBlocks int       // blocks in each checkpoint table region
 }
 
 // runner drives the scripted workload and maintains the durability model.
@@ -355,6 +361,14 @@ func runWorkload(cfg config, cutEvent int) (*runResult, error) {
 	}
 	r.cut.At = func() { r.cutErr = r.capture() }
 	disk.Cut, juke.Cut = &r.cut, &r.cut
+	if cfg.OnDiskWrite != nil {
+		disk.Fault = func(op string, blk int64) error {
+			if op == "write" {
+				cfg.OnDiskWrite(r.cut.N, blk)
+			}
+			return nil
+		}
+	}
 	o := attachObs(k, cfg, disk, juke)
 
 	var werr error
@@ -384,6 +398,7 @@ func runWorkload(cfg config, cutEvent int) (*runResult, error) {
 		EOMHit:      eom,
 		Swaps:       juke.Stats().Swaps,
 		Obs:         o,
+		TableBlocks: int(r.hl.FS.Superblock().TableBlocks),
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package lfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -194,12 +195,13 @@ type FS struct {
 	// (see DESIGN.md, "Buffer ownership on the data path").
 	freeBlocks  [][]byte // blocks dropBuf took back, handed out by newBlock
 	fill        fillScratch
-	dirImage    []byte // the directory a lookup searches or an edit changes (readDirImage)
-	renameImage []byte // a rename's source directory
-	listImage   []byte // a listed directory (readDirLocked)
-	segImage    []byte // partial-segment assembly of the log writer (writePsegs)
-	tableImage  []byte // serializeTables' checkpoint table image
-	ckptHeader  []byte // writeCheckpointLocked's header block
+	dirImage    []byte    // the directory a lookup searches or an edit changes (readDirImage)
+	renameImage []byte    // a rename's source directory
+	listImage   []byte    // a listed directory (readDirLocked)
+	segImage    []byte    // partial-segment assembly of the log writer (writePsegs)
+	tableImage  []byte    // serializeTables' checkpoint table image
+	regionImage [2][]byte // the bytes each table region holds on media, nil if not known
+	ckptHeader  []byte    // writeCheckpointLocked's header block
 	flush       flushScratch
 
 	// Buffer headers dropBuf took back: dropped ones wait for unlock, free
@@ -528,6 +530,7 @@ func (fs *FS) loadTables(p *sim.Proc, c checkpoint) error {
 	if err := fs.dev.ReadBlocks(p, fs.tableRegionBlock(c.Region, 0), buf); err != nil {
 		return err
 	}
+	fs.regionImage[c.Region] = buf
 	fs.seguse = make([]Seguse, fs.sb.DiskSegs)
 	fs.tseg = make([]Seguse, fs.amap.TertSegs())
 	fs.imap = make([]ImapEntry, fs.sb.MaxInodes)
@@ -585,17 +588,8 @@ func (fs *FS) checkpointLocked(p *sim.Proc) error {
 func (fs *FS) writeCheckpointLocked(p *sim.Proc) error {
 	fs.commitCleanedLocked()
 	region := uint32(fs.serial % 2)
-	tables := fs.serializeTables()
-	// The table region is contiguous; write it in segment-sized chunks.
-	chunk := fs.amap.SegBlocks() * BlockSize
-	for off := 0; off < len(tables); off += chunk {
-		end := off + chunk
-		if end > len(tables) {
-			end = len(tables)
-		}
-		if err := fs.dev.WriteBlocks(p, fs.tableRegionBlock(region, off/BlockSize), tables[off:end]); err != nil {
-			return err
-		}
+	if err := fs.writeTablesLocked(p, region); err != nil {
+		return err
 	}
 	// Barrier: the log writes and tables must be durable before the
 	// checkpoint header can name them.
@@ -624,6 +618,40 @@ func (fs *FS) writeCheckpointLocked(p *sim.Proc) error {
 	}
 	fs.serial++
 	fs.stats.Checkpoints++
+	return nil
+}
+
+// writeTablesLocked writes the tables to region: only the runs of blocks
+// that differ from the image the region last received, one request per run,
+// or the whole region when its contents are not known (after Format, after a
+// mount for the region loadTables did not read, after a failed write). A run
+// longer than a segment goes in segment-sized requests.
+func (fs *FS) writeTablesLocked(p *sim.Proc, region uint32) error {
+	tables := fs.serializeTables()
+	old := fs.regionImage[region]
+	fs.regionImage[region] = nil // unknown until every write has returned
+	chunk := fs.amap.SegBlocks()
+	n := len(tables) / BlockSize
+	same := func(b int) bool {
+		return old != nil && bytes.Equal(tables[b*BlockSize:(b+1)*BlockSize], old[b*BlockSize:(b+1)*BlockSize])
+	}
+	for b := 0; b < n; {
+		if same(b) {
+			b++
+			continue
+		}
+		end := b + 1
+		for end < n && end-b < chunk && !same(end) {
+			end++
+		}
+		if err := fs.dev.WriteBlocks(p, fs.tableRegionBlock(region, b), tables[b*BlockSize:end*BlockSize]); err != nil {
+			return err
+		}
+		b = end
+	}
+	// The region now holds tables; the image it held before is the next
+	// checkpoint's to render into.
+	fs.regionImage[region], fs.tableImage = tables, old
 	return nil
 }
 

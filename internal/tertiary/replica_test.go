@@ -3,6 +3,7 @@ package tertiary
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/dev"
 	"repro/internal/fault"
@@ -68,6 +69,71 @@ func TestReplicasShareOneImage(t *testing.T) {
 		t.Fatalf("%d copy-outs, want 2", s.Copyouts)
 	}
 	e.k.Stop()
+}
+
+// lateShare is the cache disk with each shared read held back a second, so
+// that a sibling copy-out's plain read reaches the line first. reads logs the
+// reads in the order they began.
+type lateShare struct {
+	recDisk
+	reads *[]string
+}
+
+func (d lateShare) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	p.Sleep(time.Second)
+	*d.reads = append(*d.reads, "share")
+	return d.recDisk.ShareBlocks(p, blk, buf)
+}
+
+func (d lateShare) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	*d.reads = append(*d.reads, "read")
+	return d.recDisk.ReadBlocks(p, blk, buf)
+}
+
+// TestSiblingFirstSharesTheStagedImage: a replicated line's sibling copy-out
+// reads the line before the first copy-out would read it back into the image
+// it was staged in. When that image holds the line's bytes the sibling hands
+// it on, so both media keep the one staged image and the sibling's read
+// buffer goes back unused. When it does not (the line changed after staging)
+// the sibling keeps the bytes it read, in an image of its own.
+func TestSiblingFirstSharesTheStagedImage(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		staged func() []byte
+		shared bool // both media keep the staged image, and the read buffer goes back
+	}{
+		{"same bytes", func() []byte { return fill(5) }, true},
+		{"other bytes", func() []byte { b := fill(5); clear(b[len(b)-dev.BlockSize:]); return b }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newLibEnv(2, 1, 4)
+			var reads []string
+			e.svc.disk = lateShare{recDisk{e.disk, &e.lineWrites}, &reads}
+			e.k.RunProc(func(p *sim.Proc) {
+				seg := e.stage(t, p, 5)
+				img := tc.staged()
+				e.svc.ScheduleCopyouts(p, seg, img, 5, 5, 5+libSegs)
+				e.svc.DrainCopyouts(p)
+				if len(reads) != 2 || reads[0] != "read" {
+					t.Fatalf("reads %v: the sibling did not reach the line first", reads)
+				}
+				a, b := e.medium(t, p, 5), e.medium(t, p, 5+libSegs)
+				if !bytes.Equal(a, fill(5)) || !bytes.Equal(b, fill(5)) {
+					t.Fatal("a replica's medium does not hold the line")
+				}
+				if &a[0] != &img[0] {
+					t.Error("the first copy-out's changer keeps another image than the line was staged in")
+				}
+				if shared := &b[0] == &img[0]; shared != tc.shared {
+					t.Errorf("the sibling's changer keeps the staged image: %v, want %v", shared, tc.shared)
+				}
+				if n := len(e.svc.readBufs); (n == 1) != tc.shared {
+					t.Errorf("%d read buffers back after the copy-outs", n)
+				}
+			})
+			e.k.Stop()
+		})
+	}
 }
 
 // TestReplicaOfAChangedLineGetsItsOwnImage: when the line's bytes change

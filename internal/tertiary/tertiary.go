@@ -456,11 +456,13 @@ func (s *Service) ScheduleCopyout(p *sim.Proc, tag int, seg addr.SegNo) {
 // copy-out reads the line back into it and its changer keeps it, and nothing
 // else may write it again. Several tags lay down segment replicas (§5.4),
 // where the same staged bytes are written to several tertiary locations:
-// their copy-outs share one image of the line (lineImage).
+// their copy-outs share one image of the line (lineImage), from the start the
+// staged one, so a sibling that reads the line before the first copy-out does
+// hands that image on when its bytes are the line's.
 func (s *Service) ScheduleCopyouts(p *sim.Proc, seg addr.SegNo, img []byte, pinTag int, tags ...int) {
 	var line *lineImage
 	if len(tags) > 1 {
-		line = new(lineImage)
+		line = &lineImage{img: img}
 	}
 	for _, tag := range tags {
 		if l, ok := s.cache.Peek(pinTag); ok {
@@ -473,9 +475,10 @@ func (s *Service) ScheduleCopyouts(p *sim.Proc, seg addr.SegNo, img []byte, pinT
 	}
 }
 
-// lineImage is what the copy-outs of one replicated line share: the newest
-// image one of them read the line into. Each changer it is handed to keeps it
-// as its medium's segment, so nothing writes it again.
+// lineImage is what the copy-outs of one replicated line share: the image it
+// was staged in, if any, until one of them reads the line into another. Each
+// changer it is handed to keeps it as its medium's segment, so nothing writes
+// it again.
 type lineImage struct{ img []byte }
 
 // DrainCopyouts blocks until every scheduled copyout has completed.
@@ -1016,7 +1019,12 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 // its image the line's. Its siblings read into a read buffer of the service's
 // (readBufs): if the line's image holds the same bytes, that image is the one
 // to keep and the buffer goes back for the next read; otherwise the buffer
-// becomes the line's image.
+// becomes the line's image. A sibling may read before the first copy-out
+// does: it then compares with the staged image, and when it hands that on, the
+// first copy-out's read writes into it only the bytes it already holds. That
+// holds because a staged line does not change until its last copy-out is done
+// (it stays staging and pinned); a line that did change between the two reads
+// would change what the sibling's changer keeps.
 func (s *Service) readCopyout(p *sim.Proc, r request) ([]byte, error) {
 	blk := int64(s.amap.BlockOf(r.seg, 0))
 	if r.line == nil || r.img != nil {
