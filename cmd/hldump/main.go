@@ -18,12 +18,6 @@
 //	            per-device utilization, counters, and latency histograms
 //	            (-track and -cat narrow it to comma-separated track and
 //	            category lists)
-//	-requests   the HSM request ledger: stage/pin/unpin/evict requests
-//	            with their states and outcomes (the demo runs a small
-//	            scripted HSM session so the ledger is non-empty)
-//	-pins       active HSM pins and the segments they hold in the cache
-//	-quotas     per-principal HSM quota standing (staged/pinned usage
-//	            against soft and hard limits)
 //	-request N  the traced waterfall and critical-path breakdown for
 //	            request N: the demo submits two demand reads of the
 //	            migrated /beta through the admission-controlled front
@@ -59,7 +53,6 @@ import (
 	"repro/internal/dev"
 	"repro/internal/dump"
 	"repro/internal/fault"
-	"repro/internal/hsm"
 	"repro/internal/imagefs"
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
@@ -91,9 +84,6 @@ func main() {
 	timeline := flag.Bool("timeline", false, "virtual-time event timeline + observability summary of the demo run")
 	track := flag.String("track", "", "comma-separated list of tracks to keep in -timeline (empty = all)")
 	cat := flag.String("cat", "", "comma-separated list of categories to keep in -timeline (empty = the default pipeline set)")
-	requests := flag.Bool("requests", false, "HSM request ledger (stage/pin/unpin states and outcomes)")
-	pins := flag.Bool("pins", false, "active HSM pins and their pinned segments")
-	quotas := flag.Bool("quotas", false, "per-principal HSM quota standing")
 	why := flag.Int("why", -1, "print the heat record and audited decision chain for this tertiary segment")
 	request := flag.Int("request", -1, "print the traced waterfall and critical-path breakdown for this request ID (the demo traces request 1, a jukebox-swap fetch, and request 2, a cache hit)")
 	slowest := flag.Int("slowest", 0, "print the K slowest traced requests per class (0 = off; the full dump shows 5)")
@@ -102,7 +92,7 @@ func main() {
 	maxSegs := flag.Int("maxsegs", 64, "cap per-segment detail in -layout (0 = all)")
 	flag.Parse()
 
-	all := !*layout && !*addrmap && !*hierarchy && !*datapath && !*summary && !*volumes && !*faults && !*recovery && !*timeline && !*replicas && !*requests && !*pins && !*quotas && *why < 0 && *request < 0 && *slowest == 0
+	all := !*layout && !*addrmap && !*hierarchy && !*datapath && !*summary && !*volumes && !*faults && !*recovery && !*timeline && !*replicas && *why < 0 && *request < 0 && *slowest == 0
 
 	if *summary || all {
 		fmt.Println(bench.Table1())
@@ -150,10 +140,8 @@ func main() {
 		}
 		if (*request >= 0 || *slowest > 0 || all) && *img == "" {
 			// The two traced reads the -request and -slowest views render.
-			// Runs after hierarchy/datapath (which replay the figure
-			// workloads against the same seeded fault schedule regardless)
-			// but before the HSM session pins /beta lines — pinned lines
-			// can't be ejected for the cold traced read.
+			// Runs after hierarchy/datapath, which replay the figure
+			// workloads against the same seeded fault schedule regardless.
 			var terr error
 			if fe, terr = traceDemo(p, hl, juke); terr != nil {
 				fmt.Fprintf(os.Stderr, "hldump: trace demo: %v\n", terr)
@@ -183,25 +171,6 @@ func main() {
 		if (*replicas || all) && *img != "" {
 			fmt.Println()
 			dump.Replicas(os.Stdout, hl)
-		}
-		if *requests || *pins || *quotas || all {
-			hs, err := attachHSM(p, hl, *img == "")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "hldump: hsm: %v\n", err)
-			} else {
-				if *requests || all {
-					fmt.Println()
-					dump.HSMRequests(os.Stdout, hs)
-				}
-				if *pins || all {
-					fmt.Println()
-					dump.HSMPins(os.Stdout, hs)
-				}
-				if *quotas || all {
-					fmt.Println()
-					dump.HSMQuotas(os.Stdout, hs)
-				}
-			}
 		}
 		if *why >= 0 {
 			// A tertiary-cleaner pass on the demo instance gives the audit
@@ -482,54 +451,12 @@ func recoveryDemo() error {
 	return derr
 }
 
-// attachHSM attaches the HSM service surface to the instance. In demo
-// mode it first plays a small scripted session — set quotas, stage in the
-// migrated /beta, pin it, provoke one quota shed and one failed request —
-// so the ledger, pin set, and quota report all have something to show.
-// For a loaded image it just attaches and reports the persisted state.
-func attachHSM(p *sim.Proc, hl *core.HighLight, demo bool) (*hsm.Service, error) {
-	s, err := hsm.Attach(p, hl)
-	if err != nil {
-		return nil, err
-	}
-	if !demo {
-		return s, nil
-	}
-	if err := s.SetQuota(p, "analyst", hsm.Quota{
-		StagedHard: 256 * lfs.BlockSize,
-		PinnedHard: 96 * lfs.BlockSize,
-	}); err != nil {
-		return nil, err
-	}
-	if err := s.SetQuota(p, "guest", hsm.Quota{StagedHard: 8 * lfs.BlockSize}); err != nil {
-		return nil, err
-	}
-	if _, err := s.Submit(p, hsm.OpStageIn, "/beta", "analyst"); err != nil {
-		return nil, fmt.Errorf("stage-in /beta: %w", err)
-	}
-	if _, err := s.Submit(p, hsm.OpPin, "/beta", "analyst"); err != nil {
-		return nil, fmt.Errorf("pin /beta: %w", err)
-	}
-	// Two deliberate failures for the audit trail: guest's stage-in is shed
-	// at admission (over its hard staged quota, so it never enters the
-	// ledger), and unpinning the never-pinned /alpha fails in execution.
-	if _, err := s.Submit(p, hsm.OpStageIn, "/beta", "guest"); !errors.Is(err, hsm.ErrQuotaExceeded) {
-		return nil, fmt.Errorf("guest stage-in: want quota shed, got %v", err)
-	}
-	if r, err := s.Submit(p, hsm.OpUnpin, "/alpha", "analyst"); err == nil || r == nil || r.State != hsm.Failed {
-		return nil, fmt.Errorf("unpin /alpha: want failed request, got %v", err)
-	}
-	return s, nil
-}
-
 // traceDemo runs two traced demand reads of the migrated /beta through
 // the admission-controlled front end. Request 1 runs with drive 0
 // offline, so the fetch must swap the cartridge into drive 1 — its
 // waterfall shows queue-wait, cache-lookup miss, fetch-wait, drive-swap,
 // media-transfer, and the staging stripe I/O. Request 2 re-reads the now
-// segment-cached file: a pure cache-hit trace. Must run before the HSM
-// section, which pins /beta lines (pinned lines can't be ejected for the
-// cold read).
+// segment-cached file: a pure cache-hit trace.
 func traceDemo(p *sim.Proc, hl *core.HighLight, juke *jukebox.Jukebox) (*svc.FrontEnd, error) {
 	fe := svc.New(hl, svc.Config{Workers: 2, ReservedInteractive: 1, InteractiveQueue: 4, BackgroundQueue: 4})
 	f, err := hl.FS.Open(p, "/beta")

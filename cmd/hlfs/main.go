@@ -13,6 +13,7 @@
 //	hlfs -img DIR mkdir /path
 //	hlfs -img DIR rm /path
 //	hlfs -img DIR mv /old /new
+//	hlfs -img DIR truncate /path SIZE   (set the file's size in bytes)
 //	hlfs -img DIR stat /path
 //	hlfs -img DIR migrate [-policy stp|atime|namespace] [-min-age SECONDS] [-target-mb N] [-inodes]
 //	hlfs -img DIR eject            (drop every clean cache line)
@@ -20,12 +21,8 @@
 //	hlfs -img DIR cleanvolume [DEV VOL]   (tertiary media cleaner, §10)
 //	hlfs -img DIR repair           (re-replicate under-replicated segments)
 //	hlfs -img DIR replicas         (per-library health + replica map)
-//	hlfs -img DIR stage [-user U] [-out] /path   (HSM stage-in, or stage-out with -out)
-//	hlfs -img DIR pin [-user U] /path            (stage in and lock against eviction/cleaning/migration)
-//	hlfs -img DIR unpin [-user U] /path
-//	hlfs -img DIR quota [-staged-hard MB] [-pinned-hard MB] [USER]
-//	                   (no USER: list every principal's standing; with USER and
-//	                    limit flags: set that principal's limits, 0 clears one)
+//	hlfs -img DIR grow [SEGS]      (add a disk of SEGS segments to the farm)
+//	hlfs -img DIR df               (disk, tertiary and inode usage)
 //	hlfs -img DIR info
 //	hlfs -img DIR fsck
 package main
@@ -41,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dump"
 	"repro/internal/fsck"
-	"repro/internal/hsm"
 	"repro/internal/imagefs"
 	"repro/internal/lfs"
 	"repro/internal/migrate"
@@ -111,6 +107,15 @@ func main() {
 			_, err = f.WriteAt(p, data, 0)
 			check(err)
 			fmt.Printf("wrote %d bytes to %s (%.2f virtual seconds)\n", len(data), rest[1], elapsed())
+		case "truncate":
+			need(rest, 2)
+			var size uint64
+			_, err := fmt.Sscanf(rest[1], "%d", &size)
+			check(err)
+			f, err := hl.FS.Open(p, rest[0])
+			check(err)
+			check(f.Truncate(p, size))
+			fmt.Printf("truncated %s to %d bytes (%.2f virtual seconds)\n", rest[0], size, elapsed())
 		case "get":
 			need(rest, 2)
 			f, err := hl.FS.Open(p, rest[0])
@@ -221,53 +226,6 @@ func main() {
 		case "replicas":
 			dump.Replicas(os.Stdout, hl)
 			dirty = false
-		case "stage", "pin", "unpin":
-			fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-			user := fs.String("user", "local", "principal the request is accounted to")
-			var out *bool
-			if cmd == "stage" {
-				out = fs.Bool("out", false, "stage out to tertiary instead of in")
-			}
-			must(fs.Parse(rest))
-			need(fs.Args(), 1)
-			path := fs.Args()[0]
-			s, err := hsm.Attach(p, hl)
-			check(err)
-			op := map[string]hsm.Op{"stage": hsm.OpStageIn, "pin": hsm.OpPin, "unpin": hsm.OpUnpin}[cmd]
-			if out != nil && *out {
-				op = hsm.OpStageOut
-			}
-			r, err := s.Submit(p, op, path, *user)
-			check(err)
-			fmt.Printf("%s %s: %s, %d bytes (request %d for %s, %.2f virtual seconds)\n",
-				op, path, r.State, r.Bytes, r.ID, *user, elapsed())
-			dirty = false // the service checkpoints per request
-		case "quota":
-			fs := flag.NewFlagSet("quota", flag.ExitOnError)
-			sh := fs.Int("staged-hard", -1, "hard staged-bytes limit in MB (admission sheds above it; 0 clears)")
-			ph := fs.Int("pinned-hard", -1, "hard pinned-bytes limit in MB (0 clears)")
-			must(fs.Parse(rest))
-			s, err := hsm.Attach(p, hl)
-			check(err)
-			if fs.NArg() == 0 {
-				if *sh >= 0 || *ph >= 0 {
-					usageErr(cliutil.Usagef("quota: limit flags need a USER to apply to"))
-				}
-				dump.HSMQuotas(os.Stdout, s)
-				dirty = false
-				break
-			}
-			user := fs.Arg(0)
-			q := s.QuotaOf(user)
-			if *sh >= 0 {
-				q.StagedHard = int64(*sh) << 20
-			}
-			if *ph >= 0 {
-				q.PinnedHard = int64(*ph) << 20
-			}
-			check(s.SetQuota(p, user, q))
-			fmt.Printf("quota for %s: staged hard %s, pinned hard %s\n", user, mb(q.StagedHard), mb(q.PinnedHard))
-			dirty = false // SetQuota persists the HSM state itself
 		case "grow":
 			segs := 64
 			if len(rest) >= 1 {
@@ -344,14 +302,6 @@ func info(p *sim.Proc, hl *core.HighLight) {
 		fs.CacheHits, fs.CacheMisses, fs.ReserveHits, fs.PointerWaits)
 }
 
-// mb renders a byte limit for the quota confirmation line.
-func mb(v int64) string {
-	if v <= 0 {
-		return "unlimited"
-	}
-	return fmt.Sprintf("%d MB", v>>20)
-}
-
 func usageErr(err error) {
 	fmt.Fprintf(os.Stderr, "hlfs: %v\n", err)
 	os.Exit(2)
@@ -378,7 +328,7 @@ func check(err error) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: hlfs -img DIR COMMAND ...
-commands: init, put, get, ls, mkdir, rm, mv, stat, migrate, eject, volumes, cleanvolume, repair, replicas, stage, pin, unpin, quota, grow, df, info, fsck
+commands: init, put, truncate, get, ls, mkdir, rm, mv, stat, migrate, eject, volumes, cleanvolume, repair, replicas, grow, df, info, fsck
 run "hlfs -img DIR init" first; see the command doc comment for flags`)
 	os.Exit(2)
 }

@@ -73,16 +73,7 @@ func runSession(t *testing.T, exe string) []byte {
 	var out bytes.Buffer
 	for _, args := range session {
 		fmt.Fprintf(&out, "$ hlfs %s\n", strings.Join(args, " "))
-		cmd := exec.Command(exe, append([]string{"-img", "img"}, args...)...)
-		cmd.Dir = dir
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		stdout, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("hlfs %v: %v\n%s", args, err, stderr.Bytes())
-		}
-		out.Write(stdout)
+		out.Write(hlfs(t, exe, dir, args...))
 	}
 	for name, data := range want {
 		if got, err := os.ReadFile(filepath.Join(dir, name+".out")); err != nil || !bytes.Equal(got, data) {
@@ -97,6 +88,47 @@ func runSession(t *testing.T, exe string) []byte {
 		fmt.Fprintf(&out, "sha256 %x  %s\n", sha256.Sum256(b), name)
 	}
 	return out.Bytes()
+}
+
+// hlfs runs one command against the image img under dir and returns its
+// stdout.
+func hlfs(t *testing.T, exe, dir string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(exe, append([]string{"-img", "img"}, args...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("hlfs %v: %v\n%s", args, err, stderr.Bytes())
+	}
+	return stdout
+}
+
+// TestTruncate: a file truncated inside a block, remounted, reads back as
+// the prefix of what was put.
+func TestTruncate(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data := pattern(1<<20, 0x3c)
+	if err := os.WriteFile(filepath.Join(dir, "a.dat"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const size = 5*4096 + 100
+	hlfs(t, exe, dir, "init", "-disk-segs", "40", "-cache-segs", "6")
+	hlfs(t, exe, dir, "put", "a.dat", "/a")
+	hlfs(t, exe, dir, "truncate", "/a", fmt.Sprint(size))
+	hlfs(t, exe, dir, "get", "/a", "a.out")
+	if got, err := os.ReadFile(filepath.Join(dir, "a.out")); err != nil || !bytes.Equal(got, data[:size]) {
+		t.Fatalf("get after truncate: %d bytes, err %v; want the first %d bytes put", len(got), err, size)
+	}
+	if out := hlfs(t, exe, dir, "fsck"); !bytes.Contains(out, []byte(" 0 problems")) {
+		t.Fatalf("fsck after truncate:\n%s", out)
+	}
 }
 
 // TestSessionGolden pins the session's output and the images it leaves byte

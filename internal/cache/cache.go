@@ -32,10 +32,6 @@ var (
 	// ErrEvictPinned marks an Evict of a line with active readers or an
 	// in-flight copyout.
 	ErrEvictPinned = errors.New("cache: evicting a pinned line")
-	// ErrEvictLocked marks an Evict of a line whose tertiary segment is
-	// HSM-pinned: the hierarchical storage manager promised the data stays
-	// staged, so the evictor must route around it.
-	ErrEvictLocked = errors.New("cache: evicting an HSM-pinned line")
 	// ErrEvictUnknown marks an Evict of a line not in the directory.
 	ErrEvictUnknown = errors.New("cache: evicting unknown line")
 )
@@ -97,9 +93,8 @@ type Line struct {
 // second consultation of the directory, like the service process's own
 // residency checks, is a Peek). Hits+Misses is therefore the number of
 // segment reads through the block map, and Misses the number of those that
-// waited for tertiary storage. Segments brought in without a read (HSM
-// stage-in, the tertiary cleaner, repair: Peek, then DemandFetch) count as
-// Inserts only.
+// waited for tertiary storage. Segments brought in without a read (the
+// tertiary cleaner, repair: Peek, then DemandFetch) count as Inserts only.
 //
 // Promotions and Demotions count SLRU's moves into and out of the protected
 // segment. Refetches counts inserts of a tag that replacement (Victim, then
@@ -135,12 +130,6 @@ type Cache struct {
 	// answer, by which Evict tells replacement from an ejection.
 	gone   []int
 	chosen *Line
-
-	// Locked, when set, reports whether a tertiary segment is HSM-pinned:
-	// Victim never selects a locked line and Evict refuses one with
-	// ErrEvictLocked. Installed by the core layer so the directory itself
-	// stays free of HSM state.
-	Locked func(tag int) bool
 
 	// Bind is told every change of a disk segment's binding: Insert binds
 	// seg to tag, Unstage clears the staging bit, Evict and Release unbind it
@@ -312,13 +301,13 @@ func (c *Cache) older(a, b *Line) bool {
 }
 
 // Evictable reports whether l may be thrown out: not staging (the sole copy
-// of migrated data), not pinned by a reader or copy-out, and not HSM-locked.
+// of migrated data) and not pinned by a reader or copy-out.
 func (c *Cache) Evictable(l *Line) bool {
-	return !l.Staging && l.Pins == 0 && (c.Locked == nil || !c.Locked(l.Tag))
+	return !l.Staging && l.Pins == 0
 }
 
 // Victim selects an evictable line per the policy: never staging (the sole
-// copy of migrated data), pinned or HSM-locked. Returns nil if none qualifies.
+// copy of migrated data) or pinned. Returns nil if none qualifies.
 func (c *Cache) Victim() *Line {
 	var pick *Line
 	if c.policy == Random {
@@ -360,9 +349,6 @@ func (c *Cache) Evict(l *Line) (addr.SegNo, error) {
 	}
 	if l.Pins > 0 {
 		return 0, fmt.Errorf("%w: tag %d (%d pins)", ErrEvictPinned, l.Tag, l.Pins)
-	}
-	if c.Locked != nil && c.Locked(l.Tag) {
-		return 0, fmt.Errorf("%w: tag %d", ErrEvictLocked, l.Tag)
 	}
 	if c.lines[l.Tag] != l {
 		return 0, fmt.Errorf("%w: tag %d", ErrEvictUnknown, l.Tag)

@@ -13,7 +13,6 @@ type refModel struct {
 	cap        int
 	prob, prot []int
 	busy       map[int]*Line // the cache's own lines: Staging and Pins are read off them
-	locked     map[int]bool
 }
 
 func (m *refModel) hit(tag int) {
@@ -32,7 +31,7 @@ func (m *refModel) hit(tag int) {
 
 func (m *refModel) evictable(tag int) bool {
 	l := m.busy[tag]
-	return !l.Staging && l.Pins == 0 && !m.locked[tag]
+	return !l.Staging && l.Pins == 0
 }
 
 func (m *refModel) victim() (int, bool) {
@@ -53,7 +52,6 @@ func (m *refModel) remove(tag int) {
 		}
 	}
 	delete(m.busy, tag)
-	delete(m.locked, tag)
 }
 
 // TestSLRUAgainstReferenceModel drives a 30-line cache and the model with one
@@ -64,8 +62,7 @@ func TestSLRUAgainstReferenceModel(t *testing.T) {
 	const lines = 30
 	rng := sim.NewRNG(1993)
 	c := New(SLRU, pool(lines), 1)
-	m := &refModel{cap: protectedCap(lines), busy: map[int]*Line{}, locked: map[int]bool{}}
-	c.Locked = func(tag int) bool { return m.locked[tag] }
+	m := &refModel{cap: protectedCap(lines), busy: map[int]*Line{}}
 	resident := func() int { // a seeded pick among the resident tags, in tag order
 		ls := c.Lines()
 		return ls[rng.Intn(len(ls))].Tag
@@ -73,7 +70,7 @@ func TestSLRUAgainstReferenceModel(t *testing.T) {
 	var victims, fallbacks int
 	for op := 0; op < 20000; op++ {
 		now := sim.Time(op + 1) // strictly increasing: no two moves share an instant
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(9); {
 		case k < 3: // a miss: take a line (free, else the victim's) and insert
 			tag := rng.Intn(90)
 			if _, ok := c.Peek(tag); ok {
@@ -119,11 +116,6 @@ func TestSLRUAgainstReferenceModel(t *testing.T) {
 			if c.Len() > 0 {
 				m.busy[resident()].Staging = false
 			}
-		case k == 9: // the HSM pins or releases a segment
-			if c.Len() > 0 {
-				tag := resident()
-				m.locked[tag] = !m.locked[tag]
-			}
 		}
 		if c.Len() > c.Capacity() || c.Len()+c.FreeLines() != c.Capacity() {
 			t.Fatalf("op %d: %d lines + %d free of %d", op, c.Len(), c.FreeLines(), c.Capacity())
@@ -141,8 +133,8 @@ func TestSLRUAgainstReferenceModel(t *testing.T) {
 		if nprot != c.nprot || nprot != len(m.prot) || nprot > m.cap {
 			t.Fatalf("op %d: %d protected lines, counter %d, model %d, cap %d", op, nprot, c.nprot, len(m.prot), m.cap)
 		}
-		if v := c.Victim(); v != nil && (v.Staging || v.Pins > 0 || m.locked[v.Tag]) {
-			t.Fatalf("op %d: victim %d is staging, pinned or locked", op, v.Tag)
+		if v := c.Victim(); v != nil && (v.Staging || v.Pins > 0) {
+			t.Fatalf("op %d: victim %d is staging or pinned", op, v.Tag)
 		}
 	}
 	s := c.Stats()

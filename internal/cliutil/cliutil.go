@@ -6,15 +6,15 @@ package cliutil
 
 import "fmt"
 
-// UsageError marks an invalid flag combination. CLIs print it and exit
+// usageError marks an invalid flag combination. CLIs print it and exit
 // with the usage status (2) instead of treating it as a runtime failure.
-type UsageError struct{ Msg string }
+type usageError struct{ Msg string }
 
-func (e *UsageError) Error() string { return e.Msg }
+func (e *usageError) Error() string { return e.Msg }
 
-// Usagef builds a UsageError.
-func Usagef(format string, args ...interface{}) *UsageError {
-	return &UsageError{Msg: fmt.Sprintf(format, args...)}
+// usagef builds a usageError.
+func usagef(format string, args ...interface{}) *usageError {
+	return &usageError{Msg: fmt.Sprintf(format, args...)}
 }
 
 // ValidateFarm checks the disk-farm flags: striping needs at least two
@@ -22,19 +22,19 @@ func Usagef(format string, args ...interface{}) *UsageError {
 // plus at least three spindles (two data + one parity per row).
 func ValidateFarm(spindles, stripeUnit int, parity bool) error {
 	if spindles < 0 {
-		return Usagef("-spindles %d: must be >= 0", spindles)
+		return usagef("-spindles %d: must be >= 0", spindles)
 	}
 	if stripeUnit < 0 {
-		return Usagef("-stripe %d: must be >= 0", stripeUnit)
+		return usagef("-stripe %d: must be >= 0", stripeUnit)
 	}
 	if stripeUnit > 0 && spindles < 2 {
-		return Usagef("-stripe %d needs at least 2 spindles (have %d)", stripeUnit, spindles)
+		return usagef("-stripe %d needs at least 2 spindles (have %d)", stripeUnit, spindles)
 	}
 	if parity && stripeUnit <= 0 {
-		return Usagef("-parity needs -stripe (a stripe geometry to rotate parity over)")
+		return usagef("-parity needs -stripe (a stripe geometry to rotate parity over)")
 	}
 	if parity && spindles < 3 {
-		return Usagef("-parity needs at least 3 spindles (have %d): two data plus one parity per row", spindles)
+		return usagef("-parity needs at least 3 spindles (have %d): two data plus one parity per row", spindles)
 	}
 	return nil
 }
@@ -44,17 +44,17 @@ func ValidateFarm(spindles, stripeUnit int, parity bool) error {
 // replicas than libraries cannot be satisfied.
 func ValidateTertiary(libraries, replicas int) error {
 	if libraries < 0 {
-		return Usagef("-libraries %d: must be >= 0", libraries)
+		return usagef("-libraries %d: must be >= 0", libraries)
 	}
 	if replicas < 0 {
-		return Usagef("-replicas %d: must be >= 0", replicas)
+		return usagef("-replicas %d: must be >= 0", replicas)
 	}
 	nlibs := libraries
 	if nlibs < 1 {
 		nlibs = 1
 	}
 	if replicas > nlibs {
-		return Usagef("-replicas %d exceeds -libraries %d: each replica needs its own library", replicas, nlibs)
+		return usagef("-replicas %d exceeds -libraries %d: each replica needs its own library", replicas, nlibs)
 	}
 	return nil
 }

@@ -27,9 +27,9 @@ func TestValidateFarm(t *testing.T) {
 			t.Errorf("ValidateFarm(%d, %d, %v) = %v, want ok=%v", c.spindles, c.stripe, c.parity, err, c.ok)
 		}
 		if err != nil {
-			var ue *UsageError
+			var ue *usageError
 			if !errors.As(err, &ue) {
-				t.Errorf("ValidateFarm(%d, %d, %v): error not a *UsageError: %v", c.spindles, c.stripe, c.parity, err)
+				t.Errorf("ValidateFarm(%d, %d, %v): error not a *usageError: %v", c.spindles, c.stripe, c.parity, err)
 			}
 		}
 	}

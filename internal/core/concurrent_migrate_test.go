@@ -10,7 +10,7 @@ import (
 )
 
 // TestTwoMigrateFilesCallersAtOnce: the migrator daemon is not the only caller
-// of MigrateFiles (HSM stage-out on a front-end worker, the tertiary cleaner).
+// of MigrateFiles (the tertiary cleaner, direct calls).
 // Two at once share one staging segment, and the second must not stage at the
 // offset the first is writing.
 func TestTwoMigrateFilesCallersAtOnce(t *testing.T) {

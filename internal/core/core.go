@@ -143,12 +143,6 @@ type HighLight struct {
 
 	libs []*jukebox.Library // tertiary devices as failure domains
 
-	// HSM pin registries (see pin.go): segment pin refcounts mirrored into
-	// the persisted lfs.SegPinned flag, and inode pin refcounts consulted
-	// by the migration policies.
-	pinnedSegs   map[int]int
-	pinnedInodes map[uint32]int
-
 	retiredSegs int64 // tertiary segments retired after permanent write errors
 
 	mountStats MountStats
@@ -313,10 +307,6 @@ func New(p *sim.Proc, cfg Config, format bool) (*HighLight, error) {
 	hl.Cache = cache.New(cfg.CachePolicy, pool, cfg.Seed)
 	hl.Cache.SetObs(hl.Obs)
 	hl.Cache.SetAttr(hl.Heat)
-	// HSM pins gate eviction from the moment the directory exists: after a
-	// crash the persisted SegPinned flags keep pinned lines resident even
-	// before the HSM layer re-derives its refcounts.
-	hl.Cache.Locked = hl.SegmentPinned
 	// The directory writes every binding; the segment usage table persists
 	// it for mount and fsck.
 	hl.Cache.Bind = func(seg addr.SegNo, tag int, staging bool) {

@@ -355,10 +355,9 @@ func (hl *HighLight) FlushCopyouts(p *sim.Proc) {
 
 // stage appends refs, or the inodes inums, to the staging segment, opening
 // one if none is open and closing it if that filled it. hl.staging makes the
-// three steps one: MigrateFiles has several callers (the migrator daemon, HSM
-// stage-out on a front-end worker, the tertiary cleaner), every step can
-// block, and a second caller let in between them would stage at the offset
-// the first is writing.
+// three steps one: MigrateFiles has several callers (the migrator daemon,
+// the tertiary cleaner, direct calls), every step can block, and a second
+// caller let in between them would stage at the offset the first is writing.
 func (hl *HighLight) stage(p *sim.Proc, refs []lfs.BlockRef, inums []uint32) (*lfs.MigrateResult, error) {
 	hl.staging.Acquire(p)
 	defer hl.staging.Release(p)
@@ -433,15 +432,6 @@ func (hl *HighLight) MigrateFiles(p *sim.Proc, inums []uint32, migrateInodes boo
 	for _, inum := range inums {
 		if err := p.CtxErr(); err != nil {
 			return staged, err // canceled between files; staged work stands
-		}
-		if hl.InodePinned(inum) {
-			// Defense in depth: policies already skip pinned files, but a
-			// direct MigrateFiles caller must not move one either.
-			hl.Audit.Record(attr.Decision{
-				T: p.Now(), Actor: "migrator", Subject: fmt.Sprintf("inode:%d", inum),
-				Seg: -1, Verdict: attr.VerdictPinGuard, Reason: "inode is HSM-pinned",
-			})
-			continue
 		}
 		refs, err := hl.FS.FileBlockRefs(p, inum)
 		if err != nil {

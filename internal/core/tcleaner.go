@@ -84,14 +84,6 @@ func (hl *HighLight) SelectCleanableVolume() (VolumeUsage, bool) {
 			})
 			continue
 		}
-		if pinned := hl.volumePinnedSegs(u.Device, u.Volume); len(pinned) > 0 {
-			hl.Audit.Record(attr.Decision{
-				T: now, Actor: "tcleaner", Subject: fmt.Sprintf("vol:%d/%d", u.Device, u.Volume),
-				Seg: pinned[0], Verdict: attr.VerdictPinGuard, Reason: "volume holds HSM-pinned segments",
-				Inputs: []attr.Input{attr.In("pinned_segs", float64(len(pinned)))},
-			})
-			continue
-		}
 		hl.Audit.Record(attr.Decision{
 			T: now, Actor: "tcleaner", Subject: fmt.Sprintf("vol:%d/%d", u.Device, u.Volume),
 			Seg: -1, Verdict: attr.VerdictSelected, Reason: "least live data among used volumes",
@@ -112,31 +104,11 @@ func (hl *HighLight) SelectCleanableVolume() (VolumeUsage, bool) {
 // repair pass has re-replicated it elsewhere.
 var ErrSoleSurvivingReplica = errors.New("core: volume holds a sole surviving replica; repair pending")
 
-// ErrVolumePinned guards HSM pins against whole-medium reclaim: cleaning
-// re-stages live blocks onto a *different* volume and erases the medium,
-// which would move pinned data the HSM promised to keep in place. The
-// cleaner routes around pinned volumes until the pins drop.
-var ErrVolumePinned = errors.New("core: volume holds HSM-pinned segments")
-
 // ErrTornSegment reports a cached copy of a written tertiary segment that
 // ends on a partial segment whose extent or data checksum does not hold.
 // Blocks past that point cannot be told live from damaged, so the image is
 // neither re-staged nor its medium erased: the copy on the medium stands.
 var ErrTornSegment = errors.New("core: torn tertiary segment image")
-
-// volumePinnedSegs lists the HSM-pinned tertiary segment indices stored on
-// (device, vol), ascending.
-func (hl *HighLight) volumePinnedSegs(device, vol int) []int {
-	g := hl.Amap.Devices()[device]
-	var pinned []int
-	for s := 0; s < g.SegsPerVol; s++ {
-		idx, _ := hl.Amap.TertIndex(hl.Amap.SegForLoc(device, vol, s))
-		if hl.SegmentPinned(idx) {
-			pinned = append(pinned, idx)
-		}
-	}
-	return pinned
-}
 
 // volumeHoldsSoleCopy reports whether erasing (device, vol) would destroy
 // the last reachable copy of any segment. Primaries on the volume are
@@ -186,14 +158,6 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 	}()
 	if hl.volumeHoldsSoleCopy(device, vol) {
 		return 0, fmt.Errorf("core: cleaning volume %d/%d: %w", device, vol, ErrSoleSurvivingReplica)
-	}
-	if pinned := hl.volumePinnedSegs(device, vol); len(pinned) > 0 {
-		hl.Audit.Record(attr.Decision{
-			T: p.Now(), Actor: "tcleaner", Subject: fmt.Sprintf("vol:%d/%d", device, vol),
-			Seg: pinned[0], Verdict: attr.VerdictPinGuard, Reason: "refusing to clean a volume with HSM-pinned segments",
-			Inputs: []attr.Input{attr.In("pinned_segs", float64(len(pinned)))},
-		})
-		return 0, fmt.Errorf("core: cleaning volume %d/%d: %w", device, vol, ErrVolumePinned)
 	}
 	g := hl.Amap.Devices()[device]
 	// Fence allocation away from this volume first: an open staging
@@ -251,7 +215,7 @@ func (hl *HighLight) CleanVolume(p *sim.Proc, device, vol int) (int, error) {
 	// Drop any cache lines for the cleaned segments and reset the
 	// tsegfile entries; then erase the medium so it can be rewritten.
 	for _, idx := range cleanedIdx {
-		if l, ok := hl.Cache.Peek(idx); ok && !l.Staging && l.Pins == 0 {
+		if l, ok := hl.Cache.Peek(idx); ok && hl.Cache.Evictable(l) {
 			seg, err := hl.Cache.Evict(l)
 			if err != nil {
 				return relocated, fmt.Errorf("core: dropping cleaned line %d: %w", idx, err)

@@ -342,6 +342,7 @@ func coreConfig(cfg config, o *obs.Obs, disk *dev.Disk, juke *jukebox.Jukebox) c
 // so the phase spans and totals are identical across cut choices.
 func runWorkload(cfg config, cutEvent int) (*runResult, error) {
 	k := sim.NewKernel()
+	defer k.Stop()
 	disk, juke, err := buildDevices(k, cfg)
 	if err != nil {
 		return nil, err

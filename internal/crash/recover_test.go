@@ -43,6 +43,7 @@ type outcome struct {
 // full fsck plus durability-model audit.
 func recoverCut(cfg config, snap *snapshot) (*outcome, error) {
 	k := sim.NewKernel()
+	defer k.Stop()
 	k.AdvanceTo(snap.Now)
 	disk, juke, err := buildDevices(k, cfg)
 	if err != nil {

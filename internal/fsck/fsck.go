@@ -34,7 +34,6 @@ type Report struct {
 	TertBlocks    int
 	SegsParsed    int
 	TsegsScrubbed int
-	TsegsPinned   int
 	Problems      []Problem
 	VolumesCross  map[uint32][]int // inum -> volumes its blocks span (when >1)
 }
@@ -258,23 +257,6 @@ func Check(p *sim.Proc, hl *core.HighLight) (*Report, error) {
 		}
 	}
 
-	// Pass 6: pin scrub — an HSM pin promises its segment stays staged, so
-	// every tseg carrying the persisted pin flag must be written media with
-	// a bound cache line (pins on never-written or evicted segments are
-	// stale flags the HSM layer failed to clear).
-	for idx := 0; idx < hl.FS.TsegCount(); idx++ {
-		if !hl.FS.TsegPinned(idx) {
-			continue
-		}
-		r.TsegsPinned++
-		su := hl.FS.TsegUsage(idx)
-		if su.Flags&lfs.SegDirty == 0 {
-			r.addf(fmt.Sprintf("tseg %d", idx), "pinned but never written (stale pin flag)")
-		}
-		if _, cached := hl.Cache.Peek(idx); !cached {
-			r.addf(fmt.Sprintf("tseg %d", idx), "pinned but not resident in the segment cache")
-		}
-	}
 	return r, nil
 }
 

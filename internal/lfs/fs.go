@@ -541,6 +541,9 @@ func (fs *FS) loadTables(p *sim.Proc, c checkpoint) error {
 	off += blocksFor(len(fs.seguse)*seguseSize) * BlockSize
 	for i := range fs.tseg {
 		fs.tseg[i].decode(buf[off+i*seguseSize:])
+		// An image of an older format may carry segRetired; cleared here,
+		// it is gone from the next checkpoint.
+		fs.tseg[i].Flags &^= segRetired
 	}
 	off += blocksFor(len(fs.tseg)*seguseSize) * BlockSize
 	for i := range fs.imap {
@@ -944,23 +947,6 @@ func (fs *FS) MarkTsegNoStore(idx int) {
 // tertiary cleaner erased its medium).
 func (fs *FS) ResetTseg(idx int) {
 	fs.tseg[idx] = Seguse{}
-}
-
-// MarkTsegPinned flags a tertiary segment as HSM-pinned. The flag lives
-// in the checkpointed tsegfile, so pins ride the same durability path as
-// every other segment state and survive crash recovery.
-func (fs *FS) MarkTsegPinned(idx int) {
-	fs.tseg[idx].Flags |= segPinned
-}
-
-// ClearTsegPinned drops the HSM pin flag from a tertiary segment.
-func (fs *FS) ClearTsegPinned(idx int) {
-	fs.tseg[idx].Flags &^= segPinned
-}
-
-// TsegPinned reports whether a tertiary segment carries the HSM pin flag.
-func (fs *FS) TsegPinned(idx int) bool {
-	return fs.tseg[idx].Flags&segPinned != 0
 }
 
 // RestoreTsegUsage reconstructs a tertiary segment's usage entry during

@@ -101,7 +101,7 @@ const (
 	SegCached  uint32 = 1 << 2 // holds a cached copy of a tertiary segment
 	SegStaging uint32 = 1 << 3 // cached line being assembled / not yet copied out
 	SegNoStore uint32 = 1 << 4 // removed from service (no storage behind it)
-	segPinned  uint32 = 1 << 5 // HSM pin: evictor/cleaner/migrator must not touch it
+	segRetired uint32 = 1 << 5 // an older format's pin flag: reserved, never reused
 )
 
 // Seguse is one segment-usage entry. For disk segments it describes log

@@ -59,24 +59,16 @@ func (s *STP) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) ([]Cand
 }
 
 // rankFiles is the ranking every per-file policy shares; the policies
-// differ in score alone. It walks the namespace, leaves out pinned files
-// and files younger than minAge (both audited under actor), scores the
-// rest, sorts best first (ties by inode number), keeps enough to reach
-// target and audits one verdict per ranked file.
+// differ in score alone. It walks the namespace, leaves out files younger
+// than minAge (audited under actor), scores the rest, sorts best first
+// (ties by inode number), keeps enough to reach target and audits one
+// verdict per ranked file.
 func rankFiles(p *sim.Proc, hl *core.HighLight, target int64, actor string, minAge sim.Time,
 	score func(age sim.Time, size uint64) float64) ([]Candidate, error) {
 	now := p.Now()
 	var cands []Candidate
 	err := hl.FS.Walk(p, "/", func(path string, fi lfs.FileInfo) error {
 		if fi.Type != lfs.TypeFile || fi.Size == 0 {
-			return nil
-		}
-		if hl.InodePinned(fi.Inum) {
-			hl.Audit.Record(attr.Decision{
-				T: now, Actor: actor, Subject: "file:" + path,
-				Seg: -1, Verdict: attr.VerdictPinGuard, Reason: "file is HSM-pinned",
-				Inputs: []attr.Input{attr.In("size", float64(fi.Size))},
-			})
 			return nil
 		}
 		age := now - sim.Time(fi.Atime)
@@ -246,14 +238,6 @@ func (n *Namespace) Select(p *sim.Proc, hl *core.HighLight, targetBytes int64) (
 	units := map[string]*unit{}
 	err := hl.FS.Walk(p, "/", func(path string, fi lfs.FileInfo) error {
 		if fi.Type != lfs.TypeFile || fi.Size == 0 {
-			return nil
-		}
-		if hl.InodePinned(fi.Inum) {
-			hl.Audit.Record(attr.Decision{
-				T: now, Actor: "policy:namespace", Subject: "file:" + path,
-				Seg: -1, Verdict: attr.VerdictPinGuard, Reason: "file is HSM-pinned",
-				Inputs: []attr.Input{attr.In("size", float64(fi.Size))},
-			})
 			return nil
 		}
 		dir := parentDir(path)

@@ -71,37 +71,6 @@ func TestHeatCostDemotesRecentFiles(t *testing.T) {
 	e.k.Stop()
 }
 
-// TestPoliciesSkipPinned checks every per-file policy honors the pin guard.
-func TestPoliciesSkipPinned(t *testing.T) {
-	e := newEnv(t)
-	e.run(t, func(p *sim.Proc) {
-		hl := e.hl
-		pinned := mkFile(t, p, hl, "/pa", 4, 1).Inum()
-		free := mkFile(t, p, hl, "/pb", 4, 2).Inum()
-		if err := hl.FS.Sync(p); err != nil {
-			t.Fatal(err)
-		}
-		p.Sleep(sim.Time(60 * time.Second))
-		hl.PinInode(pinned)
-
-		for _, pol := range []Policy{NewSTP(), &LRU{}, &HeatCost{}} {
-			cands, err := pol.Select(p, hl, 0)
-			if err != nil {
-				t.Fatalf("%s: %v", pol.Name(), err)
-			}
-			for _, c := range cands {
-				if c.Inum == pinned {
-					t.Fatalf("%s selected the pinned inode: %+v", pol.Name(), cands)
-				}
-			}
-			if len(cands) == 0 || cands[0].Inum != free {
-				t.Fatalf("%s missed the unpinned file: %+v", pol.Name(), cands)
-			}
-		}
-	})
-	e.k.Stop()
-}
-
 // TestMinAgeSkipRecordsSameInputs: a file left out for being younger than
 // MinAge is audited with the same three inputs — its age, the threshold it
 // fell under, its size — whichever per-file policy left it out.

@@ -31,16 +31,6 @@ const (
 	VerdictProbed   = "probed"   // half-open breaker let one probe request through
 	VerdictRestored = "restored" // breaker closed again after a successful probe
 	VerdictBrownout = "brownout" // graceful-degradation mode entered or left
-
-	// HSM service-surface verdicts (pin lifecycle, quota enforcement,
-	// request-queue transitions).
-	VerdictPinned    = "pinned"     // a file/segment entered the pinned set
-	VerdictUnpinned  = "unpinned"   // a pin was released
-	VerdictPinGuard  = "pin-guard"  // evictor/cleaner/migrator refused a pinned subject
-	VerdictQuotaShed = "quota-shed" // request refused at admission: principal over quota
-	VerdictQueued    = "queued"     // HSM request admitted into the ledger
-	VerdictDone      = "done"       // HSM request completed
-	VerdictFailed    = "failed"     // HSM request reached the failed state
 )
 
 // Input is one named policy input (heat, age, utilization, pressure)

@@ -520,7 +520,7 @@ func (s *Service) Eject(tag int) error {
 	if !ok {
 		return fmt.Errorf("tertiary: eject: segment %d not cached", tag)
 	}
-	if l.Staging || l.Pins > 0 {
+	if !s.cache.Evictable(l) {
 		return fmt.Errorf("tertiary: eject: segment %d busy", tag)
 	}
 	seg, err := s.cache.Evict(l)
@@ -538,7 +538,7 @@ func (s *Service) Eject(tag int) error {
 // many went and the first ejection that failed.
 func (s *Service) EjectAll() (ejected int, err error) {
 	for _, l := range s.cache.Lines() {
-		if l.Staging || l.Pins > 0 {
+		if !s.cache.Evictable(l) {
 			continue
 		}
 		if err := s.Eject(l.Tag); err != nil {

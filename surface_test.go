@@ -31,7 +31,6 @@ import (
 // package, each with its reason. Keys are package paths below internal/
 // followed by the name, with the receiver type for a method.
 var surfaceAllow = map[string]string{
-	"hsm.OpEvict":              "one of the five ops Submit takes and the state file persists",
 	"jukebox.Metrum":           "the only tape profile, which sub-segment reads (ROADMAP item 11) need",
 	"jukebox.SonyWORM":         "the write-once optical profile beside Metrum, for the same media comparisons",
 	"lfs.TypeFree":             "the on-media inode type of a free slot, named for the format",
