@@ -72,7 +72,9 @@ crash:
 # image (the file rewritten, truncated and evicted, another staged after it,
 # the changers' image and the line unchanged), and discarding dead segments
 # (a power cut at every media write between a table-only checkpoint and the
-# full one, a segment cleaned and written again before the checkpoint). -count=1
+# full one, a segment cleaned and written again before the checkpoint), and the
+# write drive's reservation (held while a copy-out is on its way, from dispatch
+# to its report; lent to reads otherwise). -count=1
 # forces fresh runs. The kernel's own tests run three times over: every proc
 # is a coroutine the dispatcher switches to, so its state crosses goroutines
 # on every event.
@@ -80,7 +82,8 @@ soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend|TestDeadlinesSpawnNoProc'
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten|CopiedOutImageIsNeverWritten'
-	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive|SiblingFirstSharesTheStagedImage'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive|SiblingFirstSharesTheStagedImage|FetchDuringCopyoutKeepsTheWritingPlatter|IdleWriteDriveServesAFetch'
+	$(GO) test -race -count=1 ./internal/jukebox/ -run 'WriteDriveReservation|ReadsKeepOffTheWriteDriveWhileWriting|IdleWriteDriveServesReads'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent|FetchedBlocksAreLent|DeadAtTableCheckpointSurvivesPowerCut|CleanedAndReusedSegmentIsNotDiscarded'
 	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine|ParityAloneOnItsSpindle|PartialRowsByReference'
 	$(GO) test -race -count=1 ./internal/bench/ -run 'TestReqtraceAblationFree|TestRequestsJSONBitReproducible'
@@ -248,7 +251,11 @@ loc:
 # tertiary pin flag methods, fsck's pin pass, hlfs's four commands and
 # hldump's three views), net of hlfs's truncate command, which keeps
 # lfs.File.Truncate linked now that the HSM state file no longer calls it.
-LOC_MAX = 22464
+# Raised 22464 -> 22488 by the change that holds the write drive's reservation
+# only while a copy-out is on its way: the count of writes on their way
+# (jukebox.Jukebox.Writing, forwarded by Library.Writing, kept by tertiary's
+# dispatch and finishCopyout) and the changer's two hand-over audit records.
+LOC_MAX = 22488
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -586,7 +586,6 @@ func TestReplicatedSegmentsReadClosestCopy(t *testing.T) {
 		if err := e.juke.ReadSegment(p, v, s, buf); err != nil {
 			t.Fatal(err)
 		}
-		e.juke.WriteDrive = -1 // no reservation: reads may use either drive
 		if !e.juke.VolumeLoaded(v) {
 			t.Fatalf("replica volume %d not loaded after a read from it", v)
 		}

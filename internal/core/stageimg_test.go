@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/dev"
@@ -186,7 +187,8 @@ func TestCopyoutHandsTheStagedImageOn(t *testing.T) {
 // TestCopyoutHandsTheStagedImageOn over disks with a write cache and over the
 // serve workload's parity farm leaves no disk holding the staged image: the
 // changers keep it, but the line reads back the same after the image is
-// overwritten.
+// overwritten. Overwriting it breaks the promise on purpose, so the test runs
+// under an audit of its own, which must name the changers as its keepers.
 func TestStagedImageIsCopiedWhereTheDiskMustCopy(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -197,6 +199,9 @@ func TestStagedImageIsCopiedWhereTheDiskMustCopy(t *testing.T) {
 		{"parity farm", true, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			audit := dev.Audit
+			dev.Audit = &dev.HandOvers{}
+			defer func() { dev.Audit = audit }()
 			r := newStageRig(t, tc.parity, tc.prep)
 			r.k.RunProc(func(p *sim.Proc) {
 				lines, files := r.stage(t, p)
@@ -216,6 +221,9 @@ func TestStagedImageIsCopiedWhereTheDiskMustCopy(t *testing.T) {
 					for i := range l.img {
 						l.img[i] = 0xDB // what the Adopter contract forbids, to find who holds it
 					}
+				}
+				if err := dev.Audit.Check(); err == nil || !strings.Contains(err.Error(), "jukebox: adopted segment") {
+					t.Errorf("overwriting the staged images: the audit says %v, want the changers' adopted segments changed", err)
 				}
 				for i, l := range lines {
 					if !bytes.Equal(r.readLine(t, p, l), want[i]) {

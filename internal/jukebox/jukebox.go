@@ -168,13 +168,14 @@ type Jukebox struct {
 
 	// WriteDrive is the drive reserved for the currently-active writing
 	// volume (§7: "one drive was allocated for the currently-active
-	// writing segment, and the other for reading other platters"). Reads
-	// prefer other drives but are served by the write drive when their
-	// volume is already loaded there. A write whose volume must be loaded
-	// takes it, except that it leaves a platter with room left where it is
-	// when another drive stands empty (driveFor). -1 disables the
-	// reservation.
+	// writing segment, and the other for reading other platters") while a
+	// write is on its way (Writing): reads then take it only when their
+	// volume is already loaded there, and otherwise as any other drive. A
+	// write whose volume must be loaded takes it, except that it leaves a
+	// platter with room left where it is when another drive stands empty
+	// (driveFor). -1 disables the reservation.
 	WriteDrive int
+	writers    int // writes on their way to the changer (Writing)
 
 	// WriteOnce rejects overwrites of a written segment (Sony WORM).
 	WriteOnce bool
@@ -288,6 +289,11 @@ func (j *Jukebox) EraseVolume(vol int) {
 	v.writes = 0
 	j.Cut.Tick(1)
 }
+
+// Writing tells the changer that n more writes (fewer, for n < 0) are on
+// their way to it, queued or in flight. While any are, reads keep off the
+// write drive, so that the writing platter stays mounted between them.
+func (j *Jukebox) Writing(n int) { j.writers += n }
 
 // VolumeLoaded reports whether vol currently sits in a healthy drive (no
 // swap needed to access it) — the "closest copy" test of §5.4. A volume
@@ -404,13 +410,14 @@ func (j *Jukebox) driveFor(p *sim.Proc, vol int, forWrite bool) (*drive, error) 
 			break
 		}
 		// Choose a drive to (re)load: the reserved write drive for
-		// writes, otherwise the least-recently-used non-reserved drive —
-		// offline drives excluded in both cases. Idle arms are preferred
-		// over busy ones: with several I/O streams in flight, the LRU
-		// drive is often the one a concurrent request just started
-		// loading, and picking it would swap that volume straight back
-		// out. With a single stream every arm is idle at pick time, so
-		// the historical LRU choice is unchanged.
+		// writes, otherwise the least-recently-used drive, the write drive
+		// not while a write is on its way — offline drives excluded in
+		// both cases. Idle arms are preferred over busy ones: with
+		// several I/O streams in flight, the LRU drive is often the one
+		// a concurrent request just started loading, and picking it would
+		// swap that volume straight back out. With a single stream every
+		// arm is idle at pick time, so the historical LRU choice is
+		// unchanged.
 		var pick *drive
 		pickBusy := false
 		if forWrite && j.WriteDrive >= 0 && !j.drives[j.WriteDrive].offline {
@@ -435,7 +442,7 @@ func (j *Jukebox) driveFor(p *sim.Proc, vol int, forWrite bool) (*drive, error) 
 				if d.offline {
 					continue
 				}
-				if j.WriteDrive >= 0 && d.id == j.WriteDrive && !forWrite &&
+				if j.WriteDrive >= 0 && d.id == j.WriteDrive && !forWrite && j.writers > 0 &&
 					j.healthyDrives() > 1 && !j.drives[j.WriteDrive].offline {
 					continue
 				}
@@ -563,6 +570,7 @@ func (j *Jukebox) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 	p.Sleep(xfer(j.segBytes, j.prof.MediaRead))
 	d.pos = seg + 1
 	img := j.vols[vol].store[seg]
+	dev.Audit.Record("jukebox: lent segment", img)
 	d.arm.Release(p)
 	if j.bus != nil {
 		j.bus.Transfer(p, j.segBytes)
@@ -639,6 +647,7 @@ func (j *Jukebox) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	}
 	j.Cut.Tick(1)
 	v.store[seg] = buf
+	dev.Audit.Record("jukebox: adopted segment", buf)
 	j.Cut.Tick(1)
 	v.writes++
 	d.arm.Release(p)

@@ -170,7 +170,8 @@ func TestWriteDriveReservation(t *testing.T) {
 	j := newMO(k, 2, 3, 8)
 	k.RunProc(func(p *sim.Proc) {
 		buf := make([]byte, segBytes)
-		// A write loads the write drive (0).
+		// A write is on its way, and loads the write drive (0).
+		j.Writing(1)
 		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -195,6 +196,55 @@ func TestWriteDriveReservation(t *testing.T) {
 		}
 		if j.Stats().Swaps != swaps {
 			t.Fatal("read of loaded writing volume caused a swap")
+		}
+	})
+}
+
+// TestReadsKeepOffTheWriteDriveWhileWriting: with a write on its way, a read
+// of a volume not in a drive swaps the reading drive, not the write drive,
+// even when the write drive is the least recently used.
+func TestReadsKeepOffTheWriteDriveWhileWriting(t *testing.T) {
+	k := sim.NewKernel()
+	j := newMO(k, 2, 3, 8)
+	k.RunProc(func(p *sim.Proc) {
+		buf := make([]byte, segBytes)
+		j.Writing(1)
+		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		for vol := 1; vol <= 2; vol++ {
+			if err := j.ReadSegment(p, vol, 0, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := [2]int{j.drives[0].loaded, j.drives[1].loaded}; got != [2]int{0, 2} {
+			t.Fatalf("drives hold %v, want [0 2]: the writing volume stays in the write drive", got)
+		}
+	})
+}
+
+// TestIdleWriteDriveServesReads: with no write on its way, the write drive is
+// one more drive for reads. Reads that alternate between two volumes neither
+// of which is in it load each once, two swaps in all, instead of swapping
+// both in and out of the other drive at every read.
+func TestIdleWriteDriveServesReads(t *testing.T) {
+	k := sim.NewKernel()
+	j := newMO(k, 2, 3, 8)
+	k.RunProc(func(p *sim.Proc) {
+		buf := make([]byte, segBytes)
+		j.Writing(1)
+		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		j.Writing(-1)
+		swaps := j.Stats().Swaps
+		for i := 0; i < 6; i++ {
+			if err := j.ReadSegment(p, 1+i%2, i/2, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := j.Stats().Swaps - swaps; n != 2 {
+			t.Fatalf("six reads alternating between volumes 1 and 2: %d swaps, want 2", n)
 		}
 	})
 }
@@ -401,9 +451,11 @@ func TestDriveOfflineFailover(t *testing.T) {
 	j := newMO(k, 2, 3, 8)
 	k.RunProc(func(p *sim.Proc) {
 		buf := make([]byte, segBytes)
-		// Reads use the non-reserved drive (1). Load volume 0 there, then
-		// take drive 1 down: the next read of volume 0 must fail over to
-		// drive 0, re-loading the volume with a swap.
+		// With a write on its way, reads use the non-reserved drive (1).
+		// Load volume 0 there, then take drive 1 down: the next read of
+		// volume 0 must fail over to drive 0, re-loading the volume with a
+		// swap.
+		j.Writing(1)
 		if err := j.ReadSegment(p, 0, 0, buf); err != nil {
 			t.Fatal(err)
 		}

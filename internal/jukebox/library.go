@@ -111,6 +111,14 @@ func (l *Library) VolumeLoaded(vol int) bool {
 	return false
 }
 
+// Writing forwards Jukebox.Writing to the wrapped device, down or not: the
+// count of writes on their way must come back to zero.
+func (l *Library) Writing(n int) {
+	if w, ok := l.fp.(interface{ Writing(int) }); ok {
+		w.Writing(n)
+	}
+}
+
 // IdleHealthyDrives reports drives that could start a request now; zero
 // for a down library.
 func (l *Library) IdleHealthyDrives() int {

@@ -584,6 +584,10 @@ func (s *Service) dispatch(p *sim.Proc, r request, to int) {
 	}
 	s.out[lib]++
 	s.busy[volKey{lib, vol}] += r.cost
+	if r.kind == reqCopyout && lib < len(s.libs) {
+		// Reads keep off the write drive until finishCopyout, disk read included.
+		s.libs[lib].Writing(1)
+	}
 	s.ioq[lib].Send(p, r)
 	if s.free[lib] > 0 {
 		s.idle[lib].Signal()
@@ -731,6 +735,9 @@ func (s *Service) resolveFetch(tag int, err error) {
 
 func (s *Service) finishCopyout(p *sim.Proc, r request) {
 	s.transferDone(r)
+	if r.lib < len(s.libs) {
+		s.libs[r.lib].Writing(-1)
+	}
 	if l, ok := s.cache.Peek(r.pinTag); ok {
 		if l.Pins > 0 {
 			l.Pins--
