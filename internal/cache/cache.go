@@ -83,6 +83,7 @@ type Line struct {
 	FetchTime sim.Time // when the line was filled (FIFO)
 	LastUse   sim.Time // when it last moved to the recent end of its segment
 	protected bool     // SLRU: hit since it entered the probationary segment
+	ahead     bool     // fetched with no reader waiting, and not looked up since
 }
 
 // Stats counts cache activity. Hits and Misses count Lookup calls, which
@@ -107,6 +108,7 @@ type Stats struct {
 
 	Promotions, Demotions int64
 	Refetches             int64
+	PrefetchUnused        int64 // lines fetched ahead of any reader, evicted before a Lookup found them
 }
 
 // Cache is the segment cache directory. It owns a fixed pool of disk
@@ -166,7 +168,7 @@ func (c *Cache) FreeLines() int { return len(c.free) }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // SetObs attaches an observability domain: lookups, inserts, and
-// evictions emit instant events on the "cache" track, it adopts five of
+// evictions emit instant events on the "cache" track, it adopts six of
 // the Stats counts as its counters, and gets an occupied-lines gauge.
 func (c *Cache) SetObs(o *obs.Obs) {
 	c.obs = o
@@ -176,6 +178,7 @@ func (c *Cache) SetObs(o *obs.Obs) {
 	o.Adopt("cache.refetches", &c.stats.Refetches)
 	o.Adopt("cache.promotions", &c.stats.Promotions)
 	o.Adopt("cache.demotions", &c.stats.Demotions)
+	o.Adopt("cache.prefetch_unused", &c.stats.PrefetchUnused)
 }
 
 // SetAttr attaches a heat-attribution table: every hit, miss, and
@@ -192,11 +195,16 @@ func (c *Cache) Lookup(tag int, now sim.Time) (*Line, bool) {
 		return nil, false
 	}
 	c.touch(l, now)
+	l.ahead = false
 	c.stats.Hits++
 	c.obs.Instant("cache", "cache.hit", "hit", obs.Arg{Key: "tag", Val: int64(tag)})
 	c.heat.Touch(tag, attr.Hit, now)
 	return l, true
 }
+
+// Prefetched marks l as fetched with no reader waiting for it: evicted
+// before a Lookup finds it, it counts in PrefetchUnused.
+func (c *Cache) Prefetched(l *Line) { l.ahead = true }
 
 // Peek finds a line without touching recency or statistics.
 func (c *Cache) Peek(tag int) (*Line, bool) {
@@ -365,6 +373,9 @@ func (c *Cache) Evict(l *Line) (addr.SegNo, error) {
 	}
 	c.chosen = nil
 	c.stats.Evicts++
+	if l.ahead {
+		c.stats.PrefetchUnused++
+	}
 	c.obs.Instant("cache", "cache.evict", "evict",
 		obs.Arg{Key: "tag", Val: int64(l.Tag)}, obs.Arg{Key: "seg", Val: int64(l.DiskSeg)})
 	c.occupied.Set(int64(len(c.lines)))

@@ -275,6 +275,33 @@ func TestRefetchesCountsWhatReplacementThrewOut(t *testing.T) {
 	}
 }
 
+// TestPrefetchUnusedCountsLinesNeverLookedUp: a line marked Prefetched and
+// evicted before any Lookup found it counts in PrefetchUnused; one a Lookup
+// found first, or one never marked, does not.
+func TestPrefetchUnusedCountsLinesNeverLookedUp(t *testing.T) {
+	c := New(SLRU, pool(4), 1)
+	for tag := range 3 {
+		seg, _ := c.TakeFree()
+		l, err := c.Insert(tag, seg, false, sim.Time(tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tag < 2 {
+			c.Prefetched(l)
+		}
+	}
+	c.Lookup(1, 10)
+	for tag := range 3 {
+		l, _ := c.Peek(tag)
+		if _, err := c.Evict(l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Stats().PrefetchUnused; got != 1 {
+		t.Fatalf("PrefetchUnused = %d, want 1: only line 0 was fetched ahead and never looked up", got)
+	}
+}
+
 // BenchmarkCacheVictim is replacement's row of `make bench-layers`: choosing
 // the victim of a full 96-line cache, two thirds of it protected, is one pass
 // over the directory and allocates nothing.

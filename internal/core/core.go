@@ -516,6 +516,14 @@ func (bm *blockMap) Fetch(p *sim.Proc, b addr.BlockNo, n int) (err error) {
 	return err
 }
 
+// ReadAhead implements lfs.Fetcher: a background fetch of the tertiary
+// segment holding b, which a demand fetch of it later joins.
+func (bm *blockMap) ReadAhead(b addr.BlockNo) {
+	if tag, tert := bm.hl.Amap.TertIndex(bm.hl.Amap.SegOf(b)); tert {
+		bm.hl.Svc.FetchAhead(tag)
+	}
+}
+
 // ReadAgain implements lfs.Fetcher.
 func (bm *blockMap) ReadAgain(p *sim.Proc, parts []dev.Part) error {
 	return bm.read(p, parts, true)

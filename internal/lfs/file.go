@@ -83,9 +83,11 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 	// Sequential detection, as in the BSD cluster-read code: read-ahead
 	// beyond the requested range only when this request continues where
 	// the previous one on this file left off (or starts the file).
-	last, okLast := fs.lastLbn[inum]
-	seq := firstLbn == 0 || (okLast && last == firstLbn-1)
+	prev, okPrev := fs.seqRuns[inum]
+	cont := okPrev && prev.last == firstLbn-1
+	seq := firstLbn == 0 || cont
 	read := 0
+	var bf *buf
 	for read < n {
 		lbn := int32((off + int64(read)) / BlockSize)
 		blkOff := int((off + int64(read)) % BlockSize)
@@ -93,7 +95,7 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 		if want > n-read {
 			want = n - read
 		}
-		bf := fs.lookupBuf(inum, lbn)
+		bf = fs.lookupBuf(inum, lbn)
 		if bf == nil {
 			if err := fs.fillBlocks(p, ino, lbn, reqEnd, seq); err != nil {
 				return read, err
@@ -106,7 +108,19 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 		copy(b[read:read+want], bf.data[blkOff:blkOff+want])
 		read += want
 	}
-	fs.lastLbn[inum] = reqEnd - 1
+	run := seqRun{last: reqEnd - 1, run: reqEnd - firstLbn, seg: noSeg}
+	if cont {
+		run.run, run.seg = run.run+prev.run, prev.seg
+	}
+	if fs.fetcher != nil && bf != nil && bf.addr != addr.NilBlock && (run.run >= aheadRun || cont && run.run == reqEnd) {
+		if seg := fs.amap.SegOf(bf.addr); seg != run.seg {
+			run.seg = seg
+			if !fs.readAhead(ino, reqEnd-1-int32(fs.amap.OffOf(bf.addr))) {
+				run.seg = noSeg // a pointer was missing: look again at the next read
+			}
+		}
+	}
+	fs.seqRuns[inum] = run
 	if fs.op.reads++; fs.op.reads > fs.op.charged {
 		fs.op.charged = fs.op.reads
 		fs.chargeCopy(p, read, fs.opts.UserCopyRate)
@@ -115,6 +129,53 @@ func (fs *FS) readAtLocked(p *sim.Proc, inum uint32, b []byte, off int64) (int, 
 		return read, io.EOF
 	}
 	return read, nil
+}
+
+// seqRun is a file's sequential read run: the block the last read ended at,
+// how many blocks the run ending there covers, and the media segment the run
+// last looked ahead from (noSeg if it has not, or must look again).
+type seqRun struct {
+	last, run int32
+	seg       addr.SegNo
+}
+
+const noSeg = ^addr.SegNo(0)
+
+// Read-ahead into tertiary storage (§6.2, §5.3): a run of at least aheadRun
+// blocks, or of two reads or more from block 0, asks for the segments holding
+// its blocks one to aheadDepth segments ahead, once for each segment it
+// enters, and again at its next read while a pointer it needed was not
+// cached. A lone read, even of block 0, asks for nothing.
+const (
+	aheadRun   = 64
+	aheadDepth = 2
+)
+
+// readAhead asks the fetcher for the segments holding the blocks one to
+// aheadDepth segments' worth of blocks past lbn (at most the file's last
+// block), where lbn is as far before the block just read as that block is
+// into its segment: so the blocks asked for are one and two segments past the
+// one being read, wherever in it the reader is. A block the buffer cache
+// holds asks for nothing. It looks at cached metadata only: where the pointer
+// to such a block is not cached, it asks for the segment of the pointer block
+// that is missing instead, and reports false.
+func (fs *FS) readAhead(ino *dinode, lbn int32) bool {
+	end, found := int32(blocksFor(int(ino.Size)))-1, true
+	for d := 0; d < aheadDepth && lbn < end; d++ {
+		lbn = min(lbn+int32(fs.amap.SegBlocks()), end)
+		if fs.bufs[bufKey{ino.Inum, lbn}] != nil {
+			continue // buffered: the reader will not need its segment for it
+		}
+		r := fs.cachedPtrTo(ino, lbn)
+		for at := lbn; r.field == nil && r.parent == nil; {
+			at, found = parentLbn(at), false
+			r = fs.cachedPtrTo(ino, at)
+		}
+		if a := r.get(); a != addr.NilBlock {
+			fs.fetcher.ReadAhead(a)
+		}
+	}
+	return found
 }
 
 // fillBlocks reads block lbn into the cache, clustering up to readCluster

@@ -48,6 +48,10 @@ type Fetcher interface {
 	// with ReadAgain: ReadParts for a read Fetch has accounted for.
 	Fetch(p *sim.Proc, b addr.BlockNo, n int) error
 	ReadAgain(p *sim.Proc, parts []dev.Part) error
+	// ReadAhead asks for the tertiary segment holding block b to be
+	// brought in before a read needs it. It never blocks, and does nothing
+	// for a block that is disk-resident or already on its way.
+	ReadAhead(b addr.BlockNo)
 }
 
 // flushDevice drains the device's volatile write cache, if it has one.
@@ -183,11 +187,11 @@ type FS struct {
 	freeInums []uint32
 
 	bufs     map[bufKey]*buf
-	lastLbn  map[uint32]int32 // per-file last-read lbn (sequential detection)
-	lru      lruList          // every buffer but the reserve's
-	reserve  lruList          // clean pointer blocks of migrated data (buffer.go)
-	bufBytes int              // both lists
-	dirty    map[bufKey]*buf  // the dirty buffers: markDirty adds, markClean removes
+	seqRuns  map[uint32]seqRun // per file: its sequential read run (file.go)
+	lru      lruList           // every buffer but the reserve's
+	reserve  lruList           // clean pointer blocks of migrated data (buffer.go)
+	bufBytes int               // both lists
+	dirty    map[bufKey]*buf   // the dirty buffers: markDirty adds, markClean removes
 	inodes   map[uint32]*dinode
 	dirtyIno map[uint32]bool
 
@@ -251,7 +255,7 @@ func newFS(p *sim.Proc, device Device, amap *addr.Map, opts Options) *FS {
 		lock:     p.Kernel().NewResource("lfs.lock"),
 		bufs:     make(map[bufKey]*buf),
 		dirty:    make(map[bufKey]*buf),
-		lastLbn:  make(map[uint32]int32),
+		seqRuns:  make(map[uint32]seqRun),
 		inodes:   make(map[uint32]*dinode),
 		dirtyIno: make(map[uint32]bool),
 	}
@@ -1044,6 +1048,6 @@ func (fs *FS) FlushCaches(p *sim.Proc) error {
 		}
 	}
 	fs.inodes = make(map[uint32]*dinode)
-	fs.lastLbn = make(map[uint32]int32)
+	fs.seqRuns = make(map[uint32]seqRun)
 	return nil
 }

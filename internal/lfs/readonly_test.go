@@ -34,6 +34,7 @@ type tertDev struct {
 	again       int // ReadAgain calls: reads issued again after a Fetch
 	inFlight    int
 	maxInFlight int
+	ahead       []addr.SegNo // the segments ReadAhead asked for, in order
 }
 
 func (d *tertDev) waits(b addr.BlockNo, n int) []addr.SegNo {
@@ -64,6 +65,9 @@ func (d *tertDev) Fetch(p *sim.Proc, b addr.BlockNo, n int) error {
 	}
 	return nil
 }
+
+// ReadAhead records the request; nothing comes in before a Fetch.
+func (d *tertDev) ReadAhead(b addr.BlockNo) { d.ahead = append(d.ahead, d.amap.SegOf(b)) }
 
 func (d *tertDev) ReadAgain(p *sim.Proc, parts []dev.Part) error {
 	d.again++

@@ -177,11 +177,20 @@ func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 
 // Send enqueues v, blocking while the channel is full.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	for c.buf.Len() >= c.capacity {
+	for !c.TrySend(v) {
 		c.notFull.Wait(p)
+	}
+}
+
+// TrySend enqueues v if the channel has room and reports whether it did; it
+// never blocks.
+func (c *Chan[T]) TrySend(v T) bool {
+	if c.buf.Len() >= c.capacity {
+		return false
 	}
 	c.buf.Push(v)
 	c.notEmpty.Signal()
+	return true
 }
 
 // Recv dequeues the oldest value, blocking while the channel is empty.

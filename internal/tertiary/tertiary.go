@@ -77,6 +77,7 @@ type Stats struct {
 	FetchFaults      int64 // demand fetches that failed past recovery
 	CopyoutFaults    int64 // copyouts that failed for reasons other than end-of-medium
 	LateDefers       int64 // fetches whose data arrived to no line to be had, and were read again
+	Prefetches       int64 // background fetches started (FetchAhead)
 }
 
 // DeviceFaults is the per-device fault-visibility report: how many
@@ -171,7 +172,6 @@ type Service struct {
 	copyCond  *sim.Cond
 	failed    []int // tags whose copyout hit end-of-medium
 	badWrites []int // tags whose copyout hit an unrecoverable media error
-	prefetchQ []int
 
 	stats Stats
 
@@ -183,8 +183,9 @@ type Service struct {
 	outCopyG   *obs.Gauge
 
 	// Prefetch, if set, returns tertiary segment indices to prefetch
-	// after tag was demand-fetched (§6.2: the service process "may
-	// choose unilaterally to insert new segments into the cache").
+	// after a fetch of tag that a reader waited for (§6.2: the service
+	// process "may choose unilaterally to insert new segments into the
+	// cache"). Fetches it starts itself do not ask it again.
 	Prefetch func(tag int) []int
 
 	// AltCopies, if set, returns replica locations (tertiary segment
@@ -238,6 +239,7 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, dis
 	o.Adopt("tertiary.fetches", &s.stats.Fetches)
 	o.Adopt("tertiary.copyouts", &s.stats.Copyouts)
 	o.Adopt("tertiary.late_defers", &s.stats.LateDefers)
+	o.Adopt("tertiary.prefetches", &s.stats.Prefetches)
 	s.fetchWaitH = o.Histogram("tertiary.fetch_wait", obs.LatencyBounds)
 	s.qdepth = o.Gauge("tertiary.queue_depth")
 	s.outCopyG = o.Gauge("tertiary.copyouts_outstanding")
@@ -499,18 +501,22 @@ func (s *Service) WaitCopyoutProgress(p *sim.Proc) bool {
 	return true
 }
 
-// requestPrefetch enqueues background fetches (no waiter).
-func (s *Service) requestPrefetch(p *sim.Proc, tags []int) {
-	for _, tag := range tags {
-		if _, ok := s.cache.Peek(tag); ok {
-			continue
-		}
-		if _, ok := s.pending[tag]; ok {
-			continue
-		}
-		s.pending[tag] = &fetchWait{done: s.k.NewCond(fmt.Sprintf("prefetch-%d", tag))}
-		s.reqs.Send(p, request{kind: reqFetch, tag: tag, enqueued: p.Now()})
+// FetchAhead starts a background fetch of tertiary segment tag, with no
+// waiter, unless it is cached or already on its way; a DemandFetch of tag
+// meanwhile joins it. It never blocks: with the service's queue full it
+// starts nothing, so a caller holding the file system lock may read ahead.
+func (s *Service) FetchAhead(tag int) {
+	if _, ok := s.cache.Peek(tag); ok {
+		return
 	}
+	if _, ok := s.pending[tag]; ok {
+		return
+	}
+	if !s.reqs.TrySend(request{kind: reqFetch, tag: tag, enqueued: s.k.Now()}) {
+		return
+	}
+	s.pending[tag] = &fetchWait{done: s.k.NewCond(fmt.Sprintf("prefetch-%d", tag))}
+	s.stats.Prefetches++
 }
 
 // Eject discards a clean cached line (the kernel "may request ... the
@@ -696,7 +702,8 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 		s.retryDeferred(p)
 		return
 	}
-	if _, err := s.cache.Insert(r.tag, r.seg, false, p.Now()); err != nil {
+	l, err := s.cache.Insert(r.tag, r.seg, false, p.Now())
+	if err != nil {
 		s.cache.Release(r.seg)
 		s.resolveFetch(r.tag, err)
 		s.retryDeferred(p)
@@ -705,17 +712,23 @@ func (s *Service) finishFetch(p *sim.Proc, r request) {
 	s.stats.Fetches++
 	s.obs.Counter("tertiary.bytes_in").Add(int64(s.segBytes()))
 	s.heat.Touch(r.tag, attr.Fetch, p.Now())
-	s.resolveFetch(r.tag, nil)
-	if s.Prefetch != nil {
-		s.requestPrefetch(p, s.Prefetch(r.tag))
+	switch waited := s.resolveFetch(r.tag, nil); {
+	case waited == 0:
+		s.cache.Prefetched(l)
+	case s.Prefetch != nil:
+		for _, tag := range s.Prefetch(r.tag) {
+			s.FetchAhead(tag)
+		}
 	}
 	s.retryDeferred(p)
 }
 
-func (s *Service) resolveFetch(tag int, err error) {
+// resolveFetch ends the wait for tag's fetch with err and reports how many
+// readers were waiting for it.
+func (s *Service) resolveFetch(tag int, err error) int {
 	w, ok := s.pending[tag]
 	if !ok {
-		return
+		return 0
 	}
 	delete(s.pending, tag)
 	if err == nil {
@@ -731,6 +744,7 @@ func (s *Service) resolveFetch(tag int, err error) {
 	w.err = err
 	w.over = true
 	w.done.Broadcast()
+	return w.waiters
 }
 
 func (s *Service) finishCopyout(p *sim.Proc, r request) {

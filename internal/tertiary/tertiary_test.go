@@ -241,6 +241,67 @@ func TestPrefetchRunsInBackground(t *testing.T) {
 	e.k.Stop()
 }
 
+// TestPrefetchHookAskedOnlyForWaitedFetches: the hook is asked after a fetch
+// a reader waited for, not after one it started itself, so a hook naming
+// tag+1 makes one background fetch per demand fetch instead of walking the
+// whole store.
+func TestPrefetchHookAskedOnlyForWaitedFetches(t *testing.T) {
+	e := newEnv(t, 8)
+	e.k.RunProc(func(p *sim.Proc) {
+		const n = 6
+		for tag := 0; tag < n; tag++ {
+			e.seed(t, p, tag, byte(tag+1))
+		}
+		e.svc.Prefetch = func(tag int) []int {
+			if tag+1 < n {
+				return []int{tag + 1}
+			}
+			return nil
+		}
+		for i, tag := range []int{0, 3} {
+			if _, err := e.svc.DemandFetch(p, tag); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(2 * time.Minute)
+			if st, want := e.svc.Stats(), int64(i+1); st.Prefetches != want || st.Fetches != 2*want {
+				t.Fatalf("after the demand fetch of %d: %d background fetches of %d, want %d of %d",
+					tag, st.Prefetches, st.Fetches, want, 2*want)
+			}
+		}
+		for tag := 0; tag < n; tag++ {
+			if _, cached := e.c.Peek(tag); cached != (tag%3 < 2) {
+				t.Errorf("segment %d cached %v", tag, cached)
+			}
+		}
+	})
+	e.k.Stop()
+}
+
+// TestFetchAheadNeverBlocks: with the service's request queue full,
+// FetchAhead starts nothing and returns at once; the caller, which may hold
+// the file system lock, never yields to another process.
+func TestFetchAheadNeverBlocks(t *testing.T) {
+	e := newEnv(t, 4)
+	e.k.RunProc(func(p *sim.Proc) {
+		ran := false
+		e.k.Go("bystander", func(*sim.Proc) { ran = true })
+		const queued = 256 // the capacity of the service's queue
+		for tag := 0; tag < queued+8; tag++ {
+			e.svc.FetchAhead(tag)
+		}
+		if ran {
+			t.Fatal("FetchAhead yielded to another process")
+		}
+		if n := e.svc.Stats().Prefetches; n != queued {
+			t.Fatalf("%d background fetches started, want %d (a full queue)", n, queued)
+		}
+		if _, waiting := e.svc.pending[queued]; waiting {
+			t.Fatal("a fetch the full queue refused is pending")
+		}
+	})
+	e.k.Stop()
+}
+
 func TestQueueTimeAccounted(t *testing.T) {
 	e := newEnv(t, 4)
 	e.k.RunProc(func(p *sim.Proc) {
