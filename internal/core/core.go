@@ -136,11 +136,6 @@ type HighLight struct {
 	replicaOf  map[int][]int // primary tag -> replica tags
 	replicaTag map[int]int   // replica tag -> primary tag
 
-	// RepairThrottle, if set, is consulted by the repair daemon before
-	// each pass; a true return skips the pass (graceful-degradation
-	// "brownout": background repair yields to interactive traffic).
-	RepairThrottle func() bool
-
 	libs []*jukebox.Library // tertiary devices as failure domains
 
 	retiredSegs int64 // tertiary segments retired after permanent write errors

@@ -285,27 +285,3 @@ func (hl *HighLight) LibraryStatuses() []LibraryStatus {
 	}
 	return out
 }
-
-// StartRepairDaemon runs RepairPass every `every` of virtual time. A
-// pass is skipped while a staging segment is open (the migrator owns
-// the copyout failure queues mid-batch) and repair errors degrade to an
-// audit record rather than killing the daemon.
-func (hl *HighLight) StartRepairDaemon(every sim.Time) {
-	hl.K.GoDaemon("hl-repair", func(p *sim.Proc) {
-		for {
-			p.Sleep(every)
-			if hl.stageTag >= 0 || hl.Svc.OutstandingCopyouts() > 0 {
-				continue
-			}
-			if hl.RepairThrottle != nil && hl.RepairThrottle() {
-				continue // brownout: repair yields to interactive traffic
-			}
-			if _, err := hl.RepairPass(p); err != nil {
-				hl.Audit.Record(attr.Decision{
-					T: p.Now(), Actor: "repair", Subject: "pass",
-					Seg: -1, Verdict: attr.VerdictDeferred, Reason: err.Error(),
-				})
-			}
-		}
-	})
-}

@@ -245,7 +245,8 @@ const libSoakSeed = 20260808
 
 // runLibraryOutageSoak runs a randomized workload on a two-library,
 // replication-factor-2 instance while library 0 is killed outright
-// mid-run and revived later, with the repair daemon running throughout.
+// mid-run and revived later, with a repair pass every ten seconds
+// throughout.
 // Zero data loss is required — every file must verify byte-exact at
 // every point — and the run must end fully re-replicated.
 func runLibraryOutageSoak(t *testing.T) string {
@@ -275,7 +276,23 @@ func runLibraryOutageSoak(t *testing.T) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hl.StartRepairDaemon(10 * sim.Time(time.Second))
+		// A repair pass every ten seconds, skipped while a staging
+		// segment is open (the migrator owns the copy-out failure queues
+		// mid-batch); a failed pass is recorded and tried again.
+		k.GoDaemon("hl-repair", func(rp *sim.Proc) {
+			for {
+				rp.Sleep(10 * sim.Time(time.Second))
+				if hl.stageTag >= 0 || hl.Svc.OutstandingCopyouts() > 0 {
+					continue
+				}
+				if _, err := hl.RepairPass(rp); err != nil {
+					hl.Audit.Record(attr.Decision{
+						T: rp.Now(), Actor: "repair", Subject: "pass",
+						Seg: -1, Verdict: attr.VerdictDeferred, Reason: err.Error(),
+					})
+				}
+			}
+		})
 		hl.FS.AttachCleaner(6, 10)
 
 		// Kill the whole first library mid-workload; revive it later.

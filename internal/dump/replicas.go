@@ -12,7 +12,7 @@ import (
 // Replicas prints the durability picture of the tertiary tier: the
 // per-library capacity/health summary, the per-segment replica map
 // (primary location plus every replica's location and reachability), and
-// the under-replicated segment list the repair daemon is working from.
+// the under-replicated segment list a repair pass works from.
 func Replicas(w io.Writer, hl *core.HighLight) {
 	rf := hl.Replicas
 	if rf < 1 {

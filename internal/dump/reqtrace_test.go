@@ -17,7 +17,7 @@ func sec(s int) sim.Time { return sim.Time(s) * sim.Time(time.Second) }
 // one cache-hit-shaped trace (id 2).
 func buildTracer(t *testing.T) *reqtrace.Tracer {
 	t.Helper()
-	tc := reqtrace.New(0, 0)
+	tc := reqtrace.New()
 
 	tr := tc.Start(1, "interactive", sec(0), sec(60))
 	tr.Mark(reqtrace.KindAdmission, sec(0), "admitted")

@@ -165,7 +165,7 @@ type scheduledOutage struct {
 // LibraryOutage takes a whole changer out of service for a window of
 // virtual time — power loss, robotics jam, or a severed link to a remote
 // library. End at or before Start means the outage is permanent: the
-// library goes down and never comes back (the repair daemon's job is to
+// library goes down and never comes back (a repair pass's job is to
 // re-replicate off the survivors).
 type LibraryOutage struct {
 	Start, End sim.Time

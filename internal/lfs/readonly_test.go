@@ -500,7 +500,7 @@ func TestFSLockStageNamesTheHolder(t *testing.T) {
 	env.run(t, func(p *sim.Proc) {
 		fs := env.fs
 		writeFile(t, p, fs, "/f", pattern(1, 8*BlockSize))
-		tracer := reqtrace.New(0, 0)
+		tracer := reqtrace.New()
 		stat := func(sp *sim.Proc, id int64) *reqtrace.Trace {
 			tr := tracer.Start(id, "t", sp.Now(), 0)
 			ctx := env.k.NewCtx(0)

@@ -90,7 +90,7 @@ func (m *Migrator) RunOnce(p *sim.Proc, targetBytes int64) (int64, error) {
 		// Pipelined migration: one candidate at a time so completed
 		// staging segments start draining to tertiary while later
 		// candidates are still being gathered, with outstanding
-		// copy-outs capped at the window (the repair daemon's
+		// copy-outs capped at the window (the repair pass's
 		// bounded-concurrency shape). Each file's source segments are
 		// reserved against the cleaner while its refs are in flight.
 		if err := m.HL.FS.Sync(p); err != nil {

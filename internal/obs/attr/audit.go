@@ -27,9 +27,6 @@ const (
 
 	// Front-end (admission control / overload protection) verdicts.
 	VerdictShed     = "shed"     // request refused (queue full, retry budget, expired deadline)
-	VerdictTripped  = "tripped"  // circuit breaker opened on consecutive failures
-	VerdictProbed   = "probed"   // half-open breaker let one probe request through
-	VerdictRestored = "restored" // breaker closed again after a successful probe
 	VerdictBrownout = "brownout" // graceful-degradation mode entered or left
 )
 

@@ -7,7 +7,7 @@
 // front-end admission down through the cache directory, the striped disk
 // farm, the tertiary service, and the jukebox drivers. Each layer records
 // typed stages — queue-wait, cache-lookup, fetch-wait, stripe-io, drive-swap,
-// media-transfer, retry-backoff, breaker-wait, fs-lock, io-queue — against
+// media-transfer, retry-backoff, fs-lock, io-queue — against
 // the virtual clock. Stages may nest and overlap (a fetch-wait encloses the
 // drive-swap and media-transfer the I/O daemon performs on the waiter's
 // behalf); the critical-path sweep attributes every instant of the
@@ -53,10 +53,6 @@ const (
 	KindMediaTransfer
 	// KindRetryBackoff is virtual-time backoff between I/O retries.
 	KindRetryBackoff
-	// KindBreakerWait marks a fetch routed around an open circuit
-	// breaker (zero duration — the detour's cost lands in the stages the
-	// longer route pays).
-	KindBreakerWait
 	// KindFSLock is time an acquire of the file-system lock actually waited.
 	KindFSLock
 	// KindIOQueue is time a fetch's transfer sat in its library's I/O queue
@@ -71,8 +67,8 @@ const (
 
 var kindNames = [numKinds]string{
 	"queue-wait", "admission", "cache-lookup", "fetch-wait", "stripe-io",
-	"drive-swap", "media-transfer", "retry-backoff", "breaker-wait", "fs-lock",
-	"io-queue", "exec",
+	"drive-swap", "media-transfer", "retry-backoff", "fs-lock", "io-queue",
+	"exec",
 }
 
 func (k Kind) String() string {
@@ -297,18 +293,18 @@ type Tracer struct {
 	points []sim.Time // Seal's scratch for the breakdown sweep
 }
 
-// New builds a tracer retaining recentCap recent traces and slowCap
-// slowest exemplars per class (defaults 256 and 16).
-func New(recentCap, slowCap int) *Tracer {
-	if recentCap <= 0 {
-		recentCap = 256
-	}
-	if slowCap <= 0 {
-		slowCap = 16
-	}
+// A tracer retains the recentRing most recent traces and the
+// slowExemplars slowest per class.
+const (
+	recentRing    = 256
+	slowExemplars = 16
+)
+
+// New builds a tracer.
+func New() *Tracer {
 	return &Tracer{
-		recentCap: recentCap,
-		slowCap:   slowCap,
+		recentCap: recentRing,
+		slowCap:   slowExemplars,
 		byClass:   make(map[string][]*Trace),
 	}
 }

@@ -117,8 +117,16 @@ func TestNilSafety(t *testing.T) {
 	})
 }
 
+// sized is a tracer with a recent ring of recent traces and slow exemplars
+// per class, small enough for a test to overflow.
+func sized(recent, slow int) *Tracer {
+	tc := New()
+	tc.recentCap, tc.slowCap = recent, slow
+	return tc
+}
+
 func TestTracerRingsAndExemplars(t *testing.T) {
-	tc := New(4, 2)
+	tc := sized(4, 2)
 	o := obs.New(sim.NewKernel())
 	tc.SetObs(o)
 	for i := 1; i <= 6; i++ {
@@ -175,7 +183,7 @@ func TestZeroLatencyRequest(t *testing.T) {
 // scratch, and the exemplars sort in place.
 func TestSealAllocatesNothing(t *testing.T) {
 	const warm, runs = 8, 50
-	tc := New(4, 2)
+	tc := sized(4, 2)
 	tc.SetObs(obs.New(sim.NewKernel()))
 	trs := make([]*Trace, warm+runs+1)
 	for i := range trs {
@@ -215,7 +223,7 @@ func cycle(tc *Tracer, id int) *Trace {
 // request's whole trace (Start, its stages, Seal) allocates nothing: Start
 // reuses a trace that left the ring, stage array and all.
 func TestStartSealCycleAllocatesNothing(t *testing.T) {
-	tc := New(4, 2)
+	tc := sized(4, 2)
 	tc.SetObs(obs.New(sim.NewKernel()))
 	id := 0
 	for range 16 {
@@ -234,7 +242,7 @@ func TestStartSealCycleAllocatesNothing(t *testing.T) {
 // sealed requests in order; and traces are reused.
 func TestReusedTracesAreUnreachable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1993))
-	tc := New(8, 3)
+	tc := sized(8, 3)
 	held := map[*Trace]string{} // traces nothing may reuse, and why
 	var holding []*Trace        // traces a fetch holds, oldest first
 	var open []*Trace
@@ -314,7 +322,7 @@ func TestReusedTracesAreUnreachable(t *testing.T) {
 // of the recent ring and out of its class's exemplars at once frees it once:
 // the next two requests get two traces.
 func TestTraceLeavingRingAndExemplarsAtOnce(t *testing.T) {
-	tc := New(2, 1)
+	tc := sized(2, 1)
 	for i, latency := range []int{100, 1, 200} { // the third evicts the first from both
 		tr := tc.Start(int64(i+1), "interactive", 0, 0)
 		tc.Seal(tr, ms(latency), nil)
@@ -327,7 +335,7 @@ func TestTraceLeavingRingAndExemplarsAtOnce(t *testing.T) {
 // BenchmarkTraceCycle is one request's trace once the recent ring is full:
 // Start, three stages and Seal.
 func BenchmarkTraceCycle(b *testing.B) {
-	tc := New(0, 0)
+	tc := New()
 	tc.SetObs(obs.New(sim.NewKernel()))
 	for id := range 300 {
 		cycle(tc, id)

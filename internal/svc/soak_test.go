@@ -25,13 +25,12 @@ const soakSeed = 20260808
 // runOverloadOutageSoak is the combined chaos scenario of the overload
 // work: a bursty multi-client flood through the admission-controlled front
 // end while one library suffers a whole-changer outage and the other loses
-// both drives for a window. It returns a digest of everything externally
-// observable, so the caller can assert two runs are bit-identical.
+// both drives for a window, with a replica repair pass every ten seconds.
+// It returns a digest of everything externally observable, so the caller
+// can assert two runs are bit-identical.
 //
 // Invariants checked inside:
 //   - zero data loss: every file reads back byte-exact after the storm;
-//   - the breakers tripped during the double-failure window and recovered
-//     after it (trip AND restore audited);
 //   - overload was real (sheds happened) and every shed was the explicit
 //     ErrOverload — no request stalled silently (RunClients returning at
 //     all proves every Submit reached a terminal state);
@@ -56,8 +55,19 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hl.StartRepairDaemon(10 * sim.Time(time.Second))
-		fe := svc.New(hl, svc.Config{
+		// Repair stands down in brownout and while copy-outs are on their
+		// way; a pass that fails because a library is down is tried again
+		// at the next tick.
+		var fe *svc.FrontEnd
+		k.GoDaemon("hl-repair", func(rp *sim.Proc) {
+			for {
+				rp.Sleep(10 * sim.Time(time.Second))
+				if !fe.Stats().Brownout && hl.Svc.OutstandingCopyouts() == 0 {
+					hl.RepairPass(rp)
+				}
+			}
+		})
+		fe = svc.New(hl, svc.Config{
 			Workers: 2, ReservedInteractive: 1,
 			InteractiveQueue: 4, BackgroundQueue: 2, // brownout at a backlog of 2, out at 0
 		})
@@ -101,9 +111,8 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		// The fault schedule, anchored to the post-setup clock: library 0
 		// down for most of the storm, and — inside that window — library 1
 		// loses both drives for twenty seconds, so fetch attempts against
-		// it fail with infrastructure errors and trip its breaker; when the
-		// drives return, the half-open probe restores it while library 0 is
-		// still dark.
+		// it fail with infrastructure errors until the drives return while
+		// library 0 is still dark.
 		pl := fault.NewPlan(fault.Config{Seed: seed})
 		pl.AddLibraryOutage(hl.Libraries()[0], fault.LibraryOutage{
 			Start: base + 5*sim.Time(time.Second), End: base + 70*sim.Time(time.Second),
@@ -138,15 +147,7 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 			t.Fatalf("request accounting leak: %+v", cs)
 		}
 
-		v := auditVerdicts(hl)
-		if v[attr.VerdictTripped] == 0 {
-			t.Fatalf("no breaker tripped through the double-failure window: %v", v)
-		}
-		if v[attr.VerdictRestored] == 0 {
-			t.Fatalf("no breaker recovered after the window: %v", v)
-		}
-
-		// Let the storm fully pass, then let the repair daemon restore
+		// Let the storm fully pass, then let the repair passes restore
 		// replication before the final audit.
 		if until := base + 75*sim.Time(time.Second) - p.Now(); until > 0 {
 			p.Sleep(until)
@@ -187,9 +188,9 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 			fmt.Fprintf(h, "%s %x\n", path, sha256.Sum256(data))
 		}
 		// Property check over every retained trace of the storm: even
-		// requests that shed, expired, were canceled by breaker trips, or
-		// unwound mid-fetch must have sealed with all stages closed and
-		// their critical-path breakdown summing exactly to their latency.
+		// requests that shed, expired, or unwound mid-fetch must have
+		// sealed with all stages closed and their critical-path breakdown
+		// summing exactly to their latency.
 		checked := 0
 		validateAll := func(trs []*reqtrace.Trace) {
 			for _, tr := range trs {
@@ -221,9 +222,8 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		fmt.Fprintf(h, "clients %+v\n", cs)
 		fmt.Fprintf(h, "svc %d %d %d %d %d %d\n",
 			st.Admitted, st.Shed, st.ExpiredInQueue, st.Completed, st.Failed, st.DeadlineMisses)
-		fmt.Fprintf(h, "verdicts shed=%d trip=%d probe=%d restore=%d brownout=%d\n",
-			v[attr.VerdictShed], v[attr.VerdictTripped], v[attr.VerdictProbed],
-			v[attr.VerdictRestored], v[attr.VerdictBrownout])
+		v := auditVerdicts(hl)
+		fmt.Fprintf(h, "verdicts shed=%d brownout=%d\n", v[attr.VerdictShed], v[attr.VerdictBrownout])
 		fmt.Fprintf(h, "traces %d %d %d checked %d\n", started, sealed, stages, checked)
 		fmt.Fprintf(h, "audit %d now %d\n", hl.Audit.Total(), p.Now())
 		digest = hex.EncodeToString(h.Sum(nil))
@@ -235,7 +235,7 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 // TestOverloadLibraryOutageSoak runs the combined overload + outage chaos
 // scenario twice and asserts the runs are observationally identical — the
 // determinism guarantee the whole simulator rests on holds under admission
-// control, cancellation, breaker trips, and fault injection all at once.
+// control, cancellation, and fault injection all at once.
 func TestOverloadLibraryOutageSoak(t *testing.T) {
 	d1 := runOverloadOutageSoak(t, soakSeed)
 	d2 := runOverloadOutageSoak(t, soakSeed)

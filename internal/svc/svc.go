@@ -8,18 +8,18 @@
 // jukebox layers via sim.Ctx. Admission queues are bounded per class
 // (interactive reads vs. background migration work); a full queue sheds
 // the request immediately with ErrOverload rather than letting it stall
-// silently. Per-library circuit breakers (breaker.go) trip on consecutive
-// infrastructure failures and route fetches around the sick library via
-// the rank-based router, then half-open probe it back into service.
+// silently. A sick library is the fetch router's business
+// (tertiary.Service.readOrder ranks a down library last and the I/O
+// process falls back to the next copy), not the front end's.
 //
 // Graceful degradation is ordered: under interactive-queue pressure the
-// front end enters "brownout", throttling background migration and
-// replica repair first while interactive requests keep a reserved worker
-// quota. Every shed, trip, probe, restore, and brownout transition is
-// recorded in the decision audit (`hldump -why` counts them), and queue
-// depths, shed rates, breaker states, and admission-to-completion latency
-// histograms are exported through the shared observability domain. An
-// admission is counted (svc.admitted) and marked in its request's trace.
+// front end enters "brownout", throttling background migration first
+// while interactive requests keep a reserved worker quota. Every shed and
+// brownout transition is recorded in the decision audit (`hldump -why`
+// counts them), and queue depths, shed rates and admission-to-completion
+// latency histograms are exported through the shared observability
+// domain. An admission is counted (svc.admitted) and marked in its
+// request's trace.
 package svc
 
 import (
@@ -97,12 +97,6 @@ const (
 	// cannot amplify an overload into a collapse.
 	retryBudget    = 8
 	retryPerAdmits = 10
-	// sloBudget is the tolerated bad-request fraction (deadline misses +
-	// failures) for the burn-rate gauges: burn = observed bad fraction /
-	// budget, so burn 1.0 means exactly spending the error budget.
-	// sloWindow is the sliding window of completions it is computed over.
-	sloBudget = 0.01
-	sloWindow = 64
 )
 
 func (c *Config) fill() {
@@ -156,9 +150,8 @@ func (r *Request) Wait(p *sim.Proc) error {
 // HighLight instance. Create it with New; all methods must be called from
 // procs of the instance's kernel.
 type FrontEnd struct {
-	HL       *core.HighLight
-	Cfg      Config
-	Breakers *BreakerSet
+	HL  *core.HighLight
+	Cfg Config
 	// Tracer is the per-request causal tracer (nil when
 	// Config.DisableTracing). Every admitted request gets a Trace riding
 	// its sim.Ctx; the slowest exemplars per class and a recent ring are
@@ -196,22 +189,10 @@ type FrontEnd struct {
 	retryNo   *obs.Counter
 	brownG    *obs.Gauge
 	lentG     *obs.Gauge
-
-	// SLO burn rate, per class: a sliding window of recent completions
-	// scoring deadline misses and failures against the error budget.
-	// The gauge holds burn x1000 (obs gauges are integers): 1000 means
-	// the window exactly spends the budget, above is burning hot.
-	sloG    [numClasses]*obs.Gauge
-	sloRing [numClasses][sloWindow]bool // true = bad (missed deadline or failed)
-	sloNext [numClasses]int
-	sloSeen [numClasses]int
-	sloBad  [numClasses]int
 }
 
-// New builds the front end over hl, wires the circuit breakers into the
-// tertiary fetch router and the brownout signal into the repair daemon,
-// and starts the worker processes. Attach the migrator's throttle with
-// AttachMigrator.
+// New builds the front end over hl and starts the worker processes.
+// Attach the migrator's throttle with AttachMigrator.
 func New(hl *core.HighLight, cfg Config) *FrontEnd {
 	cfg.fill()
 	fe := &FrontEnd{
@@ -221,19 +202,15 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 		work:        hl.K.NewCond("svc.work"),
 		retryTokens: retryBudget,
 	}
-	fe.Breakers = newBreakerSet(hl.K, len(hl.Libraries()), hl.Obs, hl.Audit)
-	hl.Svc.Breaker = fe.Breakers
-	hl.RepairThrottle = fe.inBrownout
 
 	o := hl.Obs
 	if !cfg.DisableTracing {
-		fe.Tracer = reqtrace.New(0, 0)
+		fe.Tracer = reqtrace.New()
 		fe.Tracer.SetObs(o)
 	}
 	for c := Class(0); c < numClasses; c++ {
 		fe.qGauge[c] = o.Gauge("svc.queue." + c.String())
 		fe.latH[c] = o.Histogram("svc.latency."+c.String(), obs.LatencyBounds)
-		fe.sloG[c] = o.Gauge("svc.slo_burn_milli." + c.String())
 	}
 	fe.admitted = o.Counter("svc.admitted")
 	fe.shed = o.Counter("svc.shed")
@@ -367,8 +344,8 @@ func (fe *FrontEnd) backlog() int {
 
 // updateBrownout applies the hysteresis watermarks to the interactive
 // backlog and records transitions in the audit: at half of InteractiveQueue
-// the front end enters brownout (background migration and replica repair
-// stand down), at an eighth it exits.
+// the front end enters brownout (background migration stands down), at an
+// eighth it exits.
 func (fe *FrontEnd) updateBrownout() {
 	now := fe.k.Now()
 	depth := fe.backlog()
@@ -542,37 +519,12 @@ func (fe *FrontEnd) complete(r *Request, err error) {
 	r.endT = fe.k.Now()
 	fe.latH[r.Class].Observe(r.endT - r.submitT)
 	fe.Tracer.Seal(r.trace, r.endT, err)
-	fe.observeSLO(r, err)
 	if err == nil {
 		fe.completed.Add(1)
 	} else {
 		fe.failed.Add(1)
 	}
 	r.done.Broadcast()
-}
-
-// observeSLO scores one completion against the class error budget and
-// refreshes the burn-rate gauge. "Bad" means the request failed or
-// overran its deadline; the burn rate is the bad fraction of the last
-// sloWindow completions divided by sloBudget, published x1000.
-func (fe *FrontEnd) observeSLO(r *Request, err error) {
-	c := r.Class
-	bad := err != nil || (r.Deadline > 0 && r.endT > r.Deadline)
-	ring := &fe.sloRing[c]
-	if fe.sloSeen[c] >= len(ring) {
-		if ring[fe.sloNext[c]] {
-			fe.sloBad[c]--
-		}
-	} else {
-		fe.sloSeen[c]++
-	}
-	ring[fe.sloNext[c]] = bad
-	if bad {
-		fe.sloBad[c]++
-	}
-	fe.sloNext[c] = (fe.sloNext[c] + 1) % len(ring)
-	frac := float64(fe.sloBad[c]) / float64(fe.sloSeen[c])
-	fe.sloG[c].Set(int64(frac/sloBudget*1000 + 0.5))
 }
 
 // Stats is a front-end snapshot for reports and tests.

@@ -3,7 +3,6 @@ package svc_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -81,12 +80,6 @@ func ejectAll(t *testing.T, hl *core.HighLight) {
 			}
 		}
 	}
-}
-
-// breakerGauge reads library lib's breaker state from its gauge: 0 closed,
-// 1 open, 2 half-open.
-func breakerGauge(hl *core.HighLight, lib int) int64 {
-	return hl.Obs.Gauge(fmt.Sprintf("svc.breaker.lib%d", lib)).Value()
 }
 
 func auditVerdicts(hl *core.HighLight) map[string]int {
@@ -444,97 +437,66 @@ func TestCancelAfterCompleteIsIdempotent(t *testing.T) {
 	k.Stop()
 }
 
-// TestBreakerTripRerouteRestore drives the per-library circuit breaker
-// through its whole life from real I/O outcomes: consecutive infrastructure
-// failures trip it, an open breaker is routed around so reads are served
-// from the healthy replica library, and after the cooldown a half-open
-// probe against the recovered library restores it.
-func TestBreakerTripRerouteRestore(t *testing.T) {
+// TestReadFailsOverToTheReplicaLibrary: with both of library 0's drives
+// offline, a read of a replicated file is served byte-exact from library 1
+// (the router ranks a copy no online drive holds below a loaded one, and the
+// I/O process falls back to the next copy when a read fails), and once the
+// drives return a demand fetch reads from library 0 again.
+func TestReadFailsOverToTheReplicaLibrary(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
-		hl, jb0, _ := rig(t, p, k)
+		hl, jb0, jb1 := rig(t, p, k)
 		fe := svc.New(hl, svc.Config{})
-		migrateAndEject(t, p, hl, "/data", 120)
-		lib1 := hl.Libraries()[1]
+		data := migrateAndEject(t, p, hl, "/data", 120)
+		readAll := func() {
+			t.Helper()
+			f, err := hl.FS.Open(p, "/data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(data))
+			if _, err := f.ReadAt(p, got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("read back corrupt data")
+			}
+		}
 
-		// Library 0 loses both drives (infrastructure failure the library
-		// cannot hide) while library 1 is administratively down, so every
-		// fetch attempts lib0 first and fails with ErrDriveOffline.
 		jb0.SetDriveOffline(0, true)
 		jb0.SetDriveOffline(1, true)
-		lib1.SetDown(true)
-		for i := 0; i < 3; i++ {
-			err := readVia(p, fe, hl, "/data", 0, 1, 0)
-			if err == nil {
-				t.Fatalf("read %d succeeded with no library serviceable", i)
-			}
-			if errors.Is(err, svc.ErrOverload) {
-				t.Fatalf("infra failure misreported as overload: %v", err)
-			}
-		}
-		if got := breakerGauge(hl, 0); got != 1 {
-			t.Fatalf("breaker 0 state after 3 consecutive failures: %d, want open", got)
-		}
-		if v := auditVerdicts(hl); v[attr.VerdictTripped] == 0 {
-			t.Fatalf("trip not audited: %v", v)
-		}
-
-		// Reroute: library 1 comes back while breaker 0 is still open. The
-		// read must succeed from the healthy library, and the breaker must
-		// stay open (no probe inside the cooldown).
-		lib1.SetDown(false)
+		r0, r1 := jb0.Stats().Reads, jb1.Stats().Reads
 		if err := readVia(p, fe, hl, "/data", 0, 1, 0); err != nil {
-			t.Fatalf("read with tripped lib 0 and healthy lib 1: %v", err)
+			t.Fatalf("read with library 0's drives offline: %v", err)
 		}
-		if got := breakerGauge(hl, 0); got != 1 {
-			t.Fatalf("breaker 0 closed without a successful probe: %d", got)
+		readAll()
+		if jb0.Stats().Reads != r0 || jb1.Stats().Reads == r1 {
+			t.Fatalf("reads: library 0 %d -> %d, library 1 %d -> %d; want all from library 1",
+				r0, jb0.Stats().Reads, r1, jb1.Stats().Reads)
 		}
 
-		// Restore: lib 0's drives return, and lib 1 is held down so the
-		// half-open probe is guaranteed to be attempted against lib 0.
 		jb0.SetDriveOffline(0, false)
 		jb0.SetDriveOffline(1, false)
-		lib1.SetDown(true)
-		p.Sleep(3 * sim.Time(time.Second)) // past the 2 s cooldown
 		ejectAll(t, hl)
+		r0 = jb0.Stats().Reads
 		// A block no earlier read touched and the file system's block
-		// buffer evicted long ago: the read must demand-fetch, and the
-		// fetch router must consult (and probe) breaker 0.
+		// buffer evicted long ago: the read must demand-fetch.
 		if err := readVia(p, fe, hl, "/data", 40*lfs.BlockSize, 1, 0); err != nil {
-			t.Fatalf("probe read after recovery: %v", err)
+			t.Fatalf("read after the drives returned: %v", err)
 		}
-		if got := breakerGauge(hl, 0); got != 0 {
-			t.Fatalf("breaker 0 not restored after successful probe: %d", got)
+		if jb0.Stats().Reads == r0 {
+			t.Fatal("library 0's drives are back but the demand fetch did not read from it")
 		}
-		v := auditVerdicts(hl)
-		if v[attr.VerdictProbed] == 0 || v[attr.VerdictRestored] == 0 {
-			t.Fatalf("probe/restore not audited: %v", v)
-		}
-
-		// Full service resumes: whole file readable, byte-exact.
-		lib1.SetDown(false)
 		ejectAll(t, hl)
-		f, err := hl.FS.Open(p, "/data")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 120*lfs.BlockSize)
-		if _, err := f.ReadAt(p, got, 0); err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != byte(i*13+5) {
-				t.Fatalf("byte %d corrupted after breaker exercise", i)
-			}
-		}
+		readAll()
 	})
 	k.Stop()
 }
 
 // TestBrownoutHysteresis checks the graceful-degradation ordering: a deep
-// interactive queue puts the front end in brownout (repair and migration
-// throttles report true), and it exits only after the queue drains past the
-// low watermark — both transitions audited.
+// interactive queue puts the front end in brownout (the migrator's throttle
+// reports true), and it exits only after the queue drains past the low
+// watermark — both transitions audited.
 func TestBrownoutHysteresis(t *testing.T) {
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
@@ -565,9 +527,8 @@ func TestBrownoutHysteresis(t *testing.T) {
 		if !fe.Stats().Brownout {
 			t.Fatal("queue depth over high watermark did not enter brownout")
 		}
-		// Both background throttles see the brownout.
-		if hl.RepairThrottle == nil || !hl.RepairThrottle() || !m.Throttle() {
-			t.Fatal("brownout not visible to repair/migration throttles")
+		if !m.Throttle() {
+			t.Fatal("brownout not visible to the migration throttle")
 		}
 		for _, r := range reqs {
 			if err := r.Wait(p); err != nil {

@@ -214,7 +214,7 @@ func TestConcurrentFetchesUseBothLibraries(t *testing.T) {
 // critical path for as long as it lasts, with the sum invariant intact.
 func TestIOQueueStageNamesTheWait(t *testing.T) {
 	e := newLibEnv(2, 2, 8)
-	tracer := reqtrace.New(0, 0)
+	tracer := reqtrace.New()
 	trs := make([]*reqtrace.Trace, 6)
 	e.k.RunProc(func(p *sim.Proc) {
 		tags := []int{0, 1, 2, 3, 4, 5}
@@ -308,46 +308,7 @@ func TestQueuedFetchesSurviveLibraryOutage(t *testing.T) {
 	e.k.Stop()
 }
 
-// probeGate is a breaker that is half open for library 0: Allow grants one
-// probe and refuses until the probe's result is in.
-type probeGate struct {
-	asked  [2]int
-	tokens int
-}
-
-func (g *probeGate) Allow(lib int) bool {
-	g.asked[lib]++
-	if lib != 0 {
-		return true
-	}
-	g.tokens--
-	return g.tokens >= 0
-}
-
-func (g *probeGate) OnResult(lib int, err error) {}
-
-// (c) Routing moved from the I/O process to dispatch; it must not happen at
-// both. One fetch asks the breaker once per library, and the half-open
-// library's single probe token buys it the read.
-func TestBreakerAskedOncePerFetch(t *testing.T) {
-	e := newLibEnv(2, 1, 8)
-	g := &probeGate{tokens: 1}
-	e.svc.Breaker = g
-	e.k.RunProc(func(p *sim.Proc) {
-		e.seed(t, p, 0)
-		e.log = nil
-		e.fetchAll(t, p, []int{0}, nil)
-	})
-	if g.asked != [2]int{1, 1} {
-		t.Errorf("Allow called %v times for libraries 0 and 1, want once each", g.asked)
-	}
-	if len(e.libs[0].reads) != 1 || len(e.libs[1].reads) != 0 {
-		t.Errorf("the probe's token did not route the read to library 0:\n%v", e.log)
-	}
-	e.k.Stop()
-}
-
-// (d) One library is one queue and its own processes: which process starts
+// (c) One library is one queue and its own processes: which process starts
 // which transfer at which instant, over a run of copy-outs with demand fetches
 // arriving among them. Recorded at PR 18's parent (two shared I/O processes,
 // routing in the I/O process) and again with this test's body when a fetch's
@@ -392,7 +353,7 @@ var parentSchedule = []string{
 	"hl-io 70138082798 write lib0 vol2 seg3",
 }
 
-// (e) Within a rank the router goes by drive: a copy whose volume has media
+// (d) Within a rank the router goes by drive: a copy whose volume has media
 // time queued or in flight loses to one whose drive is idle, whatever the
 // libraries' totals; with both volumes idle, the library with less to do for
 // its other volumes; with both libraries idle the primary wins.
@@ -400,7 +361,7 @@ func TestRouteAroundTheBusyDrive(t *testing.T) {
 	e := newLibEnv(2, 2, 8)
 	e.k.RunProc(func(p *sim.Proc) {
 		e.seed(t, p, 0, 1, 2, 16) // volumes 0 and 1 of both libraries end up in their drives
-		if got := e.svc.readOrder(0, nil); !slices.Equal(got, []int{0, libSegs}) {
+		if got := e.svc.readOrder(0); !slices.Equal(got, []int{0, libSegs}) {
 			t.Errorf("both drives idle: order %v, want the primary first", got)
 		}
 		// One copy-out each, so the libraries' totals tie: to the primary's
@@ -431,7 +392,7 @@ func TestRouteAroundTheBusyDrive(t *testing.T) {
 	e.k.Stop()
 }
 
-// (f) With one I/O stream and two fetches queued, the second segment comes
+// (e) With one I/O stream and two fetches queued, the second segment comes
 // off its medium while the first is written to its cache line, and a waiter
 // still wakes only once its line is written.
 func TestLineWriteOverlapsNextMediaRead(t *testing.T) {

@@ -204,22 +204,6 @@ type Service struct {
 	// storage, after the staging line it came from (if tag is that line's
 	// own segment) has been marked clean. It must not block.
 	OnCopiedOut func(tag int)
-
-	// Breaker, if set, is the per-library circuit-breaker gate consulted
-	// by the fetch router: copies on a library whose breaker is open rank
-	// just above down libraries (routed around, last-resort only), and
-	// the I/O process reports every per-library attempt outcome so the
-	// gate can trip on consecutive failures and half-open probe later.
-	Breaker BreakerGate
-}
-
-// BreakerGate is the circuit-breaker interface the front end plugs into
-// the fetch router. Allow reports whether library lib should be offered
-// traffic right now (a half-open breaker says yes exactly once per probe
-// window); OnResult feeds back the outcome of one attempt against lib.
-type BreakerGate interface {
-	Allow(lib int) bool
-	OnResult(lib int, err error)
 }
 
 // New creates the service over the given libraries and cache and starts the
@@ -656,7 +640,7 @@ func (s *Service) startFetch(p *sim.Proc, r request) {
 		s.deferred = append(s.deferred, r)
 		return
 	}
-	copies := s.readOrder(r.tag, r.tr)
+	copies := s.readOrder(r.tag)
 	s.dispatch(p, request{kind: reqFetch, tag: r.tag, tr: r.tr, copies: copies}, copies[0])
 }
 
@@ -834,7 +818,6 @@ func (s *Service) withRetry(p *sim.Proc, op func() error) error {
 const (
 	routeLoaded   = iota // in-service library, volume already in a drive
 	routeSwap            // in-service library, volume must be loaded first
-	routeTripped         // circuit breaker open for the library
 	routeDownLib         // library out of service
 	routeUnmapped        // copy index does not resolve to a location
 )
@@ -845,8 +828,6 @@ func routeRankName(rank int) string {
 		return "volume-loaded"
 	case routeSwap:
 		return "volume-swap"
-	case routeTripped:
-		return "breaker-open"
 	case routeDownLib:
 		return "library-down"
 	}
@@ -854,8 +835,8 @@ func routeRankName(rank int) string {
 }
 
 // readOrder lists the physical copies of tag to try, closest first: a
-// loaded volume beats one that must be swapped in, which beats a tripped
-// library, which beats a down one (§5.4 "closest copy", generalized across
+// loaded volume beats one that must be swapped in, which beats one in a
+// down library (§5.4 "closest copy", generalized across
 // failure domains); within a rank, the copy whose volume has the least media
 // time queued or in flight (a drive serves one volume: a copy-out to the
 // primary's volume keeps its drive for seconds while the replica's idles),
@@ -863,7 +844,7 @@ func routeRankName(rank int) string {
 // stable, so a tie stays with the primary and replicas keep catalog order. It
 // runs once per fetch, at dispatch. Replica redirects are recorded in the
 // decision audit.
-func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
+func (s *Service) readOrder(tag int) []int {
 	cands := []int{tag}
 	if s.AltCopies != nil {
 		cands = append(cands, s.AltCopies(tag)...)
@@ -884,8 +865,6 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 		switch {
 		case s.libs[d].Down():
 			ranks[i] = routeDownLib
-		case s.Breaker != nil && !s.Breaker.Allow(d):
-			ranks[i] = routeTripped
 		case s.libs[d].VolumeLoaded(vol):
 			ranks[i] = routeLoaded
 		default:
@@ -908,15 +887,6 @@ func (s *Service) readOrder(tag int, tr *reqtrace.Trace) []int {
 	out := make([]int, len(cands))
 	for i, oi := range order {
 		out[i] = cands[oi]
-	}
-	// Record breaker influence on the trace without touching the breaker
-	// itself (Allow above consumes half-open probe tokens — never re-ask):
-	// a tripped primary means the read detours, a tripped winner means
-	// every copy sits behind an open breaker.
-	if tr != nil && ranks[order[0]] == routeTripped {
-		tr.Mark(reqtrace.KindBreakerWait, s.k.Now(), "best copy breaker-open")
-	} else if tr != nil && ranks[0] == routeTripped {
-		tr.Mark(reqtrace.KindBreakerWait, s.k.Now(), "primary breaker open")
 	}
 	if out[0] != tag {
 		s.audit.Record(attr.Decision{
@@ -970,9 +940,6 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				})
 				s.obs.Span("tertiary.io", "fp.read", "ReadSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "copy", Val: int64(c)})
-				if s.Breaker != nil {
-					s.Breaker.OnResult(d, err)
-				}
 				if err == nil {
 					if c != r.tag {
 						s.stats.ReplicaRedirects++
@@ -1014,9 +981,6 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				err = s.withRetry(p, func() error { return s.libs[d].AdoptSegment(p, vol, volseg, img) })
 				s.obs.Span("tertiary.io", "fp.write", "WriteSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)})
-				if s.Breaker != nil {
-					s.Breaker.OnResult(d, err)
-				}
 			}
 			r.kind, r.err = reqCopiedOut, err
 		}

@@ -33,7 +33,6 @@ import (
 // program; what only they reach counts as reached.
 var reachAllow = map[string]string{
 	"core.HighLight.Stats":              "core's export data carries the bodies of Cache.Stats and Service.Stats because this calls them, so the frozen benchmark inlines them; deleting it changes the benchmark binary (ROADMAP item 2(b))",
-	"core.HighLight.StartRepairDaemon":  "the replica-repair daemon; svc's overload soak runs it beside the load",
 	"dev.HandOvers":                     "the hand-over audit, which only the tests of dev, stripe, lfs and crash switch on and check (Check); the data path links Record",
 	"fault.Plan":                        "the outage API (Start, AddOutage, AddLibraryOutage, DeviceCounts) the chaos and soak tests of core, svc, migrate and tertiary drive",
 	"jukebox.Jukebox.IdleHealthyDrives": "the frozen benchmark's probe asserts it (ROADMAP item 2(b))",
