@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,8 +23,10 @@ import (
 // cleaner daemon, and demand-fetch readers (the segment cache is a fraction
 // of what is migrated and the readers bypass the buffer cache; at least two
 // fetches must be in flight at once), all concurrent in virtual time, under
-// a transient fault plan on the jukebox. Every byte a reader
-// sees must match the model (zero loss), and the run must be perfectly
+// a transient fault plan on the jukebox. Every read must return a version
+// of the file the model held at some instant between the read's start and its
+// end (a read that waits for a fetch lets the writer in), the final verify
+// must match the model exactly (zero loss), and the run must be perfectly
 // repeatable: the returned digest covers file contents, device and
 // service counters, and the final virtual clock.
 func runConcurrencySoak(t *testing.T) string {
@@ -58,6 +61,11 @@ func runConcurrencySoak(t *testing.T) string {
 	plan.Start(k)
 
 	model := map[string][]byte{}
+	// versions lists every content each file has had, oldest first; the last
+	// is the model's. A file being written (writing) may already read as its
+	// last version or still as the one before.
+	versions := map[string][][]byte{}
+	writing := map[string]bool{}
 	var names []string
 	var digest string
 
@@ -96,6 +104,7 @@ func runConcurrencySoak(t *testing.T) string {
 				t.Fatal(err)
 			}
 			model[name] = data
+			versions[name] = [][]byte{data}
 			names = append(names, name)
 		}
 		if err := hl.FS.Sync(p); err != nil {
@@ -116,6 +125,11 @@ func runConcurrencySoak(t *testing.T) string {
 				for j := range patch {
 					patch[j] = byte(wrng.Intn(256))
 				}
+				next := make([]byte, max(len(cur), off+len(patch)))
+				copy(next, cur)
+				copy(next[off:], patch)
+				versions[name] = append(versions[name], next)
+				writing[name] = true
 				f, err := hl.FS.Open(p, name)
 				if err != nil {
 					t.Errorf("writer open %s: %v", name, err)
@@ -125,13 +139,8 @@ func runConcurrencySoak(t *testing.T) string {
 					t.Errorf("writer write %s: %v", name, err)
 					return
 				}
-				if off+len(patch) > len(cur) {
-					grown := make([]byte, off+len(patch))
-					copy(grown, cur)
-					cur = grown
-				}
-				copy(cur[off:], patch)
-				model[name] = cur
+				writing[name] = false
+				model[name] = next
 			}
 		}
 		reader := func(id int) func(p *sim.Proc) {
@@ -148,14 +157,19 @@ func runConcurrencySoak(t *testing.T) string {
 					// Past the buffer cache, so that a migrated file is read
 					// through the segment cache and demand-fetched if evicted.
 					hl.FS.DropFileBuffers(p, f.Inum())
-					want := model[name]
-					got := make([]byte, len(want))
+					// Files only grow, so every version this read may see
+					// starts with len(got) bytes.
+					from := len(versions[name]) - 1
+					if writing[name] {
+						from--
+					}
+					got := make([]byte, len(model[name]))
 					if _, err := f.ReadAt(p, got, 0); err != nil && err != io.EOF {
 						t.Errorf("reader %d read %s: %v", id, name, err)
 						return
 					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("reader %d: %s diverged from model (data loss)", id, name)
+					if !slices.ContainsFunc(versions[name][from:], func(v []byte) bool { return bytes.Equal(got, v[:len(got)]) }) {
+						t.Errorf("reader %d: %s matches no version written during the read (data loss)", id, name)
 						return
 					}
 				}
