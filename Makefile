@@ -85,7 +85,7 @@ soak:
 	$(GO) test -race -count=3 ./internal/sim/
 	$(GO) test -race -count=1 ./internal/svc/ -run 'TestOverloadLibraryOutageSoak|TestCancelMidCopyout|TestQueuedExpiry|TestLend|TestDeadlinesSpawnNoProc'
 	$(GO) test -race -count=1 ./internal/core/ -run 'Soak|Repair|CachedReadOverlaps|ThrashingReaders|DeadlineWhileParked|ReaderPinsItsLine|StagerWakes|UseBothLibraries|RereadAfterEvictionWaitsOnce|TwoMigrateFilesCallers|HotFilesStayCached|ReplicasOfAStagedLineShareOneImage|LentBlocksAreNeverWritten|CopiedOutImageIsNeverWritten|SequentialScanWaitsOnce|ScatteredReadsFetchNothingAhead|PrefetchedLineOutlivesItsReader'
-	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive|SiblingFirstSharesTheStagedImage|FetchDuringCopyoutKeepsTheWritingPlatter|IdleWriteDriveServesAFetch|PrefetchHookAskedOnlyForWaitedFetches|FetchAheadNeverBlocks'
+	$(GO) test -race -count=1 ./internal/tertiary/ -run 'UseBothLibraries|QueuedFetchesSurviveLibraryOutage|RouteAroundTheBusyDrive|LineWrite|FailedFetchEvictsNothing|LineHitInFlight|ArrivalWithoutALine|OneLibraryKeepsItsSchedule|ReplicasShareOneImage|ReplicaOfAChangedLine|ReplicaCopyoutsSurvive|SiblingFirstSharesTheStagedImage|FetchDuringCopyoutKeepsTheWritingPlatter|IdleWriteDriveServesAFetch|PrefetchHookAskedOnlyForWaitedFetches|FetchAheadNeverBlocks|CopyoutReadOverlapsMediaWrite|CopyoutsReachMediaInQueueOrder'
 	$(GO) test -race -count=1 ./internal/jukebox/ -run 'WriteDriveReservation|ReadsKeepOffTheWriteDriveWhileWriting|IdleWriteDriveServesReads'
 	$(GO) test -race -count=1 ./internal/lfs/ -run 'Faulting|WriterOverwritesWhileReaderParked|ThrashFallsBack|GroundMoved|Concurrent|FetchedBlocksAreLent|DeadAtTableCheckpointSurvivesPowerCut|CleanedAndReusedSegmentIsNotDiscarded|ReadAhead'
 	$(GO) test -race -count=1 ./internal/stripe/ -run 'LendingReadOfAnAdoptedLine|ParityAloneOnItsSpindle|PartialRowsByReference'
@@ -267,7 +267,12 @@ loc:
 # breakers (breaker.go, tertiary's BreakerGate and its route rank, reqtrace's
 # breaker-wait stage, attr's trip/probe/restore verdicts), svc's SLO burn-rate
 # gauges and core's periodic repair daemon with its brownout throttle.
-LOC_MAX = 22255
+# Raised 22255 -> 22271 by the change that holds a drive token only across a
+# media transfer: tertiary's turn counters and token cond (takeToken,
+# giveToken) in place of the idle cond's signalling rules, and the comments
+# that state the new rule; sim.Cond.Signal went (its wake-one is the
+# channels' own now).
+LOC_MAX = 22271
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

@@ -18,5 +18,5 @@ func Example() {
 	// hour  9: wrote 4 MB checkpoint in  7.21 virtual s  (clean segs:  9, migrated so far: 24 MB)
 	//
 	// restarting from /ckpt/state-002 (archived)...
-	// restored 4 MB in 13.0 virtual s (4 segment fetches from the jukebox); state verified
+	// restored 4 MB in 40.5 virtual s (5 segment fetches from the jukebox); state verified
 }

@@ -7,7 +7,7 @@ func Example() {
 	main()
 	// Output:
 	// wrote 5 MB to the disk farm in 5.22 virtual s
-	// migrated 5.0 MB to the MO jukebox in 52.09 virtual s (6 segment copyouts)
+	// migrated 5.0 MB to the MO jukebox in 47.39 virtual s (6 segment copyouts)
 	// read from the segment cache in 0.076 virtual s
 	// demand fetch from tertiary storage took 3.46 virtual s (first access)
 	// the next read hits the refilled cache: 0.000 virtual s

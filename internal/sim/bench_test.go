@@ -30,14 +30,14 @@ func BenchmarkCondPingPong(b *testing.B) {
 	k.GoDaemon("echo", func(p *Proc) {
 		for {
 			ping.Wait(p)
-			pong.Signal()
+			pong.Broadcast()
 		}
 	})
 	k.RunProc(func(p *Proc) {
 		p.Sleep(0) // let echo reach its first Wait
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ping.Signal()
+			ping.Broadcast()
 			pong.Wait(p)
 		}
 	})

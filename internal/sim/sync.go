@@ -129,15 +129,16 @@ func (k *Kernel) NewCond(name string) *Cond {
 	return &Cond{k: k, name: name}
 }
 
-// Wait blocks until another process calls Signal or Broadcast. As with
-// sync.Cond, callers must re-check their predicate in a loop.
+// Wait blocks until another process calls Broadcast. As with sync.Cond,
+// callers must re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters.Push(p)
 	p.suspend("wait", c.name)
 }
 
-// Signal wakes the longest-waiting process, if any.
-func (c *Cond) Signal() {
+// wakeOne wakes the longest-waiting process, if any: a channel's send or
+// receive makes room for one.
+func (c *Cond) wakeOne() {
 	if c.waiters.Len() > 0 {
 		c.k.wake(c.waiters.Pop())
 	}
@@ -189,7 +190,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		return false
 	}
 	c.buf.Push(v)
-	c.notEmpty.Signal()
+	c.notEmpty.wakeOne()
 	return true
 }
 
@@ -199,7 +200,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 		c.notEmpty.Wait(p)
 	}
 	v := c.buf.Pop()
-	c.notFull.Signal()
+	c.notFull.wakeOne()
 	return v
 }
 

@@ -111,28 +111,6 @@ func TestReleaseByNonOwnerPanics(t *testing.T) {
 	})
 }
 
-func TestCondSignalWakesOne(t *testing.T) {
-	k := NewKernel()
-	c := k.NewCond("c")
-	woken := 0
-	for i := 0; i < 3; i++ {
-		k.Go("waiter", func(p *Proc) {
-			c.Wait(p)
-			woken++
-		})
-	}
-	k.Go("signaler", func(p *Proc) {
-		p.Sleep(time.Second)
-		c.Signal()
-		p.Sleep(time.Second)
-		c.Broadcast()
-	})
-	k.Run()
-	if woken != 3 {
-		t.Fatalf("woken = %d, want 3", woken)
-	}
-}
-
 func TestChanFIFO(t *testing.T) {
 	k := NewKernel()
 	ch := NewChan[int](k, "q", 16)
@@ -237,7 +215,7 @@ func TestQueuesKeepTheirArrays(t *testing.T) {
 	k.GoDaemon("echo", func(p *Proc) {
 		for {
 			ping.Wait(p)
-			pong.Signal()
+			pong.Broadcast()
 		}
 	})
 	for _, r := range []*Resource{arm, busy, busy, busy} {
@@ -259,7 +237,7 @@ func TestQueuesKeepTheirArrays(t *testing.T) {
 		p.Sleep(0) // let the daemons reach their first wait
 		backlog.Send(p, v)
 		for name, round := range map[string]func(){
-			"cond":     func() { ping.Signal(); pong.Wait(p) },
+			"cond":     func() { ping.Broadcast(); pong.Wait(p) },
 			"resource": func() { arm.Acquire(p); p.Sleep(time.Microsecond); arm.Release(p) },
 			"chan":     func() { req.Send(p, v); rep.Recv(p) },
 			// Sixteen hand-offs a round: a queue that slides its slice

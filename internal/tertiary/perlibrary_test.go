@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +26,8 @@ type recLib struct {
 	lib             *jukebox.Library
 	log             *[]string
 	inflight, worst int
-	reads           map[int]int // successful reads, by volume segment
+	reads           map[int]int   // successful reads, by volume segment
+	wrote           [][2]sim.Time // start and end of each medium write, in order of completion
 }
 
 func (r *recLib) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
@@ -46,8 +48,11 @@ func (r *recLib) WriteSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 }
 
 func (r *recLib) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
-	*r.log = append(*r.log, fmt.Sprintf("%s %d write lib%d vol%d seg%d", p.Name(), p.Now(), r.lib.ID(), vol, seg))
-	return r.Jukebox.AdoptSegment(p, vol, seg, buf)
+	t0 := p.Now()
+	*r.log = append(*r.log, fmt.Sprintf("%s %d write lib%d vol%d seg%d", p.Name(), t0, r.lib.ID(), vol, seg))
+	err := r.Jukebox.AdoptSegment(p, vol, seg, buf)
+	r.wrote = append(r.wrote, [2]sim.Time{t0, p.Now()})
+	return err
 }
 
 // recDisk logs when each cache-line write of the I/O processes began and
@@ -318,7 +323,12 @@ func TestQueuedFetchesSurviveLibraryOutage(t *testing.T) {
 // to take its cache line at arrival: the two early fetches get their disk
 // segments after copy-outs 32 and 33 took theirs, not between them, the arm's
 // seeks between line writes and copy-out reads change, and everything after the
-// first two reads starts 8.9 to 9.5 ms later. Processes and order are the parent's.
+// first two reads starts 8.9 to 9.5 ms later; and a fourth time when a copy-out
+// stopped holding a drive token through its line read: copy-outs 32 and 33 read
+// their lines while the two early fetches hold both tokens, so everything after
+// those two reads starts 94 to 165 ms earlier, and a transfer runs in the
+// process that took it off the queue, which is not always the parent's. The
+// order of the transfers is the parent's.
 func TestOneLibraryKeepsItsSchedule(t *testing.T) {
 	e := newLibEnv(1, 2, 8)
 	e.k.RunProc(func(p *sim.Proc) {
@@ -344,13 +354,13 @@ func TestOneLibraryKeepsItsSchedule(t *testing.T) {
 var parentSchedule = []string{
 	"hl-io 28348372090 read lib0 vol1 seg0",
 	"hl-io-1 28348372090 read lib0 vol0 seg0",
-	"hl-iob 28619893444 write lib0 vol2 seg0",
-	"hl-io-1b 28716329494 write lib0 vol2 seg1",
-	"hl-iob 42366198574 write lib0 vol2 seg2",
-	"hl-io-1b 42639242280 read lib0 vol1 seg1",
-	"hl-io-1 42775998615 read lib0 vol0 seg1",
-	"hl-iob 42948916698 read lib0 vol1 seg2",
-	"hl-io 70138082798 write lib0 vol2 seg3",
+	"hl-iob 28525728425 write lib0 vol2 seg0",
+	"hl-io-1b 28551526984 write lib0 vol2 seg1",
+	"hl-io-1 42235402843 write lib0 vol2 seg2",
+	"hl-io 42545077261 read lib0 vol1 seg1",
+	"hl-iob 42681833596 read lib0 vol0 seg1",
+	"hl-io-1b 42854751679 read lib0 vol1 seg2",
+	"hl-io 70043917779 write lib0 vol2 seg3",
 }
 
 // (d) Within a rank the router goes by drive: a copy whose volume has media
@@ -430,6 +440,68 @@ func TestLineWriteOverlapsNextMediaRead(t *testing.T) {
 		}
 	})
 	e.k.Stop()
+}
+
+// (f) With one I/O stream and two copy-outs queued, the second copy-out reads
+// its line off the disk while the first one's image is written to its medium:
+// a drive token is held only across the media transfer.
+func TestCopyoutReadOverlapsMediaWrite(t *testing.T) {
+	e := newLibEnv(1, 1, 8)
+	d := &hookDisk{recDisk: recDisk{e.disk, &e.lineWrites}}
+	e.svc.disk = d
+	e.k.RunProc(func(p *sim.Proc) {
+		e.copyout(t, p, 5)
+		e.copyout(t, p, 6)
+		e.svc.DrainCopyouts(p)
+	})
+	w := e.libs[0].wrote
+	if len(d.reads) != 2 || len(w) != 2 {
+		t.Fatalf("line reads %v, medium writes %v: want two of each", d.reads, w)
+	}
+	if read2, write1 := d.reads[1], w[0]; read2[1] >= write1[1] || read2[0] >= write1[0] {
+		t.Errorf("second line read ran %d-%d, first medium write %d-%d: want the read to end inside the write", read2[0], read2[1], write1[0], write1[1])
+	}
+	e.k.Stop()
+}
+
+// (g) Copy-outs reach their media in the order they left the library's queue,
+// not in the order their line reads end: the first read is held back a second,
+// and the second copy-out still waits for the first one's medium write. So a
+// later copy-out of a tag staged again lands last.
+func TestCopyoutsReachMediaInQueueOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tags [2]int
+	}{{"two tags", [2]int{5, 6}}, {"one tag", [2]int{5, 5}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newLibEnv(1, 1, 8)
+			d := &hookDisk{recDisk: recDisk{e.disk, &e.lineWrites}, at: 1, before: func(p *sim.Proc) { p.Sleep(time.Second) }}
+			e.svc.disk = d
+			e.k.RunProc(func(p *sim.Proc) {
+				for i, tag := range tc.tags {
+					// Lines staged by hand, with bytes of their own and no
+					// cache registration, so one tag can be staged twice.
+					seg, _ := e.c.TakeFree()
+					if err := e.disk.WriteBlocks(p, int64(e.amap.BlockOf(seg, 0)), fill(10*i+tag)); err != nil {
+						t.Fatal(err)
+					}
+					e.svc.ScheduleCopyouts(p, seg, nil, -1, tag)
+				}
+				e.svc.DrainCopyouts(p)
+				if len(d.reads) != 2 || d.reads[1][1] >= d.reads[0][1] {
+					t.Fatalf("line reads %v: the second did not end first", d.reads)
+				}
+				if got := e.medium(t, p, tc.tags[1]); !bytes.Equal(got, fill(10+tc.tags[1])) {
+					t.Errorf("medium of tag %d holds %#x..., want the second copy-out's %#x", tc.tags[1], got[0], byte(10+tc.tags[1]+1))
+				}
+			})
+			want := []string{"write lib0 vol0 seg5", "write lib0 vol0 seg" + fmt.Sprint(tc.tags[1])}
+			if len(e.log) != 2 || !strings.HasSuffix(e.log[0], want[0]) || !strings.HasSuffix(e.log[1], want[1]) {
+				t.Errorf("medium writes %q, want %q in this order", e.log, want)
+			}
+			e.k.Stop()
+		})
+	}
 }
 
 // A line write that fails after the drive has moved on is still the fetch's

@@ -21,21 +21,34 @@ func (e *libEnv) medium(t *testing.T, p *sim.Proc, tag int) []byte {
 	return img
 }
 
-// hookDisk is the cache disk with a hook: after runs once, when the first
-// ReadBlocks returns.
+// hookDisk is the cache disk with a hook and a log of the copy-outs' line
+// reads (ReadBlocks and ShareBlocks): before runs once, as the read numbered at
+// (from 1) begins, and reads holds each read's start and end in the order they
+// began.
 type hookDisk struct {
 	recDisk
-	after func(p *sim.Proc)
+	at     int
+	before func(p *sim.Proc)
+	reads  [][2]sim.Time
+}
+
+func (d *hookDisk) read(p *sim.Proc, read func() error) error {
+	i := len(d.reads)
+	d.reads = append(d.reads, [2]sim.Time{p.Now()})
+	if i+1 == d.at {
+		d.before(p)
+	}
+	err := read()
+	d.reads[i][1] = p.Now()
+	return err
 }
 
 func (d *hookDisk) ReadBlocks(p *sim.Proc, blk int64, buf []byte) error {
-	err := d.recDisk.ReadBlocks(p, blk, buf)
-	if d.after != nil {
-		after := d.after
-		d.after = nil
-		after(p)
-	}
-	return err
+	return d.read(p, func() error { return d.recDisk.ReadBlocks(p, blk, buf) })
+}
+
+func (d *hookDisk) ShareBlocks(p *sim.Proc, blk int64, buf []byte) error {
+	return d.read(p, func() error { return d.recDisk.ShareBlocks(p, blk, buf) })
 }
 
 // TestReplicasShareOneImage: the two copy-outs of a line replicated over two
@@ -137,14 +150,14 @@ func TestSiblingFirstSharesTheStagedImage(t *testing.T) {
 }
 
 // TestReplicaOfAChangedLineGetsItsOwnImage: when the line's bytes change
-// between the reads of two sibling copy-outs (one library, so the second
-// reads after the first is done), each medium keeps the bytes its own read
-// found, in an image of its own.
+// between the reads of two sibling copy-outs (the second read writes the line
+// before it begins, so the write waits for the first read at the arm), each
+// medium keeps the bytes its own read found, in an image of its own.
 func TestReplicaOfAChangedLineGetsItsOwnImage(t *testing.T) {
 	e := newLibEnv(1, 1, 4)
 	e.k.RunProc(func(p *sim.Proc) {
 		seg := e.stage(t, p, 5)
-		e.svc.disk = &hookDisk{recDisk: recDisk{e.disk, &e.lineWrites}, after: func(p *sim.Proc) {
+		e.svc.disk = &hookDisk{recDisk: recDisk{e.disk, &e.lineWrites}, at: 2, before: func(p *sim.Proc) {
 			if err := e.disk.WriteBlocks(p, int64(e.amap.BlockOf(seg, 0)), fill(9)); err != nil {
 				t.Error(err)
 			}

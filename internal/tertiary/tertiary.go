@@ -22,6 +22,12 @@
 // copy-outs of a replicated line (§5.4) each read it, as the clock charges,
 // but every changer keeps one image: a copy-out whose read matches the image a
 // sibling made hands that image on and gives its buffer back for the next read.
+//
+// A drive is held only across a media transfer (the paper's Table 4 splits a
+// copy-out into the Footprint write and the I/O server's disk read): a copy-out
+// reads its line off the disk before it waits for a drive, and a fetch gives
+// the drive back before it writes its cache line, so the disk side of one
+// transfer overlaps the media side of the next.
 package tertiary
 
 import (
@@ -143,8 +149,10 @@ type fetchWait struct {
 
 // Service runs the service process and, per library, an I/O queue drained by
 // that library's own I/O processes: two per stream, which take turns at the
-// stream's media transfers (its drive token), so one reads the next segment
-// off its medium while the other still writes the last one to its cache line.
+// stream's media transfers (its drive token) in the order they took the
+// transfers off the queue. So one reads the next segment off its medium while
+// the other still writes the last one to its cache line, and one reads the next
+// staging line off the disk while the other writes the last one to its medium.
 type Service struct {
 	k     *sim.Kernel
 	amap  *addr.Map
@@ -162,7 +170,9 @@ type Service struct {
 	out      []int                // transfers queued or in flight, per library
 	busy     map[volKey]sim.Time  // their media time, per volume routed to
 	free     []int                // drive tokens not taken, per library
-	idle     []*sim.Cond          // where a library's I/O processes wait for work
+	turns    []int                // transfers taken off the queue, per library
+	turn     []int                // the turn whose transfer takes a token next, per library
+	tokens   []*sim.Cond          // where a library's I/O processes wait for their turn
 	streams  int                  // I/O streams (drive tokens) per library
 	pending  map[int]*fetchWait
 	deferred []request // fetches waiting for an evictable line
@@ -235,8 +245,10 @@ func New(k *sim.Kernel, o *obs.Obs, amap *addr.Map, libs []*jukebox.Library, dis
 	s.out = make([]int, len(s.ioq))
 	s.busy = make(map[volKey]sim.Time)
 	s.free = make([]int, len(s.ioq))
+	s.turns = make([]int, len(s.ioq))
+	s.turn = make([]int, len(s.ioq))
 	for range s.ioq {
-		s.idle = append(s.idle, k.NewCond("tertiary.io.idle"))
+		s.tokens = append(s.tokens, k.NewCond("tertiary.io.token"))
 	}
 	s.spawnIO("hl-io")
 	return s
@@ -579,22 +591,33 @@ func (s *Service) dispatch(p *sim.Proc, r request, to int) {
 		s.libs[lib].Writing(1)
 	}
 	s.ioq[lib].Send(p, r)
-	if s.free[lib] > 0 {
-		s.idle[lib].Signal()
+}
+
+// nextTransfer waits until library lib has a transfer queued and takes it,
+// with its turn at the library's drive tokens: the transfers of a library take
+// their tokens (takeToken) in the order they left its queue.
+func (s *Service) nextTransfer(p *sim.Proc, lib int) (request, int) {
+	r := s.ioq[lib].Recv(p)
+	s.turns[lib]++
+	return r, s.turns[lib] - 1
+}
+
+// takeToken waits until every transfer taken off library lib's queue before
+// turn has taken its token and a token is free, and takes it.
+func (s *Service) takeToken(p *sim.Proc, lib, turn int) {
+	for s.turn[lib] != turn || s.free[lib] == 0 {
+		s.tokens[lib].Wait(p)
+	}
+	s.turn[lib]++
+	if s.free[lib]--; s.free[lib] > 0 {
+		s.tokens[lib].Broadcast() // the next turn may be waiting for this one
 	}
 }
 
-// nextTransfer waits until library lib has a transfer queued and a drive
-// token free, and takes both. Only dispatch and a process that gives its
-// token back and then blocks (ioLoop, before the line write) signal: every
-// other change to the two is made by a process that comes here to look for
-// itself before it blocks anywhere else.
-func (s *Service) nextTransfer(p *sim.Proc, lib int) request {
-	for s.ioq[lib].Len() == 0 || s.free[lib] == 0 {
-		s.idle[lib].Wait(p)
-	}
-	s.free[lib]--
-	return s.ioq[lib].Recv(p) // does not block: the queue holds one
+// giveToken gives a drive token of library lib back.
+func (s *Service) giveToken(lib int) {
+	s.free[lib]++
+	s.tokens[lib].Broadcast()
 }
 
 // transferDone takes a finished transfer out of the router's counts.
@@ -902,18 +925,20 @@ func (s *Service) readOrder(tag int) []int {
 // transfers between the disk cache and the Footprint devices, recovering
 // from transient faults with bounded retries and falling back across
 // replicas — other libraries' included — on reads. It holds one of the
-// library's drive tokens for a transfer, but not for the cache-line write
-// that ends a fetch: the next transfer's medium moves meanwhile. A fetch has
-// no line until its data is here and the token is back (takeLine); with none
-// to be had the process does not wait for one, and the fetch starts over
-// (errNoLine). The line is announced (reqFetched) only once it is written.
+// library's drive tokens for a media transfer and for nothing else: a
+// copy-out reads its line off the disk before it takes one, and a fetch gives
+// it back before the cache-line write, so the stream's other process moves the
+// medium meanwhile. A fetch has no line until its data is here and the token
+// is back (takeLine); with none to be had the process does not wait for one,
+// and the fetch starts over (errNoLine). The line is announced (reqFetched)
+// only once it is written.
 func (s *Service) ioLoop(p *sim.Proc, lib int) {
 	for {
-		r := s.nextTransfer(p, lib)
-		token := true
-		r.tr.StageEnd(r.qst, p.Now())
+		r, turn := s.nextTransfer(p, lib)
 		switch r.kind {
 		case reqFetch:
+			s.takeToken(p, lib, turn)
+			r.tr.StageEnd(r.qst, p.Now())
 			// Run the transfer under a carrier scope holding the waiter's
 			// trace, so the layers below (jukebox swap and transfer, the
 			// staging write through the stripe farm, retry backoffs) record
@@ -947,14 +972,8 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 					break
 				}
 			}
+			s.giveToken(lib)
 			if err == nil {
-				// The medium is done with: the token goes back, and the
-				// stream's other process takes the next transfer meanwhile.
-				token = false
-				s.free[lib]++
-				if s.ioq[lib].Len() > 0 {
-					s.idle[lib].Signal()
-				}
 				if r.seg, r.bound = s.takeLine(); !r.bound {
 					err = errNoLine
 				}
@@ -976,22 +995,18 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 				s.obs.Span("tertiary.io", "io.read", "ReadBlocks", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)}, obs.Arg{Key: "seg", Val: int64(r.seg)})
 			}
+			s.takeToken(p, lib, turn)
 			if err == nil {
 				t0 := p.Now()
 				err = s.withRetry(p, func() error { return s.libs[d].AdoptSegment(p, vol, volseg, img) })
 				s.obs.Span("tertiary.io", "fp.write", "WriteSegment", t0,
 					obs.Arg{Key: "tag", Val: int64(r.tag)})
 			}
+			s.giveToken(lib)
 			r.kind, r.err = reqCopiedOut, err
 		}
-		// A token still held is kept through the report, which can block, as
-		// the I/O process always was: giving it back first would leave a
-		// queued transfer with a free token and nobody awake to see them.
 		r.enqueued = p.Now()
 		s.reqs.Send(p, r)
-		if token {
-			s.free[lib]++
-		}
 	}
 }
 
