@@ -139,7 +139,7 @@ bench-layers:
 	$(GO) test -run '^$$' -bench 'Interleave(WriteParity|AdoptLine1MB|Read1MB)' -benchmem -benchtime 20x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'InterleaveFanOut4' -benchmem -benchtime 20000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'AuditFill' -benchmem -benchtime 200x ./internal/obs/attr/
-	$(GO) test -run '^$$' -bench 'TraceCycle' -benchmem -benchtime 20000x ./internal/obs/reqtrace/
+	$(GO) test -run '^$$' -bench 'TraceCycle' -benchmem -benchtime 20000x ./internal/obs/
 	$(GO) test -run '^$$' -bench 'XorInto64K' -benchmem -benchtime 2000x ./internal/stripe/
 	$(GO) test -run '^$$' -bench 'Disk(Write|Adopt|Read|ShareLine)1MB|StageLine1MB' -benchmem -benchtime 20x ./internal/dev/
 	$(GO) test -run '^$$' -bench 'Jukebox(Lend|Read|Write)Segment' -benchmem -benchtime 20x ./internal/jukebox/
@@ -272,7 +272,12 @@ loc:
 # giveToken) in place of the idle cond's signalling rules, and the comments
 # that state the new rule; sim.Cond.Signal went (its wake-one is the
 # channels' own now).
-LOC_MAX = 22271
+# Lowered 22271 -> 22237 by the change that makes a timed interval one call
+# (obs.Begin and Interval.End fold the span and close the request's stage;
+# internal/obs/reqtrace folded into internal/obs, its notes formatted at render
+# time) and deletes the unmeasured tape and write-once media profiles
+# (jukebox.Metrum, jukebox.SonyWORM, MediaProfile.Tape, Jukebox.WriteOnce).
+LOC_MAX = 22237
 loc-check:
 	@$(MAKE) -s loc | awk -v max=$(LOC_MAX) '{ print } $$2 == "total" { t = $$1 } \
 		END { if (t == "" || t > max) { printf "loc-check: %d non-test Go lines, LOC_MAX is %d\n", t, max; exit 1 } }'

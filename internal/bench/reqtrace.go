@@ -16,29 +16,29 @@ import (
 // exactly to each request's end-to-end latency) over every retained
 // trace.
 
-// reqtraceLoad is the offered-load multiple the ablation runs at: 2x
+// tracedLoad is the offered-load multiple the ablation runs at: 2x
 // pushes the admission queue deep enough that traces contain queue-wait,
 // fetch-wait, drive-swap, and media-transfer stages, and some requests
 // shed or expire — the interesting cases for the invariant.
-const reqtraceLoad = 2
+const tracedLoad = 2
 
 // ablationReqtrace runs the overload cell traced and untraced and
 // compares every pre-existing metric.
 func ablationReqtrace() (*Report, error) {
-	spec := OverloadSpec{Arrival: wl.ArrivalPoisson, Load: reqtraceLoad}
+	spec := OverloadSpec{Arrival: wl.ArrivalPoisson, Load: tracedLoad}
 	traced, err := RunOverload(spec)
 	if err != nil {
-		return nil, fmt.Errorf("reqtrace ablation (traced): %w", err)
+		return nil, fmt.Errorf("request-tracing ablation (traced): %w", err)
 	}
 	spec.DisableTracing = true
 	bare, err := RunOverload(spec)
 	if err != nil {
-		return nil, fmt.Errorf("reqtrace ablation (untraced): %w", err)
+		return nil, fmt.Errorf("request-tracing ablation (untraced): %w", err)
 	}
 	identical := traced.Stats == bare.Stats && traced.Svc == bare.Svc &&
 		traced.ShedRate == bare.ShedRate && traced.P99ms == bare.P99ms
 
-	rep := newReport(fmt.Sprintf("Ablation: request tracing on vs off (overload cell at x%d load)", reqtraceLoad))
+	rep := newReport(fmt.Sprintf("Ablation: request tracing on vs off (overload cell at x%d load)", tracedLoad))
 	rep.addf("%-10s %10s %10s %10s %10s", "arm", "goodput", "p99 ms", "traced", "stages")
 	rep.addf("%-10s %10.3f %10.0f %10d %10d", "traced",
 		traced.Stats.Goodput(), traced.P99ms, traced.TracedRequests, traced.StagesRecorded)
@@ -54,10 +54,10 @@ func ablationReqtrace() (*Report, error) {
 	rep.metric("stages_recorded", float64(traced.StagesRecorded))
 	rep.metric("trace_sum_mismatches", float64(traced.TraceErrs))
 	if !identical {
-		return rep, fmt.Errorf("reqtrace ablation: tracing changed the measured metrics")
+		return rep, fmt.Errorf("request-tracing ablation: tracing changed the measured metrics")
 	}
 	if traced.TraceErrs > 0 {
-		return rep, fmt.Errorf("reqtrace ablation: %d traces violate the sum invariant", traced.TraceErrs)
+		return rep, fmt.Errorf("request-tracing ablation: %d traces violate the sum invariant", traced.TraceErrs)
 	}
 	return rep, nil
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -63,7 +63,7 @@ type stageDoc struct {
 	EndSeconds   float64 `json:"end_seconds"`
 }
 
-func traceToDoc(tr *reqtrace.Trace) traceDoc {
+func traceToDoc(tr *obs.Trace) traceDoc {
 	d := traceDoc{
 		ID:              tr.ID,
 		Class:           tr.Class,
@@ -77,13 +77,13 @@ func traceToDoc(tr *reqtrace.Trace) traceDoc {
 	}
 	for k, dur := range tr.Breakdown() {
 		if dur > 0 {
-			d.Breakdown[reqtrace.Kind(k).String()] = dur.Seconds()
+			d.Breakdown[obs.Kind(k).String()] = dur.Seconds()
 		}
 	}
 	for _, s := range tr.Stages {
 		d.Stages = append(d.Stages, stageDoc{
 			Kind:         s.Kind.String(),
-			Note:         s.Note,
+			Note:         s.Note(),
 			StartSeconds: s.Start.Seconds(),
 			EndSeconds:   s.End.Seconds(),
 		})
@@ -95,7 +95,7 @@ func traceToDoc(tr *reqtrace.Trace) traceDoc {
 // JSON document. Deterministic: classes sorted, exemplars slowest-first
 // with ID tie-breaks, recent ring oldest-first, map keys sorted by the
 // JSON encoder.
-func renderRequests(t *reqtrace.Tracer, now sim.Time) []byte {
+func renderRequests(t *obs.Tracer, now sim.Time) []byte {
 	doc := requestsDoc{
 		VirtualTimeSeconds: now.Seconds(),
 		Classes:            []classDoc{},

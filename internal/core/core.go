@@ -17,7 +17,6 @@ import (
 	"repro/internal/lfs"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/stripe"
 	"repro/internal/tertiary"
@@ -469,13 +468,11 @@ func (bm *blockMap) Flush(p *sim.Proc) error { return bm.hl.Disk.Flush(p) }
 // queued (the cache-layer cancellation point).
 func (bm *blockMap) lookup(p *sim.Proc, tag int) (*cache.Line, error) {
 	line, ok := bm.hl.Cache.Lookup(tag, p.Now())
-	if tr := reqtrace.From(p); tr != nil {
-		note := "hit"
-		if !ok {
-			note = "miss"
-		}
-		tr.Mark(reqtrace.KindCacheLookup, p.Now(), note)
+	found := "hit"
+	if !ok {
+		found = "miss"
 	}
+	obs.Begin(p, obs.KindCacheLookup).End(nil, "", "", found)
 	if ok {
 		return line, nil
 	}

@@ -7,7 +7,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -18,7 +18,7 @@ const waterfallWidth = 48
 // time-aligned waterfall over [submit, end], followed by the
 // critical-path breakdown whose per-stage durations sum exactly to the
 // end-to-end latency (the invariant the trace layer guarantees).
-func Waterfall(w io.Writer, t *reqtrace.Tracer, id int64) error {
+func Waterfall(w io.Writer, t *obs.Tracer, id int64) error {
 	tr := t.Request(id)
 	if tr == nil {
 		return fmt.Errorf("dump: no retained trace for request %d (aged out or never completed)", id)
@@ -58,8 +58,8 @@ func Waterfall(w io.Writer, t *reqtrace.Tracer, id int64) error {
 			bar = strings.Repeat(" ", a) + strings.Repeat("=", b-a)
 		}
 		label := s.Kind.String()
-		if s.Note != "" {
-			label += " (" + s.Note + ")"
+		if note := s.Note(); note != "" {
+			label += " (" + note + ")"
 		}
 		fmt.Fprintf(w, "  %-*s  %-34s %12v\n", waterfallWidth, bar, label, s.End-s.Start)
 	}
@@ -78,7 +78,7 @@ func Waterfall(w io.Writer, t *reqtrace.Tracer, id int64) error {
 		if lat > 0 {
 			pct = 100 * float64(d) / float64(lat)
 		}
-		fmt.Fprintf(w, "  %-16s %12v  %5.1f%%\n", reqtrace.Kind(k).String(), d, pct)
+		fmt.Fprintf(w, "  %-16s %12v  %5.1f%%\n", obs.Kind(k).String(), d, pct)
 	}
 	fmt.Fprintf(w, "  %-16s %12v  (equals end-to-end latency: %v)\n", "sum", sum, lat == sum)
 	if err := tr.Validate(); err != nil {
@@ -89,7 +89,7 @@ func Waterfall(w io.Writer, t *reqtrace.Tracer, id int64) error {
 
 // Slowest renders the per-class slowest-request exemplars with their
 // dominant critical-path stages.
-func Slowest(w io.Writer, t *reqtrace.Tracer, k int) {
+func Slowest(w io.Writer, t *obs.Tracer, k int) {
 	if k <= 0 {
 		k = 5
 	}
@@ -105,13 +105,13 @@ func Slowest(w io.Writer, t *reqtrace.Tracer, k int) {
 		for _, tr := range t.Slowest(c, k) {
 			// The two largest critical-path contributors tell the story.
 			type kv struct {
-				kind reqtrace.Kind
+				kind obs.Kind
 				d    sim.Time
 			}
 			var top []kv
 			for kind, d := range tr.Breakdown() {
 				if d > 0 {
-					top = append(top, kv{reqtrace.Kind(kind), d})
+					top = append(top, kv{obs.Kind(kind), d})
 				}
 			}
 			slices.SortFunc(top, func(a, b kv) int {

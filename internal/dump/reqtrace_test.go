@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -14,30 +14,39 @@ import (
 func sec(s int) sim.Time { return sim.Time(s) * sim.Time(time.Second) }
 
 // buildTracer assembles one sealed jukebox-swap-shaped trace (id 1) and
-// one cache-hit-shaped trace (id 2).
-func buildTracer(t *testing.T) *reqtrace.Tracer {
+// one cache-hit-shaped trace (id 2), recording each stage as its layer does.
+func buildTracer(t *testing.T) *obs.Tracer {
 	t.Helper()
-	tc := reqtrace.New()
+	tc := obs.NewTracer()
+	arg := func(key string, v int64) obs.Arg { return obs.Arg{Key: key, Val: v} }
+	k := sim.NewKernel()
+	k.RunProc(func(p *sim.Proc) {
+		tr := tc.Start(1, "interactive", p.Now(), sec(60))
+		tr.Begin(p, obs.KindAdmission).End(nil, "", "", "admitted")
+		p.Sleep(sec(1))
+		tr.Begin(p, obs.KindCacheLookup).End(nil, "", "", "miss")
+		fw := tr.Begin(p, obs.KindFetchWait)
+		mt := tr.Begin(p, obs.KindMediaTransfer)
+		sw := tr.Begin(p, obs.KindDriveSwap)
+		p.Sleep(sec(8))
+		sw.End(nil, "", "", "swap", arg("vol", 0), arg("drive", 1))
+		p.Sleep(sec(1))
+		mt.End(nil, "", "", "ReadSegment", arg("vol", 0), arg("seg", 0))
+		fw.End(nil, "", "", "", arg("tag", 0))
+		io := tr.Begin(p, obs.KindStripeIO)
+		p.Sleep(sec(2))
+		io.End(nil, "", "", "read", arg("blk", 12))
+		tc.Seal(tr, p.Now(), nil)
 
-	tr := tc.Start(1, "interactive", sec(0), sec(60))
-	tr.Mark(reqtrace.KindAdmission, sec(0), "admitted")
-	tr.Mark(reqtrace.KindCacheLookup, sec(1), "miss")
-	fw := tr.StageStart(reqtrace.KindFetchWait, sec(1), "seg 0")
-	mt := tr.StageStart(reqtrace.KindMediaTransfer, sec(1), "read vol 0 seg 0")
-	sw := tr.StageStart(reqtrace.KindDriveSwap, sec(1), "vol 0 drive 1")
-	tr.StageEnd(sw, sec(9))
-	tr.StageEnd(mt, sec(10))
-	tr.StageEnd(fw, sec(10))
-	io := tr.StageStart(reqtrace.KindStripeIO, sec(10), "read 12 blk")
-	tr.StageEnd(io, sec(12))
-	tc.Seal(tr, sec(12), nil)
-
-	tr2 := tc.Start(2, "interactive", sec(20), sec(80))
-	tr2.Mark(reqtrace.KindAdmission, sec(20), "admitted")
-	tr2.Mark(reqtrace.KindCacheLookup, sec(20), "hit")
-	io2 := tr2.StageStart(reqtrace.KindStripeIO, sec(20), "read 12 blk")
-	tr2.StageEnd(io2, sec(21))
-	tc.Seal(tr2, sec(21), nil)
+		p.Sleep(sec(8))
+		tr2 := tc.Start(2, "interactive", p.Now(), sec(80))
+		tr2.Begin(p, obs.KindAdmission).End(nil, "", "", "admitted")
+		tr2.Begin(p, obs.KindCacheLookup).End(nil, "", "", "hit")
+		io2 := tr2.Begin(p, obs.KindStripeIO)
+		p.Sleep(sec(1))
+		io2.End(nil, "", "", "read", arg("blk", 12))
+		tc.Seal(tr2, p.Now(), nil)
+	})
 	return tc
 }
 
@@ -50,7 +59,8 @@ func TestWaterfallSumsToLatency(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		"Request 1 (interactive)", "deadline", "met",
-		"drive-swap (vol 0 drive 1)", "media-transfer", "fetch-wait",
+		"drive-swap (vol 0 drive 1)", "media-transfer (read vol 0 seg 0)", "fetch-wait (seg 0)",
+		"stripe-io (read 12 blk)",
 		"critical path:",
 		"(equals end-to-end latency: true)",
 	} {

@@ -1,7 +1,6 @@
-// Package jukebox models robotic tertiary storage devices: a magneto-optic
-// autochanger (the paper's HP 6300) and a robotic tape library (the
-// Sequoia Metrum unit), exposed through the Footprint abstract robotic
-// device interface of §2/§6.5.
+// Package jukebox models robotic tertiary storage devices: the paper's HP
+// 6300 magneto-optic autochanger, exposed through the Footprint abstract
+// robotic device interface of §2/§6.5.
 //
 // A jukebox has a set of drives, a robot picker, and an array of media
 // volumes, each holding a fixed array of segments. Loading a volume costs a
@@ -18,7 +17,6 @@ import (
 
 	"repro/internal/dev"
 	"repro/internal/obs"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -29,15 +27,12 @@ import (
 var ErrEndOfMedium = errors.New("jukebox: end of medium")
 
 // Typed sentinel errors, errors.Is-matchable so the recovery layer can
-// tell programmer bugs (bad arguments, WORM violations: never retried)
-// from media and mechanism faults (retried or failed over).
+// tell programmer bugs (bad arguments: never retried) from media and
+// mechanism faults (retried or failed over).
 var (
-	// ErrWriteOnce is returned when a written segment of a write-once
-	// medium is overwritten. It marks a software bug in the caller, not a
-	// media fault, and must never be retried.
-	ErrWriteOnce = errors.New("jukebox: write-once violation")
 	// ErrOutOfRange is returned for a volume, segment, or buffer size
-	// outside the device geometry — likewise a programmer bug.
+	// outside the device geometry. It marks a software bug in the caller,
+	// not a media fault, and must never be retried.
 	ErrOutOfRange = errors.New("jukebox: argument out of range")
 	// ErrDriveOffline is returned when no healthy drive can serve a
 	// request (all drives offline/stuck). It is treated as transient:
@@ -74,50 +69,25 @@ type MediaProfile struct {
 	Name       string
 	MediaRead  int64    // bytes/second off the medium
 	MediaWrite int64    // bytes/second onto the medium
-	Rotation   sim.Time // per-request rotational latency (0 for tape)
+	Rotation   sim.Time // per-request rotational latency
 	SeekBase   sim.Time // minimum positioning time for a non-sequential access
 	SeekPerSeg sim.Time // additional positioning time per segment of distance
 	SwapTime   sim.Time // eject + robot move + load + ready
-	Tape       bool     // sequential medium: long spooling seeks
 }
 
-// Calibrated profiles. Effective rates (with the shared 3.9 MB/s SCSI bus
-// and per-request rotation) match Table 5: MO read 451 KB/s, MO write
-// 204 KB/s, volume change 13.5 s.
-var (
-	// MO6300 models the HP 6300 magneto-optic changer used in §7.
-	MO6300 = MediaProfile{
-		Name:       "HP6300-MO",
-		MediaRead:  513 * 1024,
-		MediaWrite: 215 * 1024,
-		Rotation:   12 * time.Millisecond,
-		SeekBase:   40 * time.Millisecond,
-		SeekPerSeg: 300 * time.Microsecond,
-		SwapTime:   13400 * time.Millisecond,
-	}
-	// Metrum models the 600-cartridge Metrum robotic tape unit (14.5 GB
-	// per cartridge) that provides Sequoia's bulk storage (§2).
-	Metrum = MediaProfile{
-		Name:       "Metrum-VHS",
-		MediaRead:  1200 * 1024,
-		MediaWrite: 1200 * 1024,
-		SeekBase:   12 * time.Second,
-		SeekPerSeg: 20 * time.Millisecond,
-		SwapTime:   50 * time.Second,
-		Tape:       true,
-	}
-	// SonyWORM approximates the Sony write-once optical jukebox (§2).
-	// Writes to a written segment fail (write-once).
-	SonyWORM = MediaProfile{
-		Name:       "Sony-WORM",
-		MediaRead:  600 * 1024,
-		MediaWrite: 300 * 1024,
-		Rotation:   12 * time.Millisecond,
-		SeekBase:   60 * time.Millisecond,
-		SeekPerSeg: 350 * time.Microsecond,
-		SwapTime:   9 * time.Second,
-	}
-)
+// MO6300 models the HP 6300 magneto-optic changer used in §7, calibrated:
+// its effective rates (with the shared 3.9 MB/s SCSI bus and per-request
+// rotation) match Table 5: MO read 451 KB/s, MO write 204 KB/s, volume
+// change 13.5 s.
+var MO6300 = MediaProfile{
+	Name:       "HP6300-MO",
+	MediaRead:  513 * 1024,
+	MediaWrite: 215 * 1024,
+	Rotation:   12 * time.Millisecond,
+	SeekBase:   40 * time.Millisecond,
+	SeekPerSeg: 300 * time.Microsecond,
+	SwapTime:   13400 * time.Millisecond,
+}
 
 // Stats accumulates jukebox counters, used for the Table 4 breakdown and
 // the fault-visibility report (hldump -faults).
@@ -139,7 +109,6 @@ type volume struct {
 	actualSegs  int // may be < nominal when compression falls short
 	full        bool
 	store       [][]byte // by segment, nominalSegs long; nil = never written; an image never changes once written
-	writes      int64    // write-once bookkeeping
 }
 
 type drive struct {
@@ -177,9 +146,6 @@ type Jukebox struct {
 	WriteDrive int
 	writers    int // writes on their way to the changer (Writing)
 
-	// WriteOnce rejects overwrites of a written segment (Sony WORM).
-	WriteOnce bool
-
 	// Fault, if non-nil, may inject media errors per (op, vol, seg).
 	// op is "read" or "write" (checked before the transfer), or "load"
 	// with seg == -1 (checked before a media swap loads vol into a
@@ -210,7 +176,6 @@ func New(k *sim.Kernel, prof MediaProfile, ndrives, nvols, segsPerVol, segBytes 
 		picker:     k.NewResource(prof.Name + ".picker"),
 		bus:        bus,
 		WriteDrive: 0,
-		WriteOnce:  false,
 	}
 	if ndrives == 1 {
 		j.WriteDrive = -1 // no spare drive to reserve
@@ -286,7 +251,6 @@ func (j *Jukebox) EraseVolume(vol int) {
 	v := j.vols[vol]
 	clear(v.store)
 	v.full = false
-	v.writes = 0
 	j.Cut.Tick(1)
 }
 
@@ -478,15 +442,9 @@ func (j *Jukebox) driveFor(p *sim.Proc, vol int, forWrite bool) (*drive, error) 
 			// is held: a concurrent request for the same volume must queue
 			// on this drive rather than conclude the volume is unloaded and
 			// start a second swap of the same cartridge elsewhere.
-			t0 := p.Now()
 			pick.loaded = vol
 			pick.pos = 0
-			tr := reqtrace.From(p)
-			var note string
-			if tr != nil {
-				note = fmt.Sprintf("vol %d drive %d", vol, pick.id)
-			}
-			st := tr.StageStart(reqtrace.KindDriveSwap, t0, note)
+			iv := obs.Begin(p, obs.KindDriveSwap)
 			j.picker.Acquire(p)
 			if j.bus != nil {
 				j.bus.Hold(p, j.prof.SwapTime)
@@ -494,11 +452,10 @@ func (j *Jukebox) driveFor(p *sim.Proc, vol int, forWrite bool) (*drive, error) 
 				p.Sleep(j.prof.SwapTime)
 			}
 			j.picker.Release(p)
-			tr.StageEnd(st, p.Now())
+			iv.End(j.obs, j.track, "jb.swap", "swap",
+				obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "drive", Val: int64(pick.id)})
 			j.stats.Swaps++
 			j.stats.SwapTime += j.prof.SwapTime
-			j.obs.Span(j.track, "jb.swap", "swap", t0,
-				obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "drive", Val: int64(pick.id)})
 		}
 		pick.lastUse = p.Now()
 		return pick, nil
@@ -552,18 +509,15 @@ func (j *Jukebox) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 		}
 	}
 	start := p.Now()
-	// The media-transfer stage spans drive acquisition through the bus
+	// The media-transfer interval spans drive acquisition through the bus
 	// transfer; a swap performed inside driveFor nests as its own stage
-	// and wins the critical-path attribution for its interval.
-	tr := reqtrace.From(p)
-	var note string
-	if tr != nil {
-		note = fmt.Sprintf("read vol %d seg %d", vol, seg)
-	}
-	st := tr.StageStart(reqtrace.KindMediaTransfer, start, note)
+	// and wins the critical-path attribution for its interval. It is a
+	// span only when the read succeeds.
+	args := [...]obs.Arg{{Key: "vol", Val: int64(vol)}, {Key: "seg", Val: int64(seg)}}
+	iv := obs.Begin(p, obs.KindMediaTransfer)
 	d, err := j.driveFor(p, vol, false)
 	if err != nil {
-		tr.StageEnd(st, p.Now())
+		iv.End(nil, "", "", "ReadSegment", args[:]...)
 		return nil, err
 	}
 	j.position(p, d, seg)
@@ -575,12 +529,10 @@ func (j *Jukebox) LendSegment(p *sim.Proc, vol, seg int) ([]byte, error) {
 	if j.bus != nil {
 		j.bus.Transfer(p, j.segBytes)
 	}
-	tr.StageEnd(st, p.Now())
+	iv.End(j.obs, j.track, "jb.read", "ReadSegment", args[:]...)
 	j.stats.Reads++
 	j.stats.BytesRead += int64(j.segBytes)
 	j.stats.ReadTime += p.Now() - start
-	j.obs.Span(j.track, "jb.read", "ReadSegment", start,
-		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
 	return img, nil
 }
 
@@ -610,24 +562,15 @@ func (j *Jukebox) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 		v.full = true
 		return ErrEndOfMedium
 	}
-	if j.WriteOnce {
-		if v.store[seg] != nil {
-			return fmt.Errorf("%w: %s: segment %d/%d already written", ErrWriteOnce, j.prof.Name, vol, seg)
-		}
-	}
 	start := p.Now()
-	tr := reqtrace.From(p)
-	var note string
-	if tr != nil {
-		note = fmt.Sprintf("write vol %d seg %d", vol, seg)
-	}
-	st := tr.StageStart(reqtrace.KindMediaTransfer, start, note)
+	args := [...]obs.Arg{{Key: "vol", Val: int64(vol)}, {Key: "seg", Val: int64(seg)}}
+	iv := obs.Begin(p, obs.KindMediaTransfer)
 	if j.bus != nil {
 		j.bus.Transfer(p, j.segBytes)
 	}
 	d, err := j.driveFor(p, vol, true)
 	if err != nil {
-		tr.StageEnd(st, p.Now())
+		iv.End(nil, "", "", "WriteSegment", args[:]...)
 		return err
 	}
 	j.position(p, d, seg)
@@ -649,14 +592,11 @@ func (j *Jukebox) AdoptSegment(p *sim.Proc, vol, seg int, buf []byte) error {
 	v.store[seg] = buf
 	dev.Audit.Record("jukebox: adopted segment", buf)
 	j.Cut.Tick(1)
-	v.writes++
 	d.arm.Release(p)
-	tr.StageEnd(st, p.Now())
+	iv.End(j.obs, j.track, "jb.write", "WriteSegment", args[:]...)
 	j.stats.Writes++
 	j.stats.BytesWritten += int64(j.segBytes)
 	j.stats.WriteTime += p.Now() - start
-	j.obs.Span(j.track, "jb.write", "WriteSegment", start,
-		obs.Arg{Key: "vol", Val: int64(vol)}, obs.Arg{Key: "seg", Val: int64(seg)})
 	return nil
 }
 

@@ -2,11 +2,14 @@ package jukebox
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/dev"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -150,19 +153,72 @@ func TestEndOfMedium(t *testing.T) {
 	})
 }
 
-func TestWriteOnce(t *testing.T) {
+// TestOneIntervalOneRecord: a traced LendSegment that swaps records its swap
+// and its transfer once each, as a drive-swap and a media-transfer stage with
+// the start and end of the retained jb.swap and jb.read span. An interval that
+// is a stage only (stripe-io) adds no span aggregate.
+func TestOneIntervalOneRecord(t *testing.T) {
 	k := sim.NewKernel()
-	j := MustNew(k, SonyWORM, 1, 1, 4, segBytes, nil)
-	j.WriteOnce = true
+	o := obs.New(k)
+	o.EnableTrace()
+	j := newMO(k, 1, 2, 4)
+	j.SetObs(o, "")
+	tc := obs.NewTracer()
+	var tr *obs.Trace
 	k.RunProc(func(p *sim.Proc) {
-		buf := make([]byte, segBytes)
-		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
+		tr = tc.Start(1, "t", p.Now(), 0)
+		ctx := k.NewCtx(0)
+		ctx.SetTrace(tr)
+		defer p.PushCtx(ctx)()
+		if _, err := j.LendSegment(p, 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.WriteSegment(p, 0, 0, buf); err == nil {
-			t.Fatal("overwrite of WORM segment accepted")
+		spans := func() (n int64) {
+			for _, a := range o.Aggregates() {
+				n += a.Count
+			}
+			return n
 		}
+		before, stages := spans(), len(tr.Stages)
+		obs.Begin(p, obs.KindStripeIO).End(o, "", "", "read", obs.Arg{Key: "blk", Val: 8})
+		if spans() != before || len(tr.Stages) != stages+1 {
+			t.Errorf("a stage-only interval made %d spans and %d stages, want 0 and 1", spans()-before, len(tr.Stages)-stages)
+		}
+		tc.Seal(tr, p.Now(), nil)
 	})
+	var doc struct {
+		TraceEvents []struct {
+			Ph, Cat string
+			Ts, Dur float64
+		}
+	}
+	var buf bytes.Buffer
+	if err := o.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	ns := func(us float64) sim.Time { return sim.Time(math.Round(us * 1000)) }
+	for cat, kind := range map[string]obs.Kind{"jb.swap": obs.KindDriveSwap, "jb.read": obs.KindMediaTransfer} {
+		var spans, stages []obs.Stage
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "X" && e.Cat == cat {
+				spans = append(spans, obs.Stage{Start: ns(e.Ts), End: ns(e.Ts) + ns(e.Dur)})
+			}
+		}
+		for _, s := range tr.Stages {
+			if s.Kind == kind {
+				stages = append(stages, s)
+			}
+		}
+		if len(spans) != 1 || len(stages) != 1 {
+			t.Fatalf("%s: %d spans and %d %s stages, want one of each", cat, len(spans), len(stages), kind)
+		}
+		if spans[0].Start != stages[0].Start || spans[0].End != stages[0].End || spans[0].End == spans[0].Start {
+			t.Errorf("%s span %v-%v, %s stage %v-%v: want the same interval", cat, spans[0].Start, spans[0].End, kind, stages[0].Start, stages[0].End)
+		}
+	}
 }
 
 func TestWriteDriveReservation(t *testing.T) {
@@ -334,7 +390,7 @@ func TestSwapHoldsSharedBus(t *testing.T) {
 
 func TestTapeSeekCostGrowsWithDistance(t *testing.T) {
 	k := sim.NewKernel()
-	j := MustNew(k, Metrum, 1, 1, 1000, segBytes, nil)
+	j := MustNew(k, MO6300, 1, 1, 1000, segBytes, nil)
 	var near, far sim.Time
 	k.RunProc(func(p *sim.Proc) {
 		buf := make([]byte, segBytes)
@@ -424,16 +480,9 @@ func TestFaultInjection(t *testing.T) {
 
 func TestTypedSentinelErrors(t *testing.T) {
 	k := sim.NewKernel()
-	j := MustNew(k, SonyWORM, 1, 2, 4, segBytes, nil)
-	j.WriteOnce = true
+	j := MustNew(k, MO6300, 1, 2, 4, segBytes, nil)
 	k.RunProc(func(p *sim.Proc) {
 		buf := make([]byte, segBytes)
-		if err := j.WriteSegment(p, 0, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.WriteSegment(p, 0, 0, buf); !errors.Is(err, ErrWriteOnce) {
-			t.Fatalf("WORM violation = %v, want errors.Is ErrWriteOnce", err)
-		}
 		if err := j.ReadSegment(p, 5, 0, buf); !errors.Is(err, ErrOutOfRange) {
 			t.Fatalf("bad volume = %v, want errors.Is ErrOutOfRange", err)
 		}

@@ -150,7 +150,7 @@ func (l *Library) Profile() MediaProfile {
 }
 
 // EraseVolume delegates media reclamation to the wrapped device when it
-// supports erasure; a no-op otherwise (WORM media are never erased).
+// supports erasure; a no-op otherwise.
 func (l *Library) EraseVolume(vol int) {
 	if ev, ok := l.fp.(interface{ EraseVolume(int) }); ok {
 		ev.EraseVolume(vol)

@@ -2,7 +2,7 @@ package lfs
 
 import (
 	"repro/internal/addr"
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -41,14 +41,14 @@ func (notResident) Error() string { return "lfs: blocks not disk-resident" }
 // fs-lock stage of the request's trace, noting which process held the lock
 // when it queued; no wait, no stage.
 func (fs *FS) acquire(p *sim.Proc) {
-	tr := reqtrace.From(p)
-	if tr == nil || !fs.lock.Busy() {
+	if !fs.lock.Busy() {
 		fs.lock.Acquire(p)
 		return
 	}
-	st := tr.StageStart(reqtrace.KindFSLock, p.Now(), "held by "+fs.lock.Owner())
+	owner := fs.lock.Owner()
+	iv := obs.Begin(p, obs.KindFSLock)
 	fs.lock.Acquire(p)
-	tr.StageEnd(st, p.Now())
+	iv.End(nil, "", "", owner)
 }
 
 // LockedBy reports whether p is inside an operation that holds the file

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/addr"
 	"repro/internal/dev"
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -500,8 +500,8 @@ func TestFSLockStageNamesTheHolder(t *testing.T) {
 	env.run(t, func(p *sim.Proc) {
 		fs := env.fs
 		writeFile(t, p, fs, "/f", pattern(1, 8*BlockSize))
-		tracer := reqtrace.New()
-		stat := func(sp *sim.Proc, id int64) *reqtrace.Trace {
+		tracer := obs.NewTracer()
+		stat := func(sp *sim.Proc, id int64) *obs.Trace {
 			tr := tracer.Start(id, "t", sp.Now(), 0)
 			ctx := env.k.NewCtx(0)
 			ctx.SetTrace(tr)
@@ -516,7 +516,7 @@ func TestFSLockStageNamesTheHolder(t *testing.T) {
 			t.Errorf("uncontended acquire recorded %+v", tr.Stages)
 		}
 		done := env.k.NewCond("done")
-		var queued *reqtrace.Trace
+		var queued *obs.Trace
 		env.k.Go("holder", func(hp *sim.Proc) {
 			fs.lock.Acquire(hp)
 			hp.Sleep(5 * sim.Time(time.Millisecond))
@@ -528,7 +528,7 @@ func TestFSLockStageNamesTheHolder(t *testing.T) {
 			done.Broadcast()
 		})
 		done.Wait(p)
-		if len(queued.Stages) != 1 || queued.Stages[0].Kind != reqtrace.KindFSLock || queued.Stages[0].Note != "held by holder" {
+		if len(queued.Stages) != 1 || queued.Stages[0].Kind != obs.KindFSLock || queued.Stages[0].Note() != "held by holder" {
 			t.Errorf("queued acquire recorded %+v, want one fs-lock stage held by holder", queued.Stages)
 		}
 		if err := queued.Validate(); err != nil {

@@ -1,6 +1,7 @@
 // Package obs is the virtual-time observability subsystem: spans,
 // counters, gauges, and histograms keyed to the simulation kernel's
-// clock.
+// clock, and the per-request traces whose stages are the same intervals
+// (request.go).
 //
 // Every timestamp comes from sim.Kernel.Now() — never the wall clock —
 // so a trace of a deterministic run is itself deterministic:

@@ -1,26 +1,4 @@
-// Package reqtrace is the per-request causal trace: where did this one
-// request's latency come from? The aggregate observability layers
-// (internal/obs, internal/obs/attr) can say "p99 stall is X"; reqtrace
-// answers "request N spent 80% of its deadline waiting on a drive swap".
-//
-// A Trace rides the request's sim.Ctx (Ctx.SetTrace / Ctx.Trace) from
-// front-end admission down through the cache directory, the striped disk
-// farm, the tertiary service, and the jukebox drivers. Each layer records
-// typed stages — queue-wait, cache-lookup, fetch-wait, stripe-io, drive-swap,
-// media-transfer, retry-backoff, fs-lock, io-queue — against
-// the virtual clock. Stages may nest and overlap (a fetch-wait encloses the
-// drive-swap and media-transfer the I/O daemon performs on the waiter's
-// behalf); the critical-path sweep attributes every instant of the
-// request's life to the innermost stage open at that instant, so the
-// per-stage exclusive durations always sum exactly to the end-to-end
-// latency — the invariant the waterfall report and the soak property
-// checks pin.
-//
-// Recording is pure observation: no virtual time is consumed, no RNG is
-// drawn, and every structure is bounded, so tracing on leaves a
-// deterministic run's externally visible schedule and metrics
-// bit-identical (proved by the ablation_reqtrace bench row).
-package reqtrace
+package obs
 
 import (
 	"cmp"
@@ -28,9 +6,26 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// A request's trace answers where this one request's latency came from:
+// "request N spent 80% of its deadline waiting on a drive swap", beside the
+// aggregates' "p99 stall is X". A Trace rides the request's sim.Ctx
+// (Ctx.SetTrace) from front-end admission down through the cache directory,
+// the striped disk farm, the tertiary service and the jukebox drivers. The
+// interval a layer times (Begin, Interval.End) is a stage of that trace when
+// the process carries one, and a span when End names a category: one call
+// records both. Stages may nest and overlap (a fetch-wait encloses the
+// drive-swap and media-transfer the I/O daemon performs on the waiter's
+// behalf); the critical-path sweep attributes every instant of the request's
+// life to the innermost stage open at that instant, so the per-stage
+// exclusive durations always sum exactly to the end-to-end latency.
+//
+// Recording is pure observation: no virtual time is consumed, no RNG is
+// drawn, and every structure is bounded, so tracing on leaves a
+// deterministic run's externally visible schedule and metrics bit-identical
+// (proved by the ablation_reqtrace bench row).
 
 // Kind types a stage of a request's life.
 type Kind uint8
@@ -87,10 +82,34 @@ const maxStages = 512
 // Stage is one recorded interval of a trace.
 type Stage struct {
 	Kind  Kind
-	Note  string
+	Open  bool // still running (forced closed when the trace completes)
 	Start sim.Time
 	End   sim.Time
-	Open  bool // still running (forced closed when the trace completes)
+	name  string   // the name its End gave: a lock's owner for an fs-lock stage
+	vals  [2]int64 // the values of the first two args its End gave
+}
+
+// Note is the stage's annotation, formatted from what its End gave.
+func (s *Stage) Note() string {
+	switch s.Kind {
+	case KindFetchWait:
+		return fmt.Sprintf("seg %d", s.vals[0])
+	case KindStripeIO:
+		return fmt.Sprintf("%s %d blk", s.name, s.vals[0])
+	case KindDriveSwap:
+		return fmt.Sprintf("vol %d drive %d", s.vals[0], s.vals[1])
+	case KindMediaTransfer:
+		dir := "read"
+		if s.name == "WriteSegment" {
+			dir = "write"
+		}
+		return fmt.Sprintf("%s vol %d seg %d", dir, s.vals[0], s.vals[1])
+	case KindIOQueue:
+		return fmt.Sprintf("lib %d depth %d", s.vals[0], s.vals[1])
+	case KindFSLock:
+		return "held by " + s.name
+	}
+	return s.name
 }
 
 // Trace is one request's record. All methods are nil-safe, so call
@@ -120,9 +139,47 @@ func (tr *Trace) Hold(n int) {
 	}
 }
 
-// StageStart opens a stage at now and returns its index for StageEnd
-// (-1 when not recorded: nil trace, completed trace, or stage cap).
-func (tr *Trace) StageStart(kind Kind, now sim.Time, note string) int {
+// Interval is one timed interval of virtual time, from Begin to End.
+type Interval struct {
+	p     *sim.Proc
+	start sim.Time
+	tr    *Trace // the trace it is a stage of, or nil
+	stage int    // its index in tr.Stages
+}
+
+// Begin opens an interval of kind on p: a stage of the request p's scope
+// carries, if it carries one.
+func Begin(p *sim.Proc, kind Kind) Interval {
+	tr, _ := p.Ctx().Trace().(*Trace)
+	return tr.Begin(p, kind)
+}
+
+// Begin opens an interval of kind on p that is a stage of tr, whichever
+// request p works for (nil-safe: a nil trace records no stage).
+func (tr *Trace) Begin(p *sim.Proc, kind Kind) Interval {
+	iv := Interval{p: p, start: p.Now()}
+	if i := tr.open(kind, iv.start); i >= 0 {
+		iv.tr, iv.stage = tr, i
+	}
+	return iv
+}
+
+// End closes iv. With o and cat set it is a span of o on track (args are
+// copied only when o retains spans, so they stay on the caller's stack);
+// with cat empty it records no span. Its stage notes name and the values of
+// the first two args.
+func (iv Interval) End(o *Obs, track, cat, name string, args ...Arg) {
+	if iv.tr != nil {
+		iv.tr.close(iv.stage, iv.p.Now(), name, args)
+	}
+	if o != nil && cat != "" {
+		o.record(span{Track: track, Cat: cat, Name: name, Start: iv.start, Dur: o.k.Now() - iv.start}, args)
+	}
+}
+
+// open appends a stage of kind at now and returns its index (-1 when not
+// recorded: nil trace, completed trace, or stage cap).
+func (tr *Trace) open(kind Kind, now sim.Time) int {
 	if tr == nil || tr.Done {
 		return -1
 	}
@@ -130,26 +187,23 @@ func (tr *Trace) StageStart(kind Kind, now sim.Time, note string) int {
 		tr.Dropped++
 		return -1
 	}
-	tr.Stages = append(tr.Stages, Stage{Kind: kind, Note: note, Start: now, End: now, Open: true})
+	tr.Stages = append(tr.Stages, Stage{Kind: kind, Start: now, End: now, Open: true})
 	return len(tr.Stages) - 1
 }
 
-// StageEnd closes the stage opened at index i. Closing an already-closed
-// stage (the trace completed while a background I/O daemon still held
-// the index) is a no-op, so the trace's invariants survive late writers.
-func (tr *Trace) StageEnd(i int, now sim.Time) {
-	if tr == nil || i < 0 || i >= len(tr.Stages) {
-		return
-	}
-	if s := &tr.Stages[i]; s.Open {
+// close ends stage i at now and notes name and args on it. A stage the seal
+// already closed (a background I/O daemon still held it) keeps its end, so
+// the trace's invariants survive late writers; it still takes the note.
+func (tr *Trace) close(i int, now sim.Time, name string, args []Arg) {
+	s := &tr.Stages[i]
+	if s.Open {
 		s.End = now
 		s.Open = false
 	}
-}
-
-// Mark records a zero-duration stage at now.
-func (tr *Trace) Mark(kind Kind, now sim.Time, note string) {
-	tr.StageEnd(tr.StageStart(kind, now, note), now)
+	s.name = name
+	for j := range min(len(args), len(s.vals)) {
+		s.vals[j] = args[j].Val
+	}
 }
 
 // Latency is the end-to-end virtual-time latency (0 until Done).
@@ -162,7 +216,7 @@ func (tr *Trace) Latency() sim.Time {
 
 // complete seals the trace: records the terminal state and force-closes
 // every still-open stage at the completion instant, so a canceled or
-// deadline-expired request whose layers never reached their StageEnd
+// deadline-expired request whose layers never reached their End
 // still satisfies the stages-within-[Submit,End] invariant.
 func (tr *Trace) complete(now sim.Time, err error) {
 	if tr == nil || tr.Done {
@@ -230,20 +284,20 @@ func (tr *Trace) breakdown(points []sim.Time) ([numKinds]sim.Time, []sim.Time) {
 // end-to-end latency. The soak tests property-check every exemplar.
 func (tr *Trace) Validate() error {
 	if tr == nil {
-		return fmt.Errorf("reqtrace: nil trace")
+		return fmt.Errorf("obs: nil request trace")
 	}
 	if !tr.Done {
-		return fmt.Errorf("reqtrace: request %d not sealed", tr.ID)
+		return fmt.Errorf("obs: request %d not sealed", tr.ID)
 	}
 	if tr.End < tr.Submit {
-		return fmt.Errorf("reqtrace: request %d ends %v before submit %v", tr.ID, tr.End, tr.Submit)
+		return fmt.Errorf("obs: request %d ends %v before submit %v", tr.ID, tr.End, tr.Submit)
 	}
 	for i, s := range tr.Stages {
 		if s.Open {
-			return fmt.Errorf("reqtrace: request %d stage %d (%s) still open", tr.ID, i, s.Kind)
+			return fmt.Errorf("obs: request %d stage %d (%s) still open", tr.ID, i, s.Kind)
 		}
 		if s.End < s.Start {
-			return fmt.Errorf("reqtrace: request %d stage %d (%s) negative", tr.ID, i, s.Kind)
+			return fmt.Errorf("obs: request %d stage %d (%s) negative", tr.ID, i, s.Kind)
 		}
 	}
 	var sum sim.Time
@@ -251,29 +305,14 @@ func (tr *Trace) Validate() error {
 		sum += d
 	}
 	if sum != tr.Latency() {
-		return fmt.Errorf("reqtrace: request %d stage sum %v != latency %v", tr.ID, sum, tr.Latency())
+		return fmt.Errorf("obs: request %d stage sum %v != latency %v", tr.ID, sum, tr.Latency())
 	}
 	return nil
 }
 
-// From returns the trace riding p's current request scope (nil when the
-// proc is not executing a traced request). Deep layers use this — one
-// pointer load on the untraced path.
-func From(p *sim.Proc) *Trace {
-	tr, _ := p.Ctx().Trace().(*Trace)
-	return tr
-}
-
-// Attach puts tr on the scope (no-op for a nil trace or scope).
-func Attach(c *sim.Ctx, tr *Trace) {
-	if tr != nil {
-		c.SetTrace(tr)
-	}
-}
-
 // Tracer owns the bounded per-request retention: a ring of the most
 // recent completed traces plus, per class, the K slowest exemplars. It
-// also feeds per-stage critical-path histograms into an obs domain.
+// also feeds per-stage critical-path histograms into a domain.
 // All methods are nil-safe.
 type Tracer struct {
 	recentCap int
@@ -289,7 +328,7 @@ type Tracer struct {
 	sealed  int64
 	stages  int64
 
-	stageH [numKinds]*obs.Histogram
+	stageH [numKinds]*Histogram
 	points []sim.Time // Seal's scratch for the breakdown sweep
 }
 
@@ -300,8 +339,8 @@ const (
 	slowExemplars = 16
 )
 
-// New builds a tracer.
-func New() *Tracer {
+// NewTracer builds a tracer.
+func NewTracer() *Tracer {
 	return &Tracer{
 		recentCap: recentRing,
 		slowCap:   slowExemplars,
@@ -311,12 +350,12 @@ func New() *Tracer {
 
 // SetObs registers per-stage critical-path histograms
 // ("reqtrace.stage.<kind>") in o, fed at each Seal.
-func (t *Tracer) SetObs(o *obs.Obs) {
+func (t *Tracer) SetObs(o *Obs) {
 	if t == nil || o == nil {
 		return
 	}
 	for k := Kind(0); k < numKinds; k++ {
-		t.stageH[k] = o.Histogram("reqtrace.stage."+k.String(), obs.LatencyBounds)
+		t.stageH[k] = o.Histogram("reqtrace.stage."+k.String(), LatencyBounds)
 	}
 }
 

@@ -1,4 +1,4 @@
-package reqtrace
+package obs
 
 import (
 	"errors"
@@ -8,24 +8,34 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func ms(n int) sim.Time { return sim.Time(n) * time.Millisecond }
 
+// stage records a stage of kind over [from, to] on tr, as Begin and End on
+// a proc would at those instants.
+func stage(tr *Trace, kind Kind, from, to sim.Time) {
+	if i := tr.open(kind, from); i >= 0 {
+		tr.close(i, to, "", nil)
+	}
+}
+
+// mark records a zero-duration stage of kind at at.
+func mark(tr *Trace, kind Kind, at sim.Time) { stage(tr, kind, at, at) }
+
 func TestCriticalPathAttributesInnermostStage(t *testing.T) {
 	tr := &Trace{ID: 1, Class: "interactive", Submit: 0}
 	// fetch-wait 10..100 enclosing a drive-swap 20..60 enclosing a
 	// media-transfer 30..50; queue-wait 0..10.
-	q := tr.StageStart(KindQueueWait, 0, "")
-	tr.StageEnd(q, ms(10))
-	fw := tr.StageStart(KindFetchWait, ms(10), "")
-	sw := tr.StageStart(KindDriveSwap, ms(20), "")
-	mt := tr.StageStart(KindMediaTransfer, ms(30), "")
-	tr.StageEnd(mt, ms(50))
-	tr.StageEnd(sw, ms(60))
-	tr.StageEnd(fw, ms(100))
+	q := tr.open(KindQueueWait, 0)
+	tr.close(q, ms(10), "", nil)
+	fw := tr.open(KindFetchWait, ms(10))
+	sw := tr.open(KindDriveSwap, ms(20))
+	mt := tr.open(KindMediaTransfer, ms(30))
+	tr.close(mt, ms(50), "", nil)
+	tr.close(sw, ms(60), "", nil)
+	tr.close(fw, ms(100), "", nil)
 	tr.complete(ms(120), nil)
 
 	b := tr.Breakdown()
@@ -53,19 +63,20 @@ func TestCriticalPathAttributesInnermostStage(t *testing.T) {
 
 func TestCompleteForceClosesOpenStages(t *testing.T) {
 	tr := &Trace{ID: 2, Class: "interactive", Submit: ms(5)}
-	i := tr.StageStart(KindFetchWait, ms(10), "")
+	i := tr.open(KindFetchWait, ms(10))
 	tr.complete(ms(40), errors.New("deadline exceeded"))
 	if tr.Stages[0].Open || tr.Stages[0].End != ms(40) {
 		t.Fatalf("open stage not sealed: %+v", tr.Stages[0])
 	}
-	// A late StageEnd from a background daemon must not reopen or move it.
-	tr.StageEnd(i, ms(90))
-	if tr.Stages[0].End != ms(40) {
-		t.Fatalf("late StageEnd moved a sealed stage: %+v", tr.Stages[0])
+	// A late End from a background daemon must not reopen or move it, but
+	// still notes what it gave.
+	tr.close(i, ms(90), "", []Arg{{Key: "tag", Val: 7}})
+	if tr.Stages[0].End != ms(40) || tr.Stages[0].Open || tr.Stages[0].Note() != "seg 7" {
+		t.Fatalf("late End moved a sealed stage or lost its note: %+v", tr.Stages[0])
 	}
-	// Late StageStart after completion records nothing.
-	if j := tr.StageStart(KindDriveSwap, ms(95), ""); j != -1 {
-		t.Fatalf("StageStart on a completed trace returned %d", j)
+	// A late Begin after completion records nothing.
+	if j := tr.open(KindDriveSwap, ms(95)); j != -1 {
+		t.Fatalf("Begin on a completed trace opened stage %d", j)
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
@@ -78,8 +89,7 @@ func TestCompleteForceClosesOpenStages(t *testing.T) {
 func TestStageCapDropsButKeepsInvariant(t *testing.T) {
 	tr := &Trace{ID: 3, Class: "background"}
 	for i := 0; i < maxStages+25; i++ {
-		j := tr.StageStart(KindStripeIO, ms(i), "")
-		tr.StageEnd(j, ms(i+1))
+		stage(tr, KindStripeIO, ms(i), ms(i+1))
 	}
 	if len(tr.Stages) != maxStages || tr.Dropped != 25 {
 		t.Fatalf("stages %d dropped %d, want %d and 25", len(tr.Stages), tr.Dropped, maxStages)
@@ -92,11 +102,10 @@ func TestStageCapDropsButKeepsInvariant(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Trace
-	if i := tr.StageStart(KindQueueWait, 0, ""); i != -1 {
+	if i := tr.open(KindQueueWait, 0); i != -1 {
 		t.Fatal("nil trace recorded a stage")
 	}
-	tr.StageEnd(0, 0)
-	tr.Mark(KindAdmission, 0, "")
+	mark(tr, KindAdmission, 0)
 	tr.complete(0, nil)
 	if tr.Latency() != 0 || tr.Breakdown() != [numKinds]sim.Time{} {
 		t.Fatal("nil trace not inert")
@@ -111,28 +120,28 @@ func TestNilSafety(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	k.RunProc(func(p *sim.Proc) {
-		if From(p) != nil {
-			t.Error("From on ctx-less proc not nil")
+		if iv := Begin(p, KindQueueWait); iv.tr != nil {
+			t.Error("Begin on a ctx-less proc opened a stage")
 		}
+		tr.Begin(p, KindAdmission).End(nil, "t", "c", "n")
 	})
 }
 
 // sized is a tracer with a recent ring of recent traces and slow exemplars
 // per class, small enough for a test to overflow.
 func sized(recent, slow int) *Tracer {
-	tc := New()
+	tc := NewTracer()
 	tc.recentCap, tc.slowCap = recent, slow
 	return tc
 }
 
 func TestTracerRingsAndExemplars(t *testing.T) {
 	tc := sized(4, 2)
-	o := obs.New(sim.NewKernel())
+	o := New(sim.NewKernel())
 	tc.SetObs(o)
 	for i := 1; i <= 6; i++ {
 		tr := tc.Start(int64(i), "interactive", 0, 0)
-		j := tr.StageStart(KindFetchWait, 0, "")
-		tr.StageEnd(j, ms(10*i))
+		stage(tr, KindFetchWait, 0, ms(10*i))
 		tc.Seal(tr, ms(10*i), nil)
 	}
 	rec := tc.Recent()
@@ -154,7 +163,7 @@ func TestTracerRingsAndExemplars(t *testing.T) {
 	if started != 6 || sealed != 6 || stages != 6 {
 		t.Fatalf("counts %d/%d/%d", started, sealed, stages)
 	}
-	if h := o.Histogram("reqtrace.stage.fetch-wait", obs.LatencyBounds); h.N != 6 {
+	if h := o.Histogram("reqtrace.stage.fetch-wait", LatencyBounds); h.N != 6 {
 		t.Fatalf("stage histogram observed %d, want 6", h.N)
 	}
 }
@@ -184,13 +193,13 @@ func TestZeroLatencyRequest(t *testing.T) {
 func TestSealAllocatesNothing(t *testing.T) {
 	const warm, runs = 8, 50
 	tc := sized(4, 2)
-	tc.SetObs(obs.New(sim.NewKernel()))
+	tc.SetObs(New(sim.NewKernel()))
 	trs := make([]*Trace, warm+runs+1)
 	for i := range trs {
 		tr := tc.Start(int64(i+1), "interactive", ms(i), 0)
-		fw := tr.StageStart(KindFetchWait, ms(i), "")
-		tr.Mark(KindAdmission, ms(i+1), "")
-		tr.StageEnd(fw, ms(i+5+i%7))
+		fw := tr.open(KindFetchWait, ms(i))
+		mark(tr, KindAdmission, ms(i+1))
+		tr.close(fw, ms(i+5+i%7), "", nil)
 		trs[i] = tr
 	}
 	seal := func() {
@@ -210,11 +219,10 @@ func TestSealAllocatesNothing(t *testing.T) {
 // mark, and seals it: one request's life in the tracer.
 func cycle(tc *Tracer, id int) *Trace {
 	tr := tc.Start(int64(id), "interactive", ms(id), 0)
-	q := tr.StageStart(KindQueueWait, ms(id), "")
-	tr.StageEnd(q, ms(id+1))
-	fw := tr.StageStart(KindFetchWait, ms(id+1), "")
-	tr.Mark(KindAdmission, ms(id+2), "")
-	tr.StageEnd(fw, ms(id+5+id%7))
+	stage(tr, KindQueueWait, ms(id), ms(id+1))
+	fw := tr.open(KindFetchWait, ms(id+1))
+	mark(tr, KindAdmission, ms(id+2))
+	tr.close(fw, ms(id+5+id%7), "", nil)
 	tc.Seal(tr, ms(id+6+id%7), nil)
 	return tr
 }
@@ -224,7 +232,7 @@ func cycle(tc *Tracer, id int) *Trace {
 // reuses a trace that left the ring, stage array and all.
 func TestStartSealCycleAllocatesNothing(t *testing.T) {
 	tc := sized(4, 2)
-	tc.SetObs(obs.New(sim.NewKernel()))
+	tc.SetObs(New(sim.NewKernel()))
 	id := 0
 	for range 16 {
 		id++
@@ -265,7 +273,7 @@ func TestReusedTracesAreUnreachable(t *testing.T) {
 			if cap(tr.Stages) > 0 {
 				reused++
 			}
-			tr.Mark(KindAdmission, now, "")
+			mark(tr, KindAdmission, now)
 			if rng.Intn(5) == 0 {
 				tr.Hold(1)
 				holding = append(holding, tr)
@@ -335,8 +343,8 @@ func TestTraceLeavingRingAndExemplarsAtOnce(t *testing.T) {
 // BenchmarkTraceCycle is one request's trace once the recent ring is full:
 // Start, three stages and Seal.
 func BenchmarkTraceCycle(b *testing.B) {
-	tc := New()
-	tc.SetObs(obs.New(sim.NewKernel()))
+	tc := NewTracer()
+	tc.SetObs(New(sim.NewKernel()))
 	for id := range 300 {
 		cycle(tc, id)
 	}
@@ -344,5 +352,52 @@ func BenchmarkTraceCycle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cycle(tc, 300+i)
+	}
+}
+
+// TestIntervalFreeWhenUntraced: Begin and End on a proc that carries no
+// trace allocate nothing, on a nil domain and on a metrics-only one whose
+// aggregate exists, spans' argument lists included.
+func TestIntervalFreeWhenUntraced(t *testing.T) {
+	k := sim.NewKernel()
+	on := New(k)
+	k.RunProc(func(p *sim.Proc) {
+		for name, o := range map[string]*Obs{"nil": nil, "metrics-only": on} {
+			interval := func() {
+				Begin(p, KindMediaTransfer).End(o, "t", "c", "n", Arg{Key: "vol", Val: 1}, Arg{Key: "seg", Val: 2})
+				Begin(p, KindStripeIO).End(o, "", "", "read", Arg{Key: "blk", Val: 8})
+			}
+			interval()
+			if n := testing.AllocsPerRun(100, interval); n != 0 {
+				t.Errorf("%s: %v allocations per untraced interval, want 0", name, n)
+			}
+		}
+	})
+	// One call, a warm-up and 100 runs: each a span, the stage-only
+	// interval none.
+	if on.CatCount("c") != 102 || len(on.Aggregates()) != 1 {
+		t.Fatalf("metrics-only domain counted %d spans in %d aggregates, want 102 in 1", on.CatCount("c"), len(on.Aggregates()))
+	}
+}
+
+// TestTracedStageBuildsNoNote: a stage of a traced request keeps what its
+// End gave and formats its note only when a renderer asks, so recording it
+// allocates nothing once the trace's stage list has room.
+func TestTracedStageBuildsNoNote(t *testing.T) {
+	k := sim.NewKernel()
+	tr := &Trace{ID: 1, Stages: make([]Stage, 0, 128)}
+	k.RunProc(func(p *sim.Proc) {
+		ctx := k.NewCtx(0)
+		ctx.SetTrace(tr)
+		defer p.PushCtx(ctx)()
+		interval := func() {
+			Begin(p, KindDriveSwap).End(nil, "", "", "swap", Arg{Key: "vol", Val: 3}, Arg{Key: "drive", Val: 1})
+		}
+		if n := testing.AllocsPerRun(100, interval); n != 0 {
+			t.Errorf("%v allocations per traced stage, want 0", n)
+		}
+	})
+	if len(tr.Stages) != 101 || tr.Stages[100].Note() != "vol 3 drive 1" {
+		t.Fatalf("%d stages, the last noted %q; want 101 noted \"vol 3 drive 1\"", len(tr.Stages), tr.Stages[100].Note())
 	}
 }

@@ -27,7 +27,7 @@ type Ctx struct {
 	err    error
 	wakers []func()
 	expiry timer // the deadline's timer; fn is nil when none is armed
-	trace  any   // opaque per-request trace (internal/obs/reqtrace)
+	trace  any   // opaque per-request trace (internal/obs)
 	park   func(p *Proc, parked bool)
 }
 
@@ -101,7 +101,7 @@ func (c *Ctx) OnCancel(w func()) {
 
 // SetTrace attaches an opaque per-request trace to the scope. The kernel
 // never looks inside it — it exists so the request tracer
-// (internal/obs/reqtrace) can ride the scope through every layer that
+// (internal/obs) can ride the scope through every layer that
 // already propagates Ctx, without sim importing the tracer. Nil-safe.
 func (c *Ctx) SetTrace(v any) {
 	if c == nil {

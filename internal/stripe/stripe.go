@@ -14,7 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/dev"
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -317,16 +317,11 @@ func (f *Farm) do(p *sim.Proc, parts []dev.Part, write bool) error {
 	if blk < 0 || blk+nb > f.total {
 		return fmt.Errorf("stripe: blocks [%d,%d) out of range [0,%d)", blk, blk+nb, f.total)
 	}
-	tr := reqtrace.From(p)
-	var note string
-	if tr != nil {
-		dir := "read"
-		if write {
-			dir = "write"
-		}
-		note = fmt.Sprintf("%s %d blk", dir, nb)
+	dir := "read"
+	if write {
+		dir = "write"
 	}
-	st := tr.StageStart(reqtrace.KindStripeIO, p.Now(), note)
+	iv := obs.Begin(p, obs.KindStripeIO)
 	var err error
 	switch {
 	case !write:
@@ -336,7 +331,7 @@ func (f *Farm) do(p *sim.Proc, parts []dev.Part, write bool) error {
 	default:
 		err = f.writeBlocks(p, parts)
 	}
-	tr.StageEnd(st, p.Now())
+	iv.End(nil, "", "", dir, obs.Arg{Key: "blk", Val: nb})
 	return err
 }
 

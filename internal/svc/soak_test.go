@@ -13,8 +13,8 @@ import (
 	"repro/internal/fsck"
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
+	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/svc"
 	"repro/internal/wl"
@@ -192,7 +192,7 @@ func runOverloadOutageSoak(t *testing.T, seed uint64) string {
 		// sealed with all stages closed and their critical-path breakdown
 		// summing exactly to their latency.
 		checked := 0
-		validateAll := func(trs []*reqtrace.Trace) {
+		validateAll := func(trs []*obs.Trace) {
 			for _, tr := range trs {
 				if !tr.Done {
 					t.Fatalf("request %d: trace left open after the soak", tr.ID)

@@ -30,7 +30,6 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -126,9 +125,9 @@ type Request struct {
 	fn  func(p *sim.Proc) error
 	ctx *sim.Ctx
 
-	trace  *reqtrace.Trace
-	qstage int  // queue-wait stage index in trace
-	lent   bool // parked in a demand fetch with its slot given up
+	trace  *obs.Trace
+	queued obs.Interval // its wait in the admission queue
+	lent   bool         // parked in a demand fetch with its slot given up
 
 	submitT  sim.Time
 	startT   sim.Time // 0 until execution begins
@@ -156,7 +155,7 @@ type FrontEnd struct {
 	// Config.DisableTracing). Every admitted request gets a Trace riding
 	// its sim.Ctx; the slowest exemplars per class and a recent ring are
 	// retained for hldump -request/-slowest and `hlbench -requests`.
-	Tracer *reqtrace.Tracer
+	Tracer *obs.Tracer
 
 	k      *sim.Kernel
 	queues [numClasses]sim.Queue[*Request]
@@ -205,7 +204,7 @@ func New(hl *core.HighLight, cfg Config) *FrontEnd {
 
 	o := hl.Obs
 	if !cfg.DisableTracing {
-		fe.Tracer = reqtrace.New()
+		fe.Tracer = obs.NewTracer()
 		fe.Tracer.SetObs(o)
 	}
 	for c := Class(0); c < numClasses; c++ {
@@ -296,9 +295,9 @@ func (fe *FrontEnd) SubmitAsync(p *sim.Proc, class Class, deadline sim.Time, fn 
 		})
 	}
 	r.trace = fe.Tracer.Start(id, class.String(), p.Now(), deadline)
-	reqtrace.Attach(r.ctx, r.trace)
-	r.trace.Mark(reqtrace.KindAdmission, p.Now(), "admitted")
-	r.qstage = r.trace.StageStart(reqtrace.KindQueueWait, p.Now(), "")
+	r.ctx.SetTrace(r.trace)
+	r.trace.Begin(p, obs.KindAdmission).End(nil, "", "", "admitted")
+	r.queued = r.trace.Begin(p, obs.KindQueueWait)
 	fe.admitted.Add(1)
 	fe.earnRetryToken()
 	fe.queues[class].Push(r)
@@ -384,7 +383,7 @@ func (fe *FrontEnd) updateBrownout() {
 func (fe *FrontEnd) worker(p *sim.Proc) {
 	for {
 		r := fe.dequeue(p)
-		r.trace.StageEnd(r.qstage, p.Now())
+		r.queued.End(nil, "", "", "")
 		// Queued expiry: a request whose deadline passed (or that was
 		// canceled) while waiting is shed here, before any layer below
 		// sees it — no fetch is queued, no staging line touched.
@@ -498,13 +497,13 @@ func (fe *FrontEnd) unpark(p *sim.Proc, r *Request) {
 		fe.slots(1, Interactive, -1)
 		return
 	}
-	st := r.trace.StageStart(reqtrace.KindQueueWait, p.Now(), "resume")
+	iv := r.trace.Begin(p, obs.KindQueueWait)
 	fe.resuming++
 	for fe.exec >= fe.Cfg.Workers {
 		fe.work.Wait(p)
 	}
 	fe.resuming--
-	r.trace.StageEnd(st, p.Now())
+	iv.End(nil, "", "", "resume")
 	fe.slots(1, Interactive, -1)
 	if fe.resuming == 0 && fe.exec < fe.Cfg.Workers {
 		fe.work.Broadcast() // workers that stood back while this one waited

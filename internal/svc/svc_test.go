@@ -15,8 +15,8 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/lfs"
 	"repro/internal/migrate"
+	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 	"repro/internal/svc"
 )
@@ -139,7 +139,7 @@ func TestAdmitExecuteComplete(t *testing.T) {
 			t.Fatalf("%d traces retained, want 3", len(traces))
 		}
 		for _, tr := range traces {
-			if !slices.ContainsFunc(tr.Stages, func(s reqtrace.Stage) bool { return s.Kind == reqtrace.KindAdmission }) {
+			if !slices.ContainsFunc(tr.Stages, func(s obs.Stage) bool { return s.Kind == obs.KindAdmission }) {
 				t.Fatalf("request %d: no admission stage in its trace: %+v", tr.ID, tr.Stages)
 			}
 		}

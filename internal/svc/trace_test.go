@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"repro/internal/lfs"
-	"repro/internal/obs/reqtrace"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/svc"
 )
 
 // hasKind reports whether the trace recorded at least one stage of kind.
-func hasKind(tr *reqtrace.Trace, kind reqtrace.Kind) bool {
+func hasKind(tr *obs.Trace, kind obs.Kind) bool {
 	for _, s := range tr.Stages {
 		if s.Kind == kind {
 			return true
@@ -24,7 +24,7 @@ func hasKind(tr *reqtrace.Trace, kind reqtrace.Kind) bool {
 // checkSealed asserts the structural invariants every sealed trace must
 // satisfy: marked done, every stage closed inside [submit, end], and the
 // critical-path breakdown summing exactly to the end-to-end latency.
-func checkSealed(t *testing.T, tr *reqtrace.Trace) {
+func checkSealed(t *testing.T, tr *obs.Trace) {
 	t.Helper()
 	if tr == nil {
 		t.Fatal("no trace retained")
@@ -83,18 +83,18 @@ func TestTraceFetchAndCacheHitSumToLatency(t *testing.T) {
 		cold, warm := fe.Tracer.Request(1), fe.Tracer.Request(2)
 		checkSealed(t, cold)
 		checkSealed(t, warm)
-		for _, kind := range []reqtrace.Kind{
-			reqtrace.KindAdmission, reqtrace.KindCacheLookup,
-			reqtrace.KindFetchWait, reqtrace.KindMediaTransfer,
+		for _, kind := range []obs.Kind{
+			obs.KindAdmission, obs.KindCacheLookup,
+			obs.KindFetchWait, obs.KindMediaTransfer,
 		} {
 			if !hasKind(cold, kind) {
 				t.Fatalf("cold read trace missing %s: %+v", kind, cold.Stages)
 			}
 		}
-		if hasKind(warm, reqtrace.KindFetchWait) || hasKind(warm, reqtrace.KindMediaTransfer) {
+		if hasKind(warm, obs.KindFetchWait) || hasKind(warm, obs.KindMediaTransfer) {
 			t.Fatalf("warm read went to tertiary: %+v", warm.Stages)
 		}
-		if !hasKind(warm, reqtrace.KindCacheLookup) {
+		if !hasKind(warm, obs.KindCacheLookup) {
 			t.Fatalf("warm read trace missing the cache lookup: %+v", warm.Stages)
 		}
 		started, sealed, _ := fe.Tracer.Counts()

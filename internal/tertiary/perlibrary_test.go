@@ -14,7 +14,6 @@ import (
 	"repro/internal/dev"
 	"repro/internal/jukebox"
 	"repro/internal/obs"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -155,7 +154,7 @@ func (e *libEnv) copyout(t *testing.T, p *sim.Proc, tag int) {
 
 // fetchAll demand-fetches tags from one process each, started together, and
 // checks what landed in the cache.
-func (e *libEnv) fetchAll(t *testing.T, p *sim.Proc, tags []int, trs []*reqtrace.Trace) {
+func (e *libEnv) fetchAll(t *testing.T, p *sim.Proc, tags []int, trs []*obs.Trace) {
 	t.Helper()
 	done := e.k.NewCond("fetched")
 	left := len(tags)
@@ -219,8 +218,8 @@ func TestConcurrentFetchesUseBothLibraries(t *testing.T) {
 // critical path for as long as it lasts, with the sum invariant intact.
 func TestIOQueueStageNamesTheWait(t *testing.T) {
 	e := newLibEnv(2, 2, 8)
-	tracer := reqtrace.New()
-	trs := make([]*reqtrace.Trace, 6)
+	tracer := obs.NewTracer()
+	trs := make([]*obs.Trace, 6)
 	e.k.RunProc(func(p *sim.Proc) {
 		tags := []int{0, 1, 2, 3, 4, 5}
 		e.seed(t, p, tags...)
@@ -237,12 +236,12 @@ func TestIOQueueStageNamesTheWait(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Error(err)
 		}
-		var fw, q *reqtrace.Stage
+		var fw, q *obs.Stage
 		for j := range tr.Stages {
 			switch s := &tr.Stages[j]; s.Kind {
-			case reqtrace.KindFetchWait:
+			case obs.KindFetchWait:
 				fw = s
-			case reqtrace.KindIOQueue:
+			case obs.KindIOQueue:
 				q = s
 			}
 		}
@@ -259,10 +258,10 @@ func TestIOQueueStageNamesTheWait(t *testing.T) {
 		if q.Start < fw.Start || q.End > fw.End || q.End <= q.Start {
 			t.Errorf("io-queue %v-%v not a real interval inside fetch-wait %v-%v", q.Start, q.End, fw.Start, fw.End)
 		}
-		if want := fmt.Sprintf("lib %d depth 2", i%2); q.Note != want {
-			t.Errorf("request %d io-queue note %q, want %q", i, q.Note, want)
+		if want := fmt.Sprintf("lib %d depth 2", i%2); q.Note() != want {
+			t.Errorf("request %d io-queue note %q, want %q", i, q.Note(), want)
 		}
-		if got := tr.Breakdown()[reqtrace.KindIOQueue]; got != q.End-q.Start {
+		if got := tr.Breakdown()[obs.KindIOQueue]; got != q.End-q.Start {
 			t.Errorf("request %d: io-queue holds %v of the critical path, stage lasted %v", i, got, q.End-q.Start)
 		}
 	}

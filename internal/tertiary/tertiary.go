@@ -43,7 +43,6 @@ import (
 	"repro/internal/jukebox"
 	"repro/internal/obs"
 	"repro/internal/obs/attr"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/sim"
 )
 
@@ -124,16 +123,17 @@ type request struct {
 	// tr is the first waiter's request trace, carried along so the I/O
 	// daemon's work on this fetch (drive swaps, media transfers, staging
 	// writes) is recorded against the request that caused it.
-	tr *reqtrace.Trace
+	tr *obs.Trace
 	// Set at dispatch: the library whose queue carries the transfer, the
 	// volume it was routed to with the media time it will keep that volume's
 	// drive busy, a fetch's copies in routed order, and the io-queue stage
-	// open on tr.
+	// open on tr with the library's depth when it opened.
 	lib    int
 	vol    int
 	cost   sim.Time
 	copies []int
-	qst    int
+	queued obs.Interval
+	depth  int
 }
 
 // volKey names one volume of one library: what a drive holds.
@@ -360,7 +360,7 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	if l, ok := s.cache.Peek(tag); ok {
 		return l, nil
 	}
-	tr := reqtrace.From(p)
+	tr, _ := p.Ctx().Trace().(*obs.Trace) // the request p works for, if traced
 	w, ok := s.pending[tag]
 	if !ok {
 		w = &fetchWait{done: s.k.NewCond(fmt.Sprintf("fetch-%d", tag))}
@@ -384,11 +384,8 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	ctx := p.Ctx()
 	ctx.OnCancel(w.done.Broadcast)
 	start := p.Now()
-	var note string
-	if tr != nil {
-		note = fmt.Sprintf("seg %d", tag)
-	}
-	st := tr.StageStart(reqtrace.KindFetchWait, start, note)
+	iv := tr.Begin(p, obs.KindFetchWait)
+	tagArg := obs.Arg{Key: "tag", Val: int64(tag)}
 	// Whoever owns the request may lend what it holds (a front-end worker
 	// slot) for the length of the wait, and may make Unpark wait to get it
 	// back: on the way out the line is still pinned for this waiter then.
@@ -398,17 +395,16 @@ func (s *Service) DemandFetch(p *sim.Proc, tag int) (*cache.Line, error) {
 	for !w.over {
 		if err := ctx.Err(); err != nil {
 			w.waiters--
-			tr.StageEnd(st, p.Now())
+			iv.End(nil, "", "", "", tagArg)
 			ctx.Unpark(p)
 			return nil, fmt.Errorf("tertiary: fetch of segment %d abandoned: %w", tag, err)
 		}
 		w.done.Wait(p)
 	}
-	tr.StageEnd(st, p.Now())
+	iv.End(s.obs, "tertiary.svc", "fetch.wait", "demand-fetch", tagArg)
 	if s.Notify != nil {
 		s.Notify(tag, p.Now()-start, true)
 	}
-	s.obs.Span("tertiary.svc", "fetch.wait", "demand-fetch", start, obs.Arg{Key: "tag", Val: int64(tag)})
 	s.fetchWaitH.Observe(p.Now() - start)
 	ctx.Unpark(p)
 	if w.line != nil {
@@ -580,9 +576,9 @@ func (s *Service) serviceLoop(p *sim.Proc) {
 // wait until one picks it up is the request's io-queue stage.
 func (s *Service) dispatch(p *sim.Proc, r request, to int) {
 	lib, vol, _, _ := s.locate(to)
-	r.lib, r.vol, r.cost, r.qst = lib, vol, s.mediaTime(lib, r.kind), -1
-	if r.tr != nil && s.out[lib] >= s.streams {
-		r.qst = r.tr.StageStart(reqtrace.KindIOQueue, p.Now(), fmt.Sprintf("lib %d depth %d", lib, s.out[lib]))
+	r.lib, r.vol, r.cost, r.queued = lib, vol, s.mediaTime(lib, r.kind), obs.Interval{}
+	if s.out[lib] >= s.streams {
+		r.queued, r.depth = r.tr.Begin(p, obs.KindIOQueue), s.out[lib]
 	}
 	s.out[lib]++
 	s.busy[volKey{lib, vol}] += r.cost
@@ -804,7 +800,7 @@ func (s *Service) retryDeferred(p *sim.Proc) {
 // transientFault reports whether err is worth retrying: injected
 // transient media errors and all-drives-offline windows clear on their
 // own; anything else (permanent media damage, programmer bugs like
-// write-once violations, end-of-medium) does not.
+// out-of-range arguments, end-of-medium) does not.
 func transientFault(err error) bool {
 	return errors.Is(err, dev.ErrTransientMedia) || errors.Is(err, jukebox.ErrDriveOffline)
 }
@@ -826,10 +822,9 @@ func (s *Service) withRetry(p *sim.Proc, op func() error) error {
 		}
 		s.stats.TransientRetries++
 		s.obs.Instant("tertiary.io", "io.retry", "retry")
-		tr := reqtrace.From(p)
-		st := tr.StageStart(reqtrace.KindRetryBackoff, p.Now(), "")
+		iv := obs.Begin(p, obs.KindRetryBackoff)
 		p.Sleep(backoff)
-		tr.StageEnd(st, p.Now())
+		iv.End(nil, "", "", "")
 		backoff = min(2*backoff, retryMaxBackoff)
 	}
 }
@@ -938,7 +933,7 @@ func (s *Service) ioLoop(p *sim.Proc, lib int) {
 		switch r.kind {
 		case reqFetch:
 			s.takeToken(p, lib, turn)
-			r.tr.StageEnd(r.qst, p.Now())
+			r.queued.End(nil, "", "", "", obs.Arg{Key: "lib", Val: int64(lib)}, obs.Arg{Key: "depth", Val: int64(r.depth)})
 			// Run the transfer under a carrier scope holding the waiter's
 			// trace, so the layers below (jukebox swap and transfer, the
 			// staging write through the stripe farm, retry backoffs) record
